@@ -6,6 +6,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use sw26010::MachineConfig;
 use swatop::model::{estimate_program, GemmModel};
 use swatop::ops::{ImplicitConvOp, MatmulOp};
+use swatop::optimizer::optimize;
 use swatop::scheduler::{Operator, Scheduler};
 use swtensor::ConvShape;
 
@@ -15,6 +16,31 @@ fn bench_enumerate(c: &mut Criterion) {
     let sched = Scheduler::new(cfg);
     c.bench_function("enumerate_implicit_conv_space", |b| {
         b.iter(|| std::hint::black_box(sched.enumerate(&op).len()))
+    });
+}
+
+/// The unaligned `gemm_space` shape of the repo benchmark: 17k points whose
+/// front end (lower, DMA-wall pipeline, double buffering) is the whole cost.
+fn bench_enumerate_matmul(c: &mut Criterion) {
+    let op = MatmulOp::new(100, 100, 100);
+    let sched = Scheduler::new(MachineConfig::default());
+    c.bench_function("enumerate_matmul_100x100x100", |b| {
+        b.iter(|| std::hint::black_box(sched.enumerate(&op).len()))
+    });
+}
+
+/// One run of the DMA-wall pipeline (`optimize(_, false)`) on a point of
+/// that space with every pass switched on.
+fn bench_optimize_raw(c: &mut Criterion) {
+    let op = MatmulOp::new(100, 100, 100);
+    let space = op.space();
+    let lowered = space
+        .points()
+        .filter_map(|p| op.lower(&space, &p))
+        .find(|p| p.hints.coalesce && p.hints.bcast)
+        .expect("a valid point with coalescing and broadcast on");
+    c.bench_function("optimize_raw_matmul_point", |b| {
+        b.iter(|| std::hint::black_box(optimize(lowered.clone(), false)))
     });
 }
 
@@ -41,5 +67,12 @@ fn bench_model_estimate(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_enumerate, bench_lower_one, bench_model_estimate);
+criterion_group!(
+    benches,
+    bench_enumerate,
+    bench_enumerate_matmul,
+    bench_optimize_raw,
+    bench_lower_one,
+    bench_model_estimate
+);
 criterion_main!(benches);

@@ -147,18 +147,45 @@ impl SchedulePoint {
         idx
     }
 
+    /// The per-knob candidate indices, in knob order.
+    pub fn sel(&self) -> &[usize] {
+        &self.sel
+    }
+
+    /// The point of `space` with the given per-knob candidate indices (the
+    /// inverse of [`SchedulePoint::sel`]).
+    pub fn from_sel(space: &ScheduleSpace, sel: Vec<usize>) -> SchedulePoint {
+        assert_eq!(sel.len(), space.knobs.len(), "selection length != knob count");
+        for (k, &s) in space.knobs.iter().zip(&sel) {
+            assert!(s < k.arity(), "selection {s} out of range for knob '{}'", k.name());
+        }
+        SchedulePoint { sel }
+    }
+
     /// Human-readable description against its space.
     pub fn describe(&self, space: &ScheduleSpace) -> String {
-        let mut parts = Vec::new();
+        use std::fmt::Write;
+        // `name=value, ` per knob; 8 covers the value of every knob in the
+        // operator library, so the common case never regrows.
+        let cap: usize = space.knobs.iter().map(|k| k.name().len() + 8).sum();
+        let mut out = String::with_capacity(cap);
         for (i, k) in space.knobs.iter().enumerate() {
-            let v = match k {
-                Knob::Factor { candidates, .. } => candidates[self.sel[i]].to_string(),
-                Knob::Choice { candidates, .. } => candidates[self.sel[i]].clone(),
-                Knob::Toggle { .. } => (self.sel[i] == 1).to_string(),
-            };
-            parts.push(format!("{}={v}", k.name()));
+            if i > 0 {
+                out.push_str(", ");
+            }
+            out.push_str(k.name());
+            out.push('=');
+            match k {
+                Knob::Factor { candidates, .. } => {
+                    write!(out, "{}", candidates[self.sel[i]]).expect("write to String")
+                }
+                Knob::Choice { candidates, .. } => out.push_str(&candidates[self.sel[i]]),
+                Knob::Toggle { .. } => {
+                    out.push_str(if self.sel[i] == 1 { "true" } else { "false" })
+                }
+            }
         }
-        parts.join(", ")
+        out
     }
 }
 
@@ -199,6 +226,31 @@ mod tests {
             let p = s.point(i);
             assert_eq!(p.index(&s), i);
         }
+    }
+
+    #[test]
+    fn point_roundtrip_through_sel() {
+        let s = demo_space();
+        for p in s.points() {
+            assert_eq!(SchedulePoint::from_sel(&s, p.sel().to_vec()), p);
+        }
+        assert_eq!(s.point(7).sel(), &[1, 1, 1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn from_sel_rejects_out_of_range() {
+        let s = demo_space();
+        SchedulePoint::from_sel(&s, vec![3, 0, 0]);
+    }
+
+    #[test]
+    fn describe_format_is_stable() {
+        let s = demo_space();
+        assert_eq!(s.point(0).describe(&s), "t=1, ord=ab, vec_m=false");
+        assert_eq!(s.point(s.size() - 1).describe(&s), "t=4, ord=ba, vec_m=true");
+        let empty = ScheduleSpace::new();
+        assert_eq!(empty.point(0).describe(&empty), "");
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! substitution is what makes the paper's DMA inference, hoisting analysis
 //! and next-iteration prefetch inference mechanical.
 
-use std::collections::BTreeMap;
+use std::cmp::Ordering;
 use std::fmt;
 
 /// Index of a loop variable in a program's variable table.
@@ -70,16 +70,34 @@ impl AffineExpr {
         self.terms.is_empty()
     }
 
-    /// `self + other`.
+    /// `self + other`: a merge of the two sorted term lists.
     pub fn add(&self, other: &AffineExpr) -> AffineExpr {
-        let mut map: BTreeMap<AVar, i64> = self.terms.iter().copied().collect();
-        for &(v, c) in &other.terms {
-            *map.entry(v).or_insert(0) += c;
+        let (a, b) = (&self.terms, &other.terms);
+        let mut terms = Vec::with_capacity(a.len() + b.len());
+        let (mut i, mut j) = (0, 0);
+        while i < a.len() && j < b.len() {
+            match a[i].0.cmp(&b[j].0) {
+                Ordering::Less => {
+                    terms.push(a[i]);
+                    i += 1;
+                }
+                Ordering::Greater => {
+                    terms.push(b[j]);
+                    j += 1;
+                }
+                Ordering::Equal => {
+                    let c = a[i].1 + b[j].1;
+                    if c != 0 {
+                        terms.push((a[i].0, c));
+                    }
+                    i += 1;
+                    j += 1;
+                }
+            }
         }
-        AffineExpr {
-            terms: map.into_iter().filter(|&(_, c)| c != 0).collect(),
-            constant: self.constant + other.constant,
-        }
+        terms.extend_from_slice(&a[i..]);
+        terms.extend_from_slice(&b[j..]);
+        AffineExpr { terms, constant: self.constant + other.constant }
     }
 
     /// `self + c`.
@@ -91,7 +109,18 @@ impl AffineExpr {
 
     /// `self + coeff·v`.
     pub fn add_term(&self, v: AVar, coeff: i64) -> AffineExpr {
-        self.add(&AffineExpr { terms: vec![(v, coeff)], constant: 0 })
+        let mut e = self.clone();
+        if coeff == 0 {
+            return e;
+        }
+        match e.terms.binary_search_by_key(&v, |&(t, _)| t) {
+            Ok(i) if e.terms[i].1 + coeff == 0 => {
+                e.terms.remove(i);
+            }
+            Ok(i) => e.terms[i].1 += coeff,
+            Err(i) => e.terms.insert(i, (v, coeff)),
+        }
+        e
     }
 
     /// `self · c`.
@@ -107,16 +136,13 @@ impl AffineExpr {
 
     /// Substitute loop variable `var` by expression `by` (affine closure).
     pub fn subst(&self, var: VarId, by: &AffineExpr) -> AffineExpr {
-        let coeff = self.coeff(AVar::Loop(var));
-        if coeff == 0 {
+        let Ok(i) = self.terms.binary_search_by_key(&AVar::Loop(var), |&(t, _)| t) else {
             return self.clone();
-        }
-        let mut rest = AffineExpr {
-            terms: self.terms.iter().copied().filter(|(v, _)| *v != AVar::Loop(var)).collect(),
-            constant: self.constant,
         };
-        rest = rest.add(&by.scale(coeff));
-        rest
+        let coeff = self.terms[i].1;
+        let mut rest = self.clone();
+        rest.terms.remove(i);
+        rest.add(&by.scale(coeff))
     }
 
     /// Evaluate under an environment plus mesh coordinates.
@@ -293,6 +319,33 @@ mod tests {
         let s = a.add(&b);
         assert!(s.is_const());
         assert_eq!(s.constant(), 1);
+    }
+
+    #[test]
+    fn add_merges_sorted_terms_canonically() {
+        // Interleaved, overlapping and cancelling terms: the result is the
+        // sorted, deduplicated, zero-free form whichever way it is built.
+        let a = AffineExpr::zero()
+            .add_term(AVar::Cid, 2)
+            .add_term(AVar::Loop(3), 5)
+            .add_term(AVar::Loop(0), 1);
+        let b = AffineExpr::zero()
+            .add_term(AVar::Loop(3), -5)
+            .add_term(AVar::Rid, 7)
+            .add_term(AVar::Loop(1), 4)
+            .add_const(9);
+        let s = a.add(&b);
+        assert_eq!(
+            s.terms(),
+            &[(AVar::Loop(0), 1), (AVar::Loop(1), 4), (AVar::Rid, 7), (AVar::Cid, 2)]
+        );
+        assert_eq!(s.constant(), 9);
+        assert_eq!(s, b.add(&a));
+        // add_term: zero coefficients and exact cancellation leave no term.
+        assert_eq!(a.add_term(AVar::Rid, 0), a);
+        assert_eq!(a.add_term(AVar::Cid, -2).coeff(AVar::Cid), 0);
+        assert_eq!(a.add_term(AVar::Cid, -2).terms().len(), 2);
+        assert_eq!(a.add_term(AVar::Cid, 1).coeff(AVar::Cid), 3);
     }
 
     #[test]

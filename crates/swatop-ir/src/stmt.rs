@@ -337,8 +337,14 @@ impl Stmt {
                 other => out.push(other),
             }
         }
-        let mut out = Vec::new();
-        stmts.into_iter().for_each(|s| push(&mut out, s));
+        // Already flat (the common case for pass output): keep the vector.
+        let out = if stmts.iter().any(|s| matches!(s, Stmt::Seq(_) | Stmt::Nop)) {
+            let mut out = Vec::with_capacity(stmts.len());
+            stmts.into_iter().for_each(|s| push(&mut out, s));
+            out
+        } else {
+            stmts
+        };
         match out.len() {
             0 => Stmt::Nop,
             1 => out.into_iter().next().unwrap(),

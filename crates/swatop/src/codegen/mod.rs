@@ -39,25 +39,38 @@ impl Executable {
     }
 }
 
+/// The coalesced allocation of `program`'s SPM buffers, packed in
+/// declaration order.
+fn packed(program: &Program) -> sw26010::spm::SpmPlanner {
+    let mut planner = sw26010::spm::SpmPlanner::new();
+    for b in &program.spm_bufs {
+        planner.alloc(b.len);
+    }
+    planner
+}
+
+/// Whether [`plan`] would accept `program` under `cfg` — the scheduler's
+/// capacity filter, answered without taking the program.
+pub fn fits(program: &Program, cfg: &MachineConfig) -> bool {
+    packed(program).fits(cfg.spm_bytes)
+}
+
 /// Plan the coalesced SPM allocation for `program` under `cfg`.
 ///
 /// Buffers are packed in declaration order; the high-water mark must fit in
 /// the SPM. A failure here marks the schedule candidate invalid.
 pub fn plan(program: Program, cfg: &MachineConfig) -> MachineResult<Executable> {
-    let mut planner = sw26010::spm::SpmPlanner::new();
-    let mut offsets = Vec::with_capacity(program.spm_bufs.len());
-    for b in &program.spm_bufs {
-        offsets.push(planner.alloc(b.len));
-    }
-    if !planner.fits(cfg.spm_bytes) {
+    if !fits(&program, cfg) {
         return Err(MachineError::SpmOverflow {
             cpe: 0,
             offset: 0,
-            len: planner.used(),
+            len: packed(&program).used(),
             capacity: cfg.spm_elems(),
         });
     }
-    Ok(Executable { program, spm_offsets: offsets, spm_used: planner.used() })
+    let mut planner = sw26010::spm::SpmPlanner::new();
+    let spm_offsets = program.spm_bufs.iter().map(|b| planner.alloc(b.len)).collect();
+    Ok(Executable { program, spm_offsets, spm_used: planner.used() })
 }
 
 #[cfg(test)]
@@ -83,6 +96,28 @@ mod tests {
         let mut p = Program::new("t");
         p.spm_buf("big", cfg.spm_elems() + 1);
         assert!(plan(p, &cfg).is_err());
+    }
+
+    #[test]
+    fn fits_agrees_with_plan_and_overflow_payload_is_kept() {
+        let cfg = MachineConfig::default();
+        for len in [cfg.spm_elems() - 1, cfg.spm_elems(), cfg.spm_elems() + 1] {
+            let mut p = Program::new("t");
+            p.spm_buf("a", 10);
+            p.spm_buf("b", len - 10);
+            assert_eq!(fits(&p, &cfg), plan(p.clone(), &cfg).is_ok(), "len {len}");
+            if let Err(e) = plan(p, &cfg) {
+                assert_eq!(
+                    e,
+                    MachineError::SpmOverflow {
+                        cpe: 0,
+                        offset: 0,
+                        len,
+                        capacity: cfg.spm_elems()
+                    }
+                );
+            }
+        }
     }
 
     #[test]

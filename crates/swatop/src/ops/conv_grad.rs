@@ -74,6 +74,10 @@ impl Operator for ConvBackwardDataOp {
         MatmulKnobs::space(g.no, g.b * g.ro * g.co, g.ni * g.kr * g.kc)
     }
 
+    fn lowering_ignores_dma_knobs(&self) -> bool {
+        true
+    }
+
     fn lower(&self, space: &ScheduleSpace, point: &SchedulePoint) -> Option<Program> {
         if !Self::applicable(&self.shape) {
             return None;
@@ -154,6 +158,10 @@ impl Operator for ConvBackwardFilterOp {
     fn space(&self) -> ScheduleSpace {
         let (m, n, k) = self.gemm_dims();
         MatmulKnobs::space(m, n, k)
+    }
+
+    fn lowering_ignores_dma_knobs(&self) -> bool {
+        true
     }
 
     fn lower(&self, space: &ScheduleSpace, point: &SchedulePoint) -> Option<Program> {

@@ -55,6 +55,10 @@ impl Operator for ExplicitConvOp {
         MatmulKnobs::space(m, n, k)
     }
 
+    fn lowering_ignores_dma_knobs(&self) -> bool {
+        true
+    }
+
     fn lower(&self, space: &ScheduleSpace, point: &SchedulePoint) -> Option<Program> {
         let knobs = MatmulKnobs::from_point(space, point);
         let s = &self.shape;

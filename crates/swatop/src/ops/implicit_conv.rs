@@ -105,6 +105,10 @@ impl Operator for ImplicitConvOp {
         sp
     }
 
+    fn lowering_ignores_dma_knobs(&self) -> bool {
+        true
+    }
+
     fn lower(&self, space: &ScheduleSpace, point: &SchedulePoint) -> Option<Program> {
         let s = self.padded_shape();
         if !Self::applicable(&self.shape) {

@@ -117,6 +117,10 @@ impl Operator for MatmulOp {
         s
     }
 
+    fn lowering_ignores_dma_knobs(&self) -> bool {
+        true
+    }
+
     fn lower(&self, space: &ScheduleSpace, point: &SchedulePoint) -> Option<Program> {
         let knobs = MatmulKnobs::from_point(space, point);
         let mut p = Program::new(self.name());

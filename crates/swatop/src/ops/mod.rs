@@ -82,6 +82,23 @@ impl DmaKnobs {
         }
     }
 
+    /// Positions in `space` of the knobs [`DmaKnobs::from_point`] reads —
+    /// the knobs whose value reaches a library lowering's program only
+    /// through [`DmaKnobs::hints`]. The scheduler shares one lowering among
+    /// the points that differ only here (see
+    /// [`Operator::lowering_ignores_dma_knobs`]).
+    pub fn positions(space: &ScheduleSpace) -> Vec<usize> {
+        let names: &[&str] = if space.has_knob("dma") {
+            &["dma"]
+        } else if space.has_knob("dbuf") {
+            &["dbuf", "coal", "bcast"]
+        } else {
+            &[]
+        };
+        let pos = |name: &str| space.knobs().iter().position(|k| k.name() == name);
+        names.iter().map(|n| pos(n).unwrap_or_else(|| panic!("unknown knob '{n}'"))).collect()
+    }
+
     /// The optimizer directives these knobs select.
     pub fn hints(self) -> ScheduleHints {
         ScheduleHints { dbuf: self.dbuf, coalesce: self.coalesce, bcast: self.bcast }

@@ -108,6 +108,10 @@ impl Operator for WinogradConvOp {
         sp
     }
 
+    fn lowering_ignores_dma_knobs(&self) -> bool {
+        true
+    }
+
     fn lower(&self, space: &ScheduleSpace, point: &SchedulePoint) -> Option<Program> {
         if !Self::applicable(&self.shape) {
             return None;

@@ -33,7 +33,9 @@ use swatop_ir::{
 const MAX_PACKED_ELEMS: usize = 1 << 22;
 
 /// Rewrite eligible strided `DmaCg` gets into packed contiguous `DmaCpe`
-/// gets fed by a `PackTiles` staging transform.
+/// gets fed by a `PackTiles` staging transform. Like the other passes of
+/// this module it edits the tree in place: only the nodes it changes are
+/// rebuilt.
 pub fn coalesce_gets(mut program: Program) -> Program {
     let body = std::mem::replace(&mut program.body, Stmt::Nop);
     let tops: Vec<Stmt> = match body {
@@ -42,57 +44,53 @@ pub fn coalesce_gets(mut program: Program) -> Program {
         other => vec![other],
     };
     let mut out = Vec::new();
-    for top in tops {
+    for mut top in tops {
         let written = written_bufs(&top);
         let mut packs: Vec<Stmt> = Vec::new();
         let mut loops: Vec<(usize, usize)> = Vec::new();
-        let new_top =
-            rewrite(&top, &mut loops, false, &written, &mut program, &mut packs);
+        rewrite(&mut top, &mut loops, false, &written, &mut program, &mut packs);
         // Staging gathers run before the nest that consumes them; the
         // source is read-only within this top-level statement, so the
         // ordering with respect to earlier producers is preserved.
         out.extend(packs);
-        out.push(new_top);
+        out.push(top);
     }
     program.body = Stmt::seq(out);
     program
 }
 
 fn rewrite(
-    s: &Stmt,
+    s: &mut Stmt,
     loops: &mut Vec<(usize, usize)>,
     in_if: bool,
     written: &HashSet<usize>,
     program: &mut Program,
     packs: &mut Vec<Stmt>,
-) -> Stmt {
+) {
     match s {
-        Stmt::Seq(ss) => Stmt::Seq(
-            ss.iter().map(|x| rewrite(x, loops, in_if, written, program, packs)).collect(),
-        ),
+        Stmt::Seq(ss) => {
+            ss.iter_mut().for_each(|x| rewrite(x, loops, in_if, written, program, packs))
+        }
         Stmt::For { var, extent, body } => {
             loops.push((*var, *extent));
-            let body = rewrite(body, loops, in_if, written, program, packs);
+            rewrite(body, loops, in_if, written, program, packs);
             loops.pop();
-            Stmt::For { var: *var, extent: *extent, body: Box::new(body) }
         }
         // Guarded gets are skipped: a boundary guard may suppress fetches
         // whose source addresses the gather would still enumerate.
-        Stmt::If { cond, then_, else_ } => Stmt::If {
-            cond: cond.clone(),
-            then_: Box::new(rewrite(then_, loops, true, written, program, packs)),
-            else_: else_
-                .as_ref()
-                .map(|e| Box::new(rewrite(e, loops, true, written, program, packs))),
-        },
-        Stmt::DmaCg(d) => match try_coalesce(d, loops, in_if, written, program) {
-            Some((pack, cpe)) => {
-                packs.push(pack);
-                Stmt::DmaCpe(cpe)
+        Stmt::If { then_, else_, .. } => {
+            rewrite(then_, loops, true, written, program, packs);
+            if let Some(e) = else_ {
+                rewrite(e, loops, true, written, program, packs);
             }
-            None => s.clone(),
-        },
-        other => other.clone(),
+        }
+        Stmt::DmaCg(d) => {
+            if let Some((pack, cpe)) = try_coalesce(d, loops, in_if, written, program) {
+                packs.push(pack);
+                *s = Stmt::DmaCpe(cpe);
+            }
+        }
+        _ => {}
     }
 }
 
@@ -229,39 +227,32 @@ fn transform_dst(k: &TransformKind) -> usize {
 /// (`n_blocks == 1` or `stride ≥ 8·block`); column-broadcast is the `Rid`
 /// mirror. Guarded gets are left untouched — the scatter is a collective
 /// over the full mesh and must not diverge.
-pub fn tag_broadcast(stmt: &Stmt) -> Stmt {
+pub fn tag_broadcast(stmt: &mut Stmt) {
     tag(stmt, false)
 }
 
-fn tag(s: &Stmt, in_if: bool) -> Stmt {
+fn tag(s: &mut Stmt, in_if: bool) {
     match s {
-        Stmt::Seq(ss) => Stmt::Seq(ss.iter().map(|x| tag(x, in_if)).collect()),
-        Stmt::For { var, extent, body } => {
-            Stmt::For { var: *var, extent: *extent, body: Box::new(tag(body, in_if)) }
+        Stmt::Seq(ss) => ss.iter_mut().for_each(|x| tag(x, in_if)),
+        Stmt::For { body, .. } => tag(body, in_if),
+        Stmt::If { then_, else_, .. } => {
+            tag(then_, true);
+            if let Some(e) = else_ {
+                tag(e, true);
+            }
         }
-        Stmt::If { cond, then_, else_ } => Stmt::If {
-            cond: cond.clone(),
-            then_: Box::new(tag(then_, true)),
-            else_: else_.as_ref().map(|e| Box::new(tag(e, true))),
-        },
         Stmt::DmaCpe(d)
             if !in_if && d.direction == DmaDirection::MemToSpm && d.bcast.is_none() =>
         {
             let layout_ok =
                 d.block > 0 && (d.n_blocks == 1 || d.stride >= 8 * d.block);
-            let bus = if layout_ok && d.offset.coeff(AVar::Cid) == d.block as i64 {
-                Some(BcastBus::Row)
+            if layout_ok && d.offset.coeff(AVar::Cid) == d.block as i64 {
+                d.bcast = Some(BcastBus::Row);
             } else if layout_ok && d.offset.coeff(AVar::Rid) == d.block as i64 {
-                Some(BcastBus::Column)
-            } else {
-                None
-            };
-            match bus {
-                Some(_) => Stmt::DmaCpe(DmaCpe { bcast: bus, ..d.clone() }),
-                None => s.clone(),
+                d.bcast = Some(BcastBus::Column);
             }
         }
-        other => other.clone(),
+        _ => {}
     }
 }
 
@@ -277,39 +268,33 @@ fn tag(s: &Stmt, in_if: bool) -> Stmt {
 /// an SPM-resident convolution reduction); without fusion each pays the
 /// full DRAM round-trip latency, which is what makes small-tile schedules
 /// DMA-latency bound rather than bandwidth bound.
-pub fn fuse_adjacent_gets(stmt: &Stmt) -> Stmt {
+pub fn fuse_adjacent_gets(stmt: &mut Stmt) {
     match stmt {
         Stmt::Seq(ss) => {
-            let mut out = Vec::with_capacity(ss.len());
             // Reply word of the immediately preceding get in this Seq, if
             // the run is still open.
             let mut open_run: Option<swatop_ir::ReplyId> = None;
             for s in ss {
                 match s {
                     Stmt::DmaCpe(d) if d.direction == DmaDirection::MemToSpm => {
-                        let fused = open_run == Some(d.reply);
+                        d.fused = open_run == Some(d.reply);
                         open_run = Some(d.reply);
-                        out.push(Stmt::DmaCpe(DmaCpe { fused, ..d.clone() }));
                     }
                     other => {
                         open_run = None;
-                        out.push(fuse_adjacent_gets(other));
+                        fuse_adjacent_gets(other);
                     }
                 }
             }
-            Stmt::Seq(out)
         }
-        Stmt::For { var, extent, body } => Stmt::For {
-            var: *var,
-            extent: *extent,
-            body: Box::new(fuse_adjacent_gets(body)),
-        },
-        Stmt::If { cond, then_, else_ } => Stmt::If {
-            cond: cond.clone(),
-            then_: Box::new(fuse_adjacent_gets(then_)),
-            else_: else_.as_ref().map(|e| Box::new(fuse_adjacent_gets(e))),
-        },
-        other => other.clone(),
+        Stmt::For { body, .. } => fuse_adjacent_gets(body),
+        Stmt::If { then_, else_, .. } => {
+            fuse_adjacent_gets(then_);
+            if let Some(e) = else_ {
+                fuse_adjacent_gets(e);
+            }
+        }
+        _ => {}
     }
 }
 
@@ -324,39 +309,31 @@ pub fn fuse_adjacent_gets(stmt: &Stmt) -> Stmt {
 /// consuming nest (and operator lowerings emit their layout-packing setup
 /// the same way), so without fusion a schedule with many small staging
 /// packs pays one full DRAM round-trip per pack.
-pub fn fuse_adjacent_transforms(stmt: &Stmt) -> Stmt {
+pub fn fuse_adjacent_transforms(stmt: &mut Stmt) {
     match stmt {
         Stmt::Seq(ss) => {
-            let mut out = Vec::with_capacity(ss.len());
             let mut in_run = false;
             for s in ss {
                 match s {
                     Stmt::Transform(t) => {
-                        out.push(Stmt::Transform(TransformOp {
-                            fused: in_run,
-                            kind: t.kind.clone(),
-                        }));
+                        t.fused = in_run;
                         in_run = true;
                     }
                     other => {
                         in_run = false;
-                        out.push(fuse_adjacent_transforms(other));
+                        fuse_adjacent_transforms(other);
                     }
                 }
             }
-            Stmt::Seq(out)
         }
-        Stmt::For { var, extent, body } => Stmt::For {
-            var: *var,
-            extent: *extent,
-            body: Box::new(fuse_adjacent_transforms(body)),
-        },
-        Stmt::If { cond, then_, else_ } => Stmt::If {
-            cond: cond.clone(),
-            then_: Box::new(fuse_adjacent_transforms(then_)),
-            else_: else_.as_ref().map(|e| Box::new(fuse_adjacent_transforms(e))),
-        },
-        other => other.clone(),
+        Stmt::For { body, .. } => fuse_adjacent_transforms(body),
+        Stmt::If { then_, else_, .. } => {
+            fuse_adjacent_transforms(then_);
+            if let Some(e) = else_ {
+                fuse_adjacent_transforms(e);
+            }
+        }
+        _ => {}
     }
 }
 
@@ -464,21 +441,24 @@ mod tests {
             })
         };
         // Cid coefficient == block → row bus.
-        let t = tag_broadcast(&mk(32, 4));
+        let mut t = mk(32, 4);
+        tag_broadcast(&mut t);
         if let Stmt::DmaCpe(d) = &t {
             assert_eq!(d.bcast, Some(BcastBus::Row));
         } else {
             panic!("{t:?}");
         }
         // Rid coefficient == block → column bus.
-        let t = tag_broadcast(&mk(4, 32));
+        let mut t = mk(4, 32);
+        tag_broadcast(&mut t);
         if let Stmt::DmaCpe(d) = &t {
             assert_eq!(d.bcast, Some(BcastBus::Column));
         } else {
             panic!("{t:?}");
         }
         // Neither axis contiguous → untouched.
-        let t = tag_broadcast(&mk(32, 8));
+        let mut t = mk(32, 8);
+        tag_broadcast(&mut t);
         if let Stmt::DmaCpe(d) = &t {
             assert_eq!(d.bcast, None);
         } else {
@@ -489,7 +469,8 @@ mod tests {
             swatop_ir::Cond::lt_const(AffineExpr::loop_var(0), 3),
             mk(32, 4),
         );
-        let t = tag_broadcast(&g);
+        let mut t = g;
+        tag_broadcast(&mut t);
         assert_eq!(t.count(|s| matches!(s, Stmt::DmaCpe(d) if d.bcast.is_some())), 0);
     }
 
@@ -518,7 +499,8 @@ mod tests {
             get(1), // different reply word: new run
             get(1),
         ]);
-        let fused = fuse_adjacent_gets(&body);
+        let mut fused = body;
+        fuse_adjacent_gets(&mut fused);
         let mut flags = Vec::new();
         fused.visit(&mut |s| {
             if let Stmt::DmaCpe(d) = s {
@@ -530,7 +512,8 @@ mod tests {
         // Runs never span Seq boundaries: a loop body's leading get is
         // re-issued each iteration after the iteration's trailing wait.
         let looped = Stmt::for_(0, 4, Stmt::seq(vec![get(0), get(0)]));
-        let fused = fuse_adjacent_gets(&looped);
+        let mut fused = looped;
+        fuse_adjacent_gets(&mut fused);
         let mut flags = Vec::new();
         fused.visit(&mut |s| {
             if let Stmt::DmaCpe(d) = s {
@@ -561,7 +544,8 @@ mod tests {
             mk(DmaDirection::SpmToMem),
             mk(DmaDirection::MemToSpm),
         ]);
-        let fused = fuse_adjacent_gets(&body);
+        let mut fused = body;
+        fuse_adjacent_gets(&mut fused);
         let mut flags = Vec::new();
         fused.visit(&mut |s| {
             if let Stmt::DmaCpe(d) = s {
@@ -594,7 +578,8 @@ mod tests {
             Stmt::DmaWait { reply: ReplyId(0), times: 1 },
             tf(), // run broken by the intervening statement
         ]);
-        let fused = fuse_adjacent_transforms(&body);
+        let mut fused = body;
+        fuse_adjacent_transforms(&mut fused);
         let mut flags = Vec::new();
         fused.visit(&mut |s| {
             if let Stmt::Transform(t) = s {
@@ -620,9 +605,11 @@ mod tests {
                 fused: false,
             })
         };
-        let t = tag_broadcast(&mk(64)); // 64 ≥ 8·4
+        let mut t = mk(64); // 64 ≥ 8·4
+        tag_broadcast(&mut t);
         assert_eq!(t.count(|s| matches!(s, Stmt::DmaCpe(d) if d.bcast.is_some())), 1);
-        let t = tag_broadcast(&mk(16)); // 16 < 32: leader blocks would overlap
+        let mut t = mk(16); // 16 < 32: leader blocks would overlap
+        tag_broadcast(&mut t);
         assert_eq!(t.count(|s| matches!(s, Stmt::DmaCpe(d) if d.bcast.is_some())), 0);
     }
 }

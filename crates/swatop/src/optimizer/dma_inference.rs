@@ -22,20 +22,19 @@
 use sw26010::{DmaDirection, MESH};
 use swatop_ir::{AVar, DmaCg, DmaCpe, Stmt};
 
-/// Lower every `DMA_CG` node in the tree to a `DMA_CPE` node.
-pub fn lower_dma(stmt: &Stmt) -> Stmt {
+/// Lower every `DMA_CG` node in the tree to a `DMA_CPE` node, in place.
+pub fn lower_dma(stmt: &mut Stmt) {
     match stmt {
-        Stmt::Seq(ss) => Stmt::Seq(ss.iter().map(lower_dma).collect()),
-        Stmt::For { var, extent, body } => {
-            Stmt::For { var: *var, extent: *extent, body: Box::new(lower_dma(body)) }
+        Stmt::Seq(ss) => ss.iter_mut().for_each(lower_dma),
+        Stmt::For { body, .. } => lower_dma(body),
+        Stmt::If { then_, else_, .. } => {
+            lower_dma(then_);
+            if let Some(e) = else_ {
+                lower_dma(e);
+            }
         }
-        Stmt::If { cond, then_, else_ } => Stmt::If {
-            cond: cond.clone(),
-            then_: Box::new(lower_dma(then_)),
-            else_: else_.as_ref().map(|e| Box::new(lower_dma(e))),
-        },
-        Stmt::DmaCg(d) => Stmt::DmaCpe(lower_node(d)),
-        other => other.clone(),
+        Stmt::DmaCg(d) => *stmt = Stmt::DmaCpe(lower_node(d)),
+        _ => {}
     }
 }
 
@@ -75,58 +74,54 @@ pub fn lower_node(d: &DmaCg) -> DmaCpe {
     }
 }
 
-/// Hoist loop-invariant `get` transfers out of loops.
+/// Hoist loop-invariant `get` transfers out of loops, in place.
 ///
 /// Pattern: `for v { [DmaCpe(get) g; DmaWait w;] rest… }` where `g`'s
 /// offset (and slot selector) do not depend on `v` — the pair moves in
 /// front of the loop. Applied bottom-up until fixpoint within each node.
-pub fn hoist_invariant_dma(stmt: &Stmt) -> Stmt {
+/// Every `Seq` of the result is normalised as by [`Stmt::seq`].
+pub fn hoist_invariant_dma(stmt: &mut Stmt) {
     match stmt {
-        Stmt::Seq(ss) => Stmt::seq(ss.iter().map(hoist_invariant_dma).collect()),
-        Stmt::If { cond, then_, else_ } => Stmt::If {
-            cond: cond.clone(),
-            then_: Box::new(hoist_invariant_dma(then_)),
-            else_: else_.as_ref().map(|e| Box::new(hoist_invariant_dma(e))),
-        },
-        Stmt::For { var, extent, body } => {
-            let body = hoist_invariant_dma(body);
-            // Collect a leading run of invariant (get, wait) pairs.
-            let items: Vec<Stmt> = match body {
-                Stmt::Seq(ss) => ss,
-                other => vec![other],
-            };
-            let mut hoisted: Vec<Stmt> = Vec::new();
-            let mut rest: Vec<Stmt> = Vec::new();
-            let mut i = 0;
-            while i + 1 < items.len() {
-                let (a, b) = (&items[i], &items[i + 1]);
-                let invariant_pair = match (a, b) {
-                    (Stmt::DmaCpe(d), Stmt::DmaWait { reply, .. }) => {
-                        d.direction == DmaDirection::MemToSpm
-                            && !d.offset.depends_on(*var)
-                            && slot_invariant(&d.spm, *var)
-                            && d.reply == *reply
-                    }
-                    _ => false,
-                };
-                if invariant_pair {
-                    hoisted.push(a.clone());
-                    hoisted.push(b.clone());
-                    i += 2;
-                } else {
-                    break;
-                }
-            }
-            rest.extend(items[i..].iter().cloned());
-            let new_loop = Stmt::for_(*var, *extent, Stmt::seq(rest));
-            if hoisted.is_empty() {
-                new_loop
-            } else {
-                hoisted.push(new_loop);
-                Stmt::seq(hoisted)
+        Stmt::Seq(ss) => {
+            ss.iter_mut().for_each(hoist_invariant_dma);
+            *stmt = Stmt::seq(std::mem::take(ss));
+        }
+        Stmt::If { then_, else_, .. } => {
+            hoist_invariant_dma(then_);
+            if let Some(e) = else_ {
+                hoist_invariant_dma(e);
             }
         }
-        other => other.clone(),
+        Stmt::For { var, body, .. } => {
+            hoist_invariant_dma(body);
+            // A leading run of invariant (get, wait) pairs needs a `Seq`
+            // body; anything else stays as it is.
+            let Stmt::Seq(items) = &mut **body else { return };
+            let mut n = 0;
+            while n + 1 < items.len() && invariant_pair(&items[n], &items[n + 1], *var) {
+                n += 2;
+            }
+            if n == 0 {
+                return;
+            }
+            let mut hoisted: Vec<Stmt> = items.drain(..n).collect();
+            **body = Stmt::seq(std::mem::take(items));
+            hoisted.push(std::mem::replace(stmt, Stmt::Nop));
+            *stmt = Stmt::seq(hoisted);
+        }
+        _ => {}
+    }
+}
+
+fn invariant_pair(get: &Stmt, wait: &Stmt, var: usize) -> bool {
+    match (get, wait) {
+        (Stmt::DmaCpe(d), Stmt::DmaWait { reply, .. }) => {
+            d.direction == DmaDirection::MemToSpm
+                && !d.offset.depends_on(var)
+                && slot_invariant(&d.spm, var)
+                && d.reply == *reply
+        }
+        _ => false,
     }
 }
 
@@ -192,7 +187,8 @@ mod tests {
     fn lower_dma_rewrites_whole_tree() {
         let inner = Stmt::DmaCg(cg_node(AffineExpr::loop_var(0), 8, 8, 8));
         let tree = Stmt::for_(0, 3, Stmt::seq(vec![inner.clone(), inner]));
-        let lowered = lower_dma(&tree);
+        let mut lowered = tree;
+        lower_dma(&mut lowered);
         assert_eq!(lowered.count(|s| matches!(s, Stmt::DmaCg(_))), 0);
         assert_eq!(lowered.count(|s| matches!(s, Stmt::DmaCpe(_))), 2);
     }
@@ -203,12 +199,12 @@ mod tests {
         let invariant = Stmt::DmaCpe(lower_node(&cg_node(AffineExpr::konst(0), 8, 8, 16)));
         let variant = Stmt::DmaCpe(lower_node(&cg_node(AffineExpr::loop_var(0), 8, 8, 16)));
         let wait = Stmt::DmaWait { reply: ReplyId(0), times: 1 };
-        let tree = Stmt::for_(
+        let mut hoisted = Stmt::for_(
             0,
             4,
             Stmt::seq(vec![invariant.clone(), wait.clone(), variant.clone(), wait.clone()]),
         );
-        let hoisted = hoist_invariant_dma(&tree);
+        hoist_invariant_dma(&mut hoisted);
         // Expect: Seq[dma, wait, For { dma@v0, wait }]
         if let Stmt::Seq(ss) = &hoisted {
             assert_eq!(ss.len(), 3);
@@ -227,8 +223,8 @@ mod tests {
     fn variant_get_is_not_hoisted() {
         let variant = Stmt::DmaCpe(lower_node(&cg_node(AffineExpr::loop_var(0), 8, 8, 16)));
         let wait = Stmt::DmaWait { reply: ReplyId(0), times: 1 };
-        let tree = Stmt::for_(0, 4, Stmt::seq(vec![variant, wait]));
-        let hoisted = hoist_invariant_dma(&tree);
+        let mut hoisted = Stmt::for_(0, 4, Stmt::seq(vec![variant, wait]));
+        hoist_invariant_dma(&mut hoisted);
         assert!(matches!(hoisted, Stmt::For { .. }), "nothing must hoist");
     }
 
@@ -237,12 +233,12 @@ mod tests {
         // Invariant DMA two loops deep hoists past both.
         let invariant = Stmt::DmaCpe(lower_node(&cg_node(AffineExpr::konst(4), 8, 8, 16)));
         let wait = Stmt::DmaWait { reply: ReplyId(0), times: 1 };
-        let tree = Stmt::for_(
+        let mut hoisted = Stmt::for_(
             0,
             2,
             Stmt::for_(1, 3, Stmt::seq(vec![invariant, wait])),
         );
-        let hoisted = hoist_invariant_dma(&tree);
+        hoist_invariant_dma(&mut hoisted);
         if let Stmt::Seq(ss) = &hoisted {
             assert!(matches!(ss[0], Stmt::DmaCpe(_)), "{hoisted:?}");
         } else {

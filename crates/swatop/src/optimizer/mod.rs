@@ -28,14 +28,20 @@ use swatop_ir::Program;
 /// get-batch fusion (also on the coalescing dimension), then — if
 /// `enable_prefetch` *and* the point asks for it — double buffering of the
 /// innermost steady-state loop nest.
+///
+/// Only that last step reads `enable_prefetch` and `hints.dbuf`, so
+/// `optimize(p, true)` is `prefetch::apply_double_buffering(optimize(p,
+/// false))` when `p.hints.dbuf` and `optimize(p, false)` otherwise — the
+/// scheduler derives the prefetched form that way instead of running the
+/// pipeline twice. The passes before it edit the tree in place.
 pub fn optimize(mut program: Program, enable_prefetch: bool) -> Program {
     if program.hints.coalesce {
         program = coalesce::coalesce_gets(program);
     }
-    program.body = dma_inference::lower_dma(&program.body);
-    program.body = dma_inference::hoist_invariant_dma(&program.body);
+    dma_inference::lower_dma(&mut program.body);
+    dma_inference::hoist_invariant_dma(&mut program.body);
     if program.hints.bcast {
-        program.body = coalesce::tag_broadcast(&program.body);
+        coalesce::tag_broadcast(&mut program.body);
     }
     if program.hints.coalesce {
         // Batch fusion rides the coalescing dimension: runs of back-to-back
@@ -43,8 +49,8 @@ pub fn optimize(mut program: Program, enable_prefetch: bool) -> Program {
         // transforms chain into one engine pipeline (start-up paid once per
         // run). Must run before prefetching so the double-buffered prologue
         // and next-iteration chains inherit the fusion marks.
-        program.body = coalesce::fuse_adjacent_gets(&program.body);
-        program.body = coalesce::fuse_adjacent_transforms(&program.body);
+        coalesce::fuse_adjacent_gets(&mut program.body);
+        coalesce::fuse_adjacent_transforms(&mut program.body);
     }
     if enable_prefetch && program.hints.dbuf {
         program = prefetch::apply_double_buffering(program);

@@ -21,42 +21,40 @@
 //! wait with the right transfer.
 
 use sw26010::DmaDirection;
-use swatop_ir::transform::{build_nest, perfect_nest};
-use swatop_ir::{
-    AffineExpr, Cond, DmaCpe, MatDesc, Program, SpmBufId, SpmSlot, Stmt, VarId,
-};
+use swatop_ir::transform::build_nest;
+use swatop_ir::{AffineExpr, Cond, DmaCpe, Program, SpmBufId, SpmSlot, Stmt, VarId};
 
 /// Apply double buffering to every matching steady-state nest in the
 /// program. Returns the program unchanged where the pattern does not apply.
 pub fn apply_double_buffering(mut program: Program) -> Program {
-    let body = std::mem::replace(&mut program.body, Stmt::Nop);
+    let mut body = std::mem::replace(&mut program.body, Stmt::Nop);
     // Twin buffers are shared across all transformed nests (they run
     // sequentially), keeping the coalesced SPM region small.
     let mut twins: Vec<(SpmBufId, SpmBufId)> = Vec::new();
-    program.body = rewrite(body, &mut program, &mut twins);
+    rewrite(&mut body, &mut program, &mut twins);
+    program.body = body;
     program
 }
 
-fn rewrite(stmt: Stmt, program: &mut Program, twins: &mut Vec<(SpmBufId, SpmBufId)>) -> Stmt {
+/// Transform every matching nest of the subtree in place; nodes outside a
+/// matching nest are not touched.
+fn rewrite(stmt: &mut Stmt, program: &mut Program, twins: &mut Vec<(SpmBufId, SpmBufId)>) {
     // Try to transform the perfect nest rooted here.
-    if matches!(stmt, Stmt::For { .. }) {
-        if let Some(transformed) = try_transform_nest(&stmt, program, twins) {
-            return transformed;
-        }
+    if let Some(n_gets) = steady_state_gets(stmt) {
+        let nest = std::mem::replace(stmt, Stmt::Nop);
+        *stmt = transform_nest(nest, n_gets, program, twins);
+        return;
     }
     match stmt {
-        Stmt::Seq(ss) => {
-            Stmt::Seq(ss.into_iter().map(|s| rewrite(s, program, twins)).collect())
+        Stmt::Seq(ss) => ss.iter_mut().for_each(|s| rewrite(s, program, twins)),
+        Stmt::For { body, .. } => rewrite(body, program, twins),
+        Stmt::If { then_, else_, .. } => {
+            rewrite(then_, program, twins);
+            if let Some(e) = else_ {
+                rewrite(e, program, twins);
+            }
         }
-        Stmt::For { var, extent, body } => {
-            Stmt::For { var, extent, body: Box::new(rewrite(*body, program, twins)) }
-        }
-        Stmt::If { cond, then_, else_ } => Stmt::If {
-            cond,
-            then_: Box::new(rewrite(*then_, program, twins)),
-            else_: else_.map(|e| Box::new(rewrite(*e, program, twins))),
-        },
-        other => other,
+        _ => {}
     }
 }
 
@@ -95,80 +93,126 @@ pub fn next_index_branches(
     branches
 }
 
-fn try_transform_nest(
-    stmt: &Stmt,
-    program: &mut Program,
-    twins: &mut Vec<(SpmBufId, SpmBufId)>,
-) -> Option<Stmt> {
-    let (loops, body) = perfect_nest(stmt);
-    if loops.is_empty() {
-        return None;
+/// Whether the perfect nest rooted at `stmt` is a steady-state nest: its
+/// innermost body starts with a run of single-slot gets and their wait.
+/// Returns the length of that run.
+fn steady_state_gets(stmt: &Stmt) -> Option<usize> {
+    let mut nest_vars: Vec<VarId> = Vec::new();
+    let mut iterations = 1usize;
+    let mut cur = stmt;
+    while let Stmt::For { var, extent, body } = cur {
+        nest_vars.push(*var);
+        iterations *= extent;
+        cur = body;
     }
     // A single-iteration nest has nothing to pipeline: the prologue would
     // be the whole loop.
-    if loops.iter().map(|(_, e)| e).product::<usize>() <= 1 {
+    if nest_vars.is_empty() || iterations <= 1 {
         return None;
     }
-    let items: Vec<Stmt> = match body {
+    let items: &[Stmt] = match cur {
         Stmt::Seq(ss) => ss,
-        other => vec![other],
+        other => std::slice::from_ref(other),
     };
     // Leading run of Single-slot gets.
-    let mut gets: Vec<DmaCpe> = Vec::new();
-    let mut i = 0;
-    while i < items.len() {
-        match &items[i] {
+    fn single_get(s: &Stmt) -> Option<&DmaCpe> {
+        match s {
             Stmt::DmaCpe(d)
                 if d.direction == DmaDirection::MemToSpm
                     && matches!(d.spm, SpmSlot::Single(_)) =>
             {
-                gets.push(d.clone());
-                i += 1;
+                Some(d)
             }
-            _ => break,
+            _ => None,
         }
     }
+    let gets: Vec<&DmaCpe> = items.iter().map_while(single_get).collect();
     if gets.is_empty() {
         return None;
     }
     // The wait must match the gets' shared reply word.
-    let Stmt::DmaWait { reply, times } = items.get(i)? else {
+    let Stmt::DmaWait { reply, times } = items.get(gets.len())? else {
         return None;
     };
-    let reply = *reply;
-    if *times != gets.len() || gets.iter().any(|g| g.reply != reply) {
+    if *times != gets.len() || gets.iter().any(|g| g.reply != *reply) {
         return None;
     }
     // At least one get must vary with the nest (else hoisting applies).
-    let nest_vars: Vec<VarId> = loops.iter().map(|(v, _)| *v).collect();
     if !gets.iter().any(|g| nest_vars.iter().any(|v| g.offset.depends_on(*v))) {
         return None;
     }
-    let rest: Vec<Stmt> = items[i + 1..].to_vec();
     // The rest must not issue on the same reply word (FIFO pairing).
-    let rest_seq = Stmt::seq(rest.clone());
     let mut reuses_reply = false;
-    rest_seq.visit(&mut |s| {
-        if let Stmt::DmaCpe(d) = s {
-            if d.reply == reply {
-                reuses_reply = true;
+    for s in &items[gets.len() + 1..] {
+        s.visit(&mut |s| {
+            if let Stmt::DmaCpe(d) = s {
+                if d.reply == *reply {
+                    reuses_reply = true;
+                }
             }
-        }
-    });
-    if reuses_reply {
-        return None;
+        });
     }
+    (!reuses_reply).then_some(gets.len())
+}
+
+/// `g` re-issued at another address into another slot.
+fn reissue(g: &DmaCpe, offset: AffineExpr, spm: SpmSlot) -> DmaCpe {
+    DmaCpe {
+        buf: g.buf,
+        offset,
+        block: g.block,
+        stride: g.stride,
+        n_blocks: g.n_blocks,
+        direction: g.direction,
+        spm,
+        reply: g.reply,
+        bcast: g.bcast,
+        fused: g.fused,
+    }
+}
+
+/// Double-buffer a nest [`steady_state_gets`] accepted with `n_gets`.
+fn transform_nest(
+    nest: Stmt,
+    n_gets: usize,
+    program: &mut Program,
+    twins: &mut Vec<(SpmBufId, SpmBufId)>,
+) -> Stmt {
+    let mut loops: Vec<(VarId, usize)> = Vec::new();
+    let mut body = nest;
+    while let Stmt::For { var, extent, body: inner } = body {
+        loops.push((var, extent));
+        body = *inner;
+    }
+    let nest_vars: Vec<VarId> = loops.iter().map(|(v, _)| *v).collect();
+    let mut items: Vec<Stmt> = match body {
+        Stmt::Seq(ss) => ss,
+        other => vec![other],
+    };
+    let mut rest = items.split_off(n_gets + 1);
+    let Some(Stmt::DmaWait { reply, .. }) = items.pop() else {
+        unreachable!("steady_state_gets checked the wait")
+    };
+    let gets: Vec<(DmaCpe, SpmBufId)> = items
+        .into_iter()
+        .map(|s| match s {
+            Stmt::DmaCpe(d) => match d.spm {
+                SpmSlot::Single(b) => (d, b),
+                SpmSlot::Double { .. } => unreachable!("steady_state_gets checked the slots"),
+            },
+            _ => unreachable!("steady_state_gets checked the gets"),
+        })
+        .collect();
     // Inner steady-state nests (e.g. the reduction loops of a convolution
     // tile) are double-buffered on their own, with their own linearised
     // selectors — prefetching is applied at *every* level it matches.
-    let rest: Vec<Stmt> = rest.into_iter().map(|s| rewrite(s, program, twins)).collect();
+    rest.iter_mut().for_each(|s| rewrite(s, program, twins));
 
     // Twin buffers (shared program-wide per original buffer).
     let lin = linear_index(&loops);
-    let mut local: Vec<(SpmBufId, SpmBufId)> = Vec::new();
-    for g in &gets {
-        let SpmSlot::Single(b) = g.spm else { unreachable!() };
-        if local.iter().any(|(orig, _)| *orig == b) {
+    let mut twin: Vec<(SpmBufId, SpmBufId)> = Vec::new();
+    for &(_, b) in &gets {
+        if twin.iter().any(|(orig, _)| *orig == b) {
             continue;
         }
         let tb = match twins.iter().find(|(o, _)| *o == b) {
@@ -181,9 +225,8 @@ fn try_transform_nest(
                 tb
             }
         };
-        local.push((b, tb));
+        twin.push((b, tb));
     }
-    let twin = local;
     let twin_of = |b: SpmBufId| twin.iter().find(|(o, _)| *o == b).map(|(_, t)| *t);
 
     let dbl_slot = |b: SpmBufId, sel: AffineExpr| SpmSlot::Double {
@@ -193,26 +236,21 @@ fn try_transform_nest(
     };
 
     // Prologue: gets for iteration 0 (all nest vars = 0) → even buffers.
-    let mut prologue = Vec::new();
-    for g in &gets {
+    let mut out = Vec::with_capacity(gets.len() + 1);
+    for (g, b) in &gets {
         let mut offset = g.offset.clone();
         for &v in &nest_vars {
             offset = offset.subst(v, &AffineExpr::zero());
         }
-        let SpmSlot::Single(b) = g.spm else { unreachable!() };
-        prologue.push(Stmt::DmaCpe(DmaCpe {
-            offset,
-            spm: dbl_slot(b, AffineExpr::zero()),
-            ..g.clone()
-        }));
+        out.push(Stmt::DmaCpe(reissue(g, offset, dbl_slot(*b, AffineExpr::zero()))));
     }
 
     // Next-iteration prefetch chain.
     let sel_next = lin.add_const(1);
     let mut chain: Option<Stmt> = None;
     for (cond, subst) in next_index_branches(&loops).into_iter().rev() {
-        let mut issue = Vec::new();
-        for g in &gets {
+        let mut issue = Vec::with_capacity(gets.len());
+        for (g, b) in &gets {
             let mut offset = g.offset.clone();
             for (v, e) in &subst {
                 offset = offset.subst(*v, e);
@@ -220,12 +258,7 @@ fn try_transform_nest(
             // Note: the parity selector stays `lin + 1` in terms of the
             // *current* iteration variables — substituting the odometer
             // step into it would double-advance the parity.
-            let SpmSlot::Single(b) = g.spm else { unreachable!() };
-            issue.push(Stmt::DmaCpe(DmaCpe {
-                offset,
-                spm: dbl_slot(b, sel_next.clone()),
-                ..g.clone()
-            }));
+            issue.push(Stmt::DmaCpe(reissue(g, offset, dbl_slot(*b, sel_next.clone()))));
         }
         let branch = Stmt::seq(issue);
         chain = Some(match chain {
@@ -235,57 +268,42 @@ fn try_transform_nest(
     }
 
     // Retarget the steady-state body through the parity selector.
-    let new_rest: Vec<Stmt> =
-        rest.iter().map(|s| retarget(s, &twin, &lin)).collect();
+    rest.iter_mut().for_each(|s| retarget(s, &twin, &lin));
 
-    let mut new_body = Vec::new();
-    if let Some(c) = chain {
-        new_body.push(c);
-    }
+    let mut new_body = Vec::with_capacity(rest.len() + 2);
+    new_body.extend(chain);
     new_body.push(Stmt::DmaWait { reply, times: gets.len() });
-    new_body.extend(new_rest);
+    new_body.extend(rest);
 
-    let nest = build_nest(&loops, Stmt::seq(new_body));
-    let mut out = prologue;
-    out.push(nest);
-    Some(Stmt::seq(out))
+    out.push(build_nest(&loops, Stmt::seq(new_body)));
+    Stmt::seq(out)
 }
 
 /// Replace `Single(b)` slots by `Double{b, twin, sel}` for mapped buffers.
-fn retarget(stmt: &Stmt, twin: &[(SpmBufId, SpmBufId)], sel: &AffineExpr) -> Stmt {
-    let map_slot = |s: &SpmSlot| -> SpmSlot {
-        match s {
-            SpmSlot::Single(b) => {
-                if let Some((_, t)) = twin.iter().find(|(o, _)| o == b) {
-                    SpmSlot::Double { even: *b, odd: *t, sel: sel.clone() }
-                } else {
-                    s.clone()
-                }
+fn retarget(stmt: &mut Stmt, twin: &[(SpmBufId, SpmBufId)], sel: &AffineExpr) {
+    let map_slot = |s: &mut SpmSlot| {
+        if let SpmSlot::Single(b) = *s {
+            if let Some(&(_, t)) = twin.iter().find(|(o, _)| *o == b) {
+                *s = SpmSlot::Double { even: b, odd: t, sel: sel.clone() };
             }
-            other => other.clone(),
         }
     };
-    let map_mat = |m: &MatDesc| MatDesc { slot: map_slot(&m.slot), ..m.clone() };
     match stmt {
-        Stmt::Seq(ss) => Stmt::Seq(ss.iter().map(|s| retarget(s, twin, sel)).collect()),
-        Stmt::For { var, extent, body } => Stmt::For {
-            var: *var,
-            extent: *extent,
-            body: Box::new(retarget(body, twin, sel)),
-        },
-        Stmt::If { cond, then_, else_ } => Stmt::If {
-            cond: cond.clone(),
-            then_: Box::new(retarget(then_, twin, sel)),
-            else_: else_.as_ref().map(|e| Box::new(retarget(e, twin, sel))),
-        },
-        Stmt::DmaCpe(d) => Stmt::DmaCpe(DmaCpe { spm: map_slot(&d.spm), ..d.clone() }),
-        Stmt::Gemm(g) => Stmt::Gemm(swatop_ir::GemmOp {
-            a: map_mat(&g.a),
-            b: map_mat(&g.b),
-            c: map_mat(&g.c),
-            ..g.clone()
-        }),
-        other => other.clone(),
+        Stmt::Seq(ss) => ss.iter_mut().for_each(|s| retarget(s, twin, sel)),
+        Stmt::For { body, .. } => retarget(body, twin, sel),
+        Stmt::If { then_, else_, .. } => {
+            retarget(then_, twin, sel);
+            if let Some(e) = else_ {
+                retarget(e, twin, sel);
+            }
+        }
+        Stmt::DmaCpe(d) => map_slot(&mut d.spm),
+        Stmt::Gemm(g) => {
+            map_slot(&mut g.a.slot);
+            map_slot(&mut g.b.slot);
+            map_slot(&mut g.c.slot);
+        }
+        _ => {}
     }
 }
 

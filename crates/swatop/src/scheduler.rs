@@ -8,12 +8,19 @@
 //! generator's SPM planner rejects points whose working set exceeds the
 //! 64 KB scratch pad — double buffering included, since prefetching doubles
 //! the streamed buffers.
+//!
+//! Each front-end stage runs once per distinct input, not once per point
+//! (DESIGN.md "Front-end pipeline"): `op.lower` per structural point (DMA
+//! knobs zeroed), the DMA-wall pipeline per (coalesce, bcast), and only
+//! double buffering, planning and the clones per point. Candidates are
+//! byte-identical to lowering and optimizing every point on its own.
 
 use sw26010::MachineConfig;
 use swatop_dsl::{SchedulePoint, ScheduleSpace, Seed};
-use swatop_ir::{Program, SpmSlot, Stmt};
+use swatop_ir::{Program, ScheduleHints, SpmSlot, Stmt};
 
-use crate::codegen::{plan, Executable};
+use crate::codegen::{fits, plan, Executable};
+use crate::ops::DmaKnobs;
 use crate::optimizer;
 
 /// An operator that swATOP can tune: a schedule seed, a schedule space, and
@@ -43,6 +50,17 @@ pub trait Operator {
 
     /// FLOPs of the operator (direct-convolution-normalised for convs).
     fn flops(&self) -> u64;
+
+    /// Whether [`Operator::lower`] reads the knobs of
+    /// [`DmaKnobs::positions`] *only* to copy them into `Program::hints`,
+    /// so that points differing only there lower to programs differing only
+    /// in `hints`. The scheduler then lowers such points once. Every
+    /// lowering in `ops/` declares it; the default is the sound one, and a
+    /// wrong `true` panics in debug builds, where every shared lowering is
+    /// compared against a direct one.
+    fn lowering_ignores_dma_knobs(&self) -> bool {
+        false
+    }
 }
 
 /// One lowered, optimized, plannable schedule strategy.
@@ -73,16 +91,11 @@ impl Scheduler {
         Scheduler { cfg, enable_prefetch: true }
     }
 
-    /// Enumerate all valid candidates of `op`'s space.
+    /// Enumerate all valid candidates of `op`'s space, in point-index order.
     pub fn enumerate(&self, op: &dyn Operator) -> Vec<Candidate> {
         let space = op.space();
-        let mut out = Vec::new();
-        for point in space.points() {
-            if let Some(c) = self.lower_point(op, &space, &point) {
-                out.push(c);
-            }
-        }
-        out
+        let mut front = FrontEnd::new(self, op, &space);
+        space.points().filter_map(|point| front.candidate(&point)).collect()
     }
 
     /// Lower a single point (returns `None` if the point is invalid).
@@ -92,21 +105,28 @@ impl Scheduler {
         space: &ScheduleSpace,
         point: &SchedulePoint,
     ) -> Option<Candidate> {
-        let program = op.lower(space, point)?;
-        let raw = optimizer::optimize(program.clone(), false);
+        FrontEnd::new(self, op, space).candidate(point)
+    }
+
+    /// Per-point stage: capacity filter, double buffering, SPM planning.
+    /// `raw` is the DMA-wall pipeline's output carrying the point's hints.
+    fn assemble(
+        &self,
+        space: &ScheduleSpace,
+        point: &SchedulePoint,
+        raw: Program,
+    ) -> Option<Candidate> {
         // Capacity check on the *raw* form first (cheap reject).
-        plan(raw.clone(), &self.cfg).ok()?;
-        let opt = if self.enable_prefetch {
-            optimizer::optimize(program, true)
-        } else {
-            raw.clone()
-        };
-        let exe = match plan(opt, &self.cfg) {
-            Ok(exe) => exe,
-            // Double buffering blew the SPM budget: fall back to the
-            // un-prefetched schedule rather than dropping the point.
-            Err(_) => plan(raw.clone(), &self.cfg).ok()?,
-        };
+        if !fits(&raw, &self.cfg) {
+            return None;
+        }
+        // `optimize(p, true)` is `optimize(p, false)` plus this last step.
+        // Double buffering that blows the SPM budget falls back to the
+        // un-prefetched schedule rather than dropping the point.
+        let double_buffered = (self.enable_prefetch && raw.hints.dbuf)
+            .then(|| optimizer::prefetch::apply_double_buffering(raw.clone()))
+            .filter(|p| fits(p, &self.cfg));
+        let exe = plan(double_buffered.unwrap_or_else(|| raw.clone()), &self.cfg).ok()?;
         let prefetched = has_double_slot(&exe.program.body);
         Some(Candidate {
             point_index: point.index(space),
@@ -116,6 +136,103 @@ impl Scheduler {
             prefetched,
         })
     }
+}
+
+/// What the points of one structural point (same selection outside the
+/// hint-only knobs) share.
+struct Shared {
+    /// The point's selection with the hint-only knobs zeroed.
+    key: Vec<usize>,
+    /// `op.lower` at `key`; `None` marks the structural point invalid.
+    lowered: Option<Program>,
+    /// DMA-wall pipeline output per (coalesce, bcast), once asked for.
+    raw: [Option<Program>; 4],
+}
+
+/// The front-end stages of one pass over a space — lower, DMA-wall
+/// pipeline, assemble — with a cache of the stage outputs that the points
+/// of the current block share.
+struct FrontEnd<'a> {
+    sched: &'a Scheduler,
+    op: &'a dyn Operator,
+    space: &'a ScheduleSpace,
+    /// Knob positions that reach the program only through its hints; empty
+    /// unless the operator declares its lowering independent of them, and
+    /// then every point is its own structural point.
+    hint_only: Vec<usize>,
+    /// Points agreeing on the selection before this position form a block.
+    block_prefix: usize,
+    /// Stage outputs of the current block: at most the product of the
+    /// arities after `block_prefix` entries.
+    block: Vec<Shared>,
+}
+
+impl<'a> FrontEnd<'a> {
+    fn new(sched: &'a Scheduler, op: &'a dyn Operator, space: &'a ScheduleSpace) -> Self {
+        let hint_only =
+            if op.lowering_ignores_dma_knobs() { DmaKnobs::positions(space) } else { Vec::new() };
+        let block_prefix = hint_only.iter().copied().min().unwrap_or(space.knobs().len());
+        FrontEnd { sched, op, space, hint_only, block_prefix, block: Vec::new() }
+    }
+
+    fn candidate(&mut self, point: &SchedulePoint) -> Option<Candidate> {
+        let mut key = point.sel().to_vec();
+        self.hint_only.iter().for_each(|&i| key[i] = 0);
+        let n = self.block_prefix;
+        if self.block.first().is_some_and(|s| s.key[..n] != key[..n]) {
+            self.block.clear();
+        }
+        let slot = match self.block.iter().position(|s| s.key == key) {
+            Some(i) => i,
+            None => {
+                let structural = SchedulePoint::from_sel(self.space, key.clone());
+                let lowered = self.op.lower(self.space, &structural);
+                self.block.push(Shared { key, lowered, raw: Default::default() });
+                self.block.len() - 1
+            }
+        };
+        let shared = &mut self.block[slot];
+        // A shared lowering was made at the zeroed knobs: the point's own
+        // hints are the only thing it lacks.
+        let hints = if self.hint_only.is_empty() {
+            shared.lowered.as_ref()?.hints
+        } else {
+            let hints = DmaKnobs::from_point(self.space, point).hints();
+            if cfg!(debug_assertions) {
+                check_shared(self.op, self.space, point, shared.lowered.as_ref(), hints);
+            }
+            hints
+        };
+        let lowered = shared.lowered.as_ref()?;
+        // The DMA-wall pipeline reads `coalesce` and `bcast` only: the dbuf
+        // on/off pair shares its output.
+        let raw = shared.raw[usize::from(hints.coalesce) * 2 + usize::from(hints.bcast)]
+            .get_or_insert_with(|| {
+                optimizer::optimize(Program { hints, ..lowered.clone() }, false)
+            });
+        self.sched.assemble(self.space, point, Program { hints, ..raw.clone() })
+    }
+}
+
+/// The invariant behind [`Operator::lowering_ignores_dma_knobs`]: lowering
+/// `point` directly gives the shared lowering with `hints` overwritten.
+fn check_shared(
+    op: &dyn Operator,
+    space: &ScheduleSpace,
+    point: &SchedulePoint,
+    shared: Option<&Program>,
+    hints: ScheduleHints,
+) {
+    let direct = op.lower(space, point);
+    let specialised = shared.map(|p| Program { hints, ..p.clone() });
+    assert!(
+        direct == specialised,
+        "{}: lowering reads a DMA knob structurally at point {} ({}), \
+         but lowering_ignores_dma_knobs() is true",
+        op.name(),
+        point.index(space),
+        point.describe(space),
+    );
 }
 
 fn has_double_slot(stmt: &Stmt) -> bool {
@@ -133,4 +250,71 @@ fn has_double_slot(stmt: &Stmt) -> bool {
         }
     });
     found
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::ops::MatmulOp;
+
+    /// A matmul whose lowering reads the `dbuf` toggle structurally (an
+    /// extra SPM buffer), declaring — rightly or wrongly — what it likes.
+    struct DbufReader {
+        inner: MatmulOp,
+        declares_independence: bool,
+    }
+
+    impl Operator for DbufReader {
+        fn name(&self) -> String {
+            self.inner.name()
+        }
+        fn seed(&self) -> Seed {
+            self.inner.seed()
+        }
+        fn space(&self) -> ScheduleSpace {
+            self.inner.space()
+        }
+        fn lower(&self, space: &ScheduleSpace, point: &SchedulePoint) -> Option<Program> {
+            let mut p = self.inner.lower(space, point)?;
+            if point.toggle(space, "dbuf") {
+                p.spm_buf("staging", 8);
+            }
+            Some(p)
+        }
+        fn input_data(&self, program: &Program) -> Vec<Vec<f32>> {
+            self.inner.input_data(program)
+        }
+        fn reference_output(&self, inputs: &[Vec<f32>]) -> Vec<f32> {
+            self.inner.reference_output(inputs)
+        }
+        fn flops(&self) -> u64 {
+            self.inner.flops()
+        }
+        fn lowering_ignores_dma_knobs(&self) -> bool {
+            self.declares_independence
+        }
+    }
+
+    #[test]
+    fn undeclared_operator_is_lowered_point_by_point() {
+        let op = DbufReader { inner: MatmulOp::new(32, 32, 32), declares_independence: false };
+        let space = op.space();
+        let cands = Scheduler::new(MachineConfig::default()).enumerate(&op);
+        assert!(cands.iter().any(|c| c.raw.hints.dbuf) && cands.iter().any(|c| !c.raw.hints.dbuf));
+        for c in &cands {
+            let point = space.point(c.point_index);
+            assert_eq!(c.raw.hints.dbuf, point.toggle(&space, "dbuf"), "{}", c.describe);
+            let staged = |p: &Program| p.spm_bufs.iter().any(|b| b.name == "staging");
+            assert_eq!(staged(&c.raw), c.raw.hints.dbuf, "{}", c.describe);
+            assert_eq!(staged(&c.exe.program), c.raw.hints.dbuf, "{}", c.describe);
+        }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "reads a DMA knob structurally")]
+    fn wrong_declaration_trips_the_debug_comparison() {
+        let op = DbufReader { inner: MatmulOp::new(32, 32, 32), declares_independence: true };
+        Scheduler::new(MachineConfig::default()).enumerate(&op);
+    }
 }
