@@ -110,7 +110,8 @@ impl DmaRequest {
 }
 
 /// Transaction-quantised bus bytes of a strided transfer (standalone form
-/// used by the cost-only fast path, which avoids building request
+/// of [`DmaRequest::bus_bytes`]; the cost-only fast path prices whole
+/// `DMA_CPE` nodes through [`bus_bytes_sum`] without building request
 /// structures).
 pub fn bus_bytes(
     mem_offset: usize,
@@ -140,6 +141,47 @@ pub fn bus_bytes(
     let mut total = cycle_total * full_cycles;
     for b in full_cycles * period..n_blocks {
         total += span((mem_offset + b * stride_elems) * ELEM_BYTES);
+    }
+    total
+}
+
+/// Total [`bus_bytes`] of transfers that share `block_elems`, `stride_elems`
+/// and `n_blocks` and differ only in where they start — the 64 per-CPE (or
+/// 8 per-leader) requests of one `DMA_CPE` node, whose starts are an affine
+/// function of the mesh coordinates.
+///
+/// A transfer's bus bytes depend on its start only through the start's byte
+/// address modulo the transaction size (moving a transfer by whole
+/// transactions moves every block's first and last transaction alike), so
+/// the starts are grouped by that residue and [`bus_bytes`] runs once per
+/// class: at most `txn_bytes / 4` classes, usually 1–8 for a tile whose rows
+/// are a few transactions apart.
+pub fn bus_bytes_sum(
+    mem_offsets: impl IntoIterator<Item = usize>,
+    block_elems: usize,
+    stride_elems: usize,
+    n_blocks: usize,
+    txn_bytes: usize,
+) -> usize {
+    // (residue, first start seen with it, how many starts share it). 32 slots
+    // hold every class of the default 128-byte transaction; starts that find
+    // the table full (larger transactions only) are priced one by one.
+    let mut classes = [(0usize, 0usize, 0usize); 32];
+    let mut n_classes = 0;
+    let mut total = 0;
+    for start in mem_offsets {
+        let residue = start * ELEM_BYTES % txn_bytes;
+        if let Some(class) = classes[..n_classes].iter_mut().find(|c| c.0 == residue) {
+            class.2 += 1;
+        } else if n_classes < classes.len() {
+            classes[n_classes] = (residue, start, 1);
+            n_classes += 1;
+        } else {
+            total += bus_bytes(start, block_elems, stride_elems, n_blocks, txn_bytes);
+        }
+    }
+    for &(_, start, count) in &classes[..n_classes] {
+        total += count * bus_bytes(start, block_elems, stride_elems, n_blocks, txn_bytes);
     }
     total
 }
@@ -392,6 +434,24 @@ mod tests {
                 "off={off} block={block} stride={stride} n={n}"
             );
         }
+    }
+
+    #[test]
+    fn bus_bytes_sum_equals_per_start_calls() {
+        // Mesh-affine starts: one class, a few classes, all distinct, and a
+        // transaction large enough to overflow the class table.
+        for &(base, cr, cc, block, stride, n, txn) in &[
+            (0usize, 256usize, 32usize, 8usize, 64usize, 8usize, 128usize),
+            (3, 100, 7, 5, 33, 9, 128),
+            (17, 1, 8, 1, 1, 1, 128),
+            (5, 9, 1, 3, 130, 4, 512),
+            (1, 3, 11, 2, 7, 40, 96),
+        ] {
+            let starts = || (0..64).map(move |cpe| base + cr * (cpe / 8) + cc * (cpe % 8));
+            let each: usize = starts().map(|a| bus_bytes(a, block, stride, n, txn)).sum();
+            assert_eq!(bus_bytes_sum(starts(), block, stride, n, txn), each);
+        }
+        assert_eq!(bus_bytes_sum(std::iter::empty(), 4, 4, 1, 128), 0);
     }
 
     #[test]

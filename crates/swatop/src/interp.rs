@@ -14,16 +14,25 @@
 //! arithmetic really happen, so an incorrect schedule (wrong DMA offset,
 //! wrong `ld`, wrong boundary guard) produces wrong output — the test suite
 //! compares every generated schedule against the host references.
+//!
+//! In cost-only mode — the autotuner's measurement device — a `DMA_CPE`
+//! node is priced without building requests: its offset expression is
+//! evaluated once, the 64 (or 8 leader) start addresses follow from the
+//! `rid`/`cid` coefficients, the mesh corners are bounds-checked, and the
+//! bus bytes are summed per start-address residue class
+//! ([`sw26010::dma::bus_bytes_sum`]). Clock, counters and errors are those
+//! of the functional path, which stays the oracle
+//! (`tests/evaluator_equiv.rs`).
 
 use sw26010::cluster::ReplyId as CgReply;
 use sw26010::{
     cid, rid, CoreGroup, Cycles, DmaDirection, DmaRequest, ExecMode, MachineError, MachineResult,
-    N_CPE,
+    MESH, N_CPE,
 };
 use swkernels::spm_gemm::SpmMatrix;
 use swtensor::Tensor;
 
-use swatop_ir::{Env, MatDesc, Program, SpmSlot, Stmt, TransformKind};
+use swatop_ir::{AVar, Env, MatDesc, Program, SpmSlot, Stmt, TransformKind};
 
 use crate::codegen::Executable;
 
@@ -170,35 +179,36 @@ impl Interp<'_> {
                     if d.direction == DmaDirection::MemToSpm {
                         cg.counters.note_spm_use(spm_needed as u64);
                     }
-                    let txn = cg.cfg.dram_transaction_bytes;
-                    let mut bus = 0usize;
-                    for cpe in 0..N_CPE {
-                        let off = d.offset.eval(env, rid(cpe) as i64, cid(cpe) as i64);
-                        if off < 0 {
-                            return Err(MachineError::Invalid(format!(
-                                "negative DMA offset {off} on CPE {cpe}"
-                            )));
-                        }
-                        let off = off as usize;
-                        if off + span > len {
-                            return Err(MachineError::MainMemoryOutOfBounds {
-                                offset: base + off,
-                                len: span,
-                                size: base + len,
-                            });
-                        }
-                        bus += sw26010::dma::bus_bytes(
-                            base + off, d.block, d.stride, d.n_blocks, txn,
+                    // CPE (rid, cid) starts at `o + c_r·rid + c_c·cid`: one
+                    // evaluation of the expression gives all 64 offsets,
+                    // and the mesh corners bound them.
+                    let o = d.offset.eval(env, 0, 0);
+                    let (c_r, c_c) = (d.offset.coeff(AVar::Rid), d.offset.coeff(AVar::Cid));
+                    let far = (MESH - 1) as i64;
+                    let lowest = o + (c_r * far).min(0) + (c_c * far).min(0);
+                    let highest = o + (c_r * far).max(0) + (c_c * far).max(0);
+                    if lowest >= 0 && highest as usize + span <= len {
+                        let starts = (0..N_CPE).map(|cpe| {
+                            base + (o + c_r * rid(cpe) as i64 + c_c * cid(cpe) as i64) as usize
+                        });
+                        let bus = sw26010::dma::bus_bytes_sum(
+                            starts,
+                            d.block,
+                            d.stride,
+                            d.n_blocks,
+                            cg.cfg.dram_transaction_bytes,
+                        );
+                        let payload = d.block * d.n_blocks * 4 * N_CPE;
+                        return cg.dma_totals_directed(
+                            d.direction,
+                            bus,
+                            d.n_blocks * N_CPE,
+                            payload,
+                            self.reply(d.reply)?,
                         );
                     }
-                    let payload = d.block * d.n_blocks * 4 * N_CPE;
-                    return cg.dma_totals_directed(
-                        d.direction,
-                        bus,
-                        d.n_blocks * N_CPE,
-                        payload,
-                        self.reply(d.reply)?,
-                    );
+                    // Some CPE is out of bounds: the in-order loop below
+                    // reports the first one that is.
                 }
                 let mut reqs = Vec::with_capacity(N_CPE);
                 for cpe in 0..N_CPE {
@@ -290,11 +300,16 @@ impl Interp<'_> {
             });
         }
         cg.counters.note_spm_use(spm_needed as u64);
-        let txn = cg.cfg.dram_transaction_bytes;
-        let mut bus = 0usize;
+        // Leader `i` sits at mesh coordinate `i` of the bus's own axis, so
+        // its offset is `o + step·i`: one evaluation serves all eight.
+        let o = d.offset.eval(env, 0, 0);
+        let step = d.offset.coeff(match bus_kind {
+            sw26010::regcomm::BcastBus::Row => AVar::Rid,
+            sw26010::regcomm::BcastBus::Column => AVar::Cid,
+        });
         let mut leader_offs = [0usize; 8];
-        for (i, &(r, c)) in leaders.iter().enumerate() {
-            let off = d.offset.eval(env, r, c);
+        for (i, leader_off) in leader_offs.iter_mut().enumerate() {
+            let off = o + step * i as i64;
             if off < 0 {
                 return Err(MachineError::Invalid(format!(
                     "negative DMA offset {off} on broadcast leader {i}"
@@ -308,11 +323,17 @@ impl Interp<'_> {
                     size: base + len,
                 });
             }
-            leader_offs[i] = off;
-            bus += sw26010::dma::bus_bytes(base + off, lblock, d.stride, d.n_blocks, txn);
+            *leader_off = off;
         }
-        let payload = lblock * d.n_blocks * 4 * 8;
         if cg.mode() == ExecMode::CostOnly {
+            let bus = sw26010::dma::bus_bytes_sum(
+                leader_offs.iter().map(|off| base + off),
+                lblock,
+                d.stride,
+                d.n_blocks,
+                cg.cfg.dram_transaction_bytes,
+            );
+            let payload = lblock * d.n_blocks * 4 * 8;
             return cg.dma_totals_bcast(
                 bus,
                 d.n_blocks * 8,

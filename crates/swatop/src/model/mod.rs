@@ -23,6 +23,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use sw26010::{Cycles, MachineConfig, MESH, N_CPE};
 use swatop_ir::{Env, Program, Stmt, TransformKind};
+use swkernels::cost::{timing_fingerprint, TimingFingerprint};
 use swkernels::{gemm_cycles, GemmVariant, VecDim, ALL_VARIANTS};
 
 /// Eq. (1): model cycles for one DMA batch (64 symmetric per-CPE requests
@@ -83,49 +84,38 @@ pub struct GemmModel {
     pub coef: [[f64; fit::N_FEATURES]; 8],
 }
 
-static MODEL_CACHE: Mutex<Option<HashMap<u64, Arc<GemmModel>>>> = Mutex::new(None);
+static MODEL_CACHE: Mutex<Option<HashMap<TimingFingerprint, Arc<GemmModel>>>> = Mutex::new(None);
 
 impl GemmModel {
     /// Fit all eight variants against the scoreboard ground truth. Cached
-    /// per machine configuration (calibration is a one-time cost, like the
-    /// paper's offline kernel benchmarking). Prefer [`GemmModel::cached`] in
-    /// hot paths — it shares the fitted model instead of cloning it.
+    /// per kernel timing (the paper benchmarks its kernels offline; here a
+    /// cold fit is ~5 ms, because the 3,744 sampled shapes share 144
+    /// register-block simulations — see `swkernels::cost`). Prefer
+    /// [`GemmModel::cached`] in hot paths — it shares the fitted model
+    /// instead of cloning it.
     pub fn calibrate(cfg: &MachineConfig) -> GemmModel {
         (*Self::cached(cfg)).clone()
     }
 
-    /// Shared handle to the calibrated model for `cfg`. The cache lock is
+    /// Shared handle to the calibrated model for `cfg`, keyed on every
+    /// field `gemm_cycles` reads ([`timing_fingerprint`]). The cache lock is
     /// held across the fit so concurrent tuner threads asking for the same
     /// configuration calibrate exactly once and everyone else blocks on the
     /// single fit instead of duplicating it.
     pub fn cached(cfg: &MachineConfig) -> Arc<GemmModel> {
-        let key = {
-            use std::hash::{Hash, Hasher};
-            let mut h = std::collections::hash_map::DefaultHasher::new();
-            cfg.vmad_latency.hash(&mut h);
-            cfg.bcast_latency.hash(&mut h);
-            cfg.vldd_latency.hash(&mut h);
-            cfg.kernel_call_overhead.get().hash(&mut h);
-            h.finish()
-        };
+        let key = timing_fingerprint(cfg);
         let mut cache = MODEL_CACHE.lock();
         if let Some(m) = cache.as_ref().and_then(|c| c.get(&key)) {
             return Arc::clone(m);
         }
         let mut coef = [[0.0; fit::N_FEATURES]; 8];
         for v in ALL_VARIANTS {
-            let mut samples = Vec::new();
-            for &m in &[32usize, 64, 96, 128, 160, 192, 256, 320] {
-                for &n in &[32usize, 48, 64, 96, 128, 192, 256] {
-                    for &k in &[8usize, 16, 24, 32, 64, 96, 128, 192, 256] {
-                        if !valid_shape(v, m, n, k) {
-                            continue;
-                        }
-                        let y = gemm_cycles(cfg, v, m, n, k).get() as f64;
-                        samples.push((fit::features(m, n, k), y, 1.0 / (y * y)));
-                    }
-                }
-            }
+            let samples: Vec<_> = calibration_shapes(v)
+                .map(|(m, n, k)| {
+                    let y = gemm_cycles(cfg, v, m, n, k).get() as f64;
+                    (fit::features(m, n, k), y, 1.0 / (y * y))
+                })
+                .collect();
             coef[v.index()] = fit::wls(&samples);
         }
         let model = Arc::new(GemmModel { coef });
@@ -137,6 +127,17 @@ impl GemmModel {
     pub fn predict(&self, variant: GemmVariant, m: usize, n: usize, k: usize) -> f64 {
         fit::predict(&self.coef[variant.index()], m, n, k)
     }
+}
+
+/// The `(M, N, K)` shapes Eq. (2) is fitted on for variant `v`: the legal
+/// shapes of an 8 × 7 × 9 grid (3,744 over the eight variants).
+pub fn calibration_shapes(v: GemmVariant) -> impl Iterator<Item = (usize, usize, usize)> {
+    const M: [usize; 8] = [32, 64, 96, 128, 160, 192, 256, 320];
+    const N: [usize; 7] = [32, 48, 64, 96, 128, 192, 256];
+    const K: [usize; 9] = [8, 16, 24, 32, 64, 96, 128, 192, 256];
+    M.into_iter()
+        .flat_map(|m| N.into_iter().flat_map(move |n| K.into_iter().map(move |k| (m, n, k))))
+        .filter(move |&(m, n, k)| valid_shape(v, m, n, k))
 }
 
 /// Is (M, N, K) a legal shape for this variant? (mesh divisibility and
@@ -474,6 +475,27 @@ mod tests {
         let aligned = dma_eq1_cycles(&cfg, 16, 64, 32);
         let unaligned = dma_eq1_cycles(&cfg, 16, 64, 33);
         assert!(unaligned > aligned, "{unaligned} !> {aligned}");
+    }
+
+    #[test]
+    fn model_cache_separates_every_kernel_timing_field() {
+        // `regcomm_switch` and `vstd_latency` move `gemm_cycles` just like
+        // the vmad/load latencies do; a config differing only there must get
+        // its own fit, not the default one's.
+        let base = MachineConfig::default();
+        let base_coef = GemmModel::cached(&base).coef;
+        let mut rotated = base.clone();
+        rotated.regcomm_switch = Cycles(2 * base.regcomm_switch.get());
+        let mut slow_stores = base.clone();
+        slow_stores.vstd_latency += 8;
+        for cfg in [rotated, slow_stores] {
+            let coef = GemmModel::cached(&cfg).coef;
+            assert_ne!(coef, base_coef);
+            // ... and it follows that config's slower ground truth.
+            let v = ALL_VARIANTS[0].index();
+            assert!(fit::predict(&coef[v], 128, 64, 64) > fit::predict(&base_coef[v], 128, 64, 64));
+        }
+        assert_eq!(GemmModel::cached(&base).coef, base_coef);
     }
 
     #[test]

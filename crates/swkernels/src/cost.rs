@@ -1,26 +1,63 @@
 //! Cached kernel cost queries.
 //!
 //! Black-box tuning executes thousands of candidate schedules, each invoking
-//! `spm_gemm` many times with a handful of distinct shapes. The scoreboard
-//! simulation is deterministic, so its results are memoised here, keyed on
-//! the variant, per-CPE block shape and a fingerprint of the machine
-//! configuration's timing parameters.
+//! `spm_gemm` many times with a handful of distinct shapes, and calibrating
+//! Eq. (2) queries a few thousand shapes cold. The scoreboard simulation is
+//! deterministic, so it is paid once per *distinct input* at two levels:
 //!
-//! The cache is shared by every tuner worker thread, so it is guarded by a
-//! read/write lock: the steady state of a tuning run is ~100% hits, and
-//! concurrent readers proceed without contention. A miss races at worst to
-//! recompute the same deterministic value; whichever insert lands last wins
-//! with an identical result, so queries are consistent across threads.
+//! * **per query** — [`gemm_cycles`] memoises the whole kernel cost, keyed on
+//!   the variant, the per-CPE block shape and the machine's kernel timing
+//!   parameters ([`timing_fingerprint`]). The steady state of a tuning run is
+//!   ~100 % hits, one hash (of the shape; the timing is compared) and one
+//!   read lock each.
+//! * **per register block** — a query that misses prices its ≤ 4 distinct
+//!   register blocks ([`reg_blocks`](crate::microkernel::reg_blocks)) through
+//!   a memo of [`block_cycles`](crate::microkernel::block_cycles), keyed on
+//!   the block, `k_len`, `fast_vec_load` and the four latencies the
+//!   scoreboard reads. There are only 16 × 2 block inputs per `k_len`, so a
+//!   cold calibration (3,744 queries, 9 values of K) runs the scoreboard for
+//!   144 distinct blocks (at most 288) instead of 23,400.
+//!
+//! Both memos return exactly what the pure functions in
+//! [`crate::microkernel`] compute; those stay uncached and are the oracle.
+//!
+//! The caches are shared by every tuner worker thread, so each is guarded by
+//! a read/write lock: concurrent readers proceed without contention. A miss
+//! races at worst to recompute the same deterministic value; whichever insert
+//! lands last wins with an identical result, so queries are consistent across
+//! threads.
 
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::RwLock;
 use sw26010::{Cycles, MachineConfig, MESH};
 
-use crate::microkernel::per_cpe_cycles;
+use crate::microkernel::{block_cycles, per_cpe_cycles_with, RegBlock};
 use crate::variant::{GemmVariant, VecDim};
+
+/// The `MachineConfig` fields a kernel's cycle cost depends on — the key
+/// under which anything derived from [`gemm_cycles`] may be shared between
+/// configurations (this module's caches, the fitted Eq. (2) model). It holds
+/// the values themselves, so equal fingerprints mean equal costs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct TimingFingerprint {
+    /// `vmad`, `vldd`, broadcast-load and `vstd` latencies: what the
+    /// scoreboard simulation of one register block reads.
+    scoreboard: [u64; 4],
+    regcomm_switch: u64,
+    kernel_call_overhead: u64,
+}
+
+/// The timing fingerprint of `cfg` (see [`TimingFingerprint`]).
+pub fn timing_fingerprint(cfg: &MachineConfig) -> TimingFingerprint {
+    TimingFingerprint {
+        scoreboard: [cfg.vmad_latency, cfg.vldd_latency, cfg.bcast_latency, cfg.vstd_latency],
+        regcomm_switch: cfg.regcomm_switch.get(),
+        kernel_call_overhead: cfg.kernel_call_overhead.get(),
+    }
+}
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct Key {
@@ -28,23 +65,41 @@ struct Key {
     mb: usize,
     nb: usize,
     kb: usize,
-    cfg_fp: u64,
 }
 
-fn cfg_fingerprint(cfg: &MachineConfig) -> u64 {
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    cfg.vmad_latency.hash(&mut h);
-    cfg.vldd_latency.hash(&mut h);
-    cfg.bcast_latency.hash(&mut h);
-    cfg.vstd_latency.hash(&mut h);
-    cfg.regcomm_switch.get().hash(&mut h);
-    cfg.kernel_call_overhead.get().hash(&mut h);
-    h.finish()
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct BlockKey {
+    blk: RegBlock,
+    k_len: usize,
+    fast_vec_load: bool,
 }
 
-static CACHE: RwLock<Option<HashMap<Key, u64>>> = RwLock::new(None);
+/// One cost map per machine timing `T`. A process sees one timing, rarely a
+/// handful, so the timing is found by comparison and only the small
+/// per-query key is hashed.
+type Memo<T, K> = RwLock<Vec<(T, HashMap<K, u64>)>>;
+
+static CACHE: Memo<TimingFingerprint, Key> = RwLock::new(Vec::new());
+static BLOCK_CACHE: Memo<[u64; 4], BlockKey> = RwLock::new(Vec::new());
 static HITS: AtomicU64 = AtomicU64::new(0);
 static MISSES: AtomicU64 = AtomicU64::new(0);
+
+fn lookup<T: PartialEq, K: Hash + Eq>(memo: &Memo<T, K>, timing: &T, key: &K) -> Option<u64> {
+    memo.read().iter().find(|(t, _)| t == timing)?.1.get(key).copied()
+}
+
+fn insert<T: PartialEq + Copy, K: Hash + Eq>(memo: &Memo<T, K>, timing: &T, key: K, cycles: u64) {
+    let mut maps = memo.write();
+    let at = maps.iter().position(|(t, _)| t == timing).unwrap_or_else(|| {
+        maps.push((*timing, HashMap::new()));
+        maps.len() - 1
+    });
+    maps[at].1.insert(key, cycles);
+}
+
+fn len<T, K>(memo: &Memo<T, K>) -> usize {
+    memo.read().iter().map(|(_, map)| map.len()).sum()
+}
 
 /// Cycle cost of one `spm_gemm(M, N, K)` call with the given variant.
 ///
@@ -53,33 +108,46 @@ static MISSES: AtomicU64 = AtomicU64::new(0);
 /// divisible by 4) — [`crate::spm_gemm`] validates before costing.
 pub fn gemm_cycles(cfg: &MachineConfig, variant: GemmVariant, m: usize, n: usize, k: usize) -> Cycles {
     let (mb, nb, kb) = (m / MESH, n / MESH, k / MESH);
-    let key = Key { variant: variant.index(), mb, nb, kb, cfg_fp: cfg_fingerprint(cfg) };
-    {
-        let guard = CACHE.read();
-        if let Some(map) = guard.as_ref() {
-            if let Some(&c) = map.get(&key) {
-                HITS.fetch_add(1, Ordering::Relaxed);
-                return Cycles(c);
-            }
-        }
+    let timing = timing_fingerprint(cfg);
+    let key = Key { variant: variant.index(), mb, nb, kb };
+    if let Some(cycles) = lookup(&CACHE, &timing, &key) {
+        HITS.fetch_add(1, Ordering::Relaxed);
+        return Cycles(cycles);
     }
     MISSES.fetch_add(1, Ordering::Relaxed);
     let (v_len, s_len) = match variant.vec {
         VecDim::M => (mb, nb),
         VecDim::N => (nb, mb),
     };
-    let cycles = per_cpe_cycles(cfg, v_len, s_len, kb, variant.vector_load_ok());
-    let mut guard = CACHE.write();
-    guard.get_or_insert_with(HashMap::new).insert(key, cycles);
+    let fast_vec_load = variant.vector_load_ok();
+    let cycles = per_cpe_cycles_with(cfg, v_len, s_len, kb, |blk, k_len| {
+        let key = BlockKey { blk, k_len, fast_vec_load };
+        lookup(&BLOCK_CACHE, &timing.scoreboard, &key).unwrap_or_else(|| {
+            let cycles = block_cycles(cfg, blk, k_len, fast_vec_load);
+            insert(&BLOCK_CACHE, &timing.scoreboard, key, cycles);
+            cycles
+        })
+    });
+    insert(&CACHE, &timing, key, cycles);
     Cycles(cycles)
 }
 
-/// Number of entries currently memoised (observability for tests/benches).
+/// Number of kernel costs currently memoised (observability for
+/// tests/benches).
 pub fn cache_len() -> usize {
-    CACHE.read().as_ref().map_or(0, |m| m.len())
+    len(&CACHE)
 }
 
-/// `(hits, misses, entries)` of the kernel-cost cache since process start.
+/// Number of register-block costs currently memoised: the distinct
+/// `(block, k_len, fast_vec_load, latencies)` inputs [`gemm_cycles`] has run
+/// the scoreboard for since process start.
+pub fn block_cache_len() -> usize {
+    len(&BLOCK_CACHE)
+}
+
+/// `(hits, misses, entries)` of the kernel-cost cache since process start:
+/// exactly one hit or miss per [`gemm_cycles`] query (the register-block
+/// memo under a miss is not counted).
 /// Counters are relaxed atomics: approximate under concurrency (two workers
 /// racing on a cold key may both count a miss), exact serially — they are
 /// observability for the telemetry snapshot, never control flow.
@@ -114,6 +182,7 @@ pub fn gemm_intensity(m: usize, n: usize, k: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::microkernel::per_cpe_cycles;
     use crate::variant::ALL_VARIANTS;
 
     #[test]
@@ -124,6 +193,52 @@ mod tests {
         let b = gemm_cycles(&cfg, v, 64, 64, 64);
         assert_eq!(a, b);
         assert!(a.get() > 0);
+    }
+
+    #[test]
+    fn memoised_costs_equal_the_pure_walk() {
+        // Ragged tiles (every block shape), both load kinds, K on both sides
+        // of the extrapolation threshold, and a second timing.
+        let mut slow_stores = MachineConfig::default();
+        slow_stores.vstd_latency += 3;
+        for cfg in [MachineConfig::default(), slow_stores] {
+            for v in ALL_VARIANTS {
+                for (vb, sb, kb) in [(4, 1, 1), (12, 7, 2), (20, 4, 13), (16, 9, 40)] {
+                    let (mb, nb) = match v.vec {
+                        VecDim::M => (vb, sb),
+                        VecDim::N => (sb, vb),
+                    };
+                    let pure = per_cpe_cycles(&cfg, vb, sb, kb, v.vector_load_ok());
+                    for _ in 0..2 {
+                        let got = gemm_cycles(&cfg, v, mb * MESH, nb * MESH, kb * MESH);
+                        assert_eq!(got.get(), pure, "{v:?} {vb}x{sb}x{kb}");
+                    }
+                }
+            }
+        }
+        assert!(block_cache_len() > 0 && block_cache_len() <= cache_len() * 4);
+    }
+
+    #[test]
+    fn every_timing_field_is_in_the_fingerprint() {
+        let base = MachineConfig::default();
+        let bump: [fn(&mut MachineConfig); 6] = [
+            |c| c.vmad_latency += 1,
+            |c| c.vldd_latency += 1,
+            |c| c.bcast_latency += 1,
+            |c| c.vstd_latency += 1,
+            |c| c.regcomm_switch = Cycles(c.regcomm_switch.get() + 1),
+            |c| c.kernel_call_overhead = Cycles(c.kernel_call_overhead.get() + 1),
+        ];
+        for (i, f) in bump.iter().enumerate() {
+            let mut cfg = base.clone();
+            f(&mut cfg);
+            assert_ne!(timing_fingerprint(&cfg), timing_fingerprint(&base), "field {i}");
+        }
+        // Fields the kernels never read do not split the caches.
+        let mut other = base.clone();
+        other.dma_startup = Cycles(other.dma_startup.get() + 1);
+        assert_eq!(timing_fingerprint(&other), timing_fingerprint(&base));
     }
 
     #[test]

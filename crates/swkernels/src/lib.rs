@@ -18,9 +18,10 @@
 //!
 //! There are **eight variants** (A layout × B layout × vectorised dim); the
 //! cycle cost of each is obtained from the dual-issue scoreboard of the
-//! `sw26010` crate by simulating the actual instruction schedule, with a
-//! cache keyed on `(variant, Mb, Nb, Kb)`. This simulated cost is the ground
-//! truth that swATOP's fitted Eq. (2) model approximates.
+//! `sw26010` crate by simulating the actual instruction schedule, memoised
+//! per `(variant, Mb, Nb, Kb)` query and per distinct register block
+//! ([`cost`]). This simulated cost is the ground truth that swATOP's fitted
+//! Eq. (2) model approximates.
 
 pub mod cost;
 pub mod distribute;

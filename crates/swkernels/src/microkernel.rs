@@ -7,6 +7,11 @@
 //! instruction stream and run it through the dual-issue scoreboard — hazard
 //! stalls at short K, pipeline drains at panel switches and register-block
 //! boundaries all emerge from the simulation instead of being assumed.
+//!
+//! Everything here is pure: a call simulates. A per-CPE tile is priced from
+//! its ≤ 4 distinct register blocks ([`reg_blocks`]); sharing block costs
+//! *across* calls is [`crate::cost`]'s job, and these functions are the
+//! oracle its memos are tested against.
 
 use sw26010::pipeline::{Instruction, Pipe, Scoreboard};
 use sw26010::regcomm;
@@ -41,101 +46,64 @@ const ACC_BASE: u16 = 0;
 const VEC_BASE: [u16; 2] = [16, 24];
 const SCA_BASE: [u16; 2] = [20, 28];
 
-/// Emit the broadcast loads feeding step `k` into register set `set`.
+/// Broadcast loads (P1) feeding one K step of `blk`.
 ///
 /// `fast_vec_load`: the vectorised operand is contiguous in SPM, so one
 /// `vlddr`/`vlddc` fetches a whole 4-vector; otherwise four scalar
 /// load-extend-broadcasts (`vldder`/`vlddec`) build it.
-fn emit_loads(
-    cfg: &MachineConfig,
-    blk: RegBlock,
-    set: usize,
-    fast_vec_load: bool,
-    out: &mut Vec<Instruction>,
-) {
-    for v in 0..blk.vecs {
-        let dst = VEC_BASE[set] + v as u16;
-        if fast_vec_load {
-            out.push(Instruction::new(Pipe::P1, Some(dst), &[], cfg.bcast_latency));
-        } else {
-            // Four element loads merged into one vector register; the
-            // register becomes ready when the last insert completes.
-            for _ in 0..4 {
-                out.push(Instruction::new(Pipe::P1, Some(dst), &[], cfg.bcast_latency));
-            }
-        }
-    }
-    for s in 0..blk.scalars {
-        let dst = SCA_BASE[set] + s as u16;
-        out.push(Instruction::new(Pipe::P1, Some(dst), &[], cfg.bcast_latency));
-    }
-}
-
-/// Emit the `vecs × scalars` vmads of step `k` reading register set `set`,
-/// interleaved with `next_loads` (the loads of step `k+1`) for dual issue.
-fn emit_step(
-    cfg: &MachineConfig,
-    blk: RegBlock,
-    set: usize,
-    next_loads: Option<Vec<Instruction>>,
-    out: &mut Vec<Instruction>,
-) {
-    let mut vmads = Vec::with_capacity(blk.vecs * blk.scalars);
-    for v in 0..blk.vecs {
-        for s in 0..blk.scalars {
-            let acc = ACC_BASE + (v * blk.scalars + s) as u16;
-            let srcs = [VEC_BASE[set] + v as u16, SCA_BASE[set] + s as u16, acc];
-            vmads.push(Instruction::new(Pipe::P0, Some(acc), &srcs, cfg.vmad_latency));
-        }
-    }
-    // Interleave P0 vmads with P1 loads so the decoder can pair them.
-    let loads = next_loads.unwrap_or_default();
-    let mut li = loads.into_iter();
-    for vmad in vmads {
-        out.push(vmad);
-        if let Some(l) = li.next() {
-            out.push(l);
-        }
-    }
-    out.extend(li);
+fn loads_per_step(blk: RegBlock, fast_vec_load: bool) -> usize {
+    blk.vecs * if fast_vec_load { 1 } else { 4 } + blk.scalars
 }
 
 /// Simulate the software-pipelined inner loop over `k_len` steps for one
 /// register block and return the total cycles (C load, K loop, C store).
-fn simulate_block(
-    cfg: &MachineConfig,
-    blk: RegBlock,
-    k_len: usize,
-    fast_vec_load: bool,
-) -> u64 {
+///
+/// Instructions issue straight into the scoreboard in schedule order: per
+/// step, the `vecs × scalars` vmads reading register set `k % 2` interleave
+/// one-for-one with the loads of step `k + 1` into the other set so the
+/// decoder can pair them; whichever list is longer trails.
+fn simulate_block(cfg: &MachineConfig, blk: RegBlock, k_len: usize, fast_vec_load: bool) -> u64 {
     let mut sb = Scoreboard::default();
-    let n_acc = (blk.vecs * blk.scalars) as u16;
+    let n_acc = blk.vecs * blk.scalars;
+    let per_vec = if fast_vec_load { 1 } else { 4 };
+    let n_vec_loads = blk.vecs * per_vec;
+    let n_loads = loads_per_step(blk, fast_vec_load);
+    // The `i`-th load of a step into register set `set`: the vector operand
+    // first (a slow vector is four element loads merged into one register,
+    // ready when the last insert completes), then the scalar operand.
+    let load = |sb: &mut Scoreboard, set: usize, i: usize| {
+        let dst = if i < n_vec_loads {
+            VEC_BASE[set] + (i / per_vec) as u16
+        } else {
+            SCA_BASE[set] + (i - n_vec_loads) as u16
+        };
+        sb.issue(&Instruction::new(Pipe::P1, Some(dst), &[], cfg.bcast_latency));
+    };
     // Load the C accumulators from SPM.
-    for a in 0..n_acc {
+    for a in 0..n_acc as u16 {
         sb.issue(&Instruction::new(Pipe::P1, Some(ACC_BASE + a), &[], cfg.vldd_latency));
     }
-    let mut stream = Vec::new();
-    emit_loads(cfg, blk, 0, fast_vec_load, &mut stream);
+    for i in 0..n_loads {
+        load(&mut sb, 0, i);
+    }
     for k in 0..k_len {
         let set = k % 2;
-        let next = if k + 1 < k_len {
-            let mut nl = Vec::new();
-            emit_loads(cfg, blk, 1 - set, fast_vec_load, &mut nl);
-            Some(nl)
-        } else {
-            None
-        };
-        emit_step(cfg, blk, set, next, &mut stream);
+        let next_loads = if k + 1 < k_len { n_loads } else { 0 };
+        for i in 0..n_acc.max(next_loads) {
+            if i < n_acc {
+                let (v, s) = (i / blk.scalars, i % blk.scalars);
+                let acc = ACC_BASE + i as u16;
+                let srcs = [VEC_BASE[set] + v as u16, SCA_BASE[set] + s as u16, acc];
+                sb.issue(&Instruction::new(Pipe::P0, Some(acc), &srcs, cfg.vmad_latency));
+            }
+            if i < next_loads {
+                load(&mut sb, 1 - set, i);
+            }
+        }
     }
-    sb.run(&stream);
     // Store C back to SPM: stores consume the accumulators.
-    for a in 0..n_acc {
-        sb.issue(&Instruction::new(
-            Pipe::P1,
-            None,
-            &[ACC_BASE + a],
-            cfg.vstd_latency,
-        ));
+    for a in 0..n_acc as u16 {
+        sb.issue(&Instruction::new(Pipe::P1, None, &[ACC_BASE + a], cfg.vstd_latency));
     }
     sb.finish_time().get()
 }
@@ -146,6 +114,9 @@ fn simulate_block(
 /// simulated steady-state cadence (the schedule is periodic after warm-up),
 /// keeping the cost model fast enough for black-box tuning while remaining
 /// a genuine pipeline simulation.
+///
+/// Pure: every call runs the scoreboard. [`crate::cost`] memoises it per
+/// distinct input; this function is the oracle that memo is tested against.
 pub fn block_cycles(cfg: &MachineConfig, blk: RegBlock, k_len: usize, fast_vec_load: bool) -> u64 {
     const EXACT: usize = 96;
     const PROBE: usize = 64;
@@ -159,12 +130,54 @@ pub fn block_cycles(cfg: &MachineConfig, blk: RegBlock, k_len: usize, fast_vec_l
     c_hi + steady_num * extra / (EXACT - PROBE) as u64
 }
 
-/// Cycles for the complete per-CPE kernel: the local `Mb × Nb` C tile
-/// accumulated over the full K (eight mesh panels of `Kb` each), decomposed
-/// into register blocks of at most 4 vectors × 4 scalars.
+/// The register blocking of a per-CPE `v_len × s_len` C tile, as the
+/// distinct block shapes with how often each occurs: the tile is cut into
+/// blocks of at most 4 vectors × 4 scalars, so only the full block and the
+/// ragged right/bottom/corner blocks exist — at most four entries however
+/// large the tile. The single owner of the blocking walk, shared by the
+/// cycle and the issue-count accounting.
 ///
 /// `v_len` is the per-CPE length of the vectorised dimension (must be a
-/// multiple of 4), `s_len` the other dimension, `kb` the per-CPE K panel.
+/// multiple of 4), `s_len` the other dimension.
+pub fn reg_blocks(v_len: usize, s_len: usize) -> impl Iterator<Item = (RegBlock, u64)> {
+    debug_assert_eq!(v_len % 4, 0, "vectorised dim must be a multiple of 4");
+    let n_vec = v_len / 4;
+    let (full_v, rest_v) = (n_vec / 4, n_vec % 4);
+    let (full_s, rest_s) = (s_len / 4, s_len % 4);
+    [(4, 4, full_v * full_s), (4, rest_s, full_v), (rest_v, 4, full_s), (rest_v, rest_s, 1)]
+        .into_iter()
+        .filter(|&(vecs, scalars, count)| vecs > 0 && scalars > 0 && count > 0)
+        .map(|(vecs, scalars, count)| (RegBlock::new(vecs, scalars), count as u64))
+}
+
+/// Cycles for the complete per-CPE kernel: the local `Mb × Nb` C tile
+/// accumulated over the full K (eight mesh panels of `Kb` each), decomposed
+/// into register blocks ([`reg_blocks`]). `block_cost(blk, k_len)` prices one
+/// block: [`per_cpe_cycles`] passes the pure [`block_cycles`], the cached
+/// query in [`crate::cost`] its memo of the same function.
+pub fn per_cpe_cycles_with(
+    cfg: &MachineConfig,
+    v_len: usize,
+    s_len: usize,
+    kb: usize,
+    mut block_cost: impl FnMut(RegBlock, usize) -> u64,
+) -> u64 {
+    // All 8 panels accumulate into the same C block.
+    let k_total = MESH * kb;
+    // Rotating through the 8 broadcast producers costs a pattern switch per
+    // panel (charged once per kernel call: all register blocks stream
+    // through panels together in the generated schedule).
+    let mut total = cfg.kernel_call_overhead.get() + regcomm::panel_rotation_overhead(cfg).get();
+    for (blk, count) in reg_blocks(v_len, s_len) {
+        // 8: per-block loop bookkeeping (branch, address updates).
+        total += count * (8 + block_cost(blk, k_total));
+    }
+    total
+}
+
+/// [`per_cpe_cycles_with`] over the pure scoreboard simulation: `kb` is the
+/// per-CPE K panel, `fast_vec_load` whether the vectorised operand loads as
+/// whole vectors.
 pub fn per_cpe_cycles(
     cfg: &MachineConfig,
     v_len: usize,
@@ -172,33 +185,13 @@ pub fn per_cpe_cycles(
     kb: usize,
     fast_vec_load: bool,
 ) -> u64 {
-    debug_assert_eq!(v_len % 4, 0, "vectorised dim must be a multiple of 4");
-    let n_vec = v_len / 4;
-    let k_total = MESH * kb; // all 8 panels accumulate into the same C block
-    let mut total = cfg.kernel_call_overhead.get();
-    // Rotating through the 8 broadcast producers costs a pattern switch per
-    // panel (charged once per kernel call: all register blocks stream
-    // through panels together in the generated schedule).
-    total += regcomm::panel_rotation_overhead(cfg).get();
-    let mut done_v = 0;
-    while done_v < n_vec {
-        let vb = (n_vec - done_v).min(4);
-        let mut done_s = 0;
-        while done_s < s_len {
-            let sb = (s_len - done_s).min(4);
-            let blk = RegBlock::new(vb, sb);
-            // Per-block loop bookkeeping (branch, address updates).
-            total += 8;
-            total += block_cycles(cfg, blk, k_total, fast_vec_load);
-            done_s += sb;
-        }
-        done_v += vb;
-    }
-    total
+    per_cpe_cycles_with(cfg, v_len, s_len, kb, |blk, k_len| {
+        block_cycles(cfg, blk, k_len, fast_vec_load)
+    })
 }
 
 /// Per-CPE instruction issue counts of one kernel call, derived analytically
-/// from the same register-blocking walk as [`per_cpe_cycles`]. Used by
+/// from the same register blocking as [`per_cpe_cycles`]. Used by
 /// telemetry to report issue-slot utilization and register-communication
 /// traffic without re-running the scoreboard (kernel *cycles* are memoised;
 /// these counts are exact regardless of hazard stalls, since in-order issue
@@ -215,35 +208,23 @@ pub struct IssueCounts {
 }
 
 /// Count the instructions one CPE issues for a full kernel call of shape
-/// (`v_len`, `s_len`, `kb`), mirroring the blocking of [`per_cpe_cycles`]:
-/// per register block of `vb × sb`, each of the `8·kb` K steps issues
-/// `vb·sb` vmads on P0 and its broadcast loads on P1, and the block loads
-/// and stores its `vb·sb` C accumulators once.
+/// (`v_len`, `s_len`, `kb`): per register block of `vb × sb`, each of the
+/// `8·kb` K steps issues `vb·sb` vmads on P0 and its broadcast loads on P1,
+/// and the block loads and stores its `vb·sb` C accumulators once.
 pub fn per_cpe_issue_counts(
     v_len: usize,
     s_len: usize,
     kb: usize,
     fast_vec_load: bool,
 ) -> IssueCounts {
-    debug_assert_eq!(v_len % 4, 0, "vectorised dim must be a multiple of 4");
-    let n_vec = v_len / 4;
     let k_total = (MESH * kb) as u64;
     let mut counts = IssueCounts::default();
-    let mut done_v = 0;
-    while done_v < n_vec {
-        let vb = (n_vec - done_v).min(4);
-        let mut done_s = 0;
-        while done_s < s_len {
-            let sb = (s_len - done_s).min(4);
-            let n_acc = (vb * sb) as u64;
-            counts.p0 += n_acc * k_total;
-            let per_step_loads =
-                (if fast_vec_load { vb } else { 4 * vb } + sb) as u64;
-            counts.broadcasts += per_step_loads * k_total;
-            counts.p1 += per_step_loads * k_total + 2 * n_acc;
-            done_s += sb;
-        }
-        done_v += vb;
+    for (blk, count) in reg_blocks(v_len, s_len) {
+        let n_acc = (blk.vecs * blk.scalars) as u64;
+        let loads = loads_per_step(blk, fast_vec_load) as u64 * k_total;
+        counts.p0 += count * n_acc * k_total;
+        counts.broadcasts += count * loads;
+        counts.p1 += count * (loads + 2 * n_acc);
     }
     counts
 }
@@ -254,6 +235,131 @@ mod tests {
 
     fn cfg() -> MachineConfig {
         MachineConfig::default()
+    }
+
+    /// Oracle for [`simulate_block`]: the schedule built as an explicit
+    /// instruction stream (one list of loads per K step, interleaved with
+    /// the step's vmads) and run through the scoreboard in one go.
+    fn emit_loads(
+        cfg: &MachineConfig,
+        blk: RegBlock,
+        set: usize,
+        fast_vec_load: bool,
+        out: &mut Vec<Instruction>,
+    ) {
+        for v in 0..blk.vecs {
+            let dst = VEC_BASE[set] + v as u16;
+            for _ in 0..if fast_vec_load { 1 } else { 4 } {
+                out.push(Instruction::new(Pipe::P1, Some(dst), &[], cfg.bcast_latency));
+            }
+        }
+        for s in 0..blk.scalars {
+            let dst = SCA_BASE[set] + s as u16;
+            out.push(Instruction::new(Pipe::P1, Some(dst), &[], cfg.bcast_latency));
+        }
+    }
+
+    fn simulate_block_stream(
+        cfg: &MachineConfig,
+        blk: RegBlock,
+        k_len: usize,
+        fast_vec_load: bool,
+    ) -> u64 {
+        let mut sb = Scoreboard::default();
+        let n_acc = (blk.vecs * blk.scalars) as u16;
+        for a in 0..n_acc {
+            sb.issue(&Instruction::new(Pipe::P1, Some(ACC_BASE + a), &[], cfg.vldd_latency));
+        }
+        let mut stream = Vec::new();
+        emit_loads(cfg, blk, 0, fast_vec_load, &mut stream);
+        for k in 0..k_len {
+            let set = k % 2;
+            let mut loads = Vec::new();
+            if k + 1 < k_len {
+                emit_loads(cfg, blk, 1 - set, fast_vec_load, &mut loads);
+            }
+            let mut loads = loads.into_iter();
+            for v in 0..blk.vecs {
+                for s in 0..blk.scalars {
+                    let acc = ACC_BASE + (v * blk.scalars + s) as u16;
+                    let srcs = [VEC_BASE[set] + v as u16, SCA_BASE[set] + s as u16, acc];
+                    stream.push(Instruction::new(Pipe::P0, Some(acc), &srcs, cfg.vmad_latency));
+                    stream.extend(loads.next());
+                }
+            }
+            stream.extend(loads);
+        }
+        sb.run(&stream);
+        for a in 0..n_acc {
+            sb.issue(&Instruction::new(Pipe::P1, None, &[ACC_BASE + a], cfg.vstd_latency));
+        }
+        sb.finish_time().get()
+    }
+
+    #[test]
+    fn direct_issue_matches_the_instruction_stream() {
+        let mut c = cfg();
+        for lat in [c.bcast_latency, 1, 9] {
+            c.bcast_latency = lat;
+            for vecs in 1..=4 {
+                for scalars in 1..=4 {
+                    let blk = RegBlock::new(vecs, scalars);
+                    for fast in [true, false] {
+                        for k in [1usize, 2, 3, 8, 64, 96] {
+                            assert_eq!(
+                                simulate_block(&c, blk, k, fast),
+                                simulate_block_stream(&c, blk, k, fast),
+                                "{blk:?} k={k} fast={fast} bcast={lat}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The blocking walk [`reg_blocks`] summarises: one block at a time.
+    fn walk_blocks(v_len: usize, s_len: usize) -> Vec<RegBlock> {
+        let n_vec = v_len / 4;
+        let mut out = Vec::new();
+        let mut done_v = 0;
+        while done_v < n_vec {
+            let vb = (n_vec - done_v).min(4);
+            let mut done_s = 0;
+            while done_s < s_len {
+                let sb = (s_len - done_s).min(4);
+                out.push(RegBlock::new(vb, sb));
+                done_s += sb;
+            }
+            done_v += vb;
+        }
+        out
+    }
+
+    #[test]
+    fn reg_blocks_summarise_the_block_walk() {
+        let c = cfg();
+        for v_len in (4..=44).step_by(4) {
+            for s_len in 1..=13 {
+                let walk = walk_blocks(v_len, s_len);
+                let blocks: Vec<(RegBlock, u64)> = reg_blocks(v_len, s_len).collect();
+                assert!(blocks.len() <= 4);
+                assert_eq!(blocks.iter().map(|&(_, n)| n).sum::<u64>(), walk.len() as u64);
+                for &(blk, n) in &blocks {
+                    let seen = walk.iter().filter(|&&w| w == blk).count() as u64;
+                    assert_eq!(seen, n, "v_len {v_len} s_len {s_len} {blk:?}");
+                }
+                for fast in [true, false] {
+                    let naive = c.kernel_call_overhead.get()
+                        + regcomm::panel_rotation_overhead(&c).get()
+                        + walk
+                            .iter()
+                            .map(|&blk| 8 + block_cycles(&c, blk, MESH * 3, fast))
+                            .sum::<u64>();
+                    assert_eq!(per_cpe_cycles(&c, v_len, s_len, 3, fast), naive);
+                }
+            }
+        }
     }
 
     #[test]

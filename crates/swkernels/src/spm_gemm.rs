@@ -114,15 +114,7 @@ pub fn spm_gemm(
         let ga = gather(cg, a, m, k, mb, kb)?;
         let gb = gather(cg, b, k, n, kb, nb)?;
         let mut gc = gather(cg, c, m, n, mb, nb)?;
-        for i in 0..m {
-            for j in 0..n {
-                let mut acc = 0.0f32;
-                for p in 0..k {
-                    acc += ga[i * k + p] * gb[p * n + j];
-                }
-                gc[i * n + j] = alpha * acc + beta * gc[i * n + j];
-            }
-        }
+        host_gemm(m, n, k, alpha, &ga, &gb, beta, &mut gc);
         scatter(cg, c, &gc, m, n, mb, nb)?;
     } else {
         // Cost-only: still verify the blocks fit in the SPM. The capacity is
@@ -166,6 +158,36 @@ pub fn spm_gemm(
     cg.counters.regcomm_broadcasts += issue.broadcasts;
     cg.kernel(cycles, flops, m, n, k);
     Ok(())
+}
+
+/// `C = alpha·A·B + beta·C` on row-major host copies. The loops run `i-p-j`
+/// over one row of accumulators so `B` is read along its rows, while every
+/// `(i, j)` still sums its products in ascending `p` from zero and applies
+/// `alpha`/`beta` last — bit for bit the dot-product-per-element order.
+#[allow(clippy::too_many_arguments)]
+fn host_gemm(
+    m: usize,
+    n: usize,
+    k: usize,
+    alpha: f32,
+    a: &[f32],
+    b: &[f32],
+    beta: f32,
+    c: &mut [f32],
+) {
+    let mut acc = vec![0.0f32; n];
+    for i in 0..m {
+        acc.fill(0.0);
+        for p in 0..k {
+            let a_ip = a[i * k + p];
+            for (acc_j, &b_pj) in acc.iter_mut().zip(&b[p * n..(p + 1) * n]) {
+                *acc_j += a_ip * b_pj;
+            }
+        }
+        for (c_ij, &acc_j) in c[i * n..(i + 1) * n].iter_mut().zip(&acc) {
+            *c_ij = alpha * acc_j + beta * *c_ij;
+        }
+    }
 }
 
 /// Read a distributed matrix out of the 64 SPMs into a row-major host copy.
@@ -249,6 +271,39 @@ mod tests {
     use swtensor::init::random_vec;
     use swtensor::MatLayout::*;
 
+    /// The `i-j-p` nest the functional kernel used to run: one dot product
+    /// per output element. `host_gemm` must reproduce it bit for bit.
+    #[allow(clippy::too_many_arguments)]
+    fn dot_product_order(
+        m: usize,
+        n: usize,
+        k: usize,
+        alpha: f32,
+        a: &[f32],
+        b: &[f32],
+        beta: f32,
+        c0: &[f32],
+    ) -> Vec<f32> {
+        let mut c = c0.to_vec();
+        for i in 0..m {
+            for j in 0..n {
+                let mut acc = 0.0f32;
+                for p in 0..k {
+                    acc += a[i * k + p] * b[p * n + j];
+                }
+                c[i * n + j] = alpha * acc + beta * c[i * n + j];
+            }
+        }
+        c
+    }
+
+    fn assert_bits_eq(got: &[f32], want: &[f32]) {
+        assert_eq!(got.len(), want.len());
+        for (i, (g, w)) in got.iter().zip(want).enumerate() {
+            assert_eq!(g.to_bits(), w.to_bits(), "element {i}: {g} vs {w}");
+        }
+    }
+
     fn run_case(m: usize, n: usize, k: usize, la: MatLayout, lb: MatLayout, vd: VecDim) {
         let mut cg = CoreGroup::with_mode(ExecMode::Functional);
         let (mb, nb, kb) = (m / 8, n / 8, k / 8);
@@ -271,6 +326,7 @@ mod tests {
         gemm_rowmajor(m, n, k, &a, &b, &mut expect);
         let got = read_distributed(&cg, c_desc, m, n).unwrap();
         assert_close(&got, &expect, 1e-4, 1e-5, "spm_gemm");
+        assert_bits_eq(&got, &dot_product_order(m, n, k, 1.0, &a, &b, 1.0, &c0));
         assert!(cg.now().get() > 0, "kernel must cost cycles");
         assert_eq!(cg.flops, 2 * (m * n * k) as u64);
     }
@@ -312,6 +368,7 @@ mod tests {
             prod.iter().zip(&c0).map(|(p, c)| 2.0 * p - c).collect();
         let got = read_distributed(&cg, c_desc, m, n).unwrap();
         assert_close(&got, &expect, 1e-4, 1e-5, "alpha/beta");
+        assert_bits_eq(&got, &dot_product_order(m, n, k, 2.0, &a, &b, -1.0, &c0));
     }
 
     #[test]

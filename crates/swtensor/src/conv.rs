@@ -72,9 +72,50 @@ impl ConvShape {
 /// Naive MAC-based direct convolution (Algorithm 1): the 7-deep loop nest
 /// over `(B, Ro, Co, Kr, Kc, No, Ni)` with a single multiply-accumulate.
 /// Input NCHW, weight `[No][Ni][Kr][Kc]`, output NCHW.
+///
+/// The nest indexes the row-major `data()` slices directly: along the
+/// innermost `Ni` loop the input advances by one `Ri × Ci` plane and the
+/// weight by one `Kr × Kc` plane per step.
 pub fn conv2d_ref(shape: &ConvShape, input: &Tensor, weight: &Tensor) -> Tensor {
     assert_eq!(input.shape(), &shape.input_shape(), "input shape");
     assert_eq!(weight.shape(), &shape.weight_shape(), "weight shape");
+    let mut out = Tensor::zeros(shape.output_shape());
+    let (ri, ci) = (shape.ri(), shape.ci());
+    let (x_plane, w_plane, y_plane) = (ri * ci, shape.kr * shape.kc, shape.ro * shape.co);
+    let (x, w, y) = (input.data(), weight.data(), out.data_mut());
+    for b in 0..shape.b {
+        for ro in 0..shape.ro {
+            for co in 0..shape.co {
+                for kr in 0..shape.kr {
+                    for kc in 0..shape.kc {
+                        let r = (ro * shape.stride + kr) as isize - shape.pad as isize;
+                        let c = (co * shape.stride + kc) as isize - shape.pad as isize;
+                        if r < 0 || c < 0 || r as usize >= ri || c as usize >= ci {
+                            continue; // zero padding
+                        }
+                        let x_at = b * shape.ni * x_plane + r as usize * ci + c as usize;
+                        for no in 0..shape.no {
+                            let w_at = no * shape.ni * w_plane + kr * shape.kc + kc;
+                            let y_at = (b * shape.no + no) * y_plane + ro * shape.co + co;
+                            let mut acc = y[y_at];
+                            for ni in 0..shape.ni {
+                                acc += x[x_at + ni * x_plane] * w[w_at + ni * w_plane];
+                            }
+                            y[y_at] = acc;
+                        }
+                    }
+                }
+            }
+        }
+    }
+    out
+}
+
+/// [`conv2d_ref`] with every element addressed through `Tensor::at`: the
+/// same nest and accumulation order, kept as the oracle the slice-indexed
+/// version must equal exactly.
+#[cfg(test)]
+fn conv2d_ref_at(shape: &ConvShape, input: &Tensor, weight: &Tensor) -> Tensor {
     let mut out = Tensor::zeros(shape.output_shape());
     let (ri, ci) = (shape.ri(), shape.ci());
     for b in 0..shape.b {
@@ -85,7 +126,7 @@ pub fn conv2d_ref(shape: &ConvShape, input: &Tensor, weight: &Tensor) -> Tensor 
                         let r = (ro * shape.stride + kr) as isize - shape.pad as isize;
                         let c = (co * shape.stride + kc) as isize - shape.pad as isize;
                         if r < 0 || c < 0 || r as usize >= ri || c as usize >= ci {
-                            continue; // zero padding
+                            continue;
                         }
                         let (r, c) = (r as usize, c as usize);
                         for no in 0..shape.no {
@@ -101,6 +142,36 @@ pub fn conv2d_ref(shape: &ConvShape, input: &Tensor, weight: &Tensor) -> Tensor 
         }
     }
     out
+}
+
+/// Shapes covering pad 0/1, stride 2, 1×1 kernels, non-square images and
+/// kernels, and the geometry backward-data runs the forward reference at
+/// (pad `K-1-p` = 2).
+#[cfg(test)]
+pub(crate) fn oracle_shapes() -> Vec<ConvShape> {
+    let mut rng = crate::init::XorShift::new(2019);
+    let mut pick = |lo: usize, hi: usize| lo + (rng.next_u64() % (hi - lo + 1) as u64) as usize;
+    let mut shapes = vec![
+        ConvShape { b: 1, ni: 1, no: 1, ro: 1, co: 1, kr: 1, kc: 1, stride: 1, pad: 0 },
+        ConvShape { b: 2, ni: 3, no: 4, ro: 7, co: 7, kr: 3, kc: 3, stride: 1, pad: 2 },
+        ConvShape { b: 1, ni: 2, no: 2, ro: 5, co: 6, kr: 3, kc: 3, stride: 1, pad: 1 },
+    ];
+    for _ in 0..24 {
+        let (kr, kc) = (pick(1, 3), pick(1, 3));
+        shapes.push(ConvShape {
+            b: pick(1, 3),
+            ni: pick(1, 5),
+            no: pick(1, 5),
+            ro: pick(2, 6),
+            co: pick(2, 6),
+            kr,
+            kc,
+            stride: pick(1, 2),
+            // `ri()`/`ci()` must stay positive: pad < kernel extent.
+            pad: pick(0, 1).min(kr.min(kc) - 1),
+        });
+    }
+    shapes
 }
 
 #[cfg(test)]
@@ -132,6 +203,21 @@ mod tests {
         let s = ConvShape { b: 1, ni: 2, no: 2, ro: 8, co: 8, kr: 3, kc: 3, stride: 1, pad: 1 };
         assert_eq!(s.ri(), 8);
         assert_eq!(s.ci(), 8);
+    }
+
+    #[test]
+    fn slice_indexing_equals_the_at_based_nest() {
+        for (i, s) in oracle_shapes().iter().enumerate() {
+            let input = random_tensor(s.input_shape(), 100 + i as u64);
+            let w = random_tensor(s.weight_shape(), 200 + i as u64);
+            let got = conv2d_ref(s, &input, &w);
+            let want = conv2d_ref_at(s, &input, &w);
+            assert_eq!(got.shape(), want.shape(), "{s:?}");
+            assert!(
+                got.data().iter().zip(want.data()).all(|(g, w)| g.to_bits() == w.to_bits()),
+                "{s:?}"
+            );
+        }
     }
 
     #[test]

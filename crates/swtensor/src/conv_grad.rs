@@ -55,10 +55,51 @@ pub fn conv2d_backward_data_ref(shape: &ConvShape, d_out: &Tensor, weight: &Tens
 }
 
 /// Reference backward-filter: given the forward input `X` and the output
-/// gradient `dY`, produce `dW` (`[No][Ni][Kr][Kc]`).
+/// gradient `dY`, produce `dW` (`[No][Ni][Kr][Kc]`). One accumulator per
+/// filter tap, summed over `(b, ro, co)` in that order; the nest indexes the
+/// row-major `data()` slices directly.
 pub fn conv2d_backward_filter_ref(shape: &ConvShape, input: &Tensor, d_out: &Tensor) -> Tensor {
     assert_eq!(input.shape(), &shape.input_shape());
     assert_eq!(d_out.shape(), &shape.output_shape());
+    let (ri, ci) = (shape.ri(), shape.ci());
+    let mut dw = Tensor::zeros(shape.weight_shape());
+    let (x, dy, dw_data) = (input.data(), d_out.data(), dw.data_mut());
+    for no in 0..shape.no {
+        for ni in 0..shape.ni {
+            for kr in 0..shape.kr {
+                for kc in 0..shape.kc {
+                    let mut acc = 0.0f32;
+                    for b in 0..shape.b {
+                        let x_plane = (b * shape.ni + ni) * ri * ci;
+                        let dy_plane = (b * shape.no + no) * shape.ro * shape.co;
+                        for ro in 0..shape.ro {
+                            let r = (ro * shape.stride + kr) as isize - shape.pad as isize;
+                            if r < 0 || r as usize >= ri {
+                                continue;
+                            }
+                            let x_row = x_plane + r as usize * ci;
+                            let dy_row = dy_plane + ro * shape.co;
+                            for co in 0..shape.co {
+                                let c = (co * shape.stride + kc) as isize - shape.pad as isize;
+                                if c < 0 || c as usize >= ci {
+                                    continue;
+                                }
+                                acc += dy[dy_row + co] * x[x_row + c as usize];
+                            }
+                        }
+                    }
+                    dw_data[((no * shape.ni + ni) * shape.kr + kr) * shape.kc + kc] = acc;
+                }
+            }
+        }
+    }
+    dw
+}
+
+/// [`conv2d_backward_filter_ref`] with every element addressed through
+/// `Tensor::at`: the oracle the slice-indexed version must equal exactly.
+#[cfg(test)]
+fn conv2d_backward_filter_ref_at(shape: &ConvShape, input: &Tensor, d_out: &Tensor) -> Tensor {
     let (ri, ci) = (shape.ri(), shape.ci());
     let mut dw = Tensor::zeros(shape.weight_shape());
     for no in 0..shape.no {
@@ -92,6 +133,21 @@ mod tests {
     use super::*;
     use crate::compare::assert_close;
     use crate::init::random_tensor;
+
+    #[test]
+    fn slice_indexing_equals_the_at_based_nest() {
+        for (i, s) in crate::conv::oracle_shapes().iter().enumerate() {
+            let x = random_tensor(s.input_shape(), 300 + i as u64);
+            let dy = random_tensor(s.output_shape(), 400 + i as u64);
+            let got = conv2d_backward_filter_ref(s, &x, &dy);
+            let want = conv2d_backward_filter_ref_at(s, &x, &dy);
+            assert_eq!(got.shape(), want.shape(), "{s:?}");
+            assert!(
+                got.data().iter().zip(want.data()).all(|(g, w)| g.to_bits() == w.to_bits()),
+                "{s:?}"
+            );
+        }
+    }
 
     /// Finite-difference check of backward-data: dX must equal the
     /// derivative of Σ(dY ⊙ Y) w.r.t. X, which for the linear conv is the

@@ -10,29 +10,13 @@ use swatop_repro::dsl::{SchedulePoint, ScheduleSpace};
 use swatop_repro::ir::{Program, ScheduleHints, SpmSlot, Stmt};
 use swatop_repro::sw26010::MachineConfig;
 use swatop_repro::swatop::codegen::plan;
-use swatop_repro::swatop::ops::{
-    BatchedMatmulOp, ConvBackwardDataOp, ConvBackwardFilterOp, DmaKnobs, ExplicitConvOp,
-    ImplicitConvOp, MatmulOp, WinogradConvOp,
-};
+use swatop_repro::swatop::ops::DmaKnobs;
 use swatop_repro::swatop::optimizer::optimize;
 use swatop_repro::swatop::optimizer::prefetch::apply_double_buffering;
 use swatop_repro::swatop::scheduler::{Candidate, Operator, Scheduler};
-use swatop_repro::swtensor::ConvShape;
 
-/// One small shape of every operator in `ops/`.
-fn every_op() -> Vec<Box<dyn Operator>> {
-    let conv = ConvShape::square(4, 16, 16, 8);
-    vec![
-        Box::new(MatmulOp::new(36, 20, 50)), // unaligned in every dimension
-        Box::new(BatchedMatmulOp::new(2, 32, 32, 32)),
-        Box::new(BatchedMatmulOp::new(2, 32, 32, 32).with_shared_a()),
-        Box::new(ImplicitConvOp::new(conv)),
-        Box::new(WinogradConvOp::new(conv)),
-        Box::new(ExplicitConvOp::new(conv)),
-        Box::new(ConvBackwardDataOp::new(conv)),
-        Box::new(ConvBackwardFilterOp::new(conv)),
-    ]
-}
+mod common;
+use common::every_op;
 
 /// `Scheduler`'s private double-buffer test.
 fn has_double_slot(stmt: &Stmt) -> bool {
