@@ -48,7 +48,7 @@ pub fn xmath_gemm(cfg: &MachineConfig, m: usize, n: usize, k: usize) -> MachineR
     let c = p.mem_buf("C", m * n, MemRole::Output);
     let body = lower_matmul_body(&mut p, &xmath_knobs(), a, b, c, m, n, k, PadMode::Traditional)
         .ok_or_else(|| sw26010::MachineError::Invalid("xmath blocking inapplicable".into()))?;
-    p.body = Stmt::seq(body);
+    p.set_body(Stmt::seq(body));
     run_program(cfg, p)
 }
 
@@ -81,7 +81,7 @@ pub fn xmath_explicit_conv(cfg: &MachineConfig, shape: &ConvShape) -> MachineRes
     let mut body = vec![im2col];
     body.extend(gemm);
     body.push(reorder);
-    p.body = Stmt::seq(body);
+    p.set_body(Stmt::seq(body));
     run_program(cfg, p)
 }
 
@@ -203,7 +203,7 @@ pub fn xmath_winograd_conv(cfg: &MachineConfig, shape: &ConvShape) -> MachineRes
     body.push(Stmt::Transform(TransformOp { fused: false,
         kind: TransformKind::WinogradOutput { shape: *s, src: m_all, dst: out_buf, nt_pad: nt },
     }));
-    p.body = Stmt::seq(body);
+    p.set_body(Stmt::seq(body));
     // 16 xMath calls + 3 transform kernels, each a separate CPE spawn.
     run_program_with_launches(cfg, p, 19)
 }

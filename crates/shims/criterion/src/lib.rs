@@ -5,9 +5,9 @@
 //! / `criterion_main!`, `Criterion::bench_function` / `benchmark_group`,
 //! `BenchmarkGroup` with `sample_size` / `bench_function` /
 //! `bench_with_input` / `finish`, `BenchmarkId::from_parameter`, and
-//! `Bencher::iter`. It times a fixed batch of iterations per sample and
-//! prints the median ns/iter — no statistics beyond that, no HTML reports,
-//! no saved baselines.
+//! `Bencher::iter` / `iter_batched` / `iter_with_large_drop`. It times a
+//! fixed batch of iterations per sample and prints the median ns/iter — no
+//! statistics beyond that, no HTML reports, no saved baselines.
 //!
 //! CLI: `--test` runs every benchmark body exactly once (what
 //! `cargo bench -- --test` and CI use to smoke the benches); name
@@ -41,25 +41,66 @@ impl Bencher {
             std::hint::black_box(f());
             return;
         }
-        // Calibrate a batch size so one sample lasts roughly a
-        // millisecond, keeping timer overhead out of the measurement.
         let t0 = Instant::now();
         std::hint::black_box(f());
-        let once = t0.elapsed().max(Duration::from_nanos(1));
-        let batch = (Duration::from_millis(1).as_nanos() / once.as_nanos()).clamp(1, 10_000) as u64;
+        self.sample(t0.elapsed(), |batch| {
+            let t = Instant::now();
+            for _ in 0..batch {
+                std::hint::black_box(f());
+            }
+            t.elapsed()
+        });
+    }
 
-        let mut per_iter: Vec<f64> = (0..self.samples)
-            .map(|_| {
-                let t = Instant::now();
-                for _ in 0..batch {
-                    std::hint::black_box(f());
-                }
-                t.elapsed().as_nanos() as f64 / batch as f64
-            })
-            .collect();
+    /// Time `routine` alone: its inputs are built by `setup` before the
+    /// clock starts and its outputs are dropped after the clock stops.
+    pub fn iter_batched<I, O, S: FnMut() -> I, R: FnMut(I) -> O>(
+        &mut self,
+        mut setup: S,
+        mut routine: R,
+        _size: BatchSize,
+    ) {
+        if self.mode == Mode::Smoke {
+            std::hint::black_box(routine(setup()));
+            return;
+        }
+        let mut timed = |batch: u64| {
+            let inputs: Vec<I> = (0..batch).map(|_| setup()).collect();
+            let mut outputs = Vec::with_capacity(inputs.len());
+            let t = Instant::now();
+            for input in inputs {
+                outputs.push(std::hint::black_box(routine(input)));
+            }
+            t.elapsed()
+        };
+        let once = timed(1);
+        self.sample(once, timed);
+    }
+
+    /// [`Bencher::iter`] with the values `f` returns dropped off the clock.
+    pub fn iter_with_large_drop<R, F: FnMut() -> R>(&mut self, mut f: F) {
+        self.iter_batched(|| (), |()| f(), BatchSize::SmallInput);
+    }
+
+    /// Record the median over `self.samples` samples of `timed(batch)`, with
+    /// `batch` sized from `once` (one call) so that a sample lasts roughly a
+    /// millisecond, keeping timer overhead out of the measurement.
+    fn sample(&mut self, once: Duration, mut timed: impl FnMut(u64) -> Duration) {
+        let once = once.max(Duration::from_nanos(1));
+        let batch = (Duration::from_millis(1).as_nanos() / once.as_nanos()).clamp(1, 10_000) as u64;
+        let mut per_iter: Vec<f64> =
+            (0..self.samples).map(|_| timed(batch).as_nanos() as f64 / batch as f64).collect();
         per_iter.sort_by(|a, b| a.total_cmp(b));
         self.result_ns = per_iter[per_iter.len() / 2];
     }
+}
+
+/// How many inputs [`Bencher::iter_batched`] may hold at once. Accepted for
+/// API compatibility; the shim sizes batches by time alone.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BatchSize {
+    SmallInput,
+    LargeInput,
 }
 
 /// Identifier for one parameterised benchmark within a group.
@@ -230,6 +271,23 @@ mod tests {
         let mut calls = 0u64;
         c.bench_function("busy", |b| b.iter(|| calls += 1));
         assert!(calls > 3, "expected multiple timed iterations, got {calls}");
+    }
+
+    #[test]
+    fn batched_iterations_pair_one_input_with_one_call() {
+        for (args, at_least) in [(&["--bench", "--test"][..], 1), (&["--bench"][..], 4)] {
+            let mut c = criterion(args);
+            c.default_samples = 3;
+            let (mut made, mut used) = (0u64, 0u64);
+            c.bench_function("batched", |b| {
+                b.iter_batched(|| made += 1, |()| used += 1, BatchSize::SmallInput)
+            });
+            assert_eq!(made, used);
+            assert!(used >= at_least, "{used} calls");
+            let mut kept = 0u64;
+            c.bench_function("large_drop", |b| b.iter_with_large_drop(|| kept += 1));
+            assert!(kept >= at_least, "{kept} calls");
+        }
     }
 
     #[test]

@@ -2,12 +2,13 @@
 //! enumeration/lowering and static model estimation — the per-candidate
 //! costs that give the model-based autotuner its Table-3 advantage.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use sw26010::MachineConfig;
 use swatop::model::{estimate_program, GemmModel};
 use swatop::ops::{ImplicitConvOp, MatmulOp};
 use swatop::optimizer::optimize;
 use swatop::scheduler::{Operator, Scheduler};
+use swatop::tuner::model_rank_jobs;
 use swtensor::ConvShape;
 
 fn bench_enumerate(c: &mut Criterion) {
@@ -27,6 +28,36 @@ fn bench_enumerate_matmul(c: &mut Criterion) {
     c.bench_function("enumerate_matmul_100x100x100", |b| {
         b.iter(|| std::hint::black_box(sched.enumerate(&op).len()))
     });
+}
+
+/// The largest `gemm_space` op (17,408 candidates) with the things a pass
+/// pays for its candidate list timed apart: building it (the list is
+/// dropped off the clock), dropping it, screening it — and a program
+/// handle's clone against the deep copy a clone used to be (what the first
+/// write through a shared handle still costs).
+fn bench_gemm_256_candidates(c: &mut Criterion) {
+    let cfg = MachineConfig::default();
+    let op = MatmulOp::new(256, 256, 256);
+    let sched = Scheduler::new(cfg.clone());
+    c.bench_function("enumerate_keep_gemm_256", |b| b.iter_with_large_drop(|| sched.enumerate(&op)));
+    c.bench_function("drop_candidates_gemm_256", |b| {
+        b.iter_batched(|| sched.enumerate(&op), drop, BatchSize::LargeInput)
+    });
+    let cands = sched.enumerate(&op);
+    c.bench_function("screen_gemm_256", |b| {
+        b.iter(|| std::hint::black_box(model_rank_jobs(&cfg, &cands, 1).len()))
+    });
+    let raw = &cands[cands.len() / 2].raw;
+    let mut g = c.benchmark_group("program_clone_vs_deep");
+    g.bench_function("clone", |b| b.iter(|| std::hint::black_box(raw.clone())));
+    g.bench_function("deep", |b| {
+        b.iter(|| {
+            let mut p = raw.clone();
+            p.body_mut();
+            std::hint::black_box(p)
+        })
+    });
+    g.finish();
 }
 
 /// One run of the DMA-wall pipeline (`optimize(_, false)`) on a point of
@@ -71,6 +102,7 @@ criterion_group!(
     benches,
     bench_enumerate,
     bench_enumerate_matmul,
+    bench_gemm_256_candidates,
     bench_optimize_raw,
     bench_lower_one,
     bench_model_estimate

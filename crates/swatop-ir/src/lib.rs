@@ -21,6 +21,13 @@
 //!   affine expression over the loop variables — so that software
 //!   prefetching is expressed *in* the IR rather than bolted onto the
 //!   interpreter.
+//! * **Programs are shared handles** ([`program::Program`]): the statement
+//!   tree and the symbol tables sit behind `Arc`s, a clone is O(1), and a
+//!   write copies a part only while another handle shares it. An autotuner
+//!   materialises thousands of schedule variants that differ in a knob the
+//!   tree never sees; they share the tree (TVM keeps its IR as immutable
+//!   reference-counted nodes for the same reason). Who shares what, and
+//!   what relies on it, is DESIGN.md §18.
 //! * **Host-side transform nodes** ([`stmt::TransformOp`]): layout packing,
 //!   im2col expansion, Winograd transforms and boundary padding run as
 //!   bandwidth-costed bulk operations, the way the real system executes them

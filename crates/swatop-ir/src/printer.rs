@@ -133,14 +133,14 @@ mod tests {
             bcast: None,
             fused: false,
         });
-        p.body = Stmt::for_(
+        p.set_body(Stmt::for_(
             v,
             4,
             Stmt::seq(vec![
                 Stmt::if_(Cond::lt_const(AffineExpr::loop_var(v), 3), dma),
                 Stmt::DmaWait { reply: r, times: 1 },
             ]),
-        );
+        ));
         let s = print_program(&p);
         assert!(s.contains("for v0 in 0..4"), "{s}");
         assert!(s.contains("DMA_CPE"), "{s}");

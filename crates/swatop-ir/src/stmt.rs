@@ -393,6 +393,23 @@ impl Stmt {
         });
         n
     }
+
+    /// Whether any DMA or GEMM operand of the tree goes through a
+    /// [`SpmSlot::Double`] — the mark double buffering leaves. Stops at the
+    /// first one found.
+    pub fn uses_double_slot(&self) -> bool {
+        let double = |slot: &SpmSlot| matches!(slot, SpmSlot::Double { .. });
+        match self {
+            Stmt::Seq(ss) => ss.iter().any(Stmt::uses_double_slot),
+            Stmt::For { body, .. } => body.uses_double_slot(),
+            Stmt::If { then_, else_, .. } => {
+                then_.uses_double_slot() || else_.as_ref().is_some_and(|e| e.uses_double_slot())
+            }
+            Stmt::DmaCpe(d) => double(&d.spm),
+            Stmt::Gemm(g) => double(&g.a.slot) || double(&g.b.slot) || double(&g.c.slot),
+            _ => false,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -423,6 +440,29 @@ mod tests {
         assert_eq!(tree.count(|s| matches!(s, Stmt::DmaWait { .. })), 2);
         assert_eq!(tree.count(|s| matches!(s, Stmt::For { .. })), 1);
         assert_eq!(tree.count(|s| matches!(s, Stmt::If { .. })), 1);
+    }
+
+    #[test]
+    fn double_slots_are_found_at_any_depth() {
+        let gemm = |c: SpmSlot| {
+            let single = MatDesc::new(SpmSlot::single(SpmBufId(0)), MatLayout::RowMajor, 8);
+            Stmt::Gemm(GemmOp {
+                m: 8, n: 8, k: 8, alpha: 1.0, beta: 0.0,
+                a: single.clone(), b: single, c: MatDesc::new(c, MatLayout::RowMajor, 8),
+                vd: swkernels::VecDim::M,
+            })
+        };
+        let double =
+            SpmSlot::Double { even: SpmBufId(1), odd: SpmBufId(2), sel: AffineExpr::loop_var(0) };
+        let wait = Stmt::DmaWait { reply: ReplyId(0), times: 1 };
+        let nest = |leaf: Stmt| {
+            let guarded =
+                Stmt::if_else(Cond::lt_const(AffineExpr::loop_var(0), 3), wait.clone(), leaf);
+            Stmt::for_(0, 4, Stmt::seq(vec![wait.clone(), guarded]))
+        };
+        assert!(!nest(gemm(SpmSlot::single(SpmBufId(1)))).uses_double_slot());
+        assert!(nest(gemm(double)).uses_double_slot());
+        assert!(!Stmt::Nop.uses_double_slot());
     }
 
     #[test]

@@ -43,7 +43,7 @@ impl Executable {
 /// declaration order.
 fn packed(program: &Program) -> sw26010::spm::SpmPlanner {
     let mut planner = sw26010::spm::SpmPlanner::new();
-    for b in &program.spm_bufs {
+    for b in program.spm_bufs.iter() {
         planner.alloc(b.len);
     }
     planner

@@ -792,14 +792,14 @@ mod tests {
             c: MatDesc::new(SpmSlot::Single(sc), MatLayout::RowMajor, nb),
             vd: VecDim::M,
         });
-        p.body = Stmt::seq(vec![
+        p.set_body(Stmt::seq(vec![
             dma_in(a, m, k, sa),
             dma_in(b, k, n, sb),
             Stmt::DmaWait { reply: r, times: 2 },
             gemm,
             dma_out,
             Stmt::DmaWait { reply: r, times: 1 },
-        ]);
+        ]));
 
         let exe = plan(p, &MachineConfig::default()).unwrap();
         let mut cg = functional_cg();
@@ -824,7 +824,7 @@ mod tests {
         let buf = p.mem_buf("x", 64, MemRole::Input);
         let s = p.spm_buf("s", 8);
         let r = p.fresh_reply();
-        p.body = Stmt::DmaCg(swatop_ir::DmaCg {
+        p.set_body(Stmt::DmaCg(swatop_ir::DmaCg {
             buf,
             offset: AffineExpr::zero(),
             rows: 8,
@@ -834,7 +834,7 @@ mod tests {
             direction: MemToSpm,
             spm: SpmSlot::Single(s),
             reply: r,
-        });
+        }));
         let exe = plan(p, &MachineConfig::default()).unwrap();
         let mut cg = functional_cg();
         let binding = instantiate(&mut cg, &exe);
@@ -867,11 +867,11 @@ mod tests {
             bcast: None,
             fused: false,
         });
-        p.body = Stmt::for_(
+        p.set_body(Stmt::for_(
             v,
             4,
             Stmt::seq(vec![dma, Stmt::DmaWait { reply: r, times: 1 }]),
-        );
+        ));
         let exe = plan(p, &MachineConfig::default()).unwrap();
         let mut cg = functional_cg();
         let binding = instantiate(&mut cg, &exe);
@@ -908,7 +908,7 @@ mod tests {
             })
         };
         // for i in 0..5 { if i < 4 { dma@0 } else { dma@100 } ; wait }
-        p.body = Stmt::for_(
+        p.set_body(Stmt::for_(
             v,
             5,
             Stmt::seq(vec![
@@ -919,7 +919,7 @@ mod tests {
                 ),
                 Stmt::DmaWait { reply: r, times: 1 },
             ]),
-        );
+        ));
         let exe = plan(p, &MachineConfig::default()).unwrap();
         let mut cg = functional_cg();
         let binding = instantiate(&mut cg, &exe);
@@ -937,7 +937,7 @@ mod tests {
         let src = p.mem_buf("src", 16, MemRole::Input);
         let s = p.spm_buf("s", 64);
         let r = p.fresh_reply();
-        p.body = Stmt::DmaCpe(DmaCpe {
+        p.set_body(Stmt::DmaCpe(DmaCpe {
             buf: src,
             offset: AffineExpr::zero(),
             block: 32, // longer than the buffer
@@ -948,7 +948,7 @@ mod tests {
             reply: r,
             bcast: None,
             fused: false,
-        });
+        }));
         let exe = plan(p, &MachineConfig::default()).unwrap();
         let mut cg = functional_cg();
         let binding = instantiate(&mut cg, &exe);
@@ -963,14 +963,14 @@ mod tests {
         let mut p = Program::new("pack");
         let src = p.mem_buf("src", 6, MemRole::Input);
         let dst = p.mem_buf("dst", 6, MemRole::Temp);
-        p.body = Stmt::Transform(TransformOp { fused: false,
+        p.set_body(Stmt::Transform(TransformOp { fused: false,
             kind: TransformKind::PackTensor {
                 src,
                 dst,
                 src_dims: vec![2, 3],
                 perm: vec![1, 0],
             },
-        });
+        }));
         let exe = plan(p, &MachineConfig::default()).unwrap();
         let mut cg = functional_cg();
         let binding = instantiate(&mut cg, &exe);
@@ -986,7 +986,7 @@ mod tests {
         let src = p.mem_buf("src", 3 * 5, MemRole::Input);
         let padded = p.mem_buf("padded", 4 * 8, MemRole::Temp);
         let out = p.mem_buf("out", 3 * 5, MemRole::Output);
-        p.body = Stmt::seq(vec![
+        p.set_body(Stmt::seq(vec![
             Stmt::Transform(TransformOp { fused: false,
                 kind: TransformKind::PadSubmatrix {
                     src,
@@ -1016,7 +1016,7 @@ mod tests {
                     take_cols: 5,
                 },
             }),
-        ]);
+        ]));
         let exe = plan(p, &MachineConfig::default()).unwrap();
         let mut cg = functional_cg();
         let binding = instantiate(&mut cg, &exe);
@@ -1040,7 +1040,7 @@ mod tests {
             let s = p.spm_buf("a", 64);
             let r = p.fresh_reply();
             let _ = a;
-            p.body = Stmt::seq(vec![
+            p.set_body(Stmt::seq(vec![
                 Stmt::DmaCpe(DmaCpe {
                     buf: swatop_ir::MemBufId(0),
                     offset: AffineExpr::zero().add_term(AVar::Rid, 64).add_term(AVar::Cid, 8),
@@ -1054,7 +1054,7 @@ mod tests {
                     fused: false,
                 }),
                 Stmt::DmaWait { reply: r, times: 1 },
-            ]);
+            ]));
             plan(p, &MachineConfig::default()).unwrap()
         };
         let exe = build();

@@ -115,7 +115,7 @@ impl Operator for BatchedMatmulOp {
             let mut stmts = vec![pack];
             stmts.extend(body);
             stmts.push(unpack);
-            p.body = Stmt::seq(stmts);
+            p.set_body(Stmt::seq(stmts));
             return Some(p);
         }
 
@@ -158,7 +158,7 @@ impl Operator for BatchedMatmulOp {
             stmts.extend(body);
             stmts.push(copy_out(c_el, self.m * self.n, c, self.batch, i));
         }
-        p.body = Stmt::seq(stmts);
+        p.set_body(Stmt::seq(stmts));
         Some(p)
     }
 

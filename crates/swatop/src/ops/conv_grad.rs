@@ -96,7 +96,7 @@ impl Operator for ConvBackwardDataOp {
         let body = lower_explicit_body(&mut p, &g, dy, w_rot, dx, &knobs, PadMode::Lightweight)?;
         let mut stmts = vec![rotate];
         stmts.extend(body);
-        p.body = Stmt::seq(stmts);
+        p.set_body(Stmt::seq(stmts));
         Some(p)
     }
 
@@ -202,7 +202,7 @@ impl Operator for ConvBackwardFilterOp {
             lower_matmul_body(&mut p, &knobs, dy_mat, cols_t, dw, m, n, k, PadMode::Lightweight)?;
         let mut stmts = vec![im2col, transpose, pack_dy];
         stmts.extend(gemm);
-        p.body = Stmt::seq(stmts);
+        p.set_body(Stmt::seq(stmts));
         Some(p)
     }
 

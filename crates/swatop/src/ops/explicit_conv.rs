@@ -68,7 +68,7 @@ impl Operator for ExplicitConvOp {
         let out_buf = p.mem_buf("out", s.output_shape().numel(), MemRole::Output);
         let body =
             lower_explicit_body(&mut p, s, in_buf, w_buf, out_buf, &knobs, self.pad_mode)?;
-        p.body = Stmt::seq(body);
+        p.set_body(Stmt::seq(body));
         Some(p)
     }
 

@@ -491,7 +491,7 @@ impl Operator for ImplicitConvOp {
         let mut body = setup;
         body.push(nest);
         body.push(unpack);
-        p.body = Stmt::seq(body);
+        p.set_body(Stmt::seq(body));
         let _ = AVar::Rid; // (mesh terms are injected by DMA inference)
         Some(p)
     }

@@ -130,7 +130,7 @@ impl Operator for MatmulOp {
         let body = lower_matmul_body(
             &mut p, &knobs, a_buf, b_buf, c_buf, self.m, self.n, self.k, self.pad_mode,
         )?;
-        p.body = Stmt::seq(body);
+        p.set_body(Stmt::seq(body));
         Some(p)
     }
 

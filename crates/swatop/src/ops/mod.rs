@@ -99,6 +99,20 @@ impl DmaKnobs {
         names.iter().map(|n| pos(n).unwrap_or_else(|| panic!("unknown knob '{n}'"))).collect()
     }
 
+    /// [`DmaKnobs::from_point`] with the knobs already located:
+    /// `positions` is [`DmaKnobs::positions`] of the space `sel` (a point's
+    /// [`SchedulePoint::sel`]) selects in. The compact ladder is read by
+    /// level, in [`DmaKnobs::add_compact`]'s order.
+    pub fn at(positions: &[usize], sel: &[usize]) -> DmaKnobs {
+        match *positions {
+            [dma] => DmaKnobs { dbuf: sel[dma] >= 1, coalesce: sel[dma] >= 2, bcast: sel[dma] >= 3 },
+            [dbuf, coal, bcast] => {
+                DmaKnobs { dbuf: sel[dbuf] == 1, coalesce: sel[coal] == 1, bcast: sel[bcast] == 1 }
+            }
+            _ => DmaKnobs::default(),
+        }
+    }
+
     /// The optimizer directives these knobs select.
     pub fn hints(self) -> ScheduleHints {
         ScheduleHints { dbuf: self.dbuf, coalesce: self.coalesce, bcast: self.bcast }
@@ -204,4 +218,35 @@ pub fn validate_candidate_injected(
 pub fn verify_tolerance(flops: u64) -> f32 {
     // Scale loosely with reduction depth; inputs are in [-1, 1).
     1e-4 * ((flops as f32).sqrt().log2().max(1.0))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn knobs_by_position_equal_knobs_by_name() {
+        let spaces = [
+            MatmulOp::new(32, 32, 32).space(),
+            ImplicitConvOp::new(swtensor::ConvShape::square(8, 16, 16, 4)).space(),
+            {
+                let mut plain = ScheduleSpace::new();
+                plain.toggle("other");
+                plain
+            },
+        ];
+        for space in &spaces {
+            let positions = DmaKnobs::positions(space);
+            for point in space.points() {
+                assert_eq!(
+                    DmaKnobs::at(&positions, point.sel()),
+                    DmaKnobs::from_point(space, &point),
+                    "{}",
+                    point.describe(space)
+                );
+            }
+        }
+        assert_eq!(DmaKnobs::positions(&spaces[0]).len(), 3, "matmul exposes the toggles");
+        assert_eq!(DmaKnobs::positions(&spaces[1]).len(), 1, "the convs expose the ladder");
+    }
 }

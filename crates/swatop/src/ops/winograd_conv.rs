@@ -390,7 +390,7 @@ impl Operator for WinogradConvOp {
         let mut body = setup;
         body.extend(nests);
         body.push(output);
-        p.body = Stmt::seq(body);
+        p.set_body(Stmt::seq(body));
         Some(p)
     }
 

@@ -37,8 +37,7 @@ const MAX_PACKED_ELEMS: usize = 1 << 22;
 /// this module it edits the tree in place: only the nodes it changes are
 /// rebuilt.
 pub fn coalesce_gets(mut program: Program) -> Program {
-    let body = std::mem::replace(&mut program.body, Stmt::Nop);
-    let tops: Vec<Stmt> = match body {
+    let tops: Vec<Stmt> = match program.take_body() {
         Stmt::Seq(ss) => ss,
         Stmt::Nop => Vec::new(),
         other => vec![other],
@@ -55,7 +54,7 @@ pub fn coalesce_gets(mut program: Program) -> Program {
         out.extend(packs);
         out.push(top);
     }
-    program.body = Stmt::seq(out);
+    program.set_body(Stmt::seq(out));
     program
 }
 
@@ -360,7 +359,7 @@ mod tests {
         let mut p = Program::new("t");
         p.mem_buf("A", 96 * 96, MemRole::Input);
         p.spm_buf("a", 4);
-        p.body = body;
+        p.set_body(body);
         p
     }
 

@@ -38,19 +38,21 @@ pub fn optimize(mut program: Program, enable_prefetch: bool) -> Program {
     if program.hints.coalesce {
         program = coalesce::coalesce_gets(program);
     }
-    dma_inference::lower_dma(&mut program.body);
-    dma_inference::hoist_invariant_dma(&mut program.body);
-    if program.hints.bcast {
-        coalesce::tag_broadcast(&mut program.body);
+    let hints = program.hints;
+    let body = program.body_mut();
+    dma_inference::lower_dma(body);
+    dma_inference::hoist_invariant_dma(body);
+    if hints.bcast {
+        coalesce::tag_broadcast(body);
     }
-    if program.hints.coalesce {
+    if hints.coalesce {
         // Batch fusion rides the coalescing dimension: runs of back-to-back
         // gets chain into one engine batch and runs of back-to-back bulk
         // transforms chain into one engine pipeline (start-up paid once per
         // run). Must run before prefetching so the double-buffered prologue
         // and next-iteration chains inherit the fusion marks.
-        coalesce::fuse_adjacent_gets(&mut program.body);
-        coalesce::fuse_adjacent_transforms(&mut program.body);
+        coalesce::fuse_adjacent_gets(body);
+        coalesce::fuse_adjacent_transforms(body);
     }
     if enable_prefetch && program.hints.dbuf {
         program = prefetch::apply_double_buffering(program);

@@ -25,15 +25,34 @@ use swatop_ir::transform::build_nest;
 use swatop_ir::{AffineExpr, Cond, DmaCpe, Program, SpmBufId, SpmSlot, Stmt, VarId};
 
 /// Apply double buffering to every matching steady-state nest in the
-/// program. Returns the program unchanged where the pattern does not apply.
+/// program. Where the pattern applies nowhere the program comes back as it
+/// went in — the same handle, no part of it copied.
 pub fn apply_double_buffering(mut program: Program) -> Program {
-    let mut body = std::mem::replace(&mut program.body, Stmt::Nop);
+    if !has_steady_state_nest(&program.body) {
+        return program;
+    }
+    let mut body = program.take_body();
     // Twin buffers are shared across all transformed nests (they run
     // sequentially), keeping the coalesced SPM region small.
     let mut twins: Vec<(SpmBufId, SpmBufId)> = Vec::new();
     rewrite(&mut body, &mut program, &mut twins);
-    program.body = body;
+    program.set_body(body);
     program
+}
+
+/// Whether [`rewrite`] would transform anything under `stmt`.
+fn has_steady_state_nest(stmt: &Stmt) -> bool {
+    if steady_state_gets(stmt).is_some() {
+        return true;
+    }
+    match stmt {
+        Stmt::Seq(ss) => ss.iter().any(has_steady_state_nest),
+        Stmt::For { body, .. } => has_steady_state_nest(body),
+        Stmt::If { then_, else_, .. } => {
+            has_steady_state_nest(then_) || else_.as_ref().is_some_and(|e| has_steady_state_nest(e))
+        }
+        _ => false,
+    }
 }
 
 /// Transform every matching nest of the subtree in place; nodes outside a
@@ -361,7 +380,7 @@ mod tests {
         ]);
         let loops: Vec<(usize, usize)> =
             vars.into_iter().zip(extents.iter().copied()).collect();
-        p.body = build_nest(&loops, body);
+        p.set_body(build_nest(&loops, body));
         p
     }
 
@@ -402,7 +421,7 @@ mod tests {
         let out = apply_double_buffering(p);
         assert_eq!(out.spm_bufs.len(), spm_before + 1, "one twin buffer");
         // A prologue DMA before the loop.
-        if let Stmt::Seq(ss) = &out.body {
+        if let Stmt::Seq(ss) = &*out.body {
             assert!(matches!(ss[0], Stmt::DmaCpe(_)), "prologue get");
             assert!(matches!(ss[1], Stmt::For { .. }));
         } else {
@@ -445,7 +464,7 @@ mod tests {
         let mut p = Program::new("none");
         let v = p.fresh_var("i");
         let r = p.fresh_reply();
-        p.body = Stmt::for_(v, 4, Stmt::DmaWait { reply: r, times: 0 });
+        p.set_body(Stmt::for_(v, 4, Stmt::DmaWait { reply: r, times: 0 }));
         let before = p.body.clone();
         let out = apply_double_buffering(p);
         assert_eq!(out.body, before);
@@ -472,7 +491,7 @@ mod tests {
             bcast: None,
             fused: false,
         });
-        p.body = Stmt::for_(v, 4, Stmt::seq(vec![get, Stmt::DmaWait { reply: r, times: 1 }]));
+        p.set_body(Stmt::for_(v, 4, Stmt::seq(vec![get, Stmt::DmaWait { reply: r, times: 1 }])));
         let before = p.body.clone();
         let out = apply_double_buffering(p);
         assert_eq!(out.body, before);

@@ -469,14 +469,14 @@ mod tests {
     fn clean_get_compute_put_passes() {
         let mut p = base_program(3);
         p.fresh_reply();
-        p.body = Stmt::seq(vec![
+        p.set_body(Stmt::seq(vec![
             get(0, SpmSlot::single(SpmBufId(0)), 0, false),
             get(0, SpmSlot::single(SpmBufId(1)), 0, true),
             wait(0, 2),
             gemm(0, 1, 2),
             put(0, SpmSlot::single(SpmBufId(2)), 0),
             wait(0, 1),
-        ]);
+        ]));
         assert_eq!(check(p), Ok(()));
     }
 
@@ -484,12 +484,12 @@ mod tests {
     fn unwaited_dma_and_underflow_are_flagged() {
         let mut p = base_program(1);
         p.fresh_reply();
-        p.body = get(0, SpmSlot::single(SpmBufId(0)), 0, false);
+        p.set_body(get(0, SpmSlot::single(SpmBufId(0)), 0, false));
         assert!(rules(check(p)).contains(&"unwaited-dma"));
 
         let mut p = base_program(1);
         p.fresh_reply();
-        p.body = Stmt::seq(vec![get(0, SpmSlot::single(SpmBufId(0)), 0, false), wait(0, 2)]);
+        p.set_body(Stmt::seq(vec![get(0, SpmSlot::single(SpmBufId(0)), 0, false), wait(0, 2)]));
         assert!(rules(check(p)).contains(&"reply-underflow"));
     }
 
@@ -499,24 +499,24 @@ mod tests {
         let mut p = base_program(2);
         p.fresh_reply();
         p.fresh_reply();
-        p.body = Stmt::seq(vec![
+        p.set_body(Stmt::seq(vec![
             get(0, SpmSlot::single(SpmBufId(0)), 0, false),
             wait(0, 1),
             get(0, SpmSlot::single(SpmBufId(1)), 0, true),
             wait(0, 1),
-        ]);
+        ]));
         assert!(rules(check(p)).contains(&"broken-fused-chain"));
 
         // Fused get chained across *different* reply words.
         let mut p = base_program(2);
         p.fresh_reply();
         p.fresh_reply();
-        p.body = Stmt::seq(vec![
+        p.set_body(Stmt::seq(vec![
             get(0, SpmSlot::single(SpmBufId(0)), 0, false),
             get(0, SpmSlot::single(SpmBufId(1)), 1, true),
             wait(0, 1),
             wait(1, 1),
-        ]);
+        ]));
         assert!(rules(check(p)).contains(&"broken-fused-chain"));
     }
 
@@ -525,11 +525,11 @@ mod tests {
         // Compute on a tile whose fill has not been waited.
         let mut p = base_program(3);
         p.fresh_reply();
-        p.body = Stmt::seq(vec![
+        p.set_body(Stmt::seq(vec![
             get(0, SpmSlot::single(SpmBufId(0)), 0, false),
             gemm(0, 1, 2),
             wait(0, 1),
-        ]);
+        ]));
         assert!(rules(check(p)).contains(&"use-before-reply"));
     }
 
@@ -538,11 +538,11 @@ mod tests {
         // Refill a buffer an un-waited put is still draining.
         let mut p = base_program(1);
         p.fresh_reply();
-        p.body = Stmt::seq(vec![
+        p.set_body(Stmt::seq(vec![
             put(0, SpmSlot::single(SpmBufId(0)), 0),
             get(0, SpmSlot::single(SpmBufId(0)), 0, false),
             wait(0, 2),
-        ]);
+        ]));
         assert!(rules(check(p)).contains(&"residency-violation"));
     }
 
@@ -555,7 +555,7 @@ mod tests {
             odd: SpmBufId(0),
             sel: AffineExpr::zero(),
         };
-        p.body = Stmt::seq(vec![get(0, slot, 0, false), wait(0, 1)]);
+        p.set_body(Stmt::seq(vec![get(0, slot, 0, false), wait(0, 1)]));
         assert!(rules(check(p)).contains(&"slot-aliasing"));
     }
 
@@ -569,7 +569,7 @@ mod tests {
             d.block = 128;
             d.stride = 128;
         }
-        p.body = Stmt::seq(vec![g, wait(0, 1)]);
+        p.set_body(Stmt::seq(vec![g, wait(0, 1)]));
         assert!(rules(check(p)).contains(&"slot-overflow"));
     }
 
@@ -610,7 +610,7 @@ mod tests {
             }),
         ]);
         let mut ok = p.clone();
-        ok.body = Stmt::seq(vec![prologue.clone(), Stmt::for_(v, n, body_ok)]);
+        ok.set_body(Stmt::seq(vec![prologue.clone(), Stmt::for_(v, n, body_ok)]));
         assert_eq!(check(ok), Ok(()));
 
         // Swapped parity: compute reads sel+1 — the half still in flight.
@@ -633,7 +633,7 @@ mod tests {
             }),
         ]);
         let mut bad = p;
-        bad.body = Stmt::seq(vec![prologue, Stmt::for_(v, 4, body_bad)]);
+        bad.set_body(Stmt::seq(vec![prologue, Stmt::for_(v, 4, body_bad)]));
         assert!(rules(check(bad)).contains(&"use-before-reply"));
     }
 
@@ -644,7 +644,7 @@ mod tests {
         let mut p = base_program(1);
         let v = p.fresh_var("i");
         p.fresh_reply();
-        p.body = Stmt::for_(v, 1000, wait(0, 1));
+        p.set_body(Stmt::for_(v, 1000, wait(0, 1)));
         let vs = check(p).unwrap_err();
         assert!(vs.len() <= MAX_VIOLATIONS);
     }

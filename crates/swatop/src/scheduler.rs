@@ -12,12 +12,20 @@
 //! Each front-end stage runs once per distinct input, not once per point
 //! (DESIGN.md "Front-end pipeline"): `op.lower` per structural point (DMA
 //! knobs zeroed), the DMA-wall pipeline per (coalesce, bcast), and only
-//! double buffering, planning and the clones per point. Candidates are
-//! byte-identical to lowering and optimizing every point on its own.
+//! double buffering and planning per point. Candidates are byte-identical
+//! to lowering and optimizing every point on its own.
+//!
+//! Candidates hold handles, not copies (DESIGN.md "IR ownership"): a
+//! `Program` clone shares its tree and tables, so an executable that is not
+//! double-buffered *is* its candidate's `raw`, and the `dbuf` on/off
+//! siblings of a (structural point, coalesce, bcast) group hold the one
+//! `raw` the block cache holds. The only tree a point owns is the one the
+//! double-buffer rewrite produces. The tier-0 screen relies on this
+//! identity to estimate each distinct `raw` once.
 
 use sw26010::MachineConfig;
 use swatop_dsl::{SchedulePoint, ScheduleSpace, Seed};
-use swatop_ir::{Program, ScheduleHints, SpmSlot, Stmt};
+use swatop_ir::{Program, ScheduleHints};
 
 use crate::codegen::{fits, plan, Executable};
 use crate::ops::DmaKnobs;
@@ -127,7 +135,7 @@ impl Scheduler {
             .then(|| optimizer::prefetch::apply_double_buffering(raw.clone()))
             .filter(|p| fits(p, &self.cfg));
         let exe = plan(double_buffered.unwrap_or_else(|| raw.clone()), &self.cfg).ok()?;
-        let prefetched = has_double_slot(&exe.program.body);
+        let prefetched = exe.program.body.uses_double_slot();
         Some(Candidate {
             point_index: point.index(space),
             describe: point.describe(space),
@@ -176,15 +184,21 @@ impl<'a> FrontEnd<'a> {
     }
 
     fn candidate(&mut self, point: &SchedulePoint) -> Option<Candidate> {
-        let mut key = point.sel().to_vec();
-        self.hint_only.iter().for_each(|&i| key[i] = 0);
-        let n = self.block_prefix;
-        if self.block.first().is_some_and(|s| s.key[..n] != key[..n]) {
+        let (sel, n) = (point.sel(), self.block_prefix);
+        if self.block.first().is_some_and(|s| s.key[..n] != sel[..n]) {
             self.block.clear();
         }
-        let slot = match self.block.iter().position(|s| s.key == key) {
+        // The block's keys carry zeros at the hint-only positions, all of
+        // which lie at or after `block_prefix`: compare around them.
+        let hint_only = &self.hint_only;
+        let same_structure = |key: &[usize]| {
+            (n..sel.len()).all(|i| key[i] == sel[i] || hint_only.contains(&i))
+        };
+        let slot = match self.block.iter().position(|s| same_structure(&s.key)) {
             Some(i) => i,
             None => {
+                let mut key = sel.to_vec();
+                hint_only.iter().for_each(|&i| key[i] = 0);
                 let structural = SchedulePoint::from_sel(self.space, key.clone());
                 let lowered = self.op.lower(self.space, &structural);
                 self.block.push(Shared { key, lowered, raw: Default::default() });
@@ -197,7 +211,7 @@ impl<'a> FrontEnd<'a> {
         let hints = if self.hint_only.is_empty() {
             shared.lowered.as_ref()?.hints
         } else {
-            let hints = DmaKnobs::from_point(self.space, point).hints();
+            let hints = DmaKnobs::at(&self.hint_only, sel).hints();
             if cfg!(debug_assertions) {
                 check_shared(self.op, self.space, point, shared.lowered.as_ref(), hints);
             }
@@ -205,7 +219,7 @@ impl<'a> FrontEnd<'a> {
         };
         let lowered = shared.lowered.as_ref()?;
         // The DMA-wall pipeline reads `coalesce` and `bcast` only: the dbuf
-        // on/off pair shares its output.
+        // on/off pair shares its output — the same tree, not two equal ones.
         let raw = shared.raw[usize::from(hints.coalesce) * 2 + usize::from(hints.bcast)]
             .get_or_insert_with(|| {
                 optimizer::optimize(Program { hints, ..lowered.clone() }, false)
@@ -233,23 +247,6 @@ fn check_shared(
         point.index(space),
         point.describe(space),
     );
-}
-
-fn has_double_slot(stmt: &Stmt) -> bool {
-    let mut found = false;
-    stmt.visit(&mut |s| {
-        let check = |slot: &SpmSlot| matches!(slot, SpmSlot::Double { .. });
-        match s {
-            Stmt::DmaCpe(d) if check(&d.spm) => found = true,
-            Stmt::Gemm(g)
-                if check(&g.a.slot) || check(&g.b.slot) || check(&g.c.slot) =>
-            {
-                found = true
-            }
-            _ => {}
-        }
-    });
-    found
 }
 
 #[cfg(test)]

@@ -929,11 +929,37 @@ pub fn blackbox_tune_validated(
     Some(eng.outcome(start, best, cycles, candidates.len()))
 }
 
+/// The candidates whose `raw` the tier-0 screen estimates, and which of them
+/// stands in for each candidate: `leaders[slot[i]]` is the first candidate
+/// holding the same `raw` tree and tables as candidate `i`. Sameness is
+/// *identity* of the shared parts ([`swatop_ir::Program::part_addrs`]) —
+/// the scheduler hands the `dbuf` on/off siblings of a group one `raw`
+/// (DESIGN.md §18) — never adjacency and never `==`: equal programs that are
+/// separate allocations each lead their own group. A pure function of the
+/// slice, so the screen stays `--jobs`-invariant.
+pub fn screen_leaders(candidates: &[Candidate]) -> (Vec<usize>, Vec<usize>) {
+    let mut slot_of_parts = std::collections::HashMap::with_capacity(candidates.len());
+    let mut leaders = Vec::new();
+    let slot = candidates
+        .iter()
+        .enumerate()
+        .map(|(i, c)| {
+            *slot_of_parts.entry(c.raw.part_addrs()).or_insert_with(|| {
+                leaders.push(i);
+                leaders.len() - 1
+            })
+        })
+        .collect();
+    (leaders, slot)
+}
+
 /// Score every candidate with the calibrated static model, returning
 /// `(index, predicted cycles)` sorted fastest-first. The sort is stable, so
-/// equal predictions keep input order regardless of `jobs`. With `memo`
-/// attached, loop-subtree sub-costs are reused through the shared cache —
-/// the scores are bit-identical either way
+/// equal predictions keep input order regardless of `jobs`. The estimate
+/// reads a program's tree and tables, never its hints, so it runs once per
+/// distinct `raw` ([`screen_leaders`]) and `Estimate::overall` is applied
+/// per candidate. With `memo` attached, loop-subtree sub-costs are reused
+/// through the shared cache — the scores are bit-identical either way
 /// ([`crate::model::estimate_program_memo`] groups its summation the same
 /// whether it hits, misses or skips the cache).
 fn score_all(
@@ -943,14 +969,17 @@ fn score_all(
     jobs: usize,
     memo: Option<&MemoCache>,
 ) -> (Vec<(usize, f64)>, Duration) {
-    let scores = pool::par_map(jobs, candidates, |_, c| {
+    let (leaders, slot) = screen_leaders(candidates);
+    let estimates = pool::par_map(jobs, &leaders, |_, &i| {
         let t = Instant::now();
-        let est = estimate_program_memo(cfg, model, &c.raw, memo);
-        (est.overall(c.prefetched), t.elapsed())
+        (estimate_program_memo(cfg, model, &candidates[i].raw, memo), t.elapsed())
     });
-    let cpu = scores.iter().map(|(_, d)| *d).sum();
-    let mut ranked: Vec<(usize, f64)> =
-        scores.iter().enumerate().map(|(i, &(s, _))| (i, s)).collect();
+    let cpu = estimates.iter().map(|(_, d)| *d).sum();
+    let mut ranked: Vec<(usize, f64)> = candidates
+        .iter()
+        .enumerate()
+        .map(|(i, c)| (i, estimates[slot[i]].0.overall(c.prefetched)))
+        .collect();
     ranked.sort_by(|a, b| a.1.total_cmp(&b.1));
     (ranked, cpu)
 }

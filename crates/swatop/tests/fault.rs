@@ -111,12 +111,9 @@ fn a_panicking_candidate_fails_alone() {
     // far beyond the program's environment, so the interpreter's `Env::set`
     // panics on an out-of-bounds index at execution time.
     let bad = clean.best;
-    let body = std::mem::replace(
-        &mut cands[bad].exe.program.body,
-        Stmt::Seq(Vec::new()),
-    );
-    cands[bad].exe.program.body =
-        Stmt::For { var: 9999, extent: 1, body: Box::new(body) };
+    let program = &mut cands[bad].exe.program;
+    let body = program.take_body();
+    program.set_body(Stmt::For { var: 9999, extent: 1, body: Box::new(body) });
     let hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
     let run = |jobs: usize| {

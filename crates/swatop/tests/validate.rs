@@ -284,7 +284,7 @@ fn run_matmul_bits(
     let b = p.mem_buf("B", k * n, MemRole::Input);
     let c = p.mem_buf("C", m * n, MemRole::Output);
     let body = lower_matmul_body(&mut p, knobs, a, b, c, m, n, k, PadMode::Lightweight)?;
-    p.body = Stmt::seq(body);
+    p.set_body(Stmt::seq(body));
     let opt = swatop::optimizer::optimize(p, true);
     let exe = swatop::codegen::plan(opt, cfg).ok()?;
     let mut cg = CoreGroup::new(cfg.clone(), ExecMode::Functional);

@@ -82,7 +82,7 @@ impl Operator for ResidualMatmul {
         }
         let mut body = vec![copy];
         body.extend(gemm);
-        p.body = Stmt::seq(body);
+        p.set_body(Stmt::seq(body));
         Some(p)
     }
 

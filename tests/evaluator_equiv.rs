@@ -185,7 +185,7 @@ fn one_dma(offset: AffineExpr, block: usize, bcast: Option<BcastBus>) -> Program
     let buf = p.mem_buf("src", 1024, MemRole::Input);
     let spm = p.spm_buf("s", 64);
     let reply = p.fresh_reply();
-    p.body = Stmt::DmaCpe(DmaCpe {
+    p.set_body(Stmt::DmaCpe(DmaCpe {
         buf,
         offset,
         block,
@@ -196,7 +196,7 @@ fn one_dma(offset: AffineExpr, block: usize, bcast: Option<BcastBus>) -> Program
         reply,
         bcast,
         fused: false,
-    });
+    }));
     p
 }
 

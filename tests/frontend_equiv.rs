@@ -7,7 +7,7 @@
 //! here from public functions only.
 
 use swatop_repro::dsl::{SchedulePoint, ScheduleSpace};
-use swatop_repro::ir::{Program, ScheduleHints, SpmSlot, Stmt};
+use swatop_repro::ir::{Program, ScheduleHints};
 use swatop_repro::sw26010::MachineConfig;
 use swatop_repro::swatop::codegen::plan;
 use swatop_repro::swatop::ops::DmaKnobs;
@@ -17,16 +17,6 @@ use swatop_repro::swatop::scheduler::{Candidate, Operator, Scheduler};
 
 mod common;
 use common::every_op;
-
-/// `Scheduler`'s private double-buffer test.
-fn has_double_slot(stmt: &Stmt) -> bool {
-    let double = |slot: &SpmSlot| matches!(slot, SpmSlot::Double { .. });
-    stmt.count(|s| match s {
-        Stmt::DmaCpe(d) => double(&d.spm),
-        Stmt::Gemm(g) => double(&g.a.slot) || double(&g.b.slot) || double(&g.c.slot),
-        _ => false,
-    }) > 0
-}
 
 /// The per-point sequence `Scheduler::lower_point` ran before any stage was
 /// shared: lower, both pipelines, the raw capacity check, the overflow
@@ -44,7 +34,7 @@ fn reference_point(
         Ok(exe) => exe,
         Err(_) => plan(raw.clone(), cfg).ok()?,
     };
-    let prefetched = has_double_slot(&exe.program.body);
+    let prefetched = exe.program.body.uses_double_slot();
     Some(Candidate {
         point_index: point.index(space),
         describe: point.describe(space),
