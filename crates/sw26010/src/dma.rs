@@ -111,7 +111,7 @@ impl DmaRequest {
 
 /// Transaction-quantised bus bytes of a strided transfer (standalone form
 /// of [`DmaRequest::bus_bytes`]; the cost-only fast path prices whole
-/// `DMA_CPE` nodes through [`bus_bytes_sum`] without building request
+/// `DMA_CPE` nodes through [`StartClasses`] without building request
 /// structures).
 pub fn bus_bytes(
     mem_offset: usize,
@@ -145,17 +145,74 @@ pub fn bus_bytes(
     total
 }
 
-/// Total [`bus_bytes`] of transfers that share `block_elems`, `stride_elems`
+/// The start addresses of transfers that share `block_elems`, `stride_elems`
 /// and `n_blocks` and differ only in where they start — the 64 per-CPE (or
-/// 8 per-leader) requests of one `DMA_CPE` node, whose starts are an affine
-/// function of the mesh coordinates.
+/// 8 per-leader) requests of one `DMA_CPE` node — reduced to what their bus
+/// bytes depend on.
 ///
-/// A transfer's bus bytes depend on its start only through the start's byte
-/// address modulo the transaction size (moving a transfer by whole
-/// transactions moves every block's first and last transaction alike), so
-/// the starts are grouped by that residue and [`bus_bytes`] runs once per
-/// class: at most `txn_bytes / 4` classes, usually 1–8 for a tile whose rows
-/// are a few transactions apart.
+/// A transfer's [`bus_bytes`] depend on its start only through the start's
+/// byte address modulo the transaction size (moving a transfer by whole
+/// transactions moves every block's first and last transaction alike), i.e.
+/// through the start modulo `period = txn_bytes / gcd(txn_bytes, 4)`
+/// elements. The starts of a node are an affine function of the mesh
+/// coordinates, so their distances from the first start are fixed; grouped
+/// by distance modulo the period they form at most `period` classes
+/// (usually 1–8 for a tile whose rows are a few transactions apart), and
+/// the node's total is a function of the *first* start's residue alone.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct StartClasses {
+    /// `(q, count)`: `count` transfers start `q` elements, modulo the
+    /// period, after the first one.
+    classes: Vec<(usize, usize)>,
+    /// Elements after which start residues repeat.
+    period: usize,
+    txn_bytes: usize,
+}
+
+impl StartClasses {
+    /// Classes of the transfers starting `relative_starts` elements after
+    /// (negative: before) the first of them.
+    pub fn new(relative_starts: impl IntoIterator<Item = i64>, txn_bytes: usize) -> Self {
+        let period = txn_bytes / gcd(txn_bytes, ELEM_BYTES);
+        let mut classes: Vec<(usize, usize)> = Vec::new();
+        for rel in relative_starts {
+            let q = rel.rem_euclid(period as i64) as usize;
+            match classes.iter_mut().find(|c| c.0 == q) {
+                Some(class) => class.1 += 1,
+                None => classes.push((q, 1)),
+            }
+        }
+        StartClasses { classes, period, txn_bytes }
+    }
+
+    /// The residue of `first_start` that [`StartClasses::bus_bytes`] depends
+    /// on: equal residues give equal totals.
+    pub fn residue(&self, first_start: usize) -> usize {
+        first_start % self.period
+    }
+
+    /// Total [`bus_bytes`] of the transfers when the first of them starts at
+    /// element `first_start`: one evaluation per class.
+    pub fn bus_bytes(
+        &self,
+        first_start: usize,
+        block_elems: usize,
+        stride_elems: usize,
+        n_blocks: usize,
+    ) -> usize {
+        let residue = self.residue(first_start);
+        self.classes
+            .iter()
+            .map(|&(q, count)| {
+                count * bus_bytes(residue + q, block_elems, stride_elems, n_blocks, self.txn_bytes)
+            })
+            .sum()
+    }
+}
+
+/// Total [`bus_bytes`] of transfers that share `block_elems`, `stride_elems`
+/// and `n_blocks` and start at `mem_offsets`: the [`StartClasses`] of the
+/// starts relative to the first, evaluated at the first.
 pub fn bus_bytes_sum(
     mem_offsets: impl IntoIterator<Item = usize>,
     block_elems: usize,
@@ -163,27 +220,10 @@ pub fn bus_bytes_sum(
     n_blocks: usize,
     txn_bytes: usize,
 ) -> usize {
-    // (residue, first start seen with it, how many starts share it). 32 slots
-    // hold every class of the default 128-byte transaction; starts that find
-    // the table full (larger transactions only) are priced one by one.
-    let mut classes = [(0usize, 0usize, 0usize); 32];
-    let mut n_classes = 0;
-    let mut total = 0;
-    for start in mem_offsets {
-        let residue = start * ELEM_BYTES % txn_bytes;
-        if let Some(class) = classes[..n_classes].iter_mut().find(|c| c.0 == residue) {
-            class.2 += 1;
-        } else if n_classes < classes.len() {
-            classes[n_classes] = (residue, start, 1);
-            n_classes += 1;
-        } else {
-            total += bus_bytes(start, block_elems, stride_elems, n_blocks, txn_bytes);
-        }
-    }
-    for &(_, start, count) in &classes[..n_classes] {
-        total += count * bus_bytes(start, block_elems, stride_elems, n_blocks, txn_bytes);
-    }
-    total
+    let mut starts = mem_offsets.into_iter().peekable();
+    let Some(&first) = starts.peek() else { return 0 };
+    StartClasses::new(starts.map(|start| start as i64 - first as i64), txn_bytes)
+        .bus_bytes(first, block_elems, stride_elems, n_blocks)
 }
 
 fn gcd(mut a: usize, mut b: usize) -> usize {
@@ -317,10 +357,13 @@ impl DmaEngine {
 /// Completion bookkeeping shared by `swDMA`/`swDMAWait`: the reply word is
 /// incremented by the engine when a transfer finishes; `swDMAWait(reply, n)`
 /// spins until `n` completions arrived. The model stores the completion
-/// *times* so a wait advances the compute clock to the latest one.
+/// *times* so a wait advances the compute clock to the latest one — and only
+/// those that can still be waited for: a wait releases what it consumed, so a
+/// long run holds as many times as it ever had in flight, not one per DMA.
 #[derive(Debug, Clone, Default)]
 pub struct ReplyWord {
-    completions: Vec<Cycles>,
+    /// Completion times issued and not yet waited for, oldest first.
+    in_flight: Vec<Cycles>,
     waited: usize,
 }
 
@@ -331,36 +374,30 @@ impl ReplyWord {
 
     /// Record a transfer completing at `at`.
     pub fn push(&mut self, at: Cycles) {
-        self.completions.push(at);
+        self.in_flight.push(at);
     }
 
     /// Number of completions issued so far.
     pub fn issued(&self) -> usize {
-        self.completions.len()
+        self.waited + self.in_flight.len()
     }
 
     /// Wait for `n` more completions (beyond those already waited for);
     /// returns the cycle at which the last of them finishes.
     pub fn wait(&mut self, n: usize) -> MachineResult<Cycles> {
-        let end = self.waited + n;
-        if end > self.completions.len() {
+        if n > self.in_flight.len() {
             return Err(MachineError::ReplyUnderflow {
-                expected: end,
-                issued: self.completions.len(),
+                expected: self.waited + n,
+                issued: self.issued(),
             });
         }
-        let at = self.completions[self.waited..end]
-            .iter()
-            .copied()
-            .max()
-            .unwrap_or(Cycles::ZERO);
-        self.waited = end;
-        Ok(at)
+        self.waited += n;
+        Ok(self.in_flight.drain(..n).max().unwrap_or(Cycles::ZERO))
     }
 
     /// Completions not yet waited for.
     pub fn pending(&self) -> usize {
-        self.completions.len() - self.waited
+        self.in_flight.len()
     }
 }
 
@@ -452,6 +489,33 @@ mod tests {
             assert_eq!(bus_bytes_sum(starts(), block, stride, n, txn), each);
         }
         assert_eq!(bus_bytes_sum(std::iter::empty(), 4, 4, 1, 128), 0);
+    }
+
+    #[test]
+    fn start_classes_are_a_function_of_the_first_residue() {
+        // Negative and zero mesh coefficients, a transaction that is not a
+        // multiple of the element size, and one with more than 32 residues.
+        for &(cr, cc, block, stride, n, txn) in &[
+            (-100i64, 7i64, 5usize, 33usize, 9usize, 128usize),
+            (0, -3, 2, 19, 4, 128),
+            (9, 1, 3, 130, 4, 512),
+            (5, 2, 3, 11, 6, 6),
+            (0, 0, 1, 1, 1, 96),
+        ] {
+            let rel = || (0..64i64).map(move |cpe| cr * (cpe / 8) + cc * (cpe % 8));
+            let classes = StartClasses::new(rel(), txn);
+            assert_eq!(classes.classes.iter().map(|c| c.1).sum::<usize>(), 64);
+            assert!(classes.classes.len() <= classes.period);
+            for first in 1000..1000 + 2 * classes.period {
+                let each: usize = rel()
+                    .map(|r| bus_bytes((first as i64 + r) as usize, block, stride, n, txn))
+                    .sum();
+                assert_eq!(classes.bus_bytes(first, block, stride, n), each, "txn {txn} at {first}");
+                let same = first + 3 * classes.period;
+                assert_eq!(classes.residue(first), classes.residue(same));
+                assert_eq!(classes.bus_bytes(same, block, stride, n), each);
+            }
+        }
     }
 
     #[test]
@@ -548,5 +612,19 @@ mod tests {
         assert!(r.wait(1).is_err());
         r.push(Cycles(70));
         assert_eq!(r.wait(1).unwrap(), Cycles(70));
+    }
+
+    #[test]
+    fn reply_word_holds_only_what_is_in_flight() {
+        let mut r = ReplyWord::new();
+        for round in 0..10_000u64 {
+            for k in 0..3 {
+                r.push(Cycles(round * 10 + k));
+            }
+            assert_eq!(r.wait(2).unwrap(), Cycles(round * 10 + 1));
+            assert_eq!(r.wait(1).unwrap(), Cycles(round * 10 + 2));
+            assert!(r.in_flight.is_empty() && r.in_flight.capacity() <= 4);
+        }
+        assert_eq!((r.issued(), r.pending()), (30_000, 0));
     }
 }

@@ -16,23 +16,31 @@
 //! compares every generated schedule against the host references.
 //!
 //! In cost-only mode — the autotuner's measurement device — a `DMA_CPE`
-//! node is priced without building requests: its offset expression is
-//! evaluated once, the 64 (or 8 leader) start addresses follow from the
-//! `rid`/`cid` coefficients, the mesh corners are bounds-checked, and the
-//! bus bytes are summed per start-address residue class
-//! ([`sw26010::dma::bus_bytes_sum`]). Clock, counters and errors are those
-//! of the functional path, which stays the oracle
-//! (`tests/evaluator_equiv.rs`).
+//! node is priced without building requests, and priced once per run rather
+//! than once per execution: the 64 (or 8 leader) start addresses are the
+//! first one plus distances fixed by the node's `rid`/`cid` coefficients, so
+//! the node's bus bytes are a function of the first start's address residue
+//! alone ([`sw26010::dma::StartClasses`]) and are remembered per
+//! (node, residue) for the duration of one [`execute`]. An execution
+//! evaluates the offset expression once, bounds-checks the mesh corners,
+//! checks the SPM capacity and reads that table. In both modes a `Gemm`
+//! node's kernel price ([`swkernels::GemmPrice`]) is likewise taken once per
+//! node per run. Clock, counters and errors are those of the functional
+//! path, which prices every request of every execution and stays the oracle
+//! (`tests/evaluator_equiv.rs`; DESIGN.md §19).
 
 use sw26010::cluster::ReplyId as CgReply;
+use sw26010::dma::StartClasses;
+use sw26010::regcomm::BcastBus;
 use sw26010::{
     cid, rid, CoreGroup, Cycles, DmaDirection, DmaRequest, ExecMode, MachineError, MachineResult,
     MESH, N_CPE,
 };
 use swkernels::spm_gemm::SpmMatrix;
+use swkernels::GemmPrice;
 use swtensor::Tensor;
 
-use swatop_ir::{AVar, Env, MatDesc, Program, SpmSlot, Stmt, TransformKind};
+use swatop_ir::{AVar, DmaCpe, Env, GemmOp, MatDesc, Program, SpmSlot, Stmt, TransformKind};
 
 use crate::codegen::Executable;
 
@@ -69,6 +77,65 @@ struct Interp<'a> {
     exe: &'a Executable,
     binding: &'a Binding,
     replies: Vec<CgReply>,
+    /// What this run has priced so far, per static node (see [`entry`]).
+    dma_nodes: Vec<(&'a DmaCpe, DmaNode)>,
+    gemm_nodes: Vec<(&'a GemmOp, Option<GemmPrice>)>,
+}
+
+/// The entry of static node `node` in a per-run price table, made on the
+/// node's first execution. Nodes are found by address — the executable is
+/// borrowed for the whole run — in a list short enough (a program has a
+/// handful of each kind) to search linearly.
+fn entry<'t, 'a, N, V>(
+    table: &'t mut Vec<(&'a N, V)>,
+    node: &'a N,
+    make: impl FnOnce() -> V,
+) -> &'t mut V {
+    let at = match table.iter().position(|&(n, _)| std::ptr::eq(n, node)) {
+        Some(at) => at,
+        None => {
+            table.push((node, make()));
+            table.len() - 1
+        }
+    };
+    &mut table[at].1
+}
+
+/// Cost-only price table of one `DMA_CPE` node: what is fixed for the run
+/// (the DRAM-side block and where the other transfers start relative to the
+/// first) and the bus bytes per first-start residue met so far.
+struct DmaNode {
+    /// Elements per DRAM-side block: the node's own, or a broadcast
+    /// leader's eight.
+    block: usize,
+    classes: StartClasses,
+    /// `(residue of the first start, bus bytes of the whole node)`.
+    bus_bytes: Vec<(usize, usize)>,
+}
+
+impl DmaNode {
+    fn new(node: &DmaCpe, txn_bytes: usize) -> Self {
+        let (c_r, c_c) = (node.offset.coeff(AVar::Rid), node.offset.coeff(AVar::Cid));
+        // CPE (rid, cid) starts `c_r·rid + c_c·cid` after CPE (0, 0);
+        // broadcast leader `i` sits at coordinate `i` of the bus's own axis.
+        let (block, classes) = match node.bcast {
+            None => (
+                node.block,
+                StartClasses::new(
+                    (0..N_CPE).map(|cpe| c_r * rid(cpe) as i64 + c_c * cid(cpe) as i64),
+                    txn_bytes,
+                ),
+            ),
+            Some(bus) => {
+                let step = match bus {
+                    BcastBus::Row => c_r,
+                    BcastBus::Column => c_c,
+                };
+                (node.block * 8, StartClasses::new((0..MESH as i64).map(|i| step * i), txn_bytes))
+            }
+        };
+        DmaNode { block, classes, bus_bytes: Vec::new() }
+    }
 }
 
 /// Execute the program, returning the simulated cycles it took (the compute
@@ -82,14 +149,15 @@ pub fn execute(cg: &mut CoreGroup, exe: &Executable, binding: &Binding) -> Machi
         )));
     }
     let replies = (0..exe.program.n_replies).map(|_| cg.alloc_reply()).collect();
-    let interp = Interp { exe, binding, replies };
+    let mut interp =
+        Interp { exe, binding, replies, dma_nodes: Vec::new(), gemm_nodes: Vec::new() };
     let start = cg.now();
     let mut env = Env::new(exe.program.n_vars());
     interp.stmt(cg, &exe.program.body, &mut env)?;
     Ok(cg.now() - start)
 }
 
-impl Interp<'_> {
+impl<'a> Interp<'a> {
     fn program(&self) -> &Program {
         &self.exe.program
     }
@@ -117,7 +185,22 @@ impl Interp<'_> {
         })
     }
 
-    fn stmt(&self, cg: &mut CoreGroup, s: &Stmt, env: &mut Env) -> MachineResult<()> {
+    /// Cost-only DRAM bus bytes of every transfer of `d` together, the first
+    /// of which (CPE (0, 0)'s, or leader 0's) starts at absolute element
+    /// `first_start`: computed once per (node, start residue) per run.
+    fn dma_bus_bytes(&mut self, cg: &CoreGroup, d: &'a DmaCpe, first_start: usize) -> usize {
+        let node =
+            entry(&mut self.dma_nodes, d, || DmaNode::new(d, cg.cfg.dram_transaction_bytes));
+        let residue = node.classes.residue(first_start);
+        if let Some(&(_, bus)) = node.bus_bytes.iter().find(|&&(r, _)| r == residue) {
+            return bus;
+        }
+        let bus = node.classes.bus_bytes(first_start, node.block, d.stride, d.n_blocks);
+        node.bus_bytes.push((residue, bus));
+        bus
+    }
+
+    fn stmt(&mut self, cg: &mut CoreGroup, s: &'a Stmt, env: &mut Env) -> MachineResult<()> {
         match s {
             Stmt::Nop => Ok(()),
             Stmt::Seq(ss) => {
@@ -188,16 +271,7 @@ impl Interp<'_> {
                     let lowest = o + (c_r * far).min(0) + (c_c * far).min(0);
                     let highest = o + (c_r * far).max(0) + (c_c * far).max(0);
                     if lowest >= 0 && highest as usize + span <= len {
-                        let starts = (0..N_CPE).map(|cpe| {
-                            base + (o + c_r * rid(cpe) as i64 + c_c * cid(cpe) as i64) as usize
-                        });
-                        let bus = sw26010::dma::bus_bytes_sum(
-                            starts,
-                            d.block,
-                            d.stride,
-                            d.n_blocks,
-                            cg.cfg.dram_transaction_bytes,
-                        );
+                        let bus = self.dma_bus_bytes(cg, d, base + o as usize);
                         let payload = d.block * d.n_blocks * 4 * N_CPE;
                         return cg.dma_totals_directed(
                             d.direction,
@@ -247,7 +321,12 @@ impl Interp<'_> {
                 let a = self.mat(cg, &g.a, env)?;
                 let b = self.mat(cg, &g.b, env)?;
                 let c = self.mat(cg, &g.c, env)?;
-                swkernels::spm_gemm(cg, g.m, g.n, g.k, g.alpha, a, b, g.beta, c, g.vd)
+                // Dimensions, layouts and `vd` belong to the node, so its
+                // kernel price is taken once and charged on every execution.
+                let price = entry(&mut self.gemm_nodes, g, || None);
+                swkernels::spm_gemm_priced(
+                    cg, price, g.m, g.n, g.k, g.alpha, a, b, g.beta, c, g.vd,
+                )
             }
             Stmt::Transform(t) => self.transform(cg, t),
         }
@@ -262,9 +341,9 @@ impl Interp<'_> {
     /// the untagged node, which the functional path realises by copying the
     /// original 64 per-CPE blocks.
     fn dma_cpe_bcast(
-        &self,
+        &mut self,
         cg: &mut CoreGroup,
-        d: &swatop_ir::DmaCpe,
+        d: &'a DmaCpe,
         env: &Env,
     ) -> MachineResult<()> {
         let bus_kind = d.bcast.expect("caller checked");
@@ -286,8 +365,8 @@ impl Interp<'_> {
         }
         let lspan = (d.n_blocks - 1) * d.stride + lblock;
         let leaders: [(i64, i64); 8] = match bus_kind {
-            sw26010::regcomm::BcastBus::Row => std::array::from_fn(|r| (r as i64, 0)),
-            sw26010::regcomm::BcastBus::Column => std::array::from_fn(|c| (0, c as i64)),
+            BcastBus::Row => std::array::from_fn(|r| (r as i64, 0)),
+            BcastBus::Column => std::array::from_fn(|c| (0, c as i64)),
         };
         let scatter = sw26010::regcomm::dma_scatter_cycles(&cg.cfg, d.spm_elems());
         let spm_needed = spm_off + d.spm_elems();
@@ -304,8 +383,8 @@ impl Interp<'_> {
         // its offset is `o + step·i`: one evaluation serves all eight.
         let o = d.offset.eval(env, 0, 0);
         let step = d.offset.coeff(match bus_kind {
-            sw26010::regcomm::BcastBus::Row => AVar::Rid,
-            sw26010::regcomm::BcastBus::Column => AVar::Cid,
+            BcastBus::Row => AVar::Rid,
+            BcastBus::Column => AVar::Cid,
         });
         let mut leader_offs = [0usize; 8];
         for (i, leader_off) in leader_offs.iter_mut().enumerate() {
@@ -326,13 +405,7 @@ impl Interp<'_> {
             *leader_off = off;
         }
         if cg.mode() == ExecMode::CostOnly {
-            let bus = sw26010::dma::bus_bytes_sum(
-                leader_offs.iter().map(|off| base + off),
-                lblock,
-                d.stride,
-                d.n_blocks,
-                cg.cfg.dram_transaction_bytes,
-            );
+            let bus = self.dma_bus_bytes(cg, d, base + leader_offs[0]);
             let payload = lblock * d.n_blocks * 4 * 8;
             return cg.dma_totals_bcast(
                 bus,

@@ -799,9 +799,11 @@ fn counters_json(c: &Counters) -> String {
 
 /// Hit/miss/entry counters of the process-wide evaluation caches as a JSON
 /// object: the PR 1 kernel-cost cache ([`swkernels::cost::cache_stats`])
-/// and the model sub-cost memo cache ([`crate::model::memo`]). Counters are
-/// relaxed atomics — approximate under concurrency, exact serially — so
-/// they are observability, never an input to tuning decisions.
+/// and the model sub-cost memo cache ([`crate::model::memo`]). The kernel
+/// figures count cost queries — one per static `Gemm` node per interpreted
+/// run, not one per executed kernel call. Counters are relaxed atomics —
+/// approximate under concurrency, exact serially — so they are
+/// observability, never an input to tuning decisions.
 pub fn caches_json() -> String {
     let (kh, km, ke) = swkernels::cost::cache_stats();
     let (mh, mm, me) = crate::model::memo::stats();

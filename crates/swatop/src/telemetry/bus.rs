@@ -72,6 +72,8 @@ pub enum Event {
     Quarantined { index: usize, reason: String },
     /// Shared evaluation-cache counters at a wave boundary. Process-global
     /// and order-dependent under concurrency: host-timing, not lifecycle.
+    /// The kernel figures count cost *queries* — one per static `Gemm` node
+    /// per interpreted run — not executed kernel calls.
     MemoTick {
         kernel_hits: u64,
         kernel_misses: u64,

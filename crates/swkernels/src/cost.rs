@@ -9,7 +9,9 @@
 //!   the variant, the per-CPE block shape and the machine's kernel timing
 //!   parameters ([`timing_fingerprint`]). The steady state of a tuning run is
 //!   ~100 % hits, one hash (of the shape; the timing is compared) and one
-//!   read lock each.
+//!   read lock each — and the IR interpreter asks once per static `Gemm`
+//!   node per program run ([`GemmPrice`](crate::GemmPrice)), not once per
+//!   executed call.
 //! * **per register block** — a query that misses prices its ≤ 4 distinct
 //!   register blocks ([`reg_blocks`](crate::microkernel::reg_blocks)) through
 //!   a memo of [`block_cycles`](crate::microkernel::block_cycles), keyed on
@@ -147,7 +149,10 @@ pub fn block_cache_len() -> usize {
 
 /// `(hits, misses, entries)` of the kernel-cost cache since process start:
 /// exactly one hit or miss per [`gemm_cycles`] query (the register-block
-/// memo under a miss is not counted).
+/// memo under a miss is not counted). A query is not a kernel call: an
+/// interpreted program asks once per static `Gemm` node per run and charges
+/// that price on every execution of the node; only direct
+/// [`spm_gemm`](crate::spm_gemm) callers (baselines, benches) ask per call.
 /// Counters are relaxed atomics: approximate under concurrency (two workers
 /// racing on a cold key may both count a miss), exact serially — they are
 /// observability for the telemetry snapshot, never control flow.

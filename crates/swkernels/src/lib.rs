@@ -31,5 +31,5 @@ pub mod variant;
 
 pub use cost::{gemm_cycles, gemm_flops, gemm_intensity, gemm_operand_bytes};
 pub use distribute::{block_dims, BlockOwner};
-pub use spm_gemm::{spm_gemm, SpmMatrix};
+pub use spm_gemm::{spm_gemm, spm_gemm_priced, GemmPrice, SpmMatrix};
 pub use variant::{GemmVariant, VecDim, ALL_VARIANTS};

@@ -14,10 +14,11 @@
 //! [`ExecMode::Functional`](sw26010::ExecMode) the arithmetic is actually
 //! performed so that schedule bugs surface as wrong results.
 
-use sw26010::{CoreGroup, ExecMode, MachineError, MachineResult, MESH};
+use sw26010::{CoreGroup, Cycles, ExecMode, MachineConfig, MachineError, MachineResult, MESH};
 use swtensor::MatLayout;
 
-use crate::cost::gemm_cycles;
+use crate::cost::{gemm_cycles, gemm_flops};
+use crate::microkernel::{per_cpe_issue_counts, IssueCounts};
 use crate::variant::{GemmVariant, VecDim};
 
 /// Descriptor of one SPM-resident distributed matrix operand: every CPE
@@ -90,10 +91,61 @@ pub fn validate(
     Ok(GemmVariant { a_layout: a.layout, b_layout: b.layout, vec: vd })
 }
 
+/// What one valid `spm_gemm` call charges the machine — a pure function of
+/// the kernel timing in `cfg`, the variant and the dimensions, whatever the
+/// operands' SPM offsets and leading dimensions.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct GemmPrice {
+    pub cycles: Cycles,
+    pub flops: u64,
+    /// Analytic per-CPE issue counts (the memoised cycle cache bypasses the
+    /// scoreboard on hits, so they cannot come from the simulation itself).
+    pub issue: IssueCounts,
+}
+
+impl GemmPrice {
+    /// Price of a call that [`validate`] accepted as `variant`.
+    pub fn of(cfg: &MachineConfig, variant: GemmVariant, m: usize, n: usize, k: usize) -> Self {
+        let (mb, nb, kb) = (m / MESH, n / MESH, k / MESH);
+        let (v_len, s_len) = match variant.vec {
+            VecDim::M => (mb, nb),
+            VecDim::N => (nb, mb),
+        };
+        GemmPrice {
+            cycles: gemm_cycles(cfg, variant, m, n, k),
+            flops: gemm_flops(m, n, k),
+            issue: per_cpe_issue_counts(v_len, s_len, kb, variant.vector_load_ok()),
+        }
+    }
+}
+
 /// Execute `C = ALPHA·A·B + BETA·C` on the distributed SPM operands.
 #[allow(clippy::too_many_arguments)]
 pub fn spm_gemm(
     cg: &mut CoreGroup,
+    m: usize,
+    n: usize,
+    k: usize,
+    alpha: f32,
+    a: SpmMatrix,
+    b: SpmMatrix,
+    beta: f32,
+    c: SpmMatrix,
+    vd: VecDim,
+) -> MachineResult<()> {
+    spm_gemm_priced(cg, &mut None, m, n, k, alpha, a, b, beta, c, vd)
+}
+
+/// [`spm_gemm`] for a call site that executes many times: `price` is the
+/// site's own slot, filled by the first valid call and charged by every
+/// later one. The caller keeps one slot per (machine timing, dimensions,
+/// operand layouts, `vd`) — a static `Gemm` node during one program run.
+/// Everything that depends on the operands' SPM placement or the machine's
+/// current state is still checked on every call.
+#[allow(clippy::too_many_arguments)]
+pub fn spm_gemm_priced(
+    cg: &mut CoreGroup,
+    price: &mut Option<GemmPrice>,
     m: usize,
     n: usize,
     k: usize,
@@ -139,20 +191,8 @@ pub fn spm_gemm(
         cg.counters.note_spm_use((mat.offset + mat.span(rows, cols)) as u64);
     }
 
-    let cycles = gemm_cycles(&cg.cfg, variant, m, n, k);
-    let flops = crate::cost::gemm_flops(m, n, k);
-    // Issue counts are analytic (the memoised cycle cache bypasses the
-    // scoreboard on hits, so they cannot come from the simulation itself).
-    let (v_len, s_len) = match vd {
-        VecDim::M => (mb, nb),
-        VecDim::N => (nb, mb),
-    };
-    let issue = crate::microkernel::per_cpe_issue_counts(
-        v_len,
-        s_len,
-        kb,
-        variant.vector_load_ok(),
-    );
+    let GemmPrice { cycles, flops, issue } =
+        *price.get_or_insert_with(|| GemmPrice::of(&cg.cfg, variant, m, n, k));
     cg.counters.issue_p0 += issue.p0;
     cg.counters.issue_p1 += issue.p1;
     cg.counters.regcomm_broadcasts += issue.broadcasts;
@@ -412,8 +452,7 @@ mod tests {
         assert_eq!(counters.kernel_cycles, cg.now().get());
         // vec M: v_len = mb = 4, s_len = nb = 4, kb = 1.
         let variant = validate(m, n, k, &a_desc, &b_desc, &c_desc, VecDim::M).unwrap();
-        let issue =
-            crate::microkernel::per_cpe_issue_counts(4, 4, 1, variant.vector_load_ok());
+        let issue = per_cpe_issue_counts(4, 4, 1, variant.vector_load_ok());
         assert_eq!(counters.issue_p0, issue.p0);
         assert_eq!(counters.issue_p1, issue.p1);
         assert_eq!(counters.regcomm_broadcasts, issue.broadcasts);

@@ -1,28 +1,36 @@
 //! The evaluators pay the machine model once per distinct input — the
 //! kernel scoreboard per register block, the DMA transaction count per
-//! start-address residue class, the `spm_gemm` cost per query. These tests
-//! pin what makes that invisible: every cached or aggregated cost equals
-//! the value its oracle computes one call at a time (the pure
+//! start-address residue class, the `spm_gemm` cost per query — and the
+//! cost-only interpreter once per static node per run (a `DMA_CPE` node's
+//! bus bytes per first-start residue, a `Gemm` node's kernel price). These
+//! tests pin what makes that invisible: every cached or aggregated cost
+//! equals the value its oracle computes one call at a time (the pure
 //! `microkernel` functions, per-address `bus_bytes`, the Functional
-//! interpreter), and failing programs fail with the same error value.
+//! interpreter, which prices every request of every execution), failing
+//! programs fail with the same error value, and runs under a fault plan
+//! give what the per-execution interpreter gave.
 
 use std::sync::Mutex;
 
-use swatop_repro::ir::{AVar, AffineExpr, DmaCpe, MemRole, Program, SpmSlot, Stmt};
-use swatop_repro::sw26010::dma::{bus_bytes, bus_bytes_sum};
+use swatop_repro::ir::{
+    AVar, AffineExpr, Cond, DmaCpe, GemmOp, MatDesc, MemRole, Program, SpmSlot, Stmt,
+};
+use swatop_repro::sw26010::dma::{bus_bytes, bus_bytes_sum, StartClasses};
 use swatop_repro::sw26010::regcomm::{panel_rotation_overhead, BcastBus};
 use swatop_repro::sw26010::{
-    cid, rid, CoreGroup, Counters, Cycles, DmaDirection, ExecMode, MachineConfig, MachineError,
-    MESH, N_CPE,
+    cid, rid, CoreGroup, Counters, Cycles, DmaDirection, ExecMode, FaultPlan, MachineConfig,
+    MachineError, ReplyWord, MESH, N_CPE,
 };
 use swatop_repro::swatop::codegen::plan;
 use swatop_repro::swatop::interp::{execute, instantiate};
 use swatop_repro::swatop::model::{calibration_shapes, fit, GemmModel};
-use swatop_repro::swatop::scheduler::Scheduler;
+use swatop_repro::swatop::ops::{ExplicitConvOp, ImplicitConvOp, MatmulOp, WinogradConvOp};
+use swatop_repro::swatop::scheduler::{Operator, Scheduler};
 use swatop_repro::swkernels::cost::{block_cache_len, cache_stats, gemm_cycles};
 use swatop_repro::swkernels::microkernel::{block_cycles, RegBlock};
 use swatop_repro::swkernels::{VecDim, ALL_VARIANTS};
 use swatop_repro::swtensor::init::XorShift;
+use swatop_repro::swtensor::{ConvShape, MatLayout};
 
 mod common;
 use common::every_op;
@@ -142,6 +150,80 @@ fn mesh_bus_bytes_equal_per_address_sums() {
     assert!(multi_block > 1000, "only {multi_block} cases with transaction-unaligned strides");
 }
 
+/// What the cost-only interpreter keeps per static `DMA_CPE` node: classes
+/// built once from the mesh coefficients, evaluated at whatever residue the
+/// first start lands on.
+#[test]
+fn node_bus_bytes_depend_on_the_first_start_residue_alone() {
+    let mut rng = XorShift::new(15);
+    let mut pick = |lo: i64, hi: i64| lo + (rng.next_u64() % (hi - lo + 1) as u64) as i64;
+    let (mut negative, mut unaligned, mut many_classes) = (0, 0, 0);
+    for case in 0..4000 {
+        let txn = [128, 64, 96, 128, 256, 512][case % 6];
+        let (c_r, c_c) = match case % 5 {
+            0 => (32 * pick(-40, 40), 32 * pick(-8, 8)), // every start on one residue
+            1 => (pick(-2000, 2000), pick(-64, 64)),
+            2 => (0, pick(-9, 9)),
+            3 => (pick(-9, 9), 0),
+            _ => (pick(-300, 300), pick(1, 31)),
+        };
+        negative += usize::from(c_r < 0 || c_c < 0);
+        unaligned += usize::from(c_r % 32 != 0 || c_c % 32 != 0);
+        let block = pick(1, 70) as usize;
+        let n_blocks = if case % 3 == 0 { 1 } else { pick(2, 12) as usize };
+        let stride = block + if case % 7 == 0 { 0 } else { pick(0, 200) as usize };
+        // 64 CPEs, the 8 row leaders, or the 8 column leaders.
+        let relative: Vec<i64> = match case % 4 {
+            0 | 1 => (0..N_CPE).map(|cpe| c_r * rid(cpe) as i64 + c_c * cid(cpe) as i64).collect(),
+            2 => (0..MESH as i64).map(|i| c_r * i).collect(),
+            _ => (0..MESH as i64).map(|i| c_c * i).collect(),
+        };
+        let classes = StartClasses::new(relative.iter().copied(), txn);
+        let period = txn / 4;
+        // Far enough from zero for the most negative corner.
+        let origin = period as i64 * 1000;
+        let mut seen = std::collections::BTreeSet::new();
+        for rho in 0..period as i64 {
+            let first = (origin + rho) as usize;
+            assert_eq!(classes.residue(first), rho as usize);
+            let starts = || relative.iter().map(move |rel| (first as i64 + rel) as usize);
+            let each: usize = starts().map(|a| bus_bytes(a, block, stride, n_blocks, txn)).sum();
+            let at_rho = classes.bus_bytes(first, block, stride, n_blocks);
+            let summed = bus_bytes_sum(starts(), block, stride, n_blocks, txn);
+            assert!(
+                at_rho == each && summed == each,
+                "classes {at_rho}, sum {summed}, per address {each}: first {first} c_r {c_r} \
+                 c_c {c_c} block {block} stride {stride} n_blocks {n_blocks} txn {txn}"
+            );
+            seen.insert(each);
+        }
+        many_classes += usize::from(seen.len() > 1);
+    }
+    assert!(negative > 1000 && unaligned > 2000, "{negative} negative, {unaligned} unaligned");
+    assert!(many_classes > 1000, "the residue moved the price of only {many_classes} nodes");
+}
+
+/// A reply word holds what can still be waited for, and counts the rest.
+#[test]
+fn reply_words_count_what_they_no_longer_hold() {
+    let mut word = ReplyWord::new();
+    for round in 0..10_000usize {
+        for k in 0..4 {
+            word.push(Cycles((round * 4 + k) as u64));
+        }
+        assert_eq!(word.pending(), 4 + usize::from(round > 0));
+        // Leave one completion in flight across rounds.
+        let n = if round == 0 { 3 } else { 4 };
+        assert_eq!(word.wait(n).expect("issued"), Cycles((round * 4 + 2) as u64));
+        assert_eq!((word.pending(), word.issued()), (1, round * 4 + 4));
+    }
+    assert_eq!(
+        word.wait(3).expect_err("one in flight"),
+        MachineError::ReplyUnderflow { expected: 39_999 + 3, issued: 40_000 }
+    );
+    assert_eq!((word.pending(), word.wait(1).expect("the last one")), (1, Cycles(39_999)));
+}
+
 fn run(
     cfg: &MachineConfig,
     mode: ExecMode,
@@ -257,5 +339,247 @@ fn out_of_range_offsets_report_the_first_failing_cpe() {
         let exe = plan(one_dma(offset, 16, None), &cfg).expect("plans");
         let fast = run(&cfg, ExecMode::CostOnly, &exe).expect("in range");
         assert_eq!(fast, run(&cfg, ExecMode::Functional, &exe).expect("in range"));
+    }
+}
+
+/// A program whose static nodes meet many dynamic contexts: inside a 5 × 4
+/// loop nest one strided per-CPE `DMA_CPE` node starts on a different
+/// address residue every iteration and lands in either parity of a double
+/// buffer; a row-leader and a column-leader broadcast chain onto it (fused);
+/// one `Gemm` node reads both parities of both operands; two sibling put
+/// nodes sit under a guard.
+fn residue_walk() -> Program {
+    let mut p = Program::new("residue_walk");
+    p.mem_buf("before", 41, MemRole::Input);
+    let src = p.mem_buf("src", 4096, MemRole::Input);
+    let dst = p.mem_buf("dst", 4096, MemRole::Output);
+    let (i, j) = (p.fresh_var("i"), p.fresh_var("j"));
+    // Operands sit high in the SPM, where injected capacity pressure bites.
+    p.spm_buf("resident", 12_000);
+    let double = |p: &mut Program, name: &str, len, sel: AffineExpr| SpmSlot::Double {
+        even: p.spm_buf(format!("{name}0"), len),
+        odd: p.spm_buf(format!("{name}1"), len),
+        sel,
+    };
+    let (vi, vj) = (AffineExpr::loop_var(i), AffineExpr::loop_var(j));
+    let a = double(&mut p, "a", 8, vi.add(&vj));
+    let b = double(&mut p, "b", 8, vi.clone());
+    let c = SpmSlot::Single(p.spm_buf("c", 16));
+    let reply = p.fresh_reply();
+    let mesh = |e: AffineExpr, c_r: i64, c_c: i64| e.add_term(AVar::Rid, c_r).add_term(AVar::Cid, c_c);
+    let dma = |buf, offset, block, stride, n_blocks, direction, spm: &SpmSlot, bcast, fused| {
+        Stmt::DmaCpe(DmaCpe {
+            buf,
+            offset,
+            block,
+            stride,
+            n_blocks,
+            direction,
+            spm: spm.clone(),
+            reply,
+            bcast,
+            fused,
+        })
+    };
+    use DmaDirection::{MemToSpm, SpmToMem};
+    let put = |k: i64| {
+        let off = mesh(vi.scale(13).add(&vj).add_const(k), 170, 4);
+        dma(dst, off, 4, 40, 4, SpmToMem, &c, None, false)
+    };
+    let gemm = Stmt::Gemm(GemmOp {
+        m: 32,
+        n: 32,
+        k: 16,
+        alpha: 1.0,
+        beta: 1.0,
+        a: MatDesc::new(a.clone(), MatLayout::RowMajor, 2),
+        b: MatDesc::new(b.clone(), MatLayout::RowMajor, 4),
+        c: MatDesc::new(c.clone(), MatLayout::RowMajor, 4),
+        vd: VecDim::M,
+    });
+    let body = Stmt::seq(vec![
+        // CPE (0, 0) starts at 37·i + 5·j + 21 (`cid` walks downwards).
+        dma(
+            src,
+            mesh(vi.scale(37).add(&vj.scale(5)).add_const(21), 160, -3),
+            2,
+            19,
+            4,
+            MemToSpm,
+            &a,
+            None,
+            false,
+        ),
+        dma(
+            src,
+            mesh(vi.scale(11).add_const(3), 100, 4),
+            4,
+            45,
+            2,
+            MemToSpm,
+            &b,
+            Some(BcastBus::Row),
+            true,
+        ),
+        dma(
+            src,
+            mesh(vj.scale(7), 16, 130),
+            16,
+            16,
+            1,
+            MemToSpm,
+            &c,
+            Some(BcastBus::Column),
+            true,
+        ),
+        Stmt::DmaWait { reply, times: 3 },
+        gemm,
+        Stmt::if_else(Cond::lt_const(vj.clone(), 2), put(0), put(9)),
+        Stmt::DmaWait { reply, times: 1 },
+    ]);
+    p.set_body(Stmt::for_(i, 5, Stmt::for_(j, 4, body)));
+    p
+}
+
+#[test]
+fn one_node_many_contexts_cost_only_equals_functional() {
+    let cfg = MachineConfig::default();
+    let exe = plan(residue_walk(), &cfg).expect("plans");
+    let fast = run(&cfg, ExecMode::CostOnly, &exe).expect("cost-only run");
+    let oracle = run(&cfg, ExecMode::Functional, &exe).expect("functional run");
+    assert_eq!(fast, oracle);
+    // Anti-vacuity: the strided get met at least 8 first-start residues, the
+    // chained nodes opened no batch of their own, and every batch wasted bus.
+    let base = {
+        let mut cg = CoreGroup::new(cfg.clone(), ExecMode::CostOnly);
+        let binding = instantiate(&mut cg, &exe);
+        cg.mem.base(binding.bufs[1])
+    };
+    let per_txn = cfg.dram_transaction_bytes / 4;
+    let residues: std::collections::BTreeSet<usize> = (0..5)
+        .flat_map(|i| (0..4).map(move |j| (base + 37 * i + 5 * j + 21) % per_txn))
+        .collect();
+    assert!(residues.len() >= 8, "{} residues", residues.len());
+    let c = fast.1;
+    assert_eq!((c.dma_batches, c.dma_bcast_batches, c.kernel_calls), (40, 40, 20));
+    assert!(c.dma_bus_bytes > c.dma_payload_bytes);
+}
+
+/// One line per `(run, attempt)`: what the tuner would observe — jittered
+/// cycles, or the error — and how many bus bytes the run had moved by then.
+fn faulted_runs(cfg: &MachineConfig, exe: &swatop_repro::swatop::codegen::Executable) -> Vec<String> {
+    (0..16u64)
+        .map(|n| {
+            let mut cg = CoreGroup::new(cfg.clone(), ExecMode::CostOnly);
+            cg.arm_faults(n * 7 + 1, (n % 3) as u32);
+            let binding = instantiate(&mut cg, exe);
+            let seen = execute(&mut cg, exe, &binding).map(|cycles| cg.observed(cycles).get());
+            format!("{seen:?} after {} bus bytes", cg.counters.dma_bus_bytes)
+        })
+        .collect()
+}
+
+#[test]
+fn cost_only_results_under_a_fault_plan_equal_the_recorded_ones() {
+    let _turn = KERNEL_COST.lock().unwrap_or_else(|e| e.into_inner());
+    let cfg = MachineConfig {
+        fault: Some(FaultPlan {
+            seed: 0x5EED_0015,
+            dma_fail_ppm: 4_000,
+            spm_pressure_ppm: 400_000,
+            spm_steal_max_permille: 999,
+            jitter_permille: 20,
+            wedge_run: None,
+            wedge_ms: 0,
+        }),
+        ..MachineConfig::default()
+    };
+    let sched = Scheduler::new(cfg.clone());
+    let mut programs = vec![("residue_walk".to_string(), plan(residue_walk(), &cfg).expect("plans"))];
+    for op in every_op() {
+        let cands = sched.enumerate(op.as_ref());
+        let cand = &cands[cands.len() / 3];
+        programs.push((op.name(), cand.exe.clone()));
+    }
+    let got: Vec<String> = programs
+        .iter()
+        .flat_map(|(name, exe)| {
+            faulted_runs(&cfg, exe).into_iter().map(move |line| format!("{name}: {line}"))
+        })
+        .collect();
+    let golden = include_str!("golden/faulted_cost_only_runs.txt");
+    let want: Vec<&str> = golden.lines().collect();
+    if got != want {
+        println!("{}", got.join("\n"));
+    }
+    assert_eq!(got.len(), 16 * 9);
+    assert!(got == want, "cost-only results under faults moved (recorded: tests/golden/)");
+    // Anti-vacuity: clean runs, dropped batches and squeezed SPMs all occur.
+    for needle in ["Ok(", "DmaFault", "SpmOverflow"] {
+        assert!(got.iter().any(|l| l.contains(needle)), "no {needle} among the recorded runs");
+    }
+}
+
+/// What `whole_space_sums_are_pinned` sums over every candidate of a space:
+/// the cycles of its cost-only execution and six of the counters it feeds.
+const SPACE_SUMS: [&str; 7] = [
+    "cycles",
+    "dma_bus_bytes",
+    "dma_stall_cycles",
+    "issue_p0",
+    "dma_batches",
+    "dma_waits",
+    "kernel_calls",
+];
+
+/// The brute-force spaces of the benchmark's `exhaustive_ref` workload,
+/// summed candidate by candidate. Release-only (≈ 0.6 s; minutes in debug):
+/// `cargo test --release --test evaluator_equiv -- --ignored`.
+#[test]
+#[ignore = "whole spaces: run in release"]
+fn whole_space_sums_are_pinned() {
+    let _turn = KERNEL_COST.lock().unwrap_or_else(|e| e.into_inner());
+    let cfg = MachineConfig::default();
+    let sched = Scheduler::new(cfg.clone());
+    let conv = ConvShape::square(8, 32, 32, 16);
+    let spaces: [(Box<dyn Operator>, [u64; 7]); 4] = [
+        (
+            Box::new(ImplicitConvOp::new(conv)),
+            [4_540_615_232, 43_364_384_768, 3_485_377_280, 84_934_656, 1_572_864, 958_144, 1_032_192],
+        ),
+        (
+            Box::new(WinogradConvOp::new(conv)),
+            [1_852_504_559, 13_748_666_368, 1_329_753_967, 31_457_280, 888_832, 602_656, 444_416],
+        ),
+        (
+            Box::new(ExplicitConvOp::new(conv)),
+            [4_514_746_112, 35_813_851_136, 2_817_318_336, 165_150_720, 1_039_616, 745_984, 587_264],
+        ),
+        (
+            Box::new(MatmulOp::new(64, 64, 64)),
+            [133_869_256, 1_044_119_552, 102_827_976, 3_145_728, 52_032, 41_280, 25_920],
+        ),
+    ];
+    for (op, want) in spaces {
+        let mut got = [0u64; 7];
+        for cand in &sched.enumerate(op.as_ref()) {
+            let mut cg = CoreGroup::new(cfg.clone(), ExecMode::CostOnly);
+            let binding = instantiate(&mut cg, &cand.exe);
+            let cycles = execute(&mut cg, &cand.exe, &binding).expect("candidate runs").get();
+            let c = cg.counters;
+            let run = [
+                cycles,
+                c.dma_bus_bytes,
+                c.dma_stall_cycles,
+                c.issue_p0,
+                c.dma_batches,
+                c.dma_waits,
+                c.kernel_calls,
+            ];
+            for (sum, x) in got.iter_mut().zip(run) {
+                *sum += x;
+            }
+        }
+        assert_eq!(got, want, "{}: {SPACE_SUMS:?}", op.name());
     }
 }
