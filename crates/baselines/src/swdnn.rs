@@ -60,6 +60,7 @@ pub fn swdnn_implicit_conv(cfg: &MachineConfig, shape: &ConvShape) -> Option<Cyc
 mod tests {
     use super::*;
     use swatop::scheduler::Scheduler;
+    use swatop::tuner::{tune, TierPolicy, TuneOptions};
 
     #[test]
     fn no_batch1_support() {
@@ -94,7 +95,8 @@ mod tests {
         let swdnn = swdnn_implicit_conv(&cfg, &shape).unwrap();
         let op = ImplicitConvOp::new(shape);
         let cands = Scheduler::new(cfg.clone()).enumerate(&op);
-        let best = swatop::tuner::blackbox_tune(&cfg, &cands).unwrap();
+        let opts = TuneOptions { tiers: TierPolicy::exhaustive(), ..TuneOptions::default() };
+        let best = tune(&cfg, &cands, &opts, None).unwrap();
         assert!(best.cycles <= swdnn, "blackbox {} > swdnn {swdnn}", best.cycles);
     }
 }

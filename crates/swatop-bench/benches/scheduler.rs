@@ -8,7 +8,7 @@ use swatop::model::{estimate_program, GemmModel};
 use swatop::ops::{ImplicitConvOp, MatmulOp};
 use swatop::optimizer::optimize;
 use swatop::scheduler::{Operator, Scheduler};
-use swatop::tuner::model_rank_jobs;
+use swatop::tuner::model_rank;
 use swtensor::ConvShape;
 
 fn bench_enumerate(c: &mut Criterion) {
@@ -45,7 +45,7 @@ fn bench_gemm_256_candidates(c: &mut Criterion) {
     });
     let cands = sched.enumerate(&op);
     c.bench_function("screen_gemm_256", |b| {
-        b.iter(|| std::hint::black_box(model_rank_jobs(&cfg, &cands, 1).len()))
+        b.iter(|| std::hint::black_box(model_rank(&cfg, &cands, 1).len()))
     });
     let raw = &cands[cands.len() / 2].raw;
     let mut g = c.benchmark_group("program_clone_vs_deep");

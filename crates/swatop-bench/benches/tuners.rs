@@ -1,12 +1,12 @@
-//! Criterion benches comparing the two autotuners end to end on one
-//! operator — the microcosm of Table 3.
+//! Criterion benches comparing the model's top-3 with brute force end to
+//! end on one operator — the microcosm of Table 3.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use sw26010::MachineConfig;
 use swatop::model::GemmModel;
 use swatop::ops::ImplicitConvOp;
 use swatop::scheduler::Scheduler;
-use swatop::tuner::{blackbox_tune, blackbox_tune_jobs, model_tune, run_candidate};
+use swatop::tuner::{run_candidate, tune, TierPolicy, TuneOptions};
 use swtensor::ConvShape;
 
 fn bench_tuners(c: &mut Criterion) {
@@ -22,16 +22,18 @@ fn bench_tuners(c: &mut Criterion) {
 
     let mut g = c.benchmark_group("autotuners");
     g.sample_size(10);
-    g.bench_function("model_tune", |b| {
-        b.iter(|| std::hint::black_box(model_tune(&cfg, &cands).unwrap().cycles))
+    let top3 = TuneOptions { tiers: TierPolicy::top_k(3), ..TuneOptions::default() };
+    g.bench_function("tune_top3", |b| {
+        b.iter(|| std::hint::black_box(tune(&cfg, &cands, &top3, None).unwrap().cycles))
     });
-    g.bench_function("blackbox_tune", |b| {
-        b.iter(|| std::hint::black_box(blackbox_tune(&cfg, &cands).unwrap().cycles))
+    let exhaustive = TuneOptions { tiers: TierPolicy::exhaustive(), ..TuneOptions::default() };
+    g.bench_function("tune_exhaustive", |b| {
+        b.iter(|| std::hint::black_box(tune(&cfg, &cands, &exhaustive, None).unwrap().cycles))
     });
     g.finish();
 }
 
-/// Parallel scaling of the black-box tuner at 1/2/4 workers on a larger
+/// Parallel scaling of the exhaustive sweep at 1/2/4 workers on a larger
 /// space (the tentpole's speedup claim; the results are identical across
 /// job counts, only wall-clock should change). On a single-core host the
 /// three times should be within noise of each other — the engine must not
@@ -49,10 +51,9 @@ fn bench_tuner_scaling(c: &mut Criterion) {
     let mut g = c.benchmark_group("tuner-scaling");
     g.sample_size(10);
     for jobs in [1usize, 2, 4] {
-        g.bench_function(format!("blackbox_jobs_{jobs}"), |b| {
-            b.iter(|| {
-                std::hint::black_box(blackbox_tune_jobs(&cfg, &cands, jobs).unwrap().cycles)
-            })
+        let opts = TuneOptions { jobs, tiers: TierPolicy::exhaustive(), ..TuneOptions::default() };
+        g.bench_function(format!("exhaustive_jobs_{jobs}"), |b| {
+            b.iter(|| std::hint::black_box(tune(&cfg, &cands, &opts, None).unwrap().cycles))
         });
     }
     g.finish();

@@ -9,7 +9,7 @@
 use swatop::ops::ImplicitConvOp;
 use swatop::scheduler::Scheduler;
 use swatop::tuner::search::{greedy_search, random_search};
-use swatop::tuner::{blackbox_tune_jobs, model_tune_topk_jobs};
+use swatop::tuner::{tune, TierPolicy, TuneOptions};
 use swatop_bench::experiments::Opts;
 use swatop_bench::report::{mean, Table};
 use workloads::conv_sweep;
@@ -19,6 +19,7 @@ fn main() {
     let cfg = opts.machine();
     println!("swATOP reproduction — tuner ablation (opts: {opts:?})\n");
     let sweep = opts.sample(conv_sweep(32, opts.blackbox_cap()), 3, 8);
+    let with = |tiers| TuneOptions { jobs: opts.jobs, tiers, ..TuneOptions::default() };
 
     let mut t = Table::new(
         "Tuner ablation — quality (vs brute-force best) and executed candidates",
@@ -41,16 +42,16 @@ fn main() {
         if cands.is_empty() {
             continue;
         }
-        let Some(bb) = blackbox_tune_jobs(&cfg, &cands, opts.jobs) else { continue };
+        let Ok(bb) = tune(&cfg, &cands, &with(TierPolicy::exhaustive()), None) else { continue };
         let budget = (cands.len() / 10).max(4);
         // The sampling searches stay serial: each step depends on the
         // previous measurement, so they are the one tuner family that does
         // not parallelise.
         let outcomes = [
-            model_tune_topk_jobs(&cfg, &cands, 1, opts.jobs),
-            model_tune_topk_jobs(&cfg, &cands, 3, opts.jobs),
-            random_search(&cfg, &cands, budget, 42).ok(),
-            greedy_search(&cfg, &cands, budget, 42).ok(),
+            tune(&cfg, &cands, &with(TierPolicy::top_k(1)), None).ok(),
+            tune(&cfg, &cands, &with(TierPolicy::top_k(3)), None).ok(),
+            random_search(&cfg, &cands, budget, 42, &TuneOptions::default()).ok(),
+            greedy_search(&cfg, &cands, budget, 42, &TuneOptions::default()).ok(),
             Some(bb.clone()),
         ];
         for ((_, quality, executed), outcome) in rows.iter_mut().zip(outcomes) {

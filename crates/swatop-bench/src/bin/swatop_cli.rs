@@ -36,17 +36,15 @@ use swatop::ops::{
     ConvBackwardDataOp, ConvBackwardFilterOp, ExplicitConvOp, ImplicitConvOp, MatmulOp,
     WinogradConvOp,
 };
-use swatop::scheduler::{Candidate, Operator, Scheduler};
+use swatop::scheduler::{Operator, Scheduler};
 use swatop::telemetry::bus::{Event, EventBus, Subscriber};
 use swatop::telemetry::metrics::{MetricsHub, MetricsServer};
-use swatop::telemetry::{SpanKind, Telemetry};
+use swatop::telemetry::Telemetry;
 use swatop::tuner::pool::{MonitorConfig, PoolMonitor};
-use swatop::tuner::{
-    blackbox_tune_validated, model_tune, model_tune_topk_validated, pool, tiered_tune_validated,
-    CheckpointPolicy, TierMode, TierPolicy, TuneOptions, TuneOutcome, WinnerValidator,
-};
+use swatop::tuner::{pool, tune, CheckpointPolicy, TierMode, TierPolicy, TuneOptions};
 use swatop_bench::flight::{flight_html, LiveFlight};
 use swatop_bench::journal::Journal;
+use swatop_bench::runner::{tune_op, TunedOp};
 use swtensor::ConvShape;
 
 fn usage() -> ! {
@@ -153,11 +151,31 @@ fn parse_args(args: &[String]) -> Args {
     Args { positional, flags }
 }
 
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Tuner {
-    Model,
-    Blackbox,
-    Tiered,
+/// `--tiers` / `--tier0-k`: the ladder `--tuner tiered` and the bench sweep
+/// run.
+fn ladder_policy(a: &Args) -> TierPolicy {
+    let mut tiers = TierPolicy::default();
+    if let Some(mode) = a.flags.get("tiers") {
+        tiers.mode = TierMode::parse(mode).unwrap_or_else(|| usage());
+    }
+    if let Some(k) = a.flags.get("tier0-k") {
+        tiers.base_k = k.parse().unwrap_or_else(|_| usage());
+    }
+    tiers
+}
+
+/// What `--tuner` asks [`tune`] to measure: `model` only the analytic
+/// model's top 3, `blackbox` the whole space, `tiered` the `--tiers` ladder
+/// — so `--tuner blackbox` and `--tuner tiered --tiers full` are one policy.
+fn tuner_policy(a: &Args) -> TierPolicy {
+    // Parsed under every `--tuner`, so a bad ladder flag is always an error.
+    let ladder = ladder_policy(a);
+    match a.flags.get("tuner").map(String::as_str).unwrap_or("model") {
+        "model" => TierPolicy::top_k(3),
+        "blackbox" => TierPolicy::exhaustive(),
+        "tiered" => ladder,
+        _ => usage(),
+    }
 }
 
 /// Human progress line for one lifecycle event, or `None` for per-candidate
@@ -325,112 +343,26 @@ impl Observability {
     }
 }
 
-/// Everything the tuning call needs beyond the operator itself.
-struct Setup {
-    jobs: usize,
-    tuner: Tuner,
-    checkpoint: Option<PathBuf>,
-    resume: bool,
-    /// Recorder shared by every tuned operator; `None` when neither
-    /// `--telemetry`, `--trace-timeline` nor `--verbose` was given, which
-    /// keeps the tuning hot path entirely uninstrumented.
-    telemetry: Option<Telemetry>,
-    /// Validate winning schedules (`--validate` / `--strict-validate`) with
-    /// quarantine-and-fallback.
-    validate: bool,
-    /// Tier ladder policy (`--tiers`, `--tier0-k`); used by the tiered
-    /// tuner and the bench sweep.
-    tiers: TierPolicy,
-    /// Live event bus (`None` under `--quiet` with no metrics/flight
-    /// consumers).
-    bus: Option<EventBus>,
-    /// Worker heartbeat/stall monitor riding along with the bus.
-    monitor: Option<Arc<PoolMonitor>>,
-}
-
-impl Setup {
-    /// Tune options for operator number `slot` of `n_ops`: when the `auto`
-    /// method races several operators, each gets its own checkpoint file
-    /// (suffix `.opN`) so their sweeps don't clobber one another.
-    fn options(&self, slot: usize, n_ops: usize) -> TuneOptions {
-        let mut opts = TuneOptions::with_jobs(self.jobs);
-        if let Some(path) = &self.checkpoint {
-            let path = if n_ops > 1 {
-                PathBuf::from(format!("{}.op{slot}", path.display()))
-            } else {
-                path.clone()
-            };
-            let mut cp = CheckpointPolicy::new(path);
-            cp.resume = self.resume;
-            opts.checkpoint = Some(cp);
-        }
-        opts.tiers = self.tiers.clone();
-        opts.bus = self.bus.clone();
-        opts.monitor = self.monitor.clone();
-        opts
+/// Tune options for operator number `slot` of `n_ops`: when the `auto`
+/// method races several operators, each gets its own checkpoint file
+/// (suffix `.opN`) so their sweeps don't clobber one another.
+fn slot_options(base: &TuneOptions, slot: usize, n_ops: usize) -> TuneOptions {
+    let mut opts = base.clone();
+    if let Some(cp) = opts.checkpoint.as_mut().filter(|_| n_ops > 1) {
+        cp.path = PathBuf::from(format!("{}.op{slot}", cp.path.display()));
     }
-}
-
-fn tune(
-    cfg: &MachineConfig,
-    op: &dyn Operator,
-    setup: &Setup,
-    slot: usize,
-    n_ops: usize,
-) -> Option<(Candidate, TuneOutcome)> {
-    let cands = Scheduler::new(cfg.clone()).enumerate(op);
-    let mut opts = setup.options(slot, n_ops);
-    let name = op.name();
-    if let Some(m) = &setup.monitor {
-        m.set_context(&name);
-    }
-    if let Some(bus) = &setup.bus {
-        bus.emit_with(|| Event::OperatorStart { label: name.clone(), candidates: cands.len() });
-    }
-    // Each operator tunes under its own span; the engine's candidate spans
-    // nest beneath it.
-    let span = setup.telemetry.as_ref().map(|t| {
-        let id = t.open(SpanKind::Operator, op.name());
-        opts.telemetry = Some(t.child_of(id));
-        (t, id)
-    });
-    let validator = |_: usize, c: &Candidate| swatop::ops::validate_candidate(cfg, op, c);
-    let v = setup.validate.then_some(&validator as &WinnerValidator);
-    let outcome = match setup.tuner {
-        Tuner::Model => model_tune_topk_validated(cfg, &cands, 3, &opts, v),
-        Tuner::Blackbox => blackbox_tune_validated(cfg, &cands, &opts, v),
-        Tuner::Tiered => tiered_tune_validated(cfg, &cands, &opts, v),
-    };
-    if let Some((t, id)) = span {
-        t.close(id);
-    }
-    if let Some(bus) = &setup.bus {
-        bus.emit_with(|| Event::OperatorEnd {
-            label: name.clone(),
-            best_cycles: outcome.as_ref().map(|o| o.cycles.get()),
-            executed: outcome.as_ref().map_or(0, |o| o.executed),
-            quarantined: outcome.as_ref().map_or(0, |o| o.quarantined),
-        });
-    }
-    let outcome = outcome?;
-    Some((cands[outcome.best].clone(), outcome))
+    opts
 }
 
 /// Machine-readable result: one JSON object combining the tuning result
 /// summary (winner, cycles, roofline position) with the full telemetry
 /// snapshot (which is itself produced by the snapshot exporter).
-fn json_report(
-    cfg: &MachineConfig,
-    name: &str,
-    flops: u64,
-    winner: &Candidate,
-    outcome: &TuneOutcome,
-    tel: &swatop::telemetry::Telemetry,
-) -> String {
+fn json_report(cfg: &MachineConfig, name: &str, tuned: &TunedOp, tel: &Telemetry) -> String {
     use sw26010::json::{escape_json, fmt_f64};
+    let TunedOp { flops, winner, outcome, .. } = tuned;
     let peaks = swatop::observatory::Peaks::of(cfg);
     let cycles = outcome.cycles.get();
-    let gflops = sw26010::clock::gflops(flops, sw26010::Cycles(cycles), cfg.clock_ghz);
+    let gflops = sw26010::clock::gflops(*flops, sw26010::Cycles(cycles), cfg.clock_ghz);
     let mix = outcome.telemetry.as_ref().map(|t| t.mix).unwrap_or_default();
     format!(
         "{{\"operator\":\"{}\",\"schedule\":\"{}\",\"cycles\":{},\"gflops\":{},\
@@ -456,18 +388,18 @@ fn json_report(
 fn report(
     cfg: &MachineConfig,
     name: &str,
-    flops: u64,
-    winner: &Candidate,
-    outcome: &TuneOutcome,
+    tuned: &TunedOp,
     a: &Args,
     tel: Option<&Telemetry>,
 ) -> Vec<String> {
+    let TunedOp { flops, winner, outcome, .. } = tuned;
+    let flops = *flops;
     let mut truncated = Vec::new();
     let json_mode = a.flags.contains_key("json");
     let cycles = outcome.cycles.get();
     if json_mode {
         let tel = tel.expect("--json instruments telemetry");
-        println!("{}", json_report(cfg, name, flops, winner, outcome, tel));
+        println!("{}", json_report(cfg, name, tuned, tel));
     } else {
         println!("operator : {name}");
         println!("schedule : {}", winner.describe);
@@ -624,8 +556,15 @@ fn run_profile(argv: &[String]) {
         })
     };
     let a_idx = select("candidate", "select").unwrap_or_else(|| {
-        // Default: profile what you'd ship — the model tuner's winner.
-        model_tune(&cfg, &cands).expect("tuning failed").best
+        // Default: profile what you'd ship — the winner of the model's top 3.
+        let opts = TuneOptions { tiers: TierPolicy::top_k(3), ..TuneOptions::default() };
+        match tune(&cfg, &cands, &opts, None) {
+            Ok(outcome) => outcome.best,
+            Err(e) => {
+                eprintln!("swatop_cli: {e}");
+                std::process::exit(1);
+            }
+        }
     });
     let profile = |i: usize| -> CandidateProfile {
         profile_candidate(&cfg, &name, i, &cands[i]).expect("profile run")
@@ -731,35 +670,27 @@ fn main() {
     let jobs = pool::resolve_jobs(
         a.flags.get("jobs").map(|v| v.parse().unwrap_or_else(|_| usage())),
     );
-    let tuner = match a.flags.get("tuner").map(String::as_str).unwrap_or("model") {
-        "model" => Tuner::Model,
-        "blackbox" => Tuner::Blackbox,
-        "tiered" => Tuner::Tiered,
-        _ => usage(),
-    };
-    let mut tiers = TierPolicy::default();
-    if let Some(mode) = a.flags.get("tiers") {
-        tiers.mode = TierMode::parse(mode).unwrap_or_else(|| usage());
-    }
-    if let Some(k) = a.flags.get("tier0-k") {
-        tiers.base_k = k.parse().unwrap_or_else(|_| usage());
-    }
     let resume = a.flags.get("resume").map(PathBuf::from);
     let instrument = ["telemetry", "trace-timeline", "verbose", "json", "corpus"]
         .iter()
         .any(|f| a.flags.contains_key(*f));
     let strict_validate = a.flags.contains_key("strict-validate");
     let obs = Observability::from_args(&a);
-    let setup = Setup {
+    // Validate winning schedules, with quarantine-and-fallback.
+    let validate = a.flags.contains_key("validate") || strict_validate;
+    let resuming = resume.is_some();
+    let checkpoint = resume.or_else(|| a.flags.get("checkpoint").map(PathBuf::from));
+    let base = TuneOptions {
         jobs,
-        tuner,
-        resume: resume.is_some(),
-        checkpoint: resume.or_else(|| a.flags.get("checkpoint").map(PathBuf::from)),
+        checkpoint: checkpoint
+            .map(|path| CheckpointPolicy { resume: resuming, ..CheckpointPolicy::new(path) }),
+        // One recorder shared by every tuned operator; without an
+        // instrumenting flag the tuning hot path stays uninstrumented.
         telemetry: instrument.then(Telemetry::new),
-        validate: a.flags.contains_key("validate") || strict_validate,
-        tiers,
+        tiers: tuner_policy(&a),
         bus: obs.bus.clone(),
         monitor: obs.monitor.clone(),
+        ..TuneOptions::default()
     };
     let mut quarantined = 0usize;
     let mut truncated: Vec<String> = Vec::new();
@@ -774,9 +705,9 @@ fn main() {
                 smoke: a.flags.contains_key("smoke"),
                 handicap: num("handicap", 1),
                 faults: cfg.fault.map(|p| p.seed),
-                validate: setup.validate,
+                validate,
                 corpus: a.flags.get("corpus").map(PathBuf::from),
-                tiers: setup.tiers.clone(),
+                tiers: ladder_policy(&a),
                 bus: obs.bus.clone(),
                 monitor: obs.monitor.clone(),
             };
@@ -815,17 +746,10 @@ fn main() {
         "gemm" => {
             let [m, n, k] = a.positional[..] else { usage() };
             let op = MatmulOp::new(m, n, k);
-            let (winner, outcome) = tune(&cfg, &op, &setup, 0, 1).expect("no valid schedule");
-            quarantined += outcome.quarantined;
-            truncated.extend(report(
-                &cfg,
-                &op.name(),
-                op.flops(),
-                &winner,
-                &outcome,
-                &a,
-                setup.telemetry.as_ref(),
-            ));
+            let name = op.name();
+            let t = tune_op(&cfg, &op, &name, &base, validate).expect("no valid schedule");
+            quarantined += t.outcome.quarantined;
+            truncated.extend(report(&cfg, &name, &t, &a, base.telemetry.as_ref()));
         }
         "conv" | "bwd-data" | "bwd-filter" => {
             let [b, ni, no, ro] = a.positional[..] else { usage() };
@@ -858,30 +782,23 @@ fn main() {
                     _ => usage(),
                 },
             };
-            let mut best: Option<(String, u64, Candidate, TuneOutcome)> = None;
+            let mut best: Option<(String, TunedOp)> = None;
             for (slot, op) in ops.iter().enumerate() {
-                if let Some((winner, outcome)) = tune(&cfg, op.as_ref(), &setup, slot, ops.len()) {
-                    quarantined += outcome.quarantined;
-                    if best.as_ref().is_none_or(|(_, _, _, o)| outcome.cycles < o.cycles) {
-                        best = Some((op.name(), op.flops(), winner, outcome));
+                let name = op.name();
+                let opts = slot_options(&base, slot, ops.len());
+                if let Some(t) = tune_op(&cfg, op.as_ref(), &name, &opts, validate) {
+                    quarantined += t.outcome.quarantined;
+                    if best.as_ref().is_none_or(|(_, b)| t.cycles < b.cycles) {
+                        best = Some((name, t));
                     }
                 }
             }
-            let (name, flops, winner, outcome) =
-                best.expect("no applicable method for this shape");
-            truncated.extend(report(
-                &cfg,
-                &name,
-                flops,
-                &winner,
-                &outcome,
-                &a,
-                setup.telemetry.as_ref(),
-            ));
+            let (name, t) = best.expect("no applicable method for this shape");
+            truncated.extend(report(&cfg, &name, &t, &a, base.telemetry.as_ref()));
         }
         _ => usage(),
     }
-    if let Some(tel) = &setup.telemetry {
+    if let Some(tel) = &base.telemetry {
         let json_mode = a.flags.contains_key("json");
         let peaks = swatop::observatory::Peaks::of(&cfg);
         if let Some(path) = a.flags.get("telemetry") {

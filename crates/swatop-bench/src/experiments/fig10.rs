@@ -10,7 +10,7 @@ use workloads::conv_sweep;
 
 use swatop::ops::ImplicitConvOp;
 use swatop::scheduler::Scheduler;
-use swatop::tuner::blackbox_tune_jobs;
+use swatop::tuner::{tune, TierPolicy, TuneOptions};
 
 use crate::report::{mean, Table};
 
@@ -18,6 +18,8 @@ use super::{machine, Opts};
 
 pub fn run(opts: &Opts) -> Vec<Table> {
     let cfg = machine();
+    let exhaustive =
+        TuneOptions { jobs: opts.jobs, tiers: TierPolicy::exhaustive(), ..TuneOptions::default() };
     let batch = 32;
     // Select 8 configurations, like the paper (3 in smoke mode), at the
     // black-box feature-map cap.
@@ -37,9 +39,9 @@ pub fn run(opts: &Opts) -> Vec<Table> {
         let with_pf = Scheduler::new(cfg.clone());
         let base_cands = no_pf.enumerate(&op);
         let pf_cands = with_pf.enumerate(&op);
-        let (Some(base), Some(pf)) = (
-            blackbox_tune_jobs(&cfg, &base_cands, opts.jobs),
-            blackbox_tune_jobs(&cfg, &pf_cands, opts.jobs),
+        let (Ok(base), Ok(pf)) = (
+            tune(&cfg, &base_cands, &exhaustive, None),
+            tune(&cfg, &pf_cands, &exhaustive, None),
         ) else {
             continue;
         };

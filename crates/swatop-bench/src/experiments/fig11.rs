@@ -12,7 +12,7 @@ use swatop::model::transform_cost;
 use swatop::ops::tiling::PadMode;
 use swatop::ops::MatmulOp;
 use swatop::scheduler::{Operator, Scheduler};
-use swatop::tuner::{model_rank_jobs, run_candidate};
+use swatop::tuner::{model_rank, run_candidate};
 use swatop_ir::{Stmt, TransformKind};
 use workloads::gemm_sweep;
 
@@ -70,7 +70,7 @@ pub fn run(opts: &Opts) -> Vec<Table> {
         // boundary and the two padding strategies coincide — a regime
         // outside Fig. 11's subject.
         let space = light_op.space();
-        let ranked = model_rank_jobs(&cfg, &cands, opts.jobs);
+        let ranked = model_rank(&cfg, &cands, opts.jobs);
         let Some(&(best_idx, _)) = ranked.iter().find(|&&(i, _)| {
             let point = space.point(cands[i].point_index);
             point.factor(&space, "t_m") * 2 <= case.m

@@ -11,7 +11,7 @@ use baselines::swdnn_implicit_conv;
 use workloads::{Network, CONV_BATCHES};
 
 use crate::report::{mean, Table};
-use crate::runner::{tune_conv_sweep_opts, ConvMethod};
+use crate::runner::{tune_conv_sweep, ConvMethod};
 
 use super::{machine, Opts};
 
@@ -40,7 +40,7 @@ pub fn run(opts: &Opts) -> Vec<Table> {
                 shapes.push(layer.shape(batch, opts.spatial_cap));
             }
         }
-        let tuned = tune_conv_sweep_opts(&cfg, ConvMethod::Implicit, &shapes, &opts.tune_options());
+        let tuned = tune_conv_sweep(&cfg, ConvMethod::Implicit, &shapes, &opts.tune_options());
         for ((name, shape), ours) in names.into_iter().zip(&shapes).zip(tuned) {
             // The paper excludes each network's first layer (Ni = 3).
             let Some(ours) = ours else {

@@ -7,6 +7,7 @@
 
 use baselines::xmath_winograd_conv;
 use swatop::ops::WinogradConvOp;
+use swatop::tuner::TuneOptions;
 use workloads::{Network, CONV_BATCHES};
 
 use crate::report::{mean, Table};
@@ -41,7 +42,8 @@ pub fn run(opts: &Opts) -> Vec<Table> {
                 shapes.push(shape);
             }
         }
-        let tuned = tune_conv_sweep(&cfg, ConvMethod::Winograd, &shapes, opts.jobs);
+        let tune_opts = TuneOptions::with_jobs(opts.jobs);
+        let tuned = tune_conv_sweep(&cfg, ConvMethod::Winograd, &shapes, &tune_opts);
         for ((name, shape), ours) in names.into_iter().zip(&shapes).zip(tuned) {
             let Some(ours) = ours else {
                 continue;

@@ -6,6 +6,7 @@
 //! large square-ish GEMMs that match xMath's fixed blocking.
 
 use baselines::xmath_explicit_conv;
+use swatop::tuner::TuneOptions;
 use workloads::{Network, CONV_BATCHES};
 
 use crate::report::{mean, Table};
@@ -37,7 +38,8 @@ pub fn run(opts: &Opts) -> Vec<Table> {
                 shapes.push(layer.shape(batch, opts.spatial_cap));
             }
         }
-        let tuned = tune_conv_sweep(&cfg, ConvMethod::Explicit, &shapes, opts.jobs);
+        let tune_opts = TuneOptions::with_jobs(opts.jobs);
+        let tuned = tune_conv_sweep(&cfg, ConvMethod::Explicit, &shapes, &tune_opts);
         for ((name, shape), ours) in names.into_iter().zip(&shapes).zip(tuned) {
             let Some(ours) = ours else {
                 continue;

@@ -6,6 +6,7 @@
 //! can exceed 100% (it does ~4/9 of the direct FLOPs); explicit CONV is
 //! the least efficient and is only used where the others don't apply.
 
+use swatop::tuner::TuneOptions;
 use workloads::{conv_sweep, CONV_BATCHES};
 
 use crate::report::{mean, Table};
@@ -24,7 +25,8 @@ pub fn run(opts: &Opts) -> Vec<Table> {
             let sweep = opts.sample(conv_sweep(batch, opts.spatial_cap), 6, 25);
             let mut gflops = Vec::new();
             let mut effs = Vec::new();
-            for ours in tune_conv_sweep(&cfg, method, &sweep, opts.jobs).into_iter().flatten() {
+            let tuned = tune_conv_sweep(&cfg, method, &sweep, &TuneOptions::with_jobs(opts.jobs));
+            for ours in tuned.into_iter().flatten() {
                 gflops.push(ours.gflops(&cfg));
                 effs.push(ours.efficiency(&cfg));
             }

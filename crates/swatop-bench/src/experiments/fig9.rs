@@ -10,7 +10,7 @@ use workloads::conv_sweep;
 
 use swatop::ops::ImplicitConvOp;
 use swatop::scheduler::Scheduler;
-use swatop::tuner::{blackbox_tune_jobs, model_tune_jobs};
+use swatop::tuner::{tune, TierPolicy, TuneOptions};
 
 use crate::report::{mean, Table};
 
@@ -18,6 +18,7 @@ use super::{machine, Opts};
 
 pub fn run(opts: &Opts) -> Vec<Table> {
     let cfg = machine();
+    let with = |tiers| TuneOptions { jobs: opts.jobs, tiers, ..TuneOptions::default() };
     let batch = 32;
     // Fig. 9 executes the whole space per configuration; sample the sweep
     // and shrink the feature maps to keep brute force affordable
@@ -38,8 +39,8 @@ pub fn run(opts: &Opts) -> Vec<Table> {
         if cands.is_empty() {
             continue;
         }
-        let Some(bb) = blackbox_tune_jobs(&cfg, &cands, opts.jobs) else { continue };
-        let Some(model) = model_tune_jobs(&cfg, &cands, opts.jobs) else { continue };
+        let Ok(bb) = tune(&cfg, &cands, &with(TierPolicy::exhaustive()), None) else { continue };
+        let Ok(model) = tune(&cfg, &cands, &with(TierPolicy::top_k(3)), None) else { continue };
         let ratio = bb.cycles.get() as f64 / model.cycles.get() as f64;
         ratios.push(ratio);
         t.row(vec![

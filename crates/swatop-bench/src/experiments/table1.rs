@@ -11,6 +11,7 @@
 
 use baselines::{swdnn_implicit_conv, xmath_explicit_conv, xmath_winograd_conv};
 use sw26010::Cycles;
+use swatop::tuner::TuneOptions;
 use workloads::{conv_sweep, CONV_BATCHES};
 
 use crate::report::{mean, Table};
@@ -83,7 +84,8 @@ pub fn run(opts: &Opts) -> Outcome {
             let sweep = opts.sample(conv_sweep(batch, opts.spatial_cap), 6, 25);
             let mut cell = Cell::default();
             let mut cases = 0usize;
-            let tuned = tune_conv_sweep(&cfg, method, &sweep, opts.jobs);
+            let tuned =
+                tune_conv_sweep(&cfg, method, &sweep, &TuneOptions::with_jobs(opts.jobs));
             for (shape, ours) in sweep.iter().zip(tuned) {
                 let Some(ours) = ours else {
                     continue;

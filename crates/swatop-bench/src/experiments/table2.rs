@@ -11,7 +11,7 @@ use baselines::xmath_gemm;
 use workloads::gemm_sweep;
 
 use crate::report::{mean, Table};
-use crate::runner::tune_gemm_sweep_opts;
+use crate::runner::tune_gemm_sweep;
 
 use super::{machine, pct, Opts};
 
@@ -25,7 +25,7 @@ pub fn run(opts: &Opts) -> Vec<Table> {
     // Tune the whole sweep once, one worker per (m, n, k); the two aligned
     // classes are then read out of the index-aligned results.
     let shapes: Vec<(usize, usize, usize)> = sweep.iter().map(|c| (c.m, c.n, c.k)).collect();
-    let tuned = tune_gemm_sweep_opts(&cfg, &shapes, &opts.tune_options());
+    let tuned = tune_gemm_sweep(&cfg, &shapes, &opts.tune_options());
     for aligned in [true, false] {
         let mut faster = 0usize;
         let mut slower = 0usize;

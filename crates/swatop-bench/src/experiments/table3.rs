@@ -13,7 +13,7 @@ use workloads::Network;
 
 use swatop::ops::ImplicitConvOp;
 use swatop::scheduler::Scheduler;
-use swatop::tuner::{blackbox_tune_jobs, model_tune_jobs};
+use swatop::tuner::{tune, TierPolicy, TuneOptions};
 
 use crate::report::Table;
 
@@ -21,6 +21,7 @@ use super::{machine, Opts};
 
 pub fn run(opts: &Opts) -> Vec<Table> {
     let cfg = machine();
+    let with = |tiers| TuneOptions { jobs: opts.jobs, tiers, ..TuneOptions::default() };
     // Tuning *time* is the subject here, so the wall-clock columns depend
     // on the worker count; the serial-equivalent columns (the sum of
     // per-candidate evaluation times) are what is comparable with a serial
@@ -67,11 +68,11 @@ pub fn run(opts: &Opts) -> Vec<Table> {
             }
             layer_count += 1;
             space_total += cands.len();
-            if let Some(bb) = blackbox_tune_jobs(&cfg, &cands, opts.jobs) {
+            if let Ok(bb) = tune(&cfg, &cands, &with(TierPolicy::exhaustive()), None) {
                 bb_total += bb.wall;
                 bb_cpu_total += bb.cpu;
             }
-            if let Some(m) = model_tune_jobs(&cfg, &cands, opts.jobs) {
+            if let Ok(m) = tune(&cfg, &cands, &with(TierPolicy::top_k(3)), None) {
                 model_total += m.wall;
             }
         }

@@ -26,7 +26,7 @@ use swatop::telemetry::bus::Event;
 use swatop::telemetry::{mape, rank_correlation, Telemetry};
 use swatop::tuner::TuneOptions;
 
-use crate::runner::{tune_conv_checked, tune_gemm_checked, ConvMethod};
+use crate::runner::{tune_conv, tune_gemm, ConvMethod};
 use swtensor::ConvShape;
 
 /// Journal file format version; bump on breaking record changes.
@@ -495,12 +495,12 @@ pub fn run_bench(opts: &BenchOpts) -> Record {
     let t0 = Instant::now();
     let mut tuned: Vec<(String, crate::runner::TunedOp)> = Vec::new();
     for (name, m, n, k) in &gemms {
-        if let Some(t) = tune_gemm_checked(&cfg, *m, *n, *k, &tune_opts, opts.validate) {
+        if let Some(t) = tune_gemm(&cfg, *m, *n, *k, &tune_opts, opts.validate) {
             tuned.push((name.clone(), t));
         }
     }
     for (name, method, shape) in &convs {
-        if let Some(t) = tune_conv_checked(&cfg, *method, shape, &tune_opts, opts.validate) {
+        if let Some(t) = tune_conv(&cfg, *method, shape, &tune_opts, opts.validate) {
             tuned.push((name.clone(), t));
         }
     }
@@ -542,7 +542,7 @@ pub fn run_bench(opts: &BenchOpts) -> Record {
             pct_peak_gflops: a.metrics.get("pct_peak_gflops").unwrap_or(0.0),
             pct_peak_dma_bw: a.metrics.get("pct_peak_dma_bw").unwrap_or(0.0),
             bottleneck: a.bottleneck,
-            schedule: t.schedule.clone(),
+            schedule: t.winner.describe.clone(),
             tuner: match opts.tiers.mode {
                 swatop::tuner::TierMode::Tiered => "tiered",
                 swatop::tuner::TierMode::FullScoreboard => "full-scoreboard",

@@ -13,6 +13,5 @@ pub mod runner;
 
 pub use report::{fmt_speedup, roofline_table, telemetry_summary, Table};
 pub use runner::{
-    tune_conv, tune_conv_jobs, tune_conv_opts, tune_conv_sweep, tune_conv_sweep_opts, tune_gemm,
-    tune_gemm_jobs, tune_gemm_opts, tune_gemm_sweep, tune_gemm_sweep_opts, ConvMethod, TunedOp,
+    tune_conv, tune_conv_sweep, tune_gemm, tune_gemm_sweep, tune_op, ConvMethod, TunedOp,
 };

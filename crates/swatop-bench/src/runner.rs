@@ -1,11 +1,12 @@
-//! Experiment plumbing: tune an operator with the model-based autotuner
-//! and report simulated performance.
+//! Experiment plumbing: tune an operator with [`swatop::tuner::tune`] under
+//! the caller's [`TuneOptions`] and report simulated performance.
 //!
 //! Two levels of parallelism are available, both deterministic:
 //!
-//! * **candidate-level** — `tune_conv_jobs`/`tune_gemm_jobs` fan the
-//!   evaluation of one operator's schedule space over tuner worker threads;
-//! * **sweep-level** — `tune_conv_sweep`/`tune_gemm_sweep` tune the many
+//! * **candidate-level** — [`tune_op`] (and [`tune_conv`] / [`tune_gemm`] on
+//!   top of it) fans the evaluation of one operator's schedule space over
+//!   `opts.jobs` tuner worker threads;
+//! * **sweep-level** — [`tune_conv_sweep`] / [`tune_gemm_sweep`] tune the many
 //!   independent shapes of a paper sweep (225 convolution configs in
 //!   Listing 1, 559 GEMM configs in Listing 2) concurrently, each shape
 //!   serially inside, which parallelises cleanly even when individual
@@ -15,7 +16,7 @@ use sw26010::{Cycles, MachineConfig};
 use swatop::scheduler::{Candidate, Operator, Scheduler};
 use swatop::telemetry::bus::Event;
 use swatop::telemetry::SpanKind;
-use swatop::tuner::{pool, tiered_tune_validated, TuneOptions, TuneOutcome};
+use swatop::tuner::{pool, tune, TuneOptions, TuneOutcome, WinnerValidator};
 use swatop::ops::{ExplicitConvOp, ImplicitConvOp, MatmulOp, WinogradConvOp};
 use swtensor::ConvShape;
 
@@ -51,8 +52,9 @@ pub struct TunedOp {
     pub cycles: Cycles,
     pub flops: u64,
     pub candidates: usize,
-    /// Schedule-point description (`knob=value` list) of the winner.
-    pub schedule: String,
+    /// The winning candidate: its `describe` is the schedule point
+    /// (`knob=value` list), its executable emits the C.
+    pub winner: Candidate,
     pub outcome: TuneOutcome,
 }
 
@@ -66,18 +68,22 @@ impl TunedOp {
     }
 }
 
-fn tune(
+/// Enumerate `op`'s schedule space and tune it under `opts`; `None` when
+/// nothing can be reported (empty space, or no measurable candidate
+/// survives). `label` names the operator span, the bus's
+/// `OperatorStart`/`OperatorEnd` events and the pool monitor's context.
+/// When `validate` is set, the winning schedule must pass the static
+/// legality checker and a differential functional execution against the
+/// operator's golden reference before being reported; rejected winners are
+/// quarantined ([`TuneOutcome::quarantined`]) and the tuner falls back.
+pub fn tune_op(
     cfg: &MachineConfig,
     op: &dyn Operator,
     label: &str,
     opts: &TuneOptions,
     validate: bool,
 ) -> Option<TunedOp> {
-    let sched = Scheduler::new(cfg.clone());
-    let cands = sched.enumerate(op);
-    if cands.is_empty() {
-        return None;
-    }
+    let cands = Scheduler::new(cfg.clone()).enumerate(op);
     let n = cands.len();
     // When instrumented, the whole tune nests under one operator span and
     // the engine's candidate spans become its children.
@@ -93,16 +99,9 @@ fn tune(
     if let Some(m) = &opts.monitor {
         m.set_context(label);
     }
-    // The winner validator runs the static legality checker plus a full
-    // differential functional execution against the operator's golden
-    // reference; a rejected winner is quarantined and the tuner falls back.
     let validator = |_: usize, c: &Candidate| swatop::ops::validate_candidate(cfg, op, c);
-    let outcome = tiered_tune_validated(
-        cfg,
-        &cands,
-        &run_opts,
-        validate.then_some(&validator as &swatop::tuner::WinnerValidator),
-    );
+    let outcome =
+        tune(cfg, &cands, &run_opts, validate.then_some(&validator as &WinnerValidator)).ok();
     if let Some((t, id)) = span {
         t.close(id);
     }
@@ -115,43 +114,14 @@ fn tune(
         });
     }
     let outcome = outcome?;
-    let schedule = cands.get(outcome.best).map(|c| c.describe.clone()).unwrap_or_default();
-    Some(TunedOp { cycles: outcome.cycles, flops: op.flops(), candidates: n, schedule, outcome })
+    let winner = cands[outcome.best].clone();
+    Some(TunedOp { cycles: outcome.cycles, flops: op.flops(), candidates: n, winner, outcome })
 }
 
-/// Model-tune a convolution with the given method. `None` if the method is
-/// inapplicable or the schedule space is empty.
-pub fn tune_conv(cfg: &MachineConfig, method: ConvMethod, shape: &ConvShape) -> Option<TunedOp> {
-    tune_conv_jobs(cfg, method, shape, 1)
-}
-
-/// [`tune_conv`] with candidate evaluation over `jobs` worker threads.
-pub fn tune_conv_jobs(
-    cfg: &MachineConfig,
-    method: ConvMethod,
-    shape: &ConvShape,
-    jobs: usize,
-) -> Option<TunedOp> {
-    tune_conv_opts(cfg, method, shape, &TuneOptions::with_jobs(jobs))
-}
-
-/// [`tune_conv`] with full [`TuneOptions`] (telemetry recorder, retry
-/// policy, worker threads).
-pub fn tune_conv_opts(
-    cfg: &MachineConfig,
-    method: ConvMethod,
-    shape: &ConvShape,
-    opts: &TuneOptions,
-) -> Option<TunedOp> {
-    tune_conv_checked(cfg, method, shape, opts, false)
-}
-
-/// [`tune_conv_opts`] with optional winner validation: when `validate` is
-/// set, the winning schedule must pass the static legality checker and a
-/// differential functional check before being reported; rejected winners
-/// are quarantined ([`TuneOutcome::quarantined`]) and the tuner falls back
-/// down the model ranking.
-pub fn tune_conv_checked(
+/// Tune a convolution with the given method ([`tune_op`] under the label
+/// the journals and timelines know it by). `None` if the method is
+/// inapplicable or nothing can be reported.
+pub fn tune_conv(
     cfg: &MachineConfig,
     method: ConvMethod,
     shape: &ConvShape,
@@ -163,9 +133,9 @@ pub fn tune_conv_checked(
     }
     let label = conv_label(method, shape);
     match method {
-        ConvMethod::Implicit => tune(cfg, &ImplicitConvOp::new(*shape), &label, opts, validate),
-        ConvMethod::Explicit => tune(cfg, &ExplicitConvOp::new(*shape), &label, opts, validate),
-        ConvMethod::Winograd => tune(cfg, &WinogradConvOp::new(*shape), &label, opts, validate),
+        ConvMethod::Implicit => tune_op(cfg, &ImplicitConvOp::new(*shape), &label, opts, validate),
+        ConvMethod::Explicit => tune_op(cfg, &ExplicitConvOp::new(*shape), &label, opts, validate),
+        ConvMethod::Winograd => tune_op(cfg, &WinogradConvOp::new(*shape), &label, opts, validate),
     }
 }
 
@@ -185,36 +155,8 @@ fn conv_label(method: ConvMethod, s: &ConvShape) -> String {
     )
 }
 
-/// Model-tune a matrix multiplication.
-pub fn tune_gemm(cfg: &MachineConfig, m: usize, n: usize, k: usize) -> Option<TunedOp> {
-    tune_gemm_jobs(cfg, m, n, k, 1)
-}
-
-/// [`tune_gemm`] with candidate evaluation over `jobs` worker threads.
-pub fn tune_gemm_jobs(
-    cfg: &MachineConfig,
-    m: usize,
-    n: usize,
-    k: usize,
-    jobs: usize,
-) -> Option<TunedOp> {
-    tune_gemm_opts(cfg, m, n, k, &TuneOptions::with_jobs(jobs))
-}
-
-/// [`tune_gemm`] with full [`TuneOptions`].
-pub fn tune_gemm_opts(
-    cfg: &MachineConfig,
-    m: usize,
-    n: usize,
-    k: usize,
-    opts: &TuneOptions,
-) -> Option<TunedOp> {
-    tune_gemm_checked(cfg, m, n, k, opts, false)
-}
-
-/// [`tune_gemm_opts`] with optional winner validation; see
-/// [`tune_conv_checked`].
-pub fn tune_gemm_checked(
+/// Tune a matrix multiplication; see [`tune_conv`].
+pub fn tune_gemm(
     cfg: &MachineConfig,
     m: usize,
     n: usize,
@@ -222,58 +164,38 @@ pub fn tune_gemm_checked(
     opts: &TuneOptions,
     validate: bool,
 ) -> Option<TunedOp> {
-    tune(cfg, &MatmulOp::new(m, n, k), &format!("gemm {m}x{n}x{k}"), opts, validate)
+    tune_op(cfg, &MatmulOp::new(m, n, k), &format!("gemm {m}x{n}x{k}"), opts, validate)
 }
 
-/// Tune every shape of a convolution sweep, one worker per shape (each
-/// shape tunes serially inside). Results are index-aligned with `shapes`
-/// and identical to a serial loop for any `jobs` value.
+/// Tune every shape of a convolution sweep, one of `opts.jobs` workers per
+/// shape (each shape tunes serially inside). Results are index-aligned with
+/// `shapes` and identical to a serial loop for any `jobs` value. When
+/// instrumented, the whole sweep nests under one `Sweep` span and each
+/// shape's operator span is pinned to the worker that tuned it, so the
+/// Perfetto export renders one timeline track per sweep worker.
+/// `opts.checkpoint` is not propagated to the per-shape runs (they would
+/// race on one checkpoint file).
 pub fn tune_conv_sweep(
-    cfg: &MachineConfig,
-    method: ConvMethod,
-    shapes: &[ConvShape],
-    jobs: usize,
-) -> Vec<Option<TunedOp>> {
-    tune_conv_sweep_opts(cfg, method, shapes, &TuneOptions::with_jobs(jobs))
-}
-
-/// [`tune_conv_sweep`] with full [`TuneOptions`]. When instrumented, the
-/// whole sweep nests under one `Sweep` span and each shape's operator span
-/// is pinned to the worker that tuned it, so the Perfetto export renders one
-/// timeline track per sweep worker. `opts.checkpoint` is not propagated to
-/// the per-shape runs (they would race on one checkpoint file).
-pub fn tune_conv_sweep_opts(
     cfg: &MachineConfig,
     method: ConvMethod,
     shapes: &[ConvShape],
     opts: &TuneOptions,
 ) -> Vec<Option<TunedOp>> {
     sweep(opts, &format!("conv sweep [{}] ({} shapes)", method.name(), shapes.len()), |shape_opts| {
-        pool::par_map_ctx(opts.jobs, shapes, |w, _, s| {
-            tune_conv_opts(cfg, method, s, &shape_opts(w))
-        })
+        pool::par_map(opts.jobs, shapes, |w, _, s| tune_conv(cfg, method, s, &shape_opts(w), false))
     })
 }
 
-/// Tune every `(m, n, k)` of a GEMM sweep, one worker per shape.
+/// Tune every `(m, n, k)` of a GEMM sweep, one worker per shape; see
+/// [`tune_conv_sweep`] for the instrumentation contract.
 pub fn tune_gemm_sweep(
-    cfg: &MachineConfig,
-    shapes: &[(usize, usize, usize)],
-    jobs: usize,
-) -> Vec<Option<TunedOp>> {
-    tune_gemm_sweep_opts(cfg, shapes, &TuneOptions::with_jobs(jobs))
-}
-
-/// [`tune_gemm_sweep`] with full [`TuneOptions`]; see
-/// [`tune_conv_sweep_opts`] for the instrumentation contract.
-pub fn tune_gemm_sweep_opts(
     cfg: &MachineConfig,
     shapes: &[(usize, usize, usize)],
     opts: &TuneOptions,
 ) -> Vec<Option<TunedOp>> {
     sweep(opts, &format!("gemm sweep ({} shapes)", shapes.len()), |shape_opts| {
-        pool::par_map_ctx(opts.jobs, shapes, |w, _, &(m, n, k)| {
-            tune_gemm_opts(cfg, m, n, k, &shape_opts(w))
+        pool::par_map(opts.jobs, shapes, |w, _, &(m, n, k)| {
+            tune_gemm(cfg, m, n, k, &shape_opts(w), false)
         })
     })
 }
@@ -292,17 +214,12 @@ fn sweep<R>(
         bus.emit_with(|| Event::SweepStart { label: label.to_string() });
     }
     let shape_opts = |w: usize| {
-        let mut inner = TuneOptions {
-            retry: opts.retry.clone(),
-            tiers: opts.tiers.clone(),
-            bus: opts.bus.clone(),
-            monitor: opts.monitor.clone(),
-            ..TuneOptions::default()
-        };
-        if let Some((t, id)) = &span {
-            inner.telemetry = Some(t.child_of(*id).on_track(w));
+        TuneOptions {
+            jobs: 1,
+            checkpoint: None,
+            telemetry: span.as_ref().map(|(t, id)| t.child_of(*id).on_track(w)),
+            ..opts.clone()
         }
-        inner
     };
     let out = body(&shape_opts);
     if let Some((t, id)) = span {
@@ -318,12 +235,16 @@ fn sweep<R>(
 mod tests {
     use super::*;
 
+    fn serial() -> TuneOptions {
+        TuneOptions::default()
+    }
+
     #[test]
     fn tune_small_conv_all_methods() {
         let cfg = MachineConfig::default();
         let shape = ConvShape::square(32, 16, 16, 8);
         for method in [ConvMethod::Implicit, ConvMethod::Explicit, ConvMethod::Winograd] {
-            let t = tune_conv(&cfg, method, &shape)
+            let t = tune_conv(&cfg, method, &shape, &serial(), false)
                 .unwrap_or_else(|| panic!("{} failed", method.name()));
             assert!(t.cycles.get() > 0);
             assert!(t.candidates > 0);
@@ -334,7 +255,7 @@ mod tests {
     #[test]
     fn tune_small_gemm() {
         let cfg = MachineConfig::default();
-        let t = tune_gemm(&cfg, 96, 96, 96).unwrap();
+        let t = tune_gemm(&cfg, 96, 96, 96, &serial(), false).unwrap();
         assert!(t.cycles.get() > 0);
     }
 
@@ -343,7 +264,7 @@ mod tests {
         let cfg = MachineConfig::default();
         let mut shape = ConvShape::square(8, 16, 16, 8);
         shape.stride = 2;
-        assert!(tune_conv(&cfg, ConvMethod::Winograd, &shape).is_none());
+        assert!(tune_conv(&cfg, ConvMethod::Winograd, &shape, &serial(), false).is_none());
     }
 
     #[test]
@@ -354,10 +275,11 @@ mod tests {
             .collect();
         let serial: Vec<Option<Cycles>> = shapes
             .iter()
-            .map(|s| tune_conv(&cfg, ConvMethod::Implicit, s).map(|t| t.cycles))
+            .map(|s| tune_conv(&cfg, ConvMethod::Implicit, s, &serial(), false).map(|t| t.cycles))
             .collect();
         for jobs in [1, 2, 4] {
-            let sweep = tune_conv_sweep(&cfg, ConvMethod::Implicit, &shapes, jobs);
+            let sweep =
+                tune_conv_sweep(&cfg, ConvMethod::Implicit, &shapes, &TuneOptions::with_jobs(jobs));
             let got: Vec<Option<Cycles>> =
                 sweep.iter().map(|t| t.as_ref().map(|t| t.cycles)).collect();
             assert_eq!(got, serial, "jobs={jobs}");

@@ -15,7 +15,7 @@ use swtensor::ConvShape;
 
 use crate::scheduler::{Operator, Scheduler};
 use crate::telemetry::SpanKind;
-use crate::tuner::{model_tune_opts, TuneOptions};
+use crate::tuner::{tune, TuneOptions};
 
 /// Number of core groups on the chip.
 pub const N_CG: usize = 4;
@@ -55,32 +55,12 @@ pub fn split_batch(batch: usize) -> [usize; N_CG] {
 }
 
 /// Tune and run a convolution data-parallel across the chip. The operator
-/// for each distinct shard size is tuned independently (at most two
-/// distinct sizes exist); chip time is the slowest shard.
+/// for each distinct shard size is tuned independently under `opts` (at
+/// most two distinct sizes exist); chip time is the slowest shard. When a
+/// telemetry recorder is attached, each distinct shard size tunes under its
+/// own operator span (`conv shard b=<n>`), so a chip run shows up as one
+/// span group per shard in the timeline.
 pub fn run_conv_data_parallel(
-    cfg: &MachineConfig,
-    shape: &ConvShape,
-    build: impl Fn(ConvShape) -> Box<dyn Operator>,
-) -> Option<ChipRun> {
-    run_conv_data_parallel_jobs(cfg, shape, build, 1)
-}
-
-/// [`run_conv_data_parallel`] with each shard's candidate evaluation fanned
-/// over `jobs` tuner worker threads.
-pub fn run_conv_data_parallel_jobs(
-    cfg: &MachineConfig,
-    shape: &ConvShape,
-    build: impl Fn(ConvShape) -> Box<dyn Operator>,
-    jobs: usize,
-) -> Option<ChipRun> {
-    run_conv_data_parallel_opts(cfg, shape, build, &TuneOptions::with_jobs(jobs))
-}
-
-/// [`run_conv_data_parallel`] with full [`TuneOptions`]. When a telemetry
-/// recorder is attached, each distinct shard size tunes under its own
-/// operator span (`conv shard b=<n>`), so a chip run shows up as one span
-/// group per shard in the timeline.
-pub fn run_conv_data_parallel_opts(
     cfg: &MachineConfig,
     shape: &ConvShape,
     build: impl Fn(ConvShape) -> Box<dyn Operator>,
@@ -104,7 +84,7 @@ pub fn run_conv_data_parallel_opts(
                     shard_opts.telemetry = Some(t.child_of(id));
                     (t.clone(), id)
                 });
-                let outcome = model_tune_opts(cfg, &cands, &shard_opts);
+                let outcome = tune(cfg, &cands, &shard_opts, None).ok();
                 if let Some((t, id)) = span {
                     t.close(id);
                 }
@@ -123,7 +103,11 @@ pub fn run_conv_data_parallel_opts(
 mod tests {
     use super::*;
     use crate::ops::ImplicitConvOp;
-    use crate::tuner::model_tune;
+    use crate::tuner::TierPolicy;
+
+    fn top3() -> TuneOptions {
+        TuneOptions { tiers: TierPolicy::top_k(3), ..TuneOptions::default() }
+    }
 
     #[test]
     fn split_is_even_and_complete() {
@@ -139,17 +123,16 @@ mod tests {
     fn chip_run_aggregates_four_ways() {
         let cfg = MachineConfig::default();
         let shape = ConvShape::square(32, 16, 16, 8);
-        let chip = run_conv_data_parallel(&cfg, &shape, |s| {
-            Box::new(ImplicitConvOp::new(s))
-        })
-        .expect("tunable");
+        let chip =
+            run_conv_data_parallel(&cfg, &shape, |s| Box::new(ImplicitConvOp::new(s)), &top3())
+                .expect("tunable");
         assert_eq!(chip.shards, [8; 4]);
         assert_eq!(chip.flops, shape.flops());
         // One CG running the same shard must achieve ≈ chip/4 throughput.
         let op = ImplicitConvOp::new(ConvShape { b: 8, ..shape });
         let sched = Scheduler::new(cfg.clone());
         let cands = sched.enumerate(&op);
-        let single = model_tune(&cfg, &cands).unwrap();
+        let single = tune(&cfg, &cands, &top3(), None).unwrap();
         assert_eq!(chip.cycles, single.cycles);
         let chip_g = chip.gflops(&cfg);
         let single_g =
@@ -162,15 +145,13 @@ mod tests {
     fn uneven_batch_takes_slowest_shard() {
         let cfg = MachineConfig::default();
         let shape = ConvShape::square(5, 16, 16, 8); // shards 2,1,1,1
-        let chip = run_conv_data_parallel(&cfg, &shape, |s| {
-            Box::new(crate::ops::ExplicitConvOp::new(s))
-        })
-        .expect("tunable");
+        let build = |s| Box::new(crate::ops::ExplicitConvOp::new(s)) as Box<dyn Operator>;
+        let chip = run_conv_data_parallel(&cfg, &shape, build, &top3()).expect("tunable");
         assert_eq!(chip.shards, [2, 1, 1, 1]);
         // The 2-batch shard bounds the chip time.
         let op = crate::ops::ExplicitConvOp::new(ConvShape { b: 2, ..shape });
         let sched = Scheduler::new(cfg.clone());
-        let big = model_tune(&cfg, &sched.enumerate(&op)).unwrap();
+        let big = tune(&cfg, &sched.enumerate(&op), &top3(), None).unwrap();
         assert_eq!(chip.cycles, big.cycles);
     }
 }

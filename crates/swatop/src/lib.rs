@@ -24,8 +24,9 @@
 //! * [`model`] implements the static performance model: Eq. (1) for the DMA
 //!   engine and the fitted linear Eq. (2) for the GEMM primitives, combined
 //!   as `T_overall = max(T_DMA, T_compute)` under prefetching.
-//! * [`tuner`] provides both the performance-model-based autotuner and the
-//!   brute-force black-box autotuner it is compared against (Tab. 3, Fig. 9).
+//! * [`tuner`] is the autotuner: one [`tuner::tune`] whose policy ranges from
+//!   the performance-model-based "pick the top k" to the brute-force sweep
+//!   it is compared against (Tab. 3, Fig. 9).
 //! * [`codegen`] plans the coalesced SPM allocation, emits C-like source
 //!   (the offline-compiler output) and produces an [`codegen::Executable`]
 //!   the interpreter can run on a [`sw26010::CoreGroup`].
@@ -39,12 +40,14 @@
 //! use sw26010::MachineConfig;
 //! use swatop::ops::MatmulOp;
 //! use swatop::scheduler::{Operator, Scheduler};
-//! use swatop::tuner::model_tune;
+//! use swatop::tuner::{tune, TierPolicy, TuneOptions};
 //!
 //! let cfg = MachineConfig::default();
 //! let op = MatmulOp::new(64, 64, 64);
 //! let candidates = Scheduler::new(cfg.clone()).enumerate(&op);
-//! let outcome = model_tune(&cfg, &candidates).unwrap();
+//! // Screen the space analytically, execute only the model's top 3.
+//! let opts = TuneOptions { tiers: TierPolicy::top_k(3), ..TuneOptions::default() };
+//! let outcome = tune(&cfg, &candidates, &opts, None).unwrap();
 //! assert!(outcome.cycles.get() > 0);
 //! // The winner is executable C, too:
 //! assert!(candidates[outcome.best].exe.emit_c().contains("spm_gemm("));
@@ -67,7 +70,4 @@ pub use interp::{execute, Binding};
 pub use observatory::{Attribution, Bottleneck, BottleneckMix, MetricSet, Peaks};
 pub use scheduler::{Candidate, Scheduler};
 pub use telemetry::{Telemetry, TuneTelemetry};
-pub use tuner::{
-    blackbox_tune, blackbox_tune_jobs, model_tune, model_tune_jobs, tiered_tune,
-    tiered_tune_validated, TierMode, TierPolicy, TuneOutcome,
-};
+pub use tuner::{tune, TierMode, TierPolicy, TuneOutcome};

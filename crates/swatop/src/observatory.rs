@@ -4,7 +4,7 @@
 //! The machine counters ([`sw26010::Counters`]) say *what happened* during
 //! a candidate execution; this module turns them into *answers*:
 //!
-//! 1. **Derived-metrics registry** — [`derive`] folds a counter block plus
+//! 1. **Derived-metrics registry** — [`derive()`] folds a counter block plus
 //!    the execution's cycle count into a [`MetricSet`]: achieved GFLOPS and
 //!    % of the 742.4 GFLOPS/CG peak, effective DMA bandwidth and % of the
 //!    22.6 GB/s achievable peak, arithmetic intensity against the roofline
@@ -370,7 +370,7 @@ pub fn classify_metrics(m: &MetricSet) -> Bottleneck {
     }
 }
 
-/// [`derive`] + [`classify_metrics`] in one step.
+/// [`derive()`] + [`classify_metrics`] in one step.
 pub fn classify(peaks: &Peaks, cycles: u64, c: &Counters) -> Bottleneck {
     classify_metrics(&derive(peaks, cycles, c))
 }

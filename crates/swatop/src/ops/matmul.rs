@@ -10,7 +10,7 @@
 //! * `vec_m` — vectorise the M or the N loop (Sec. 4.3.3);
 //! * `order` — `m`-outer or `n`-outer tile loop (a reorder candidate).
 //!
-//! Boundary processing follows Sec. 4.5.3 through [`tiling::SrcFamily`]:
+//! Boundary processing follows Sec. 4.5.3 through [`SrcFamily`]:
 //! aligned tails use parameter switching, misaligned tails use lightweight
 //! (or, for the Fig. 11 baseline, traditional) zero padding. Each segment
 //! combination lowers to its own loop nest, so the hot interior nest stays

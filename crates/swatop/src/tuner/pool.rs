@@ -13,10 +13,9 @@
 //!   result is stored back at its *input index* — output order never
 //!   depends on scheduling;
 //! * reductions over the results (argmin, ranking) happen after the join,
-//!   in input order, with ties broken by index — see
-//!   [`crate::tuner::blackbox_tune_jobs`];
-//! * `jobs == 1` bypasses thread spawning entirely and is the exact serial
-//!   loop of the original tuners.
+//!   in input order, with ties broken by index — see [`crate::tuner::tune`];
+//! * `jobs == 1` bypasses thread spawning entirely and is a plain serial
+//!   loop.
 //!
 //! Workers are scoped (`crossbeam::thread::scope`), so borrowed candidate
 //! slices need no `'static` bound and a panicking worker propagates after
@@ -46,25 +45,14 @@ pub fn resolve_jobs(jobs: Option<usize>) -> usize {
 }
 
 /// Map `f` over `items` with up to `jobs` worker threads, returning results
-/// in input order. `f(i, &items[i])` must be pure up to its index — the
-/// engine guarantees each index is evaluated exactly once and that the
-/// output vector is index-aligned with the input, so the result is
-/// identical for every `jobs` value.
+/// in input order. `f(worker, i, &items[i])` must be pure up to the index
+/// `i` — the engine guarantees each index is evaluated exactly once and that
+/// the output vector is index-aligned with the input, so the result is
+/// identical for every `jobs` value. `worker` says which worker runs the
+/// call (telemetry renders one timeline track per worker); the assignment
+/// of an item depends on scheduling, so `f`'s *result* must not depend on
+/// it — only side observability (span track tags) may.
 pub fn par_map<T, R, F>(jobs: usize, items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    par_map_ctx(jobs, items, |_, i, x| f(i, x))
-}
-
-/// [`par_map`] that also tells `f` *which worker* runs it:
-/// `f(worker, i, &items[i])`. Telemetry uses the worker index to render one
-/// timeline track per worker. Determinism caveat: the worker assignment of
-/// an item depends on scheduling, so `f`'s *result* must not depend on
-/// `worker` — only side observability (span track tags) may.
-pub fn par_map_ctx<T, R, F>(jobs: usize, items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
@@ -119,36 +107,6 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     } else {
         "non-string panic payload".to_string()
     }
-}
-
-/// [`par_map`] with per-item panic isolation: a panicking `f` yields
-/// `Err(message)` for that item instead of tearing down the worker pool
-/// (and the tuning run) — one poisoned candidate must not kill a sweep.
-/// Panics are caught on the worker via `catch_unwind`, so the claim loop
-/// keeps draining items afterwards; determinism is untouched because the
-/// error, like any result, is stored at the item's input index.
-pub fn par_map_catch<T, R, F>(jobs: usize, items: &[T], f: F) -> Vec<Result<R, String>>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    par_map(jobs, items, |i, x| {
-        catch_unwind(AssertUnwindSafe(|| f(i, x))).map_err(panic_message)
-    })
-}
-
-/// [`par_map_ctx`] with per-item panic isolation (the worker-aware form of
-/// [`par_map_catch`]).
-pub fn par_map_catch_ctx<T, R, F>(jobs: usize, items: &[T], f: F) -> Vec<Result<R, String>>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, usize, &T) -> R + Sync,
-{
-    par_map_ctx(jobs, items, |w, i, x| {
-        catch_unwind(AssertUnwindSafe(|| f(w, i, x))).map_err(panic_message)
-    })
 }
 
 /// Watchdog configuration for [`PoolMonitor`].
@@ -375,14 +333,18 @@ pub fn watched<R>(monitor: Option<&PoolMonitor>, f: impl FnOnce() -> R) -> R {
     .expect("watchdog scope panicked")
 }
 
-/// [`par_map_catch_ctx`] wrapped in heartbeat accounting and the stall
-/// watchdog. With `monitor: None` it is exactly [`par_map_catch_ctx`].
-/// `label(i, &items[i])` gives an item's stall-report identity and its
-/// knob description — the identity names the item in the caller's own
-/// terms (the candidate *input* index for tuner waves, which need not be
-/// the item's position in this slice); it is only called when a monitor is
-/// attached.
-pub fn par_map_catch_ctx_watched<T, R, F, K>(
+/// [`par_map`] with per-item panic isolation and, when `monitor` is given,
+/// heartbeat accounting and the stall watchdog. A panicking `f` yields
+/// `Err(message)` for that item instead of tearing down the worker pool (and
+/// the tuning run) — one poisoned candidate must not kill a sweep. Panics
+/// are caught on the worker via `catch_unwind`, so the claim loop keeps
+/// draining items afterwards; determinism is untouched because the error,
+/// like any result, is stored at the item's input index.
+/// `label(i, &items[i])` gives an item's stall-report identity and its knob
+/// description — the identity names the item in the caller's own terms (the
+/// candidate *input* index for tuner waves, which need not be the item's
+/// position in this slice); it is only called when a monitor is attached.
+pub fn par_map_watched<T, R, F, K>(
     jobs: usize,
     items: &[T],
     monitor: Option<&PoolMonitor>,
@@ -395,12 +357,15 @@ where
     F: Fn(usize, usize, &T) -> R + Sync,
     K: Fn(usize, &T) -> (usize, String) + Sync,
 {
-    let Some(m) = monitor else { return par_map_catch_ctx(jobs, items, f) };
+    let caught = |w: usize, i: usize, x: &T| {
+        catch_unwind(AssertUnwindSafe(|| f(w, i, x))).map_err(panic_message)
+    };
+    let Some(m) = monitor else { return par_map(jobs, items, caught) };
     watched(Some(m), || {
-        par_map_ctx(jobs, items, |w, i, x| {
+        par_map(jobs, items, |w, i, x| {
             let (id, knobs) = label(i, x);
             m.begin(w, id, &knobs);
-            let r = catch_unwind(AssertUnwindSafe(|| f(w, i, x))).map_err(panic_message);
+            let r = caught(w, i, x);
             m.finish(w);
             r
         })
@@ -414,9 +379,9 @@ mod tests {
     #[test]
     fn results_are_input_ordered_for_any_job_count() {
         let items: Vec<usize> = (0..257).collect();
-        let serial = par_map(1, &items, |i, &x| i * 1000 + x * x);
+        let serial = par_map(1, &items, |_, i, &x| i * 1000 + x * x);
         for jobs in [2, 3, 8, 64] {
-            let par = par_map(jobs, &items, |i, &x| i * 1000 + x * x);
+            let par = par_map(jobs, &items, |_, i, &x| i * 1000 + x * x);
             assert_eq!(par, serial, "jobs={jobs}");
         }
     }
@@ -424,25 +389,25 @@ mod tests {
     #[test]
     fn handles_empty_and_tiny_inputs() {
         let empty: Vec<u32> = Vec::new();
-        assert!(par_map(4, &empty, |_, &x| x).is_empty());
-        assert_eq!(par_map(8, &[5u32], |i, &x| (i, x)), vec![(0, 5)]);
+        assert!(par_map(4, &empty, |_, _, &x| x).is_empty());
+        assert_eq!(par_map(8, &[5u32], |_, i, &x| (i, x)), vec![(0, 5)]);
     }
 
     #[test]
     fn jobs_zero_is_clamped_to_serial() {
         let items = [1, 2, 3];
-        assert_eq!(par_map(0, &items, |_, &x| x * 2), vec![2, 4, 6]);
+        assert_eq!(par_map(0, &items, |_, _, &x| x * 2), vec![2, 4, 6]);
     }
 
     #[test]
-    fn par_map_catch_isolates_poisoned_items() {
+    fn par_map_watched_isolates_poisoned_items() {
         let items: Vec<usize> = (0..64).collect();
         // Silence the default panic hook while panics are expected: the
         // catch still reports them, the terminal just stays readable.
         let hook = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));
         let run = |jobs| {
-            par_map_catch(jobs, &items, |_, &x| {
+            par_map_watched(jobs, &items, None, |i, _| (i, String::new()), |_, _, &x| {
                 if x % 7 == 3 {
                     panic!("poisoned item {x}");
                 }
@@ -464,14 +429,14 @@ mod tests {
     }
 
     #[test]
-    fn ctx_variant_reports_sane_worker_ids() {
+    fn par_map_reports_sane_worker_ids() {
         let items: Vec<usize> = (0..64).collect();
         // Serial: every item runs on worker 0.
-        let serial = par_map_ctx(1, &items, |w, i, &x| (w, i * 2 + x));
+        let serial = par_map(1, &items, |w, i, &x| (w, i * 2 + x));
         assert!(serial.iter().all(|&(w, _)| w == 0));
         // Parallel: worker ids are within [0, jobs) and results (which must
         // not depend on the worker) match the serial run exactly.
-        let par = par_map_ctx(4, &items, |w, i, &x| (w, i * 2 + x));
+        let par = par_map(4, &items, |w, i, &x| (w, i * 2 + x));
         assert!(par.iter().all(|&(w, _)| w < 4));
         let results: Vec<usize> = par.iter().map(|&(_, r)| r).collect();
         let expect: Vec<usize> = serial.iter().map(|&(_, r)| r).collect();
@@ -492,15 +457,9 @@ mod tests {
         let m = PoolMonitor::new(cfg, None);
         m.set_context("unit");
         let items: Vec<usize> = (0..40).collect();
-        let baseline = par_map_catch_ctx(4, &items, |_, i, &x| i + x);
-        let watched_run =
-            par_map_catch_ctx_watched(
-                4,
-                &items,
-                Some(&m),
-                |i, _| (i, format!("item {i}")),
-                |_, i, &x| i + x,
-            );
+        let label = |i: usize, _: &usize| (i, format!("item {i}"));
+        let baseline = par_map_watched(4, &items, None, label, |_, i, &x| i + x);
+        let watched_run = par_map_watched(4, &items, Some(&m), label, |_, i, &x| i + x);
         assert_eq!(baseline, watched_run);
         let stats = m.worker_stats();
         assert_eq!(stats.iter().map(|s| s.items).sum::<u64>(), items.len() as u64);
@@ -538,7 +497,7 @@ mod tests {
         let items = [1u32, 2, 3];
         let hook = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));
-        let out = par_map_catch_ctx_watched(
+        let out = par_map_watched(
             1,
             &items,
             Some(&m),

@@ -9,13 +9,17 @@
 //! * [`greedy_search`] — an evolutionary-style loop: measure a seed sample,
 //!   then repeatedly mutate the best-known point one knob at a time.
 //!
-//! Both lie between the brute-force black-box tuner (best quality, highest
-//! cost) and the static-model tuner (lowest cost); the paper's claim is
+//! Both lie between brute force ([`super::TierPolicy::exhaustive`]: best
+//! quality, highest cost) and the model's top-k ([`super::TierPolicy::top_k`]:
+//! lowest cost); the paper's claim is
 //! that on a latency-oriented machine with discrete tensorized primitives,
 //! the *model* end of the triangle is the right one.
 //!
-//! Both searches measure through the same fault-aware path as the main
-//! tuners ([`super::RetryPolicy`] retries, median-of-N under jitter), count
+//! Both searches measure through the same fault-aware path as
+//! [`super::tune`] ([`super::RetryPolicy`] retries, median-of-N under
+//! jitter) but in their own serial loop (each draw depends on what was
+//! already measured, so `opts.jobs`, `opts.checkpoint` and `opts.tiers` are
+//! ignored; `opts.retry` and `opts.telemetry` apply). They count
 //! failed candidates against the budget — a real machine burns tuning time
 //! on a candidate whether or not it faults — and report them in the
 //! outcome instead of silently dropping them.
@@ -26,9 +30,8 @@ use sw26010::{Counters, Cycles, MachineConfig};
 use swtensor::init::XorShift;
 
 use super::checkpoint::CandCell;
-use super::{
-    measure_instrumented, CandReport, RetryPolicy, TuneError, TuneOptions, TuneOutcome,
-};
+use super::engine::measure_instrumented;
+use super::{CandReport, RetryPolicy, TuneError, TuneOptions, TuneOutcome};
 use crate::scheduler::Candidate;
 use crate::telemetry::Telemetry;
 
@@ -104,15 +107,7 @@ impl<'a> Sampler<'a> {
             if self.executed == 0 {
                 return Err(TuneError::NoCandidates);
             }
-            let last_error = self
-                .cells
-                .iter()
-                .rev()
-                .find_map(|c| match c {
-                    CandCell::Failed { error, .. } => Some(error.clone()),
-                    _ => None,
-                })
-                .unwrap_or_else(|| "no error recorded".to_string());
+            let last_error = TuneError::last_of(self.cells.iter());
             return Err(TuneError::AllFailed { sampled: self.executed, last_error });
         };
         Ok(TuneOutcome {
@@ -148,19 +143,6 @@ pub fn random_search(
     candidates: &[Candidate],
     budget: usize,
     seed: u64,
-) -> Result<TuneOutcome, TuneError> {
-    random_search_opts(cfg, candidates, budget, seed, &TuneOptions::default())
-}
-
-/// [`random_search`] with explicit [`TuneOptions`]. The sampling loop is
-/// inherently serial (each draw depends on what was already measured), so
-/// `opts.jobs` and `opts.checkpoint` are ignored; `opts.retry` and
-/// `opts.telemetry` apply.
-pub fn random_search_opts(
-    cfg: &MachineConfig,
-    candidates: &[Candidate],
-    budget: usize,
-    seed: u64,
     opts: &TuneOptions,
 ) -> Result<TuneOutcome, TuneError> {
     let start = Instant::now();
@@ -180,18 +162,6 @@ pub fn random_search_opts(
 /// the incumbent (neighbouring candidate indices stand in for single-knob
 /// mutations, since the space enumerates knobs in mixed-radix order).
 pub fn greedy_search(
-    cfg: &MachineConfig,
-    candidates: &[Candidate],
-    budget: usize,
-    seed: u64,
-) -> Result<TuneOutcome, TuneError> {
-    greedy_search_opts(cfg, candidates, budget, seed, &TuneOptions::default())
-}
-
-/// [`greedy_search`] with explicit [`TuneOptions`]; like
-/// [`random_search_opts`], `opts.jobs` and `opts.checkpoint` are ignored
-/// because the mutation loop is sequential by nature.
-pub fn greedy_search_opts(
     cfg: &MachineConfig,
     candidates: &[Candidate],
     budget: usize,
@@ -233,7 +203,7 @@ mod tests {
     use super::*;
     use crate::ops::MatmulOp;
     use crate::scheduler::Scheduler;
-    use crate::tuner::{blackbox_tune, model_tune};
+    use crate::tuner::{tune, TierPolicy};
 
     fn candidates() -> (MachineConfig, Vec<Candidate>) {
         let cfg = MachineConfig::default();
@@ -242,11 +212,15 @@ mod tests {
         (cfg, cands)
     }
 
+    fn tune_with(cfg: &MachineConfig, cands: &[Candidate], tiers: TierPolicy) -> TuneOutcome {
+        tune(cfg, cands, &TuneOptions { tiers, ..TuneOptions::default() }, None).unwrap()
+    }
+
     #[test]
     fn random_search_finds_something_reasonable() {
         let (cfg, cands) = candidates();
-        let bb = blackbox_tune(&cfg, &cands).unwrap();
-        let rs = random_search(&cfg, &cands, cands.len() / 4, 7).unwrap();
+        let bb = tune_with(&cfg, &cands, TierPolicy::exhaustive());
+        let rs = random_search(&cfg, &cands, cands.len() / 4, 7, &TuneOptions::default()).unwrap();
         assert!(rs.cycles >= bb.cycles, "cannot beat brute force");
         assert!(
             rs.cycles.get() < 3 * bb.cycles.get(),
@@ -261,20 +235,20 @@ mod tests {
     fn greedy_improves_on_equal_budget_random_usually() {
         let (cfg, cands) = candidates();
         let budget = (cands.len() / 5).max(8);
-        let rs = random_search(&cfg, &cands, budget, 3).unwrap();
-        let gs = greedy_search(&cfg, &cands, budget, 3).unwrap();
+        let rs = random_search(&cfg, &cands, budget, 3, &TuneOptions::default()).unwrap();
+        let gs = greedy_search(&cfg, &cands, budget, 3, &TuneOptions::default()).unwrap();
         // Not a strict guarantee, but both must be valid outcomes.
         assert!(gs.cycles.get() > 0 && rs.cycles.get() > 0);
     }
 
     #[test]
-    fn model_tuner_dominates_sampling_at_a_fraction_of_the_cost() {
+    fn top_k_dominates_sampling_at_a_fraction_of_the_cost() {
         // The paper's argument in one assertion: the static model finds a
         // schedule at least as good as a 25%-budget random search while
         // executing only its top-3.
         let (cfg, cands) = candidates();
-        let model = model_tune(&cfg, &cands).unwrap();
-        let rs = random_search(&cfg, &cands, cands.len() / 4, 11).unwrap();
+        let model = tune_with(&cfg, &cands, TierPolicy::top_k(3));
+        let rs = random_search(&cfg, &cands, cands.len() / 4, 11, &TuneOptions::default()).unwrap();
         assert!(model.cycles <= rs.cycles, "model {} vs random {}", model.cycles, rs.cycles);
         assert!(model.executed < rs.executed);
     }
@@ -282,8 +256,8 @@ mod tests {
     #[test]
     fn deterministic_given_seed() {
         let (cfg, cands) = candidates();
-        let a = random_search(&cfg, &cands, 10, 42).unwrap();
-        let b = random_search(&cfg, &cands, 10, 42).unwrap();
+        let a = random_search(&cfg, &cands, 10, 42, &TuneOptions::default()).unwrap();
+        let b = random_search(&cfg, &cands, 10, 42, &TuneOptions::default()).unwrap();
         assert_eq!(a.best, b.best);
         assert_eq!(a.cycles, b.cycles);
     }
@@ -291,7 +265,8 @@ mod tests {
     #[test]
     fn empty_space_is_a_clear_error() {
         let cfg = MachineConfig::default();
-        assert!(matches!(random_search(&cfg, &[], 10, 1), Err(TuneError::NoCandidates)));
-        assert!(matches!(greedy_search(&cfg, &[], 10, 1), Err(TuneError::NoCandidates)));
+        let opts = TuneOptions::default();
+        assert!(matches!(random_search(&cfg, &[], 10, 1, &opts), Err(TuneError::NoCandidates)));
+        assert!(matches!(greedy_search(&cfg, &[], 10, 1, &opts), Err(TuneError::NoCandidates)));
     }
 }

@@ -23,7 +23,7 @@ use swatop::scheduler::{Candidate, Scheduler};
 use swatop::telemetry::bus::{Event, EventBus};
 use swatop::telemetry::metrics::{MetricsHub, MetricsServer};
 use swatop::tuner::pool::{MonitorConfig, PoolMonitor};
-use swatop::tuner::{tiered_tune, TuneOptions};
+use swatop::tuner::{tune, TuneOptions};
 
 fn gemm_space(cfg: &MachineConfig) -> Vec<Candidate> {
     let cands = Scheduler::new(cfg.clone()).enumerate(&MatmulOp::new(64, 64, 32));
@@ -59,7 +59,7 @@ fn event_key_multiset_is_jobs_invariant() {
     for jobs in [1, 4] {
         let bus = EventBus::default();
         let sub = bus.subscribe(1 << 16);
-        let out = tiered_tune(&cfg, &cands, &opts(jobs, Some(bus.clone()), None)).unwrap();
+        let out = tune(&cfg, &cands, &opts(jobs, Some(bus.clone()), None), None).unwrap();
         assert!(out.executed > 0);
         let events = sub.drain();
         assert_eq!(sub.dropped(), 0, "ring must be big enough for the whole run");
@@ -83,13 +83,13 @@ fn event_key_multiset_is_jobs_invariant() {
 fn bus_and_watchdog_never_perturb_results() {
     let cfg = MachineConfig::default();
     let cands = gemm_space(&cfg);
-    let plain = tiered_tune(&cfg, &cands, &opts(2, None, None)).unwrap();
+    let plain = tune(&cfg, &cands, &opts(2, None, None), None).unwrap();
 
     let bus = EventBus::default();
     let sub = bus.subscribe(1 << 16);
     let monitor = Arc::new(PoolMonitor::new(MonitorConfig::default(), Some(bus.clone())));
     let watched =
-        tiered_tune(&cfg, &cands, &opts(2, Some(bus), Some(monitor.clone()))).unwrap();
+        tune(&cfg, &cands, &opts(2, Some(bus), Some(monitor.clone())), None).unwrap();
 
     assert_eq!(plain.best, watched.best);
     assert_eq!(plain.cycles, watched.cycles);
@@ -117,7 +117,7 @@ fn bus_and_watchdog_never_perturb_results() {
 fn watchdog_flags_injected_wedge() {
     let cfg = MachineConfig::default();
     let cands = gemm_space(&cfg);
-    let clean = tiered_tune(&cfg, &cands, &opts(2, None, None)).unwrap();
+    let clean = tune(&cfg, &cands, &opts(2, None, None), None).unwrap();
     // Wedge a candidate the ladder certainly measures: the winner.
     let wedge_idx = clean.best;
 
@@ -132,7 +132,7 @@ fn watchdog_flags_injected_wedge() {
         Some(bus.clone()),
     ));
     let wedged =
-        tiered_tune(&fcfg, &cands, &opts(2, Some(bus), Some(monitor.clone()))).unwrap();
+        tune(&fcfg, &cands, &opts(2, Some(bus), Some(monitor.clone())), None).unwrap();
 
     // Report-only: the wedge slept host time, the answer is bit-identical.
     assert_eq!(wedged.best, clean.best);
@@ -212,7 +212,7 @@ fn metrics_endpoint_survives_concurrent_scrapes_mid_sweep() {
         })
         .collect();
 
-    let out = tiered_tune(&cfg, &cands, &opts(4, Some(bus), Some(monitor))).unwrap();
+    let out = tune(&cfg, &cands, &opts(4, Some(bus), Some(monitor)), None).unwrap();
     // One more scrape after the run so the final counters are folded.
     stop.store(true, Ordering::Release);
     let total: u32 = scrapers.into_iter().map(|h| h.join().unwrap()).sum();

@@ -9,8 +9,7 @@ use swatop::ops::MatmulOp;
 use swatop::scheduler::{Candidate, Scheduler};
 use swatop::tuner::checkpoint::{self, CandCell};
 use swatop::tuner::{
-    blackbox_tune_opts, model_tune_topk_opts, prevalidate, CheckpointPolicy, TuneOptions,
-    TuneOutcome,
+    prevalidate, tune, CheckpointPolicy, TierPolicy, TuneOptions, TuneOutcome,
 };
 use swatop_ir::Stmt;
 
@@ -28,6 +27,11 @@ fn faulty_cfg() -> MachineConfig {
 
 fn space(cfg: &MachineConfig) -> Vec<Candidate> {
     Scheduler::new(cfg.clone()).enumerate(&MatmulOp::new(96, 96, 48))
+}
+
+/// Options for a brute-force sweep on `jobs` workers.
+fn sweep(jobs: usize) -> TuneOptions {
+    TuneOptions { jobs, tiers: TierPolicy::exhaustive(), ..TuneOptions::default() }
 }
 
 /// Field-by-field equality of everything that must be deterministic
@@ -48,7 +52,7 @@ fn poisoned_space_stress_is_deterministic_across_jobs() {
     let cands = space(&cfg);
     assert!(cands.len() > 300, "space too small to stress: {}", cands.len());
     let run = |jobs: usize| {
-        blackbox_tune_opts(&cfg, &cands, &TuneOptions::with_jobs(jobs))
+        tune(&cfg, &cands, &sweep(jobs), None)
             .expect("a poisoned space must still tune")
     };
     let serial = run(1);
@@ -71,11 +75,12 @@ fn poisoned_space_stress_is_deterministic_across_jobs() {
 }
 
 #[test]
-fn model_tuner_survives_a_poisoned_space() {
+fn top_k_survives_a_poisoned_space() {
     let cfg = faulty_cfg();
     let cands = space(&cfg);
     let run = |jobs: usize| {
-        model_tune_topk_opts(&cfg, &cands, 8, &TuneOptions::with_jobs(jobs))
+        let opts = TuneOptions { jobs, tiers: TierPolicy::top_k(8), ..TuneOptions::default() };
+        tune(&cfg, &cands, &opts, None)
             .expect("model tuner must survive faults")
     };
     let serial = run(1);
@@ -93,7 +98,7 @@ fn prevalidation_rejects_impossible_candidates_before_execution() {
     assert!(err.to_string().contains("SPM footprint"), "got: {err}");
     // In a mixed space the bad candidate is reported, not fatal.
     let mixed = vec![bad, cands[1].clone()];
-    let out = blackbox_tune_opts(&cfg, &mixed, &TuneOptions::with_jobs(1)).unwrap();
+    let out = tune(&cfg, &mixed, &sweep(1), None).unwrap();
     assert_eq!(out.best, 1);
     assert_eq!(out.failed, 1);
     let msg = out.reports[0].error.as_deref().unwrap();
@@ -106,7 +111,7 @@ fn a_panicking_candidate_fails_alone() {
     let cfg = MachineConfig::default();
     let mut cands = space(&cfg);
     let clean =
-        blackbox_tune_opts(&cfg, &cands, &TuneOptions::with_jobs(1)).unwrap();
+        tune(&cfg, &cands, &sweep(1), None).unwrap();
     // Poison the clean winner: wrap its body in a loop over a variable id
     // far beyond the program's environment, so the interpreter's `Env::set`
     // panics on an out-of-bounds index at execution time.
@@ -117,7 +122,7 @@ fn a_panicking_candidate_fails_alone() {
     let hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
     let run = |jobs: usize| {
-        blackbox_tune_opts(&cfg, &cands, &TuneOptions::with_jobs(jobs)).unwrap()
+        tune(&cfg, &cands, &sweep(jobs), None).unwrap()
     };
     let (serial, parallel) = (run(1), run(8));
     std::panic::set_hook(hook);
@@ -137,12 +142,12 @@ fn resumed_sweep_matches_uninterrupted() {
     let cfg = faulty_cfg();
     let cands = space(&cfg);
     let uninterrupted =
-        blackbox_tune_opts(&cfg, &cands, &TuneOptions::with_jobs(2)).unwrap();
+        tune(&cfg, &cands, &sweep(2), None).unwrap();
 
     let path = std::env::temp_dir().join(format!("swatop_resume_{}.ckpt", std::process::id()));
-    let mut opts = TuneOptions::with_jobs(2);
+    let mut opts = sweep(2);
     opts.checkpoint = Some(CheckpointPolicy::new(&path));
-    blackbox_tune_opts(&cfg, &cands, &opts).unwrap();
+    tune(&cfg, &cands, &opts, None).unwrap();
 
     // Rewind the finished checkpoint to "killed after candidate n/3".
     let ck = checkpoint::load(&path).expect("checkpoint readable");
@@ -155,9 +160,9 @@ fn resumed_sweep_matches_uninterrupted() {
     }
     checkpoint::save(&path, ck.fingerprint, &cells).unwrap();
 
-    let mut ropts = TuneOptions::with_jobs(2);
+    let mut ropts = sweep(2);
     ropts.checkpoint = Some(CheckpointPolicy::resuming(&path));
-    let resumed = blackbox_tune_opts(&cfg, &cands, &ropts).unwrap();
+    let resumed = tune(&cfg, &cands, &ropts, None).unwrap();
     std::fs::remove_file(&path).ok();
     assert_same_outcome(&uninterrupted, &resumed, "resume vs uninterrupted");
 }
@@ -166,7 +171,7 @@ fn resumed_sweep_matches_uninterrupted() {
 fn foreign_checkpoint_is_ignored_not_trusted() {
     let cfg = faulty_cfg();
     let cands = space(&cfg);
-    let fresh = blackbox_tune_opts(&cfg, &cands, &TuneOptions::with_jobs(2)).unwrap();
+    let fresh = tune(&cfg, &cands, &sweep(2), None).unwrap();
 
     // A checkpoint from a *different* sweep: right length, wrong fingerprint,
     // and cells that would poison the result if trusted.
@@ -174,9 +179,9 @@ fn foreign_checkpoint_is_ignored_not_trusted() {
     let lie = vec![CandCell::Done { cycles: 1, retries: 0, samples: 1 }; cands.len()];
     checkpoint::save(&path, 0xDEAD_BEEF, &lie).unwrap();
 
-    let mut ropts = TuneOptions::with_jobs(2);
+    let mut ropts = sweep(2);
     ropts.checkpoint = Some(CheckpointPolicy::resuming(&path));
-    let resumed = blackbox_tune_opts(&cfg, &cands, &ropts).unwrap();
+    let resumed = tune(&cfg, &cands, &ropts, None).unwrap();
     std::fs::remove_file(&path).ok();
     assert_same_outcome(&fresh, &resumed, "foreign checkpoint rejected");
 }
@@ -187,7 +192,7 @@ fn fault_free_machine_reports_clean_outcomes() {
     // no failures, no retries, single-sample measurements.
     let cfg = MachineConfig::default();
     let cands = space(&cfg);
-    let out = blackbox_tune_opts(&cfg, &cands, &TuneOptions::with_jobs(2)).unwrap();
+    let out = tune(&cfg, &cands, &sweep(2), None).unwrap();
     assert_eq!(out.failed, 0);
     assert_eq!(out.retried, 0);
     assert!(out.reports.iter().all(|r| r.samples == 1 && r.error.is_none()));

@@ -8,7 +8,7 @@ use swatop::observatory::{self, Bottleneck, MetricSet, Peaks};
 use swatop::ops::ImplicitConvOp;
 use swatop::scheduler::{Candidate, Scheduler};
 use swatop::telemetry::Telemetry;
-use swatop::tuner::{blackbox_tune_opts, model_tune_opts, TuneOptions};
+use swatop::tuner::{tune, TierPolicy, TuneOptions};
 
 fn space(cfg: &MachineConfig) -> Vec<Candidate> {
     let shape = swtensor::ConvShape::square(32, 64, 64, 16);
@@ -17,8 +17,16 @@ fn space(cfg: &MachineConfig) -> Vec<Candidate> {
     cands
 }
 
-fn opts(jobs: usize, tel: Option<&Telemetry>) -> TuneOptions {
-    TuneOptions { jobs, telemetry: tel.cloned(), ..TuneOptions::default() }
+fn opts(tiers: TierPolicy, jobs: usize, tel: Option<&Telemetry>) -> TuneOptions {
+    TuneOptions { jobs, telemetry: tel.cloned(), tiers, ..TuneOptions::default() }
+}
+
+fn sweep(jobs: usize, tel: Option<&Telemetry>) -> TuneOptions {
+    opts(TierPolicy::exhaustive(), jobs, tel)
+}
+
+fn top3(jobs: usize, tel: Option<&Telemetry>) -> TuneOptions {
+    opts(TierPolicy::top_k(3), jobs, tel)
 }
 
 /// Per-candidate (index, metrics, bottleneck) for every executed candidate
@@ -44,14 +52,14 @@ fn metrics_and_bottlenecks_identical_across_job_counts() {
     let cands = space(&cfg);
 
     let tel1 = Telemetry::new();
-    let serial = blackbox_tune_opts(&cfg, &cands, &opts(1, Some(&tel1))).expect("serial");
+    let serial = tune(&cfg, &cands, &sweep(1, Some(&tel1)), None).expect("serial");
     let base = attributions(&tel1, &peaks);
     assert_eq!(base.len(), cands.len(), "blackbox executes everything");
     assert!(base.iter().any(|(_, m, _)| m.get("achieved_gflops").unwrap() > 0.0));
 
     for jobs in [2, 8] {
         let tel = Telemetry::new();
-        let par = blackbox_tune_opts(&cfg, &cands, &opts(jobs, Some(&tel))).expect("parallel");
+        let par = tune(&cfg, &cands, &sweep(jobs, Some(&tel)), None).expect("parallel");
         assert_eq!(par.best, serial.best, "jobs={jobs}");
         assert_eq!(par.cycles, serial.cycles, "jobs={jobs}");
         let got = attributions(&tel, &peaks);
@@ -103,7 +111,7 @@ fn bottleneck_mix_on_outcome_matches_recount_across_jobs() {
     let mut mixes = Vec::new();
     for jobs in [1, 2, 8] {
         let tel = Telemetry::new();
-        let outcome = model_tune_opts(&cfg, &cands, &opts(jobs, Some(&tel))).expect("tune");
+        let outcome = tune(&cfg, &cands, &top3(jobs, Some(&tel)), None).expect("tune");
         let summary = outcome.telemetry.expect("instrumented run carries telemetry");
         assert!(summary.mix.total() > 0, "jobs={jobs}: executed candidates were classified");
         assert_eq!(summary.mix.total(), outcome.executed - outcome.failed, "jobs={jobs}");
@@ -119,11 +127,11 @@ fn telemetry_attachment_does_not_change_tuning() {
     let cfg = MachineConfig::default();
     let cands = space(&cfg);
     for jobs in [1, 4] {
-        let bare = model_tune_opts(&cfg, &cands, &opts(jobs, None)).expect("bare");
+        let bare = tune(&cfg, &cands, &top3(jobs, None), None).expect("bare");
         assert!(bare.telemetry.is_none());
         let tel = Telemetry::new();
         let instrumented =
-            model_tune_opts(&cfg, &cands, &opts(jobs, Some(&tel))).expect("instrumented");
+            tune(&cfg, &cands, &top3(jobs, Some(&tel)), None).expect("instrumented");
         assert_eq!(instrumented.best, bare.best, "jobs={jobs}");
         assert_eq!(instrumented.cycles, bare.cycles, "jobs={jobs}");
         assert_eq!(instrumented.executed, bare.executed, "jobs={jobs}");

@@ -14,7 +14,7 @@ use swatop::ops::matmul::{lower_matmul_body, MatmulKnobs, Resident};
 use swatop::ops::tiling::PadMode;
 use swatop::ops::{DmaKnobs, MatmulOp};
 use swatop::scheduler::{Operator, Scheduler};
-use swatop::tuner::{blackbox_tune_opts, TuneOptions};
+use swatop::tuner::{tune, TierPolicy, TuneOptions};
 use swatop_ir::{MemRole, Program, SpmSlot, Stmt};
 
 /// Base knob set the equivalence tests perturb.
@@ -150,10 +150,11 @@ fn new_dimensions_are_bit_identical_across_job_counts() {
         cands.iter().any(|c| c.describe.contains("dbuf=true")),
         "sample crosses the dbuf dimension"
     );
-    let serial = blackbox_tune_opts(&cfg, &cands, &TuneOptions::default()).expect("serial");
+    let sweep =
+        |jobs| TuneOptions { jobs, tiers: TierPolicy::exhaustive(), ..TuneOptions::default() };
+    let serial = tune(&cfg, &cands, &sweep(1), None).expect("serial");
     for jobs in [2, 4] {
-        let par = blackbox_tune_opts(&cfg, &cands, &TuneOptions::with_jobs(jobs))
-            .expect("parallel");
+        let par = tune(&cfg, &cands, &sweep(jobs), None).expect("parallel");
         assert_eq!(par.best, serial.best, "jobs={jobs}");
         assert_eq!(par.cycles, serial.cycles, "jobs={jobs}");
         assert_eq!(par.all_cycles, serial.all_cycles, "jobs={jobs}");

@@ -7,7 +7,7 @@
 use sw26010::MachineConfig;
 use swatop::ops::ImplicitConvOp;
 use swatop::scheduler::{Candidate, Scheduler};
-use swatop::tuner::{blackbox_tune_jobs, model_rank_jobs, model_tune_topk_jobs};
+use swatop::tuner::{model_rank, tune, TierPolicy, TuneOptions};
 use swtensor::ConvShape;
 
 /// A nontrivial implicit-conv schedule space (the ISSUE floor is 200
@@ -23,15 +23,20 @@ fn space(cfg: &MachineConfig) -> Vec<Candidate> {
     cands
 }
 
+fn with(tiers: TierPolicy, jobs: usize) -> TuneOptions {
+    TuneOptions { jobs, tiers, ..TuneOptions::default() }
+}
+
 #[test]
 fn blackbox_is_identical_for_any_job_count() {
     let cfg = MachineConfig::default();
     let cands = space(&cfg);
-    let serial = blackbox_tune_jobs(&cfg, &cands, 1).expect("serial tune");
+    let serial = tune(&cfg, &cands, &with(TierPolicy::exhaustive(), 1), None).expect("serial tune");
     assert_eq!(serial.jobs, 1);
     assert_eq!(serial.executed, cands.len());
     for jobs in [2, 4, 8] {
-        let par = blackbox_tune_jobs(&cfg, &cands, jobs).expect("parallel tune");
+        let par = tune(&cfg, &cands, &with(TierPolicy::exhaustive(), jobs), None)
+            .expect("parallel tune");
         assert_eq!(par.best, serial.best, "jobs={jobs}");
         assert_eq!(par.cycles, serial.cycles, "jobs={jobs}");
         assert_eq!(par.executed, serial.executed, "jobs={jobs}");
@@ -45,9 +50,10 @@ fn model_topk_is_identical_for_any_job_count() {
     let cfg = MachineConfig::default();
     let cands = space(&cfg);
     for k in [1, 3, 8] {
-        let serial = model_tune_topk_jobs(&cfg, &cands, k, 1).expect("serial tune");
+        let serial = tune(&cfg, &cands, &with(TierPolicy::top_k(k), 1), None).expect("serial tune");
         for jobs in [2, 4, 8] {
-            let par = model_tune_topk_jobs(&cfg, &cands, k, jobs).expect("parallel tune");
+            let par = tune(&cfg, &cands, &with(TierPolicy::top_k(k), jobs), None)
+                .expect("parallel tune");
             assert_eq!(par.best, serial.best, "k={k} jobs={jobs}");
             assert_eq!(par.cycles, serial.cycles, "k={k} jobs={jobs}");
             assert_eq!(par.executed, serial.executed, "k={k} jobs={jobs}");
@@ -60,10 +66,10 @@ fn model_topk_is_identical_for_any_job_count() {
 fn model_ranking_is_identical_for_any_job_count() {
     let cfg = MachineConfig::default();
     let cands = space(&cfg);
-    let serial = model_rank_jobs(&cfg, &cands, 1);
+    let serial = model_rank(&cfg, &cands, 1);
     assert_eq!(serial.len(), cands.len());
     for jobs in [2, 4, 8] {
-        let par = model_rank_jobs(&cfg, &cands, jobs);
+        let par = model_rank(&cfg, &cands, jobs);
         // Scores are f64: require exact equality, not approximate — the
         // parallel path must compute the very same floats.
         assert_eq!(par, serial, "jobs={jobs}");
@@ -74,7 +80,7 @@ fn model_ranking_is_identical_for_any_job_count() {
 fn cpu_time_aggregates_per_candidate_cost() {
     let cfg = MachineConfig::default();
     let cands = space(&cfg);
-    let out = blackbox_tune_jobs(&cfg, &cands, 2).expect("tune");
+    let out = tune(&cfg, &cands, &with(TierPolicy::exhaustive(), 2), None).expect("tune");
     // The serial-equivalent aggregate must be positive; with one host core
     // wall may equal cpu, with more cores wall should not exceed it by much
     // (scheduling noise aside), so only the lower bound is asserted.

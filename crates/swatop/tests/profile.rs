@@ -14,7 +14,7 @@ use swatop::profiler::{
 };
 use swatop::scheduler::{Candidate, Scheduler};
 use swatop::telemetry::{validate_json, Telemetry};
-use swatop::tuner::{model_tune_topk_validated, TuneOptions};
+use swatop::tuner::{tune, TierPolicy, TuneOptions};
 
 fn space() -> (MachineConfig, Vec<Candidate>) {
     let cfg = MachineConfig::default();
@@ -33,9 +33,13 @@ fn corpus_bytes_are_jobs_independent() {
     let mut texts = Vec::new();
     for jobs in [1usize, 4] {
         let tel = Telemetry::new();
-        let mut opts = TuneOptions::with_jobs(jobs);
-        opts.telemetry = Some(tel.clone());
-        let outcome = model_tune_topk_validated(&cfg, &cands, 3, &opts, None).unwrap();
+        let opts = TuneOptions {
+            jobs,
+            telemetry: Some(tel.clone()),
+            tiers: TierPolicy::top_k(3),
+            ..TuneOptions::default()
+        };
+        let outcome = tune(&cfg, &cands, &opts, None).unwrap();
         let rows = feature_rows(&tel, &peaks);
         assert_eq!(
             rows.len(),
@@ -89,9 +93,8 @@ fn profile_artifact_is_deterministic() {
 #[test]
 fn perfetto_export_is_well_formed() {
     let (cfg, cands) = space();
-    let winner = model_tune_topk_validated(&cfg, &cands, 3, &TuneOptions::default(), None)
-        .unwrap()
-        .best;
+    let top3 = TuneOptions { tiers: TierPolicy::top_k(3), ..TuneOptions::default() };
+    let winner = tune(&cfg, &cands, &top3, None).unwrap().best;
     let p = profile_candidate(&cfg, "mm96", winner, &cands[winner]).unwrap();
     let text = profile_perfetto(&p, cfg.clock_ghz);
     validate_json(&text).unwrap();

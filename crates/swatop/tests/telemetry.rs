@@ -16,7 +16,7 @@ use sw26010::MachineConfig;
 use swatop::ops::ImplicitConvOp;
 use swatop::scheduler::{Candidate, Scheduler};
 use swatop::telemetry::{validate_json, SpanKind, Telemetry};
-use swatop::tuner::{blackbox_tune_opts, model_tune_topk_opts, TuneOptions, TuneOutcome};
+use swatop::tuner::{tune, TierPolicy, TuneOptions, TuneOutcome};
 use swtensor::ConvShape;
 
 fn space(cfg: &MachineConfig) -> Vec<Candidate> {
@@ -26,8 +26,12 @@ fn space(cfg: &MachineConfig) -> Vec<Candidate> {
     cands
 }
 
-fn opts(jobs: usize, tel: Option<&Telemetry>) -> TuneOptions {
-    TuneOptions { jobs, telemetry: tel.cloned(), ..TuneOptions::default() }
+fn opts(tiers: TierPolicy, jobs: usize, tel: Option<&Telemetry>) -> TuneOptions {
+    TuneOptions { jobs, telemetry: tel.cloned(), tiers, ..TuneOptions::default() }
+}
+
+fn top_k(k: usize, jobs: usize, tel: Option<&Telemetry>) -> TuneOptions {
+    opts(TierPolicy::top_k(k), jobs, tel)
 }
 
 /// The deterministic projection of a candidate span: everything except
@@ -64,8 +68,8 @@ fn disabled_telemetry_is_bit_identical_and_absent() {
     let cands = space(&cfg);
     for jobs in [1, 4] {
         let tel = Telemetry::new();
-        let plain = model_tune_topk_opts(&cfg, &cands, 5, &opts(jobs, None)).unwrap();
-        let inst = model_tune_topk_opts(&cfg, &cands, 5, &opts(jobs, Some(&tel))).unwrap();
+        let plain = tune(&cfg, &cands, &top_k(5, jobs, None), None).unwrap();
+        let inst = tune(&cfg, &cands, &top_k(5, jobs, Some(&tel)), None).unwrap();
         same_outcome(&plain, &inst);
         assert!(plain.telemetry.is_none(), "no recorder => no telemetry");
         assert!(inst.telemetry.is_some(), "recorder => condensed telemetry");
@@ -78,7 +82,7 @@ fn span_set_is_identical_for_any_job_count() {
     let cands = space(&cfg);
     let run = |jobs: usize| {
         let tel = Telemetry::new();
-        model_tune_topk_opts(&cfg, &cands, 8, &opts(jobs, Some(&tel))).unwrap();
+        tune(&cfg, &cands, &top_k(8, jobs, Some(&tel)), None).unwrap();
         (span_facts(&tel), tel)
     };
     let (serial, serial_tel) = run(1);
@@ -101,7 +105,7 @@ fn every_executed_candidate_feeds_the_accuracy_tracker() {
     let cands = space(&cfg);
     for k in [1, 3, 8] {
         let tel = Telemetry::new();
-        let outcome = model_tune_topk_opts(&cfg, &cands, k, &opts(2, Some(&tel))).unwrap();
+        let outcome = tune(&cfg, &cands, &top_k(k, 2, Some(&tel)), None).unwrap();
         let pairs = tel.pairs();
         // On the fault-free machine nothing fails, so pair count == executed
         // — including top-k wave members that lost the final pick.
@@ -119,7 +123,7 @@ fn blackbox_records_a_pair_for_the_whole_space() {
     let cfg = MachineConfig::default();
     let cands = space(&cfg);
     let tel = Telemetry::new();
-    let outcome = blackbox_tune_opts(&cfg, &cands, &opts(4, Some(&tel))).unwrap();
+    let outcome = tune(&cfg, &cands, &opts(TierPolicy::exhaustive(), 4, Some(&tel)), None).unwrap();
     assert_eq!(outcome.executed, cands.len());
     assert_eq!(tel.pairs().len(), cands.len());
     let summary = outcome.telemetry.expect("instrumented");
@@ -137,7 +141,7 @@ fn exporters_are_valid_json_with_one_thread_per_worker() {
     let sweep = tel.open(SpanKind::Sweep, "test sweep");
     let op_handle = tel.child_of(sweep);
     let op = op_handle.open(SpanKind::Operator, "implicit conv");
-    model_tune_topk_opts(&cfg, &cands, 6, &opts(3, Some(&op_handle.child_of(op)))).unwrap();
+    tune(&cfg, &cands, &top_k(6, 3, Some(&op_handle.child_of(op))), None).unwrap();
     op_handle.close(op);
     tel.close(sweep);
 

@@ -1,6 +1,6 @@
-//! Tier-ladder guarantees: the tiered tuner (analytic screen → adaptive
+//! Tier-ladder guarantees: the default ladder (analytic screen → adaptive
 //! scoreboard top-k → functional winner) must pick the *same* winner as
-//! the full-scoreboard sweep while measuring a fraction of the space;
+//! the exhaustive sweep while measuring a fraction of the space;
 //! memoized sub-cost estimation must be bit-identical to the unmemoized
 //! walk; and the ladder must stay bit-deterministic across worker counts
 //! and checkpoint interruption.
@@ -12,9 +12,7 @@ use swatop::model::{estimate_program_memo, GemmModel};
 use swatop::ops::{ImplicitConvOp, MatmulOp};
 use swatop::scheduler::{Candidate, Scheduler};
 use swatop::tuner::checkpoint::{self, CandCell};
-use swatop::tuner::{
-    blackbox_tune_jobs, tiered_tune, CheckpointPolicy, TierMode, TuneOptions, TuneOutcome,
-};
+use swatop::tuner::{tune, CheckpointPolicy, TierPolicy, TuneOptions, TuneOutcome};
 use swtensor::ConvShape;
 
 fn conv_space(cfg: &MachineConfig) -> Vec<Candidate> {
@@ -22,6 +20,15 @@ fn conv_space(cfg: &MachineConfig) -> Vec<Candidate> {
     let cands = Scheduler::new(cfg.clone()).enumerate(&ImplicitConvOp::new(shape));
     assert!(cands.len() > 20, "need a nontrivial space, got {}", cands.len());
     cands
+}
+
+fn ladder(cfg: &MachineConfig, cands: &[Candidate], opts: &TuneOptions) -> TuneOutcome {
+    tune(cfg, cands, opts, None).unwrap()
+}
+
+fn exhaustive(cfg: &MachineConfig, cands: &[Candidate], jobs: usize) -> TuneOutcome {
+    let opts = TuneOptions { jobs, tiers: TierPolicy::exhaustive(), ..TuneOptions::default() };
+    tune(cfg, cands, &opts, None).unwrap()
 }
 
 fn assert_same_pick(a: &TuneOutcome, b: &TuneOutcome, what: &str) {
@@ -43,8 +50,8 @@ proptest! {
         let cfg = MachineConfig::default();
         let cands = Scheduler::new(cfg.clone()).enumerate(&MatmulOp::new(m, n, k));
         prop_assume!(!cands.is_empty());
-        let bb = blackbox_tune_jobs(&cfg, &cands, 1).unwrap();
-        let td = tiered_tune(&cfg, &cands, &TuneOptions::with_jobs(1)).unwrap();
+        let bb = exhaustive(&cfg, &cands, 1);
+        let td = ladder(&cfg, &cands, &TuneOptions::with_jobs(1));
         prop_assert_eq!(td.best, bb.best, "gemm {}x{}x{}", m, n, k);
         prop_assert_eq!(td.cycles, bb.cycles);
         prop_assert_eq!(td.screened, cands.len());
@@ -58,8 +65,8 @@ proptest! {
 fn tiered_matches_blackbox_on_conv() {
     let cfg = MachineConfig::default();
     let cands = conv_space(&cfg);
-    let bb = blackbox_tune_jobs(&cfg, &cands, 2).unwrap();
-    let td = tiered_tune(&cfg, &cands, &TuneOptions::with_jobs(2)).unwrap();
+    let bb = exhaustive(&cfg, &cands, 2);
+    let td = ladder(&cfg, &cands, &TuneOptions::with_jobs(2));
     assert_same_pick(&bb, &td, "conv tiered vs blackbox");
     assert!(
         td.executed * 2 <= cands.len(),
@@ -67,20 +74,6 @@ fn tiered_matches_blackbox_on_conv() {
         td.executed,
         cands.len()
     );
-}
-
-/// `--tiers full` is a true alias of the brute-force sweep.
-#[test]
-fn full_scoreboard_mode_matches_blackbox() {
-    let cfg = MachineConfig::default();
-    let cands = conv_space(&cfg);
-    let bb = blackbox_tune_jobs(&cfg, &cands, 2).unwrap();
-    let mut opts = TuneOptions::with_jobs(2);
-    opts.tiers.mode = TierMode::FullScoreboard;
-    let full = tiered_tune(&cfg, &cands, &opts).unwrap();
-    assert_same_pick(&bb, &full, "full-scoreboard mode");
-    assert_eq!(full.executed, cands.len());
-    assert_eq!(full.all_cycles, bb.all_cycles);
 }
 
 /// Sub-cost memoization never changes a single bit of any estimate —
@@ -117,9 +110,9 @@ fn memo_on_off_is_bit_identical() {
 fn tiered_is_identical_for_any_job_count() {
     let cfg = MachineConfig::default();
     let cands = conv_space(&cfg);
-    let serial = tiered_tune(&cfg, &cands, &TuneOptions::with_jobs(1)).unwrap();
+    let serial = ladder(&cfg, &cands, &TuneOptions::with_jobs(1));
     for jobs in [2, 4] {
-        let par = tiered_tune(&cfg, &cands, &TuneOptions::with_jobs(jobs)).unwrap();
+        let par = ladder(&cfg, &cands, &TuneOptions::with_jobs(jobs));
         assert_eq!(par.best, serial.best, "jobs={jobs}");
         assert_eq!(par.cycles, serial.cycles, "jobs={jobs}");
         assert_eq!(par.executed, serial.executed, "jobs={jobs}");
@@ -128,7 +121,7 @@ fn tiered_is_identical_for_any_job_count() {
     }
     let mut nomemo = TuneOptions::with_jobs(4);
     nomemo.tiers.memo = false;
-    let plain = tiered_tune(&cfg, &cands, &nomemo).unwrap();
+    let plain = ladder(&cfg, &cands, &nomemo);
     assert_eq!(plain.best, serial.best, "memo off");
     assert_eq!(plain.cycles, serial.cycles, "memo off");
     assert_eq!(plain.executed, serial.executed, "memo off");
@@ -140,13 +133,13 @@ fn tiered_is_identical_for_any_job_count() {
 fn tiered_resume_matches_uninterrupted() {
     let cfg = MachineConfig::default();
     let cands = conv_space(&cfg);
-    let uninterrupted = tiered_tune(&cfg, &cands, &TuneOptions::with_jobs(2)).unwrap();
+    let uninterrupted = ladder(&cfg, &cands, &TuneOptions::with_jobs(2));
 
     let path =
         std::env::temp_dir().join(format!("swatop_tiers_resume_{}.ckpt", std::process::id()));
     let mut opts = TuneOptions::with_jobs(2);
     opts.checkpoint = Some(CheckpointPolicy::new(&path));
-    tiered_tune(&cfg, &cands, &opts).unwrap();
+    ladder(&cfg, &cands, &opts);
 
     // Rewind the finished checkpoint to "killed after the first measured
     // candidate": everything but one Done cell back to Pending.
@@ -164,7 +157,7 @@ fn tiered_resume_matches_uninterrupted() {
 
     let mut ropts = TuneOptions::with_jobs(2);
     ropts.checkpoint = Some(CheckpointPolicy::resuming(&path));
-    let resumed = tiered_tune(&cfg, &cands, &ropts).unwrap();
+    let resumed = ladder(&cfg, &cands, &ropts);
     std::fs::remove_file(&path).ok();
     assert_same_pick(&uninterrupted, &resumed, "resume vs uninterrupted");
     assert_eq!(resumed.all_cycles, uninterrupted.all_cycles, "resume vs uninterrupted");

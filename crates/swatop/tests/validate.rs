@@ -18,7 +18,7 @@ use swatop::optimizer::verify::verify_executable;
 use swatop::scheduler::{Candidate, Operator, Scheduler};
 use swatop::tuner::checkpoint::{self, CandCell};
 use swatop::tuner::{
-    blackbox_tune_validated, model_tune_topk_validated, CheckpointPolicy, RetryPolicy,
+    tune, CheckpointPolicy, RetryPolicy, TierPolicy,
     TuneOptions, TuneOutcome, WinnerValidator,
 };
 use swatop_ir::{MemRole, Program, Stmt};
@@ -130,6 +130,11 @@ fn retry_policy_never_retries_deterministic_errors() {
     assert!(!p.should_retry(&args, true) && !p.should_retry(&args, false));
 }
 
+/// Options for a brute-force sweep on `jobs` workers.
+fn sweep(jobs: usize) -> TuneOptions {
+    TuneOptions { jobs, tiers: TierPolicy::exhaustive(), ..TuneOptions::default() }
+}
+
 fn assert_same_choice(a: &TuneOutcome, b: &TuneOutcome, what: &str) {
     assert_eq!(a.best, b.best, "{what}: best");
     assert_eq!(a.cycles, b.cycles, "{what}: cycles");
@@ -145,16 +150,14 @@ fn quarantined_winner_falls_back_deterministically() {
     let cfg = MachineConfig::default();
     let op = MatmulOp::new(96, 96, 48);
     let cands = candidates(&op);
-    let clean = blackbox_tune_validated(&cfg, &cands, &TuneOptions::default(), None)
-        .expect("clean tune");
+    let clean = tune(&cfg, &cands, &sweep(1), None).expect("clean tune");
     assert_eq!(clean.quarantined, 0);
     let banned = clean.best;
     let validator = move |i: usize, _: &Candidate| {
         if i == banned { Err("synthetic: rejected by test".to_string()) } else { Ok(()) }
     };
     let run = |jobs: usize| {
-        let opts = TuneOptions::with_jobs(jobs);
-        blackbox_tune_validated(&cfg, &cands, &opts, Some(&validator as &WinnerValidator))
+        tune(&cfg, &cands, &sweep(jobs), Some(&validator as &WinnerValidator))
             .expect("fallback tune")
     };
     let serial = run(1);
@@ -176,12 +179,12 @@ fn quarantined_winner_falls_back_deterministically() {
 /// one candidate outside the executed wave is acceptable, and the tuner
 /// must keep walking its ranking until it finds it.
 #[test]
-fn model_tuner_fallback_walks_past_the_wave() {
+fn top_k_fallback_walks_past_the_wave() {
     let cfg = MachineConfig::default();
     let op = MatmulOp::new(96, 96, 48);
     let cands = candidates(&op);
-    let clean = model_tune_topk_validated(&cfg, &cands, 3, &TuneOptions::default(), None)
-        .expect("clean model tune");
+    let top3 = TuneOptions { tiers: TierPolicy::top_k(3), ..TuneOptions::default() };
+    let clean = tune(&cfg, &cands, &top3, None).expect("clean model tune");
     assert!(clean.executed < cands.len(), "top-k must not execute everything");
     // Accept only a candidate the clean run never executed, forcing the
     // fallback loop to exhaust the wave and pull from the remaining ranking.
@@ -191,14 +194,8 @@ fn model_tuner_fallback_walks_past_the_wave() {
     let validator = move |i: usize, _: &Candidate| {
         if i == target { Ok(()) } else { Err("synthetic: only one acceptable".to_string()) }
     };
-    let out = model_tune_topk_validated(
-        &cfg,
-        &cands,
-        3,
-        &TuneOptions::default(),
-        Some(&validator as &WinnerValidator),
-    )
-    .expect("fallback must reach the acceptable candidate");
+    let out = tune(&cfg, &cands, &top3, Some(&validator as &WinnerValidator))
+        .expect("fallback must reach the acceptable candidate");
     assert_eq!(out.best, target);
     assert!(out.quarantined >= 3, "the whole wave was rejected");
     assert!(out.executed > clean.executed, "fallback executed beyond the wave");
@@ -217,23 +214,21 @@ fn resumed_validated_sweep_is_bit_identical_across_jobs() {
     };
     let op = MatmulOp::new(96, 96, 48);
     let cands = Scheduler::new(cfg.clone()).enumerate(&op);
-    let clean = blackbox_tune_validated(&cfg, &cands, &TuneOptions::with_jobs(2), None)
-        .expect("clean tune");
+    let clean = tune(&cfg, &cands, &sweep(2), None).expect("clean tune");
     let banned = clean.best;
     let validator = move |i: usize, _: &Candidate| {
         if i == banned { Err("synthetic: rejected by test".to_string()) } else { Ok(()) }
     };
     let v = Some(&validator as &WinnerValidator);
-    let uninterrupted = blackbox_tune_validated(&cfg, &cands, &TuneOptions::with_jobs(2), v)
-        .expect("uninterrupted tune");
+    let uninterrupted = tune(&cfg, &cands, &sweep(2), v).expect("uninterrupted tune");
     assert_eq!(uninterrupted.quarantined, 1);
     assert_ne!(uninterrupted.best, banned);
 
     let path =
         std::env::temp_dir().join(format!("swatop_validate_{}.ckpt", std::process::id()));
-    let mut opts = TuneOptions::with_jobs(2);
+    let mut opts = sweep(2);
     opts.checkpoint = Some(CheckpointPolicy::new(&path));
-    blackbox_tune_validated(&cfg, &cands, &opts, v).expect("checkpointed tune");
+    tune(&cfg, &cands, &opts, v).expect("checkpointed tune");
     let ck = checkpoint::load(&path).expect("checkpoint readable");
     assert_eq!(ck.cells.len(), cands.len());
     let cut = cands.len() / 3;
@@ -245,10 +240,9 @@ fn resumed_validated_sweep_is_bit_identical_across_jobs() {
             *cell = CandCell::Pending;
         }
         checkpoint::save(&path, ck.fingerprint, &cells).unwrap();
-        let mut ropts = TuneOptions::with_jobs(jobs);
+        let mut ropts = sweep(jobs);
         ropts.checkpoint = Some(CheckpointPolicy::resuming(&path));
-        let resumed =
-            blackbox_tune_validated(&cfg, &cands, &ropts, v).expect("resumed tune");
+        let resumed = tune(&cfg, &cands, &ropts, v).expect("resumed tune");
         assert_same_choice(&uninterrupted, &resumed, &format!("resume jobs={jobs}"));
     }
     std::fs::remove_file(&path).ok();

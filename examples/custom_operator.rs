@@ -14,7 +14,7 @@ use swatop_repro::swatop::ops::matmul::{lower_matmul_body, MatmulKnobs};
 use swatop_repro::swatop::ops::tiling::PadMode;
 use swatop_repro::swatop::ops::verify_candidate;
 use swatop_repro::swatop::scheduler::{Operator, Scheduler};
-use swatop_repro::swatop::tuner::model_tune;
+use swatop_repro::swatop::tuner::{tune, TierPolicy, TuneOptions};
 use swatop_repro::swtensor::init::random_vec;
 
 /// `C = alpha·A·B + C0`: a GEMM that accumulates into an existing tensor
@@ -135,7 +135,8 @@ fn main() {
     let cands = scheduler.enumerate(&op);
     println!("schedule space: {} points, {} valid candidates", op.space().size(), cands.len());
 
-    let outcome = model_tune(&cfg, &cands).expect("tunable");
+    let opts = TuneOptions { tiers: TierPolicy::top_k(3), ..TuneOptions::default() };
+    let outcome = tune(&cfg, &cands, &opts, None).expect("tunable");
     let best = &cands[outcome.best];
     println!("best schedule: {}", best.describe);
     println!("simulated cycles: {}", outcome.cycles.get());

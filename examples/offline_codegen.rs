@@ -15,11 +15,12 @@ use std::path::PathBuf;
 use swatop_repro::sw26010::MachineConfig;
 use swatop_repro::swatop::ops::{ImplicitConvOp, MatmulOp};
 use swatop_repro::swatop::scheduler::{Operator, Scheduler};
-use swatop_repro::swatop::tuner::model_tune;
+use swatop_repro::swatop::tuner::{tune, TierPolicy, TuneOptions};
 use swatop_repro::swtensor::ConvShape;
 
 fn main() {
     let cfg = MachineConfig::default();
+    let top3 = TuneOptions { tiers: TierPolicy::top_k(3), ..TuneOptions::default() };
     let out_dir = PathBuf::from("target/generated");
     fs::create_dir_all(&out_dir).expect("create output dir");
 
@@ -31,7 +32,7 @@ fn main() {
     for (m, n, k) in gemms {
         let op = MatmulOp::new(m, n, k);
         let cands = scheduler.enumerate(&op);
-        let outcome = model_tune(&cfg, &cands).expect("tunable");
+        let outcome = tune(&cfg, &cands, &top3, None).expect("tunable");
         let best = &cands[outcome.best];
         let path = out_dir.join(format!("{}.c", op.name()));
         fs::write(&path, best.exe.emit_c()).expect("write C file");
@@ -42,7 +43,7 @@ fn main() {
     for shape in convs {
         let op = ImplicitConvOp::new(shape);
         let cands = scheduler.enumerate(&op);
-        let outcome = model_tune(&cfg, &cands).expect("tunable");
+        let outcome = tune(&cfg, &cands, &top3, None).expect("tunable");
         let best = &cands[outcome.best];
         let path = out_dir.join(format!("{}.c", op.name()));
         fs::write(&path, best.exe.emit_c()).expect("write C file");

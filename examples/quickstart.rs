@@ -13,7 +13,7 @@
 use swatop_repro::sw26010::MachineConfig;
 use swatop_repro::swatop::ops::{verify_candidate, MatmulOp};
 use swatop_repro::swatop::scheduler::{Operator, Scheduler};
-use swatop_repro::swatop::tuner::model_tune;
+use swatop_repro::swatop::tuner::{tune, TierPolicy, TuneOptions};
 
 fn main() {
     let cfg = MachineConfig::default();
@@ -31,7 +31,8 @@ fn main() {
     println!("valid candidates after filtering: {}", candidates.len());
 
     // Autotuner: the static performance model picks; only the winner runs.
-    let outcome = model_tune(&cfg, &candidates).expect("tuning succeeds");
+    let opts = TuneOptions { tiers: TierPolicy::top_k(3), ..TuneOptions::default() };
+    let outcome = tune(&cfg, &candidates, &opts, None).expect("tuning succeeds");
     let best = &candidates[outcome.best];
     println!("\nmodel-chosen schedule: {}", best.describe);
     println!("simulated time: {} cycles = {:.3} ms on the 1.45 GHz CG",

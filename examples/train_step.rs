@@ -12,13 +12,18 @@ use swatop_repro::swatop::ops::{
     verify_candidate, ConvBackwardDataOp, ConvBackwardFilterOp, ImplicitConvOp,
 };
 use swatop_repro::swatop::scheduler::{Operator, Scheduler};
-use swatop_repro::swatop::tuner::model_tune;
+use swatop_repro::swatop::tuner::{tune, TierPolicy, TuneOptions};
 use swatop_repro::swtensor::ConvShape;
+
+/// Screen the whole space analytically, execute only the model's top 3.
+fn top3() -> TuneOptions {
+    TuneOptions { tiers: TierPolicy::top_k(3), ..TuneOptions::default() }
+}
 
 fn tune_and_check(cfg: &MachineConfig, op: &dyn Operator) -> (u64, f64) {
     let sched = Scheduler::new(cfg.clone());
     let cands = sched.enumerate(op);
-    let outcome = model_tune(cfg, &cands).expect("tunable");
+    let outcome = tune(cfg, &cands, &top3(), None).expect("tunable");
     let err = verify_candidate(cfg, op, &cands[outcome.best]).expect("runs");
     assert!(err < 1e-2, "{}: err {err}", op.name());
     (
@@ -48,7 +53,8 @@ fn main() {
 
     // Whole-chip deployment: batch split across the four core groups.
     let big = ConvShape { b: 32, ..shape };
-    if let Some(chip) = run_conv_data_parallel(&cfg, &big, |s| Box::new(ImplicitConvOp::new(s))) {
+    let build = |s| Box::new(ImplicitConvOp::new(s)) as Box<dyn Operator>;
+    if let Some(chip) = run_conv_data_parallel(&cfg, &big, build, &top3()) {
         println!(
             "\nchip-level forward at batch {}: shards {:?}, {:.0} GFLOPS aggregate \
              ({:.0}% of the 3.06 TFLOPS peak)",

@@ -10,13 +10,14 @@ use swatop_repro::baselines::{swdnn_implicit_conv, xmath_explicit_conv, xmath_wi
 use swatop_repro::sw26010::{clock::gflops, MachineConfig};
 use swatop_repro::swatop::ops::{ExplicitConvOp, ImplicitConvOp, WinogradConvOp};
 use swatop_repro::swatop::scheduler::{Operator, Scheduler};
-use swatop_repro::swatop::tuner::model_tune;
+use swatop_repro::swatop::tuner::{self, TierPolicy, TuneOptions};
 use swatop_repro::swtensor::ConvShape;
 use swatop_repro::workloads::vgg16_layers;
 
 fn tune(cfg: &MachineConfig, op: &dyn Operator) -> Option<(u64, usize)> {
     let cands = Scheduler::new(cfg.clone()).enumerate(op);
-    let outcome = model_tune(cfg, &cands)?;
+    let opts = TuneOptions { tiers: TierPolicy::top_k(3), ..TuneOptions::default() };
+    let outcome = tuner::tune(cfg, &cands, &opts, None).ok()?;
     Some((outcome.cycles.get(), cands.len()))
 }
 

@@ -11,14 +11,15 @@
 use swatop_repro::sw26010::{clock::gflops, Cycles, MachineConfig};
 use swatop_repro::swatop::ops::{ExplicitConvOp, ImplicitConvOp, WinogradConvOp};
 use swatop_repro::swatop::scheduler::{Operator, Scheduler};
-use swatop_repro::swatop::tuner::model_tune;
+use swatop_repro::swatop::tuner::{self, TierPolicy, TuneOptions};
 use swatop_repro::workloads::{vgg16_layers, ConvLayer};
 
 const SPATIAL_CAP: usize = 28;
 
 fn tune(cfg: &MachineConfig, op: &dyn Operator) -> Option<u64> {
     let cands = Scheduler::new(cfg.clone()).enumerate(op);
-    Some(model_tune(cfg, &cands)?.cycles.get())
+    let opts = TuneOptions { tiers: TierPolicy::top_k(3), ..TuneOptions::default() };
+    Some(tuner::tune(cfg, &cands, &opts, None).ok()?.cycles.get())
 }
 
 fn tune_layer(cfg: &MachineConfig, layer: &ConvLayer, batch: usize) -> (String, u64, u64) {

@@ -11,11 +11,15 @@ use swatop_repro::swatop::ops::{
     verify_candidate, ExplicitConvOp, ImplicitConvOp, MatmulOp, WinogradConvOp,
 };
 use swatop_repro::swatop::scheduler::{Operator, Scheduler};
-use swatop_repro::swatop::tuner::{blackbox_tune, model_tune};
+use swatop_repro::swatop::tuner::{tune, TierPolicy, TuneOptions};
 use swatop_repro::swtensor::ConvShape;
 
 fn cfg() -> MachineConfig {
     MachineConfig::default()
+}
+
+fn with(tiers: TierPolicy) -> TuneOptions {
+    TuneOptions { tiers, ..TuneOptions::default() }
 }
 
 /// Model-tune an operator and functionally verify the winner.
@@ -24,7 +28,7 @@ fn tune_and_verify(op: &dyn Operator) -> (u64, usize) {
     let sched = Scheduler::new(cfg.clone());
     let cands = sched.enumerate(op);
     assert!(!cands.is_empty(), "{}: empty space", op.name());
-    let outcome = model_tune(&cfg, &cands).expect("tunable");
+    let outcome = tune(&cfg, &cands, &with(TierPolicy::top_k(3)), None).expect("tunable");
     let winner = &cands[outcome.best];
     let err = verify_candidate(&cfg, op, winner).expect("winner runs functionally");
     assert!(err < 5e-3, "{}: winner wrong, err {err}", op.name());
@@ -62,7 +66,7 @@ fn tuned_implicit_conv_beats_every_baseline() {
     let shape = ConvShape::square(32, 32, 32, 8);
     let op = ImplicitConvOp::new(shape);
     let cands = Scheduler::new(cfg.clone()).enumerate(&op);
-    let best = blackbox_tune(&cfg, &cands).unwrap().cycles;
+    let best = tune(&cfg, &cands, &with(TierPolicy::exhaustive()), None).unwrap().cycles;
     let swdnn = swdnn_implicit_conv(&cfg, &shape).unwrap();
     assert!(best <= swdnn, "blackbox {best} > swDNN {swdnn}");
     let naive = naive_conv_cycles(&cfg, &shape);
@@ -75,7 +79,7 @@ fn tuned_winograd_beats_library_calls() {
     let shape = ConvShape::square(8, 16, 16, 8);
     let op = WinogradConvOp::new(shape);
     let cands = Scheduler::new(cfg.clone()).enumerate(&op);
-    let ours = model_tune(&cfg, &cands).unwrap().cycles;
+    let ours = tune(&cfg, &cands, &with(TierPolicy::top_k(3)), None).unwrap().cycles;
     let base = xmath_winograd_conv(&cfg, &shape).unwrap();
     assert!(
         ours < base,
@@ -89,7 +93,7 @@ fn tuned_explicit_beats_fixed_library_gemm() {
     let shape = ConvShape::square(2, 16, 24, 6);
     let op = ExplicitConvOp::new(shape);
     let cands = Scheduler::new(cfg.clone()).enumerate(&op);
-    let ours = model_tune(&cfg, &cands).unwrap().cycles;
+    let ours = tune(&cfg, &cands, &with(TierPolicy::top_k(3)), None).unwrap().cycles;
     let base = xmath_explicit_conv(&cfg, &shape).unwrap();
     assert!(ours <= base, "ours {ours} vs xmath-based {base}");
 }
@@ -100,7 +104,7 @@ fn unaligned_gemm_beats_traditional_padding_library() {
     let (m, n, k) = (200, 120, 72);
     let op = MatmulOp::new(m, n, k);
     let cands = Scheduler::new(cfg.clone()).enumerate(&op);
-    let ours = model_tune(&cfg, &cands).unwrap().cycles;
+    let ours = tune(&cfg, &cands, &with(TierPolicy::top_k(3)), None).unwrap().cycles;
     let base = xmath_gemm(&cfg, m, n, k).unwrap();
     assert!(
         ours < base,
@@ -113,8 +117,8 @@ fn model_pick_close_to_bruteforce() {
     let cfg = cfg();
     let op = ImplicitConvOp::new(ConvShape::square(32, 32, 32, 8));
     let cands = Scheduler::new(cfg.clone()).enumerate(&op);
-    let bb = blackbox_tune(&cfg, &cands).unwrap();
-    let model = model_tune(&cfg, &cands).unwrap();
+    let bb = tune(&cfg, &cands, &with(TierPolicy::exhaustive()), None).unwrap();
+    let model = tune(&cfg, &cands, &with(TierPolicy::top_k(3)), None).unwrap();
     let ratio = bb.cycles.get() as f64 / model.cycles.get() as f64;
     // The paper's worst case is 8%; allow slack for this single config.
     assert!(ratio > 0.85, "model pick lost {:.1}%", 100.0 * (1.0 - ratio));
@@ -128,7 +132,7 @@ fn emitted_c_reflects_the_schedule() {
     let cfg = cfg();
     let op = MatmulOp::new(64, 64, 64);
     let cands = Scheduler::new(cfg.clone()).enumerate(&op);
-    let outcome = model_tune(&cfg, &cands).unwrap();
+    let outcome = tune(&cfg, &cands, &with(TierPolicy::top_k(3)), None).unwrap();
     let c = cands[outcome.best].exe.emit_c();
     for needle in ["spm_gemm(", "swDMA(", "swDMAWait(", "__thread_local float spm["] {
         assert!(c.contains(needle), "generated C lacks {needle}:\n{c}");

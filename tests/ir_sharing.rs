@@ -15,7 +15,7 @@ use swatop_repro::swatop::model::memo::MemoCache;
 use swatop_repro::swatop::model::{estimate_program_memo, GemmModel};
 use swatop_repro::swatop::ops::{DmaKnobs, MatmulOp};
 use swatop_repro::swatop::scheduler::{Candidate, Operator, Scheduler};
-use swatop_repro::swatop::tuner::{model_rank_jobs, screen_leaders};
+use swatop_repro::swatop::tuner::{model_rank, screen_leaders};
 
 mod common;
 use common::every_op;
@@ -147,7 +147,7 @@ fn bits(ranked: Vec<(usize, f64)>) -> Vec<(usize, u64)> {
     ranked.into_iter().map(|(i, s)| (i, s.to_bits())).collect()
 }
 
-/// The ranking `model_rank_jobs` must produce, with one estimate per
+/// The ranking `model_rank` must produce, with one estimate per
 /// candidate.
 fn rank_per_candidate(cfg: &MachineConfig, cands: &[Candidate]) -> Vec<(usize, u64)> {
     let (model, memo) = (GemmModel::cached(cfg), Some(MemoCache::global()));
@@ -171,7 +171,7 @@ fn screen_equals_a_per_candidate_estimate() {
         let want = rank_per_candidate(&cfg, &cands);
         for jobs in [1, 2, 4] {
             assert_eq!(
-                bits(model_rank_jobs(&cfg, &cands, jobs)),
+                bits(model_rank(&cfg, &cands, jobs)),
                 want,
                 "{} jobs={jobs}",
                 op.name()
@@ -203,6 +203,6 @@ fn screen_leaders_are_found_by_identity_only() {
     assert_eq!(leaders, vec![0, 1, 3]);
     assert_eq!(slot, vec![0, 1, 0, 2, 1, 0]);
     for jobs in [1, 2, 4] {
-        assert_eq!(bits(model_rank_jobs(&cfg, &slice, jobs)), rank_per_candidate(&cfg, &slice));
+        assert_eq!(bits(model_rank(&cfg, &slice, jobs)), rank_per_candidate(&cfg, &slice));
     }
 }

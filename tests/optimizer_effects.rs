@@ -5,12 +5,18 @@ use swatop_repro::sw26010::{CoreGroup, ExecMode, MachineConfig};
 use swatop_repro::swatop::interp::{execute, instantiate};
 use swatop_repro::swatop::ops::tiling::PadMode;
 use swatop_repro::swatop::ops::{verify_candidate, ImplicitConvOp, MatmulOp};
-use swatop_repro::swatop::scheduler::{Operator, Scheduler};
-use swatop_repro::swatop::tuner::{blackbox_tune, run_candidate};
+use swatop_repro::swatop::scheduler::{Candidate, Operator, Scheduler};
+use swatop_repro::swatop::tuner::{run_candidate, tune, TierPolicy, TuneOptions, TuneOutcome};
 use swatop_repro::swtensor::ConvShape;
 
 fn cfg() -> MachineConfig {
     MachineConfig::default()
+}
+
+/// Brute force: every candidate through the scoreboard.
+fn sweep(cfg: &MachineConfig, cands: &[Candidate]) -> TuneOutcome {
+    let opts = TuneOptions { tiers: TierPolicy::exhaustive(), ..TuneOptions::default() };
+    tune(cfg, cands, &opts, None).unwrap()
 }
 
 #[test]
@@ -20,8 +26,8 @@ fn prefetch_improves_dma_bound_conv() {
     let with = Scheduler::new(cfg.clone());
     let mut without = Scheduler::new(cfg.clone());
     without.enable_prefetch = false;
-    let best_with = blackbox_tune(&cfg, &with.enumerate(&op)).unwrap().cycles;
-    let best_without = blackbox_tune(&cfg, &without.enumerate(&op)).unwrap().cycles;
+    let best_with = sweep(&cfg, &with.enumerate(&op)).cycles;
+    let best_without = sweep(&cfg, &without.enumerate(&op)).cycles;
     let gain = best_without.get() as f64 / best_with.get() as f64;
     assert!(
         gain > 1.05,
@@ -72,8 +78,8 @@ fn simulation_is_deterministic() {
     let op = MatmulOp::new(96, 64, 40);
     let sched = Scheduler::new(cfg.clone());
     let cands = sched.enumerate(&op);
-    let a = blackbox_tune(&cfg, &cands).unwrap();
-    let b = blackbox_tune(&cfg, &cands).unwrap();
+    let a = sweep(&cfg, &cands);
+    let b = sweep(&cfg, &cands);
     assert_eq!(a.best, b.best);
     assert_eq!(a.cycles, b.cycles);
     assert_eq!(a.all_cycles, b.all_cycles);
