@@ -21,7 +21,8 @@ fn bench_enumerate(c: &mut Criterion) {
 }
 
 /// The unaligned `gemm_space` shape of the repo benchmark: 17k points whose
-/// front end (lower, DMA-wall pipeline, double buffering) is the whole cost.
+/// front end (lower, DMA-wall pipeline, capacity and twin questions) is the
+/// whole cost — no executable is built until it is read.
 fn bench_enumerate_matmul(c: &mut Criterion) {
     let op = MatmulOp::new(100, 100, 100);
     let sched = Scheduler::new(MachineConfig::default());
@@ -32,9 +33,11 @@ fn bench_enumerate_matmul(c: &mut Criterion) {
 
 /// The largest `gemm_space` op (17,408 candidates) with the things a pass
 /// pays for its candidate list timed apart: building it (the list is
-/// dropped off the clock), dropping it, screening it — and a program
-/// handle's clone against the deep copy a clone used to be (what the first
-/// write through a shared handle still costs).
+/// dropped off the clock), dropping it, screening it, building the
+/// executables of one scoreboard wave (the 64 best ranks, the widest the
+/// ladder measures at once) — and a program handle's clone against the deep
+/// copy a clone used to be (what the first write through a shared handle
+/// still costs).
 fn bench_gemm_256_candidates(c: &mut Criterion) {
     let cfg = MachineConfig::default();
     let op = MatmulOp::new(256, 256, 256);
@@ -46,6 +49,22 @@ fn bench_gemm_256_candidates(c: &mut Criterion) {
     let cands = sched.enumerate(&op);
     c.bench_function("screen_gemm_256", |b| {
         b.iter(|| std::hint::black_box(model_rank(&cfg, &cands, 1).len()))
+    });
+    let wave: Vec<_> =
+        model_rank(&cfg, &cands, 1)[..64].iter().map(|&(i, _)| cands[i].clone()).collect();
+    assert!(wave.iter().all(|c| !c.exe.is_built()));
+    c.bench_function("build_executables_gemm_256", |b| {
+        // A clone of an unread handle is itself unread.
+        b.iter_batched(
+            || wave.clone(),
+            |wave| {
+                for c in &wave {
+                    std::hint::black_box(&c.exe.program);
+                }
+                wave
+            },
+            BatchSize::LargeInput,
+        )
     });
     let raw = &cands[cands.len() / 2].raw;
     let mut g = c.benchmark_group("program_clone_vs_deep");

@@ -3,17 +3,29 @@
 //! The paper's code generator "analyzes the memory usage information in the
 //! IR and allocates all buffers into a single coalesced region" (Sec. 4.7).
 //! [`plan`] performs that allocation for the simulated machine and rejects
-//! programs that exceed the 64 KB scratch pad — the same capacity filter the
-//! scheduler applies while enumerating candidates.
+//! programs that exceed the 64 KB scratch pad — the same capacity filter
+//! ([`fits`]) the scheduler applies while enumerating candidates.
+//!
+//! The paper hands the code generator the schedules its performance model
+//! picks, not the space (Fig. 3). So an [`Executable`] is a handle that is
+//! built when first read: the scheduler gives every candidate a deferred one,
+//! and the double-buffer rewrite and the allocation run for the candidates
+//! the tuner measures, validates or emits.
 
 pub mod c_emit;
 
-use sw26010::{MachineConfig, MachineError, MachineResult};
+use std::fmt;
+use std::ops::{Deref, DerefMut};
+use std::sync::OnceLock;
+
+use sw26010::{MachineConfig, MachineError, MachineResult, ELEM_BYTES};
 use swatop_ir::{Program, SpmBufId};
+
+use crate::optimizer::prefetch::apply_double_buffering;
 
 /// A program with a concrete SPM allocation, ready to execute or emit.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Executable {
+pub struct Planned {
     pub program: Program,
     /// Element offset of each SPM buffer within the coalesced region.
     pub spm_offsets: Vec<usize>,
@@ -21,13 +33,13 @@ pub struct Executable {
     pub spm_used: usize,
 }
 
-impl Executable {
+impl Planned {
     /// Offset of an SPM buffer.
     pub fn spm_offset(&self, id: SpmBufId) -> usize {
         self.spm_offsets[id.0]
     }
 
-    /// Checked variant of [`Executable::spm_offset`] for untrusted programs:
+    /// Checked variant of [`Planned::spm_offset`] for untrusted programs:
     /// a dangling SPM buffer id is a schedule bug, not a reason to panic.
     pub fn try_spm_offset(&self, id: SpmBufId) -> Option<usize> {
         self.spm_offsets.get(id.0).copied()
@@ -39,38 +51,123 @@ impl Executable {
     }
 }
 
-/// The coalesced allocation of `program`'s SPM buffers, packed in
-/// declaration order.
-fn packed(program: &Program) -> sw26010::spm::SpmPlanner {
-    let mut planner = sw26010::spm::SpmPlanner::new();
-    for b in program.spm_bufs.iter() {
-        planner.alloc(b.len);
+/// A handle to a [`Planned`] program that is built when it is first read.
+///
+/// The scheduler hands every candidate one, the tuner reads the few it
+/// measures, validates or emits — so the double-buffer rewrite and the SPM
+/// layout run for those, not for the space. The handle is in one of three
+/// states: *deferred* (a source program and whether to double-buffer it;
+/// owns no tree), *built* (every read goes through [`Deref`], which builds
+/// on first use and is a load afterwards), or *edited* (a write through
+/// [`DerefMut`] builds first, then changes the built form in place; the
+/// source is no longer consulted). `Clone` copies the state as it is,
+/// `PartialEq` and `Debug` read — and so build — both sides, which makes two
+/// handles equal exactly when their planned forms are.
+#[derive(Clone)]
+pub struct Executable {
+    source: Program,
+    double_buffer: bool,
+    /// Inline, not boxed: a build allocates what `Planned` owns and nothing
+    /// for the handle.
+    built: OnceLock<Planned>,
+}
+
+impl Executable {
+    /// A handle that plans `source` — after
+    /// [`apply_double_buffering`] when `double_buffer` — on first read. The
+    /// caller vouches that the result fits the scratch pad ([`fits`] on the
+    /// source, plus its twins when double-buffered): a deferred build cannot
+    /// refuse.
+    pub fn deferred(source: Program, double_buffer: bool) -> Self {
+        Executable { source, double_buffer, built: OnceLock::new() }
     }
-    planner
+
+    /// Whether the planned form exists yet.
+    pub fn is_built(&self) -> bool {
+        self.built.get().is_some()
+    }
+
+    /// The planned form, built now if this is the first read.
+    pub(crate) fn planned(&self) -> &Planned {
+        self.built.get_or_init(|| {
+            let program = self.source.clone();
+            layout(if self.double_buffer { apply_double_buffering(program) } else { program })
+        })
+    }
+}
+
+impl Deref for Executable {
+    type Target = Planned;
+
+    fn deref(&self) -> &Planned {
+        self.planned()
+    }
+}
+
+impl DerefMut for Executable {
+    fn deref_mut(&mut self) -> &mut Planned {
+        self.planned();
+        self.built.get_mut().expect("built by the line above")
+    }
+}
+
+impl PartialEq for Executable {
+    fn eq(&self, other: &Self) -> bool {
+        self.planned() == other.planned()
+    }
+}
+
+impl fmt::Debug for Executable {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.planned().fmt(f)
+    }
+}
+
+/// The coalesced allocation of `program`'s SPM buffers, packed in
+/// declaration order: the one pass behind [`plan`] and a deferred build.
+fn layout(program: Program) -> Planned {
+    let mut planner = sw26010::spm::SpmPlanner::new();
+    let spm_offsets = program.spm_bufs.iter().map(|b| planner.alloc(b.len)).collect();
+    Planned { program, spm_offsets, spm_used: planner.used() }
+}
+
+/// Whether `elems` per-CPE SPM elements fit the scratch pad of `cfg`.
+fn within(elems: usize, cfg: &MachineConfig) -> bool {
+    elems * ELEM_BYTES <= cfg.spm_bytes
+}
+
+/// Whether `program`'s SPM buffers and `extra` further elements (the twins
+/// double buffering would add) fit the scratch pad of `cfg`.
+pub(crate) fn fits_with(program: &Program, extra: usize, cfg: &MachineConfig) -> bool {
+    within(program.spm_bufs.iter().map(|b| b.len).sum::<usize>() + extra, cfg)
 }
 
 /// Whether [`plan`] would accept `program` under `cfg` — the scheduler's
 /// capacity filter, answered without taking the program.
 pub fn fits(program: &Program, cfg: &MachineConfig) -> bool {
-    packed(program).fits(cfg.spm_bytes)
+    fits_with(program, 0, cfg)
 }
 
 /// Plan the coalesced SPM allocation for `program` under `cfg`.
 ///
 /// Buffers are packed in declaration order; the high-water mark must fit in
-/// the SPM. A failure here marks the schedule candidate invalid.
+/// the SPM. A failure here marks the schedule candidate invalid. The handle
+/// that comes back is already built.
 pub fn plan(program: Program, cfg: &MachineConfig) -> MachineResult<Executable> {
-    if !fits(&program, cfg) {
+    let planned = layout(program);
+    if !within(planned.spm_used, cfg) {
         return Err(MachineError::SpmOverflow {
             cpe: 0,
             offset: 0,
-            len: packed(&program).used(),
+            len: planned.spm_used,
             capacity: cfg.spm_elems(),
         });
     }
-    let mut planner = sw26010::spm::SpmPlanner::new();
-    let spm_offsets = program.spm_bufs.iter().map(|b| planner.alloc(b.len)).collect();
-    Ok(Executable { program, spm_offsets, spm_used: planner.used() })
+    Ok(Executable {
+        source: planned.program.clone(),
+        double_buffer: false,
+        built: OnceLock::from(planned),
+    })
 }
 
 #[cfg(test)]

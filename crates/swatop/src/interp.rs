@@ -42,7 +42,7 @@ use swtensor::Tensor;
 
 use swatop_ir::{AVar, DmaCpe, Env, GemmOp, MatDesc, Program, SpmSlot, Stmt, TransformKind};
 
-use crate::codegen::Executable;
+use crate::codegen::{Executable, Planned};
 
 /// Binding of a program's main-memory buffer table to concrete machine
 /// buffers.
@@ -74,7 +74,7 @@ pub fn instantiate(cg: &mut CoreGroup, exe: &Executable) -> Binding {
 }
 
 struct Interp<'a> {
-    exe: &'a Executable,
+    exe: &'a Planned,
     binding: &'a Binding,
     replies: Vec<CgReply>,
     /// What this run has priced so far, per static node (see [`entry`]).
@@ -141,6 +141,8 @@ impl DmaNode {
 /// Execute the program, returning the simulated cycles it took (the compute
 /// clock advance from entry to exit).
 pub fn execute(cg: &mut CoreGroup, exe: &Executable, binding: &Binding) -> MachineResult<Cycles> {
+    // Read the handle once: the run borrows its planned form.
+    let exe: &Planned = exe;
     if binding.bufs.len() != exe.program.mem_bufs.len() {
         return Err(MachineError::Invalid(format!(
             "binding has {} buffers but the program declares {}",

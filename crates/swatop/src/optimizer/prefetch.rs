@@ -28,7 +28,7 @@ use swatop_ir::{AffineExpr, Cond, DmaCpe, Program, SpmBufId, SpmSlot, Stmt, VarI
 /// program. Where the pattern applies nowhere the program comes back as it
 /// went in — the same handle, no part of it copied.
 pub fn apply_double_buffering(mut program: Program) -> Program {
-    if !has_steady_state_nest(&program.body) {
+    if twin_elems(&program).is_none() {
         return program;
     }
     let mut body = program.take_body();
@@ -40,16 +40,39 @@ pub fn apply_double_buffering(mut program: Program) -> Program {
     program
 }
 
-/// Whether [`rewrite`] would transform anything under `stmt`.
-fn has_steady_state_nest(stmt: &Stmt) -> bool {
-    if steady_state_gets(stmt).is_some() {
+/// The SPM elements [`apply_double_buffering`] would add to `program` — one
+/// twin per fetched buffer, program-wide — or `None` where no nest matches
+/// and the rewrite hands the program back. Read-only: the scheduler asks it
+/// whether the double-buffered form fits the scratch pad without making it.
+pub fn twin_elems(program: &Program) -> Option<usize> {
+    let mut fetched: Vec<SpmBufId> = Vec::new();
+    fetched_buffers(&program.body, &mut fetched)
+        .then(|| fetched.iter().map(|b| program.spm_bufs[b.0].len).sum())
+}
+
+/// [`rewrite`] without the writing: collect, in the order `rewrite` would
+/// make their twins, the buffers the matching nests under `stmt` fetch into.
+/// Returns whether any nest matched.
+fn fetched_buffers(stmt: &Stmt, fetched: &mut Vec<SpmBufId>) -> bool {
+    if let Some((gets, rest)) = steady_state_gets(stmt) {
+        for s in rest {
+            fetched_buffers(s, fetched);
+        }
+        for g in gets {
+            if let Stmt::DmaCpe(DmaCpe { spm: SpmSlot::Single(b), .. }) = g {
+                if !fetched.contains(b) {
+                    fetched.push(*b);
+                }
+            }
+        }
         return true;
     }
     match stmt {
-        Stmt::Seq(ss) => ss.iter().any(has_steady_state_nest),
-        Stmt::For { body, .. } => has_steady_state_nest(body),
+        Stmt::Seq(ss) => ss.iter().fold(false, |any, s| fetched_buffers(s, fetched) | any),
+        Stmt::For { body, .. } => fetched_buffers(body, fetched),
         Stmt::If { then_, else_, .. } => {
-            has_steady_state_nest(then_) || else_.as_ref().is_some_and(|e| has_steady_state_nest(e))
+            fetched_buffers(then_, fetched)
+                | else_.as_ref().is_some_and(|e| fetched_buffers(e, fetched))
         }
         _ => false,
     }
@@ -59,7 +82,7 @@ fn has_steady_state_nest(stmt: &Stmt) -> bool {
 /// matching nest are not touched.
 fn rewrite(stmt: &mut Stmt, program: &mut Program, twins: &mut Vec<(SpmBufId, SpmBufId)>) {
     // Try to transform the perfect nest rooted here.
-    if let Some(n_gets) = steady_state_gets(stmt) {
+    if let Some(n_gets) = steady_state_gets(stmt).map(|(gets, _)| gets.len()) {
         let nest = std::mem::replace(stmt, Stmt::Nop);
         *stmt = transform_nest(nest, n_gets, program, twins);
         return;
@@ -114,8 +137,8 @@ pub fn next_index_branches(
 
 /// Whether the perfect nest rooted at `stmt` is a steady-state nest: its
 /// innermost body starts with a run of single-slot gets and their wait.
-/// Returns the length of that run.
-fn steady_state_gets(stmt: &Stmt) -> Option<usize> {
+/// Returns that run and the statements after the wait.
+fn steady_state_gets(stmt: &Stmt) -> Option<(&[Stmt], &[Stmt])> {
     let mut nest_vars: Vec<VarId> = Vec::new();
     let mut iterations = 1usize;
     let mut cur = stmt;
@@ -161,8 +184,9 @@ fn steady_state_gets(stmt: &Stmt) -> Option<usize> {
         return None;
     }
     // The rest must not issue on the same reply word (FIFO pairing).
+    let rest = &items[gets.len() + 1..];
     let mut reuses_reply = false;
-    for s in &items[gets.len() + 1..] {
+    for s in rest {
         s.visit(&mut |s| {
             if let Stmt::DmaCpe(d) = s {
                 if d.reply == *reply {
@@ -171,7 +195,7 @@ fn steady_state_gets(stmt: &Stmt) -> Option<usize> {
             }
         });
     }
-    (!reuses_reply).then_some(gets.len())
+    (!reuses_reply).then_some((&items[..gets.len()], rest))
 }
 
 /// `g` re-issued at another address into another slot.
@@ -495,5 +519,152 @@ mod tests {
         let before = p.body.clone();
         let out = apply_double_buffering(p);
         assert_eq!(out.body, before);
+    }
+
+    /// A get of `len` elements into `spm`, its address moving with `var`.
+    fn get_of(
+        src: swatop_ir::MemBufId,
+        spm: SpmSlot,
+        reply: swatop_ir::ReplyId,
+        var: Option<VarId>,
+        len: usize,
+    ) -> Stmt {
+        let offset = var.map_or(AffineExpr::zero(), |v| AffineExpr::loop_var(v).scale(len as i64));
+        Stmt::DmaCpe(DmaCpe {
+            buf: src,
+            offset,
+            block: len,
+            stride: len,
+            n_blocks: 1,
+            direction: DmaDirection::MemToSpm,
+            spm,
+            reply,
+            bcast: None,
+            fused: false,
+        })
+    }
+
+    fn spm_total(p: &Program) -> usize {
+        p.spm_bufs.iter().map(|b| b.len).sum()
+    }
+
+    /// What the rewrite itself adds, for comparison.
+    fn added_by_rewrite(p: &Program) -> usize {
+        spm_total(&apply_double_buffering(p.clone())) - spm_total(p)
+    }
+
+    #[test]
+    fn twin_elems_counts_each_fetched_buffer_once() {
+        // Two nests in sequence fetch into `a`; the second also into `b`,
+        // and an inner nest in its rest into `c`. `d` is never fetched.
+        let mut p = Program::new("twins");
+        let (i, j, k) = (p.fresh_var("i"), p.fresh_var("j"), p.fresh_var("k"));
+        let src = p.mem_buf("src", 1 << 20, MemRole::Input);
+        let (a, b, c) = (p.spm_buf("a", 64), p.spm_buf("b", 48), p.spm_buf("c", 20));
+        p.spm_buf("d", 1000);
+        let (r0, r1, r2) = (p.fresh_reply(), p.fresh_reply(), p.fresh_reply());
+        let single = SpmSlot::Single;
+        let first = Stmt::for_(
+            i,
+            4,
+            Stmt::seq(vec![
+                get_of(src, single(a), r0, Some(i), 64),
+                Stmt::DmaWait { reply: r0, times: 1 },
+            ]),
+        );
+        let inner = Stmt::for_(
+            k,
+            3,
+            Stmt::seq(vec![
+                get_of(src, single(c), r2, Some(k), 20),
+                Stmt::DmaWait { reply: r2, times: 1 },
+            ]),
+        );
+        let second = Stmt::for_(
+            j,
+            2,
+            Stmt::seq(vec![
+                get_of(src, single(a), r1, Some(j), 64),
+                get_of(src, single(b), r1, None, 48),
+                Stmt::DmaWait { reply: r1, times: 2 },
+                inner.clone(),
+            ]),
+        );
+        p.set_body(Stmt::seq(vec![first.clone(), second]));
+        assert_eq!(twin_elems(&p), Some(64 + 48 + 20));
+        assert_eq!(added_by_rewrite(&p), 64 + 48 + 20);
+        // Without the outer match the inner nest is found by descent.
+        p.set_body(Stmt::seq(vec![first, Stmt::if_(Cond::lt_const(AffineExpr::zero(), 1), inner)]));
+        assert_eq!(twin_elems(&p), Some(64 + 20));
+        assert_eq!(added_by_rewrite(&p), 64 + 20);
+    }
+
+    #[test]
+    fn twin_elems_is_none_wherever_the_pattern_is_rejected() {
+        let mut p = Program::new("rejects");
+        let v = p.fresh_var("i");
+        let src = p.mem_buf("src", 1 << 20, MemRole::Input);
+        let (a, a2) = (p.spm_buf("a", 64), p.spm_buf("a2", 64));
+        let (r, other) = (p.fresh_reply(), p.fresh_reply());
+        let get = || get_of(src, SpmSlot::Single(a), r, Some(v), 64);
+        let wait = |reply, times| Stmt::DmaWait { reply, times };
+        let in_loop = |extent, items: Vec<Stmt>| Stmt::for_(v, extent, Stmt::seq(items));
+        let double = SpmSlot::Double { even: a, odd: a2, sel: AffineExpr::loop_var(v) };
+        let rejected = [
+            ("no loop", Stmt::seq(vec![get(), wait(r, 1)])),
+            ("one iteration", in_loop(1, vec![get(), wait(r, 1)])),
+            ("no leading get", in_loop(4, vec![wait(r, 0), get(), wait(r, 1)])),
+            ("already double", in_loop(4, vec![get_of(src, double, r, Some(v), 64), wait(r, 1)])),
+            ("no wait", in_loop(4, vec![get()])),
+            ("wait count", in_loop(4, vec![get(), wait(r, 2)])),
+            ("wait reply", in_loop(4, vec![get(), wait(other, 1)])),
+            (
+                "invariant gets",
+                in_loop(4, vec![get_of(src, SpmSlot::Single(a), r, None, 64), wait(r, 1)]),
+            ),
+            ("reply reused", in_loop(4, vec![get(), wait(r, 1), get(), wait(r, 1)])),
+        ];
+        for (why, body) in rejected {
+            p.set_body(body);
+            assert_eq!(twin_elems(&p), None, "{why}");
+            let before = p.part_addrs();
+            assert_eq!(apply_double_buffering(p.clone()).part_addrs(), before, "{why}");
+        }
+        p.set_body(in_loop(4, vec![get(), wait(r, 1)]));
+        assert_eq!(twin_elems(&p), Some(64), "the accepted form of the same nest");
+    }
+
+    #[test]
+    fn twin_elems_answers_the_capacity_question_of_the_rewrite() {
+        use crate::codegen::fits;
+        let cfg = sw26010::MachineConfig::default();
+        // Doubled, the layout is the scratch pad to the element, then one
+        // element over.
+        for (over, fetched) in [(0, 1000), (1, 1000), (0, 4), (1, 4)] {
+            let mut p = make_program(&[2, 3]);
+            let streamed = p.spm_bufs[0].len;
+            let resident = cfg.spm_elems() + over - 2 * (streamed + fetched) - p.spm_bufs[1].len;
+            p.spm_buf("resident", resident);
+            let v = p.fresh_var("t");
+            let src = p.mem_buf("more", 1 << 20, MemRole::Input);
+            let (f, r) = (p.spm_buf("f", fetched), p.fresh_reply());
+            let tail = Stmt::for_(
+                v,
+                5,
+                Stmt::seq(vec![
+                    get_of(src, SpmSlot::Single(f), r, Some(v), fetched),
+                    Stmt::DmaWait { reply: r, times: 1 },
+                ]),
+            );
+            let body = p.take_body();
+            p.set_body(Stmt::seq(vec![body, tail]));
+            assert!(fits(&p, &cfg));
+            let twins = twin_elems(&p).unwrap();
+            assert_eq!(twins, streamed + fetched);
+            let doubled = apply_double_buffering(p.clone());
+            assert_eq!(spm_total(&doubled), cfg.spm_elems() + over);
+            assert_eq!(fits(&doubled, &cfg), over == 0);
+            assert_eq!(crate::codegen::fits_with(&p, twins, &cfg), fits(&doubled, &cfg));
+        }
     }
 }

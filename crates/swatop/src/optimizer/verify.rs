@@ -35,7 +35,7 @@ use std::fmt;
 use sw26010::{DmaDirection, MachineConfig};
 use swatop_ir::{Env, MatDesc, SpmBufId, SpmSlot, Stmt};
 
-use crate::codegen::Executable;
+use crate::codegen::{Executable, Planned};
 
 /// Cap on collected violations: a broken steady-state loop would otherwise
 /// report the same hazard once per iteration.
@@ -59,6 +59,7 @@ impl fmt::Display for Violation {
 /// violations found (capped at [`MAX_VIOLATIONS`]), or `Ok(())` for a
 /// schedule with none.
 pub fn verify_executable(exe: &Executable, cfg: &MachineConfig) -> Result<(), Vec<Violation>> {
+    let exe: &Planned = exe;
     let mut w = Walker {
         exe,
         capacity: cfg.spm_elems(),
@@ -115,7 +116,7 @@ struct InFlight {
 }
 
 struct Walker<'a> {
-    exe: &'a Executable,
+    exe: &'a Planned,
     capacity: usize,
     /// Per-reply FIFO of un-waited transfers, in issue order.
     outstanding: Vec<VecDeque<InFlight>>,

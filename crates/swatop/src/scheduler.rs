@@ -5,31 +5,35 @@
 //! Validity filtering happens in two places, mirroring the paper: the
 //! operator lowering itself rejects points whose factors violate kernel
 //! constraints (mesh divisibility, vector alignment), and the code
-//! generator's SPM planner rejects points whose working set exceeds the
-//! 64 KB scratch pad — double buffering included, since prefetching doubles
-//! the streamed buffers.
+//! generator's capacity filter rejects points whose working set exceeds the
+//! 64 KB scratch pad. Double buffering doubles the streamed buffers; where
+//! the twins no longer fit, the point keeps its un-prefetched schedule.
 //!
 //! Each front-end stage runs once per distinct input, not once per point
 //! (DESIGN.md "Front-end pipeline"): `op.lower` per structural point (DMA
-//! knobs zeroed), the DMA-wall pipeline per (coalesce, bcast), and only
-//! double buffering and planning per point. Candidates are byte-identical
-//! to lowering and optimizing every point on its own.
+//! knobs zeroed), the DMA-wall pipeline per (coalesce, bcast), and per point
+//! only two read-only questions — does `raw` fit, and would its twins.
+//! Candidates are byte-identical to lowering and optimizing every point on
+//! its own.
 //!
 //! Candidates hold handles, not copies (DESIGN.md "IR ownership"): a
-//! `Program` clone shares its tree and tables, so an executable that is not
-//! double-buffered *is* its candidate's `raw`, and the `dbuf` on/off
-//! siblings of a (structural point, coalesce, bcast) group hold the one
-//! `raw` the block cache holds. The only tree a point owns is the one the
-//! double-buffer rewrite produces. The tier-0 screen relies on this
-//! identity to estimate each distinct `raw` once.
+//! `Program` clone shares its tree and tables, the `dbuf` on/off siblings
+//! of a (structural point, coalesce, bcast) group hold the one `raw` the
+//! block cache holds, and the tier-0 screen relies on this identity to
+//! estimate each distinct `raw` once. A candidate owns no tree of its own
+//! when `enumerate` returns: its executable is a deferred handle over `raw`
+//! that applies the double-buffer rewrite and lays out the SPM when it is
+//! first read — by the tuner for the candidates it measures or validates,
+//! by whoever emits or runs the winner. An executable that is not
+//! double-buffered *is* its candidate's `raw` once built.
 
 use sw26010::MachineConfig;
 use swatop_dsl::{SchedulePoint, ScheduleSpace, Seed};
 use swatop_ir::{Program, ScheduleHints};
 
-use crate::codegen::{fits, plan, Executable};
+use crate::codegen::{fits, fits_with, Executable};
 use crate::ops::DmaKnobs;
-use crate::optimizer;
+use crate::optimizer::{self, prefetch};
 
 /// An operator that swATOP can tune: a schedule seed, a schedule space, and
 /// a lowering from schedule points to IR.
@@ -81,7 +85,10 @@ pub struct Candidate {
     /// IR after DMA inference but *before* prefetching — the form the
     /// static performance model evaluates.
     pub raw: Program,
-    /// Fully optimized executable (prefetched + SPM-planned).
+    /// Fully optimized executable (prefetched + SPM-planned), built on
+    /// first read: `enumerate` decides *whether* it is double-buffered
+    /// ([`Candidate::prefetched`]) and leaves the rewrite and the SPM layout
+    /// to whoever reads `exe.program`, `exe.spm_offsets`, … first.
     pub exe: Executable,
     /// Whether double buffering was applied (decides the overlap formula).
     pub prefetched: bool,
@@ -116,31 +123,33 @@ impl Scheduler {
         FrontEnd::new(self, op, space).candidate(point)
     }
 
-    /// Per-point stage: capacity filter, double buffering, SPM planning.
-    /// `raw` is the DMA-wall pipeline's output carrying the point's hints.
+    /// Per-point stage: the capacity filter and the decision whether the
+    /// executable is double-buffered — both answered by reading `raw`, the
+    /// DMA-wall pipeline's output carrying the point's hints. Nothing is
+    /// rewritten or planned here: the executable is built when it is read.
     fn assemble(
         &self,
         space: &ScheduleSpace,
         point: &SchedulePoint,
         raw: Program,
     ) -> Option<Candidate> {
-        // Capacity check on the *raw* form first (cheap reject).
         if !fits(&raw, &self.cfg) {
             return None;
         }
-        // `optimize(p, true)` is `optimize(p, false)` plus this last step.
-        // Double buffering that blows the SPM budget falls back to the
-        // un-prefetched schedule rather than dropping the point.
-        let double_buffered = (self.enable_prefetch && raw.hints.dbuf)
-            .then(|| optimizer::prefetch::apply_double_buffering(raw.clone()))
-            .filter(|p| fits(p, &self.cfg));
-        let exe = plan(double_buffered.unwrap_or_else(|| raw.clone()), &self.cfg).ok()?;
-        let prefetched = exe.program.body.uses_double_slot();
+        // `optimize(p, true)` is `optimize(p, false)` plus double buffering.
+        // Twins that blow the SPM budget fall back to the un-prefetched
+        // schedule rather than dropping the point.
+        let doubled = self.enable_prefetch
+            && raw.hints.dbuf
+            && prefetch::twin_elems(&raw).is_some_and(|twins| fits_with(&raw, twins, &self.cfg));
+        // The implicit-conv and Winograd lowerings emit double slots of
+        // their own: such a `raw` is prefetched whatever the rewrite does.
+        let prefetched = doubled || raw.body.uses_double_slot();
         Some(Candidate {
             point_index: point.index(space),
             describe: point.describe(space),
+            exe: Executable::deferred(raw.clone(), doubled),
             raw,
-            exe,
             prefetched,
         })
     }

@@ -250,9 +250,13 @@ impl Telemetry {
         self.inner.state.lock().spans.clone()
     }
 
-    /// Snapshot of all accuracy observations.
+    /// Snapshot of all accuracy observations in canonical order: by scope
+    /// (root first, then operator spans as opened — serially, so their ids
+    /// repeat from run to run), then by candidate index. Pool workers record
+    /// in completion order; every summary reads pairs in this order, so no
+    /// digit of it depends on which worker finished first.
     pub fn pairs(&self) -> Vec<Pair> {
-        self.inner.state.lock().pairs.clone()
+        canonical(self.inner.state.lock().pairs.clone())
     }
 
     /// Machine counters merged over every candidate span.
@@ -274,30 +278,15 @@ impl Telemetry {
         let st = self.inner.state.lock();
         let pairs: Vec<Pair> = st.pairs.iter().filter(|p| p.scope == scope).copied().collect();
         drop(st);
-        if pairs.is_empty() {
-            return None;
-        }
-        Some(Accuracy::from_pairs(scope, pairs))
+        (!pairs.is_empty()).then(|| Accuracy::from_pairs(scope, canonical(pairs)))
     }
 
     /// Accuracy summaries for every scope that recorded observations, in
-    /// first-observation order.
+    /// the scope order of [`Telemetry::pairs`].
     pub fn accuracy(&self) -> Vec<Accuracy> {
-        let st = self.inner.state.lock();
-        let mut scopes: Vec<Option<SpanId>> = Vec::new();
-        for p in &st.pairs {
-            if !scopes.contains(&p.scope) {
-                scopes.push(p.scope);
-            }
-        }
-        let all = st.pairs.clone();
-        drop(st);
-        scopes
-            .into_iter()
-            .map(|scope| {
-                let pairs = all.iter().filter(|p| p.scope == scope).copied().collect();
-                Accuracy::from_pairs(scope, pairs)
-            })
+        self.pairs()
+            .chunk_by(|a, b| a.scope == b.scope)
+            .map(|of_scope| Accuracy::from_pairs(of_scope[0].scope, of_scope.to_vec()))
             .collect()
     }
 
@@ -603,13 +592,20 @@ impl Telemetry {
     }
 }
 
+/// `pairs` in the order of [`Telemetry::pairs`]. The sort is stable: a
+/// candidate recorded twice keeps its recording order.
+fn canonical(mut pairs: Vec<Pair>) -> Vec<Pair> {
+    pairs.sort_by_key(|p| (p.scope.map(|s| s.0), p.index));
+    pairs
+}
+
 /// Per-operator model-accuracy summary over its (predicted, measured)
 /// pairs: the live Fig. 9.
 #[derive(Debug, Clone)]
 pub struct Accuracy {
     /// Operator span the summary covers (`None` = root scope).
     pub scope: Option<SpanId>,
-    /// The observations, in recording order.
+    /// The observations, by candidate index ([`Telemetry::pairs`]).
     pub pairs: Vec<Pair>,
     /// Mean absolute percentage error of predicted vs measured cycles.
     pub mape_pct: Option<f64>,
@@ -1122,6 +1118,36 @@ mod tests {
         assert_eq!(acc.rank_threshold, 2);
         assert!(acc.misranked.contains(&0), "misranked: {:?}", acc.misranked);
         assert!(!acc.misranked.contains(&4));
+    }
+
+    #[test]
+    fn accuracy_does_not_depend_on_recording_order() {
+        // The same eight pairs under two operators, recorded the way two
+        // differently scheduled worker pools would.
+        let record = |order: [usize; 8]| {
+            let t = Telemetry::new();
+            let ops = [t.open(SpanKind::Operator, "a"), t.open(SpanKind::Operator, "b")];
+            for i in order {
+                let predicted = [3.0, 1.0, 4.0, 1.5, 9.0, 2.6, 5.3, 0.7][i] * 1e5 / 3.0;
+                let measured = [250_000, 31_000, 90_000, 52_000, 70_001, 99_000, 12_345, 180_000][i];
+                t.child_of(ops[i % 2]).record_pair(i / 2, predicted, measured);
+            }
+            t
+        };
+        let (a, b) = (record([0, 1, 2, 3, 4, 5, 6, 7]), record([7, 2, 5, 0, 3, 6, 1, 4]));
+        assert_eq!(a.pairs(), b.pairs());
+        assert_eq!(a.pairs().iter().map(|p| p.index).collect::<Vec<_>>(), [0, 1, 2, 3, 0, 1, 2, 3]);
+        let bits = |x: Option<f64>| x.map(f64::to_bits);
+        for (x, y) in a.accuracy().iter().zip(b.accuracy()) {
+            assert_eq!(x.scope, y.scope);
+            assert_eq!(bits(x.mape_pct), bits(y.mape_pct));
+            assert_eq!(bits(x.rank_correlation), bits(y.rank_correlation));
+            assert_eq!(x.misranked, y.misranked);
+            let again = b.accuracy_for(x.scope).unwrap();
+            assert_eq!((bits(again.mape_pct), again.misranked), (bits(x.mape_pct), y.misranked));
+        }
+        assert_eq!(a.accuracy().len(), 2);
+        assert!(a.accuracy().iter().any(|acc| !acc.misranked.is_empty()));
     }
 
     #[test]

@@ -368,6 +368,12 @@ impl<'a> Engine<'a> {
         self.emit(|| Event::WaveStart { size: todo.len() });
         let chunk = self.opts.checkpoint.as_ref().map_or(usize::MAX, |c| c.every.max(1));
         for part in todo.chunks(chunk.min(todo.len())) {
+            // Build, then run: the executables of this wave are made here,
+            // on the calling thread — outside a candidate's measured host
+            // time, and in one allocator arena whatever `jobs` is.
+            for &i in part {
+                self.candidates[i].exe.planned();
+            }
             let results = pool::par_map_watched(
                 self.opts.jobs,
                 part,

@@ -14,11 +14,15 @@
 //!   executed call.
 //! * **per register block** — a query that misses prices its ≤ 4 distinct
 //!   register blocks ([`reg_blocks`](crate::microkernel::reg_blocks)) through
-//!   a memo of [`block_cycles`](crate::microkernel::block_cycles), keyed on
-//!   the block, `k_len`, `fast_vec_load` and the four latencies the
-//!   scoreboard reads. There are only 16 × 2 block inputs per `k_len`, so a
-//!   cold calibration (3,744 queries, 9 values of K) runs the scoreboard for
-//!   144 distinct blocks (at most 288) instead of 23,400.
+//!   a memo of the scoreboard simulation, keyed on the block, the simulated
+//!   step count, `fast_vec_load` and the four latencies the scoreboard
+//!   reads. Only exact simulations are stored — the memo is the `exact` hook
+//!   of [`block_cycles_with`](crate::microkernel::block_cycles_with), so a K
+//!   beyond the extrapolation threshold reuses the same two probes whatever
+//!   it is. There are only 16 × 2 block inputs per step count, so a cold
+//!   calibration (3,744 queries, 9 values of K of which 6 are simulated
+//!   exactly, the two probes among them) runs the scoreboard for 96 distinct
+//!   blocks instead of 23,400.
 //!
 //! Both memos return exactly what the pure functions in
 //! [`crate::microkernel`] compute; those stay uncached and are the oracle.
@@ -30,13 +34,13 @@
 //! threads.
 
 use std::collections::HashMap;
-use std::hash::Hash;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::RwLock;
 use sw26010::{Cycles, MachineConfig, MESH};
 
-use crate::microkernel::{block_cycles, per_cpe_cycles_with, RegBlock};
+use crate::microkernel::{block_cycles, block_cycles_with, per_cpe_cycles_with, RegBlock};
 use crate::variant::{GemmVariant, VecDim};
 
 /// The `MachineConfig` fields a kernel's cycle cost depends on — the key
@@ -72,28 +76,61 @@ struct Key {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct BlockKey {
     blk: RegBlock,
-    k_len: usize,
+    /// Simulated accumulation steps (never beyond the exact range).
+    steps: usize,
     fast_vec_load: bool,
+}
+
+/// Multiply-rotate hash of the few small integers a key is made of: the
+/// keys are shapes this program generates, not outside input, and SipHash
+/// was most of a warm lookup.
+#[derive(Default)]
+struct MulRotate(u64);
+
+impl Hasher for MulRotate {
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.write_usize(b.into()));
+    }
+    fn write_usize(&mut self, x: usize) {
+        self.0 = (self.0.rotate_left(5) ^ x as u64).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 /// One cost map per machine timing `T`. A process sees one timing, rarely a
 /// handful, so the timing is found by comparison and only the small
 /// per-query key is hashed.
-type Memo<T, K> = RwLock<Vec<(T, HashMap<K, u64>)>>;
+type Memo<T, K> = RwLock<Vec<(T, HashMap<K, u64, BuildHasherDefault<MulRotate>>)>>;
 
 static CACHE: Memo<TimingFingerprint, Key> = RwLock::new(Vec::new());
 static BLOCK_CACHE: Memo<[u64; 4], BlockKey> = RwLock::new(Vec::new());
 static HITS: AtomicU64 = AtomicU64::new(0);
 static MISSES: AtomicU64 = AtomicU64::new(0);
 
+/// Entries one Eq. (2) calibration leaves in each memo (3,744 queries, 96
+/// blocks), rounded up: a timing's map is created this large, so a cold fit
+/// never rehashes.
+const CALIBRATION_QUERIES: usize = 4096;
+const CALIBRATION_BLOCKS: usize = 128;
+
 fn lookup<T: PartialEq, K: Hash + Eq>(memo: &Memo<T, K>, timing: &T, key: &K) -> Option<u64> {
     memo.read().iter().find(|(t, _)| t == timing)?.1.get(key).copied()
 }
 
-fn insert<T: PartialEq + Copy, K: Hash + Eq>(memo: &Memo<T, K>, timing: &T, key: K, cycles: u64) {
+/// Store `cycles` under `key`; the first entry of a timing makes its map,
+/// with room for `capacity` entries.
+fn insert<T: PartialEq + Copy, K: Hash + Eq>(
+    memo: &Memo<T, K>,
+    capacity: usize,
+    timing: &T,
+    key: K,
+    cycles: u64,
+) {
     let mut maps = memo.write();
     let at = maps.iter().position(|(t, _)| t == timing).unwrap_or_else(|| {
-        maps.push((*timing, HashMap::new()));
+        maps.push((*timing, HashMap::with_capacity_and_hasher(capacity, Default::default())));
         maps.len() - 1
     });
     maps[at].1.insert(key, cycles);
@@ -123,14 +160,18 @@ pub fn gemm_cycles(cfg: &MachineConfig, variant: GemmVariant, m: usize, n: usize
     };
     let fast_vec_load = variant.vector_load_ok();
     let cycles = per_cpe_cycles_with(cfg, v_len, s_len, kb, |blk, k_len| {
-        let key = BlockKey { blk, k_len, fast_vec_load };
-        lookup(&BLOCK_CACHE, &timing.scoreboard, &key).unwrap_or_else(|| {
-            let cycles = block_cycles(cfg, blk, k_len, fast_vec_load);
-            insert(&BLOCK_CACHE, &timing.scoreboard, key, cycles);
-            cycles
+        // `steps` is within the exact range, where `block_cycles` is the
+        // simulation itself.
+        block_cycles_with(k_len, |steps| {
+            let key = BlockKey { blk, steps, fast_vec_load };
+            lookup(&BLOCK_CACHE, &timing.scoreboard, &key).unwrap_or_else(|| {
+                let cycles = block_cycles(cfg, blk, steps, fast_vec_load);
+                insert(&BLOCK_CACHE, CALIBRATION_BLOCKS, &timing.scoreboard, key, cycles);
+                cycles
+            })
         })
     });
-    insert(&CACHE, &timing, key, cycles);
+    insert(&CACHE, CALIBRATION_QUERIES, &timing, key, cycles);
     Cycles(cycles)
 }
 
@@ -141,7 +182,7 @@ pub fn cache_len() -> usize {
 }
 
 /// Number of register-block costs currently memoised: the distinct
-/// `(block, k_len, fast_vec_load, latencies)` inputs [`gemm_cycles`] has run
+/// `(block, steps, fast_vec_load, latencies)` inputs [`gemm_cycles`] has run
 /// the scoreboard for since process start.
 pub fn block_cache_len() -> usize {
     len(&BLOCK_CACHE)
@@ -208,7 +249,7 @@ mod tests {
         slow_stores.vstd_latency += 3;
         for cfg in [MachineConfig::default(), slow_stores] {
             for v in ALL_VARIANTS {
-                for (vb, sb, kb) in [(4, 1, 1), (12, 7, 2), (20, 4, 13), (16, 9, 40)] {
+                for (vb, sb, kb) in [(4, 1, 1), (12, 7, 2), (8, 5, 12), (20, 4, 13), (16, 9, 40)] {
                     let (mb, nb) = match v.vec {
                         VecDim::M => (vb, sb),
                         VecDim::N => (sb, vb),
@@ -222,6 +263,52 @@ mod tests {
             }
         }
         assert!(block_cache_len() > 0 && block_cache_len() <= cache_len() * 4);
+        // The hook under the memo: an exact-range K is asked for as it is,
+        // a longer one for the same two probes whatever it is.
+        let (cfg, blk) = (MachineConfig::default(), RegBlock::new(3, 2));
+        for k_len in [1, 64, 96, 97, 104, 320] {
+            let mut asked = Vec::new();
+            let got = block_cycles_with(k_len, |steps| {
+                asked.push(steps);
+                block_cycles(&cfg, blk, steps, false)
+            });
+            assert_eq!(got, block_cycles(&cfg, blk, k_len, false), "k_len {k_len}");
+            assert_eq!(asked, if k_len <= 96 { vec![k_len] } else { vec![96, 64] });
+        }
+    }
+
+    #[test]
+    fn a_cold_calibration_stores_96_blocks() {
+        // The grid of `swatop::model::calibration_shapes`, on a timing no
+        // other test uses: its block map is this test's own.
+        const M: [usize; 8] = [32, 64, 96, 128, 160, 192, 256, 320];
+        const N: [usize; 7] = [32, 48, 64, 96, 128, 192, 256];
+        const K: [usize; 9] = [8, 16, 24, 32, 64, 96, 128, 192, 256];
+        let mut cfg = MachineConfig::default();
+        cfg.vstd_latency += 7;
+        let mut queries = 0;
+        for v in ALL_VARIANTS {
+            for (m, n) in M.into_iter().flat_map(|m| N.map(|n| (m, n))) {
+                let vectorised = match v.vec {
+                    VecDim::M => m,
+                    VecDim::N => n,
+                };
+                if (vectorised / MESH).is_multiple_of(4) {
+                    for k in K {
+                        gemm_cycles(&cfg, v, m, n, k);
+                        queries += 1;
+                    }
+                }
+            }
+        }
+        assert_eq!(queries, 3744);
+        let timing = timing_fingerprint(&cfg).scoreboard;
+        let maps = BLOCK_CACHE.read();
+        let (_, blocks) = maps.iter().find(|(t, _)| *t == timing).expect("this timing's map");
+        // 16 block inputs × the 6 exact-range step counts (both probes are
+        // among them); 144 when every K had its own entry.
+        assert_eq!(blocks.len(), 96);
+        assert!(blocks.keys().all(|key| key.steps <= 96));
     }
 
     #[test]

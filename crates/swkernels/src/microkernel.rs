@@ -108,26 +108,35 @@ fn simulate_block(cfg: &MachineConfig, blk: RegBlock, k_len: usize, fast_vec_loa
     sb.finish_time().get()
 }
 
-/// Cycles for one register block running `k_len` accumulation steps.
+/// Cycles for one register block running `k_len` accumulation steps, given
+/// `exact(steps)`, the exact cost of `steps` of them.
 ///
-/// Short loops are simulated exactly; long loops are extrapolated from the
-/// simulated steady-state cadence (the schedule is periodic after warm-up),
-/// keeping the cost model fast enough for black-box tuning while remaining
-/// a genuine pipeline simulation.
-///
-/// Pure: every call runs the scoreboard. [`crate::cost`] memoises it per
-/// distinct input; this function is the oracle that memo is tested against.
-pub fn block_cycles(cfg: &MachineConfig, blk: RegBlock, k_len: usize, fast_vec_load: bool) -> u64 {
+/// Short loops are priced exactly; long loops are extrapolated from the
+/// steady-state cadence between two exact probes (the schedule is periodic
+/// after warm-up), keeping the cost model fast enough for black-box tuning
+/// while remaining a genuine pipeline simulation. `exact` is only ever asked
+/// for at most 96 steps, and for the same two probes whatever `k_len` is:
+/// [`block_cycles`] passes the simulation itself, [`crate::cost`] its memo
+/// of it.
+pub fn block_cycles_with(k_len: usize, mut exact: impl FnMut(usize) -> u64) -> u64 {
     const EXACT: usize = 96;
     const PROBE: usize = 64;
     if k_len <= EXACT {
-        return simulate_block(cfg, blk, k_len, fast_vec_load);
+        return exact(k_len);
     }
-    let c_hi = simulate_block(cfg, blk, EXACT, fast_vec_load);
-    let c_lo = simulate_block(cfg, blk, PROBE, fast_vec_load);
+    let c_hi = exact(EXACT);
+    let c_lo = exact(PROBE);
     let steady_num = c_hi - c_lo; // cycles for (EXACT-PROBE) steady iterations
     let extra = (k_len - EXACT) as u64;
     c_hi + steady_num * extra / (EXACT - PROBE) as u64
+}
+
+/// [`block_cycles_with`] over the scoreboard simulation.
+///
+/// Pure: every call runs the scoreboard. [`crate::cost`] memoises the
+/// simulations; this function is the oracle that memo is tested against.
+pub fn block_cycles(cfg: &MachineConfig, blk: RegBlock, k_len: usize, fast_vec_load: bool) -> u64 {
+    block_cycles_with(k_len, |steps| simulate_block(cfg, blk, steps, fast_vec_load))
 }
 
 /// The register blocking of a per-CPE `v_len × s_len` C tile, as the
@@ -154,7 +163,7 @@ pub fn reg_blocks(v_len: usize, s_len: usize) -> impl Iterator<Item = (RegBlock,
 /// accumulated over the full K (eight mesh panels of `Kb` each), decomposed
 /// into register blocks ([`reg_blocks`]). `block_cost(blk, k_len)` prices one
 /// block: [`per_cpe_cycles`] passes the pure [`block_cycles`], the cached
-/// query in [`crate::cost`] its memo of the same function.
+/// query in [`crate::cost`] the same extrapolation over memoised simulations.
 pub fn per_cpe_cycles_with(
     cfg: &MachineConfig,
     v_len: usize,
