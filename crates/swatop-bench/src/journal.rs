@@ -979,6 +979,28 @@ mod tests {
         }
     }
 
+    /// The three serialized forms, recorded from the hand-rolled emitters
+    /// before they were ported to `sw26010::json::Writer`: escapes, `null`
+    /// floats, an empty curve and the trend of an op that appears late.
+    #[test]
+    fn serialized_bytes_equal_the_recorded_goldens() {
+        let a = sample_record("run \"quoted\"/β", 123.5, 42_000);
+        let mut b = sample_record("run \"quoted\"/β", 100.0, 9_000);
+        b.mape_pct = None;
+        b.rank_correlation = Some(f64::NAN);
+        b.ops[0].mape_pct = None;
+        b.ops[0].convergence.clear();
+        b.ops.push(OpBench { name: "conv_new".to_string(), gflops: 5.0, ..a.ops[0].clone() });
+        let other = sample_record("other", 1.0, 10);
+        assert_eq!(a.to_json(), include_str!("../tests/golden/record.json"));
+        let journal = Journal { records: vec![a, b, other] };
+        assert_eq!(journal.to_json(), include_str!("../tests/golden/journal.json"));
+        assert_eq!(
+            show_json(&journal, Some("run \"quoted\"/β")),
+            include_str!("../tests/golden/show.json")
+        );
+    }
+
     #[test]
     fn record_round_trips_through_json() {
         let mut r = sample_record("run \"quoted\"/β", 123.5, 42_000);
