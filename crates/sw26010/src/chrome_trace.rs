@@ -6,113 +6,47 @@
 //! overlap (or lack of it) between the prefetched transfers and the GEMM
 //! stream is immediately visible on the two tracks.
 
-use std::fmt::Write as _;
-
+use crate::json::Writer;
 use crate::trace::{Event, Trace};
-
-/// Convert cycle timestamps to the JSON's microsecond unit.
-fn us(cycles: u64, clock_ghz: f64) -> f64 {
-    cycles as f64 / (clock_ghz * 1e3)
-}
-
-/// Re-export of the shared escape helper (historically defined here; the
-/// single implementation now lives in [`crate::json`] with its own tests).
-pub use crate::json::escape_json;
 
 /// Render the trace as Chrome trace-event JSON ("traceEvents" array form).
 ///
 /// Track (tid) 0 is the CPE compute stream (GEMMs, transforms, stalls);
 /// track 1 is the DMA engine (one slice per batch, issue → completion).
 pub fn to_chrome_json(trace: &Trace, clock_ghz: f64) -> String {
-    let mut out = String::from("{\"traceEvents\":[\n");
-    let mut first = true;
-    let emit = |line: String, out: &mut String, first: &mut bool| {
-        if !*first {
-            out.push_str(",\n");
-        }
-        *first = false;
-        out.push_str(&line);
+    // Cycle counts in the JSON's microsecond unit.
+    let us = |cycles: u64| cycles as f64 / (clock_ghz * 1e3);
+    let mut w = Writer::trace_events();
+    let mut slice = |name: &str, tid: usize, at: u64, cycles: u64| {
+        w.trace_event(name, "X", 0, tid)
+            .field("ts", format_args!("{:.3}", us(at)))
+            .field("dur", format_args!("{:.3}", us(cycles)))
+            .end_obj();
     };
     for e in trace.events() {
         match e {
-            Event::Gemm { at, cycles, m, n, k } => emit(
-                format!(
-                    "{{\"name\":\"{}\",\"ph\":\"X\",\"pid\":0,\"tid\":0,\
-                     \"ts\":{:.3},\"dur\":{:.3}}}",
-                    escape_json(&format!("gemm {m}x{n}x{k}")),
-                    us(at.get(), clock_ghz),
-                    us(cycles.get(), clock_ghz)
-                ),
-                &mut out,
-                &mut first,
-            ),
-            Event::Compute { at, cycles, what } => emit(
-                format!(
-                    "{{\"name\":\"{}\",\"ph\":\"X\",\"pid\":0,\"tid\":0,\
-                     \"ts\":{:.3},\"dur\":{:.3}}}",
-                    escape_json(what),
-                    us(at.get(), clock_ghz),
-                    us(cycles.get(), clock_ghz)
-                ),
-                &mut out,
-                &mut first,
-            ),
+            Event::Gemm { at, cycles, m, n, k } => {
+                slice(&format!("gemm {m}x{n}x{k}"), 0, at.get(), cycles.get())
+            }
+            Event::Compute { at, cycles, what } => slice(what, 0, at.get(), cycles.get()),
             Event::DmaWait { at, stall, tag } => {
                 if stall.get() > 0 {
-                    emit(
-                        format!(
-                            "{{\"name\":\"{}\",\"ph\":\"X\",\"pid\":0,\"tid\":0,\
-                             \"ts\":{:.3},\"dur\":{:.3}}}",
-                            escape_json(&format!("stall (tag {tag})")),
-                            us(at.get(), clock_ghz),
-                            us(stall.get(), clock_ghz)
-                        ),
-                        &mut out,
-                        &mut first,
-                    );
+                    slice(&format!("stall (tag {tag})"), 0, at.get(), stall.get());
                 }
             }
-            Event::DmaIssue { at, done, direction, payload_bytes, tag, .. } => emit(
-                format!(
-                    "{{\"name\":\"{}\",\"ph\":\"X\",\
-                     \"pid\":0,\"tid\":1,\"ts\":{:.3},\"dur\":{:.3}}}",
-                    escape_json(&format!("dma {direction:?} {payload_bytes}B (tag {tag})")),
-                    us(at.get(), clock_ghz),
-                    us(done.get().saturating_sub(at.get()), clock_ghz)
-                ),
-                &mut out,
-                &mut first,
+            Event::DmaIssue { at, done, direction, payload_bytes, tag, .. } => slice(
+                &format!("dma {direction:?} {payload_bytes}B (tag {tag})"),
+                1,
+                at.get(),
+                done.get().saturating_sub(at.get()),
             ),
-            Event::Regcomm { at, cycles, bytes } => emit(
-                format!(
-                    "{{\"name\":\"{}\",\"ph\":\"X\",\
-                     \"pid\":0,\"tid\":1,\"ts\":{:.3},\"dur\":{:.3}}}",
-                    escape_json(&format!("regcomm scatter {bytes}B")),
-                    us(at.get(), clock_ghz),
-                    us(cycles.get(), clock_ghz)
-                ),
-                &mut out,
-                &mut first,
-            ),
+            Event::Regcomm { at, cycles, bytes } => {
+                slice(&format!("regcomm scatter {bytes}B"), 1, at.get(), cycles.get())
+            }
         }
     }
-    // Track names.
-    let mut meta = String::new();
-    let _ = write!(
-        meta,
-        ",\n{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":0,\
-         \"args\":{{\"name\":\"CPE compute\"}}}},\n\
-         {{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":1,\
-         \"args\":{{\"name\":\"DMA engine\"}}}}"
-    );
-    if first {
-        // No events: drop the leading comma of the metadata block.
-        out.push_str(&meta[2..]);
-    } else {
-        out.push_str(&meta);
-    }
-    out.push_str("\n]}\n");
-    out
+    w.thread_name(0, 0, "CPE compute").thread_name(0, 1, "DMA engine");
+    w.finish_lines()
 }
 
 #[cfg(test)]

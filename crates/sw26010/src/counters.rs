@@ -67,6 +67,47 @@ pub struct Counters {
 }
 
 impl Counters {
+    /// The counter names in declaration order: the key order of every JSON
+    /// export and the column order of the feature corpus.
+    pub const NAMES: [&'static str; 15] = [
+        "dma_payload_bytes",
+        "dma_bus_bytes",
+        "dma_batches",
+        "dma_stall_cycles",
+        "dma_waits",
+        "kernel_calls",
+        "kernel_cycles",
+        "flops",
+        "compute_cycles",
+        "issue_p0",
+        "issue_p1",
+        "regcomm_broadcasts",
+        "dma_bcast_batches",
+        "regcomm_bytes",
+        "spm_high_water_elems",
+    ];
+
+    /// The counters in [`Counters::NAMES`] order.
+    pub fn values(&self) -> [u64; 15] {
+        [
+            self.dma_payload_bytes,
+            self.dma_bus_bytes,
+            self.dma_batches,
+            self.dma_stall_cycles,
+            self.dma_waits,
+            self.kernel_calls,
+            self.kernel_cycles,
+            self.flops,
+            self.compute_cycles,
+            self.issue_p0,
+            self.issue_p1,
+            self.regcomm_broadcasts,
+            self.dma_bcast_batches,
+            self.regcomm_bytes,
+            self.spm_high_water_elems,
+        ]
+    }
+
     /// Accumulate another counter block into this one: sums everywhere,
     /// `max` for the SPM high-water mark.
     pub fn merge(&mut self, o: &Counters) {
@@ -127,9 +168,53 @@ impl Counters {
     }
 }
 
+/// A JSON object keyed by [`Counters::NAMES`].
+impl crate::json::Value for Counters {
+    fn write_json(&self, w: &mut crate::json::Writer) {
+        w.begin_obj();
+        for (name, v) in Self::NAMES.iter().zip(self.values()) {
+            w.field(name, v);
+        }
+        w.end_obj();
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn names_and_values_follow_the_declaration() {
+        let c = Counters {
+            dma_payload_bytes: 1,
+            dma_bus_bytes: 2,
+            dma_batches: 3,
+            dma_stall_cycles: 4,
+            dma_waits: 5,
+            kernel_calls: 6,
+            kernel_cycles: 7,
+            flops: 8,
+            compute_cycles: 9,
+            issue_p0: 10,
+            issue_p1: 11,
+            regcomm_broadcasts: 12,
+            dma_bcast_batches: 13,
+            regcomm_bytes: 14,
+            spm_high_water_elems: 15,
+        };
+        assert_eq!(c.values(), std::array::from_fn(|i| i as u64 + 1));
+        // `{:?}` prints the fields as declared: the names are those, in order.
+        let debug = format!("{c:?}");
+        let at: Vec<usize> = Counters::NAMES
+            .iter()
+            .zip(c.values())
+            .map(|(name, v)| debug.find(&format!("{name}: {v}")).expect(name))
+            .collect();
+        assert!(at.is_sorted(), "{debug}");
+        assert_eq!(std::mem::size_of::<Counters>(), 15 * 8);
+        let json = crate::json::to_string(c);
+        assert!(json.starts_with("{\"dma_payload_bytes\":1,\"dma_bus_bytes\":2,"), "{json}");
+    }
 
     #[test]
     fn merge_sums_and_maxes() {

@@ -1,28 +1,34 @@
-//! Hand-rolled JSON utilities shared by every exporter in the workspace.
+//! The JSON layer shared by every exporter in the workspace.
 //!
 //! The machine-model stack is dependency-free, so the Chrome-trace export,
-//! the telemetry snapshot/Perfetto exporters and the bench journal all emit
-//! JSON by hand. The pieces they share live here exactly once:
+//! the telemetry snapshot/Perfetto exporters, the profiler artifacts, the
+//! tuner checkpoint and the bench journal all write and read JSON through
+//! this module, and through nothing else:
 //!
-//! * [`escape_json`] — string-literal escaping (quotes, backslashes,
-//!   control characters; everything else, including non-ASCII, passes
-//!   through as UTF-8);
-//! * [`fmt_f64`] — floats as plain decimal JSON numbers, `null` when
-//!   non-finite (JSON has no NaN/Infinity);
+//! * [`Writer`] — a comma-placing writer over a `String`: `begin_obj` /
+//!   `end_obj` / `begin_arr` / `end_arr` nest, [`Writer::field`] and
+//!   [`Writer::value`] render any [`Value`] (strings escaped, integers
+//!   exact, floats as plain decimals, `None` and non-finite floats as
+//!   `null`, `format_args!` verbatim for fixed-precision numbers),
+//!   [`Writer::raw`] splices an already-rendered document, and
+//!   [`Writer::trace_events`] / [`Writer::trace_event`] /
+//!   [`Writer::thread_name`] frame a Chrome/Perfetto trace-event document
+//!   with one event per line. A type with a JSON shape of its own
+//!   implements [`Value`] next to its definition
+//!   ([`Counters`](crate::Counters), [`Timeline`](crate::profile::Timeline));
+//! * [`escape_json`] / [`fmt_f64`] — the writer's string escaping and float
+//!   formatting as free functions, for callers that build text around them;
 //! * [`Json`] / [`parse`] — a minimal value model and recursive-descent
-//!   parser for readers (journal, tooling) that must not trust their input.
+//!   parser for readers (journal, checkpoint, tests) that must not trust
+//!   their input.
 //!
 //! Numbers are kept as their literal text ([`Json::Num`] stores the raw
 //! slice) so integer fields survive the round trip exactly — `u64::MAX`
 //! cycles would be corrupted by an intermediate `f64`.
 
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
-/// Escape a string for embedding inside a JSON string literal. Handles
-/// quotes, backslashes and control characters; everything else passes
-/// through.
-pub fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
+fn escape_into(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -36,22 +42,231 @@ pub fn escape_json(s: &str) -> String {
             c => out.push(c),
         }
     }
+}
+
+/// Escape a string for embedding inside a JSON string literal. Handles
+/// quotes, backslashes and control characters; everything else, including
+/// non-ASCII, passes through as UTF-8.
+pub fn escape_json(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    escape_into(&mut out, s);
     out
 }
 
-/// Render a float as a JSON value: plain decimal, or `null` when
-/// non-finite. Rust's `Display` for finite floats is exponent-free only for
-/// moderate magnitudes; extreme ones are re-rendered with a fixed number of
-/// fraction digits so the output is always a valid JSON number.
+/// Render a float as a JSON value: plain decimal (Rust's `Display` never
+/// prints an exponent), or `null` when non-finite.
 pub fn fmt_f64(v: f64) -> String {
-    if !v.is_finite() {
-        return "null".to_string();
+    to_string(v)
+}
+
+/// Render one [`Value`] as a document.
+pub fn to_string(v: impl Value) -> String {
+    let mut w = Writer::new();
+    w.value(v);
+    w.finish()
+}
+
+/// Something the [`Writer`] can render as one JSON value.
+pub trait Value {
+    fn write_json(&self, w: &mut Writer);
+}
+
+/// A JSON writer over a `String` that places the commas itself. Nesting is
+/// the caller's to balance (`begin_*` / `end_*`); every method returns the
+/// writer so a record reads as one chain.
+#[derive(Debug, Default)]
+pub struct Writer {
+    out: String,
+    /// The next element at this position needs a separator before it.
+    comma: bool,
+}
+
+impl Writer {
+    pub fn new() -> Writer {
+        Writer::default()
     }
-    let s = format!("{v}");
-    if s.contains('e') || s.contains('E') {
-        format!("{v:.6}")
-    } else {
-        s
+
+    /// Separator before an element, then mark the position as occupied.
+    fn sep(&mut self) {
+        if self.comma {
+            self.out.push(',');
+        }
+        self.comma = true;
+    }
+
+    fn open(&mut self, bracket: char) -> &mut Self {
+        self.sep();
+        self.out.push(bracket);
+        self.comma = false;
+        self
+    }
+
+    fn close(&mut self, bracket: char) -> &mut Self {
+        self.out.push(bracket);
+        self.comma = true;
+        self
+    }
+
+    pub fn begin_obj(&mut self) -> &mut Self {
+        self.open('{')
+    }
+
+    pub fn end_obj(&mut self) -> &mut Self {
+        self.close('}')
+    }
+
+    pub fn begin_arr(&mut self) -> &mut Self {
+        self.open('[')
+    }
+
+    pub fn end_arr(&mut self) -> &mut Self {
+        self.close(']')
+    }
+
+    /// An object key; the next call writes its value.
+    pub fn key(&mut self, key: &str) -> &mut Self {
+        self.sep();
+        self.out.push('"');
+        escape_into(&mut self.out, key);
+        self.out.push_str("\":");
+        self.comma = false;
+        self
+    }
+
+    /// One value: an array element, or the value of the last [`Writer::key`].
+    pub fn value(&mut self, v: impl Value) -> &mut Self {
+        v.write_json(self);
+        self
+    }
+
+    /// `"key":value`.
+    pub fn field(&mut self, key: &str, v: impl Value) -> &mut Self {
+        self.key(key).value(v)
+    }
+
+    /// Splice an already-rendered JSON document in as one value.
+    pub fn raw(&mut self, document: &str) -> &mut Self {
+        self.sep();
+        self.out.push_str(document);
+        self
+    }
+
+    /// Start the next element of the open array on a line of its own.
+    pub fn line(&mut self) -> &mut Self {
+        self.out.push_str(if self.comma { ",\n" } else { "\n" });
+        self.comma = false;
+        self
+    }
+
+    pub fn finish(self) -> String {
+        self.out
+    }
+
+    /// Close a one-element-per-line array that is the last field of the
+    /// top-level object, and end the document with a newline.
+    pub fn finish_lines(mut self) -> String {
+        self.out.push_str("\n]}\n");
+        self.out
+    }
+
+    /// A Chrome/Perfetto trace-event document, open for
+    /// [`Writer::trace_event`]s; close it with [`Writer::finish_lines`].
+    pub fn trace_events() -> Writer {
+        let mut w = Writer::new();
+        w.begin_obj().key("traceEvents").begin_arr();
+        w
+    }
+
+    /// Open a trace event on its own line with the four fields every phase
+    /// carries; the caller adds `ts` / `dur` / `args` and ends the object.
+    pub fn trace_event(&mut self, name: &str, ph: &str, pid: u32, tid: usize) -> &mut Self {
+        self.line().begin_obj().field("name", name).field("ph", ph);
+        self.field("pid", pid).field("tid", tid)
+    }
+
+    /// The metadata event naming track `tid`.
+    pub fn thread_name(&mut self, pid: u32, tid: usize, name: &str) -> &mut Self {
+        self.trace_event("thread_name", "M", pid, tid).key("args").begin_obj();
+        self.field("name", name).end_obj().end_obj()
+    }
+}
+
+/// Rendered verbatim through `Display`: `format_args!("{x:.3}")` for the
+/// fixed-precision timestamps, and every integer below.
+impl Value for fmt::Arguments<'_> {
+    fn write_json(&self, w: &mut Writer) {
+        w.sep();
+        let _ = w.out.write_fmt(*self);
+    }
+}
+
+macro_rules! integer_values {
+    ($($t:ty),*) => {$(
+        impl Value for $t {
+            fn write_json(&self, w: &mut Writer) {
+                w.value(format_args!("{self}"));
+            }
+        }
+    )*};
+}
+integer_values!(u32, u64, usize, i64);
+
+impl Value for bool {
+    fn write_json(&self, w: &mut Writer) {
+        w.raw(if *self { "true" } else { "false" });
+    }
+}
+
+/// Plain decimal, or `null` when non-finite (JSON has no NaN/Infinity).
+impl Value for f64 {
+    fn write_json(&self, w: &mut Writer) {
+        if self.is_finite() {
+            w.value(format_args!("{self}"));
+        } else {
+            w.raw("null");
+        }
+    }
+}
+
+impl Value for str {
+    fn write_json(&self, w: &mut Writer) {
+        w.sep();
+        w.out.push('"');
+        escape_into(&mut w.out, self);
+        w.out.push('"');
+    }
+}
+
+impl Value for String {
+    fn write_json(&self, w: &mut Writer) {
+        self.as_str().write_json(w);
+    }
+}
+
+impl<T: Value> Value for Option<T> {
+    fn write_json(&self, w: &mut Writer) {
+        match self {
+            Some(v) => v.write_json(w),
+            None => {
+                w.raw("null");
+            }
+        }
+    }
+}
+
+impl<T: Value> Value for [T] {
+    fn write_json(&self, w: &mut Writer) {
+        w.begin_arr();
+        for v in self {
+            v.write_json(w);
+        }
+        w.end_arr();
+    }
+}
+
+impl<T: Value + ?Sized> Value for &T {
+    fn write_json(&self, w: &mut Writer) {
+        (**self).write_json(w);
     }
 }
 
@@ -365,8 +580,73 @@ mod tests {
         assert_eq!(fmt_f64(f64::NAN), "null");
         assert_eq!(fmt_f64(f64::INFINITY), "null");
         assert_eq!(fmt_f64(f64::NEG_INFINITY), "null");
-        // Extreme magnitudes would Display with an exponent; re-rendered.
-        assert!(!fmt_f64(1e-9).contains('e'));
+        // `Display` never prints an exponent, whatever the magnitude.
+        for v in [1e-9, 1e21, 5e-324, f64::MAX] {
+            let s = fmt_f64(v);
+            assert!(!s.contains(['e', 'E']), "{s}");
+            assert_eq!(parse(&s).unwrap().as_f64("v").unwrap(), v);
+        }
+    }
+
+    #[test]
+    fn writer_places_commas_through_any_nesting() {
+        let mut w = Writer::new();
+        w.begin_obj().field("a", 1u64).key("b").begin_arr();
+        w.begin_obj().end_obj().begin_arr().end_arr().value(-2i64).value(true);
+        w.end_arr().key("c").begin_obj().field("d", "x").end_obj().field("e", 1.5).end_obj();
+        assert_eq!(w.finish(), "{\"a\":1,\"b\":[{},[],-2,true],\"c\":{\"d\":\"x\"},\"e\":1.5}");
+        assert_eq!(to_string(&[1u64, 2, 3][..]), "[1,2,3]");
+        assert_eq!(to_string(&[] as &[u64]), "[]");
+    }
+
+    #[test]
+    fn writer_renders_absent_and_non_finite_as_null_and_integers_exactly() {
+        let mut w = Writer::new();
+        w.begin_obj()
+            .field("none", None::<f64>)
+            .field("nan", f64::NAN)
+            .field("some_inf", Some(f64::INFINITY))
+            .field("max", u64::MAX)
+            .field("opt", Some("s"))
+            .field("ts", format_args!("{:.3}", 2.0f64 / 3.0))
+            .key("spliced")
+            .raw("[null]")
+            .end_obj();
+        let text = w.finish();
+        assert_eq!(
+            text,
+            "{\"none\":null,\"nan\":null,\"some_inf\":null,\"max\":18446744073709551615,\
+             \"opt\":\"s\",\"ts\":0.667,\"spliced\":[null]}"
+        );
+        assert_eq!(parse(&text).unwrap().field("max").unwrap().as_u64("max").unwrap(), u64::MAX);
+    }
+
+    #[test]
+    fn written_strings_and_keys_parse_back_to_the_original() {
+        for s in ["quote \" back \\ slash", "tab\there\nnew\rline", "\u{1} caf\u{e9} \u{1F600}"] {
+            let mut w = Writer::new();
+            w.begin_obj().field(s, s).end_obj();
+            let doc = parse(&w.finish()).unwrap();
+            assert_eq!(doc, Json::Obj(vec![(s.to_string(), Json::Str(s.to_string()))]));
+        }
+    }
+
+    #[test]
+    fn trace_event_documents_hold_one_event_per_line() {
+        assert_eq!(Writer::trace_events().finish_lines(), "{\"traceEvents\":[\n]}\n");
+        let mut w = Writer::trace_events();
+        w.trace_event("a \"b\"", "X", 0, 1).field("ts", format_args!("{:.3}", 1.0)).end_obj();
+        w.thread_name(0, 1, "DMA engine");
+        let text = w.finish_lines();
+        assert_eq!(
+            text,
+            "{\"traceEvents\":[\n\
+             {\"name\":\"a \\\"b\\\"\",\"ph\":\"X\",\"pid\":0,\"tid\":1,\"ts\":1.000},\n\
+             {\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":1,\
+             \"args\":{\"name\":\"DMA engine\"}}\n]}\n"
+        );
+        let doc = parse(&text).unwrap();
+        assert_eq!(doc.field("traceEvents").unwrap().as_arr("events").unwrap().len(), 2);
     }
 
     #[test]

@@ -14,9 +14,7 @@
 //! are integer cycle counts (ratios are computed at render time), so the
 //! exports are bit-deterministic.
 
-use std::fmt::Write as _;
-
-use crate::json::{escape_json, fmt_f64};
+use crate::json::{self, Value, Writer};
 use crate::trace::{Event, Trace};
 
 /// A half-open busy interval `[start, end)` in cycles.
@@ -44,6 +42,13 @@ impl Interval {
         let s = self.start.max(window.start);
         let e = self.end.min(window.end);
         e.saturating_sub(s)
+    }
+}
+
+/// `[start, end]`.
+impl Value for Interval {
+    fn write_json(&self, w: &mut Writer) {
+        w.begin_arr().value(self.start).value(self.end).end_arr();
     }
 }
 
@@ -281,64 +286,9 @@ impl Timeline {
     }
 
     /// Deterministic JSON rendering of the timeline: integer cycle counts,
-    /// per-engine merged interval lists, and per-phase metrics. All ratio
-    /// fields go through [`fmt_f64`] so the bytes are stable.
+    /// per-engine merged interval lists, and per-phase metrics.
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push('{');
-        let _ = write!(
-            out,
-            "\"total_cycles\":{},\"truncated\":{},\"events\":{}",
-            self.total, self.truncated, self.events
-        );
-        let engines: [(&str, &[Interval]); 4] = [
-            ("dma", &self.dma),
-            ("compute", &self.compute),
-            ("stall", &self.stall),
-            ("regcomm", &self.regcomm),
-        ];
-        out.push_str(",\"engines\":{");
-        for (i, (name, spans)) in engines.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let busy: u64 = spans.iter().map(Interval::len).sum();
-            let _ = write!(out, "\"{name}\":{{\"busy_cycles\":{busy},\"intervals\":[");
-            for (j, iv) in spans.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "[{},{}]", iv.start, iv.end);
-            }
-            out.push_str("]}");
-        }
-        out.push_str("},\"phases\":[");
-        for (i, p) in self.phases.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"kind\":\"{}\",\"start\":{},\"end\":{},\"cycles\":{},\
-                 \"dma_busy\":{},\"compute_busy\":{},\"stall\":{},\"regcomm\":{},\
-                 \"overlap\":{},\"dma_occupancy\":{},\"compute_occupancy\":{},\
-                 \"overlap_efficiency\":{}}}",
-                p.kind.name(),
-                p.span.start,
-                p.span.end,
-                p.cycles(),
-                p.dma_busy,
-                p.compute_busy,
-                p.stall,
-                p.regcomm,
-                p.overlap,
-                fmt_f64(p.dma_occupancy()),
-                fmt_f64(p.compute_occupancy()),
-                fmt_f64(p.overlap_efficiency())
-            );
-        }
-        out.push_str("]}");
-        out
+        json::to_string(self)
     }
 
     /// Render as Chrome/Perfetto trace-event JSON: an enclosing candidate
@@ -347,92 +297,104 @@ impl Timeline {
     /// are microseconds of the given clock.
     pub fn to_perfetto_json(&self, clock_ghz: f64, label: &str) -> String {
         let us = |cycles: u64| cycles as f64 / (clock_ghz * 1e3);
-        let mut ev: Vec<String> = Vec::new();
+        let mut w = Writer::trace_events();
         // Enclosing candidate span as a begin/end pair: exporters must keep
         // these balanced, which the perfetto tests assert explicitly.
-        ev.push(format!(
-            "{{\"name\":\"{}\",\"ph\":\"B\",\"pid\":0,\"tid\":0,\"ts\":{},\
-             \"args\":{{\"total_cycles\":{},\"truncated\":{}}}}}",
-            escape_json(label),
-            fmt_f64(us(0)),
-            self.total,
-            self.truncated
-        ));
-        for p in &self.phases {
-            if p.span.is_empty() {
-                continue;
-            }
-            ev.push(format!(
-                "{{\"name\":\"{}\",\"ph\":\"X\",\"pid\":0,\"tid\":0,\"ts\":{},\"dur\":{},\
-                 \"args\":{{\"dma_busy\":{},\"compute_busy\":{},\"stall\":{},\
-                 \"regcomm\":{},\"overlap\":{}}}}}",
-                p.kind.name(),
-                fmt_f64(us(p.span.start)),
-                fmt_f64(us(p.span.len())),
-                p.dma_busy,
-                p.compute_busy,
-                p.stall,
-                p.regcomm,
-                p.overlap
-            ));
+        w.trace_event(label, "B", 0, 0).field("ts", us(0)).key("args").begin_obj();
+        w.field("total_cycles", self.total).field("truncated", self.truncated).end_obj().end_obj();
+        let phases = || self.phases.iter().filter(|p| !p.span.is_empty());
+        for p in phases() {
+            w.trace_event(p.kind.name(), "X", 0, 0)
+                .field("ts", us(p.span.start))
+                .field("dur", us(p.span.len()))
+                .key("args")
+                .begin_obj();
+            p.write_busy(&mut w);
+            w.end_obj().end_obj();
         }
-        let engines: [(&str, u32, &[Interval]); 4] = [
-            ("dma busy", 1, &self.dma),
-            ("compute busy", 2, &self.compute),
-            ("stall", 3, &self.stall),
-            ("regcomm", 4, &self.regcomm),
+        let engines: [(&str, &[Interval]); 4] = [
+            ("dma busy", &self.dma),
+            ("compute busy", &self.compute),
+            ("stall", &self.stall),
+            ("regcomm", &self.regcomm),
         ];
-        for (name, tid, spans) in engines {
+        for (i, (name, spans)) in engines.into_iter().enumerate() {
             for iv in spans {
-                ev.push(format!(
-                    "{{\"name\":\"{name}\",\"ph\":\"X\",\"pid\":0,\"tid\":{tid},\
-                     \"ts\":{},\"dur\":{}}}",
-                    fmt_f64(us(iv.start)),
-                    fmt_f64(us(iv.len()))
-                ));
+                w.trace_event(name, "X", 0, i + 1)
+                    .field("ts", us(iv.start))
+                    .field("dur", us(iv.len()))
+                    .end_obj();
             }
         }
         // Occupancy counters: one sample at each phase start (plus a closing
         // zero) renders as a step curve over the candidate. They live on
         // their own track (tid 5): phase starts rewind to earlier timestamps
         // than the slice tracks above, and each track must stay monotonic.
-        for p in &self.phases {
-            if p.span.is_empty() {
-                continue;
-            }
-            ev.push(format!(
-                "{{\"name\":\"occupancy\",\"ph\":\"C\",\"pid\":0,\"tid\":5,\"ts\":{},\
-                 \"args\":{{\"dma\":{},\"compute\":{},\"overlap_eff\":{}}}}}",
-                fmt_f64(us(p.span.start)),
-                fmt_f64(p.dma_occupancy()),
-                fmt_f64(p.compute_occupancy()),
-                fmt_f64(p.overlap_efficiency())
-            ));
+        let mut occupancy = |at: u64, [dma, compute, overlap_eff]: [f64; 3]| {
+            w.trace_event("occupancy", "C", 0, 5).field("ts", us(at)).key("args").begin_obj();
+            w.field("dma", dma).field("compute", compute).field("overlap_eff", overlap_eff);
+            w.end_obj().end_obj();
+        };
+        for p in phases() {
+            let sample = [p.dma_occupancy(), p.compute_occupancy(), p.overlap_efficiency()];
+            occupancy(p.span.start, sample);
         }
-        ev.push(format!(
-            "{{\"name\":\"occupancy\",\"ph\":\"C\",\"pid\":0,\"tid\":5,\"ts\":{},\
-             \"args\":{{\"dma\":0,\"compute\":0,\"overlap_eff\":0}}}}",
-            fmt_f64(us(self.total))
-        ));
-        ev.push(format!(
-            "{{\"name\":\"{}\",\"ph\":\"E\",\"pid\":0,\"tid\":0,\"ts\":{}}}",
-            escape_json(label),
-            fmt_f64(us(self.total))
-        ));
-        for (tid, name) in [
-            (0, "schedule phases"),
-            (1, "DMA engine"),
-            (2, "CPE compute"),
-            (3, "DMA stall"),
-            (4, "regcomm"),
-            (5, "occupancy"),
+        occupancy(self.total, [0.0; 3]);
+        w.trace_event(label, "E", 0, 0).field("ts", us(self.total)).end_obj();
+        for (tid, name) in
+            ["schedule phases", "DMA engine", "CPE compute", "DMA stall", "regcomm", "occupancy"]
+                .into_iter()
+                .enumerate()
+        {
+            w.thread_name(0, tid, name);
+        }
+        w.finish_lines()
+    }
+}
+
+impl Phase {
+    /// The five busy-cycle fields, into the open object.
+    fn write_busy(&self, w: &mut Writer) {
+        w.field("dma_busy", self.dma_busy)
+            .field("compute_busy", self.compute_busy)
+            .field("stall", self.stall)
+            .field("regcomm", self.regcomm)
+            .field("overlap", self.overlap);
+    }
+}
+
+impl Value for Timeline {
+    fn write_json(&self, w: &mut Writer) {
+        w.begin_obj()
+            .field("total_cycles", self.total)
+            .field("truncated", self.truncated)
+            .field("events", self.events)
+            .key("engines")
+            .begin_obj();
+        for (name, spans) in [
+            ("dma", &self.dma),
+            ("compute", &self.compute),
+            ("stall", &self.stall),
+            ("regcomm", &self.regcomm),
         ] {
-            ev.push(format!(
-                "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":{tid},\
-                 \"args\":{{\"name\":\"{name}\"}}}}"
-            ));
+            let busy: u64 = spans.iter().map(Interval::len).sum();
+            w.key(name).begin_obj().field("busy_cycles", busy);
+            w.field("intervals", spans.as_slice()).end_obj();
         }
-        format!("{{\"traceEvents\":[\n{}\n]}}\n", ev.join(",\n"))
+        w.end_obj().key("phases").begin_arr();
+        for p in &self.phases {
+            w.begin_obj()
+                .field("kind", p.kind.name())
+                .field("start", p.span.start)
+                .field("end", p.span.end)
+                .field("cycles", p.cycles());
+            p.write_busy(w);
+            w.field("dma_occupancy", p.dma_occupancy())
+                .field("compute_occupancy", p.compute_occupancy())
+                .field("overlap_efficiency", p.overlap_efficiency())
+                .end_obj();
+        }
+        w.end_arr().end_obj();
     }
 }
 

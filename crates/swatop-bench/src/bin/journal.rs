@@ -29,7 +29,7 @@ fn usage() -> ! {
          [--wall-rel F] [--mad-factor F] [--cycles-rel F] [--strict]\n\
          --json   machine-readable show: records + per-op GFLOPS trend as one\n         \
          JSON document on stdout\n\
-         --strict turns comparability warnings (mixed schema/jobs) into failures\n\
+         --strict turns comparability warnings (mixed jobs, throughput collapse) into failures\n\
          FILE defaults to {DEFAULT_PATH}"
     );
     exit(2);
@@ -100,7 +100,7 @@ fn main() {
                     r.rank_correlation.map_or_else(|| "-".into(), |v| format!("{v:.3}")),
                     r.mix.summary()
                 );
-                // v4 records carry tuner throughput; pre-v4 parse to zeros.
+                // The two oldest committed records predate the throughput fields.
                 if r.candidates_evaluated > 0 {
                     println!(
                         "  tuner: {} candidates evaluated at {:.0}/s \

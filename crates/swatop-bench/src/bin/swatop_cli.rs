@@ -358,28 +358,24 @@ fn slot_options(base: &TuneOptions, slot: usize, n_ops: usize) -> TuneOptions {
 /// summary (winner, cycles, roofline position) with the full telemetry
 /// snapshot (which is itself produced by the snapshot exporter).
 fn json_report(cfg: &MachineConfig, name: &str, tuned: &TunedOp, tel: &Telemetry) -> String {
-    use sw26010::json::{escape_json, fmt_f64};
     let TunedOp { flops, winner, outcome, .. } = tuned;
     let peaks = swatop::observatory::Peaks::of(cfg);
     let cycles = outcome.cycles.get();
     let gflops = sw26010::clock::gflops(*flops, sw26010::Cycles(cycles), cfg.clock_ghz);
     let mix = outcome.telemetry.as_ref().map(|t| t.mix).unwrap_or_default();
-    format!(
-        "{{\"operator\":\"{}\",\"schedule\":\"{}\",\"cycles\":{},\"gflops\":{},\
-         \"pct_peak_gflops\":{},\"quarantined\":{},\"bottleneck_mix\":{{\"dma\":{},\
-         \"compute\":{},\"stall\":{},\"spm_capacity\":{}}},\"telemetry\":{}}}",
-        escape_json(name),
-        escape_json(&winner.describe),
-        cycles,
-        fmt_f64(gflops),
-        fmt_f64(100.0 * gflops / peaks.gflops),
-        outcome.quarantined,
-        mix.dma,
-        mix.compute,
-        mix.stall,
-        mix.spm_capacity,
-        tel.snapshot_json_with(Some(&peaks))
-    )
+    let mut w = sw26010::json::Writer::new();
+    w.begin_obj()
+        .field("operator", name)
+        .field("schedule", &winner.describe)
+        .field("cycles", cycles)
+        .field("gflops", gflops)
+        .field("pct_peak_gflops", 100.0 * gflops / peaks.gflops)
+        .field("quarantined", outcome.quarantined)
+        .field("bottleneck_mix", mix)
+        .key("telemetry")
+        .raw(&tel.snapshot_json_with(Some(&peaks)))
+        .end_obj();
+    w.finish()
 }
 
 /// Print the result and write the requested artifacts. Returns the paths

@@ -15,36 +15,24 @@
 //! time is noisy, so its tolerance is wide; tuned cycles come from a
 //! deterministic simulation, so theirs is essentially exact.
 
-use std::fmt::Write as _;
 use std::path::Path;
 use std::time::Instant;
 
-use sw26010::json::{self, escape_json, fmt_f64, Json};
+use sw26010::json::{self, Json, Value, Writer};
 use sw26010::MachineConfig;
 use swatop::observatory::{self, Bottleneck, BottleneckMix, Peaks};
 use swatop::telemetry::bus::Event;
+pub use swatop::telemetry::TierCounts;
 use swatop::telemetry::{mape, rank_correlation, Telemetry};
 use swatop::tuner::TuneOptions;
 
 use crate::runner::{tune_conv, tune_gemm, ConvMethod};
 use swtensor::ConvShape;
 
-/// Journal file format version; bump on breaking record changes.
-///
-/// * v1 — initial format.
-/// * v2 — adds the `quarantined` count (winner-validation rejections) to
-///   each record. v1 records still parse (`quarantined` defaults to 0),
-///   but [`compare`] warns when the two sides mix schema versions.
-/// * v3 — adds per-op search-trajectory fields: the `tuner` kind that
-///   produced the winner and the `convergence` curve (best-so-far cycles
-///   vs. candidates evaluated). Older records parse with an empty curve.
-/// * v4 — adds tuner-throughput fields: `candidates_evaluated`,
-///   `cands_per_sec` and the per-tier eval counts (`tiers`). Older records
-///   parse with zeros, and `compare` warns when throughput regresses >2×.
+/// The one record schema this build writes and reads; bump on any record
+/// change and rewrite the committed journal in the same PR. A file or
+/// record of another version is rejected with a message naming it.
 pub const SCHEMA_VERSION: u64 = 4;
-
-/// Oldest record schema still accepted by the parser.
-pub const MIN_SCHEMA_VERSION: u64 = 1;
 
 /// Default journal location (relative to the workspace root, where
 /// `cargo run` executes).
@@ -65,32 +53,21 @@ pub struct OpBench {
     /// Roofline bottleneck class of the winning schedule.
     pub bottleneck: Bottleneck,
     /// Schedule-point description (`knob=value` list) of the winning
-    /// candidate; empty on records written before the field existed.
+    /// candidate; empty on the oldest committed record.
     pub schedule: String,
-    /// Tuner kind that produced the winner (e.g. `"model"`); empty on
-    /// pre-v3 records.
+    /// Tuner kind that produced the winner (e.g. `"model"`); empty on the
+    /// two oldest committed records.
     pub tuner: String,
     /// Convergence curve of the tuning run: `(candidates evaluated,
     /// best-so-far cycles)` at every improvement, in the tuner's
-    /// deterministic evaluation order. Empty on pre-v3 records.
+    /// deterministic evaluation order. Empty on the two oldest records.
     pub convergence: Vec<(u64, u64)>,
-    /// Model MAPE over this operator's (predicted, measured) pairs.
-    /// Added append-only (no schema bump, like `schedule`); `None` on
-    /// older records and when the op recorded fewer than one pair.
+    /// Model MAPE over this operator's (predicted, measured) pairs; `None`
+    /// when the op recorded fewer than one pair, and on the four committed
+    /// records that predate the field.
     pub mape_pct: Option<f64>,
     /// Spearman rank correlation over the same per-op pairs.
     pub rank_correlation: Option<f64>,
-}
-
-/// Per-tier evaluation volume of one benchmark run, summed over its ops.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct TierCounts {
-    /// Tier-0 analytic screenings (whole candidate spaces, no scoreboard).
-    pub screened: u64,
-    /// Tier-1 scoreboard measurements.
-    pub measured: u64,
-    /// Tier-2 winner validations (accepts + quarantined rejections).
-    pub validated: u64,
 }
 
 /// One journal entry: a full run of the canonical benchmark set.
@@ -108,20 +85,21 @@ pub struct Record {
     /// Harness wall time over the whole op set, ms (after any handicap).
     pub wall_ms: f64,
     /// Prospective winners quarantined by schedule validation across the
-    /// run's ops (0 when the run tuned without `--validate`, and on v1
-    /// records). A clean validated run must report 0 here — `journal
-    /// compare` gates on it not growing.
+    /// run's ops (0 when the run tuned without `--validate`). A clean
+    /// validated run must report 0 here — `journal compare` gates on it not
+    /// growing.
     pub quarantined: u64,
     /// Distinct candidates whose cost any tier evaluated, summed over the
-    /// run's ops (the analytic screen covers whole spaces). 0 on pre-v4
-    /// records.
+    /// run's ops (the analytic screen covers whole spaces). 0 on the two
+    /// oldest committed records, which predate the tier ladder.
     pub candidates_evaluated: u64,
     /// Tuner throughput: `candidates_evaluated` per second of *tuning*
     /// wall-clock (the sum of per-op tuning walls — enumeration and
     /// lowering are excluded, and the synthetic `--handicap` factor is not
-    /// applied). 0 on pre-v4 records.
+    /// applied). 0 on the two oldest committed records.
     pub cands_per_sec: f64,
-    /// Per-tier evaluation counts; all zero on pre-v4 records.
+    /// Per-tier evaluation counts, summed over the run's ops; all zero on
+    /// the two oldest committed records.
     pub tiers: TierCounts,
     pub ops: Vec<OpBench>,
     /// Model MAPE over every (predicted, measured) pair of the run.
@@ -132,125 +110,82 @@ pub struct Record {
     pub mix: BottleneckMix,
 }
 
+impl Value for OpBench {
+    fn write_json(&self, w: &mut Writer) {
+        w.begin_obj()
+            .field("name", &self.name)
+            .field("cycles", self.cycles)
+            .field("gflops", self.gflops)
+            .field("pct_peak_gflops", self.pct_peak_gflops)
+            .field("pct_peak_dma_bw", self.pct_peak_dma_bw)
+            .field("bottleneck", self.bottleneck.name())
+            .field("schedule", &self.schedule)
+            .field("tuner", &self.tuner)
+            .key("convergence")
+            .begin_arr();
+        for &(evaluated, cycles) in &self.convergence {
+            w.begin_arr().value(evaluated).value(cycles).end_arr();
+        }
+        w.end_arr()
+            .field("mape_pct", self.mape_pct)
+            .field("rank_correlation", self.rank_correlation)
+            .end_obj();
+    }
+}
+
+impl Value for Record {
+    fn write_json(&self, w: &mut Writer) {
+        w.begin_obj()
+            .field("schema", self.schema)
+            .field("label", &self.label)
+            .field("rev", &self.rev)
+            .field("unix_ms", self.unix_ms)
+            .field("jobs", self.jobs)
+            .field("wall_ms", self.wall_ms)
+            .field("quarantined", self.quarantined)
+            .field("candidates_evaluated", self.candidates_evaluated)
+            .field("cands_per_sec", self.cands_per_sec)
+            .field("tiers", self.tiers)
+            .field("ops", self.ops.as_slice())
+            .field("mape_pct", self.mape_pct)
+            .field("rank_correlation", self.rank_correlation)
+            .field("mix", self.mix)
+            .end_obj();
+    }
+}
+
+/// `schema` must be the one version this build reads.
+fn check_schema(what: &str, schema: u64) -> Result<(), String> {
+    if schema == SCHEMA_VERSION {
+        Ok(())
+    } else {
+        let reads = format!("this build reads schema {SCHEMA_VERSION}");
+        Err(format!("unsupported {what} schema {schema} ({reads})"))
+    }
+}
+
 impl Record {
     pub fn to_json(&self) -> String {
-        fn opt(x: Option<f64>) -> String {
-            x.map_or_else(|| "null".to_string(), fmt_f64)
-        }
-        let mut s = String::new();
-        let _ = write!(
-            s,
-            "{{\"schema\":{},\"label\":\"{}\",\"rev\":\"{}\",\"unix_ms\":{},\"jobs\":{},\
-             \"wall_ms\":{},\"quarantined\":{},\"candidates_evaluated\":{},\
-             \"cands_per_sec\":{},\"tiers\":{{\"screened\":{},\"measured\":{},\
-             \"validated\":{}}}",
-            self.schema,
-            escape_json(&self.label),
-            escape_json(&self.rev),
-            self.unix_ms,
-            self.jobs,
-            fmt_f64(self.wall_ms),
-            self.quarantined,
-            self.candidates_evaluated,
-            fmt_f64(self.cands_per_sec),
-            self.tiers.screened,
-            self.tiers.measured,
-            self.tiers.validated
-        );
-        s.push_str(",\"ops\":[");
-        for (i, op) in self.ops.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(
-                s,
-                "{{\"name\":\"{}\",\"cycles\":{},\"gflops\":{},\"pct_peak_gflops\":{},\
-                 \"pct_peak_dma_bw\":{},\"bottleneck\":\"{}\",\"schedule\":\"{}\",\
-                 \"tuner\":\"{}\",\"convergence\":[",
-                escape_json(&op.name),
-                op.cycles,
-                fmt_f64(op.gflops),
-                fmt_f64(op.pct_peak_gflops),
-                fmt_f64(op.pct_peak_dma_bw),
-                op.bottleneck.name(),
-                escape_json(&op.schedule),
-                escape_json(&op.tuner)
-            );
-            for (j, (n, c)) in op.convergence.iter().enumerate() {
-                if j > 0 {
-                    s.push(',');
-                }
-                let _ = write!(s, "[{n},{c}]");
-            }
-            let _ = write!(
-                s,
-                "],\"mape_pct\":{},\"rank_correlation\":{}}}",
-                opt(op.mape_pct),
-                opt(op.rank_correlation)
-            );
-        }
-        s.push(']');
-        let _ = write!(
-            s,
-            ",\"mape_pct\":{},\"rank_correlation\":{},\
-             \"mix\":{{\"dma\":{},\"compute\":{},\"stall\":{},\"spm_capacity\":{}}}}}",
-            opt(self.mape_pct),
-            opt(self.rank_correlation),
-            self.mix.dma,
-            self.mix.compute,
-            self.mix.stall,
-            self.mix.spm_capacity
-        );
-        s
+        json::to_string(self)
     }
 
     pub fn from_json(v: &Json) -> Result<Record, String> {
         let schema = v.field("schema")?.as_u64("schema")?;
-        if !(MIN_SCHEMA_VERSION..=SCHEMA_VERSION).contains(&schema) {
-            return Err(format!(
-                "unsupported record schema {schema} (expected {MIN_SCHEMA_VERSION}..={SCHEMA_VERSION})"
-            ));
-        }
+        check_schema("record", schema)?;
         let mut ops = Vec::new();
         for (i, o) in v.field("ops")?.as_arr("ops")?.iter().enumerate() {
             let what = |f: &str| format!("ops[{i}].{f}");
             let bname = o.field("bottleneck")?.as_str(&what("bottleneck"))?;
-            // Tolerate pre-schedule records (field added in the DMA-wall
-            // work without a schema bump — append-only, like the metrics).
-            let schedule = match o.field("schedule") {
-                Ok(f) => f.as_str(&what("schedule"))?.to_string(),
-                Err(_) => String::new(),
-            };
-            // Pre-v3 records have neither the tuner kind nor the curve.
-            let tuner = match o.field("tuner") {
-                Ok(f) => f.as_str(&what("tuner"))?.to_string(),
-                Err(_) => String::new(),
-            };
-            let convergence = match o.field("convergence") {
-                Ok(f) => {
-                    let mut curve = Vec::new();
-                    for (j, pt) in f.as_arr(&what("convergence"))?.iter().enumerate() {
-                        let w = what(&format!("convergence[{j}]"));
-                        let pair = pt.as_arr(&w)?;
-                        if pair.len() != 2 {
-                            return Err(format!("{w}: expected [evaluated, cycles]"));
-                        }
-                        curve.push((pair[0].as_u64(&w)?, pair[1].as_u64(&w)?));
-                    }
-                    curve
+            let mut convergence = Vec::new();
+            let curve = o.field("convergence")?.as_arr(&what("convergence"))?;
+            for (j, pt) in curve.iter().enumerate() {
+                let w = what(&format!("convergence[{j}]"));
+                let pair = pt.as_arr(&w)?;
+                if pair.len() != 2 {
+                    return Err(format!("{w}: expected [evaluated, cycles]"));
                 }
-                Err(_) => Vec::new(),
-            };
-            // Per-op accuracy arrived with the observability work, also
-            // append-only: absent means unknown.
-            let op_mape = match o.field("mape_pct") {
-                Ok(f) => f.as_opt_f64(&what("mape_pct"))?,
-                Err(_) => None,
-            };
-            let op_rank = match o.field("rank_correlation") {
-                Ok(f) => f.as_opt_f64(&what("rank_correlation"))?,
-                Err(_) => None,
-            };
+                convergence.push((pair[0].as_u64(&w)?, pair[1].as_u64(&w)?));
+            }
             ops.push(OpBench {
                 name: o.field("name")?.as_str(&what("name"))?.to_string(),
                 cycles: o.field("cycles")?.as_u64(&what("cycles"))?,
@@ -259,14 +194,16 @@ impl Record {
                 pct_peak_dma_bw: o.field("pct_peak_dma_bw")?.as_f64(&what("pct_peak_dma_bw"))?,
                 bottleneck: Bottleneck::parse(bname)
                     .ok_or_else(|| format!("{}: unknown class {bname:?}", what("bottleneck")))?,
-                schedule,
-                tuner,
+                schedule: o.field("schedule")?.as_str(&what("schedule"))?.to_string(),
+                tuner: o.field("tuner")?.as_str(&what("tuner"))?.to_string(),
                 convergence,
-                mape_pct: op_mape,
-                rank_correlation: op_rank,
+                mape_pct: o.field("mape_pct")?.as_opt_f64(&what("mape_pct"))?,
+                rank_correlation: o
+                    .field("rank_correlation")?
+                    .as_opt_f64(&what("rank_correlation"))?,
             });
         }
-        let mix = v.field("mix")?;
+        let (tiers, mix) = (v.field("tiers")?, v.field("mix")?);
         Ok(Record {
             schema,
             label: v.field("label")?.as_str("label")?.to_string(),
@@ -274,27 +211,15 @@ impl Record {
             unix_ms: v.field("unix_ms")?.as_u64("unix_ms")?,
             jobs: v.field("jobs")?.as_u64("jobs")? as usize,
             wall_ms: v.field("wall_ms")?.as_f64("wall_ms")?,
-            // v1 records predate winner validation: absent means 0.
-            quarantined: match v.field("quarantined") {
-                Ok(f) => f.as_u64("quarantined")?,
-                Err(_) => 0,
-            },
-            // Pre-v4 records predate the tier ladder: throughput unknown.
-            candidates_evaluated: match v.field("candidates_evaluated") {
-                Ok(f) => f.as_u64("candidates_evaluated")?,
-                Err(_) => 0,
-            },
-            cands_per_sec: match v.field("cands_per_sec") {
-                Ok(f) => f.as_f64("cands_per_sec")?,
-                Err(_) => 0.0,
-            },
-            tiers: match v.field("tiers") {
-                Ok(t) => TierCounts {
-                    screened: t.field("screened")?.as_u64("tiers.screened")?,
-                    measured: t.field("measured")?.as_u64("tiers.measured")?,
-                    validated: t.field("validated")?.as_u64("tiers.validated")?,
-                },
-                Err(_) => TierCounts::default(),
+            quarantined: v.field("quarantined")?.as_u64("quarantined")?,
+            candidates_evaluated: v
+                .field("candidates_evaluated")?
+                .as_u64("candidates_evaluated")?,
+            cands_per_sec: v.field("cands_per_sec")?.as_f64("cands_per_sec")?,
+            tiers: TierCounts {
+                screened: tiers.field("screened")?.as_u64("tiers.screened")?,
+                measured: tiers.field("measured")?.as_u64("tiers.measured")?,
+                validated: tiers.field("validated")?.as_u64("tiers.validated")?,
             },
             ops,
             mape_pct: v.field("mape_pct")?.as_opt_f64("mape_pct")?,
@@ -309,7 +234,8 @@ impl Record {
     }
 }
 
-/// The whole journal file: `{"schema":1,"records":[...]}`.
+/// The whole journal file: `{"schema":4,"records":[...]}`, one record per
+/// line.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Journal {
     pub records: Vec<Record>,
@@ -317,29 +243,20 @@ pub struct Journal {
 
 impl Journal {
     pub fn to_json(&self) -> String {
-        let mut s = format!("{{\"schema\":{SCHEMA_VERSION},\"records\":[");
-        for (i, r) in self.records.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push('\n');
-            s.push_str(&r.to_json());
+        let mut w = Writer::new();
+        w.begin_obj().field("schema", SCHEMA_VERSION).key("records").begin_arr();
+        for r in &self.records {
+            w.line().value(r);
         }
-        s.push_str("\n]}\n");
-        s
+        w.finish_lines()
     }
 
     /// Parse and schema-check a journal document. This is the journal's own
-    /// validity checker: every field of every record must parse, including
-    /// bottleneck names and the mix counts.
+    /// validity checker: every field of every record must be present and
+    /// parse, including bottleneck names and the mix counts.
     pub fn validate(text: &str) -> Result<Journal, String> {
         let v = json::parse(text)?;
-        let schema = v.field("schema")?.as_u64("schema")?;
-        if !(MIN_SCHEMA_VERSION..=SCHEMA_VERSION).contains(&schema) {
-            return Err(format!(
-                "unsupported journal schema {schema} (expected {MIN_SCHEMA_VERSION}..={SCHEMA_VERSION})"
-            ));
-        }
+        check_schema("journal", v.field("schema")?.as_u64("schema")?)?;
         let mut records = Vec::new();
         for (i, r) in v.field("records")?.as_arr("records")?.iter().enumerate() {
             records.push(Record::from_json(r).map_err(|e| format!("records[{i}]: {e}"))?);
@@ -600,36 +517,22 @@ pub fn show_json(journal: &Journal, label: Option<&str>) -> String {
             }
         }
     }
-    let mut s = format!(
-        "{{\"schema\":{SCHEMA_VERSION},\"count\":{},\"records\":[",
-        records.len()
-    );
-    for (i, r) in records.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
+    let mut w = Writer::new();
+    w.begin_obj()
+        .field("schema", SCHEMA_VERSION)
+        .field("count", records.len())
+        .field("records", records.as_slice())
+        .key("trend")
+        .begin_arr();
+    for name in op_names {
+        w.begin_obj().field("op", name).key("gflops").begin_arr();
+        for op in records.iter().filter_map(|r| r.ops.iter().find(|o| o.name == name)) {
+            w.value(op.gflops);
         }
-        s.push_str(&r.to_json());
+        w.end_arr().end_obj();
     }
-    s.push_str("],\"trend\":[");
-    for (i, name) in op_names.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let _ = write!(s, "{{\"op\":\"{}\",\"gflops\":[", escape_json(name));
-        let mut first = true;
-        for r in &records {
-            if let Some(op) = r.ops.iter().find(|o| o.name == **name) {
-                if !first {
-                    s.push(',');
-                }
-                first = false;
-                s.push_str(&fmt_f64(op.gflops));
-            }
-        }
-        s.push_str("]}");
-    }
-    s.push_str("]}");
-    s
+    w.end_arr().end_obj();
+    w.finish()
 }
 
 /// Render a journal record as a human-readable table.
@@ -782,8 +685,8 @@ pub fn trend_lines(records: &[&Record]) -> Vec<String> {
         .collect()
 }
 
-/// One-line convergence summary per op of a record (empty for pre-v3
-/// records): how fast the search found its winner, e.g.
+/// One-line convergence summary per op of a record (none for an op without
+/// a curve): how fast the search found its winner, e.g.
 /// `gemm_256 [model]: best 42000 cycles after 7/31 improvements at eval 18`.
 pub fn convergence_lines(r: &Record) -> Vec<String> {
     r.ops
@@ -806,34 +709,28 @@ pub fn convergence_lines(r: &Record) -> Vec<String> {
 }
 
 /// Comparability warnings between the two sides of a [`compare`]: mixed
-/// record schema versions or mixed tuner job counts. Neither invalidates
-/// the deterministic cycles gates, but wall times measured under different
-/// `jobs` are not comparable, and mixed schemas mean one side lacks fields
-/// (e.g. v1 records implicitly report 0 quarantines). `journal compare`
-/// prints these as warnings; `--strict` turns them into gate failures.
+/// tuner job counts (wall times measured under different `jobs` are not
+/// comparable, though the deterministic cycles gates still hold) and a
+/// collapse in tuner throughput. `journal compare` prints these as
+/// warnings; `--strict` turns them into gate failures.
 pub fn consistency_warnings(base: &[&Record], cand: &[&Record]) -> Vec<String> {
-    let distinct = |side: &[&Record], f: &dyn Fn(&Record) -> u64| -> Vec<u64> {
-        let mut vals: Vec<u64> = side.iter().map(|r| f(r)).collect();
+    let jobs = |side: &[&Record]| -> Vec<usize> {
+        let mut vals: Vec<usize> = side.iter().map(|r| r.jobs).collect();
         vals.sort_unstable();
         vals.dedup();
         vals
     };
     let mut warnings = Vec::new();
-    for (what, f) in [
-        ("schema", &(|r: &Record| r.schema) as &dyn Fn(&Record) -> u64),
-        ("jobs", &|r: &Record| r.jobs as u64),
-    ] {
-        let (b, c) = (distinct(base, f), distinct(cand, f));
-        if !b.is_empty() && !c.is_empty() && b != c {
-            warnings.push(format!(
-                "{what} mismatch: baseline {b:?} vs candidate {c:?} — records are not \
-                 directly comparable"
-            ));
-        }
+    let (b, c) = (jobs(base), jobs(cand));
+    if !b.is_empty() && !c.is_empty() && b != c {
+        warnings.push(format!(
+            "jobs mismatch: baseline {b:?} vs candidate {c:?} — records are not \
+             directly comparable"
+        ));
     }
     // Tuner-throughput regression: the ladder exists to evaluate more
     // candidates per second, so losing more than half of it is worth a
-    // warning (pre-v4 records report 0 and are skipped).
+    // warning (the two oldest committed records report 0 and are skipped).
     let med_tp = |side: &[&Record]| {
         let mut v: Vec<f64> =
             side.iter().map(|r| r.cands_per_sec).filter(|t| *t > 0.0).collect();
@@ -946,7 +843,6 @@ pub fn compare(base: &[&Record], cand: &[&Record], opts: &CompareOpts) -> Vec<Re
 #[cfg(test)]
 mod tests {
     use super::*;
-    use swatop::telemetry::validate_json;
 
     fn sample_record(label: &str, wall: f64, cycles: u64) -> Record {
         Record {
@@ -1005,50 +901,40 @@ mod tests {
     fn record_round_trips_through_json() {
         let mut r = sample_record("run \"quoted\"/β", 123.5, 42_000);
         r.quarantined = 3;
-        let json = r.to_json();
-        validate_json(&json).unwrap();
-        let back = Record::from_json(&json::parse(&json).unwrap()).unwrap();
+        let back = Record::from_json(&json::parse(&r.to_json()).unwrap()).unwrap();
         assert_eq!(back, r);
     }
 
+    /// The committed journal is in the one schema, field for field: loading
+    /// and saving it is the identity, so an append never rewrites a record.
     #[test]
-    fn v1_records_without_quarantined_still_parse() {
-        // A v1 journal: old top-level schema, record lacking `quarantined`.
-        let r = sample_record("old", 50.0, 9_000);
-        let mut text = Journal { records: vec![r.clone()] }.to_json();
-        text = text
-            .replace("\"schema\":4", "\"schema\":1")
-            .replace(",\"quarantined\":0", "");
-        // Strip the v4 throughput fields: candidates_evaluated and
-        // cands_per_sec are scalars, so the first '}' after the span start
-        // closes the tiers object.
-        let tp_start = text.find(",\"candidates_evaluated\":").unwrap();
-        let tp_end = text[tp_start..].find('}').unwrap() + tp_start + 1;
-        text.replace_range(tp_start..tp_end, "");
-        // Strip the v3+ per-op fields too (tuner, convergence and the
-        // per-op accuracy pair): a real v1 record has none of them. The
-        // single op closes with `}]`, so everything from `,"tuner":` up to
-        // that `}` goes.
-        let tuner_start = text.find(",\"tuner\":").unwrap();
-        let tuner_end = text[tuner_start..].find("}]").unwrap() + tuner_start;
-        text.replace_range(tuner_start..tuner_end, "");
-        assert!(!text.contains("quarantined"));
-        assert!(!text.contains("convergence"));
-        assert!(!text.contains("cands_per_sec"));
-        let j = Journal::validate(&text).unwrap();
-        assert_eq!(j.records.len(), 1);
-        assert_eq!(j.records[0].quarantined, 0);
-        assert_eq!(j.records[0].schema, 1);
-        assert_eq!(j.records[0].candidates_evaluated, 0);
-        assert_eq!(j.records[0].cands_per_sec, 0.0);
-        assert_eq!(j.records[0].tiers, TierCounts::default());
-        assert!(j.records[0].ops[0].tuner.is_empty());
-        assert!(j.records[0].ops[0].convergence.is_empty());
-        assert_eq!(j.records[0].ops[0].mape_pct, None);
-        assert_eq!(j.records[0].ops[0].rank_correlation, None);
-        // Above the current version is still rejected.
-        let future = text.replace("\"schema\":1", "\"schema\":99");
-        assert!(Journal::validate(&future).is_err());
+    fn the_committed_journal_round_trips_byte_for_byte() {
+        let text = include_str!("../../../BENCH_swatop.json");
+        let journal = Journal::validate(text).unwrap();
+        assert!(journal.records.len() >= 4);
+        assert_eq!(journal.to_json(), text);
+    }
+
+    #[test]
+    fn other_schemas_and_missing_fields_are_rejected() {
+        let text = Journal { records: vec![sample_record("r", 50.0, 9_000)] }.to_json();
+        let old_record = text.replace("{\"schema\":4,\"label\"", "{\"schema\":1,\"label\"");
+        assert_eq!(
+            Journal::validate(&old_record).unwrap_err(),
+            "records[0]: unsupported record schema 1 (this build reads schema 4)"
+        );
+        let future = text.replacen("\"schema\":4", "\"schema\":99", 1);
+        assert_eq!(
+            Journal::validate(&future).unwrap_err(),
+            "unsupported journal schema 99 (this build reads schema 4)"
+        );
+        for field in ["quarantined", "cands_per_sec", "tiers", "schedule", "tuner", "convergence"] {
+            let renamed = text.replace(&format!("\"{field}\":"), "\"x\":");
+            let err = Journal::validate(&renamed).unwrap_err();
+            assert!(err.contains(&format!("missing key \"{field}\"")), "{field}: {err}");
+        }
+        let no_op_mape = text.replacen("\"mape_pct\":6.5", "\"x\":6.5", 1);
+        assert!(Journal::validate(&no_op_mape).unwrap_err().contains("missing key \"mape_pct\""));
     }
 
     #[test]
@@ -1061,9 +947,7 @@ mod tests {
         let other = sample_record("other", 100.0, 9_000);
         let j = Journal { records: vec![a, b, other] };
 
-        let text = show_json(&j, Some("run"));
-        validate_json(&text).unwrap();
-        let v = json::parse(&text).unwrap();
+        let v = json::parse(&show_json(&j, Some("run"))).unwrap();
         assert_eq!(v.field("count").unwrap().as_u64("count").unwrap(), 2);
         assert_eq!(v.field("records").unwrap().as_arr("records").unwrap().len(), 2);
         let trend = v.field("trend").unwrap().as_arr("trend").unwrap();
@@ -1081,9 +965,7 @@ mod tests {
         assert_eq!(trend[1].field("op").unwrap().as_str("op").unwrap(), "conv_new");
 
         // Unfiltered, every record appears.
-        let all = show_json(&j, None);
-        validate_json(&all).unwrap();
-        let v = json::parse(&all).unwrap();
+        let v = json::parse(&show_json(&j, None)).unwrap();
         assert_eq!(v.field("count").unwrap().as_u64("count").unwrap(), 3);
     }
 
@@ -1115,7 +997,7 @@ mod tests {
         );
         let mut old = sample_record("run", 100.0, 42_000);
         old.ops[0].convergence.clear();
-        assert!(convergence_lines(&old).is_empty(), "pre-v3 records have no curve");
+        assert!(convergence_lines(&old).is_empty(), "no curve, no line");
     }
 
     #[test]
@@ -1134,7 +1016,7 @@ mod tests {
     }
 
     #[test]
-    fn consistency_warnings_flag_schema_and_jobs_mixes() {
+    fn consistency_warnings_flag_jobs_mixes() {
         let a = sample_record("base", 100.0, 10_000);
         let mut b = sample_record("cand", 100.0, 10_000);
         assert!(consistency_warnings(&[&a], &[&b]).is_empty());
@@ -1142,10 +1024,6 @@ mod tests {
         let w = consistency_warnings(&[&a], &[&b]);
         assert_eq!(w.len(), 1, "{w:?}");
         assert!(w[0].contains("jobs mismatch"));
-        b.schema = 1;
-        let w = consistency_warnings(&[&a], &[&b]);
-        assert_eq!(w.len(), 2, "{w:?}");
-        assert!(w.iter().any(|m| m.contains("schema mismatch")));
     }
 
     #[test]
@@ -1159,7 +1037,7 @@ mod tests {
         let w = consistency_warnings(&[&a], &[&b]);
         assert_eq!(w.len(), 1, "{w:?}");
         assert!(w[0].contains("throughput regressed"));
-        // Pre-v4 records (throughput 0) never warn.
+        // Records without a throughput figure (0) never warn.
         b.cands_per_sec = 0.0;
         assert!(consistency_warnings(&[&a], &[&b]).is_empty());
     }
@@ -1168,7 +1046,6 @@ mod tests {
     fn journal_validates_and_rejects() {
         let j = Journal { records: vec![sample_record("a", 1.0, 10), sample_record("b", 2.0, 11)] };
         let text = j.to_json();
-        validate_json(&text).unwrap();
         assert_eq!(Journal::validate(&text).unwrap(), j);
         assert!(Journal::validate("{\"schema\":99,\"records\":[]}").is_err());
         assert!(Journal::validate("{\"records\":[]}").is_err());

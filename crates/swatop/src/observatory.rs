@@ -10,9 +10,8 @@
 //!    22.6 GB/s achievable peak, arithmetic intensity against the roofline
 //!    ridge, per-pipe issue-slot utilisation, stall fraction and SPM
 //!    occupancy. The schema ([`SCHEMA`]) is a fixed, ordered `name → f64`
-//!    table — exporters ([`MetricSet::to_json`],
-//!    [`MetricSet::prometheus_text`]) never reorder, drop or rename
-//!    entries, so downstream scrapers can rely on it. Every value is
+//!    table — [`MetricSet::to_json`] never reorders, drops or renames
+//!    entries, so downstream readers can rely on it. Every value is
 //!    finite by construction (degenerate inputs clamp to 0 or the
 //!    documented neutral value); NaN/Infinity never reach an export.
 //! 2. **Bottleneck attribution** — [`classify`] deterministically assigns
@@ -27,9 +26,8 @@
 //! collects: attaching it changes no tuning result, and with telemetry
 //! disabled it costs nothing at all.
 
+use sw26010::json::{self, Value, Writer};
 use sw26010::{Counters, MachineConfig};
-
-use crate::telemetry::float_json;
 
 /// The peak figures a roofline is drawn against, extracted once from a
 /// [`MachineConfig`]. Defaults (the paper's machine): 742.4 GFLOPS/CG,
@@ -130,9 +128,9 @@ pub mod thresholds {
 /// One metric of the registry.
 #[derive(Debug, Clone, Copy)]
 pub struct MetricDef {
-    /// Stable snake_case key (also the Prometheus metric suffix).
+    /// Stable snake_case key.
     pub name: &'static str,
-    /// One-line human description (Prometheus `# HELP`).
+    /// One-line human description.
     pub help: &'static str,
 }
 
@@ -216,60 +214,17 @@ impl MetricSet {
 
     /// JSON object `{"cycles":…, …}` in schema order.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        for (i, (name, v)) in self.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{name}\":{}", float_json(Some(v))));
-        }
-        out.push('}');
-        out
+        json::to_string(self)
     }
+}
 
-    /// Prometheus text exposition: `swatop_<name>{labels} value` with
-    /// `# HELP` / `# TYPE gauge` headers, in schema order. `labels` are
-    /// rendered verbatim (values are escaped per the exposition format).
-    pub fn prometheus_text(&self, labels: &[(&str, &str)]) -> String {
-        let rendered_labels = if labels.is_empty() {
-            String::new()
-        } else {
-            let body: Vec<String> = labels
-                .iter()
-                .map(|(k, v)| {
-                    // Exposition-format escapes for values; carriage returns
-                    // fold into the newline escape so a hostile value can
-                    // never split the sample line.
-                    let v = v
-                        .replace('\\', "\\\\")
-                        .replace('"', "\\\"")
-                        .replace(['\n', '\r'], "\\n");
-                    // Label names have no escape syntax at all — coerce to
-                    // the legal charset ([a-zA-Z_][a-zA-Z0-9_]*).
-                    let mut k: String = k
-                        .chars()
-                        .map(|c| if c.is_ascii_alphanumeric() || c == '_' { c } else { '_' })
-                        .collect();
-                    if k.is_empty() || k.starts_with(|c: char| c.is_ascii_digit()) {
-                        k.insert(0, '_');
-                    }
-                    format!("{k}=\"{v}\"")
-                })
-                .collect();
-            format!("{{{}}}", body.join(","))
-        };
-        let mut out = String::new();
-        for (d, &v) in SCHEMA.iter().zip(&self.values) {
-            out.push_str(&format!(
-                "# HELP swatop_{0} {1}\n# TYPE swatop_{0} gauge\nswatop_{0}{2} {3}\n",
-                d.name,
-                d.help,
-                rendered_labels,
-                // Prometheus accepts plain decimals; values are finite.
-                float_json(Some(v))
-            ));
+impl Value for MetricSet {
+    fn write_json(&self, w: &mut Writer) {
+        w.begin_obj();
+        for (name, v) in self.iter() {
+            w.field(name, v);
         }
-        out
+        w.end_obj();
     }
 }
 
@@ -440,10 +395,21 @@ impl BottleneckMix {
     }
 }
 
+/// `{"dma":…,"compute":…,"stall":…,"spm_capacity":…}`.
+impl Value for BottleneckMix {
+    fn write_json(&self, w: &mut Writer) {
+        w.begin_obj()
+            .field("dma", self.dma)
+            .field("compute", self.compute)
+            .field("stall", self.stall)
+            .field("spm_capacity", self.spm_capacity)
+            .end_obj();
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::telemetry::validate_json;
 
     fn peaks() -> Peaks {
         Peaks::of(&MachineConfig::default())
@@ -523,7 +489,7 @@ mod tests {
             for (name, v) in m.iter() {
                 assert!(v.is_finite(), "{name} = {v} for cycles={cycles}");
             }
-            validate_json(&m.to_json()).unwrap();
+            json::parse(&m.to_json()).unwrap();
         }
     }
 
@@ -601,61 +567,13 @@ mod tests {
     }
 
     #[test]
-    fn exporters_are_stable_and_valid() {
+    fn json_export_keeps_schema_order() {
         let p = peaks();
         let (cycles, c) = compute_heavy();
-        let m = derive(&p, cycles, &c);
-        let json = m.to_json();
-        validate_json(&json).unwrap();
-        // Schema order is preserved in the JSON text.
-        let mut last = 0;
-        for d in SCHEMA {
-            let key = format!("\"{}\":", d.name);
-            let pos = json.find(&key).unwrap_or_else(|| panic!("{} missing", d.name));
-            assert!(pos >= last, "{} out of order", d.name);
-            last = pos;
-        }
-        let prom = m.prometheus_text(&[("op", "gemm \"x\""), ("candidate", "3")]);
-        for d in SCHEMA {
-            assert!(prom.contains(&format!("# TYPE swatop_{} gauge", d.name)));
-            assert!(prom.contains(&format!("swatop_{}{{", d.name)));
-        }
-        assert!(prom.contains("op=\"gemm \\\"x\\\"\""));
-        let bare = m.prometheus_text(&[]);
-        assert!(bare.contains("swatop_cycles 1000000\n"));
-    }
-
-    #[test]
-    fn prometheus_text_survives_hostile_labels() {
-        let p = peaks();
-        let (cycles, c) = compute_heavy();
-        let m = derive(&p, cycles, &c);
-        let prom = m.prometheus_text(&[
-            ("op", "evil\ninjected_metric 1"),
-            ("path", "C:\\spm\\\"quoted\""),
-            ("crlf", "a\r\nb"),
-            ("bad-key!", "v"),
-            ("9lives", "v"),
-        ]);
-        // Every line is a HELP/TYPE comment or a sample — a newline in a
-        // label value must never fabricate a new exposition line.
-        for line in prom.lines() {
-            assert!(
-                line.starts_with("# HELP swatop_")
-                    || line.starts_with("# TYPE swatop_")
-                    || line.starts_with("swatop_"),
-                "injected line: {line:?}"
-            );
-        }
-        assert!(prom.contains("op=\"evil\\ninjected_metric 1\""));
-        assert!(prom.contains("path=\"C:\\\\spm\\\\\\\"quoted\\\"\""));
-        assert!(prom.contains("crlf=\"a\\n\\nb\""), "CR folds into the newline escape");
-        assert!(prom.contains("bad_key_=\"v\""), "label names coerced to the legal charset");
-        assert!(prom.contains("_9lives=\"v\""), "leading digit gets a prefix");
-        // HELP/TYPE headers survive per metric, hostile labels or not.
-        for d in SCHEMA {
-            assert!(prom.contains(&format!("# HELP swatop_{} {}", d.name, d.help)));
-            assert!(prom.contains(&format!("# TYPE swatop_{} gauge", d.name)));
-        }
+        let doc = json::parse(&derive(&p, cycles, &c).to_json()).unwrap();
+        let json::Json::Obj(fields) = doc else { panic!("not an object") };
+        let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, SCHEMA.iter().map(|d| d.name).collect::<Vec<_>>());
+        assert_eq!(fields[0].1.as_u64("cycles").unwrap(), 1_000_000);
     }
 }

@@ -25,7 +25,7 @@
 
 use std::fmt::Write as _;
 
-use sw26010::json::{escape_json, fmt_f64};
+use sw26010::json::Writer;
 use sw26010::profile::{PhaseKind, Timeline};
 use sw26010::trace::Trace;
 use sw26010::{Counters, CoreGroup, Cycles, ExecMode, MachineConfig, MachineResult};
@@ -41,47 +41,6 @@ pub const PROFILE_TRACE_CAP: usize = 1_000_000;
 
 /// Schema version stamped on the first line of every corpus file.
 pub const CORPUS_SCHEMA: u64 = 1;
-
-/// The fixed counter column order of corpus rows (must match
-/// [`counter_values`]).
-pub const COUNTER_COLUMNS: [&str; 15] = [
-    "dma_payload_bytes",
-    "dma_bus_bytes",
-    "dma_batches",
-    "dma_stall_cycles",
-    "dma_waits",
-    "kernel_calls",
-    "kernel_cycles",
-    "flops",
-    "compute_cycles",
-    "issue_p0",
-    "issue_p1",
-    "regcomm_broadcasts",
-    "dma_bcast_batches",
-    "regcomm_bytes",
-    "spm_high_water_elems",
-];
-
-/// The counters in [`COUNTER_COLUMNS`] order.
-pub fn counter_values(c: &Counters) -> [u64; 15] {
-    [
-        c.dma_payload_bytes,
-        c.dma_bus_bytes,
-        c.dma_batches,
-        c.dma_stall_cycles,
-        c.dma_waits,
-        c.kernel_calls,
-        c.kernel_cycles,
-        c.flops,
-        c.compute_cycles,
-        c.issue_p0,
-        c.issue_p1,
-        c.regcomm_broadcasts,
-        c.dma_bcast_batches,
-        c.regcomm_bytes,
-        c.spm_high_water_elems,
-    ]
-}
 
 /// A cycle-resolved profile of one enumerated candidate.
 #[derive(Debug, Clone)]
@@ -138,34 +97,17 @@ pub fn profile_candidate(
 /// The `profile` JSON artifact: candidate identity + measurement + knobs +
 /// the full timeline. Deterministic bytes.
 pub fn profile_json(p: &CandidateProfile) -> String {
-    let mut out = String::new();
-    let _ = write!(
-        out,
-        "{{\"profile_schema\":1,\"operator\":\"{}\",\"candidate\":{},\
-         \"schedule\":\"{}\",\"cycles\":{},\"bottleneck\":\"{}\",\"knobs\":{{",
-        escape_json(&p.operator),
-        p.index,
-        escape_json(&p.describe),
-        p.cycles.get(),
-        p.bottleneck.name()
-    );
-    for (i, (k, v)) in parse_knobs(&p.describe).iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "\"{}\":{}", escape_json(k), knob_json(v));
-    }
-    out.push_str("},\"counters\":{");
-    for (i, (name, v)) in
-        COUNTER_COLUMNS.iter().zip(counter_values(&p.counters)).enumerate()
-    {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "\"{name}\":{v}");
-    }
-    let _ = write!(out, "}},\"timeline\":{}}}", p.timeline.to_json());
-    out
+    let mut w = Writer::new();
+    w.begin_obj()
+        .field("profile_schema", 1u64)
+        .field("operator", &p.operator)
+        .field("candidate", p.index)
+        .field("schedule", &p.describe)
+        .field("cycles", p.cycles.get())
+        .field("bottleneck", p.bottleneck.name());
+    write_knobs(&mut w, &p.describe);
+    w.field("counters", p.counters).field("timeline", &p.timeline).end_obj();
+    w.finish()
 }
 
 /// Perfetto export of one profile (slice + counter tracks, candidate span
@@ -188,14 +130,19 @@ pub fn parse_knobs(describe: &str) -> Vec<(String, String)> {
         .collect()
 }
 
-/// Render a knob value as JSON: numbers and booleans pass through bare,
-/// choice strings are quoted.
-fn knob_json(v: &str) -> String {
-    if v.parse::<u64>().is_ok() || v == "true" || v == "false" {
-        v.to_string()
-    } else {
-        format!("\"{}\"", escape_json(v))
+/// `"knobs":{…}` of a describe string: numbers and booleans bare, choice
+/// strings quoted.
+fn write_knobs(w: &mut Writer, describe: &str) {
+    w.key("knobs").begin_obj();
+    for (k, v) in parse_knobs(describe) {
+        w.key(&k);
+        match (v.parse::<u64>(), v.parse::<bool>()) {
+            (Ok(n), _) => w.value(n),
+            (_, Ok(b)) => w.value(b),
+            _ => w.value(&v),
+        };
     }
+    w.end_obj();
 }
 
 /// One knob that differs between the two diffed candidates.
@@ -400,51 +347,35 @@ pub fn diff_report(d: &ScheduleDiff) -> String {
 
 /// Deterministic JSON rendering of a diff (machine-readable artifact).
 pub fn diff_json(d: &ScheduleDiff) -> String {
-    let mut out = String::new();
-    let _ = write!(
-        out,
-        "{{\"diff_schema\":1,\"operator\":\"{}\",\"a\":{},\"b\":{},\
-         \"a_cycles\":{},\"b_cycles\":{},\"delta\":{},\"phases\":[",
-        escape_json(&d.operator),
-        d.a_index,
-        d.b_index,
-        d.a_cycles,
-        d.b_cycles,
-        d.delta()
-    );
-    for (i, p) in d.phases.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"kind\":\"{}\",\"a_cycles\":{},\"b_cycles\":{},\"delta\":{},\
-             \"a_stall\":{},\"b_stall\":{},\"a_overlap\":{},\"b_overlap\":{}}}",
-            p.kind.name(),
-            p.a_cycles,
-            p.b_cycles,
-            p.delta(),
-            p.a_stall,
-            p.b_stall,
-            p.a_overlap,
-            p.b_overlap
-        );
+    let mut w = Writer::new();
+    w.begin_obj()
+        .field("diff_schema", 1u64)
+        .field("operator", &d.operator)
+        .field("a", d.a_index)
+        .field("b", d.b_index)
+        .field("a_cycles", d.a_cycles)
+        .field("b_cycles", d.b_cycles)
+        .field("delta", d.delta())
+        .key("phases")
+        .begin_arr();
+    for p in &d.phases {
+        w.begin_obj()
+            .field("kind", p.kind.name())
+            .field("a_cycles", p.a_cycles)
+            .field("b_cycles", p.b_cycles)
+            .field("delta", p.delta())
+            .field("a_stall", p.a_stall)
+            .field("b_stall", p.b_stall)
+            .field("a_overlap", p.a_overlap)
+            .field("b_overlap", p.b_overlap)
+            .end_obj();
     }
-    out.push_str("],\"knobs\":[");
-    for (i, k) in d.knobs.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"name\":\"{}\",\"a\":\"{}\",\"b\":\"{}\"}}",
-            escape_json(&k.name),
-            escape_json(&k.a),
-            escape_json(&k.b)
-        );
+    w.end_arr().key("knobs").begin_arr();
+    for k in &d.knobs {
+        w.begin_obj().field("name", &k.name).field("a", &k.a).field("b", &k.b).end_obj();
     }
-    out.push_str("]}");
-    out
+    w.end_arr().end_obj();
+    w.finish()
 }
 
 /// One row of the feature corpus: an evaluated candidate with its schedule
@@ -484,43 +415,28 @@ pub fn feature_rows(tel: &Telemetry, peaks: &Peaks) -> Vec<FeatureRow> {
 }
 
 /// Render rows as the corpus JSONL file: a schema header line, then one
-/// JSON object per row. Byte-deterministic (no wall-clock fields; fixed
-/// column order; rows pre-sorted by [`feature_rows`]).
+/// JSON object per row. Byte-deterministic (no wall-clock fields; counters
+/// in [`Counters::NAMES`] order; rows pre-sorted by [`feature_rows`]).
 pub fn corpus_text(rows: &[FeatureRow]) -> String {
-    let mut out = String::new();
-    let _ = write!(out, "{{\"corpus_schema\":{CORPUS_SCHEMA},\"counter_columns\":[");
-    for (i, c) in COUNTER_COLUMNS.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "\"{c}\"");
-    }
-    let _ = writeln!(out, "],\"rows\":{}}}", rows.len());
+    let mut w = Writer::new();
+    w.begin_obj()
+        .field("corpus_schema", CORPUS_SCHEMA)
+        .field("counter_columns", Counters::NAMES.as_slice())
+        .field("rows", rows.len())
+        .end_obj();
+    let mut out = w.finish() + "\n";
     for r in rows {
-        let _ = write!(
-            out,
-            "{{\"op\":\"{}\",\"index\":{},\"measured_cycles\":{},\"predicted\":{},\
-             \"bottleneck\":\"{}\",\"knobs\":{{",
-            escape_json(&r.operator),
-            r.index,
-            r.measured,
-            r.predicted.map_or_else(|| "null".to_string(), fmt_f64),
-            r.bottleneck.name()
-        );
-        for (i, (k, v)) in parse_knobs(&r.describe).iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\"{}\":{}", escape_json(k), knob_json(v));
-        }
-        out.push_str("},\"counters\":[");
-        for (i, v) in counter_values(&r.counters).iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{v}");
-        }
-        out.push_str("]}\n");
+        let mut w = Writer::new();
+        w.begin_obj()
+            .field("op", &r.operator)
+            .field("index", r.index)
+            .field("measured_cycles", r.measured)
+            .field("predicted", r.predicted)
+            .field("bottleneck", r.bottleneck.name());
+        write_knobs(&mut w, &r.describe);
+        w.field("counters", r.counters.values().as_slice()).end_obj();
+        out += &w.finish();
+        out.push('\n');
     }
     out
 }
@@ -606,7 +522,7 @@ mod tests {
             b.timeline.total as i64 - a.timeline.total as i64,
             "phases partition each timeline"
         );
-        crate::telemetry::validate_json(&diff_json(&d)).unwrap();
+        sw26010::json::parse(&diff_json(&d)).unwrap();
     }
 
     #[test]
@@ -615,7 +531,7 @@ mod tests {
         let j1 = profile_json(&a);
         let j2 = profile_json(&a);
         assert_eq!(j1, j2);
-        crate::telemetry::validate_json(&j1).unwrap();
+        sw26010::json::parse(&j1).unwrap();
         assert!(j1.contains("\"profile_schema\":1"));
         assert!(j1.contains("\"truncated\":false"));
         assert!(j1.contains("\"dbuf\":false"));
@@ -646,11 +562,11 @@ mod tests {
         let text = corpus_text(&rows);
         let mut lines = text.lines();
         let header = lines.next().unwrap();
-        crate::telemetry::validate_json(header).unwrap();
+        sw26010::json::parse(header).unwrap();
         assert!(header.contains("\"corpus_schema\":1"));
         assert!(header.contains("\"rows\":2"));
         for line in lines {
-            crate::telemetry::validate_json(line).unwrap();
+            sw26010::json::parse(line).unwrap();
         }
         assert_eq!(text.lines().count(), 3, "header + 2 rows");
         assert!(text.contains("\"predicted\":null"));

@@ -6,7 +6,7 @@
 //!    candidate → attempt). Every span carries wall-clock timing, an
 //!    optional worker *track*, the simulated cycle count and the aggregated
 //!    [`Counters`] of the execution it covers. Spans export to Perfetto /
-//!    Chrome trace-event JSON ([`Telemetry::perfetto_json`]) with one
+//!    Chrome trace-event JSON ([`Telemetry::perfetto_json_with`]) with one
 //!    timeline track per tuner worker.
 //! 2. **Machine counters** — each candidate span absorbs the
 //!    [`sw26010::Counters`] block its cost-only machine accumulated (DMA
@@ -27,18 +27,16 @@
 //! under a mutex that is only touched at candidate granularity, never
 //! inside the simulated execution.
 //!
-//! Exports are hand-rolled JSON in the same spirit as
-//! [`checkpoint`](crate::tuner::checkpoint): no serde dependency, strings
-//! escaped through [`sw26010::json::escape_json`], floats emitted
-//! as plain decimals (`null` when non-finite), and a small structural
-//! validator ([`validate_json`]) used by the test suite and the CI smoke
-//! leg.
+//! Exports are built on [`sw26010::json`], like every other artifact of the
+//! workspace: one writer places the commas, escapes the strings and renders
+//! floats as plain decimals (`null` when absent or non-finite); tests read
+//! the documents back with [`sw26010::json::parse`].
 
 use std::sync::Arc;
 use std::time::Instant;
 
 use parking_lot::Mutex;
-use sw26010::json::escape_json;
+use sw26010::json::{Value, Writer};
 use sw26010::Counters;
 
 use crate::observatory::{self, BottleneckMix, Peaks};
@@ -386,209 +384,136 @@ impl Telemetry {
         mix
     }
 
-    /// Structured metrics snapshot (hand-rolled JSON): per-operator
-    /// candidate tables with (predicted, measured) pairs and counters,
-    /// accuracy summaries, and whole-run counter totals.
-    pub fn snapshot_json(&self) -> String {
-        self.snapshot_json_with(None)
+    /// Tier ladder volume: tier-0 analytic screenings (samples on Screen
+    /// spans), tier-1 scoreboard measurements (Candidate spans), tier-2
+    /// winner validations. Deterministic — derived from the span set.
+    pub fn tier_counts(&self) -> TierCounts {
+        let st = self.inner.state.lock();
+        let of = |kind| st.spans.iter().filter(move |s| s.kind == kind);
+        TierCounts {
+            screened: of(SpanKind::Screen).map(|s| u64::from(s.samples)).sum(),
+            measured: of(SpanKind::Candidate).count() as u64,
+            validated: of(SpanKind::Validate).count() as u64,
+        }
     }
 
-    /// [`Telemetry::snapshot_json`] enriched with the observatory: when
-    /// `peaks` is given, every measured candidate additionally carries an
-    /// `"observatory"` object (the full derived-metric schema plus its
-    /// bottleneck class) and the top level gains a `"bottleneck_mix"`
-    /// object. With `peaks = None` the output is byte-identical to
-    /// [`Telemetry::snapshot_json`].
+    /// Structured metrics snapshot: per-operator candidate tables with
+    /// (predicted, measured) pairs and counters, accuracy summaries,
+    /// whole-run counter totals, quarantine and tier counts, and the shared
+    /// evaluation caches. When `peaks` is given, every measured candidate
+    /// additionally carries an `"observatory"` object (the full
+    /// derived-metric schema plus its bottleneck class) and the top level
+    /// gains a `"bottleneck_mix"` object.
     pub fn snapshot_json_with(&self, peaks: Option<&Peaks>) -> String {
-        let mut out = String::from("{\"v\":1,\"operators\":[");
-        for (gi, g) in self.rollups().iter().enumerate() {
-            if gi > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"label\":\"{}\",\"wall_us\":{},\"counters\":{},",
-                escape_json(&g.label),
-                g.wall_us,
-                counters_json(&g.counters)
-            ));
-            match &g.accuracy {
-                Some(a) => out.push_str(&format!(
-                    "\"accuracy\":{{\"pairs\":{},\"mape_pct\":{},\
-                     \"rank_correlation\":{},\"misranked\":[{}]}},",
-                    a.pairs.len(),
-                    float_json(a.mape_pct),
-                    float_json(a.rank_correlation),
-                    a.misranked
-                        .iter()
-                        .map(|i| i.to_string())
-                        .collect::<Vec<_>>()
-                        .join(",")
-                )),
-                None => out.push_str("\"accuracy\":null,"),
-            }
-            out.push_str("\"candidates\":[");
-            for (ci, c) in g.candidates.iter().enumerate() {
-                if ci > 0 {
-                    out.push(',');
+        let mut w = Writer::new();
+        w.begin_obj().field("v", 1u64).key("operators").begin_arr();
+        for g in self.rollups() {
+            w.begin_obj()
+                .field("label", &g.label)
+                .field("wall_us", g.wall_us)
+                .field("counters", g.counters)
+                .field("accuracy", g.accuracy.as_ref())
+                .key("candidates")
+                .begin_arr();
+            for c in &g.candidates {
+                w.begin_obj()
+                    .field("index", c.index)
+                    .field("label", &c.label)
+                    .field("predicted", c.predicted)
+                    .field("measured", c.measured)
+                    .field("retries", c.retries)
+                    .field("samples", c.samples)
+                    .field("error", c.error.as_deref())
+                    .field("wall_us", c.wall_us)
+                    .field("track", c.track)
+                    .field("counters", c.counters);
+                if let (Some(p), Some(cycles)) = (peaks, c.measured) {
+                    let a = observatory::attribute(p, cycles, &c.counters);
+                    w.key("observatory").begin_obj().field("bottleneck", a.bottleneck.name());
+                    w.field("metrics", &a.metrics).end_obj();
                 }
-                let obs = match (peaks, c.measured) {
-                    (Some(p), Some(cycles)) => {
-                        let a = observatory::attribute(p, cycles, &c.counters);
-                        format!(
-                            ",\"observatory\":{{\"bottleneck\":\"{}\",\"metrics\":{}}}",
-                            a.bottleneck.name(),
-                            a.metrics.to_json()
-                        )
-                    }
-                    _ => String::new(),
-                };
-                out.push_str(&format!(
-                    "{{\"index\":{},\"label\":\"{}\",\"predicted\":{},\
-                     \"measured\":{},\"retries\":{},\"samples\":{},\
-                     \"error\":{},\"wall_us\":{},\"track\":{},\"counters\":{}{obs}}}",
-                    c.index,
-                    escape_json(&c.label),
-                    float_json(c.predicted),
-                    c.measured.map_or_else(|| "null".to_string(), |m| m.to_string()),
-                    c.retries,
-                    c.samples,
-                    c.error.as_ref().map_or_else(
-                        || "null".to_string(),
-                        |e| format!("\"{}\"", escape_json(e))
-                    ),
-                    c.wall_us,
-                    c.track.map_or_else(|| "null".to_string(), |t| t.to_string()),
-                    counters_json(&c.counters)
-                ));
+                w.end_obj();
             }
-            out.push_str("]}");
+            w.end_arr().end_obj();
         }
-        out.push_str(&format!("],\"totals\":{}", counters_json(&self.totals())));
         // Winner-validation outcomes: Validate spans with an error are
         // quarantined winners (the error is the rejection reason).
-        let spans = self.spans();
-        let quarantines = spans
-            .iter()
-            .filter(|s| s.kind == SpanKind::Validate && s.error.is_some())
-            .count();
-        out.push_str(&format!(",\"quarantines\":{quarantines}"));
-        // Tier ladder volume: tier-0 analytic screenings (samples on Screen
-        // spans), tier-1 scoreboard measurements (Candidate spans), tier-2
-        // winner validations. Deterministic — derived from the span set.
-        let screened: u64 = spans
-            .iter()
-            .filter(|s| s.kind == SpanKind::Screen)
-            .map(|s| u64::from(s.samples))
-            .sum();
-        let measured = spans.iter().filter(|s| s.kind == SpanKind::Candidate).count();
-        let validated = spans.iter().filter(|s| s.kind == SpanKind::Validate).count();
-        out.push_str(&format!(
-            ",\"tiers\":{{\"screened\":{screened},\"measured\":{measured},\
-             \"validated\":{validated}}}"
-        ));
+        let quarantined = |s: &&Span| s.kind == SpanKind::Validate && s.error.is_some();
+        let quarantines = self.inner.state.lock().spans.iter().filter(quarantined).count();
+        w.end_arr()
+            .field("totals", self.totals())
+            .field("quarantines", quarantines)
+            .field("tiers", self.tier_counts())
+            .key("caches")
+            .begin_obj();
         // Shared-cache observability. Process-global counters, approximate
         // under concurrency — never compared byte-for-byte across runs.
-        out.push_str(&format!(",\"caches\":{}", caches_json()));
-        if let Some(p) = peaks {
-            let mix = self.bottleneck_mix(p);
-            out.push_str(&format!(
-                ",\"bottleneck_mix\":{{\"dma\":{},\"compute\":{},\"stall\":{},\
-                 \"spm_capacity\":{}}}",
-                mix.dma, mix.compute, mix.stall, mix.spm_capacity
-            ));
+        for (cache, (hits, misses, entries)) in cache_stats() {
+            w.key(cache).begin_obj().field("hits", hits).field("misses", misses);
+            w.field("entries", entries).end_obj();
         }
-        out.push('}');
-        out
+        w.end_obj();
+        if let Some(p) = peaks {
+            w.field("bottleneck_mix", self.bottleneck_mix(p));
+        }
+        w.end_obj();
+        w.finish()
     }
 
     /// Perfetto / Chrome trace-event JSON of the whole tuning run: one
     /// timeline track per worker (tid `w + 1`) plus an orchestrator track
     /// (tid 0) for sweep/operator spans. Loadable in `ui.perfetto.dev` or
-    /// `chrome://tracing`.
-    pub fn perfetto_json(&self) -> String {
-        self.perfetto_json_with(None)
-    }
-
-    /// [`Telemetry::perfetto_json`] enriched with the observatory: when
-    /// `peaks` is given, every measured candidate span's `args` additionally
-    /// carry its bottleneck class and headline roofline percentages, so the
-    /// attribution is visible directly in the Perfetto UI. With
-    /// `peaks = None` the output is byte-identical to
-    /// [`Telemetry::perfetto_json`].
+    /// `chrome://tracing`. When `peaks` is given, every measured candidate
+    /// span's `args` additionally carry its bottleneck class and headline
+    /// roofline percentages, so the attribution is visible directly in the
+    /// Perfetto UI.
     pub fn perfetto_json_with(&self, peaks: Option<&Peaks>) -> String {
-        let spans = self.spans();
-        let mut out = String::from("{\"traceEvents\":[");
-        let mut first = true;
+        let tid = |track: Option<usize>| track.map_or(0, |t| t + 1);
+        let mut w = Writer::trace_events();
         let mut tracks: Vec<Option<usize>> = Vec::new();
-        for s in &spans {
+        for s in &self.spans() {
             if !tracks.contains(&s.track) {
                 tracks.push(s.track);
             }
-            let tid = s.track.map_or(0, |w| w + 1);
-            let mut args = format!("\"kind\":\"{}\"", s.kind.name());
+            w.trace_event(&s.label, "X", 1, tid(s.track))
+                .field("ts", s.start_us)
+                .field("dur", s.dur_us.max(1))
+                .key("args")
+                .begin_obj()
+                .field("kind", s.kind.name());
             if let Some(c) = s.cycles {
-                args.push_str(&format!(",\"cycles\":{c}"));
+                w.field("cycles", c);
             }
             if let Some(p) = s.predicted {
-                args.push_str(&format!(",\"predicted_cycles\":{}", float_json(Some(p))));
+                w.field("predicted_cycles", p);
             }
             if let Some(i) = s.index {
-                args.push_str(&format!(",\"index\":{i}"));
+                w.field("index", i);
             }
             if let Some(e) = &s.error {
-                args.push_str(&format!(",\"error\":\"{}\"", escape_json(e)));
+                w.field("error", e);
             }
             if s.kind == SpanKind::Candidate {
                 // The candidate label *is* its schedule-point description
                 // (knob=value list) — mirror it into args so trace tooling
                 // can filter on schedule knobs without parsing span names.
-                args.push_str(&format!(",\"schedule\":\"{}\"", escape_json(&s.label)));
-                args.push_str(&format!(",\"counters\":{}", counters_json(&s.counters)));
+                w.field("schedule", &s.label).field("counters", s.counters);
                 if let (Some(p), Some(cycles)) = (peaks, s.cycles) {
                     let a = observatory::attribute(p, cycles, &s.counters);
-                    let pct = |name: &str| {
-                        float_json(Some(a.metrics.get(name).unwrap_or(0.0)))
-                    };
-                    args.push_str(&format!(
-                        ",\"bottleneck\":\"{}\",\"pct_peak_gflops\":{},\
-                         \"pct_peak_dma_bw\":{},\"pct_roofline\":{}",
-                        a.bottleneck.name(),
-                        pct("pct_peak_gflops"),
-                        pct("pct_peak_dma_bw"),
-                        pct("pct_roofline")
-                    ));
+                    w.field("bottleneck", a.bottleneck.name());
+                    for pct in ["pct_peak_gflops", "pct_peak_dma_bw", "pct_roofline"] {
+                        w.field(pct, a.metrics.get(pct).unwrap_or(0.0));
+                    }
                 }
             }
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str(&format!(
-                "{{\"name\":\"{}\",\"ph\":\"X\",\"pid\":1,\"tid\":{tid},\
-                 \"ts\":{},\"dur\":{},\"args\":{{{args}}}}}",
-                escape_json(&s.label),
-                s.start_us,
-                s.dur_us.max(1)
-            ));
+            w.end_obj().end_obj();
         }
-        tracks.sort_by_key(|t| t.map_or(0, |w| w + 1));
+        tracks.sort_by_key(|&t| tid(t));
         for t in tracks {
-            let (tid, name) = match t {
-                None => (0, "orchestrator".to_string()),
-                Some(w) => (w + 1, format!("worker {w}")),
-            };
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str(&format!(
-                "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{tid},\
-                 \"args\":{{\"name\":\"{}\"}}}}",
-                escape_json(&name)
-            ));
+            let name = t.map_or("orchestrator".to_string(), |worker| format!("worker {worker}"));
+            w.thread_name(1, tid(t), &name);
         }
-        out.push_str("]}");
-        out
+        w.finish_lines()
     }
 }
 
@@ -638,6 +563,18 @@ impl Accuracy {
     }
 }
 
+/// The snapshot's per-operator accuracy object.
+impl Value for Accuracy {
+    fn write_json(&self, w: &mut Writer) {
+        w.begin_obj()
+            .field("pairs", self.pairs.len())
+            .field("mape_pct", self.mape_pct)
+            .field("rank_correlation", self.rank_correlation)
+            .field("misranked", self.misranked.as_slice())
+            .end_obj();
+    }
+}
+
 /// One candidate row of an [`OperatorRollup`].
 #[derive(Debug, Clone)]
 pub struct CandidateRow {
@@ -663,6 +600,28 @@ pub struct OperatorRollup {
     /// Counters merged over the operator's candidates.
     pub counters: Counters,
     pub accuracy: Option<Accuracy>,
+}
+
+/// Per-tier evaluation volume of a run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct TierCounts {
+    /// Tier-0 analytic screenings (whole candidate spaces, no scoreboard).
+    pub screened: u64,
+    /// Tier-1 scoreboard measurements.
+    pub measured: u64,
+    /// Tier-2 winner validations (accepts + quarantined rejections).
+    pub validated: u64,
+}
+
+/// `{"screened":…,"measured":…,"validated":…}`.
+impl Value for TierCounts {
+    fn write_json(&self, w: &mut Writer) {
+        w.begin_obj()
+            .field("screened", self.screened)
+            .field("measured", self.measured)
+            .field("validated", self.validated)
+            .end_obj();
+    }
 }
 
 /// Condensed telemetry carried on a
@@ -748,251 +707,15 @@ pub fn rank_correlation(obs: &[(f64, f64)]) -> Option<f64> {
     Some(sxy / (sxx * syy).sqrt())
 }
 
-/// Render an optional float as a JSON value: plain decimal, or `null` when
-/// absent or non-finite (JSON has no NaN/Infinity).
-pub(crate) fn float_json(x: Option<f64>) -> String {
-    match x {
-        Some(v) if v.is_finite() => {
-            let s = format!("{v}");
-            // Rust's float Display can produce exponent-free decimals only,
-            // which are valid JSON numbers as-is.
-            if s.contains('e') || s.contains('E') {
-                format!("{v:.6}")
-            } else {
-                s
-            }
-        }
-        _ => "null".to_string(),
-    }
-}
-
-/// Render a counter block as a JSON object.
-fn counters_json(c: &Counters) -> String {
-    format!(
-        "{{\"dma_payload_bytes\":{},\"dma_bus_bytes\":{},\"dma_batches\":{},\
-         \"dma_bcast_batches\":{},\"dma_stall_cycles\":{},\"dma_waits\":{},\
-         \"kernel_calls\":{},\"kernel_cycles\":{},\"flops\":{},\
-         \"compute_cycles\":{},\"issue_p0\":{},\"issue_p1\":{},\
-         \"regcomm_broadcasts\":{},\"regcomm_bytes\":{},\
-         \"spm_high_water_elems\":{}}}",
-        c.dma_payload_bytes,
-        c.dma_bus_bytes,
-        c.dma_batches,
-        c.dma_bcast_batches,
-        c.dma_stall_cycles,
-        c.dma_waits,
-        c.kernel_calls,
-        c.kernel_cycles,
-        c.flops,
-        c.compute_cycles,
-        c.issue_p0,
-        c.issue_p1,
-        c.regcomm_broadcasts,
-        c.regcomm_bytes,
-        c.spm_high_water_elems
-    )
-}
-
-/// Hit/miss/entry counters of the process-wide evaluation caches as a JSON
-/// object: the PR 1 kernel-cost cache ([`swkernels::cost::cache_stats`])
-/// and the model sub-cost memo cache ([`crate::model::memo`]). The kernel
-/// figures count cost queries — one per static `Gemm` node per interpreted
-/// run, not one per executed kernel call. Counters are relaxed atomics —
-/// approximate under concurrency, exact serially — so they are
-/// observability, never an input to tuning decisions.
-pub fn caches_json() -> String {
-    let (kh, km, ke) = swkernels::cost::cache_stats();
-    let (mh, mm, me) = crate::model::memo::stats();
-    format!(
-        "{{\"kernel_cost\":{{\"hits\":{kh},\"misses\":{km},\"entries\":{ke}}},\
-         \"memo\":{{\"hits\":{mh},\"misses\":{mm},\"entries\":{me}}}}}"
-    )
-}
-
-/// Prometheus text exposition of the same process-wide cache counters as
-/// [`caches_json`]: `swatop_cache_{hits,misses}_total` counters and a
-/// `swatop_cache_entries` gauge, one sample per cache
-/// (`cache="kernel_cost"` / `cache="memo"`). Appended alongside
-/// [`crate::observatory::MetricSet::prometheus_text`] by scrapers that
-/// want cache observability next to the roofline gauges.
-pub fn caches_prometheus_text() -> String {
-    let (kh, km, ke) = swkernels::cost::cache_stats();
-    let (mh, mm, me) = crate::model::memo::stats();
-    let mut out = String::new();
-    let mut series = |name: &str, help: &str, kind: &str, kernel: u64, memo: u64| {
-        out.push_str(&format!(
-            "# HELP swatop_{name} {help}\n# TYPE swatop_{name} {kind}\n\
-             swatop_{name}{{cache=\"kernel_cost\"}} {kernel}\n\
-             swatop_{name}{{cache=\"memo\"}} {memo}\n"
-        ));
-    };
-    series("cache_hits_total", "Evaluation-cache hits since process start", "counter", kh, mh);
-    series(
-        "cache_misses_total",
-        "Evaluation-cache misses since process start",
-        "counter",
-        km,
-        mm,
-    );
-    series("cache_entries", "Resident evaluation-cache entries", "gauge", ke, me);
-    out
-}
-
-/// Structural JSON well-formedness check (objects, arrays, strings with
-/// escapes, numbers incl. floats/exponents, booleans, null). Returns the
-/// first syntax error. Used by tests and the CI telemetry smoke leg; the
-/// exporters above must always satisfy it.
-pub fn validate_json(s: &str) -> Result<(), String> {
-    let b = s.as_bytes();
-    let mut i = 0usize;
-    skip_ws(b, &mut i);
-    parse_value(b, &mut i)?;
-    skip_ws(b, &mut i);
-    if i != b.len() {
-        return Err(format!("trailing data at byte {i}"));
-    }
-    Ok(())
-}
-
-fn skip_ws(b: &[u8], i: &mut usize) {
-    while *i < b.len() && matches!(b[*i], b' ' | b'\t' | b'\n' | b'\r') {
-        *i += 1;
-    }
-}
-
-fn parse_value(b: &[u8], i: &mut usize) -> Result<(), String> {
-    skip_ws(b, i);
-    match b.get(*i) {
-        None => Err("unexpected end of input".to_string()),
-        Some(b'{') => {
-            *i += 1;
-            skip_ws(b, i);
-            if b.get(*i) == Some(&b'}') {
-                *i += 1;
-                return Ok(());
-            }
-            loop {
-                skip_ws(b, i);
-                parse_string(b, i)?;
-                skip_ws(b, i);
-                if b.get(*i) != Some(&b':') {
-                    return Err(format!("expected ':' at byte {i}"));
-                }
-                *i += 1;
-                parse_value(b, i)?;
-                skip_ws(b, i);
-                match b.get(*i) {
-                    Some(b',') => *i += 1,
-                    Some(b'}') => {
-                        *i += 1;
-                        return Ok(());
-                    }
-                    _ => return Err(format!("expected ',' or '}}' at byte {i}")),
-                }
-            }
-        }
-        Some(b'[') => {
-            *i += 1;
-            skip_ws(b, i);
-            if b.get(*i) == Some(&b']') {
-                *i += 1;
-                return Ok(());
-            }
-            loop {
-                parse_value(b, i)?;
-                skip_ws(b, i);
-                match b.get(*i) {
-                    Some(b',') => *i += 1,
-                    Some(b']') => {
-                        *i += 1;
-                        return Ok(());
-                    }
-                    _ => return Err(format!("expected ',' or ']' at byte {i}")),
-                }
-            }
-        }
-        Some(b'"') => parse_string(b, i),
-        Some(b't') => parse_lit(b, i, "true"),
-        Some(b'f') => parse_lit(b, i, "false"),
-        Some(b'n') => parse_lit(b, i, "null"),
-        Some(c) if *c == b'-' || c.is_ascii_digit() => parse_number(b, i),
-        Some(c) => Err(format!("unexpected byte {:?} at {i}", *c as char)),
-    }
-}
-
-fn parse_lit(b: &[u8], i: &mut usize, lit: &str) -> Result<(), String> {
-    if b[*i..].starts_with(lit.as_bytes()) {
-        *i += lit.len();
-        Ok(())
-    } else {
-        Err(format!("bad literal at byte {i}"))
-    }
-}
-
-fn parse_string(b: &[u8], i: &mut usize) -> Result<(), String> {
-    if b.get(*i) != Some(&b'"') {
-        return Err(format!("expected string at byte {i}"));
-    }
-    *i += 1;
-    while let Some(&c) = b.get(*i) {
-        match c {
-            b'"' => {
-                *i += 1;
-                return Ok(());
-            }
-            b'\\' => {
-                *i += 1;
-                match b.get(*i) {
-                    Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => *i += 1,
-                    Some(b'u') => {
-                        if b.len() < *i + 5
-                            || !b[*i + 1..*i + 5].iter().all(u8::is_ascii_hexdigit)
-                        {
-                            return Err(format!("bad \\u escape at byte {i}"));
-                        }
-                        *i += 5;
-                    }
-                    _ => return Err(format!("bad escape at byte {i}")),
-                }
-            }
-            0x00..=0x1f => return Err(format!("raw control byte in string at {i}")),
-            _ => *i += 1,
-        }
-    }
-    Err("unterminated string".to_string())
-}
-
-fn parse_number(b: &[u8], i: &mut usize) -> Result<(), String> {
-    let start = *i;
-    if b.get(*i) == Some(&b'-') {
-        *i += 1;
-    }
-    let digits = |b: &[u8], i: &mut usize| -> usize {
-        let s = *i;
-        while b.get(*i).is_some_and(u8::is_ascii_digit) {
-            *i += 1;
-        }
-        *i - s
-    };
-    if digits(b, i) == 0 {
-        return Err(format!("bad number at byte {start}"));
-    }
-    if b.get(*i) == Some(&b'.') {
-        *i += 1;
-        if digits(b, i) == 0 {
-            return Err(format!("bad fraction at byte {start}"));
-        }
-    }
-    if matches!(b.get(*i), Some(b'e' | b'E')) {
-        *i += 1;
-        if matches!(b.get(*i), Some(b'+' | b'-')) {
-            *i += 1;
-        }
-        if digits(b, i) == 0 {
-            return Err(format!("bad exponent at byte {start}"));
-        }
-    }
-    Ok(())
+/// `(name, (hits, misses, entries))` of the process-wide evaluation caches:
+/// the PR 1 kernel-cost cache ([`swkernels::cost::cache_stats`]) and the
+/// model sub-cost memo cache ([`crate::model::memo`]). The kernel figures
+/// count cost queries — one per static `Gemm` node per interpreted run, not
+/// one per executed kernel call. Counters are relaxed atomics — approximate
+/// under concurrency, exact serially — so they are observability, never an
+/// input to tuning decisions.
+pub(crate) fn cache_stats() -> [(&'static str, (u64, u64, u64)); 2] {
+    [("kernel_cost", swkernels::cost::cache_stats()), ("memo", crate::model::memo::stats())]
 }
 
 #[cfg(test)]
@@ -1022,25 +745,6 @@ mod tests {
         assert_eq!(spans[2].track, Some(2));
         assert_eq!(spans[2].cycles, Some(1234));
         assert_eq!(spans[0].track, None);
-    }
-
-    #[test]
-    fn cache_exports_are_well_formed() {
-        validate_json(&caches_json()).unwrap();
-        let prom = caches_prometheus_text();
-        for line in prom.lines() {
-            assert!(
-                line.starts_with("# HELP swatop_cache_")
-                    || line.starts_with("# TYPE swatop_cache_")
-                    || line.starts_with("swatop_cache_"),
-                "unexpected line: {line:?}"
-            );
-        }
-        for name in ["cache_hits_total", "cache_misses_total", "cache_entries"] {
-            for cache in ["kernel_cost", "memo"] {
-                assert!(prom.contains(&format!("swatop_{name}{{cache=\"{cache}\"}} ")));
-            }
-        }
     }
 
     #[test]
@@ -1094,14 +798,8 @@ mod tests {
         // All measurements zero: MAPE undefined rather than infinite.
         assert!(mape(&[(5.0, 0.0), (6.0, 0.0)]).is_none());
         // None of the degenerate summaries leaks NaN into JSON.
-        for acc in [
-            rank_correlation(&const_pred),
-            mape(&[]),
-            Some(f64::NAN),
-        ] {
-            let rendered = float_json(acc);
-            validate_json(&rendered).unwrap();
-            assert!(!rendered.contains("NaN"));
+        for acc in [rank_correlation(&const_pred), mape(&[]), Some(f64::NAN)] {
+            assert_eq!(sw26010::json::to_string(acc), "null");
         }
     }
 
@@ -1213,49 +911,28 @@ mod tests {
         t.close(c);
         h.record_pair(0, 512.25, 500);
         t.close(op);
-        let snap = t.snapshot_json();
-        validate_json(&snap).unwrap_or_else(|e| panic!("snapshot invalid: {e}\n{snap}"));
-        let perf = t.perfetto_json();
-        validate_json(&perf).unwrap_or_else(|e| panic!("perfetto invalid: {e}\n{perf}"));
+        let parse = |what: &str, text: &str| {
+            sw26010::json::parse(text).unwrap_or_else(|e| panic!("{what} invalid: {e}\n{text}"))
+        };
+        let snap = t.snapshot_json_with(None);
+        parse("snapshot", &snap);
+        let perf = t.perfetto_json_with(None);
+        parse("perfetto", &perf);
         assert!(perf.contains("\"worker 0\""));
         assert!(perf.contains("\"orchestrator\""));
         assert!(snap.contains("\"predicted\":512.25"));
         assert!(snap.contains("\"measured\":500"));
         // The peaks-enriched variants stay valid JSON and carry the
-        // observatory fields; the `None` forms are byte-identical to the
-        // plain exporters.
+        // observatory fields.
         let peaks = Peaks::of(&sw26010::MachineConfig::default());
         let snap2 = t.snapshot_json_with(Some(&peaks));
-        validate_json(&snap2).unwrap_or_else(|e| panic!("rich snapshot invalid: {e}\n{snap2}"));
+        parse("rich snapshot", &snap2);
         assert!(snap2.contains("\"observatory\":{\"bottleneck\":\""));
         assert!(snap2.contains("\"bottleneck_mix\":{"));
         let perf2 = t.perfetto_json_with(Some(&peaks));
-        validate_json(&perf2).unwrap_or_else(|e| panic!("rich perfetto invalid: {e}\n{perf2}"));
+        parse("rich perfetto", &perf2);
         assert!(perf2.contains("\"bottleneck\":\""));
         assert!(perf2.contains("\"pct_peak_gflops\":"));
-        assert_eq!(t.snapshot_json_with(None), snap);
-        assert_eq!(t.perfetto_json_with(None), perf);
-    }
-
-    #[test]
-    fn float_json_guards_non_finite() {
-        assert_eq!(float_json(Some(f64::NAN)), "null");
-        assert_eq!(float_json(Some(f64::INFINITY)), "null");
-        assert_eq!(float_json(None), "null");
-        assert_eq!(float_json(Some(1.5)), "1.5");
-        validate_json(&float_json(Some(1e-9))).unwrap();
-    }
-
-    #[test]
-    fn validator_accepts_and_rejects() {
-        validate_json("{\"a\":[1,2.5,-3e4,\"x\\n\",true,false,null],\"b\":{}}").unwrap();
-        validate_json("[]").unwrap();
-        assert!(validate_json("{\"a\":}").is_err());
-        assert!(validate_json("{\"a\":1,}").is_err());
-        assert!(validate_json("[1 2]").is_err());
-        assert!(validate_json("\"unterminated").is_err());
-        assert!(validate_json("{\"a\":1} extra").is_err());
-        assert!(validate_json("01").is_ok(), "leading zeros tolerated (lenient)");
     }
 
     #[test]

@@ -7,13 +7,15 @@
 //! one mailbox mutex push. [`MetricsServer`] is a deliberately minimal
 //! `std::net` HTTP/1.1 responder (serial accept loop, fixed headers,
 //! `Connection: close`): it serves exactly one document, so a real HTTP
-//! stack would be dead weight. The text is the existing observatory cache
-//! exposition ([`super::caches_prometheus_text`]) plus live sweep gauges:
+//! stack would be dead weight. The text is one table of metric families —
+//! `(name, help, kind, samples)` — rendered by one family writer with one
+//! label escaper: the shared evaluation caches, then the live sweep gauges:
 //! candidate funnel and throughput, ETA for the operator in flight,
 //! per-worker utilization from the [`PoolMonitor`], stall and quarantine
 //! counts, memo hit rates, and the bus's own received/dropped counters so
 //! a scraper can tell sampled data from complete data.
 
+use std::fmt::Write as _;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -23,7 +25,7 @@ use std::time::{Duration, Instant};
 use parking_lot::Mutex;
 
 use crate::telemetry::bus::{Event, EventBus, Subscriber};
-use crate::tuner::pool::PoolMonitor;
+use crate::tuner::pool::{PoolMonitor, WorkerStats};
 
 /// Folded view of the event stream, updated on every scrape.
 #[derive(Debug, Clone, Default)]
@@ -59,13 +61,13 @@ impl Live {
                 self.current_op = None;
             }
             Event::WaveStart { .. } => self.waves += 1,
+            // The one place a failure is counted: `WaveEnd` covers both a
+            // failed measurement (which also arrives as `CandidateMeasured
+            // { cycles: None }`) and a panicked item (which does not).
             Event::WaveEnd { failed, .. } => self.failed += failed as u64,
-            Event::CandidateMeasured { cycles, retries, .. } => {
+            Event::CandidateMeasured { retries, .. } => {
                 self.measured += 1;
                 self.retried += u64::from(retries);
-                if cycles.is_none() {
-                    self.failed += 1;
-                }
                 if let Some((_, _, done)) = &mut self.current_op {
                     *done += 1;
                 }
@@ -99,9 +101,35 @@ impl std::fmt::Debug for MetricsHub {
     }
 }
 
-/// Escape a Prometheus label value (backslash, quote, newline).
-fn esc_label(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"").replace('\n', "\\n")
+/// One sample line of a family: its label pair, if any, and its value.
+type Sample = (Option<(&'static str, String)>, String);
+
+/// One metric family: `(name, help, kind, samples)`.
+type Family = (&'static str, &'static str, &'static str, Vec<Sample>);
+
+/// Escape a Prometheus label value. Carriage returns fold into the newline
+/// escape (the format has none for them), so a hostile value — the
+/// truncated-artifact label is a user-supplied path — can never split the
+/// sample line.
+fn escape_label(s: &str) -> String {
+    s.replace('\\', "\\\\").replace('"', "\\\"").replace(['\n', '\r'], "\\n")
+}
+
+/// `# HELP` / `# TYPE` and one line per sample; a family without samples
+/// is left out.
+fn write_family(out: &mut String, (name, help, kind, samples): &Family) {
+    if samples.is_empty() {
+        return;
+    }
+    let _ = writeln!(out, "# HELP swatop_{name} {help}\n# TYPE swatop_{name} {kind}");
+    for (label, value) in samples {
+        let _ = match label {
+            Some((key, v)) => {
+                writeln!(out, "swatop_{name}{{{key}=\"{}\"}} {value}", escape_label(v))
+            }
+            None => writeln!(out, "swatop_{name} {value}"),
+        };
+    }
 }
 
 impl MetricsHub {
@@ -142,202 +170,84 @@ impl MetricsHub {
             _ => 0.0,
         };
 
-        let mut out = super::caches_prometheus_text();
-        fn single(out: &mut String, name: &str, help: &str, kind: &str, value: String) {
-            out.push_str(&format!(
-                "# HELP swatop_{name} {help}\n# TYPE swatop_{name} {kind}\nswatop_{name} {value}\n"
-            ));
-        }
-        single(
-            &mut out,
-            "candidates_measured_total",
-            "Candidates measured this run (funnel numerator)",
-            "counter",
-            live.measured.to_string(),
-        );
-        single(
-            &mut out,
-            "candidates_failed_total",
-            "Candidates that failed terminally this run",
-            "counter",
-            live.failed.to_string(),
-        );
-        single(
-            &mut out,
-            "candidate_retries_total",
-            "Transient-failure retries consumed this run",
-            "counter",
-            live.retried.to_string(),
-        );
-        single(
-            &mut out,
-            "quarantined_total",
-            "Prospective winners quarantined by validation this run",
-            "counter",
-            live.quarantined.to_string(),
-        );
-        single(
-            &mut out,
-            "operators_started_total",
-            "Operators whose tuning started this run",
-            "counter",
-            live.operators_started.to_string(),
-        );
-        single(
-            &mut out,
-            "operators_completed_total",
-            "Operators whose tuning completed this run",
-            "counter",
-            live.operators_ended.to_string(),
-        );
-        single(
-            &mut out,
-            "sweeps_started_total",
-            "Multi-operator sweeps started this run",
-            "counter",
-            live.sweeps_started.to_string(),
-        );
-        single(
-            &mut out,
-            "waves_total",
-            "Scoreboard measurement waves dispatched this run",
-            "counter",
-            live.waves.to_string(),
-        );
-        single(
-            &mut out,
-            "checkpoints_saved_total",
-            "Checkpoint files written this run",
-            "counter",
-            live.checkpoints.to_string(),
-        );
-        single(
-            &mut out,
-            "stalls_flagged_total",
-            "Wedged worker/candidate pairs flagged by the watchdog",
-            "counter",
-            live.stalls.to_string(),
-        );
-        single(
-            &mut out,
-            "worker_heartbeats_total",
-            "Liveness samples received from the pool monitor",
-            "counter",
-            live.heartbeats.to_string(),
-        );
-        single(
-            &mut out,
-            "candidates_per_sec",
-            "Measured-candidate throughput since endpoint start",
-            "gauge",
-            format!("{rate:.3}"),
-        );
-        single(
-            &mut out,
-            "eta_seconds",
-            "Estimated seconds left for the operator in flight (0 = idle)",
-            "gauge",
-            format!("{eta:.3}"),
-        );
-
-        // Memo hit rates as ratios (the raw counters precede them in the
-        // cache exposition block).
-        let (kh, km, _) = swkernels::cost::cache_stats();
-        let (mh, mm, _) = crate::model::memo::stats();
-        let ratio = |h: u64, m: u64| {
-            let total = h + m;
-            if total > 0 {
-                h as f64 / total as f64
-            } else {
-                0.0
-            }
+        let one = |value: String| vec![(None, value)];
+        let count = |n: u64| one(n.to_string());
+        let caches = super::cache_stats();
+        let per_cache = |value: fn((u64, u64, u64)) -> String| -> Vec<Sample> {
+            let labelled = |&(c, stats): &(&str, _)| (Some(("cache", c.to_string())), value(stats));
+            caches.iter().map(labelled).collect()
         };
-        out.push_str(&format!(
-            "# HELP swatop_memo_hit_rate Evaluation-cache hit rate since process start\n\
-             # TYPE swatop_memo_hit_rate gauge\n\
-             swatop_memo_hit_rate{{cache=\"kernel_cost\"}} {:.4}\n\
-             swatop_memo_hit_rate{{cache=\"memo\"}} {:.4}\n",
-            ratio(kh, km),
-            ratio(mh, mm)
-        ));
-
-        if let Some(m) = &self.monitor {
-            let elapsed_ms = m.elapsed_ms().max(1);
-            let stats = m.worker_stats();
-            if !stats.is_empty() {
-                out.push_str(
-                    "# HELP swatop_worker_utilization Fraction of host time each worker \
-                     slot spent inside candidate bodies\n\
-                     # TYPE swatop_worker_utilization gauge\n",
-                );
-                for (w, s) in stats.iter().enumerate() {
-                    out.push_str(&format!(
-                        "swatop_worker_utilization{{worker=\"{w}\"}} {:.4}\n",
-                        s.busy_ms as f64 / elapsed_ms as f64
-                    ));
-                }
-                out.push_str(
-                    "# HELP swatop_worker_items_total Items finished per worker slot\n\
-                     # TYPE swatop_worker_items_total counter\n",
-                );
-                for (w, s) in stats.iter().enumerate() {
-                    out.push_str(&format!(
-                        "swatop_worker_items_total{{worker=\"{w}\"}} {}\n",
-                        s.items
-                    ));
-                }
-            }
-        }
-
-        single(
-            &mut out,
-            "bus_events_received_total",
-            "Lifecycle events delivered to the metrics subscriber",
-            "counter",
-            self.sub.received().to_string(),
-        );
-        single(
-            &mut out,
-            "bus_events_dropped_total",
-            "Lifecycle events the metrics subscriber lost to ring overflow",
-            "counter",
-            self.sub.dropped().to_string(),
-        );
-
+        let (elapsed_ms, workers) = match &self.monitor {
+            Some(m) => (m.elapsed_ms().max(1), m.worker_stats()),
+            None => (1, Vec::new()),
+        };
+        let per_worker = |value: &dyn Fn(&WorkerStats) -> String| -> Vec<Sample> {
+            let labelled = |(w, s)| (Some(("worker", format!("{w}"))), value(s));
+            workers.iter().enumerate().map(labelled).collect()
+        };
+        // Artifacts known to be capped: the count, then one labelled sample
+        // each, so capped data is visible, not implied-complete.
         let truncated = self.truncated.lock();
-        single(
-            &mut out,
-            "truncated_artifacts",
-            "Artifacts whose contents were silently capped this run",
-            "gauge",
-            truncated.len().to_string(),
-        );
-        for artifact in truncated.iter() {
-            out.push_str(&format!(
-                "swatop_truncated_artifacts{{artifact=\"{}\"}} 1\n",
-                esc_label(artifact)
-            ));
+        let mut artifacts = count(truncated.len() as u64);
+        artifacts.extend(truncated.iter().map(|a| (Some(("artifact", a.clone())), "1".into())));
+
+        #[rustfmt::skip]
+        let families: [Family; 22] = [
+            ("cache_hits_total", "Evaluation-cache hits since process start",
+             "counter", per_cache(|(hits, _, _)| hits.to_string())),
+            ("cache_misses_total", "Evaluation-cache misses since process start",
+             "counter", per_cache(|(_, misses, _)| misses.to_string())),
+            ("cache_entries", "Resident evaluation-cache entries",
+             "gauge", per_cache(|(_, _, entries)| entries.to_string())),
+            ("candidates_measured_total", "Candidates measured this run (funnel numerator)",
+             "counter", count(live.measured)),
+            ("candidates_failed_total", "Candidates that failed terminally this run",
+             "counter", count(live.failed)),
+            ("candidate_retries_total", "Transient-failure retries consumed this run",
+             "counter", count(live.retried)),
+            ("quarantined_total", "Prospective winners quarantined by validation this run",
+             "counter", count(live.quarantined)),
+            ("operators_started_total", "Operators whose tuning started this run",
+             "counter", count(live.operators_started)),
+            ("operators_completed_total", "Operators whose tuning completed this run",
+             "counter", count(live.operators_ended)),
+            ("sweeps_started_total", "Multi-operator sweeps started this run",
+             "counter", count(live.sweeps_started)),
+            ("waves_total", "Scoreboard measurement waves dispatched this run",
+             "counter", count(live.waves)),
+            ("checkpoints_saved_total", "Checkpoint files written this run",
+             "counter", count(live.checkpoints)),
+            ("stalls_flagged_total", "Wedged worker/candidate pairs flagged by the watchdog",
+             "counter", count(live.stalls)),
+            ("worker_heartbeats_total", "Liveness samples received from the pool monitor",
+             "counter", count(live.heartbeats)),
+            ("candidates_per_sec", "Measured-candidate throughput since endpoint start",
+             "gauge", one(format!("{rate:.3}"))),
+            ("eta_seconds", "Estimated seconds left for the operator in flight (0 = idle)",
+             "gauge", one(format!("{eta:.3}"))),
+            ("memo_hit_rate", "Evaluation-cache hit rate since process start",
+             "gauge", per_cache(|(hits, misses, _)| {
+                 let queries = hits + misses;
+                 format!("{:.4}", if queries > 0 { hits as f64 / queries as f64 } else { 0.0 })
+             })),
+            ("worker_utilization",
+             "Fraction of host time each worker slot spent inside candidate bodies",
+             "gauge", per_worker(&|s| format!("{:.4}", s.busy_ms as f64 / elapsed_ms as f64))),
+            ("worker_items_total", "Items finished per worker slot",
+             "counter", per_worker(&|s| s.items.to_string())),
+            ("bus_events_received_total", "Lifecycle events delivered to the metrics subscriber",
+             "counter", count(self.sub.received())),
+            ("bus_events_dropped_total",
+             "Lifecycle events the metrics subscriber lost to ring overflow",
+             "counter", count(self.sub.dropped())),
+            ("truncated_artifacts", "Artifacts whose contents were silently capped this run",
+             "gauge", artifacts),
+        ];
+        let mut out = String::new();
+        for family in &families {
+            write_family(&mut out, family);
         }
         out
-    }
-
-    /// Condensed live accounting for the flight report: `(events received,
-    /// events dropped, stalls flagged, candidates failed, retries,
-    /// quarantined, truncated artifacts)`.
-    #[allow(clippy::type_complexity)]
-    pub fn accounting(&self) -> (u64, u64, u64, u64, u64, u64, Vec<String>) {
-        // Fold pending events first so the numbers are current.
-        let _ = self.prometheus_text();
-        let live = self.live.lock().clone();
-        (
-            self.sub.received(),
-            self.sub.dropped(),
-            live.stalls,
-            live.failed,
-            live.retried,
-            live.quarantined,
-            self.truncated.lock().clone(),
-        )
     }
 }
 
@@ -447,6 +357,7 @@ mod tests {
         monitor.finish(0);
         let hub = MetricsHub::new(&bus, Some(Arc::clone(&monitor)), 1024);
         bus.emit(Event::OperatorStart { label: "gemm".into(), candidates: 10 });
+        bus.emit(Event::WaveStart { size: 4 });
         for i in 0..4usize {
             bus.emit(Event::CandidateMeasured {
                 index: i,
@@ -455,6 +366,7 @@ mod tests {
                 worker: 0,
             });
         }
+        bus.emit(Event::WaveEnd { measured: 3, failed: 1 });
         bus.emit(Event::Quarantined { index: 0, reason: "bad".into() });
         hub.note_truncated("trace \"t\"");
         let text = hub.prometheus_text();
@@ -468,6 +380,44 @@ mod tests {
         assert!(text.contains("swatop_truncated_artifacts 1"), "{text}");
         assert!(text.contains("artifact=\"trace \\\"t\\\"\""), "{text}");
         assert!(text.contains("swatop_eta_seconds"), "{text}");
+    }
+
+    /// The engine reports a failed measurement twice — as `CandidateMeasured
+    /// { cycles: None }` and inside `WaveEnd { failed }` — and a panicked item
+    /// only in the latter; `/metrics` counts each candidate once.
+    #[test]
+    fn a_failed_candidate_is_counted_once() {
+        let bus = EventBus::new();
+        let hub = MetricsHub::new(&bus, None, 64);
+        bus.emit(Event::WaveStart { size: 1 });
+        bus.emit(Event::CandidateMeasured { index: 0, cycles: None, retries: 0, worker: 0 });
+        bus.emit(Event::WaveEnd { measured: 0, failed: 1 });
+        let text = hub.prometheus_text();
+        assert!(text.contains("swatop_candidates_failed_total 1\n"), "{text}");
+        assert!(text.contains("swatop_candidates_measured_total 1\n"), "{text}");
+    }
+
+    #[test]
+    fn prometheus_text_survives_hostile_labels() {
+        let bus = EventBus::new();
+        let hub = MetricsHub::new(&bus, None, 64);
+        hub.note_truncated("a\r\nb\"\\");
+        hub.note_truncated("evil\ninjected_metric 1");
+        let text = hub.prometheus_text();
+        // Every line is a HELP/TYPE comment or a sample — a line break in a
+        // label value must never fabricate a new exposition line.
+        assert_prometheus(&text);
+        for line in text.lines() {
+            assert!(
+                line.starts_with("# HELP swatop_")
+                    || line.starts_with("# TYPE swatop_")
+                    || line.starts_with("swatop_"),
+                "injected line: {line:?}"
+            );
+        }
+        assert!(!text.contains('\r'), "{text:?}");
+        assert!(text.contains("_artifacts{artifact=\"a\\n\\nb\\\"\\\\\"} 1\n"), "{text}");
+        assert!(text.contains("artifact=\"evil\\ninjected_metric 1\"} 1\n"), "{text}");
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! A full operator sweep on real hardware takes long enough that losing a
 //! run to a node reclaim is expensive, so the tuning engine periodically
 //! serializes its partial per-candidate state ([`CandCell`]s) to a small
-//! JSON file and can resume from it. The format is hand-rolled — the
-//! machine-model stack is dependency-free — and versioned behind a
+//! JSON file and can resume from it. The file is written and read through
+//! [`sw26010::json`], like every other artifact, and versioned behind a
 //! fingerprint of the tuning context, so a checkpoint from a different
 //! candidate space, machine config or fault plan is detected and ignored
 //! rather than silently corrupting the search.
@@ -20,10 +20,10 @@
 //! (tempfile + rename), so a sweep killed mid-write leaves the previous
 //! checkpoint intact.
 
-use std::fmt::Write as _;
 use std::fs;
 use std::path::Path;
 
+use sw26010::json::{self, Json, Writer};
 use sw26010::{Cycles, MachineConfig};
 
 /// Bumped when the on-disk shape changes; mixed into the fingerprint.
@@ -114,26 +114,21 @@ pub fn fingerprint(cfg: &MachineConfig, n_candidates: usize) -> u64 {
 
 /// Render a checkpoint as its JSON line.
 pub fn render(fingerprint: u64, cells: &[CandCell]) -> String {
-    let mut s = String::with_capacity(32 + cells.len() * 16);
-    let _ = write!(s, "{{\"v\":{FORMAT_VERSION},\"fp\":{fingerprint},\"cells\":[");
-    for (i, c) in cells.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
+    let mut w = Writer::new();
+    w.begin_obj().field("v", FORMAT_VERSION).field("fp", fingerprint).key("cells").begin_arr();
+    for c in cells {
         match c {
-            CandCell::Pending => s.push_str("null"),
+            CandCell::Pending => w.value(None::<u64>),
             CandCell::Done { cycles, retries, samples } => {
-                let _ = write!(s, "{{\"c\":{cycles},\"r\":{retries},\"m\":{samples}}}");
+                w.begin_obj().field("c", cycles).field("r", retries).field("m", samples).end_obj()
             }
             CandCell::Failed { error, retries } => {
-                s.push_str("{\"e\":");
-                escape_into(&mut s, error);
-                let _ = write!(s, ",\"r\":{retries}}}");
+                w.begin_obj().field("e", error).field("r", retries).end_obj()
             }
-        }
+        };
     }
-    s.push_str("]}\n");
-    s
+    w.end_arr().end_obj();
+    w.finish() + "\n"
 }
 
 /// Atomically write a checkpoint: render to `<path>.tmp`, then rename over
@@ -152,275 +147,37 @@ pub fn load(path: &Path) -> Result<Checkpoint, String> {
     parse(&text)
 }
 
-fn escape_into(out: &mut String, s: &str) {
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-/// Parse a checkpoint from its JSON text. The parser accepts the subset of
-/// JSON the renderer emits (objects, arrays, strings, unsigned integers,
-/// `null`), with keys in any order, and fails with a message on anything
-/// else — a truncated or hand-edited file is reported, not trusted.
+/// Parse a checkpoint from its JSON text. Keys may come in any order; a
+/// truncated or hand-edited file is reported, not trusted.
 pub fn parse(text: &str) -> Result<Checkpoint, String> {
-    let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(format!("trailing data at byte {}", p.pos));
-    }
-    let top = v.as_obj("checkpoint")?;
-    let version = get(top, "v")?.as_u64("v")?;
+    let top = json::parse(text)?;
+    let version = top.field("v")?.as_u64("v")?;
     if version != FORMAT_VERSION {
         return Err(format!("unsupported checkpoint version {version}"));
     }
-    let fingerprint = get(top, "fp")?.as_u64("fp")?;
-    let cells = get(top, "cells")?
-        .as_arr("cells")?
-        .iter()
-        .map(cell_of)
-        .collect::<Result<Vec<_>, _>>()?;
+    let fingerprint = top.field("fp")?.as_u64("fp")?;
+    let cells =
+        top.field("cells")?.as_arr("cells")?.iter().map(cell_of).collect::<Result<Vec<_>, _>>()?;
     Ok(Checkpoint { fingerprint, cells })
 }
 
 fn cell_of(v: &Json) -> Result<CandCell, String> {
+    let small = |key: &str| -> Result<u32, String> {
+        let n = v.field(key)?.as_u64(key)?;
+        u32::try_from(n).map_err(|_| format!("{key}: {n} does not fit u32"))
+    };
     match v {
         Json::Null => Ok(CandCell::Pending),
-        Json::Obj(fields) => {
-            let retries = get(fields, "r")?.as_u64("r")? as u32;
-            if let Some(e) = fields.iter().find(|(k, _)| k == "e") {
-                Ok(CandCell::Failed { error: e.1.as_str("e")?.to_string(), retries })
+        Json::Obj(_) => {
+            let retries = small("r")?;
+            if let Some(e) = v.get("e") {
+                Ok(CandCell::Failed { error: e.as_str("e")?.to_string(), retries })
             } else {
-                let cycles = get(fields, "c")?.as_u64("c")?;
-                let samples = get(fields, "m")?.as_u64("m")? as u32;
-                Ok(CandCell::Done { cycles, retries, samples })
+                let cycles = v.field("c")?.as_u64("c")?;
+                Ok(CandCell::Done { cycles, retries, samples: small("m")? })
             }
         }
         _ => Err("cell must be null or an object".to_string()),
-    }
-}
-
-fn get<'a>(fields: &'a [(String, Json)], key: &str) -> Result<&'a Json, String> {
-    fields
-        .iter()
-        .find(|(k, _)| k == key)
-        .map(|(_, v)| v)
-        .ok_or_else(|| format!("missing key \"{key}\""))
-}
-
-/// The minimal JSON value model the checkpoint format needs.
-enum Json {
-    Null,
-    Num(u64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    fn as_u64(&self, what: &str) -> Result<u64, String> {
-        match self {
-            Json::Num(n) => Ok(*n),
-            _ => Err(format!("{what}: expected an unsigned integer")),
-        }
-    }
-
-    fn as_str(&self, what: &str) -> Result<&str, String> {
-        match self {
-            Json::Str(s) => Ok(s),
-            _ => Err(format!("{what}: expected a string")),
-        }
-    }
-
-    fn as_arr(&self, what: &str) -> Result<&[Json], String> {
-        match self {
-            Json::Arr(a) => Ok(a),
-            _ => Err(format!("{what}: expected an array")),
-        }
-    }
-
-    fn as_obj(&self, what: &str) -> Result<&[(String, Json)], String> {
-        match self {
-            Json::Obj(o) => Ok(o),
-            _ => Err(format!("{what}: expected an object")),
-        }
-    }
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Result<u8, String> {
-        self.skip_ws();
-        self.bytes.get(self.pos).copied().ok_or_else(|| "unexpected end of input".to_string())
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek()? != b {
-            return Err(format!("expected '{}' at byte {}", b as char, self.pos));
-        }
-        self.pos += 1;
-        Ok(())
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        match self.peek()? {
-            b'n' => {
-                if self.bytes[self.pos..].starts_with(b"null") {
-                    self.pos += 4;
-                    Ok(Json::Null)
-                } else {
-                    Err(format!("bad literal at byte {}", self.pos))
-                }
-            }
-            b'"' => Ok(Json::Str(self.string()?)),
-            b'[' => {
-                self.pos += 1;
-                let mut items = Vec::new();
-                if self.peek()? == b']' {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                loop {
-                    items.push(self.value()?);
-                    match self.peek()? {
-                        b',' => self.pos += 1,
-                        b']' => {
-                            self.pos += 1;
-                            return Ok(Json::Arr(items));
-                        }
-                        _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
-                    }
-                }
-            }
-            b'{' => {
-                self.pos += 1;
-                let mut fields = Vec::new();
-                if self.peek()? == b'}' {
-                    self.pos += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                loop {
-                    self.skip_ws();
-                    let key = self.string()?;
-                    self.expect(b':')?;
-                    fields.push((key, self.value()?));
-                    match self.peek()? {
-                        b',' => self.pos += 1,
-                        b'}' => {
-                            self.pos += 1;
-                            return Ok(Json::Obj(fields));
-                        }
-                        _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
-                    }
-                }
-            }
-            b'0'..=b'9' => {
-                let start = self.pos;
-                while matches!(self.bytes.get(self.pos), Some(b'0'..=b'9')) {
-                    self.pos += 1;
-                }
-                std::str::from_utf8(&self.bytes[start..self.pos])
-                    .ok()
-                    .and_then(|s| s.parse().ok())
-                    .map(Json::Num)
-                    .ok_or_else(|| format!("bad number at byte {start}"))
-            }
-            c => Err(format!("unexpected '{}' at byte {}", c as char, self.pos)),
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let start = self.pos;
-            while !matches!(self.bytes.get(self.pos), None | Some(b'"' | b'\\')) {
-                self.pos += 1;
-            }
-            out.push_str(
-                std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| "invalid utf-8 in string".to_string())?,
-            );
-            match self.bytes.get(self.pos) {
-                None => return Err("unterminated string".to_string()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let esc =
-                        self.bytes.get(self.pos).ok_or_else(|| "truncated escape".to_string())?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => out.push(self.unicode_escape()?),
-                        c => return Err(format!("unknown escape '\\{}'", *c as char)),
-                    }
-                }
-                Some(_) => unreachable!("scan stops only at quote or backslash"),
-            }
-        }
-    }
-
-    fn hex4(&mut self) -> Result<u32, String> {
-        let hex = self
-            .bytes
-            .get(self.pos..self.pos + 4)
-            .and_then(|h| std::str::from_utf8(h).ok())
-            .and_then(|h| u32::from_str_radix(h, 16).ok())
-            .ok_or_else(|| format!("bad \\u escape at byte {}", self.pos))?;
-        self.pos += 4;
-        Ok(hex)
-    }
-
-    fn unicode_escape(&mut self) -> Result<char, String> {
-        let hi = self.hex4()?;
-        // Surrogate pair: the renderer never emits them, but accept them so
-        // a hand-written checkpoint with standard JSON escapes still loads.
-        let code = if (0xD800..0xDC00).contains(&hi) {
-            if self.bytes.get(self.pos..self.pos + 2) != Some(b"\\u") {
-                return Err("lone high surrogate".to_string());
-            }
-            self.pos += 2;
-            let lo = self.hex4()?;
-            if !(0xDC00..0xE000).contains(&lo) {
-                return Err("invalid low surrogate".to_string());
-            }
-            0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
-        } else {
-            hi
-        };
-        char::from_u32(code).ok_or_else(|| format!("invalid code point {code:#x}"))
     }
 }
 
@@ -471,6 +228,22 @@ mod tests {
         assert!(parse("not json").is_err());
         assert!(parse("{\"v\":99,\"fp\":0,\"cells\":[]}").is_err(), "future version rejected");
         assert!(parse("").is_err());
+        assert!(parse("[]").is_err(), "not an object");
+        assert!(parse("{\"v\":1,\"fp\":-1,\"cells\":[]}").is_err(), "signed fingerprint");
+        assert!(parse("{\"v\":1,\"fp\":0,\"cells\":[true]}").is_err(), "null or an object");
+        // Counters that do not fit their field are reported, not wrapped.
+        let cell = |c: &str| parse(&["{\"v\":1,\"fp\":0,\"cells\":[", c, "]}"].concat());
+        let fits = cell("{\"c\":1,\"r\":4294967295,\"m\":1}").unwrap();
+        assert_eq!(fits.cells[0].retries(), u32::MAX);
+        assert_eq!(
+            cell("{\"c\":1,\"r\":4294967296,\"m\":1}").unwrap_err(),
+            "r: 4294967296 does not fit u32"
+        );
+        assert_eq!(
+            cell("{\"c\":1,\"r\":0,\"m\":4294967296}").unwrap_err(),
+            "m: 4294967296 does not fit u32"
+        );
+        assert!(cell("{\"e\":\"x\",\"r\":4294967296}").is_err());
     }
 
     #[test]

@@ -97,7 +97,6 @@ fn overlap_efficiency_is_derived_bounded_and_exported() {
     assert!((0.0..=1.0).contains(&v), "overlap_efficiency out of range: {v}");
     assert!(v > 0.0, "partial overlap must register: {v}");
     assert!(m.to_json().contains("\"overlap_efficiency\":"));
-    assert!(m.prometheus_text(&[]).contains("swatop_overlap_efficiency"));
     // No hideable traffic at all counts as perfectly overlapped.
     let idle = observatory::derive(&peaks, 1_000, &sw26010::Counters::default());
     assert_eq!(idle.get("overlap_efficiency"), Some(1.0));

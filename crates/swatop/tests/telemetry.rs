@@ -12,10 +12,11 @@
 //! * **exporters** — both JSON exports are structurally valid and the
 //!   Perfetto export names one thread per worker track.
 
+use sw26010::json::parse;
 use sw26010::MachineConfig;
 use swatop::ops::ImplicitConvOp;
 use swatop::scheduler::{Candidate, Scheduler};
-use swatop::telemetry::{validate_json, SpanKind, Telemetry};
+use swatop::telemetry::{SpanKind, Telemetry};
 use swatop::tuner::{tune, TierPolicy, TuneOptions, TuneOutcome};
 use swtensor::ConvShape;
 
@@ -145,13 +146,13 @@ fn exporters_are_valid_json_with_one_thread_per_worker() {
     op_handle.close(op);
     tel.close(sweep);
 
-    let snapshot = tel.snapshot_json();
-    validate_json(&snapshot).expect("snapshot JSON well-formed");
+    let snapshot = tel.snapshot_json_with(None);
+    parse(&snapshot).expect("snapshot JSON well-formed");
     assert!(snapshot.contains("\"predicted\""));
     assert!(snapshot.contains("\"dma_payload_bytes\""));
 
-    let timeline = tel.perfetto_json();
-    validate_json(&timeline).expect("timeline JSON well-formed");
+    let timeline = tel.perfetto_json_with(None);
+    parse(&timeline).expect("timeline JSON well-formed");
     assert!(timeline.contains("\"traceEvents\""));
     assert!(timeline.contains("\"orchestrator\""));
     // Every worker track that recorded a span gets a thread_name entry.

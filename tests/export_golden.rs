@@ -237,7 +237,7 @@ fn masking_touches_only_the_volatile_values() {
          \"caches\":{},\"label\":\"ts\",\"tid\":0}"
     );
     assert_eq!(
-        blank_prometheus("# TYPE swatop_eta_seconds gauge\nswatop_eta_seconds 0.250\nswatop_waves_total 2\n"),
+        blank_prometheus("# TYPE swatop_eta_seconds gauge\nswatop_eta_seconds 0.2\nswatop_waves_total 2\n"),
         "# TYPE swatop_eta_seconds gauge\nswatop_eta_seconds _\nswatop_waves_total 2\n"
     );
 }
