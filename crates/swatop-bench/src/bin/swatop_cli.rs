@@ -37,12 +37,12 @@ use swatop::ops::{
     WinogradConvOp,
 };
 use swatop::scheduler::{Operator, Scheduler};
-use swatop::telemetry::bus::{Event, EventBus, Subscriber};
+use swatop::telemetry::bus::EventBus;
 use swatop::telemetry::metrics::{MetricsHub, MetricsServer};
 use swatop::telemetry::Telemetry;
 use swatop::tuner::pool::{MonitorConfig, PoolMonitor};
 use swatop::tuner::{pool, tune, CheckpointPolicy, TierMode, TierPolicy, TuneOptions};
-use swatop_bench::flight::{flight_html, LiveFlight};
+use swatop_bench::flight::flight_html;
 use swatop_bench::journal::Journal;
 use swatop_bench::runner::{tune_op, TunedOp};
 use swtensor::ConvShape;
@@ -178,37 +178,6 @@ fn tuner_policy(a: &Args) -> TierPolicy {
     }
 }
 
-/// Human progress line for one lifecycle event, or `None` for per-candidate
-/// volume and host-timing samples the console shouldn't scroll through.
-fn progress_line(e: &Event) -> Option<String> {
-    match e {
-        Event::SweepStart { label } => Some(format!("sweep start: {label}")),
-        Event::SweepEnd { label } => Some(format!("sweep done : {label}")),
-        Event::OperatorStart { label, candidates } => {
-            Some(format!("tuning {label} ({candidates} candidates)"))
-        }
-        Event::OperatorEnd { label, best_cycles, executed, quarantined } => {
-            Some(match best_cycles {
-                Some(c) => format!(
-                    "tuned {label}: best {c} cycles ({executed} executed, \
-                     {quarantined} quarantined)"
-                ),
-                None => format!("tuned {label}: no winner ({executed} executed)"),
-            })
-        }
-        Event::Quarantined { index, reason } => {
-            Some(format!("quarantined candidate {index}: {reason}"))
-        }
-        Event::CheckpointSaved { done, total } => {
-            Some(format!("checkpoint: {done}/{total} candidates settled"))
-        }
-        Event::StallFlagged { worker, index, path, stalled_ms } => Some(format!(
-            "watchdog: worker {worker} stalled {stalled_ms} ms on candidate {index} ({path})"
-        )),
-        _ => None,
-    }
-}
-
 /// Background thread printing progress lines to **stderr** (stdout stays
 /// machine-readable under `--json`).
 struct Progress {
@@ -224,33 +193,34 @@ fn spawn_progress(bus: &EventBus) -> Progress {
         .name("swatop-progress".to_string())
         .spawn(move || loop {
             let done = stop2.load(Ordering::Acquire);
-            for e in sub.drain() {
-                if let Some(line) = progress_line(&e) {
-                    eprintln!("swatop: {line}");
-                }
+            for line in sub.drain().iter().filter_map(|e| e.progress_line()) {
+                eprintln!("swatop: {line}");
             }
             if done {
                 return;
             }
-            std::thread::sleep(Duration::from_millis(50));
+            // `finish` unparks, so the last drain does not wait out the nap.
+            std::thread::park_timeout(Duration::from_millis(50));
         })
         .expect("spawn progress printer");
     Progress { stop, handle }
 }
 
 /// Live-observability plumbing for one CLI invocation: the event bus, the
-/// worker monitor, the optional `/metrics` server, the optional progress
-/// printer and the optional flight-report subscriber. All report-only —
-/// winners, cycles and journal records are bit-identical with all of it on
-/// or off (`--quiet`).
+/// worker monitor, the optional progress printer, and the one hub that
+/// `/metrics` and the flight report both read. All report-only — winners,
+/// cycles and journal records are bit-identical with all of it on or off
+/// (`--quiet`).
+#[derive(Default)]
 struct Observability {
     bus: Option<EventBus>,
     monitor: Option<Arc<PoolMonitor>>,
+    /// Present iff `--metrics-addr` or `--flight-report` will read it.
     hub: Option<Arc<MetricsHub>>,
     server: Option<MetricsServer>,
     progress: Option<Progress>,
-    /// Flight-report subscriber and output path (`--flight-report FILE`).
-    flight: Option<(Subscriber, PathBuf)>,
+    /// `--flight-report FILE`.
+    flight: Option<PathBuf>,
     linger: Duration,
 }
 
@@ -260,50 +230,37 @@ impl Observability {
         let metrics_addr = a.flags.get("metrics-addr");
         let flight_path = a.flags.get("flight-report").map(PathBuf::from);
         if quiet && metrics_addr.is_none() && flight_path.is_none() {
-            return Observability {
-                bus: None,
-                monitor: None,
-                hub: None,
-                server: None,
-                progress: None,
-                flight: None,
-                linger: Duration::ZERO,
-            };
+            return Observability::default();
         }
         let num = |k: &str, d: u64| {
             a.flags.get(k).map_or(d, |v| v.parse().unwrap_or_else(|_| usage()))
         };
         let bus = EventBus::default();
-        let monitor = Arc::new(PoolMonitor::new(
-            MonitorConfig {
-                stall_after: Duration::from_millis(num("stall-after-ms", 30_000)),
-                ..MonitorConfig::default()
-            },
-            Some(bus.clone()),
-        ));
+        let stall_after = Duration::from_millis(num("stall-after-ms", 30_000));
+        let monitor = Arc::new(PoolMonitor::new(MonitorConfig { stall_after }, Some(bus.clone())));
         let progress = (!quiet).then(|| spawn_progress(&bus));
-        let flight = flight_path.map(|p| (bus.subscribe(1 << 16), p));
-        let (hub, server) = match metrics_addr {
-            Some(addr) => {
-                let hub = Arc::new(MetricsHub::new(&bus, Some(monitor.clone()), 1 << 14));
-                let server = MetricsServer::start(addr, hub.clone()).unwrap_or_else(|e| {
-                    eprintln!("swatop_cli: --metrics-addr {addr}: {e}");
-                    std::process::exit(2);
-                });
-                if !quiet {
-                    eprintln!("swatop: serving /metrics on {}", server.addr());
-                }
-                (Some(hub), Some(server))
+        // The ring holds a whole unscraped run for the flight report: a
+        // full-scoreboard smoke bench is 9k events, and overflow only turns
+        // the report's counts into stated lower bounds.
+        let hub = (metrics_addr.is_some() || flight_path.is_some())
+            .then(|| Arc::new(MetricsHub::new(&bus, Some(monitor.clone()), 1 << 16)));
+        let server = metrics_addr.zip(hub.as_ref()).map(|(addr, hub)| {
+            let server = MetricsServer::start(addr, hub.clone()).unwrap_or_else(|e| {
+                eprintln!("swatop_cli: --metrics-addr {addr}: {e}");
+                std::process::exit(2);
+            });
+            if !quiet {
+                eprintln!("swatop: serving /metrics on {}", server.addr());
             }
-            None => (None, None),
-        };
+            server
+        });
         Observability {
             bus: Some(bus),
             monitor: Some(monitor),
             hub,
             server,
             progress,
-            flight,
+            flight: flight_path,
             linger: Duration::from_millis(num("metrics-linger", 0)),
         }
     }
@@ -319,18 +276,12 @@ impl Observability {
         }
         if let Some(p) = self.progress {
             p.stop.store(true, Ordering::Release);
+            p.handle.thread().unpark();
             let _ = p.handle.join();
         }
-        if let Some((sub, path)) = self.flight {
-            let mut live = LiveFlight::default();
-            for e in sub.drain() {
-                live.fold(&e);
-            }
-            live.bus_received = sub.received();
-            live.bus_dropped = sub.dropped();
-            live.truncated = truncated.to_vec();
+        if let (Some(hub), Some(path)) = (&self.hub, &self.flight) {
             let journal = Journal::load(journal_path).unwrap_or_default();
-            std::fs::write(&path, flight_html(&journal, label, Some(&live)))
+            std::fs::write(path, flight_html(&journal, label, Some(&hub.snapshot())))
                 .expect("write flight report");
             eprintln!("swatop: flight report written to {}", path.display());
         }

@@ -1,8 +1,8 @@
 //! Experiment implementations, one module per paper table/figure.
 //!
-//! Every `run` function returns the rendered tables so the `all_experiments`
-//! binary can collect them into `EXPERIMENTS_RESULTS.md` while the
-//! per-experiment binaries print them directly.
+//! Every `run` function returns the rendered tables; the `all_experiments`
+//! binary prints them and collects them into `EXPERIMENTS_RESULTS.md`
+//! (`--only fig5,table3` runs a subset by module name).
 //!
 //! The machine is simulated, so experiment cost scales with how much of
 //! each sweep is interpreted. Three scales are supported:
@@ -92,14 +92,14 @@ impl Default for Opts {
 }
 
 impl Opts {
-    /// Parse from command-line arguments: `--full` removes caps and runs
-    /// complete sweeps, `--smoke` sub-samples aggressively, `--cap N` sets
-    /// the spatial cap, `--jobs N` sets the tuner worker count (0 or
-    /// omitted = all available cores, 1 = serial).
-    pub fn from_args() -> Self {
+    /// Parse command-line arguments (without the program name): `--full`
+    /// removes caps and runs complete sweeps, `--smoke` sub-samples
+    /// aggressively, `--cap N` sets the spatial cap, `--jobs N` sets the
+    /// tuner worker count (0 or omitted = all available cores, 1 = serial).
+    pub fn parse(args: impl IntoIterator<Item = String>) -> Self {
         let mut o = Opts::default();
-        let args: Vec<String> = std::env::args().collect();
-        let mut i = 1;
+        let args: Vec<String> = args.into_iter().collect();
+        let mut i = 0;
         while i < args.len() {
             match args[i].as_str() {
                 "--full" => {

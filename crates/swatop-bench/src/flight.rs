@@ -6,10 +6,10 @@
 //! * the **bench journal** (`BENCH_swatop.json`) — per-op GFLOPS trend
 //!   across records, the latest record's convergence curves, roofline
 //!   position and per-op model accuracy;
-//! * an optional **live fold** ([`LiveFlight`]) — event-bus accounting
-//!   from the run that just finished: wave/checkpoint volume, stalls the
-//!   watchdog flagged, quarantine reasons, subscriber drop counts and
-//!   truncated trace artifacts.
+//! * an optional **live snapshot** ([`Snapshot`], the same one `/metrics`
+//!   renders) — event-bus accounting from the run that just finished:
+//!   wave/checkpoint volume, stalls the watchdog flagged, quarantine
+//!   reasons, subscriber drop counts and truncated trace artifacts.
 //!
 //! Everything is hand-rolled: inline SVG charts, inline CSS, no external
 //! assets or URLs, so the file opens identically on an air-gapped machine
@@ -17,88 +17,9 @@
 
 use std::fmt::Write as _;
 
-use swatop::telemetry::bus::Event;
+use swatop::telemetry::metrics::Snapshot;
 
-use crate::journal::{Journal, Record};
-
-/// Event-bus accounting folded from one live run, carried into the
-/// report's "flight accounting" sections. Build one by [`LiveFlight::fold`]ing
-/// every event drained from a dedicated subscriber.
-#[derive(Debug, Clone, Default)]
-pub struct LiveFlight {
-    /// Sweep labels seen (start events).
-    pub sweeps: Vec<String>,
-    /// Per-operator lifecycle: `(label, candidates, best_cycles, executed,
-    /// quarantined)`; `candidates` comes from the start event, the rest
-    /// from the end event.
-    pub operators: Vec<(String, usize, Option<u64>, usize, usize)>,
-    /// Candidates measured (success + failure).
-    pub measured: u64,
-    /// Candidates whose measurement failed.
-    pub failed: u64,
-    /// Transient retries consumed across all measurements.
-    pub retries: u64,
-    /// Quarantined winners: `(candidate index, reason)`.
-    pub quarantines: Vec<(usize, String)>,
-    /// Watchdog flags: `(worker, span path, stalled ms)`.
-    pub stalls: Vec<(usize, String, u64)>,
-    /// Scoreboard waves completed.
-    pub waves: u64,
-    /// Checkpoint files written.
-    pub checkpoints: u64,
-    /// Events the report's own subscriber received.
-    pub bus_received: u64,
-    /// Events the report's own subscriber dropped (ring overflow) — when
-    /// non-zero the accounting above is a *lower bound*.
-    pub bus_dropped: u64,
-    /// Artifacts whose traces hit the event cap (`Trace::truncated`).
-    pub truncated: Vec<String>,
-}
-
-impl LiveFlight {
-    /// Fold one bus event into the accounting.
-    pub fn fold(&mut self, e: &Event) {
-        match e {
-            Event::SweepStart { label } => self.sweeps.push(label.clone()),
-            Event::SweepEnd { .. } => {}
-            Event::OperatorStart { label, candidates } => {
-                self.operators.push((label.clone(), *candidates, None, 0, 0));
-            }
-            Event::OperatorEnd { label, best_cycles, executed, quarantined } => {
-                // Match the most recent unfinished start with this label
-                // (the auto method tunes several ops with distinct labels,
-                // so last-match is unambiguous in practice).
-                if let Some(op) = self
-                    .operators
-                    .iter_mut()
-                    .rev()
-                    .find(|(l, _, best, ..)| l == label && best.is_none())
-                {
-                    op.2 = *best_cycles;
-                    op.3 = *executed;
-                    op.4 = *quarantined;
-                }
-            }
-            Event::WaveStart { .. } => {}
-            Event::WaveEnd { .. } => self.waves += 1,
-            Event::CandidateMeasured { cycles, retries, .. } => {
-                self.measured += 1;
-                if cycles.is_none() {
-                    self.failed += 1;
-                }
-                self.retries += u64::from(*retries);
-            }
-            Event::Quarantined { index, reason } => {
-                self.quarantines.push((*index, reason.clone()));
-            }
-            Event::MemoTick { .. } | Event::Heartbeat { .. } => {}
-            Event::CheckpointSaved { .. } => self.checkpoints += 1,
-            Event::StallFlagged { worker, path, stalled_ms, .. } => {
-                self.stalls.push((*worker, path.clone(), *stalled_ms));
-            }
-        }
-    }
-}
+use crate::journal::{op_series, Journal, Record};
 
 /// Escape text for HTML body and attribute positions.
 fn esc(s: &str) -> String {
@@ -245,7 +166,7 @@ fn fmt_opt(x: Option<f64>) -> String {
 /// Render the flight report. `label` filters the journal (None = every
 /// record); `live` attaches the event-bus accounting of a run that just
 /// finished (None for the standalone `report` subcommand).
-pub fn flight_html(journal: &Journal, label: Option<&str>, live: Option<&LiveFlight>) -> String {
+pub fn flight_html(journal: &Journal, label: Option<&str>, live: Option<&Snapshot>) -> String {
     let records: Vec<&Record> = match label {
         Some(l) => journal.with_label(l),
         None => journal.records.iter().collect(),
@@ -281,23 +202,13 @@ pub fn flight_html(journal: &Journal, label: Option<&str>, live: Option<&LiveFli
 
     // -- Journal trajectory: per-op GFLOPS trend across records. ----------
     s.push_str("<h2>Journal trajectory (GFLOPS per op)</h2>\n");
-    let mut op_names: Vec<&str> = Vec::new();
-    for r in &records {
-        for op in &r.ops {
-            if !op_names.contains(&op.name.as_str()) {
-                op_names.push(&op.name);
-            }
-        }
-    }
-    let trend: Vec<(String, Vec<(f64, f64)>)> = op_names
-        .iter()
-        .map(|name| {
-            let pts = records
+    let trend: Vec<(String, Vec<(f64, f64)>)> = op_series(&records)
+        .into_iter()
+        .map(|(name, per_record)| {
+            let pts = per_record
                 .iter()
                 .enumerate()
-                .filter_map(|(i, r)| {
-                    r.ops.iter().find(|o| o.name == **name).map(|o| (i as f64, o.gflops))
-                })
+                .filter_map(|(i, op)| op.map(|o| (i as f64, o.gflops)))
                 .collect();
             (name.to_string(), pts)
         })
@@ -397,7 +308,7 @@ pub fn flight_html(journal: &Journal, label: Option<&str>, live: Option<&LiveFli
 
     // -- Fault / quarantine / retry accounting. ----------------------------
     s.push_str("<h2>Fault &amp; quarantine accounting</h2>\n");
-    if let Some(l) = live {
+    if let Some(l) = live.map(|snap| &snap.fold) {
         let _ = writeln!(
             s,
             "<p>Live run: {} candidate measurements ({} failed, {} transient retries), \
@@ -409,12 +320,13 @@ pub fn flight_html(journal: &Journal, label: Option<&str>, live: Option<&LiveFli
                 "<table><tr><th>operator</th><th>candidates</th><th>best cycles</th>\
                  <th>executed</th><th>quarantined</th></tr>\n",
             );
-            for (label, cands, best, executed, quarantined) in &l.operators {
+            for op in &l.operators {
+                let (best, executed, quarantined) = op.end.unwrap_or_default();
                 let _ = writeln!(
                     s,
                     "<tr><td>{}</td><td>{}</td><td>{}</td><td>{}</td><td>{}</td></tr>",
-                    esc(label),
-                    cands,
+                    esc(&op.label),
+                    op.candidates,
                     best.map_or_else(|| "—".to_string(), |c| c.to_string()),
                     executed,
                     quarantined
@@ -460,19 +372,19 @@ pub fn flight_html(journal: &Journal, label: Option<&str>, live: Option<&LiveFli
     // -- Data completeness. ------------------------------------------------
     s.push_str("<h2>Data completeness</h2>\n");
     if let Some(l) = live {
-        if l.bus_dropped == 0 {
+        if l.dropped == 0 {
             let _ = writeln!(
                 s,
                 "<p>Event bus: {} event(s) received, none dropped — the accounting \
                  above is complete.</p>",
-                l.bus_received
+                l.received
             );
         } else {
             let _ = writeln!(
                 s,
                 "<p class=\"warn\">Event bus: {} event(s) received, {} dropped \
                  (subscriber ring overflow) — live counts are lower bounds.</p>",
-                l.bus_received, l.bus_dropped
+                l.received, l.dropped
             );
         }
         if l.truncated.is_empty() {
@@ -501,6 +413,8 @@ mod tests {
     use super::*;
     use crate::journal::{OpBench, TierCounts};
     use swatop::observatory::{Bottleneck, BottleneckMix};
+    use swatop::telemetry::bus::{Event, EventBus};
+    use swatop::telemetry::metrics::MetricsHub;
 
     fn record(label: &str, gflops: f64) -> Record {
         Record {
@@ -534,42 +448,11 @@ mod tests {
     }
 
     #[test]
-    fn live_fold_accounts_lifecycle() {
-        let mut l = LiveFlight::default();
-        for e in [
-            Event::SweepStart { label: "s".into() },
-            Event::OperatorStart { label: "gemm".into(), candidates: 12 },
-            Event::CandidateMeasured { index: 0, cycles: Some(100), retries: 1, worker: 0 },
-            Event::CandidateMeasured { index: 1, cycles: None, retries: 2, worker: 1 },
-            Event::WaveEnd { measured: 2, failed: 1 },
-            Event::Quarantined { index: 0, reason: "illegal".into() },
-            Event::CheckpointSaved { done: 2, total: 12 },
-            Event::StallFlagged { worker: 1, index: 1, path: "gemm / t_m=64".into(), stalled_ms: 99 },
-            Event::OperatorEnd {
-                label: "gemm".into(),
-                best_cycles: Some(100),
-                executed: 2,
-                quarantined: 1,
-            },
-            Event::SweepEnd { label: "s".into() },
-        ] {
-            l.fold(&e);
-        }
-        assert_eq!(l.sweeps, vec!["s".to_string()]);
-        assert_eq!(l.operators, vec![("gemm".to_string(), 12, Some(100), 2, 1)]);
-        assert_eq!((l.measured, l.failed, l.retries), (2, 1, 3));
-        assert_eq!(l.quarantines.len(), 1);
-        assert_eq!(l.stalls, vec![(1, "gemm / t_m=64".to_string(), 99)]);
-        assert_eq!((l.waves, l.checkpoints), (1, 1));
-    }
-
-    #[test]
     fn flight_html_is_self_contained_and_escaped() {
         let j = Journal { records: vec![record("run", 16.0), record("run", 42.5)] };
-        let mut live = LiveFlight::default();
-        live.fold(&Event::OperatorStart { label: "gemm <evil>".into(), candidates: 3 });
-        live.bus_received = 1;
-        live.truncated.push("trace.json".into());
+        let mut live =
+            Snapshot { received: 1, truncated: vec!["trace.json".into()], ..Snapshot::default() };
+        live.fold.fold(Event::OperatorStart { label: "gemm <evil>".into(), candidates: 3 });
         let html = flight_html(&j, Some("run"), Some(&live));
         assert!(html.starts_with("<!DOCTYPE html>"));
         assert!(html.trim_end().ends_with("</html>"));
@@ -593,6 +476,52 @@ mod tests {
         assert!(!html.contains("http://"));
         assert!(!html.contains("https://"));
         assert!(html.contains("trace.json"));
+    }
+
+    /// `/metrics` and the flight report are two renderings of one fold, so
+    /// they count the same run the same way — including a panicked item,
+    /// which arrives in `WaveEnd { failed }` with no `CandidateMeasured`.
+    #[test]
+    fn metrics_and_flight_report_show_the_same_numbers() {
+        let bus = EventBus::new();
+        let hub = MetricsHub::new(&bus, None, 64);
+        for e in [
+            Event::OperatorStart { label: "gemm".into(), candidates: 9 },
+            Event::WaveStart { size: 3 },
+            Event::CandidateMeasured { index: 4, cycles: Some(100), retries: 2, worker: 0 },
+            Event::CandidateMeasured { index: 5, cycles: None, retries: 1, worker: 1 },
+            // Candidate 6 panicked: no `CandidateMeasured` for it.
+            Event::WaveEnd { measured: 1, failed: 2 },
+            Event::CheckpointSaved { done: 3, total: 9 },
+            Event::WaveStart { size: 1 },
+            Event::WaveEnd { measured: 0, failed: 1 },
+            Event::StallFlagged { worker: 1, index: 5, path: "gemm / t_m".into(), stalled_ms: 99 },
+            Event::Quarantined { index: 4, reason: "illegal".into() },
+        ] {
+            bus.emit(e);
+        }
+        let prom = hub.prometheus_text();
+        let html = flight_html(&Journal::default(), None, Some(&hub.snapshot()));
+        for series in [
+            "candidates_measured_total 2",
+            "candidates_failed_total 3",
+            "candidate_retries_total 3",
+            "quarantined_total 1",
+            "stalls_flagged_total 1",
+            "waves_total 2",
+            "checkpoints_saved_total 1",
+        ] {
+            assert!(prom.contains(&format!("swatop_{series}\n")), "{series}: {prom}");
+        }
+        assert!(
+            html.contains(
+                "2 candidate measurements (3 failed, 3 transient retries), \
+                 2 scoreboard wave(s), 1 checkpoint write(s)."
+            ),
+            "{html}"
+        );
+        assert_eq!(html.matches("quarantined: illegal</li>").count(), 1, "{html}");
+        assert_eq!(html.matches("stalled 99 ms in gemm / t_m</li>").count(), 1, "{html}");
     }
 
     #[test]

@@ -331,7 +331,7 @@ pub struct BenchOpts {
     /// events are emitted on it when present. Never affects measured
     /// cycles or winners.
     pub bus: Option<swatop::telemetry::bus::EventBus>,
-    /// Worker heartbeat/stall monitor shared with the tuner pool.
+    /// Worker utilization/stall monitor shared with the tuner pool.
     pub monitor: Option<std::sync::Arc<swatop::tuner::pool::PoolMonitor>>,
 }
 
@@ -500,6 +500,20 @@ pub fn run_bench(opts: &BenchOpts) -> Record {
     }
 }
 
+/// Every op name of `records` in first-appearance order, each with that op's
+/// entry in every record (`None` where a record lacks it) — the series the
+/// trend, the comparison gate and the flight report's chart are built from.
+pub fn op_series<'r>(records: &[&'r Record]) -> Vec<(&'r str, Vec<Option<&'r OpBench>>)> {
+    let mut names: Vec<&str> = Vec::new();
+    for op in records.iter().flat_map(|r| &r.ops) {
+        if !names.contains(&op.name.as_str()) {
+            names.push(&op.name);
+        }
+    }
+    let find = |r: &&'r Record, name| r.ops.iter().find(|o| o.name == name);
+    names.into_iter().map(|name| (name, records.iter().map(|r| find(r, name)).collect())).collect()
+}
+
 /// Render a journal (optionally filtered by label) as one machine-readable
 /// JSON document: the raw records plus a per-op GFLOPS trend series in
 /// first-appearance order (`journal show --json`). Built on the same
@@ -509,14 +523,6 @@ pub fn show_json(journal: &Journal, label: Option<&str>) -> String {
         Some(l) => journal.with_label(l),
         None => journal.records.iter().collect(),
     };
-    let mut op_names: Vec<&str> = Vec::new();
-    for r in &records {
-        for op in &r.ops {
-            if !op_names.contains(&op.name.as_str()) {
-                op_names.push(&op.name);
-            }
-        }
-    }
     let mut w = Writer::new();
     w.begin_obj()
         .field("schema", SCHEMA_VERSION)
@@ -524,9 +530,9 @@ pub fn show_json(journal: &Journal, label: Option<&str>) -> String {
         .field("records", records.as_slice())
         .key("trend")
         .begin_arr();
-    for name in op_names {
+    for (name, per_record) in op_series(&records) {
         w.begin_obj().field("op", name).key("gflops").begin_arr();
-        for op in records.iter().filter_map(|r| r.ops.iter().find(|o| o.name == name)) {
+        for op in per_record.into_iter().flatten() {
             w.value(op.gflops);
         }
         w.end_arr().end_obj();
@@ -657,21 +663,10 @@ pub fn transition_lines(base: &[&Record], cand: &[&Record]) -> Vec<String> {
 /// a glance, no JSON spelunking (e.g.
 /// `gemm_256: 16.0, 42.5 (+26.5), 61.2 (+18.7) GFLOPS`).
 pub fn trend_lines(records: &[&Record]) -> Vec<String> {
-    let mut names: Vec<&str> = Vec::new();
-    for r in records {
-        for op in &r.ops {
-            if !names.contains(&op.name.as_str()) {
-                names.push(&op.name);
-            }
-        }
-    }
-    names
+    op_series(records)
         .into_iter()
-        .map(|name| {
-            let samples: Vec<f64> = records
-                .iter()
-                .flat_map(|r| r.ops.iter().filter(|o| o.name == name).map(|o| o.gflops))
-                .collect();
+        .map(|(name, per_record)| {
+            let samples: Vec<f64> = per_record.into_iter().flatten().map(|o| o.gflops).collect();
             let mut parts = Vec::with_capacity(samples.len());
             for (i, g) in samples.iter().enumerate() {
                 if i == 0 {
@@ -802,22 +797,12 @@ pub fn compare(base: &[&Record], cand: &[&Record], opts: &CompareOpts) -> Vec<Re
     }
 
     // Op names in baseline order (first record wins the ordering).
-    let mut names: Vec<&str> = Vec::new();
-    for r in base.iter().chain(cand.iter()) {
-        for op in &r.ops {
-            if !names.contains(&op.name.as_str()) {
-                names.push(&op.name);
-            }
-        }
-    }
-    for name in names {
-        let collect = |side: &[&Record]| -> Vec<f64> {
-            side.iter()
-                .flat_map(|r| r.ops.iter().filter(|o| o.name == name).map(|o| o.cycles as f64))
-                .collect()
+    for (name, per_record) in op_series(&[base, cand].concat()) {
+        let cycles = |side: &[Option<&OpBench>]| -> Vec<f64> {
+            side.iter().flatten().map(|o| o.cycles as f64).collect()
         };
-        let (mut b, mut c) = (collect(base), collect(cand));
-        match (median(&mut b), median(&mut c)) {
+        let (b, c) = per_record.split_at(base.len());
+        match (median(&mut cycles(b)), median(&mut cycles(c))) {
             (Some(b_med), Some(c_med)) => {
                 let allowed = b_med * (1.0 + opts.cycles_rel);
                 if c_med > allowed {

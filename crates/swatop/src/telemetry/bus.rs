@@ -4,8 +4,13 @@
 //! into reports after the run finishes. This bus is the live counterpart —
 //! the tuner engine, the worker pool and the sweep harnesses publish typed
 //! [`Event`]s as they happen, and any number of subscribers (a progress
-//! printer, a `/metrics` endpoint, a flight-report accountant) drain them
-//! concurrently. Design constraints, in order:
+//! printer, the [`MetricsHub`](crate::telemetry::metrics::MetricsHub) behind
+//! `/metrics` and the flight report) drain them concurrently. This module is
+//! the one home of the event vocabulary: the variants, their cross-run key
+//! ([`Event::deterministic_key`]), their console line
+//! ([`Event::progress_line`]) and the one accounting [`Fold`] every report
+//! renders from — adding or deleting an event is an edit to this file only.
+//! Design constraints, in order:
 //!
 //! * **Zero-cost when nobody listens.** [`EventBus::emit_with`] takes a
 //!   closure and checks a relaxed atomic subscriber count before building
@@ -20,9 +25,9 @@
 //! * **Report-only determinism.** Events describe tuning decisions; they
 //!   never feed them. Lifecycle events carry only simulation-derived
 //!   payloads and expose a [`Event::deterministic_key`] that is identical
-//!   (as a multiset) for every `--jobs` value; host-timing events
-//!   (heartbeats, stalls, cache ticks) return `None` there and are
-//!   excluded from cross-run comparisons.
+//!   (as a multiset) for every `--jobs` value; the one host-timing event
+//!   (a flagged stall) returns `None` there and is excluded from cross-run
+//!   comparisons.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -31,8 +36,8 @@ use std::sync::{Arc, Weak};
 use parking_lot::Mutex;
 
 /// A typed sweep lifecycle event. Variants that describe *what the tuner
-/// decided* are deterministic in content; variants that describe *how the
-/// host behaved* (heartbeats, stalls, cache ticks) are not — see
+/// decided* are deterministic in content; the variant that describes *how
+/// the host behaved* (a flagged stall) is not — see
 /// [`Event::deterministic_key`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum Event {
@@ -70,27 +75,8 @@ pub enum Event {
     },
     /// A prospective winner was rejected by the validator.
     Quarantined { index: usize, reason: String },
-    /// Shared evaluation-cache counters at a wave boundary. Process-global
-    /// and order-dependent under concurrency: host-timing, not lifecycle.
-    /// The kernel figures count cost *queries* — one per static `Gemm` node
-    /// per interpreted run — not executed kernel calls.
-    MemoTick {
-        kernel_hits: u64,
-        kernel_misses: u64,
-        memo_hits: u64,
-        memo_misses: u64,
-    },
     /// A checkpoint file was written with `done` of `total` cells settled.
     CheckpointSaved { done: usize, total: usize },
-    /// Periodic per-worker liveness sample from the pool monitor.
-    Heartbeat {
-        worker: usize,
-        /// Items the worker has finished so far.
-        items: u64,
-        /// Milliseconds since the worker last finished an item (0 while
-        /// idle before its first claim).
-        idle_ms: u64,
-    },
     /// The stall watchdog flagged a wedged worker/candidate. Report-only:
     /// the measurement keeps running.
     StallFlagged {
@@ -134,8 +120,122 @@ impl Event {
             Event::CheckpointSaved { done, total } => {
                 Some(format!("checkpoint {done}/{total}"))
             }
-            Event::MemoTick { .. } | Event::Heartbeat { .. } | Event::StallFlagged { .. } => None,
+            Event::StallFlagged { .. } => None,
         }
+    }
+
+    /// Human progress line for the console, or `None` for per-candidate and
+    /// per-wave volume the console shouldn't scroll through.
+    pub fn progress_line(&self) -> Option<String> {
+        match self {
+            Event::SweepStart { label } => Some(format!("sweep start: {label}")),
+            Event::SweepEnd { label } => Some(format!("sweep done : {label}")),
+            Event::OperatorStart { label, candidates } => {
+                Some(format!("tuning {label} ({candidates} candidates)"))
+            }
+            Event::OperatorEnd { label, best_cycles: Some(c), executed, quarantined } => {
+                Some(format!(
+                    "tuned {label}: best {c} cycles ({executed} executed, \
+                     {quarantined} quarantined)"
+                ))
+            }
+            Event::OperatorEnd { label, best_cycles: None, executed, .. } => {
+                Some(format!("tuned {label}: no winner ({executed} executed)"))
+            }
+            Event::Quarantined { index, reason } => {
+                Some(format!("quarantined candidate {index}: {reason}"))
+            }
+            Event::CheckpointSaved { done, total } => {
+                Some(format!("checkpoint: {done}/{total} candidates settled"))
+            }
+            Event::StallFlagged { worker, index, path, stalled_ms } => Some(format!(
+                "watchdog: worker {worker} stalled {stalled_ms} ms on candidate {index} ({path})"
+            )),
+            Event::WaveStart { .. } | Event::WaveEnd { .. } | Event::CandidateMeasured { .. } => {
+                None
+            }
+        }
+    }
+}
+
+/// One operator's lifecycle as the [`Fold`] saw it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct OperatorFold {
+    pub label: String,
+    /// Enumerated candidates, from the start event.
+    pub candidates: usize,
+    /// Candidates measured while this operator was the one in flight.
+    pub measured: u64,
+    /// `(best cycles, executed, quarantined)` from the end event; `None`
+    /// while the operator is in flight.
+    pub end: Option<(Option<u64>, usize, usize)>,
+}
+
+/// The accounting of one event stream: what `/metrics`, the flight report
+/// and anything else that counts events reads. There is one fold, so two
+/// reports of one run cannot disagree.
+#[derive(Debug, Clone, Default)]
+pub struct Fold {
+    /// Sweep labels seen (start events).
+    pub sweeps: Vec<String>,
+    /// Operators in start order.
+    pub operators: Vec<OperatorFold>,
+    /// Candidates whose measurement completed (success + failure).
+    pub measured: u64,
+    /// Candidates that failed terminally or panicked.
+    pub failed: u64,
+    /// Transient retries consumed across all measurements.
+    pub retries: u64,
+    /// Quarantined winners: `(candidate index, reason)`.
+    pub quarantines: Vec<(usize, String)>,
+    /// Watchdog flags: `(worker, span path, stalled ms)`.
+    pub stalls: Vec<(usize, String, u64)>,
+    /// Scoreboard waves dispatched.
+    pub waves: u64,
+    /// Checkpoint files written.
+    pub checkpoints: u64,
+}
+
+impl Fold {
+    /// Fold one bus event into the accounting.
+    pub fn fold(&mut self, e: Event) {
+        match e {
+            Event::SweepStart { label } => self.sweeps.push(label),
+            Event::SweepEnd { .. } => {}
+            Event::OperatorStart { label, candidates } => {
+                self.operators.push(OperatorFold { label, candidates, measured: 0, end: None });
+            }
+            Event::OperatorEnd { label, best_cycles, executed, quarantined } => {
+                // The most recent unfinished start with this label (the auto
+                // method tunes several ops with distinct labels).
+                let open = |o: &&mut OperatorFold| o.label == label && o.end.is_none();
+                if let Some(op) = self.operators.iter_mut().rev().find(open) {
+                    op.end = Some((best_cycles, executed, quarantined));
+                }
+            }
+            Event::WaveStart { .. } => self.waves += 1,
+            // The one place a failure is counted: `WaveEnd` covers both a
+            // failed measurement (which also arrives as `CandidateMeasured
+            // { cycles: None }`) and a panicked item (which does not).
+            Event::WaveEnd { failed, .. } => self.failed += failed as u64,
+            Event::CandidateMeasured { retries, .. } => {
+                self.measured += 1;
+                self.retries += u64::from(retries);
+                if let Some(op) = self.operators.iter_mut().rev().find(|o| o.end.is_none()) {
+                    op.measured += 1;
+                }
+            }
+            Event::Quarantined { index, reason } => self.quarantines.push((index, reason)),
+            Event::CheckpointSaved { .. } => self.checkpoints += 1,
+            Event::StallFlagged { worker, path, stalled_ms, .. } => {
+                self.stalls.push((worker, path, stalled_ms));
+            }
+        }
+    }
+
+    /// The operator in flight (the most recent one without an end event).
+    pub fn in_flight(&self) -> Option<&OperatorFold> {
+        self.operators.iter().rev().find(|o| o.end.is_none())
     }
 }
 
@@ -359,12 +459,74 @@ mod tests {
         let other_worker =
             Event::CandidateMeasured { index: 7, cycles: Some(42), retries: 1, worker: 0 };
         assert_eq!(other_worker.deterministic_key().unwrap(), key);
-        for host in [
-            Event::Heartbeat { worker: 0, items: 1, idle_ms: 5 },
-            Event::StallFlagged { worker: 0, index: 1, path: "x".into(), stalled_ms: 9 },
-            Event::MemoTick { kernel_hits: 1, kernel_misses: 2, memo_hits: 3, memo_misses: 4 },
+        let host = Event::StallFlagged { worker: 0, index: 1, path: "x".into(), stalled_ms: 9 };
+        assert!(host.deterministic_key().is_none(), "{host:?}");
+    }
+
+    #[test]
+    fn live_fold_accounts_lifecycle() {
+        let mut l = Fold::default();
+        for e in [
+            Event::SweepStart { label: "s".into() },
+            Event::OperatorStart { label: "gemm".into(), candidates: 12 },
+            Event::WaveStart { size: 2 },
+            Event::CandidateMeasured { index: 0, cycles: Some(100), retries: 1, worker: 0 },
+            Event::CandidateMeasured { index: 1, cycles: None, retries: 2, worker: 1 },
+            Event::WaveEnd { measured: 1, failed: 1 },
+            Event::Quarantined { index: 0, reason: "illegal".into() },
+            Event::CheckpointSaved { done: 2, total: 12 },
+            Event::StallFlagged { worker: 1, index: 1, path: "gemm / t_m".into(), stalled_ms: 99 },
         ] {
-            assert!(host.deterministic_key().is_none(), "{host:?}");
+            l.fold(e);
         }
+        assert_eq!(l.in_flight().map(|o| (o.candidates, o.measured)), Some((12, 2)));
+        l.fold(Event::OperatorEnd {
+            label: "gemm".into(),
+            best_cycles: Some(100),
+            executed: 2,
+            quarantined: 1,
+        });
+        l.fold(Event::SweepEnd { label: "s".into() });
+        assert_eq!(l.sweeps, vec!["s".to_string()]);
+        let gemm = OperatorFold {
+            label: "gemm".into(),
+            candidates: 12,
+            measured: 2,
+            end: Some((Some(100), 2, 1)),
+        };
+        assert_eq!(l.operators, vec![gemm]);
+        assert!(l.in_flight().is_none());
+        assert_eq!((l.measured, l.failed, l.retries), (2, 1, 3));
+        assert_eq!(l.quarantines, vec![(0, "illegal".to_string())]);
+        assert_eq!(l.stalls, vec![(1, "gemm / t_m".to_string(), 99)]);
+        assert_eq!((l.waves, l.checkpoints), (1, 1));
+    }
+
+    #[test]
+    fn progress_lines_skip_per_candidate_volume() {
+        let line = |e: Event| e.progress_line();
+        assert_eq!(
+            line(Event::OperatorEnd {
+                label: "gemm".into(),
+                best_cycles: Some(7),
+                executed: 3,
+                quarantined: 0
+            })
+            .as_deref(),
+            Some("tuned gemm: best 7 cycles (3 executed, 0 quarantined)")
+        );
+        assert_eq!(
+            line(Event::OperatorEnd {
+                label: "gemm".into(),
+                best_cycles: None,
+                executed: 3,
+                quarantined: 0
+            })
+            .as_deref(),
+            Some("tuned gemm: no winner (3 executed)")
+        );
+        assert!(line(Event::WaveStart { size: 3 }).is_none());
+        assert!(line(Event::CandidateMeasured { index: 0, cycles: None, retries: 0, worker: 0 })
+            .is_none());
     }
 }

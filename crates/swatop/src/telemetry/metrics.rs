@@ -2,9 +2,11 @@
 //! for a running sweep.
 //!
 //! [`MetricsHub`] subscribes to the [`bus`](crate::telemetry::bus) and
-//! folds drained events into live gauges at *scrape* time — the tuner
-//! never blocks on a scraper, and a scraper never blocks the tuner beyond
-//! one mailbox mutex push. [`MetricsServer`] is a deliberately minimal
+//! holds the run's one [`Fold`]: drained events are folded at *scrape* time
+//! — the tuner never blocks on a scraper, and a scraper never blocks the
+//! tuner beyond one mailbox mutex push — and [`MetricsHub::snapshot`] is
+//! what both renderers read, the family table here and the flight report's
+//! HTML. [`MetricsServer`] is a deliberately minimal
 //! `std::net` HTTP/1.1 responder (serial accept loop, fixed headers,
 //! `Connection: close`): it serves exactly one document, so a real HTTP
 //! stack would be dead weight. The text is one table of metric families —
@@ -12,7 +14,7 @@
 //! label escaper: the shared evaluation caches, then the live sweep gauges:
 //! candidate funnel and throughput, ETA for the operator in flight,
 //! per-worker utilization from the [`PoolMonitor`], stall and quarantine
-//! counts, memo hit rates, and the bus's own received/dropped counters so
+//! counts, cache hit rates, and the bus's own received/dropped counters so
 //! a scraper can tell sampled data from complete data.
 
 use std::fmt::Write as _;
@@ -24,80 +26,38 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
-use crate::telemetry::bus::{Event, EventBus, Subscriber};
+use crate::telemetry::bus::{EventBus, Fold, Subscriber};
 use crate::tuner::pool::{PoolMonitor, WorkerStats};
 
-/// Folded view of the event stream, updated on every scrape.
+/// What the hub knows at one instant: the fold of every event delivered so
+/// far, and how complete that is.
 #[derive(Debug, Clone, Default)]
-struct Live {
-    sweeps_started: u64,
-    sweeps_ended: u64,
-    operators_started: u64,
-    operators_ended: u64,
-    /// `(label, planned candidates, measured so far)` of the operator in
-    /// flight — the ETA numerator.
-    current_op: Option<(String, u64, u64)>,
-    measured: u64,
-    failed: u64,
-    retried: u64,
-    quarantined: u64,
-    waves: u64,
-    checkpoints: u64,
-    stalls: u64,
-    heartbeats: u64,
+pub struct Snapshot {
+    pub fold: Fold,
+    /// Events the hub's subscriber received.
+    pub received: u64,
+    /// Events it lost to ring overflow — when non-zero the fold's counts are
+    /// lower bounds.
+    pub dropped: u64,
+    /// Artifacts whose contents were silently capped (e.g. a trace that hit
+    /// its event cap).
+    pub truncated: Vec<String>,
 }
 
-impl Live {
-    fn fold(&mut self, e: Event) {
-        match e {
-            Event::SweepStart { .. } => self.sweeps_started += 1,
-            Event::SweepEnd { .. } => self.sweeps_ended += 1,
-            Event::OperatorStart { label, candidates } => {
-                self.operators_started += 1;
-                self.current_op = Some((label, candidates as u64, 0));
-            }
-            Event::OperatorEnd { .. } => {
-                self.operators_ended += 1;
-                self.current_op = None;
-            }
-            Event::WaveStart { .. } => self.waves += 1,
-            // The one place a failure is counted: `WaveEnd` covers both a
-            // failed measurement (which also arrives as `CandidateMeasured
-            // { cycles: None }`) and a panicked item (which does not).
-            Event::WaveEnd { failed, .. } => self.failed += failed as u64,
-            Event::CandidateMeasured { retries, .. } => {
-                self.measured += 1;
-                self.retried += u64::from(retries);
-                if let Some((_, _, done)) = &mut self.current_op {
-                    *done += 1;
-                }
-            }
-            Event::Quarantined { .. } => self.quarantined += 1,
-            Event::CheckpointSaved { .. } => self.checkpoints += 1,
-            Event::StallFlagged { .. } => self.stalls += 1,
-            Event::Heartbeat { .. } => self.heartbeats += 1,
-            Event::MemoTick { .. } => {}
-        }
-    }
-}
-
-/// Aggregates live sweep state for the `/metrics` endpoint (and the flight
-/// report's live section). Thread-safe; scrapes are serialized on an
+/// Aggregates live sweep state for the `/metrics` endpoint and the flight
+/// report's live sections. Thread-safe; snapshots are serialized on an
 /// internal mutex.
 pub struct MetricsHub {
     sub: Subscriber,
     monitor: Option<Arc<PoolMonitor>>,
-    live: Mutex<Live>,
-    /// Artifacts known to be silently capped (e.g. a truncated trace);
-    /// surfaced as a labelled gauge so capped data is visible, not
-    /// implied-complete.
+    fold: Mutex<Fold>,
     truncated: Mutex<Vec<String>>,
     epoch: Instant,
 }
 
 impl std::fmt::Debug for MetricsHub {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MetricsHub").field("live", &*self.live.lock()).finish()
+        f.debug_struct("MetricsHub").field("fold", &*self.fold.lock()).finish()
     }
 }
 
@@ -140,7 +100,7 @@ impl MetricsHub {
         MetricsHub {
             sub: bus.subscribe(cap),
             monitor,
-            live: Mutex::new(Live::default()),
+            fold: Mutex::new(Fold::default()),
             truncated: Mutex::new(Vec::new()),
             epoch: Instant::now(),
         }
@@ -151,24 +111,36 @@ impl MetricsHub {
         self.truncated.lock().push(artifact.to_string());
     }
 
-    /// Fold any pending events and render the full Prometheus text
+    /// Fold any pending events and report the accounting so far.
+    pub fn snapshot(&self) -> Snapshot {
+        let fold = {
+            let mut fold = self.fold.lock();
+            for e in self.sub.drain() {
+                fold.fold(e);
+            }
+            fold.clone()
+        };
+        Snapshot {
+            fold,
+            received: self.sub.received(),
+            dropped: self.sub.dropped(),
+            truncated: self.truncated.lock().clone(),
+        }
+    }
+
+    /// Render [`MetricsHub::snapshot`] as the full Prometheus text
     /// exposition.
     pub fn prometheus_text(&self) -> String {
-        let live = {
-            let mut live = self.live.lock();
-            for e in self.sub.drain() {
-                live.fold(e);
-            }
-            live.clone()
-        };
+        let Snapshot { fold, received, dropped, truncated } = self.snapshot();
         let elapsed = self.epoch.elapsed().as_secs_f64();
-        let rate = if elapsed > 0.0 { live.measured as f64 / elapsed } else { 0.0 };
-        let eta = match &live.current_op {
-            Some((_, planned, done)) if rate > 0.0 => {
-                planned.saturating_sub(*done) as f64 / rate
+        let rate = if elapsed > 0.0 { fold.measured as f64 / elapsed } else { 0.0 };
+        let eta = match fold.in_flight() {
+            Some(op) if rate > 0.0 => {
+                (op.candidates as u64).saturating_sub(op.measured) as f64 / rate
             }
             _ => 0.0,
         };
+        let ended = fold.operators.iter().filter(|o| o.end.is_some()).count();
 
         let one = |value: String| vec![(None, value)];
         let count = |n: u64| one(n.to_string());
@@ -187,12 +159,11 @@ impl MetricsHub {
         };
         // Artifacts known to be capped: the count, then one labelled sample
         // each, so capped data is visible, not implied-complete.
-        let truncated = self.truncated.lock();
         let mut artifacts = count(truncated.len() as u64);
-        artifacts.extend(truncated.iter().map(|a| (Some(("artifact", a.clone())), "1".into())));
+        artifacts.extend(truncated.into_iter().map(|a| (Some(("artifact", a)), "1".into())));
 
         #[rustfmt::skip]
-        let families: [Family; 22] = [
+        let families: [Family; 21] = [
             ("cache_hits_total", "Evaluation-cache hits since process start",
              "counter", per_cache(|(hits, _, _)| hits.to_string())),
             ("cache_misses_total", "Evaluation-cache misses since process start",
@@ -200,27 +171,25 @@ impl MetricsHub {
             ("cache_entries", "Resident evaluation-cache entries",
              "gauge", per_cache(|(_, _, entries)| entries.to_string())),
             ("candidates_measured_total", "Candidates measured this run (funnel numerator)",
-             "counter", count(live.measured)),
+             "counter", count(fold.measured)),
             ("candidates_failed_total", "Candidates that failed terminally this run",
-             "counter", count(live.failed)),
+             "counter", count(fold.failed)),
             ("candidate_retries_total", "Transient-failure retries consumed this run",
-             "counter", count(live.retried)),
+             "counter", count(fold.retries)),
             ("quarantined_total", "Prospective winners quarantined by validation this run",
-             "counter", count(live.quarantined)),
+             "counter", count(fold.quarantines.len() as u64)),
             ("operators_started_total", "Operators whose tuning started this run",
-             "counter", count(live.operators_started)),
+             "counter", count(fold.operators.len() as u64)),
             ("operators_completed_total", "Operators whose tuning completed this run",
-             "counter", count(live.operators_ended)),
+             "counter", count(ended as u64)),
             ("sweeps_started_total", "Multi-operator sweeps started this run",
-             "counter", count(live.sweeps_started)),
+             "counter", count(fold.sweeps.len() as u64)),
             ("waves_total", "Scoreboard measurement waves dispatched this run",
-             "counter", count(live.waves)),
+             "counter", count(fold.waves)),
             ("checkpoints_saved_total", "Checkpoint files written this run",
-             "counter", count(live.checkpoints)),
+             "counter", count(fold.checkpoints)),
             ("stalls_flagged_total", "Wedged worker/candidate pairs flagged by the watchdog",
-             "counter", count(live.stalls)),
-            ("worker_heartbeats_total", "Liveness samples received from the pool monitor",
-             "counter", count(live.heartbeats)),
+             "counter", count(fold.stalls.len() as u64)),
             ("candidates_per_sec", "Measured-candidate throughput since endpoint start",
              "gauge", one(format!("{rate:.3}"))),
             ("eta_seconds", "Estimated seconds left for the operator in flight (0 = idle)",
@@ -236,10 +205,10 @@ impl MetricsHub {
             ("worker_items_total", "Items finished per worker slot",
              "counter", per_worker(&|s| s.items.to_string())),
             ("bus_events_received_total", "Lifecycle events delivered to the metrics subscriber",
-             "counter", count(self.sub.received())),
+             "counter", count(received)),
             ("bus_events_dropped_total",
              "Lifecycle events the metrics subscriber lost to ring overflow",
-             "counter", count(self.sub.dropped())),
+             "counter", count(dropped)),
             ("truncated_artifacts", "Artifacts whose contents were silently capped this run",
              "gauge", artifacts),
         ];
@@ -328,6 +297,7 @@ impl MetricsServer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::telemetry::bus::Event;
     use crate::tuner::pool::MonitorConfig;
 
     /// Line-level Prometheus text-exposition check: every non-comment line

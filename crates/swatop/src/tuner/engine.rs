@@ -185,7 +185,7 @@ fn measure_candidate(
 /// telemetry track, recording the (predicted, measured) accuracy pair.
 /// With `tel = None` this *is* `measure_candidate` — no span, no lock, no
 /// allocation.
-pub(super) fn measure_instrumented(
+fn measure_instrumented(
     cfg: &MachineConfig,
     cand: &Candidate,
     index: usize,
@@ -252,7 +252,7 @@ pub(super) struct Engine<'a> {
     /// Candidate indices in the order the tuner asked for them (the
     /// deterministic schedule passed to [`Engine::run`], not worker
     /// completion order) — the substrate for the convergence curve.
-    eval_order: Vec<usize>,
+    pub(super) eval_order: Vec<usize>,
     /// Candidates covered by the tier-0 analytic screen.
     pub(super) screened: usize,
     /// Winner validations performed (accepts and quarantines).
@@ -416,11 +416,6 @@ impl<'a> Engine<'a> {
             let measured =
                 todo.iter().filter(|&&i| matches!(self.cells[i], CandCell::Done { .. })).count();
             Event::WaveEnd { measured, failed: todo.len() - measured }
-        });
-        self.emit(|| {
-            let (kernel_hits, kernel_misses, _) = swkernels::cost::cache_stats();
-            let (memo_hits, memo_misses, _) = crate::model::memo::stats();
-            Event::MemoTick { kernel_hits, kernel_misses, memo_hits, memo_misses }
         });
     }
 

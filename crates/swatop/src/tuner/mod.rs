@@ -27,8 +27,8 @@
 //! median-of-N measurement on a faulty machine, [`CheckpointPolicy`]
 //! checkpoint/resume.
 //!
-//! [`search`] holds the sampling ablations (random, greedy); they measure
-//! through the same per-candidate path but keep their own serial loop.
+//! [`search`] holds the sampling ablations (random, greedy): their own
+//! draw logic over the same engine, one candidate per wave.
 
 pub mod checkpoint;
 mod engine;

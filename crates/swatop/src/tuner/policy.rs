@@ -305,7 +305,7 @@ pub struct TuneOptions {
     /// and never feed tuning decisions, so results are bit-identical with
     /// or without one.
     pub bus: Option<EventBus>,
-    /// Heartbeat / utilization / stall-watchdog monitor for the worker
+    /// Utilization / stall-watchdog monitor for the worker
     /// pool (see [`PoolMonitor`]). `None` (the default) spawns no watchdog
     /// thread and records nothing. Report-only, like the bus.
     pub monitor: Option<Arc<PoolMonitor>>,

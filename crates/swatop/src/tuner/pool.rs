@@ -1,5 +1,5 @@
 //! The parallel evaluation engine: deterministic fan-out of independent
-//! work items over `crossbeam` scoped worker threads.
+//! work items over scoped worker threads.
 //!
 //! Candidate evaluation — both simulator execution and model scoring — is
 //! embarrassingly parallel: `run_candidate` constructs a private
@@ -17,12 +17,14 @@
 //! * `jobs == 1` bypasses thread spawning entirely and is a plain serial
 //!   loop.
 //!
-//! Workers are scoped (`crossbeam::thread::scope`), so borrowed candidate
-//! slices need no `'static` bound and a panicking worker propagates after
-//! the scope joins.
+//! Workers are scoped (`std::thread::scope`), so borrowed candidate slices
+//! need no `'static` bound and a panicking worker propagates when it is
+//! joined.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
@@ -64,12 +66,12 @@ where
     }
     let next = AtomicUsize::new(0);
     let mut slots: Vec<Option<R>> = std::iter::repeat_with(|| None).take(items.len()).collect();
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         let handles: Vec<_> = (0..jobs)
             .map(|w| {
                 let next = &next;
                 let f = &f;
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     // Dynamic (work-stealing) claim order balances uneven
                     // candidate costs; results carry their index home.
                     let mut out = Vec::new();
@@ -89,8 +91,7 @@ where
                 slots[i] = Some(r);
             }
         }
-    })
-    .expect("tuner worker panicked");
+    });
     slots
         .into_iter()
         .map(|r| r.expect("every index claimed exactly once"))
@@ -114,13 +115,11 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 pub struct MonitorConfig {
     /// An in-flight item older than this is flagged as stalled (once).
     pub stall_after: Duration,
-    /// Watchdog sampling period (also the heartbeat cadence).
-    pub poll: Duration,
 }
 
 impl Default for MonitorConfig {
     fn default() -> Self {
-        MonitorConfig { stall_after: Duration::from_secs(30), poll: Duration::from_millis(50) }
+        MonitorConfig { stall_after: Duration::from_secs(30) }
     }
 }
 
@@ -153,22 +152,12 @@ struct WorkerSlot {
     /// `(input index, knob description, started, already flagged)` of the
     /// item currently in flight, if any.
     current: Option<(usize, String, Instant, bool)>,
-    /// When the slot last *finished* an item (its last progress).
-    last_progress: Option<Instant>,
     items: u64,
     busy: Duration,
 }
 
-/// Host-side heartbeat / utilization / stall accounting for the worker
-/// pool. Purely observational: it is written around item bodies (never
-/// inside the simulated execution), so attaching one cannot change
-/// measured cycles or tuning decisions. Workers mark progress with
-/// [`PoolMonitor::begin`] / [`PoolMonitor::finish`]; a watchdog thread
-/// (see [`watched`]) samples the slots and flags any item in flight longer
-/// than [`MonitorConfig::stall_after`] — once per item, with the span path
-/// (operator context + candidate knobs) an operator needs to find the
-/// wedge.
-pub struct PoolMonitor {
+/// What the workers write and the watchdog thread reads.
+struct MonitorState {
     cfg: MonitorConfig,
     epoch: Instant,
     /// Current operator context, prefixed onto stall paths.
@@ -176,65 +165,147 @@ pub struct PoolMonitor {
     slots: Mutex<Vec<WorkerSlot>>,
     stalls: Mutex<Vec<StallReport>>,
     bus: Option<EventBus>,
+    /// Set by [`PoolMonitor`]'s `Drop` to end the watchdog.
+    stop: AtomicBool,
+}
+
+impl MonitorState {
+    /// Flag every in-flight item older than `stall_after` (once each) and
+    /// return how long the watchdog may sleep: until the earliest unflagged
+    /// item in flight could cross the threshold, or a whole `stall_after`
+    /// when there is none — an item that begins during the sleep cannot be
+    /// due before it ends.
+    fn flag_stalls(&self) -> Duration {
+        let context = self.context.lock().clone();
+        let mut fresh: Vec<StallReport> = Vec::new();
+        let mut sleep = self.cfg.stall_after;
+        for (worker, slot) in self.slots.lock().iter_mut().enumerate() {
+            let Some((index, knobs, since, flagged)) = &mut slot.current else { continue };
+            if *flagged {
+                continue;
+            }
+            let age = since.elapsed();
+            if age < self.cfg.stall_after {
+                sleep = sleep.min(self.cfg.stall_after - age);
+                continue;
+            }
+            *flagged = true;
+            let path =
+                if context.is_empty() { knobs.clone() } else { format!("{context} / {knobs}") };
+            fresh.push(StallReport {
+                worker,
+                index: *index,
+                path,
+                stalled_ms: age.as_millis() as u64,
+            });
+        }
+        if let Some(bus) = &self.bus {
+            for s in &fresh {
+                bus.emit_with(|| Event::StallFlagged {
+                    worker: s.worker,
+                    index: s.index,
+                    path: s.path.clone(),
+                    stalled_ms: s.stalled_ms,
+                });
+            }
+        }
+        self.stalls.lock().extend(fresh);
+        sleep
+    }
+}
+
+/// Host-side utilization / stall accounting for the worker pool. Purely
+/// observational: it is written around item bodies (never inside the
+/// simulated execution), so attaching one cannot change measured cycles or
+/// tuning decisions. Workers mark progress with [`PoolMonitor::begin`] /
+/// [`PoolMonitor::finish`]; one watchdog thread, alive from
+/// [`PoolMonitor::new`] until the monitor is dropped, flags any item in
+/// flight longer than [`MonitorConfig::stall_after`] — once per item, with
+/// the span path (operator context + candidate knobs) an operator needs to
+/// find the wedge. The watchdog sleeps until an item could be due, so a
+/// monitor over a healthy pool costs the workers two short critical
+/// sections per item and nothing else.
+pub struct PoolMonitor {
+    state: Arc<MonitorState>,
+    /// `Some` until `Drop` joins it.
+    watchdog: Option<JoinHandle<()>>,
 }
 
 impl std::fmt::Debug for PoolMonitor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PoolMonitor")
-            .field("cfg", &self.cfg)
-            .field("stalls", &self.stalls.lock().len())
+            .field("cfg", &self.state.cfg)
+            .field("stalls", &self.state.stalls.lock().len())
             .finish()
     }
 }
 
 impl PoolMonitor {
+    /// Start monitoring: spawns the watchdog thread, which publishes
+    /// [`Event::StallFlagged`] on `bus` when one is given.
     pub fn new(cfg: MonitorConfig, bus: Option<EventBus>) -> PoolMonitor {
-        PoolMonitor {
+        let state = Arc::new(MonitorState {
             cfg,
             epoch: Instant::now(),
             context: Mutex::new(String::new()),
             slots: Mutex::new(Vec::new()),
             stalls: Mutex::new(Vec::new()),
             bus,
-        }
+            stop: AtomicBool::new(false),
+        });
+        let watched = Arc::clone(&state);
+        let watchdog = std::thread::Builder::new()
+            .name("swatop-watchdog".into())
+            .spawn(move || {
+                // `Drop` sets `stop` and then unparks: the park token makes
+                // the wake-up stick even when it lands before the park. The
+                // floor keeps a zero `stall_after` from spinning.
+                while !watched.stop.load(Ordering::Acquire) {
+                    let due = watched.flag_stalls().max(Duration::from_millis(1));
+                    std::thread::park_timeout(due);
+                }
+            })
+            .expect("spawn the stall watchdog");
+        PoolMonitor { state, watchdog: Some(watchdog) }
     }
 
     /// Set the operator context prefixed onto stall span paths (e.g. the
     /// operator label currently being tuned).
     pub fn set_context(&self, context: &str) {
-        *self.context.lock() = context.to_string();
+        *self.state.context.lock() = context.to_string();
     }
 
     /// Mark `worker` as having claimed item `index` described by `knobs`.
-    pub fn begin(&self, worker: usize, index: usize, knobs: &str) {
-        let mut slots = self.slots.lock();
+    pub fn begin(&self, worker: usize, index: usize, knobs: impl Into<String>) {
+        let current = Some((index, knobs.into(), Instant::now(), false));
+        let mut slots = self.state.slots.lock();
         if slots.len() <= worker {
             slots.resize(worker + 1, WorkerSlot::default());
         }
-        slots[worker].current = Some((index, knobs.to_string(), Instant::now(), false));
+        slots[worker].current = current;
     }
 
     /// Mark `worker` as having finished its in-flight item.
     pub fn finish(&self, worker: usize) {
-        let mut slots = self.slots.lock();
+        let mut slots = self.state.slots.lock();
         if let Some(slot) = slots.get_mut(worker) {
             if let Some((_, _, since, _)) = slot.current.take() {
                 slot.busy += since.elapsed();
                 slot.items += 1;
-                slot.last_progress = Some(Instant::now());
             }
         }
     }
 
     /// Stalls flagged so far, oldest first.
     pub fn stalls(&self) -> Vec<StallReport> {
-        self.stalls.lock().clone()
+        self.state.stalls.lock().clone()
     }
 
     /// Per-worker utilization totals. In-flight time counts as busy so a
     /// wedged worker reads as saturated, not idle.
     pub fn worker_stats(&self) -> Vec<WorkerStats> {
-        self.slots
+        self.state
+            .slots
             .lock()
             .iter()
             .map(|s| {
@@ -250,96 +321,29 @@ impl PoolMonitor {
     /// Host milliseconds since the monitor was created (the utilization
     /// denominator).
     pub fn elapsed_ms(&self) -> u64 {
-        self.epoch.elapsed().as_millis() as u64
-    }
-
-    /// One watchdog sample: flag fresh stalls and emit heartbeats. Called
-    /// periodically by the [`watched`] thread; public so tests can drive
-    /// it directly.
-    pub fn poll_once(&self) {
-        let context = self.context.lock().clone();
-        let mut fresh: Vec<StallReport> = Vec::new();
-        {
-            let mut slots = self.slots.lock();
-            for (worker, slot) in slots.iter_mut().enumerate() {
-                if let Some((index, knobs, since, flagged)) = &mut slot.current {
-                    let age = since.elapsed();
-                    if !*flagged && age >= self.cfg.stall_after {
-                        *flagged = true;
-                        let path = if context.is_empty() {
-                            knobs.clone()
-                        } else {
-                            format!("{context} / {knobs}")
-                        };
-                        fresh.push(StallReport {
-                            worker,
-                            index: *index,
-                            path,
-                            stalled_ms: age.as_millis() as u64,
-                        });
-                    }
-                }
-            }
-        }
-        if let Some(bus) = &self.bus {
-            for s in &fresh {
-                let s = s.clone();
-                bus.emit_with(move || Event::StallFlagged {
-                    worker: s.worker,
-                    index: s.index,
-                    path: s.path,
-                    stalled_ms: s.stalled_ms,
-                });
-            }
-            for (worker, stats) in self.worker_stats().iter().enumerate() {
-                let idle_ms = {
-                    let slots = self.slots.lock();
-                    slots[worker]
-                        .last_progress
-                        .map(|t| t.elapsed().as_millis() as u64)
-                        .unwrap_or(0)
-                };
-                let items = stats.items;
-                bus.emit_with(move || Event::Heartbeat { worker, items, idle_ms });
-            }
-        }
-        if !fresh.is_empty() {
-            self.stalls.lock().extend(fresh);
-        }
+        self.state.epoch.elapsed().as_millis() as u64
     }
 }
 
-/// Run `f` with a watchdog thread sampling `monitor` until it returns.
-/// `monitor: None` is the zero-cost path — `f` runs directly, no thread is
-/// spawned. The watchdog is report-only: it reads monitor slots and
-/// publishes [`Event::StallFlagged`] / [`Event::Heartbeat`]; it never
-/// touches the work itself, so results are bit-identical with or without
-/// it.
-pub fn watched<R>(monitor: Option<&PoolMonitor>, f: impl FnOnce() -> R) -> R {
-    let Some(m) = monitor else { return f() };
-    let done = AtomicBool::new(false);
-    crossbeam::thread::scope(|scope| {
-        let watchdog = scope.spawn(|_| {
-            while !done.load(Ordering::Acquire) {
-                std::thread::sleep(m.cfg.poll);
-                m.poll_once();
-            }
-        });
-        let out = f();
-        done.store(true, Ordering::Release);
-        watchdog.join().expect("watchdog thread panicked");
-        out
-    })
-    .expect("watchdog scope panicked")
+impl Drop for PoolMonitor {
+    fn drop(&mut self) {
+        self.state.stop.store(true, Ordering::Release);
+        if let Some(watchdog) = self.watchdog.take() {
+            watchdog.thread().unpark();
+            // Nothing to report from `Drop`: a watchdog panic has already
+            // printed itself.
+            let _ = watchdog.join();
+        }
+    }
 }
 
 /// [`par_map`] with per-item panic isolation and, when `monitor` is given,
-/// heartbeat accounting and the stall watchdog. A panicking `f` yields
-/// `Err(message)` for that item instead of tearing down the worker pool (and
-/// the tuning run) — one poisoned candidate must not kill a sweep. Panics
-/// are caught on the worker via `catch_unwind`, so the claim loop keeps
-/// draining items afterwards; determinism is untouched because the error,
-/// like any result, is stored at the item's input index.
+/// utilization accounting and stall detection around each item. A panicking
+/// `f` yields `Err(message)` for that item instead of tearing down the
+/// worker pool (and the tuning run) — one poisoned candidate must not kill a
+/// sweep. Panics are caught on the worker via `catch_unwind`, so the claim
+/// loop keeps draining items afterwards; determinism is untouched because
+/// the error, like any result, is stored at the item's input index.
 /// `label(i, &items[i])` gives an item's stall-report identity and its knob
 /// description — the identity names the item in the caller's own terms (the
 /// candidate *input* index for tuner waves, which need not be the item's
@@ -357,18 +361,16 @@ where
     F: Fn(usize, usize, &T) -> R + Sync,
     K: Fn(usize, &T) -> (usize, String) + Sync,
 {
-    let caught = |w: usize, i: usize, x: &T| {
-        catch_unwind(AssertUnwindSafe(|| f(w, i, x))).map_err(panic_message)
-    };
-    let Some(m) = monitor else { return par_map(jobs, items, caught) };
-    watched(Some(m), || {
-        par_map(jobs, items, |w, i, x| {
+    par_map(jobs, items, |w, i, x| {
+        if let Some(m) = monitor {
             let (id, knobs) = label(i, x);
-            m.begin(w, id, &knobs);
-            let r = caught(w, i, x);
+            m.begin(w, id, knobs);
+        }
+        let r = catch_unwind(AssertUnwindSafe(|| f(w, i, x))).map_err(panic_message);
+        if let Some(m) = monitor {
             m.finish(w);
-            r
-        })
+        }
+        r
     })
 }
 
@@ -453,8 +455,7 @@ mod tests {
 
     #[test]
     fn monitor_accounts_utilization_and_watched_preserves_results() {
-        let cfg = MonitorConfig { stall_after: Duration::from_secs(60), ..Default::default() };
-        let m = PoolMonitor::new(cfg, None);
+        let m = PoolMonitor::new(MonitorConfig { stall_after: Duration::from_secs(60) }, None);
         m.set_context("unit");
         let items: Vec<usize> = (0..40).collect();
         let label = |i: usize, _: &usize| (i, format!("item {i}"));
@@ -466,18 +467,42 @@ mod tests {
         assert!(m.stalls().is_empty(), "clean run must not flag stalls");
     }
 
+    /// The watchdog belongs to the monitor, not to the wave: a wave costs no
+    /// thread spawn and no sleep, however small it is.
+    #[test]
+    fn one_item_waves_do_not_wait_for_the_watchdog() {
+        let m = PoolMonitor::new(MonitorConfig::default(), None);
+        let t = Instant::now();
+        let label = |_: usize, &x: &usize| (x, String::new());
+        for wave in 0..200usize {
+            let out = par_map_watched(2, &[wave], Some(&m), label, |_, _, &x| x);
+            assert_eq!(out, vec![Ok(wave)]);
+        }
+        assert!(t.elapsed() < Duration::from_secs(1), "200 waves took {:?}", t.elapsed());
+        assert_eq!(m.worker_stats().iter().map(|s| s.items).sum::<u64>(), 200);
+    }
+
+    /// The watchdog's sleep is interruptible: dropping the monitor does not
+    /// wait out `stall_after`.
+    #[test]
+    fn dropping_the_monitor_wakes_and_joins_the_watchdog() {
+        let m = PoolMonitor::new(MonitorConfig { stall_after: Duration::from_secs(30) }, None);
+        let t = Instant::now();
+        drop(m);
+        assert!(t.elapsed() < Duration::from_millis(100), "drop took {:?}", t.elapsed());
+    }
+
     #[test]
     fn watchdog_flags_a_wedged_item_once_with_its_path() {
-        let cfg = MonitorConfig {
-            stall_after: Duration::from_millis(20),
-            poll: Duration::from_millis(5),
-        };
-        let m = PoolMonitor::new(cfg, None);
+        let m = PoolMonitor::new(MonitorConfig { stall_after: Duration::from_millis(20) }, None);
         m.set_context("gemm 64x64x64");
         m.begin(1, 7, "dbuf=true, coal=false");
+        assert!(m.stalls().is_empty(), "flagged before stall_after");
         std::thread::sleep(Duration::from_millis(30));
-        m.poll_once();
-        m.poll_once(); // second sample must not double-flag the same item
+        // The watchdog thread has flagged it by now or this sample does; a
+        // second sample must not double-flag the same item.
+        m.state.flag_stalls();
+        m.state.flag_stalls();
         let stalls = m.stalls();
         assert_eq!(stalls.len(), 1, "{stalls:?}");
         assert_eq!(stalls[0].worker, 1);
@@ -486,14 +511,31 @@ mod tests {
         assert!(stalls[0].path.contains("dbuf=true"), "{}", stalls[0].path);
         assert!(stalls[0].stalled_ms >= 20);
         m.finish(1);
-        m.poll_once();
+        m.state.flag_stalls();
         assert_eq!(m.stalls().len(), 1, "finished item must not re-flag");
+    }
+
+    /// What the watchdog sleeps for: a whole `stall_after` over an idle
+    /// pool, the time left to the oldest unflagged item otherwise.
+    #[test]
+    fn the_watchdog_sleeps_until_an_item_could_be_due() {
+        let stall_after = Duration::from_secs(30);
+        let m = PoolMonitor::new(MonitorConfig { stall_after }, None);
+        assert_eq!(m.state.flag_stalls(), stall_after);
+        m.begin(0, 1, "a");
+        std::thread::sleep(Duration::from_millis(5));
+        m.begin(1, 2, "b");
+        let sleep = m.state.flag_stalls();
+        assert!(sleep <= stall_after - Duration::from_millis(5), "{sleep:?}");
+        assert!(sleep > stall_after - Duration::from_secs(5), "{sleep:?}");
+        m.finish(0);
+        m.finish(1);
+        assert_eq!(m.state.flag_stalls(), stall_after);
     }
 
     #[test]
     fn monitor_panicking_item_still_clears_the_slot() {
-        let cfg = MonitorConfig { stall_after: Duration::from_millis(1), ..Default::default() };
-        let m = PoolMonitor::new(cfg, None);
+        let m = PoolMonitor::new(MonitorConfig { stall_after: Duration::from_millis(20) }, None);
         let items = [1u32, 2, 3];
         let hook = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));
@@ -512,8 +554,8 @@ mod tests {
         std::panic::set_hook(hook);
         assert!(out[1].is_err());
         // finish() ran even for the panicking item: no slot left in flight.
-        std::thread::sleep(Duration::from_millis(5));
-        m.poll_once();
+        std::thread::sleep(Duration::from_millis(30));
+        m.state.flag_stalls();
         assert!(m.stalls().is_empty(), "cleared slot flagged as stalled");
     }
 }

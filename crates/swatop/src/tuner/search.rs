@@ -15,122 +15,68 @@
 //! that on a latency-oriented machine with discrete tensorized primitives,
 //! the *model* end of the triangle is the right one.
 //!
-//! Both searches measure through the same fault-aware path as
-//! [`super::tune`] ([`super::RetryPolicy`] retries, median-of-N under
-//! jitter) but in their own serial loop (each draw depends on what was
-//! already measured, so `opts.jobs`, `opts.checkpoint` and `opts.tiers` are
-//! ignored; `opts.retry` and `opts.telemetry` apply). They count
-//! failed candidates against the budget — a real machine burns tuning time
-//! on a candidate whether or not it faults — and report them in the
+//! Both searches measure on the engine under [`super::tune`], one
+//! single-candidate wave per draw (each draw depends on what was already
+//! measured), so retries, median-of-N under jitter, telemetry, bus events
+//! and the pool monitor apply as they do there; `opts.tiers` is ignored
+//! (the search *is* the strategy) and `opts.checkpoint` is not honoured (a
+//! resumed cell would skip a draw's measurement and shift the budget). They
+//! count failed candidates against the budget — a real machine burns tuning
+//! time on a candidate whether or not it faults — and report them in the
 //! outcome instead of silently dropping them.
 
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-use sw26010::{Counters, Cycles, MachineConfig};
+use sw26010::{Cycles, MachineConfig};
 use swtensor::init::XorShift;
 
-use super::checkpoint::CandCell;
-use super::engine::measure_instrumented;
-use super::{CandReport, RetryPolicy, TuneError, TuneOptions, TuneOutcome};
+use super::engine::Engine;
+use super::{all_failed, TuneError, TuneOptions, TuneOutcome};
 use crate::scheduler::Candidate;
-use crate::telemetry::Telemetry;
 
-/// Serial sampling loop shared by both searches: measures not-yet-tried
-/// indices through the fault-aware path and accumulates per-candidate
-/// reports.
+/// What a sampling search owns on top of the engine: which candidate leads
+/// and how much budget is spent.
 struct Sampler<'a> {
-    cfg: &'a MachineConfig,
-    candidates: &'a [Candidate],
-    retry: RetryPolicy,
-    tel: Option<Telemetry>,
-    counters: Counters,
-    cells: Vec<CandCell>,
+    eng: Engine<'a>,
+    /// The first strictly fastest candidate in *visit* order — a sampling
+    /// search has no input order to break ties by.
     best: Option<(usize, Cycles)>,
     executed: usize,
-    cpu: Duration,
-    /// `(evaluations, best-so-far cycles)` at every improvement, in the
-    /// sampler's (serial, seeded, deterministic) visit order.
-    convergence: Vec<(u64, u64)>,
 }
 
 impl<'a> Sampler<'a> {
-    fn new(cfg: &'a MachineConfig, candidates: &'a [Candidate], opts: &TuneOptions) -> Self {
-        Sampler {
-            cfg,
-            candidates,
-            retry: opts.retry.clone(),
-            tel: opts.telemetry.clone(),
-            counters: Counters::default(),
-            cells: vec![CandCell::Pending; candidates.len()],
-            best: None,
-            executed: 0,
-            cpu: Duration::ZERO,
-            convergence: Vec::new(),
-        }
+    fn new(cfg: &'a MachineConfig, candidates: &'a [Candidate], opts: &'a TuneOptions) -> Self {
+        Sampler { eng: Engine::new(cfg, candidates, opts), best: None, executed: 0 }
     }
 
     /// Measure candidate `i` unless it was already tried. Failures still
     /// count as executed: the budget models machine time, and a faulting
     /// candidate consumes it.
     fn measure(&mut self, i: usize) {
-        if !self.cells[i].is_pending() {
+        if !self.eng.cells[i].is_pending() {
             return;
         }
         self.executed += 1;
-        // Sampling searches have no model score for the candidate, so no
-        // (predicted, measured) pair is recorded — spans and counters only.
-        let (cell, d, counters) = measure_instrumented(
-            self.cfg,
-            &self.candidates[i],
-            i,
-            &self.retry,
-            self.tel.as_ref(),
-            0,
-            None,
-        );
-        self.cpu += d;
-        if self.tel.is_some() && !matches!(cell, CandCell::Pending) {
-            self.counters.merge(&counters);
-        }
-        if let Some(c) = cell.cycles() {
+        self.eng.run(&[i]);
+        if let Some(c) = self.eng.cells[i].cycles() {
             if self.best.is_none_or(|(_, b)| c < b) {
                 self.best = Some((i, c));
-                self.convergence.push((self.executed as u64, c.get()));
             }
         }
-        self.cells[i] = cell;
     }
 
     fn finish(self, start: Instant) -> Result<TuneOutcome, TuneError> {
-        let failed = self.cells.iter().filter(|c| matches!(c, CandCell::Failed { .. })).count();
-        let Some((best, cycles)) = self.best else {
-            if self.executed == 0 {
-                return Err(TuneError::NoCandidates);
-            }
-            let last_error = TuneError::last_of(self.cells.iter());
-            return Err(TuneError::AllFailed { sampled: self.executed, last_error });
-        };
-        Ok(TuneOutcome {
-            best,
-            cycles,
-            wall: start.elapsed(),
-            executed: self.executed,
-            all_cycles: self.cells.iter().map(CandCell::cycles).collect(),
-            jobs: 1,
-            cpu: self.cpu,
-            failed,
-            retried: self.cells.iter().map(|c| u64::from(c.retries())).sum(),
-            quarantined: 0,
-            reports: self.cells.iter().map(CandReport::from_cell).collect(),
-            telemetry: self
-                .tel
-                .as_ref()
-                .map(|t| t.tune_summary(t.scope(), self.counters)),
-            convergence: self.convergence,
-            screened: 0,
-            validated: 0,
-        })
+        match self.best {
+            Some((best, cycles)) => Ok(self.eng.outcome(start, best, cycles, self.executed)),
+            None if self.executed == 0 => Err(TuneError::NoCandidates),
+            None => Err(all_failed(&self.eng, &self.eng.eval_order)),
+        }
     }
+}
+
+/// `opts` as a search runs under them: without the checkpoint.
+fn unresumed(opts: &TuneOptions) -> TuneOptions {
+    TuneOptions { checkpoint: None, ..opts.clone() }
 }
 
 /// Measure `budget` uniformly random candidates, keep the fastest.
@@ -150,7 +96,8 @@ pub fn random_search(
         return Err(TuneError::NoCandidates);
     }
     let mut rng = XorShift::new(seed);
-    let mut s = Sampler::new(cfg, candidates, opts);
+    let opts = unresumed(opts);
+    let mut s = Sampler::new(cfg, candidates, &opts);
     for _ in 0..budget.min(candidates.len() * 4) {
         let i = (rng.next_u64() % candidates.len() as u64) as usize;
         s.measure(i);
@@ -174,7 +121,8 @@ pub fn greedy_search(
         return Err(TuneError::NoCandidates);
     }
     let mut rng = XorShift::new(seed);
-    let mut s = Sampler::new(cfg, candidates, opts);
+    let opts = unresumed(opts);
+    let mut s = Sampler::new(cfg, candidates, &opts);
     // Seed phase: a third of the budget at random.
     for _ in 0..(budget / 3).max(1) {
         let i = (rng.next_u64() % n as u64) as usize;

@@ -125,10 +125,7 @@ fn watchdog_flags_injected_wedge() {
     let bus = EventBus::default();
     let sub = bus.subscribe(1 << 16);
     let monitor = Arc::new(PoolMonitor::new(
-        MonitorConfig {
-            stall_after: Duration::from_millis(50),
-            poll: Duration::from_millis(10),
-        },
+        MonitorConfig { stall_after: Duration::from_millis(50) },
         Some(bus.clone()),
     ));
     let wedged =

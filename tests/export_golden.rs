@@ -62,7 +62,7 @@ fn artifacts() -> Vec<(&'static str, String, Check)> {
     let tel = Telemetry::new();
     let bus = EventBus::new();
     // The monitor feeds the per-worker families; it is given to the hub only,
-    // so no watchdog thread adds host-timed heartbeats to the stream.
+    // so they hold this one item and not whatever workers the tune used.
     let monitor = Arc::new(PoolMonitor::new(MonitorConfig::default(), None));
     monitor.begin(0, 3, "dbuf=true");
     monitor.finish(0);

@@ -6,12 +6,18 @@
 //! per (space, policy, validator, machine); every line must come out the
 //! same for `jobs` 1 and 4. Only re-record the file when a move is meant —
 //! the test prints the new lines on mismatch.
+//!
+//! `tests/golden/search_outcomes.txt` does the same for the sampling
+//! searches: recorded from PR 20's `search::Sampler` (its own cells,
+//! counters, convergence curve and outcome assembly) before it was put on
+//! the engine under [`tune`].
 
 use std::time::Duration;
 
 use swatop_repro::sw26010::{FaultPlan, MachineConfig};
 use swatop_repro::swatop::ops::{ImplicitConvOp, MatmulOp, WinogradConvOp};
 use swatop_repro::swatop::scheduler::{Candidate, Operator, Scheduler};
+use swatop_repro::swatop::tuner::search::{greedy_search, random_search};
 use swatop_repro::swatop::tuner::{
     tune, RetryPolicy, TierPolicy, TuneError, TuneOptions, TuneOutcome, WinnerValidator,
 };
@@ -128,4 +134,44 @@ fn every_policy_reports_what_the_ladders_did() {
         let recorded = want.iter().any(|l| l.starts_with(run) && l.contains(counts));
         assert!(recorded, "not among the recorded runs: {run}: {counts}");
     }
+}
+
+#[test]
+fn sampling_searches_report_what_the_private_sampler_did() {
+    let cands = Scheduler::new(MachineConfig::default()).enumerate(&MatmulOp::new(96, 96, 48));
+    let plan = FaultPlan::with_seed(0x16_5EED);
+    let machines = [
+        ("perfect", MachineConfig::default()),
+        ("faulted", MachineConfig { fault: Some(plan), ..MachineConfig::default() }),
+    ];
+    let opts = TuneOptions {
+        retry: RetryPolicy { backoff: Duration::ZERO, ..RetryPolicy::default() },
+        ..TuneOptions::default()
+    };
+    let mut got = Vec::new();
+    for (m_name, cfg) in &machines {
+        for seed in [3, 7, 42] {
+            for budget in [10, cands.len() / 4] {
+                let random = line(random_search(cfg, &cands, budget, seed, &opts));
+                let greedy = line(greedy_search(cfg, &cands, budget, seed, &opts));
+                got.push(format!("random {m_name} seed={seed} budget={budget}: {random}"));
+                got.push(format!("greedy {m_name} seed={seed} budget={budget}: {greedy}"));
+            }
+        }
+    }
+    let want: Vec<&str> = include_str!("golden/search_outcomes.txt").lines().collect();
+    if got != want {
+        println!("{}", got.join("\n"));
+    }
+    assert_eq!(got.len(), 2 * 2 * 3 * 2);
+    assert!(got == want, "search outcomes moved (recorded: tests/golden/search_outcomes.txt)");
+    // Anti-vacuity: the recorded runs retry under faults, a repeated draw
+    // costs no budget (random executes fewer than it draws), and equal
+    // cycles go to the candidate visited first, not the lowest index.
+    assert!(want.iter().any(|l| l.contains(" faulted ") && !l.contains("retried=0 ")));
+    let run = |name: &str| want.iter().find(|l| l.starts_with(name)).copied().unwrap_or("");
+    let random = run("random perfect seed=3 budget=1584:");
+    let greedy = run("greedy perfect seed=3 budget=1584:");
+    assert!(random.contains("best=6146 cycles=20162 executed=1410 "), "{random}");
+    assert!(greedy.contains("best=6170 cycles=20162 executed=1584 "), "{greedy}");
 }
