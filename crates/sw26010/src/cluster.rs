@@ -10,7 +10,7 @@
 use crate::clock::Cycles;
 use crate::config::MachineConfig;
 use crate::counters::Counters;
-use crate::dma::{DmaDirection, DmaEngine, DmaRequest, ReplyWord};
+use crate::dma::{DmaBatch, DmaDirection, DmaEngine, DmaRequest, ReplyWord};
 use crate::error::{MachineError, MachineResult};
 use crate::fault::{FaultSession, MiscompilePlan, MiscompileSession};
 use crate::mem::MainMemory;
@@ -235,14 +235,74 @@ impl CoreGroup {
         })
     }
 
-    /// Charge the issue cost and consult the fault session; shared prologue
-    /// of [`CoreGroup::dma`] and [`CoreGroup::dma_totals`]. A hit models the
-    /// engine dropping the batch after the CPE already paid for the issue.
-    fn dma_issue(&mut self) -> MachineResult<()> {
+    /// The one path a DMA batch takes through the machine, whoever priced
+    /// it: consume the chain flag, charge the issue cost, consult the fault
+    /// session (a hit models the engine dropping the batch after the CPE
+    /// already paid for the issue), schedule the engine, count, trace and
+    /// record the completion on `reply`. Returns whether the batch chained.
+    fn issue(&mut self, batch: DmaBatch, reply: ReplyId) -> MachineResult<bool> {
+        let chained = std::mem::take(&mut self.chain_next);
         self.now += self.cfg.dma_issue_cost;
-        if let Some(f) = &mut self.faults {
-            if f.dma_fault() {
-                return Err(MachineError::DmaFault { batch: self.dma.batches });
+        if self.faults.as_mut().is_some_and(FaultSession::dma_fault) {
+            return Err(MachineError::DmaFault { batch: self.counters.dma_batches });
+        }
+        // The scatter serialises after the transfer on the mesh, not on the
+        // engine: it delays the completion, never the next batch.
+        let scatter = batch.scatter.unwrap_or(Cycles::ZERO);
+        let finish = self.dma.schedule(&self.cfg, self.now, &batch, chained) + scatter;
+        // 7 of every 8 panel bytes travel the mesh from a leader to a peer.
+        let scattered = batch.payload_bytes / 8 * 7;
+        self.counters.dma_payload_bytes += batch.payload_bytes as u64;
+        self.counters.dma_bus_bytes += batch.bus_bytes as u64;
+        self.counters.dma_batches += u64::from(!chained);
+        self.counters.note_spm_use(batch.spm_end as u64);
+        if batch.scatter.is_some() {
+            self.counters.dma_bcast_batches += 1;
+            self.counters.regcomm_bytes += scattered as u64;
+        }
+        // Pure observation: no clock is touched.
+        if self.trace.is_enabled() {
+            self.trace.push(Event::DmaIssue {
+                at: self.now,
+                done: finish,
+                direction: batch.direction,
+                payload_bytes: batch.payload_bytes,
+                bus_bytes: batch.bus_bytes,
+                tag: self.next_tag,
+            });
+            if batch.scatter.is_some() {
+                self.trace.push(Event::Regcomm {
+                    at: finish.saturating_sub(scatter),
+                    cycles: scatter,
+                    bytes: scattered,
+                });
+            }
+        }
+        self.reply_mut(reply)?.push(finish);
+        self.next_tag += 1;
+        Ok(chained)
+    }
+
+    /// Issue `batch` and, in functional mode, move the data of `lands`. The
+    /// movement happens "at issue": the engine snapshots the source.
+    /// Generated programs must not overwrite a source before waiting, which
+    /// the wait discipline of the IR interpreter enforces.
+    fn issue_and_copy(
+        &mut self,
+        batch: DmaBatch,
+        lands: &[DmaRequest],
+        reply: ReplyId,
+    ) -> MachineResult<()> {
+        let chained = self.issue(batch, reply)?;
+        if self.mode != ExecMode::Functional
+            || (chained && self.mis.as_mut().is_some_and(MiscompileSession::drop_fused_copy))
+        {
+            return Ok(());
+        }
+        for r in lands {
+            self.copy(r)?;
+            if self.mis.as_mut().is_some_and(MiscompileSession::corrupt_copy) {
+                self.corrupt(r)?;
             }
         }
         Ok(())
@@ -258,64 +318,8 @@ impl CoreGroup {
         requests: &[DmaRequest],
         reply: ReplyId,
     ) -> MachineResult<()> {
-        if requests.is_empty() {
-            return Err(MachineError::BadDmaRequest("empty batch".into()));
-        }
-        for r in requests {
-            if r.direction != direction {
-                return Err(MachineError::BadDmaRequest(
-                    "mixed directions in one batch".into(),
-                ));
-            }
-        }
-        let chained = std::mem::take(&mut self.chain_next);
-        self.dma_issue()?;
-        let finish = self.dma.schedule_with(&self.cfg, self.now, requests, chained)?;
-        // Functional data movement happens "at issue": the engine snapshots
-        // the source. Generated programs must not overwrite a source before
-        // waiting, which the wait discipline of the IR interpreter enforces.
-        if self.mode == ExecMode::Functional {
-            let dropped =
-                chained && self.mis.as_mut().is_some_and(MiscompileSession::drop_fused_copy);
-            if !dropped {
-                for r in requests {
-                    self.copy(r)?;
-                    if self.mis.as_mut().is_some_and(MiscompileSession::corrupt_copy) {
-                        self.corrupt(r)?;
-                    }
-                }
-            }
-        }
-        let payload: usize = requests.iter().map(|r| r.total_bytes()).sum();
-        let bus: usize = requests
-            .iter()
-            .map(|r| r.bus_bytes(self.cfg.dram_transaction_bytes))
-            .sum();
-        self.counters.dma_payload_bytes += payload as u64;
-        self.counters.dma_bus_bytes += bus as u64;
-        if !chained {
-            self.counters.dma_batches += 1;
-        }
-        for r in requests {
-            if r.direction == DmaDirection::MemToSpm {
-                self.counters.note_spm_use((r.spm_offset + r.total_elems()) as u64);
-            }
-        }
-        if self.trace.is_enabled() {
-            let at = self.now;
-            let tag = self.next_tag;
-            self.trace.push(Event::DmaIssue {
-                at,
-                done: finish,
-                direction,
-                payload_bytes: payload,
-                bus_bytes: bus,
-                tag,
-            });
-        }
-        self.reply_mut(reply)?.push(finish);
-        self.next_tag += 1;
-        Ok(())
+        let batch = DmaBatch::of(&self.cfg, direction, requests, requests)?;
+        self.issue_and_copy(batch, requests, reply)
     }
 
     /// Issue a *broadcast* DMA batch: one leader CPE per mesh row (or
@@ -340,177 +344,16 @@ impl CoreGroup {
         if leader_requests.is_empty() || requests.is_empty() {
             return Err(MachineError::BadDmaRequest("empty broadcast batch".into()));
         }
-        for r in leader_requests.iter().chain(requests) {
-            if r.direction != direction {
-                return Err(MachineError::BadDmaRequest(
-                    "mixed directions in one batch".into(),
-                ));
-            }
-        }
-        let chained = std::mem::take(&mut self.chain_next);
-        self.dma_issue()?;
-        let finish =
-            self.dma.schedule_with(&self.cfg, self.now, leader_requests, chained)? + scatter;
-        if self.mode == ExecMode::Functional {
-            let dropped =
-                chained && self.mis.as_mut().is_some_and(MiscompileSession::drop_fused_copy);
-            if !dropped {
-                for r in requests {
-                    self.copy(r)?;
-                    if self.mis.as_mut().is_some_and(MiscompileSession::corrupt_copy) {
-                        self.corrupt(r)?;
-                    }
-                }
-            }
-        }
-        let payload: usize = leader_requests.iter().map(|r| r.total_bytes()).sum();
-        let bus: usize = leader_requests
-            .iter()
-            .map(|r| r.bus_bytes(self.cfg.dram_transaction_bytes))
-            .sum();
-        self.counters.dma_payload_bytes += payload as u64;
-        self.counters.dma_bus_bytes += bus as u64;
-        if !chained {
-            self.counters.dma_batches += 1;
-        }
-        self.counters.dma_bcast_batches += 1;
-        // 7 of every 8 panel bytes travel the mesh from a leader to a peer.
-        self.counters.regcomm_bytes += (payload as u64 / 8) * 7;
-        for r in requests {
-            if r.direction == DmaDirection::MemToSpm {
-                self.counters.note_spm_use((r.spm_offset + r.total_elems()) as u64);
-            }
-        }
-        if self.trace.is_enabled() {
-            let at = self.now;
-            let tag = self.next_tag;
-            self.trace.push(Event::DmaIssue {
-                at,
-                done: finish,
-                direction,
-                payload_bytes: payload,
-                bus_bytes: bus,
-                tag,
-            });
-            let scatter_bytes = (payload / 8) * 7;
-            self.trace.push(Event::Regcomm {
-                at: finish.saturating_sub(scatter),
-                cycles: scatter,
-                bytes: scatter_bytes,
-            });
-        }
-        self.reply_mut(reply)?.push(finish);
-        self.next_tag += 1;
-        Ok(())
+        let batch = DmaBatch::of(&self.cfg, direction, leader_requests, requests)?;
+        self.issue_and_copy(DmaBatch { scatter: Some(scatter), ..batch }, requests, reply)
     }
 
-    /// Cost-only fast path for [`CoreGroup::dma_bcast`], mirroring
-    /// [`CoreGroup::dma_totals`]: the caller aggregated the *leader*
-    /// requests' bus/block/payload totals; the scatter delay is appended to
-    /// the completion time and the broadcast counters are bumped.
-    pub fn dma_totals_bcast(
-        &mut self,
-        bus_bytes: usize,
-        blocks: usize,
-        payload_bytes: usize,
-        scatter: Cycles,
-        reply: ReplyId,
-    ) -> MachineResult<()> {
-        let chained = std::mem::take(&mut self.chain_next);
-        self.dma_issue()?;
-        let finish = self
-            .dma
-            .schedule_totals_with(&self.cfg, self.now, bus_bytes, blocks, payload_bytes, chained)
-            + scatter;
-        self.counters.dma_payload_bytes += payload_bytes as u64;
-        self.counters.dma_bus_bytes += bus_bytes as u64;
-        if !chained {
-            self.counters.dma_batches += 1;
-        }
-        self.counters.dma_bcast_batches += 1;
-        self.counters.regcomm_bytes += (payload_bytes as u64 / 8) * 7;
-        // Pure observation — the cost-only profiler reads the same event
-        // stream the functional path records; no clock is touched.
-        if self.trace.is_enabled() {
-            let at = self.now;
-            let tag = self.next_tag;
-            self.trace.push(Event::DmaIssue {
-                at,
-                done: finish,
-                direction: DmaDirection::MemToSpm,
-                payload_bytes,
-                bus_bytes,
-                tag,
-            });
-            self.trace.push(Event::Regcomm {
-                at: finish.saturating_sub(scatter),
-                cycles: scatter,
-                bytes: (payload_bytes / 8) * 7,
-            });
-        }
-        self.reply_mut(reply)?.push(finish);
-        self.next_tag += 1;
-        Ok(())
-    }
-
-    /// Cost-only fast path for [`CoreGroup::dma`]: the caller aggregated
-    /// the batch's bus-byte/block/payload totals itself (no request
-    /// structures are built, no data moves). Clock semantics are identical
-    /// to issuing the equivalent batch through [`CoreGroup::dma`].
-    pub fn dma_totals(
-        &mut self,
-        bus_bytes: usize,
-        blocks: usize,
-        payload_bytes: usize,
-        reply: ReplyId,
-    ) -> MachineResult<()> {
-        self.dma_totals_directed(DmaDirection::MemToSpm, bus_bytes, blocks, payload_bytes, reply)
-    }
-
-    /// [`CoreGroup::dma_totals`] with an explicit transfer direction, so the
-    /// trace (and the timelines built from it) labels cost-only batches
-    /// correctly. `dma_totals` itself defaults to mem→SPM for callers that
-    /// don't care.
-    pub fn dma_totals_directed(
-        &mut self,
-        direction: DmaDirection,
-        bus_bytes: usize,
-        blocks: usize,
-        payload_bytes: usize,
-        reply: ReplyId,
-    ) -> MachineResult<()> {
-        let chained = std::mem::take(&mut self.chain_next);
-        self.dma_issue()?;
-        let finish = self.dma.schedule_totals_with(
-            &self.cfg,
-            self.now,
-            bus_bytes,
-            blocks,
-            payload_bytes,
-            chained,
-        );
-        self.counters.dma_payload_bytes += payload_bytes as u64;
-        self.counters.dma_bus_bytes += bus_bytes as u64;
-        if !chained {
-            self.counters.dma_batches += 1;
-        }
-        // Pure observation — no clock is touched; with the trace disabled
-        // this path is bit-identical to the pre-profiler behaviour.
-        if self.trace.is_enabled() {
-            let at = self.now;
-            let tag = self.next_tag;
-            self.trace.push(Event::DmaIssue {
-                at,
-                done: finish,
-                direction,
-                payload_bytes,
-                bus_bytes,
-                tag,
-            });
-        }
-        self.reply_mut(reply)?.push(finish);
-        self.next_tag += 1;
-        Ok(())
+    /// Issue a batch the caller priced itself — the cost-only interpreter,
+    /// from its per-node [`crate::dma::StartClasses`] table: no request
+    /// structures are built and no data moves. Clock, counters and trace are
+    /// those of the equivalent [`CoreGroup::dma`] / [`CoreGroup::dma_bcast`].
+    pub fn dma_priced(&mut self, batch: DmaBatch, reply: ReplyId) -> MachineResult<()> {
+        self.issue(batch, reply).map(drop)
     }
 
     /// Wait for `times` completions on `reply` (the `swDMAWait` primitive).
@@ -537,11 +380,6 @@ impl CoreGroup {
     /// Mutable access to one CPE's SPM.
     pub fn spm_mut(&mut self, cpe: usize) -> &mut Spm {
         &mut self.spms[cpe]
-    }
-
-    /// DMA engine statistics: (payload bytes, bus bytes, batches).
-    pub fn dma_stats(&self) -> (u64, u64, u64) {
-        (self.dma.payload_bytes, self.dma.bus_bytes, self.dma.batches)
     }
 
     /// Achieved GFLOPS of the run so far.
@@ -758,8 +596,9 @@ mod tests {
         let a = cg.mem.alloc("a", 64);
         let base = cg.mem.base(a);
         let req = [DmaRequest::contiguous(0, MemToSpm, base, 0, 64)];
+        let batch = DmaBatch::of(&cg.cfg, MemToSpm, &req, &req).unwrap();
         assert!(cg.dma(MemToSpm, &req, stale).is_err());
-        assert!(cg.dma_totals(128, 1, 128, stale).is_err());
+        assert!(cg.dma_priced(batch, stale).is_err());
     }
 
     fn faulty_cfg(dma_ppm: u32, steal: u32, jitter: u32) -> MachineConfig {
@@ -781,11 +620,12 @@ mod tests {
     fn certain_dma_fault_fails_both_issue_paths_transiently() {
         let mut cg = CoreGroup::new(faulty_cfg(1_000_000, 0, 0), ExecMode::CostOnly);
         let reply = cg.alloc_reply();
-        let err = cg.dma_totals(128, 1, 128, reply).unwrap_err();
-        assert!(err.is_transient(), "injected DMA fault must be retryable: {err}");
         let a = cg.mem.alloc("a", 64);
         let base = cg.mem.base(a);
         let req = [DmaRequest::contiguous(0, MemToSpm, base, 0, 64)];
+        let batch = DmaBatch::of(&cg.cfg, MemToSpm, &req, &req).unwrap();
+        let err = cg.dma_priced(batch, reply).unwrap_err();
+        assert!(err.is_transient(), "injected DMA fault must be retryable: {err}");
         let err = cg.dma(MemToSpm, &req, reply).unwrap_err();
         assert!(matches!(err, MachineError::DmaFault { .. }));
     }
@@ -841,28 +681,6 @@ mod tests {
         assert_eq!(c.compute_cycles, 30);
         assert_eq!(c.spm_high_water_elems, (16 + 4 * 7) as u64);
         assert!(c.dma_efficiency() < 1.0);
-    }
-
-    #[test]
-    fn counters_match_between_dma_and_dma_totals() {
-        // The cost-only fast path must account the same traffic as the
-        // request-based path for an equivalent batch.
-        let mut a = CoreGroup::with_mode(ExecMode::CostOnly);
-        let buf = a.mem.alloc("a", 1 << 12);
-        let base = a.mem.base(buf);
-        let ra = a.alloc_reply();
-        let req = DmaRequest::contiguous(0, MemToSpm, base, 0, 256);
-        let (payload, bus) =
-            (req.total_bytes(), req.bus_bytes(a.cfg.dram_transaction_bytes));
-        a.dma(MemToSpm, &[req], ra).unwrap();
-
-        let mut b = CoreGroup::with_mode(ExecMode::CostOnly);
-        let rb = b.alloc_reply();
-        b.dma_totals(bus, 1, payload, rb).unwrap();
-
-        assert_eq!(a.counters.dma_payload_bytes, b.counters.dma_payload_bytes);
-        assert_eq!(a.counters.dma_bus_bytes, b.counters.dma_bus_bytes);
-        assert_eq!(a.counters.dma_batches, b.counters.dma_batches);
     }
 
     #[test]
@@ -928,7 +746,9 @@ mod tests {
             let mut cg = CoreGroup::new(cfg.clone(), ExecMode::CostOnly);
             cg.arm_faults(run_id, attempt);
             let reply = cg.alloc_reply();
-            (0..64).map(|_| cg.dma_totals(128, 1, 128, reply).is_err()).collect()
+            let req = [DmaRequest::contiguous(0, MemToSpm, 0, 0, 32)];
+            let batch = DmaBatch::of(&cg.cfg, MemToSpm, &req, &req).unwrap();
+            (0..64).map(|_| cg.dma_priced(batch, reply).is_err()).collect()
         };
         assert_eq!(run(9, 0), run(9, 0), "same (run, attempt) must replay faults");
         assert_ne!(run(9, 0), run(9, 1), "retry must see a fresh stream");

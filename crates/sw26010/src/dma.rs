@@ -235,6 +235,67 @@ fn gcd(mut a: usize, mut b: usize) -> usize {
     a
 }
 
+/// One `swDMA` batch reduced to what the machine charges, counts and traces
+/// for it. [`DmaBatch::of`] prices request structures one call at a time (the
+/// Functional interpreter, hand-written drivers); the cost-only interpreter
+/// fills one in from its per-node [`StartClasses`] table. Either way the
+/// batch reaches the engine, the counters and the trace through
+/// `CoreGroup::issue` alone (`tests/evaluator_equiv.rs` holds the producers
+/// to one another).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DmaBatch {
+    pub direction: DmaDirection,
+    /// Bytes crossing the DRAM bus: whole transactions per block.
+    pub bus_bytes: usize,
+    /// Blocks of all requests together: one descriptor each.
+    pub blocks: usize,
+    pub payload_bytes: usize,
+    /// One past the highest SPM element a get lands in; 0 for a put.
+    pub spm_end: usize,
+    /// Broadcast batches only: the cycles the leaders' register-bus scatter
+    /// ([`crate::regcomm::dma_scatter_cycles`]) adds between the end of the
+    /// transfer and the reply-word completion.
+    pub scatter: Option<Cycles>,
+}
+
+impl DmaBatch {
+    /// Validate `requests` — the DRAM side of a batch — and price each of
+    /// them, once. `lands` are the requests whose SPM side the batch fills:
+    /// `requests` again, or the 64 per-CPE blocks of a broadcast.
+    pub fn of(
+        cfg: &MachineConfig,
+        direction: DmaDirection,
+        requests: &[DmaRequest],
+        lands: &[DmaRequest],
+    ) -> MachineResult<DmaBatch> {
+        if requests.is_empty() {
+            return Err(MachineError::BadDmaRequest("empty batch".into()));
+        }
+        if requests.iter().chain(lands).any(|r| r.direction != direction) {
+            return Err(MachineError::BadDmaRequest("mixed directions in one batch".into()));
+        }
+        let mut batch = DmaBatch {
+            direction,
+            bus_bytes: 0,
+            blocks: 0,
+            payload_bytes: 0,
+            spm_end: 0,
+            scatter: None,
+        };
+        for r in requests {
+            r.validate()?;
+            batch.bus_bytes += r.bus_bytes(cfg.dram_transaction_bytes);
+            batch.blocks += r.n_blocks;
+            batch.payload_bytes += r.total_bytes();
+        }
+        if direction == DmaDirection::MemToSpm {
+            batch.spm_end =
+                lands.iter().map(|r| r.spm_offset + r.total_elems()).max().unwrap_or(0);
+        }
+        Ok(batch)
+    }
+}
+
 /// The shared per-CG DMA engine.
 ///
 /// The engine is a single resource: batches issued while a previous batch is
@@ -244,12 +305,6 @@ fn gcd(mut a: usize, mut b: usize) -> usize {
 #[derive(Debug, Clone, Default)]
 pub struct DmaEngine {
     free_at: Cycles,
-    /// Total payload bytes moved (statistics).
-    pub payload_bytes: u64,
-    /// Total bus bytes moved including transaction waste (statistics).
-    pub bus_bytes: u64,
-    /// Number of batches issued.
-    pub batches: u64,
 }
 
 impl DmaEngine {
@@ -257,100 +312,29 @@ impl DmaEngine {
         Self::default()
     }
 
-    /// Time at which the engine becomes idle.
-    pub fn free_at(&self) -> Cycles {
-        self.free_at
-    }
-
-    /// Compute the transfer duration of a batch of per-CPE requests and
-    /// schedule it at `now`, returning the completion time.
+    /// Schedule `batch` at `now`, returning when its transfer completes. A
+    /// `chained` batch is issued back-to-back with its predecessor: its
+    /// descriptors ride the already-open engine pipeline, so the per-batch
+    /// start-up latency is waived — it still queues behind in-flight work.
     pub fn schedule(
         &mut self,
         cfg: &MachineConfig,
         now: Cycles,
-        requests: &[DmaRequest],
-    ) -> MachineResult<Cycles> {
-        self.schedule_with(cfg, now, requests, false)
-    }
-
-    /// [`DmaEngine::schedule`] with explicit batch chaining: a `chained`
-    /// batch is issued back-to-back with its predecessor, so its descriptors
-    /// ride the already-open engine pipeline and the per-batch start-up
-    /// latency is waived (only the descriptor and transfer terms remain).
-    pub fn schedule_with(
-        &mut self,
-        cfg: &MachineConfig,
-        now: Cycles,
-        requests: &[DmaRequest],
-        chained: bool,
-    ) -> MachineResult<Cycles> {
-        let mut bus = 0usize;
-        let mut blocks = 0usize;
-        let mut payload = 0usize;
-        for r in requests {
-            r.validate()?;
-            bus += r.bus_bytes(cfg.dram_transaction_bytes);
-            blocks += r.n_blocks;
-            payload += r.total_bytes();
-        }
-        Ok(self.schedule_totals_with(cfg, now, bus, blocks, payload, chained))
-    }
-
-    /// Schedule a batch from pre-aggregated totals (the cost-only fast
-    /// path: callers compute bus bytes per request without materialising
-    /// request structures). Semantically identical to [`DmaEngine::schedule`]
-    /// on the same batch.
-    pub fn schedule_totals(
-        &mut self,
-        cfg: &MachineConfig,
-        now: Cycles,
-        bus_bytes: usize,
-        blocks: usize,
-        payload_bytes: usize,
-    ) -> Cycles {
-        self.schedule_totals_with(cfg, now, bus_bytes, blocks, payload_bytes, false)
-    }
-
-    /// [`DmaEngine::schedule_totals`] with explicit batch chaining (see
-    /// [`DmaEngine::schedule_with`]). Chained batches still queue behind the
-    /// engine's in-flight work — only the start-up term is dropped — and do
-    /// not open a new batch group in the statistics.
-    pub fn schedule_totals_with(
-        &mut self,
-        cfg: &MachineConfig,
-        now: Cycles,
-        bus_bytes: usize,
-        blocks: usize,
-        payload_bytes: usize,
+        batch: &DmaBatch,
         chained: bool,
     ) -> Cycles {
-        let transfer = (bus_bytes as f64 / cfg.mem_bytes_per_cycle).ceil() as u64;
+        let transfer = (batch.bus_bytes as f64 / cfg.mem_bytes_per_cycle).ceil() as u64;
         let startup = if chained { Cycles::ZERO } else { cfg.dma_startup };
-        let duration =
-            startup + Cycles(cfg.dma_block_overhead.get() * blocks as u64) + Cycles(transfer);
-        let start = now.max(self.free_at);
-        let finish = start + duration;
-        self.free_at = finish;
-        self.payload_bytes += payload_bytes as u64;
-        self.bus_bytes += bus_bytes as u64;
-        if !chained {
-            self.batches += 1;
-        }
-        finish
+        let duration = startup
+            + Cycles(cfg.dma_block_overhead.get() * batch.blocks as u64)
+            + Cycles(transfer);
+        self.free_at = now.max(self.free_at) + duration;
+        self.free_at
     }
 
-    /// Reset the engine clock (fresh program run) keeping statistics zeroed.
+    /// Reset the engine clock (fresh program run).
     pub fn reset(&mut self) {
         *self = DmaEngine::new();
-    }
-
-    /// Achieved bandwidth efficiency so far: payload / bus bytes.
-    pub fn efficiency(&self) -> f64 {
-        if self.bus_bytes == 0 {
-            1.0
-        } else {
-            self.payload_bytes as f64 / self.bus_bytes as f64
-        }
     }
 }
 
@@ -518,41 +502,58 @@ mod tests {
         }
     }
 
+    /// `n` contiguous elements from address 0, priced.
+    fn contiguous(cfg: &MachineConfig, n: usize) -> DmaBatch {
+        let r = [DmaRequest::contiguous(0, DmaDirection::MemToSpm, 0, 0, n)];
+        DmaBatch::of(cfg, DmaDirection::MemToSpm, &r, &r).unwrap()
+    }
+
     #[test]
-    fn chained_batch_waives_startup_and_batch_count() {
+    fn a_batch_is_its_requests_priced_one_by_one() {
+        let strided = DmaRequest {
+            cpe: 3,
+            direction: DmaDirection::MemToSpm,
+            mem_offset: 5,
+            spm_offset: 16,
+            block_elems: 7,
+            stride_elems: 64,
+            n_blocks: 4,
+        };
+        let reqs = [DmaRequest::contiguous(0, DmaDirection::MemToSpm, 31, 0, 2), strided];
+        let b = DmaBatch::of(&cfg(), DmaDirection::MemToSpm, &reqs, &reqs).unwrap();
+        assert_eq!(b.bus_bytes, reqs.iter().map(|r| r.bus_bytes(128)).sum::<usize>());
+        assert_eq!((b.blocks, b.payload_bytes, b.spm_end), (5, (2 + 28) * 4, 16 + 28));
+        assert_eq!(b.scatter, None);
+        // A put lands nowhere in the SPM; an empty or mixed batch is no batch.
+        let put = [DmaRequest::contiguous(0, DmaDirection::SpmToMem, 0, 9, 8)];
+        assert_eq!(DmaBatch::of(&cfg(), DmaDirection::SpmToMem, &put, &put).unwrap().spm_end, 0);
+        assert!(DmaBatch::of(&cfg(), DmaDirection::MemToSpm, &[], &[]).is_err());
+        assert!(DmaBatch::of(&cfg(), DmaDirection::MemToSpm, &put, &put).is_err());
+        assert!(DmaBatch::of(&cfg(), DmaDirection::MemToSpm, &reqs, &put).is_err());
+    }
+
+    #[test]
+    fn chained_batch_waives_exactly_the_startup() {
         let cfg = cfg();
-        let r = DmaRequest::contiguous(0, DmaDirection::MemToSpm, 0, 0, 128);
-        let mut plain = DmaEngine::new();
-        let f_plain = plain.schedule_with(&cfg, Cycles::ZERO, std::slice::from_ref(&r), false).unwrap();
-        let mut chained = DmaEngine::new();
-        let f_chained = chained.schedule_with(&cfg, Cycles::ZERO, &[r], true).unwrap();
-        // A chained batch skips exactly the start-up term ...
+        let batch = contiguous(&cfg, 128);
+        let f_plain = DmaEngine::new().schedule(&cfg, Cycles::ZERO, &batch, false);
+        let f_chained = DmaEngine::new().schedule(&cfg, Cycles::ZERO, &batch, true);
         assert_eq!(f_plain, f_chained + cfg.dma_startup);
-        // ... does not open a new batch group ...
-        assert_eq!((plain.batches, chained.batches), (1, 0));
-        // ... but still moves the same bytes.
-        assert_eq!(plain.bus_bytes, chained.bus_bytes);
-        assert_eq!(plain.payload_bytes, chained.payload_bytes);
     }
 
     #[test]
     fn chained_batch_still_queues_behind_in_flight_work() {
         let cfg = cfg();
-        let r = DmaRequest::contiguous(0, DmaDirection::MemToSpm, 0, 0, 128);
+        let batch = contiguous(&cfg, 128);
         let mut e = DmaEngine::new();
-        let first = e.schedule_with(&cfg, Cycles::ZERO, std::slice::from_ref(&r), false).unwrap();
+        let first = e.schedule(&cfg, Cycles::ZERO, &batch, false);
         // Issued at t=0 while the first batch is in flight: starts at its
         // completion, not at issue time.
-        let second = e.schedule_with(&cfg, Cycles::ZERO, &[r], true).unwrap();
-        assert!(second > first);
-        assert_eq!(second - first, f_duration(&cfg));
-    }
-
-    fn f_duration(cfg: &MachineConfig) -> Cycles {
-        // Duration of the chained 512 B contiguous batch above: block
-        // overhead + transfer, no start-up.
-        Cycles(cfg.dma_block_overhead.get())
-            + Cycles((512f64 / cfg.mem_bytes_per_cycle).ceil() as u64)
+        let second = e.schedule(&cfg, Cycles::ZERO, &batch, true);
+        // Block overhead + transfer of 512 B, no start-up.
+        let duration = Cycles(cfg.dma_block_overhead.get())
+            + Cycles((512f64 / cfg.mem_bytes_per_cycle).ceil() as u64);
+        assert_eq!(second - first, duration);
     }
 
     #[test]
@@ -578,27 +579,22 @@ mod tests {
     fn engine_serialises_batches() {
         let mut e = DmaEngine::new();
         let c = cfg();
-        let reqs = vec![DmaRequest::contiguous(0, DmaDirection::MemToSpm, 0, 0, 1024)];
-        let f1 = e.schedule(&c, Cycles(0), &reqs).unwrap();
+        let batch = contiguous(&c, 1024);
+        let f1 = e.schedule(&c, Cycles(0), &batch, false);
         // Second batch issued at time 0 must queue behind the first.
-        let f2 = e.schedule(&c, Cycles(0), &reqs).unwrap();
+        let f2 = e.schedule(&c, Cycles(0), &batch, false);
         assert!(f2.get() >= 2 * f1.get());
-        assert_eq!(e.batches, 2);
-        assert_eq!(e.payload_bytes, 2 * 4096);
     }
 
     #[test]
     fn engine_duration_scales_with_bytes() {
-        let mut e = DmaEngine::new();
         let c = cfg();
-        let small = vec![DmaRequest::contiguous(0, DmaDirection::MemToSpm, 0, 0, 256)];
-        let big = vec![DmaRequest::contiguous(0, DmaDirection::MemToSpm, 0, 0, 256 * 64)];
-        let f_small = e.schedule(&c, Cycles(0), &small).unwrap();
-        let mut e2 = DmaEngine::new();
-        let f_big = e2.schedule(&c, Cycles(0), &big).unwrap();
+        let (small, big) = (contiguous(&c, 256), contiguous(&c, 256 * 64));
+        let f_small = DmaEngine::new().schedule(&c, Cycles(0), &small, false);
+        let f_big = DmaEngine::new().schedule(&c, Cycles(0), &big, false);
         assert!(f_big > f_small);
-        // Large contiguous transfers approach peak bandwidth: efficiency 1.
-        assert!((e2.efficiency() - 1.0).abs() < 1e-9);
+        // Large contiguous transfers waste no bus bytes.
+        assert_eq!(big.bus_bytes, big.payload_bytes);
     }
 
     #[test]

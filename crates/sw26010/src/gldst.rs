@@ -52,7 +52,7 @@ pub fn gld_to_spm(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dma::{DmaDirection, DmaRequest};
+    use crate::dma::{DmaBatch, DmaDirection, DmaRequest};
     use crate::MachineConfig;
 
     #[test]
@@ -62,14 +62,9 @@ mod tests {
         let cfg = MachineConfig::default();
         let elems = 16 * 1024;
         let gld = gldst_cycles(&cfg, elems);
-        let mut engine = crate::dma::DmaEngine::new();
-        let dma = engine
-            .schedule(
-                &cfg,
-                Cycles(0),
-                &[DmaRequest::contiguous(0, DmaDirection::MemToSpm, 0, 0, elems)],
-            )
-            .unwrap();
+        let req = [DmaRequest::contiguous(0, DmaDirection::MemToSpm, 0, 0, elems)];
+        let batch = DmaBatch::of(&cfg, DmaDirection::MemToSpm, &req, &req).unwrap();
+        let dma = crate::dma::DmaEngine::new().schedule(&cfg, Cycles(0), &batch, false);
         assert!(
             gld.get() > 10 * dma.get(),
             "gld {gld} must be ≫ dma {dma} (the paper's 1.48 vs 22.6 GB/s)"

@@ -50,6 +50,17 @@
 //! [`CoreGroup::dma_wait`] advances the compute clock only if the transfer
 //! has not finished yet. Double buffering therefore *actually* hides latency
 //! in this model, exactly the effect the paper's Fig. 10 measures.
+//!
+//! A DMA batch has one way through the machine. Whoever priced it —
+//! [`CoreGroup::dma`] and [`CoreGroup::dma_bcast`] from request structures,
+//! one [`DmaRequest::bus_bytes`] call each, or the caller of
+//! [`CoreGroup::dma_priced`] by its own means — it is a [`DmaBatch`], and one
+//! private function takes the chain flag, charges the issue cost, draws from
+//! the fault session, schedules the engine ([`dma::DmaEngine::schedule`]),
+//! updates [`Counters`], pushes the trace events and records the completion
+//! on the reply word. The workspace's `tests/evaluator_equiv.rs` issues the
+//! same batches through every entry — fresh and chained, traced and not — and
+//! compares clock, counters, completion time and trace events.
 
 pub mod chrome_trace;
 pub mod clock;
@@ -73,7 +84,7 @@ pub use clock::Cycles;
 pub use cluster::{CoreGroup, ExecMode};
 pub use config::MachineConfig;
 pub use counters::Counters;
-pub use dma::{DmaDirection, DmaRequest, ReplyWord};
+pub use dma::{DmaBatch, DmaDirection, DmaRequest, ReplyWord};
 pub use error::{MachineError, MachineResult};
 pub use fault::{FaultPlan, FaultSession};
 pub use mem::{BufferId, MainMemory};

@@ -1,7 +1,7 @@
 //! Property-based tests for the machine substrate.
 
 use proptest::prelude::*;
-use sw26010::dma::{bus_bytes, DmaRequest};
+use sw26010::dma::{bus_bytes, DmaBatch, DmaRequest};
 use sw26010::pipeline::{Instruction, Pipe, Scoreboard};
 use sw26010::{CoreGroup, Cycles, DmaDirection, ExecMode, MachineConfig};
 
@@ -62,8 +62,9 @@ proptest! {
         let cfg = MachineConfig::default();
         let mk = |n: usize| {
             let mut e = sw26010::dma::DmaEngine::new();
-            let r = DmaRequest::contiguous(0, DmaDirection::MemToSpm, 0, 0, n);
-            e.schedule(&cfg, Cycles(0), &[r]).unwrap()
+            let r = [DmaRequest::contiguous(0, DmaDirection::MemToSpm, 0, 0, n)];
+            let batch = DmaBatch::of(&cfg, DmaDirection::MemToSpm, &r, &r).unwrap();
+            e.schedule(&cfg, Cycles(0), &batch, false)
         };
         prop_assert!(mk(elems + 64) >= mk(elems));
     }

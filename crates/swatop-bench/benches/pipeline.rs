@@ -2,7 +2,7 @@
 //! DMA engine cost evaluation.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use sw26010::dma::{DmaEngine, DmaRequest};
+use sw26010::dma::{DmaBatch, DmaEngine, DmaRequest};
 use sw26010::pipeline::{Instruction, Pipe, Scoreboard};
 use sw26010::{Cycles, DmaDirection, MachineConfig};
 
@@ -46,8 +46,8 @@ fn bench_dma_engine(c: &mut Criterion) {
         .collect();
     c.bench_function("dma_schedule_batch64", |b| {
         b.iter(|| {
-            let mut e = DmaEngine::new();
-            std::hint::black_box(e.schedule(&cfg, Cycles(0), &reqs).unwrap())
+            let batch = DmaBatch::of(&cfg, DmaDirection::MemToSpm, &reqs, &reqs).unwrap();
+            std::hint::black_box(DmaEngine::new().schedule(&cfg, Cycles(0), &batch, false))
         })
     });
 }

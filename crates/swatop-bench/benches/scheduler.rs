@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use sw26010::MachineConfig;
-use swatop::model::{estimate_program, GemmModel};
+use swatop::model::{estimate_program_memo, GemmModel};
 use swatop::ops::{ImplicitConvOp, MatmulOp};
 use swatop::optimizer::optimize;
 use swatop::scheduler::{Operator, Scheduler};
@@ -113,7 +113,7 @@ fn bench_model_estimate(c: &mut Criterion) {
     let cands = sched.enumerate(&op);
     let raw = &cands[cands.len() / 2].raw;
     c.bench_function("model_estimate_program", |b| {
-        b.iter(|| std::hint::black_box(estimate_program(&cfg, &model, raw)))
+        b.iter(|| std::hint::black_box(estimate_program_memo(&cfg, &model, raw, None)))
     });
 }
 

@@ -15,7 +15,7 @@ use swatop_bench::report::{mean, Table};
 use workloads::conv_sweep;
 
 fn main() {
-    let opts = Opts::parse(std::env::args().skip(1));
+    let opts = Opts::parse_or_exit(std::env::args().skip(1));
     let cfg = opts.machine();
     println!("swATOP reproduction — tuner ablation (opts: {opts:?})\n");
     let sweep = opts.sample(conv_sweep(32, opts.blackbox_cap()), 3, 8);

@@ -324,7 +324,7 @@ fn json_report(cfg: &MachineConfig, name: &str, tuned: &TunedOp, tel: &Telemetry
         .field("quarantined", outcome.quarantined)
         .field("bottleneck_mix", mix)
         .key("telemetry")
-        .raw(&tel.snapshot_json_with(Some(&peaks)))
+        .raw(&tel.snapshot_json_with(&peaks))
         .end_obj();
     w.finish()
 }
@@ -749,14 +749,14 @@ fn main() {
         let json_mode = a.flags.contains_key("json");
         let peaks = swatop::observatory::Peaks::of(&cfg);
         if let Some(path) = a.flags.get("telemetry") {
-            std::fs::write(path, tel.snapshot_json_with(Some(&peaks)))
+            std::fs::write(path, tel.snapshot_json_with(&peaks))
                 .expect("write telemetry JSON");
             if !json_mode {
                 println!("telemetry: {path}");
             }
         }
         if let Some(path) = a.flags.get("trace-timeline") {
-            std::fs::write(path, tel.perfetto_json_with(Some(&peaks)))
+            std::fs::write(path, tel.perfetto_json_with(&peaks))
                 .expect("write timeline JSON");
             if !json_mode {
                 println!("timeline : {path} (open in ui.perfetto.dev)");

@@ -91,69 +91,59 @@ impl Default for Opts {
     }
 }
 
+/// What [`Opts::parse`] accepts.
+const USAGE: &str = "--full, --smoke, --cap N, --jobs N, --faults SEED, --telemetry FILE, \
+                     --trace-timeline FILE, --bench-journal, --journal-label L, \
+                     --journal-handicap N";
+
 impl Opts {
     /// Parse command-line arguments (without the program name): `--full`
     /// removes caps and runs complete sweeps, `--smoke` sub-samples
     /// aggressively, `--cap N` sets the spatial cap, `--jobs N` sets the
     /// tuner worker count (0 or omitted = all available cores, 1 = serial).
-    pub fn parse(args: impl IntoIterator<Item = String>) -> Self {
+    /// An unknown flag, a flag without its value or a value that does not
+    /// parse is an error that names it and lists the flags.
+    pub fn parse(args: impl IntoIterator<Item = String>) -> Result<Self, String> {
+        fn number<T: std::str::FromStr>(flag: &str, value: String) -> Result<T, String> {
+            value.parse().map_err(|_| format!("{flag}: `{value}` is not a number (try {USAGE})"))
+        }
         let mut o = Opts::default();
-        let args: Vec<String> = args.into_iter().collect();
-        let mut i = 0;
-        while i < args.len() {
-            match args[i].as_str() {
+        let mut args = args.into_iter();
+        while let Some(flag) = args.next() {
+            let mut value =
+                || args.next().ok_or_else(|| format!("{flag} needs a value (try {USAGE})"));
+            match flag.as_str() {
                 "--full" => {
                     o.scale = Scale::Full;
                     o.spatial_cap = None;
                     o.gemm_cap = None;
                 }
                 "--smoke" => o.scale = Scale::Smoke,
-                "--cap" => {
-                    i += 1;
-                    let v: usize = args[i].parse().expect("--cap N");
-                    o.spatial_cap = Some(v);
-                }
+                "--cap" => o.spatial_cap = Some(number(&flag, value()?)?),
                 "--jobs" => {
-                    i += 1;
-                    let v: usize = args[i].parse().expect("--jobs N");
-                    o.jobs = swatop::tuner::pool::resolve_jobs(Some(v));
+                    o.jobs = swatop::tuner::pool::resolve_jobs(Some(number(&flag, value()?)?));
                 }
-                "--faults" => {
-                    i += 1;
-                    o.faults = Some(args[i].parse().expect("--faults SEED"));
-                }
-                "--telemetry" => {
-                    i += 1;
-                    o.telemetry_path = Some(PathBuf::from(&args[i]));
-                }
-                "--trace-timeline" => {
-                    i += 1;
-                    o.timeline_path = Some(PathBuf::from(&args[i]));
-                }
+                "--faults" => o.faults = Some(number(&flag, value()?)?),
+                "--telemetry" => o.telemetry_path = Some(PathBuf::from(value()?)),
+                "--trace-timeline" => o.timeline_path = Some(PathBuf::from(value()?)),
                 "--bench-journal" => o.bench_journal = true,
-                "--journal-label" => {
-                    i += 1;
-                    o.journal_label = args[i].clone();
-                }
-                "--journal-handicap" => {
-                    i += 1;
-                    o.journal_handicap = args[i].parse().expect("--journal-handicap N");
-                }
-                other => {
-                    panic!(
-                        "unknown argument {other} \
-                         (try --full, --smoke, --cap N, --jobs N, --faults SEED, \
-                         --telemetry FILE, --trace-timeline FILE, --bench-journal, \
-                         --journal-label L, --journal-handicap N)"
-                    )
-                }
+                "--journal-label" => o.journal_label = value()?,
+                "--journal-handicap" => o.journal_handicap = number(&flag, value()?)?,
+                other => return Err(format!("unknown argument {other} (try {USAGE})")),
             }
-            i += 1;
         }
         if o.telemetry_path.is_some() || o.timeline_path.is_some() {
             o.telemetry = Some(Telemetry::new());
         }
-        o
+        Ok(o)
+    }
+
+    /// [`Opts::parse`] for a binary: a usage error is printed and exits 2.
+    pub fn parse_or_exit(args: impl IntoIterator<Item = String>) -> Self {
+        Self::parse(args).unwrap_or_else(|e| {
+            eprintln!("{e}");
+            std::process::exit(2)
+        })
     }
 
     /// Tuning options carrying this harness's worker count and (if any)
@@ -170,12 +160,12 @@ impl Opts {
         let cfg = self.machine();
         let peaks = swatop::observatory::Peaks::of(&cfg);
         if let Some(path) = &self.telemetry_path {
-            std::fs::write(path, tel.snapshot_json_with(Some(&peaks)))
+            std::fs::write(path, tel.snapshot_json_with(&peaks))
                 .expect("write telemetry JSON");
             println!("telemetry : {}", path.display());
         }
         if let Some(path) = &self.timeline_path {
-            std::fs::write(path, tel.perfetto_json_with(Some(&peaks)))
+            std::fs::write(path, tel.perfetto_json_with(&peaks))
                 .expect("write timeline JSON");
             println!("timeline  : {} (open in ui.perfetto.dev)", path.display());
         }
@@ -252,4 +242,61 @@ pub fn machine() -> MachineConfig {
 /// A convenience: percentage formatting.
 pub fn pct(x: f64) -> String {
     format!("{:+.1}%", 100.0 * x)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Opts, String> {
+        Opts::parse(args.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn a_flag_without_its_value_is_reported_not_indexed() {
+        const VALUE_FLAGS: [&str; 7] = [
+            "--cap",
+            "--jobs",
+            "--faults",
+            "--telemetry",
+            "--trace-timeline",
+            "--journal-label",
+            "--journal-handicap",
+        ];
+        for flag in VALUE_FLAGS {
+            // Last on the line, alone or after other arguments.
+            for args in [vec![flag], vec!["--smoke", "--bench-journal", flag]] {
+                let err = parse(&args).expect_err(flag);
+                assert!(err.starts_with(&format!("{flag} needs a value")), "{err}");
+                assert!(err.contains("--journal-handicap N"), "no flag list: {err}");
+            }
+            assert!(parse(&[flag, "7"]).is_ok(), "{flag} 7");
+        }
+        assert!(parse(&["--jobs", "many"]).unwrap_err().contains("`many` is not a number"));
+        assert!(parse(&["--frobnicate"]).unwrap_err().starts_with("unknown argument --frobnicate"));
+    }
+
+    #[test]
+    fn values_land_in_their_fields() {
+        let o = parse(&[
+            "--smoke",
+            "--cap",
+            "12",
+            "--jobs",
+            "3",
+            "--faults",
+            "9",
+            "--trace-timeline",
+            "t.json",
+            "--journal-label",
+            "x",
+            "--journal-handicap",
+            "2",
+        ])
+        .unwrap();
+        assert_eq!((o.scale, o.spatial_cap, o.jobs, o.faults), (Scale::Smoke, Some(12), 3, Some(9)));
+        assert_eq!((o.journal_label.as_str(), o.journal_handicap), ("x", 2));
+        assert_eq!(o.timeline_path, Some(PathBuf::from("t.json")));
+        assert!(o.telemetry.is_some() && o.telemetry_path.is_none() && !o.bench_journal);
+    }
 }

@@ -43,6 +43,6 @@ pub mod transform;
 pub use expr::{AVar, AffineExpr, Cond, Env, VarId};
 pub use program::{MemBufDecl, MemRole, Program, ScheduleHints, SpmBufDecl};
 pub use stmt::{
-    DmaCg, DmaCpe, GemmOp, MatDesc, MemBufId, ReplyId, SpmBufId, SpmSlot, Stmt, TransformKind,
-    TransformOp,
+    DmaCg, DmaCpe, DmaShape, GemmOp, MatDesc, MemBufId, ReplyId, SpmBufId, SpmSlot, Stmt,
+    TransformKind, TransformOp,
 };

@@ -1,11 +1,11 @@
 //! IR statement nodes.
 
 use sw26010::regcomm::BcastBus;
-use sw26010::DmaDirection;
+use sw26010::{cid, rid, Cycles, DmaDirection, MachineConfig, ELEM_BYTES, MESH, N_CPE};
 use swkernels::VecDim;
 use swtensor::{ConvShape, MatLayout};
 
-use crate::expr::{AffineExpr, Cond, VarId};
+use crate::expr::{AVar, AffineExpr, Cond, VarId};
 
 /// Index of an SPM buffer in the program's SPM table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -124,6 +124,74 @@ impl DmaCpe {
     /// Elements landing in (or read from) each CPE's SPM.
     pub fn spm_elems(&self) -> usize {
         self.block * self.n_blocks
+    }
+
+    /// The DRAM side of one execution of the node; see [`DmaShape`].
+    pub fn shape(&self, cfg: &MachineConfig) -> DmaShape {
+        // A broadcast leader fetches its line's eight contiguous blocks as
+        // one: 8 requests of 8× the block instead of 64 of the block.
+        let (requests, cpe_step, block, scatter) = match self.bcast {
+            None => (N_CPE, 1, self.block, None),
+            Some(bus) => {
+                let cpe_step = match bus {
+                    BcastBus::Row => MESH,
+                    BcastBus::Column => 1,
+                };
+                let scatter = sw26010::regcomm::dma_scatter_cycles(cfg, self.spm_elems());
+                (MESH, cpe_step, self.block * MESH, Some(scatter))
+            }
+        };
+        DmaShape {
+            requests,
+            block,
+            blocks: requests * self.n_blocks,
+            span: self.n_blocks.saturating_sub(1) * self.stride + block,
+            payload_bytes: requests * block * self.n_blocks * ELEM_BYTES,
+            scatter,
+            cpe_step,
+            mesh_coeffs: (self.offset.coeff(AVar::Rid), self.offset.coeff(AVar::Cid)),
+        }
+    }
+}
+
+/// Which CPEs ask the DMA engine for what when a [`DmaCpe`] node executes:
+/// every CPE for its own blocks, or — under broadcast tiling — the leader of
+/// each mesh row (column) for its whole line. The one definition behind the
+/// interpreter's bounds checks, its cost-only price table and its functional
+/// request builder, and the analytic model's Eq. (1) term.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DmaShape {
+    /// Requests in the batch: 64, or a broadcast's 8.
+    pub requests: usize,
+    /// Elements per block of one request.
+    pub block: usize,
+    /// Blocks of all requests together.
+    pub blocks: usize,
+    /// Elements from a request's first to one past its last.
+    pub span: usize,
+    /// Bytes the batch delivers (the same with and without broadcast).
+    pub payload_bytes: usize,
+    /// Broadcast only: cycles the leaders' scatter over the register bus
+    /// adds between the end of the transfer and its completion.
+    pub scatter: Option<Cycles>,
+    /// Request `i` is issued by CPE `i * cpe_step`.
+    cpe_step: usize,
+    /// `rid` and `cid` coefficients of the node's offset.
+    mesh_coeffs: (i64, i64),
+}
+
+impl DmaShape {
+    /// Linear ids of the requesting CPEs, in issue order.
+    pub fn requesters(&self) -> impl Iterator<Item = usize> {
+        let step = self.cpe_step;
+        (0..self.requests).map(move |i| i * step)
+    }
+
+    /// Where each request starts, in elements after CPE (0, 0)'s offset
+    /// (negative: before it), in issue order.
+    pub fn relative_starts(&self) -> impl Iterator<Item = i64> {
+        let (c_r, c_c) = self.mesh_coeffs;
+        self.requesters().map(move |cpe| c_r * rid(cpe) as i64 + c_c * cid(cpe) as i64)
     }
 }
 

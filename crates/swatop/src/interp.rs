@@ -3,9 +3,10 @@
 //! This is the machine-facing back half of the code generator. Walking the
 //! statement tree with a loop-variable environment, it
 //!
-//! * expands each `DMA_CPE` node into the 64 per-CPE engine requests (the
-//!   `rid`/`cid` terms of the node's affine offset give every CPE its own
-//!   address),
+//! * issues each `DMA_CPE` node as one batch of per-CPE — under broadcast
+//!   tiling, per-leader — engine requests (the `rid`/`cid` terms of the
+//!   node's affine offset give every CPE its own address;
+//!   [`swatop_ir::DmaShape`]),
 //! * resolves double-buffer slots through their parity selectors,
 //! * invokes the `spm_gemm` tensorized primitive, and
 //! * applies bulk host-side transforms with a bandwidth-based cost.
@@ -15,32 +16,33 @@
 //! wrong `ld`, wrong boundary guard) produces wrong output — the test suite
 //! compares every generated schedule against the host references.
 //!
-//! In cost-only mode — the autotuner's measurement device — a `DMA_CPE`
-//! node is priced without building requests, and priced once per run rather
-//! than once per execution: the 64 (or 8 leader) start addresses are the
-//! first one plus distances fixed by the node's `rid`/`cid` coefficients, so
-//! the node's bus bytes are a function of the first start's address residue
-//! alone ([`sw26010::dma::StartClasses`]) and are remembered per
-//! (node, residue) for the duration of one [`execute`]. An execution
-//! evaluates the offset expression once, bounds-checks the mesh corners,
-//! checks the SPM capacity and reads that table. In both modes a `Gemm`
+//! A `DMA_CPE` node meets the same slot, capacity and bounds checks in both
+//! modes, which part only then. Functional mode builds every request from
+//! its own evaluation of the offset expression, and the machine prices and
+//! copies each. Cost-only mode — the autotuner's measurement device — builds
+//! none and prices the node once per run rather than once per execution: the
+//! 64 (or 8 leader) start addresses are the first one plus distances fixed
+//! by the node's `rid`/`cid` coefficients, so the node's bus bytes are a
+//! function of the first start's address residue alone
+//! ([`sw26010::dma::StartClasses`]) and are remembered per (node, residue)
+//! for the duration of one [`execute`]. Either way the batch takes the one
+//! path through the machine ([`sw26010::DmaBatch`]). In both modes a `Gemm`
 //! node's kernel price ([`swkernels::GemmPrice`]) is likewise taken once per
-//! node per run. Clock, counters and errors are those of the functional
-//! path, which prices every request of every execution and stays the oracle
+//! node per run. The functional path, which prices every request of every
+//! execution, stays the oracle for clock, counters and errors
 //! (`tests/evaluator_equiv.rs`; DESIGN.md §19).
 
 use sw26010::cluster::ReplyId as CgReply;
 use sw26010::dma::StartClasses;
-use sw26010::regcomm::BcastBus;
 use sw26010::{
-    cid, rid, CoreGroup, Cycles, DmaDirection, DmaRequest, ExecMode, MachineError, MachineResult,
-    MESH, N_CPE,
+    cid, rid, CoreGroup, Cycles, DmaBatch, DmaDirection, DmaRequest, ExecMode, MachineConfig,
+    MachineError, MachineResult, N_CPE,
 };
 use swkernels::spm_gemm::SpmMatrix;
 use swkernels::GemmPrice;
 use swtensor::Tensor;
 
-use swatop_ir::{AVar, DmaCpe, Env, GemmOp, MatDesc, Program, SpmSlot, Stmt, TransformKind};
+use swatop_ir::{DmaCpe, DmaShape, Env, GemmOp, MatDesc, Program, SpmSlot, Stmt, TransformKind};
 
 use crate::codegen::{Executable, Planned};
 
@@ -101,40 +103,39 @@ fn entry<'t, 'a, N, V>(
     &mut table[at].1
 }
 
-/// Cost-only price table of one `DMA_CPE` node: what is fixed for the run
-/// (the DRAM-side block and where the other transfers start relative to the
-/// first) and the bus bytes per first-start residue met so far.
+/// What one run keeps of a static `DMA_CPE` node: its shape, how far the
+/// requests reach to either side of CPE (0, 0)'s start, and — the cost-only
+/// price table — the bus bytes per first-start residue met so far.
 struct DmaNode {
-    /// Elements per DRAM-side block: the node's own, or a broadcast
-    /// leader's eight.
-    block: usize,
+    shape: DmaShape,
+    /// Lowest and highest of the requests' relative starts.
+    reach: (i64, i64),
     classes: StartClasses,
     /// `(residue of the first start, bus bytes of the whole node)`.
     bus_bytes: Vec<(usize, usize)>,
 }
 
 impl DmaNode {
-    fn new(node: &DmaCpe, txn_bytes: usize) -> Self {
-        let (c_r, c_c) = (node.offset.coeff(AVar::Rid), node.offset.coeff(AVar::Cid));
-        // CPE (rid, cid) starts `c_r·rid + c_c·cid` after CPE (0, 0);
-        // broadcast leader `i` sits at coordinate `i` of the bus's own axis.
-        let (block, classes) = match node.bcast {
-            None => (
-                node.block,
-                StartClasses::new(
-                    (0..N_CPE).map(|cpe| c_r * rid(cpe) as i64 + c_c * cid(cpe) as i64),
-                    txn_bytes,
-                ),
-            ),
-            Some(bus) => {
-                let step = match bus {
-                    BcastBus::Row => c_r,
-                    BcastBus::Column => c_c,
-                };
-                (node.block * 8, StartClasses::new((0..MESH as i64).map(|i| step * i), txn_bytes))
-            }
-        };
-        DmaNode { block, classes, bus_bytes: Vec::new() }
+    fn new(node: &DmaCpe, cfg: &MachineConfig) -> Self {
+        let shape = node.shape(cfg);
+        let reach = shape
+            .relative_starts()
+            .fold((0, 0), |(lo, hi), rel| (lo.min(rel), hi.max(rel)));
+        let classes = StartClasses::new(shape.relative_starts(), cfg.dram_transaction_bytes);
+        DmaNode { shape, reach, classes, bus_bytes: Vec::new() }
+    }
+
+    /// Cost-only DRAM bus bytes of every request of `d` together, the first
+    /// of which starts at absolute element `first_start`: computed once per
+    /// start residue per run.
+    fn bus_bytes(&mut self, d: &DmaCpe, first_start: usize) -> usize {
+        let residue = self.classes.residue(first_start);
+        if let Some(&(_, bus)) = self.bus_bytes.iter().find(|&&(r, _)| r == residue) {
+            return bus;
+        }
+        let bus = self.classes.bus_bytes(first_start, self.shape.block, d.stride, d.n_blocks);
+        self.bus_bytes.push((residue, bus));
+        bus
     }
 }
 
@@ -187,21 +188,6 @@ impl<'a> Interp<'a> {
         })
     }
 
-    /// Cost-only DRAM bus bytes of every transfer of `d` together, the first
-    /// of which (CPE (0, 0)'s, or leader 0's) starts at absolute element
-    /// `first_start`: computed once per (node, start residue) per run.
-    fn dma_bus_bytes(&mut self, cg: &CoreGroup, d: &'a DmaCpe, first_start: usize) -> usize {
-        let node =
-            entry(&mut self.dma_nodes, d, || DmaNode::new(d, cg.cfg.dram_transaction_bytes));
-        let residue = node.classes.residue(first_start);
-        if let Some(&(_, bus)) = node.bus_bytes.iter().find(|&&(r, _)| r == residue) {
-            return bus;
-        }
-        let bus = node.classes.bus_bytes(first_start, node.block, d.stride, d.n_blocks);
-        node.bus_bytes.push((residue, bus));
-        bus
-    }
-
     fn stmt(&mut self, cg: &mut CoreGroup, s: &'a Stmt, env: &mut Env) -> MachineResult<()> {
         match s {
             Stmt::Nop => Ok(()),
@@ -230,91 +216,7 @@ impl<'a> Interp<'a> {
             Stmt::DmaCg(_) => Err(MachineError::Invalid(
                 "DMA_CG node reached the interpreter: run DMA inference first".into(),
             )),
-            Stmt::DmaCpe(d) => {
-                // Batch fusion: this node was issued back-to-back with its
-                // predecessor, so its descriptors chain onto the engine's
-                // open batch and skip the start-up latency.
-                if d.fused {
-                    cg.dma_chain_next();
-                }
-                if d.bcast.is_some() {
-                    return self.dma_cpe_bcast(cg, d, env);
-                }
-                let spm_off = self.resolve_slot(cg, &d.spm, env)?;
-                let machine_buf = self.buf(d.buf)?;
-                let base = cg.mem.base(machine_buf);
-                let len = cg.mem.len_of(machine_buf);
-                let span = (d.n_blocks - 1) * d.stride + d.block;
-                if cg.mode() == ExecMode::CostOnly {
-                    // Fast path: aggregate engine totals without building
-                    // request structures (identical clock semantics). The
-                    // capacity bound is the run's *effective* one, which an
-                    // active fault session may have shrunk.
-                    let spm_needed = spm_off + d.block * d.n_blocks;
-                    if spm_needed > cg.spm_capacity_elems() {
-                        return Err(MachineError::SpmOverflow {
-                            cpe: 0,
-                            offset: spm_off,
-                            len: d.block * d.n_blocks,
-                            capacity: cg.spm_capacity_elems(),
-                        });
-                    }
-                    // Mirror the functional path's SPM high-water tracking
-                    // (request-level `note_spm_use` never runs here).
-                    if d.direction == DmaDirection::MemToSpm {
-                        cg.counters.note_spm_use(spm_needed as u64);
-                    }
-                    // CPE (rid, cid) starts at `o + c_r·rid + c_c·cid`: one
-                    // evaluation of the expression gives all 64 offsets,
-                    // and the mesh corners bound them.
-                    let o = d.offset.eval(env, 0, 0);
-                    let (c_r, c_c) = (d.offset.coeff(AVar::Rid), d.offset.coeff(AVar::Cid));
-                    let far = (MESH - 1) as i64;
-                    let lowest = o + (c_r * far).min(0) + (c_c * far).min(0);
-                    let highest = o + (c_r * far).max(0) + (c_c * far).max(0);
-                    if lowest >= 0 && highest as usize + span <= len {
-                        let bus = self.dma_bus_bytes(cg, d, base + o as usize);
-                        let payload = d.block * d.n_blocks * 4 * N_CPE;
-                        return cg.dma_totals_directed(
-                            d.direction,
-                            bus,
-                            d.n_blocks * N_CPE,
-                            payload,
-                            self.reply(d.reply)?,
-                        );
-                    }
-                    // Some CPE is out of bounds: the in-order loop below
-                    // reports the first one that is.
-                }
-                let mut reqs = Vec::with_capacity(N_CPE);
-                for cpe in 0..N_CPE {
-                    let off = d.offset.eval(env, rid(cpe) as i64, cid(cpe) as i64);
-                    if off < 0 {
-                        return Err(MachineError::Invalid(format!(
-                            "negative DMA offset {off} on CPE {cpe}"
-                        )));
-                    }
-                    let off = off as usize;
-                    // The last touched element must stay inside the buffer.
-                    if off + span > len {
-                        return Err(MachineError::MainMemoryOutOfBounds {
-                            offset: base + off,
-                            len: span,
-                            size: base + len,
-                        });
-                    }
-                    reqs.push(DmaRequest {
-                        cpe,
-                        direction: d.direction,
-                        mem_offset: base + off,
-                        spm_offset: spm_off,
-                        block_elems: d.block,
-                        stride_elems: d.stride,
-                        n_blocks: d.n_blocks,
-                    });
-                }
-                cg.dma(d.direction, &reqs, self.reply(d.reply)?)
-            }
+            Stmt::DmaCpe(d) => self.dma_cpe(cg, d, env),
             Stmt::DmaWait { reply, times } => {
                 let r = self.reply(*reply)?;
                 cg.dma_wait(r, *times)
@@ -334,121 +236,115 @@ impl<'a> Interp<'a> {
         }
     }
 
-    /// Execute a broadcast-tagged `DMA_CPE`: the leader CPE of each mesh
-    /// row (`BcastBus::Row`, leaders `(r, 0)`) or column (`Column`, leaders
-    /// `(0, c)`) fetches its whole line's 8 contiguous blocks from DRAM and
-    /// scatters them over the register-communication bus. DRAM traffic and
-    /// engine time come from the 8 leader requests (8× fewer descriptors,
-    /// 8×-wider blocks); the bytes each CPE's SPM receives are identical to
-    /// the untagged node, which the functional path realises by copying the
-    /// original 64 per-CPE blocks.
-    fn dma_cpe_bcast(
-        &mut self,
-        cg: &mut CoreGroup,
-        d: &'a DmaCpe,
-        env: &Env,
-    ) -> MachineResult<()> {
-        let bus_kind = d.bcast.expect("caller checked");
-        if d.direction != DmaDirection::MemToSpm {
+    /// Execute a `DMA_CPE` node: every CPE moves its own blocks, or — under
+    /// broadcast tiling — the leader of each mesh row (column) fetches its
+    /// whole line from DRAM and scatters it over the register-communication
+    /// bus, which delivers the same bytes to every SPM from 8× fewer, 8×
+    /// wider requests ([`DmaShape`]). The checks are the same in both modes;
+    /// then cost-only prices the batch from the node's table, and functional
+    /// builds, prices and copies every request.
+    fn dma_cpe(&mut self, cg: &mut CoreGroup, d: &'a DmaCpe, env: &Env) -> MachineResult<()> {
+        // Batch fusion: this node was issued back-to-back with its
+        // predecessor, so its descriptors chain onto the engine's open batch
+        // and skip the start-up latency.
+        if d.fused {
+            cg.dma_chain_next();
+        }
+        if d.bcast.is_some() && d.direction != DmaDirection::MemToSpm {
             return Err(MachineError::Invalid(
                 "broadcast DMA is only defined for mem→SPM gets".into(),
             ));
         }
         let spm_off = self.resolve_slot(cg, &d.spm, env)?;
         let machine_buf = self.buf(d.buf)?;
-        let base = cg.mem.base(machine_buf);
-        let len = cg.mem.len_of(machine_buf);
-        let lblock = d.block * 8;
-        if d.n_blocks > 1 && d.stride < lblock {
+        let reply = self.reply(d.reply);
+        let node = entry(&mut self.dma_nodes, d, || DmaNode::new(d, &cg.cfg));
+        let shape = node.shape;
+        if d.bcast.is_some() && d.n_blocks > 1 && d.stride < shape.block {
             return Err(MachineError::Invalid(format!(
-                "broadcast DMA leader blocks of {lblock} overlap stride {}",
-                d.stride
+                "broadcast DMA leader blocks of {} overlap stride {}",
+                shape.block, d.stride
             )));
         }
-        let lspan = (d.n_blocks - 1) * d.stride + lblock;
-        let leaders: [(i64, i64); 8] = match bus_kind {
-            BcastBus::Row => std::array::from_fn(|r| (r as i64, 0)),
-            BcastBus::Column => std::array::from_fn(|c| (0, c as i64)),
-        };
-        let scatter = sw26010::regcomm::dma_scatter_cycles(&cg.cfg, d.spm_elems());
-        let spm_needed = spm_off + d.spm_elems();
-        if spm_needed > cg.spm_capacity_elems() {
+        // The capacity bound is the run's *effective* one, which an active
+        // fault session may have shrunk.
+        let (spm_elems, capacity) = (d.spm_elems(), cg.spm_capacity_elems());
+        if spm_off + spm_elems > capacity {
             return Err(MachineError::SpmOverflow {
                 cpe: 0,
                 offset: spm_off,
-                len: d.spm_elems(),
-                capacity: cg.spm_capacity_elems(),
+                len: spm_elems,
+                capacity,
             });
         }
-        cg.counters.note_spm_use(spm_needed as u64);
-        // Leader `i` sits at mesh coordinate `i` of the bus's own axis, so
-        // its offset is `o + step·i`: one evaluation serves all eight.
+        // Request `i` starts at `o + relative_starts[i]`: one evaluation of
+        // the expression bounds them all by the two that reach furthest, and
+        // only a failing node is walked for the first request out of range.
+        let (base, len) = (cg.mem.base(machine_buf), cg.mem.len_of(machine_buf));
         let o = d.offset.eval(env, 0, 0);
-        let step = d.offset.coeff(match bus_kind {
-            BcastBus::Row => AVar::Rid,
-            BcastBus::Column => AVar::Cid,
-        });
-        let mut leader_offs = [0usize; 8];
-        for (i, leader_off) in leader_offs.iter_mut().enumerate() {
-            let off = o + step * i as i64;
-            if off < 0 {
-                return Err(MachineError::Invalid(format!(
-                    "negative DMA offset {off} on broadcast leader {i}"
-                )));
+        if o + node.reach.0 < 0 || (o + node.reach.1) as usize + shape.span > len {
+            let who = if d.bcast.is_some() { "broadcast leader" } else { "CPE" };
+            for (i, rel) in shape.relative_starts().enumerate() {
+                let off = o + rel;
+                if off < 0 {
+                    return Err(MachineError::Invalid(format!(
+                        "negative DMA offset {off} on {who} {i}"
+                    )));
+                }
+                // The last touched element must stay inside the buffer.
+                if off as usize + shape.span > len {
+                    return Err(MachineError::MainMemoryOutOfBounds {
+                        offset: base + off as usize,
+                        len: shape.span,
+                        size: base + len,
+                    });
+                }
             }
-            let off = off as usize;
-            if off + lspan > len {
-                return Err(MachineError::MainMemoryOutOfBounds {
-                    offset: base + off,
-                    len: lspan,
-                    size: base + len,
-                });
-            }
-            *leader_off = off;
         }
         if cg.mode() == ExecMode::CostOnly {
-            let bus = self.dma_bus_bytes(cg, d, base + leader_offs[0]);
-            let payload = lblock * d.n_blocks * 4 * 8;
-            return cg.dma_totals_bcast(
-                bus,
-                d.n_blocks * 8,
-                payload,
-                scatter,
-                self.reply(d.reply)?,
-            );
-        }
-        let leader_reqs: Vec<DmaRequest> = leaders
-            .iter()
-            .zip(&leader_offs)
-            .map(|(&(r, c), &off)| DmaRequest {
-                cpe: (r * 8 + c) as usize,
+            let batch = DmaBatch {
                 direction: d.direction,
-                mem_offset: base + off,
-                spm_offset: spm_off,
-                block_elems: lblock,
-                stride_elems: d.stride.max(lblock),
-                n_blocks: d.n_blocks,
-            })
-            .collect();
-        let mut reqs = Vec::with_capacity(N_CPE);
-        for cpe in 0..N_CPE {
+                bus_bytes: node.bus_bytes(d, base + o as usize),
+                blocks: shape.blocks,
+                payload_bytes: shape.payload_bytes,
+                spm_end: if d.direction == DmaDirection::MemToSpm { spm_off + spm_elems } else { 0 },
+                scatter: shape.scatter,
+            };
+            return cg.dma_priced(batch, reply?);
+        }
+        // Every CPE's offset expression is evaluated for itself: what the
+        // machine prices and copies owes nothing to the shortcuts above.
+        let request = |cpe: usize, block: usize| -> MachineResult<DmaRequest> {
             let off = d.offset.eval(env, rid(cpe) as i64, cid(cpe) as i64);
             if off < 0 {
                 return Err(MachineError::Invalid(format!(
                     "negative DMA offset {off} on CPE {cpe}"
                 )));
             }
-            reqs.push(DmaRequest {
+            Ok(DmaRequest {
                 cpe,
                 direction: d.direction,
                 mem_offset: base + off as usize,
                 spm_offset: spm_off,
-                block_elems: d.block,
+                block_elems: block,
                 stride_elems: d.stride,
                 n_blocks: d.n_blocks,
-            });
+            })
+        };
+        let mut reqs = Vec::with_capacity(N_CPE);
+        for cpe in 0..N_CPE {
+            reqs.push(request(cpe, d.block)?);
         }
-        cg.dma_bcast(d.direction, &leader_reqs, &reqs, scatter, self.reply(d.reply)?)
+        match shape.scatter {
+            None => cg.dma(d.direction, &reqs, reply?),
+            Some(scatter) => {
+                let leaders = shape
+                    .requesters()
+                    .map(|cpe| request(cpe, shape.block))
+                    .collect::<MachineResult<Vec<_>>>()?;
+                cg.dma_bcast(d.direction, &leaders, &reqs, scatter, reply?)
+            }
+        }
     }
 
     fn resolve_slot(
@@ -487,17 +383,13 @@ impl<'a> Interp<'a> {
 
     fn transform(&self, cg: &mut CoreGroup, t: &swatop_ir::TransformOp) -> MachineResult<()> {
         let kind = &t.kind;
-        // Cost: transforms are tiled CPE loops streaming through the DMA
-        // engine — bandwidth-bound unless heavy per-element arithmetic.
-        // A fused transform chains onto the still-streaming engine pipeline
-        // of its predecessor and skips the start-up latency.
-        let (reads, writes, flops_per_write) = kind.traffic();
-        let bytes = 4 * (reads + writes);
-        let transfer = (bytes as f64 / cg.cfg.mem_bytes_per_cycle).ceil() as u64;
-        // 64 CPEs × 4-wide ops; 1 + flops_per_write operations per element.
-        let compute = writes * (1 + flops_per_write) / (N_CPE as u64 * 4);
-        let startup = if t.fused { Cycles::ZERO } else { cg.cfg.dma_startup };
-        let cycles = startup + Cycles(transfer.max(compute));
+        // The model's own price, so transforms contribute no model error. A
+        // fused transform chains onto the still-streaming engine pipeline of
+        // its predecessor and skips the start-up latency.
+        let mut cycles = crate::model::transform_cost(&cg.cfg, kind);
+        if t.fused {
+            cycles = cycles - cg.cfg.dma_startup;
+        }
         cg.compute(cycles, transform_label(kind));
 
         if cg.mode() != ExecMode::Functional {

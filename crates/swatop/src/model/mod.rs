@@ -21,26 +21,16 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use sw26010::{Cycles, MachineConfig, MESH, N_CPE};
-use swatop_ir::{Env, Program, Stmt, TransformKind};
+use sw26010::{Cycles, MachineConfig, N_CPE};
+use swatop_ir::{DmaCpe, Env, Program, Stmt, TransformKind};
 use swkernels::cost::{timing_fingerprint, TimingFingerprint};
 use swkernels::{gemm_cycles, GemmVariant, VecDim, ALL_VARIANTS};
 
-/// Eq. (1): model cycles for one DMA batch (64 symmetric per-CPE requests
-/// of `n_blocks` blocks of `block_elems` elements, `stride_elems` apart).
+/// Eq. (1): model cycles for one DMA batch of `n_requests` symmetric
+/// requests of `n_blocks` blocks of `block_elems` elements, `stride_elems`
+/// apart — 64 per-CPE requests, or the 8 leader requests (one per mesh row
+/// or column) of a broadcast-tiled transfer ([`swatop_ir::DmaShape`]).
 pub fn dma_eq1_cycles(
-    cfg: &MachineConfig,
-    block_elems: usize,
-    n_blocks: usize,
-    stride_elems: usize,
-) -> f64 {
-    dma_eq1_cycles_n(cfg, block_elems, n_blocks, stride_elems, N_CPE)
-}
-
-/// Eq. (1) generalised to `n_requests` symmetric per-CPE requests —
-/// broadcast-tiled transfers issue only the 8 leader requests (one per mesh
-/// row or column) instead of 64.
-pub fn dma_eq1_cycles_n(
     cfg: &MachineConfig,
     block_elems: usize,
     n_blocks: usize,
@@ -68,12 +58,16 @@ pub fn dma_eq1_cycles_n(
     cfg.dma_startup.get() as f64 + descriptor + total_bytes / cfg.mem_bytes_per_cycle
 }
 
-/// Cost model for the bulk host-side transforms, shared verbatim with the
-/// interpreter (so transform costs contribute zero model error).
+/// Cost of a bulk host-side transform, not chained onto a predecessor:
+/// transforms are tiled CPE loops streaming through the DMA engine —
+/// bandwidth-bound unless heavy per-element arithmetic. The interpreter
+/// charges what this function returns, so transforms contribute zero model
+/// error.
 pub fn transform_cost(cfg: &MachineConfig, kind: &TransformKind) -> Cycles {
     let (reads, writes, flops_per_write) = kind.traffic();
     let bytes = 4 * (reads + writes);
     let transfer = (bytes as f64 / cfg.mem_bytes_per_cycle).ceil() as u64;
+    // 64 CPEs × 4-wide ops; 1 + flops_per_write operations per element.
     let compute = writes * (1 + flops_per_write) / (N_CPE as u64 * 4);
     cfg.dma_startup + Cycles(transfer.max(compute))
 }
@@ -173,49 +167,14 @@ impl Estimate {
     }
 }
 
-/// Estimate a lowered (pre-prefetch) program.
-///
-/// Loops whose bodies are control-flow-free are costed symbolically (body
-/// cost × extent); loops containing guards that depend on their variable
-/// (boundary switching) are walked concretely. Either way no machine state
-/// is touched — this is what makes the model-based autotuner orders of
-/// magnitude faster than black-box execution (Tab. 3).
-pub fn estimate_program(cfg: &MachineConfig, model: &GemmModel, p: &Program) -> Estimate {
-    let mut env = Env::new(p.n_vars().max(1));
-    let mut est = Estimate::default();
-    estimate_stmt(cfg, model, &p.body, &mut env, 1.0, &mut est);
-    est
-}
-
-fn cond_depends_on(cond: &swatop_ir::Cond, var: usize) -> bool {
-    use swatop_ir::Cond::*;
-    match cond {
-        Lt(a, b) | Ge(a, b) | Eq(a, b) => a.depends_on(var) || b.depends_on(var),
-        And(a, b) => cond_depends_on(a, var) || cond_depends_on(b, var),
-    }
-}
-
-fn subtree_has_dependent_if(s: &Stmt, var: usize) -> bool {
-    let mut found = false;
-    s.visit(&mut |x| {
-        if let Stmt::If { cond, .. } = x {
-            if cond_depends_on(cond, var) {
-                found = true;
-            }
-        }
-    });
-    found
-}
-
 /// Guard-variable masks per `For` node (keyed by address): bit `v` is set
 /// when some `If` condition inside the loop body reads loop variable `v`.
-/// One bottom-up pass replaces the repeated `subtree_has_dependent_if`
-/// subtree scans of the walk — inside a concrete boundary walk those scans
-/// re-run per iteration and dominate the screen. Bit 127 is a saturation
-/// sentinel for variables ≥ 127 (conservative: such loops always walk
-/// concretely, which is slower but bit-identical in outcome only when no
-/// guard actually depends on the variable — indices that high never occur
-/// in lowered programs).
+/// One bottom-up pass, where a subtree scan per loop would re-run on every
+/// iteration of a concrete boundary walk and dominate the screen. Bit 127 is
+/// a saturation sentinel for variables ≥ 127 (conservative: such loops
+/// always walk concretely, which is slower but bit-identical in outcome only
+/// when no guard actually depends on the variable — indices that high never
+/// occur in lowered programs).
 type IfMasks = HashMap<*const Stmt, u128>;
 
 fn var_bit(v: usize) -> u128 {
@@ -275,91 +234,60 @@ fn any_if(s: &Stmt) -> bool {
     }
 }
 
-fn estimate_stmt(
-    cfg: &MachineConfig,
-    model: &GemmModel,
-    s: &Stmt,
-    env: &mut Env,
-    mult: f64,
-    est: &mut Estimate,
-) {
+/// Price one leaf statement into `est`: Eq. (1) for a DMA node, Eq. (2) for
+/// a GEMM call, the interpreter's own price for a transform.
+fn estimate_leaf(cfg: &MachineConfig, model: &GemmModel, s: &Stmt, est: &mut Estimate) {
+    let mut dma = |d: &DmaCpe| {
+        // A broadcast's register-bus scatter extends the transfer's
+        // completion. Fused nodes chain onto the preceding batch: Eq. (1)'s
+        // start-up term is paid once per batch group, not per node.
+        let shape = d.shape(cfg);
+        let mut t = dma_eq1_cycles(cfg, shape.block, d.n_blocks, d.stride, shape.requests);
+        if let Some(scatter) = shape.scatter {
+            t += scatter.get() as f64;
+        }
+        if d.fused {
+            t -= cfg.dma_startup.get() as f64;
+        }
+        est.t_dma += t;
+    };
     match s {
-        Stmt::Nop => {}
-        Stmt::Seq(ss) => ss.iter().for_each(|x| estimate_stmt(cfg, model, x, env, mult, est)),
-        Stmt::For { var, extent, body } => {
-            if subtree_has_dependent_if(body, *var) {
-                // Boundary guards: walk concretely so each branch is
-                // counted exactly.
-                for i in 0..*extent {
-                    env.set(*var, i as i64);
-                    estimate_stmt(cfg, model, body, env, mult, est);
-                }
-            } else {
-                env.set(*var, 0);
-                estimate_stmt(cfg, model, body, env, mult * (*extent as f64), est);
-            }
-        }
-        Stmt::If { cond, then_, else_ } => {
-            if cond.eval(env, 0, 0) {
-                estimate_stmt(cfg, model, then_, env, mult, est);
-            } else if let Some(e) = else_ {
-                estimate_stmt(cfg, model, e, env, mult, est);
-            }
-        }
-        Stmt::DmaCg(d) => {
-            // Estimate as if lowered (cols/8 blocks etc.).
-            let node = crate::optimizer::dma_inference::lower_node(d);
-            est.t_dma += mult * dma_eq1_cycles(cfg, node.block, node.n_blocks, node.stride);
-        }
-        Stmt::DmaCpe(d) => {
-            let mut t = match d.bcast {
-                None => dma_eq1_cycles(cfg, d.block, d.n_blocks, d.stride),
-                // Broadcast tiling: 8 leader requests of 8·block
-                // elements, plus the register-bus scatter that extends
-                // the transfer's completion.
-                Some(_) => {
-                    dma_eq1_cycles_n(cfg, 8 * d.block, d.n_blocks, d.stride, MESH)
-                        + sw26010::regcomm::dma_scatter_cycles(cfg, d.spm_elems()).get() as f64
-                }
-            };
-            // Fused nodes chain onto the preceding batch: Eq. (1)'s
-            // start-up term is paid once per batch group, not per node.
-            if d.fused {
-                t -= cfg.dma_startup.get() as f64;
-            }
-            est.t_dma += mult * t;
-        }
-        Stmt::DmaWait { .. } => {
-            est.t_compute += mult * cfg.dma_wait_poll.get() as f64;
-        }
+        // Estimate as if lowered (cols/8 blocks etc.).
+        Stmt::DmaCg(d) => dma(&crate::optimizer::dma_inference::lower_node(d)),
+        Stmt::DmaCpe(d) => dma(d),
+        Stmt::DmaWait { .. } => est.t_compute += cfg.dma_wait_poll.get() as f64,
         Stmt::Gemm(g) => {
             let variant =
                 GemmVariant { a_layout: g.a.layout, b_layout: g.b.layout, vec: g.vd };
-            est.t_compute += mult * model.predict(variant, g.m, g.n, g.k);
+            est.t_compute += model.predict(variant, g.m, g.n, g.k);
         }
         Stmt::Transform(t) => {
             // Transforms stream through memory: they occupy both the DMA
             // engine and the CPEs; charge the same cost to both clocks
             // (they cannot be overlapped with the main loop). Fused
             // transforms chain onto their predecessor's pipeline and skip
-            // the start-up latency, mirroring the interpreter.
+            // the start-up latency, as in the interpreter.
             let mut c = transform_cost(cfg, &t.kind).get() as f64;
             if t.fused {
                 c -= cfg.dma_startup.get() as f64;
             }
-            est.t_compute += mult * c;
-            est.t_dma += mult * c;
+            est.t_compute += c;
+            est.t_dma += c;
         }
+        Stmt::Nop | Stmt::Seq(_) | Stmt::For { .. } | Stmt::If { .. } => {}
     }
 }
 
-/// Estimate a lowered program with sub-cost memoization (the Tier-0
-/// analytic screen).
+/// Estimate a lowered (pre-prefetch) program: the Tier-0 analytic screen.
+/// No machine state is touched — this is what makes the model-based
+/// autotuner orders of magnitude faster than black-box execution (Tab. 3).
 ///
-/// Unlike [`estimate_program`], every loop subtree is costed into its own
-/// accumulator and then scaled/added — the grouping that makes a subtree's
-/// cost a pure function of its structure and the entry values of its free
-/// guard variables, i.e. exactly the memo key ([`memo::subtree_key`]).
+/// Loops no guard inside depends on are costed symbolically (body cost ×
+/// extent); loops with boundary guards on their variable are walked
+/// concretely. Every loop subtree is costed into its own accumulator and
+/// then scaled/added — the grouping that makes a subtree's cost a pure
+/// function of its structure and the entry values of its free guard
+/// variables, i.e. exactly the memo key ([`memo::subtree_key`]).
 /// Because the grouping is the same whether or not a cache is attached,
 /// results are bit-identical for `memo = None`, a cold cache and a warm
 /// cache; the cache only skips recomputation.
@@ -456,8 +384,7 @@ fn estimate_grouped(
             ss.iter()
                 .for_each(|x| estimate_grouped(cfg, model, x, env, cache, cfg_key, masks, est));
         }
-        // Leaves: identical costing to the un-grouped estimator at mult = 1.
-        other => estimate_stmt(cfg, model, other, env, 1.0, est),
+        leaf => estimate_leaf(cfg, model, leaf, est),
     }
 }
 
@@ -468,12 +395,12 @@ mod tests {
     #[test]
     fn eq1_scales_with_volume_and_penalises_misalignment() {
         let cfg = MachineConfig::default();
-        let small = dma_eq1_cycles(&cfg, 32, 8, 32);
-        let big = dma_eq1_cycles(&cfg, 32, 64, 32);
+        let small = dma_eq1_cycles(&cfg, 32, 8, 32, N_CPE);
+        let big = dma_eq1_cycles(&cfg, 32, 64, 32, N_CPE);
         assert!(big > 4.0 * small / 2.0);
         // Aligned stride (32 elems = 128 B) vs unaligned (33 elems).
-        let aligned = dma_eq1_cycles(&cfg, 16, 64, 32);
-        let unaligned = dma_eq1_cycles(&cfg, 16, 64, 33);
+        let aligned = dma_eq1_cycles(&cfg, 16, 64, 32, N_CPE);
+        let unaligned = dma_eq1_cycles(&cfg, 16, 64, 33, N_CPE);
         assert!(unaligned > aligned, "{unaligned} !> {aligned}");
     }
 

@@ -400,11 +400,11 @@ impl Telemetry {
     /// Structured metrics snapshot: per-operator candidate tables with
     /// (predicted, measured) pairs and counters, accuracy summaries,
     /// whole-run counter totals, quarantine and tier counts, and the shared
-    /// evaluation caches. When `peaks` is given, every measured candidate
-    /// additionally carries an `"observatory"` object (the full
-    /// derived-metric schema plus its bottleneck class) and the top level
-    /// gains a `"bottleneck_mix"` object.
-    pub fn snapshot_json_with(&self, peaks: Option<&Peaks>) -> String {
+    /// evaluation caches. Every measured candidate carries an
+    /// `"observatory"` object (the full derived-metric schema against
+    /// `peaks`, plus its bottleneck class) and the top level a
+    /// `"bottleneck_mix"` object.
+    pub fn snapshot_json_with(&self, peaks: &Peaks) -> String {
         let mut w = Writer::new();
         w.begin_obj().field("v", 1u64).key("operators").begin_arr();
         for g in self.rollups() {
@@ -427,8 +427,8 @@ impl Telemetry {
                     .field("wall_us", c.wall_us)
                     .field("track", c.track)
                     .field("counters", c.counters);
-                if let (Some(p), Some(cycles)) = (peaks, c.measured) {
-                    let a = observatory::attribute(p, cycles, &c.counters);
+                if let Some(cycles) = c.measured {
+                    let a = observatory::attribute(peaks, cycles, &c.counters);
                     w.key("observatory").begin_obj().field("bottleneck", a.bottleneck.name());
                     w.field("metrics", &a.metrics).end_obj();
                 }
@@ -452,22 +452,17 @@ impl Telemetry {
             w.key(cache).begin_obj().field("hits", hits).field("misses", misses);
             w.field("entries", entries).end_obj();
         }
-        w.end_obj();
-        if let Some(p) = peaks {
-            w.field("bottleneck_mix", self.bottleneck_mix(p));
-        }
-        w.end_obj();
+        w.end_obj().field("bottleneck_mix", self.bottleneck_mix(peaks)).end_obj();
         w.finish()
     }
 
     /// Perfetto / Chrome trace-event JSON of the whole tuning run: one
     /// timeline track per worker (tid `w + 1`) plus an orchestrator track
     /// (tid 0) for sweep/operator spans. Loadable in `ui.perfetto.dev` or
-    /// `chrome://tracing`. When `peaks` is given, every measured candidate
-    /// span's `args` additionally carry its bottleneck class and headline
-    /// roofline percentages, so the attribution is visible directly in the
-    /// Perfetto UI.
-    pub fn perfetto_json_with(&self, peaks: Option<&Peaks>) -> String {
+    /// `chrome://tracing`. Every measured candidate span's `args` carry its
+    /// bottleneck class and headline roofline percentages against `peaks`,
+    /// so the attribution is visible directly in the Perfetto UI.
+    pub fn perfetto_json_with(&self, peaks: &Peaks) -> String {
         let tid = |track: Option<usize>| track.map_or(0, |t| t + 1);
         let mut w = Writer::trace_events();
         let mut tracks: Vec<Option<usize>> = Vec::new();
@@ -498,8 +493,8 @@ impl Telemetry {
                 // (knob=value list) — mirror it into args so trace tooling
                 // can filter on schedule knobs without parsing span names.
                 w.field("schedule", &s.label).field("counters", s.counters);
-                if let (Some(p), Some(cycles)) = (peaks, s.cycles) {
-                    let a = observatory::attribute(p, cycles, &s.counters);
+                if let Some(cycles) = s.cycles {
+                    let a = observatory::attribute(peaks, cycles, &s.counters);
                     w.field("bottleneck", a.bottleneck.name());
                     for pct in ["pct_peak_gflops", "pct_peak_dma_bw", "pct_roofline"] {
                         w.field(pct, a.metrics.get(pct).unwrap_or(0.0));
@@ -914,25 +909,20 @@ mod tests {
         let parse = |what: &str, text: &str| {
             sw26010::json::parse(text).unwrap_or_else(|e| panic!("{what} invalid: {e}\n{text}"))
         };
-        let snap = t.snapshot_json_with(None);
+        let peaks = Peaks::of(&sw26010::MachineConfig::default());
+        let snap = t.snapshot_json_with(&peaks);
         parse("snapshot", &snap);
-        let perf = t.perfetto_json_with(None);
+        let perf = t.perfetto_json_with(&peaks);
         parse("perfetto", &perf);
         assert!(perf.contains("\"worker 0\""));
         assert!(perf.contains("\"orchestrator\""));
         assert!(snap.contains("\"predicted\":512.25"));
         assert!(snap.contains("\"measured\":500"));
-        // The peaks-enriched variants stay valid JSON and carry the
-        // observatory fields.
-        let peaks = Peaks::of(&sw26010::MachineConfig::default());
-        let snap2 = t.snapshot_json_with(Some(&peaks));
-        parse("rich snapshot", &snap2);
-        assert!(snap2.contains("\"observatory\":{\"bottleneck\":\""));
-        assert!(snap2.contains("\"bottleneck_mix\":{"));
-        let perf2 = t.perfetto_json_with(Some(&peaks));
-        parse("rich perfetto", &perf2);
-        assert!(perf2.contains("\"bottleneck\":\""));
-        assert!(perf2.contains("\"pct_peak_gflops\":"));
+        // Measured candidates carry the observatory fields.
+        assert!(snap.contains("\"observatory\":{\"bottleneck\":\""));
+        assert!(snap.contains("\"bottleneck_mix\":{"));
+        assert!(perf.contains("\"bottleneck\":\""));
+        assert!(perf.contains("\"pct_peak_gflops\":"));
     }
 
     #[test]

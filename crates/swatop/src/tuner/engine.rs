@@ -81,14 +81,6 @@ fn slot_offset(exe: &Executable, slot: &SpmSlot) -> usize {
     exe.try_spm_offset(id).unwrap_or(0)
 }
 
-/// Sleep the exponential backoff for the `nth` consecutive retry.
-fn backoff_sleep(retry: &RetryPolicy, nth: u32) {
-    if retry.backoff.is_zero() {
-        return;
-    }
-    std::thread::sleep(retry.backoff.saturating_mul(1 << nth.min(4)));
-}
-
 /// Measure one candidate under the retry policy, returning its cell, the
 /// host time spent and the machine counters of its last successful
 /// execution. The fault stream of attempt `a` is derived from `(index, a)`,
@@ -155,7 +147,6 @@ fn measure_candidate(
             Err(e) if retry.should_retry(&e, fault_active) => {
                 retries += 1;
                 last_transient = Some(e);
-                backoff_sleep(retry, retries);
             }
             Err(e) => {
                 return (

@@ -66,11 +66,11 @@ pub use self::policy::{
 ///   *observed* error band of the best measured cycles: once the analytic
 ///   margin of rank k exceeds that band — `predicted(k) > (1 + band) ×
 ///   best_measured`, with `band` the maximum relative error over the
-///   measured (predicted, measured) pairs floored at
-///   [`TierPolicy::band_floor`] — no deeper rank can plausibly beat the
-///   winner, and the wave stops ([`TierPolicy::max_k`] bounds it when the
-///   ranking is flat). Widening repeats to a fixpoint: new wave members
-///   refine both the band and the best.
+///   measured (predicted, measured) pairs floored at [`BAND_FLOOR`] — no
+///   deeper rank can plausibly beat the winner, and the wave stops
+///   ([`TierPolicy::max_k`] bounds it when the ranking is flat). Widening
+///   repeats to a fixpoint: new wave members refine both the band and the
+///   best.
 /// * **Tier 2** — `validator` (functional execution + the differential
 ///   check, see [`crate::ops::validate_candidate`]) runs on the prospective
 ///   winner only. A rejected winner is quarantined
@@ -112,7 +112,7 @@ pub fn tune(
     let screen = opts.telemetry.as_ref().filter(|_| !exhaustive).map(|t| {
         (t, t.open(SpanKind::Screen, format!("tier0 screen: {} candidates", candidates.len())))
     });
-    let scored = model.map(|m| score_all(cfg, &m, candidates, opts.jobs, memo_of(policy)));
+    let scored = model.map(|m| score_all(cfg, &m, candidates, opts.jobs));
     if let Some((t, id)) = screen {
         t.update(id, |s| s.samples = candidates.len() as u32);
         t.close(id);
@@ -173,6 +173,16 @@ pub fn tune(
     Ok(eng.outcome(start, best, cycles, measured))
 }
 
+/// Lower bound on the model's assumed relative error band. The adaptive
+/// widening rule never trusts the analytic ranking tighter than this, even
+/// when the observed error on the measured wave is smaller: the top of the
+/// ranking is a plateau the model orders poorly (rank correlation ≈ 0.5 on
+/// measured waves, ROADMAP item 5), so a first wave of three that happens to
+/// agree with its predictions must not close the search. 0.5 is the value
+/// the CI throughput leg's ladder-equals-brute-force winners were pinned
+/// with.
+pub const BAND_FLOOR: f64 = 0.5;
+
 /// The adaptive scoreboard waves over the analytic ranking; returns how many
 /// leading ranks were measured.
 fn measure_waves(eng: &mut Engine, ranked: &[(usize, f64)], policy: &TierPolicy) -> usize {
@@ -183,7 +193,7 @@ fn measure_waves(eng: &mut Engine, ranked: &[(usize, f64)], policy: &TierPolicy)
         let wave: Vec<usize> = ranked[measured..k].iter().map(|&(i, _)| i).collect();
         eng.run(&wave);
         measured = k;
-        let mut band = policy.band_floor;
+        let mut band = BAND_FLOOR;
         let mut best: Option<u64> = None;
         for &(i, pred) in &ranked[..measured] {
             if let Some(c) = eng.cells[i].cycles() {
@@ -276,8 +286,8 @@ pub fn screen_leaders(candidates: &[Candidate]) -> (Vec<usize>, Vec<usize>) {
 /// equal predictions keep input order regardless of `jobs`. The estimate
 /// reads a program's tree and tables, never its hints, so it runs once per
 /// distinct `raw` ([`screen_leaders`]) and `Estimate::overall` is applied
-/// per candidate. With `memo` attached, loop-subtree sub-costs are reused
-/// through the shared cache — the scores are bit-identical either way
+/// per candidate. Loop-subtree sub-costs are reused through the shared memo
+/// cache — which never moves a score
 /// ([`crate::model::estimate_program_memo`] groups its summation the same
 /// whether it hits, misses or skips the cache).
 fn score_all(
@@ -285,9 +295,9 @@ fn score_all(
     model: &GemmModel,
     candidates: &[Candidate],
     jobs: usize,
-    memo: Option<&MemoCache>,
 ) -> (Vec<(usize, f64)>, Duration) {
     let (leaders, slot) = screen_leaders(candidates);
+    let memo = Some(MemoCache::global());
     let estimates = pool::par_map(jobs, &leaders, |_, _, &i| {
         let t = Instant::now();
         (estimate_program_memo(cfg, model, &candidates[i].raw, memo), t.elapsed())
@@ -307,12 +317,7 @@ fn score_all(
 /// identical for every `jobs` (scores are pure, the sort is stable).
 pub fn model_rank(cfg: &MachineConfig, candidates: &[Candidate], jobs: usize) -> Vec<(usize, f64)> {
     let model = GemmModel::cached(cfg);
-    score_all(cfg, &model, candidates, jobs, Some(MemoCache::global())).0
-}
-
-/// The shared memo cache when the policy enables sub-cost memoization.
-fn memo_of(tiers: &TierPolicy) -> Option<&'static MemoCache> {
-    tiers.memo.then(MemoCache::global)
+    score_all(cfg, &model, candidates, jobs).0
 }
 
 #[cfg(test)]

@@ -145,14 +145,11 @@ pub struct RetryPolicy {
     /// enabled; the reported figure is their median. Ignored (one sample)
     /// on a jitter-free machine. Odd values give a true median.
     pub repeats: u32,
-    /// Base host-side backoff slept after a transient failure, doubled per
-    /// consecutive retry and capped at 16×. Zero disables sleeping.
-    pub backoff: Duration,
 }
 
 impl Default for RetryPolicy {
     fn default() -> Self {
-        RetryPolicy { max_attempts: 8, repeats: 3, backoff: Duration::from_micros(50) }
+        RetryPolicy { max_attempts: 8, repeats: 3 }
     }
 }
 
@@ -229,29 +226,16 @@ impl TierMode {
 }
 
 /// Tier-ladder configuration: how much of the space the scoreboard tier
-/// measures and whether the analytic tier memoizes sub-costs.
-#[derive(Debug, Clone, PartialEq)]
+/// measures.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TierPolicy {
     pub mode: TierMode,
     /// Scoreboard wave floor: tier-1 always measures at least this many of
     /// the analytic top ranks (the classic model-tuner `k`).
     pub base_k: usize,
-    /// Lower bound on the model's assumed relative error band. The adaptive
-    /// widening rule never trusts the analytic ranking tighter than this,
-    /// even when the observed error on the measured wave is smaller: the
-    /// top of the ranking is a plateau the model orders poorly (rank
-    /// correlation ≈ 0.5 on measured waves, ROADMAP item 7), so a first
-    /// wave of three that happens to agree with its predictions must not
-    /// close the search. 0.5 is the value the CI throughput leg's
-    /// ladder-equals-brute-force winners were pinned with.
-    pub band_floor: f64,
     /// Hard cap on the scoreboard wave, bounding tier-1 cost when the
     /// analytic ranking is flat (many near-equal predictions).
     pub max_k: usize,
-    /// Memoize analytic sub-costs in the shared
-    /// [`crate::model::memo::MemoCache`]. Estimates
-    /// are bit-identical either way; this only trades memory for speed.
-    pub memo: bool,
 }
 
 impl TierPolicy {
@@ -271,13 +255,7 @@ impl TierPolicy {
 
 impl Default for TierPolicy {
     fn default() -> Self {
-        TierPolicy {
-            mode: TierMode::Tiered,
-            base_k: 3,
-            band_floor: 0.5,
-            max_k: 64,
-            memo: true,
-        }
+        TierPolicy { mode: TierMode::Tiered, base_k: 3, max_k: 64 }
     }
 }
 

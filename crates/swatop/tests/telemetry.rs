@@ -146,12 +146,13 @@ fn exporters_are_valid_json_with_one_thread_per_worker() {
     op_handle.close(op);
     tel.close(sweep);
 
-    let snapshot = tel.snapshot_json_with(None);
+    let peaks = swatop::observatory::Peaks::of(&cfg);
+    let snapshot = tel.snapshot_json_with(&peaks);
     parse(&snapshot).expect("snapshot JSON well-formed");
     assert!(snapshot.contains("\"predicted\""));
     assert!(snapshot.contains("\"dma_payload_bytes\""));
 
-    let timeline = tel.perfetto_json_with(None);
+    let timeline = tel.perfetto_json_with(&peaks);
     parse(&timeline).expect("timeline JSON well-formed");
     assert!(timeline.contains("\"traceEvents\""));
     assert!(timeline.contains("\"orchestrator\""));

@@ -105,7 +105,7 @@ fn memo_on_off_is_bit_identical() {
     assert!(cache.hits() > 0, "warm pass never hit the cache");
 }
 
-/// Bit-identical tiered outcomes for every worker count, memo on or off.
+/// Bit-identical tiered outcomes for every worker count.
 #[test]
 fn tiered_is_identical_for_any_job_count() {
     let cfg = MachineConfig::default();
@@ -119,12 +119,6 @@ fn tiered_is_identical_for_any_job_count() {
         assert_eq!(par.screened, serial.screened, "jobs={jobs}");
         assert_eq!(par.all_cycles, serial.all_cycles, "jobs={jobs}");
     }
-    let mut nomemo = TuneOptions::with_jobs(4);
-    nomemo.tiers.memo = false;
-    let plain = ladder(&cfg, &cands, &nomemo);
-    assert_eq!(plain.best, serial.best, "memo off");
-    assert_eq!(plain.cycles, serial.cycles, "memo off");
-    assert_eq!(plain.executed, serial.executed, "memo off");
 }
 
 /// A tiered sweep killed mid-run resumes from its checkpoint to the same

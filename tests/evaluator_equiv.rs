@@ -8,7 +8,9 @@
 //! `microkernel` functions, per-address `bus_bytes`, the Functional
 //! interpreter, which prices every request of every execution), failing
 //! programs fail with the same error value, and runs under a fault plan
-//! give what the per-execution interpreter gave.
+//! give what the per-execution interpreter gave. A DMA batch has one way
+//! through the machine whoever priced it, and a `DMA_CPE` node one shape
+//! whoever reads it.
 
 use std::sync::Mutex;
 
@@ -16,14 +18,17 @@ use swatop_repro::ir::{
     AVar, AffineExpr, Cond, DmaCpe, GemmOp, MatDesc, MemRole, Program, SpmSlot, Stmt,
 };
 use swatop_repro::sw26010::dma::{bus_bytes, bus_bytes_sum, StartClasses};
-use swatop_repro::sw26010::regcomm::{panel_rotation_overhead, BcastBus};
+use swatop_repro::sw26010::regcomm::{dma_scatter_cycles, panel_rotation_overhead, BcastBus};
+use swatop_repro::sw26010::trace::{Event, Trace};
 use swatop_repro::sw26010::{
-    cid, rid, CoreGroup, Counters, Cycles, DmaDirection, ExecMode, FaultPlan, MachineConfig,
-    MachineError, ReplyWord, MESH, N_CPE,
+    cid, rid, CoreGroup, Counters, Cycles, DmaBatch, DmaDirection, DmaRequest, ExecMode,
+    FaultPlan, MachineConfig, MachineError, ReplyWord, MESH, N_CPE,
 };
 use swatop_repro::swatop::codegen::plan;
 use swatop_repro::swatop::interp::{execute, instantiate};
-use swatop_repro::swatop::model::{calibration_shapes, fit, GemmModel};
+use swatop_repro::swatop::model::{
+    calibration_shapes, dma_eq1_cycles, estimate_program_memo, fit, GemmModel,
+};
 use swatop_repro::swatop::ops::{ExplicitConvOp, ImplicitConvOp, MatmulOp, WinogradConvOp};
 use swatop_repro::swatop::scheduler::{Operator, Scheduler};
 use swatop_repro::swkernels::cost::{block_cache_len, cache_stats, gemm_cycles};
@@ -262,6 +267,17 @@ fn cost_only_equals_functional_on_every_operator() {
 /// each from a 1024-element buffer placed after a 40-element one, so the
 /// machine base address is not zero.
 fn one_dma(offset: AffineExpr, block: usize, bcast: Option<BcastBus>) -> Program {
+    one_strided_dma(offset, block, block, 1, bcast)
+}
+
+/// [`one_dma`] of `n_blocks` blocks, `stride` apart.
+fn one_strided_dma(
+    offset: AffineExpr,
+    block: usize,
+    stride: usize,
+    n_blocks: usize,
+    bcast: Option<BcastBus>,
+) -> Program {
     let mut p = Program::new("one_dma");
     p.mem_buf("before", 40, MemRole::Input);
     let buf = p.mem_buf("src", 1024, MemRole::Input);
@@ -271,8 +287,8 @@ fn one_dma(offset: AffineExpr, block: usize, bcast: Option<BcastBus>) -> Program
         buf,
         offset,
         block,
-        stride: block,
-        n_blocks: 1,
+        stride,
+        n_blocks,
         direction: DmaDirection::MemToSpm,
         spm: SpmSlot::Single(spm),
         reply,
@@ -339,6 +355,223 @@ fn out_of_range_offsets_report_the_first_failing_cpe() {
         let exe = plan(one_dma(offset, 16, None), &cfg).expect("plans");
         let fast = run(&cfg, ExecMode::CostOnly, &exe).expect("in range");
         assert_eq!(fast, run(&cfg, ExecMode::Functional, &exe).expect("in range"));
+    }
+}
+
+/// What one issue leaves behind: the clock after the issue, the counters,
+/// the completion time on the reply word, and the trace.
+type Issued = (Cycles, Counters, Cycles, Vec<Event>);
+
+/// A batch as its requests: the DRAM side, the SPM side when a broadcast
+/// makes them differ, and the scatter.
+struct Requests {
+    dram: Vec<DmaRequest>,
+    lands: Option<(Vec<DmaRequest>, Cycles)>,
+}
+
+impl Requests {
+    /// The batch priced by hand, one oracle call per request.
+    fn priced(&self, cfg: &MachineConfig) -> DmaBatch {
+        let direction = self.dram[0].direction;
+        let lands = self.lands.as_ref().map_or(&self.dram, |(lands, _)| lands);
+        let spm_end = lands.iter().map(|r| r.spm_offset + r.total_elems()).max().unwrap_or(0);
+        DmaBatch {
+            direction,
+            bus_bytes: self.dram.iter().map(|r| r.bus_bytes(cfg.dram_transaction_bytes)).sum(),
+            blocks: self.dram.iter().map(|r| r.n_blocks).sum(),
+            payload_bytes: self.dram.iter().map(|r| r.total_bytes()).sum(),
+            spm_end: if direction == DmaDirection::MemToSpm { spm_end } else { 0 },
+            scatter: self.lands.as_ref().map(|&(_, scatter)| scatter),
+        }
+    }
+
+    /// Issue the batch — from its requests on a functional machine, or
+    /// priced on a cost-only one — fresh, or chained onto a batch in flight.
+    fn issue(&self, cfg: &MachineConfig, by_request: bool, chained: bool, traced: bool) -> Issued {
+        let mode = if by_request { ExecMode::Functional } else { ExecMode::CostOnly };
+        let mut cg = CoreGroup::new(cfg.clone(), mode);
+        cg.mem.alloc("arena", 1 << 14);
+        if traced {
+            cg.trace = Trace::enabled(16);
+        }
+        let (earlier, reply) = (cg.alloc_reply(), cg.alloc_reply());
+        if chained {
+            let get = [DmaRequest::contiguous(9, DmaDirection::MemToSpm, 77, 3, 500)];
+            cg.dma(DmaDirection::MemToSpm, &get, earlier).expect("the batch in flight");
+            cg.dma_chain_next();
+        }
+        let direction = self.dram[0].direction;
+        match (&self.lands, by_request) {
+            (_, false) => cg.dma_priced(self.priced(cfg), reply),
+            (None, true) => cg.dma(direction, &self.dram, reply),
+            (Some((lands, scatter)), true) => {
+                cg.dma_bcast(direction, &self.dram, lands, *scatter, reply)
+            }
+        }
+        .expect("issues");
+        let (now, counters) = (cg.now(), cg.counters);
+        cg.dma_wait(reply, 1).expect("one completion");
+        assert_eq!(cg.reply_pending(reply), 0);
+        (now, counters, cg.now(), cg.trace.events().to_vec())
+    }
+}
+
+#[test]
+fn a_batch_has_one_way_through_the_machine() {
+    use DmaDirection::{MemToSpm, SpmToMem};
+    let cfg = MachineConfig::default();
+    let strided = |cpe: usize, direction, block_elems, stride_elems, n_blocks| DmaRequest {
+        cpe,
+        direction,
+        mem_offset: 41 + 170 * rid(cpe) + 5 * cid(cpe),
+        spm_offset: 16,
+        block_elems,
+        stride_elems,
+        n_blocks,
+    };
+    let plain = |dram| Requests { dram, lands: None };
+    let cases = [
+        // One aligned request: what `cluster::tests` compared its two entries on.
+        ("contiguous", plain(vec![DmaRequest::contiguous(0, MemToSpm, 0, 0, 256)])),
+        ("strided get", plain((0..N_CPE).map(|c| strided(c, MemToSpm, 7, 19, 4)).collect())),
+        ("strided put", plain((0..N_CPE).map(|c| strided(c, SpmToMem, 3, 40, 5)).collect())),
+        (
+            "broadcast",
+            Requests {
+                dram: (0..MESH).map(|r| strided(r * MESH, MemToSpm, 40, 45, 2)).collect(),
+                lands: Some((
+                    (0..N_CPE).map(|c| strided(c, MemToSpm, 5, 45, 2)).collect(),
+                    dma_scatter_cycles(&cfg, 10),
+                )),
+            },
+        ),
+    ];
+    for (name, requests) in &cases {
+        let mut groups = Vec::new();
+        for chained in [false, true] {
+            let oracle = requests.issue(&cfg, true, chained, true);
+            assert_eq!(requests.issue(&cfg, false, chained, true), oracle, "{name}, priced");
+            // Tracing observes: it moves no clock and no counter.
+            for by_request in [true, false] {
+                let (now, counters, finish, events) =
+                    requests.issue(&cfg, by_request, chained, false);
+                assert_eq!((now, counters, finish), (oracle.0, oracle.1, oracle.2), "{name}");
+                assert!(events.is_empty());
+            }
+            let batch = requests.priced(&cfg);
+            let issues: Vec<&Event> =
+                oracle.3.iter().filter(|e| matches!(e, Event::DmaIssue { .. })).collect();
+            assert_eq!(issues.len(), 1 + usize::from(chained), "{name}");
+            let &Event::DmaIssue { at, done, direction, payload_bytes, bus_bytes, .. } =
+                issues[issues.len() - 1]
+            else {
+                unreachable!()
+            };
+            assert_eq!((at, done), (oracle.0, oracle.2), "{name}: issued at, done at");
+            assert_eq!(
+                (direction, payload_bytes, bus_bytes),
+                (batch.direction, batch.payload_bytes, batch.bus_bytes),
+                "{name}"
+            );
+            let scatters: Vec<&Event> =
+                oracle.3.iter().filter(|e| matches!(e, Event::Regcomm { .. })).collect();
+            match batch.scatter {
+                None => assert!(scatters.is_empty(), "{name}"),
+                Some(cycles) => {
+                    let bytes = batch.payload_bytes / 8 * 7;
+                    assert_eq!(scatters, [&Event::Regcomm { at: done - cycles, cycles, bytes }]);
+                    assert_eq!(oracle.1.regcomm_bytes, bytes as u64);
+                }
+            }
+            groups.push((oracle.1.dma_batches, oracle.1.dma_bcast_batches));
+        }
+        // A chained batch opens no batch group of its own.
+        let bcast = u64::from(requests.lands.is_some());
+        assert_eq!(groups, [(1, bcast), (1, bcast)], "{name}");
+        let c = requests.issue(&cfg, false, false, false).1;
+        let batch = requests.priced(&cfg);
+        assert_eq!(
+            (c.dma_payload_bytes, c.dma_bus_bytes, c.spm_high_water_elems),
+            (batch.payload_bytes as u64, batch.bus_bytes as u64, batch.spm_end as u64),
+            "{name}"
+        );
+    }
+}
+
+/// The analytic model and the interpreter read one definition of what a
+/// `DMA_CPE` node asks of the engine: `DmaCpe::shape`.
+#[test]
+fn a_node_has_one_shape_for_the_model_and_the_interpreter() {
+    let cfg = MachineConfig::default();
+    let model = GemmModel::cached(&cfg);
+    let affine = |o: i64, c_r: i64, c_c: i64| {
+        AffineExpr::konst(o).add_term(AVar::Rid, c_r).add_term(AVar::Cid, c_c)
+    };
+    let (block, stride, n_blocks) = (4, 45, 3);
+    // `(bus, offset, leader (rid, cid) of request i)`; a leader's line is
+    // contiguous along the other mesh axis.
+    type Leader = fn(usize) -> (usize, usize);
+    let cases: [(Option<BcastBus>, AffineExpr, Leader); 3] = [
+        (None, affine(9, 100, 11), |i| (rid(i), cid(i))),
+        (Some(BcastBus::Row), affine(9, 100, 4), |i| (i, 0)),
+        (Some(BcastBus::Column), affine(9, 4, 100), |i| (0, i)),
+    ];
+    for (bus, offset, leader) in cases {
+        let program = one_strided_dma(offset.clone(), block, stride, n_blocks, bus);
+        let Stmt::DmaCpe(node) = &*program.body else { panic!("one node") };
+        let shape = node.shape(&cfg);
+        let (requests, wide, scatter) = match bus {
+            None => (N_CPE, block, None),
+            Some(_) => (MESH, MESH * block, Some(dma_scatter_cycles(&cfg, block * n_blocks))),
+        };
+        assert_eq!(
+            (shape.requests, shape.block, shape.blocks, shape.scatter),
+            (requests, wide, requests * n_blocks, scatter),
+            "{bus:?}"
+        );
+        assert_eq!((shape.span, shape.payload_bytes), (2 * stride + wide, N_CPE * 12 * 4));
+        // The model prices that shape ...
+        let eq1 = dma_eq1_cycles(&cfg, wide, n_blocks, stride, requests)
+            + scatter.map_or(0.0, |s| s.get() as f64);
+        let estimate = estimate_program_memo(&cfg, &model, &program, None);
+        assert_eq!((estimate.t_dma, estimate.t_compute), (eq1, 0.0), "{bus:?}");
+        // ... and the interpreter issues it, in either mode: the requests
+        // that shape describes, priced one address at a time.
+        let exe = plan(program, &cfg).expect("plans");
+        for mode in [ExecMode::CostOnly, ExecMode::Functional] {
+            let mut cg = CoreGroup::new(cfg.clone(), mode);
+            cg.trace = Trace::enabled(4);
+            let binding = instantiate(&mut cg, &exe);
+            let base = cg.mem.base(binding.bufs[1]);
+            execute(&mut cg, &exe, &binding).expect("runs");
+            let starts = (0..requests).map(|i| {
+                let (r, c) = leader(i);
+                base + offset.eval(&swatop_repro::ir::Env::new(1), r as i64, c as i64) as usize
+            });
+            let bus_bytes: usize = starts
+                .map(|a| bus_bytes(a, wide, stride, n_blocks, cfg.dram_transaction_bytes))
+                .sum();
+            let transfer = (bus_bytes as f64 / cfg.mem_bytes_per_cycle).ceil() as u64;
+            let done = cfg.dma_issue_cost
+                + cfg.dma_startup
+                + Cycles(cfg.dma_block_overhead.get() * shape.blocks as u64 + transfer)
+                + scatter.unwrap_or(Cycles::ZERO);
+            let issue = Event::DmaIssue {
+                at: cfg.dma_issue_cost,
+                done,
+                direction: DmaDirection::MemToSpm,
+                payload_bytes: shape.payload_bytes,
+                bus_bytes,
+                tag: 0,
+            };
+            let mut want = vec![issue];
+            if let Some(cycles) = scatter {
+                let bytes = shape.payload_bytes / 8 * 7;
+                want.push(Event::Regcomm { at: done - cycles, cycles, bytes });
+            }
+            assert_eq!(cg.trace.events(), want.as_slice(), "{bus:?} in {mode:?}");
+            assert_eq!(cg.counters.dma_bcast_batches, u64::from(bus.is_some()));
+        }
     }
 }
 

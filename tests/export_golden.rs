@@ -122,10 +122,8 @@ fn artifacts() -> Vec<(&'static str, String, Check)> {
             Bytes,
         ),
         ("checkpoint.json", render(fingerprint(&cfg, cells.len()), &cells), Bytes),
-        ("snapshot.json", tel.snapshot_json_with(None), MaskedJson),
-        ("snapshot_peaks.json", tel.snapshot_json_with(Some(&peaks)), MaskedJson),
-        ("run_timeline.json", tel.perfetto_json_with(None), MaskedJson),
-        ("run_timeline_peaks.json", tel.perfetto_json_with(Some(&peaks)), MaskedJson),
+        ("snapshot_peaks.json", tel.snapshot_json_with(&peaks), MaskedJson),
+        ("run_timeline_peaks.json", tel.perfetto_json_with(&peaks), MaskedJson),
         ("metrics.prom", hub.prometheus_text(), Prometheus),
     ]
 }

@@ -12,14 +12,12 @@
 //! counters, convergence curve and outcome assembly) before it was put on
 //! the engine under [`tune`].
 
-use std::time::Duration;
-
 use swatop_repro::sw26010::{FaultPlan, MachineConfig};
 use swatop_repro::swatop::ops::{ImplicitConvOp, MatmulOp, WinogradConvOp};
 use swatop_repro::swatop::scheduler::{Candidate, Operator, Scheduler};
 use swatop_repro::swatop::tuner::search::{greedy_search, random_search};
 use swatop_repro::swatop::tuner::{
-    tune, RetryPolicy, TierPolicy, TuneError, TuneOptions, TuneOutcome, WinnerValidator,
+    tune, TierPolicy, TuneError, TuneOptions, TuneOutcome, WinnerValidator,
 };
 use swatop_repro::swtensor::ConvShape;
 
@@ -100,14 +98,8 @@ fn every_policy_reports_what_the_ladders_did() {
             for (v_name, v) in &validators {
                 for (m_name, cfg) in &machines {
                     let run = |jobs: usize| {
-                        // No host-side backoff sleeps: they cost seconds over
-                        // the faulted sweeps and decide nothing.
-                        let opts = TuneOptions {
-                            jobs,
-                            retry: RetryPolicy { backoff: Duration::ZERO, ..RetryPolicy::default() },
-                            tiers: policy.clone(),
-                            ..TuneOptions::default()
-                        };
+                        let opts =
+                            TuneOptions { jobs, tiers: policy.clone(), ..TuneOptions::default() };
                         line(tune(cfg, &cands, &opts, *v))
                     };
                     let (serial, par) = (run(1), run(4));
@@ -144,10 +136,7 @@ fn sampling_searches_report_what_the_private_sampler_did() {
         ("perfect", MachineConfig::default()),
         ("faulted", MachineConfig { fault: Some(plan), ..MachineConfig::default() }),
     ];
-    let opts = TuneOptions {
-        retry: RetryPolicy { backoff: Duration::ZERO, ..RetryPolicy::default() },
-        ..TuneOptions::default()
-    };
+    let opts = TuneOptions::default();
     let mut got = Vec::new();
     for (m_name, cfg) in &machines {
         for seed in [3, 7, 42] {
