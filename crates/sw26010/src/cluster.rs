@@ -161,19 +161,6 @@ impl CoreGroup {
         self.now
     }
 
-    /// Reset clocks, DMA engine, reply words, flop counter and machine
-    /// counters, keeping memory contents. Call between timed program runs.
-    pub fn reset_clocks(&mut self) {
-        self.now = Cycles::ZERO;
-        self.dma.reset();
-        self.replies.clear();
-        self.flops = 0;
-        self.counters = Counters::default();
-        self.next_tag = 0;
-        self.chain_next = false;
-        self.trace.clear();
-    }
-
     /// Mark the next DMA batch as *chained*: it is issued back-to-back with
     /// the immediately preceding batch (no intervening wait or compute), so
     /// its descriptors ride the engine's open pipeline — the per-batch
@@ -568,18 +555,6 @@ mod tests {
     }
 
     #[test]
-    fn reset_clocks_keeps_memory() {
-        let mut cg = cg();
-        let a = cg.mem.alloc_from("a", &[1.0, 2.0]);
-        cg.advance(Cycles(100));
-        cg.flops += 10;
-        cg.reset_clocks();
-        assert_eq!(cg.now(), Cycles::ZERO);
-        assert_eq!(cg.flops, 0);
-        assert_eq!(cg.mem.buffer(a), &[1.0, 2.0]);
-    }
-
-    #[test]
     fn efficiency_reporting() {
         let mut cg = cg();
         cg.kernel(Cycles(1000), (64 * 8 * 1000) as u64, 8, 8, 8);
@@ -727,16 +702,6 @@ mod tests {
         // Same payload in 8 descriptors instead of 64 finishes sooner even
         // after paying the scatter.
         assert!(bc.now() < plain.now(), "bcast {} !< plain {}", bc.now(), plain.now());
-    }
-
-    #[test]
-    fn reset_clocks_clears_counters() {
-        let mut cg = CoreGroup::with_mode(ExecMode::CostOnly);
-        cg.kernel(Cycles(100), 10, 8, 8, 8);
-        cg.counters.note_spm_use(999);
-        assert_ne!(cg.counters, Counters::default());
-        cg.reset_clocks();
-        assert_eq!(cg.counters, Counters::default());
     }
 
     #[test]

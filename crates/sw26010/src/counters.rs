@@ -147,16 +147,6 @@ impl Counters {
         }
     }
 
-    /// DRAM transactions implied by the bus traffic, at `txn_bytes` per
-    /// transaction.
-    pub fn dma_transactions(&self, txn_bytes: usize) -> u64 {
-        if txn_bytes == 0 {
-            0
-        } else {
-            self.dma_bus_bytes.div_ceil(txn_bytes as u64)
-        }
-    }
-
     /// Fraction of dual-issue slots filled during kernel execution:
     /// `(P0 + P1 issues) / (2 · kernel cycles)`. 0.0 when no kernel ran.
     pub fn issue_slot_utilization(&self) -> f64 {
@@ -260,8 +250,6 @@ mod tests {
             ..Counters::default()
         };
         assert!((c.dma_efficiency() - 0.75).abs() < 1e-12);
-        assert_eq!(c.dma_transactions(128), 1);
-        assert_eq!(c.dma_transactions(64), 2);
         assert!((c.issue_slot_utilization() - 0.8).abs() < 1e-12);
     }
 
@@ -270,8 +258,6 @@ mod tests {
         let c = Counters::default();
         assert_eq!(c.dma_efficiency(), 1.0);
         assert_eq!(c.issue_slot_utilization(), 0.0);
-        assert_eq!(c.dma_transactions(128), 0);
-        assert_eq!(c.dma_transactions(0), 0);
     }
 
     #[test]

@@ -210,22 +210,6 @@ impl StartClasses {
     }
 }
 
-/// Total [`bus_bytes`] of transfers that share `block_elems`, `stride_elems`
-/// and `n_blocks` and start at `mem_offsets`: the [`StartClasses`] of the
-/// starts relative to the first, evaluated at the first.
-pub fn bus_bytes_sum(
-    mem_offsets: impl IntoIterator<Item = usize>,
-    block_elems: usize,
-    stride_elems: usize,
-    n_blocks: usize,
-    txn_bytes: usize,
-) -> usize {
-    let mut starts = mem_offsets.into_iter().peekable();
-    let Some(&first) = starts.peek() else { return 0 };
-    StartClasses::new(starts.map(|start| start as i64 - first as i64), txn_bytes)
-        .bus_bytes(first, block_elems, stride_elems, n_blocks)
-}
-
 fn gcd(mut a: usize, mut b: usize) -> usize {
     while b != 0 {
         let t = a % b;
@@ -330,11 +314,6 @@ impl DmaEngine {
             + Cycles(transfer);
         self.free_at = now.max(self.free_at) + duration;
         self.free_at
-    }
-
-    /// Reset the engine clock (fresh program run).
-    pub fn reset(&mut self) {
-        *self = DmaEngine::new();
     }
 }
 
@@ -455,24 +434,6 @@ mod tests {
                 "off={off} block={block} stride={stride} n={n}"
             );
         }
-    }
-
-    #[test]
-    fn bus_bytes_sum_equals_per_start_calls() {
-        // Mesh-affine starts: one class, a few classes, all distinct, and a
-        // transaction large enough to overflow the class table.
-        for &(base, cr, cc, block, stride, n, txn) in &[
-            (0usize, 256usize, 32usize, 8usize, 64usize, 8usize, 128usize),
-            (3, 100, 7, 5, 33, 9, 128),
-            (17, 1, 8, 1, 1, 1, 128),
-            (5, 9, 1, 3, 130, 4, 512),
-            (1, 3, 11, 2, 7, 40, 96),
-        ] {
-            let starts = || (0..64).map(move |cpe| base + cr * (cpe / 8) + cc * (cpe % 8));
-            let each: usize = starts().map(|a| bus_bytes(a, block, stride, n, txn)).sum();
-            assert_eq!(bus_bytes_sum(starts(), block, stride, n, txn), each);
-        }
-        assert_eq!(bus_bytes_sum(std::iter::empty(), 4, 4, 1, 128), 0);
     }
 
     #[test]

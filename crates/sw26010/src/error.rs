@@ -47,7 +47,7 @@ impl MachineError {
     /// machine (the footprint simply doesn't fit) but possibly caused by
     /// injected capacity pressure when a fault plan is active — which is why
     /// retry policies take the fault context into account (see
-    /// `swatop::tuner::RetryPolicy::should_retry`).
+    /// `swatop::tuner::should_retry`).
     pub fn is_deterministic(&self) -> bool {
         !self.is_transient()
     }

@@ -7,14 +7,11 @@
 //! utilization of DMA is important in optimization" and why no generated
 //! schedule in this reproduction uses gld/gst for bulk data.
 //!
-//! The model is provided for completeness and for quantifying that design
-//! rule: a per-element cost derived from the measured bandwidth, plus the
-//! functional transfer.
+//! The model is provided for quantifying that design rule: a per-element
+//! cost derived from the measured bandwidth.
 
 use crate::clock::Cycles;
 use crate::config::MachineConfig;
-use crate::error::MachineResult;
-use crate::{CoreGroup, ExecMode};
 
 /// Measured aggregate gld/gst bandwidth (bytes/second) from the cited
 /// benchmark: 1.48 GB/s.
@@ -25,28 +22,6 @@ pub fn gldst_cycles(cfg: &MachineConfig, elems: usize) -> Cycles {
     let bytes = (elems * crate::ELEM_BYTES) as f64;
     let secs = bytes / GLDST_BW_BYTES_PER_SEC;
     Cycles((secs * cfg.clock_ghz * 1e9).ceil() as u64)
-}
-
-/// Functionally load `elems` elements from main memory (absolute offset)
-/// into a CPE's SPM through global loads, charging the gld/gst cost on the
-/// compute clock (the transfer is synchronous — no engine, no overlap).
-pub fn gld_to_spm(
-    cg: &mut CoreGroup,
-    cpe: usize,
-    mem_offset: usize,
-    spm_offset: usize,
-    elems: usize,
-) -> MachineResult<()> {
-    let cost = gldst_cycles(&cg.cfg, elems);
-    cg.compute(cost, "gld");
-    if cg.mode() == ExecMode::Functional {
-        cg.mem.check_abs(mem_offset, elems)?;
-        let data: Vec<f32> = cg.mem.arena()[mem_offset..mem_offset + elems].to_vec();
-        cg.spm_mut(cpe).slice_mut(spm_offset, elems)?.copy_from_slice(&data);
-    } else {
-        cg.spm(cpe).check_range(spm_offset, elems)?;
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -69,18 +44,6 @@ mod tests {
             gld.get() > 10 * dma.get(),
             "gld {gld} must be ≫ dma {dma} (the paper's 1.48 vs 22.6 GB/s)"
         );
-    }
-
-    #[test]
-    fn functional_gld_moves_data_and_costs_time() {
-        let mut cg = CoreGroup::with_mode(ExecMode::Functional);
-        let data: Vec<f32> = (0..32).map(|i| i as f32).collect();
-        let buf = cg.mem.alloc_from("x", &data);
-        let base = cg.mem.base(buf);
-        let before = cg.now();
-        gld_to_spm(&mut cg, 9, base, 0, 32).unwrap();
-        assert!(cg.now() > before);
-        assert_eq!(cg.spm(9).load(31).unwrap(), 31.0);
     }
 
     #[test]

@@ -76,16 +76,6 @@ impl MainMemory {
         self.buffers[id.0].len
     }
 
-    /// Debug name of a buffer.
-    pub fn name_of(&self, id: BufferId) -> &str {
-        &self.buffers[id.0].name
-    }
-
-    /// Total arena size in elements (virtual buffers included).
-    pub fn arena_len(&self) -> usize {
-        self.end
-    }
-
     /// Read a whole buffer. The buffer must be materialised (allocated with
     /// [`MainMemory::alloc`] or written at least once).
     pub fn buffer(&self, id: BufferId) -> &[f32] {
@@ -167,7 +157,6 @@ mod tests {
         assert_eq!(mem.base(a), 0);
         assert_eq!(mem.base(b), 8);
         assert_eq!(mem.len_of(b), 3);
-        assert_eq!(mem.name_of(b), "b");
 
         mem.write(a, 2, &[9.0, 8.0]).unwrap();
         let mut out = [0.0; 4];
@@ -192,7 +181,6 @@ mod tests {
         let a = mem.alloc_lazy("a", 1000);
         assert_eq!(mem.base(a), 0);
         assert_eq!(mem.len_of(a), 1000);
-        assert_eq!(mem.arena_len(), 1000);
         assert!(mem.check_abs(0, 1000).is_ok());
         assert!(mem.check_abs(500, 501).is_err());
         // First write materialises the whole buffer, zero-filled.

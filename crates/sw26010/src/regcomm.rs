@@ -31,22 +31,6 @@ pub fn panel_rotation_overhead(cfg: &MachineConfig) -> Cycles {
     Cycles(cfg.regcomm_switch.get() * MESH as u64)
 }
 
-/// Cost of switching between row and column broadcast patterns.
-pub fn switch_overhead(cfg: &MachineConfig) -> Cycles {
-    cfg.regcomm_switch
-}
-
-/// Minimum cycles to broadcast `vectors` 256-bit registers over one bus,
-/// assuming full pipelining (1 vector/cycle issue) plus the initial mesh
-/// traversal latency. Used for sanity checks and documentation; the
-/// authoritative cost comes from the scoreboard.
-pub fn bcast_min_cycles(cfg: &MachineConfig, vectors: u64) -> Cycles {
-    if vectors == 0 {
-        return Cycles::ZERO;
-    }
-    Cycles(cfg.bcast_latency + (vectors - 1))
-}
-
 /// Cycles for one leader CPE to scatter a just-arrived DMA panel to the
 /// other `MESH - 1` CPEs on its row/column bus: one bus turnaround to claim
 /// the bus, the initial mesh-traversal latency, then fully pipelined 256-bit
@@ -84,15 +68,5 @@ mod tests {
         // 99 extra vectors per recipient, 7 recipients on the bus.
         assert_eq!(big.get() - small.get(), 99 * 7);
         assert!(small.get() > cfg.regcomm_switch.get());
-    }
-
-    #[test]
-    fn bcast_pipelines() {
-        let cfg = MachineConfig::default();
-        assert_eq!(bcast_min_cycles(&cfg, 0), Cycles::ZERO);
-        let one = bcast_min_cycles(&cfg, 1);
-        let many = bcast_min_cycles(&cfg, 101);
-        // 100 extra vectors cost exactly 100 extra cycles when pipelined.
-        assert_eq!(many.get() - one.get(), 100);
     }
 }

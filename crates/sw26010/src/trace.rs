@@ -77,22 +77,6 @@ impl Trace {
         &self.events
     }
 
-    pub fn clear(&mut self) {
-        self.events.clear();
-        self.truncated = false;
-    }
-
-    /// Total cycles the compute stream stalled waiting on DMA.
-    pub fn total_dma_stall(&self) -> Cycles {
-        self.events
-            .iter()
-            .filter_map(|e| match e {
-                Event::DmaWait { stall, .. } => Some(*stall),
-                _ => None,
-            })
-            .sum()
-    }
-
     /// Number of events of each broad kind (issue, wait, gemm, compute).
     /// Regcomm scatters describe a slice of the DMA batch that produced
     /// them, not a new machine operation, so they are not counted here.
@@ -132,15 +116,13 @@ mod tests {
     }
 
     #[test]
-    fn truncation_is_flagged_and_cleared() {
+    fn truncation_is_flagged() {
         let mut t = Trace::enabled(1);
         t.push(Event::Compute { at: Cycles(0), cycles: Cycles(1), what: "x" });
         assert!(!t.truncated(), "within cap: not truncated");
         t.push(Event::Compute { at: Cycles(1), cycles: Cycles(1), what: "y" });
         assert!(t.truncated(), "over cap: flagged");
         assert_eq!(t.events().len(), 1, "dropped events stay dropped");
-        t.clear();
-        assert!(!t.truncated(), "clear resets the flag");
         // A disabled trace never truncates — it records nothing at all.
         let mut d = Trace::disabled();
         d.push(Event::Compute { at: Cycles(0), cycles: Cycles(1), what: "x" });
@@ -153,7 +135,6 @@ mod tests {
         t.push(Event::DmaWait { at: Cycles(5), stall: Cycles(10), tag: 0 });
         t.push(Event::DmaWait { at: Cycles(9), stall: Cycles(7), tag: 1 });
         t.push(Event::Gemm { at: Cycles(0), cycles: Cycles(3), m: 1, n: 1, k: 1 });
-        assert_eq!(t.total_dma_stall(), Cycles(17));
         assert_eq!(t.counts(), (0, 2, 1, 0));
     }
 }

@@ -32,19 +32,18 @@ use std::time::Duration;
 
 use sw26010::{CoreGroup, ExecMode, FaultPlan, MachineConfig};
 use swatop::interp::{execute, instantiate};
-use swatop::ops::{
-    ConvBackwardDataOp, ConvBackwardFilterOp, ExplicitConvOp, ImplicitConvOp, MatmulOp,
-    WinogradConvOp,
-};
+use swatop::observatory::Peaks;
+use swatop::ops::{ConvBackwardDataOp, ConvBackwardFilterOp, MatmulOp};
 use swatop::scheduler::{Operator, Scheduler};
 use swatop::telemetry::bus::EventBus;
 use swatop::telemetry::metrics::{MetricsHub, MetricsServer};
-use swatop::telemetry::Telemetry;
+use swatop::telemetry::{Summary, Telemetry};
 use swatop::tuner::pool::{MonitorConfig, PoolMonitor};
 use swatop::tuner::{pool, tune, CheckpointPolicy, TierMode, TierPolicy, TuneOptions};
 use swatop_bench::flight::flight_html;
 use swatop_bench::journal::Journal;
-use swatop_bench::runner::{tune_op, TunedOp};
+use swatop_bench::report::{roofline_table, telemetry_summary, write_exports};
+use swatop_bench::runner::{tune_op, ConvMethod, TunedOp};
 use swtensor::ConvShape;
 
 fn usage() -> ! {
@@ -149,6 +148,25 @@ fn parse_args(args: &[String]) -> Args {
         i += 1;
     }
     Args { positional, flags }
+}
+
+/// `B NI NO RO [--kernel K] [--stride S] [--pad P]`: the convolution a
+/// `conv` / `bwd-*` / `profile conv` command names.
+fn conv_shape(a: &Args) -> ConvShape {
+    let [b, ni, no, ro] = a.positional[..] else { usage() };
+    let get =
+        |key: &str, d: usize| a.flags.get(key).map_or(d, |v| v.parse().unwrap_or_else(|_| usage()));
+    let (kernel, stride, pad) = (get("kernel", 3), get("stride", 1), get("pad", 0));
+    ConvShape { b, ni, no, ro, co: ro, kr: kernel, kc: kernel, stride, pad }
+}
+
+/// `--method`: the decompositions to tune, `auto` (where allowed) being all
+/// three.
+fn conv_methods(a: &Args, default: &str, auto: bool) -> Vec<ConvMethod> {
+    match a.flags.get("method").map_or(default, String::as_str) {
+        "auto" if auto => vec![ConvMethod::Implicit, ConvMethod::Winograd, ConvMethod::Explicit],
+        name => vec![ConvMethod::parse(name).unwrap_or_else(|| usage())],
+    }
 }
 
 /// `--tiers` / `--tier0-k`: the ladder `--tuner tiered` and the bench sweep
@@ -308,9 +326,8 @@ fn slot_options(base: &TuneOptions, slot: usize, n_ops: usize) -> TuneOptions {
 /// Machine-readable result: one JSON object combining the tuning result
 /// summary (winner, cycles, roofline position) with the full telemetry
 /// snapshot (which is itself produced by the snapshot exporter).
-fn json_report(cfg: &MachineConfig, name: &str, tuned: &TunedOp, tel: &Telemetry) -> String {
+fn json_report(cfg: &MachineConfig, name: &str, tuned: &TunedOp, summary: &Summary) -> String {
     let TunedOp { flops, winner, outcome, .. } = tuned;
-    let peaks = swatop::observatory::Peaks::of(cfg);
     let cycles = outcome.cycles.get();
     let gflops = sw26010::clock::gflops(*flops, sw26010::Cycles(cycles), cfg.clock_ghz);
     let mix = outcome.telemetry.as_ref().map(|t| t.mix).unwrap_or_default();
@@ -320,11 +337,11 @@ fn json_report(cfg: &MachineConfig, name: &str, tuned: &TunedOp, tel: &Telemetry
         .field("schedule", &winner.describe)
         .field("cycles", cycles)
         .field("gflops", gflops)
-        .field("pct_peak_gflops", 100.0 * gflops / peaks.gflops)
+        .field("pct_peak_gflops", 100.0 * gflops / summary.peaks.gflops)
         .field("quarantined", outcome.quarantined)
         .field("bottleneck_mix", mix)
         .key("telemetry")
-        .raw(&tel.snapshot_json_with(&peaks))
+        .raw(&summary.snapshot_json())
         .end_obj();
     w.finish()
 }
@@ -337,7 +354,7 @@ fn report(
     name: &str,
     tuned: &TunedOp,
     a: &Args,
-    tel: Option<&Telemetry>,
+    summary: Option<&Summary>,
 ) -> Vec<String> {
     let TunedOp { flops, winner, outcome, .. } = tuned;
     let flops = *flops;
@@ -345,8 +362,8 @@ fn report(
     let json_mode = a.flags.contains_key("json");
     let cycles = outcome.cycles.get();
     if json_mode {
-        let tel = tel.expect("--json instruments telemetry");
-        println!("{}", json_report(cfg, name, tuned, tel));
+        let summary = summary.expect("--json instruments telemetry");
+        println!("{}", json_report(cfg, name, tuned, summary));
     } else {
         println!("operator : {name}");
         println!("schedule : {}", winner.describe);
@@ -452,31 +469,9 @@ fn run_profile(argv: &[String]) {
             let [m, n, k] = a.positional[..] else { usage() };
             Box::new(MatmulOp::new(m, n, k))
         }
-        "conv" => {
-            let [b, ni, no, ro] = a.positional[..] else { usage() };
-            let get = |key: &str, d: usize| {
-                a.flags.get(key).map_or(d, |v| v.parse().unwrap_or_else(|_| usage()))
-            };
-            let shape = ConvShape {
-                b,
-                ni,
-                no,
-                ro,
-                co: ro,
-                kr: get("kernel", 3),
-                kc: get("kernel", 3),
-                stride: get("stride", 1),
-                pad: get("pad", 0),
-            };
-            // A profile is of *one* schedule space, so `auto` (which races
-            // three decompositions) makes no sense here; default implicit.
-            match a.flags.get("method").map(String::as_str).unwrap_or("implicit") {
-                "implicit" => Box::new(ImplicitConvOp::new(shape)),
-                "winograd" => Box::new(WinogradConvOp::new(shape)),
-                "explicit" => Box::new(ExplicitConvOp::new(shape)),
-                _ => usage(),
-            }
-        }
+        // A profile is of *one* schedule space, so `auto` (which races
+        // three decompositions) makes no sense here; default implicit.
+        "conv" => conv_methods(&a, "implicit", false)[0].build(conv_shape(&a)),
         _ => usage(),
     };
     let cands = Scheduler::new(cfg.clone()).enumerate(op.as_ref());
@@ -637,26 +632,22 @@ fn main() {
         tiers: tuner_policy(&a),
         bus: obs.bus.clone(),
         monitor: obs.monitor.clone(),
-        ..TuneOptions::default()
     };
-    let mut quarantined = 0usize;
-    let mut truncated: Vec<String> = Vec::new();
-    match cmd {
+    let ops: Vec<Box<dyn Operator>> = match cmd {
         "bench" => {
             let num = |k: &str, d: u64| {
                 a.flags.get(k).map_or(d, |v| v.parse().unwrap_or_else(|_| usage()))
             };
             let bench = swatop_bench::journal::BenchOpts {
                 label: a.flags.get("label").cloned().unwrap_or_else(|| "default".to_string()),
-                jobs,
                 smoke: a.flags.contains_key("smoke"),
                 handicap: num("handicap", 1),
                 faults: cfg.fault.map(|p| p.seed),
                 validate,
                 corpus: a.flags.get("corpus").map(PathBuf::from),
-                tiers: ladder_policy(&a),
-                bus: obs.bus.clone(),
-                monitor: obs.monitor.clone(),
+                // Every op of the set under one ladder; a checkpoint file is
+                // one sweep's, so the set takes none.
+                tune: TuneOptions { tiers: ladder_policy(&a), checkpoint: None, ..base },
             };
             let repeats = num("repeats", 1);
             let mut bench_quarantined = 0u64;
@@ -692,87 +683,44 @@ fn main() {
         }
         "gemm" => {
             let [m, n, k] = a.positional[..] else { usage() };
-            let op = MatmulOp::new(m, n, k);
-            let name = op.name();
-            let t = tune_op(&cfg, &op, &name, &base, validate).expect("no valid schedule");
-            quarantined += t.outcome.quarantined;
-            truncated.extend(report(&cfg, &name, &t, &a, base.telemetry.as_ref()));
+            vec![Box::new(MatmulOp::new(m, n, k))]
         }
-        "conv" | "bwd-data" | "bwd-filter" => {
-            let [b, ni, no, ro] = a.positional[..] else { usage() };
-            let get = |k: &str, d: usize| {
-                a.flags.get(k).map_or(d, |v| v.parse().unwrap_or_else(|_| usage()))
-            };
-            let shape = ConvShape {
-                b,
-                ni,
-                no,
-                ro,
-                co: ro,
-                kr: get("kernel", 3),
-                kc: get("kernel", 3),
-                stride: get("stride", 1),
-                pad: get("pad", 0),
-            };
-            let ops: Vec<Box<dyn Operator>> = match cmd {
-                "bwd-data" => vec![Box::new(ConvBackwardDataOp::new(shape))],
-                "bwd-filter" => vec![Box::new(ConvBackwardFilterOp::new(shape))],
-                _ => match a.flags.get("method").map(String::as_str).unwrap_or("auto") {
-                    "implicit" => vec![Box::new(ImplicitConvOp::new(shape))],
-                    "winograd" => vec![Box::new(WinogradConvOp::new(shape))],
-                    "explicit" => vec![Box::new(ExplicitConvOp::new(shape))],
-                    "auto" => vec![
-                        Box::new(ImplicitConvOp::new(shape)),
-                        Box::new(WinogradConvOp::new(shape)),
-                        Box::new(ExplicitConvOp::new(shape)),
-                    ],
-                    _ => usage(),
-                },
-            };
-            let mut best: Option<(String, TunedOp)> = None;
-            for (slot, op) in ops.iter().enumerate() {
-                let name = op.name();
-                let opts = slot_options(&base, slot, ops.len());
-                if let Some(t) = tune_op(&cfg, op.as_ref(), &name, &opts, validate) {
-                    quarantined += t.outcome.quarantined;
-                    if best.as_ref().is_none_or(|(_, b)| t.cycles < b.cycles) {
-                        best = Some((name, t));
-                    }
-                }
-            }
-            let (name, t) = best.expect("no applicable method for this shape");
-            truncated.extend(report(&cfg, &name, &t, &a, base.telemetry.as_ref()));
+        "conv" => {
+            let shape = conv_shape(&a);
+            conv_methods(&a, "auto", true).iter().map(|m| m.build(shape)).collect()
         }
+        "bwd-data" => vec![Box::new(ConvBackwardDataOp::new(conv_shape(&a)))],
+        "bwd-filter" => vec![Box::new(ConvBackwardFilterOp::new(conv_shape(&a)))],
         _ => usage(),
+    };
+    // Several operators race (`conv --method auto`); the fastest is reported.
+    let mut quarantined = 0usize;
+    let mut best: Option<(String, TunedOp)> = None;
+    for (slot, op) in ops.iter().enumerate() {
+        let name = op.name();
+        let opts = slot_options(&base, slot, ops.len());
+        if let Some(t) = tune_op(&cfg, op.as_ref(), &name, &opts, validate) {
+            quarantined += t.outcome.quarantined;
+            if best.as_ref().is_none_or(|(_, b)| t.cycles < b.cycles) {
+                best = Some((name, t));
+            }
+        }
     }
-    if let Some(tel) = &base.telemetry {
+    let (name, t) = best.expect("no valid schedule for this operator");
+    let summary = base.telemetry.as_ref().map(|tel| tel.summary(&Peaks::of(&cfg)));
+    let truncated = report(&cfg, &name, &t, &a, summary.as_ref());
+    if let Some(summary) = &summary {
         let json_mode = a.flags.contains_key("json");
-        let peaks = swatop::observatory::Peaks::of(&cfg);
-        if let Some(path) = a.flags.get("telemetry") {
-            std::fs::write(path, tel.snapshot_json_with(&peaks))
-                .expect("write telemetry JSON");
-            if !json_mode {
-                println!("telemetry: {path}");
-            }
-        }
-        if let Some(path) = a.flags.get("trace-timeline") {
-            std::fs::write(path, tel.perfetto_json_with(&peaks))
-                .expect("write timeline JSON");
-            if !json_mode {
-                println!("timeline : {path} (open in ui.perfetto.dev)");
-            }
-        }
-        if let Some(path) = a.flags.get("corpus") {
-            let rows = swatop::profiler::feature_rows(tel, &peaks);
-            std::fs::write(path, swatop::profiler::corpus_text(&rows)).expect("write corpus");
-            if !json_mode {
-                println!("corpus   : {path} ({} rows)", rows.len());
-            }
+        let path = |flag: &str| a.flags.get(flag).map(Path::new);
+        let written =
+            write_exports(summary, path("telemetry"), path("trace-timeline"), path("corpus"));
+        if !json_mode {
+            written.iter().for_each(|line| println!("{line}"));
         }
         if a.flags.contains_key("verbose") && !json_mode {
             println!();
-            swatop_bench::report::telemetry_summary(tel, &cfg).print();
-            swatop_bench::report::roofline_table(tel, &cfg).print();
+            telemetry_summary(summary).print();
+            roofline_table(summary).print();
         }
     }
     obs.finish(Path::new(swatop_bench::journal::DEFAULT_PATH), None, &truncated);

@@ -152,24 +152,16 @@ impl Opts {
         TuneOptions { jobs: self.jobs, telemetry: self.telemetry.clone(), ..TuneOptions::default() }
     }
 
-    /// Flush the telemetry exporters requested on the command line: write
-    /// the snapshot and/or Perfetto timeline JSON and print the
-    /// human-readable per-operator summary. A no-op when uninstrumented.
-    pub fn finish_telemetry(&self) {
+    /// Write the telemetry exports requested on the command line and print
+    /// the human-readable per-operator summary. A no-op when uninstrumented.
+    pub fn finish_exports(&self) {
         let Some(tel) = &self.telemetry else { return };
-        let cfg = self.machine();
-        let peaks = swatop::observatory::Peaks::of(&cfg);
-        if let Some(path) = &self.telemetry_path {
-            std::fs::write(path, tel.snapshot_json_with(&peaks))
-                .expect("write telemetry JSON");
-            println!("telemetry : {}", path.display());
+        let summary = tel.summary(&swatop::observatory::Peaks::of(&self.machine()));
+        let (snapshot, timeline) = (self.telemetry_path.as_deref(), self.timeline_path.as_deref());
+        for line in crate::report::write_exports(&summary, snapshot, timeline, None) {
+            println!("{line}");
         }
-        if let Some(path) = &self.timeline_path {
-            std::fs::write(path, tel.perfetto_json_with(&peaks))
-                .expect("write timeline JSON");
-            println!("timeline  : {} (open in ui.perfetto.dev)", path.display());
-        }
-        crate::report::telemetry_summary(tel, &cfg).print();
+        crate::report::telemetry_summary(&summary).print();
     }
 
     /// When `--bench-journal` was given: run the canonical benchmark op
@@ -181,7 +173,7 @@ impl Opts {
         }
         let bench = crate::journal::BenchOpts {
             label: self.journal_label.clone(),
-            jobs: self.jobs,
+            tune: TuneOptions::with_jobs(self.jobs),
             smoke: self.scale == Scale::Smoke,
             handicap: self.journal_handicap,
             faults: self.faults,

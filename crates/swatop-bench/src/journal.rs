@@ -20,13 +20,13 @@ use std::time::Instant;
 
 use sw26010::json::{self, Json, Value, Writer};
 use sw26010::MachineConfig;
-use swatop::observatory::{self, Bottleneck, BottleneckMix, Peaks};
+use swatop::observatory::{Bottleneck, BottleneckMix, Peaks};
 use swatop::telemetry::bus::Event;
 pub use swatop::telemetry::TierCounts;
-use swatop::telemetry::{mape, rank_correlation, Telemetry};
-use swatop::tuner::TuneOptions;
+use swatop::telemetry::{mape, rank_correlation, Summary, Telemetry};
+use swatop::tuner::{TierMode, TuneOptions};
 
-use crate::runner::{tune_conv, tune_gemm, ConvMethod};
+use crate::runner::{tune_conv, tune_gemm, ConvMethod, TunedOp};
 use swtensor::ConvShape;
 
 /// The one record schema this build writes and reads; bump on any record
@@ -309,7 +309,6 @@ pub fn git_rev() -> String {
 #[derive(Debug, Clone)]
 pub struct BenchOpts {
     pub label: String,
-    pub jobs: usize,
     /// Smaller op set and shapes (CI smoke runs).
     pub smoke: bool,
     /// Multiply recorded cycles and wall time by this factor — a synthetic
@@ -324,30 +323,22 @@ pub struct BenchOpts {
     /// Write the feature corpus (one JSONL row per measured candidate,
     /// sorted by `(operator, index)` so bytes are `--jobs`-independent).
     pub corpus: Option<std::path::PathBuf>,
-    /// Evaluation-ladder configuration (`--tiers` / `--tier0-k`): tiered
-    /// (the default) or full-scoreboard reference mode.
-    pub tiers: swatop::tuner::TierPolicy,
-    /// Live-observability event bus; sweep/operator/candidate lifecycle
-    /// events are emitted on it when present. Never affects measured
-    /// cycles or winners.
-    pub bus: Option<swatop::telemetry::bus::EventBus>,
-    /// Worker utilization/stall monitor shared with the tuner pool.
-    pub monitor: Option<std::sync::Arc<swatop::tuner::pool::PoolMonitor>>,
+    /// How every op is tuned: workers, the evaluation ladder (`--tiers` /
+    /// `--tier0-k`), the live-observability bus and pool monitor. The run
+    /// records under a recorder of its own, whatever `tune.telemetry` holds.
+    pub tune: TuneOptions,
 }
 
 impl Default for BenchOpts {
     fn default() -> BenchOpts {
         BenchOpts {
             label: "default".to_string(),
-            jobs: 1,
             smoke: false,
             handicap: 1,
             faults: None,
             validate: false,
             corpus: None,
-            tiers: swatop::tuner::TierPolicy::default(),
-            bus: None,
-            monitor: None,
+            tune: TuneOptions::with_jobs(1),
         }
     }
 }
@@ -383,34 +374,27 @@ fn bench_ops(smoke: bool) -> (Vec<GemmSpec>, Vec<ConvSpec>) {
 
 /// Run the canonical benchmark set once and build its journal [`Record`].
 ///
-/// Each op is tuned under a shared telemetry recorder; the record's
-/// per-op roofline numbers attribute the *winning* schedule (the rollup's
-/// best-candidate counters), while MAPE/Spearman and the bottleneck mix
-/// cover every executed candidate of the run.
+/// Each op is tuned under a shared telemetry recorder; every roofline and
+/// accuracy number of the record is read from the run's one [`Summary`]:
+/// per op the winning candidate's attribution and the op scope's accuracy,
+/// run-wide MAPE/Spearman over every pair and the bottleneck mix over every
+/// executed candidate.
 pub fn run_bench(opts: &BenchOpts) -> Record {
     let cfg = MachineConfig {
         fault: opts.faults.map(sw26010::FaultPlan::with_seed),
         ..MachineConfig::default()
     };
-    let peaks = Peaks::of(&cfg);
     let tel = Telemetry::new();
-    let tune_opts = TuneOptions {
-        jobs: opts.jobs,
-        telemetry: Some(tel.clone()),
-        tiers: opts.tiers.clone(),
-        bus: opts.bus.clone(),
-        monitor: opts.monitor.clone(),
-        ..TuneOptions::default()
-    };
+    let tune_opts = TuneOptions { telemetry: Some(tel.clone()), ..opts.tune.clone() };
 
     let (gemms, convs) = bench_ops(opts.smoke);
     let sweep_label =
         format!("bench [{}] ({} ops)", opts.label, gemms.len() + convs.len());
-    if let Some(bus) = &opts.bus {
+    if let Some(bus) = &tune_opts.bus {
         bus.emit_with(|| Event::SweepStart { label: sweep_label.clone() });
     }
     let t0 = Instant::now();
-    let mut tuned: Vec<(String, crate::runner::TunedOp)> = Vec::new();
+    let mut tuned: Vec<(String, TunedOp)> = Vec::new();
     for (name, m, n, k) in &gemms {
         if let Some(t) = tune_gemm(&cfg, *m, *n, *k, &tune_opts, opts.validate) {
             tuned.push((name.clone(), t));
@@ -421,7 +405,7 @@ pub fn run_bench(opts: &BenchOpts) -> Record {
             tuned.push((name.clone(), t));
         }
     }
-    if let Some(bus) = &opts.bus {
+    if let Some(bus) = &tune_opts.bus {
         bus.emit_with(|| Event::SweepEnd { label: sweep_label.clone() });
     }
     let wall_ms = t0.elapsed().as_secs_f64() * 1e3 * opts.handicap as f64;
@@ -440,44 +424,10 @@ pub fn run_bench(opts: &BenchOpts) -> Record {
     let cands_per_sec =
         if tune_secs > 0.0 { candidates_evaluated as f64 / tune_secs } else { 0.0 };
 
-    // Winning-schedule roofline attribution from the rollups (the rollup
-    // order matches tuning order: one operator span per op).
-    let rollups = tel.rollups();
-    let mut ops = Vec::new();
-    for ((name, t), rollup) in tuned.iter().zip(&rollups) {
-        let best = rollup.candidates.iter().find(|c| c.index == t.outcome.best);
-        let (cycles, counters) = match best.and_then(|c| c.measured.map(|m| (m, c.counters))) {
-            Some(x) => x,
-            None => continue,
-        };
-        let cycles = cycles * opts.handicap;
-        let a = observatory::attribute(&peaks, cycles, &counters);
-        ops.push(OpBench {
-            name: name.clone(),
-            cycles,
-            gflops: a.metrics.get("achieved_gflops").unwrap_or(0.0),
-            pct_peak_gflops: a.metrics.get("pct_peak_gflops").unwrap_or(0.0),
-            pct_peak_dma_bw: a.metrics.get("pct_peak_dma_bw").unwrap_or(0.0),
-            bottleneck: a.bottleneck,
-            schedule: t.winner.describe.clone(),
-            tuner: match opts.tiers.mode {
-                swatop::tuner::TierMode::Tiered => "tiered",
-                swatop::tuner::TierMode::FullScoreboard => "full-scoreboard",
-            }
-            .to_string(),
-            convergence: t.outcome.convergence.clone(),
-            mape_pct: rollup.accuracy.as_ref().and_then(|a| a.mape_pct),
-            rank_correlation: rollup.accuracy.as_ref().and_then(|a| a.rank_correlation),
-        });
-    }
-
-    if let Some(path) = &opts.corpus {
-        let rows = swatop::profiler::feature_rows(&tel, &peaks);
-        std::fs::write(path, swatop::profiler::corpus_text(&rows)).expect("write corpus");
-    }
-
+    let summary = tel.summary(&Peaks::of(&cfg));
+    crate::report::write_exports(&summary, None, None, opts.corpus.as_deref());
     let obs: Vec<(f64, f64)> =
-        tel.pairs().iter().map(|p| (p.predicted, p.measured as f64)).collect();
+        summary.pairs().iter().map(|p| (p.predicted, p.measured as f64)).collect();
     let unix_ms = std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
         .map(|d| d.as_millis() as u64)
@@ -487,17 +437,53 @@ pub fn run_bench(opts: &BenchOpts) -> Record {
         label: opts.label.clone(),
         rev: git_rev(),
         unix_ms,
-        jobs: opts.jobs,
+        jobs: tune_opts.jobs,
         wall_ms,
         quarantined,
         candidates_evaluated,
         cands_per_sec,
         tiers,
-        ops,
+        ops: op_rows(&summary, &tuned, opts.handicap, tune_opts.tiers.mode),
         mape_pct: mape(&obs),
         rank_correlation: rank_correlation(&obs),
-        mix: tel.bottleneck_mix(&peaks),
+        mix: summary.mix,
     }
+}
+
+/// One [`OpBench`] per tuned op: the roofline position of its winning
+/// schedule and the model accuracy of its run, found in `summary` by the
+/// operator scope the op was tuned under. `handicap` multiplies the
+/// recorded cycles only; the roofline numbers are the real winner's.
+fn op_rows(
+    summary: &Summary,
+    tuned: &[(String, TunedOp)],
+    handicap: u64,
+    tiers: TierMode,
+) -> Vec<OpBench> {
+    let mut ops = Vec::new();
+    for (name, t) in tuned {
+        let Some(op) = summary.operator(t.scope) else { continue };
+        let best = summary.candidates(op).find(|(c, _)| c.index == Some(t.outcome.best));
+        let Some((cycles, a)) = best.and_then(|(c, a)| c.cycles.zip(a)) else { continue };
+        ops.push(OpBench {
+            name: name.clone(),
+            cycles: cycles * handicap,
+            gflops: a.metrics.get("achieved_gflops").unwrap_or(0.0),
+            pct_peak_gflops: a.metrics.get("pct_peak_gflops").unwrap_or(0.0),
+            pct_peak_dma_bw: a.metrics.get("pct_peak_dma_bw").unwrap_or(0.0),
+            bottleneck: a.bottleneck,
+            schedule: t.winner.describe.clone(),
+            tuner: match tiers {
+                TierMode::Tiered => "tiered",
+                TierMode::FullScoreboard => "full-scoreboard",
+            }
+            .to_string(),
+            convergence: t.outcome.convergence.clone(),
+            mape_pct: op.accuracy.as_ref().and_then(|a| a.mape_pct),
+            rank_correlation: op.accuracy.as_ref().and_then(|a| a.rank_correlation),
+        });
+    }
+    ops
 }
 
 /// Every op name of `records` in first-appearance order, each with that op's
@@ -858,6 +844,28 @@ mod tests {
             rank_correlation: Some(0.93),
             mix: BottleneckMix { dma: 3, compute: 5, stall: 1, spm_capacity: 0 },
         }
+    }
+
+    /// An operator that reports nothing (here: no candidate fits its scratch
+    /// pad) is absent from `tuned` but keeps its operator span; the rows of
+    /// the operators after it must still be their own.
+    #[test]
+    fn op_rows_are_found_by_operator_scope_not_by_position() {
+        let cfg = MachineConfig::default();
+        let cramped = MachineConfig { spm_bytes: 64, ..cfg.clone() };
+        let tel = Telemetry::new();
+        let opts = TuneOptions { telemetry: Some(tel.clone()), ..TuneOptions::default() };
+        assert!(tune_gemm(&cramped, 32, 32, 32, &opts, false).is_none());
+        let second = tune_gemm(&cfg, 32, 32, 32, &opts, false).expect("the clean machine tunes");
+        let summary = tel.summary(&Peaks::of(&cfg));
+        assert_eq!(summary.operators.len(), 2, "the silent operator keeps its span");
+        let tuned = [("gemm_32".to_string(), second)];
+        let rows = op_rows(&summary, &tuned, 1, TierMode::Tiered);
+        let own = summary.operator(tuned[0].1.scope).expect("recorded under its scope");
+        assert_eq!(rows.len(), 1);
+        assert_eq!(rows[0].cycles, tuned[0].1.cycles.get());
+        assert_eq!(rows[0].mape_pct, own.accuracy.as_ref().and_then(|a| a.mape_pct));
+        assert!(rows[0].mape_pct.is_some() && rows[0].gflops > 0.0);
     }
 
     /// The three serialized forms, recorded from the hand-rolled emitters

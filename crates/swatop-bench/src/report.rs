@@ -1,10 +1,9 @@
 //! Plain-text table rendering for the experiment binaries.
 
 use std::fmt::Write as _;
+use std::path::Path;
 
-use sw26010::MachineConfig;
-use swatop::observatory::{self, BottleneckMix, Peaks};
-use swatop::telemetry::Telemetry;
+use swatop::telemetry::Summary;
 
 /// A simple aligned text table.
 #[derive(Debug, Clone, Default)]
@@ -66,21 +65,14 @@ impl Table {
 /// span with candidate count, wall time, DMA traffic/efficiency, issue-slot
 /// utilization, SPM footprint, the dominant roofline bottleneck of the
 /// operator's executed candidates, and the model-accuracy headline numbers.
-pub fn telemetry_summary(tel: &Telemetry, cfg: &MachineConfig) -> Table {
-    let peaks = Peaks::of(cfg);
+pub fn telemetry_summary(summary: &Summary) -> Table {
     let mut t = Table::new(
         "telemetry",
         &["operator", "cands", "wall ms", "dma MiB", "dma eff", "issue util", "spm KiB", "bottleneck", "mape %", "rank corr", "misrank"],
     );
     let opt = |x: Option<f64>| x.map_or_else(|| "-".to_string(), |v| format!("{v:.3}"));
-    for g in tel.rollups() {
+    for g in &summary.operators {
         let c = &g.counters;
-        let mut mix = BottleneckMix::default();
-        for cand in &g.candidates {
-            if let Some(cycles) = cand.measured {
-                mix.note(observatory::classify(&peaks, cycles, &cand.counters));
-            }
-        }
         t.row(vec![
             g.label.clone(),
             g.candidates.len().to_string(),
@@ -89,7 +81,7 @@ pub fn telemetry_summary(tel: &Telemetry, cfg: &MachineConfig) -> Table {
             format!("{:.3}", c.dma_efficiency()),
             format!("{:.3}", c.issue_slot_utilization()),
             format!("{:.1}", c.spm_high_water_elems as f64 * 4.0 / 1024.0),
-            mix.dominant().map_or_else(|| "-".to_string(), |b| b.name().to_string()),
+            g.mix.dominant().map_or_else(|| "-".to_string(), |b| b.name().to_string()),
             opt(g.accuracy.as_ref().and_then(|a| a.mape_pct)),
             opt(g.accuracy.as_ref().and_then(|a| a.rank_correlation)),
             g.accuracy.as_ref().map_or(0, |a| a.misranked.len()).to_string(),
@@ -103,8 +95,8 @@ pub fn telemetry_summary(tel: &Telemetry, cfg: &MachineConfig) -> Table {
 /// arithmetic intensity and bottleneck class. Derived purely from each
 /// candidate's cycles + counters, so it is identical for every `--jobs`
 /// value.
-pub fn roofline_table(tel: &Telemetry, cfg: &MachineConfig) -> Table {
-    let peaks = Peaks::of(cfg);
+pub fn roofline_table(summary: &Summary) -> Table {
+    let peaks = &summary.peaks;
     let mut t = Table::new(
         format!(
             "roofline (peak {:.1} GFLOPS, {:.1} GB/s DMA, ridge {:.1} flops/B)",
@@ -117,14 +109,13 @@ pub fn roofline_table(tel: &Telemetry, cfg: &MachineConfig) -> Table {
             "bottleneck",
         ],
     );
-    for g in tel.rollups() {
-        for cand in &g.candidates {
-            let Some(cycles) = cand.measured else { continue };
-            let a = observatory::attribute(&peaks, cycles, &cand.counters);
+    for g in &summary.operators {
+        for (cand, attribution) in summary.candidates(g) {
+            let (Some(cycles), Some(a)) = (cand.cycles, attribution) else { continue };
             let m = |name: &str| a.metrics.get(name).unwrap_or(0.0);
             t.row(vec![
                 g.label.clone(),
-                cand.index.to_string(),
+                cand.index.unwrap_or(usize::MAX).to_string(),
                 cycles.to_string(),
                 format!("{:.1}", m("achieved_gflops")),
                 format!("{:.1}", m("pct_peak_gflops")),
@@ -136,6 +127,34 @@ pub fn roofline_table(tel: &Telemetry, cfg: &MachineConfig) -> Table {
         }
     }
     t
+}
+
+/// Write the post-hoc artifacts a run was asked for — the telemetry
+/// snapshot, the run timeline, the feature corpus — and return one
+/// `what : path` line per file written, for the caller to print.
+pub fn write_exports(
+    summary: &Summary,
+    snapshot: Option<&Path>,
+    timeline: Option<&Path>,
+    corpus: Option<&Path>,
+) -> Vec<String> {
+    let mut written = Vec::new();
+    let mut write = |what: &str, path: &Path, text: String, note: &str| {
+        std::fs::write(path, text).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
+        written.push(format!("{what:<9}: {}{note}", path.display()));
+    };
+    if let Some(path) = snapshot {
+        write("telemetry", path, summary.snapshot_json(), "");
+    }
+    if let Some(path) = timeline {
+        write("timeline", path, summary.perfetto_json(), " (open in ui.perfetto.dev)");
+    }
+    if let Some(path) = corpus {
+        let rows = swatop::profiler::feature_rows(summary);
+        let note = format!(" ({} rows)", rows.len());
+        write("corpus", path, swatop::profiler::corpus_text(&rows), &note);
+    }
+    written
 }
 
 /// Format a ratio `baseline/ours` as a speedup string (e.g. "1.44x").

@@ -15,7 +15,7 @@
 use sw26010::{Cycles, MachineConfig};
 use swatop::scheduler::{Candidate, Operator, Scheduler};
 use swatop::telemetry::bus::Event;
-use swatop::telemetry::SpanKind;
+use swatop::telemetry::{SpanId, SpanKind};
 use swatop::tuner::{pool, tune, TuneOptions, TuneOutcome, WinnerValidator};
 use swatop::ops::{ExplicitConvOp, ImplicitConvOp, MatmulOp, WinogradConvOp};
 use swtensor::ConvShape;
@@ -37,11 +37,27 @@ impl ConvMethod {
         }
     }
 
+    /// The method [`ConvMethod::name`] names.
+    pub fn parse(name: &str) -> Option<ConvMethod> {
+        [ConvMethod::Implicit, ConvMethod::Explicit, ConvMethod::Winograd]
+            .into_iter()
+            .find(|m| m.name() == name)
+    }
+
     pub fn applicable(&self, shape: &ConvShape) -> bool {
         match self {
             ConvMethod::Implicit => ImplicitConvOp::applicable(shape),
             ConvMethod::Explicit => true,
             ConvMethod::Winograd => WinogradConvOp::applicable(shape),
+        }
+    }
+
+    /// The operator that computes `shape` by this method.
+    pub fn build(&self, shape: ConvShape) -> Box<dyn Operator> {
+        match self {
+            ConvMethod::Implicit => Box::new(ImplicitConvOp::new(shape)),
+            ConvMethod::Explicit => Box::new(ExplicitConvOp::new(shape)),
+            ConvMethod::Winograd => Box::new(WinogradConvOp::new(shape)),
         }
     }
 }
@@ -56,6 +72,10 @@ pub struct TunedOp {
     /// (`knob=value` list), its executable emits the C.
     pub winner: Candidate,
     pub outcome: TuneOutcome,
+    /// The operator span the run was recorded under
+    /// ([`Summary::operator`](swatop::telemetry::Summary::operator) finds
+    /// its numbers); `None` when uninstrumented.
+    pub scope: Option<SpanId>,
 }
 
 impl TunedOp {
@@ -102,9 +122,10 @@ pub fn tune_op(
     let validator = |_: usize, c: &Candidate| swatop::ops::validate_candidate(cfg, op, c);
     let outcome =
         tune(cfg, &cands, &run_opts, validate.then_some(&validator as &WinnerValidator)).ok();
-    if let Some((t, id)) = span {
+    let scope = span.map(|(t, id)| {
         t.close(id);
-    }
+        id
+    });
     if let Some(bus) = &opts.bus {
         bus.emit_with(|| Event::OperatorEnd {
             label: label.to_string(),
@@ -115,7 +136,7 @@ pub fn tune_op(
     }
     let outcome = outcome?;
     let winner = cands[outcome.best].clone();
-    Some(TunedOp { cycles: outcome.cycles, flops: op.flops(), candidates: n, winner, outcome })
+    Some(TunedOp { cycles: outcome.cycles, flops: op.flops(), candidates: n, winner, outcome, scope })
 }
 
 /// Tune a convolution with the given method ([`tune_op`] under the label
@@ -131,12 +152,7 @@ pub fn tune_conv(
     if !method.applicable(shape) {
         return None;
     }
-    let label = conv_label(method, shape);
-    match method {
-        ConvMethod::Implicit => tune_op(cfg, &ImplicitConvOp::new(*shape), &label, opts, validate),
-        ConvMethod::Explicit => tune_op(cfg, &ExplicitConvOp::new(*shape), &label, opts, validate),
-        ConvMethod::Winograd => tune_op(cfg, &WinogradConvOp::new(*shape), &label, opts, validate),
-    }
+    tune_op(cfg, method.build(*shape).as_ref(), &conv_label(method, shape), opts, validate)
 }
 
 /// Operator-span label for a convolution instance.

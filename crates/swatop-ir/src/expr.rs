@@ -65,11 +65,6 @@ impl AffineExpr {
         self.terms.iter().find(|(t, _)| *t == v).map_or(0, |(_, c)| *c)
     }
 
-    /// True if the expression has no variable terms.
-    pub fn is_const(&self) -> bool {
-        self.terms.is_empty()
-    }
-
     /// `self + other`: a merge of the two sorted term lists.
     pub fn add(&self, other: &AffineExpr) -> AffineExpr {
         let (a, b) = (&self.terms, &other.terms);
@@ -317,7 +312,7 @@ mod tests {
         let a = AffineExpr::loop_var(0).scale(3);
         let b = AffineExpr::loop_var(0).scale(-3).add_const(1);
         let s = a.add(&b);
-        assert!(s.is_const());
+        assert!(s.terms().is_empty());
         assert_eq!(s.constant(), 1);
     }
 

@@ -33,9 +33,7 @@
 //!   bandwidth-costed bulk operations, the way the real system executes them
 //!   as memory-bound CPE loops.
 
-pub mod analysis;
 pub mod expr;
-pub mod printer;
 pub mod program;
 pub mod stmt;
 pub mod transform;

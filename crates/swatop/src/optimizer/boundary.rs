@@ -51,17 +51,6 @@ impl TileSplit {
     pub fn count(&self) -> usize {
         self.full + (self.tail > 0) as usize
     }
-
-    /// Whether the tail can be handled by parameter switching: it must
-    /// itself satisfy `align`.
-    pub fn tail_switchable(&self, align: usize) -> bool {
-        self.tail == 0 || self.tail.is_multiple_of(align)
-    }
-
-    /// Padded tail length (up to `align`) when switching is not possible.
-    pub fn padded_tail(&self, align: usize) -> usize {
-        round_up(self.tail, align)
-    }
 }
 
 /// Cost plan for zero-padding one `rows × cols` matrix whose dimensions are
@@ -97,14 +86,6 @@ impl PadPlan {
             lightweight_buffer: bottom_buf + right_buf,
         }
     }
-
-    /// Copy-traffic ratio lightweight/traditional (≤ 1).
-    pub fn copy_ratio(&self) -> f64 {
-        if self.traditional_copied == 0 {
-            return 0.0;
-        }
-        self.lightweight_copied as f64 / self.traditional_copied as f64
-    }
 }
 
 #[cfg(test)]
@@ -122,19 +103,10 @@ mod tests {
     }
 
     #[test]
-    fn tail_switching_rules() {
-        // Tail of 8 is mesh-aligned but not vector-aligned.
-        let s = TileSplit::new(200, 64);
-        assert!(s.tail_switchable(8));
-        assert!(!s.tail_switchable(32));
-        assert_eq!(s.padded_tail(32), 32);
-    }
-
-    #[test]
     fn lightweight_padding_copies_far_less() {
         // 2000×2000 tiled 256×256: boundary strips are thin.
         let p = PadPlan::new(2000, 2000, 256, 256);
-        assert!(p.copy_ratio() < 0.2, "ratio {}", p.copy_ratio());
+        assert!(5 * p.lightweight_copied < p.traditional_copied, "{p:?}");
         assert!(p.lightweight_buffer < p.traditional_buffer);
         assert_eq!(p.traditional_copied, 4_000_000);
     }
@@ -144,7 +116,6 @@ mod tests {
         let p = PadPlan::new(2048, 1024, 256, 256);
         assert_eq!(p.lightweight_copied, 0);
         assert_eq!(p.lightweight_buffer, 0);
-        assert_eq!(p.copy_ratio(), 0.0);
     }
 
     #[test]

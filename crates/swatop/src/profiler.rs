@@ -16,7 +16,7 @@
 //! * [`corpus_text`] — harvest every evaluated candidate of a telemetry-
 //!   instrumented sweep into a schema-versioned JSONL feature corpus
 //!   (schedule knobs + machine counters + measured cycles + bottleneck):
-//!   the training set for the future learned cost model (ROADMAP item 2).
+//!   the training set for the learned cost model (ROADMAP item 5(c)).
 //!
 //! All outputs are bit-deterministic: rows are sorted by `(operator,
 //! candidate index)` — candidate spans are *recorded* in worker-completion
@@ -33,7 +33,7 @@ use sw26010::{Counters, CoreGroup, Cycles, ExecMode, MachineConfig, MachineResul
 use crate::interp::{execute, instantiate};
 use crate::observatory::{classify, Bottleneck, Peaks};
 use crate::scheduler::Candidate;
-use crate::telemetry::Telemetry;
+use crate::telemetry::Summary;
 
 /// Event budget for profiling runs: generous enough for every op shape in
 /// the bench suite; the `truncated` flag still guards the pathological case.
@@ -394,18 +394,18 @@ pub struct FeatureRow {
 /// Extract one corpus row per *measured* candidate from a telemetry-
 /// instrumented sweep, sorted by `(operator, candidate index)` so the
 /// output is independent of worker scheduling.
-pub fn feature_rows(tel: &Telemetry, peaks: &Peaks) -> Vec<FeatureRow> {
+pub fn feature_rows(summary: &Summary) -> Vec<FeatureRow> {
     let mut rows: Vec<FeatureRow> = Vec::new();
-    for rollup in tel.rollups() {
-        for c in &rollup.candidates {
-            let Some(measured) = c.measured else { continue };
+    for op in &summary.operators {
+        for (c, attribution) in summary.candidates(op) {
+            let (Some(measured), Some(a)) = (c.cycles, attribution) else { continue };
             rows.push(FeatureRow {
-                operator: rollup.label.clone(),
-                index: c.index,
+                operator: op.label.clone(),
+                index: c.index.unwrap_or(usize::MAX),
                 describe: c.label.clone(),
                 predicted: c.predicted,
                 measured,
-                bottleneck: classify(peaks, measured, &c.counters),
+                bottleneck: a.bottleneck,
                 counters: c.counters,
             });
         }

@@ -6,17 +6,23 @@
 //!    candidate → attempt). Every span carries wall-clock timing, an
 //!    optional worker *track*, the simulated cycle count and the aggregated
 //!    [`Counters`] of the execution it covers. Spans export to Perfetto /
-//!    Chrome trace-event JSON ([`Telemetry::perfetto_json_with`]) with one
+//!    Chrome trace-event JSON ([`Summary::perfetto_json`]) with one
 //!    timeline track per tuner worker.
 //! 2. **Machine counters** — each candidate span absorbs the
 //!    [`sw26010::Counters`] block its cost-only machine accumulated (DMA
 //!    payload/bus traffic, stall cycles, pipeline issue slots, SPM
 //!    high-water mark), turning "why is this variant slow" into a readable
 //!    roofline-style breakdown.
-//! 3. **Model accuracy** — every executed candidate contributes a
-//!    (predicted, measured) cycle pair; per-operator MAPE and Spearman rank
-//!    correlation summarize them (a live Fig. 9), and candidates the model
-//!    misranks beyond a threshold are flagged.
+//! 3. **Model accuracy** — a candidate span that carries both a prediction
+//!    and measured cycles *is* a (predicted, measured) pair; per-operator
+//!    MAPE and Spearman rank correlation summarize them (a live Fig. 9), and
+//!    candidates the model misranks beyond a threshold are flagged.
+//!
+//! Every number a report shows after a run — per-operator candidates with
+//! their roofline [`Attribution`], merged counters and [`Accuracy`], run
+//! totals, [`TierCounts`], [`BottleneckMix`], quarantines — comes from one
+//! fold over the spans, [`Telemetry::summary`]; the exporters, tables,
+//! corpus and journal read the [`Summary`] and derive nothing themselves.
 //!
 //! The layer is **zero-cost when disabled**: the tuners take
 //! `Option<&Telemetry>` and the `None` path performs no allocation, no
@@ -32,14 +38,15 @@
 //! floats as plain decimals (`null` when absent or non-finite); tests read
 //! the documents back with [`sw26010::json::parse`].
 
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 use sw26010::json::{Value, Writer};
 use sw26010::Counters;
 
-use crate::observatory::{self, BottleneckMix, Peaks};
+use crate::observatory::{self, Attribution, BottleneckMix, Peaks};
 
 pub mod bus;
 pub mod metrics;
@@ -112,10 +119,11 @@ pub struct Span {
     pub counters: Counters,
 }
 
-/// One (predicted, measured) observation feeding the accuracy tracker.
+/// One (predicted, measured) observation: a candidate span that carries
+/// both a prediction and measured cycles.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Pair {
-    /// Operator span the observation belongs to (`None` = root).
+    /// The span the candidate was recorded under (`None` = root).
     pub scope: Option<SpanId>,
     /// Candidate input index.
     pub index: usize,
@@ -125,15 +133,10 @@ pub struct Pair {
     pub measured: u64,
 }
 
-#[derive(Default)]
-struct State {
-    spans: Vec<Span>,
-    pairs: Vec<Pair>,
-}
-
 struct Inner {
     epoch: Instant,
-    state: Mutex<State>,
+    /// The one store: every span, indexed by [`SpanId`].
+    spans: Mutex<Vec<Span>>,
 }
 
 /// Handle to a shared telemetry recorder. Cloning is cheap; clones carry a
@@ -152,7 +155,7 @@ impl std::fmt::Debug for Telemetry {
         f.debug_struct("Telemetry")
             .field("parent", &self.parent)
             .field("track", &self.track)
-            .field("spans", &self.inner.state.lock().spans.len())
+            .field("spans", &self.inner.spans.lock().len())
             .finish()
     }
 }
@@ -166,7 +169,7 @@ impl Default for Telemetry {
 impl Telemetry {
     pub fn new() -> Telemetry {
         Telemetry {
-            inner: Arc::new(Inner { epoch: Instant::now(), state: Mutex::new(State::default()) }),
+            inner: Arc::new(Inner { epoch: Instant::now(), spans: Mutex::new(Vec::new()) }),
             parent: None,
             track: None,
         }
@@ -200,8 +203,8 @@ impl Telemetry {
     /// [`Telemetry::close`].
     pub fn open(&self, kind: SpanKind, label: impl Into<String>) -> SpanId {
         let start_us = self.now_us();
-        let mut st = self.inner.state.lock();
-        st.spans.push(Span {
+        let mut spans = self.inner.spans.lock();
+        spans.push(Span {
             parent: self.parent,
             kind,
             label: label.into(),
@@ -216,185 +219,207 @@ impl Telemetry {
             error: None,
             counters: Counters::default(),
         });
-        SpanId(st.spans.len() - 1)
+        SpanId(spans.len() - 1)
     }
 
     /// Close a span, fixing its wall-clock duration.
     pub fn close(&self, id: SpanId) {
         let now = self.now_us();
-        let mut st = self.inner.state.lock();
-        if let Some(s) = st.spans.get_mut(id.0) {
-            s.dur_us = now.saturating_sub(s.start_us);
-        }
+        self.update(id, |s| s.dur_us = now.saturating_sub(s.start_us));
     }
 
     /// Mutate a recorded span in place (fill cycles, counters, errors…).
     pub fn update(&self, id: SpanId, f: impl FnOnce(&mut Span)) {
-        let mut st = self.inner.state.lock();
-        if let Some(s) = st.spans.get_mut(id.0) {
+        if let Some(s) = self.inner.spans.lock().get_mut(id.0) {
             f(s);
         }
     }
 
-    /// Record a (predicted, measured) accuracy observation under this
-    /// handle's scope.
-    pub fn record_pair(&self, index: usize, predicted: f64, measured: u64) {
-        let scope = self.parent;
-        self.inner.state.lock().pairs.push(Pair { scope, index, predicted, measured });
-    }
-
     /// Snapshot of all recorded spans (indexed by [`SpanId`]).
     pub fn spans(&self) -> Vec<Span> {
-        self.inner.state.lock().spans.clone()
+        self.inner.spans.lock().clone()
     }
 
-    /// Snapshot of all accuracy observations in canonical order: by scope
-    /// (root first, then operator spans as opened — serially, so their ids
-    /// repeat from run to run), then by candidate index. Pool workers record
-    /// in completion order; every summary reads pairs in this order, so no
-    /// digit of it depends on which worker finished first.
-    pub fn pairs(&self) -> Vec<Pair> {
-        canonical(self.inner.state.lock().pairs.clone())
+    /// Everything the reports show after a run, folded from the spans in one
+    /// pass. The summary holds the recorder's lock while it lives — take it
+    /// when the tuning is over, and drop it before recording again.
+    pub fn summary(&self, peaks: &Peaks) -> Summary<'_> {
+        self.summarize(peaks, None)
     }
 
-    /// Machine counters merged over every candidate span.
-    pub fn totals(&self) -> Counters {
-        let st = self.inner.state.lock();
-        let mut total = Counters::default();
-        for s in &st.spans {
-            if s.kind == SpanKind::Candidate {
-                total.merge(&s.counters);
-            }
-        }
-        total
+    /// The slice of the fold recorded under this handle's own scope — what
+    /// [`TuneOutcome::telemetry`](crate::tuner::TuneOutcome::telemetry)
+    /// condenses. `None` when nothing was measured under it.
+    pub(crate) fn own_scope(&self, peaks: &Peaks) -> Option<OperatorSummary> {
+        let scope = self.parent;
+        self.summarize(peaks, Some(scope)).operators.into_iter().find(|o| o.scope == scope)
     }
 
-    /// Accuracy summary of the observations recorded under `scope`
-    /// (`None` = pairs recorded at the root). `None` when the scope has no
-    /// observations.
-    pub fn accuracy_for(&self, scope: Option<SpanId>) -> Option<Accuracy> {
-        let st = self.inner.state.lock();
-        let pairs: Vec<Pair> = st.pairs.iter().filter(|p| p.scope == scope).copied().collect();
-        drop(st);
-        (!pairs.is_empty()).then(|| Accuracy::from_pairs(scope, canonical(pairs)))
-    }
-
-    /// Accuracy summaries for every scope that recorded observations, in
-    /// the scope order of [`Telemetry::pairs`].
-    pub fn accuracy(&self) -> Vec<Accuracy> {
-        self.pairs()
-            .chunk_by(|a, b| a.scope == b.scope)
-            .map(|of_scope| Accuracy::from_pairs(of_scope[0].scope, of_scope.to_vec()))
-            .collect()
-    }
-
-    /// Group candidate spans under their operator span (or a synthetic
-    /// "(root)" group), with merged counters and the scope's accuracy
-    /// summary. This is the structure the JSON snapshot and the summary
-    /// tables render.
-    pub fn rollups(&self) -> Vec<OperatorRollup> {
-        let spans = self.spans();
-        let mut groups: Vec<(Option<SpanId>, OperatorRollup)> = Vec::new();
-        // Operator spans first, in recording order, so empty operators
-        // still appear.
+    /// The one pass over the recorder, under its lock. Candidate spans group
+    /// under the span they were recorded under — an operator span, which
+    /// leads its group even when it stays empty, or anything else as
+    /// "(root)" — by candidate index; a candidate recorded twice keeps its
+    /// recording order. Each measured candidate is attributed against
+    /// `peaks` here and nowhere else. `only` restricts the pass to one
+    /// scope: that span and the spans directly under it.
+    fn summarize(&self, peaks: &Peaks, only: Option<Option<SpanId>>) -> Summary<'_> {
+        let spans = self.inner.spans.lock();
+        let mut attributions: Vec<Option<Attribution>> = vec![None; spans.len()];
+        let mut operators: Vec<OperatorSummary> = Vec::new();
+        let mut group_of: HashMap<Option<SpanId>, usize> = HashMap::new();
+        let mut totals = Counters::default();
+        let mut tiers = TierCounts::default();
+        let mut mix = BottleneckMix::default();
+        let mut quarantines = 0;
         for (i, s) in spans.iter().enumerate() {
-            if s.kind == SpanKind::Operator {
-                groups.push((
-                    Some(SpanId(i)),
-                    OperatorRollup {
-                        scope: Some(SpanId(i)),
-                        label: s.label.clone(),
-                        wall_us: s.dur_us,
-                        candidates: Vec::new(),
-                        counters: Counters::default(),
-                        accuracy: None,
-                    },
-                ));
+            let id = Some(SpanId(i));
+            if only.is_some_and(|scope| s.parent != scope && id != scope) {
+                continue;
+            }
+            match s.kind {
+                SpanKind::Operator => {
+                    group_of.insert(id, operators.len());
+                    operators.push(OperatorSummary::new(id, &s.label, s.dur_us));
+                }
+                SpanKind::Candidate => {
+                    let group = *group_of.entry(s.parent).or_insert_with(|| {
+                        operators.push(OperatorSummary::new(s.parent, "(root)", 0));
+                        operators.len() - 1
+                    });
+                    let op = &mut operators[group];
+                    op.candidates.push(SpanId(i));
+                    op.counters.merge(&s.counters);
+                    totals.merge(&s.counters);
+                    tiers.measured += 1;
+                    if let Some(cycles) = s.cycles {
+                        let a = observatory::attribute(peaks, cycles, &s.counters);
+                        op.mix.note(a.bottleneck);
+                        mix.note(a.bottleneck);
+                        attributions[i] = Some(a);
+                    }
+                }
+                SpanKind::Screen => tiers.screened += u64::from(s.samples),
+                // A Validate span with an error is a quarantined winner (the
+                // error is the rejection reason).
+                SpanKind::Validate => {
+                    tiers.validated += 1;
+                    quarantines += usize::from(s.error.is_some());
+                }
+                SpanKind::Sweep | SpanKind::Attempt => {}
             }
         }
-        for s in spans.iter().filter(|s| s.kind == SpanKind::Candidate) {
-            let key = s.parent.filter(|p| {
-                spans.get(p.0).is_some_and(|ps| ps.kind == SpanKind::Operator)
-            });
-            let group = match groups.iter_mut().find(|(k, _)| *k == key) {
-                Some((_, g)) => g,
-                None => {
-                    groups.push((
-                        key,
-                        OperatorRollup {
-                            scope: key,
-                            label: "(root)".to_string(),
-                            wall_us: 0,
-                            candidates: Vec::new(),
-                            counters: Counters::default(),
-                            accuracy: None,
-                        },
-                    ));
-                    &mut groups.last_mut().expect("just pushed").1
-                }
+        for op in &mut operators {
+            op.candidates.sort_by_key(|c| spans[c.0].index.unwrap_or(usize::MAX));
+            let pair = |c: &SpanId| {
+                let s = &spans[c.0];
+                Some(Pair { scope: op.scope, index: s.index?, predicted: s.predicted?, measured: s.cycles? })
             };
-            group.counters.merge(&s.counters);
-            group.candidates.push(CandidateRow {
-                index: s.index.unwrap_or(usize::MAX),
-                label: s.label.clone(),
-                predicted: s.predicted,
-                measured: s.cycles,
-                retries: s.retries,
-                samples: s.samples,
-                error: s.error.clone(),
-                wall_us: s.dur_us,
-                track: s.track,
-                counters: s.counters,
-            });
+            let pairs: Vec<Pair> = op.candidates.iter().filter_map(pair).collect();
+            op.accuracy = (!pairs.is_empty()).then(|| Accuracy::from_pairs(op.scope, pairs));
         }
-        let mut out: Vec<OperatorRollup> = groups.into_iter().map(|(_, g)| g).collect();
-        for g in &mut out {
-            g.candidates.sort_by_key(|a| a.index);
-            g.accuracy = self.accuracy_for(g.scope);
-        }
-        out
+        Summary { spans, attributions, peaks: *peaks, operators, totals, tiers, mix, quarantines }
     }
+}
 
-    /// Condensed per-tune summary for [`TuneOutcome`](crate::tuner::TuneOutcome).
-    pub fn tune_summary(&self, scope: Option<SpanId>, counters: Counters) -> TuneTelemetry {
-        let acc = self.accuracy_for(scope);
-        TuneTelemetry {
-            counters,
-            pairs: acc.as_ref().map_or(0, |a| a.pairs.len()),
-            mape_pct: acc.as_ref().and_then(|a| a.mape_pct),
-            rank_correlation: acc.as_ref().and_then(|a| a.rank_correlation),
-            misranked: acc.as_ref().map_or(0, |a| a.misranked.len()),
-            quarantined: 0,
+/// One operator scope of a [`Summary`]: the candidates recorded under one
+/// span, with their merged counters, model accuracy and bottleneck mix.
+#[derive(Debug, Clone)]
+pub struct OperatorSummary {
+    /// The span the candidates were recorded under (`None` = root).
+    pub scope: Option<SpanId>,
+    /// The operator span's label, or "(root)" without one.
+    pub label: String,
+    pub wall_us: u64,
+    /// The scope's candidate spans (measured or failed), by candidate
+    /// index; read them through [`Summary::candidates`].
+    pub candidates: Vec<SpanId>,
+    /// Counters merged over the scope's candidates.
+    pub counters: Counters,
+    /// `None` when no candidate has both a prediction and measured cycles.
+    pub accuracy: Option<Accuracy>,
+    /// Bottleneck classes of the scope's measured candidates.
+    pub mix: BottleneckMix,
+}
+
+impl OperatorSummary {
+    fn new(scope: Option<SpanId>, label: &str, wall_us: u64) -> OperatorSummary {
+        OperatorSummary {
+            scope,
+            label: label.to_string(),
+            wall_us,
+            candidates: Vec::new(),
+            counters: Counters::default(),
+            accuracy: None,
             mix: BottleneckMix::default(),
         }
     }
 
-    /// Bottleneck class counts over every executed candidate span, classified
-    /// against the machine's roofline peaks. Deterministic: derived purely
-    /// from per-candidate cycles + counters.
-    pub fn bottleneck_mix(&self, peaks: &Peaks) -> BottleneckMix {
-        let mut mix = BottleneckMix::default();
-        for s in self.spans() {
-            if s.kind == SpanKind::Candidate {
-                if let Some(cycles) = s.cycles {
-                    mix.note(observatory::classify(peaks, cycles, &s.counters));
-                }
-            }
+    /// The headline numbers a [`TuneOutcome`](crate::tuner::TuneOutcome)
+    /// carries; `quarantined` is the engine's to fill.
+    pub(crate) fn condensed(&self) -> TuneTelemetry {
+        let acc = self.accuracy.as_ref();
+        TuneTelemetry {
+            counters: self.counters,
+            pairs: acc.map_or(0, |a| a.pairs.len()),
+            mape_pct: acc.and_then(|a| a.mape_pct),
+            rank_correlation: acc.and_then(|a| a.rank_correlation),
+            misranked: acc.map_or(0, |a| a.misranked.len()),
+            quarantined: 0,
+            mix: self.mix,
         }
-        mix
+    }
+}
+
+/// The post-hoc numbers of a run ([`Telemetry::summary`]). Deterministic
+/// for a fixed machine and candidate set whatever the worker count, wall
+/// clocks and tracks apart.
+pub struct Summary<'t> {
+    spans: MutexGuard<'t, Vec<Span>>,
+    /// By span id: the attribution of each measured candidate span.
+    attributions: Vec<Option<Attribution>>,
+    /// The roofline the candidates were attributed against.
+    pub peaks: Peaks,
+    /// Operator spans in recording order (empty ones included), then any
+    /// other scope in order of its first candidate.
+    pub operators: Vec<OperatorSummary>,
+    /// Machine counters merged over every candidate span.
+    pub totals: Counters,
+    pub tiers: TierCounts,
+    /// Bottleneck classes over every measured candidate.
+    pub mix: BottleneckMix,
+    /// Winners the validator rejected.
+    pub quarantines: usize,
+}
+
+impl Summary<'_> {
+    /// Every recorded span, indexed by [`SpanId`].
+    pub fn spans(&self) -> &[Span] {
+        &self.spans
     }
 
-    /// Tier ladder volume: tier-0 analytic screenings (samples on Screen
-    /// spans), tier-1 scoreboard measurements (Candidate spans), tier-2
-    /// winner validations. Deterministic — derived from the span set.
-    pub fn tier_counts(&self) -> TierCounts {
-        let st = self.inner.state.lock();
-        let of = |kind| st.spans.iter().filter(move |s| s.kind == kind);
-        TierCounts {
-            screened: of(SpanKind::Screen).map(|s| u64::from(s.samples)).sum(),
-            measured: of(SpanKind::Candidate).count() as u64,
-            validated: of(SpanKind::Validate).count() as u64,
-        }
+    /// The operator scope `scope`, if anything was recorded under it.
+    pub fn operator(&self, scope: Option<SpanId>) -> Option<&OperatorSummary> {
+        self.operators.iter().find(|o| o.scope == scope)
+    }
+
+    /// The candidate spans of `op` by candidate index, each measured one
+    /// with its roofline attribution.
+    pub fn candidates<'s>(
+        &'s self,
+        op: &'s OperatorSummary,
+    ) -> impl Iterator<Item = (&'s Span, Option<&'s Attribution>)> {
+        op.candidates.iter().map(|c| (&self.spans[c.0], self.attributions[c.0].as_ref()))
+    }
+
+    /// Every accuracy observation in canonical order: by scope (root first,
+    /// then spans as opened — serially, so their ids repeat from run to
+    /// run), then by candidate index. Every summary reads pairs in this
+    /// order, so no digit of it depends on which worker finished first.
+    pub fn pairs(&self) -> Vec<Pair> {
+        let mut scoped: Vec<&Accuracy> =
+            self.operators.iter().filter_map(|o| o.accuracy.as_ref()).collect();
+        scoped.sort_by_key(|a| a.scope.map(|s| s.0));
+        scoped.into_iter().flat_map(|a| a.pairs.iter().copied()).collect()
     }
 
     /// Structured metrics snapshot: per-operator candidate tables with
@@ -402,33 +427,32 @@ impl Telemetry {
     /// whole-run counter totals, quarantine and tier counts, and the shared
     /// evaluation caches. Every measured candidate carries an
     /// `"observatory"` object (the full derived-metric schema against
-    /// `peaks`, plus its bottleneck class) and the top level a
+    /// [`Summary::peaks`], plus its bottleneck class) and the top level a
     /// `"bottleneck_mix"` object.
-    pub fn snapshot_json_with(&self, peaks: &Peaks) -> String {
+    pub fn snapshot_json(&self) -> String {
         let mut w = Writer::new();
         w.begin_obj().field("v", 1u64).key("operators").begin_arr();
-        for g in self.rollups() {
+        for op in &self.operators {
             w.begin_obj()
-                .field("label", &g.label)
-                .field("wall_us", g.wall_us)
-                .field("counters", g.counters)
-                .field("accuracy", g.accuracy.as_ref())
+                .field("label", &op.label)
+                .field("wall_us", op.wall_us)
+                .field("counters", op.counters)
+                .field("accuracy", op.accuracy.as_ref())
                 .key("candidates")
                 .begin_arr();
-            for c in &g.candidates {
+            for (c, attribution) in self.candidates(op) {
                 w.begin_obj()
-                    .field("index", c.index)
+                    .field("index", c.index.unwrap_or(usize::MAX))
                     .field("label", &c.label)
                     .field("predicted", c.predicted)
-                    .field("measured", c.measured)
+                    .field("measured", c.cycles)
                     .field("retries", c.retries)
                     .field("samples", c.samples)
                     .field("error", c.error.as_deref())
-                    .field("wall_us", c.wall_us)
+                    .field("wall_us", c.dur_us)
                     .field("track", c.track)
                     .field("counters", c.counters);
-                if let Some(cycles) = c.measured {
-                    let a = observatory::attribute(peaks, cycles, &c.counters);
+                if let Some(a) = attribution {
                     w.key("observatory").begin_obj().field("bottleneck", a.bottleneck.name());
                     w.field("metrics", &a.metrics).end_obj();
                 }
@@ -436,14 +460,10 @@ impl Telemetry {
             }
             w.end_arr().end_obj();
         }
-        // Winner-validation outcomes: Validate spans with an error are
-        // quarantined winners (the error is the rejection reason).
-        let quarantined = |s: &&Span| s.kind == SpanKind::Validate && s.error.is_some();
-        let quarantines = self.inner.state.lock().spans.iter().filter(quarantined).count();
         w.end_arr()
-            .field("totals", self.totals())
-            .field("quarantines", quarantines)
-            .field("tiers", self.tier_counts())
+            .field("totals", self.totals)
+            .field("quarantines", self.quarantines)
+            .field("tiers", self.tiers)
             .key("caches")
             .begin_obj();
         // Shared-cache observability. Process-global counters, approximate
@@ -452,7 +472,7 @@ impl Telemetry {
             w.key(cache).begin_obj().field("hits", hits).field("misses", misses);
             w.field("entries", entries).end_obj();
         }
-        w.end_obj().field("bottleneck_mix", self.bottleneck_mix(peaks)).end_obj();
+        w.end_obj().field("bottleneck_mix", self.mix).end_obj();
         w.finish()
     }
 
@@ -460,13 +480,13 @@ impl Telemetry {
     /// timeline track per worker (tid `w + 1`) plus an orchestrator track
     /// (tid 0) for sweep/operator spans. Loadable in `ui.perfetto.dev` or
     /// `chrome://tracing`. Every measured candidate span's `args` carry its
-    /// bottleneck class and headline roofline percentages against `peaks`,
-    /// so the attribution is visible directly in the Perfetto UI.
-    pub fn perfetto_json_with(&self, peaks: &Peaks) -> String {
+    /// bottleneck class and headline roofline percentages, so the
+    /// attribution is visible directly in the Perfetto UI.
+    pub fn perfetto_json(&self) -> String {
         let tid = |track: Option<usize>| track.map_or(0, |t| t + 1);
         let mut w = Writer::trace_events();
         let mut tracks: Vec<Option<usize>> = Vec::new();
-        for s in &self.spans() {
+        for (s, attribution) in self.spans.iter().zip(&self.attributions) {
             if !tracks.contains(&s.track) {
                 tracks.push(s.track);
             }
@@ -493,8 +513,7 @@ impl Telemetry {
                 // (knob=value list) — mirror it into args so trace tooling
                 // can filter on schedule knobs without parsing span names.
                 w.field("schedule", &s.label).field("counters", s.counters);
-                if let Some(cycles) = s.cycles {
-                    let a = observatory::attribute(peaks, cycles, &s.counters);
+                if let Some(a) = attribution {
                     w.field("bottleneck", a.bottleneck.name());
                     for pct in ["pct_peak_gflops", "pct_peak_dma_bw", "pct_roofline"] {
                         w.field(pct, a.metrics.get(pct).unwrap_or(0.0));
@@ -512,20 +531,13 @@ impl Telemetry {
     }
 }
 
-/// `pairs` in the order of [`Telemetry::pairs`]. The sort is stable: a
-/// candidate recorded twice keeps its recording order.
-fn canonical(mut pairs: Vec<Pair>) -> Vec<Pair> {
-    pairs.sort_by_key(|p| (p.scope.map(|s| s.0), p.index));
-    pairs
-}
-
 /// Per-operator model-accuracy summary over its (predicted, measured)
 /// pairs: the live Fig. 9.
 #[derive(Debug, Clone)]
 pub struct Accuracy {
     /// Operator span the summary covers (`None` = root scope).
     pub scope: Option<SpanId>,
-    /// The observations, by candidate index ([`Telemetry::pairs`]).
+    /// The observations, by candidate index ([`Summary::pairs`]).
     pub pairs: Vec<Pair>,
     /// Mean absolute percentage error of predicted vs measured cycles.
     pub mape_pct: Option<f64>,
@@ -568,33 +580,6 @@ impl Value for Accuracy {
             .field("misranked", self.misranked.as_slice())
             .end_obj();
     }
-}
-
-/// One candidate row of an [`OperatorRollup`].
-#[derive(Debug, Clone)]
-pub struct CandidateRow {
-    pub index: usize,
-    pub label: String,
-    pub predicted: Option<f64>,
-    pub measured: Option<u64>,
-    pub retries: u32,
-    pub samples: u32,
-    pub error: Option<String>,
-    pub wall_us: u64,
-    pub track: Option<usize>,
-    pub counters: Counters,
-}
-
-/// Candidate spans grouped under their operator span.
-#[derive(Debug, Clone)]
-pub struct OperatorRollup {
-    pub scope: Option<SpanId>,
-    pub label: String,
-    pub wall_us: u64,
-    pub candidates: Vec<CandidateRow>,
-    /// Counters merged over the operator's candidates.
-    pub counters: Counters,
-    pub accuracy: Option<Accuracy>,
 }
 
 /// Per-tier evaluation volume of a run.
@@ -703,7 +688,7 @@ pub fn rank_correlation(obs: &[(f64, f64)]) -> Option<f64> {
 }
 
 /// `(name, (hits, misses, entries))` of the process-wide evaluation caches:
-/// the PR 1 kernel-cost cache ([`swkernels::cost::cache_stats`]) and the
+/// the kernel-cost cache ([`swkernels::cost::cache_stats`]) and the
 /// model sub-cost memo cache ([`crate::model::memo`]). The kernel figures
 /// count cost queries — one per static `Gemm` node per interpreted run, not
 /// one per executed kernel call. Counters are relaxed atomics — approximate
@@ -798,16 +783,31 @@ mod tests {
         }
     }
 
+    fn peaks() -> Peaks {
+        Peaks::of(&sw26010::MachineConfig::default())
+    }
+
+    /// Record a measured candidate under `t`'s scope.
+    fn measured(t: &Telemetry, index: usize, predicted: f64, cycles: u64) {
+        let c = t.open(SpanKind::Candidate, format!("cand {index}"));
+        t.update(c, |s| {
+            s.index = Some(index);
+            s.predicted = Some(predicted);
+            s.cycles = Some(cycles);
+        });
+    }
+
     #[test]
     fn misranked_candidates_are_flagged() {
         let t = Telemetry::new();
         // 8 pairs; candidate 0 predicted fastest but measured slowest —
         // displacement 7 > threshold max(1, 8/4) = 2.
-        t.record_pair(0, 10.0, 9000);
+        measured(&t, 0, 10.0, 9000);
         for i in 1..8 {
-            t.record_pair(i, 100.0 * i as f64, 1000 + 100 * i as u64);
+            measured(&t, i, 100.0 * i as f64, 1000 + 100 * i as u64);
         }
-        let acc = t.accuracy_for(None).unwrap();
+        let summary = t.summary(&peaks());
+        let acc = summary.operator(None).unwrap().accuracy.as_ref().unwrap();
         assert_eq!(acc.rank_threshold, 2);
         assert!(acc.misranked.contains(&0), "misranked: {:?}", acc.misranked);
         assert!(!acc.misranked.contains(&4));
@@ -822,25 +822,25 @@ mod tests {
             let ops = [t.open(SpanKind::Operator, "a"), t.open(SpanKind::Operator, "b")];
             for i in order {
                 let predicted = [3.0, 1.0, 4.0, 1.5, 9.0, 2.6, 5.3, 0.7][i] * 1e5 / 3.0;
-                let measured = [250_000, 31_000, 90_000, 52_000, 70_001, 99_000, 12_345, 180_000][i];
-                t.child_of(ops[i % 2]).record_pair(i / 2, predicted, measured);
+                let cycles = [250_000, 31_000, 90_000, 52_000, 70_001, 99_000, 12_345, 180_000][i];
+                measured(&t.child_of(ops[i % 2]), i / 2, predicted, cycles);
             }
             t
         };
         let (a, b) = (record([0, 1, 2, 3, 4, 5, 6, 7]), record([7, 2, 5, 0, 3, 6, 1, 4]));
+        let (a, b) = (a.summary(&peaks()), b.summary(&peaks()));
         assert_eq!(a.pairs(), b.pairs());
         assert_eq!(a.pairs().iter().map(|p| p.index).collect::<Vec<_>>(), [0, 1, 2, 3, 0, 1, 2, 3]);
         let bits = |x: Option<f64>| x.map(f64::to_bits);
-        for (x, y) in a.accuracy().iter().zip(b.accuracy()) {
+        assert_eq!(a.operators.len(), 2);
+        for (x, y) in a.operators.iter().zip(&b.operators) {
+            let (x, y) = (x.accuracy.as_ref().unwrap(), y.accuracy.as_ref().unwrap());
             assert_eq!(x.scope, y.scope);
             assert_eq!(bits(x.mape_pct), bits(y.mape_pct));
             assert_eq!(bits(x.rank_correlation), bits(y.rank_correlation));
             assert_eq!(x.misranked, y.misranked);
-            let again = b.accuracy_for(x.scope).unwrap();
-            assert_eq!((bits(again.mape_pct), again.misranked), (bits(x.mape_pct), y.misranked));
         }
-        assert_eq!(a.accuracy().len(), 2);
-        assert!(a.accuracy().iter().any(|acc| !acc.misranked.is_empty()));
+        assert!(a.operators.iter().any(|o| !o.accuracy.as_ref().unwrap().misranked.is_empty()));
     }
 
     #[test]
@@ -848,22 +848,20 @@ mod tests {
         let t = Telemetry::new();
         let op_a = t.open(SpanKind::Operator, "a");
         let op_b = t.open(SpanKind::Operator, "b");
-        let ha = t.child_of(op_a);
-        let hb = t.child_of(op_b);
         for i in 0..3 {
-            ha.record_pair(i, i as f64 + 1.0, i as u64 + 1);
-            hb.record_pair(i, (3 - i) as f64, i as u64 + 1);
+            measured(&t.child_of(op_a), i, i as f64 + 1.0, i as u64 + 1);
+            measured(&t.child_of(op_b), i, (3 - i) as f64, i as u64 + 1);
         }
-        let a = t.accuracy_for(Some(op_a)).unwrap();
-        let b = t.accuracy_for(Some(op_b)).unwrap();
-        assert!((a.rank_correlation.unwrap() - 1.0).abs() < 1e-12);
-        assert!((b.rank_correlation.unwrap() + 1.0).abs() < 1e-12);
-        assert!(t.accuracy_for(None).is_none());
-        assert_eq!(t.accuracy().len(), 2);
+        let summary = t.summary(&peaks());
+        let rank = |op| summary.operator(Some(op)).unwrap().accuracy.as_ref().unwrap().rank_correlation;
+        assert!((rank(op_a).unwrap() - 1.0).abs() < 1e-12);
+        assert!((rank(op_b).unwrap() + 1.0).abs() < 1e-12);
+        assert!(summary.operator(None).is_none());
+        assert_eq!(summary.pairs().len(), 6);
     }
 
     #[test]
-    fn rollups_group_candidates_under_operators() {
+    fn candidates_group_under_their_operators() {
         let t = Telemetry::new();
         let op = t.open(SpanKind::Operator, "conv");
         let h = t.child_of(op);
@@ -876,18 +874,31 @@ mod tests {
             });
             t.close(c);
         }
-        // A stray candidate with no operator parent lands in "(root)".
+        // An operator that measured nothing still leads a group, and a stray
+        // candidate with no operator parent lands in "(root)".
+        t.open(SpanKind::Operator, "idle");
         let stray = t.open(SpanKind::Candidate, "stray");
         t.update(stray, |s| s.index = Some(9));
-        let rollups = t.rollups();
-        assert_eq!(rollups.len(), 2);
-        assert_eq!(rollups[0].label, "conv");
-        assert_eq!(rollups[0].candidates.len(), 3);
-        // Sorted by index despite insertion order 2, 0, 1.
-        let idx: Vec<usize> = rollups[0].candidates.iter().map(|c| c.index).collect();
-        assert_eq!(idx, vec![0, 1, 2]);
-        assert_eq!(rollups[0].counters.kernel_calls, 3);
-        assert_eq!(rollups[1].label, "(root)");
+        let summary = t.summary(&peaks());
+        let labels: Vec<&str> = summary.operators.iter().map(|o| o.label.as_str()).collect();
+        assert_eq!(labels, ["conv", "idle", "(root)"]);
+        let conv = &summary.operators[0];
+        // Sorted by index despite insertion order 2, 0, 1; each measured
+        // candidate is attributed, the unmeasured stray is not.
+        let idx: Vec<_> = summary.candidates(conv).map(|(c, a)| (c.index, a.is_some())).collect();
+        assert_eq!(idx, [(Some(0), true), (Some(1), true), (Some(2), true)]);
+        assert_eq!(conv.counters.kernel_calls, 3);
+        assert_eq!((conv.mix.total(), summary.mix.total()), (3, 3));
+        assert!(summary.operators[1].candidates.is_empty());
+        assert!(summary.candidates(&summary.operators[2]).all(|(_, a)| a.is_none()));
+        assert_eq!(summary.tiers, TierCounts { screened: 0, measured: 4, validated: 0 });
+        // The slice a tune under `conv` condenses is that group alone. (The
+        // summary holds the recorder's lock: it goes before the next fold.)
+        let conv_counters = conv.counters;
+        drop(summary);
+        let own = h.own_scope(&peaks()).unwrap();
+        assert_eq!((own.scope, own.candidates.len(), own.counters), (Some(op), 3, conv_counters));
+        assert!(t.child_of(stray).own_scope(&peaks()).is_none());
     }
 
     #[test]
@@ -904,20 +915,20 @@ mod tests {
             s.counters.dma_payload_bytes = 4096;
         });
         t.close(c);
-        h.record_pair(0, 512.25, 500);
         t.close(op);
         let parse = |what: &str, text: &str| {
             sw26010::json::parse(text).unwrap_or_else(|e| panic!("{what} invalid: {e}\n{text}"))
         };
-        let peaks = Peaks::of(&sw26010::MachineConfig::default());
-        let snap = t.snapshot_json_with(&peaks);
+        let summary = t.summary(&peaks());
+        let snap = summary.snapshot_json();
         parse("snapshot", &snap);
-        let perf = t.perfetto_json_with(&peaks);
+        let perf = summary.perfetto_json();
         parse("perfetto", &perf);
         assert!(perf.contains("\"worker 0\""));
         assert!(perf.contains("\"orchestrator\""));
         assert!(snap.contains("\"predicted\":512.25"));
         assert!(snap.contains("\"measured\":500"));
+        assert!(snap.contains("\"accuracy\":{\"pairs\":1,"));
         // Measured candidates carry the observatory fields.
         assert!(snap.contains("\"observatory\":{\"bottleneck\":\""));
         assert!(snap.contains("\"bottleneck_mix\":{"));
@@ -935,7 +946,7 @@ mod tests {
             s.counters.kernel_calls = 2;
             s.counters.dma_bus_bytes = 128;
         });
-        let totals = t.totals();
+        let totals = t.summary(&peaks()).totals;
         assert_eq!(totals.kernel_calls, 2);
         assert_eq!(totals.dma_bus_bytes, 128);
     }

@@ -14,13 +14,13 @@ use swkernels::spm_gemm::SpmMatrix;
 
 use super::checkpoint::{self, CandCell};
 use super::pool;
-use super::{CandReport, RetryPolicy, TuneOptions, TuneOutcome, WinnerValidator};
+use super::{should_retry, CandReport, TuneOptions, TuneOutcome, WinnerValidator};
 use crate::codegen::Executable;
 use crate::interp::{execute, instantiate};
-use crate::observatory::{self, BottleneckMix, Peaks};
+use crate::observatory::Peaks;
 use crate::scheduler::Candidate;
 use crate::telemetry::bus::Event;
-use crate::telemetry::{SpanKind, Telemetry};
+use crate::telemetry::{SpanKind, Telemetry, TuneTelemetry};
 
 /// Execute one candidate in cost-only mode, returning its simulated cycles
 /// (including the warm-start signal to the resident athread group — the
@@ -81,18 +81,29 @@ fn slot_offset(exe: &Executable, slot: &SpmSlot) -> usize {
     exe.try_spm_offset(id).unwrap_or(0)
 }
 
-/// Measure one candidate under the retry policy, returning its cell, the
-/// host time spent and the machine counters of its last successful
-/// execution. The fault stream of attempt `a` is derived from `(index, a)`,
-/// so the returned cell is a pure function of the candidate — never of
-/// worker count or evaluation order. `tel`, when present, must be a
+/// Execution attempts allowed per candidate, shared between retries and
+/// repeats; exhausting them with no successful sample fails the candidate.
+const MAX_ATTEMPTS: u32 = 8;
+
+/// Successful samples taken per candidate when measurement jitter is
+/// injected (one otherwise); the reported figure is their median.
+const REPEATS: u32 = 3;
+
+/// Candidate evaluations between checkpoint writes.
+const CHECKPOINT_EVERY: usize = 32;
+
+/// Measure one candidate — retried while [`should_retry`] says so, median
+/// of [`REPEATS`] under jitter — returning its cell, the host time spent
+/// and the machine counters of its last successful execution. The fault
+/// stream of attempt `a` is derived from `(index, a)`, so the returned cell
+/// is a pure function of the candidate — never of worker count or
+/// evaluation order. `tel`, when present, must be a
 /// *candidate-scoped* handle: each execution attempt records an Attempt
 /// span under it. The `None` path touches no telemetry state at all.
 fn measure_candidate(
     cfg: &MachineConfig,
     cand: &Candidate,
     index: usize,
-    retry: &RetryPolicy,
     tel: Option<&Telemetry>,
 ) -> (CandCell, Duration, Counters) {
     let t = Instant::now();
@@ -109,17 +120,13 @@ fn measure_candidate(
         }
     }
     let fault_active = cfg.fault.is_some();
-    let repeats = if cfg.fault.as_ref().is_some_and(|p| p.jitter_permille > 0) {
-        retry.repeats.max(1)
-    } else {
-        1
-    };
-    let budget = retry.max_attempts.max(repeats);
+    let jitter = cfg.fault.as_ref().is_some_and(|p| p.jitter_permille > 0);
+    let repeats = if jitter { REPEATS } else { 1 };
     let mut samples: Vec<Cycles> = Vec::with_capacity(repeats as usize);
     let mut retries = 0u32;
     let mut attempt = 0u32;
     let mut last_transient: Option<MachineError> = None;
-    while (samples.len() as u32) < repeats && attempt < budget {
+    while (samples.len() as u32) < repeats && attempt < MAX_ATTEMPTS {
         let span = tel.map(|t| t.open(SpanKind::Attempt, format!("attempt {attempt}")));
         let mut cg = CoreGroup::new(cfg.clone(), ExecMode::CostOnly);
         cg.arm_faults(index as u64, attempt);
@@ -144,7 +151,7 @@ fn measure_candidate(
             // SPM overflow is permanent on a perfect machine (prevalidation
             // bounds the footprint) but transient under injected capacity
             // pressure: the next attempt may get the scratch pad back.
-            Err(e) if retry.should_retry(&e, fault_active) => {
+            Err(e) if should_retry(&e, fault_active) => {
                 retries += 1;
                 last_transient = Some(e);
             }
@@ -159,7 +166,7 @@ fn measure_candidate(
     }
     if samples.is_empty() {
         let why = last_transient.map_or_else(|| "no samples taken".to_string(), |e| e.to_string());
-        let error = format!("retry budget ({budget} attempts) exhausted: {why}");
+        let error = format!("retry budget ({MAX_ATTEMPTS} attempts) exhausted: {why}");
         return (CandCell::Failed { error, retries }, t.elapsed(), counters);
     }
     // Median of the achieved samples (upper median for even counts): robust
@@ -173,27 +180,27 @@ fn measure_candidate(
 }
 
 /// [`measure_candidate`] wrapped in a Candidate span on the worker's
-/// telemetry track, recording the (predicted, measured) accuracy pair.
-/// With `tel = None` this *is* `measure_candidate` — no span, no lock, no
-/// allocation.
+/// telemetry track; the span carries the prediction beside the measurement,
+/// which is what makes it an accuracy pair. With `tel = None` this *is*
+/// `measure_candidate` — no span, no lock, no allocation.
 fn measure_instrumented(
     cfg: &MachineConfig,
     cand: &Candidate,
     index: usize,
-    retry: &RetryPolicy,
     tel: Option<&Telemetry>,
     worker: usize,
     predicted: Option<f64>,
-) -> (CandCell, Duration, Counters) {
+) -> (CandCell, Duration) {
     let Some(t) = tel else {
-        return measure_candidate(cfg, cand, index, retry, None);
+        let (cell, wall, _) = measure_candidate(cfg, cand, index, None);
+        return (cell, wall);
     };
     // Pin the span to the worker's timeline track unless the caller already
     // chose one (sweep harnesses pre-assign tracks per shape).
     let t = if t.track().is_some() { t.clone() } else { t.on_track(worker) };
     let span = t.open(SpanKind::Candidate, cand.describe.clone());
     let scoped = t.child_of(span);
-    let (cell, wall, counters) = measure_candidate(cfg, cand, index, retry, Some(&scoped));
+    let (cell, wall, counters) = measure_candidate(cfg, cand, index, Some(&scoped));
     t.update(span, |s| {
         s.index = Some(index);
         s.predicted = predicted;
@@ -212,10 +219,7 @@ fn measure_instrumented(
         }
     });
     t.close(span);
-    if let (Some(p), CandCell::Done { cycles, .. }) = (predicted, &cell) {
-        t.record_pair(index, p, *cycles);
-    }
-    (cell, wall, counters)
+    (cell, wall)
 }
 
 /// The fault-aware measurement engine under [`super::tune`]: a cell per
@@ -224,7 +228,7 @@ fn measure_instrumented(
 pub(super) struct Engine<'a> {
     cfg: &'a MachineConfig,
     candidates: &'a [Candidate],
-    /// Workers, retry and checkpoint policy, and the report-only telemetry
+    /// Workers, tier and checkpoint policy, and the report-only telemetry
     /// recorder, event bus and pool monitor (`None` = silent).
     opts: &'a TuneOptions,
     fingerprint: u64,
@@ -234,9 +238,6 @@ pub(super) struct Engine<'a> {
     /// [`Engine::set_predictions`] only when telemetry is attached — the
     /// uninstrumented hot path never allocates it.
     predictions: Vec<f64>,
-    /// Machine counters per measured candidate (only kept when telemetry is
-    /// attached; empty otherwise).
-    counters: Vec<Counters>,
     /// Prospective winners rejected by the validator: `(index, reason)` in
     /// quarantine order.
     pub(super) quarantined: Vec<(usize, String)>,
@@ -275,11 +276,6 @@ impl<'a> Engine<'a> {
                 }
             }
         }
-        let counters = if opts.telemetry.is_some() {
-            vec![Counters::default(); candidates.len()]
-        } else {
-            Vec::new()
-        };
         Engine {
             cfg,
             candidates,
@@ -288,7 +284,6 @@ impl<'a> Engine<'a> {
             cells,
             cpu: Duration::ZERO,
             predictions: Vec::new(),
-            counters,
             quarantined: Vec::new(),
             eval_order: Vec::new(),
             screened: 0,
@@ -357,7 +352,7 @@ impl<'a> Engine<'a> {
         }
         self.eval_order.extend(todo.iter().copied());
         self.emit(|| Event::WaveStart { size: todo.len() });
-        let chunk = self.opts.checkpoint.as_ref().map_or(usize::MAX, |c| c.every.max(1));
+        let chunk = if self.opts.checkpoint.is_some() { CHECKPOINT_EVERY } else { usize::MAX };
         for part in todo.chunks(chunk.min(todo.len())) {
             // Build, then run: the executables of this wave are made here,
             // on the calling thread — outside a candidate's measured host
@@ -375,7 +370,6 @@ impl<'a> Engine<'a> {
                         self.cfg,
                         &self.candidates[i],
                         i,
-                        &self.opts.retry,
                         self.opts.telemetry.as_ref(),
                         worker,
                         self.prediction(i),
@@ -391,11 +385,8 @@ impl<'a> Engine<'a> {
             );
             for (&i, r) in part.iter().zip(results) {
                 self.cells[i] = match r {
-                    Ok((cell, d, counters)) => {
+                    Ok((cell, d)) => {
                         self.cpu += d;
-                        if let Some(slot) = self.counters.get_mut(i) {
-                            *slot = counters;
-                        }
                         cell
                     }
                     Err(msg) => CandCell::Failed { error: format!("panicked: {msg}"), retries: 0 },
@@ -446,25 +437,11 @@ impl<'a> Engine<'a> {
         cycles: Cycles,
         executed: usize,
     ) -> TuneOutcome {
+        // What was recorded under this run's scope: a cell restored from a
+        // checkpoint has no span, so it is in `cells` but not in here.
         let telemetry = self.opts.telemetry.as_ref().map(|t| {
-            let peaks = Peaks::of(self.cfg);
-            let mut total = Counters::default();
-            let mut mix = BottleneckMix::default();
-            for (cell, c) in self.cells.iter().zip(&self.counters) {
-                if !cell.is_pending() {
-                    total.merge(c);
-                }
-                // Attribute each measured candidate against the roofline;
-                // pure function of (cycles, counters), so the mix is
-                // identical for every worker count.
-                if let Some(cycles) = cell.cycles() {
-                    mix.note(observatory::classify(&peaks, cycles.get(), c));
-                }
-            }
-            let mut summary = t.tune_summary(t.scope(), total);
-            summary.mix = mix;
-            summary.quarantined = self.quarantined.len();
-            summary
+            let own = t.own_scope(&Peaks::of(self.cfg)).map(|o| o.condensed());
+            TuneTelemetry { quarantined: self.quarantined.len(), ..own.unwrap_or_default() }
         });
         let mut reports: Vec<CandReport> =
             self.cells.iter().map(CandReport::from_cell).collect();

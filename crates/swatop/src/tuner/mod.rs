@@ -23,9 +23,9 @@
 //! each candidate runs on a private cost-only machine whose fault stream
 //! (if any) is derived from the candidate's input index, results come back
 //! in input order, and the winner is the minimum under the total order
-//! `(cycles, input index)`. [`RetryPolicy`] governs retries and
-//! median-of-N measurement on a faulty machine, [`CheckpointPolicy`]
-//! checkpoint/resume.
+//! `(cycles, input index)`. On a faulty machine a candidate is retried
+//! while [`should_retry`] allows and measured as a median of three;
+//! [`CheckpointPolicy`] governs checkpoint/resume.
 //!
 //! [`search`] holds the sampling ablations (random, greedy): their own
 //! draw logic over the same engine, one candidate per wave.
@@ -48,7 +48,7 @@ use crate::telemetry::SpanKind;
 
 pub use self::engine::{prevalidate, run_candidate, run_program, run_program_with_launches};
 pub use self::policy::{
-    CandReport, CheckpointPolicy, RetryPolicy, TierMode, TierPolicy, TuneError, TuneOptions,
+    should_retry, CandReport, CheckpointPolicy, TierMode, TierPolicy, TuneError, TuneOptions,
     TuneOutcome, WinnerValidator,
 };
 
@@ -81,7 +81,7 @@ pub use self::policy::{
 ///   every member failed terminally falls back the same way: both are "the
 ///   wave produced nothing reportable". A validation failure is a
 ///   deterministic property of the candidate — it is never retried (see
-///   [`RetryPolicy::should_retry`]).
+///   [`should_retry`]).
 ///
 /// [`TierMode::FullScoreboard`] skips tier 0: the one wave is the whole
 /// space in input order, so there is nothing further down to fall back to.

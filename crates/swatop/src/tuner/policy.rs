@@ -1,8 +1,8 @@
 //! What a tuning run is told and what it reports: [`TuneOptions`] and the
-//! policies it carries ([`TierPolicy`], [`RetryPolicy`],
-//! [`CheckpointPolicy`]), the [`TuneOutcome`] / [`CandReport`] a run
-//! returns, and the [`TuneError`] it returns instead when nothing can be
-//! reported.
+//! policies it carries ([`TierPolicy`], [`CheckpointPolicy`]), the
+//! [`TuneOutcome`] / [`CandReport`] a run returns, the [`TuneError`] it
+//! returns instead when nothing can be reported, and which failed attempts
+//! are worth another ([`should_retry`]).
 
 use std::fmt;
 use std::path::PathBuf;
@@ -134,45 +134,24 @@ impl CandReport {
 /// check + differential functional execution on a fault-free machine).
 pub type WinnerValidator<'v> = dyn Fn(usize, &Candidate) -> Result<(), String> + 'v;
 
-/// How the engine reacts to transient failures and measurement noise.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Total execution attempts allowed per candidate, shared between
-    /// retries and repeats. Exhausting it with zero successful samples
-    /// marks the candidate failed.
-    pub max_attempts: u32,
-    /// Successful samples to take per candidate when measurement jitter is
-    /// enabled; the reported figure is their median. Ignored (one sample)
-    /// on a jitter-free machine. Odd values give a true median.
-    pub repeats: u32,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy { max_attempts: 8, repeats: 3 }
-    }
-}
-
-impl RetryPolicy {
-    /// Classify a failed execution attempt: retry only errors that can
-    /// plausibly go away on a fresh attempt. Deterministic failures —
-    /// malformed requests, kernel-contract violations ([`MachineError::BadKernelArgs`]),
-    /// out-of-bounds accesses, reply underflows — recur on every attempt
-    /// and must fail fast instead of burning the retry budget. Injected
-    /// [`MachineError::DmaFault`]s are always transient; an SPM overflow is
-    /// transient *only* when a fault plan is active (injected capacity
-    /// pressure may have caused it — the next attempt may get the scratch
-    /// pad back). Validation failures never reach this path at all: the
-    /// winner validator is a pure function of the candidate, so its
-    /// verdict is quarantined, not retried.
-    pub fn should_retry(&self, e: &MachineError, fault_active: bool) -> bool {
-        match e {
-            MachineError::DmaFault { .. } => true,
-            MachineError::SpmOverflow { .. } => fault_active,
-            _ => {
-                debug_assert!(e.is_deterministic());
-                false
-            }
+/// Classify a failed execution attempt: retry only errors that can
+/// plausibly go away on a fresh attempt. Deterministic failures — malformed
+/// requests, kernel-contract violations ([`MachineError::BadKernelArgs`]),
+/// out-of-bounds accesses, reply underflows — recur on every attempt and
+/// must fail fast instead of burning the retry budget. Injected
+/// [`MachineError::DmaFault`]s are always transient; an SPM overflow is
+/// transient *only* when a fault plan is active (injected capacity pressure
+/// may have caused it — the next attempt may get the scratch pad back).
+/// Validation failures never reach this path at all: the winner validator is
+/// a pure function of the candidate, so its verdict is quarantined, not
+/// retried.
+pub fn should_retry(e: &MachineError, fault_active: bool) -> bool {
+    match e {
+        MachineError::DmaFault { .. } => true,
+        MachineError::SpmOverflow { .. } => fault_active,
+        _ => {
+            debug_assert!(e.is_deterministic());
+            false
         }
     }
 }
@@ -180,10 +159,9 @@ impl RetryPolicy {
 /// Periodic serialization of partial tuning state; see [`super::checkpoint`].
 #[derive(Debug, Clone)]
 pub struct CheckpointPolicy {
-    /// File the engine writes to (atomically) and resumes from.
+    /// File the engine writes to (atomically, every 32 evaluations) and
+    /// resumes from.
     pub path: PathBuf,
-    /// Candidate evaluations between checkpoint writes.
-    pub every: usize,
     /// Load `path` before tuning and skip already-measured candidates. A
     /// missing or mismatched file starts fresh (with a warning on stderr).
     pub resume: bool,
@@ -191,7 +169,7 @@ pub struct CheckpointPolicy {
 
 impl CheckpointPolicy {
     pub fn new(path: impl Into<PathBuf>) -> Self {
-        CheckpointPolicy { path: path.into(), every: 32, resume: false }
+        CheckpointPolicy { path: path.into(), resume: false }
     }
 
     pub fn resuming(path: impl Into<PathBuf>) -> Self {
@@ -266,7 +244,6 @@ impl Default for TierPolicy {
 pub struct TuneOptions {
     /// Worker threads (0 and 1 both mean serial).
     pub jobs: usize,
-    pub retry: RetryPolicy,
     pub checkpoint: Option<CheckpointPolicy>,
     /// Span/counter/accuracy recorder. `None` (the default) disables
     /// instrumentation entirely: no allocation, no locking, and tuning

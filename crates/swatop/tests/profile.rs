@@ -40,7 +40,7 @@ fn corpus_bytes_are_jobs_independent() {
             ..TuneOptions::default()
         };
         let outcome = tune(&cfg, &cands, &opts, None).unwrap();
-        let rows = feature_rows(&tel, &peaks);
+        let rows = feature_rows(&tel.summary(&peaks));
         assert_eq!(
             rows.len(),
             outcome.executed,

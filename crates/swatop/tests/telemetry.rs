@@ -16,6 +16,7 @@ use sw26010::json::parse;
 use sw26010::MachineConfig;
 use swatop::ops::ImplicitConvOp;
 use swatop::scheduler::{Candidate, Scheduler};
+use swatop::observatory::Peaks;
 use swatop::telemetry::{SpanKind, Telemetry};
 use swatop::tuner::{tune, TierPolicy, TuneOptions, TuneOutcome};
 use swtensor::ConvShape;
@@ -107,7 +108,7 @@ fn every_executed_candidate_feeds_the_accuracy_tracker() {
     for k in [1, 3, 8] {
         let tel = Telemetry::new();
         let outcome = tune(&cfg, &cands, &top_k(k, 2, Some(&tel)), None).unwrap();
-        let pairs = tel.pairs();
+        let pairs = tel.summary(&Peaks::of(&cfg)).pairs();
         // On the fault-free machine nothing fails, so pair count == executed
         // — including top-k wave members that lost the final pick.
         assert_eq!(pairs.len(), outcome.executed, "k={k}");
@@ -126,7 +127,7 @@ fn blackbox_records_a_pair_for_the_whole_space() {
     let tel = Telemetry::new();
     let outcome = tune(&cfg, &cands, &opts(TierPolicy::exhaustive(), 4, Some(&tel)), None).unwrap();
     assert_eq!(outcome.executed, cands.len());
-    assert_eq!(tel.pairs().len(), cands.len());
+    assert_eq!(tel.summary(&Peaks::of(&cfg)).pairs().len(), cands.len());
     let summary = outcome.telemetry.expect("instrumented");
     assert!(summary.counters.dma_payload_bytes > 0);
     assert!(summary.counters.kernel_calls > 0);
@@ -146,13 +147,14 @@ fn exporters_are_valid_json_with_one_thread_per_worker() {
     op_handle.close(op);
     tel.close(sweep);
 
-    let peaks = swatop::observatory::Peaks::of(&cfg);
-    let snapshot = tel.snapshot_json_with(&peaks);
+    let (snapshot, timeline) = {
+        let summary = tel.summary(&Peaks::of(&cfg));
+        (summary.snapshot_json(), summary.perfetto_json())
+    };
     parse(&snapshot).expect("snapshot JSON well-formed");
     assert!(snapshot.contains("\"predicted\""));
     assert!(snapshot.contains("\"dma_payload_bytes\""));
 
-    let timeline = tel.perfetto_json_with(&peaks);
     parse(&timeline).expect("timeline JSON well-formed");
     assert!(timeline.contains("\"traceEvents\""));
     assert!(timeline.contains("\"orchestrator\""));

@@ -18,7 +18,7 @@ use swatop::optimizer::verify::verify_executable;
 use swatop::scheduler::{Candidate, Operator, Scheduler};
 use swatop::tuner::checkpoint::{self, CandCell};
 use swatop::tuner::{
-    tune, CheckpointPolicy, RetryPolicy, TierPolicy,
+    should_retry, tune, CheckpointPolicy, TierPolicy,
     TuneOptions, TuneOutcome, WinnerValidator,
 };
 use swatop_ir::{MemRole, Program, Stmt};
@@ -118,16 +118,15 @@ fn injection_matrix_every_class_and_seed_is_caught() {
 /// pressure, and deterministic contract violations never.
 #[test]
 fn retry_policy_never_retries_deterministic_errors() {
-    let p = RetryPolicy::default();
     let dma = MachineError::DmaFault { batch: 3 };
     let spm = MachineError::SpmOverflow { cpe: 0, offset: 0, len: 9000, capacity: 8192 };
     let args = MachineError::BadKernelArgs("m % 8 != 0".into());
     assert!(dma.is_transient() && !dma.is_deterministic());
     assert!(spm.is_deterministic() && args.is_deterministic());
-    assert!(p.should_retry(&dma, false) && p.should_retry(&dma, true));
-    assert!(p.should_retry(&spm, true), "pressure may have caused it");
-    assert!(!p.should_retry(&spm, false), "deterministic on a clean machine");
-    assert!(!p.should_retry(&args, true) && !p.should_retry(&args, false));
+    assert!(should_retry(&dma, false) && should_retry(&dma, true));
+    assert!(should_retry(&spm, true), "pressure may have caused it");
+    assert!(!should_retry(&spm, false), "deterministic on a clean machine");
+    assert!(!should_retry(&args, true) && !should_retry(&args, false));
 }
 
 /// Options for a brute-force sweep on `jobs` workers.

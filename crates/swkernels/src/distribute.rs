@@ -19,23 +19,6 @@ pub fn block_dims(rows: usize, cols: usize) -> Result<(usize, usize), MachineErr
     Ok((rows / MESH, cols / MESH))
 }
 
-/// Which CPE owns global element `(r, c)` of a distributed `rows × cols`
-/// matrix, and the element's local coordinates in that CPE's block.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BlockOwner {
-    pub cpe: usize,
-    pub local_r: usize,
-    pub local_c: usize,
-}
-
-/// Locate a global element.
-pub fn owner_of(rows: usize, cols: usize, r: usize, c: usize) -> BlockOwner {
-    let br = rows / MESH;
-    let bc = cols / MESH;
-    debug_assert!(r < rows && c < cols);
-    BlockOwner { cpe: (r / br) * MESH + c / bc, local_r: r % br, local_c: c % bc }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -45,30 +28,5 @@ mod tests {
         assert_eq!(block_dims(64, 128).unwrap(), (8, 16));
         assert!(block_dims(60, 64).is_err());
         assert!(block_dims(64, 60).is_err());
-    }
-
-    #[test]
-    fn ownership_partitions_matrix() {
-        let (rows, cols) = (16, 24);
-        let mut counts = vec![0usize; 64];
-        for r in 0..rows {
-            for c in 0..cols {
-                let o = owner_of(rows, cols, r, c);
-                assert!(o.cpe < 64);
-                assert!(o.local_r < rows / 8 && o.local_c < cols / 8);
-                counts[o.cpe] += 1;
-            }
-        }
-        // Every CPE owns exactly (rows/8)·(cols/8) elements.
-        assert!(counts.iter().all(|&n| n == (rows / 8) * (cols / 8)));
-    }
-
-    #[test]
-    fn corner_ownership() {
-        let o = owner_of(64, 64, 0, 0);
-        assert_eq!(o.cpe, 0);
-        let o = owner_of(64, 64, 63, 63);
-        assert_eq!(o.cpe, 63);
-        assert_eq!((o.local_r, o.local_c), (7, 7));
     }
 }

@@ -31,11 +31,6 @@ impl RegBlock {
         assert!((1..=4).contains(&vecs) && (1..=4).contains(&scalars));
         RegBlock { vecs, scalars }
     }
-
-    /// MACs per K step: 4 lanes × vecs × scalars.
-    pub fn macs_per_step(&self) -> usize {
-        4 * self.vecs * self.scalars
-    }
 }
 
 // Register map (32 vector registers):

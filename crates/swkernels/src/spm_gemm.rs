@@ -291,17 +291,6 @@ pub fn load_distributed(
     scatter(cg, mat, data, rows, cols, br, bc)
 }
 
-/// Read a distributed matrix back into a row-major host copy (test helper).
-pub fn read_distributed(
-    cg: &CoreGroup,
-    mat: SpmMatrix,
-    rows: usize,
-    cols: usize,
-) -> MachineResult<Vec<f32>> {
-    let (br, bc) = crate::distribute::block_dims(rows, cols)?;
-    gather(cg, mat, rows, cols, br, bc)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -364,7 +353,7 @@ mod tests {
 
         let mut expect = c0.clone();
         gemm_rowmajor(m, n, k, &a, &b, &mut expect);
-        let got = read_distributed(&cg, c_desc, m, n).unwrap();
+        let got = gather(&cg, c_desc, m, n, m / 8, n / 8).unwrap();
         assert_close(&got, &expect, 1e-4, 1e-5, "spm_gemm");
         assert_bits_eq(&got, &dot_product_order(m, n, k, 1.0, &a, &b, 1.0, &c0));
         assert!(cg.now().get() > 0, "kernel must cost cycles");
@@ -406,7 +395,7 @@ mod tests {
         gemm_rowmajor(m, n, k, &a, &b, &mut prod);
         let expect: Vec<f32> =
             prod.iter().zip(&c0).map(|(p, c)| 2.0 * p - c).collect();
-        let got = read_distributed(&cg, c_desc, m, n).unwrap();
+        let got = gather(&cg, c_desc, m, n, m / 8, n / 8).unwrap();
         assert_close(&got, &expect, 1e-4, 1e-5, "alpha/beta");
         assert_bits_eq(&got, &dot_product_order(m, n, k, 2.0, &a, &b, -1.0, &c0));
     }

@@ -47,10 +47,6 @@ impl GemmVariant {
         4 * a + 2 * b + v
     }
 
-    pub fn from_index(i: usize) -> Self {
-        ALL_VARIANTS[i]
-    }
-
     /// Whether the vectorised operand can be loaded with the vector-load
     /// broadcast (`vlddr`/`vlddc`, Set 1 of the paper) — possible when the
     /// vectorised dimension is contiguous in that operand's SPM layout.
@@ -78,7 +74,6 @@ mod tests {
     fn indices_are_a_bijection() {
         for (i, v) in ALL_VARIANTS.iter().enumerate() {
             assert_eq!(v.index(), i);
-            assert_eq!(GemmVariant::from_index(i), *v);
         }
     }
 

@@ -18,11 +18,6 @@ pub fn allclose(a: &[f32], b: &[f32], rtol: f32, atol: f32) -> bool {
         .all(|(x, y)| (x - y).abs() <= atol + rtol * x.abs().max(y.abs()))
 }
 
-/// Default tolerances for f32 accumulation: rtol 1e-4, atol 1e-4.
-pub fn close_default(a: &[f32], b: &[f32]) -> bool {
-    allclose(a, b, 1e-4, 1e-4)
-}
-
 /// Panic with a diagnostic if slices differ beyond tolerance. Reports the
 /// first offending index, which usually pinpoints the broken loop bound.
 pub fn assert_close(a: &[f32], b: &[f32], rtol: f32, atol: f32, what: &str) {
@@ -44,7 +39,7 @@ mod tests {
     #[test]
     fn identical_slices_close() {
         let a = [1.0, 2.0, 3.0];
-        assert!(close_default(&a, &a));
+        assert!(allclose(&a, &a, 1e-4, 1e-4));
         assert_eq!(max_abs_diff(&a, &a), 0.0);
     }
 
@@ -52,7 +47,7 @@ mod tests {
     fn detects_differences() {
         let a = [1.0, 2.0, 3.0];
         let b = [1.0, 2.5, 3.0];
-        assert!(!close_default(&a, &b));
+        assert!(!allclose(&a, &b, 1e-4, 1e-4));
         assert_eq!(max_abs_diff(&a, &b), 0.5);
     }
 

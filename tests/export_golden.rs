@@ -16,6 +16,13 @@
 //! key order). `/metrics` is compared line by line with the values of the
 //! clock- and process-global series blanked.
 //!
+//! A second run — two operators under one recorder, one with a quarantined
+//! winner and one where nothing fits the scratch pad, at `jobs` 1 and 4 —
+//! pins as text every number the reports read from the span fold
+//! (`Telemetry::summary`): `tests/golden/summary_two_operators.txt`,
+//! recorded from the separate scans (`pairs` / `rollups` / `totals` /
+//! `bottleneck_mix` / `tier_counts`) before the fold replaced them.
+//!
 //! On a mismatch the new text is written under `target/tmp/export_golden/`
 //! and the test names the files; copy them over the goldens only when the
 //! move is meant.
@@ -107,9 +114,10 @@ fn artifacts() -> Vec<(&'static str, String, Check)> {
         CandCell::Done { cycles: u64::MAX, retries: 0, samples: 1 },
     ];
 
+    let summary = tel.summary(&peaks);
     use Check::*;
     vec![
-        ("corpus.jsonl", corpus_text(&feature_rows(&tel, &peaks)), Bytes),
+        ("corpus.jsonl", corpus_text(&feature_rows(&summary)), Bytes),
         ("profile.json", profile_json(&winner), Bytes),
         ("profile.perfetto.json", profile_perfetto(&winner, cfg.clock_ghz), Bytes),
         ("timeline.json", winner.timeline.to_json(), Bytes),
@@ -122,8 +130,8 @@ fn artifacts() -> Vec<(&'static str, String, Check)> {
             Bytes,
         ),
         ("checkpoint.json", render(fingerprint(&cfg, cells.len()), &cells), Bytes),
-        ("snapshot_peaks.json", tel.snapshot_json_with(&peaks), MaskedJson),
-        ("run_timeline_peaks.json", tel.perfetto_json_with(&peaks), MaskedJson),
+        ("snapshot_peaks.json", summary.snapshot_json(), MaskedJson),
+        ("run_timeline_peaks.json", summary.perfetto_json(), MaskedJson),
         ("metrics.prom", hub.prometheus_text(), Prometheus),
     ]
 }
@@ -238,4 +246,104 @@ fn masking_touches_only_the_volatile_values() {
         blank_prometheus("# TYPE swatop_eta_seconds gauge\nswatop_eta_seconds 0.2\nswatop_waves_total 2\n"),
         "# TYPE swatop_eta_seconds gauge\nswatop_eta_seconds _\nswatop_waves_total 2\n"
     );
+}
+
+/// Every number the post-hoc reports derive from the recorder, for a run of
+/// two operators under one recorder: a gemm whose first pick the validator
+/// quarantines, then seven candidates on a scratch pad none of them fits
+/// (the tune reports nothing; the operator span stays, with failed
+/// candidates only).
+fn two_operator_numbers(jobs: usize) -> String {
+    use std::fmt::Write as _;
+
+    let cfg = MachineConfig::default();
+    let peaks = Peaks::of(&cfg);
+    let op = MatmulOp::new(40, 24, 16);
+    let cands = Scheduler::new(cfg.clone()).enumerate(&op);
+    let tel = Telemetry::new();
+    let under = |label: &str| {
+        let span = tel.open(SpanKind::Operator, label);
+        (span, TuneOptions { jobs, telemetry: Some(tel.child_of(span)), ..TuneOptions::default() })
+    };
+
+    let unchecked = tune(&cfg, &cands, &TuneOptions::default(), None).expect("the space tunes");
+    let reject_first_pick = |i: usize, _: &Candidate| {
+        if i == unchecked.best {
+            Err(format!("candidate {i} is the unchecked winner"))
+        } else {
+            Ok(())
+        }
+    };
+    let (span, opts) = under("gemm, first pick quarantined");
+    let tuned = tune(&cfg, &cands, &opts, Some(&reject_first_pick)).expect("a second pick");
+    tel.close(span);
+    assert_eq!(tuned.quarantined, 1);
+
+    let cramped = MachineConfig { spm_bytes: 64, ..cfg.clone() };
+    let (span, opts) = under("gemm, nothing fits");
+    tune(&cramped, &cands[..7], &opts, None).expect_err("every candidate fails");
+    tel.close(span);
+
+    let summary = tel.summary(&peaks);
+    let mut out = String::new();
+    for g in &summary.operators {
+        let _ = writeln!(out, "operator {:?} {:?}: {} candidates", g.scope, g.label, g.candidates.len());
+        let _ = writeln!(out, "  counters {:?}", g.counters);
+        match &g.accuracy {
+            Some(a) => {
+                let _ = writeln!(
+                    out,
+                    "  accuracy pairs={} mape={:?} rank={:?} misranked={:?} threshold={}",
+                    a.pairs.len(),
+                    a.mape_pct,
+                    a.rank_correlation,
+                    a.misranked,
+                    a.rank_threshold
+                );
+            }
+            None => out.push_str("  accuracy none\n"),
+        }
+        for (c, attribution) in summary.candidates(g) {
+            let class = attribution.map_or("-", |a| a.bottleneck.name());
+            let _ = writeln!(
+                out,
+                "  cand {} predicted={:?} measured={:?} retries={} samples={} error={:?} bottleneck={class}",
+                c.index.expect("indexed"),
+                c.predicted,
+                c.cycles,
+                c.retries,
+                c.samples,
+                c.error
+            );
+        }
+    }
+    for p in summary.pairs() {
+        let _ = writeln!(
+            out,
+            "pair scope={:?} index={} predicted={:?} measured={}",
+            p.scope, p.index, p.predicted, p.measured
+        );
+    }
+    let _ = writeln!(out, "totals {:?}", summary.totals);
+    let _ = writeln!(out, "tiers {:?}", summary.tiers);
+    let _ = writeln!(out, "mix {:?}", summary.mix);
+    let _ = writeln!(out, "quarantines {}", summary.quarantines);
+    let _ = writeln!(out, "outcome of the first operator: {:?}", tuned.telemetry.expect("instrumented"));
+    out
+}
+
+#[test]
+fn the_numbers_of_a_two_operator_run_equal_the_recorded_ones() {
+    let golden = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/summary_two_operators.txt");
+    let want = std::fs::read_to_string(&golden).unwrap_or_default();
+    for jobs in [1, 4] {
+        let got = two_operator_numbers(jobs);
+        if got != want {
+            let scratch = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("export_golden");
+            std::fs::create_dir_all(&scratch).expect("scratch dir");
+            let new = scratch.join("summary_two_operators.txt");
+            std::fs::write(&new, &got).expect("write the new text");
+            panic!("jobs={jobs}: summary moved (recorded: {}, new text: {})", golden.display(), new.display());
+        }
+    }
 }
