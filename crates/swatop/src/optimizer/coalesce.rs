@@ -589,6 +589,70 @@ mod tests {
     }
 
     #[test]
+    fn broadcast_tagging_commutes_with_fusion() {
+        let get = |cid_c: i64, reply: usize| {
+            Stmt::DmaCpe(DmaCpe {
+                buf: MemBufId(0),
+                offset: AffineExpr::loop_var(0).add_term(AVar::Rid, 32).add_term(AVar::Cid, cid_c),
+                block: 4,
+                stride: 4,
+                n_blocks: 1,
+                direction: DmaDirection::MemToSpm,
+                spm: SpmSlot::Single(SpmBufId(0)),
+                reply: ReplyId(reply),
+                bcast: None,
+                fused: false,
+            })
+        };
+        let tf = || {
+            Stmt::Transform(TransformOp {
+                fused: false,
+                kind: TransformKind::ZeroBuf { buf: MemBufId(0) },
+            })
+        };
+        let guard = swatop_ir::Cond::lt_const(AffineExpr::loop_var(0), 3);
+        // A run of three gets (broadcastable, not, broadcastable), a guarded
+        // run of two broadcastable ones, and a transform chain.
+        let nest = Stmt::seq(vec![
+            tf(),
+            tf(),
+            Stmt::for_(
+                0,
+                4,
+                Stmt::seq(vec![
+                    get(4, 0),
+                    get(8, 0),
+                    get(4, 0),
+                    Stmt::DmaWait { reply: ReplyId(0), times: 3 },
+                    Stmt::if_(guard, Stmt::seq(vec![get(4, 1), get(4, 1)])),
+                ]),
+            ),
+        ]);
+        let fuse = |s: &mut Stmt| {
+            fuse_adjacent_gets(s);
+            fuse_adjacent_transforms(s);
+        };
+        let (mut tag_first, mut fuse_first) = (nest.clone(), nest);
+        tag_broadcast(&mut tag_first);
+        fuse(&mut tag_first);
+        fuse(&mut fuse_first);
+        tag_broadcast(&mut fuse_first);
+        assert!(tag_first == fuse_first);
+        // Both passes left marks, some on the same node.
+        let mut marks = Vec::new();
+        fuse_first.visit(&mut |s| {
+            if let Stmt::DmaCpe(d) = s {
+                marks.push((d.bcast.is_some(), d.fused));
+            }
+        });
+        assert_eq!(
+            marks,
+            vec![(true, false), (false, true), (true, true), (false, false), (false, true)]
+        );
+        assert_eq!(fuse_first.count(|s| matches!(s, Stmt::Transform(t) if t.fused)), 1);
+    }
+
+    #[test]
     fn multiblock_broadcast_requires_stride_room() {
         let mk = |stride: usize| {
             Stmt::DmaCpe(DmaCpe {

@@ -11,10 +11,12 @@
 //!
 //! Each front-end stage runs once per distinct input, not once per point
 //! (DESIGN.md "Front-end pipeline"): `op.lower` per structural point (DMA
-//! knobs zeroed), the DMA-wall pipeline per (coalesce, bcast), and per point
-//! only two read-only questions — does `raw` fit, and would its twins.
-//! Candidates are byte-identical to lowering and optimizing every point on
-//! its own.
+//! knobs zeroed), the DMA-wall pipeline as a derivation chain over the
+//! (coalesce, bcast) siblings — [`optimizer::dma_wall`] once per `coalesce`,
+//! and the `bcast` sibling as `tag_broadcast` on a copy of the untagged tree
+//! that keeps sharing its tables — and per point only two read-only
+//! questions — does `raw` fit, and would its twins. Candidates are
+//! byte-identical to lowering and optimizing every point on its own.
 //!
 //! Candidates hold handles, not copies (DESIGN.md "IR ownership"): a
 //! `Program` clone shares its tree and tables, the `dbuf` on/off siblings
@@ -33,7 +35,7 @@ use swatop_ir::{Program, ScheduleHints};
 
 use crate::codegen::{fits, fits_with, Executable};
 use crate::ops::DmaKnobs;
-use crate::optimizer::{self, prefetch};
+use crate::optimizer::{self, coalesce, prefetch};
 
 /// An operator that swATOP can tune: a schedule seed, a schedule space, and
 /// a lowering from schedule points to IR.
@@ -162,8 +164,8 @@ struct Shared {
     key: Vec<usize>,
     /// `op.lower` at `key`; `None` marks the structural point invalid.
     lowered: Option<Program>,
-    /// DMA-wall pipeline output per (coalesce, bcast), once asked for.
-    raw: [Option<Program>; 4],
+    /// DMA-wall pipeline output per `[coalesce][bcast]`, once asked for.
+    raw: [[Option<Program>; 2]; 2],
 }
 
 /// The front-end stages of one pass over a space — lower, DMA-wall
@@ -214,48 +216,67 @@ impl<'a> FrontEnd<'a> {
                 self.block.len() - 1
             }
         };
-        let shared = &mut self.block[slot];
+        let Shared { lowered, raw: chain, .. } = &mut self.block[slot];
         // A shared lowering was made at the zeroed knobs: the point's own
         // hints are the only thing it lacks.
         let hints = if self.hint_only.is_empty() {
-            shared.lowered.as_ref()?.hints
+            lowered.as_ref()?.hints
         } else {
-            let hints = DmaKnobs::at(&self.hint_only, sel).hints();
-            if cfg!(debug_assertions) {
-                check_shared(self.op, self.space, point, shared.lowered.as_ref(), hints);
-            }
-            hints
+            DmaKnobs::at(&self.hint_only, sel).hints()
         };
-        let lowered = shared.lowered.as_ref()?;
-        // The DMA-wall pipeline reads `coalesce` and `bcast` only: the dbuf
-        // on/off pair shares its output — the same tree, not two equal ones.
-        let raw = shared.raw[usize::from(hints.coalesce) * 2 + usize::from(hints.bcast)]
-            .get_or_insert_with(|| {
-                optimizer::optimize(Program { hints, ..lowered.clone() }, false)
+        // The (coalesce, bcast) siblings are a derivation chain, not four
+        // pipeline runs: `dma_wall` reads `coalesce` only, and the tagged
+        // form is `tag_broadcast` on a copy of the untagged tree — the
+        // tables stay shared. No step reads `dbuf`: the dbuf on/off pair
+        // shares its `raw` — the same tree, not two equal ones.
+        let raw = lowered.as_ref().map(|lowered| {
+            let [untagged, tagged] = &mut chain[usize::from(hints.coalesce)];
+            let untagged = untagged.get_or_insert_with(|| {
+                let hints = ScheduleHints { bcast: false, ..hints };
+                optimizer::dma_wall(Program { hints, ..lowered.clone() })
             });
-        self.sched.assemble(self.space, point, Program { hints, ..raw.clone() })
+            let shared = if hints.bcast {
+                tagged.get_or_insert_with(|| {
+                    let mut tagged = untagged.clone();
+                    coalesce::tag_broadcast(tagged.body_mut());
+                    tagged
+                })
+            } else {
+                untagged
+            };
+            Program { hints, ..shared.clone() }
+        });
+        if cfg!(debug_assertions) && !self.hint_only.is_empty() {
+            check_shared(self.op, self.space, point, lowered.as_ref(), raw.as_ref(), hints);
+        }
+        self.sched.assemble(self.space, point, raw?)
     }
 }
 
-/// The invariant behind [`Operator::lowering_ignores_dma_knobs`]: lowering
-/// `point` directly gives the shared lowering with `hints` overwritten.
+/// What the points of a declaring operator share, checked against the point
+/// on its own. The invariant behind
+/// [`Operator::lowering_ignores_dma_knobs`]: lowering `point` directly gives
+/// the shared lowering with `hints` overwritten. And the one behind the
+/// derivation chain: optimizing that direct lowering from scratch gives the
+/// chained `raw`.
 fn check_shared(
     op: &dyn Operator,
     space: &ScheduleSpace,
     point: &SchedulePoint,
-    shared: Option<&Program>,
+    lowered: Option<&Program>,
+    raw: Option<&Program>,
     hints: ScheduleHints,
 ) {
+    let at = || format!("{} at point {} ({})", op.name(), point.index(space), point.describe(space));
     let direct = op.lower(space, point);
-    let specialised = shared.map(|p| Program { hints, ..p.clone() });
+    let specialised = lowered.map(|p| Program { hints, ..p.clone() });
     assert!(
         direct == specialised,
-        "{}: lowering reads a DMA knob structurally at point {} ({}), \
-         but lowering_ignores_dma_knobs() is true",
-        op.name(),
-        point.index(space),
-        point.describe(space),
+        "{}: lowering reads a DMA knob structurally, but lowering_ignores_dma_knobs() is true",
+        at(),
     );
+    let from_scratch = direct.map(|p| optimizer::optimize(p, false));
+    assert!(from_scratch.as_ref() == raw, "{}: the chained raw is not optimize(_, false)", at());
 }
 
 #[cfg(test)]

@@ -56,48 +56,63 @@ pub fn conv2d_backward_data_ref(shape: &ConvShape, d_out: &Tensor, weight: &Tens
 
 /// Reference backward-filter: given the forward input `X` and the output
 /// gradient `dY`, produce `dW` (`[No][Ni][Kr][Kc]`). One accumulator per
-/// filter tap, summed over `(b, ro, co)` in that order; the nest indexes the
-/// row-major `data()` slices directly.
+/// filter tap, summed over `(b, ro, co)` in that order from zero.
+///
+/// A tap's sum is one serial chain of adds over `B` whole planes, so the
+/// loops advance the `Ni` chains of a tap side by side: `X` is read from a
+/// channels-last copy and the accumulators are kept `[No][Kr][Kc][Ni]`, which
+/// makes the innermost loop — one `dY` element times the `Ni` channels of one
+/// input pixel — unit-stride in both. Each tap still sees its products in
+/// the same order.
 pub fn conv2d_backward_filter_ref(shape: &ConvShape, input: &Tensor, d_out: &Tensor) -> Tensor {
     assert_eq!(input.shape(), &shape.input_shape());
     assert_eq!(d_out.shape(), &shape.output_shape());
-    let (ri, ci) = (shape.ri(), shape.ci());
-    let mut dw = Tensor::zeros(shape.weight_shape());
-    let (x, dy, dw_data) = (input.data(), d_out.data(), dw.data_mut());
-    for no in 0..shape.no {
-        for ni in 0..shape.ni {
-            for kr in 0..shape.kr {
-                for kc in 0..shape.kc {
-                    let mut acc = 0.0f32;
-                    for b in 0..shape.b {
-                        let x_plane = (b * shape.ni + ni) * ri * ci;
-                        let dy_plane = (b * shape.no + no) * shape.ro * shape.co;
-                        for ro in 0..shape.ro {
-                            let r = (ro * shape.stride + kr) as isize - shape.pad as isize;
-                            if r < 0 || r as usize >= ri {
-                                continue;
-                            }
-                            let x_row = x_plane + r as usize * ci;
-                            let dy_row = dy_plane + ro * shape.co;
-                            for co in 0..shape.co {
-                                let c = (co * shape.stride + kc) as isize - shape.pad as isize;
-                                if c < 0 || c as usize >= ci {
-                                    continue;
-                                }
-                                acc += dy[dy_row + co] * x[x_row + c as usize];
-                            }
-                        }
+    let (ri, ci, stride, pad) = (shape.ri(), shape.ci(), shape.stride, shape.pad);
+    let (chans, taps) = (shape.ni, shape.kr * shape.kc);
+    // X as [b][r][c][ni].
+    let mut x = vec![0.0f32; input.data().len()];
+    for (b_ni, plane) in input.data().chunks_exact(ri * ci).enumerate() {
+        let (b, ni) = (b_ni / chans, b_ni % chans);
+        for (pixel, &v) in plane.iter().enumerate() {
+            x[(b * ri * ci + pixel) * chans + ni] = v;
+        }
+    }
+    // The taps `k` of `extent` that output `o` reads inside the input with:
+    // 0 <= o·stride + k - pad < ins.
+    let inside = |o: usize, ins: usize, extent: usize| {
+        pad.saturating_sub(o * stride)..(ins + pad).saturating_sub(o * stride).min(extent)
+    };
+    let mut acc = vec![0.0f32; shape.no * taps * chans];
+    for (b_no, dy_plane) in d_out.data().chunks_exact(shape.ro * shape.co).enumerate() {
+        let (b, no) = (b_no / shape.no, b_no % shape.no);
+        for (ro_co, &d) in dy_plane.iter().enumerate() {
+            let (ro, co) = (ro_co / shape.co, ro_co % shape.co);
+            for kr in inside(ro, ri, shape.kr) {
+                for kc in inside(co, ci, shape.kc) {
+                    let pixel = (ro * stride + kr - pad) * ci + co * stride + kc - pad;
+                    let x_px = &x[(b * ri * ci + pixel) * chans..][..chans];
+                    let acc_tap = &mut acc[(no * taps + kr * shape.kc + kc) * chans..][..chans];
+                    for (a, &x) in acc_tap.iter_mut().zip(x_px) {
+                        *a += d * x;
                     }
-                    dw_data[((no * shape.ni + ni) * shape.kr + kr) * shape.kc + kc] = acc;
                 }
             }
+        }
+    }
+    // [no][tap][ni] back to [no][ni][tap].
+    let mut dw = Tensor::zeros(shape.weight_shape());
+    for (no_ni, filter) in dw.data_mut().chunks_exact_mut(taps).enumerate() {
+        let (no, ni) = (no_ni / chans, no_ni % chans);
+        for (tap, w) in filter.iter_mut().enumerate() {
+            *w = acc[(no * taps + tap) * chans + ni];
         }
     }
     dw
 }
 
-/// [`conv2d_backward_filter_ref`] with every element addressed through
-/// `Tensor::at`: the oracle the slice-indexed version must equal exactly.
+/// [`conv2d_backward_filter_ref`] one tap at a time, every element addressed
+/// through `Tensor::at`: the oracle the channels-last version must equal
+/// exactly.
 #[cfg(test)]
 fn conv2d_backward_filter_ref_at(shape: &ConvShape, input: &Tensor, d_out: &Tensor) -> Tensor {
     let (ri, ci) = (shape.ri(), shape.ci());

@@ -37,8 +37,53 @@ impl MatLayout {
 ///
 /// `A` is M×K, `B` is K×N, `C` is M×N. Panics on out-of-range accesses
 /// (slices are bound-checked), which catches bad `ld` choices in schedules.
+///
+/// Every `(i, j)` sums its products in ascending `p` from zero and applies
+/// `alpha`/`beta` last. With a row-major `B` the loops run `i-p-j` over one
+/// row of accumulators, so the innermost loop walks a row of `B` instead of
+/// striding down a column — the same sums in the same order, bit for bit
+/// (`gemm_dot` is the per-element form). A column-major `B` is already
+/// contiguous along `p` and takes the per-element form.
 #[allow(clippy::too_many_arguments)]
 pub fn gemm_ref(
+    m: usize,
+    n: usize,
+    k: usize,
+    alpha: f32,
+    a: &[f32],
+    la: MatLayout,
+    lda: usize,
+    b: &[f32],
+    lb: MatLayout,
+    ldb: usize,
+    beta: f32,
+    c: &mut [f32],
+    lc: MatLayout,
+    ldc: usize,
+) {
+    if lb != MatLayout::RowMajor {
+        return gemm_dot(m, n, k, alpha, a, la, lda, b, lb, ldb, beta, c, lc, ldc);
+    }
+    let mut acc = vec![0.0f32; n];
+    for i in 0..m {
+        acc.fill(0.0);
+        for p in 0..k {
+            let a_ip = a[la.offset(i, p, lda)];
+            for (acc_j, &b_pj) in acc.iter_mut().zip(&b[p * ldb..p * ldb + n]) {
+                *acc_j += a_ip * b_pj;
+            }
+        }
+        for (j, &acc_j) in acc.iter().enumerate() {
+            let co = lc.offset(i, j, ldc);
+            c[co] = alpha * acc_j + beta * c[co];
+        }
+    }
+}
+
+/// [`gemm_ref`] as one dot product per output element (`i-j-p`), for any
+/// layouts: the definition the row-accumulator form must equal exactly.
+#[allow(clippy::too_many_arguments)]
+fn gemm_dot(
     m: usize,
     n: usize,
     k: usize,
@@ -144,6 +189,28 @@ mod tests {
             &mut c_mixed, MatLayout::RowMajor, n,
         );
         assert_close(&c_rm, &c_mixed, 1e-5, 1e-6, "layout variants");
+    }
+
+    #[test]
+    fn row_accumulators_equal_the_dot_product_per_element() {
+        use MatLayout::{ColMajor, RowMajor};
+        // Aligned, unaligned, degenerate; tight and padded leading dimensions.
+        let shapes = [(8, 16, 32, 0), (5, 7, 3, 0), (36, 20, 50, 3), (1, 1, 1, 2), (4, 9, 0, 1)];
+        for (case, &(m, n, k, pad)) in shapes.iter().enumerate() {
+            for (la, lc) in [(RowMajor, RowMajor), (ColMajor, RowMajor), (RowMajor, ColMajor)] {
+                let (lda, ldb, ldc) = (la.min_ld(m, k) + pad, n + pad, lc.min_ld(m, n) + pad);
+                let a = random_vec(lda * m.max(k), 10 + case as u64);
+                let b = random_vec(ldb * k, 20 + case as u64);
+                let c0 = random_vec(ldc * m.max(n), 30 + case as u64);
+                let (mut got, mut want) = (c0.clone(), c0);
+                gemm_ref(m, n, k, 0.75, &a, la, lda, &b, RowMajor, ldb, -0.5, &mut got, lc, ldc);
+                gemm_dot(m, n, k, 0.75, &a, la, lda, &b, RowMajor, ldb, -0.5, &mut want, lc, ldc);
+                assert!(
+                    got.iter().zip(&want).all(|(g, w)| g.to_bits() == w.to_bits()),
+                    "{m}x{n}x{k} pad {pad} {la:?} {lc:?}"
+                );
+            }
+        }
     }
 
     #[test]

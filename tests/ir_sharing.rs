@@ -35,7 +35,7 @@ fn body_addr(p: &Program) -> usize {
 
 #[test]
 fn candidates_hold_one_tree_per_distinct_program() {
-    let (mut shared_exe, mut sibling_pairs) = (0, 0);
+    let (mut shared_exe, mut sibling_pairs, mut bcast_pairs) = (0, 0, 0);
     for op in every_op() {
         let (op, space) = (op.as_ref(), op.space());
         let cands = enumerate(op);
@@ -66,6 +66,22 @@ fn candidates_hold_one_tree_per_distinct_program() {
             }
         }
 
+        // The bcast on/off siblings of one (structural point, coalesce)
+        // are one derivation chain: the tagged form is a copy of the
+        // untagged tree, and the tables are the same allocations.
+        for ((structural, coalesce, bcast), tagged) in &groups {
+            let Some(untagged) = groups.get(&(structural.clone(), *coalesce, false)) else {
+                continue;
+            };
+            if *bcast {
+                let (t, u) = (tagged.raw.part_addrs(), untagged.raw.part_addrs());
+                assert_eq!(t[1..], u[1..], "{} at {}: tables", op.name(), tagged.describe);
+                assert_ne!(t[0], u[0], "{} at {}: body", op.name(), tagged.describe);
+                assert!(Arc::ptr_eq(&tagged.raw.name, &untagged.raw.name));
+                bcast_pairs += 1;
+            }
+        }
+
         // Storage: one tree per distinct `raw`, plus one per executable the
         // double-buffer rewrite changed (its own copy) — nothing else.
         let raws: HashSet<usize> = cands.iter().map(|c| body_addr(&c.raw)).collect();
@@ -83,6 +99,7 @@ fn candidates_hold_one_tree_per_distinct_program() {
         }
     }
     assert!(shared_exe > 0 && sibling_pairs > 0, "{shared_exe} shared, {sibling_pairs} pairs");
+    assert!(bcast_pairs > 0, "no bcast on/off pair compared");
 }
 
 #[test]
