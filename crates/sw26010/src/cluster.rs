@@ -32,6 +32,41 @@ pub enum ExecMode {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ReplyId(pub usize);
 
+/// A core group's clocks and tallies at one instant, as steady-state
+/// extrapolation reads them ([`CoreGroup::snapshot`]).
+///
+/// Two snapshots of one run are in the *same state*
+/// ([`Snapshot::same_state`]) when everything the machine reads of its past
+/// is equal relative to its clock: the DMA engine's backlog
+/// `max(free_at − now, 0)`, the chain flag, and every reply word's in-flight
+/// completions as `max(t − now, 0)`. Nothing in the machine reads an
+/// absolute time except through `max` or `saturating_sub` against `now`, so
+/// from two such instants the same work takes the same cycles, counts the
+/// same [`Counters`] and fails with the same error.
+#[derive(Debug, Clone, Default)]
+pub struct Snapshot {
+    now: Cycles,
+    flops: u64,
+    next_tag: u32,
+    counters: Counters,
+    backlog: Cycles,
+    chain_next: bool,
+    /// Per reply word: how many completions are in flight, then each one's
+    /// `max(t − now, 0)`.
+    in_flight: Vec<u64>,
+    /// Per reply word: completions waited for.
+    waited: Vec<usize>,
+}
+
+impl Snapshot {
+    /// Whether the machine is in the same relative state at both instants.
+    pub fn same_state(&self, other: &Snapshot) -> bool {
+        self.backlog == other.backlog
+            && self.chain_next == other.chain_next
+            && self.in_flight == other.in_flight
+    }
+}
+
 /// One simulated core group.
 #[derive(Debug, Clone)]
 pub struct CoreGroup {
@@ -159,6 +194,53 @@ impl CoreGroup {
     /// Current compute-stream time.
     pub fn now(&self) -> Cycles {
         self.now
+    }
+
+    /// Whether [`CoreGroup::extrapolate`] reproduces this machine exactly: in
+    /// cost-only mode, with no fault session (it draws once per batch) and no
+    /// trace (it records every event).
+    pub fn can_extrapolate(&self) -> bool {
+        self.mode == ExecMode::CostOnly && self.faults.is_none() && !self.trace.is_enabled()
+    }
+
+    /// Record the machine's present state in `into`, reusing its storage.
+    pub fn snapshot(&self, into: &mut Snapshot) {
+        let now = self.now;
+        into.now = now;
+        into.flops = self.flops;
+        into.next_tag = self.next_tag;
+        into.counters = self.counters;
+        into.backlog = self.dma.free_at().saturating_sub(now);
+        into.chain_next = self.chain_next;
+        into.in_flight.clear();
+        into.waited.clear();
+        for word in &self.replies {
+            let times = word.in_flight();
+            into.in_flight.push(times.len() as u64);
+            into.in_flight.extend(times.iter().map(|t| t.saturating_sub(now).get()));
+            into.waited.push(word.waited());
+        }
+    }
+
+    /// Advance the machine as if the stretch of execution from snapshot
+    /// `from` to snapshot `to` — which must be the present state, in the
+    /// [same state](Snapshot::same_state) as `from` — ran `n` more times:
+    /// the clock, the engine and every completion in flight move `n·Δnow`
+    /// later; `Counters`, flops, waits and trace tags grow by `n` times the
+    /// stretch's; the SPM high-water mark stays. Exact when the caller
+    /// guarantees the repetitions would issue what the stretch issued, in
+    /// order, and [`CoreGroup::can_extrapolate`] holds.
+    pub fn extrapolate(&mut self, from: &Snapshot, to: &Snapshot, n: u64) {
+        debug_assert!(self.now == to.now && from.same_state(to));
+        let dt = Cycles(n * (to.now - from.now).get());
+        self.now += dt;
+        self.dma.delay(dt);
+        for (word, (w1, w0)) in self.replies.iter_mut().zip(to.waited.iter().zip(&from.waited)) {
+            word.delay(dt, n as usize * (w1 - w0));
+        }
+        self.counters.add_scaled(&to.counters.since(&from.counters), n);
+        self.flops += n * (to.flops - from.flops);
+        self.next_tag += n as u32 * (to.next_tag - from.next_tag);
     }
 
     /// Mark the next DMA batch as *chained*: it is issued back-to-back with
@@ -574,6 +656,80 @@ mod tests {
         let batch = DmaBatch::of(&cg.cfg, MemToSpm, &req, &req).unwrap();
         assert!(cg.dma(MemToSpm, &req, stale).is_err());
         assert!(cg.dma_priced(batch, stale).is_err());
+    }
+
+    #[test]
+    fn extrapolating_a_repeating_stretch_equals_running_it() {
+        // A double-buffered loop: issue the next get, wait for the previous
+        // one, compute for less than a transfer takes — so the engine keeps
+        // a backlog — on a second reply word, put every third iteration.
+        let iteration = |cg: &mut CoreGroup, i: u64| {
+            let get = DmaBatch {
+                direction: MemToSpm,
+                bus_bytes: 65536,
+                blocks: 64,
+                payload_bytes: 64000,
+                spm_end: 1000 + 10 * (i % 3) as usize,
+                scatter: None,
+            };
+            cg.dma_priced(get, ReplyId(0)).unwrap();
+            cg.dma_wait(ReplyId(0), 1).unwrap();
+            cg.kernel(Cycles(900), 4096, 8, 8, 8);
+            if i % 3 == 2 {
+                let put = DmaBatch { direction: SpmToMem, spm_end: 0, ..get };
+                cg.dma_chain_next();
+                cg.dma_priced(put, ReplyId(1)).unwrap();
+                cg.dma_wait(ReplyId(1), 1).unwrap();
+            }
+        };
+        let fresh = || {
+            let mut cg = CoreGroup::with_mode(ExecMode::CostOnly);
+            let (get, _) = (cg.alloc_reply(), cg.alloc_reply());
+            let req = [DmaRequest::contiguous(0, MemToSpm, 0, 0, 1000)];
+            cg.dma_priced(DmaBatch::of(&cg.cfg, MemToSpm, &req, &req).unwrap(), get).unwrap();
+            cg
+        };
+        let finish = |mut cg: CoreGroup| {
+            let underflow = cg.dma_wait(ReplyId(0), 2).unwrap_err();
+            (cg.now(), cg.counters, cg.flops, cg.reply_pending(ReplyId(0)), underflow)
+        };
+        let mut plain = fresh();
+        (0..60).for_each(|i| iteration(&mut plain, i));
+
+        let mut cg = fresh();
+        assert!(cg.can_extrapolate());
+        let (mut from, mut to) = (Snapshot::default(), Snapshot::default());
+        (0..10).for_each(|i| iteration(&mut cg, i));
+        cg.snapshot(&mut from);
+        (10..13).for_each(|i| iteration(&mut cg, i));
+        cg.snapshot(&mut to);
+        assert!(from.same_state(&to), "the loop settles with period 3: {from:?} {to:?}");
+        assert!(to.backlog > Cycles::ZERO, "transfers outlast the compute");
+        cg.extrapolate(&from, &to, 15);
+        (58..60).for_each(|i| iteration(&mut cg, i));
+        assert_eq!(finish(cg), finish(plain));
+        // A completion still in flight is state even when the engine is idle:
+        // a broadcast's scatter ends after the transfer.
+        let scattered = |compute: u64| {
+            let mut cg = fresh();
+            cg.dma_wait(ReplyId(0), 1).unwrap();
+            let req = [DmaRequest::contiguous(0, MemToSpm, 0, 0, 64)];
+            let batch = DmaBatch::of(&cg.cfg, MemToSpm, &req, &req).unwrap();
+            cg.dma_priced(DmaBatch { scatter: Some(Cycles(5000)), ..batch }, ReplyId(0)).unwrap();
+            cg.compute(Cycles(compute), "pad");
+            let mut s = Snapshot::default();
+            cg.snapshot(&mut s);
+            assert_eq!(s.backlog, Cycles::ZERO);
+            s
+        };
+        assert!(!scattered(1000).same_state(&scattered(2000)));
+        assert!(scattered(9000).same_state(&scattered(10_000)), "both completions are past");
+        // A traced or faulted machine must take every step.
+        let mut traced = fresh();
+        traced.trace = Trace::enabled(4);
+        assert!(!traced.can_extrapolate());
+        assert!(!CoreGroup::new(faulty_cfg(1, 0, 0), ExecMode::CostOnly).can_extrapolate());
+        assert!(!CoreGroup::with_mode(ExecMode::Functional).can_extrapolate());
     }
 
     fn faulty_cfg(dma_ppm: u32, steal: u32, jitter: u32) -> MachineConfig {

@@ -111,21 +111,42 @@ impl Counters {
     /// Accumulate another counter block into this one: sums everywhere,
     /// `max` for the SPM high-water mark.
     pub fn merge(&mut self, o: &Counters) {
-        self.dma_payload_bytes += o.dma_payload_bytes;
-        self.dma_bus_bytes += o.dma_bus_bytes;
-        self.dma_batches += o.dma_batches;
-        self.dma_stall_cycles += o.dma_stall_cycles;
-        self.dma_waits += o.dma_waits;
-        self.kernel_calls += o.kernel_calls;
-        self.kernel_cycles += o.kernel_cycles;
-        self.flops += o.flops;
-        self.compute_cycles += o.compute_cycles;
-        self.issue_p0 += o.issue_p0;
-        self.issue_p1 += o.issue_p1;
-        self.regcomm_broadcasts += o.regcomm_broadcasts;
-        self.dma_bcast_batches += o.dma_bcast_batches;
-        self.regcomm_bytes += o.regcomm_bytes;
-        self.spm_high_water_elems = self.spm_high_water_elems.max(o.spm_high_water_elems);
+        *self = self.combine(o, |a, b| a + b);
+    }
+
+    /// What was counted between `earlier` and `self`, a later reading of
+    /// the same run; the high-water mark is `self`'s.
+    pub fn since(&self, earlier: &Counters) -> Counters {
+        self.combine(earlier, |a, b| a - b)
+    }
+
+    /// Add `n` times the tallies `d` — `n` repetitions of a stretch of
+    /// execution that counted `d` ([`Counters::since`]). The high-water mark
+    /// is a `max`, not a sum: repeating a stretch reaches no further than
+    /// the stretch did.
+    pub fn add_scaled(&mut self, d: &Counters, n: u64) {
+        *self = self.combine(d, |a, b| a + n * b);
+    }
+
+    /// `f` over every summed counter, `max` over the high-water mark.
+    fn combine(&self, o: &Counters, f: impl Fn(u64, u64) -> u64) -> Counters {
+        Counters {
+            dma_payload_bytes: f(self.dma_payload_bytes, o.dma_payload_bytes),
+            dma_bus_bytes: f(self.dma_bus_bytes, o.dma_bus_bytes),
+            dma_batches: f(self.dma_batches, o.dma_batches),
+            dma_stall_cycles: f(self.dma_stall_cycles, o.dma_stall_cycles),
+            dma_waits: f(self.dma_waits, o.dma_waits),
+            kernel_calls: f(self.kernel_calls, o.kernel_calls),
+            kernel_cycles: f(self.kernel_cycles, o.kernel_cycles),
+            flops: f(self.flops, o.flops),
+            compute_cycles: f(self.compute_cycles, o.compute_cycles),
+            issue_p0: f(self.issue_p0, o.issue_p0),
+            issue_p1: f(self.issue_p1, o.issue_p1),
+            regcomm_broadcasts: f(self.regcomm_broadcasts, o.regcomm_broadcasts),
+            dma_bcast_batches: f(self.dma_bcast_batches, o.dma_bcast_batches),
+            regcomm_bytes: f(self.regcomm_bytes, o.regcomm_bytes),
+            spm_high_water_elems: self.spm_high_water_elems.max(o.spm_high_water_elems),
+        }
     }
 
     /// Raise the SPM high-water mark to at least `elems`.
@@ -237,6 +258,30 @@ mod tests {
         let mut c = Counters::default();
         c.merge(&b);
         assert_eq!(c.spm_high_water_elems, 2048);
+    }
+
+    #[test]
+    fn a_repeated_stretch_adds_its_tallies_and_keeps_the_high_water_mark() {
+        let before = Counters {
+            dma_batches: 4,
+            kernel_cycles: 100,
+            spm_high_water_elems: 900,
+            ..Counters::default()
+        };
+        let after =
+            Counters { dma_batches: 7, kernel_cycles: 160, spm_high_water_elems: 1000, ..before };
+        let d = after.since(&before);
+        assert_eq!((d.dma_batches, d.kernel_cycles, d.spm_high_water_elems), (3, 60, 1000));
+        let mut run = after;
+        run.add_scaled(&d, 5);
+        assert_eq!((run.dma_batches, run.kernel_cycles), (7 + 15, 160 + 300));
+        assert_eq!(run.spm_high_water_elems, 1000, "a max, not a sum");
+        // Three repeats one at a time are one scaled add of three.
+        let mut one_by_one = after;
+        (0..3).for_each(|_| one_by_one.merge(&d));
+        let mut at_once = after;
+        at_once.add_scaled(&d, 3);
+        assert_eq!(one_by_one, at_once);
     }
 
     #[test]

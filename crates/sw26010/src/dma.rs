@@ -171,9 +171,38 @@ pub struct StartClasses {
 
 impl StartClasses {
     /// Classes of the transfers starting `relative_starts` elements after
-    /// (negative: before) the first of them.
+    /// (negative: before) the first of them: each start is counted in a
+    /// residue-indexed table — a mask, not a division, when the period is a
+    /// power of two, as it is for the machine's 128-byte transactions — whose
+    /// occupied entries are the classes.
     pub fn new(relative_starts: impl IntoIterator<Item = i64>, txn_bytes: usize) -> Self {
-        let period = txn_bytes / gcd(txn_bytes, ELEM_BYTES);
+        let period = start_period(txn_bytes);
+        let (mut table, mut spill) = ([0u32; 64], Vec::new());
+        let counts: &mut [u32] = if period <= table.len() {
+            &mut table[..period]
+        } else {
+            spill.resize(period, 0);
+            &mut spill
+        };
+        if period.is_power_of_two() {
+            let mask = period as i64 - 1;
+            relative_starts.into_iter().for_each(|rel| counts[(rel & mask) as usize] += 1);
+        } else {
+            let p = period as i64;
+            relative_starts.into_iter().for_each(|rel| counts[rel.rem_euclid(p) as usize] += 1);
+        }
+        let classes = (0..period)
+            .filter(|&q| counts[q] > 0)
+            .map(|q| (q, counts[q] as usize))
+            .collect();
+        StartClasses { classes, period, txn_bytes }
+    }
+
+    /// [`StartClasses::new`] as it was: a division and a linear search per
+    /// start. The oracle of the residue-indexed construction.
+    #[cfg(test)]
+    fn by_search(relative_starts: impl IntoIterator<Item = i64>, txn_bytes: usize) -> Self {
+        let period = start_period(txn_bytes);
         let mut classes: Vec<(usize, usize)> = Vec::new();
         for rel in relative_starts {
             let q = rel.rem_euclid(period as i64) as usize;
@@ -188,7 +217,11 @@ impl StartClasses {
     /// The residue of `first_start` that [`StartClasses::bus_bytes`] depends
     /// on: equal residues give equal totals.
     pub fn residue(&self, first_start: usize) -> usize {
-        first_start % self.period
+        if self.period.is_power_of_two() {
+            first_start & (self.period - 1)
+        } else {
+            first_start % self.period
+        }
     }
 
     /// Total [`bus_bytes`] of the transfers when the first of them starts at
@@ -208,6 +241,12 @@ impl StartClasses {
             })
             .sum()
     }
+}
+
+/// Elements after which a transfer's [`bus_bytes`] repeat as its start
+/// moves: a start's byte address matters only modulo the transaction size.
+pub fn start_period(txn_bytes: usize) -> usize {
+    txn_bytes / gcd(txn_bytes, ELEM_BYTES)
 }
 
 fn gcd(mut a: usize, mut b: usize) -> usize {
@@ -300,6 +339,16 @@ impl DmaEngine {
     /// `chained` batch is issued back-to-back with its predecessor: its
     /// descriptors ride the already-open engine pipeline, so the per-batch
     /// start-up latency is waived — it still queues behind in-flight work.
+    /// When the engine is next free.
+    pub(crate) fn free_at(&self) -> Cycles {
+        self.free_at
+    }
+
+    /// Move the engine's clock `dt` later (steady-state extrapolation).
+    pub(crate) fn delay(&mut self, dt: Cycles) {
+        self.free_at += dt;
+    }
+
     pub fn schedule(
         &mut self,
         cfg: &MachineConfig,
@@ -361,6 +410,23 @@ impl ReplyWord {
     /// Completions not yet waited for.
     pub fn pending(&self) -> usize {
         self.in_flight.len()
+    }
+
+    /// The completion times still in flight, oldest first.
+    pub(crate) fn in_flight(&self) -> &[Cycles] {
+        &self.in_flight
+    }
+
+    /// Completions waited for so far.
+    pub(crate) fn waited(&self) -> usize {
+        self.waited
+    }
+
+    /// Move every completion in flight `dt` later and count `waits` more
+    /// completions as waited for (steady-state extrapolation).
+    pub(crate) fn delay(&mut self, dt: Cycles, waits: usize) {
+        self.in_flight.iter_mut().for_each(|t| *t += dt);
+        self.waited += waits;
     }
 }
 
@@ -461,6 +527,47 @@ mod tests {
                 assert_eq!(classes.bus_bytes(same, block, stride, n), each);
             }
         }
+    }
+
+    #[test]
+    fn the_residue_table_prices_what_the_search_priced() {
+        // Mesh coefficients aligned, unaligned and negative; the 64 CPEs or
+        // 8 leaders; every transaction size from 64 to 512 bytes that the
+        // table indexes by mask, and two it indexes by division.
+        let mut cases = 0;
+        for txn in [64, 96, 128, 192, 256, 384, 512] {
+            for (cr, cc) in [(256i64, 32i64), (1024, 8), (100, 4), (-37, 5), (170, -3), (0, 0)] {
+                for leaders in [false, true] {
+                    let rel = move || {
+                        let n = if leaders { 8 } else { 64 };
+                        (0..n).map(move |cpe: i64| {
+                            if leaders {
+                                cr * cpe
+                            } else {
+                                cr * (cpe / 8) + cc * (cpe % 8)
+                            }
+                        })
+                    };
+                    let (new, old) =
+                        (StartClasses::new(rel(), txn), StartClasses::by_search(rel(), txn));
+                    let mut sorted = old.classes.clone();
+                    sorted.sort_unstable();
+                    assert_eq!(new.classes, sorted, "txn {txn} ({cr}, {cc})");
+                    for (block, stride, n) in [(1, 1, 1), (7, 19, 4), (16, 144, 16), (33, 40, 3)] {
+                        for first in 4096..4096 + new.period {
+                            assert_eq!(new.residue(first), old.residue(first));
+                            assert_eq!(
+                                new.bus_bytes(first, block, stride, n),
+                                old.bus_bytes(first, block, stride, n),
+                                "txn {txn} ({cr}, {cc}) at {first}"
+                            );
+                            cases += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(cases > 10_000, "{cases}");
     }
 
     /// `n` contiguous elements from address 0, priced.

@@ -69,7 +69,6 @@ pub mod counters;
 pub mod dma;
 pub mod error;
 pub mod fault;
-pub mod gldst;
 pub mod json;
 pub mod mem;
 pub mod pipeline;
@@ -81,7 +80,7 @@ pub mod trace;
 pub mod cluster;
 
 pub use clock::Cycles;
-pub use cluster::{CoreGroup, ExecMode};
+pub use cluster::{CoreGroup, ExecMode, Snapshot};
 pub use config::MachineConfig;
 pub use counters::Counters;
 pub use dma::{DmaBatch, DmaDirection, DmaRequest, ReplyWord};
