@@ -4,12 +4,13 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use sw26010::MachineConfig;
-use swatop::model::{estimate_program_memo, GemmModel};
-use swatop::ops::{ImplicitConvOp, MatmulOp};
+use swatop::model::{estimate, GemmModel};
+use swatop::ops::{ImplicitConvOp, MatmulOp, WinogradConvOp};
 use swatop::optimizer::optimize;
 use swatop::scheduler::{Operator, Scheduler};
 use swatop::tuner::model_rank;
 use swtensor::ConvShape;
+use workloads::vgg16_layers;
 
 fn bench_enumerate(c: &mut Criterion) {
     let cfg = MachineConfig::default();
@@ -113,8 +114,27 @@ fn bench_model_estimate(c: &mut Criterion) {
     let cands = sched.enumerate(&op);
     let raw = &cands[cands.len() / 2].raw;
     c.bench_function("model_estimate_program", |b| {
-        b.iter(|| std::hint::black_box(estimate_program_memo(&cfg, &model, raw, None)))
+        b.iter(|| std::hint::black_box(estimate(&cfg, &model, raw)))
     });
+}
+
+/// The tier-0 screen of the `conv_net` workload's VGG-16 layer 7 (batch 32,
+/// spatial cap 28) under the two conv methods whose loops carry boundary
+/// guards: every run of identical iterations is priced once.
+fn bench_screen_conv(c: &mut Criterion) {
+    let cfg = MachineConfig::default();
+    let shape = vgg16_layers()[7].shape(32, Some(28));
+    let sched = Scheduler::new(cfg.clone());
+    let ops: [(&str, Box<dyn Operator>); 2] = [
+        ("screen_implicit_conv", Box::new(ImplicitConvOp::new(shape))),
+        ("screen_winograd_conv", Box::new(WinogradConvOp::new(shape))),
+    ];
+    for (name, op) in ops {
+        let cands = sched.enumerate(op.as_ref());
+        c.bench_function(name, |b| {
+            b.iter(|| std::hint::black_box(model_rank(&cfg, &cands, 1).len()))
+        });
+    }
 }
 
 criterion_group!(
@@ -124,6 +144,7 @@ criterion_group!(
     bench_gemm_256_candidates,
     bench_optimize_raw,
     bench_lower_one,
-    bench_model_estimate
+    bench_model_estimate,
+    bench_screen_conv
 );
 criterion_main!(benches);

@@ -32,8 +32,12 @@
 //!   im2col expansion, Winograd transforms and boundary padding run as
 //!   bandwidth-costed bulk operations, the way the real system executes them
 //!   as memory-bound CPE loops.
+//! * **One guard-range analysis** ([`guards`]): which iterations of a loop
+//!   take one path through its body, read by both the cost-only
+//!   interpreter and the analytic model.
 
 pub mod expr;
+pub mod guards;
 pub mod program;
 pub mod stmt;
 pub mod transform;

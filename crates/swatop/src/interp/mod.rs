@@ -38,7 +38,8 @@
 //! where `P` is a multiple of the period after which every DMA start residue
 //! and double-buffer parity in the body repeats, and a static check of the
 //! body's affine guards and DMA bounds shows the next iterations take the
-//! reference period's path without error (the `steady` module), the machine
+//! reference period's path without error (the `steady` module, reading the
+//! guard-range analysis [`swatop_ir::guards`] the model shares), the machine
 //! is advanced over whole periods by the reference period's deltas
 //! ([`CoreGroup::extrapolate`]). The rest of the loop runs normally. The
 //! plain walk stays where it must: in Functional mode, under a fault plan
@@ -59,6 +60,7 @@ use swkernels::spm_gemm::SpmMatrix;
 use swkernels::GemmPrice;
 use swtensor::Tensor;
 
+use swatop_ir::guards::one_path;
 use swatop_ir::{
     DmaCpe, DmaShape, Env, GemmOp, MatDesc, Program, SpmSlot, Stmt, TransformKind, VarId,
 };
@@ -304,7 +306,7 @@ impl<'a> Interp<'a> {
     /// A `For` loop under steady-state extrapolation: snapshot the machine
     /// at every iteration boundary; once the state at boundary `i` is the
     /// state at `i − P` for a multiple `P` of the loop's period, skip as many
-    /// whole periods as the body repeats through ([`steady::repeats`]), advancing
+    /// whole periods as the body repeats through ([`one_path`]), advancing
     /// the machine by the reference period's deltas; run the rest.
     fn steady_loop(
         &mut self,
@@ -373,13 +375,14 @@ impl<'a> Interp<'a> {
         let mut repeats = |n: usize| {
             let range = ((i - p) as i64, (i + n * p) as i64 - 1);
             let (dma_nodes, bufs) = (&mut self.dma_nodes, &self.binding.bufs);
-            // The offsets a node accepts: the bounds check of `dma_cpe`.
-            let mut limits = |d: &'a DmaCpe| {
-                let len = cg.mem.len_of(*bufs.get(d.buf.0)?) as i64;
+            // The bounds check of `dma_cpe`, over every offset of the range.
+            let mut in_bounds = |d: &'a DmaCpe, (min, max): (i64, i64)| {
+                let Some(&buf) = bufs.get(d.buf.0) else { return false };
+                let len = cg.mem.len_of(buf) as i64;
                 let node = entry(dma_nodes, d, || DmaNode::new(d, &cg.cfg));
-                Some((-node.reach.0, len - node.shape.span as i64 - node.reach.1))
+                -node.reach.0 <= min && max <= len - node.shape.span as i64 - node.reach.1
             };
-            steady::repeats(var, body, env, range, &mut limits)
+            one_path(var, body, env, range, Some(&mut in_bounds))
         };
         let most = (extent - i) / p;
         if repeats(most) {

@@ -1,359 +1,36 @@
-//! Structural-hash memoization of sub-program cost estimates.
-//!
-//! The Tier-0 analytic screen walks the lowered IR of every enumerated
-//! candidate, and most of that work recurs: the same inner reduction loop
-//! appears under dozens of outer tilings, the same DMA tile-transfer plan
-//! is lowered by every candidate that shares a tile shape, and concrete
-//! boundary walks re-estimate structurally identical iterations over and
-//! over. This module caches those sub-costs by a *cost-relevant structural
-//! hash*: two subtrees hash equal exactly when the estimator would charge
-//! them the same cycles — buffer ids, addresses and scaling factors that do
-//! not change the cost are deliberately excluded, so hits happen across
-//! candidates, operators and shapes.
-//!
-//! Only concretely walked loops — boundary-guarded subtrees whose walk is
-//! O(extent × body) — are worth caching; symbolic loops cost as much to
-//! hash as to recompute, so the estimator skips the cache for them (see
-//! [`crate::model::estimate_program_memo`]).
-//!
-//! The cache is sharded (one read/write lock per shard) and process-global:
-//! a sweep over many shapes keeps re-using the entries its first operator
-//! filled. Hit/miss counters are plain relaxed atomics — they are
-//! observability, not control flow. Concurrent misses on the same key race
-//! to recompute the same deterministic value, so whichever insert lands is
-//! identical; cached results are bit-equal to uncached ones by
-//! construction (the estimator computes sub-costs in the same grouping
-//! whether or not a cache is attached — see
-//! [`crate::model::estimate_program_memo`]).
+//! The frozen `benchmark/` package compiles against exactly these names and
+//! shapes (`BENCHMARK.json` forbids editing it in a product PR). The screen
+//! has no cache: [`MemoCache`] is zero-sized and counts nothing, and
+//! [`estimate_program_memo`] is [`estimate`]. Nothing else calls them, and
+//! the benchmark's next revision removes them.
 
-use std::collections::{BTreeSet, HashMap};
-use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
-
-use parking_lot::RwLock;
 use sw26010::MachineConfig;
-use swatop_ir::{Env, Stmt};
+use swatop_ir::Program;
 
-use super::Estimate;
+use super::{estimate, Estimate, GemmModel};
 
-/// Shard count: enough to keep 16 tuner workers from serialising on one
-/// lock, small enough that iterating all shards (for `len`) stays trivial.
-const N_SHARDS: usize = 16;
-
-/// Sharded concurrent memo table: structural key → `(t_dma, t_compute)`.
 #[derive(Debug, Default)]
-pub struct MemoCache {
-    shards: [RwLock<HashMap<u64, (f64, f64)>>; N_SHARDS],
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
+pub struct MemoCache;
 
 impl MemoCache {
-    pub fn new() -> MemoCache {
-        MemoCache::default()
-    }
-
-    /// The process-global cache shared by every tuning run in a sweep.
     pub fn global() -> &'static MemoCache {
-        static GLOBAL: OnceLock<MemoCache> = OnceLock::new();
-        GLOBAL.get_or_init(MemoCache::new)
+        &MemoCache
     }
 
-    fn shard(&self, key: u64) -> &RwLock<HashMap<u64, (f64, f64)>> {
-        &self.shards[(key % N_SHARDS as u64) as usize]
-    }
-
-    /// Cached sub-cost for `key`, or `None`.
-    pub fn get(&self, key: u64) -> Option<Estimate> {
-        let got = self.shard(key).read().get(&key).copied();
-        match got {
-            Some((t_dma, t_compute)) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(Estimate { t_dma, t_compute })
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
-    }
-
-    /// Record the computed sub-cost for `key`.
-    pub fn insert(&self, key: u64, est: Estimate) {
-        self.shard(key).write().insert(key, (est.t_dma, est.t_compute));
-    }
-
-    /// Lookups that found an entry (relaxed; approximate under concurrency).
     pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
+        0
     }
 
-    /// Lookups that missed (relaxed; approximate under concurrency).
     pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
-    }
-
-    /// Distinct sub-programs memoised so far.
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.read().len()).sum()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        0
     }
 }
 
-/// `(hits, misses, entries)` of the global memo cache — the observability
-/// triple the telemetry snapshot and Prometheus export surface.
-pub fn stats() -> (u64, u64, u64) {
-    let g = MemoCache::global();
-    (g.hits(), g.misses(), g.len() as u64)
-}
-
-/// FNV-1a accumulator exposed through [`std::hash::Hasher`], so IR types
-/// that derive `Hash` (affine expressions, conditions) feed it directly.
-pub struct StructHasher(u64);
-
-impl StructHasher {
-    pub fn new() -> StructHasher {
-        StructHasher(0xcbf2_9ce4_8422_2325)
-    }
-}
-
-impl Default for StructHasher {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Hasher for StructHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-}
-
-/// Fingerprint of every machine parameter the estimator reads, plus the
-/// Eq. 2 calibration identity: entries from different machine models must
-/// never collide.
-pub fn cfg_key(cfg: &MachineConfig) -> u64 {
-    let mut h = StructHasher::new();
-    cfg.dram_transaction_bytes.hash(&mut h);
-    cfg.mem_bytes_per_cycle.to_bits().hash(&mut h);
-    cfg.dma_startup.get().hash(&mut h);
-    cfg.dma_block_overhead.get().hash(&mut h);
-    cfg.dma_issue_cost.get().hash(&mut h);
-    cfg.dma_wait_poll.get().hash(&mut h);
-    cfg.vmad_latency.hash(&mut h);
-    cfg.vldd_latency.hash(&mut h);
-    cfg.bcast_latency.hash(&mut h);
-    cfg.vstd_latency.hash(&mut h);
-    cfg.regcomm_switch.get().hash(&mut h);
-    cfg.kernel_call_overhead.get().hash(&mut h);
-    h.finish()
-}
-
-/// Hash the *cost-relevant projection* of a statement subtree: exactly the
-/// fields [`crate::model::estimate_program_memo`] reads. Buffer ids, SPM
-/// slots, affine offsets of CG-level tiles, GEMM scalars and leading
-/// dimensions are excluded — they never change the estimate, and excluding
-/// them lets structurally different candidates share entries.
-pub fn hash_stmt(s: &Stmt, h: &mut StructHasher) {
-    match s {
-        Stmt::Nop => 0u8.hash(h),
-        Stmt::Seq(ss) => {
-            1u8.hash(h);
-            ss.len().hash(h);
-            ss.iter().for_each(|x| hash_stmt(x, h));
-        }
-        Stmt::For { var, extent, body } => {
-            2u8.hash(h);
-            var.hash(h);
-            extent.hash(h);
-            hash_stmt(body, h);
-        }
-        Stmt::If { cond, then_, else_ } => {
-            3u8.hash(h);
-            cond.hash(h);
-            hash_stmt(then_, h);
-            match else_ {
-                Some(e) => {
-                    1u8.hash(h);
-                    hash_stmt(e, h);
-                }
-                None => 0u8.hash(h),
-            }
-        }
-        // Eq. 1 inputs after DMA inference depend only on the tile
-        // geometry (lower_node derives block/stride/n_blocks from it).
-        Stmt::DmaCg(d) => {
-            4u8.hash(h);
-            d.rows.hash(h);
-            d.cols.hash(h);
-            d.row_stride.hash(h);
-        }
-        Stmt::DmaCpe(d) => {
-            5u8.hash(h);
-            d.block.hash(h);
-            d.stride.hash(h);
-            d.n_blocks.hash(h);
-            match d.bcast {
-                None => 0u8.hash(h),
-                Some(sw26010::regcomm::BcastBus::Row) => 1u8.hash(h),
-                Some(sw26010::regcomm::BcastBus::Column) => 2u8.hash(h),
-            }
-            d.fused.hash(h);
-        }
-        // The estimator charges one poll per wait statement, regardless of
-        // the completion count.
-        Stmt::DmaWait { .. } => 6u8.hash(h),
-        Stmt::Gemm(g) => {
-            7u8.hash(h);
-            (g.a.layout as u8).hash(h);
-            (g.b.layout as u8).hash(h);
-            (g.vd as u8).hash(h);
-            g.m.hash(h);
-            g.n.hash(h);
-            g.k.hash(h);
-        }
-        Stmt::Transform(t) => {
-            8u8.hash(h);
-            let (reads, writes, flops) = t.kind.traffic();
-            reads.hash(h);
-            writes.hash(h);
-            flops.hash(h);
-            t.fused.hash(h);
-        }
-    }
-}
-
-fn cond_vars(cond: &swatop_ir::Cond, bound: &[usize], out: &mut BTreeSet<usize>) {
-    use swatop_ir::Cond::*;
-    match cond {
-        Lt(a, b) | Ge(a, b) | Eq(a, b) => {
-            for e in [a, b] {
-                for v in e.loop_vars() {
-                    if !bound.contains(&v) {
-                        out.insert(v);
-                    }
-                }
-            }
-        }
-        And(a, b) => {
-            cond_vars(a, bound, out);
-            cond_vars(b, bound, out);
-        }
-    }
-}
-
-/// Loop variables that guard conditions *read* inside `s` without being
-/// bound by an enclosing `For` within `s` — the only part of the walk
-/// environment a subtree's cost can depend on. Their entry values complete
-/// the memo key.
-pub fn free_cond_vars(s: &Stmt, bound: &mut Vec<usize>, out: &mut BTreeSet<usize>) {
-    match s {
-        Stmt::Seq(ss) => ss.iter().for_each(|x| free_cond_vars(x, bound, out)),
-        Stmt::For { var, body, .. } => {
-            bound.push(*var);
-            free_cond_vars(body, bound, out);
-            bound.pop();
-        }
-        Stmt::If { cond, then_, else_ } => {
-            cond_vars(cond, bound, out);
-            free_cond_vars(then_, bound, out);
-            if let Some(e) = else_ {
-                free_cond_vars(e, bound, out);
-            }
-        }
-        _ => {}
-    }
-}
-
-/// Full memo key of a subtree at its current walk position: machine
-/// fingerprint ⊕ structural hash ⊕ the entry values of its free condition
-/// variables.
-pub fn subtree_key(cfg_key: u64, s: &Stmt, env: &Env) -> u64 {
-    let mut h = StructHasher::new();
-    cfg_key.hash(&mut h);
-    hash_stmt(s, &mut h);
-    let mut free = BTreeSet::new();
-    free_cond_vars(s, &mut Vec::new(), &mut free);
-    for v in free {
-        v.hash(&mut h);
-        env.get(v).hash(&mut h);
-    }
-    h.finish()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use swatop_ir::{AffineExpr, Cond, ReplyId};
-
-    fn wait() -> Stmt {
-        Stmt::DmaWait { reply: ReplyId(0), times: 1 }
-    }
-
-    #[test]
-    fn cache_counts_hits_and_misses() {
-        let c = MemoCache::new();
-        assert_eq!(c.get(7), None);
-        c.insert(7, Estimate { t_dma: 1.5, t_compute: 2.5 });
-        assert_eq!(c.get(7), Some(Estimate { t_dma: 1.5, t_compute: 2.5 }));
-        assert_eq!((c.hits(), c.misses(), c.len()), (1, 1, 1));
-        assert!(!c.is_empty());
-    }
-
-    #[test]
-    fn wait_count_is_cost_irrelevant() {
-        // The estimator charges one poll per wait node; `times` must not
-        // fragment the cache.
-        let a = Stmt::DmaWait { reply: ReplyId(0), times: 1 };
-        let b = Stmt::DmaWait { reply: ReplyId(3), times: 16 };
-        let env = Env::new(1);
-        assert_eq!(subtree_key(1, &a, &env), subtree_key(1, &b, &env));
-    }
-
-    #[test]
-    fn structure_and_extent_differentiate() {
-        let env = Env::new(1);
-        let a = Stmt::for_(0, 4, wait());
-        let b = Stmt::for_(0, 8, wait());
-        assert_ne!(subtree_key(1, &a, &env), subtree_key(1, &b, &env));
-        assert_ne!(subtree_key(1, &a, &env), subtree_key(2, &a, &env));
-    }
-
-    #[test]
-    fn free_cond_vars_respect_scoping() {
-        // if (v1 < 2) { wait }  inside  for v0 — v1 is free, v0 is not read.
-        let guarded = Stmt::if_(Cond::lt_const(AffineExpr::loop_var(1), 2), wait());
-        let tree = Stmt::for_(0, 4, guarded.clone());
-        let mut free = BTreeSet::new();
-        free_cond_vars(&tree, &mut Vec::new(), &mut free);
-        assert_eq!(free.into_iter().collect::<Vec<_>>(), vec![1]);
-
-        // The same guard on the *bound* variable is not free.
-        let own = Stmt::for_(1, 4, Stmt::if_(Cond::lt_const(AffineExpr::loop_var(1), 2), wait()));
-        let mut free = BTreeSet::new();
-        free_cond_vars(&own, &mut Vec::new(), &mut free);
-        assert!(free.is_empty());
-    }
-
-    #[test]
-    fn env_values_of_free_vars_enter_the_key() {
-        let guarded =
-            Stmt::for_(0, 2, Stmt::if_(Cond::lt_const(AffineExpr::loop_var(1), 2), wait()));
-        let mut lo = Env::new(2);
-        lo.set(1, 0);
-        let mut hi = Env::new(2);
-        hi.set(1, 5);
-        assert_ne!(subtree_key(1, &guarded, &lo), subtree_key(1, &guarded, &hi));
-    }
+pub fn estimate_program_memo(
+    cfg: &MachineConfig,
+    model: &GemmModel,
+    p: &Program,
+    _memo: Option<&MemoCache>,
+) -> Estimate {
+    estimate(cfg, model, p)
 }

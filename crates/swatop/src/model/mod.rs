@@ -15,14 +15,18 @@
 //!   latency).
 
 pub mod fit;
+#[doc(hidden)]
 pub mod memo;
+#[doc(hidden)]
+pub use memo::estimate_program_memo;
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 use sw26010::{Cycles, MachineConfig, N_CPE};
-use swatop_ir::{DmaCpe, Env, Program, Stmt, TransformKind};
+use swatop_ir::guards::{guards_read, one_path};
+use swatop_ir::{DmaCpe, Env, Program, Stmt, TransformKind, VarId};
 use swkernels::cost::{timing_fingerprint, TimingFingerprint};
 use swkernels::{gemm_cycles, GemmVariant, VecDim, ALL_VARIANTS};
 
@@ -83,7 +87,7 @@ static MODEL_CACHE: Mutex<Option<HashMap<TimingFingerprint, Arc<GemmModel>>>> = 
 impl GemmModel {
     /// Fit all eight variants against the scoreboard ground truth. Cached
     /// per kernel timing (the paper benchmarks its kernels offline; here a
-    /// cold fit is ~5 ms, because the 3,744 sampled shapes share 144
+    /// cold fit is ≈ 1 ms, because the 3,744 sampled shapes share 96
     /// register-block simulations — see `swkernels::cost`). Prefer
     /// [`GemmModel::cached`] in hot paths — it shares the fitted model
     /// instead of cloning it.
@@ -167,76 +171,12 @@ impl Estimate {
     }
 }
 
-/// Guard-variable masks per `For` node (keyed by address): bit `v` is set
-/// when some `If` condition inside the loop body reads loop variable `v`.
-/// One bottom-up pass, where a subtree scan per loop would re-run on every
-/// iteration of a concrete boundary walk and dominate the screen. Bit 127 is
-/// a saturation sentinel for variables ≥ 127 (conservative: such loops
-/// always walk concretely, which is slower but bit-identical in outcome only
-/// when no guard actually depends on the variable — indices that high never
-/// occur in lowered programs).
-type IfMasks = HashMap<*const Stmt, u128>;
-
-fn var_bit(v: usize) -> u128 {
-    1u128 << v.min(127)
-}
-
-fn cond_var_mask(cond: &swatop_ir::Cond) -> u128 {
-    use swatop_ir::Cond::*;
-    match cond {
-        Lt(a, b) | Ge(a, b) | Eq(a, b) => {
-            let mut m = 0;
-            for e in [a, b] {
-                // `loop_vars` may report zero-coefficient terms; the walk
-                // switches on `depends_on` (coefficient ≠ 0), and the mask
-                // must make exactly the same concrete-vs-symbolic calls.
-                for v in e.loop_vars() {
-                    if e.depends_on(v) {
-                        m |= var_bit(v);
-                    }
-                }
-            }
-            m
-        }
-        And(a, b) => cond_var_mask(a) | cond_var_mask(b),
-    }
-}
-
-fn collect_if_masks(s: &Stmt, out: &mut IfMasks) -> u128 {
-    match s {
-        Stmt::Seq(ss) => ss.iter().fold(0, |m, x| m | collect_if_masks(x, out)),
-        Stmt::For { body, .. } => {
-            let m = collect_if_masks(body, out);
-            out.insert(std::ptr::from_ref(s), m);
-            m
-        }
-        Stmt::If { cond, then_, else_ } => {
-            let mut m = cond_var_mask(cond) | collect_if_masks(then_, out);
-            if let Some(e) = else_ {
-                m |= collect_if_masks(e, out);
-            }
-            m
-        }
-        _ => 0,
-    }
-}
-
-/// Does the subtree contain any `If` at all? Guard-free programs (most GEMM
-/// candidates) skip mask collection *and* memo keying entirely: every loop
-/// is symbolic and the walk touches each node exactly once, so any per-node
-/// bookkeeping would be pure overhead on the screen's hottest path.
-fn any_if(s: &Stmt) -> bool {
-    match s {
-        Stmt::If { .. } => true,
-        Stmt::Seq(ss) => ss.iter().any(any_if),
-        Stmt::For { body, .. } => any_if(body),
-        _ => false,
-    }
-}
-
 /// Price one leaf statement into `est`: Eq. (1) for a DMA node, Eq. (2) for
-/// a GEMM call, the interpreter's own price for a transform.
-fn estimate_leaf(cfg: &MachineConfig, model: &GemmModel, s: &Stmt, est: &mut Estimate) {
+/// a GEMM call, the interpreter's own price for a transform. A node is
+/// priced by its shape alone, never by its offsets or the loop variables:
+/// that is what lets [`estimate`] price a run of iterations that take one
+/// path through a loop body by walking one of them.
+pub fn estimate_leaf(cfg: &MachineConfig, model: &GemmModel, s: &Stmt, est: &mut Estimate) {
     let mut dma = |d: &DmaCpe| {
         // A broadcast's register-bus scatter extends the transfer's
         // completion. Fused nodes chain onto the preceding batch: Eq. (1)'s
@@ -278,114 +218,103 @@ fn estimate_leaf(cfg: &MachineConfig, model: &GemmModel, s: &Stmt, est: &mut Est
     }
 }
 
-/// Estimate a lowered (pre-prefetch) program: the Tier-0 analytic screen.
+/// Estimate a lowered (pre-prefetch) program: the tier-0 analytic screen.
 /// No machine state is touched — this is what makes the model-based
-/// autotuner orders of magnitude faster than black-box execution (Tab. 3).
+/// autotuner some 20× faster than black-box execution (Tab. 3, re-measured
+/// at `--jobs 1`: 22–31× on VGG16, 18–20× on ResNet, 16–21× on Yolo).
 ///
-/// Loops no guard inside depends on are costed symbolically (body cost ×
-/// extent); loops with boundary guards on their variable are walked
-/// concretely. Every loop subtree is costed into its own accumulator and
-/// then scaled/added — the grouping that makes a subtree's cost a pure
-/// function of its structure and the entry values of its free guard
-/// variables, i.e. exactly the memo key ([`memo::subtree_key`]).
-/// Because the grouping is the same whether or not a cache is attached,
-/// results are bit-identical for `memo = None`, a cold cache and a warm
-/// cache; the cache only skips recomputation.
-///
-/// Only *concretely walked* loops (boundary guards depending on the loop
-/// variable) are memoized: their walk is O(extent × body) against an
-/// O(body) key, so a hit is a real saving. A symbolic loop costs O(body)
-/// to walk and O(body) to hash — the cache can never beat recomputation
-/// there, it only adds hashing and lock traffic.
-pub fn estimate_program_memo(
-    cfg: &MachineConfig,
-    model: &GemmModel,
-    p: &Program,
-    memo: Option<&memo::MemoCache>,
-) -> Estimate {
+/// A loop whose variable no guard inside reads is priced symbolically: one
+/// iteration × extent. A loop whose variable a guard reads is split into
+/// maximal runs of iterations that take one path through its body
+/// ([`swatop_ir::guards::one_path`]); one iteration per run is walked, and
+/// its estimate is added to the loop's total once per iteration of the run,
+/// in order. That is the left-to-right sum a walk of every iteration makes,
+/// so scores are bit-identical to it (`tests/screen_oracle.rs`).
+pub fn estimate(cfg: &MachineConfig, model: &GemmModel, p: &Program) -> Estimate {
     let mut env = Env::new(p.n_vars().max(1));
-    let cfg_key = if memo.is_some() { memo::cfg_key(cfg) } else { 0 };
-    let masks = any_if(&p.body).then(|| {
-        let mut m = IfMasks::default();
-        collect_if_masks(&p.body, &mut m);
-        m
-    });
     let mut est = Estimate::default();
-    estimate_grouped(cfg, model, &p.body, &mut env, memo, cfg_key, masks.as_ref(), &mut est);
+    walk(cfg, model, &p.body, &mut env, &mut est);
     est
 }
 
-#[allow(clippy::too_many_arguments)]
-fn estimate_grouped(
-    cfg: &MachineConfig,
-    model: &GemmModel,
-    s: &Stmt,
-    env: &mut Env,
-    cache: Option<&memo::MemoCache>,
-    cfg_key: u64,
-    masks: Option<&IfMasks>,
-    est: &mut Estimate,
-) {
+/// Add the estimate of `s` to `est`. Every loop is priced into its own
+/// accumulator, then added.
+fn walk(cfg: &MachineConfig, model: &GemmModel, s: &Stmt, env: &mut Env, est: &mut Estimate) {
     match s {
         Stmt::For { var, extent, body } => {
-            // `masks` is `None` exactly when the whole program is guard-free
-            // — then every loop is symbolic by construction.
-            let concrete = masks.is_some_and(|m| {
-                let guard = m.get(&std::ptr::from_ref(s)).copied().unwrap_or(u128::MAX);
-                guard & (var_bit(*var) | var_bit(127)) != 0
-            });
-            let key = if concrete {
-                cache.map(|_| memo::subtree_key(cfg_key, s, env))
-            } else {
-                None
-            };
-            let sub = if let Some(hit) = key.and_then(|k| cache.and_then(|c| c.get(k))) {
-                hit
-            } else {
-                // Loop variables scope: the walk restores the entry value,
-                // so a memo hit (which skips the walk entirely) leaves the
-                // environment in the same state as a miss.
-                let saved = env.get(*var);
-                let mut sub = Estimate::default();
-                if concrete {
-                    // Boundary guards: walk concretely so each branch is
-                    // counted exactly.
-                    for i in 0..*extent {
-                        env.set(*var, i as i64);
-                        let mut iter = Estimate::default();
-                        estimate_grouped(cfg, model, body, env, cache, cfg_key, masks, &mut iter);
-                        sub.t_dma += iter.t_dma;
-                        sub.t_compute += iter.t_compute;
-                    }
-                } else {
-                    env.set(*var, 0);
+            let saved = env.get(*var);
+            let mut sub = Estimate::default();
+            if guards_read(body, *var) {
+                let last = *extent as i64 - 1;
+                let mut lo = 0;
+                while lo <= last {
+                    let hi = run_end(*var, body, env, lo, last);
+                    env.set(*var, lo);
                     let mut one = Estimate::default();
-                    estimate_grouped(cfg, model, body, env, cache, cfg_key, masks, &mut one);
-                    sub.t_dma = one.t_dma * *extent as f64;
-                    sub.t_compute = one.t_compute * *extent as f64;
+                    walk(cfg, model, body, env, &mut one);
+                    for _ in lo..=hi {
+                        sub.t_dma += one.t_dma;
+                        sub.t_compute += one.t_compute;
+                    }
+                    lo = hi + 1;
                 }
-                env.set(*var, saved);
-                if let (Some(c), Some(key)) = (cache, key) {
-                    c.insert(key, sub);
-                }
-                sub
-            };
+            } else {
+                env.set(*var, 0);
+                let mut one = Estimate::default();
+                walk(cfg, model, body, env, &mut one);
+                sub.t_dma = one.t_dma * *extent as f64;
+                sub.t_compute = one.t_compute * *extent as f64;
+            }
+            env.set(*var, saved);
             est.t_dma += sub.t_dma;
             est.t_compute += sub.t_compute;
         }
         Stmt::If { cond, then_, else_ } => {
             if cond.eval(env, 0, 0) {
-                estimate_grouped(cfg, model, then_, env, cache, cfg_key, masks, est);
+                walk(cfg, model, then_, env, est);
             } else if let Some(e) = else_ {
-                estimate_grouped(cfg, model, e, env, cache, cfg_key, masks, est);
+                walk(cfg, model, e, env, est);
             }
         }
-        Stmt::Seq(ss) => {
-            ss.iter()
-                .for_each(|x| estimate_grouped(cfg, model, x, env, cache, cfg_key, masks, est));
-        }
+        Stmt::Seq(ss) => ss.iter().for_each(|x| walk(cfg, model, x, env, est)),
         leaf => estimate_leaf(cfg, model, leaf, est),
     }
+}
+
+/// The last iteration of the run of `for var in 0..=last { body }` that
+/// starts at `lo`: the greatest `hi` for which [`one_path`] proves that
+/// iterations `lo ..= hi` take one path through `body` (a narrower range
+/// never fails where a wider one holds). The whole rest of the loop, or all
+/// of it but a boundary last iteration, is tried first; otherwise the end
+/// is galloped to and then bisected. A one-iteration run needs no proof.
+fn run_end(var: VarId, body: &Stmt, env: &Env, lo: i64, last: i64) -> i64 {
+    let holds = |hi| one_path(var, body, env, (lo, hi), None);
+    if lo == last || holds(last) {
+        return last;
+    }
+    if lo + 1 == last || holds(last - 1) {
+        return last - 1;
+    }
+    // `holds(good)` (trivially at `lo`) and not `holds(bad)`.
+    let (mut good, mut bad) = (lo, last - 1);
+    let mut len = 1;
+    while lo + len < bad {
+        if !holds(lo + len) {
+            bad = lo + len;
+            break;
+        }
+        good = lo + len;
+        len *= 2;
+    }
+    while bad - good > 1 {
+        let mid = (good + bad) / 2;
+        if holds(mid) {
+            good = mid;
+        } else {
+            bad = mid;
+        }
+    }
+    good
 }
 
 #[cfg(test)]

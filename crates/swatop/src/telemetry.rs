@@ -688,14 +688,13 @@ pub fn rank_correlation(obs: &[(f64, f64)]) -> Option<f64> {
 }
 
 /// `(name, (hits, misses, entries))` of the process-wide evaluation caches:
-/// the kernel-cost cache ([`swkernels::cost::cache_stats`]) and the
-/// model sub-cost memo cache ([`crate::model::memo`]). The kernel figures
+/// the kernel-cost cache ([`swkernels::cost::cache_stats`]). Its figures
 /// count cost queries — one per static `Gemm` node per interpreted run, not
 /// one per executed kernel call. Counters are relaxed atomics — approximate
 /// under concurrency, exact serially — so they are observability, never an
 /// input to tuning decisions.
-pub(crate) fn cache_stats() -> [(&'static str, (u64, u64, u64)); 2] {
-    [("kernel_cost", swkernels::cost::cache_stats()), ("memo", crate::model::memo::stats())]
+pub(crate) fn cache_stats() -> [(&'static str, (u64, u64, u64)); 1] {
+    [("kernel_cost", swkernels::cost::cache_stats())]
 }
 
 #[cfg(test)]

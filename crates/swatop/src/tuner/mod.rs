@@ -41,8 +41,7 @@ use std::time::{Duration, Instant};
 use sw26010::{Cycles, MachineConfig};
 
 use self::engine::Engine;
-use crate::model::memo::MemoCache;
-use crate::model::{estimate_program_memo, GemmModel};
+use crate::model::{estimate, GemmModel};
 use crate::scheduler::Candidate;
 use crate::telemetry::SpanKind;
 
@@ -59,7 +58,7 @@ pub use self::policy::{
 /// * **Tier 0** — the closed-form analytic model (Eq. 1 DMA terms + Eq. 2
 ///   compute with `T_overall = max`; no scoreboard, no
 ///   [`sw26010::CoreGroup`]) cost-ranks the *entire* candidate space in one
-///   memoized batch.
+///   batch, once per distinct program tree.
 /// * **Tier 1** — the scoreboard interpreter measures only an adaptive
 ///   analytic top-k wave. Starting from [`TierPolicy::base_k`], the wave
 ///   widens to every rank whose analytic cost lies within the model's
@@ -286,10 +285,7 @@ pub fn screen_leaders(candidates: &[Candidate]) -> (Vec<usize>, Vec<usize>) {
 /// equal predictions keep input order regardless of `jobs`. The estimate
 /// reads a program's tree and tables, never its hints, so it runs once per
 /// distinct `raw` ([`screen_leaders`]) and `Estimate::overall` is applied
-/// per candidate. Loop-subtree sub-costs are reused through the shared memo
-/// cache — which never moves a score
-/// ([`crate::model::estimate_program_memo`] groups its summation the same
-/// whether it hits, misses or skips the cache).
+/// per candidate.
 fn score_all(
     cfg: &MachineConfig,
     model: &GemmModel,
@@ -297,10 +293,9 @@ fn score_all(
     jobs: usize,
 ) -> (Vec<(usize, f64)>, Duration) {
     let (leaders, slot) = screen_leaders(candidates);
-    let memo = Some(MemoCache::global());
     let estimates = pool::par_map(jobs, &leaders, |_, _, &i| {
         let t = Instant::now();
-        (estimate_program_memo(cfg, model, &candidates[i].raw, memo), t.elapsed())
+        (estimate(cfg, model, &candidates[i].raw), t.elapsed())
     });
     let cpu = estimates.iter().map(|(_, d)| *d).sum();
     let mut ranked: Vec<(usize, f64)> = candidates

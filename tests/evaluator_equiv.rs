@@ -27,9 +27,7 @@ use swatop_repro::sw26010::{
 };
 use swatop_repro::swatop::codegen::{plan, Executable};
 use swatop_repro::swatop::interp::{execute, extrapolation_stats, instantiate};
-use swatop_repro::swatop::model::{
-    calibration_shapes, dma_eq1_cycles, estimate_program_memo, fit, GemmModel,
-};
+use swatop_repro::swatop::model::{calibration_shapes, dma_eq1_cycles, estimate, fit, GemmModel};
 use swatop_repro::swatop::ops::{ExplicitConvOp, ImplicitConvOp, MatmulOp, WinogradConvOp};
 use swatop_repro::swatop::scheduler::{Operator, Scheduler};
 use swatop_repro::swkernels::cost::{block_cache_len, cache_stats, gemm_cycles};
@@ -541,8 +539,8 @@ fn a_node_has_one_shape_for_the_model_and_the_interpreter() {
         // The model prices that shape ...
         let eq1 = dma_eq1_cycles(&cfg, wide, n_blocks, stride, requests)
             + scatter.map_or(0.0, |s| s.get() as f64);
-        let estimate = estimate_program_memo(&cfg, &model, &program, None);
-        assert_eq!((estimate.t_dma, estimate.t_compute), (eq1, 0.0), "{bus:?}");
+        let est = estimate(&cfg, &model, &program);
+        assert_eq!((est.t_dma, est.t_compute), (eq1, 0.0), "{bus:?}");
         // ... and the interpreter issues it, in either mode: the requests
         // that shape describes, priced one address at a time.
         let exe = plan(program, &cfg).expect("plans");

@@ -11,8 +11,7 @@ use std::sync::Arc;
 
 use swatop_repro::ir::{Program, Stmt};
 use swatop_repro::sw26010::MachineConfig;
-use swatop_repro::swatop::model::memo::MemoCache;
-use swatop_repro::swatop::model::{estimate_program_memo, GemmModel};
+use swatop_repro::swatop::model::{estimate, GemmModel};
 use swatop_repro::swatop::ops::{DmaKnobs, MatmulOp};
 use swatop_repro::swatop::scheduler::{Candidate, Operator, Scheduler};
 use swatop_repro::swatop::tuner::{model_rank, screen_leaders};
@@ -167,10 +166,10 @@ fn bits(ranked: Vec<(usize, f64)>) -> Vec<(usize, u64)> {
 /// The ranking `model_rank` must produce, with one estimate per
 /// candidate.
 fn rank_per_candidate(cfg: &MachineConfig, cands: &[Candidate]) -> Vec<(usize, u64)> {
-    let (model, memo) = (GemmModel::cached(cfg), Some(MemoCache::global()));
+    let model = GemmModel::cached(cfg);
     let mut ranked: Vec<(usize, f64)> = cands
         .iter()
-        .map(|c| estimate_program_memo(cfg, &model, &c.raw, memo).overall(c.prefetched))
+        .map(|c| estimate(cfg, &model, &c.raw).overall(c.prefetched))
         .enumerate()
         .collect();
     ranked.sort_by(|a, b| a.1.total_cmp(&b.1));
