@@ -4,7 +4,8 @@
 //! work) and brute force, measured on identical candidate sets.
 //!
 //! Usage: `cargo run --release -p swatop-bench --bin ablation_tuners
-//!        [--smoke|--full|--cap N]`
+//!        [--smoke|--full|--cap N] [--jobs N] [--faults SEED]
+//!        [--telemetry FILE] [--trace-timeline FILE]`
 
 use swatop::ops::ImplicitConvOp;
 use swatop::scheduler::Scheduler;
@@ -19,7 +20,9 @@ fn main() {
     let cfg = opts.machine();
     println!("swATOP reproduction — tuner ablation (opts: {opts:?})\n");
     let sweep = opts.sample(conv_sweep(32, opts.blackbox_cap()), 3, 8);
-    let with = |tiers| TuneOptions { jobs: opts.jobs, tiers, ..TuneOptions::default() };
+    // Every run tunes under the harness's workers and recorder.
+    let base = opts.tune_options();
+    let with = |tiers| TuneOptions { tiers, ..base.clone() };
 
     let mut t = Table::new(
         "Tuner ablation — quality (vs brute-force best) and executed candidates",
@@ -44,14 +47,14 @@ fn main() {
         }
         let Ok(bb) = tune(&cfg, &cands, &with(TierPolicy::exhaustive()), None) else { continue };
         let budget = (cands.len() / 10).max(4);
-        // The sampling searches stay serial: each step depends on the
-        // previous measurement, so they are the one tuner family that does
-        // not parallelise.
+        // The sampling searches measure one candidate at a time whatever
+        // `jobs` is: each step depends on the previous measurement, so they
+        // are the one tuner family that does not parallelise.
         let outcomes = [
             tune(&cfg, &cands, &with(TierPolicy::top_k(1)), None).ok(),
             tune(&cfg, &cands, &with(TierPolicy::top_k(3)), None).ok(),
-            random_search(&cfg, &cands, budget, 42, &TuneOptions::default()).ok(),
-            greedy_search(&cfg, &cands, budget, 42, &TuneOptions::default()).ok(),
+            random_search(&cfg, &cands, budget, 42, &base).ok(),
+            greedy_search(&cfg, &cands, budget, 42, &base).ok(),
             Some(bb.clone()),
         ];
         for ((_, quality, executed), outcome) in rows.iter_mut().zip(outcomes) {
@@ -79,4 +82,5 @@ fn main() {
          quality while executing ~3 candidates; sampling searches need 10% of\n\
          the space for (usually) worse quality."
     );
+    opts.finish_exports();
 }

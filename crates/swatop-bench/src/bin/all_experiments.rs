@@ -4,8 +4,7 @@
 //!
 //! Usage: `cargo run --release -p swatop-bench --bin all_experiments
 //!        [--only fig5,table3] [--full|--smoke|--cap N] [--jobs N]
-//!        [--telemetry FILE] [--trace-timeline FILE]
-//!        [--bench-journal [--journal-label L]]`
+//!        [--telemetry FILE] [--trace-timeline FILE]`
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -75,7 +74,6 @@ fn main() {
     }
 
     opts.finish_exports();
-    opts.finish_journal();
 
     if selected.len() < EXPERIMENTS.len() {
         println!("\n{} selected experiments done in {:?}", selected.len(), t0.elapsed());

@@ -39,7 +39,7 @@ use swatop::telemetry::bus::EventBus;
 use swatop::telemetry::metrics::{MetricsHub, MetricsServer};
 use swatop::telemetry::{Summary, Telemetry};
 use swatop::tuner::pool::{MonitorConfig, PoolMonitor};
-use swatop::tuner::{pool, tune, CheckpointPolicy, TierMode, TierPolicy, TuneOptions};
+use swatop::tuner::{pool, tune, CheckpointPolicy, TierPolicy, TuneOptions};
 use swatop_bench::flight::flight_html;
 use swatop_bench::journal::Journal;
 use swatop_bench::report::{roofline_table, telemetry_summary, write_exports};
@@ -55,7 +55,7 @@ fn usage() -> ! {
          swatop_cli bwd-filter B NI NO RO [common flags]\n  \
          swatop_cli bench [--journal FILE] [--label L] [--repeats N] [--smoke]\n               \
          [--handicap N] [--jobs N] [--faults SEED] [--validate|--strict-validate]\n               \
-         [--corpus FILE]\n               \
+         [--corpus FILE] [--tuner tiered|blackbox]\n               \
          run the canonical bench set, appending journal records\n  \
          swatop_cli report [--journal FILE] [--label L] [--out FILE]\n               \
          render the flight report (self-contained HTML) from the journal\n  \
@@ -77,15 +77,10 @@ fn usage() -> ! {
          --out FILE        write generated C code\n  \
          --trace FILE      write a Chrome trace of the winning schedule\n  \
          --tuner model|blackbox|tiered\n                    \
-         model (default): execute only the model's top picks;\n                    \
-         blackbox: execute the whole space;\n                    \
-         tiered: analytic screen, scoreboard top-k, functional winner\n  \
-         --tiers tiered|full\n                    \
-         evaluation ladder for tiered paths (bench uses it too):\n                    \
-         tiered (default) = analytic screen then adaptive top-k;\n                    \
-         full = score every candidate on the scoreboard\n  \
-         --tier0-k N       initial scoreboard wave size for the tiered ladder\n                    \
-         (adaptive widening may measure more; default 3)\n  \
+         model (default; not for bench): execute only the model's top picks;\n                    \
+         blackbox: execute the whole space on the scoreboard;\n                    \
+         tiered (bench default): analytic screen, then adaptive\n                    \
+         scoreboard top-k, then functional winner validation\n  \
          --faults SEED     tune under injected faults (DMA drops, SPM pressure,\n                    \
          measurement jitter); SWATOP_FAULT_SEED works too\n  \
          --checkpoint FILE periodically snapshot sweep state to FILE\n  \
@@ -169,29 +164,16 @@ fn conv_methods(a: &Args, default: &str, auto: bool) -> Vec<ConvMethod> {
     }
 }
 
-/// `--tiers` / `--tier0-k`: the ladder `--tuner tiered` and the bench sweep
-/// run.
-fn ladder_policy(a: &Args) -> TierPolicy {
-    let mut tiers = TierPolicy::default();
-    if let Some(mode) = a.flags.get("tiers") {
-        tiers.mode = TierMode::parse(mode).unwrap_or_else(|| usage());
-    }
-    if let Some(k) = a.flags.get("tier0-k") {
-        tiers.base_k = k.parse().unwrap_or_else(|_| usage());
-    }
-    tiers
-}
-
 /// What `--tuner` asks [`tune`] to measure: `model` only the analytic
-/// model's top 3, `blackbox` the whole space, `tiered` the `--tiers` ladder
-/// — so `--tuner blackbox` and `--tuner tiered --tiers full` are one policy.
-fn tuner_policy(a: &Args) -> TierPolicy {
-    // Parsed under every `--tuner`, so a bad ladder flag is always an error.
-    let ladder = ladder_policy(a);
-    match a.flags.get("tuner").map(String::as_str).unwrap_or("model") {
-        "model" => TierPolicy::top_k(3),
+/// model's top 3, `blackbox` the whole space, `tiered` the adaptive ladder.
+/// `bench` runs the ladder by default and journals only the two
+/// [`TierMode`](swatop::tuner::TierMode)s, so it takes no `model`.
+fn tuner_policy(a: &Args, bench: bool) -> TierPolicy {
+    let default = if bench { "tiered" } else { "model" };
+    match a.flags.get("tuner").map_or(default, String::as_str) {
+        "model" if !bench => TierPolicy::top_k(3),
         "blackbox" => TierPolicy::exhaustive(),
-        "tiered" => ladder,
+        "tiered" => TierPolicy::default(),
         _ => usage(),
     }
 }
@@ -327,10 +309,10 @@ fn slot_options(base: &TuneOptions, slot: usize, n_ops: usize) -> TuneOptions {
 /// summary (winner, cycles, roofline position) with the full telemetry
 /// snapshot (which is itself produced by the snapshot exporter).
 fn json_report(cfg: &MachineConfig, name: &str, tuned: &TunedOp, summary: &Summary) -> String {
-    let TunedOp { flops, winner, outcome, .. } = tuned;
+    let TunedOp { flops, winner, outcome, scope, .. } = tuned;
     let cycles = outcome.cycles.get();
     let gflops = sw26010::clock::gflops(*flops, sw26010::Cycles(cycles), cfg.clock_ghz);
-    let mix = outcome.telemetry.as_ref().map(|t| t.mix).unwrap_or_default();
+    let mix = summary.operator(*scope).map(|op| op.mix).unwrap_or_default();
     let mut w = sw26010::json::Writer::new();
     w.begin_obj()
         .field("operator", name)
@@ -396,8 +378,8 @@ fn report(
             }
         }
         if a.flags.contains_key("verbose") {
-            if let Some(tel) = &outcome.telemetry {
-                let c = &tel.counters;
+            if let Some(op) = summary.and_then(|s| s.operator(tuned.scope)) {
+                let c = &op.counters;
                 println!(
                     "counters : {} DMA batches, {:.1} KiB payload ({:.0}% bus efficiency), \
                      {} kernel calls, {:.1}% issue-slot utilization, SPM high water {:.1} KiB",
@@ -408,16 +390,17 @@ fn report(
                     100.0 * c.issue_slot_utilization(),
                     c.spm_high_water_elems as f64 * 4.0 / 1024.0
                 );
+                let acc = op.accuracy.as_ref();
                 let fmt = |x: Option<f64>| x.map_or_else(|| "-".to_string(), |v| format!("{v:.3}"));
                 println!(
                     "model    : {} (predicted, measured) pairs, MAPE {}%, rank correlation {}, \
                      {} misranked",
-                    tel.pairs,
-                    fmt(tel.mape_pct),
-                    fmt(tel.rank_correlation),
-                    tel.misranked
+                    acc.map_or(0, |a| a.pairs.len()),
+                    fmt(acc.and_then(|a| a.mape_pct)),
+                    fmt(acc.and_then(|a| a.rank_correlation)),
+                    acc.map_or(0, |a| a.misranked.len())
                 );
-                println!("roofline : {}", tel.mix.summary());
+                println!("roofline : {}", op.mix.summary());
             }
         }
     }
@@ -629,7 +612,7 @@ fn main() {
         // One recorder shared by every tuned operator; without an
         // instrumenting flag the tuning hot path stays uninstrumented.
         telemetry: instrument.then(Telemetry::new),
-        tiers: tuner_policy(&a),
+        tiers: tuner_policy(&a, cmd == "bench"),
         bus: obs.bus.clone(),
         monitor: obs.monitor.clone(),
     };
@@ -645,9 +628,9 @@ fn main() {
                 faults: cfg.fault.map(|p| p.seed),
                 validate,
                 corpus: a.flags.get("corpus").map(PathBuf::from),
-                // Every op of the set under one ladder; a checkpoint file is
+                // Every op of the set under one policy; a checkpoint file is
                 // one sweep's, so the set takes none.
-                tune: TuneOptions { tiers: ladder_policy(&a), checkpoint: None, ..base },
+                tune: TuneOptions { checkpoint: None, ..base },
             };
             let repeats = num("repeats", 1);
             let mut bench_quarantined = 0u64;

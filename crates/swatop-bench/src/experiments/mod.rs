@@ -61,14 +61,6 @@ pub struct Opts {
     pub telemetry_path: Option<PathBuf>,
     /// Where to write the Perfetto timeline JSON (`--trace-timeline FILE`).
     pub timeline_path: Option<PathBuf>,
-    /// Append a bench-journal record after the run (`--bench-journal`).
-    pub bench_journal: bool,
-    /// Label for the appended journal record (`--journal-label L`).
-    pub journal_label: String,
-    /// Synthetic slowdown factor recorded into the journal
-    /// (`--journal-handicap N`), used by CI to self-test the regression
-    /// gate.
-    pub journal_handicap: u64,
 }
 
 impl Default for Opts {
@@ -84,17 +76,13 @@ impl Default for Opts {
             telemetry: None,
             telemetry_path: None,
             timeline_path: None,
-            bench_journal: false,
-            journal_label: "default".to_string(),
-            journal_handicap: 1,
         }
     }
 }
 
 /// What [`Opts::parse`] accepts.
-const USAGE: &str = "--full, --smoke, --cap N, --jobs N, --faults SEED, --telemetry FILE, \
-                     --trace-timeline FILE, --bench-journal, --journal-label L, \
-                     --journal-handicap N";
+const USAGE: &str =
+    "--full, --smoke, --cap N, --jobs N, --faults SEED, --telemetry FILE, --trace-timeline FILE";
 
 impl Opts {
     /// Parse command-line arguments (without the program name): `--full`
@@ -126,9 +114,6 @@ impl Opts {
                 "--faults" => o.faults = Some(number(&flag, value()?)?),
                 "--telemetry" => o.telemetry_path = Some(PathBuf::from(value()?)),
                 "--trace-timeline" => o.timeline_path = Some(PathBuf::from(value()?)),
-                "--bench-journal" => o.bench_journal = true,
-                "--journal-label" => o.journal_label = value()?,
-                "--journal-handicap" => o.journal_handicap = number(&flag, value()?)?,
                 other => return Err(format!("unknown argument {other} (try {USAGE})")),
             }
         }
@@ -162,29 +147,6 @@ impl Opts {
             println!("{line}");
         }
         crate::report::telemetry_summary(&summary).print();
-    }
-
-    /// When `--bench-journal` was given: run the canonical benchmark op
-    /// set, append the record to [`crate::journal::DEFAULT_PATH`] and print
-    /// it. Returns the appended record.
-    pub fn finish_journal(&self) -> Option<crate::journal::Record> {
-        if !self.bench_journal {
-            return None;
-        }
-        let bench = crate::journal::BenchOpts {
-            label: self.journal_label.clone(),
-            tune: TuneOptions::with_jobs(self.jobs),
-            smoke: self.scale == Scale::Smoke,
-            handicap: self.journal_handicap,
-            faults: self.faults,
-            ..crate::journal::BenchOpts::default()
-        };
-        let record = crate::journal::run_bench(&bench);
-        let path = std::path::Path::new(crate::journal::DEFAULT_PATH);
-        crate::journal::Journal::append(path, record.clone()).expect("append bench journal");
-        crate::journal::record_table(&record).print();
-        println!("journal   : appended record {:?} to {}", record.label, path.display());
-        Some(record)
     }
 
     /// Deterministically sub-sample a list according to the scale.
@@ -246,21 +208,14 @@ mod tests {
 
     #[test]
     fn a_flag_without_its_value_is_reported_not_indexed() {
-        const VALUE_FLAGS: [&str; 7] = [
-            "--cap",
-            "--jobs",
-            "--faults",
-            "--telemetry",
-            "--trace-timeline",
-            "--journal-label",
-            "--journal-handicap",
-        ];
+        const VALUE_FLAGS: [&str; 5] =
+            ["--cap", "--jobs", "--faults", "--telemetry", "--trace-timeline"];
         for flag in VALUE_FLAGS {
             // Last on the line, alone or after other arguments.
-            for args in [vec![flag], vec!["--smoke", "--bench-journal", flag]] {
+            for args in [vec![flag], vec!["--smoke", "--full", flag]] {
                 let err = parse(&args).expect_err(flag);
                 assert!(err.starts_with(&format!("{flag} needs a value")), "{err}");
-                assert!(err.contains("--journal-handicap N"), "no flag list: {err}");
+                assert!(err.contains("--trace-timeline FILE"), "no flag list: {err}");
             }
             assert!(parse(&[flag, "7"]).is_ok(), "{flag} 7");
         }
@@ -280,15 +235,10 @@ mod tests {
             "9",
             "--trace-timeline",
             "t.json",
-            "--journal-label",
-            "x",
-            "--journal-handicap",
-            "2",
         ])
         .unwrap();
         assert_eq!((o.scale, o.spatial_cap, o.jobs, o.faults), (Scale::Smoke, Some(12), 3, Some(9)));
-        assert_eq!((o.journal_label.as_str(), o.journal_handicap), ("x", 2));
         assert_eq!(o.timeline_path, Some(PathBuf::from("t.json")));
-        assert!(o.telemetry.is_some() && o.telemetry_path.is_none() && !o.bench_journal);
+        assert!(o.telemetry.is_some() && o.telemetry_path.is_none());
     }
 }

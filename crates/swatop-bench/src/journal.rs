@@ -323,8 +323,8 @@ pub struct BenchOpts {
     /// Write the feature corpus (one JSONL row per measured candidate,
     /// sorted by `(operator, index)` so bytes are `--jobs`-independent).
     pub corpus: Option<std::path::PathBuf>,
-    /// How every op is tuned: workers, the evaluation ladder (`--tiers` /
-    /// `--tier0-k`), the live-observability bus and pool monitor. The run
+    /// How every op is tuned: workers, the evaluation ladder (`--tuner
+    /// tiered|blackbox`), the live-observability bus and pool monitor. The run
     /// records under a recorder of its own, whatever `tune.telemetry` holds.
     pub tune: TuneOptions,
 }

@@ -69,5 +69,5 @@ pub use codegen::Executable;
 pub use interp::{execute, Binding};
 pub use observatory::{Attribution, Bottleneck, BottleneckMix, MetricSet, Peaks};
 pub use scheduler::{Candidate, Scheduler};
-pub use telemetry::{Telemetry, TuneTelemetry};
+pub use telemetry::Telemetry;
 pub use tuner::{tune, TierMode, TierPolicy, TuneOutcome};

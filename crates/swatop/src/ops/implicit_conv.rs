@@ -28,6 +28,7 @@ use swatop_ir::{
 use swkernels::VecDim;
 use swtensor::{ConvShape, MatLayout};
 
+use crate::ops::{divisor_menu, spread};
 use crate::scheduler::Operator;
 
 /// Implicit-GEMM convolution operator instance.
@@ -56,24 +57,6 @@ impl ImplicitConvOp {
 /// this the per-step slots bloat both the SPM footprint and the program
 /// (2 gets + 1 GEMM per step), so larger reductions must use `red=loop`.
 const MAX_RESIDENT_STEPS: usize = 16;
-
-/// Divisor candidates of `n` that are multiples of `mult`, capped in count.
-fn divisor_menu(n: usize, mult: usize, cap: usize) -> Vec<usize> {
-    let v: Vec<usize> =
-        factors_of(n).into_iter().filter(|d| d % mult == 0).collect();
-    spread(v, cap)
-}
-
-/// Keep at most `cap` values, evenly spread (always including the largest).
-fn spread(v: Vec<usize>, cap: usize) -> Vec<usize> {
-    if v.len() <= cap {
-        return v;
-    }
-    let step = (v.len() - 1) as f64 / (cap - 1) as f64;
-    let mut out: Vec<usize> = (0..cap).map(|i| v[(i as f64 * step).round() as usize]).collect();
-    out.dedup();
-    out
-}
 
 impl Operator for ImplicitConvOp {
     fn name(&self) -> String {

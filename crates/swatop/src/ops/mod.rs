@@ -26,7 +26,7 @@ pub use winograd_conv::WinogradConvOp;
 
 use sw26010::fault::MiscompilePlan;
 use sw26010::{CoreGroup, ExecMode, MachineConfig, MachineResult};
-use swatop_dsl::{SchedulePoint, ScheduleSpace};
+use swatop_dsl::{factors_of, SchedulePoint, ScheduleSpace};
 use swatop_ir::{MemRole, ScheduleHints};
 
 use crate::interp::{execute, instantiate};
@@ -119,6 +119,24 @@ impl DmaKnobs {
     }
 }
 
+/// Divisor candidates of `n` that are multiples of `mult`, capped in count
+/// (the convolutions' channel-tile menus).
+fn divisor_menu(n: usize, mult: usize, cap: usize) -> Vec<usize> {
+    let v: Vec<usize> = factors_of(n).into_iter().filter(|d| d % mult == 0).collect();
+    spread(v, cap)
+}
+
+/// Keep at most `cap` values, evenly spread (always including the largest).
+fn spread(v: Vec<usize>, cap: usize) -> Vec<usize> {
+    if v.len() <= cap {
+        return v;
+    }
+    let step = (v.len() - 1) as f64 / (cap - 1) as f64;
+    let mut out: Vec<usize> = (0..cap).map(|i| v[(i as f64 * step).round() as usize]).collect();
+    out.dedup();
+    out
+}
+
 /// Functionally execute a candidate and compare its output against the
 /// operator's golden reference. Returns the maximum absolute error.
 pub fn verify_candidate(
@@ -174,18 +192,10 @@ pub fn validate_candidate(
     op: &dyn Operator,
     cand: &Candidate,
 ) -> Result<(), String> {
-    let mut clean = cfg.clone();
-    clean.fault = None;
+    let clean = MachineConfig { fault: None, ..cfg.clone() };
     crate::optimizer::verify::verify_message(&cand.exe, &clean)
         .map_err(|msg| format!("static: {msg}"))?;
-    let tol = verify_tolerance(op.flops());
-    match run_differential(&clean, op, cand, None).0 {
-        Err(e) => Err(format!("differential: functional execution failed: {e}")),
-        Ok(diff) if !diff.is_finite() || diff > tol => {
-            Err(format!("differential: max |err| {diff:.3e} exceeds tolerance {tol:.3e}"))
-        }
-        Ok(_) => Ok(()),
-    }
+    differential(&clean, op, cand, None).0
 }
 
 /// Self-test variant of [`validate_candidate`]: run only the differential
@@ -199,10 +209,21 @@ pub fn validate_candidate_injected(
     cand: &Candidate,
     mis: MiscompilePlan,
 ) -> (Result<(), String>, u64) {
-    let mut clean = cfg.clone();
-    clean.fault = None;
+    differential(cfg, op, cand, Some(mis))
+}
+
+/// The differential stage of validation, on a fault-free copy of `cfg`: the
+/// functional run must succeed and land within [`verify_tolerance`] of the
+/// golden reference. Also returns the injection events that fired.
+fn differential(
+    cfg: &MachineConfig,
+    op: &dyn Operator,
+    cand: &Candidate,
+    mis: Option<MiscompilePlan>,
+) -> (Result<(), String>, u64) {
+    let clean = MachineConfig { fault: None, ..cfg.clone() };
     let tol = verify_tolerance(op.flops());
-    let (res, events) = run_differential(&clean, op, cand, Some(mis));
+    let (res, events) = run_differential(&clean, op, cand, mis);
     let verdict = match res {
         Err(e) => Err(format!("differential: functional execution failed: {e}")),
         Ok(diff) if !diff.is_finite() || diff > tol => {

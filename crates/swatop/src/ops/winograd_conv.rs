@@ -22,7 +22,7 @@
 //! — the same ladder that lifted implicit conv off the DMA wall).
 
 use sw26010::DmaDirection::{MemToSpm, SpmToMem};
-use swatop_dsl::{factors_of, SchedulePoint, ScheduleSpace, Seed};
+use swatop_dsl::{SchedulePoint, ScheduleSpace, Seed};
 use swatop_ir::{
     AffineExpr, Cond, DmaCg, GemmOp, MatDesc, MemRole, Program, SpmSlot, Stmt, TransformKind,
     TransformOp,
@@ -30,6 +30,7 @@ use swatop_ir::{
 use swkernels::VecDim;
 use swtensor::{ConvShape, MatLayout};
 
+use crate::ops::divisor_menu;
 use crate::ops::tiling::DimTiles;
 use crate::optimizer::boundary::round_up;
 use crate::scheduler::Operator;
@@ -63,22 +64,6 @@ impl WinogradConvOp {
 /// the implicit-conv ladder): beyond this the per-step slots bloat the SPM
 /// footprint and the program, so larger reductions must use `red=loop`.
 const MAX_RESIDENT_STEPS: usize = 16;
-
-fn divisor_menu(n: usize, mult: usize, cap: usize) -> Vec<usize> {
-    let v: Vec<usize> = factors_of(n).into_iter().filter(|d| d % mult == 0).collect();
-    spread(v, cap)
-}
-
-/// Keep at most `cap` values, evenly spread (always including the largest).
-fn spread(v: Vec<usize>, cap: usize) -> Vec<usize> {
-    if v.len() <= cap {
-        return v;
-    }
-    let step = (v.len() - 1) as f64 / (cap - 1) as f64;
-    let mut out: Vec<usize> = (0..cap).map(|i| v[(i as f64 * step).round() as usize]).collect();
-    out.dedup();
-    out
-}
 
 const NT_MENU: &[usize] = &[32, 64, 128, 256, 512];
 

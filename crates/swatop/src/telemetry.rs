@@ -240,29 +240,15 @@ impl Telemetry {
         self.inner.spans.lock().clone()
     }
 
-    /// Everything the reports show after a run, folded from the spans in one
-    /// pass. The summary holds the recorder's lock while it lives — take it
+    /// Everything the reports show after a run, folded from the spans in the
+    /// one pass over the recorder. Candidate spans group under the span they
+    /// were recorded under — an operator span, which leads its group even
+    /// when it stays empty, or anything else as "(root)" — by candidate
+    /// index; a candidate recorded twice keeps its recording order. Each
+    /// measured candidate is attributed against `peaks` here and nowhere
+    /// else. The summary holds the recorder's lock while it lives — take it
     /// when the tuning is over, and drop it before recording again.
     pub fn summary(&self, peaks: &Peaks) -> Summary<'_> {
-        self.summarize(peaks, None)
-    }
-
-    /// The slice of the fold recorded under this handle's own scope — what
-    /// [`TuneOutcome::telemetry`](crate::tuner::TuneOutcome::telemetry)
-    /// condenses. `None` when nothing was measured under it.
-    pub(crate) fn own_scope(&self, peaks: &Peaks) -> Option<OperatorSummary> {
-        let scope = self.parent;
-        self.summarize(peaks, Some(scope)).operators.into_iter().find(|o| o.scope == scope)
-    }
-
-    /// The one pass over the recorder, under its lock. Candidate spans group
-    /// under the span they were recorded under — an operator span, which
-    /// leads its group even when it stays empty, or anything else as
-    /// "(root)" — by candidate index; a candidate recorded twice keeps its
-    /// recording order. Each measured candidate is attributed against
-    /// `peaks` here and nowhere else. `only` restricts the pass to one
-    /// scope: that span and the spans directly under it.
-    fn summarize(&self, peaks: &Peaks, only: Option<Option<SpanId>>) -> Summary<'_> {
         let spans = self.inner.spans.lock();
         let mut attributions: Vec<Option<Attribution>> = vec![None; spans.len()];
         let mut operators: Vec<OperatorSummary> = Vec::new();
@@ -273,9 +259,6 @@ impl Telemetry {
         let mut quarantines = 0;
         for (i, s) in spans.iter().enumerate() {
             let id = Some(SpanId(i));
-            if only.is_some_and(|scope| s.parent != scope && id != scope) {
-                continue;
-            }
             match s.kind {
                 SpanKind::Operator => {
                     group_of.insert(id, operators.len());
@@ -351,21 +334,6 @@ impl OperatorSummary {
             counters: Counters::default(),
             accuracy: None,
             mix: BottleneckMix::default(),
-        }
-    }
-
-    /// The headline numbers a [`TuneOutcome`](crate::tuner::TuneOutcome)
-    /// carries; `quarantined` is the engine's to fill.
-    pub(crate) fn condensed(&self) -> TuneTelemetry {
-        let acc = self.accuracy.as_ref();
-        TuneTelemetry {
-            counters: self.counters,
-            pairs: acc.map_or(0, |a| a.pairs.len()),
-            mape_pct: acc.and_then(|a| a.mape_pct),
-            rank_correlation: acc.and_then(|a| a.rank_correlation),
-            misranked: acc.map_or(0, |a| a.misranked.len()),
-            quarantined: 0,
-            mix: self.mix,
         }
     }
 }
@@ -466,12 +434,14 @@ impl Summary<'_> {
             .field("tiers", self.tiers)
             .key("caches")
             .begin_obj();
-        // Shared-cache observability. Process-global counters, approximate
-        // under concurrency — never compared byte-for-byte across runs.
-        for (cache, (hits, misses, entries)) in cache_stats() {
-            w.key(cache).begin_obj().field("hits", hits).field("misses", misses);
-            w.field("entries", entries).end_obj();
-        }
+        // The process-wide kernel-cost cache (`swkernels::cost::cache_stats`):
+        // one query per static `Gemm` node per interpreted run, not one per
+        // executed kernel call. Relaxed atomics, approximate under
+        // concurrency — observability, never compared byte-for-byte across
+        // runs and never an input to tuning decisions.
+        let (hits, misses, entries) = swkernels::cost::cache_stats();
+        w.key("kernel_cost").begin_obj().field("hits", hits).field("misses", misses);
+        w.field("entries", entries).end_obj();
         w.end_obj().field("bottleneck_mix", self.mix).end_obj();
         w.finish()
     }
@@ -604,30 +574,6 @@ impl Value for TierCounts {
     }
 }
 
-/// Condensed telemetry carried on a
-/// [`TuneOutcome`](crate::tuner::TuneOutcome): counter totals and the
-/// model-accuracy headline numbers of one tuning run.
-#[derive(Debug, Clone, Default)]
-pub struct TuneTelemetry {
-    /// Machine counters merged over every executed candidate.
-    pub counters: Counters,
-    /// (predicted, measured) observations recorded.
-    pub pairs: usize,
-    /// Mean absolute percentage error of the model on those pairs.
-    pub mape_pct: Option<f64>,
-    /// Spearman rank correlation of predicted vs measured orderings.
-    pub rank_correlation: Option<f64>,
-    /// Candidates misranked beyond the threshold.
-    pub misranked: usize,
-    /// Prospective winners rejected by the validator and quarantined
-    /// (each forced a fallback to the next-best legal candidate).
-    pub quarantined: usize,
-    /// Roofline bottleneck classes over every executed candidate
-    /// ([`crate::observatory::classify`]): the run's dma / compute / stall /
-    /// spm-capacity mix.
-    pub mix: BottleneckMix,
-}
-
 /// Mean absolute percentage error of (predicted, measured) observations,
 /// in percent. `None` when empty or every measurement is zero.
 pub fn mape(obs: &[(f64, f64)]) -> Option<f64> {
@@ -685,16 +631,6 @@ pub fn rank_correlation(obs: &[(f64, f64)]) -> Option<f64> {
         return None;
     }
     Some(sxy / (sxx * syy).sqrt())
-}
-
-/// `(name, (hits, misses, entries))` of the process-wide evaluation caches:
-/// the kernel-cost cache ([`swkernels::cost::cache_stats`]). Its figures
-/// count cost queries — one per static `Gemm` node per interpreted run, not
-/// one per executed kernel call. Counters are relaxed atomics — approximate
-/// under concurrency, exact serially — so they are observability, never an
-/// input to tuning decisions.
-pub(crate) fn cache_stats() -> [(&'static str, (u64, u64, u64)); 1] {
-    [("kernel_cost", swkernels::cost::cache_stats())]
 }
 
 #[cfg(test)]
@@ -891,13 +827,10 @@ mod tests {
         assert!(summary.operators[1].candidates.is_empty());
         assert!(summary.candidates(&summary.operators[2]).all(|(_, a)| a.is_none()));
         assert_eq!(summary.tiers, TierCounts { screened: 0, measured: 4, validated: 0 });
-        // The slice a tune under `conv` condenses is that group alone. (The
-        // summary holds the recorder's lock: it goes before the next fold.)
-        let conv_counters = conv.counters;
-        drop(summary);
-        let own = h.own_scope(&peaks()).unwrap();
-        assert_eq!((own.scope, own.candidates.len(), own.counters), (Some(op), 3, conv_counters));
-        assert!(t.child_of(stray).own_scope(&peaks()).is_none());
+        // A tune under `conv` reads that group alone by its scope.
+        let own = summary.operator(h.scope()).unwrap();
+        assert_eq!((own.scope, own.candidates.len(), own.counters), (Some(op), 3, conv.counters));
+        assert!(summary.operator(t.child_of(stray).scope()).is_none());
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! `Connection: close`): it serves exactly one document, so a real HTTP
 //! stack would be dead weight. The text is one table of metric families —
 //! `(name, help, kind, samples)` — rendered by one family writer with one
-//! label escaper: the shared evaluation caches, then the live sweep gauges:
+//! label escaper: the shared kernel-cost cache, then the live sweep gauges:
 //! candidate funnel and throughput, ETA for the operator in flight,
 //! per-worker utilization from the [`PoolMonitor`], stall and quarantine
 //! counts, cache hit rates, and the bus's own received/dropped counters so
@@ -144,11 +144,11 @@ impl MetricsHub {
 
         let one = |value: String| vec![(None, value)];
         let count = |n: u64| one(n.to_string());
-        let caches = super::cache_stats();
-        let per_cache = |value: fn((u64, u64, u64)) -> String| -> Vec<Sample> {
-            let labelled = |&(c, stats): &(&str, _)| (Some(("cache", c.to_string())), value(stats));
-            caches.iter().map(labelled).collect()
-        };
+        // The one process-wide evaluation cache: kernel-cost queries.
+        let (hits, misses, entries) = swkernels::cost::cache_stats();
+        let queries = hits + misses;
+        let hit_rate = if queries > 0 { hits as f64 / queries as f64 } else { 0.0 };
+        let kernel_cost = |value: String| vec![(Some(("cache", "kernel_cost".to_string())), value)];
         let (elapsed_ms, workers) = match &self.monitor {
             Some(m) => (m.elapsed_ms().max(1), m.worker_stats()),
             None => (1, Vec::new()),
@@ -165,11 +165,11 @@ impl MetricsHub {
         #[rustfmt::skip]
         let families: [Family; 21] = [
             ("cache_hits_total", "Evaluation-cache hits since process start",
-             "counter", per_cache(|(hits, _, _)| hits.to_string())),
+             "counter", kernel_cost(hits.to_string())),
             ("cache_misses_total", "Evaluation-cache misses since process start",
-             "counter", per_cache(|(_, misses, _)| misses.to_string())),
+             "counter", kernel_cost(misses.to_string())),
             ("cache_entries", "Resident evaluation-cache entries",
-             "gauge", per_cache(|(_, _, entries)| entries.to_string())),
+             "gauge", kernel_cost(entries.to_string())),
             ("candidates_measured_total", "Candidates measured this run (funnel numerator)",
              "counter", count(fold.measured)),
             ("candidates_failed_total", "Candidates that failed terminally this run",
@@ -195,10 +195,7 @@ impl MetricsHub {
             ("eta_seconds", "Estimated seconds left for the operator in flight (0 = idle)",
              "gauge", one(format!("{eta:.3}"))),
             ("memo_hit_rate", "Evaluation-cache hit rate since process start",
-             "gauge", per_cache(|(hits, misses, _)| {
-                 let queries = hits + misses;
-                 format!("{:.4}", if queries > 0 { hits as f64 / queries as f64 } else { 0.0 })
-             })),
+             "gauge", kernel_cost(format!("{hit_rate:.4}"))),
             ("worker_utilization",
              "Fraction of host time each worker slot spent inside candidate bodies",
              "gauge", per_worker(&|s| format!("{:.4}", s.busy_ms as f64 / elapsed_ms as f64))),

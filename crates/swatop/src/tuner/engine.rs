@@ -17,10 +17,9 @@ use super::pool;
 use super::{should_retry, CandReport, TuneOptions, TuneOutcome, WinnerValidator};
 use crate::codegen::Executable;
 use crate::interp::{execute, instantiate};
-use crate::observatory::Peaks;
 use crate::scheduler::Candidate;
 use crate::telemetry::bus::Event;
-use crate::telemetry::{SpanKind, Telemetry, TuneTelemetry};
+use crate::telemetry::{SpanKind, Telemetry};
 
 /// Execute one candidate in cost-only mode, returning its simulated cycles
 /// (including the warm-start signal to the resident athread group — the
@@ -437,12 +436,6 @@ impl<'a> Engine<'a> {
         cycles: Cycles,
         executed: usize,
     ) -> TuneOutcome {
-        // What was recorded under this run's scope: a cell restored from a
-        // checkpoint has no span, so it is in `cells` but not in here.
-        let telemetry = self.opts.telemetry.as_ref().map(|t| {
-            let own = t.own_scope(&Peaks::of(self.cfg)).map(|o| o.condensed());
-            TuneTelemetry { quarantined: self.quarantined.len(), ..own.unwrap_or_default() }
-        });
         let mut reports: Vec<CandReport> =
             self.cells.iter().map(CandReport::from_cell).collect();
         for (i, reason) in &self.quarantined {
@@ -462,7 +455,6 @@ impl<'a> Engine<'a> {
             retried: self.cells.iter().map(|c| u64::from(c.retries())).sum(),
             quarantined: self.quarantined.len(),
             reports,
-            telemetry,
             convergence: self.convergence(),
             screened: self.screened,
             validated: self.validated,

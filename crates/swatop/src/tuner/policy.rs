@@ -15,7 +15,7 @@ use super::checkpoint::CandCell;
 use super::pool::PoolMonitor;
 use crate::scheduler::Candidate;
 use crate::telemetry::bus::EventBus;
-use crate::telemetry::{Telemetry, TuneTelemetry};
+use crate::telemetry::Telemetry;
 
 /// Result of a tuning run.
 #[derive(Debug, Clone)]
@@ -66,10 +66,6 @@ pub struct TuneOutcome {
     /// Tier-2 winner validations performed (quarantined rejections plus the
     /// final accept). 0 when tuning without a validator.
     pub validated: usize,
-    /// Condensed telemetry (counter totals, model accuracy, roofline
-    /// bottleneck mix); present iff the run was instrumented via
-    /// [`TuneOptions::telemetry`].
-    pub telemetry: Option<TuneTelemetry>,
 }
 
 impl TuneOutcome {
@@ -190,17 +186,6 @@ pub enum TierMode {
     /// byte-identical to `Tiered` on a well-calibrated model — the CI
     /// throughput leg enforces exactly that.
     FullScoreboard,
-}
-
-impl TierMode {
-    /// Parse a `--tiers` flag value.
-    pub fn parse(s: &str) -> Option<TierMode> {
-        match s {
-            "tiered" => Some(TierMode::Tiered),
-            "full" | "full-scoreboard" => Some(TierMode::FullScoreboard),
-            _ => None,
-        }
-    }
 }
 
 /// Tier-ladder configuration: how much of the space the scoreboard tier

@@ -123,20 +123,6 @@ impl Default for MonitorConfig {
     }
 }
 
-/// One stall the watchdog flagged. Report-only: the measurement it points
-/// at keeps running and its result is folded in normally when it lands.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StallReport {
-    /// Worker slot that is wedged.
-    pub worker: usize,
-    /// Input index of the stuck item (candidate index for tuner waves).
-    pub index: usize,
-    /// Span path of the stuck work: `operator context / candidate knobs`.
-    pub path: String,
-    /// How long the item had been in flight when flagged.
-    pub stalled_ms: u64,
-}
-
 /// Per-worker utilization totals, exposed for `/metrics` and the flight
 /// report.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -163,21 +149,20 @@ struct MonitorState {
     /// Current operator context, prefixed onto stall paths.
     context: Mutex<String>,
     slots: Mutex<Vec<WorkerSlot>>,
-    stalls: Mutex<Vec<StallReport>>,
     bus: Option<EventBus>,
     /// Set by [`PoolMonitor`]'s `Drop` to end the watchdog.
     stop: AtomicBool,
 }
 
 impl MonitorState {
-    /// Flag every in-flight item older than `stall_after` (once each) and
-    /// return how long the watchdog may sleep: until the earliest unflagged
-    /// item in flight could cross the threshold, or a whole `stall_after`
-    /// when there is none — an item that begins during the sleep cannot be
-    /// due before it ends.
+    /// Flag every in-flight item older than `stall_after` (once each) as an
+    /// [`Event::StallFlagged`] on the bus, and return how long the watchdog
+    /// may sleep: until the earliest unflagged item in flight could cross
+    /// the threshold, or a whole `stall_after` when there is none — an item
+    /// that begins during the sleep cannot be due before it ends.
     fn flag_stalls(&self) -> Duration {
         let context = self.context.lock().clone();
-        let mut fresh: Vec<StallReport> = Vec::new();
+        let mut fresh: Vec<Event> = Vec::new();
         let mut sleep = self.cfg.stall_after;
         for (worker, slot) in self.slots.lock().iter_mut().enumerate() {
             let Some((index, knobs, since, flagged)) = &mut slot.current else { continue };
@@ -192,24 +177,14 @@ impl MonitorState {
             *flagged = true;
             let path =
                 if context.is_empty() { knobs.clone() } else { format!("{context} / {knobs}") };
-            fresh.push(StallReport {
-                worker,
-                index: *index,
-                path,
-                stalled_ms: age.as_millis() as u64,
-            });
+            let stalled_ms = age.as_millis() as u64;
+            fresh.push(Event::StallFlagged { worker, index: *index, path, stalled_ms });
         }
+        // Emitted once the slots are unlocked: no worker waits on a
+        // subscriber's mailbox.
         if let Some(bus) = &self.bus {
-            for s in &fresh {
-                bus.emit_with(|| Event::StallFlagged {
-                    worker: s.worker,
-                    index: s.index,
-                    path: s.path.clone(),
-                    stalled_ms: s.stalled_ms,
-                });
-            }
+            fresh.into_iter().for_each(|e| bus.emit(e));
         }
-        self.stalls.lock().extend(fresh);
         sleep
     }
 }
@@ -233,10 +208,7 @@ pub struct PoolMonitor {
 
 impl std::fmt::Debug for PoolMonitor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PoolMonitor")
-            .field("cfg", &self.state.cfg)
-            .field("stalls", &self.state.stalls.lock().len())
-            .finish()
+        f.debug_struct("PoolMonitor").field("cfg", &self.state.cfg).finish()
     }
 }
 
@@ -249,7 +221,6 @@ impl PoolMonitor {
             epoch: Instant::now(),
             context: Mutex::new(String::new()),
             slots: Mutex::new(Vec::new()),
-            stalls: Mutex::new(Vec::new()),
             bus,
             stop: AtomicBool::new(false),
         });
@@ -294,11 +265,6 @@ impl PoolMonitor {
                 slot.items += 1;
             }
         }
-    }
-
-    /// Stalls flagged so far, oldest first.
-    pub fn stalls(&self) -> Vec<StallReport> {
-        self.state.stalls.lock().clone()
     }
 
     /// Per-worker utilization totals. In-flight time counts as busy so a
@@ -377,6 +343,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::telemetry::bus::Subscriber;
 
     #[test]
     fn results_are_input_ordered_for_any_job_count() {
@@ -453,9 +420,17 @@ mod tests {
         assert!(available_jobs() >= 1);
     }
 
+    /// A monitor whose watchdog publishes on a bus, and a subscriber that
+    /// reads what it flags.
+    fn watched_monitor(stall_after: Duration) -> (PoolMonitor, Subscriber) {
+        let bus = EventBus::new();
+        let sub = bus.subscribe(64);
+        (PoolMonitor::new(MonitorConfig { stall_after }, Some(bus)), sub)
+    }
+
     #[test]
     fn monitor_accounts_utilization_and_watched_preserves_results() {
-        let m = PoolMonitor::new(MonitorConfig { stall_after: Duration::from_secs(60) }, None);
+        let (m, sub) = watched_monitor(Duration::from_secs(60));
         m.set_context("unit");
         let items: Vec<usize> = (0..40).collect();
         let label = |i: usize, _: &usize| (i, format!("item {i}"));
@@ -464,7 +439,7 @@ mod tests {
         assert_eq!(baseline, watched_run);
         let stats = m.worker_stats();
         assert_eq!(stats.iter().map(|s| s.items).sum::<u64>(), items.len() as u64);
-        assert!(m.stalls().is_empty(), "clean run must not flag stalls");
+        assert!(sub.drain().is_empty(), "clean run must not flag stalls");
     }
 
     /// The watchdog belongs to the monitor, not to the wave: a wave costs no
@@ -494,25 +469,27 @@ mod tests {
 
     #[test]
     fn watchdog_flags_a_wedged_item_once_with_its_path() {
-        let m = PoolMonitor::new(MonitorConfig { stall_after: Duration::from_millis(20) }, None);
+        let (m, sub) = watched_monitor(Duration::from_millis(20));
         m.set_context("gemm 64x64x64");
         m.begin(1, 7, "dbuf=true, coal=false");
-        assert!(m.stalls().is_empty(), "flagged before stall_after");
+        assert!(sub.drain().is_empty(), "flagged before stall_after");
         std::thread::sleep(Duration::from_millis(30));
         // The watchdog thread has flagged it by now or this sample does; a
         // second sample must not double-flag the same item.
         m.state.flag_stalls();
         m.state.flag_stalls();
-        let stalls = m.stalls();
+        let stalls = sub.drain();
         assert_eq!(stalls.len(), 1, "{stalls:?}");
-        assert_eq!(stalls[0].worker, 1);
-        assert_eq!(stalls[0].index, 7);
-        assert!(stalls[0].path.contains("gemm 64x64x64"), "{}", stalls[0].path);
-        assert!(stalls[0].path.contains("dbuf=true"), "{}", stalls[0].path);
-        assert!(stalls[0].stalled_ms >= 20);
+        let Event::StallFlagged { worker, index, path, stalled_ms } = &stalls[0] else {
+            panic!("not a stall: {stalls:?}");
+        };
+        assert_eq!((*worker, *index), (1, 7));
+        assert!(path.contains("gemm 64x64x64"), "{path}");
+        assert!(path.contains("dbuf=true"), "{path}");
+        assert!(*stalled_ms >= 20);
         m.finish(1);
         m.state.flag_stalls();
-        assert_eq!(m.stalls().len(), 1, "finished item must not re-flag");
+        assert!(sub.drain().is_empty(), "finished item must not re-flag");
     }
 
     /// What the watchdog sleeps for: a whole `stall_after` over an idle
@@ -535,7 +512,7 @@ mod tests {
 
     #[test]
     fn monitor_panicking_item_still_clears_the_slot() {
-        let m = PoolMonitor::new(MonitorConfig { stall_after: Duration::from_millis(20) }, None);
+        let (m, sub) = watched_monitor(Duration::from_millis(20));
         let items = [1u32, 2, 3];
         let hook = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));
@@ -556,6 +533,6 @@ mod tests {
         // finish() ran even for the panicking item: no slot left in flight.
         std::thread::sleep(Duration::from_millis(30));
         m.state.flag_stalls();
-        assert!(m.stalls().is_empty(), "cleared slot flagged as stalled");
+        assert!(sub.drain().is_empty(), "cleared slot flagged as stalled");
     }
 }

@@ -112,10 +112,10 @@ fn bottleneck_mix_on_outcome_matches_recount_across_jobs() {
         let tel = Telemetry::new();
         let opts = TuneOptions { checkpoint: Some(CheckpointPolicy::new(&path)), ..top3(jobs, Some(&tel)) };
         let outcome = tune(&cfg, &cands, &opts, None).expect("tune");
-        let summary = outcome.telemetry.expect("instrumented run carries telemetry");
-        assert!(summary.mix.total() > 0, "jobs={jobs}: executed candidates were classified");
-        assert_eq!(summary.mix.total(), outcome.executed - outcome.failed, "jobs={jobs}");
-        mixes.push(summary.mix);
+        let mix = tel.summary(&Peaks::of(&cfg)).operator(None).expect("instrumented").mix;
+        assert!(mix.total() > 0, "jobs={jobs}: executed candidates were classified");
+        assert_eq!(mix.total(), outcome.executed - outcome.failed, "jobs={jobs}");
+        mixes.push(mix);
     }
     assert_eq!(mixes[0], mixes[1]);
     assert_eq!(mixes[0], mixes[2]);
@@ -129,10 +129,12 @@ fn bottleneck_mix_on_outcome_matches_recount_across_jobs() {
     };
     let resumed = tune(&cfg, &cands, &opts, None).expect("resumed tune");
     std::fs::remove_file(&path).ok();
-    let summary = resumed.telemetry.expect("instrumented");
+    let summary = tel.summary(&Peaks::of(&cfg));
+    let own = summary.operator(None).expect("instrumented");
+    let pairs = own.accuracy.as_ref().map_or(0, |a| a.pairs.len());
     assert_eq!((resumed.executed, resumed.failed), (5, 0));
-    assert_eq!((summary.mix.total(), summary.pairs), (2, 2));
-    assert_eq!(summary.mix, tel.summary(&Peaks::of(&cfg)).mix);
+    assert_eq!((own.mix.total(), pairs), (2, 2));
+    assert_eq!(own.mix, summary.mix);
 }
 
 #[test]
@@ -141,7 +143,6 @@ fn telemetry_attachment_does_not_change_tuning() {
     let cands = space(&cfg);
     for jobs in [1, 4] {
         let bare = tune(&cfg, &cands, &top3(jobs, None), None).expect("bare");
-        assert!(bare.telemetry.is_none());
         let tel = Telemetry::new();
         let instrumented =
             tune(&cfg, &cands, &top3(jobs, Some(&tel)), None).expect("instrumented");

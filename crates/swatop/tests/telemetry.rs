@@ -1,7 +1,8 @@
 //! Tier-1 guarantees of the telemetry layer:
 //!
 //! * **disabled = free** — without a recorder the tuners return results
-//!   bit-identical to the instrumented run and carry no telemetry;
+//!   bit-identical to the instrumented run, whose candidates the summary
+//!   holds under the run's scope;
 //! * **span determinism** — the *set* of simulation-derived span facts
 //!   (kind, label, candidate index, measured cycles, prediction, counters)
 //!   is identical for any `--jobs` value; only wall-clock and worker-track
@@ -73,8 +74,9 @@ fn disabled_telemetry_is_bit_identical_and_absent() {
         let plain = tune(&cfg, &cands, &top_k(5, jobs, None), None).unwrap();
         let inst = tune(&cfg, &cands, &top_k(5, jobs, Some(&tel)), None).unwrap();
         same_outcome(&plain, &inst);
-        assert!(plain.telemetry.is_none(), "no recorder => no telemetry");
-        assert!(inst.telemetry.is_some(), "recorder => condensed telemetry");
+        let summary = tel.summary(&Peaks::of(&cfg));
+        let own = summary.operator(None).expect("recorder => the run's scope in the summary");
+        assert_eq!(own.candidates.len(), inst.executed);
     }
 }
 
@@ -108,12 +110,13 @@ fn every_executed_candidate_feeds_the_accuracy_tracker() {
     for k in [1, 3, 8] {
         let tel = Telemetry::new();
         let outcome = tune(&cfg, &cands, &top_k(k, 2, Some(&tel)), None).unwrap();
-        let pairs = tel.summary(&Peaks::of(&cfg)).pairs();
+        let summary = tel.summary(&Peaks::of(&cfg));
+        let pairs = summary.pairs();
         // On the fault-free machine nothing fails, so pair count == executed
         // — including top-k wave members that lost the final pick.
         assert_eq!(pairs.len(), outcome.executed, "k={k}");
-        let summary = outcome.telemetry.expect("instrumented");
-        assert_eq!(summary.pairs, outcome.executed, "k={k}");
+        let own = summary.operator(None).and_then(|o| o.accuracy.as_ref()).expect("instrumented");
+        assert_eq!(own.pairs.len(), outcome.executed, "k={k}");
         // The winner's measured cycles must appear among the pairs.
         assert!(pairs.iter().any(|p| p.index == outcome.best
             && p.measured == outcome.cycles.get()));
@@ -127,12 +130,13 @@ fn blackbox_records_a_pair_for_the_whole_space() {
     let tel = Telemetry::new();
     let outcome = tune(&cfg, &cands, &opts(TierPolicy::exhaustive(), 4, Some(&tel)), None).unwrap();
     assert_eq!(outcome.executed, cands.len());
-    assert_eq!(tel.summary(&Peaks::of(&cfg)).pairs().len(), cands.len());
-    let summary = outcome.telemetry.expect("instrumented");
-    assert!(summary.counters.dma_payload_bytes > 0);
-    assert!(summary.counters.kernel_calls > 0);
+    let summary = tel.summary(&Peaks::of(&cfg));
+    assert_eq!(summary.pairs().len(), cands.len());
+    let own = summary.operator(None).expect("instrumented");
+    assert!(own.counters.dma_payload_bytes > 0);
+    assert!(own.counters.kernel_calls > 0);
     // With the whole space measured, rank correlation is well-defined.
-    assert!(summary.rank_correlation.is_some());
+    assert!(own.accuracy.as_ref().and_then(|a| a.rank_correlation).is_some());
 }
 
 #[test]

@@ -328,7 +328,6 @@ fn two_operator_numbers(jobs: usize) -> String {
     let _ = writeln!(out, "tiers {:?}", summary.tiers);
     let _ = writeln!(out, "mix {:?}", summary.mix);
     let _ = writeln!(out, "quarantines {}", summary.quarantines);
-    let _ = writeln!(out, "outcome of the first operator: {:?}", tuned.telemetry.expect("instrumented"));
     out
 }
 
