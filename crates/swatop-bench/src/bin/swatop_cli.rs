@@ -46,9 +46,7 @@ use swatop_bench::report::{roofline_table, telemetry_summary, write_exports};
 use swatop_bench::runner::{tune_op, ConvMethod, TunedOp};
 use swtensor::ConvShape;
 
-fn usage() -> ! {
-    eprintln!(
-        "usage:\n  swatop_cli gemm M N K [common flags]\n  \
+const USAGE: &str = "usage:\n  swatop_cli gemm M N K [common flags]\n  \
          swatop_cli conv B NI NO RO [--method implicit|winograd|explicit|auto] \
          [--kernel K] [--stride S] [--pad P] [common flags]\n  \
          swatop_cli bwd-data B NI NO RO [common flags]\n  \
@@ -98,7 +96,7 @@ fn usage() -> ! {
          (result summary + full telemetry snapshot), no human text\n  \
          --corpus FILE     write the feature corpus: one JSONL row per measured\n                    \
          candidate (knobs, counters, cycles, bottleneck), sorted\n                    \
-         by (operator, index) so bytes are --jobs-independent\n  \
+         by (operator, index) so bytes are the same for every --jobs\n  \
          --quiet           disable live observability entirely: no progress\n                    \
          lines, no event bus (results are bit-identical either way)\n  \
          --metrics-addr A  serve live Prometheus metrics on A (e.g.\n                    \
@@ -109,8 +107,10 @@ fn usage() -> ! {
          write the self-contained HTML flight report after the run\n  \
          --stall-after-ms MS\n                    \
          watchdog threshold: flag a candidate measurement still\n                    \
-         running after MS as stalled (report-only; default 30000)"
-    );
+         running after MS as stalled (report-only; default 30000)";
+
+fn usage() -> ! {
+    eprintln!("{USAGE}");
     std::process::exit(2);
 }
 
@@ -122,20 +122,43 @@ struct Args {
 /// Flags that take no value argument.
 const BOOL_FLAGS: &[&str] = &["verbose", "json", "smoke", "validate", "strict-validate", "quiet"];
 
+/// Flags that take a value: every one some command reads. Any flag in
+/// neither list is a usage error, so a deleted or misspelt flag cannot run
+/// as if it were absent.
+const VALUE_FLAGS: &[&str] = &[
+    "candidate", "checkpoint", "corpus", "diff", "diff-select", "faults", "flight-report",
+    "handicap", "jobs", "journal", "kernel", "label", "method", "metrics-addr", "metrics-linger",
+    "out", "pad", "perfetto", "repeats", "resume", "select", "stall-after-ms", "stride",
+    "telemetry", "trace", "trace-timeline", "tuner",
+];
+
+/// Whether `--name` takes a value; `None` for a flag no command reads.
+fn takes_value(name: &str) -> Option<bool> {
+    if BOOL_FLAGS.contains(&name) {
+        Some(false)
+    } else {
+        VALUE_FLAGS.contains(&name).then_some(true)
+    }
+}
+
 fn parse_args(args: &[String]) -> Args {
     let mut positional = Vec::new();
     let mut flags = HashMap::new();
     let mut i = 0;
     while i < args.len() {
         if let Some(name) = args[i].strip_prefix("--") {
-            if BOOL_FLAGS.contains(&name) {
-                flags.insert(name.to_string(), "1".to_string());
-            } else {
+            let Some(value) = takes_value(name) else {
+                eprintln!("swatop_cli: unknown flag --{name}");
+                usage();
+            };
+            if value {
                 i += 1;
                 if i >= args.len() {
                     usage();
                 }
                 flags.insert(name.to_string(), args[i].clone());
+            } else {
+                flags.insert(name.to_string(), "1".to_string());
             }
         } else {
             positional.push(args[i].parse().unwrap_or_else(|_| usage()));
@@ -712,5 +735,30 @@ fn main() {
     if strict_validate && quarantined > 0 {
         eprintln!("swatop_cli: --strict-validate: {quarantined} quarantined winner(s)");
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn every_flag_of_the_usage_text_is_accepted_and_no_other() {
+        let mut named: Vec<&str> = USAGE
+            .split("--")
+            .skip(1)
+            .map(|rest| rest.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-')).next().unwrap())
+            .collect();
+        named.sort_unstable();
+        named.dedup();
+        let mut listed: Vec<&str> = BOOL_FLAGS.iter().chain(VALUE_FLAGS).copied().collect();
+        listed.sort_unstable();
+        assert_eq!(named, listed, "the usage text and the two flag lists disagree");
+        // Deleted and misspelt flags are not quietly ignored.
+        for gone in ["tiers", "ladder", "verbos", "job", ""] {
+            assert_eq!(takes_value(gone), None, "--{gone}");
+        }
+        assert_eq!(takes_value("smoke"), Some(false));
+        assert_eq!(takes_value("tuner"), Some(true));
     }
 }

@@ -52,6 +52,24 @@ impl AffineExpr {
         Self::var(AVar::Loop(v))
     }
 
+    /// `Σ coeff·var + constant` over `terms` in any order, repeats summed —
+    /// built with one allocation of exactly the nonzero terms, where a chain
+    /// of [`AffineExpr::add_term`] copies the expression at every step.
+    pub fn from_terms<I>(terms: I, constant: i64) -> Self
+    where
+        I: IntoIterator<Item = (AVar, i64)>,
+        I::IntoIter: Clone,
+    {
+        let terms = terms.into_iter().filter(|&(_, c)| c != 0);
+        let mut out = Vec::with_capacity(terms.clone().count());
+        out.extend(terms);
+        out.sort_unstable_by_key(|&(v, _)| v);
+        // `dedup_by` hands over (later, earlier kept): fold the later in.
+        out.dedup_by(|later, kept| later.0 == kept.0 && { kept.1 += later.1; true });
+        out.retain(|&(_, c)| c != 0);
+        AffineExpr { terms: out, constant }
+    }
+
     pub fn constant(&self) -> i64 {
         self.constant
     }
@@ -131,13 +149,26 @@ impl AffineExpr {
 
     /// Substitute loop variable `var` by expression `by` (affine closure).
     pub fn subst(&self, var: VarId, by: &AffineExpr) -> AffineExpr {
-        let Ok(i) = self.terms.binary_search_by_key(&AVar::Loop(var), |&(t, _)| t) else {
+        let coeff = self.coeff(AVar::Loop(var));
+        if coeff == 0 {
             return self.clone();
+        }
+        let rest = self.terms.iter().copied().filter(|&(v, _)| v != AVar::Loop(var));
+        let scaled = by.terms.iter().map(|&(v, c)| (v, c * coeff));
+        AffineExpr::from_terms(rest.chain(scaled), self.constant + coeff * by.constant)
+    }
+
+    /// Substitute a constant for each `(var, value)` of `values`: what a
+    /// chain of [`AffineExpr::subst`] by constants gives, in one allocation.
+    pub fn subst_consts(&self, values: &[(VarId, i64)]) -> AffineExpr {
+        let value = |v: AVar| match v {
+            AVar::Loop(i) => values.iter().find(|&&(x, _)| x == i).map(|&(_, k)| k),
+            AVar::Rid | AVar::Cid => None,
         };
-        let coeff = self.terms[i].1;
-        let mut rest = self.clone();
-        rest.terms.remove(i);
-        rest.add(&by.scale(coeff))
+        let constant =
+            self.terms.iter().fold(self.constant, |acc, &(v, c)| acc + value(v).map_or(0, |k| c * k));
+        let rest = self.terms.iter().copied().filter(|&(v, _)| value(v).is_none());
+        AffineExpr::from_terms(rest, constant)
     }
 
     /// Evaluate under an environment plus mesh coordinates.
@@ -344,6 +375,24 @@ mod tests {
     }
 
     #[test]
+    fn from_terms_equals_the_add_term_chain() {
+        let cases: &[&[(AVar, i64)]] = &[
+            &[],
+            &[(AVar::Cid, 4)],
+            &[(AVar::Loop(2), 8), (AVar::Loop(0), 32), (AVar::Cid, 4), (AVar::Rid, 1024)],
+            // Repeats sum, cancellations and zeros leave nothing behind.
+            &[(AVar::Loop(1), 3), (AVar::Rid, 0), (AVar::Loop(1), 4), (AVar::Cid, 2)],
+            &[(AVar::Loop(1), 3), (AVar::Cid, 2), (AVar::Loop(1), -3), (AVar::Cid, -2)],
+        ];
+        for &terms in cases {
+            let chain = terms.iter().fold(AffineExpr::konst(7), |e, &(v, c)| e.add_term(v, c));
+            let built = AffineExpr::from_terms(terms.iter().copied(), 7);
+            assert_eq!(built, chain, "{terms:?}");
+            assert_eq!(built.terms.capacity(), terms.iter().filter(|t| t.1 != 0).count());
+        }
+    }
+
+    #[test]
     fn substitution_is_affine() {
         // e = 4*v0 + 1; v0 := 2*v1 + 3 → 8*v1 + 13
         let e = AffineExpr::loop_var(0).scale(4).add_const(1);
@@ -352,6 +401,27 @@ mod tests {
         assert_eq!(s.coeff(AVar::Loop(1)), 8);
         assert_eq!(s.coeff(AVar::Loop(0)), 0);
         assert_eq!(s.constant(), 13);
+    }
+
+    #[test]
+    fn constant_substitution_equals_the_subst_chain() {
+        // 4*v0 + 3*v1 - 2*v2 + 5*rid + 1
+        let e = AffineExpr::from_terms(
+            [(AVar::Loop(0), 4), (AVar::Loop(1), 3), (AVar::Loop(2), -2), (AVar::Rid, 5)],
+            1,
+        );
+        let values = [(2, 7), (0, -3), (9, 100)];
+        let chain = values.iter().fold(e.clone(), |e, &(v, k)| e.subst(v, &AffineExpr::konst(k)));
+        assert_eq!(e.subst_consts(&values), chain);
+        assert_eq!(chain.terms(), &[(AVar::Loop(1), 3), (AVar::Rid, 5)]);
+        assert_eq!(chain.constant(), 1 - 14 - 12);
+        // A substituted expression merges into the rest; a term it cancels
+        // is dropped.
+        let by = AffineExpr::from_terms([(AVar::Loop(1), -1), (AVar::Cid, 2)], 3);
+        let merged = [(AVar::Loop(1), -1), (AVar::Loop(2), -2), (AVar::Rid, 5), (AVar::Cid, 8)];
+        assert_eq!(e.subst(0, &by), AffineExpr::from_terms(merged, 13));
+        let diff = AffineExpr::loop_var(0).add(&AffineExpr::loop_var(1).scale(-1));
+        assert_eq!(diff.subst(0, &AffineExpr::loop_var(1)), AffineExpr::zero());
     }
 
     #[test]

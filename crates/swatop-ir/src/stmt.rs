@@ -386,8 +386,10 @@ pub enum Stmt {
     DmaCpe(DmaCpe),
     /// Wait for `times` completions on a reply word.
     DmaWait { reply: ReplyId, times: usize },
-    /// Tensorized GEMM primitive.
-    Gemm(GemmOp),
+    /// Tensorized GEMM primitive, boxed: at 256 bytes it is twice the next
+    /// largest payload, and every `Seq` slot and `Box<Stmt>` of every tree
+    /// would pay for it inline. Build it with [`Stmt::gemm`].
+    Gemm(Box<GemmOp>),
     /// Bulk host-side transform.
     Transform(TransformOp),
     /// No-op (useful as a neutral element for builders).
@@ -396,7 +398,9 @@ pub enum Stmt {
 
 impl Stmt {
     /// Wrap statements in a `Seq`, flattening nested `Seq`s and dropping
-    /// `Nop`s.
+    /// `Nop`s. The `Seq` holds no spare capacity: every slot is a whole
+    /// node, and a vector grown by pushes would keep up to half of them
+    /// empty for as long as the tree lives.
     pub fn seq(stmts: Vec<Stmt>) -> Stmt {
         fn push(out: &mut Vec<Stmt>, s: Stmt) {
             match s {
@@ -406,7 +410,7 @@ impl Stmt {
             }
         }
         // Already flat (the common case for pass output): keep the vector.
-        let out = if stmts.iter().any(|s| matches!(s, Stmt::Seq(_) | Stmt::Nop)) {
+        let mut out = if stmts.iter().any(|s| matches!(s, Stmt::Seq(_) | Stmt::Nop)) {
             let mut out = Vec::with_capacity(stmts.len());
             stmts.into_iter().for_each(|s| push(&mut out, s));
             out
@@ -416,13 +420,21 @@ impl Stmt {
         match out.len() {
             0 => Stmt::Nop,
             1 => out.into_iter().next().unwrap(),
-            _ => Stmt::Seq(out),
+            _ => {
+                out.shrink_to_fit();
+                Stmt::Seq(out)
+            }
         }
     }
 
     /// `for var in 0..extent { body }`.
     pub fn for_(var: VarId, extent: usize, body: Stmt) -> Stmt {
         Stmt::For { var, extent, body: Box::new(body) }
+    }
+
+    /// A GEMM primitive call.
+    pub fn gemm(op: GemmOp) -> Stmt {
+        Stmt::Gemm(Box::new(op))
     }
 
     /// `if cond { then_ }`.
@@ -486,6 +498,18 @@ mod tests {
     use crate::expr::AffineExpr;
 
     #[test]
+    fn a_node_is_no_larger_than_its_largest_dma_payload() {
+        // Every `Seq` slot and every `Box<Stmt>` of every candidate tree
+        // holds a whole `Stmt`, so the widest variant sets what a tree costs
+        // in bytes. The rare GEMM (256 bytes inline) is boxed; what is left
+        // is the two DMA nodes. Growing a variant past them — inline
+        // expression terms, an unboxed payload — shows up in every tree.
+        assert!(std::mem::size_of::<Stmt>() <= 136, "{} bytes", std::mem::size_of::<Stmt>());
+        assert!(std::mem::size_of::<DmaCpe>() < std::mem::size_of::<Stmt>());
+        assert!(std::mem::size_of::<DmaCg>() < std::mem::size_of::<Stmt>());
+    }
+
+    #[test]
     fn seq_flattens_and_drops_nops() {
         let s = Stmt::seq(vec![
             Stmt::Nop,
@@ -514,7 +538,7 @@ mod tests {
     fn double_slots_are_found_at_any_depth() {
         let gemm = |c: SpmSlot| {
             let single = MatDesc::new(SpmSlot::single(SpmBufId(0)), MatLayout::RowMajor, 8);
-            Stmt::Gemm(GemmOp {
+            Stmt::gemm(GemmOp {
                 m: 8, n: 8, k: 8, alpha: 1.0, beta: 0.0,
                 a: single.clone(), b: single, c: MatDesc::new(c, MatLayout::RowMajor, 8),
                 vd: swkernels::VecDim::M,

@@ -13,7 +13,8 @@ use crate::expr::{AffineExpr, Cond, VarId};
 use crate::stmt::{DmaCg, DmaCpe, GemmOp, MatDesc, SpmSlot, Stmt};
 
 /// Substitute loop variable `var` by `by` in every affine expression of the
-/// subtree.
+/// subtree. Nodes are built field by field: each expression is substituted
+/// once, never cloned first only to be replaced.
 pub fn subst_var(stmt: &Stmt, var: VarId, by: &AffineExpr) -> Stmt {
     let slot = |s: &SpmSlot| match s {
         SpmSlot::Single(b) => SpmSlot::Single(*b),
@@ -21,7 +22,12 @@ pub fn subst_var(stmt: &Stmt, var: VarId, by: &AffineExpr) -> Stmt {
             SpmSlot::Double { even: *even, odd: *odd, sel: sel.subst(var, by) }
         }
     };
-    let mat = |m: &MatDesc| MatDesc { slot: slot(&m.slot), ..m.clone() };
+    let mat = |m: &MatDesc| MatDesc {
+        slot: slot(&m.slot),
+        layout: m.layout,
+        ld: m.ld,
+        offset: m.offset,
+    };
     match stmt {
         Stmt::Seq(ss) => Stmt::Seq(ss.iter().map(|s| subst_var(s, var, by)).collect()),
         Stmt::For { var: v, extent, body } => {
@@ -34,20 +40,38 @@ pub fn subst_var(stmt: &Stmt, var: VarId, by: &AffineExpr) -> Stmt {
             else_: else_.as_ref().map(|e| Box::new(subst_var(e, var, by))),
         },
         Stmt::DmaCg(d) => Stmt::DmaCg(DmaCg {
+            buf: d.buf,
             offset: d.offset.subst(var, by),
+            rows: d.rows,
+            cols: d.cols,
+            row_stride: d.row_stride,
+            mesh_swap: d.mesh_swap,
+            direction: d.direction,
             spm: slot(&d.spm),
-            ..d.clone()
+            reply: d.reply,
         }),
         Stmt::DmaCpe(d) => Stmt::DmaCpe(DmaCpe {
+            buf: d.buf,
             offset: d.offset.subst(var, by),
+            block: d.block,
+            stride: d.stride,
+            n_blocks: d.n_blocks,
+            direction: d.direction,
             spm: slot(&d.spm),
-            ..d.clone()
+            reply: d.reply,
+            bcast: d.bcast,
+            fused: d.fused,
         }),
-        Stmt::Gemm(g) => Stmt::Gemm(GemmOp {
+        Stmt::Gemm(g) => Stmt::gemm(GemmOp {
+            m: g.m,
+            n: g.n,
+            k: g.k,
+            alpha: g.alpha,
+            beta: g.beta,
             a: mat(&g.a),
             b: mat(&g.b),
             c: mat(&g.c),
-            ..g.clone()
+            vd: g.vd,
         }),
         other => other.clone(),
     }

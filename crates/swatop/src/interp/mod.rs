@@ -916,7 +916,7 @@ mod tests {
             bcast: None,
             fused: false,
         });
-        let gemm = Stmt::Gemm(swatop_ir::GemmOp {
+        let gemm = Stmt::gemm(swatop_ir::GemmOp {
             m,
             n,
             k,

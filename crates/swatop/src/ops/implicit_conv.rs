@@ -28,7 +28,7 @@ use swatop_ir::{
 use swkernels::VecDim;
 use swtensor::{ConvShape, MatLayout};
 
-use crate::ops::{divisor_menu, spread};
+use crate::ops::{divisor_menu, largest_divisor, loop_sum, spread};
 use crate::scheduler::Operator;
 
 /// Implicit-GEMM convolution operator instance.
@@ -118,8 +118,7 @@ impl Operator for ImplicitConvOp {
         // tuning to a crawl.
         {
             let space_min = |len: usize, menu_max: usize| len.div_ceil(menu_max).max(1);
-            let max_no = swatop_dsl::factors_of(s.no).into_iter().filter(|d| d % 8 == 0).max().unwrap_or(8);
-            let max_ni = swatop_dsl::factors_of(s.ni).into_iter().filter(|d| d % 8 == 0).max().unwrap_or(8);
+            let (max_no, max_ni) = (largest_divisor(s.no, 8), largest_divisor(s.ni, 8));
             let max_co = s.co;
             let min_inv = s.ro
                 * space_min(s.no, max_no)
@@ -212,31 +211,15 @@ impl Operator for ImplicitConvOp {
         let v_kc = p.fresh_var("kc");
         let v_nit = p.fresh_var("ni_t");
 
-        let lv = AffineExpr::loop_var;
-
         // Weight tile DMA (target slot and offset are supplied per use: the
         // resident schedule substitutes the reduction variables away and
-        // lands each step in its own slot).
-        let w_slab =
-            lv(v_kr).scale((kc * no * ni) as i64).add(&lv(v_kc).scale((no * ni) as i64));
+        // lands each step in its own slot). The (kr, kc) slab, then the
+        // tile within it.
+        let (slab_kr, slab_kc) = ((v_kr, kc * no * ni), (v_kc, no * ni));
         let (w_rows, w_cols, w_row_stride, w_offset) = if w_col {
-            (
-                t_ni,
-                t_no,
-                no,
-                w_slab
-                    .add(&lv(v_nit).scale((t_ni * no) as i64))
-                    .add(&lv(v_not).scale(t_no as i64)),
-            )
+            (t_ni, t_no, no, loop_sum(&[slab_kr, slab_kc, (v_nit, t_ni * no), (v_not, t_no)], 0))
         } else {
-            (
-                t_no,
-                t_ni,
-                ni,
-                w_slab
-                    .add(&lv(v_not).scale((t_no * ni) as i64))
-                    .add(&lv(v_nit).scale(t_ni as i64)),
-            )
+            (t_no, t_ni, ni, loop_sum(&[slab_kr, slab_kc, (v_not, t_no * ni), (v_nit, t_ni)], 0))
         };
         let w_get_to = |spm: swatop_ir::SpmBufId, offset: AffineExpr| {
             Stmt::DmaCg(DmaCg {
@@ -253,30 +236,29 @@ impl Operator for ImplicitConvOp {
         };
 
         // Input tile DMA: ri = ro + kr, ci window = (co_t·t_co + kc)·B.
-        let ri_expr = lv(v_ro).add(&lv(v_kr));
         let (d_rows, d_cols, d_row_stride, d_offset) = if d_col {
             // [Ri][Ci][B][Ni]
+            let ri = ci * b * ni;
             (
                 n_dim,
                 t_ni,
                 ni,
-                ri_expr
-                    .scale((ci * b * ni) as i64)
-                    .add(&lv(v_cot).scale((t_co * b * ni) as i64))
-                    .add(&lv(v_kc).scale((b * ni) as i64))
-                    .add(&lv(v_nit).scale(t_ni as i64)),
+                loop_sum(
+                    &[(v_ro, ri), (v_kr, ri), (v_cot, t_co * b * ni), (v_kc, b * ni), (v_nit, t_ni)],
+                    0,
+                ),
             )
         } else {
             // [Ri][Ni][Ci][B]
+            let ri = ni * ci * b;
             (
                 t_ni,
                 n_dim,
                 ci * b,
-                ri_expr
-                    .scale((ni * ci * b) as i64)
-                    .add(&lv(v_nit).scale((t_ni * ci * b) as i64))
-                    .add(&lv(v_cot).scale((t_co * b) as i64))
-                    .add(&lv(v_kc).scale(b as i64)),
+                loop_sum(
+                    &[(v_ro, ri), (v_kr, ri), (v_nit, t_ni * ci * b), (v_cot, t_co * b), (v_kc, b)],
+                    0,
+                ),
             )
         };
         let d_get_to = |spm: swatop_ir::SpmBufId, offset: AffineExpr| {
@@ -294,10 +276,8 @@ impl Operator for ImplicitConvOp {
         };
 
         // Output accumulator tile in [Ro][No][Co][B].
-        let o_offset = lv(v_ro)
-            .scale((no * co * b) as i64)
-            .add(&lv(v_not).scale((t_no * co * b) as i64))
-            .add(&lv(v_cot).scale((t_co * b) as i64));
+        let o_offset =
+            loop_sum(&[(v_ro, no * co * b), (v_not, t_no * co * b), (v_cot, t_co * b)], 0);
         let o_dma = |direction, reply, slot: SpmSlot| {
             Stmt::DmaCg(DmaCg {
                 buf: o_buf,
@@ -313,7 +293,7 @@ impl Operator for ImplicitConvOp {
         };
 
         let gemm_with = |wa: swatop_ir::SpmBufId, db: swatop_ir::SpmBufId, c_slot: SpmSlot, beta: f32| {
-            Stmt::Gemm(GemmOp {
+            Stmt::gemm(GemmOp {
                 m: t_no,
                 n: n_dim,
                 k: t_ni,
@@ -382,13 +362,9 @@ impl Operator for ImplicitConvOp {
             for (i, &(ikr, ikc, init)) in steps.iter().enumerate() {
                 let spm_w_s = p.spm_buf(format!("spm_w_s{i}"), w_words);
                 let spm_d_s = p.spm_buf(format!("spm_d_s{i}"), d_words);
-                let sub = |e: &AffineExpr| {
-                    e.subst(v_kr, &AffineExpr::konst(ikr as i64))
-                        .subst(v_kc, &AffineExpr::konst(ikc as i64))
-                        .subst(v_nit, &AffineExpr::konst(init as i64))
-                };
-                gets.push(w_get_to(spm_w_s, sub(&w_offset)));
-                gets.push(d_get_to(spm_d_s, sub(&d_offset)));
+                let at = [(v_kr, ikr as i64), (v_kc, ikc as i64), (v_nit, init as i64)];
+                gets.push(w_get_to(spm_w_s, w_offset.subst_consts(&at)));
+                gets.push(d_get_to(spm_d_s, d_offset.subst_consts(&at)));
                 // The output tile is visited exactly once, so the first
                 // step initialises it (β = 0) instead of accumulating onto
                 // a preloaded tile — the accumulator get (and its wait,

@@ -123,6 +123,8 @@ impl Operator for MatmulOp {
 
     fn lower(&self, space: &ScheduleSpace, point: &SchedulePoint) -> Option<Program> {
         let knobs = MatmulKnobs::from_point(space, point);
+        // Rejected points cost no program.
+        knobs.tilings(self.m, self.n, self.k, false)?;
         let mut p = Program::new(self.name());
         let a_buf = p.mem_buf("A", self.m * self.k, MemRole::Input);
         let b_buf = p.mem_buf("B", self.k * self.n, MemRole::Input);
@@ -194,6 +196,49 @@ impl MatmulKnobs {
         }
     }
 
+    /// The `(m, n, k)` tilings the knobs select, or `None` where
+    /// [`lower_matmul_body_with_spm`] rejects the point before building
+    /// anything (`shares_spm`: the caller provides the SPM tile buffers).
+    fn tilings(
+        &self,
+        m: usize,
+        n: usize,
+        k: usize,
+        shares_spm: bool,
+    ) -> Option<(DimTiles, DimTiles, DimTiles)> {
+        // Alignment of the vectorised dimension is 32 (mesh × vector width);
+        // the other GEMM dims need mesh alignment only.
+        let align_m = if self.vec_m { 32 } else { 8 };
+        let align_n = if self.vec_m { 8 } else { 32 };
+        let m_tiles = DimTiles::new(m, self.t_m, align_m);
+        let n_tiles = DimTiles::new(n, self.t_n, align_n);
+        let k_tiles = DimTiles::new(k, self.t_k, 8);
+
+        // Resident reuse keeps one operand's whole-K run of tiles in SPM: the
+        // k dimension must be a single unrollable segment, the resident
+        // operand row-major (no mesh swap), and the loop order must make the
+        // panel invariant over the inner tile loop.
+        if self.resident != Resident::None {
+            let k_segs = k_tiles.segs();
+            let eligible = k_segs.len() == 1
+                && !k_segs[0].aux
+                && k_segs[0].count <= MAX_RESIDENT_UNROLL
+                && !shares_spm
+                && match self.resident {
+                    Resident::A => !self.a_col && !self.n_outer,
+                    Resident::B => !self.b_col && self.n_outer,
+                    Resident::None => unreachable!(),
+                };
+            if !eligible {
+                return None;
+            }
+        }
+
+        // Prune pathological candidates: too many tile iterations.
+        let iters = m_tiles.count() * n_tiles.count() * k_tiles.count();
+        (iters <= 500_000).then_some((m_tiles, n_tiles, k_tiles))
+    }
+
     /// The standard matmul schedule space over the given dimensions (the
     /// compact `dma` ladder; used by the convolution operators that tune
     /// the same GEMM space over their materialised matrices).
@@ -245,40 +290,8 @@ pub fn lower_matmul_body_with_spm(
     spm_reuse: Option<[swatop_ir::SpmBufId; 3]>,
 ) -> Option<Vec<Stmt>> {
     let &MatmulKnobs { t_m, t_n, t_k, a_col, b_col, vec_m, n_outer, dma, resident } = knobs;
+    let (m_tiles, n_tiles, k_tiles) = knobs.tilings(m, n, k, spm_reuse.is_some())?;
     p.hints = dma.hints();
-
-    // Alignment of the vectorised dimension is 32 (mesh × vector width);
-    // the other GEMM dims need mesh alignment only.
-    let align_m = if vec_m { 32 } else { 8 };
-    let align_n = if vec_m { 8 } else { 32 };
-    let m_tiles = DimTiles::new(m, t_m, align_m);
-    let n_tiles = DimTiles::new(n, t_n, align_n);
-    let k_tiles = DimTiles::new(k, t_k, 8);
-
-    // Resident reuse keeps one operand's whole-K run of tiles in SPM: the k
-    // dimension must be a single unrollable segment, the resident operand
-    // row-major (no mesh swap), and the loop order must make the panel
-    // invariant over the inner tile loop.
-    if resident != Resident::None {
-        let eligible = k_tiles.segs().len() == 1
-            && !k_tiles.segs()[0].aux
-            && k_tiles.segs()[0].count <= MAX_RESIDENT_UNROLL
-            && spm_reuse.is_none()
-            && match resident {
-                Resident::A => !a_col && !n_outer,
-                Resident::B => !b_col && n_outer,
-                Resident::None => unreachable!(),
-            };
-        if !eligible {
-            return None;
-        }
-    }
-
-    // Prune pathological candidates: too many tile iterations.
-    let iters = m_tiles.count() * n_tiles.count() * k_tiles.count();
-    if iters > 500_000 {
-        return None;
-    }
 
     {
         let mut setup: Vec<Stmt> = Vec::new();
@@ -394,7 +407,7 @@ pub fn lower_matmul_body_with_spm(
                         MemToSpm, SpmSlot::Single(spm_b), r_in,
                     ));
                     let (m_cur, n_cur, k_cur) = (sm.size, sn.size, sk.size);
-                    let gemm = Stmt::Gemm(GemmOp {
+                    let gemm = Stmt::gemm(GemmOp {
                         m: m_cur,
                         n: n_cur,
                         k: k_cur,
@@ -453,7 +466,9 @@ pub fn lower_matmul_body_with_spm(
                         // other operand and point their GEMM at the step's
                         // resident slot.
                         let k_at = |ki: usize| AffineExpr::konst(ki as i64);
-                        let mut outer_steps: Vec<Stmt> = Vec::new();
+                        // Per k step: the resident get; then the wait and
+                        // the inner loop.
+                        let mut outer_steps: Vec<Stmt> = Vec::with_capacity(sk.count + 2);
                         for (ki, &slot) in panel_slots.iter().enumerate().take(sk.count) {
                             let mut g = match resident {
                                 Resident::A => a_fam.tile_dma(
@@ -470,8 +485,10 @@ pub fn lower_matmul_body_with_spm(
                             outer_steps.push(Stmt::DmaCg(g));
                         }
                         outer_steps.push(Stmt::DmaWait { reply: r_in, times: sk.count });
-                        let mut steps: Vec<Stmt> =
-                            vec![c_get, Stmt::DmaWait { reply: r_cget, times: 1 }];
+                        // The accumulator get and wait, a get, wait and
+                        // GEMM per k step, the put and its wait.
+                        let mut steps: Vec<Stmt> = Vec::with_capacity(3 * sk.count + 4);
+                        steps.extend([c_get, Stmt::DmaWait { reply: r_cget, times: 1 }]);
                         for (ki, &slot) in panel_slots.iter().enumerate().take(sk.count) {
                             let (stream_get, a_desc, b_desc) = match resident {
                                 Resident::A => {
@@ -514,7 +531,7 @@ pub fn lower_matmul_body_with_spm(
                             };
                             steps.push(Stmt::DmaCg(stream_get));
                             steps.push(Stmt::DmaWait { reply: r_in, times: 1 });
-                            steps.push(Stmt::Gemm(GemmOp {
+                            steps.push(Stmt::gemm(GemmOp {
                                 m: m_cur,
                                 n: n_cur,
                                 k: k_cur,

@@ -27,7 +27,7 @@ pub use winograd_conv::WinogradConvOp;
 use sw26010::fault::MiscompilePlan;
 use sw26010::{CoreGroup, ExecMode, MachineConfig, MachineResult};
 use swatop_dsl::{factors_of, SchedulePoint, ScheduleSpace};
-use swatop_ir::{MemRole, ScheduleHints};
+use swatop_ir::{AVar, AffineExpr, MemRole, ScheduleHints, VarId};
 
 use crate::interp::{execute, instantiate};
 use crate::scheduler::{Candidate, Operator};
@@ -124,6 +124,18 @@ impl DmaKnobs {
 fn divisor_menu(n: usize, mult: usize, cap: usize) -> Vec<usize> {
     let v: Vec<usize> = factors_of(n).into_iter().filter(|d| d % mult == 0).collect();
     spread(v, cap)
+}
+
+/// The largest divisor of `n` that is a multiple of `mult` — the top of an
+/// uncapped [`divisor_menu`] — or `mult` where there is none.
+fn largest_divisor(n: usize, mult: usize) -> usize {
+    (1..=n / mult).rev().map(|q| q * mult).find(|d| n.is_multiple_of(*d)).unwrap_or(mult)
+}
+
+/// `Σ stride·var + start` over loop variables: a tile address, built in one
+/// allocation.
+fn loop_sum(terms: &[(VarId, usize)], start: usize) -> AffineExpr {
+    AffineExpr::from_terms(terms.iter().map(|&(v, k)| (AVar::Loop(v), k as i64)), start as i64)
 }
 
 /// Keep at most `cap` values, evenly spread (always including the largest).
@@ -244,6 +256,16 @@ pub fn verify_tolerance(flops: u64) -> f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn largest_divisor_is_the_top_of_the_divisor_list() {
+        for n in 0..600 {
+            for mult in [1, 8, 32] {
+                let top = factors_of(n).into_iter().filter(|d| d % mult == 0).max().unwrap_or(mult);
+                assert_eq!(largest_divisor(n, mult), top, "{n} {mult}");
+            }
+        }
+    }
 
     #[test]
     fn knobs_by_position_equal_knobs_by_name() {

@@ -19,7 +19,7 @@
 
 use sw26010::DmaDirection;
 use swatop_ir::{
-    AffineExpr, DmaCg, MemBufId, MemRole, Program, ReplyId, SpmSlot, Stmt, TransformKind,
+    AVar, AffineExpr, DmaCg, MemBufId, MemRole, Program, ReplyId, SpmSlot, Stmt, TransformKind,
     TransformOp, VarId,
 };
 
@@ -339,13 +339,11 @@ impl SrcFamily {
         } else {
             (self.main, self.main_cols, seg_r.start, seg_c.start)
         };
-        let mut offset = AffineExpr::konst((row0 * width + col0) as i64);
-        if let Some(v) = var_r {
-            offset = offset.add_term(swatop_ir::AVar::Loop(v), (seg_r.stride * width) as i64);
-        }
-        if let Some(v) = var_c {
-            offset = offset.add_term(swatop_ir::AVar::Loop(v), seg_c.stride as i64);
-        }
+        let terms = [(var_r, seg_r.stride * width), (var_c, seg_c.stride)];
+        let offset = AffineExpr::from_terms(
+            terms.into_iter().filter_map(|(v, k)| Some((AVar::Loop(v?), k as i64))),
+            (row0 * width + col0) as i64,
+        );
         DmaCg {
             buf,
             offset,

@@ -30,7 +30,7 @@ use swatop_ir::{
 use swkernels::VecDim;
 use swtensor::{ConvShape, MatLayout};
 
-use crate::ops::divisor_menu;
+use crate::ops::{divisor_menu, largest_divisor, loop_sum};
 use crate::ops::tiling::DimTiles;
 use crate::optimizer::boundary::round_up;
 use crate::scheduler::Operator;
@@ -121,8 +121,7 @@ impl Operator for WinogradConvOp {
         // Prior-knowledge pruning (see implicit conv): cap the GEMM
         // invocation count relative to the best achievable.
         {
-            let max_no = swatop_dsl::factors_of(no).into_iter().filter(|d| d % 8 == 0).max().unwrap_or(8);
-            let max_ni = swatop_dsl::factors_of(ni).into_iter().filter(|d| d % 8 == 0).max().unwrap_or(8);
+            let (max_no, max_ni) = (largest_divisor(no, 8), largest_divisor(ni, 8));
             let max_nt = 512usize.min(crate::optimizer::boundary::round_up(nt_pad, 32));
             let min_inv = 16 * (no / max_no).max(1) * nt_pad.div_ceil(max_nt) * (ni / max_ni).max(1);
             let inv = 16 * (no / t_no) * nt_pad.div_ceil(t_nt) * (ni / t_ni);
@@ -194,7 +193,6 @@ impl Operator for WinogradConvOp {
         let r_mget = p.fresh_reply();
         let r_mput = p.fresh_reply();
 
-        let lv = AffineExpr::loop_var;
         let mut nests = Vec::new();
         for seg in nt_tiles.segs() {
             let v_pos = p.fresh_var("pos");
@@ -203,25 +201,9 @@ impl Operator for WinogradConvOp {
             let v_nit = p.fresh_var("ni_t");
 
             let (u_rows, u_cols, u_rs, u_offset) = if u_col {
-                (
-                    t_ni,
-                    t_no,
-                    no,
-                    lv(v_pos)
-                        .scale((ni * no) as i64)
-                        .add(&lv(v_nit).scale((t_ni * no) as i64))
-                        .add(&lv(v_not).scale(t_no as i64)),
-                )
+                (t_ni, t_no, no, loop_sum(&[(v_pos, ni * no), (v_nit, t_ni * no), (v_not, t_no)], 0))
             } else {
-                (
-                    t_no,
-                    t_ni,
-                    ni,
-                    lv(v_pos)
-                        .scale((no * ni) as i64)
-                        .add(&lv(v_not).scale((t_no * ni) as i64))
-                        .add(&lv(v_nit).scale(t_ni as i64)),
-                )
+                (t_no, t_ni, ni, loop_sum(&[(v_pos, no * ni), (v_not, t_no * ni), (v_nit, t_ni)], 0))
             };
             let u_get_to = |spm: swatop_ir::SpmBufId, offset: AffineExpr| {
                 Stmt::DmaCg(DmaCg {
@@ -236,11 +218,10 @@ impl Operator for WinogradConvOp {
                     reply: r_in,
                 })
             };
-            let v_offset = lv(v_pos)
-                .scale((ni * nt_pad) as i64)
-                .add(&lv(v_nit).scale((t_ni * nt_pad) as i64))
-                .add(&lv(v_ntt).scale(seg.stride as i64))
-                .add_const(seg.start as i64);
+            let v_offset = loop_sum(
+                &[(v_pos, ni * nt_pad), (v_nit, t_ni * nt_pad), (v_ntt, seg.stride)],
+                seg.start,
+            );
             let v_get_to = |spm: swatop_ir::SpmBufId, offset: AffineExpr| {
                 Stmt::DmaCg(DmaCg {
                     buf: v_buf,
@@ -254,11 +235,10 @@ impl Operator for WinogradConvOp {
                     reply: r_in,
                 })
             };
-            let m_offset = lv(v_pos)
-                .scale((no * nt_pad) as i64)
-                .add(&lv(v_not).scale((t_no * nt_pad) as i64))
-                .add(&lv(v_ntt).scale(seg.stride as i64))
-                .add_const(seg.start as i64);
+            let m_offset = loop_sum(
+                &[(v_pos, no * nt_pad), (v_not, t_no * nt_pad), (v_ntt, seg.stride)],
+                seg.start,
+            );
             let m_dma = |direction, reply, slot: SpmSlot| {
                 Stmt::DmaCg(DmaCg {
                     buf: m_buf,
@@ -273,7 +253,7 @@ impl Operator for WinogradConvOp {
                 })
             };
             let gemm_with = |ua: swatop_ir::SpmBufId, vb: swatop_ir::SpmBufId, c_slot: SpmSlot, beta: f32| {
-                Stmt::Gemm(GemmOp {
+                Stmt::gemm(GemmOp {
                     m: t_no,
                     n: seg.size,
                     k: t_ni,

@@ -20,7 +20,7 @@
 //! tags eligible `DMA_CPE` nodes with a [`BcastBus`] direction; the machine
 //! prices the leader transfer plus the regcomm scatter.
 
-use std::collections::HashSet;
+use std::fmt::Write;
 
 use sw26010::regcomm::BcastBus;
 use sw26010::DmaDirection;
@@ -42,16 +42,16 @@ pub fn coalesce_gets(mut program: Program) -> Program {
         Stmt::Nop => Vec::new(),
         other => vec![other],
     };
-    let mut out = Vec::new();
+    let mut out = Vec::with_capacity(tops.len());
+    // Scratch shared by the top-level statements: each leaves `loops` empty.
+    let (mut written, mut loops) = (Vec::new(), Vec::new());
     for mut top in tops {
-        let written = written_bufs(&top);
-        let mut packs: Vec<Stmt> = Vec::new();
-        let mut loops: Vec<(usize, usize)> = Vec::new();
-        rewrite(&mut top, &mut loops, false, &written, &mut program, &mut packs);
+        written.clear();
+        written_bufs(&top, &mut written);
         // Staging gathers run before the nest that consumes them; the
         // source is read-only within this top-level statement, so the
         // ordering with respect to earlier producers is preserved.
-        out.extend(packs);
+        rewrite(&mut top, &mut loops, false, &written, &mut program, &mut out);
         out.push(top);
     }
     program.set_body(Stmt::seq(out));
@@ -62,7 +62,7 @@ fn rewrite(
     s: &mut Stmt,
     loops: &mut Vec<(usize, usize)>,
     in_if: bool,
-    written: &HashSet<usize>,
+    written: &[usize],
     program: &mut Program,
     packs: &mut Vec<Stmt>,
 ) {
@@ -97,7 +97,7 @@ fn try_coalesce(
     d: &DmaCg,
     loops: &[(usize, usize)],
     in_if: bool,
-    written: &HashSet<usize>,
+    written: &[usize],
     program: &mut Program,
 ) -> Option<(Stmt, DmaCpe)> {
     if in_if
@@ -115,35 +115,37 @@ fn try_coalesce(
     // Every loop term of the tile origin must be a (non-negative-stride)
     // enclosing loop, so the gather can enumerate exactly the tiles the
     // nest will fetch.
-    let mut iters: Vec<(usize, usize, i64)> = Vec::new(); // (var, extent, coeff)
-    for &(av, coeff) in d.offset.terms() {
-        let AVar::Loop(v) = av else { return None };
-        if coeff < 0 {
-            return None;
-        }
-        let &(_, extent) = loops.iter().find(|&&(lv, _)| lv == v)?;
-        iters.push((v, extent, coeff));
+    let enclosing = |v| loops.iter().any(|&(lv, _)| lv == v);
+    let gatherable = |&(av, c): &(AVar, i64)| matches!(av, AVar::Loop(v) if enclosing(v)) && c >= 0;
+    if !d.offset.terms().iter().all(gatherable) {
+        return None;
     }
-    // Order outermost-first to match the enclosing nest.
-    iters.sort_by_key(|&(v, _, _)| loops.iter().position(|&(lv, _)| lv == v));
+    // `(var, extent, coeff)` of the loops the origin moves with,
+    // outermost first to match the enclosing nest.
+    let iters = || {
+        loops.iter().filter_map(|&(v, ext)| {
+            let c = d.offset.coeff(AVar::Loop(v));
+            (c != 0).then_some((v, ext, c))
+        })
+    };
     let base = d.offset.constant();
-    let span: i64 = iters.iter().map(|&(_, ext, c)| c * (ext as i64 - 1)).sum();
+    let span: i64 = iters().map(|(_, ext, c)| c * (ext as i64 - 1)).sum();
     let last = base + span + ((d.rows - 1) * d.row_stride + d.cols) as i64;
     if last > program.mem_bufs[d.buf.0].len as i64 {
         return None;
     }
-    let n_iters: usize = iters.iter().map(|&(_, ext, _)| ext).product();
+    let n_iters: usize = iters().map(|(_, ext, _)| ext).product();
     let packed_len = n_iters.checked_mul(d.rows * d.cols)?;
     if packed_len > MAX_PACKED_ELEMS {
         return None;
     }
 
-    let src_name = program.mem_bufs[d.buf.0].name.clone();
-    let dst = program.mem_buf(
-        format!("{}_packed{}", src_name, program.mem_bufs.len()),
-        packed_len,
-        MemRole::Temp,
-    );
+    let src = &program.mem_bufs[d.buf.0].name;
+    let mut name = String::with_capacity(src.len() + 16);
+    write!(name, "{src}_packed{}", program.mem_bufs.len()).expect("writing to a String");
+    let dst = program.mem_buf(name, packed_len, MemRole::Temp);
+    let mut pack_iters = Vec::with_capacity(iters().count());
+    pack_iters.extend(iters().map(|(_, ext, c)| (ext, c)));
     let pack = Stmt::Transform(TransformOp { fused: false,
         kind: TransformKind::PackTiles {
             src: d.buf,
@@ -153,21 +155,20 @@ fn try_coalesce(
             row_stride: d.row_stride,
             mesh_swap: d.mesh_swap,
             base,
-            iters: iters.iter().map(|&(_, ext, c)| (ext, c)).collect(),
+            iters: pack_iters,
         },
     });
 
     // Packed layout [lin_iter][rid*8+cid][E]: the replacement get is one
     // contiguous block of E elements per CPE per step.
     let e = d.rows * d.cols / 64;
-    let mut offset = AffineExpr::zero()
-        .add_term(AVar::Rid, (8 * e) as i64)
-        .add_term(AVar::Cid, e as i64);
-    let mut suffix = 1i64;
-    for &(v, ext, _) in iters.iter().rev() {
-        offset = offset.add_term(AVar::Loop(v), suffix * (64 * e) as i64);
-        suffix *= ext as i64;
-    }
+    let steps = iters().rev().scan((64 * e) as i64, |step, (v, ext, _)| {
+        let term = (AVar::Loop(v), *step);
+        *step *= ext as i64;
+        Some(term)
+    });
+    let mesh = [(AVar::Rid, (8 * e) as i64), (AVar::Cid, e as i64)];
+    let offset = AffineExpr::from_terms(mesh.into_iter().chain(steps), 0);
     let cpe = DmaCpe {
         buf: dst,
         offset,
@@ -183,23 +184,20 @@ fn try_coalesce(
     Some((pack, cpe))
 }
 
-/// Main-memory buffers written anywhere within `stmt` (DMA puts and
-/// transform destinations).
-fn written_bufs(stmt: &Stmt) -> HashSet<usize> {
-    let mut out = HashSet::new();
-    stmt.visit(&mut |s| match s {
-        Stmt::DmaCg(d) if d.direction == DmaDirection::SpmToMem => {
-            out.insert(d.buf.0);
+/// Push to `out` the main-memory buffers written anywhere within `stmt`
+/// (DMA puts and transform destinations), each once.
+fn written_bufs(stmt: &Stmt, out: &mut Vec<usize>) {
+    stmt.visit(&mut |s| {
+        let buf = match s {
+            Stmt::DmaCg(d) if d.direction == DmaDirection::SpmToMem => d.buf.0,
+            Stmt::DmaCpe(d) if d.direction == DmaDirection::SpmToMem => d.buf.0,
+            Stmt::Transform(t) => transform_dst(&t.kind),
+            _ => return,
+        };
+        if !out.contains(&buf) {
+            out.push(buf);
         }
-        Stmt::DmaCpe(d) if d.direction == DmaDirection::SpmToMem => {
-            out.insert(d.buf.0);
-        }
-        Stmt::Transform(t) => {
-            out.insert(transform_dst(&t.kind));
-        }
-        _ => {}
     });
-    out
 }
 
 fn transform_dst(k: &TransformKind) -> usize {

@@ -20,7 +20,7 @@
 //! variable moves out of that loop.
 
 use sw26010::{DmaDirection, MESH};
-use swatop_ir::{AVar, DmaCg, DmaCpe, Stmt};
+use swatop_ir::{AVar, AffineExpr, DmaCg, DmaCpe, Stmt};
 
 /// Lower every `DMA_CG` node in the tree to a `DMA_CPE` node, in place.
 pub fn lower_dma(stmt: &mut Stmt) {
@@ -49,10 +49,11 @@ pub fn lower_node(d: &DmaCg) -> DmaCpe {
     } else {
         (AVar::Rid, AVar::Cid)
     };
-    let offset = d
-        .offset
-        .add_term(row_mesh, (block_rows * d.row_stride) as i64)
-        .add_term(col_mesh, block_cols as i64);
+    let mesh = [(row_mesh, (block_rows * d.row_stride) as i64), (col_mesh, block_cols as i64)];
+    let offset = AffineExpr::from_terms(
+        d.offset.terms().iter().copied().chain(mesh),
+        d.offset.constant(),
+    );
     let (block, stride, n_blocks) = if d.row_stride == block_cols {
         // Per-CPE blocks are contiguous in memory: merge into one transfer
         // (the continuous DMA mode).
@@ -135,7 +136,7 @@ fn slot_invariant(slot: &swatop_ir::SpmSlot, var: usize) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use swatop_ir::{AffineExpr, MemBufId, ReplyId, SpmBufId, SpmSlot};
+    use swatop_ir::{MemBufId, ReplyId, SpmBufId, SpmSlot};
 
     fn cg_node(offset: AffineExpr, rows: usize, cols: usize, row_stride: usize) -> DmaCg {
         DmaCg {

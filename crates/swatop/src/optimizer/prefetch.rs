@@ -102,13 +102,12 @@ fn rewrite(stmt: &mut Stmt, program: &mut Program, twins: &mut Vec<(SpmBufId, Sp
 
 /// The linearised iteration index of a nest: `Σ vᵢ · Π_{j>i} Eⱼ`.
 pub fn linear_index(loops: &[(VarId, usize)]) -> AffineExpr {
-    let mut expr = AffineExpr::zero();
-    let mut scale: i64 = 1;
-    for &(var, extent) in loops.iter().rev() {
-        expr = expr.add_term(swatop_ir::AVar::Loop(var), scale);
-        scale *= extent as i64;
-    }
-    expr
+    let strides = loops.iter().rev().scan(1i64, |scale, &(var, extent)| {
+        let term = (swatop_ir::AVar::Loop(var), *scale);
+        *scale *= extent as i64;
+        Some(term)
+    });
+    AffineExpr::from_terms(strides, 0)
 }
 
 /// The next-iteration inference chain: for each loop depth `j` (innermost
@@ -139,17 +138,15 @@ pub fn next_index_branches(
 /// innermost body starts with a run of single-slot gets and their wait.
 /// Returns that run and the statements after the wait.
 fn steady_state_gets(stmt: &Stmt) -> Option<(&[Stmt], &[Stmt])> {
-    let mut nest_vars: Vec<VarId> = Vec::new();
     let mut iterations = 1usize;
     let mut cur = stmt;
-    while let Stmt::For { var, extent, body } = cur {
-        nest_vars.push(*var);
+    while let Stmt::For { extent, body, .. } = cur {
         iterations *= extent;
         cur = body;
     }
     // A single-iteration nest has nothing to pipeline: the prologue would
     // be the whole loop.
-    if nest_vars.is_empty() || iterations <= 1 {
+    if !matches!(stmt, Stmt::For { .. }) || iterations <= 1 {
         return None;
     }
     let items: &[Stmt] = match cur {
@@ -168,34 +165,45 @@ fn steady_state_gets(stmt: &Stmt) -> Option<(&[Stmt], &[Stmt])> {
             _ => None,
         }
     }
-    let gets: Vec<&DmaCpe> = items.iter().map_while(single_get).collect();
-    if gets.is_empty() {
+    let n_gets = items.iter().map_while(single_get).count();
+    if n_gets == 0 {
         return None;
     }
+    let gets = || items[..n_gets].iter().filter_map(single_get);
     // The wait must match the gets' shared reply word.
-    let Stmt::DmaWait { reply, times } = items.get(gets.len())? else {
+    let Some(&Stmt::DmaWait { reply, times }) = items.get(n_gets) else {
         return None;
     };
-    if *times != gets.len() || gets.iter().any(|g| g.reply != *reply) {
+    if times != n_gets || gets().any(|g| g.reply != reply) {
         return None;
     }
     // At least one get must vary with the nest (else hoisting applies).
-    if !gets.iter().any(|g| nest_vars.iter().any(|v| g.offset.depends_on(*v))) {
+    let varies = |g: &DmaCpe| {
+        let mut cur = stmt;
+        while let Stmt::For { var, body, .. } = cur {
+            if g.offset.depends_on(*var) {
+                return true;
+            }
+            cur = body;
+        }
+        false
+    };
+    if !gets().any(varies) {
         return None;
     }
     // The rest must not issue on the same reply word (FIFO pairing).
-    let rest = &items[gets.len() + 1..];
+    let rest = &items[n_gets + 1..];
     let mut reuses_reply = false;
     for s in rest {
         s.visit(&mut |s| {
             if let Stmt::DmaCpe(d) = s {
-                if d.reply == *reply {
+                if d.reply == reply {
                     reuses_reply = true;
                 }
             }
         });
     }
-    (!reuses_reply).then_some((&items[..gets.len()], rest))
+    (!reuses_reply).then_some((&items[..n_gets], rest))
 }
 
 /// `g` re-issued at another address into another slot.
@@ -227,7 +235,6 @@ fn transform_nest(
         loops.push((var, extent));
         body = *inner;
     }
-    let nest_vars: Vec<VarId> = loops.iter().map(|(v, _)| *v).collect();
     let mut items: Vec<Stmt> = match body {
         Stmt::Seq(ss) => ss,
         other => vec![other],
@@ -280,11 +287,9 @@ fn transform_nest(
 
     // Prologue: gets for iteration 0 (all nest vars = 0) → even buffers.
     let mut out = Vec::with_capacity(gets.len() + 1);
+    let first: Vec<(VarId, i64)> = loops.iter().map(|&(v, _)| (v, 0)).collect();
     for (g, b) in &gets {
-        let mut offset = g.offset.clone();
-        for &v in &nest_vars {
-            offset = offset.subst(v, &AffineExpr::zero());
-        }
+        let offset = g.offset.subst_consts(&first);
         out.push(Stmt::DmaCpe(reissue(g, offset, dbl_slot(*b, AffineExpr::zero()))));
     }
 

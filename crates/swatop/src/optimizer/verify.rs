@@ -444,7 +444,7 @@ mod tests {
 
     fn gemm(a: usize, b: usize, c: usize) -> Stmt {
         let d = |i: usize| MatDesc::new(SpmSlot::single(SpmBufId(i)), MatLayout::RowMajor, 8);
-        Stmt::Gemm(GemmOp {
+        Stmt::gemm(GemmOp {
             m: 8,
             n: 8,
             k: 8,
@@ -598,7 +598,7 @@ mod tests {
                 Cond::lt_const(next.clone(), n as i64),
                 get(0, fill(next.clone()), 0, false),
             ),
-            Stmt::Gemm(GemmOp {
+            Stmt::gemm(GemmOp {
                 m: 8,
                 n: 8,
                 k: 8,
@@ -621,7 +621,7 @@ mod tests {
                 Cond::lt_const(next.clone(), n as i64),
                 get(0, fill(next.clone()), 0, false),
             ),
-            Stmt::Gemm(GemmOp {
+            Stmt::gemm(GemmOp {
                 m: 8,
                 n: 8,
                 k: 8,

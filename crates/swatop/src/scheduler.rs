@@ -162,10 +162,15 @@ impl Scheduler {
 struct Shared {
     /// The point's selection with the hint-only knobs zeroed.
     key: Vec<usize>,
-    /// `op.lower` at `key`; `None` marks the structural point invalid.
+    /// `op.lower` at `key` (`None`: the structural point is invalid) until
+    /// the last DMA-wall chain that reads it takes it.
     lowered: Option<Program>,
     /// DMA-wall pipeline output per `[coalesce][bcast]`, once asked for.
     raw: [[Option<Program>; 2]; 2],
+    /// A second handle on the lowering for [`check_shared`], which outlives
+    /// the take. The chain then copies the tree it would have moved.
+    #[cfg(debug_assertions)]
+    check: Option<Program>,
 }
 
 /// The front-end stages of one pass over a space — lower, DMA-wall
@@ -212,15 +217,21 @@ impl<'a> FrontEnd<'a> {
                 hint_only.iter().for_each(|&i| key[i] = 0);
                 let structural = SchedulePoint::from_sel(self.space, key.clone());
                 let lowered = self.op.lower(self.space, &structural);
-                self.block.push(Shared { key, lowered, raw: Default::default() });
+                self.block.push(Shared {
+                    key,
+                    #[cfg(debug_assertions)]
+                    check: lowered.clone(),
+                    lowered,
+                    raw: Default::default(),
+                });
                 self.block.len() - 1
             }
         };
-        let Shared { lowered, raw: chain, .. } = &mut self.block[slot];
+        let shared = &mut self.block[slot];
         // A shared lowering was made at the zeroed knobs: the point's own
         // hints are the only thing it lacks.
         let hints = if self.hint_only.is_empty() {
-            lowered.as_ref()?.hints
+            shared.lowered.as_ref()?.hints
         } else {
             DmaKnobs::at(&self.hint_only, sel).hints()
         };
@@ -228,14 +239,22 @@ impl<'a> FrontEnd<'a> {
         // pipeline runs: `dma_wall` reads `coalesce` only, and the tagged
         // form is `tag_broadcast` on a copy of the untagged tree — the
         // tables stay shared. No step reads `dbuf`: the dbuf on/off pair
-        // shares its `raw` — the same tree, not two equal ones.
-        let raw = lowered.as_ref().map(|lowered| {
-            let [untagged, tagged] = &mut chain[usize::from(hints.coalesce)];
-            let untagged = untagged.get_or_insert_with(|| {
+        // shares its `raw` — the same tree, not two equal ones. The lowering
+        // feeds one chain per `coalesce` value (just one where no knob is
+        // hint-only); the last of them takes it and edits its tree in place
+        // instead of copying it.
+        let c = usize::from(hints.coalesce);
+        let last = self.hint_only.is_empty() || shared.raw[1 - c][0].is_some();
+        let [untagged, tagged] = &mut shared.raw[c];
+        if untagged.is_none() {
+            let lowered = if last { shared.lowered.take() } else { shared.lowered.clone() };
+            *untagged = lowered.map(|lowered| {
                 let hints = ScheduleHints { bcast: false, ..hints };
-                optimizer::dma_wall(Program { hints, ..lowered.clone() })
+                optimizer::dma_wall(Program { hints, ..lowered })
             });
-            let shared = if hints.bcast {
+        }
+        let raw = untagged.as_ref().map(|untagged| {
+            let form = if hints.bcast {
                 tagged.get_or_insert_with(|| {
                     let mut tagged = untagged.clone();
                     coalesce::tag_broadcast(tagged.body_mut());
@@ -244,10 +263,11 @@ impl<'a> FrontEnd<'a> {
             } else {
                 untagged
             };
-            Program { hints, ..shared.clone() }
+            Program { hints, ..form.clone() }
         });
-        if cfg!(debug_assertions) && !self.hint_only.is_empty() {
-            check_shared(self.op, self.space, point, lowered.as_ref(), raw.as_ref(), hints);
+        #[cfg(debug_assertions)]
+        if !self.hint_only.is_empty() {
+            check_shared(self.op, self.space, point, shared.check.as_ref(), raw.as_ref(), hints);
         }
         self.sched.assemble(self.space, point, raw?)
     }
@@ -259,6 +279,7 @@ impl<'a> FrontEnd<'a> {
 /// the shared lowering with `hints` overwritten. And the one behind the
 /// derivation chain: optimizing that direct lowering from scratch gives the
 /// chained `raw`.
+#[cfg(debug_assertions)]
 fn check_shared(
     op: &dyn Operator,
     space: &ScheduleSpace,

@@ -632,7 +632,7 @@ fn residue_walk_of(outer: usize) -> Program {
         let off = mesh(vi.scale(13).add(&vj).add_const(k), 170, 4);
         dma(dst, off, 4, 40, 4, SpmToMem, &c, None, false)
     };
-    let gemm = Stmt::Gemm(GemmOp {
+    let gemm = Stmt::gemm(GemmOp {
         m: 32,
         n: 32,
         k: 16,
@@ -870,7 +870,7 @@ impl Kit {
 
     fn gemm(&self, sel: &AffineExpr) -> Stmt {
         let mat = |slot| MatDesc::new(slot, MatLayout::RowMajor, 8);
-        Stmt::Gemm(GemmOp {
+        Stmt::gemm(GemmOp {
             m: 64,
             n: 64,
             k: 64,

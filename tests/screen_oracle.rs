@@ -144,7 +144,7 @@ fn every_raw_of_the_fig9_full_spaces_scores_as_the_walk() {
 /// order — or a product in place of a sum — shows in the bits.
 fn gemm(m: usize, n: usize, k: usize) -> Stmt {
     let operand = |layout| MatDesc::new(SpmSlot::Single(SpmBufId(0)), layout, 8);
-    Stmt::Gemm(GemmOp {
+    Stmt::gemm(GemmOp {
         m,
         n,
         k,
