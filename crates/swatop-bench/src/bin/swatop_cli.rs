@@ -1,20 +1,17 @@
-//! `swatop_cli` — the offline-compiler front end.
+//! `swatop_cli` — the one command line: tune an operator (`gemm`, `conv`,
+//! `bwd-data`, `bwd-filter`), `profile` one schedule, journal the bench set
+//! (`bench`), render the flight `report`, inspect and gate on the `journal`,
+//! and regenerate the paper's `experiments`. Run it bare for the usage.
 //!
-//! ```text
-//! swatop_cli gemm M N K [--out FILE] [--trace FILE]
-//! swatop_cli conv B NI NO RO [--method implicit|winograd|explicit|auto]
-//!            [--kernel K] [--stride S] [--pad P] [--out FILE] [--trace FILE]
-//! swatop_cli bwd-data B NI NO RO [--out FILE]
-//! swatop_cli bwd-filter B NI NO RO [--out FILE]
-//! swatop_cli profile gemm M N K [--candidate N | --select SUBSTR]
-//!            [--diff N | --diff-select SUBSTR] [--out FILE] [--perfetto FILE]
-//! swatop_cli profile conv B NI NO RO [--method implicit|winograd|explicit] [...]
-//! ```
+//! The tune commands tune the requested operator with the
+//! performance-model autotuner, report the chosen schedule and simulated
+//! performance, write the generated C (`--out`) and optionally a Chrome
+//! trace of the winning schedule's execution (`--trace`, open in
+//! `chrome://tracing`/Perfetto).
 //!
-//! Tunes the requested operator with the performance-model autotuner,
-//! reports the chosen schedule and simulated performance, writes the
-//! generated C (`--out`) and optionally a Chrome trace of the winning
-//! schedule's execution (`--trace`, open in `chrome://tracing`/Perfetto).
+//! Every command reads the flags of its own usage groups (`COMMANDS`) and no
+//! other: a flag it does not read, a flag without its value or a value that
+//! does not parse exits 2 naming the flag.
 //!
 //! Fault tolerance: `--faults SEED` (or the `SWATOP_FAULT_SEED` env var)
 //! tunes on a simulated flaky machine — transient DMA faults, SPM capacity
@@ -25,10 +22,13 @@
 //! as an uninterrupted sweep.
 
 use std::collections::HashMap;
+use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
+use std::process::exit;
+use std::str::FromStr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use sw26010::{CoreGroup, ExecMode, FaultPlan, MachineConfig};
 use swatop::interp::{execute, instantiate};
@@ -40,150 +40,342 @@ use swatop::telemetry::metrics::{MetricsHub, MetricsServer};
 use swatop::telemetry::{Summary, Telemetry};
 use swatop::tuner::pool::{MonitorConfig, PoolMonitor};
 use swatop::tuner::{pool, tune, CheckpointPolicy, TierPolicy, TuneOptions};
+use swatop_bench::experiments::{self, Opts, Scale};
 use swatop_bench::flight::flight_html;
-use swatop_bench::journal::Journal;
+use swatop_bench::journal::{
+    compare, consistency_warnings, convergence_lines, record_table, show_json, transition_lines,
+    trend_lines, CompareOpts, Journal, DEFAULT_PATH,
+};
 use swatop_bench::report::{roofline_table, telemetry_summary, write_exports};
 use swatop_bench::runner::{tune_op, ConvMethod, TunedOp};
 use swtensor::ConvShape;
 
-const USAGE: &str = "usage:\n  swatop_cli gemm M N K [common flags]\n  \
-         swatop_cli conv B NI NO RO [--method implicit|winograd|explicit|auto] \
-         [--kernel K] [--stride S] [--pad P] [common flags]\n  \
-         swatop_cli bwd-data B NI NO RO [common flags]\n  \
-         swatop_cli bwd-filter B NI NO RO [common flags]\n  \
-         swatop_cli bench [--journal FILE] [--label L] [--repeats N] [--smoke]\n               \
-         [--handicap N] [--jobs N] [--faults SEED] [--validate|--strict-validate]\n               \
-         [--corpus FILE] [--tuner tiered|blackbox]\n               \
-         run the canonical bench set, appending journal records\n  \
-         swatop_cli report [--journal FILE] [--label L] [--out FILE]\n               \
-         render the flight report (self-contained HTML) from the journal\n  \
-         swatop_cli profile gemm M N K | conv B NI NO RO [--method M] [--kernel K]\n               \
-         [--candidate N | --select SUBSTR]   pick candidate A (default: tuned winner)\n               \
-         [--diff N | --diff-select SUBSTR]   diff mode: compare A against candidate B\n               \
-         [--out FILE]                        profile (or diff) JSON artifact\n               \
-         [--perfetto FILE]                   cycle-resolved timeline for ui.perfetto.dev\n               \
-         cycle-resolved per-engine profile of one enumerated schedule\n\
-         common flags:\n  \
-         --validate        validate the winning schedule before reporting it\n                    \
-         (static legality check + differential functional run\n                    \
-         against the golden reference); a rejected winner is\n                    \
-         quarantined and the tuner falls back to the next-best\n  \
-         --strict-validate like --validate, but exit non-zero if any winner\n                    \
-         was quarantined (CI gate: zero quarantined winners)\n  \
-         --jobs N          tuner worker threads (0/omitted = all cores, 1 = serial;\n                    \
-         the chosen schedule is identical for every value)\n  \
-         --out FILE        write generated C code\n  \
-         --trace FILE      write a Chrome trace of the winning schedule\n  \
-         --tuner model|blackbox|tiered\n                    \
-         model (default; not for bench): execute only the model's top picks;\n                    \
-         blackbox: execute the whole space on the scoreboard;\n                    \
-         tiered (bench default): analytic screen, then adaptive\n                    \
-         scoreboard top-k, then functional winner validation\n  \
-         --faults SEED     tune under injected faults (DMA drops, SPM pressure,\n                    \
-         measurement jitter); SWATOP_FAULT_SEED works too\n  \
-         --checkpoint FILE periodically snapshot sweep state to FILE\n  \
-         --resume FILE     load FILE before tuning and continue the sweep\n                    \
-         (implies --checkpoint FILE)\n  \
-         --telemetry FILE  write a JSON telemetry snapshot (per-candidate\n                    \
-         predicted/measured cycles, machine counters, model accuracy)\n  \
-         --trace-timeline FILE\n                    \
-         write a Perfetto/Chrome trace of the tuning run itself\n                    \
-         (one timeline track per tuner worker)\n  \
-         --verbose         print the per-run telemetry summary (counters, MAPE,\n                    \
-         rank correlation) and the per-candidate roofline table\n                    \
-         (bottleneck class, % of peak GFLOPS / DMA bandwidth)\n  \
-         --json            machine-readable result: one JSON object on stdout\n                    \
-         (result summary + full telemetry snapshot), no human text\n  \
-         --corpus FILE     write the feature corpus: one JSONL row per measured\n                    \
-         candidate (knobs, counters, cycles, bottleneck), sorted\n                    \
-         by (operator, index) so bytes are the same for every --jobs\n  \
-         --quiet           disable live observability entirely: no progress\n                    \
-         lines, no event bus (results are bit-identical either way)\n  \
-         --metrics-addr A  serve live Prometheus metrics on A (e.g.\n                    \
-         127.0.0.1:9184) at /metrics for the duration of the run\n  \
-         --metrics-linger MS\n                    \
-         keep serving /metrics MS after the run finishes\n  \
-         --flight-report FILE\n                    \
-         write the self-contained HTML flight report after the run\n  \
-         --stall-after-ms MS\n                    \
-         watchdog threshold: flag a candidate measurement still\n                    \
-         running after MS as stalled (report-only; default 30000)";
-
-fn usage() -> ! {
-    eprintln!("{USAGE}");
-    std::process::exit(2);
+/// What follows a flag: nothing (a switch), any text, a non-negative integer
+/// or a real. [`parse_args`] checks every value before a command runs, so a
+/// command reads its flags without a failure path of its own.
+#[derive(Clone, Copy, PartialEq)]
+enum Kind {
+    Switch,
+    Text,
+    Int,
+    Real,
 }
 
-struct Args {
-    positional: Vec<usize>,
-    flags: HashMap<String, String>,
+use Kind::{Int, Real, Switch, Text};
+
+/// A stretch of usage text and the flags it names.
+struct Group {
+    text: &'static str,
+    flags: &'static [(&'static str, Kind)],
 }
 
-/// Flags that take no value argument.
-const BOOL_FLAGS: &[&str] = &["verbose", "json", "smoke", "validate", "strict-validate", "quiet"];
+/// One command: the words that name it, how many numbers follow them, its
+/// usage — a synopsis, then the help sections it shares with other
+/// commands — and its body. It reads the flags its groups name and no other.
+struct Command {
+    name: &'static str,
+    arity: usize,
+    groups: &'static [&'static Group],
+    run: fn(&Args),
+}
 
-/// Flags that take a value: every one some command reads. Any flag in
-/// neither list is a usage error, so a deleted or misspelt flag cannot run
-/// as if it were absent.
-const VALUE_FLAGS: &[&str] = &[
-    "candidate", "checkpoint", "corpus", "diff", "diff-select", "faults", "flight-report",
-    "handicap", "jobs", "journal", "kernel", "label", "method", "metrics-addr", "metrics-linger",
-    "out", "pad", "perfetto", "repeats", "resume", "select", "stall-after-ms", "stride",
-    "telemetry", "trace", "trace-timeline", "tuner",
+const GEMM: Group =
+    Group { text: "  swatop_cli gemm M N K [run flags] [tune flags] [live flags]", flags: &[] };
+
+const CONV: Group = Group {
+    text: "  swatop_cli conv B NI NO RO [--method implicit|winograd|explicit|auto] [shape flags]
+             [run flags] [tune flags] [live flags]",
+    flags: &[("method", Text)],
+};
+
+const BWD: Group = Group {
+    text: "  swatop_cli bwd-data|bwd-filter B NI NO RO [shape flags]
+             [run flags] [tune flags] [live flags]",
+    flags: &[],
+};
+
+const BENCH: Group = Group {
+    text: "  swatop_cli bench [--journal FILE] [--label L] [--repeats N] [--smoke] [--handicap N]
+             [run flags] [live flags]
+             run the canonical bench set, appending journal records",
+    flags: &[
+        ("journal", Text), ("label", Text), ("repeats", Int), ("smoke", Switch), ("handicap", Int),
+    ],
+};
+
+const REPORT: Group = Group {
+    text: "  swatop_cli report [--journal FILE] [--label L] [--out FILE]
+             render the flight report (self-contained HTML) from the journal",
+    flags: &[("journal", Text), ("label", Text), ("out", Text)],
+};
+
+const PROFILE_GEMM: Group =
+    Group { text: "  swatop_cli profile gemm M N K [profile flags]", flags: &[] };
+
+const PROFILE_CONV: Group = Group {
+    text: "  swatop_cli profile conv B NI NO RO [--method implicit|winograd|explicit] [shape flags]
+             [profile flags]
+             cycle-resolved per-engine profile of one enumerated schedule",
+    flags: &[("method", Text)],
+};
+
+const JOURNAL_VALIDATE: Group = Group {
+    text: "  swatop_cli journal validate [--journal FILE]   (FILE: BENCH_swatop.json)",
+    flags: &[("journal", Text)],
+};
+
+const JOURNAL_SHOW: Group = Group {
+    text: "  swatop_cli journal show [--journal FILE] [--label L] [--json]
+             the records with their search summaries and the per-op GFLOPS
+             trend; --json prints them as one JSON document",
+    flags: &[("journal", Text), ("label", Text), ("json", Switch)],
+};
+
+const JOURNAL_COMPARE: Group = Group {
+    text: "  swatop_cli journal compare [--journal FILE] --baseline L1 --candidate L2
+             [--wall-rel F] [--strict]
+             regression gate (exit 1); median wall may grow by F (default 0.5);
+             --strict also fails on mixed jobs or a throughput collapse",
+    flags: &[
+        ("journal", Text), ("baseline", Text), ("candidate", Text), ("wall-rel", Real),
+        ("strict", Switch),
+    ],
+};
+
+const EXPERIMENTS: Group = Group {
+    text: "  swatop_cli experiments [--only LIST] [--full|--smoke|--cap N] [--jobs N]
+             [--telemetry FILE] [--trace-timeline FILE]
+             the paper's tables and the tuner ablation; LIST is a comma-separated
+             subset of fig5..fig11, table1..table3, ablation; only an unfiltered
+             run writes EXPERIMENTS_RESULTS.md",
+    flags: &[
+        ("only", Text), ("full", Switch), ("smoke", Switch), ("cap", Int), ("jobs", Int),
+        ("telemetry", Text), ("trace-timeline", Text),
+    ],
+};
+
+const SHAPE: Group = Group {
+    text: "shape flags: [--kernel K] [--stride S] [--pad P]
+  square kernel K (default 3), stride S (default 1), zero padding P (default 0)",
+    flags: &[("kernel", Int), ("stride", Int), ("pad", Int)],
+};
+
+const RUN: Group = Group {
+    text: "run flags:
+  --validate        validate the winning schedule before reporting it
+                    (static legality check + differential functional run
+                    against the golden reference); a rejected winner is
+                    quarantined and the tuner falls back to the next-best
+  --strict-validate like --validate, but exit non-zero if any winner
+                    was quarantined (CI gate: zero quarantined winners)
+  --jobs N          tuner worker threads (0/omitted = all cores, 1 = serial;
+                    the chosen schedule is identical for every value)
+  --tuner model|blackbox|tiered
+                    model (default; not for bench): execute only the model's top picks;
+                    blackbox: execute the whole space on the scoreboard;
+                    tiered (bench default): analytic screen, then adaptive
+                    scoreboard top-k, then functional winner validation
+  --faults SEED     tune under injected faults (DMA drops, SPM pressure,
+                    measurement jitter); SWATOP_FAULT_SEED works too
+  --corpus FILE     write the feature corpus: one JSONL row per measured
+                    candidate (knobs, counters, cycles, bottleneck), sorted
+                    by (operator, index) so bytes are the same for every --jobs",
+    flags: &[
+        ("validate", Switch), ("strict-validate", Switch), ("jobs", Int), ("tuner", Text),
+        ("faults", Int), ("corpus", Text),
+    ],
+};
+
+const TUNE: Group = Group {
+    text: "tune flags:
+  --out FILE        write generated C code
+  --trace FILE      write a Chrome trace of the winning schedule
+  --checkpoint FILE periodically snapshot sweep state to FILE
+  --resume FILE     load FILE before tuning and continue the sweep
+                    (implies --checkpoint FILE)
+  --telemetry FILE  write a JSON telemetry snapshot (per-candidate
+                    predicted/measured cycles, machine counters, model accuracy)
+  --trace-timeline FILE
+                    write a Perfetto/Chrome trace of the tuning run itself
+                    (one timeline track per tuner worker)
+  --verbose         print the per-run telemetry summary (counters, MAPE,
+                    rank correlation) and the per-candidate roofline table
+                    (bottleneck class, % of peak GFLOPS / DMA bandwidth)
+  --json            machine-readable result: one JSON object on stdout
+                    (result summary + full telemetry snapshot), no human text",
+    flags: &[
+        ("out", Text), ("trace", Text), ("checkpoint", Text), ("resume", Text), ("telemetry", Text),
+        ("trace-timeline", Text), ("verbose", Switch), ("json", Switch),
+    ],
+};
+
+const LIVE: Group = Group {
+    text: "live flags:
+  --quiet           disable live observability entirely: no progress
+                    lines, no event bus (results are bit-identical either way)
+  --metrics-addr A  serve live Prometheus metrics on A (e.g.
+                    127.0.0.1:9184) at /metrics for the duration of the run
+  --metrics-linger MS
+                    keep serving /metrics MS after the run finishes
+  --flight-report FILE
+                    write the self-contained HTML flight report after the run
+  --stall-after-ms MS
+                    watchdog threshold: flag a candidate measurement still
+                    running after MS as stalled (report-only; default 30000)",
+    flags: &[
+        ("quiet", Switch), ("metrics-addr", Text), ("metrics-linger", Int),
+        ("flight-report", Text), ("stall-after-ms", Int),
+    ],
+};
+
+const PROFILE: Group = Group {
+    text: "profile flags:
+  --candidate N | --select SUBSTR   pick candidate A (default: tuned winner)
+  --diff N | --diff-select SUBSTR   diff mode: compare A against candidate B
+  --out FILE                        profile (or diff) JSON artifact
+  --perfetto FILE                   cycle-resolved timeline for ui.perfetto.dev",
+    flags: &[
+        ("candidate", Int), ("select", Text), ("diff", Int), ("diff-select", Text), ("out", Text),
+        ("perfetto", Text),
+    ],
+};
+
+/// Every command, in usage order.
+const COMMANDS: &[Command] = &[
+    Command { name: "gemm", arity: 3, groups: &[&GEMM, &RUN, &TUNE, &LIVE], run: run_tune },
+    Command { name: "conv", arity: 4, groups: &[&CONV, &SHAPE, &RUN, &TUNE, &LIVE], run: run_tune },
+    Command { name: "bwd-data", arity: 4, groups: &[&BWD, &SHAPE, &RUN, &TUNE, &LIVE], run: run_tune },
+    Command { name: "bwd-filter", arity: 4, groups: &[&BWD, &SHAPE, &RUN, &TUNE, &LIVE], run: run_tune },
+    Command { name: "bench", arity: 0, groups: &[&BENCH, &RUN, &LIVE], run: run_bench },
+    Command { name: "report", arity: 0, groups: &[&REPORT], run: run_report },
+    Command { name: "profile gemm", arity: 3, groups: &[&PROFILE_GEMM, &PROFILE], run: run_profile },
+    Command { name: "profile conv", arity: 4, groups: &[&PROFILE_CONV, &SHAPE, &PROFILE], run: run_profile },
+    Command { name: "journal validate", arity: 0, groups: &[&JOURNAL_VALIDATE], run: run_journal },
+    Command { name: "journal show", arity: 0, groups: &[&JOURNAL_SHOW], run: run_journal },
+    Command { name: "journal compare", arity: 0, groups: &[&JOURNAL_COMPARE], run: run_journal },
+    Command { name: "experiments", arity: 0, groups: &[&EXPERIMENTS], run: run_experiments },
 ];
 
-/// Whether `--name` takes a value; `None` for a flag no command reads.
-fn takes_value(name: &str) -> Option<bool> {
-    if BOOL_FLAGS.contains(&name) {
-        Some(false)
-    } else {
-        VALUE_FLAGS.contains(&name).then_some(true)
+impl Command {
+    /// This command's synopsis and help sections.
+    fn usage(&self) -> String {
+        let texts: Vec<&str> = self.groups.iter().map(|g| g.text).collect();
+        format!("usage:\n{}", texts.join("\n"))
+    }
+
+    /// The flag `--name` of this command, if it reads one.
+    fn flag(&self, name: &str) -> Option<(&'static str, Kind)> {
+        self.groups.iter().flat_map(|g| g.flags).find(|(flag, _)| *flag == name).copied()
+    }
+
+    /// A usage error: `msg`, then this command's usage.
+    fn error(&self, msg: impl std::fmt::Display) -> String {
+        format!("swatop_cli {}: {msg}\n{}", self.name, self.usage())
     }
 }
 
-fn parse_args(args: &[String]) -> Args {
-    let mut positional = Vec::new();
-    let mut flags = HashMap::new();
-    let mut i = 0;
-    while i < args.len() {
-        if let Some(name) = args[i].strip_prefix("--") {
-            let Some(value) = takes_value(name) else {
-                eprintln!("swatop_cli: unknown flag --{name}");
-                usage();
-            };
-            if value {
-                i += 1;
-                if i >= args.len() {
-                    usage();
-                }
-                flags.insert(name.to_string(), args[i].clone());
-            } else {
-                flags.insert(name.to_string(), "1".to_string());
-            }
-        } else {
-            positional.push(args[i].parse().unwrap_or_else(|_| usage()));
+/// Every command's synopsis, then each help section, each once.
+fn usage() -> String {
+    let mut texts: Vec<&str> = Vec::new();
+    let synopses = COMMANDS.iter().map(|c| &c.groups[0]);
+    for group in synopses.chain(COMMANDS.iter().flat_map(|c| &c.groups[1..])) {
+        if !texts.contains(&group.text) {
+            texts.push(group.text);
         }
-        i += 1;
     }
-    Args { positional, flags }
+    format!("usage:\n{}", texts.join("\n"))
+}
+
+/// One command line, checked against its command's flags.
+struct Args {
+    cmd: &'static Command,
+    positional: Vec<usize>,
+    flags: HashMap<&'static str, String>,
+}
+
+impl Args {
+    fn has(&self, flag: &str) -> bool {
+        self.flags.contains_key(flag)
+    }
+
+    fn text(&self, flag: &str) -> Option<&str> {
+        self.flags.get(flag).map(String::as_str)
+    }
+
+    /// The value of an `Int` or `Real` flag.
+    fn num<T: FromStr>(&self, flag: &str) -> Option<T> {
+        self.text(flag).map(|v| v.parse().ok().expect("parse_args checked the value"))
+    }
+
+    /// The numbers after the command's words.
+    fn dims<const N: usize>(&self) -> [usize; N] {
+        self.positional[..].try_into().expect("parse_args checked the arity")
+    }
+
+    /// Exit 2 naming what is wrong with this command line.
+    fn fail(&self, msg: impl std::fmt::Display) -> ! {
+        eprintln!("{}", self.cmd.error(msg));
+        exit(2)
+    }
+}
+
+/// Read `argv` (the words after the command's name) against the flags of
+/// command `cmd` alone. An error names the command, the flag or value at
+/// fault, and lists the command's flags.
+fn parse_args(cmd: &str, argv: &[String]) -> Result<Args, String> {
+    let Some(command) = COMMANDS.iter().find(|c| c.name == cmd) else {
+        return Err(format!("swatop_cli: unknown command {cmd:?}\n{}", usage()));
+    };
+    let mut a = Args { cmd: command, positional: Vec::new(), flags: HashMap::new() };
+    let mut words = argv.iter();
+    while let Some(word) = words.next() {
+        let Some(name) = word.strip_prefix("--") else {
+            let n = word.parse().map_err(|_| command.error(format!("`{word}` is not a number")))?;
+            a.positional.push(n);
+            continue;
+        };
+        let Some((name, kind)) = command.flag(name) else {
+            return Err(command.error(format!("unknown flag --{name}")));
+        };
+        let value = match kind {
+            Switch => "",
+            _ => words.next().ok_or_else(|| command.error(format!("--{name} needs a value")))?,
+        };
+        let parses = match kind {
+            Int => value.parse::<u64>().is_ok(),
+            Real => value.parse::<f64>().is_ok(),
+            Switch | Text => true,
+        };
+        if !parses {
+            return Err(command.error(format!("--{name}: `{value}` is not a number")));
+        }
+        a.flags.insert(name, value.to_string());
+    }
+    if a.positional.len() != command.arity {
+        let msg = format!("takes {} numbers, got {}", command.arity, a.positional.len());
+        return Err(command.error(msg));
+    }
+    Ok(a)
 }
 
 /// `B NI NO RO [--kernel K] [--stride S] [--pad P]`: the convolution a
 /// `conv` / `bwd-*` / `profile conv` command names.
 fn conv_shape(a: &Args) -> ConvShape {
-    let [b, ni, no, ro] = a.positional[..] else { usage() };
-    let get =
-        |key: &str, d: usize| a.flags.get(key).map_or(d, |v| v.parse().unwrap_or_else(|_| usage()));
-    let (kernel, stride, pad) = (get("kernel", 3), get("stride", 1), get("pad", 0));
+    let [b, ni, no, ro] = a.dims();
+    let (kernel, stride, pad) =
+        (a.num("kernel").unwrap_or(3), a.num("stride").unwrap_or(1), a.num("pad").unwrap_or(0));
     ConvShape { b, ni, no, ro, co: ro, kr: kernel, kc: kernel, stride, pad }
 }
 
 /// `--method`: the decompositions to tune, `auto` (where allowed) being all
 /// three.
 fn conv_methods(a: &Args, default: &str, auto: bool) -> Vec<ConvMethod> {
-    match a.flags.get("method").map_or(default, String::as_str) {
+    match a.text("method").unwrap_or(default) {
         "auto" if auto => vec![ConvMethod::Implicit, ConvMethod::Winograd, ConvMethod::Explicit],
-        name => vec![ConvMethod::parse(name).unwrap_or_else(|| usage())],
+        name => {
+            let method = ConvMethod::parse(name);
+            vec![method.unwrap_or_else(|| a.fail(format!("unknown --method {name}")))]
+        }
     }
 }
 
@@ -193,11 +385,28 @@ fn conv_methods(a: &Args, default: &str, auto: bool) -> Vec<ConvMethod> {
 /// [`TierMode`](swatop::tuner::TierMode)s, so it takes no `model`.
 fn tuner_policy(a: &Args, bench: bool) -> TierPolicy {
     let default = if bench { "tiered" } else { "model" };
-    match a.flags.get("tuner").map_or(default, String::as_str) {
+    match a.text("tuner").unwrap_or(default) {
         "model" if !bench => TierPolicy::top_k(3),
         "blackbox" => TierPolicy::exhaustive(),
         "tiered" => TierPolicy::default(),
-        _ => usage(),
+        name => a.fail(format!("--tuner {name} is not a {} policy", a.cmd.name)),
+    }
+}
+
+/// The machine the run commands tune on: `--faults SEED`, else
+/// `SWATOP_FAULT_SEED`, attaches a fault plan.
+fn machine(a: &Args) -> MachineConfig {
+    let fault = a.num("faults").map(FaultPlan::with_seed).or_else(FaultPlan::from_env);
+    MachineConfig { fault, ..MachineConfig::default() }
+}
+
+/// Write the exports `--telemetry`, `--trace-timeline` and `--corpus` ask
+/// for and, unless `--json`, say where each went.
+fn export(a: &Args, summary: &Summary) {
+    let path = |flag: &str| a.text(flag).map(Path::new);
+    let written = write_exports(summary, path("telemetry"), path("trace-timeline"), path("corpus"));
+    if !a.has("json") {
+        written.iter().for_each(|line| println!("{line}"));
     }
 }
 
@@ -249,17 +458,14 @@ struct Observability {
 
 impl Observability {
     fn from_args(a: &Args) -> Observability {
-        let quiet = a.flags.contains_key("quiet");
-        let metrics_addr = a.flags.get("metrics-addr");
-        let flight_path = a.flags.get("flight-report").map(PathBuf::from);
+        let quiet = a.has("quiet");
+        let metrics_addr = a.text("metrics-addr");
+        let flight_path = a.text("flight-report").map(PathBuf::from);
         if quiet && metrics_addr.is_none() && flight_path.is_none() {
             return Observability::default();
         }
-        let num = |k: &str, d: u64| {
-            a.flags.get(k).map_or(d, |v| v.parse().unwrap_or_else(|_| usage()))
-        };
         let bus = EventBus::default();
-        let stall_after = Duration::from_millis(num("stall-after-ms", 30_000));
+        let stall_after = Duration::from_millis(a.num("stall-after-ms").unwrap_or(30_000));
         let monitor = Arc::new(PoolMonitor::new(MonitorConfig { stall_after }, Some(bus.clone())));
         let progress = (!quiet).then(|| spawn_progress(&bus));
         // The ring holds a whole unscraped run for the flight report: a
@@ -268,10 +474,8 @@ impl Observability {
         let hub = (metrics_addr.is_some() || flight_path.is_some())
             .then(|| Arc::new(MetricsHub::new(&bus, Some(monitor.clone()), 1 << 16)));
         let server = metrics_addr.zip(hub.as_ref()).map(|(addr, hub)| {
-            let server = MetricsServer::start(addr, hub.clone()).unwrap_or_else(|e| {
-                eprintln!("swatop_cli: --metrics-addr {addr}: {e}");
-                std::process::exit(2);
-            });
+            let server = MetricsServer::start(addr, hub.clone())
+                .unwrap_or_else(|e| a.fail(format!("--metrics-addr {addr}: {e}")));
             if !quiet {
                 eprintln!("swatop: serving /metrics on {}", server.addr());
             }
@@ -284,7 +488,7 @@ impl Observability {
             server,
             progress,
             flight: flight_path,
-            linger: Duration::from_millis(num("metrics-linger", 0)),
+            linger: Duration::from_millis(a.num("metrics-linger").unwrap_or(0)),
         }
     }
 
@@ -364,7 +568,7 @@ fn report(
     let TunedOp { flops, winner, outcome, .. } = tuned;
     let flops = *flops;
     let mut truncated = Vec::new();
-    let json_mode = a.flags.contains_key("json");
+    let json_mode = a.has("json");
     let cycles = outcome.cycles.get();
     if json_mode {
         let summary = summary.expect("--json instruments telemetry");
@@ -400,7 +604,7 @@ fn report(
                 }
             }
         }
-        if a.flags.contains_key("verbose") {
+        if a.has("verbose") {
             if let Some(op) = summary.and_then(|s| s.operator(tuned.scope)) {
                 let c = &op.counters;
                 println!(
@@ -430,19 +634,19 @@ fn report(
     // The artifacts below re-execute the winner; they describe the *code*,
     // so they run on the clean machine even when tuning was fault-injected.
     let clean = MachineConfig { fault: None, ..cfg.clone() };
-    if let Some(path) = a.flags.get("out") {
+    if let Some(path) = a.text("out") {
         std::fs::write(path, winner.exe.emit_c()).expect("write C file");
         if !json_mode {
             println!("C code   : {path}");
         }
     }
-    if let Some(path) = a.flags.get("trace") {
+    if let Some(path) = a.text("trace") {
         let mut cg = CoreGroup::new(clean, ExecMode::CostOnly);
         cg.trace = sw26010::trace::Trace::enabled(1_000_000);
         let binding = instantiate(&mut cg, &winner.exe);
         execute(&mut cg, &winner.exe, &binding).expect("trace run");
         if cg.trace.truncated() {
-            truncated.push(path.clone());
+            truncated.push(path.to_string());
             eprintln!("swatop: trace {path} truncated at its event cap");
         }
         let json = sw26010::chrome_trace::to_chrome_json(&cg.trace, cfg.clock_ghz);
@@ -454,53 +658,42 @@ fn report(
     truncated
 }
 
-/// The `profile` subcommand: re-run one enumerated candidate cost-only with
+/// `profile gemm` / `profile conv`: re-run one enumerated candidate cost-only with
 /// tracing enabled and report where its cycles go (per-engine busy spans,
 /// prologue/steady/epilogue phases). With `--diff`, profile a second
 /// candidate of the same operator and attribute the cycle delta to the
 /// schedule knobs that changed.
-fn run_profile(argv: &[String]) {
+fn run_profile(a: &Args) {
     use swatop::profiler::{
         diff, diff_json, diff_report, profile_candidate, profile_json, profile_perfetto,
         CandidateProfile, PROFILE_TRACE_CAP,
     };
 
-    let Some(sub) = argv.first() else { usage() };
-    let a = parse_args(&argv[1..]);
     // Profiles always run on the clean machine: they explain where a
     // schedule's cycles go, which fault jitter would only blur.
     let cfg = MachineConfig::default();
-    let op: Box<dyn Operator> = match sub.as_str() {
-        "gemm" => {
-            let [m, n, k] = a.positional[..] else { usage() };
-            Box::new(MatmulOp::new(m, n, k))
-        }
+    let op: Box<dyn Operator> = if a.cmd.name == "profile gemm" {
+        let [m, n, k] = a.dims();
+        Box::new(MatmulOp::new(m, n, k))
+    } else {
         // A profile is of *one* schedule space, so `auto` (which races
         // three decompositions) makes no sense here; default implicit.
-        "conv" => conv_methods(&a, "implicit", false)[0].build(conv_shape(&a)),
-        _ => usage(),
+        conv_methods(a, "implicit", false)[0].build(conv_shape(a))
     };
     let cands = Scheduler::new(cfg.clone()).enumerate(op.as_ref());
     let name = op.name();
     // Candidate selection: by enumeration index, by describe substring, or
     // (for the primary only) defaulting to the model tuner's winner.
     let select = |cand_flag: &str, select_flag: &str| -> Option<usize> {
-        if let Some(v) = a.flags.get(cand_flag) {
-            let i: usize = v.parse().unwrap_or_else(|_| usage());
+        if let Some(i) = a.num::<usize>(cand_flag) {
             if i >= cands.len() {
-                eprintln!(
-                    "swatop_cli: --{cand_flag} {i} out of range ({} candidates)",
-                    cands.len()
-                );
-                std::process::exit(2);
+                a.fail(format!("--{cand_flag} {i} out of range ({} candidates)", cands.len()));
             }
             return Some(i);
         }
-        a.flags.get(select_flag).map(|s| {
-            cands.iter().position(|c| c.describe.contains(s.as_str())).unwrap_or_else(|| {
-                eprintln!("swatop_cli: no candidate matches --{select_flag} {s:?}");
-                std::process::exit(2);
-            })
+        a.text(select_flag).map(|s| {
+            let found = cands.iter().position(|c| c.describe.contains(s));
+            found.unwrap_or_else(|| a.fail(format!("no candidate matches --{select_flag} {s:?}")))
         })
     };
     let a_idx = select("candidate", "select").unwrap_or_else(|| {
@@ -523,7 +716,7 @@ fn run_profile(argv: &[String]) {
         let pb = profile(b_idx);
         let d = diff(&pa, &pb);
         print!("{}", diff_report(&d));
-        if let Some(path) = a.flags.get("out") {
+        if let Some(path) = a.text("out") {
             std::fs::write(path, diff_json(&d)).expect("write diff JSON");
             println!("diff     : {path}");
         }
@@ -567,137 +760,51 @@ fn run_profile(argv: &[String]) {
             p.overlap
         );
     }
-    if let Some(path) = a.flags.get("out") {
+    if let Some(path) = a.text("out") {
         std::fs::write(path, profile_json(&pa)).expect("write profile JSON");
         println!("profile  : {path}");
     }
-    if let Some(path) = a.flags.get("perfetto") {
+    if let Some(path) = a.text("perfetto") {
         std::fs::write(path, profile_perfetto(&pa, cfg.clock_ghz)).expect("write perfetto JSON");
         println!("perfetto : {path} (open in ui.perfetto.dev)");
     }
 }
 
-fn main() {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    if argv.is_empty() {
-        usage();
-    }
-    let cmd = argv[0].as_str();
-    if cmd == "profile" {
-        // `profile` takes its own sub-operator word before the numeric
-        // positionals, so it parses from argv[2].
-        run_profile(&argv[1..]);
-        return;
-    }
-    if cmd == "report" {
-        // Standalone flight report straight from the committed journal: no
-        // tuning, no live accounting.
-        let a = parse_args(&argv[1..]);
-        let journal_path = a
-            .flags
-            .get("journal")
-            .cloned()
-            .unwrap_or_else(|| swatop_bench::journal::DEFAULT_PATH.to_string());
-        let out = a.flags.get("out").cloned().unwrap_or_else(|| "flight.html".to_string());
-        let journal = Journal::load(Path::new(&journal_path)).unwrap_or_else(|e| {
-            eprintln!("swatop_cli: {e}");
-            std::process::exit(1);
-        });
-        let html = flight_html(&journal, a.flags.get("label").map(String::as_str), None);
-        std::fs::write(&out, html).expect("write flight report");
-        println!("flight   : {out} ({} journal record(s))", journal.records.len());
-        return;
-    }
-    let a = parse_args(&argv[1..]);
-    let fault = a
-        .flags
-        .get("faults")
-        .map(|v| FaultPlan::with_seed(v.parse().unwrap_or_else(|_| usage())))
-        .or_else(FaultPlan::from_env);
-    let cfg = MachineConfig { fault, ..MachineConfig::default() };
-    let jobs = pool::resolve_jobs(
-        a.flags.get("jobs").map(|v| v.parse().unwrap_or_else(|_| usage())),
-    );
-    let resume = a.flags.get("resume").map(PathBuf::from);
-    let instrument = ["telemetry", "trace-timeline", "verbose", "json", "corpus"]
-        .iter()
-        .any(|f| a.flags.contains_key(*f));
-    let strict_validate = a.flags.contains_key("strict-validate");
-    let obs = Observability::from_args(&a);
+/// `gemm` / `conv` / `bwd-data` / `bwd-filter`: tune one operator (`conv
+/// --method auto` races three) and report the fastest.
+fn run_tune(a: &Args) {
+    let cfg = machine(a);
+    let instrument =
+        ["telemetry", "trace-timeline", "verbose", "json", "corpus"].iter().any(|f| a.has(f));
+    let strict_validate = a.has("strict-validate");
+    let obs = Observability::from_args(a);
     // Validate winning schedules, with quarantine-and-fallback.
-    let validate = a.flags.contains_key("validate") || strict_validate;
-    let resuming = resume.is_some();
-    let checkpoint = resume.or_else(|| a.flags.get("checkpoint").map(PathBuf::from));
+    let validate = a.has("validate") || strict_validate;
+    let checkpoint = a.text("resume").or(a.text("checkpoint")).map(|path| CheckpointPolicy {
+        resume: a.has("resume"),
+        ..CheckpointPolicy::new(PathBuf::from(path))
+    });
     let base = TuneOptions {
-        jobs,
-        checkpoint: checkpoint
-            .map(|path| CheckpointPolicy { resume: resuming, ..CheckpointPolicy::new(path) }),
+        jobs: pool::resolve_jobs(a.num("jobs")),
+        checkpoint,
         // One recorder shared by every tuned operator; without an
         // instrumenting flag the tuning hot path stays uninstrumented.
         telemetry: instrument.then(Telemetry::new),
-        tiers: tuner_policy(&a, cmd == "bench"),
+        tiers: tuner_policy(a, false),
         bus: obs.bus.clone(),
         monitor: obs.monitor.clone(),
     };
-    let ops: Vec<Box<dyn Operator>> = match cmd {
-        "bench" => {
-            let num = |k: &str, d: u64| {
-                a.flags.get(k).map_or(d, |v| v.parse().unwrap_or_else(|_| usage()))
-            };
-            let bench = swatop_bench::journal::BenchOpts {
-                label: a.flags.get("label").cloned().unwrap_or_else(|| "default".to_string()),
-                smoke: a.flags.contains_key("smoke"),
-                handicap: num("handicap", 1),
-                faults: cfg.fault.map(|p| p.seed),
-                validate,
-                corpus: a.flags.get("corpus").map(PathBuf::from),
-                // Every op of the set under one policy; a checkpoint file is
-                // one sweep's, so the set takes none.
-                tune: TuneOptions { checkpoint: None, ..base },
-            };
-            let repeats = num("repeats", 1);
-            let mut bench_quarantined = 0u64;
-            for _ in 0..repeats {
-                let record = swatop_bench::journal::run_bench(&bench);
-                bench_quarantined += record.quarantined;
-                swatop_bench::journal::record_table(&record).print();
-                if record.quarantined > 0 {
-                    println!("validate : {} winner(s) quarantined this run", record.quarantined);
-                }
-                if let Some(path) = a.flags.get("journal") {
-                    swatop_bench::journal::Journal::append(
-                        std::path::Path::new(path),
-                        record,
-                    )
-                    .expect("append bench journal");
-                    println!("journal  : appended to {path}");
-                }
-            }
-            let journal_path = a
-                .flags
-                .get("journal")
-                .cloned()
-                .unwrap_or_else(|| swatop_bench::journal::DEFAULT_PATH.to_string());
-            obs.finish(Path::new(&journal_path), a.flags.get("label").map(String::as_str), &[]);
-            if strict_validate && bench_quarantined > 0 {
-                eprintln!(
-                    "swatop_cli: --strict-validate: {bench_quarantined} quarantined winner(s)"
-                );
-                std::process::exit(1);
-            }
-            return;
-        }
+    let ops: Vec<Box<dyn Operator>> = match a.cmd.name {
         "gemm" => {
-            let [m, n, k] = a.positional[..] else { usage() };
+            let [m, n, k] = a.dims();
             vec![Box::new(MatmulOp::new(m, n, k))]
         }
         "conv" => {
-            let shape = conv_shape(&a);
-            conv_methods(&a, "auto", true).iter().map(|m| m.build(shape)).collect()
+            let shape = conv_shape(a);
+            conv_methods(a, "auto", true).iter().map(|m| m.build(shape)).collect()
         }
-        "bwd-data" => vec![Box::new(ConvBackwardDataOp::new(conv_shape(&a)))],
-        "bwd-filter" => vec![Box::new(ConvBackwardFilterOp::new(conv_shape(&a)))],
-        _ => usage(),
+        "bwd-data" => vec![Box::new(ConvBackwardDataOp::new(conv_shape(a)))],
+        _ => vec![Box::new(ConvBackwardFilterOp::new(conv_shape(a)))],
     };
     // Several operators race (`conv --method auto`); the fastest is reported.
     let mut quarantined = 0usize;
@@ -714,51 +821,375 @@ fn main() {
     }
     let (name, t) = best.expect("no valid schedule for this operator");
     let summary = base.telemetry.as_ref().map(|tel| tel.summary(&Peaks::of(&cfg)));
-    let truncated = report(&cfg, &name, &t, &a, summary.as_ref());
+    let truncated = report(&cfg, &name, &t, a, summary.as_ref());
     if let Some(summary) = &summary {
-        let json_mode = a.flags.contains_key("json");
-        let path = |flag: &str| a.flags.get(flag).map(Path::new);
-        let written =
-            write_exports(summary, path("telemetry"), path("trace-timeline"), path("corpus"));
-        if !json_mode {
-            written.iter().for_each(|line| println!("{line}"));
-        }
-        if a.flags.contains_key("verbose") && !json_mode {
+        export(a, summary);
+        if a.has("verbose") && !a.has("json") {
             println!();
             telemetry_summary(summary).print();
             roofline_table(summary).print();
         }
     }
-    obs.finish(Path::new(swatop_bench::journal::DEFAULT_PATH), None, &truncated);
+    obs.finish(Path::new(DEFAULT_PATH), None, &truncated);
     // The gate runs last so telemetry artifacts are still written for
     // post-mortem inspection of the quarantined schedules.
     if strict_validate && quarantined > 0 {
         eprintln!("swatop_cli: --strict-validate: {quarantined} quarantined winner(s)");
-        std::process::exit(1);
+        exit(1);
     }
+}
+
+/// `bench`: run the canonical bench set `--repeats` times, appending one
+/// journal record per run to `--journal`.
+fn run_bench(a: &Args) {
+    let obs = Observability::from_args(a);
+    let bench = swatop_bench::journal::BenchOpts {
+        label: a.text("label").unwrap_or("default").to_string(),
+        smoke: a.has("smoke"),
+        handicap: a.num("handicap").unwrap_or(1),
+        faults: machine(a).fault.map(|p| p.seed),
+        validate: a.has("validate") || a.has("strict-validate"),
+        corpus: a.text("corpus").map(PathBuf::from),
+        // Every op of the set under one policy; the run records under a
+        // recorder of its own.
+        tune: TuneOptions {
+            jobs: pool::resolve_jobs(a.num("jobs")),
+            tiers: tuner_policy(a, true),
+            bus: obs.bus.clone(),
+            monitor: obs.monitor.clone(),
+            ..TuneOptions::default()
+        },
+    };
+    let mut bench_quarantined = 0u64;
+    for _ in 0..a.num("repeats").unwrap_or(1u64) {
+        let record = swatop_bench::journal::run_bench(&bench);
+        bench_quarantined += record.quarantined;
+        record_table(&record).print();
+        if record.quarantined > 0 {
+            println!("validate : {} winner(s) quarantined this run", record.quarantined);
+        }
+        if let Some(path) = a.text("journal") {
+            Journal::append(Path::new(path), record).expect("append bench journal");
+            println!("journal  : appended to {path}");
+        }
+    }
+    obs.finish(Path::new(a.text("journal").unwrap_or(DEFAULT_PATH)), a.text("label"), &[]);
+    if a.has("strict-validate") && bench_quarantined > 0 {
+        eprintln!("swatop_cli: --strict-validate: {bench_quarantined} quarantined winner(s)");
+        exit(1);
+    }
+}
+
+/// `report`: the flight report straight from the committed journal — no
+/// tuning, no live accounting.
+fn run_report(a: &Args) {
+    let journal_path = a.text("journal").unwrap_or(DEFAULT_PATH);
+    let out = a.text("out").unwrap_or("flight.html");
+    let journal = Journal::load(Path::new(journal_path)).unwrap_or_else(|e| {
+        eprintln!("swatop_cli: {e}");
+        exit(1);
+    });
+    let html = flight_html(&journal, a.text("label"), None);
+    std::fs::write(out, html).expect("write flight report");
+    println!("flight   : {out} ({} journal record(s))", journal.records.len());
+}
+
+/// `journal validate|show|compare`: inspect and gate on the bench journal.
+/// `compare` does the noise-aware regression check (median + MAD over each
+/// label's repeated records) and exits 1 when any gate trips, so CI can use
+/// it directly.
+fn run_journal(a: &Args) {
+    let path = PathBuf::from(a.text("journal").unwrap_or(DEFAULT_PATH));
+    let journal = Journal::load(&path).unwrap_or_else(|e| {
+        eprintln!("swatop_cli: {e}");
+        exit(2)
+    });
+
+    match a.cmd.name {
+        "journal validate" => {
+            println!(
+                "{}: valid (schema {}, {} records)",
+                path.display(),
+                swatop_bench::journal::SCHEMA_VERSION,
+                journal.records.len()
+            );
+        }
+        "journal show" => {
+            if a.has("json") {
+                println!("{}", show_json(&journal, a.text("label")));
+                return;
+            }
+            let records: Vec<_> = match a.text("label") {
+                Some(l) => journal.with_label(l),
+                None => journal.records.iter().collect(),
+            };
+            if records.is_empty() {
+                println!("{}: no matching records", path.display());
+            }
+            for r in &records {
+                record_table(r).print();
+                println!(
+                    "  model: mape {} %, rank corr {}; mix: {}",
+                    r.mape_pct.map_or_else(|| "-".into(), |v| format!("{v:.2}")),
+                    r.rank_correlation.map_or_else(|| "-".into(), |v| format!("{v:.3}")),
+                    r.mix.summary()
+                );
+                // The two oldest committed records predate the throughput fields.
+                if r.candidates_evaluated > 0 {
+                    println!(
+                        "  tuner: {} candidates evaluated at {:.0}/s \
+                         (screened {} / measured {} / validated {})",
+                        r.candidates_evaluated,
+                        r.cands_per_sec,
+                        r.tiers.screened,
+                        r.tiers.measured,
+                        r.tiers.validated
+                    );
+                }
+                for line in convergence_lines(r) {
+                    println!("  search: {line}");
+                }
+                println!();
+            }
+            // The cross-record trajectory: per-op GFLOPS with deltas.
+            let trends = trend_lines(&records);
+            if !trends.is_empty() {
+                println!("GFLOPS trend across {} record(s):", records.len());
+                for line in trends {
+                    println!("  {line}");
+                }
+            }
+        }
+        _ => {
+            let (Some(base), Some(cand)) = (a.text("baseline"), a.text("candidate")) else {
+                a.fail("--baseline and --candidate are both required")
+            };
+            let wall_rel = a.num("wall-rel").unwrap_or(CompareOpts::default().wall_rel);
+            let opts = CompareOpts { wall_rel };
+            let strict = a.has("strict");
+            let b = journal.with_label(base);
+            let c = journal.with_label(cand);
+            println!(
+                "comparing {} baseline ({base:?}) vs {} candidate ({cand:?}) records",
+                b.len(),
+                c.len()
+            );
+            for line in transition_lines(&b, &c) {
+                println!("{line}");
+            }
+            let warnings = consistency_warnings(&b, &c);
+            for w in &warnings {
+                println!("{}: {w}", if strict { "FAILURE" } else { "warning" });
+            }
+            let regressions = compare(&b, &c, &opts);
+            let failures = regressions.len() + if strict { warnings.len() } else { 0 };
+            if failures == 0 {
+                println!("OK: no regression");
+            } else {
+                for r in &regressions {
+                    println!("{r}");
+                }
+                exit(1);
+            }
+        }
+    }
+}
+
+/// The experiment harness options an `experiments` command line asks for.
+fn experiment_opts(a: &Args) -> Opts {
+    let (capped, full) = (Opts::default(), a.has("full"));
+    Opts {
+        scale: if a.has("smoke") { Scale::Smoke } else if full { Scale::Full } else { Scale::Default },
+        // `--full` lifts both caps; `--cap` sets the spatial one.
+        spatial_cap: a.num("cap").or(capped.spatial_cap.filter(|_| !full)),
+        gemm_cap: capped.gemm_cap.filter(|_| !full),
+        jobs: pool::resolve_jobs(a.num("jobs")),
+        telemetry: (a.has("telemetry") || a.has("trace-timeline")).then(Telemetry::new),
+    }
+}
+
+/// `experiments`: run the paper experiments in sequence — all of them, or
+/// the ones `--only` names — and, when nothing was filtered out, write the
+/// collected tables to `EXPERIMENTS_RESULTS.md` (consumed by
+/// `EXPERIMENTS.md`).
+fn run_experiments(a: &Args) {
+    let names: Vec<&str> = experiments::ALL.iter().map(|&(name, ..)| name).collect();
+    let only: Option<Vec<&str>> = a.text("only").map(|list| list.split(',').collect());
+    if only.iter().flatten().any(|name| !names.contains(name)) {
+        a.fail(format!("--only takes a comma-separated list of: {}", names.join(", ")));
+    }
+    let opts = experiment_opts(a);
+    let picked = |name: &str| only.as_ref().is_none_or(|only| only.contains(&name));
+    let selected: Vec<_> = experiments::ALL.iter().filter(|&&(name, ..)| picked(name)).collect();
+    println!("swATOP reproduction — all experiments (opts: {opts:?})");
+    let mut md = String::new();
+    let _ = writeln!(md, "# swATOP reproduction — measured results\n");
+    let _ = writeln!(
+        md,
+        "Generated by `swatop_cli experiments` with options `{opts:?}` \
+         (simulated SW26010 core group, see DESIGN.md).\n"
+    );
+
+    let t0 = Instant::now();
+    for (_, title, run) in &selected {
+        println!("==> {title}");
+        let _ = writeln!(md, "## {title}\n");
+        for t in run(&opts) {
+            let rendered = t.render();
+            println!("{rendered}");
+            let _ = writeln!(md, "{rendered}");
+        }
+    }
+
+    if let Some(tel) = &opts.telemetry {
+        let summary = tel.summary(&Peaks::of(&experiments::machine()));
+        export(a, &summary);
+        telemetry_summary(&summary).print();
+    }
+
+    if selected.len() < experiments::ALL.len() {
+        println!("\n{} selected experiments done in {:?}", selected.len(), t0.elapsed());
+        return;
+    }
+    let _ = writeln!(md, "\nTotal harness wall time: {:?}\n", t0.elapsed());
+    std::fs::write("EXPERIMENTS_RESULTS.md", &md).expect("write results");
+    println!(
+        "\nAll experiments done in {:?}; tables written to EXPERIMENTS_RESULTS.md",
+        t0.elapsed()
+    );
+}
+
+fn main() {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let words = |c: &Command| c.name.split(' ').count();
+    let named = |c: &&Command| c.name.split(' ').eq(argv.iter().take(words(c)).map(String::as_str));
+    let Some(cmd) = COMMANDS.iter().find(named) else {
+        eprintln!("{}", usage());
+        exit(2)
+    };
+    let a = parse_args(cmd.name, &argv[words(cmd)..]).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        exit(2)
+    });
+    (cmd.run)(&a);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn parse(cmd: &str, argv: &[&str]) -> Result<Args, String> {
+        parse_args(cmd, &argv.iter().map(|w| w.to_string()).collect::<Vec<_>>())
+    }
+
+    /// `parse_args`' error for a command line that must not run.
+    fn error(cmd: &str, argv: &[&str]) -> String {
+        parse(cmd, argv).err().unwrap_or_else(|| panic!("{cmd} {argv:?} was accepted"))
+    }
+
+    /// Every flag a command's usage text names, and no other, is accepted:
+    /// each with a value of its kind after the command's numbers.
     #[test]
-    fn every_flag_of_the_usage_text_is_accepted_and_no_other() {
-        let mut named: Vec<&str> = USAGE
-            .split("--")
-            .skip(1)
-            .map(|rest| rest.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-')).next().unwrap())
-            .collect();
-        named.sort_unstable();
-        named.dedup();
-        let mut listed: Vec<&str> = BOOL_FLAGS.iter().chain(VALUE_FLAGS).copied().collect();
-        listed.sort_unstable();
-        assert_eq!(named, listed, "the usage text and the two flag lists disagree");
-        // Deleted and misspelt flags are not quietly ignored.
-        for gone in ["tiers", "ladder", "verbos", "job", ""] {
-            assert_eq!(takes_value(gone), None, "--{gone}");
+    fn every_command_accepts_exactly_the_flags_its_usage_names() {
+        for cmd in COMMANDS {
+            let usage = cmd.usage();
+            let mut named: Vec<&str> = usage
+                .split("--")
+                .skip(1)
+                .map(|rest| rest.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-')).next().unwrap())
+                .collect();
+            named.sort_unstable();
+            named.dedup();
+            let flags: Vec<(&str, Kind)> = cmd.groups.iter().flat_map(|g| g.flags).copied().collect();
+            let mut listed: Vec<&str> = flags.iter().map(|&(name, _)| name).collect();
+            listed.sort_unstable();
+            listed.dedup();
+            assert_eq!(listed.len(), flags.len(), "{}: a flag is listed twice", cmd.name);
+            assert_eq!(named, listed, "{}: the usage text and the flag table disagree", cmd.name);
+            let dims = vec!["8"; cmd.arity];
+            for (name, kind) in flags {
+                let flag = format!("--{name}");
+                let value = match kind {
+                    Switch => None,
+                    Text => Some("x"),
+                    Int => Some("7"),
+                    Real => Some("0.5"),
+                };
+                let argv: Vec<&str> = dims.iter().copied().chain([flag.as_str()]).chain(value).collect();
+                let a = parse(cmd.name, &argv).unwrap_or_else(|e| panic!("{e}"));
+                assert!(a.has(name), "{} {flag}", cmd.name);
+            }
+            assert!(error(cmd.name, &[&dims[..], &["--verbos"]].concat()).contains("unknown flag --verbos"));
         }
-        assert_eq!(takes_value("smoke"), Some(false));
-        assert_eq!(takes_value("tuner"), Some(true));
+    }
+
+    /// Each of these was accepted and then silently ignored when one global
+    /// flag list served every command.
+    #[test]
+    fn a_flag_of_another_command_is_an_error_naming_it() {
+        for (cmd, argv, flag) in [
+            ("gemm", &["64", "64", "64", "--repeats", "3"][..], "--repeats"),
+            ("bench", &["--smoke", "--telemetry", "t.json"], "--telemetry"),
+            ("bench", &["--smoke", "--trace-timeline", "t.json"], "--trace-timeline"),
+            ("profile gemm", &["96", "96", "96", "--jobs", "2"], "--jobs"),
+            ("profile gemm", &["96", "96", "96", "--faults", "1"], "--faults"),
+            ("experiments", &["--only", "fig5", "--smoke", "--faults", "1"], "--faults"),
+            ("report", &["--jobs", "2"], "--jobs"),
+            ("journal show", &["--labl", "x"], "--labl"),
+        ] {
+            let err = error(cmd, argv);
+            assert!(err.starts_with(&format!("swatop_cli {cmd}: unknown flag {flag}\n")), "{err}");
+        }
+    }
+
+    #[test]
+    fn a_value_flag_given_last_names_itself_and_lists_the_flags() {
+        for cmd in COMMANDS {
+            let dims = vec!["8"; cmd.arity];
+            for &(name, kind) in cmd.groups.iter().flat_map(|g| g.flags) {
+                if kind == Switch {
+                    continue;
+                }
+                let flag = format!("--{name}");
+                let err = error(cmd.name, &[&dims[..], &[flag.as_str()]].concat());
+                let head = format!("swatop_cli {}: {flag} needs a value\n", cmd.name);
+                assert!(err.starts_with(&head), "{err}");
+                assert!(err.ends_with(&cmd.usage()), "no flag list: {err}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_value_or_number_that_does_not_parse_is_named() {
+        let err = error("experiments", &["--jobs", "many"]);
+        assert!(err.starts_with("swatop_cli experiments: --jobs: `many` is not a number"), "{err}");
+        let err = error("journal compare", &["--wall-rel", "wide"]);
+        assert!(err.contains("--wall-rel: `wide` is not a number"), "{err}");
+        assert!(error("gemm", &["64", "x", "64"]).contains("`x` is not a number"));
+        assert!(error("gemm", &["64", "64"]).contains("takes 3 numbers, got 2"));
+        // The journal is a flag now, not a positional.
+        assert!(error("journal validate", &["B.json"]).contains("`B.json` is not a number"));
+        assert!(parse("journal", &[]).is_err() && parse("frobnicate", &[]).is_err());
+    }
+
+    #[test]
+    fn values_land_in_their_fields() {
+        let argv = ["--smoke", "--cap", "12", "--jobs", "3", "--trace-timeline", "t.json"];
+        let o = experiment_opts(&parse("experiments", &argv).unwrap());
+        assert_eq!((o.scale, o.spatial_cap, o.gemm_cap, o.jobs), (Scale::Smoke, Some(12), Some(2048), 3));
+        assert!(o.telemetry.is_some());
+        let o = experiment_opts(&parse("experiments", &["--full"]).unwrap());
+        assert_eq!((o.scale, o.spatial_cap, o.gemm_cap), (Scale::Full, None, None));
+        assert!(o.telemetry.is_none());
+
+        let a = parse("conv", &["8", "16", "32", "14", "--kernel", "5", "--pad", "2"]).unwrap();
+        let shape = conv_shape(&a);
+        assert_eq!((shape.b, shape.ni, shape.no, shape.ro, shape.co), (8, 16, 32, 14, 14));
+        assert_eq!((shape.kr, shape.kc, shape.stride, shape.pad), (5, 5, 1, 2));
+
+        let a = parse("journal compare", &["--baseline", "a", "--candidate", "b", "--wall-rel", "1000"]).unwrap();
+        assert_eq!((a.text("baseline"), a.text("candidate")), (Some("a"), Some("b")));
+        assert_eq!(a.num::<f64>("wall-rel"), Some(1000.0));
+        assert!(!a.has("strict") && a.text("journal").is_none());
     }
 }

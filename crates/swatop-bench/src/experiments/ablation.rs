@@ -3,22 +3,22 @@
 //! evolutionary-greedy — the ATLAS/SPIRAL-style methods of the related
 //! work) and brute force, measured on identical candidate sets.
 //!
-//! Usage: `cargo run --release -p swatop-bench --bin ablation_tuners
-//!        [--smoke|--full|--cap N] [--jobs N] [--faults SEED]
-//!        [--telemetry FILE] [--trace-timeline FILE]`
+//! The paper's thesis in one table: the static model reaches brute-force
+//! quality while executing ~3 candidates; sampling searches need 10% of the
+//! space for (usually) worse quality.
 
 use swatop::ops::ImplicitConvOp;
 use swatop::scheduler::Scheduler;
 use swatop::tuner::search::{greedy_search, random_search};
 use swatop::tuner::{tune, TierPolicy, TuneOptions};
-use swatop_bench::experiments::Opts;
-use swatop_bench::report::{mean, Table};
 use workloads::conv_sweep;
 
-fn main() {
-    let opts = Opts::parse_or_exit(std::env::args().skip(1));
-    let cfg = opts.machine();
-    println!("swATOP reproduction — tuner ablation (opts: {opts:?})\n");
+use crate::report::{mean, Table};
+
+use super::{machine, Opts};
+
+pub fn run(opts: &Opts) -> Vec<Table> {
+    let cfg = machine();
     let sweep = opts.sample(conv_sweep(32, opts.blackbox_cap()), 3, 8);
     // Every run tunes under the harness's workers and recorder.
     let base = opts.tune_options();
@@ -76,11 +76,5 @@ fn main() {
             format!("{:.0}", mean(executed)),
         ]);
     }
-    t.print();
-    println!(
-        "The paper's thesis in one table: the static model reaches brute-force\n\
-         quality while executing ~3 candidates; sampling searches need 10% of\n\
-         the space for (usually) worse quality."
-    );
-    opts.finish_exports();
+    vec![t]
 }

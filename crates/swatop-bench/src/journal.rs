@@ -1,6 +1,6 @@
 //! Bench journal: schema-versioned performance records in
 //! `BENCH_swatop.json` at the repository root, plus a noise-aware
-//! regression comparator (`journal compare`, see `src/bin/journal.rs`).
+//! regression comparator (`swatop_cli journal compare`).
 //!
 //! A record captures one run of the canonical benchmark op set: harness
 //! wall time, each op's tuned cycles and roofline position (achieved
@@ -329,20 +329,6 @@ pub struct BenchOpts {
     pub tune: TuneOptions,
 }
 
-impl Default for BenchOpts {
-    fn default() -> BenchOpts {
-        BenchOpts {
-            label: "default".to_string(),
-            smoke: false,
-            handicap: 1,
-            faults: None,
-            validate: false,
-            corpus: None,
-            tune: TuneOptions::with_jobs(1),
-        }
-    }
-}
-
 type GemmSpec = (String, usize, usize, usize);
 type ConvSpec = (String, ConvMethod, ConvShape);
 
@@ -564,19 +550,21 @@ pub struct CompareOpts {
     /// Relative wall-time growth tolerated (0.5 = candidate may be up to
     /// 50% slower before the gate trips; wall time is noisy).
     pub wall_rel: f64,
-    /// Noise multiplier: growth under `mad_factor × MAD(baseline)` never
-    /// trips, whatever the relative tolerance says.
-    pub mad_factor: f64,
-    /// Relative tuned-cycles growth tolerated. Cycles are deterministic, so
-    /// this is a guard against float formatting, not noise.
-    pub cycles_rel: f64,
 }
 
 impl Default for CompareOpts {
     fn default() -> CompareOpts {
-        CompareOpts { wall_rel: 0.5, mad_factor: 4.0, cycles_rel: 0.001 }
+        CompareOpts { wall_rel: 0.5 }
     }
 }
+
+/// Noise multiplier: wall-time growth under `MAD_FACTOR × MAD(baseline)`
+/// never trips, whatever the relative tolerance says.
+const MAD_FACTOR: f64 = 4.0;
+
+/// Relative tuned-cycles growth tolerated. Cycles are deterministic, so this
+/// is a guard against float formatting, not noise.
+const CYCLES_REL: f64 = 0.001;
 
 /// One tripped gate.
 #[derive(Debug, Clone)]
@@ -730,7 +718,7 @@ pub fn consistency_warnings(base: &[&Record], cand: &[&Record]) -> Vec<String> {
 /// Noise-aware comparison of candidate records against baseline records.
 ///
 /// Wall time: candidate median may exceed baseline median by
-/// `max(wall_rel × baseline, mad_factor × MAD(baseline))`. Per-op tuned
+/// `max(wall_rel × baseline, MAD_FACTOR × MAD(baseline))`. Per-op tuned
 /// cycles: medians compared op-by-op (ops present on only one side are
 /// reported as regressions of coverage, not performance). Quarantined
 /// winners: the candidate median must not exceed the baseline median at
@@ -757,7 +745,7 @@ pub fn compare(base: &[&Record], cand: &[&Record], opts: &CompareOpts) -> Vec<Re
     let base_wall = median(&mut base_walls.clone()).unwrap();
     let cand_wall = median(&mut cand.iter().map(|r| r.wall_ms).collect::<Vec<f64>>()).unwrap();
     let allowed_wall =
-        base_wall + (base_wall * opts.wall_rel).max(opts.mad_factor * mad(&base_walls, base_wall));
+        base_wall + (base_wall * opts.wall_rel).max(MAD_FACTOR * mad(&base_walls, base_wall));
     if cand_wall > allowed_wall {
         regressions.push(Regression {
             what: "wall_ms".to_string(),
@@ -790,7 +778,7 @@ pub fn compare(base: &[&Record], cand: &[&Record], opts: &CompareOpts) -> Vec<Re
         let (b, c) = per_record.split_at(base.len());
         match (median(&mut cycles(b)), median(&mut cycles(c))) {
             (Some(b_med), Some(c_med)) => {
-                let allowed = b_med * (1.0 + opts.cycles_rel);
+                let allowed = b_med * (1.0 + CYCLES_REL);
                 if c_med > allowed {
                     regressions.push(Regression {
                         what: format!("cycles[{name}]"),

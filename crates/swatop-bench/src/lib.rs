@@ -1,9 +1,10 @@
-//! # swatop-bench — shared harness utilities for the experiment binaries
+//! # swatop-bench — the evaluation harness behind `swatop_cli`
 //!
-//! Each table and figure of the paper's evaluation section has a dedicated
-//! binary in `src/bin/`; this library holds the table formatting, summary
-//! statistics and experiment-runner plumbing they share. See `DESIGN.md`
-//! for the per-experiment index.
+//! Each table and figure of the paper's evaluation section is one module of
+//! [`experiments`], run by `swatop_cli experiments`; this library also holds
+//! the bench journal, the flight report, the table formatting, summary
+//! statistics and experiment-runner plumbing. See `DESIGN.md` for the
+//! per-experiment index.
 
 pub mod experiments;
 pub mod flight;

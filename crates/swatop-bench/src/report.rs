@@ -1,4 +1,4 @@
-//! Plain-text table rendering for the experiment binaries.
+//! Plain-text table rendering and the post-hoc exports of `swatop_cli`.
 
 use std::fmt::Write as _;
 use std::path::Path;

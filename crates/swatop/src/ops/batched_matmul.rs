@@ -64,10 +64,6 @@ impl Operator for BatchedMatmulOp {
         s
     }
 
-    fn lowering_ignores_dma_knobs(&self) -> bool {
-        true
-    }
-
     fn lower(&self, space: &ScheduleSpace, point: &SchedulePoint) -> Option<Program> {
         let knobs = MatmulKnobs::from_point(space, point);
         let fuse = self.shared_a && point.toggle(space, "fuse_batch");

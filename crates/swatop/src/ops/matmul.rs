@@ -117,10 +117,6 @@ impl Operator for MatmulOp {
         s
     }
 
-    fn lowering_ignores_dma_knobs(&self) -> bool {
-        true
-    }
-
     fn lower(&self, space: &ScheduleSpace, point: &SchedulePoint) -> Option<Program> {
         let knobs = MatmulKnobs::from_point(space, point);
         // Rejected points cost no program.

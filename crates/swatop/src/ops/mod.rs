@@ -85,8 +85,7 @@ impl DmaKnobs {
     /// Positions in `space` of the knobs [`DmaKnobs::from_point`] reads —
     /// the knobs whose value reaches a library lowering's program only
     /// through [`DmaKnobs::hints`]. The scheduler shares one lowering among
-    /// the points that differ only here (see
-    /// [`Operator::lowering_ignores_dma_knobs`]).
+    /// the points that differ only here (see [`Operator::lower`]).
     pub fn positions(space: &ScheduleSpace) -> Vec<usize> {
         let names: &[&str] = if space.has_knob("dma") {
             &["dma"]

@@ -52,6 +52,13 @@ pub trait Operator {
     /// Lower one schedule point to un-optimized IR. `None` marks the point
     /// invalid (factor combination violates a kernel or capacity rule that
     /// is cheaper to check here than to discover in `plan`).
+    ///
+    /// The knobs of [`DmaKnobs::positions`] may reach the program only
+    /// through `Program::hints` ([`DmaKnobs::hints`]): points differing only
+    /// there must lower to programs differing only in `hints`, and the
+    /// scheduler lowers such points once. Debug builds compare every shared
+    /// lowering against a direct one and panic where a lowering reads a DMA
+    /// knob structurally.
     fn lower(&self, space: &ScheduleSpace, point: &SchedulePoint) -> Option<Program>;
 
     /// Deterministic input data for each `Input`-role buffer, in
@@ -64,17 +71,6 @@ pub trait Operator {
 
     /// FLOPs of the operator (direct-convolution-normalised for convs).
     fn flops(&self) -> u64;
-
-    /// Whether [`Operator::lower`] reads the knobs of
-    /// [`DmaKnobs::positions`] *only* to copy them into `Program::hints`,
-    /// so that points differing only there lower to programs differing only
-    /// in `hints`. The scheduler then lowers such points once. Every
-    /// lowering in `ops/` declares it; the default is the sound one, and a
-    /// wrong `true` panics in debug builds, where every shared lowering is
-    /// compared against a direct one.
-    fn lowering_ignores_dma_knobs(&self) -> bool {
-        false
-    }
 }
 
 /// One lowered, optimized, plannable schedule strategy.
@@ -181,8 +177,8 @@ struct FrontEnd<'a> {
     op: &'a dyn Operator,
     space: &'a ScheduleSpace,
     /// Knob positions that reach the program only through its hints; empty
-    /// unless the operator declares its lowering independent of them, and
-    /// then every point is its own structural point.
+    /// for a space without DMA knobs, and then every point is its own
+    /// structural point.
     hint_only: Vec<usize>,
     /// Points agreeing on the selection before this position form a block.
     block_prefix: usize,
@@ -193,8 +189,7 @@ struct FrontEnd<'a> {
 
 impl<'a> FrontEnd<'a> {
     fn new(sched: &'a Scheduler, op: &'a dyn Operator, space: &'a ScheduleSpace) -> Self {
-        let hint_only =
-            if op.lowering_ignores_dma_knobs() { DmaKnobs::positions(space) } else { Vec::new() };
+        let hint_only = DmaKnobs::positions(space);
         let block_prefix = hint_only.iter().copied().min().unwrap_or(space.knobs().len());
         FrontEnd { sched, op, space, hint_only, block_prefix, block: Vec::new() }
     }
@@ -266,19 +261,16 @@ impl<'a> FrontEnd<'a> {
             Program { hints, ..form.clone() }
         });
         #[cfg(debug_assertions)]
-        if !self.hint_only.is_empty() {
-            check_shared(self.op, self.space, point, shared.check.as_ref(), raw.as_ref(), hints);
-        }
+        check_shared(self.op, self.space, point, shared.check.as_ref(), raw.as_ref(), hints);
         self.sched.assemble(self.space, point, raw?)
     }
 }
 
-/// What the points of a declaring operator share, checked against the point
-/// on its own. The invariant behind
-/// [`Operator::lowering_ignores_dma_knobs`]: lowering `point` directly gives
-/// the shared lowering with `hints` overwritten. And the one behind the
-/// derivation chain: optimizing that direct lowering from scratch gives the
-/// chained `raw`.
+/// What the points of a structural point share, checked against the point
+/// on its own. The contract of [`Operator::lower`]: lowering `point`
+/// directly gives the shared lowering with `hints` overwritten. And the
+/// invariant behind the derivation chain: optimizing that direct lowering
+/// from scratch gives the chained `raw`.
 #[cfg(debug_assertions)]
 fn check_shared(
     op: &dyn Operator,
@@ -293,7 +285,7 @@ fn check_shared(
     let specialised = lowered.map(|p| Program { hints, ..p.clone() });
     assert!(
         direct == specialised,
-        "{}: lowering reads a DMA knob structurally, but lowering_ignores_dma_knobs() is true",
+        "{}: the lowering reads a DMA knob structurally, not only into its hints",
         at(),
     );
     let from_scratch = direct.map(|p| optimizer::optimize(p, false));
@@ -306,10 +298,9 @@ mod tests {
     use crate::ops::MatmulOp;
 
     /// A matmul whose lowering reads the `dbuf` toggle structurally (an
-    /// extra SPM buffer), declaring — rightly or wrongly — what it likes.
+    /// extra SPM buffer), breaking [`Operator::lower`]'s contract.
     struct DbufReader {
         inner: MatmulOp,
-        declares_independence: bool,
     }
 
     impl Operator for DbufReader {
@@ -338,31 +329,13 @@ mod tests {
         fn flops(&self) -> u64 {
             self.inner.flops()
         }
-        fn lowering_ignores_dma_knobs(&self) -> bool {
-            self.declares_independence
-        }
-    }
-
-    #[test]
-    fn undeclared_operator_is_lowered_point_by_point() {
-        let op = DbufReader { inner: MatmulOp::new(32, 32, 32), declares_independence: false };
-        let space = op.space();
-        let cands = Scheduler::new(MachineConfig::default()).enumerate(&op);
-        assert!(cands.iter().any(|c| c.raw.hints.dbuf) && cands.iter().any(|c| !c.raw.hints.dbuf));
-        for c in &cands {
-            let point = space.point(c.point_index);
-            assert_eq!(c.raw.hints.dbuf, point.toggle(&space, "dbuf"), "{}", c.describe);
-            let staged = |p: &Program| p.spm_bufs.iter().any(|b| b.name == "staging");
-            assert_eq!(staged(&c.raw), c.raw.hints.dbuf, "{}", c.describe);
-            assert_eq!(staged(&c.exe.program), c.raw.hints.dbuf, "{}", c.describe);
-        }
     }
 
     #[test]
     #[cfg(debug_assertions)]
     #[should_panic(expected = "reads a DMA knob structurally")]
-    fn wrong_declaration_trips_the_debug_comparison() {
-        let op = DbufReader { inner: MatmulOp::new(32, 32, 32), declares_independence: true };
+    fn a_lowering_that_reads_a_dma_knob_structurally_trips_the_debug_comparison() {
+        let op = DbufReader { inner: MatmulOp::new(32, 32, 32) };
         Scheduler::new(MachineConfig::default()).enumerate(&op);
     }
 }

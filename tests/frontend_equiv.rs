@@ -118,12 +118,11 @@ fn prefetch_off_executes_the_raw_form() {
     }
 }
 
-/// The invariant `lowering_ignores_dma_knobs` declares, checked from the
-/// outside: moving only the DMA knobs moves only `hints`.
+/// The contract of `Operator::lower`, checked from the outside: moving only
+/// the DMA knobs moves only `hints`.
 #[test]
 fn library_lowerings_read_dma_knobs_into_hints_only() {
     for op in every_op() {
-        assert!(op.lowering_ignores_dma_knobs(), "{}", op.name());
         let space = op.space();
         let dma = DmaKnobs::positions(&space);
         assert!(!dma.is_empty(), "{}: no DMA knob", op.name());
