@@ -1,9 +1,9 @@
 //! The JSON layer shared by every exporter in the workspace.
 //!
-//! The machine-model stack is dependency-free, so the Chrome-trace export,
-//! the telemetry snapshot/Perfetto exporters, the profiler artifacts, the
-//! tuner checkpoint and the bench journal all write and read JSON through
-//! this module, and through nothing else:
+//! The machine-model stack is dependency-free, so the trace document, the
+//! telemetry snapshot, the profiler artifacts, the tuner checkpoint and the
+//! bench journal all write and read JSON through this module, and through
+//! nothing else:
 //!
 //! * [`Writer`] — a comma-placing writer over a `String`: `begin_obj` /
 //!   `end_obj` / `begin_arr` / `end_arr` nest, [`Writer::field`] and
@@ -191,8 +191,8 @@ impl Writer {
     }
 }
 
-/// Rendered verbatim through `Display`: `format_args!("{x:.3}")` for the
-/// fixed-precision timestamps, and every integer below.
+/// Rendered verbatim through `Display`: every integer and finite float
+/// below, or a fixed precision such as `format_args!("{x:.3}")`.
 impl Value for fmt::Arguments<'_> {
     fn write_json(&self, w: &mut Writer) {
         w.sep();

@@ -62,7 +62,6 @@
 //! same batches through every entry — fresh and chained, traced and not — and
 //! compares clock, counters, completion time and trace events.
 
-pub mod chrome_trace;
 pub mod clock;
 pub mod config;
 pub mod counters;

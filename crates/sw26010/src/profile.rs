@@ -14,7 +14,7 @@
 //! are integer cycle counts (ratios are computed at render time), so the
 //! exports are bit-deterministic.
 
-use crate::json::{self, Value, Writer};
+use crate::json::{Value, Writer};
 use crate::trace::{Event, Trace};
 
 /// A half-open busy interval `[start, end)` in cycles.
@@ -284,77 +284,11 @@ impl Timeline {
     pub fn phase(&self, kind: PhaseKind) -> &Phase {
         self.phases.iter().find(|p| p.kind == kind).expect("timeline always has 3 phases")
     }
-
-    /// Deterministic JSON rendering of the timeline: integer cycle counts,
-    /// per-engine merged interval lists, and per-phase metrics.
-    pub fn to_json(&self) -> String {
-        json::to_string(self)
-    }
-
-    /// Render as Chrome/Perfetto trace-event JSON: an enclosing candidate
-    /// slice (explicit `B`/`E` pair), one slice track per engine, one track
-    /// of phase slices, and per-phase occupancy counter tracks. Timestamps
-    /// are microseconds of the given clock.
-    pub fn to_perfetto_json(&self, clock_ghz: f64, label: &str) -> String {
-        let us = |cycles: u64| cycles as f64 / (clock_ghz * 1e3);
-        let mut w = Writer::trace_events();
-        // Enclosing candidate span as a begin/end pair: exporters must keep
-        // these balanced, which the perfetto tests assert explicitly.
-        w.trace_event(label, "B", 0, 0).field("ts", us(0)).key("args").begin_obj();
-        w.field("total_cycles", self.total).field("truncated", self.truncated).end_obj().end_obj();
-        let phases = || self.phases.iter().filter(|p| !p.span.is_empty());
-        for p in phases() {
-            w.trace_event(p.kind.name(), "X", 0, 0)
-                .field("ts", us(p.span.start))
-                .field("dur", us(p.span.len()))
-                .key("args")
-                .begin_obj();
-            p.write_busy(&mut w);
-            w.end_obj().end_obj();
-        }
-        let engines: [(&str, &[Interval]); 4] = [
-            ("dma busy", &self.dma),
-            ("compute busy", &self.compute),
-            ("stall", &self.stall),
-            ("regcomm", &self.regcomm),
-        ];
-        for (i, (name, spans)) in engines.into_iter().enumerate() {
-            for iv in spans {
-                w.trace_event(name, "X", 0, i + 1)
-                    .field("ts", us(iv.start))
-                    .field("dur", us(iv.len()))
-                    .end_obj();
-            }
-        }
-        // Occupancy counters: one sample at each phase start (plus a closing
-        // zero) renders as a step curve over the candidate. They live on
-        // their own track (tid 5): phase starts rewind to earlier timestamps
-        // than the slice tracks above, and each track must stay monotonic.
-        let mut occupancy = |at: u64, [dma, compute, overlap_eff]: [f64; 3]| {
-            w.trace_event("occupancy", "C", 0, 5).field("ts", us(at)).key("args").begin_obj();
-            w.field("dma", dma).field("compute", compute).field("overlap_eff", overlap_eff);
-            w.end_obj().end_obj();
-        };
-        for p in phases() {
-            let sample = [p.dma_occupancy(), p.compute_occupancy(), p.overlap_efficiency()];
-            occupancy(p.span.start, sample);
-        }
-        occupancy(self.total, [0.0; 3]);
-        w.trace_event(label, "E", 0, 0).field("ts", us(self.total)).end_obj();
-        for (tid, name) in
-            ["schedule phases", "DMA engine", "CPE compute", "DMA stall", "regcomm", "occupancy"]
-                .into_iter()
-                .enumerate()
-        {
-            w.thread_name(0, tid, name);
-        }
-        w.finish_lines()
-    }
 }
 
 impl Phase {
     /// The five busy-cycle fields, into the open object.
-    fn write_busy(&self, w: &mut Writer) {
+    pub fn write_busy(&self, w: &mut Writer) {
         w.field("dma_busy", self.dma_busy)
             .field("compute_busy", self.compute_busy)
             .field("stall", self.stall)
@@ -403,6 +337,7 @@ mod tests {
     use super::*;
     use crate::clock::Cycles;
     use crate::dma::DmaDirection;
+    use crate::json;
 
     fn issue(at: u64, done: u64) -> Event {
         Event::DmaIssue {
@@ -487,7 +422,7 @@ mod tests {
         let tl = Timeline::build(&Trace::enabled(8));
         assert_eq!(tl.total, 0);
         assert_eq!(tl.phases.len(), 3);
-        assert!(tl.to_json().contains("\"total_cycles\":0"));
+        assert!(json::to_string(&tl).contains("\"total_cycles\":0"));
     }
 
     #[test]
@@ -497,8 +432,7 @@ mod tests {
         t.push(gemm(10, 10)); // dropped: sets the flag
         let tl = Timeline::build(&t);
         assert!(tl.truncated);
-        assert!(tl.to_json().contains("\"truncated\":true"));
-        assert!(tl.to_perfetto_json(1.45, "cand").contains("\"truncated\":true"));
+        assert!(json::to_string(&tl).contains("\"truncated\":true"));
     }
 
     #[test]
@@ -506,19 +440,9 @@ mod tests {
         let mut t = Trace::enabled(64);
         t.push(issue(0, 100));
         t.push(gemm(100, 50));
-        let a = Timeline::build(&t).to_json();
-        let b = Timeline::build(&t).to_json();
+        let a = json::to_string(Timeline::build(&t));
+        let b = json::to_string(Timeline::build(&t));
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn perfetto_begin_end_balanced_and_escaped() {
-        let mut t = Trace::enabled(8);
-        t.push(gemm(0, 10));
-        let json = Timeline::build(&t).to_perfetto_json(1.45, "cand \"x\"");
-        assert_eq!(json.matches("\"ph\":\"B\"").count(), json.matches("\"ph\":\"E\"").count());
-        assert!(json.contains("cand \\\"x\\\""));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
     }
 
     #[test]

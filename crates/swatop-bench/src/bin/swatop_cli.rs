@@ -5,9 +5,9 @@
 //!
 //! The tune commands tune the requested operator with the
 //! performance-model autotuner, report the chosen schedule and simulated
-//! performance, write the generated C (`--out`) and optionally a Chrome
-//! trace of the winning schedule's execution (`--trace`, open in
-//! `chrome://tracing`/Perfetto).
+//! performance, write the generated C (`--out`) and optionally the trace
+//! document (`--trace`, open in `ui.perfetto.dev`): the tuning run's spans
+//! beside the winning schedule's phases and machine events.
 //!
 //! Every command reads the flags of its own usage groups (`COMMANDS`) and no
 //! other: a flag it does not read, a flag without its value or a value that
@@ -30,10 +30,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use sw26010::{CoreGroup, ExecMode, FaultPlan, MachineConfig};
-use swatop::interp::{execute, instantiate};
+use sw26010::{FaultPlan, MachineConfig};
 use swatop::observatory::Peaks;
 use swatop::ops::{ConvBackwardDataOp, ConvBackwardFilterOp, MatmulOp};
+use swatop::profiler::{profile_candidate, trace_json, CandidateProfile, PROFILE_TRACE_CAP};
 use swatop::scheduler::{Operator, Scheduler};
 use swatop::telemetry::bus::EventBus;
 use swatop::telemetry::metrics::{MetricsHub, MetricsServer};
@@ -144,13 +144,14 @@ const JOURNAL_COMPARE: Group = Group {
 
 const EXPERIMENTS: Group = Group {
     text: "  swatop_cli experiments [--only LIST] [--full|--smoke|--cap N] [--jobs N]
-             [--telemetry FILE] [--trace-timeline FILE]
+             [--telemetry FILE] [--trace FILE]
              the paper's tables and the tuner ablation; LIST is a comma-separated
              subset of fig5..fig11, table1..table3, ablation; only an unfiltered
-             run writes EXPERIMENTS_RESULTS.md",
+             run writes EXPERIMENTS_RESULTS.md; --trace writes the tuning runs'
+             spans as a trace document",
     flags: &[
         ("only", Text), ("full", Switch), ("smoke", Switch), ("cap", Int), ("jobs", Int),
-        ("telemetry", Text), ("trace-timeline", Text),
+        ("telemetry", Text), ("trace", Text),
     ],
 };
 
@@ -189,15 +190,14 @@ const RUN: Group = Group {
 const TUNE: Group = Group {
     text: "tune flags:
   --out FILE        write generated C code
-  --trace FILE      write a Chrome trace of the winning schedule
+  --trace FILE      write the trace document (open in ui.perfetto.dev): the
+                    tuning run's spans, one track per tuner worker, beside the
+                    winning schedule's phases and machine events
   --checkpoint FILE periodically snapshot sweep state to FILE
   --resume FILE     load FILE before tuning and continue the sweep
                     (implies --checkpoint FILE)
   --telemetry FILE  write a JSON telemetry snapshot (per-candidate
                     predicted/measured cycles, machine counters, model accuracy)
-  --trace-timeline FILE
-                    write a Perfetto/Chrome trace of the tuning run itself
-                    (one timeline track per tuner worker)
   --verbose         print the per-run telemetry summary (counters, MAPE,
                     rank correlation) and the per-candidate roofline table
                     (bottleneck class, % of peak GFLOPS / DMA bandwidth)
@@ -205,7 +205,7 @@ const TUNE: Group = Group {
                     (result summary + full telemetry snapshot), no human text",
     flags: &[
         ("out", Text), ("trace", Text), ("checkpoint", Text), ("resume", Text), ("telemetry", Text),
-        ("trace-timeline", Text), ("verbose", Switch), ("json", Switch),
+        ("verbose", Switch), ("json", Switch),
     ],
 };
 
@@ -233,10 +233,10 @@ const PROFILE: Group = Group {
   --candidate N | --select SUBSTR   pick candidate A (default: tuned winner)
   --diff N | --diff-select SUBSTR   diff mode: compare A against candidate B
   --out FILE                        profile (or diff) JSON artifact
-  --perfetto FILE                   cycle-resolved timeline for ui.perfetto.dev",
+  --trace FILE                      trace document of A (and B) for ui.perfetto.dev",
     flags: &[
         ("candidate", Int), ("select", Text), ("diff", Int), ("diff-select", Text), ("out", Text),
-        ("perfetto", Text),
+        ("trace", Text),
     ],
 };
 
@@ -400,14 +400,34 @@ fn machine(a: &Args) -> MachineConfig {
     MachineConfig { fault, ..MachineConfig::default() }
 }
 
-/// Write the exports `--telemetry`, `--trace-timeline` and `--corpus` ask
-/// for and, unless `--json`, say where each went.
+/// Write the exports `--telemetry` and `--corpus` ask for and, unless
+/// `--json`, say where each went.
 fn export(a: &Args, summary: &Summary) {
     let path = |flag: &str| a.text(flag).map(Path::new);
-    let written = write_exports(summary, path("telemetry"), path("trace-timeline"), path("corpus"));
+    let written = write_exports(summary, path("telemetry"), path("corpus"));
     if !a.has("json") {
         written.iter().for_each(|line| println!("{line}"));
     }
+}
+
+/// Write the trace document `--trace` asks for: the tuner's spans of
+/// `summary`, then one process per profile. Returns the path when a
+/// profile's trace hit its event cap.
+fn write_trace(
+    a: &Args,
+    summary: Option<&Summary>,
+    profiles: &[&CandidateProfile],
+    clock_ghz: f64,
+) -> Option<String> {
+    let path = a.text("trace")?;
+    std::fs::write(path, trace_json(summary, profiles, clock_ghz)).expect("write trace");
+    if !a.has("json") {
+        println!("trace    : {path} (open in ui.perfetto.dev)");
+    }
+    profiles.iter().any(|p| p.timeline.truncated).then(|| {
+        eprintln!("swatop: trace {path} truncated at {PROFILE_TRACE_CAP} events");
+        path.to_string()
+    })
 }
 
 /// Background thread printing progress lines to **stderr** (stdout stays
@@ -555,19 +575,18 @@ fn json_report(cfg: &MachineConfig, name: &str, tuned: &TunedOp, summary: &Summa
     w.finish()
 }
 
-/// Print the result and write the requested artifacts. Returns the paths
-/// of any artifacts whose trace hit its event cap (propagated into the
-/// flight report and `/metrics` as data-completeness warnings).
+/// Print the result and write the requested artifacts. Returns the trace's
+/// path if the winner's trace hit its event cap (propagated into the
+/// flight report and `/metrics` as a data-completeness warning).
 fn report(
     cfg: &MachineConfig,
     name: &str,
     tuned: &TunedOp,
     a: &Args,
     summary: Option<&Summary>,
-) -> Vec<String> {
+) -> Option<String> {
     let TunedOp { flops, winner, outcome, .. } = tuned;
     let flops = *flops;
-    let mut truncated = Vec::new();
     let json_mode = a.has("json");
     let cycles = outcome.cycles.get();
     if json_mode {
@@ -631,31 +650,19 @@ fn report(
             }
         }
     }
-    // The artifacts below re-execute the winner; they describe the *code*,
-    // so they run on the clean machine even when tuning was fault-injected.
-    let clean = MachineConfig { fault: None, ..cfg.clone() };
     if let Some(path) = a.text("out") {
         std::fs::write(path, winner.exe.emit_c()).expect("write C file");
         if !json_mode {
             println!("C code   : {path}");
         }
     }
-    if let Some(path) = a.text("trace") {
-        let mut cg = CoreGroup::new(clean, ExecMode::CostOnly);
-        cg.trace = sw26010::trace::Trace::enabled(1_000_000);
-        let binding = instantiate(&mut cg, &winner.exe);
-        execute(&mut cg, &winner.exe, &binding).expect("trace run");
-        if cg.trace.truncated() {
-            truncated.push(path.to_string());
-            eprintln!("swatop: trace {path} truncated at its event cap");
-        }
-        let json = sw26010::chrome_trace::to_chrome_json(&cg.trace, cfg.clock_ghz);
-        std::fs::write(path, json).expect("write trace");
-        if !json_mode {
-            println!("trace    : {path} (open in chrome://tracing)");
-        }
+    if !a.has("trace") {
+        return None;
     }
-    truncated
+    // The winner's profile describes the *code*: `profile_candidate` runs it
+    // on the clean machine even when tuning was fault-injected.
+    let p = profile_candidate(cfg, name, outcome.best, winner).expect("trace run");
+    write_trace(a, summary, &[&p], cfg.clock_ghz)
 }
 
 /// `profile gemm` / `profile conv`: re-run one enumerated candidate cost-only with
@@ -664,10 +671,7 @@ fn report(
 /// candidate of the same operator and attribute the cycle delta to the
 /// schedule knobs that changed.
 fn run_profile(a: &Args) {
-    use swatop::profiler::{
-        diff, diff_json, diff_report, profile_candidate, profile_json, profile_perfetto,
-        CandidateProfile, PROFILE_TRACE_CAP,
-    };
+    use swatop::profiler::{diff, diff_json, diff_report, profile_json};
 
     // Profiles always run on the clean machine: they explain where a
     // schedule's cycles go, which fault jitter would only blur.
@@ -720,6 +724,7 @@ fn run_profile(a: &Args) {
             std::fs::write(path, diff_json(&d)).expect("write diff JSON");
             println!("diff     : {path}");
         }
+        write_trace(a, None, &[&pa, &pb], cfg.clock_ghz);
         return;
     }
 
@@ -764,18 +769,14 @@ fn run_profile(a: &Args) {
         std::fs::write(path, profile_json(&pa)).expect("write profile JSON");
         println!("profile  : {path}");
     }
-    if let Some(path) = a.text("perfetto") {
-        std::fs::write(path, profile_perfetto(&pa, cfg.clock_ghz)).expect("write perfetto JSON");
-        println!("perfetto : {path} (open in ui.perfetto.dev)");
-    }
+    write_trace(a, None, &[&pa], cfg.clock_ghz);
 }
 
 /// `gemm` / `conv` / `bwd-data` / `bwd-filter`: tune one operator (`conv
 /// --method auto` races three) and report the fastest.
 fn run_tune(a: &Args) {
     let cfg = machine(a);
-    let instrument =
-        ["telemetry", "trace-timeline", "verbose", "json", "corpus"].iter().any(|f| a.has(f));
+    let instrument = ["telemetry", "trace", "verbose", "json", "corpus"].iter().any(|f| a.has(f));
     let strict_validate = a.has("strict-validate");
     let obs = Observability::from_args(a);
     // Validate winning schedules, with quarantine-and-fallback.
@@ -830,7 +831,7 @@ fn run_tune(a: &Args) {
             roofline_table(summary).print();
         }
     }
-    obs.finish(Path::new(DEFAULT_PATH), None, &truncated);
+    obs.finish(Path::new(DEFAULT_PATH), None, truncated.as_slice());
     // The gate runs last so telemetry artifacts are still written for
     // post-mortem inspection of the quarantined schedules.
     if strict_validate && quarantined > 0 {
@@ -1004,7 +1005,7 @@ fn experiment_opts(a: &Args) -> Opts {
         spatial_cap: a.num("cap").or(capped.spatial_cap.filter(|_| !full)),
         gemm_cap: capped.gemm_cap.filter(|_| !full),
         jobs: pool::resolve_jobs(a.num("jobs")),
-        telemetry: (a.has("telemetry") || a.has("trace-timeline")).then(Telemetry::new),
+        telemetry: (a.has("telemetry") || a.has("trace")).then(Telemetry::new),
     }
 }
 
@@ -1042,8 +1043,10 @@ fn run_experiments(a: &Args) {
     }
 
     if let Some(tel) = &opts.telemetry {
-        let summary = tel.summary(&Peaks::of(&experiments::machine()));
+        let cfg = experiments::machine();
+        let summary = tel.summary(&Peaks::of(&cfg));
         export(a, &summary);
+        write_trace(a, Some(&summary), &[], cfg.clock_ghz);
         telemetry_summary(&summary).print();
     }
 
@@ -1130,7 +1133,7 @@ mod tests {
         for (cmd, argv, flag) in [
             ("gemm", &["64", "64", "64", "--repeats", "3"][..], "--repeats"),
             ("bench", &["--smoke", "--telemetry", "t.json"], "--telemetry"),
-            ("bench", &["--smoke", "--trace-timeline", "t.json"], "--trace-timeline"),
+            ("bench", &["--smoke", "--trace", "t.json"], "--trace"),
             ("profile gemm", &["96", "96", "96", "--jobs", "2"], "--jobs"),
             ("profile gemm", &["96", "96", "96", "--faults", "1"], "--faults"),
             ("experiments", &["--only", "fig5", "--smoke", "--faults", "1"], "--faults"),
@@ -1174,7 +1177,7 @@ mod tests {
 
     #[test]
     fn values_land_in_their_fields() {
-        let argv = ["--smoke", "--cap", "12", "--jobs", "3", "--trace-timeline", "t.json"];
+        let argv = ["--smoke", "--cap", "12", "--jobs", "3", "--trace", "t.json"];
         let o = experiment_opts(&parse("experiments", &argv).unwrap());
         assert_eq!((o.scale, o.spatial_cap, o.gemm_cap, o.jobs), (Scale::Smoke, Some(12), Some(2048), 3));
         assert!(o.telemetry.is_some());

@@ -54,8 +54,8 @@ pub struct Opts {
     /// Worker threads for tuning (candidate- and sweep-level). 1 = serial;
     /// results are identical for every value.
     pub jobs: usize,
-    /// Shared telemetry recorder (`--telemetry` / `--trace-timeline` attach
-    /// one). `None` = uninstrumented: bit-identical results, zero overhead.
+    /// Shared telemetry recorder (`--telemetry` / `--trace` attach one).
+    /// `None` = uninstrumented: bit-identical results, zero overhead.
     pub telemetry: Option<Telemetry>,
 }
 

@@ -411,7 +411,7 @@ pub fn run_bench(opts: &BenchOpts) -> Record {
         if tune_secs > 0.0 { candidates_evaluated as f64 / tune_secs } else { 0.0 };
 
     let summary = tel.summary(&Peaks::of(&cfg));
-    crate::report::write_exports(&summary, None, None, opts.corpus.as_deref());
+    crate::report::write_exports(&summary, None, opts.corpus.as_deref());
     let obs: Vec<(f64, f64)> =
         summary.pairs().iter().map(|p| (p.predicted, p.measured as f64)).collect();
     let unix_ms = std::time::SystemTime::now()

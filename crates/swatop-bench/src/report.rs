@@ -130,14 +130,9 @@ pub fn roofline_table(summary: &Summary) -> Table {
 }
 
 /// Write the post-hoc artifacts a run was asked for — the telemetry
-/// snapshot, the run timeline, the feature corpus — and return one
-/// `what : path` line per file written, for the caller to print.
-pub fn write_exports(
-    summary: &Summary,
-    snapshot: Option<&Path>,
-    timeline: Option<&Path>,
-    corpus: Option<&Path>,
-) -> Vec<String> {
+/// snapshot, the feature corpus — and return one `what : path` line per
+/// file written, for the caller to print.
+pub fn write_exports(summary: &Summary, snapshot: Option<&Path>, corpus: Option<&Path>) -> Vec<String> {
     let mut written = Vec::new();
     let mut write = |what: &str, path: &Path, text: String, note: &str| {
         std::fs::write(path, text).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
@@ -145,9 +140,6 @@ pub fn write_exports(
     };
     if let Some(path) = snapshot {
         write("telemetry", path, summary.snapshot_json(), "");
-    }
-    if let Some(path) = timeline {
-        write("timeline", path, summary.perfetto_json(), " (open in ui.perfetto.dev)");
     }
     if let Some(path) = corpus {
         let rows = swatop::profiler::feature_rows(summary);

@@ -1,14 +1,16 @@
-//! Candidate microscope: cycle-resolved profiles, schedule diffing and the
-//! search-trajectory feature corpus.
+//! Candidate microscope: cycle-resolved profiles, the trace document,
+//! schedule diffing and the search-trajectory feature corpus.
 //!
-//! Three consumers of the same substrate live here:
+//! Four consumers of the same substrate live here:
 //!
 //! * [`profile_candidate`] — re-run one enumerated candidate cost-only with
 //!   tracing enabled and fold the event stream into a
 //!   [`Timeline`](sw26010::profile::Timeline) (per-engine busy intervals,
 //!   prologue/steady/epilogue phases), paired with the machine counters and
-//!   roofline bottleneck. Exported as a `profile` JSON artifact and as
-//!   Perfetto slice/counter tracks.
+//!   roofline bottleneck. Exported as a `profile` JSON artifact.
+//! * [`trace_json`] — the one Chrome trace-event document: the tuner's spans
+//!   in host time beside each profiled candidate's phases, occupancy and
+//!   machine events in simulated time, one process each.
 //! * [`diff`] — align two candidate profiles of the same operator
 //!   phase-by-phase and attribute the cycle delta to the schedule knobs
 //!   that changed (dbuf / coal / bcast / residency / tiles) — the "why is
@@ -27,13 +29,13 @@ use std::fmt::Write as _;
 
 use sw26010::json::Writer;
 use sw26010::profile::{PhaseKind, Timeline};
-use sw26010::trace::Trace;
+use sw26010::trace::{Event, Trace};
 use sw26010::{Counters, CoreGroup, Cycles, ExecMode, MachineConfig, MachineResult};
 
 use crate::interp::{execute, instantiate};
 use crate::observatory::{classify, Bottleneck, Peaks};
 use crate::scheduler::Candidate;
-use crate::telemetry::Summary;
+use crate::telemetry::{SpanId, SpanKind, Summary};
 
 /// Event budget for profiling runs: generous enough for every op shape in
 /// the bench suite; the `truncated` flag still guards the pathological case.
@@ -62,6 +64,8 @@ pub struct CandidateProfile {
     /// timeline horizon excludes the constant `kernel_signal` launch tax
     /// (no machine event spans it).
     pub timeline: Timeline,
+    /// The machine events the timeline was folded from.
+    pub trace: Trace,
 }
 
 /// Re-run `cand` cost-only with tracing enabled and build its profile.
@@ -91,6 +95,7 @@ pub fn profile_candidate(
         counters: cg.counters,
         bottleneck,
         timeline,
+        trace: cg.trace,
     })
 }
 
@@ -110,11 +115,166 @@ pub fn profile_json(p: &CandidateProfile) -> String {
     w.finish()
 }
 
-/// Perfetto export of one profile (slice + counter tracks, candidate span
-/// labelled with the knob assignment).
-pub fn profile_perfetto(p: &CandidateProfile, clock_ghz: f64) -> String {
+/// The one trace document: Chrome trace-event JSON for `ui.perfetto.dev`
+/// or `chrome://tracing`.
+///
+/// Process 0 is the tuner: every span of `summary` in host µs, in
+/// recording order, the orchestrator on thread 0 and worker `w` on thread
+/// `w + 1`; a measured candidate's args carry its knobs, counters and
+/// roofline attribution. Process `i + 1` is `candidates[i]` in simulated µs
+/// at `clock_ghz`: an enclosing `B`/`E` slice and the phase slices, the
+/// per-phase occupancy counters, then its machine events by engine (CPE
+/// compute, DMA, regcomm). An engine gets as many numbered lanes as it had
+/// events in flight at once, so no two slices of one thread overlap.
+pub fn trace_json(
+    summary: Option<&Summary>,
+    candidates: &[&CandidateProfile],
+    clock_ghz: f64,
+) -> String {
+    let mut w = Writer::trace_events();
+    if let Some(summary) = summary {
+        write_tuner(&mut w, summary);
+    }
+    for (pid, p) in (1..).zip(candidates) {
+        write_candidate(&mut w, pid, p, clock_ghz);
+    }
+    w.finish_lines()
+}
+
+/// The metadata event naming process `pid`.
+fn process_name(w: &mut Writer, pid: u32, name: &str) {
+    w.trace_event("process_name", "M", pid, 0).key("args").begin_obj();
+    w.field("name", name).end_obj().end_obj();
+}
+
+/// Process 0 of [`trace_json`].
+fn write_tuner(w: &mut Writer, summary: &Summary) {
+    let tid = |track: Option<usize>| track.map_or(0, |t| t + 1);
+    process_name(w, 0, "tuner (host µs)");
+    let mut tracks: Vec<Option<usize>> = Vec::new();
+    for (i, s) in summary.spans().iter().enumerate() {
+        if !tracks.contains(&s.track) {
+            tracks.push(s.track);
+        }
+        w.trace_event(&s.label, "X", 0, tid(s.track))
+            .field("ts", s.start_us)
+            .field("dur", s.dur_us.max(1))
+            .key("args")
+            .begin_obj()
+            .field("kind", s.kind.name());
+        if let Some(c) = s.cycles {
+            w.field("cycles", c);
+        }
+        if let Some(p) = s.predicted {
+            w.field("predicted_cycles", p);
+        }
+        if let Some(i) = s.index {
+            w.field("index", i);
+        }
+        if let Some(e) = &s.error {
+            w.field("error", e);
+        }
+        if s.kind == SpanKind::Candidate {
+            // The label *is* the schedule-point description; mirrored into
+            // args so trace tooling can filter on knobs.
+            w.field("schedule", &s.label).field("counters", s.counters);
+            if let Some(a) = summary.attribution(SpanId(i)) {
+                w.field("bottleneck", a.bottleneck.name());
+                for pct in ["pct_peak_gflops", "pct_peak_dma_bw", "pct_roofline"] {
+                    w.field(pct, a.metrics.get(pct).unwrap_or(0.0));
+                }
+            }
+        }
+        w.end_obj().end_obj();
+    }
+    tracks.sort_by_key(|&t| tid(t));
+    for t in tracks {
+        let name = t.map_or("orchestrator".to_string(), |worker| format!("worker {worker}"));
+        w.thread_name(0, tid(t), &name);
+    }
+}
+
+/// Process `pid` of [`trace_json`]: one profiled candidate.
+fn write_candidate(w: &mut Writer, pid: u32, p: &CandidateProfile, clock_ghz: f64) {
+    let us = |cycles: u64| cycles as f64 / (clock_ghz * 1e3);
+    let t = &p.timeline;
+    process_name(w, pid, &format!("{} #{} (simulated µs at {clock_ghz} GHz)", p.operator, p.index));
     let label = format!("{} #{} [{}]", p.operator, p.index, p.describe);
-    p.timeline.to_perfetto_json(clock_ghz, &label)
+    w.trace_event(&label, "B", pid, 0).field("ts", us(0)).key("args").begin_obj();
+    w.field("total_cycles", t.total).field("truncated", t.truncated).end_obj().end_obj();
+    let phases = || t.phases.iter().filter(|ph| !ph.span.is_empty());
+    for ph in phases() {
+        w.trace_event(ph.kind.name(), "X", pid, 0)
+            .field("ts", us(ph.span.start))
+            .field("dur", us(ph.span.len()))
+            .key("args")
+            .begin_obj();
+        ph.write_busy(w);
+        w.end_obj().end_obj();
+    }
+    w.trace_event(&label, "E", pid, 0).field("ts", us(t.total)).end_obj();
+    // One sample per phase start and a closing zero: a step curve.
+    let occupancy = phases().map(|ph| {
+        (ph.span.start, [ph.dma_occupancy(), ph.compute_occupancy(), ph.overlap_efficiency()])
+    });
+    for (at, [dma, compute, overlap_eff]) in occupancy.chain([(t.total, [0.0; 3])]) {
+        w.trace_event("occupancy", "C", pid, 1).field("ts", us(at)).key("args").begin_obj();
+        w.field("dma", dma).field("compute", compute).field("overlap_eff", overlap_eff);
+        w.end_obj().end_obj();
+    }
+    let mut threads = vec!["schedule phases".to_string(), "occupancy".to_string()];
+    for (engine, slices) in engine_slices(&p.trace) {
+        for (lane, slices) in lanes(slices).into_iter().enumerate() {
+            let tid = threads.len();
+            threads.push(format!("{engine} lane {lane}"));
+            for (name, at, cycles) in slices {
+                w.trace_event(&name, "X", pid, tid).field("ts", us(at));
+                w.field("dur", us(cycles)).end_obj();
+            }
+        }
+    }
+    for (tid, name) in threads.iter().enumerate() {
+        w.thread_name(pid, tid, name);
+    }
+}
+
+/// A machine event as a named slice: `(name, start, cycles)`.
+type Slice = (String, u64, u64);
+
+/// The trace's events as slices, per engine. A wait that lost no cycles is
+/// no slice.
+fn engine_slices(trace: &Trace) -> [(&'static str, Vec<Slice>); 3] {
+    let mut engines = [("CPE compute", Vec::new()), ("DMA", Vec::new()), ("regcomm", Vec::new())];
+    for e in trace.events() {
+        let (engine, name, at, cycles) = match *e {
+            Event::Gemm { at, cycles, m, n, k } => (0, format!("gemm {m}x{n}x{k}"), at, cycles),
+            Event::Compute { at, cycles, what } => (0, what.to_string(), at, cycles),
+            Event::DmaWait { stall, .. } if stall.get() == 0 => continue,
+            Event::DmaWait { at, stall, tag } => (0, format!("stall (tag {tag})"), at, stall),
+            Event::DmaIssue { at, done, direction, payload_bytes, tag, .. } => {
+                let name = format!("dma {direction:?} {payload_bytes}B (tag {tag})");
+                (1, name, at, Cycles(done.get().saturating_sub(at.get())))
+            }
+            Event::Regcomm { at, cycles, bytes } => (2, format!("regcomm scatter {bytes}B"), at, cycles),
+        };
+        engines[engine].1.push((name, at.get(), cycles.get()));
+    }
+    engines
+}
+
+/// Deal `slices` onto lanes, each to the lowest lane free at its start, so
+/// no two slices of a lane overlap.
+fn lanes(mut slices: Vec<Slice>) -> Vec<Vec<Slice>> {
+    slices.sort_by_key(|s| s.1);
+    let end = |lane: &Vec<Slice>| lane.last().map_or(0, |&(_, at, cycles)| at + cycles);
+    let mut lanes: Vec<Vec<Slice>> = Vec::new();
+    for s in slices {
+        match lanes.iter().position(|lane| end(lane) <= s.1) {
+            Some(i) => lanes[i].push(s),
+            None => lanes.push(vec![s]),
+        }
+    }
+    lanes
 }
 
 /// Parse a `SchedulePoint::describe` string ("k=v, k=v, …") into ordered
@@ -535,6 +695,83 @@ mod tests {
         assert!(j1.contains("\"profile_schema\":1"));
         assert!(j1.contains("\"truncated\":false"));
         assert!(j1.contains("\"dbuf\":false"));
+    }
+
+    /// A profile of a hand-built trace.
+    fn profile_of(trace: Trace, describe: &str) -> CandidateProfile {
+        CandidateProfile {
+            operator: "op".into(),
+            index: 7,
+            describe: describe.into(),
+            cycles: Cycles(0),
+            counters: Counters::default(),
+            bottleneck: Bottleneck::Dma,
+            timeline: Timeline::build(&trace),
+            trace,
+        }
+    }
+
+    /// The document's events, as `(name, ph, tid)`.
+    fn events(text: &str) -> Vec<(String, String, u64)> {
+        let doc = sw26010::json::parse(text).unwrap();
+        let events = doc.field("traceEvents").unwrap().as_arr("traceEvents").unwrap();
+        let text = |e: &sw26010::json::Json, k: &str| e.field(k).unwrap().as_str(k).unwrap().to_string();
+        events.iter().map(|e| (text(e, "name"), text(e, "ph"), e.field("tid").unwrap().as_u64("tid").unwrap())).collect()
+    }
+
+    fn dma(at: u64, done: u64, tag: u32) -> Event {
+        let direction = sw26010::DmaDirection::MemToSpm;
+        Event::DmaIssue { at: Cycles(at), done: Cycles(done), direction, payload_bytes: 4096, bus_bytes: 4096, tag }
+    }
+
+    #[test]
+    fn machine_events_land_on_their_engines_and_concurrent_transfers_on_lanes() {
+        let mut t = Trace::enabled(16);
+        t.push(dma(0, 500, 0));
+        t.push(dma(10, 300, 1)); // in flight beside tag 0: lane 1
+        t.push(Event::Gemm { at: Cycles(100), cycles: Cycles(400), m: 64, n: 64, k: 64 });
+        t.push(dma(500, 600, 2)); // lane 0 is free again
+        t.push(Event::DmaWait { at: Cycles(500), stall: Cycles(20), tag: 1 });
+        t.push(Event::DmaWait { at: Cycles(520), stall: Cycles(0), tag: 2 }); // no loss: no slice
+        t.push(Event::Compute { at: Cycles(520), cycles: Cycles(30), what: "pack" });
+        t.push(Event::Regcomm { at: Cycles(580), cycles: Cycles(20), bytes: 1024 });
+        let evs = events(&trace_json(None, &[&profile_of(t, "dbuf=true")], 1.45));
+        let tid = |name: &str| evs.iter().find(|e| e.0 == name).unwrap_or_else(|| panic!("no {name}")).2;
+        let thread = |name: &str| evs.iter().find(|e| e.0 == "thread_name" && e.1 == "M" && tid(name) == e.2);
+        assert!(evs.iter().all(|e| !e.0.contains("stall (tag 2)")));
+        assert_eq!(tid("gemm 64x64x64"), tid("stall (tag 1)"));
+        assert_eq!(tid("pack"), tid("stall (tag 1)"));
+        assert_eq!(tid("dma MemToSpm 4096B (tag 0)"), tid("dma MemToSpm 4096B (tag 2)"));
+        assert_eq!(tid("dma MemToSpm 4096B (tag 1)"), tid("dma MemToSpm 4096B (tag 0)") + 1);
+        assert_ne!(tid("regcomm scatter 1024B"), tid("dma MemToSpm 4096B (tag 1)"));
+        for name in ["gemm 64x64x64", "dma MemToSpm 4096B (tag 1)", "steady", "occupancy"] {
+            assert!(thread(name).is_some(), "{name} is on an unnamed thread");
+        }
+        let threads: Vec<u64> = evs.iter().filter(|e| e.0 == "thread_name").map(|e| e.2).collect();
+        assert_eq!(threads, [0, 1, 2, 3, 4, 5], "phases, occupancy, CPE, DMA 0, DMA 1, regcomm");
+        assert_eq!(evs.iter().filter(|e| e.1 == "B").count(), evs.iter().filter(|e| e.1 == "E").count());
+    }
+
+    #[test]
+    fn names_are_json_escaped() {
+        let mut t = Trace::enabled(4);
+        t.push(Event::Compute { at: Cycles(0), cycles: Cycles(10), what: "pack \"edge\" case\\path" });
+        let text = trace_json(None, &[&profile_of(t, "cand \"x\"")], 1.45);
+        let names: Vec<String> = events(&text).into_iter().map(|e| e.0).collect();
+        assert!(names.contains(&"pack \"edge\" case\\path".to_string()), "{names:?}");
+        assert!(names.contains(&"op #7 [cand \"x\"]".to_string()), "{names:?}");
+    }
+
+    #[test]
+    fn an_empty_trace_is_a_valid_document_and_truncation_is_stated() {
+        assert_eq!(trace_json(None, &[], 1.45), "{\"traceEvents\":[\n]}\n");
+        let evs = events(&trace_json(None, &[&profile_of(Trace::enabled(4), "")], 1.45));
+        let threads = evs.iter().filter(|e| e.0 == "thread_name").count();
+        assert_eq!(threads, 2, "phases and occupancy, no engine lane: {evs:?}");
+        let mut t = Trace::enabled(1);
+        t.push(Event::Gemm { at: Cycles(0), cycles: Cycles(10), m: 8, n: 8, k: 8 });
+        t.push(Event::Gemm { at: Cycles(10), cycles: Cycles(10), m: 8, n: 8, k: 8 }); // dropped
+        assert!(trace_json(None, &[&profile_of(t, "")], 1.45).contains("\"truncated\":true"));
     }
 
     #[test]

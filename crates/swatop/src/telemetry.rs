@@ -5,8 +5,9 @@
 //! 1. **Spans** — a lightweight hierarchical recorder (sweep → operator →
 //!    candidate → attempt). Every span carries wall-clock timing, an
 //!    optional worker *track*, the simulated cycle count and the aggregated
-//!    [`Counters`] of the execution it covers. Spans export to Perfetto /
-//!    Chrome trace-event JSON ([`Summary::perfetto_json`]) with one
+//!    [`Counters`] of the execution it covers. Spans export as the tuner
+//!    process of the trace document
+//!    ([`profiler::trace_json`](crate::profiler::trace_json)) with one
 //!    timeline track per tuner worker.
 //! 2. **Machine counters** — each candidate span absorbs the
 //!    [`sw26010::Counters`] block its cost-only machine accumulated (DMA
@@ -76,7 +77,7 @@ pub enum SpanKind {
 }
 
 impl SpanKind {
-    fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             SpanKind::Sweep => "sweep",
             SpanKind::Operator => "operator",
@@ -446,58 +447,9 @@ impl Summary<'_> {
         w.finish()
     }
 
-    /// Perfetto / Chrome trace-event JSON of the whole tuning run: one
-    /// timeline track per worker (tid `w + 1`) plus an orchestrator track
-    /// (tid 0) for sweep/operator spans. Loadable in `ui.perfetto.dev` or
-    /// `chrome://tracing`. Every measured candidate span's `args` carry its
-    /// bottleneck class and headline roofline percentages, so the
-    /// attribution is visible directly in the Perfetto UI.
-    pub fn perfetto_json(&self) -> String {
-        let tid = |track: Option<usize>| track.map_or(0, |t| t + 1);
-        let mut w = Writer::trace_events();
-        let mut tracks: Vec<Option<usize>> = Vec::new();
-        for (s, attribution) in self.spans.iter().zip(&self.attributions) {
-            if !tracks.contains(&s.track) {
-                tracks.push(s.track);
-            }
-            w.trace_event(&s.label, "X", 1, tid(s.track))
-                .field("ts", s.start_us)
-                .field("dur", s.dur_us.max(1))
-                .key("args")
-                .begin_obj()
-                .field("kind", s.kind.name());
-            if let Some(c) = s.cycles {
-                w.field("cycles", c);
-            }
-            if let Some(p) = s.predicted {
-                w.field("predicted_cycles", p);
-            }
-            if let Some(i) = s.index {
-                w.field("index", i);
-            }
-            if let Some(e) = &s.error {
-                w.field("error", e);
-            }
-            if s.kind == SpanKind::Candidate {
-                // The candidate label *is* its schedule-point description
-                // (knob=value list) — mirror it into args so trace tooling
-                // can filter on schedule knobs without parsing span names.
-                w.field("schedule", &s.label).field("counters", s.counters);
-                if let Some(a) = attribution {
-                    w.field("bottleneck", a.bottleneck.name());
-                    for pct in ["pct_peak_gflops", "pct_peak_dma_bw", "pct_roofline"] {
-                        w.field(pct, a.metrics.get(pct).unwrap_or(0.0));
-                    }
-                }
-            }
-            w.end_obj().end_obj();
-        }
-        tracks.sort_by_key(|&t| tid(t));
-        for t in tracks {
-            let name = t.map_or("orchestrator".to_string(), |worker| format!("worker {worker}"));
-            w.thread_name(1, tid(t), &name);
-        }
-        w.finish_lines()
+    /// The roofline attribution of span `id`, if it is a measured candidate.
+    pub(crate) fn attribution(&self, id: SpanId) -> Option<&Attribution> {
+        self.attributions.get(id.0)?.as_ref()
     }
 }
 
@@ -854,8 +806,8 @@ mod tests {
         let summary = t.summary(&peaks());
         let snap = summary.snapshot_json();
         parse("snapshot", &snap);
-        let perf = summary.perfetto_json();
-        parse("perfetto", &perf);
+        let perf = crate::profiler::trace_json(Some(&summary), &[], 1.45);
+        parse("trace", &perf);
         assert!(perf.contains("\"worker 0\""));
         assert!(perf.contains("\"orchestrator\""));
         assert!(snap.contains("\"predicted\":512.25"));

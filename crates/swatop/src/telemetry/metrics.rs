@@ -14,7 +14,7 @@
 //! label escaper: the shared kernel-cost cache, then the live sweep gauges:
 //! candidate funnel and throughput, ETA for the operator in flight,
 //! per-worker utilization from the [`PoolMonitor`], stall and quarantine
-//! counts, cache hit rates, and the bus's own received/dropped counters so
+//! counts, and the bus's own received/dropped counters so
 //! a scraper can tell sampled data from complete data.
 
 use std::fmt::Write as _;
@@ -146,8 +146,6 @@ impl MetricsHub {
         let count = |n: u64| one(n.to_string());
         // The one process-wide evaluation cache: kernel-cost queries.
         let (hits, misses, entries) = swkernels::cost::cache_stats();
-        let queries = hits + misses;
-        let hit_rate = if queries > 0 { hits as f64 / queries as f64 } else { 0.0 };
         let kernel_cost = |value: String| vec![(Some(("cache", "kernel_cost".to_string())), value)];
         let (elapsed_ms, workers) = match &self.monitor {
             Some(m) => (m.elapsed_ms().max(1), m.worker_stats()),
@@ -163,7 +161,7 @@ impl MetricsHub {
         artifacts.extend(truncated.into_iter().map(|a| (Some(("artifact", a)), "1".into())));
 
         #[rustfmt::skip]
-        let families: [Family; 21] = [
+        let families: [Family; 20] = [
             ("cache_hits_total", "Evaluation-cache hits since process start",
              "counter", kernel_cost(hits.to_string())),
             ("cache_misses_total", "Evaluation-cache misses since process start",
@@ -194,8 +192,6 @@ impl MetricsHub {
              "gauge", one(format!("{rate:.3}"))),
             ("eta_seconds", "Estimated seconds left for the operator in flight (0 = idle)",
              "gauge", one(format!("{eta:.3}"))),
-            ("memo_hit_rate", "Evaluation-cache hit rate since process start",
-             "gauge", kernel_cost(format!("{hit_rate:.4}"))),
             ("worker_utilization",
              "Fraction of host time each worker slot spent inside candidate bodies",
              "gauge", per_worker(&|s| format!("{:.4}", s.busy_ms as f64 / elapsed_ms as f64))),

@@ -10,12 +10,13 @@
 //! * **accuracy coverage** — every executed candidate of a top-k run
 //!   contributes one (predicted, measured) pair, including wave members
 //!   that lost the pick;
-//! * **exporters** — both JSON exports are structurally valid and the
-//!   Perfetto export names one thread per worker track.
+//! * **exporters** — the snapshot and the trace document are structurally
+//!   valid and the trace names one thread per worker track.
 
 use sw26010::json::parse;
 use sw26010::MachineConfig;
 use swatop::ops::ImplicitConvOp;
+use swatop::profiler::trace_json;
 use swatop::scheduler::{Candidate, Scheduler};
 use swatop::observatory::Peaks;
 use swatop::telemetry::{SpanKind, Telemetry};
@@ -153,7 +154,7 @@ fn exporters_are_valid_json_with_one_thread_per_worker() {
 
     let (snapshot, timeline) = {
         let summary = tel.summary(&Peaks::of(&cfg));
-        (summary.snapshot_json(), summary.perfetto_json())
+        (summary.snapshot_json(), trace_json(Some(&summary), &[], cfg.clock_ghz))
     };
     parse(&snapshot).expect("snapshot JSON well-formed");
     assert!(snapshot.contains("\"predicted\""));

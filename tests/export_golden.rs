@@ -9,12 +9,15 @@
 //! checkpoint whose `Failed` error holds every character class the string
 //! escaper distinguishes.
 //!
-//! Artifacts without a host clock are compared **byte for byte**. The
-//! telemetry snapshot and run timeline carry wall-clock and process-global
-//! values; there the volatile values are masked in the text and the
-//! documents compared as parsed values (`json::parse` keeps number text and
-//! key order). `/metrics` is compared line by line with the values of the
-//! clock- and process-global series blanked.
+//! Artifacts without a host clock are compared **byte for byte**; the
+//! trace of the winner and candidate 0 pins their simulated timings. The
+//! telemetry snapshot and the run's trace carry wall-clock and
+//! process-global values; there the volatile values are masked in the text
+//! and the documents compared as parsed values (`json::parse` keeps number
+//! text and key order). `/metrics` is compared line by line with the values
+//! of the clock- and process-global series blanked. Every trace document is
+//! also held to the trace-event rules per thread: no timestamp goes back,
+//! slices nest or are disjoint, and every `B` has its `E`.
 //!
 //! A second run — two operators under one recorder, one with a quarantined
 //! winner and one where nothing fits the scratch pad, at `jobs` 1 and 4 —
@@ -27,19 +30,17 @@
 //! and the test names the files; copy them over the goldens only when the
 //! move is meant.
 
+use std::collections::{BTreeMap, HashMap};
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use swatop_repro::sw26010::chrome_trace::to_chrome_json;
-use swatop_repro::sw26010::json::parse;
-use swatop_repro::sw26010::trace::Trace;
-use swatop_repro::sw26010::{CoreGroup, ExecMode, MachineConfig};
-use swatop_repro::swatop::interp::{execute, instantiate};
+use swatop_repro::sw26010::json::{parse, Json};
+use swatop_repro::sw26010::MachineConfig;
 use swatop_repro::swatop::observatory::{attribute, Peaks};
 use swatop_repro::swatop::ops::MatmulOp;
 use swatop_repro::swatop::profiler::{
     corpus_text, diff, diff_json, diff_report, feature_rows, profile_candidate, profile_json,
-    profile_perfetto,
+    trace_json,
 };
 use swatop_repro::swatop::scheduler::{Candidate, Operator, Scheduler};
 use swatop_repro::swatop::telemetry::bus::EventBus;
@@ -100,13 +101,6 @@ fn artifacts() -> Vec<(&'static str, String, Check)> {
     let first = profile_candidate(&cfg, &op.name(), 0, &cands[0]).unwrap();
     let d = diff(&winner, &first);
 
-    // The CLI's `--trace` artifact: the winner re-run cost-only, traced.
-    let mut cg = CoreGroup::new(cfg.clone(), ExecMode::CostOnly);
-    cg.trace = Trace::enabled(1_000_000);
-    let exe = &cands[outcome.best].exe;
-    let binding = instantiate(&mut cg, exe);
-    execute(&mut cg, exe, &binding).expect("trace run");
-
     let cells = [
         CandCell::Pending,
         CandCell::Done { cycles: 123_456, retries: 2, samples: 3 },
@@ -119,9 +113,7 @@ fn artifacts() -> Vec<(&'static str, String, Check)> {
     vec![
         ("corpus.jsonl", corpus_text(&feature_rows(&summary)), Bytes),
         ("profile.json", profile_json(&winner), Bytes),
-        ("profile.perfetto.json", profile_perfetto(&winner, cfg.clock_ghz), Bytes),
-        ("timeline.json", winner.timeline.to_json(), Bytes),
-        ("chrome_trace.json", to_chrome_json(&cg.trace, cfg.clock_ghz), Bytes),
+        ("trace_profile.json", trace_json(None, &[&winner, &first], cfg.clock_ghz), Bytes),
         ("diff.json", diff_json(&d), Bytes),
         ("diff_report.txt", diff_report(&d), Bytes),
         (
@@ -131,7 +123,7 @@ fn artifacts() -> Vec<(&'static str, String, Check)> {
         ),
         ("checkpoint.json", render(fingerprint(&cfg, cells.len()), &cells), Bytes),
         ("snapshot_peaks.json", summary.snapshot_json(), MaskedJson),
-        ("run_timeline_peaks.json", summary.perfetto_json(), MaskedJson),
+        ("trace_run.json", trace_json(Some(&summary), &[&winner], cfg.clock_ghz), MaskedJson),
         ("metrics.prom", hub.prometheus_text(), Prometheus),
     ]
 }
@@ -180,13 +172,12 @@ fn mask_json(text: &str) -> String {
 
 /// Families whose sample values move with the host clock or with whatever
 /// else this process has tuned so far.
-const VOLATILE_SERIES: [&str; 7] = [
+const VOLATILE_SERIES: [&str; 6] = [
     "swatop_cache_hits_total",
     "swatop_cache_misses_total",
     "swatop_cache_entries",
     "swatop_candidates_per_sec",
     "swatop_eta_seconds",
-    "swatop_memo_hit_rate",
     "swatop_worker_utilization",
 ];
 
@@ -246,6 +237,76 @@ fn masking_touches_only_the_volatile_values() {
         blank_prometheus("# TYPE swatop_eta_seconds gauge\nswatop_eta_seconds 0.2\nswatop_waves_total 2\n"),
         "# TYPE swatop_eta_seconds gauge\nswatop_eta_seconds _\nswatop_waves_total 2\n"
     );
+}
+
+/// What is wrong with a trace document, per `(pid, tid)`: a `ts` earlier
+/// than the one before it, an `X` slice that overlaps another without
+/// nesting in it (`slack` apart counts as touching), a `B` without its `E`.
+fn malformations(text: &str, slack: f64) -> Vec<String> {
+    let doc = parse(text).expect("the trace parses");
+    let events = doc.field("traceEvents").and_then(|e| e.as_arr("traceEvents")).expect("events");
+    let get = |e: &Json, k: &str| e.field(k).and_then(|v| v.as_f64(k)).expect(k);
+    let mut bad = Vec::new();
+    let mut last_ts: HashMap<(u64, u64), f64> = HashMap::new();
+    let mut slices: BTreeMap<(u64, u64), Vec<(f64, f64)>> = BTreeMap::new();
+    let mut open: BTreeMap<(u64, u64), i64> = BTreeMap::new();
+    for e in events {
+        let ph = e.field("ph").and_then(|p| p.as_str("ph")).expect("ph");
+        if ph == "M" {
+            continue;
+        }
+        let track = (get(e, "pid") as u64, get(e, "tid") as u64);
+        let ts = get(e, "ts");
+        if let Some(prev) = last_ts.insert(track, ts).filter(|&prev| ts < prev) {
+            bad.push(format!("{track:?}: ts {prev} -> {ts}"));
+        }
+        match ph {
+            "X" => slices.entry(track).or_default().push((ts, ts + get(e, "dur"))),
+            "B" => *open.entry(track).or_default() += 1,
+            "E" => *open.entry(track).or_default() -= 1,
+            _ => {}
+        }
+    }
+    bad.extend(open.iter().filter(|(_, &n)| n != 0).map(|(t, n)| format!("{t:?}: {n} B without E")));
+    for (track, mut xs) in slices {
+        xs.sort_by(|a, b| a.0.total_cmp(&b.0).then(b.1.total_cmp(&a.1)));
+        let mut enclosing: Vec<f64> = Vec::new();
+        for (start, end) in xs {
+            while enclosing.last().is_some_and(|&outer| outer <= start + slack) {
+                enclosing.pop();
+            }
+            match enclosing.last() {
+                Some(&outer) if end > outer + slack => {
+                    bad.push(format!("{track:?}: [{start}, {end}] overlaps a slice ending at {outer}"));
+                }
+                _ => enclosing.push(end),
+            }
+        }
+    }
+    bad
+}
+
+/// The tuned run with its winner, the diff pair, and the gemm 96³ winner
+/// the CLI's default policy picks, which keeps several transfers in flight
+/// at once: one cycle of slack, and no malformation.
+#[test]
+fn every_trace_document_is_well_formed() {
+    let cfg = MachineConfig::default();
+    let mut docs: Vec<(&str, String)> =
+        artifacts().into_iter().filter(|(name, ..)| name.starts_with("trace_")).map(|(n, t, _)| (n, t)).collect();
+    let op = MatmulOp::new(96, 96, 96);
+    let cands = Scheduler::new(cfg.clone()).enumerate(&op);
+    let top3 = TuneOptions { tiers: TierPolicy::top_k(3), ..TuneOptions::default() };
+    let best = tune(&cfg, &cands, &top3, None).expect("the space tunes").best;
+    let winner = profile_candidate(&cfg, &op.name(), best, &cands[best]).unwrap();
+    let gemm96 = trace_json(None, &[&winner], cfg.clock_ghz);
+    assert!(gemm96.contains("\"DMA lane 1\""), "the 96³ winner overlaps its transfers");
+    docs.push(("gemm 96³ winner", gemm96));
+    assert_eq!(docs.len(), 3);
+    for (name, text) in docs {
+        let bad = malformations(&text, 1.0 / (cfg.clock_ghz * 1e3));
+        assert!(bad.is_empty(), "{name}: {bad:#?}");
+    }
 }
 
 /// Every number the post-hoc reports derive from the recorder, for a run of
