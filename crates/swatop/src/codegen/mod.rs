@@ -10,10 +10,11 @@
 //! picks, not the space (Fig. 3). So an [`Executable`] is a handle that is
 //! built when first read: the scheduler gives every candidate a deferred one,
 //! and the double-buffer rewrite and the allocation run for the candidates
-//! the tuner measures, validates or emits.
+//! the tuner measures (on a copy it drops), validates or emits.
 
 pub mod c_emit;
 
+use std::borrow::Cow;
 use std::fmt;
 use std::ops::{Deref, DerefMut};
 use std::sync::OnceLock;
@@ -54,15 +55,15 @@ impl Planned {
 /// A handle to a [`Planned`] program that is built when it is first read.
 ///
 /// The scheduler hands every candidate one, the tuner reads the few it
-/// measures, validates or emits — so the double-buffer rewrite and the SPM
-/// layout run for those, not for the space. The handle is in one of three
-/// states: *deferred* (a source program and whether to double-buffer it;
-/// owns no tree), *built* (every read goes through [`Deref`], which builds
-/// on first use and is a load afterwards), or *edited* (a write through
-/// [`DerefMut`] builds first, then changes the built form in place; the
-/// source is no longer consulted). `Clone` copies the state as it is,
-/// `PartialEq` and `Debug` read — and so build — both sides, which makes two
-/// handles equal exactly when their planned forms are.
+/// validates or emits and measures `transient` copies — so the double-buffer
+/// rewrite and the SPM layout run for those, not for the space. The handle
+/// is in one of three states: *deferred* (a source program and whether to
+/// double-buffer it; owns no tree), *built* (every read goes through
+/// [`Deref`], which builds on first use and is a load afterwards), or
+/// *edited* (a write through [`DerefMut`] builds first, then changes the
+/// built form in place; the source is no longer consulted). `Clone` copies
+/// the state as it is, `PartialEq` and `Debug` read — and so build — both
+/// sides, which makes two handles equal exactly when their planned forms are.
 #[derive(Clone)]
 pub struct Executable {
     source: Program,
@@ -93,6 +94,16 @@ impl Executable {
             let program = self.source.clone();
             layout(if self.double_buffer { apply_double_buffering(program) } else { program })
         })
+    }
+
+    /// What a measurement reads and drops: this handle if it is built, else
+    /// an unbuilt one over the same source (handle clones only).
+    pub(crate) fn transient(&self) -> Cow<'_, Executable> {
+        if self.is_built() {
+            Cow::Borrowed(self)
+        } else {
+            Cow::Owned(Executable::deferred(self.source.clone(), self.double_buffer))
+        }
     }
 }
 

@@ -1,4 +1,4 @@
-//! The IR interpreter: runs an [`Executable`] on a [`CoreGroup`].
+//! The IR interpreter: runs a [`Planned`] program on a [`CoreGroup`].
 //!
 //! This is the machine-facing back half of the code generator. Walking the
 //! statement tree with a loop-variable environment, it
@@ -65,7 +65,7 @@ use swatop_ir::{
     DmaCpe, DmaShape, Env, GemmOp, MatDesc, Program, SpmSlot, Stmt, TransformKind, VarId,
 };
 
-use crate::codegen::{Executable, Planned};
+use crate::codegen::Planned;
 
 mod steady;
 
@@ -92,7 +92,7 @@ pub struct Binding {
 /// backing store): the interpreter only needs bases and bounds, and skipping
 /// the zero-fill keeps per-candidate instantiation cheap in the autotuner —
 /// large conv workspaces would otherwise dominate candidate evaluation.
-pub fn instantiate(cg: &mut CoreGroup, exe: &Executable) -> Binding {
+pub fn instantiate(cg: &mut CoreGroup, exe: &Planned) -> Binding {
     let cost_only = cg.mode() == ExecMode::CostOnly;
     let bufs = exe
         .program
@@ -185,9 +185,7 @@ impl DmaNode {
 
 /// Execute the program, returning the simulated cycles it took (the compute
 /// clock advance from entry to exit).
-pub fn execute(cg: &mut CoreGroup, exe: &Executable, binding: &Binding) -> MachineResult<Cycles> {
-    // Read the handle once: the run borrows its planned form.
-    let exe: &Planned = exe;
+pub fn execute(cg: &mut CoreGroup, exe: &Planned, binding: &Binding) -> MachineResult<Cycles> {
     if binding.bufs.len() != exe.program.mem_bufs.len() {
         return Err(MachineError::Invalid(format!(
             "binding has {} buffers but the program declares {}",

@@ -25,9 +25,9 @@
 //! estimate each distinct `raw` once. A candidate owns no tree of its own
 //! when `enumerate` returns: its executable is a deferred handle over `raw`
 //! that applies the double-buffer rewrite and lays out the SPM when it is
-//! first read — by the tuner for the candidates it measures or validates,
-//! by whoever emits or runs the winner. An executable that is not
-//! double-buffered *is* its candidate's `raw` once built.
+//! first read — by the tuner's validator, by whoever emits or runs the
+//! winner (measuring builds a copy on the worker and drops it). An
+//! executable that is not double-buffered *is* its candidate's `raw` once built.
 
 use sw26010::MachineConfig;
 use swatop_dsl::{SchedulePoint, ScheduleSpace, Seed};

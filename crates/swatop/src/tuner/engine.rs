@@ -15,7 +15,7 @@ use swkernels::spm_gemm::SpmMatrix;
 use super::checkpoint::{self, CandCell};
 use super::pool;
 use super::{should_retry, CandReport, TuneOptions, TuneOutcome, WinnerValidator};
-use crate::codegen::Executable;
+use crate::codegen::Planned;
 use crate::interp::{execute, instantiate};
 use crate::scheduler::Candidate;
 use crate::telemetry::bus::Event;
@@ -26,9 +26,14 @@ use crate::telemetry::{SpanKind, Telemetry};
 /// tuner keeps the CPE cluster spawned across candidates, so a candidate
 /// pays `kernel_signal`, not the cold `kernel_launch`).
 pub fn run_candidate(cfg: &MachineConfig, cand: &Candidate) -> MachineResult<Cycles> {
-    let mut cg = CoreGroup::new(cfg.clone(), ExecMode::CostOnly);
-    let binding = instantiate(&mut cg, &cand.exe);
-    Ok(execute(&mut cg, &cand.exe, &binding)? + cfg.kernel_signal)
+    run_on(&mut CoreGroup::new(cfg.clone(), ExecMode::CostOnly), &cand.exe)
+}
+
+/// One execution of `exe` on `cg`, warm-start signal included: the body of
+/// [`run_candidate`] and of every measurement attempt.
+fn run_on(cg: &mut CoreGroup, exe: &Planned) -> MachineResult<Cycles> {
+    let binding = instantiate(cg, exe);
+    Ok(execute(cg, exe, &binding)? + cg.cfg.kernel_signal)
 }
 
 /// Static pre-validation, run *before* any simulated execution: reject
@@ -37,20 +42,20 @@ pub fn run_candidate(cfg: &MachineConfig, cand: &Candidate) -> MachineResult<Cyc
 /// would also fail at runtime, but surfacing them as
 /// [`MachineError::BadKernelArgs`] up front costs nothing and never burns
 /// a retry on an error that can't go away.
-pub fn prevalidate(cfg: &MachineConfig, cand: &Candidate) -> MachineResult<()> {
-    if cand.exe.spm_used > cfg.spm_elems() {
+pub fn prevalidate(cfg: &MachineConfig, exe: &Planned) -> MachineResult<()> {
+    if exe.spm_used > cfg.spm_elems() {
         return Err(MachineError::BadKernelArgs(format!(
             "SPM footprint {} elems exceeds capacity {}",
-            cand.exe.spm_used,
+            exe.spm_used,
             cfg.spm_elems()
         )));
     }
     let mut err: Option<MachineError> = None;
-    cand.exe.program.body.visit(&mut |s| {
+    exe.program.body.visit(&mut |s| {
         if err.is_none() {
             if let Stmt::Gemm(g) = s {
                 let mat = |m: &MatDesc| {
-                    SpmMatrix::new(slot_offset(&cand.exe, &m.slot) + m.offset, m.layout, m.ld)
+                    SpmMatrix::new(slot_offset(exe, &m.slot) + m.offset, m.layout, m.ld)
                 };
                 if let Err(e) = swkernels::spm_gemm::validate(
                     g.m,
@@ -72,7 +77,7 @@ pub fn prevalidate(cfg: &MachineConfig, cand: &Candidate) -> MachineResult<()> {
 /// Static SPM offset of a slot (even parity for double buffers — parities
 /// share a size, and [`swkernels::spm_gemm::validate`] only needs layout
 /// and leading dimension anyway).
-fn slot_offset(exe: &Executable, slot: &SpmSlot) -> usize {
+fn slot_offset(exe: &Planned, slot: &SpmSlot) -> usize {
     let id = match slot {
         SpmSlot::Single(b) => *b,
         SpmSlot::Double { even, .. } => *even,
@@ -101,13 +106,13 @@ const CHECKPOINT_EVERY: usize = 32;
 /// span under it. The `None` path touches no telemetry state at all.
 fn measure_candidate(
     cfg: &MachineConfig,
-    cand: &Candidate,
+    exe: &Planned,
     index: usize,
     tel: Option<&Telemetry>,
 ) -> (CandCell, Duration, Counters) {
     let t = Instant::now();
     let mut counters = Counters::default();
-    if let Err(e) = prevalidate(cfg, cand) {
+    if let Err(e) = prevalidate(cfg, exe) {
         return (CandCell::Failed { error: e.to_string(), retries: 0 }, t.elapsed(), counters);
     }
     if let Some(plan) = &cfg.fault {
@@ -130,8 +135,7 @@ fn measure_candidate(
         let mut cg = CoreGroup::new(cfg.clone(), ExecMode::CostOnly);
         cg.arm_faults(index as u64, attempt);
         attempt += 1;
-        let binding = instantiate(&mut cg, &cand.exe);
-        let run = execute(&mut cg, &cand.exe, &binding).map(|c| cg.observed(c + cfg.kernel_signal));
+        let run = run_on(&mut cg, exe).map(|c| cg.observed(c));
         if let (Some(t), Some(id)) = (tel, span) {
             t.update(id, |s| match &run {
                 Ok(observed) => {
@@ -185,13 +189,14 @@ fn measure_candidate(
 fn measure_instrumented(
     cfg: &MachineConfig,
     cand: &Candidate,
+    exe: &Planned,
     index: usize,
     tel: Option<&Telemetry>,
     worker: usize,
     predicted: Option<f64>,
 ) -> (CandCell, Duration) {
     let Some(t) = tel else {
-        let (cell, wall, _) = measure_candidate(cfg, cand, index, None);
+        let (cell, wall, _) = measure_candidate(cfg, exe, index, None);
         return (cell, wall);
     };
     // Pin the span to the worker's timeline track unless the caller already
@@ -199,7 +204,7 @@ fn measure_instrumented(
     let t = if t.track().is_some() { t.clone() } else { t.on_track(worker) };
     let span = t.open(SpanKind::Candidate, cand.describe.clone());
     let scoped = t.child_of(span);
-    let (cell, wall, counters) = measure_candidate(cfg, cand, index, Some(&scoped));
+    let (cell, wall, counters) = measure_candidate(cfg, exe, index, Some(&scoped));
     t.update(span, |s| {
         s.index = Some(index);
         s.predicted = predicted;
@@ -353,21 +358,18 @@ impl<'a> Engine<'a> {
         self.emit(|| Event::WaveStart { size: todo.len() });
         let chunk = if self.opts.checkpoint.is_some() { CHECKPOINT_EVERY } else { usize::MAX };
         for part in todo.chunks(chunk.min(todo.len())) {
-            // Build, then run: the executables of this wave are made here,
-            // on the calling thread — outside a candidate's measured host
-            // time, and in one allocator arena whatever `jobs` is.
-            for &i in part {
-                self.candidates[i].exe.planned();
-            }
             let results = pool::par_map_watched(
                 self.opts.jobs,
                 part,
                 self.opts.monitor.as_deref(),
                 |_, &i| (i, self.candidates[i].describe.clone()),
                 |worker, _, &i| {
+                    // Build (outside the span and `cpu`), measure, drop.
+                    let exe = self.candidates[i].exe.transient();
                     let out = measure_instrumented(
                         self.cfg,
                         &self.candidates[i],
+                        &exe,
                         i,
                         self.opts.telemetry.as_ref(),
                         worker,

@@ -94,7 +94,7 @@ fn prevalidation_rejects_impossible_candidates_before_execution() {
     let cands = space(&cfg);
     let mut bad = cands[0].clone();
     bad.exe.spm_used = cfg.spm_elems() + 1;
-    let err = prevalidate(&cfg, &bad).expect_err("oversized footprint must fail");
+    let err = prevalidate(&cfg, &bad.exe).expect_err("oversized footprint must fail");
     assert!(err.to_string().contains("SPM footprint"), "got: {err}");
     // In a mixed space the bad candidate is reported, not fatal.
     let mixed = vec![bad, cands[1].clone()];
