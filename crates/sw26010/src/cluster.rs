@@ -504,9 +504,8 @@ impl CoreGroup {
                     let dst = r.mem_offset + b * r.stride_elems;
                     self.mem.check_abs(dst, r.block_elems)?;
                     let src_off = r.spm_offset + b * r.block_elems;
-                    let block: Vec<f32> =
-                        self.spms[r.cpe].slice(src_off, r.block_elems)?.to_vec();
-                    self.mem.arena_mut()[dst..dst + r.block_elems].copy_from_slice(&block);
+                    let block = self.spms[r.cpe].slice(src_off, r.block_elems)?;
+                    self.mem.arena_mut()[dst..dst + r.block_elems].copy_from_slice(block);
                 }
             }
         }

@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sw26010::{CoreGroup, ExecMode, MachineConfig};
-use swkernels::spm_gemm::{load_distributed, SpmMatrix};
+use swkernels::spm_gemm::SpmMatrix;
 use swkernels::{gemm_cycles, spm_gemm, VecDim, ALL_VARIANTS};
 use swtensor::init::random_vec;
 use swtensor::MatLayout::RowMajor;
@@ -36,8 +36,14 @@ fn bench_spm_gemm_functional(c: &mut Criterion) {
     let a_desc = SpmMatrix::new(0, RowMajor, k / 8);
     let b_desc = SpmMatrix::new(64, RowMajor, n / 8);
     let c_desc = SpmMatrix::new(128, RowMajor, n / 8);
-    load_distributed(&mut cg, a_desc, &random_vec(m * k, 1), m, k).unwrap();
-    load_distributed(&mut cg, b_desc, &random_vec(k * n, 2), k, n).unwrap();
+    // Each CPE's 8×8 blocks of A and B: any data will do for a timing.
+    for cpe in 0..sw26010::N_CPE {
+        let spm = cg.spm_mut(cpe);
+        let a = random_vec(m * k / 64, cpe as u64);
+        let b = random_vec(k * n / 64, 100 + cpe as u64);
+        spm.slice_mut(a_desc.offset, a.len()).unwrap().copy_from_slice(&a);
+        spm.slice_mut(b_desc.offset, b.len()).unwrap().copy_from_slice(&b);
+    }
     c.bench_function("spm_gemm_functional_64", |b| {
         b.iter(|| {
             spm_gemm(&mut cg, m, n, k, 1.0, a_desc, b_desc, 0.0, c_desc, VecDim::M).unwrap();

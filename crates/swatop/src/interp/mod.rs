@@ -126,6 +126,11 @@ struct Interp<'a> {
     /// `snaps_used` on free for reuse.
     snaps: Vec<Snapshot>,
     snaps_used: usize,
+    /// A functional `DMA_CPE` node's per-CPE requests and broadcast
+    /// leaders, refilled by every node this run issues (a cost-only run
+    /// never allocates them).
+    reqs: Vec<DmaRequest>,
+    leaders: Vec<DmaRequest>,
 }
 
 /// The entry of static node `node` in a per-run price table, made on the
@@ -204,6 +209,8 @@ pub fn execute(cg: &mut CoreGroup, exe: &Planned, binding: &Binding) -> MachineR
         loops: Vec::new(),
         snaps: Vec::new(),
         snaps_used: 0,
+        reqs: Vec::new(),
+        leaders: Vec::new(),
     };
     let start = cg.now();
     let mut env = Env::new(exe.program.n_vars());
@@ -497,18 +504,19 @@ impl<'a> Interp<'a> {
                 n_blocks: d.n_blocks,
             })
         };
-        let mut reqs = Vec::with_capacity(N_CPE);
+        self.reqs.clear();
+        self.reqs.reserve(N_CPE);
         for cpe in 0..N_CPE {
-            reqs.push(request(cpe, d.block)?);
+            self.reqs.push(request(cpe, d.block)?);
         }
         match shape.scatter {
-            None => cg.dma(d.direction, &reqs, reply?),
+            None => cg.dma(d.direction, &self.reqs, reply?),
             Some(scatter) => {
-                let leaders = shape
-                    .requesters()
-                    .map(|cpe| request(cpe, shape.block))
-                    .collect::<MachineResult<Vec<_>>>()?;
-                cg.dma_bcast(d.direction, &leaders, &reqs, scatter, reply?)
+                self.leaders.clear();
+                for cpe in shape.requesters() {
+                    self.leaders.push(request(cpe, shape.block)?);
+                }
+                cg.dma_bcast(d.direction, &self.leaders, &self.reqs, scatter, reply?)
             }
         }
     }
@@ -696,22 +704,7 @@ impl<'a> Interp<'a> {
                 let data =
                     self.buf_data_sized(cg, *src, dims.iter().product(), "rotate_filter")?;
                 let w = Tensor::from_vec(dims, data);
-                let mut out =
-                    Tensor::zeros(vec![shape.ni, shape.no, shape.kr, shape.kc]);
-                for no in 0..shape.no {
-                    for ni in 0..shape.ni {
-                        for kr in 0..shape.kr {
-                            for kc in 0..shape.kc {
-                                *out.at_mut(&[
-                                    ni,
-                                    no,
-                                    shape.kr - 1 - kr,
-                                    shape.kc - 1 - kc,
-                                ]) = w.at(&[no, ni, kr, kc]);
-                            }
-                        }
-                    }
-                }
+                let out = swtensor::conv_grad::rotated_filter(shape, &w);
                 self.write_buf(cg, *dst, out.data())
             }
             TransformKind::PadSubmatrix {

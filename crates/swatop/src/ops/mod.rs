@@ -233,16 +233,21 @@ fn differential(
     mis: Option<MiscompilePlan>,
 ) -> (Result<(), String>, u64) {
     let clean = MachineConfig { fault: None, ..cfg.clone() };
-    let tol = verify_tolerance(op.flops());
     let (res, events) = run_differential(&clean, op, cand, mis);
-    let verdict = match res {
+    (verdict(res, verify_tolerance(op.flops())), events)
+}
+
+/// The differential verdict on a functional run: it must have succeeded and
+/// its max-abs-diff must be finite — a NaN or infinite output element makes
+/// it so — and within `tol`.
+fn verdict(res: MachineResult<f32>, tol: f32) -> Result<(), String> {
+    match res {
         Err(e) => Err(format!("differential: functional execution failed: {e}")),
         Ok(diff) if !diff.is_finite() || diff > tol => {
             Err(format!("differential: max |err| {diff:.3e} exceeds tolerance {tol:.3e}"))
         }
         Ok(_) => Ok(()),
-    };
-    (verdict, events)
+    }
 }
 
 /// Relative-error bound used when asserting functional correctness of
@@ -255,6 +260,19 @@ pub fn verify_tolerance(flops: u64) -> f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn the_differential_verdict_rejects_an_output_holding_a_nan() {
+        let expect = [0.5f32, -0.25, 1.0, 0.75];
+        let tol = verify_tolerance(2 * 64 * 64 * 64);
+        let mut got = expect;
+        assert_eq!(verdict(Ok(swtensor::max_abs_diff(&got, &expect)), tol), Ok(()));
+        got[2] = f32::NAN;
+        let err = verdict(Ok(swtensor::max_abs_diff(&got, &expect)), tol).unwrap_err();
+        assert!(err.contains("NaN"), "{err}");
+        got[2] = f32::INFINITY;
+        assert!(verdict(Ok(swtensor::max_abs_diff(&got, &expect)), tol).is_err());
+    }
 
     #[test]
     fn largest_divisor_is_the_top_of_the_divisor_list() {

@@ -24,12 +24,10 @@
 //! Eq. (2) model approximates.
 
 pub mod cost;
-pub mod distribute;
 pub mod microkernel;
 pub mod spm_gemm;
 pub mod variant;
 
 pub use cost::{gemm_cycles, gemm_flops, gemm_intensity, gemm_operand_bytes};
-pub use distribute::block_dims;
 pub use spm_gemm::{spm_gemm, spm_gemm_priced, GemmPrice, SpmMatrix};
 pub use variant::{GemmVariant, VecDim, ALL_VARIANTS};

@@ -8,14 +8,19 @@
 //! ```
 //!
 //! `A`, `B`, `C` reside in the SPMs, block-partitioned 8×8 across the mesh
-//! ([`crate::distribute`]). The kernel variant is determined by the operand
-//! layouts plus the vectorisation dimension `vd`; its cycle cost comes from
-//! the pipeline-scoreboard simulation ([`crate::cost`]), and in
+//! (the paper's Fig. 12): CPE `(r, c)` owns block `(r, c)` of each, so every
+//! dimension must divide by the mesh side, which [`validate`] checks. The
+//! kernel variant is determined by the operand layouts plus the
+//! vectorisation dimension `vd`; its cycle cost comes from the
+//! pipeline-scoreboard simulation ([`crate::cost`]), and in
 //! [`ExecMode::Functional`](sw26010::ExecMode) the arithmetic is actually
 //! performed so that schedule bugs surface as wrong results.
 
-use sw26010::{CoreGroup, Cycles, ExecMode, MachineConfig, MachineError, MachineResult, MESH};
-use swtensor::MatLayout;
+use sw26010::{
+    cid, rid, CoreGroup, Cycles, ExecMode, MachineConfig, MachineError, MachineResult, MESH, N_CPE,
+};
+use swtensor::gemm_ref;
+use swtensor::MatLayout::{self, ColMajor, RowMajor};
 
 use crate::cost::{gemm_cycles, gemm_flops};
 use crate::microkernel::{per_cpe_issue_counts, IssueCounts};
@@ -160,14 +165,17 @@ pub fn spm_gemm_priced(
     let (mb, nb, kb) = (m / MESH, n / MESH, k / MESH);
 
     if cg.mode() == ExecMode::Functional {
-        // Gather the distributed operands into whole host matrices. On the
-        // machine this data movement is the register communication already
-        // priced into the kernel cycles.
-        let ga = gather(cg, a, m, k, mb, kb)?;
-        let gb = gather(cg, b, k, n, kb, nb)?;
-        let mut gc = gather(cg, c, m, n, mb, nb)?;
-        host_gemm(m, n, k, alpha, &ga, &gb, beta, &mut gc);
-        scatter(cg, c, &gc, m, n, mb, nb)?;
+        // Gather the distributed operands into whole row-major host matrices,
+        // held in one buffer. On the machine this data movement is the
+        // register communication already priced into the kernel cycles.
+        let mut host = vec![0.0f32; m * k + k * n + m * n];
+        let (ga, rest) = host.split_at_mut(m * k);
+        let (gb, gc) = rest.split_at_mut(k * n);
+        gather(cg, a, ga, k, mb, kb)?;
+        gather(cg, b, gb, n, kb, nb)?;
+        gather(cg, c, gc, n, mb, nb)?;
+        gemm_ref(m, n, k, alpha, ga, RowMajor, k, gb, RowMajor, n, beta, gc, RowMajor, n);
+        scatter(cg, c, gc, n, mb, nb)?;
     } else {
         // Cost-only: still verify the blocks fit in the SPM. The capacity is
         // the *effective* one — an active fault session may have shrunk it.
@@ -200,95 +208,61 @@ pub fn spm_gemm_priced(
     Ok(())
 }
 
-/// `C = alpha·A·B + beta·C` on row-major host copies. The loops run `i-p-j`
-/// over one row of accumulators so `B` is read along its rows, while every
-/// `(i, j)` still sums its products in ascending `p` from zero and applies
-/// `alpha`/`beta` last — bit for bit the dot-product-per-element order.
-#[allow(clippy::too_many_arguments)]
-fn host_gemm(
-    m: usize,
-    n: usize,
-    k: usize,
-    alpha: f32,
-    a: &[f32],
-    b: &[f32],
-    beta: f32,
-    c: &mut [f32],
-) {
-    let mut acc = vec![0.0f32; n];
-    for i in 0..m {
-        acc.fill(0.0);
-        for p in 0..k {
-            let a_ip = a[i * k + p];
-            for (acc_j, &b_pj) in acc.iter_mut().zip(&b[p * n..(p + 1) * n]) {
-                *acc_j += a_ip * b_pj;
-            }
-        }
-        for (c_ij, &acc_j) in c[i * n..(i + 1) * n].iter_mut().zip(&acc) {
-            *c_ij = alpha * acc_j + beta * *c_ij;
-        }
-    }
-}
-
-/// Read a distributed matrix out of the 64 SPMs into a row-major host copy.
+/// Read a distributed matrix out of the 64 SPMs into `out`, a row-major host
+/// matrix of `cols` columns: a row-major block moves row by row, a
+/// column-major one element by element.
 fn gather(
     cg: &CoreGroup,
     mat: SpmMatrix,
-    rows: usize,
-    cols: usize,
-    br: usize,
-    bc: usize,
-) -> MachineResult<Vec<f32>> {
-    let mut out = vec![0.0f32; rows * cols];
-    for cpe in 0..sw26010::N_CPE {
-        let (r0, c0) = (sw26010::rid(cpe) * br, sw26010::cid(cpe) * bc);
-        let spm = cg.spm(cpe);
-        let span = mat.span(br, bc);
-        let block = spm.slice(mat.offset, span)?;
-        for lr in 0..br {
-            for lc in 0..bc {
-                out[(r0 + lr) * cols + (c0 + lc)] = block[mat.layout.offset(lr, lc, mat.ld)];
-            }
-        }
-    }
-    Ok(out)
-}
-
-/// Write a row-major host matrix back into its 64 distributed SPM blocks.
-fn scatter(
-    cg: &mut CoreGroup,
-    mat: SpmMatrix,
-    data: &[f32],
-    _rows: usize,
+    out: &mut [f32],
     cols: usize,
     br: usize,
     bc: usize,
 ) -> MachineResult<()> {
-    for cpe in 0..sw26010::N_CPE {
-        let (r0, c0) = (sw26010::rid(cpe) * br, sw26010::cid(cpe) * bc);
-        let span = mat.span(br, bc);
-        let spm = cg.spm_mut(cpe);
-        let block = spm.slice_mut(mat.offset, span)?;
+    for cpe in 0..N_CPE {
+        let (r0, c0) = (rid(cpe) * br, cid(cpe) * bc);
+        let block = cg.spm(cpe).slice(mat.offset, mat.span(br, bc))?;
         for lr in 0..br {
-            for lc in 0..bc {
-                block[mat.layout.offset(lr, lc, mat.ld)] = data[(r0 + lr) * cols + (c0 + lc)];
+            let row = &mut out[(r0 + lr) * cols + c0..][..bc];
+            match mat.layout {
+                RowMajor => row.copy_from_slice(&block[lr * mat.ld..][..bc]),
+                ColMajor => {
+                    for (lc, x) in row.iter_mut().enumerate() {
+                        *x = block[lc * mat.ld + lr];
+                    }
+                }
             }
         }
     }
     Ok(())
 }
 
-/// Load a row-major host matrix into the distributed SPM blocks (test and
-/// baseline helper; generated schedules use DMA instead).
-pub fn load_distributed(
+/// Write a row-major host matrix of `cols` columns back into its 64
+/// distributed SPM blocks: [`gather`] run backwards.
+fn scatter(
     cg: &mut CoreGroup,
     mat: SpmMatrix,
     data: &[f32],
-    rows: usize,
     cols: usize,
+    br: usize,
+    bc: usize,
 ) -> MachineResult<()> {
-    let (br, bc) = crate::distribute::block_dims(rows, cols)?;
-    scatter(cg, mat, data, rows, cols, br, bc)
+    for cpe in 0..N_CPE {
+        let (r0, c0) = (rid(cpe) * br, cid(cpe) * bc);
+        let block = cg.spm_mut(cpe).slice_mut(mat.offset, mat.span(br, bc))?;
+        for lr in 0..br {
+            let row = &data[(r0 + lr) * cols + c0..][..bc];
+            match mat.layout {
+                RowMajor => block[lr * mat.ld..][..bc].copy_from_slice(row),
+                ColMajor => {
+                    for (lc, &x) in row.iter().enumerate() {
+                        block[lc * mat.ld + lr] = x;
+                    }
+                }
+            }
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -298,39 +272,16 @@ mod tests {
     use swtensor::compare::assert_close;
     use swtensor::gemm::gemm_rowmajor;
     use swtensor::init::random_vec;
-    use swtensor::MatLayout::*;
 
-    /// The `i-j-p` nest the functional kernel used to run: one dot product
-    /// per output element. `host_gemm` must reproduce it bit for bit.
-    #[allow(clippy::too_many_arguments)]
-    fn dot_product_order(
-        m: usize,
-        n: usize,
-        k: usize,
-        alpha: f32,
-        a: &[f32],
-        b: &[f32],
-        beta: f32,
-        c0: &[f32],
-    ) -> Vec<f32> {
-        let mut c = c0.to_vec();
-        for i in 0..m {
-            for j in 0..n {
-                let mut acc = 0.0f32;
-                for p in 0..k {
-                    acc += a[i * k + p] * b[p * n + j];
-                }
-                c[i * n + j] = alpha * acc + beta * c[i * n + j];
-            }
-        }
-        c
+    fn load(cg: &mut CoreGroup, mat: SpmMatrix, data: &[f32], rows: usize, cols: usize) {
+        scatter(cg, mat, data, cols, rows / 8, cols / 8).unwrap();
     }
 
-    fn assert_bits_eq(got: &[f32], want: &[f32]) {
-        assert_eq!(got.len(), want.len());
-        for (i, (g, w)) in got.iter().zip(want).enumerate() {
-            assert_eq!(g.to_bits(), w.to_bits(), "element {i}: {g} vs {w}");
-        }
+    /// [`gather`] into a fresh host matrix.
+    fn read(cg: &CoreGroup, mat: SpmMatrix, rows: usize, cols: usize) -> Vec<f32> {
+        let mut out = vec![0.0; rows * cols];
+        gather(cg, mat, &mut out, cols, rows / 8, cols / 8).unwrap();
+        out
     }
 
     fn run_case(m: usize, n: usize, k: usize, la: MatLayout, lb: MatLayout, vd: VecDim) {
@@ -345,17 +296,15 @@ mod tests {
         let a = random_vec(m * k, 1);
         let b = random_vec(k * n, 2);
         let c0 = random_vec(m * n, 3);
-        load_distributed(&mut cg, a_desc, &a, m, k).unwrap();
-        load_distributed(&mut cg, b_desc, &b, k, n).unwrap();
-        load_distributed(&mut cg, c_desc, &c0, m, n).unwrap();
+        load(&mut cg, a_desc, &a, m, k);
+        load(&mut cg, b_desc, &b, k, n);
+        load(&mut cg, c_desc, &c0, m, n);
 
         spm_gemm(&mut cg, m, n, k, 1.0, a_desc, b_desc, 1.0, c_desc, vd).unwrap();
 
         let mut expect = c0.clone();
         gemm_rowmajor(m, n, k, &a, &b, &mut expect);
-        let got = gather(&cg, c_desc, m, n, m / 8, n / 8).unwrap();
-        assert_close(&got, &expect, 1e-4, 1e-5, "spm_gemm");
-        assert_bits_eq(&got, &dot_product_order(m, n, k, 1.0, &a, &b, 1.0, &c0));
+        assert_close(&read(&cg, c_desc, m, n), &expect, 1e-4, 1e-5, "spm_gemm");
         assert!(cg.now().get() > 0, "kernel must cost cycles");
         assert_eq!(cg.flops, 2 * (m * n * k) as u64);
     }
@@ -387,17 +336,15 @@ mod tests {
         let a = random_vec(m * k, 4);
         let b = random_vec(k * n, 5);
         let c0 = random_vec(m * n, 6);
-        load_distributed(&mut cg, a_desc, &a, m, k).unwrap();
-        load_distributed(&mut cg, b_desc, &b, k, n).unwrap();
-        load_distributed(&mut cg, c_desc, &c0, m, n).unwrap();
+        load(&mut cg, a_desc, &a, m, k);
+        load(&mut cg, b_desc, &b, k, n);
+        load(&mut cg, c_desc, &c0, m, n);
         spm_gemm(&mut cg, m, n, k, 2.0, a_desc, b_desc, -1.0, c_desc, VecDim::M).unwrap();
         let mut prod = vec![0.0; m * n];
         gemm_rowmajor(m, n, k, &a, &b, &mut prod);
         let expect: Vec<f32> =
             prod.iter().zip(&c0).map(|(p, c)| 2.0 * p - c).collect();
-        let got = gather(&cg, c_desc, m, n, m / 8, n / 8).unwrap();
-        assert_close(&got, &expect, 1e-4, 1e-5, "alpha/beta");
-        assert_bits_eq(&got, &dot_product_order(m, n, k, 2.0, &a, &b, -1.0, &c0));
+        assert_close(&read(&cg, c_desc, m, n), &expect, 1e-4, 1e-5, "alpha/beta");
     }
 
     #[test]

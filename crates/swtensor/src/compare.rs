@@ -1,10 +1,15 @@
 //! Floating-point comparison helpers for validating generated code against
 //! the golden references.
 
-/// Maximum absolute difference between two equally-long slices.
+/// Maximum absolute difference between two equally-long slices. A NaN
+/// difference makes the result NaN (`f32::max` would drop it), so a caller
+/// that rejects a non-finite result rejects a NaN output.
 pub fn max_abs_diff(a: &[f32], b: &[f32]) -> f32 {
     assert_eq!(a.len(), b.len(), "length mismatch: {} vs {}", a.len(), b.len());
-    a.iter().zip(b).map(|(x, y)| (x - y).abs()).fold(0.0f32, f32::max)
+    a.iter()
+        .zip(b)
+        .map(|(x, y)| (x - y).abs())
+        .fold(0.0f32, |max, d| if d.is_nan() || d > max { d } else { max })
 }
 
 /// Relative-tolerance closeness check: |a-b| ≤ atol + rtol·max(|a|,|b|)
@@ -49,6 +54,15 @@ mod tests {
         let b = [1.0, 2.5, 3.0];
         assert!(!allclose(&a, &b, 1e-4, 1e-4));
         assert_eq!(max_abs_diff(&a, &b), 0.5);
+    }
+
+    #[test]
+    fn one_nan_element_makes_the_difference_nan() {
+        let a = [1.0, 2.0, 3.0];
+        assert!(max_abs_diff(&a, &[1.0, f32::NAN, 3.0]).is_nan());
+        assert!(max_abs_diff(&[f32::NAN, 2.0, 3.0], &a).is_nan());
+        assert!(max_abs_diff(&a, &[1.0, 2.0, f32::NAN]).is_nan());
+        assert!(max_abs_diff(&[9.0, f32::NAN], &[0.0, 0.0]).is_nan());
     }
 
     #[test]

@@ -1,6 +1,8 @@
 //! Multi-channel 2-D convolution: shape bookkeeping and the naive MAC
 //! reference (the paper's Algorithm 1).
 
+use std::ops::Range;
+
 use crate::shape::Shape;
 use crate::tensor::Tensor;
 
@@ -67,6 +69,36 @@ impl ConvShape {
     pub fn winograd_applicable(&self) -> bool {
         self.kr == 3 && self.kc == 3 && self.stride == 1
     }
+
+    /// The outputs `o` of `outs` whose tap `tap` lands inside an input
+    /// extent of `ins`: `0 <= o·stride + tap - pad < ins`. Every other
+    /// output reads that tap from the zero padding.
+    pub(crate) fn outputs_inside(&self, tap: usize, ins: usize, outs: usize) -> Range<usize> {
+        let (stride, pad) = (self.stride, self.pad);
+        pad.saturating_sub(tap).div_ceil(stride)
+            ..(ins + pad).saturating_sub(tap).div_ceil(stride).min(outs)
+    }
+
+    /// The taps `k` of a kernel extent `extent` that output `o` reads inside
+    /// an input extent of `ins`: the same inequality, solved for `k`.
+    pub(crate) fn taps_inside(&self, o: usize, ins: usize, extent: usize) -> Range<usize> {
+        let at = o * self.stride;
+        self.pad.saturating_sub(at)..(ins + self.pad).saturating_sub(at).min(extent)
+    }
+}
+
+/// An NCHW input copied to `[b][r][c][ni]`: one pixel's `Ni` channels side
+/// by side.
+pub(crate) fn channels_last(shape: &ConvShape, input: &Tensor) -> Vec<f32> {
+    let (plane, chans) = (shape.ri() * shape.ci(), shape.ni);
+    let mut x = vec![0.0f32; input.data().len()];
+    for (b_ni, pixels) in input.data().chunks_exact(plane).enumerate() {
+        let (b, ni) = (b_ni / chans, b_ni % chans);
+        for (pixel, &v) in pixels.iter().enumerate() {
+            x[(b * plane + pixel) * chans + ni] = v;
+        }
+    }
+    x
 }
 
 /// Naive MAC-based direct convolution (Algorithm 1): one multiply-accumulate
@@ -74,123 +106,54 @@ impl ConvShape {
 /// output NCHW.
 ///
 /// Every output element sums its products over `(Kr, Kc, Ni)` in that order
-/// from zero, skipping the taps that fall in the zero padding. The loops run
-/// with the output plane innermost — one tap of one input channel is added
-/// to a whole output plane, row by row, so the innermost loop walks a row of
-/// the input and a row of the output instead of striding across `Ni` planes
-/// — which leaves each element's sum and its order as they are.
+/// from zero, skipping the taps that fall in the zero padding. The loops keep
+/// one output pixel's `No` accumulators side by side: `X` is read from a
+/// channels-last copy and `W` from a `[Kr][Kc][Ni][No]` copy, so the
+/// innermost loop — one input value times the `No` weights of one tap and
+/// channel — is unit-stride in both, and each element still sees its
+/// products in the same order.
 pub fn conv2d_ref(shape: &ConvShape, input: &Tensor, weight: &Tensor) -> Tensor {
     assert_eq!(input.shape(), &shape.input_shape(), "input shape");
     assert_eq!(weight.shape(), &shape.weight_shape(), "weight shape");
-    let mut out = Tensor::zeros(shape.output_shape());
     let (ri, ci, stride, pad) = (shape.ri(), shape.ci(), shape.stride, shape.pad);
-    let (x_len, w_len) = (ri * ci, shape.kr * shape.kc);
-    // The outputs `o` of `outs` whose tap lands inside the input extent:
-    // 0 <= o·stride + tap - pad < ins.
-    let inside = |tap: usize, ins: usize, outs: usize| {
-        pad.saturating_sub(tap).div_ceil(stride)
-            ..(ins + pad).saturating_sub(tap).div_ceil(stride).min(outs)
-    };
-    let (x, w) = (input.data(), weight.data());
-    let y_planes = out.data_mut().chunks_exact_mut(shape.ro * shape.co);
-    for (b_no, y_plane) in y_planes.enumerate() {
-        let (b, no) = (b_no / shape.no, b_no % shape.no);
-        for kr in 0..shape.kr {
-            let rows = inside(kr, ri, shape.ro);
-            for kc in 0..shape.kc {
-                let cols = inside(kc, ci, shape.co);
-                if cols.is_empty() {
-                    continue;
-                }
-                let x_col = cols.start * stride + kc - pad;
-                for ni in 0..shape.ni {
-                    let w_tap = w[(no * shape.ni + ni) * w_len + kr * shape.kc + kc];
-                    let x_plane = &x[(b * shape.ni + ni) * x_len..][..x_len];
-                    for ro in rows.clone() {
-                        let y_row = &mut y_plane[ro * shape.co..][cols.clone()];
-                        let x_row = &x_plane[(ro * stride + kr - pad) * ci + x_col..];
-                        // Spelled out for stride 1: through `step_by(1)` the
-                        // loop is not vectorised and runs at half the speed.
-                        if stride == 1 {
-                            for (y, &x) in y_row.iter_mut().zip(x_row) {
-                                *y += x * w_tap;
-                            }
-                        } else {
-                            for (y, &x) in y_row.iter_mut().zip(x_row.iter().step_by(stride)) {
-                                *y += x * w_tap;
-                            }
-                        }
-                    }
-                }
-            }
+    let (chans, outs, taps) = (shape.ni, shape.no, shape.kr * shape.kc);
+    let x = channels_last(shape, input);
+    // W as [tap][ni][no].
+    let mut w = vec![0.0f32; weight.data().len()];
+    for (no_ni, filter) in weight.data().chunks_exact(taps).enumerate() {
+        let (no, ni) = (no_ni / chans, no_ni % chans);
+        for (tap, &v) in filter.iter().enumerate() {
+            w[(tap * chans + ni) * outs + no] = v;
         }
     }
-    out
-}
-
-/// [`conv2d_ref`] as one accumulator per output element, every element
-/// addressed through `Tensor::at`: the oracle the row-at-a-time version must
-/// equal exactly.
-#[cfg(test)]
-fn conv2d_ref_at(shape: &ConvShape, input: &Tensor, weight: &Tensor) -> Tensor {
     let mut out = Tensor::zeros(shape.output_shape());
-    let (ri, ci) = (shape.ri(), shape.ci());
+    let y = out.data_mut();
+    let mut acc = vec![0.0f32; outs];
     for b in 0..shape.b {
         for ro in 0..shape.ro {
             for co in 0..shape.co {
-                for kr in 0..shape.kr {
-                    for kc in 0..shape.kc {
-                        let r = (ro * shape.stride + kr) as isize - shape.pad as isize;
-                        let c = (co * shape.stride + kc) as isize - shape.pad as isize;
-                        if r < 0 || c < 0 || r as usize >= ri || c as usize >= ci {
-                            continue;
-                        }
-                        let (r, c) = (r as usize, c as usize);
-                        for no in 0..shape.no {
-                            let mut acc = out.at(&[b, no, ro, co]);
-                            for ni in 0..shape.ni {
-                                acc += input.at(&[b, ni, r, c]) * weight.at(&[no, ni, kr, kc]);
+                acc.fill(0.0);
+                for kr in shape.taps_inside(ro, ri, shape.kr) {
+                    let r = ro * stride + kr - pad;
+                    for kc in shape.taps_inside(co, ci, shape.kc) {
+                        let c = co * stride + kc - pad;
+                        let x_px = &x[((b * ri + r) * ci + c) * chans..][..chans];
+                        let w_tap = &w[(kr * shape.kc + kc) * chans * outs..][..chans * outs];
+                        for (&x, w_ni) in x_px.iter().zip(w_tap.chunks_exact(outs)) {
+                            for (a, &w) in acc.iter_mut().zip(w_ni) {
+                                *a += x * w;
                             }
-                            *out.at_mut(&[b, no, ro, co]) = acc;
                         }
                     }
+                }
+                let pixel = ro * shape.co + co;
+                for (no, &a) in acc.iter().enumerate() {
+                    y[((b * outs + no) * shape.ro) * shape.co + pixel] = a;
                 }
             }
         }
     }
     out
-}
-
-/// Shapes covering pad 0/1, stride 2, 1×1 kernels, non-square images and
-/// kernels, a mesh-aligned shape, stride 2 with padding, and the geometry
-/// backward-data runs the forward reference at (pad `K-1-p` = 2).
-#[cfg(test)]
-pub(crate) fn oracle_shapes() -> Vec<ConvShape> {
-    let mut rng = crate::init::XorShift::new(2019);
-    let mut pick = |lo: usize, hi: usize| lo + (rng.next_u64() % (hi - lo + 1) as u64) as usize;
-    let mut shapes = vec![
-        ConvShape { b: 1, ni: 1, no: 1, ro: 1, co: 1, kr: 1, kc: 1, stride: 1, pad: 0 },
-        ConvShape { b: 2, ni: 3, no: 4, ro: 7, co: 7, kr: 3, kc: 3, stride: 1, pad: 2 },
-        ConvShape { b: 1, ni: 2, no: 2, ro: 5, co: 6, kr: 3, kc: 3, stride: 1, pad: 1 },
-        ConvShape::square(2, 8, 8, 8),
-        ConvShape { b: 1, ni: 3, no: 2, ro: 4, co: 5, kr: 3, kc: 2, stride: 2, pad: 1 },
-    ];
-    for _ in 0..24 {
-        let (kr, kc) = (pick(1, 3), pick(1, 3));
-        shapes.push(ConvShape {
-            b: pick(1, 3),
-            ni: pick(1, 5),
-            no: pick(1, 5),
-            ro: pick(2, 6),
-            co: pick(2, 6),
-            kr,
-            kc,
-            stride: pick(1, 2),
-            // `ri()`/`ci()` must stay positive: pad < kernel extent.
-            pad: pick(0, 1).min(kr.min(kc) - 1),
-        });
-    }
-    shapes
 }
 
 #[cfg(test)]
@@ -222,21 +185,6 @@ mod tests {
         let s = ConvShape { b: 1, ni: 2, no: 2, ro: 8, co: 8, kr: 3, kc: 3, stride: 1, pad: 1 };
         assert_eq!(s.ri(), 8);
         assert_eq!(s.ci(), 8);
-    }
-
-    #[test]
-    fn slice_indexing_equals_the_at_based_nest() {
-        for (i, s) in oracle_shapes().iter().enumerate() {
-            let input = random_tensor(s.input_shape(), 100 + i as u64);
-            let w = random_tensor(s.weight_shape(), 200 + i as u64);
-            let got = conv2d_ref(s, &input, &w);
-            let want = conv2d_ref_at(s, &input, &w);
-            assert_eq!(got.shape(), want.shape(), "{s:?}");
-            assert!(
-                got.data().iter().zip(want.data()).all(|(g, w)| g.to_bits() == w.to_bits()),
-                "{s:?}"
-            );
-        }
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! Both are therefore *tensorizable* with the same machinery as the
 //! forward pass, which is exactly how the framework lowers them.
 
-use crate::conv::{conv2d_ref, ConvShape};
+use crate::conv::{channels_last, conv2d_ref, ConvShape};
 use crate::tensor::Tensor;
 
 /// Reference backward-data: given `dY` (NCHW, the output gradient) and the
@@ -24,19 +24,7 @@ pub fn conv2d_backward_data_ref(shape: &ConvShape, d_out: &Tensor, weight: &Tens
     assert_eq!(d_out.shape(), &shape.output_shape());
     assert_eq!(weight.shape(), &shape.weight_shape());
 
-    // Rotate the filter 180° spatially and swap the channel axes:
-    // w'[ni][no][kr][kc] = w[no][ni][Kr-1-kr][Kc-1-kc].
-    let mut w_rot = Tensor::zeros([shape.ni, shape.no, shape.kr, shape.kc]);
-    for no in 0..shape.no {
-        for ni in 0..shape.ni {
-            for kr in 0..shape.kr {
-                for kc in 0..shape.kc {
-                    *w_rot.at_mut(&[ni, no, shape.kr - 1 - kr, shape.kc - 1 - kc]) =
-                        weight.at(&[no, ni, kr, kc]);
-                }
-            }
-        }
-    }
+    let w_rot = rotated_filter(shape, weight);
     // Full correlation: pad dY by (K-1-p) on each side so the "output" of
     // the auxiliary convolution is the input gradient.
     let grad_shape = ConvShape {
@@ -54,6 +42,25 @@ pub fn conv2d_backward_data_ref(shape: &ConvShape, d_out: &Tensor, weight: &Tens
     conv2d_ref(&grad_shape, d_out, &w_rot)
 }
 
+/// The filter rotated 180° spatially with its channel axes swapped,
+/// `w'[ni][no][kr][kc] = w[no][ni][Kr-1-kr][Kc-1-kc]`: the weights of
+/// backward-data's full correlation. A rotation reverses each filter's
+/// `Kr·Kc` taps, so every `(no, ni)` filter lands reversed at `(ni, no)`.
+pub fn rotated_filter(shape: &ConvShape, weight: &Tensor) -> Tensor {
+    assert_eq!(weight.shape(), &shape.weight_shape());
+    let taps = shape.kr * shape.kc;
+    let mut w_rot = Tensor::zeros([shape.ni, shape.no, shape.kr, shape.kc]);
+    let rot = w_rot.data_mut();
+    for (no_ni, filter) in weight.data().chunks_exact(taps).enumerate() {
+        let (no, ni) = (no_ni / shape.ni, no_ni % shape.ni);
+        let dst = &mut rot[(ni * shape.no + no) * taps..][..taps];
+        for (d, &w) in dst.iter_mut().zip(filter.iter().rev()) {
+            *d = w;
+        }
+    }
+    w_rot
+}
+
 /// Reference backward-filter: given the forward input `X` and the output
 /// gradient `dY`, produce `dW` (`[No][Ni][Kr][Kc]`). One accumulator per
 /// filter tap, summed over `(b, ro, co)` in that order from zero.
@@ -69,26 +76,14 @@ pub fn conv2d_backward_filter_ref(shape: &ConvShape, input: &Tensor, d_out: &Ten
     assert_eq!(d_out.shape(), &shape.output_shape());
     let (ri, ci, stride, pad) = (shape.ri(), shape.ci(), shape.stride, shape.pad);
     let (chans, taps) = (shape.ni, shape.kr * shape.kc);
-    // X as [b][r][c][ni].
-    let mut x = vec![0.0f32; input.data().len()];
-    for (b_ni, plane) in input.data().chunks_exact(ri * ci).enumerate() {
-        let (b, ni) = (b_ni / chans, b_ni % chans);
-        for (pixel, &v) in plane.iter().enumerate() {
-            x[(b * ri * ci + pixel) * chans + ni] = v;
-        }
-    }
-    // The taps `k` of `extent` that output `o` reads inside the input with:
-    // 0 <= o·stride + k - pad < ins.
-    let inside = |o: usize, ins: usize, extent: usize| {
-        pad.saturating_sub(o * stride)..(ins + pad).saturating_sub(o * stride).min(extent)
-    };
+    let x = channels_last(shape, input);
     let mut acc = vec![0.0f32; shape.no * taps * chans];
     for (b_no, dy_plane) in d_out.data().chunks_exact(shape.ro * shape.co).enumerate() {
         let (b, no) = (b_no / shape.no, b_no % shape.no);
         for (ro_co, &d) in dy_plane.iter().enumerate() {
             let (ro, co) = (ro_co / shape.co, ro_co % shape.co);
-            for kr in inside(ro, ri, shape.kr) {
-                for kc in inside(co, ci, shape.kc) {
+            for kr in shape.taps_inside(ro, ri, shape.kr) {
+                for kc in shape.taps_inside(co, ci, shape.kc) {
                     let pixel = (ro * stride + kr - pad) * ci + co * stride + kc - pad;
                     let x_px = &x[(b * ri * ci + pixel) * chans..][..chans];
                     let acc_tap = &mut acc[(no * taps + kr * shape.kc + kc) * chans..][..chans];
@@ -110,59 +105,11 @@ pub fn conv2d_backward_filter_ref(shape: &ConvShape, input: &Tensor, d_out: &Ten
     dw
 }
 
-/// [`conv2d_backward_filter_ref`] one tap at a time, every element addressed
-/// through `Tensor::at`: the oracle the channels-last version must equal
-/// exactly.
-#[cfg(test)]
-fn conv2d_backward_filter_ref_at(shape: &ConvShape, input: &Tensor, d_out: &Tensor) -> Tensor {
-    let (ri, ci) = (shape.ri(), shape.ci());
-    let mut dw = Tensor::zeros(shape.weight_shape());
-    for no in 0..shape.no {
-        for ni in 0..shape.ni {
-            for kr in 0..shape.kr {
-                for kc in 0..shape.kc {
-                    let mut acc = 0.0f32;
-                    for b in 0..shape.b {
-                        for ro in 0..shape.ro {
-                            for co in 0..shape.co {
-                                let r = (ro * shape.stride + kr) as isize - shape.pad as isize;
-                                let c = (co * shape.stride + kc) as isize - shape.pad as isize;
-                                if r < 0 || c < 0 || r as usize >= ri || c as usize >= ci {
-                                    continue;
-                                }
-                                acc += d_out.at(&[b, no, ro, co])
-                                    * input.at(&[b, ni, r as usize, c as usize]);
-                            }
-                        }
-                    }
-                    *dw.at_mut(&[no, ni, kr, kc]) = acc;
-                }
-            }
-        }
-    }
-    dw
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::compare::assert_close;
     use crate::init::random_tensor;
-
-    #[test]
-    fn slice_indexing_equals_the_at_based_nest() {
-        for (i, s) in crate::conv::oracle_shapes().iter().enumerate() {
-            let x = random_tensor(s.input_shape(), 300 + i as u64);
-            let dy = random_tensor(s.output_shape(), 400 + i as u64);
-            let got = conv2d_backward_filter_ref(s, &x, &dy);
-            let want = conv2d_backward_filter_ref_at(s, &x, &dy);
-            assert_eq!(got.shape(), want.shape(), "{s:?}");
-            assert!(
-                got.data().iter().zip(want.data()).all(|(g, w)| g.to_bits() == w.to_bits()),
-                "{s:?}"
-            );
-        }
-    }
 
     /// Finite-difference check of backward-data: dX must equal the
     /// derivative of Σ(dY ⊙ Y) w.r.t. X, which for the linear conv is the

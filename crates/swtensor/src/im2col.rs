@@ -16,29 +16,35 @@ use crate::tensor::Tensor;
 
 /// Expand an NCHW input into the im2col column matrix, stored row-major as
 /// `(Ni·Kr·Kc) × (B·Ro·Co)`.
+///
+/// Row `(ni, kr, kc)` holds, for every image and output row, one segment of
+/// an input row: the outputs whose tap lands inside the input
+/// ([`ConvShape::outputs_inside`]) copy it, every other output keeps the zero
+/// of the padding.
 pub fn im2col(shape: &ConvShape, input: &Tensor) -> Tensor {
     assert_eq!(input.shape(), &shape.input_shape());
-    let rows = shape.ni * shape.kr * shape.kc;
     let cols = shape.b * shape.ro * shape.co;
-    let (ri, ci) = (shape.ri(), shape.ci());
-    let mut out = Tensor::zeros([rows, cols]);
-    for ni in 0..shape.ni {
-        for kr in 0..shape.kr {
-            for kc in 0..shape.kc {
-                let row = (ni * shape.kr + kr) * shape.kc + kc;
-                for b in 0..shape.b {
-                    for ro in 0..shape.ro {
-                        for co in 0..shape.co {
-                            let col = (b * shape.ro + ro) * shape.co + co;
-                            let r = (ro * shape.stride + kr) as isize - shape.pad as isize;
-                            let c = (co * shape.stride + kc) as isize - shape.pad as isize;
-                            let v = if r < 0 || c < 0 || r as usize >= ri || c as usize >= ci {
-                                0.0
-                            } else {
-                                input.at(&[b, ni, r as usize, c as usize])
-                            };
-                            *out.at_mut(&[row, col]) = v;
-                        }
+    let (ri, ci, stride, pad) = (shape.ri(), shape.ci(), shape.stride, shape.pad);
+    let mut out = Tensor::zeros([shape.ni * shape.kr * shape.kc, cols]);
+    let x = input.data();
+    for (row, out_row) in out.data_mut().chunks_exact_mut(cols).enumerate() {
+        let (ni, kr, kc) = (row / (shape.kr * shape.kc), row / shape.kc % shape.kr, row % shape.kc);
+        let (rows_in, cols_in) =
+            (shape.outputs_inside(kr, ri, shape.ro), shape.outputs_inside(kc, ci, shape.co));
+        if cols_in.is_empty() {
+            continue;
+        }
+        let x_col = cols_in.start * stride + kc - pad;
+        for b in 0..shape.b {
+            let x_plane = &x[(b * shape.ni + ni) * ri * ci..][..ri * ci];
+            for ro in rows_in.clone() {
+                let seg = &mut out_row[(b * shape.ro + ro) * shape.co..][cols_in.clone()];
+                let x_row = &x_plane[(ro * stride + kr - pad) * ci + x_col..];
+                if stride == 1 {
+                    seg.copy_from_slice(&x_row[..seg.len()]);
+                } else {
+                    for (y, &x) in seg.iter_mut().zip(x_row.iter().step_by(stride)) {
+                        *y = x;
                     }
                 }
             }
@@ -62,17 +68,13 @@ pub fn conv2d_explicit_ref(shape: &ConvShape, input: &Tensor, weight: &Tensor) -
     // Weight [No][Ni][Kr][Kc] is already the No × K filter matrix row-major.
     let mut prod = vec![0.0f32; shape.no * n];
     gemm_rowmajor(shape.no, n, k, weight.data(), cols.data(), &mut prod);
-    // prod is No × (B·Ro·Co); output must be NCHW = [B][No][Ro][Co].
+    // prod is No × (B·Ro·Co); output must be NCHW = [B][No][Ro][Co]: each
+    // image's plane of each output channel is one run of a prod row.
+    let plane = shape.ro * shape.co;
     let mut out = Tensor::zeros(shape.output_shape());
-    for no in 0..shape.no {
-        for b in 0..shape.b {
-            for ro in 0..shape.ro {
-                for co in 0..shape.co {
-                    let col = (b * shape.ro + ro) * shape.co + co;
-                    *out.at_mut(&[b, no, ro, co]) = prod[no * n + col];
-                }
-            }
-        }
+    for (b_no, y_plane) in out.data_mut().chunks_exact_mut(plane).enumerate() {
+        let (b, no) = (b_no / shape.no, b_no % shape.no);
+        y_plane.copy_from_slice(&prod[no * n + b * plane..][..plane]);
     }
     out
 }

@@ -37,11 +37,15 @@ impl Shape {
         s
     }
 
-    /// Linear row-major offset of a multi-index.
+    /// Linear row-major offset of a multi-index: a Horner fold over the
+    /// dimensions, so no strides are built. An index past its dimension
+    /// would alias into the next row; debug builds reject it.
     pub fn offset(&self, idx: &[usize]) -> usize {
         debug_assert_eq!(idx.len(), self.rank());
-        let strides = self.row_major_strides();
-        idx.iter().zip(&strides).map(|(i, s)| i * s).sum()
+        idx.iter().zip(&self.0).fold(0, |off, (&i, &d)| {
+            debug_assert!(i < d, "index {i} out of range for a dimension of {d} in {self}");
+            off * d + i
+        })
     }
 
     /// Permute the dimensions: `perm[i]` is the source axis of new axis `i`.
@@ -87,6 +91,26 @@ mod tests {
         assert_eq!(s.row_major_strides(), vec![12, 4, 1]);
         assert_eq!(s.offset(&[1, 2, 3]), 12 + 8 + 3);
         assert_eq!(s.offset(&[0, 0, 0]), 0);
+    }
+
+    #[test]
+    fn offset_is_the_stride_sum() {
+        let s = Shape::from([3, 1, 5, 2]);
+        let strides = s.row_major_strides();
+        for lin in 0..s.numel() {
+            let idx = [lin / 10, 0, lin / 2 % 5, lin % 2];
+            let want: usize = idx.iter().zip(&strides).map(|(i, st)| i * st).sum();
+            assert_eq!(s.offset(&idx), want);
+            assert_eq!(s.offset(&idx), lin);
+        }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "out of range")]
+    fn an_inner_index_past_its_dimension_is_rejected() {
+        // [0, 4] would alias [1, 0] of a 2×4 shape.
+        Shape::from([2, 4]).offset(&[0, 4]);
     }
 
     #[test]

@@ -77,21 +77,28 @@ impl Tensor {
     }
 
     /// Materialised copy with permuted dimensions: `perm[i]` is the source
-    /// axis of new axis `i`.
+    /// axis of new axis `i`. The copy runs along the innermost new axis, one
+    /// strided run of the source per row of the result.
     pub fn permuted(&self, perm: &[usize]) -> Tensor {
         let new_shape = self.shape.permute(perm);
-        let rank = self.shape.rank();
+        let Some((&inner_axis, outer_axes)) = perm.split_last() else {
+            return self.clone();
+        };
+        let (inner, n) = (new_shape.dim(perm.len() - 1), new_shape.numel());
         let src_strides = self.shape.row_major_strides();
-        let mut out = Vec::with_capacity(self.data.len());
-        let mut idx = vec![0usize; rank];
-        for _ in 0..new_shape.numel() {
-            // idx is the multi-index in the NEW tensor; map to source offset.
-            let mut off = 0;
-            for (d, &i) in idx.iter().enumerate() {
-                off += i * src_strides[perm[d]];
+        let inner_stride = src_strides[inner_axis];
+        let mut out = Vec::with_capacity(n);
+        // idx is the multi-index of the row's start over the NEW outer axes.
+        let mut idx = vec![0usize; outer_axes.len()];
+        for _ in 0..n.checked_div(inner).unwrap_or(0) {
+            let base: usize = idx.iter().zip(outer_axes).map(|(&i, &a)| i * src_strides[a]).sum();
+            let run = &self.data[base..];
+            if inner_stride == 1 {
+                out.extend_from_slice(&run[..inner]);
+            } else {
+                out.extend(run.iter().step_by(inner_stride).take(inner));
             }
-            out.push(self.data[off]);
-            for d in (0..rank).rev() {
+            for d in (0..idx.len()).rev() {
                 idx[d] += 1;
                 if idx[d] < new_shape.dim(d) {
                     break;

@@ -128,19 +128,14 @@ pub fn n_tiles(shape: &ConvShape) -> usize {
 /// Batched filter transform: `U[pos][no][ni]`, row-major `[16][No][Ni]`.
 pub fn batched_filter_transform(shape: &ConvShape, weight: &Tensor) -> Tensor {
     assert_eq!(weight.shape(), &shape.weight_shape());
+    let pairs = shape.no * shape.ni;
     let mut u = Tensor::zeros([TILE_POSITIONS, shape.no, shape.ni]);
-    for no in 0..shape.no {
-        for ni in 0..shape.ni {
-            let mut g = [0.0f32; 9];
-            for kr in 0..3 {
-                for kc in 0..3 {
-                    g[kr * 3 + kc] = weight.at(&[no, ni, kr, kc]);
-                }
-            }
-            let t = filter_transform(&g);
-            for (pos, &val) in t.iter().enumerate() {
-                *u.at_mut(&[pos, no, ni]) = val;
-            }
+    let u_data = u.data_mut();
+    // Filter `no_ni` of the `[No][Ni]` grid lands at `no_ni` of every position.
+    for (no_ni, g) in weight.data().chunks_exact(9).enumerate() {
+        let t = filter_transform(g.try_into().expect("3×3 filter"));
+        for (pos, &val) in t.iter().enumerate() {
+            u_data[pos * pairs + no_ni] = val;
         }
     }
     u
@@ -154,28 +149,29 @@ pub fn batched_input_transform(shape: &ConvShape, input: &Tensor) -> Tensor {
     assert!(shape.winograd_applicable(), "winograd needs 3×3 stride-1");
     let (tiles_r, tiles_c) = tile_grid(shape);
     let nt = n_tiles(shape);
-    let (ri, ci) = (shape.ri(), shape.ci());
+    let (ri, ci, pad) = (shape.ri(), shape.ci(), shape.pad);
     let mut v = Tensor::zeros([TILE_POSITIONS, shape.ni, nt]);
-    for b in 0..shape.b {
-        for ni in 0..shape.ni {
-            for tr in 0..tiles_r {
-                for tc in 0..tiles_c {
-                    let tile = (b * tiles_r + tr) * tiles_c + tc;
-                    let mut d = [0.0f32; 16];
-                    for (slot, dv) in d.iter_mut().enumerate() {
-                        let (i, j) = (slot / 4, slot % 4);
-                        let r = (tr * TILE_OUT + i) as isize - shape.pad as isize;
-                        let c = (tc * TILE_OUT + j) as isize - shape.pad as isize;
-                        *dv = if r < 0 || c < 0 || r as usize >= ri || c as usize >= ci {
-                            0.0
-                        } else {
-                            input.at(&[b, ni, r as usize, c as usize])
-                        };
+    let v_data = v.data_mut();
+    let planes = input.data().chunks_exact(ri * ci);
+    for (b_ni, x) in planes.enumerate() {
+        let (b, ni) = (b_ni / shape.ni, b_ni % shape.ni);
+        for tr in 0..tiles_r {
+            for tc in 0..tiles_c {
+                let tile = (b * tiles_r + tr) * tiles_c + tc;
+                let mut d = [0.0f32; 16];
+                for (i, d_row) in d.chunks_exact_mut(TILE_IN).enumerate() {
+                    let Some(r) = (tr * TILE_OUT + i).checked_sub(pad).filter(|&r| r < ri) else {
+                        continue;
+                    };
+                    for (j, dv) in d_row.iter_mut().enumerate() {
+                        if let Some(c) = (tc * TILE_OUT + j).checked_sub(pad).filter(|&c| c < ci) {
+                            *dv = x[r * ci + c];
+                        }
                     }
-                    let t = input_transform(&d);
-                    for (pos, &val) in t.iter().enumerate() {
-                        *v.at_mut(&[pos, ni, tile]) = val;
-                    }
+                }
+                let t = input_transform(&d);
+                for (pos, &val) in t.iter().enumerate() {
+                    v_data[(pos * shape.ni + ni) * nt + tile] = val;
                 }
             }
         }
@@ -189,24 +185,25 @@ pub fn batched_output_transform(shape: &ConvShape, m: &Tensor) -> Tensor {
     let (tiles_r, tiles_c) = tile_grid(shape);
     let nt = n_tiles(shape);
     assert_eq!(m.shape().dims(), &[TILE_POSITIONS, shape.no, nt]);
+    let m_data = m.data();
     let mut out = Tensor::zeros(shape.output_shape());
-    for b in 0..shape.b {
-        for no in 0..shape.no {
-            for tr in 0..tiles_r {
-                for tc in 0..tiles_c {
-                    let tile = (b * tiles_r + tr) * tiles_c + tc;
-                    let mut mm = [0.0f32; 16];
-                    for (pos, mv) in mm.iter_mut().enumerate() {
-                        *mv = m.at(&[pos, no, tile]);
-                    }
-                    let y = output_transform(&mm);
-                    for i in 0..TILE_OUT {
-                        for j in 0..TILE_OUT {
-                            let ro = tr * TILE_OUT + i;
-                            let co = tc * TILE_OUT + j;
-                            if ro < shape.ro && co < shape.co {
-                                *out.at_mut(&[b, no, ro, co]) = y[i * 2 + j];
-                            }
+    let planes = out.data_mut().chunks_exact_mut(shape.ro * shape.co);
+    for (b_no, y_plane) in planes.enumerate() {
+        let (b, no) = (b_no / shape.no, b_no % shape.no);
+        for tr in 0..tiles_r {
+            for tc in 0..tiles_c {
+                let tile = (b * tiles_r + tr) * tiles_c + tc;
+                let mut mm = [0.0f32; 16];
+                for (pos, mv) in mm.iter_mut().enumerate() {
+                    *mv = m_data[(pos * shape.no + no) * nt + tile];
+                }
+                let y = output_transform(&mm);
+                for i in 0..TILE_OUT {
+                    for j in 0..TILE_OUT {
+                        let ro = tr * TILE_OUT + i;
+                        let co = tc * TILE_OUT + j;
+                        if ro < shape.ro && co < shape.co {
+                            y_plane[ro * shape.co + co] = y[i * 2 + j];
                         }
                     }
                 }
