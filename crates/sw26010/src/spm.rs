@@ -84,11 +84,6 @@ impl Spm {
         Ok(())
     }
 
-    /// Bounds-check a range without touching (or materialising) the data.
-    pub fn check_range(&self, offset: usize, len: usize) -> MachineResult<()> {
-        self.check(offset, len)
-    }
-
     /// Zero a range (used by lightweight padding of auxiliary buffers).
     pub fn zero(&mut self, offset: usize, len: usize) -> MachineResult<()> {
         self.slice_mut(offset, len)?.fill(0.0);

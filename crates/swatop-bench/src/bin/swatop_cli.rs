@@ -143,14 +143,15 @@ const JOURNAL_COMPARE: Group = Group {
 };
 
 const EXPERIMENTS: Group = Group {
-    text: "  swatop_cli experiments [--only LIST] [--full|--smoke|--cap N] [--jobs N]
+    text: "  swatop_cli experiments [--only LIST] [--full|--smoke] [--jobs N]
              [--telemetry FILE] [--trace FILE]
              the paper's tables and the tuner ablation; LIST is a comma-separated
-             subset of fig5..fig11, table1..table3, ablation; only an unfiltered
+             subset of fig5..fig7, fig9..fig11, table1..table3 (Fig. 8 is
+             table1's second table), ablation; only an unfiltered
              run writes EXPERIMENTS_RESULTS.md; --trace writes the tuning runs'
              spans as a trace document",
     flags: &[
-        ("only", Text), ("full", Switch), ("smoke", Switch), ("cap", Int), ("jobs", Int),
+        ("only", Text), ("full", Switch), ("smoke", Switch), ("jobs", Int),
         ("telemetry", Text), ("trace", Text),
     ],
 };
@@ -218,13 +219,10 @@ const LIVE: Group = Group {
   --metrics-linger MS
                     keep serving /metrics MS after the run finishes
   --flight-report FILE
-                    write the self-contained HTML flight report after the run
-  --stall-after-ms MS
-                    watchdog threshold: flag a candidate measurement still
-                    running after MS as stalled (report-only; default 30000)",
+                    write the self-contained HTML flight report after the run",
     flags: &[
         ("quiet", Switch), ("metrics-addr", Text), ("metrics-linger", Int),
-        ("flight-report", Text), ("stall-after-ms", Int),
+        ("flight-report", Text),
     ],
 };
 
@@ -485,8 +483,7 @@ impl Observability {
             return Observability::default();
         }
         let bus = EventBus::default();
-        let stall_after = Duration::from_millis(a.num("stall-after-ms").unwrap_or(30_000));
-        let monitor = Arc::new(PoolMonitor::new(MonitorConfig { stall_after }, Some(bus.clone())));
+        let monitor = Arc::new(PoolMonitor::new(MonitorConfig::default(), Some(bus.clone())));
         let progress = (!quiet).then(|| spawn_progress(&bus));
         // The ring holds a whole unscraped run for the flight report: a
         // full-scoreboard smoke bench is 9k events, and overflow only turns
@@ -998,12 +995,14 @@ fn run_journal(a: &Args) {
 
 /// The experiment harness options an `experiments` command line asks for.
 fn experiment_opts(a: &Args) -> Opts {
-    let (capped, full) = (Opts::default(), a.has("full"));
     Opts {
-        scale: if a.has("smoke") { Scale::Smoke } else if full { Scale::Full } else { Scale::Default },
-        // `--full` lifts both caps; `--cap` sets the spatial one.
-        spatial_cap: a.num("cap").or(capped.spatial_cap.filter(|_| !full)),
-        gemm_cap: capped.gemm_cap.filter(|_| !full),
+        scale: if a.has("smoke") {
+            Scale::Smoke
+        } else if a.has("full") {
+            Scale::Full
+        } else {
+            Scale::Default
+        },
         jobs: pool::resolve_jobs(a.num("jobs")),
         telemetry: (a.has("telemetry") || a.has("trace")).then(Telemetry::new),
     }
@@ -1177,12 +1176,14 @@ mod tests {
 
     #[test]
     fn values_land_in_their_fields() {
-        let argv = ["--smoke", "--cap", "12", "--jobs", "3", "--trace", "t.json"];
+        let argv = ["--smoke", "--jobs", "3", "--trace", "t.json"];
         let o = experiment_opts(&parse("experiments", &argv).unwrap());
-        assert_eq!((o.scale, o.spatial_cap, o.gemm_cap, o.jobs), (Scale::Smoke, Some(12), Some(2048), 3));
+        assert_eq!((o.scale, o.jobs), (Scale::Smoke, 3));
+        assert_eq!((o.spatial_cap(), o.gemm_cap(), o.blackbox_cap()), (Some(32), Some(2048), Some(16)));
         assert!(o.telemetry.is_some());
         let o = experiment_opts(&parse("experiments", &["--full"]).unwrap());
-        assert_eq!((o.scale, o.spatial_cap, o.gemm_cap), (Scale::Full, None, None));
+        assert_eq!(o.scale, Scale::Full);
+        assert_eq!((o.spatial_cap(), o.gemm_cap(), o.blackbox_cap()), (None, None, None));
         assert!(o.telemetry.is_none());
 
         let a = parse("conv", &["8", "16", "32", "14", "--kernel", "5", "--pad", "2"]).unwrap();

@@ -18,8 +18,7 @@ use super::{machine, Opts};
 
 pub fn run(opts: &Opts) -> Vec<Table> {
     let cfg = machine();
-    let exhaustive =
-        TuneOptions { jobs: opts.jobs, tiers: TierPolicy::exhaustive(), ..TuneOptions::default() };
+    let exhaustive = TuneOptions { tiers: TierPolicy::exhaustive(), ..opts.tune_options() };
     let batch = 32;
     // Select 8 configurations, like the paper (3 in smoke mode), at the
     // black-box feature-map cap.

@@ -42,7 +42,7 @@ pub fn run(opts: &Opts) -> Vec<Table> {
     // silently make them aligned. At default scale keep the dims that fit
     // the cap natively (200…2000), which are the paper's small/medium
     // unaligned cases where boundary overhead matters most.
-    let cap = opts.gemm_cap.unwrap_or(usize::MAX);
+    let cap = opts.gemm_cap().unwrap_or(usize::MAX);
     let unaligned: Vec<_> = gemm_sweep(None)
         .into_iter()
         .filter(|c| !c.aligned && c.m <= cap && c.n <= cap && c.k <= cap)

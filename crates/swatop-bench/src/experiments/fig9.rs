@@ -18,7 +18,8 @@ use super::{machine, Opts};
 
 pub fn run(opts: &Opts) -> Vec<Table> {
     let cfg = machine();
-    let with = |tiers| TuneOptions { jobs: opts.jobs, tiers, ..TuneOptions::default() };
+    let base = opts.tune_options();
+    let with = |tiers| TuneOptions { tiers, ..base.clone() };
     let batch = 32;
     // Fig. 9 executes the whole space per configuration; sample the sweep
     // and shrink the feature maps to keep brute force affordable

@@ -1,17 +1,22 @@
-//! Experiment implementations, one module per paper table/figure plus the
-//! tuner ablation.
+//! Experiment implementations: one code path per experiment family of the
+//! paper's evaluation, plus the tuner ablation.
 //!
 //! Every `run` function returns the rendered tables; `swatop_cli
 //! experiments` prints them in [`ALL`]'s order and collects them into
-//! `EXPERIMENTS_RESULTS.md` (`--only fig5,table3` runs a subset by module
-//! name).
+//! `EXPERIMENTS_RESULTS.md` (`--only fig5,table3` runs a subset by name).
+//! Figs. 5–7 share one layer-vs-library loop ([`layers`]), and Fig. 8 is
+//! rendered from the sweep Table 1 tunes ([`table1`]).
+//!
+//! Every experiment tunes under [`Opts::tune_options`], so `--telemetry` and
+//! `--trace` record its runs; Table 3, whose subject is host time, runs
+//! without a recorder.
 //!
 //! The machine is simulated, so experiment cost scales with how much of
 //! each sweep is interpreted. Three scales are supported:
 //!
 //! * `--smoke` — minimal sub-samples (integration tests, seconds);
 //! * default — representative sub-samples and capped feature maps
-//!   (whole suite in tens of minutes on one core);
+//!   (whole suite in tens of seconds);
 //! * `--full` — the paper's complete sweeps at paper sizes (long; the
 //!   black-box experiments then genuinely take hours, which is the Tab. 3
 //!   story on real hardware).
@@ -19,20 +24,20 @@
 pub mod ablation;
 pub mod fig10;
 pub mod fig11;
-pub mod fig5;
-pub mod fig6;
-pub mod fig7;
-pub mod fig8;
 pub mod fig9;
+pub mod layers;
 pub mod table1;
 pub mod table2;
 pub mod table3;
 
-use sw26010::MachineConfig;
+use baselines::{swdnn_implicit_conv, xmath_explicit_conv, xmath_winograd_conv};
+use sw26010::{Cycles, MachineConfig};
 use swatop::telemetry::Telemetry;
 use swatop::tuner::TuneOptions;
+use swtensor::ConvShape;
 
 use crate::report::Table;
+use crate::runner::ConvMethod;
 
 /// How much of each sweep to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,11 +51,6 @@ pub enum Scale {
 #[derive(Debug, Clone)]
 pub struct Opts {
     pub scale: Scale,
-    /// Spatial cap for network layers / Listing-1 sweeps (None = paper-size
-    /// feature maps).
-    pub spatial_cap: Option<usize>,
-    /// Dimension cap for Listing-2 GEMM sweeps.
-    pub gemm_cap: Option<usize>,
     /// Worker threads for tuning (candidate- and sweep-level). 1 = serial;
     /// results are identical for every value.
     pub jobs: usize,
@@ -63,8 +63,6 @@ impl Default for Opts {
     fn default() -> Self {
         Opts {
             scale: Scale::Default,
-            spatial_cap: Some(32),
-            gemm_cap: Some(2048),
             jobs: swatop::tuner::pool::available_jobs(),
             telemetry: None,
         }
@@ -74,14 +72,12 @@ impl Default for Opts {
 /// One experiment: its tables under the given options.
 pub type Run = fn(&Opts) -> Vec<Table>;
 
-/// `(module name, section title, run)` in report order; `--only` selects by
-/// module name.
-pub const ALL: [(&str, &str, Run); 11] = [
-    ("fig5", "Figure 5 — implicit CONV vs swDNN", fig5::run),
-    ("fig6", "Figure 6 — Winograd CONV vs 16×xMath", fig6::run),
-    ("fig7", "Figure 7 — explicit CONV vs xMath", fig7::run),
-    ("table1", "Table 1 — 225-config sweep", |o| table1::run(o).tables),
-    ("fig8", "Figure 8 — performance/efficiency", fig8::run),
+/// `(name, section title, run)` in report order; `--only` selects by name.
+pub const ALL: [(&str, &str, Run); 10] = [
+    ("fig5", "Figure 5 — implicit CONV vs swDNN", layers::fig5),
+    ("fig6", "Figure 6 — Winograd CONV vs 16×xMath", layers::fig6),
+    ("fig7", "Figure 7 — explicit CONV vs xMath", layers::fig7),
+    ("table1", "Table 1 and Figure 8 — 225-config sweep, performance/efficiency", table1::run),
     ("table2", "Table 2 — GEMM vs xMath", table2::run),
     ("table3", "Table 3 — tuning time", table3::run),
     ("fig9", "Figure 9 — model vs brute-force quality", fig9::run),
@@ -111,14 +107,26 @@ impl Opts {
         (0..keep).map(|i| items[(i as f64 * step) as usize].clone()).collect()
     }
 
-    /// Spatial cap for the *black-box* experiments (Tab. 3, Figs. 9–10):
-    /// brute force executes every candidate, so these default to smaller
-    /// feature maps than the model-tuned sweeps.
+    /// Spatial cap for network layers and the Listing-1 sweeps; `--full`
+    /// runs paper-size feature maps.
+    pub fn spatial_cap(&self) -> Option<usize> {
+        self.capped(32)
+    }
+
+    /// Dimension cap for the Listing-2 GEMM sweeps.
+    pub fn gemm_cap(&self) -> Option<usize> {
+        self.capped(2048)
+    }
+
+    /// Spatial cap for the *black-box* experiments (Tab. 3, Figs. 9–10,
+    /// the ablation): brute force executes every candidate, so these run
+    /// smaller feature maps than the model-tuned sweeps.
     pub fn blackbox_cap(&self) -> Option<usize> {
-        match self.scale {
-            Scale::Full => None,
-            _ => Some(self.spatial_cap.unwrap_or(16).min(16)),
-        }
+        self.capped(16)
+    }
+
+    fn capped(&self, cap: usize) -> Option<usize> {
+        (self.scale != Scale::Full).then_some(cap)
     }
 }
 
@@ -126,6 +134,17 @@ impl Opts {
 /// as the paper's tables report clean-machine numbers.
 pub fn machine() -> MachineConfig {
     MachineConfig::default()
+}
+
+/// The cycles of the hand-written library a CONV method is measured
+/// against: swDNN for implicit, xMath for explicit and Winograd. `None`
+/// where the library has no kernel for `shape` or fails to run it.
+pub fn library(cfg: &MachineConfig, method: ConvMethod, shape: &ConvShape) -> Option<Cycles> {
+    match method {
+        ConvMethod::Implicit => swdnn_implicit_conv(cfg, shape),
+        ConvMethod::Explicit => xmath_explicit_conv(cfg, shape).ok(),
+        ConvMethod::Winograd => xmath_winograd_conv(cfg, shape).ok(),
+    }
 }
 
 /// A convenience: percentage formatting.

@@ -21,7 +21,7 @@ pub fn run(opts: &Opts) -> Vec<Table> {
         "Table 2 — GEMM vs xMath (Listing-2 sweep)",
         &["class", "cases", "Faster", "avg speedup", "Slower", "avg slowdown"],
     );
-    let sweep = opts.sample(gemm_sweep(opts.gemm_cap), 10, 48);
+    let sweep = opts.sample(gemm_sweep(opts.gemm_cap()), 10, 48);
     // Tune the whole sweep once, one worker per (m, n, k); the two aligned
     // classes are then read out of the index-aligned results.
     let shapes: Vec<(usize, usize, usize)> = sweep.iter().map(|c| (c.m, c.n, c.k)).collect();

@@ -27,6 +27,8 @@ use super::{machine, Opts};
 
 pub fn run(opts: &Opts) -> Vec<Table> {
     let cfg = machine();
+    // Host time is this table's subject, so it tunes without the harness's
+    // recorder: `--telemetry` / `--trace` would time their own bookkeeping.
     let with = |tiers| TuneOptions { jobs: opts.jobs, tiers, ..TuneOptions::default() };
     // Tuning *time* is the subject here, so the host wall-clock columns
     // depend on the worker count; the serial-equivalent column (the sum of

@@ -12,7 +12,7 @@ pub mod journal;
 pub mod report;
 pub mod runner;
 
-pub use report::{fmt_speedup, roofline_table, telemetry_summary, Table};
+pub use report::{roofline_table, telemetry_summary, Table};
 pub use runner::{
     tune_conv, tune_conv_sweep, tune_gemm, tune_gemm_sweep, tune_op, ConvMethod, TunedOp,
 };

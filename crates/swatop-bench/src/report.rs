@@ -149,14 +149,6 @@ pub fn write_exports(summary: &Summary, snapshot: Option<&Path>, corpus: Option<
     written
 }
 
-/// Format a ratio `baseline/ours` as a speedup string (e.g. "1.44x").
-pub fn fmt_speedup(baseline: f64, ours: f64) -> String {
-    if ours <= 0.0 {
-        return "n/a".into();
-    }
-    format!("{:.2}x", baseline / ours)
-}
-
 /// Mean of a slice.
 pub fn mean(xs: &[f64]) -> f64 {
     if xs.is_empty() {
@@ -164,14 +156,6 @@ pub fn mean(xs: &[f64]) -> f64 {
     } else {
         xs.iter().sum::<f64>() / xs.len() as f64
     }
-}
-
-/// Geometric mean of a slice of positive numbers.
-pub fn geomean(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        return 0.0;
-    }
-    (xs.iter().map(|x| x.ln()).sum::<f64>() / xs.len() as f64).exp()
 }
 
 #[cfg(test)]
@@ -191,9 +175,7 @@ mod tests {
     #[test]
     fn stats() {
         assert_eq!(mean(&[1.0, 3.0]), 2.0);
-        assert!((geomean(&[1.0, 4.0]) - 2.0).abs() < 1e-12);
-        assert_eq!(fmt_speedup(3.0, 2.0), "1.50x");
-        assert_eq!(fmt_speedup(3.0, 0.0), "n/a");
+        assert_eq!(mean(&[]), 0.0);
     }
 
     #[test]

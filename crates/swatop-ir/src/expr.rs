@@ -194,17 +194,6 @@ impl AffineExpr {
     pub fn uses_mesh(&self) -> bool {
         self.coeff(AVar::Rid) != 0 || self.coeff(AVar::Cid) != 0
     }
-
-    /// Loop variables referenced, ascending.
-    pub fn loop_vars(&self) -> Vec<VarId> {
-        self.terms
-            .iter()
-            .filter_map(|(v, _)| match v {
-                AVar::Loop(i) => Some(*i),
-                _ => None,
-            })
-            .collect()
-    }
 }
 
 impl fmt::Display for AffineExpr {
@@ -335,7 +324,6 @@ mod tests {
         assert!(e.depends_on(0));
         assert!(!e.depends_on(3));
         assert!(e.uses_mesh());
-        assert_eq!(e.loop_vars(), vec![0, 1]);
     }
 
     #[test]
