@@ -739,8 +739,6 @@ mod tests {
                 spm_pressure_ppm: if steal > 0 { 1_000_000 } else { 0 },
                 spm_steal_max_permille: steal,
                 jitter_permille: jitter,
-                wedge_run: None,
-                wedge_ms: 0,
             }),
             ..MachineConfig::default()
         }

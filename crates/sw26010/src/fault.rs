@@ -62,14 +62,6 @@ pub struct FaultPlan {
     /// Half-width (per-mille) of the multiplicative jitter applied to
     /// observed cycle counts; `0` disables jitter (and repeat measurement).
     pub jitter_permille: u32,
-    /// Wedge hook for stall-watchdog testing: the run whose id equals this
-    /// value sleeps [`FaultPlan::wedge_ms`] *host* milliseconds before
-    /// executing. `None` (the default) wedges nothing.
-    pub wedge_run: Option<u64>,
-    /// Host milliseconds the wedged run sleeps; `0` disables the hook.
-    /// Pure host wall-clock — simulated cycles are untouched, so tuning
-    /// results are bit-identical with or without a wedge.
-    pub wedge_ms: u32,
 }
 
 impl FaultPlan {
@@ -88,16 +80,7 @@ impl FaultPlan {
             spm_pressure_ppm: 20_000,
             spm_steal_max_permille: 250,
             jitter_permille: 20,
-            wedge_run: None,
-            wedge_ms: 0,
         }
-    }
-
-    /// Does `run` trip the wedge hook? When true, the measurement harness
-    /// sleeps [`FaultPlan::wedge_ms`] host milliseconds before executing
-    /// (see the field docs for the determinism argument).
-    pub fn wedges(&self, run: u64) -> bool {
-        self.wedge_ms > 0 && self.wedge_run == Some(run)
     }
 
     /// Build a plan from the `SWATOP_FAULT_SEED` environment variable

@@ -1,7 +1,7 @@
 //! `swatop_cli` — the one command line: tune an operator (`gemm`, `conv`,
 //! `bwd-data`, `bwd-filter`), `profile` one schedule, journal the bench set
-//! (`bench`), render the flight `report`, inspect and gate on the `journal`,
-//! and regenerate the paper's `experiments`. Run it bare for the usage.
+//! (`bench`), inspect and gate on the `journal`, and regenerate the paper's
+//! `experiments`. Run it bare for the usage.
 //!
 //! The tune commands tune the requested operator with the
 //! performance-model autotuner, report the chosen schedule and simulated
@@ -35,13 +35,10 @@ use swatop::observatory::Peaks;
 use swatop::ops::{ConvBackwardDataOp, ConvBackwardFilterOp, MatmulOp};
 use swatop::profiler::{profile_candidate, trace_json, CandidateProfile, PROFILE_TRACE_CAP};
 use swatop::scheduler::{Operator, Scheduler};
-use swatop::telemetry::bus::EventBus;
-use swatop::telemetry::metrics::{MetricsHub, MetricsServer};
+use swatop::telemetry::bus::{EventBus, Subscriber};
 use swatop::telemetry::{Summary, Telemetry};
-use swatop::tuner::pool::{MonitorConfig, PoolMonitor};
 use swatop::tuner::{pool, tune, CheckpointPolicy, TierPolicy, TuneOptions};
 use swatop_bench::experiments::{self, Opts, Scale};
-use swatop_bench::flight::flight_html;
 use swatop_bench::journal::{
     compare, consistency_warnings, convergence_lines, record_table, show_json, transition_lines,
     trend_lines, CompareOpts, Journal, DEFAULT_PATH,
@@ -101,12 +98,6 @@ const BENCH: Group = Group {
     flags: &[
         ("journal", Text), ("label", Text), ("repeats", Int), ("smoke", Switch), ("handicap", Int),
     ],
-};
-
-const REPORT: Group = Group {
-    text: "  swatop_cli report [--journal FILE] [--label L] [--out FILE]
-             render the flight report (self-contained HTML) from the journal",
-    flags: &[("journal", Text), ("label", Text), ("out", Text)],
 };
 
 const PROFILE_GEMM: Group =
@@ -212,18 +203,9 @@ const TUNE: Group = Group {
 
 const LIVE: Group = Group {
     text: "live flags:
-  --quiet           disable live observability entirely: no progress
-                    lines, no event bus (results are bit-identical either way)
-  --metrics-addr A  serve live Prometheus metrics on A (e.g.
-                    127.0.0.1:9184) at /metrics for the duration of the run
-  --metrics-linger MS
-                    keep serving /metrics MS after the run finishes
-  --flight-report FILE
-                    write the self-contained HTML flight report after the run",
-    flags: &[
-        ("quiet", Switch), ("metrics-addr", Text), ("metrics-linger", Int),
-        ("flight-report", Text),
-    ],
+  --quiet           no progress lines on stderr and no event bus
+                    (results are bit-identical either way)",
+    flags: &[("quiet", Switch)],
 };
 
 const PROFILE: Group = Group {
@@ -245,7 +227,6 @@ const COMMANDS: &[Command] = &[
     Command { name: "bwd-data", arity: 4, groups: &[&BWD, &SHAPE, &RUN, &TUNE, &LIVE], run: run_tune },
     Command { name: "bwd-filter", arity: 4, groups: &[&BWD, &SHAPE, &RUN, &TUNE, &LIVE], run: run_tune },
     Command { name: "bench", arity: 0, groups: &[&BENCH, &RUN, &LIVE], run: run_bench },
-    Command { name: "report", arity: 0, groups: &[&REPORT], run: run_report },
     Command { name: "profile gemm", arity: 3, groups: &[&PROFILE_GEMM, &PROFILE], run: run_profile },
     Command { name: "profile conv", arity: 4, groups: &[&PROFILE_CONV, &SHAPE, &PROFILE], run: run_profile },
     Command { name: "journal validate", arity: 0, groups: &[&JOURNAL_VALIDATE], run: run_journal },
@@ -409,132 +390,75 @@ fn export(a: &Args, summary: &Summary) {
 }
 
 /// Write the trace document `--trace` asks for: the tuner's spans of
-/// `summary`, then one process per profile. Returns the path when a
-/// profile's trace hit its event cap.
+/// `summary`, then one process per profile. A profile's trace that hit its
+/// event cap is named on stderr.
 fn write_trace(
     a: &Args,
     summary: Option<&Summary>,
     profiles: &[&CandidateProfile],
     clock_ghz: f64,
-) -> Option<String> {
-    let path = a.text("trace")?;
+) {
+    let Some(path) = a.text("trace") else { return };
     std::fs::write(path, trace_json(summary, profiles, clock_ghz)).expect("write trace");
     if !a.has("json") {
         println!("trace    : {path} (open in ui.perfetto.dev)");
     }
-    profiles.iter().any(|p| p.timeline.truncated).then(|| {
+    if profiles.iter().any(|p| p.timeline.truncated) {
         eprintln!("swatop: trace {path} truncated at {PROFILE_TRACE_CAP} events");
-        path.to_string()
-    })
+    }
 }
 
-/// Background thread printing progress lines to **stderr** (stdout stays
-/// machine-readable under `--json`).
-struct Progress {
-    stop: Arc<AtomicBool>,
-    handle: std::thread::JoinHandle<()>,
+/// Write the line of every event buffered in `sub` to `out`, and after the
+/// `last` drain how many events the ring lost, so a short stream says so.
+fn print_progress(sub: &Subscriber, last: bool, out: &mut impl std::io::Write) {
+    for e in sub.drain() {
+        let _ = writeln!(out, "swatop: {}", e.progress_line());
+    }
+    if last && sub.dropped() > 0 {
+        let _ = writeln!(out, "swatop: progress: {} events dropped", sub.dropped());
+    }
 }
 
-fn spawn_progress(bus: &EventBus) -> Progress {
-    let sub = bus.subscribe(4096);
-    let stop = Arc::new(AtomicBool::new(false));
-    let stop2 = stop.clone();
-    let handle = std::thread::Builder::new()
-        .name("swatop-progress".to_string())
-        .spawn(move || loop {
-            let done = stop2.load(Ordering::Acquire);
-            for line in sub.drain().iter().filter_map(|e| e.progress_line()) {
-                eprintln!("swatop: {line}");
-            }
-            if done {
-                return;
-            }
-            // `finish` unparks, so the last drain does not wait out the nap.
-            std::thread::park_timeout(Duration::from_millis(50));
-        })
-        .expect("spawn progress printer");
-    Progress { stop, handle }
-}
-
-/// Live-observability plumbing for one CLI invocation: the event bus, the
-/// worker monitor, the optional progress printer, and the one hub that
-/// `/metrics` and the flight report both read. All report-only — winners,
-/// cycles and journal records are bit-identical with all of it on or off
-/// (`--quiet`).
-#[derive(Default)]
+/// Live observability for one CLI invocation: the event bus and the thread
+/// that prints its events to **stderr** (stdout stays machine-readable
+/// under `--json`). Report-only — winners, cycles and journal records are
+/// bit-identical with it on or off (`--quiet`).
 struct Observability {
-    bus: Option<EventBus>,
-    monitor: Option<Arc<PoolMonitor>>,
-    /// Present iff `--metrics-addr` or `--flight-report` will read it.
-    hub: Option<Arc<MetricsHub>>,
-    server: Option<MetricsServer>,
-    progress: Option<Progress>,
-    /// `--flight-report FILE`.
-    flight: Option<PathBuf>,
-    linger: Duration,
+    bus: EventBus,
+    stop: Arc<AtomicBool>,
+    printer: std::thread::JoinHandle<()>,
 }
 
 impl Observability {
-    fn from_args(a: &Args) -> Observability {
-        let quiet = a.has("quiet");
-        let metrics_addr = a.text("metrics-addr");
-        let flight_path = a.text("flight-report").map(PathBuf::from);
-        if quiet && metrics_addr.is_none() && flight_path.is_none() {
-            return Observability::default();
+    /// The bus and its printer, or `None` under `--quiet`.
+    fn from_args(a: &Args) -> Option<Observability> {
+        if a.has("quiet") {
+            return None;
         }
-        let bus = EventBus::default();
-        let monitor = Arc::new(PoolMonitor::new(MonitorConfig::default(), Some(bus.clone())));
-        let progress = (!quiet).then(|| spawn_progress(&bus));
-        // The ring holds a whole unscraped run for the flight report: a
-        // full-scoreboard smoke bench is 9k events, and overflow only turns
-        // the report's counts into stated lower bounds.
-        let hub = (metrics_addr.is_some() || flight_path.is_some())
-            .then(|| Arc::new(MetricsHub::new(&bus, Some(monitor.clone()), 1 << 16)));
-        let server = metrics_addr.zip(hub.as_ref()).map(|(addr, hub)| {
-            let server = MetricsServer::start(addr, hub.clone())
-                .unwrap_or_else(|e| a.fail(format!("--metrics-addr {addr}: {e}")));
-            if !quiet {
-                eprintln!("swatop: serving /metrics on {}", server.addr());
-            }
-            server
-        });
-        Observability {
-            bus: Some(bus),
-            monitor: Some(monitor),
-            hub,
-            server,
-            progress,
-            flight: flight_path,
-            linger: Duration::from_millis(a.num("metrics-linger").unwrap_or(0)),
-        }
+        let bus = EventBus::new();
+        let sub = bus.subscribe(4096);
+        let stop = Arc::new(AtomicBool::new(false));
+        let stopped = stop.clone();
+        let printer = std::thread::Builder::new()
+            .name("swatop-progress".to_string())
+            .spawn(move || loop {
+                let last = stopped.load(Ordering::Acquire);
+                print_progress(&sub, last, &mut std::io::stderr().lock());
+                if last {
+                    return;
+                }
+                // `finish` unparks, so the last drain does not wait out the nap.
+                std::thread::park_timeout(Duration::from_millis(50));
+            })
+            .expect("spawn progress printer");
+        Some(Observability { bus, stop, printer })
     }
 
-    /// Flush and tear down: record truncated artifacts, stop the printer,
-    /// write the flight report, linger for late `/metrics` scrapes, stop
-    /// the server.
-    fn finish(self, journal_path: &Path, label: Option<&str>, truncated: &[String]) {
-        if let Some(hub) = &self.hub {
-            for t in truncated {
-                hub.note_truncated(t);
-            }
-        }
-        if let Some(p) = self.progress {
-            p.stop.store(true, Ordering::Release);
-            p.handle.thread().unpark();
-            let _ = p.handle.join();
-        }
-        if let (Some(hub), Some(path)) = (&self.hub, &self.flight) {
-            let journal = Journal::load(journal_path).unwrap_or_default();
-            std::fs::write(path, flight_html(&journal, label, Some(&hub.snapshot())))
-                .expect("write flight report");
-            eprintln!("swatop: flight report written to {}", path.display());
-        }
-        if let Some(server) = self.server {
-            if !self.linger.is_zero() {
-                std::thread::sleep(self.linger);
-            }
-            server.shutdown();
-        }
+    /// Print what is still buffered and stop the printer.
+    fn finish(self) {
+        self.stop.store(true, Ordering::Release);
+        self.printer.thread().unpark();
+        let _ = self.printer.join();
     }
 }
 
@@ -572,16 +496,8 @@ fn json_report(cfg: &MachineConfig, name: &str, tuned: &TunedOp, summary: &Summa
     w.finish()
 }
 
-/// Print the result and write the requested artifacts. Returns the trace's
-/// path if the winner's trace hit its event cap (propagated into the
-/// flight report and `/metrics` as a data-completeness warning).
-fn report(
-    cfg: &MachineConfig,
-    name: &str,
-    tuned: &TunedOp,
-    a: &Args,
-    summary: Option<&Summary>,
-) -> Option<String> {
+/// Print the result and write the requested artifacts.
+fn report(cfg: &MachineConfig, name: &str, tuned: &TunedOp, a: &Args, summary: Option<&Summary>) {
     let TunedOp { flops, winner, outcome, .. } = tuned;
     let flops = *flops;
     let json_mode = a.has("json");
@@ -654,12 +570,12 @@ fn report(
         }
     }
     if !a.has("trace") {
-        return None;
+        return;
     }
     // The winner's profile describes the *code*: `profile_candidate` runs it
     // on the clean machine even when tuning was fault-injected.
     let p = profile_candidate(cfg, name, outcome.best, winner).expect("trace run");
-    write_trace(a, summary, &[&p], cfg.clock_ghz)
+    write_trace(a, summary, &[&p], cfg.clock_ghz);
 }
 
 /// `profile gemm` / `profile conv`: re-run one enumerated candidate cost-only with
@@ -789,8 +705,7 @@ fn run_tune(a: &Args) {
         // instrumenting flag the tuning hot path stays uninstrumented.
         telemetry: instrument.then(Telemetry::new),
         tiers: tuner_policy(a, false),
-        bus: obs.bus.clone(),
-        monitor: obs.monitor.clone(),
+        bus: obs.as_ref().map(|o| o.bus.clone()),
     };
     let ops: Vec<Box<dyn Operator>> = match a.cmd.name {
         "gemm" => {
@@ -819,7 +734,7 @@ fn run_tune(a: &Args) {
     }
     let (name, t) = best.expect("no valid schedule for this operator");
     let summary = base.telemetry.as_ref().map(|tel| tel.summary(&Peaks::of(&cfg)));
-    let truncated = report(&cfg, &name, &t, a, summary.as_ref());
+    report(&cfg, &name, &t, a, summary.as_ref());
     if let Some(summary) = &summary {
         export(a, summary);
         if a.has("verbose") && !a.has("json") {
@@ -828,7 +743,9 @@ fn run_tune(a: &Args) {
             roofline_table(summary).print();
         }
     }
-    obs.finish(Path::new(DEFAULT_PATH), None, truncated.as_slice());
+    if let Some(obs) = obs {
+        obs.finish();
+    }
     // The gate runs last so telemetry artifacts are still written for
     // post-mortem inspection of the quarantined schedules.
     if strict_validate && quarantined > 0 {
@@ -853,8 +770,7 @@ fn run_bench(a: &Args) {
         tune: TuneOptions {
             jobs: pool::resolve_jobs(a.num("jobs")),
             tiers: tuner_policy(a, true),
-            bus: obs.bus.clone(),
-            monitor: obs.monitor.clone(),
+            bus: obs.as_ref().map(|o| o.bus.clone()),
             ..TuneOptions::default()
         },
     };
@@ -871,25 +787,13 @@ fn run_bench(a: &Args) {
             println!("journal  : appended to {path}");
         }
     }
-    obs.finish(Path::new(a.text("journal").unwrap_or(DEFAULT_PATH)), a.text("label"), &[]);
+    if let Some(obs) = obs {
+        obs.finish();
+    }
     if a.has("strict-validate") && bench_quarantined > 0 {
         eprintln!("swatop_cli: --strict-validate: {bench_quarantined} quarantined winner(s)");
         exit(1);
     }
-}
-
-/// `report`: the flight report straight from the committed journal — no
-/// tuning, no live accounting.
-fn run_report(a: &Args) {
-    let journal_path = a.text("journal").unwrap_or(DEFAULT_PATH);
-    let out = a.text("out").unwrap_or("flight.html");
-    let journal = Journal::load(Path::new(journal_path)).unwrap_or_else(|e| {
-        eprintln!("swatop_cli: {e}");
-        exit(1);
-    });
-    let html = flight_html(&journal, a.text("label"), None);
-    std::fs::write(out, html).expect("write flight report");
-    println!("flight   : {out} ({} journal record(s))", journal.records.len());
 }
 
 /// `journal validate|show|compare`: inspect and gate on the bench journal.
@@ -1136,7 +1040,7 @@ mod tests {
             ("profile gemm", &["96", "96", "96", "--jobs", "2"], "--jobs"),
             ("profile gemm", &["96", "96", "96", "--faults", "1"], "--faults"),
             ("experiments", &["--only", "fig5", "--smoke", "--faults", "1"], "--faults"),
-            ("report", &["--jobs", "2"], "--jobs"),
+            ("journal validate", &["--jobs", "2"], "--jobs"),
             ("journal show", &["--labl", "x"], "--labl"),
         ] {
             let err = error(cmd, argv);
@@ -1172,6 +1076,32 @@ mod tests {
         // The journal is a flag now, not a positional.
         assert!(error("journal validate", &["B.json"]).contains("`B.json` is not a number"));
         assert!(parse("journal", &[]).is_err() && parse("frobnicate", &[]).is_err());
+    }
+
+    /// A printer whose ring overflowed prints what it kept, then, after
+    /// its last drain only, how many events it lost.
+    #[test]
+    fn the_printer_states_how_many_events_it_dropped() {
+        use swatop::telemetry::bus::Event;
+        let bus = EventBus::new();
+        let sub = bus.subscribe(2);
+        for done in 1..=5 {
+            bus.emit(Event::CheckpointSaved { done, total: 5 });
+        }
+        let mut out = Vec::new();
+        print_progress(&sub, false, &mut out);
+        bus.emit(Event::SweepEnd { label: "s".into() });
+        print_progress(&sub, true, &mut out);
+        assert_eq!(
+            String::from_utf8(out).unwrap(),
+            "swatop: checkpoint: 4/5 candidates settled\n\
+             swatop: checkpoint: 5/5 candidates settled\n\
+             swatop: sweep done : s\n\
+             swatop: progress: 3 events dropped\n"
+        );
+        let mut clean = Vec::new();
+        print_progress(&bus.subscribe(2), true, &mut clean);
+        assert!(clean.is_empty());
     }
 
     #[test]

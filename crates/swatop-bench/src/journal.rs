@@ -474,8 +474,8 @@ fn op_rows(
 
 /// Every op name of `records` in first-appearance order, each with that op's
 /// entry in every record (`None` where a record lacks it) — the series the
-/// trend, the comparison gate and the flight report's chart are built from.
-pub fn op_series<'r>(records: &[&'r Record]) -> Vec<(&'r str, Vec<Option<&'r OpBench>>)> {
+/// trend and the comparison gate are built from.
+fn op_series<'r>(records: &[&'r Record]) -> Vec<(&'r str, Vec<Option<&'r OpBench>>)> {
     let mut names: Vec<&str> = Vec::new();
     for op in records.iter().flat_map(|r| &r.ops) {
         if !names.contains(&op.name.as_str()) {

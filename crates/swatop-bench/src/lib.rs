@@ -2,12 +2,11 @@
 //!
 //! Each table and figure of the paper's evaluation section is one module of
 //! [`experiments`], run by `swatop_cli experiments`; this library also holds
-//! the bench journal, the flight report, the table formatting, summary
+//! the bench journal, the table formatting, summary
 //! statistics and experiment-runner plumbing. See `DESIGN.md` for the
 //! per-experiment index.
 
 pub mod experiments;
-pub mod flight;
 pub mod journal;
 pub mod report;
 pub mod runner;

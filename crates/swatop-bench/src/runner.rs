@@ -116,9 +116,6 @@ pub fn tune_op(
     if let Some(bus) = &opts.bus {
         bus.emit_with(|| Event::OperatorStart { label: label.to_string(), candidates: n });
     }
-    if let Some(m) = &opts.monitor {
-        m.set_context(label);
-    }
     let validator = |_: usize, c: &Candidate| swatop::ops::validate_candidate(cfg, op, c);
     let outcome =
         tune(cfg, &cands, &run_opts, validate.then_some(&validator as &WinnerValidator)).ok();

@@ -50,7 +50,6 @@ use sw26010::Counters;
 use crate::observatory::{self, Attribution, BottleneckMix, Peaks};
 
 pub mod bus;
-pub mod metrics;
 
 /// Identifier of a recorded span (index into the span table).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

@@ -2,15 +2,12 @@
 //!
 //! The recorder in [`crate::telemetry`] is *post-hoc*: spans are folded
 //! into reports after the run finishes. This bus is the live counterpart —
-//! the tuner engine, the worker pool and the sweep harnesses publish typed
-//! [`Event`]s as they happen, and any number of subscribers (a progress
-//! printer, the [`MetricsHub`](crate::telemetry::metrics::MetricsHub) behind
-//! `/metrics` and the flight report) drain them concurrently. This module is
-//! the one home of the event vocabulary: the variants, their cross-run key
-//! ([`Event::deterministic_key`]), their console line
-//! ([`Event::progress_line`]) and the one accounting [`Fold`] every report
-//! renders from — adding or deleting an event is an edit to this file only.
-//! Design constraints, in order:
+//! the tuner engine and the sweep harnesses publish typed [`Event`]s as
+//! they happen, and any number of subscribers (the CLI's progress printer,
+//! a benchmark harness) drain them concurrently. This module is the one
+//! home of the event vocabulary: the variants and their one rendering
+//! ([`Event::progress_line`]) — adding or deleting an event is an edit to
+//! this file only. Design constraints, in order:
 //!
 //! * **Zero-cost when nobody listens.** [`EventBus::emit_with`] takes a
 //!   closure and checks a relaxed atomic subscriber count before building
@@ -19,15 +16,13 @@
 //!   that load.
 //! * **Bounded, never blocking.** Each subscriber owns a bounded ring;
 //!   when a slow consumer falls behind, the *oldest* events are dropped
-//!   (latest-wins) and counted. Publishers never wait, so the bus can sit
-//!   inside the measurement loop without perturbing walls more than a
-//!   mutex push.
+//!   (latest-wins) and counted ([`Subscriber::dropped`]). Publishers never
+//!   wait, so the bus can sit inside the measurement loop without
+//!   perturbing walls more than a mutex push.
 //! * **Report-only determinism.** Events describe tuning decisions; they
-//!   never feed them. Lifecycle events carry only simulation-derived
-//!   payloads and expose a [`Event::deterministic_key`] that is identical
-//!   (as a multiset) for every `--jobs` value; the one host-timing event
-//!   (a flagged stall) returns `None` there and is excluded from cross-run
-//!   comparisons.
+//!   never feed them. Every event is a pure function of those decisions
+//!   (no worker ids, no host timing), so the *multiset* of progress lines
+//!   a run emits is identical for every `--jobs` value.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -35,10 +30,8 @@ use std::sync::{Arc, Weak};
 
 use parking_lot::Mutex;
 
-/// A typed sweep lifecycle event. Variants that describe *what the tuner
-/// decided* are deterministic in content; the variant that describes *how
-/// the host behaved* (a flagged stall) is not — see
-/// [`Event::deterministic_key`].
+/// A typed sweep lifecycle event: what the tuner decided, never how the
+/// host behaved.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Event {
     /// A multi-operator sweep began.
@@ -57,185 +50,36 @@ pub enum Event {
         /// Prospective winners quarantined by validation.
         quarantined: usize,
     },
-    /// The engine started measuring a wave of `size` pending candidates.
-    WaveStart { size: usize },
-    /// The wave finished; counts cover only the wave's own candidates.
-    WaveEnd { measured: usize, failed: usize },
-    /// One candidate's measurement completed (successfully or not).
-    CandidateMeasured {
-        /// Stable input index of the candidate.
-        index: usize,
-        /// Median measured cycles; `None` when the candidate failed.
-        cycles: Option<u64>,
-        /// Transient retries the measurement consumed.
-        retries: u32,
-        /// Worker that ran it — scheduling-dependent, excluded from the
-        /// deterministic key.
-        worker: usize,
-    },
     /// A prospective winner was rejected by the validator.
     Quarantined { index: usize, reason: String },
     /// A checkpoint file was written with `done` of `total` cells settled.
     CheckpointSaved { done: usize, total: usize },
-    /// The stall watchdog flagged a wedged worker/candidate. Report-only:
-    /// the measurement keeps running.
-    StallFlagged {
-        worker: usize,
-        /// Input index of the stuck candidate.
-        index: usize,
-        /// Span path of the stuck work: `operator-context / candidate
-        /// knobs`.
-        path: String,
-        stalled_ms: u64,
-    },
 }
 
 impl Event {
-    /// Canonical content key for cross-run comparison, or `None` for
-    /// host-timing events. The key of a lifecycle event is a pure function
-    /// of tuning decisions (never of worker ids or wall time), so the
-    /// *multiset* of keys emitted by a run is identical for every `--jobs`
-    /// value — the property the determinism tests assert.
-    pub fn deterministic_key(&self) -> Option<String> {
+    /// The console line for this event. It is a pure function of tuning
+    /// decisions, so it is also the event's cross-run key: the multiset of
+    /// a run's lines is the same for every `--jobs` value.
+    pub fn progress_line(&self) -> String {
         match self {
-            Event::SweepStart { label } => Some(format!("sweep-start {label}")),
-            Event::SweepEnd { label } => Some(format!("sweep-end {label}")),
+            Event::SweepStart { label } => format!("sweep start: {label}"),
+            Event::SweepEnd { label } => format!("sweep done : {label}"),
             Event::OperatorStart { label, candidates } => {
-                Some(format!("op-start {label} cands={candidates}"))
+                format!("tuning {label} ({candidates} candidates)")
             }
-            Event::OperatorEnd { label, best_cycles, executed, quarantined } => Some(format!(
-                "op-end {label} best={best_cycles:?} executed={executed} \
-                 quarantined={quarantined}"
-            )),
-            Event::WaveStart { size } => Some(format!("wave-start {size}")),
-            Event::WaveEnd { measured, failed } => {
-                Some(format!("wave-end measured={measured} failed={failed}"))
-            }
-            Event::CandidateMeasured { index, cycles, retries, .. } => {
-                Some(format!("cand {index} cycles={cycles:?} retries={retries}"))
-            }
-            Event::Quarantined { index, reason } => {
-                Some(format!("quarantine {index} {reason}"))
-            }
-            Event::CheckpointSaved { done, total } => {
-                Some(format!("checkpoint {done}/{total}"))
-            }
-            Event::StallFlagged { .. } => None,
-        }
-    }
-
-    /// Human progress line for the console, or `None` for per-candidate and
-    /// per-wave volume the console shouldn't scroll through.
-    pub fn progress_line(&self) -> Option<String> {
-        match self {
-            Event::SweepStart { label } => Some(format!("sweep start: {label}")),
-            Event::SweepEnd { label } => Some(format!("sweep done : {label}")),
-            Event::OperatorStart { label, candidates } => {
-                Some(format!("tuning {label} ({candidates} candidates)"))
-            }
-            Event::OperatorEnd { label, best_cycles: Some(c), executed, quarantined } => {
-                Some(format!(
-                    "tuned {label}: best {c} cycles ({executed} executed, \
-                     {quarantined} quarantined)"
-                ))
-            }
+            Event::OperatorEnd { label, best_cycles: Some(c), executed, quarantined } => format!(
+                "tuned {label}: best {c} cycles ({executed} executed, {quarantined} quarantined)"
+            ),
             Event::OperatorEnd { label, best_cycles: None, executed, .. } => {
-                Some(format!("tuned {label}: no winner ({executed} executed)"))
+                format!("tuned {label}: no winner ({executed} executed)")
             }
             Event::Quarantined { index, reason } => {
-                Some(format!("quarantined candidate {index}: {reason}"))
+                format!("quarantined candidate {index}: {reason}")
             }
             Event::CheckpointSaved { done, total } => {
-                Some(format!("checkpoint: {done}/{total} candidates settled"))
-            }
-            Event::StallFlagged { worker, index, path, stalled_ms } => Some(format!(
-                "watchdog: worker {worker} stalled {stalled_ms} ms on candidate {index} ({path})"
-            )),
-            Event::WaveStart { .. } | Event::WaveEnd { .. } | Event::CandidateMeasured { .. } => {
-                None
+                format!("checkpoint: {done}/{total} candidates settled")
             }
         }
-    }
-}
-
-/// One operator's lifecycle as the [`Fold`] saw it.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct OperatorFold {
-    pub label: String,
-    /// Enumerated candidates, from the start event.
-    pub candidates: usize,
-    /// Candidates measured while this operator was the one in flight.
-    pub measured: u64,
-    /// `(best cycles, executed, quarantined)` from the end event; `None`
-    /// while the operator is in flight.
-    pub end: Option<(Option<u64>, usize, usize)>,
-}
-
-/// The accounting of one event stream: what `/metrics`, the flight report
-/// and anything else that counts events reads. There is one fold, so two
-/// reports of one run cannot disagree.
-#[derive(Debug, Clone, Default)]
-pub struct Fold {
-    /// Sweep labels seen (start events).
-    pub sweeps: Vec<String>,
-    /// Operators in start order.
-    pub operators: Vec<OperatorFold>,
-    /// Candidates whose measurement completed (success + failure).
-    pub measured: u64,
-    /// Candidates that failed terminally or panicked.
-    pub failed: u64,
-    /// Transient retries consumed across all measurements.
-    pub retries: u64,
-    /// Quarantined winners: `(candidate index, reason)`.
-    pub quarantines: Vec<(usize, String)>,
-    /// Watchdog flags: `(worker, span path, stalled ms)`.
-    pub stalls: Vec<(usize, String, u64)>,
-    /// Scoreboard waves dispatched.
-    pub waves: u64,
-    /// Checkpoint files written.
-    pub checkpoints: u64,
-}
-
-impl Fold {
-    /// Fold one bus event into the accounting.
-    pub fn fold(&mut self, e: Event) {
-        match e {
-            Event::SweepStart { label } => self.sweeps.push(label),
-            Event::SweepEnd { .. } => {}
-            Event::OperatorStart { label, candidates } => {
-                self.operators.push(OperatorFold { label, candidates, measured: 0, end: None });
-            }
-            Event::OperatorEnd { label, best_cycles, executed, quarantined } => {
-                // The most recent unfinished start with this label (the auto
-                // method tunes several ops with distinct labels).
-                let open = |o: &&mut OperatorFold| o.label == label && o.end.is_none();
-                if let Some(op) = self.operators.iter_mut().rev().find(open) {
-                    op.end = Some((best_cycles, executed, quarantined));
-                }
-            }
-            Event::WaveStart { .. } => self.waves += 1,
-            // The one place a failure is counted: `WaveEnd` covers both a
-            // failed measurement (which also arrives as `CandidateMeasured
-            // { cycles: None }`) and a panicked item (which does not).
-            Event::WaveEnd { failed, .. } => self.failed += failed as u64,
-            Event::CandidateMeasured { retries, .. } => {
-                self.measured += 1;
-                self.retries += u64::from(retries);
-                if let Some(op) = self.operators.iter_mut().rev().find(|o| o.end.is_none()) {
-                    op.measured += 1;
-                }
-            }
-            Event::Quarantined { index, reason } => self.quarantines.push((index, reason)),
-            Event::CheckpointSaved { .. } => self.checkpoints += 1,
-            Event::StallFlagged { worker, path, stalled_ms, .. } => {
-                self.stalls.push((worker, path, stalled_ms));
-            }
-        }
-    }
-
-    /// The operator in flight (the most recent one without an end event).
-    pub fn in_flight(&self) -> Option<&OperatorFold> {
-        self.operators.iter().rev().find(|o| o.end.is_none())
     }
 }
 
@@ -243,15 +87,12 @@ impl Fold {
 struct Mailbox {
     ring: Mutex<VecDeque<Event>>,
     cap: usize,
-    /// Events delivered to this mailbox (including later-dropped ones).
-    received: AtomicU64,
     /// Events evicted because the consumer fell behind the ring capacity.
     dropped: AtomicU64,
 }
 
 impl Mailbox {
     fn push(&self, e: Event) {
-        self.received.fetch_add(1, Ordering::Relaxed);
         let mut ring = self.ring.lock();
         if ring.len() >= self.cap {
             ring.pop_front();
@@ -303,7 +144,6 @@ impl EventBus {
         let mailbox = Arc::new(Mailbox {
             ring: Mutex::new(VecDeque::new()),
             cap: cap.max(1),
-            received: AtomicU64::new(0),
             dropped: AtomicU64::new(0),
         });
         self.inner.subs.lock().push(Arc::clone(&mailbox));
@@ -347,10 +187,7 @@ pub struct Subscriber {
 
 impl std::fmt::Debug for Subscriber {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Subscriber")
-            .field("received", &self.received())
-            .field("dropped", &self.dropped())
-            .finish()
+        f.debug_struct("Subscriber").field("dropped", &self.dropped()).finish()
     }
 }
 
@@ -361,15 +198,9 @@ impl Subscriber {
         ring.drain(..).collect()
     }
 
-    /// Events delivered to this subscriber so far (including any that were
-    /// later evicted from the ring).
-    pub fn received(&self) -> u64 {
-        self.mailbox.received.load(Ordering::Relaxed)
-    }
-
     /// Events this subscriber lost to ring overflow. Anything non-zero
-    /// means drained data is a *sample*, not the full stream — exporters
-    /// surface this count instead of implying completeness.
+    /// means drained data is a *sample*, not the full stream — a reader
+    /// states this count instead of implying completeness.
     pub fn dropped(&self) -> u64 {
         self.mailbox.dropped.load(Ordering::Relaxed)
     }
@@ -388,6 +219,22 @@ impl Drop for Subscriber {
 mod tests {
     use super::*;
 
+    /// An event that carries a number.
+    fn nth(n: usize) -> Event {
+        Event::CheckpointSaved { done: n, total: 10 }
+    }
+
+    /// The numbers of drained [`nth`] events, in order.
+    fn numbers(sub: &Subscriber) -> Vec<usize> {
+        sub.drain()
+            .iter()
+            .map(|e| match e {
+                Event::CheckpointSaved { done, .. } => *done,
+                other => panic!("unexpected {other:?}"),
+            })
+            .collect()
+    }
+
     #[test]
     fn no_subscriber_never_builds_the_event() {
         let bus = EventBus::new();
@@ -401,20 +248,11 @@ mod tests {
         let bus = EventBus::new();
         let a = bus.subscribe(16);
         let b = bus.subscribe(16);
-        for size in [1usize, 2, 3] {
-            bus.emit_with(|| Event::WaveStart { size });
+        for n in [1usize, 2, 3] {
+            bus.emit_with(|| nth(n));
         }
         for sub in [&a, &b] {
-            let sizes: Vec<usize> = sub
-                .drain()
-                .iter()
-                .map(|e| match e {
-                    Event::WaveStart { size } => *size,
-                    other => panic!("unexpected {other:?}"),
-                })
-                .collect();
-            assert_eq!(sizes, vec![1, 2, 3]);
-            assert_eq!(sub.received(), 3);
+            assert_eq!(numbers(sub), vec![1, 2, 3]);
             assert_eq!(sub.dropped(), 0);
         }
     }
@@ -423,20 +261,11 @@ mod tests {
     fn ring_overflow_drops_oldest_and_counts() {
         let bus = EventBus::new();
         let sub = bus.subscribe(4);
-        for size in 0..10usize {
-            bus.emit(Event::WaveStart { size });
+        for n in 0..10usize {
+            bus.emit(nth(n));
         }
-        let kept: Vec<usize> = sub
-            .drain()
-            .iter()
-            .map(|e| match e {
-                Event::WaveStart { size } => *size,
-                other => panic!("unexpected {other:?}"),
-            })
-            .collect();
         // Latest-wins: the newest 4 survive, the oldest 6 are counted out.
-        assert_eq!(kept, vec![6, 7, 8, 9]);
-        assert_eq!(sub.received(), 10);
+        assert_eq!(numbers(&sub), vec![6, 7, 8, 9]);
         assert_eq!(sub.dropped(), 6);
     }
 
@@ -451,82 +280,18 @@ mod tests {
     }
 
     #[test]
-    fn deterministic_keys_exclude_host_timing() {
-        let lifecycle = Event::CandidateMeasured { index: 7, cycles: Some(42), retries: 1, worker: 3 };
-        let key = lifecycle.deterministic_key().unwrap();
-        assert!(key.contains('7') && key.contains("42"), "{key}");
-        // The worker id is scheduling noise and must not leak into the key.
-        let other_worker =
-            Event::CandidateMeasured { index: 7, cycles: Some(42), retries: 1, worker: 0 };
-        assert_eq!(other_worker.deterministic_key().unwrap(), key);
-        let host = Event::StallFlagged { worker: 0, index: 1, path: "x".into(), stalled_ms: 9 };
-        assert!(host.deterministic_key().is_none(), "{host:?}");
-    }
-
-    #[test]
-    fn live_fold_accounts_lifecycle() {
-        let mut l = Fold::default();
-        for e in [
-            Event::SweepStart { label: "s".into() },
-            Event::OperatorStart { label: "gemm".into(), candidates: 12 },
-            Event::WaveStart { size: 2 },
-            Event::CandidateMeasured { index: 0, cycles: Some(100), retries: 1, worker: 0 },
-            Event::CandidateMeasured { index: 1, cycles: None, retries: 2, worker: 1 },
-            Event::WaveEnd { measured: 1, failed: 1 },
-            Event::Quarantined { index: 0, reason: "illegal".into() },
-            Event::CheckpointSaved { done: 2, total: 12 },
-            Event::StallFlagged { worker: 1, index: 1, path: "gemm / t_m".into(), stalled_ms: 99 },
-        ] {
-            l.fold(e);
-        }
-        assert_eq!(l.in_flight().map(|o| (o.candidates, o.measured)), Some((12, 2)));
-        l.fold(Event::OperatorEnd {
+    fn progress_lines_name_every_decision() {
+        let end = |best_cycles| Event::OperatorEnd {
             label: "gemm".into(),
-            best_cycles: Some(100),
-            executed: 2,
-            quarantined: 1,
-        });
-        l.fold(Event::SweepEnd { label: "s".into() });
-        assert_eq!(l.sweeps, vec!["s".to_string()]);
-        let gemm = OperatorFold {
-            label: "gemm".into(),
-            candidates: 12,
-            measured: 2,
-            end: Some((Some(100), 2, 1)),
+            best_cycles,
+            executed: 3,
+            quarantined: 0,
         };
-        assert_eq!(l.operators, vec![gemm]);
-        assert!(l.in_flight().is_none());
-        assert_eq!((l.measured, l.failed, l.retries), (2, 1, 3));
-        assert_eq!(l.quarantines, vec![(0, "illegal".to_string())]);
-        assert_eq!(l.stalls, vec![(1, "gemm / t_m".to_string(), 99)]);
-        assert_eq!((l.waves, l.checkpoints), (1, 1));
-    }
-
-    #[test]
-    fn progress_lines_skip_per_candidate_volume() {
-        let line = |e: Event| e.progress_line();
         assert_eq!(
-            line(Event::OperatorEnd {
-                label: "gemm".into(),
-                best_cycles: Some(7),
-                executed: 3,
-                quarantined: 0
-            })
-            .as_deref(),
-            Some("tuned gemm: best 7 cycles (3 executed, 0 quarantined)")
+            end(Some(7)).progress_line(),
+            "tuned gemm: best 7 cycles (3 executed, 0 quarantined)"
         );
-        assert_eq!(
-            line(Event::OperatorEnd {
-                label: "gemm".into(),
-                best_cycles: None,
-                executed: 3,
-                quarantined: 0
-            })
-            .as_deref(),
-            Some("tuned gemm: no winner (3 executed)")
-        );
-        assert!(line(Event::WaveStart { size: 3 }).is_none());
-        assert!(line(Event::CandidateMeasured { index: 0, cycles: None, retries: 0, worker: 0 })
-            .is_none());
+        assert_eq!(end(None).progress_line(), "tuned gemm: no winner (3 executed)");
+        assert_eq!(nth(2).progress_line(), "checkpoint: 2/10 candidates settled");
     }
 }

@@ -115,14 +115,6 @@ fn measure_candidate(
     if let Err(e) = prevalidate(cfg, exe) {
         return (CandCell::Failed { error: e.to_string(), retries: 0 }, t.elapsed(), counters);
     }
-    if let Some(plan) = &cfg.fault {
-        // Injected stall for watchdog tests: burns host wall-clock only,
-        // before any simulated execution, so measured cycles — and hence
-        // every tuning decision — are bit-identical with or without it.
-        if plan.wedges(index as u64) {
-            std::thread::sleep(Duration::from_millis(u64::from(plan.wedge_ms)));
-        }
-    }
     let fault_active = cfg.fault.is_some();
     let jitter = cfg.fault.as_ref().is_some_and(|p| p.jitter_permille > 0);
     let repeats = if jitter { REPEATS } else { 1 };
@@ -233,7 +225,7 @@ pub(super) struct Engine<'a> {
     cfg: &'a MachineConfig,
     candidates: &'a [Candidate],
     /// Workers, tier and checkpoint policy, and the report-only telemetry
-    /// recorder, event bus and pool monitor (`None` = silent).
+    /// recorder and event bus (`None` = silent).
     opts: &'a TuneOptions,
     fingerprint: u64,
     pub(super) cells: Vec<CandCell>,
@@ -355,35 +347,21 @@ impl<'a> Engine<'a> {
             return;
         }
         self.eval_order.extend(todo.iter().copied());
-        self.emit(|| Event::WaveStart { size: todo.len() });
         let chunk = if self.opts.checkpoint.is_some() { CHECKPOINT_EVERY } else { usize::MAX };
         for part in todo.chunks(chunk.min(todo.len())) {
-            let results = pool::par_map_watched(
-                self.opts.jobs,
-                part,
-                self.opts.monitor.as_deref(),
-                |_, &i| (i, self.candidates[i].describe.clone()),
-                |worker, _, &i| {
-                    // Build (outside the span and `cpu`), measure, drop.
-                    let exe = self.candidates[i].exe.transient();
-                    let out = measure_instrumented(
-                        self.cfg,
-                        &self.candidates[i],
-                        &exe,
-                        i,
-                        self.opts.telemetry.as_ref(),
-                        worker,
-                        self.prediction(i),
-                    );
-                    self.emit(|| Event::CandidateMeasured {
-                        index: i,
-                        cycles: out.0.cycles().map(|c| c.get()),
-                        retries: out.0.retries(),
-                        worker,
-                    });
-                    out
-                },
-            );
+            let results = pool::par_map_watched(self.opts.jobs, part, |worker, _, &i| {
+                // Build (outside the span and `cpu`), measure, drop.
+                let exe = self.candidates[i].exe.transient();
+                measure_instrumented(
+                    self.cfg,
+                    &self.candidates[i],
+                    &exe,
+                    i,
+                    self.opts.telemetry.as_ref(),
+                    worker,
+                    self.prediction(i),
+                )
+            });
             for (&i, r) in part.iter().zip(results) {
                 self.cells[i] = match r {
                     Ok((cell, d)) => {
@@ -395,11 +373,6 @@ impl<'a> Engine<'a> {
             }
             self.save();
         }
-        self.emit(|| {
-            let measured =
-                todo.iter().filter(|&&i| matches!(self.cells[i], CandCell::Done { .. })).count();
-            Event::WaveEnd { measured, failed: todo.len() - measured }
-        });
     }
 
     fn save(&self) {

@@ -6,13 +6,11 @@
 
 use std::fmt;
 use std::path::PathBuf;
-use std::sync::Arc;
 use std::time::Duration;
 
 use sw26010::{Cycles, MachineError};
 
 use super::checkpoint::CandCell;
-use super::pool::PoolMonitor;
 use crate::scheduler::Candidate;
 use crate::telemetry::bus::EventBus;
 use crate::telemetry::Telemetry;
@@ -245,10 +243,6 @@ pub struct TuneOptions {
     /// and never feed tuning decisions, so results are bit-identical with
     /// or without one.
     pub bus: Option<EventBus>,
-    /// Utilization / stall-watchdog monitor for the worker
-    /// pool (see [`PoolMonitor`]). `None` (the default) spawns no watchdog
-    /// thread and records nothing. Report-only, like the bus.
-    pub monitor: Option<Arc<PoolMonitor>>,
 }
 
 impl TuneOptions {

@@ -22,14 +22,7 @@
 //! joined.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
-
-use parking_lot::Mutex;
-
-use crate::telemetry::bus::{Event, EventBus};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Number of worker threads the host makes available (the default for
 /// `--jobs`).
@@ -110,240 +103,26 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Watchdog configuration for [`PoolMonitor`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MonitorConfig {
-    /// An in-flight item older than this is flagged as stalled (once).
-    pub stall_after: Duration,
-}
-
-impl Default for MonitorConfig {
-    fn default() -> Self {
-        MonitorConfig { stall_after: Duration::from_secs(30) }
-    }
-}
-
-/// Per-worker utilization totals, exposed for `/metrics` and the flight
-/// report.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct WorkerStats {
-    /// Items this worker slot has finished.
-    pub items: u64,
-    /// Total host time the slot spent inside item bodies.
-    pub busy_ms: u64,
-}
-
-#[derive(Debug, Clone, Default)]
-struct WorkerSlot {
-    /// `(input index, knob description, started, already flagged)` of the
-    /// item currently in flight, if any.
-    current: Option<(usize, String, Instant, bool)>,
-    items: u64,
-    busy: Duration,
-}
-
-/// What the workers write and the watchdog thread reads.
-struct MonitorState {
-    cfg: MonitorConfig,
-    epoch: Instant,
-    /// Current operator context, prefixed onto stall paths.
-    context: Mutex<String>,
-    slots: Mutex<Vec<WorkerSlot>>,
-    bus: Option<EventBus>,
-    /// Set by [`PoolMonitor`]'s `Drop` to end the watchdog.
-    stop: AtomicBool,
-}
-
-impl MonitorState {
-    /// Flag every in-flight item older than `stall_after` (once each) as an
-    /// [`Event::StallFlagged`] on the bus, and return how long the watchdog
-    /// may sleep: until the earliest unflagged item in flight could cross
-    /// the threshold, or a whole `stall_after` when there is none — an item
-    /// that begins during the sleep cannot be due before it ends.
-    fn flag_stalls(&self) -> Duration {
-        let context = self.context.lock().clone();
-        let mut fresh: Vec<Event> = Vec::new();
-        let mut sleep = self.cfg.stall_after;
-        for (worker, slot) in self.slots.lock().iter_mut().enumerate() {
-            let Some((index, knobs, since, flagged)) = &mut slot.current else { continue };
-            if *flagged {
-                continue;
-            }
-            let age = since.elapsed();
-            if age < self.cfg.stall_after {
-                sleep = sleep.min(self.cfg.stall_after - age);
-                continue;
-            }
-            *flagged = true;
-            let path =
-                if context.is_empty() { knobs.clone() } else { format!("{context} / {knobs}") };
-            let stalled_ms = age.as_millis() as u64;
-            fresh.push(Event::StallFlagged { worker, index: *index, path, stalled_ms });
-        }
-        // Emitted once the slots are unlocked: no worker waits on a
-        // subscriber's mailbox.
-        if let Some(bus) = &self.bus {
-            fresh.into_iter().for_each(|e| bus.emit(e));
-        }
-        sleep
-    }
-}
-
-/// Host-side utilization / stall accounting for the worker pool. Purely
-/// observational: it is written around item bodies (never inside the
-/// simulated execution), so attaching one cannot change measured cycles or
-/// tuning decisions. Workers mark progress with [`PoolMonitor::begin`] /
-/// [`PoolMonitor::finish`]; one watchdog thread, alive from
-/// [`PoolMonitor::new`] until the monitor is dropped, flags any item in
-/// flight longer than [`MonitorConfig::stall_after`] — once per item, with
-/// the span path (operator context + candidate knobs) an operator needs to
-/// find the wedge. The watchdog sleeps until an item could be due, so a
-/// monitor over a healthy pool costs the workers two short critical
-/// sections per item and nothing else.
-pub struct PoolMonitor {
-    state: Arc<MonitorState>,
-    /// `Some` until `Drop` joins it.
-    watchdog: Option<JoinHandle<()>>,
-}
-
-impl std::fmt::Debug for PoolMonitor {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PoolMonitor").field("cfg", &self.state.cfg).finish()
-    }
-}
-
-impl PoolMonitor {
-    /// Start monitoring: spawns the watchdog thread, which publishes
-    /// [`Event::StallFlagged`] on `bus` when one is given.
-    pub fn new(cfg: MonitorConfig, bus: Option<EventBus>) -> PoolMonitor {
-        let state = Arc::new(MonitorState {
-            cfg,
-            epoch: Instant::now(),
-            context: Mutex::new(String::new()),
-            slots: Mutex::new(Vec::new()),
-            bus,
-            stop: AtomicBool::new(false),
-        });
-        let watched = Arc::clone(&state);
-        let watchdog = std::thread::Builder::new()
-            .name("swatop-watchdog".into())
-            .spawn(move || {
-                // `Drop` sets `stop` and then unparks: the park token makes
-                // the wake-up stick even when it lands before the park. The
-                // floor keeps a zero `stall_after` from spinning.
-                while !watched.stop.load(Ordering::Acquire) {
-                    let due = watched.flag_stalls().max(Duration::from_millis(1));
-                    std::thread::park_timeout(due);
-                }
-            })
-            .expect("spawn the stall watchdog");
-        PoolMonitor { state, watchdog: Some(watchdog) }
-    }
-
-    /// Set the operator context prefixed onto stall span paths (e.g. the
-    /// operator label currently being tuned).
-    pub fn set_context(&self, context: &str) {
-        *self.state.context.lock() = context.to_string();
-    }
-
-    /// Mark `worker` as having claimed item `index` described by `knobs`.
-    pub fn begin(&self, worker: usize, index: usize, knobs: impl Into<String>) {
-        let current = Some((index, knobs.into(), Instant::now(), false));
-        let mut slots = self.state.slots.lock();
-        if slots.len() <= worker {
-            slots.resize(worker + 1, WorkerSlot::default());
-        }
-        slots[worker].current = current;
-    }
-
-    /// Mark `worker` as having finished its in-flight item.
-    pub fn finish(&self, worker: usize) {
-        let mut slots = self.state.slots.lock();
-        if let Some(slot) = slots.get_mut(worker) {
-            if let Some((_, _, since, _)) = slot.current.take() {
-                slot.busy += since.elapsed();
-                slot.items += 1;
-            }
-        }
-    }
-
-    /// Per-worker utilization totals. In-flight time counts as busy so a
-    /// wedged worker reads as saturated, not idle.
-    pub fn worker_stats(&self) -> Vec<WorkerStats> {
-        self.state
-            .slots
-            .lock()
-            .iter()
-            .map(|s| {
-                let mut busy = s.busy;
-                if let Some((_, _, since, _)) = &s.current {
-                    busy += since.elapsed();
-                }
-                WorkerStats { items: s.items, busy_ms: busy.as_millis() as u64 }
-            })
-            .collect()
-    }
-
-    /// Host milliseconds since the monitor was created (the utilization
-    /// denominator).
-    pub fn elapsed_ms(&self) -> u64 {
-        self.state.epoch.elapsed().as_millis() as u64
-    }
-}
-
-impl Drop for PoolMonitor {
-    fn drop(&mut self) {
-        self.state.stop.store(true, Ordering::Release);
-        if let Some(watchdog) = self.watchdog.take() {
-            watchdog.thread().unpark();
-            // Nothing to report from `Drop`: a watchdog panic has already
-            // printed itself.
-            let _ = watchdog.join();
-        }
-    }
-}
-
-/// [`par_map`] with per-item panic isolation and, when `monitor` is given,
-/// utilization accounting and stall detection around each item. A panicking
-/// `f` yields `Err(message)` for that item instead of tearing down the
-/// worker pool (and the tuning run) — one poisoned candidate must not kill a
-/// sweep. Panics are caught on the worker via `catch_unwind`, so the claim
-/// loop keeps draining items afterwards; determinism is untouched because
-/// the error, like any result, is stored at the item's input index.
-/// `label(i, &items[i])` gives an item's stall-report identity and its knob
-/// description — the identity names the item in the caller's own terms (the
-/// candidate *input* index for tuner waves, which need not be the item's
-/// position in this slice); it is only called when a monitor is attached.
-pub fn par_map_watched<T, R, F, K>(
-    jobs: usize,
-    items: &[T],
-    monitor: Option<&PoolMonitor>,
-    label: K,
-    f: F,
-) -> Vec<Result<R, String>>
+/// [`par_map`] with per-item panic isolation. A panicking `f` yields
+/// `Err(message)` for that item instead of tearing down the worker pool
+/// (and the tuning run) — one poisoned candidate must not kill a sweep.
+/// Panics are caught on the worker via `catch_unwind`, so the claim loop
+/// keeps draining items afterwards; determinism is untouched because the
+/// error, like any result, is stored at the item's input index.
+pub fn par_map_watched<T, R, F>(jobs: usize, items: &[T], f: F) -> Vec<Result<R, String>>
 where
     T: Sync,
     R: Send,
     F: Fn(usize, usize, &T) -> R + Sync,
-    K: Fn(usize, &T) -> (usize, String) + Sync,
 {
     par_map(jobs, items, |w, i, x| {
-        if let Some(m) = monitor {
-            let (id, knobs) = label(i, x);
-            m.begin(w, id, knobs);
-        }
-        let r = catch_unwind(AssertUnwindSafe(|| f(w, i, x))).map_err(panic_message);
-        if let Some(m) = monitor {
-            m.finish(w);
-        }
-        r
+        catch_unwind(AssertUnwindSafe(|| f(w, i, x))).map_err(panic_message)
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::telemetry::bus::Subscriber;
 
     #[test]
     fn results_are_input_ordered_for_any_job_count() {
@@ -376,7 +155,7 @@ mod tests {
         let hook = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));
         let run = |jobs| {
-            par_map_watched(jobs, &items, None, |i, _| (i, String::new()), |_, _, &x| {
+            par_map_watched(jobs, &items, |_, _, &x| {
                 if x % 7 == 3 {
                     panic!("poisoned item {x}");
                 }
@@ -418,121 +197,5 @@ mod tests {
         assert_eq!(resolve_jobs(Some(0)), available_jobs());
         assert_eq!(resolve_jobs(Some(3)), 3);
         assert!(available_jobs() >= 1);
-    }
-
-    /// A monitor whose watchdog publishes on a bus, and a subscriber that
-    /// reads what it flags.
-    fn watched_monitor(stall_after: Duration) -> (PoolMonitor, Subscriber) {
-        let bus = EventBus::new();
-        let sub = bus.subscribe(64);
-        (PoolMonitor::new(MonitorConfig { stall_after }, Some(bus)), sub)
-    }
-
-    #[test]
-    fn monitor_accounts_utilization_and_watched_preserves_results() {
-        let (m, sub) = watched_monitor(Duration::from_secs(60));
-        m.set_context("unit");
-        let items: Vec<usize> = (0..40).collect();
-        let label = |i: usize, _: &usize| (i, format!("item {i}"));
-        let baseline = par_map_watched(4, &items, None, label, |_, i, &x| i + x);
-        let watched_run = par_map_watched(4, &items, Some(&m), label, |_, i, &x| i + x);
-        assert_eq!(baseline, watched_run);
-        let stats = m.worker_stats();
-        assert_eq!(stats.iter().map(|s| s.items).sum::<u64>(), items.len() as u64);
-        assert!(sub.drain().is_empty(), "clean run must not flag stalls");
-    }
-
-    /// The watchdog belongs to the monitor, not to the wave: a wave costs no
-    /// thread spawn and no sleep, however small it is.
-    #[test]
-    fn one_item_waves_do_not_wait_for_the_watchdog() {
-        let m = PoolMonitor::new(MonitorConfig::default(), None);
-        let t = Instant::now();
-        let label = |_: usize, &x: &usize| (x, String::new());
-        for wave in 0..200usize {
-            let out = par_map_watched(2, &[wave], Some(&m), label, |_, _, &x| x);
-            assert_eq!(out, vec![Ok(wave)]);
-        }
-        assert!(t.elapsed() < Duration::from_secs(1), "200 waves took {:?}", t.elapsed());
-        assert_eq!(m.worker_stats().iter().map(|s| s.items).sum::<u64>(), 200);
-    }
-
-    /// The watchdog's sleep is interruptible: dropping the monitor does not
-    /// wait out `stall_after`.
-    #[test]
-    fn dropping_the_monitor_wakes_and_joins_the_watchdog() {
-        let m = PoolMonitor::new(MonitorConfig { stall_after: Duration::from_secs(30) }, None);
-        let t = Instant::now();
-        drop(m);
-        assert!(t.elapsed() < Duration::from_millis(100), "drop took {:?}", t.elapsed());
-    }
-
-    #[test]
-    fn watchdog_flags_a_wedged_item_once_with_its_path() {
-        let (m, sub) = watched_monitor(Duration::from_millis(20));
-        m.set_context("gemm 64x64x64");
-        m.begin(1, 7, "dbuf=true, coal=false");
-        assert!(sub.drain().is_empty(), "flagged before stall_after");
-        std::thread::sleep(Duration::from_millis(30));
-        // The watchdog thread has flagged it by now or this sample does; a
-        // second sample must not double-flag the same item.
-        m.state.flag_stalls();
-        m.state.flag_stalls();
-        let stalls = sub.drain();
-        assert_eq!(stalls.len(), 1, "{stalls:?}");
-        let Event::StallFlagged { worker, index, path, stalled_ms } = &stalls[0] else {
-            panic!("not a stall: {stalls:?}");
-        };
-        assert_eq!((*worker, *index), (1, 7));
-        assert!(path.contains("gemm 64x64x64"), "{path}");
-        assert!(path.contains("dbuf=true"), "{path}");
-        assert!(*stalled_ms >= 20);
-        m.finish(1);
-        m.state.flag_stalls();
-        assert!(sub.drain().is_empty(), "finished item must not re-flag");
-    }
-
-    /// What the watchdog sleeps for: a whole `stall_after` over an idle
-    /// pool, the time left to the oldest unflagged item otherwise.
-    #[test]
-    fn the_watchdog_sleeps_until_an_item_could_be_due() {
-        let stall_after = Duration::from_secs(30);
-        let m = PoolMonitor::new(MonitorConfig { stall_after }, None);
-        assert_eq!(m.state.flag_stalls(), stall_after);
-        m.begin(0, 1, "a");
-        std::thread::sleep(Duration::from_millis(5));
-        m.begin(1, 2, "b");
-        let sleep = m.state.flag_stalls();
-        assert!(sleep <= stall_after - Duration::from_millis(5), "{sleep:?}");
-        assert!(sleep > stall_after - Duration::from_secs(5), "{sleep:?}");
-        m.finish(0);
-        m.finish(1);
-        assert_eq!(m.state.flag_stalls(), stall_after);
-    }
-
-    #[test]
-    fn monitor_panicking_item_still_clears_the_slot() {
-        let (m, sub) = watched_monitor(Duration::from_millis(20));
-        let items = [1u32, 2, 3];
-        let hook = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
-        let out = par_map_watched(
-            1,
-            &items,
-            Some(&m),
-            |i, _| (i, format!("item {i}")),
-            |_, _, &x| {
-                if x == 2 {
-                    panic!("boom");
-                }
-                x
-            },
-        );
-        std::panic::set_hook(hook);
-        assert!(out[1].is_err());
-        // finish() ran even for the panicking item: no slot left in flight.
-        std::thread::sleep(Duration::from_millis(30));
-        m.state.flag_stalls();
-        assert!(sub.drain().is_empty(), "cleared slot flagged as stalled");
     }
 }

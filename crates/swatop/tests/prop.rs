@@ -140,8 +140,6 @@ proptest! {
             spm_pressure_ppm: pressure_ppm,
             spm_steal_max_permille: steal,
             jitter_permille: jitter,
-            wedge_run: None,
-            wedge_ms: 0,
         };
         let mut a = plan.session(run, attempt);
         let mut b = plan.session(run, attempt);

@@ -735,8 +735,6 @@ fn cost_only_results_under_a_fault_plan_equal_the_recorded_ones() {
             spm_pressure_ppm: 400_000,
             spm_steal_max_permille: 999,
             jitter_permille: 20,
-            wedge_run: None,
-            wedge_ms: 0,
         }),
         ..MachineConfig::default()
     };
@@ -1027,8 +1025,6 @@ fn extrapolation_fires_on_brute_force_spaces_and_never_under_faults_traces_or_fu
             spm_pressure_ppm: 0,
             spm_steal_max_permille: 0,
             jitter_permille: 0,
-            wedge_run: None,
-            wedge_ms: 0,
         }),
         ..MachineConfig::default()
     };

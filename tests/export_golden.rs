@@ -4,7 +4,7 @@
 //! `sw26010::json::Writer`, so a port that moves a byte fails here.
 //!
 //! The run: gemm 40×24×16, `TierPolicy::top_k(3)`, jobs 1, a validator that
-//! rejects one candidate in seven, `Telemetry` and an event bus attached;
+//! rejects one candidate in seven, `Telemetry` attached;
 //! then the profile of the winner, its diff against candidate 0, and a
 //! checkpoint whose `Failed` error holds every character class the string
 //! escaper distinguishes.
@@ -14,8 +14,7 @@
 //! telemetry snapshot and the run's trace carry wall-clock and
 //! process-global values; there the volatile values are masked in the text
 //! and the documents compared as parsed values (`json::parse` keeps number
-//! text and key order). `/metrics` is compared line by line with the values
-//! of the clock- and process-global series blanked. Every trace document is
+//! text and key order). Every trace document is
 //! also held to the trace-event rules per thread: no timestamp goes back,
 //! slices nest or are disjoint, and every `B` has its `E`.
 //!
@@ -32,7 +31,6 @@
 
 use std::collections::{BTreeMap, HashMap};
 use std::path::PathBuf;
-use std::sync::Arc;
 
 use swatop_repro::sw26010::json::{parse, Json};
 use swatop_repro::sw26010::MachineConfig;
@@ -43,11 +41,8 @@ use swatop_repro::swatop::profiler::{
     trace_json,
 };
 use swatop_repro::swatop::scheduler::{Candidate, Operator, Scheduler};
-use swatop_repro::swatop::telemetry::bus::EventBus;
-use swatop_repro::swatop::telemetry::metrics::MetricsHub;
 use swatop_repro::swatop::telemetry::{SpanKind, Telemetry};
 use swatop_repro::swatop::tuner::checkpoint::{fingerprint, render, CandCell};
-use swatop_repro::swatop::tuner::pool::{MonitorConfig, PoolMonitor};
 use swatop_repro::swatop::tuner::{tune, TierPolicy, TuneOptions};
 
 /// How an artifact is held against its golden file.
@@ -56,8 +51,6 @@ enum Check {
     Bytes,
     /// Mask the volatile values, then compare as parsed JSON.
     MaskedJson,
-    /// Blank the values of clock- and process-global series.
-    Prometheus,
 }
 
 /// Every artifact of the run as `(golden file, text, check)`.
@@ -68,19 +61,11 @@ fn artifacts() -> Vec<(&'static str, String, Check)> {
     let cands = Scheduler::new(cfg.clone()).enumerate(&op);
 
     let tel = Telemetry::new();
-    let bus = EventBus::new();
-    // The monitor feeds the per-worker families; it is given to the hub only,
-    // so they hold this one item and not whatever workers the tune used.
-    let monitor = Arc::new(PoolMonitor::new(MonitorConfig::default(), None));
-    monitor.begin(0, 3, "dbuf=true");
-    monitor.finish(0);
-    let hub = MetricsHub::new(&bus, Some(monitor), 1 << 14);
     let op_span = tel.open(SpanKind::Operator, op.name());
     let opts = TuneOptions {
         jobs: 1,
         telemetry: Some(tel.child_of(op_span)),
         tiers: TierPolicy::top_k(3),
-        bus: Some(bus.clone()),
         ..TuneOptions::default()
     };
     // Pure in the index; rejects the model's first pick (398) and accepts
@@ -95,7 +80,6 @@ fn artifacts() -> Vec<(&'static str, String, Check)> {
     let outcome = tune(&cfg, &cands, &opts, Some(&sevenths)).expect("the space tunes");
     assert_eq!((outcome.best, outcome.quarantined), (414, 1));
     tel.close(op_span);
-    hub.note_truncated("trace.json");
 
     let winner = profile_candidate(&cfg, &op.name(), outcome.best, &cands[outcome.best]).unwrap();
     let first = profile_candidate(&cfg, &op.name(), 0, &cands[0]).unwrap();
@@ -124,7 +108,6 @@ fn artifacts() -> Vec<(&'static str, String, Check)> {
         ("checkpoint.json", render(fingerprint(&cfg, cells.len()), &cells), Bytes),
         ("snapshot_peaks.json", summary.snapshot_json(), MaskedJson),
         ("trace_run.json", trace_json(Some(&summary), &[&winner], cfg.clock_ghz), MaskedJson),
-        ("metrics.prom", hub.prometheus_text(), Prometheus),
     ]
 }
 
@@ -170,30 +153,6 @@ fn mask_json(text: &str) -> String {
     out
 }
 
-/// Families whose sample values move with the host clock or with whatever
-/// else this process has tuned so far.
-const VOLATILE_SERIES: [&str; 6] = [
-    "swatop_cache_hits_total",
-    "swatop_cache_misses_total",
-    "swatop_cache_entries",
-    "swatop_candidates_per_sec",
-    "swatop_eta_seconds",
-    "swatop_worker_utilization",
-];
-
-/// The exposition with the value of every volatile sample replaced by `_`.
-fn blank_prometheus(text: &str) -> String {
-    text.lines()
-        .map(|line| {
-            let family = line.split(['{', ' ']).next().unwrap_or("");
-            match line.rsplit_once(' ') {
-                Some((series, _)) if VOLATILE_SERIES.contains(&family) => format!("{series} _\n"),
-                _ => format!("{line}\n"),
-            }
-        })
-        .collect()
-}
-
 #[test]
 fn every_export_equals_its_recorded_golden() {
     let golden_dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/exports");
@@ -203,12 +162,11 @@ fn every_export_equals_its_recorded_golden() {
         let got = match check {
             Check::Bytes => text,
             Check::MaskedJson => mask_json(&text),
-            Check::Prometheus => blank_prometheus(&text),
         };
         let want = std::fs::read_to_string(golden_dir.join(name)).unwrap_or_default();
         let same = match check {
             Check::MaskedJson => Some(parse(&got).expect("export parses")) == parse(&want).ok(),
-            _ => got == want,
+            Check::Bytes => got == want,
         };
         if !same {
             std::fs::create_dir_all(&scratch).expect("scratch dir");
@@ -232,10 +190,6 @@ fn masking_touches_only_the_volatile_values() {
         mask_json(text),
         "{\"wall_us\":0,\"a\":[{\"ts\":0,\"dur\":0}],\"track\":0,\n\
          \"caches\":{},\"label\":\"ts\",\"tid\":0}"
-    );
-    assert_eq!(
-        blank_prometheus("# TYPE swatop_eta_seconds gauge\nswatop_eta_seconds 0.2\nswatop_waves_total 2\n"),
-        "# TYPE swatop_eta_seconds gauge\nswatop_eta_seconds _\nswatop_waves_total 2\n"
     );
 }
 
