@@ -147,6 +147,19 @@ impl SchedulePoint {
         idx
     }
 
+    /// Step to the next point in index order — the last knob fastest — in
+    /// place. Past the last point it wraps to the first and returns false.
+    pub fn advance(&mut self, space: &ScheduleSpace) -> bool {
+        for (s, k) in self.sel.iter_mut().zip(&space.knobs).rev() {
+            *s += 1;
+            if *s < k.arity() {
+                return true;
+            }
+            *s = 0;
+        }
+        false
+    }
+
     /// The per-knob candidate indices, in knob order.
     pub fn sel(&self) -> &[usize] {
         &self.sel
@@ -226,6 +239,20 @@ mod tests {
             let p = s.point(i);
             assert_eq!(p.index(&s), i);
         }
+    }
+
+    #[test]
+    fn advance_walks_the_points_in_index_order() {
+        let s = demo_space();
+        let mut p = s.point(0);
+        for i in 1..s.size() {
+            assert!(p.advance(&s));
+            assert_eq!(p, s.point(i));
+        }
+        assert!(!p.advance(&s));
+        assert_eq!(p, s.point(0));
+        let empty = ScheduleSpace::new();
+        assert!(!empty.point(0).advance(&empty));
     }
 
     #[test]

@@ -23,18 +23,165 @@ pub enum AVar {
     Cid,
 }
 
+/// Terms an expression holds in place; more spill to the heap.
+const INLINE: usize = 4;
+/// Inline variable codes: a loop id below `RID_CODE` is its own code, then
+/// `rid` and `cid` — so code order is [`AVar`] order.
+const RID_CODE: u8 = 254;
+const CID_CODE: u8 = 255;
+
 /// An affine expression `Σ coeff·var + constant` (i64 arithmetic).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
+///
+/// The terms are sorted by variable, deduplicated and zero-free. Up to four
+/// of them live inline, a `u8` variable code and an `i32` coefficient each,
+/// whenever every one fits (loop ids below 254, coefficients within `i32`);
+/// otherwise they spill to one boxed slice. The form is a function of the
+/// value — inline whenever it fits, unused slots zero — so the derived
+/// equality and hash compare values. Arithmetic builds its result on the
+/// stack and allocates only the slice of a spilled result.
+#[derive(Clone, PartialEq, Eq, Hash)]
 pub struct AffineExpr {
-    /// Sorted, deduplicated, zero-free terms.
-    terms: Vec<(AVar, i64)>,
+    terms: Store,
     constant: i64,
+}
+
+#[derive(Clone, PartialEq, Eq, Hash)]
+enum Store {
+    Inline { len: u8, vars: [u8; INLINE], coeffs: [i32; INLINE] },
+    Spilled(Box<[(AVar, i64)]>),
+}
+
+impl Store {
+    const EMPTY: Store = Store::Inline { len: 0, vars: [0; INLINE], coeffs: [0; INLINE] };
+
+    /// The inline form of canonical `terms`, if they fit in it.
+    fn inline(terms: &[(AVar, i64)]) -> Option<Store> {
+        if terms.len() > INLINE {
+            return None;
+        }
+        let (mut vars, mut coeffs) = ([0; INLINE], [0; INLINE]);
+        for (i, &(v, c)) in terms.iter().enumerate() {
+            vars[i] = code(v)?;
+            coeffs[i] = i32::try_from(c).ok()?;
+        }
+        Some(Store::Inline { len: terms.len() as u8, vars, coeffs })
+    }
+}
+
+/// The inline code of `v`, if it has one.
+fn code(v: AVar) -> Option<u8> {
+    match v {
+        AVar::Loop(id) => u8::try_from(id).ok().filter(|&code| code < RID_CODE),
+        AVar::Rid => Some(RID_CODE),
+        AVar::Cid => Some(CID_CODE),
+    }
+}
+
+fn decode(code: u8) -> AVar {
+    match code {
+        RID_CODE => AVar::Rid,
+        CID_CODE => AVar::Cid,
+        id => AVar::Loop(usize::from(id)),
+    }
+}
+
+/// Terms under construction: on the stack when at most `STACK` can arise,
+/// else on the heap, where the spilled result takes the buffer over.
+enum Buf {
+    Stack([(AVar, i64); STACK], usize),
+    Heap(Vec<(AVar, i64)>),
+}
+
+const STACK: usize = 8;
+
+impl Buf {
+    fn with_capacity(n: usize) -> Buf {
+        if n <= STACK {
+            Buf::Stack([(AVar::Rid, 0); STACK], 0)
+        } else {
+            Buf::Heap(Vec::with_capacity(n))
+        }
+    }
+
+    fn push(&mut self, t: (AVar, i64)) {
+        match self {
+            Buf::Stack(buf, len) => {
+                buf[*len] = t;
+                *len += 1;
+            }
+            Buf::Heap(buf) => buf.push(t),
+        }
+    }
+
+    fn as_mut_slice(&mut self) -> &mut [(AVar, i64)] {
+        match self {
+            Buf::Stack(buf, len) => &mut buf[..*len],
+            Buf::Heap(buf) => buf,
+        }
+    }
+
+    fn truncate(&mut self, n: usize) {
+        match self {
+            Buf::Stack(_, len) => *len = n,
+            Buf::Heap(buf) => buf.truncate(n),
+        }
+    }
+
+    /// The expression of these canonical terms plus `constant`.
+    fn finish(self, constant: i64) -> AffineExpr {
+        let terms = match self {
+            Buf::Stack(buf, len) => {
+                let terms = &buf[..len];
+                Store::inline(terms).unwrap_or_else(|| Store::Spilled(terms.into()))
+            }
+            Buf::Heap(buf) => {
+                Store::inline(&buf).unwrap_or_else(|| Store::Spilled(buf.into_boxed_slice()))
+            }
+        };
+        AffineExpr { terms, constant }
+    }
+}
+
+/// The terms of an [`AffineExpr`], in variable order.
+#[derive(Clone)]
+pub struct Terms<'a>(TermIter<'a>);
+
+#[derive(Clone)]
+enum TermIter<'a> {
+    Inline(std::iter::Zip<std::slice::Iter<'a, u8>, std::slice::Iter<'a, i32>>),
+    Spilled(std::slice::Iter<'a, (AVar, i64)>),
+}
+
+impl Iterator for Terms<'_> {
+    type Item = (AVar, i64);
+
+    fn next(&mut self) -> Option<(AVar, i64)> {
+        match &mut self.0 {
+            TermIter::Inline(it) => it.next().map(|(&code, &c)| (decode(code), i64::from(c))),
+            TermIter::Spilled(it) => it.next().copied(),
+        }
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        match &self.0 {
+            TermIter::Inline(it) => it.size_hint(),
+            TermIter::Spilled(it) => it.size_hint(),
+        }
+    }
+}
+
+impl ExactSizeIterator for Terms<'_> {}
+
+impl fmt::Debug for Terms<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.clone()).finish()
+    }
 }
 
 impl AffineExpr {
     /// The constant expression `c`.
     pub fn konst(c: i64) -> Self {
-        AffineExpr { terms: Vec::new(), constant: c }
+        AffineExpr { terms: Store::EMPTY, constant: c }
     }
 
     /// The expression `0`.
@@ -44,7 +191,7 @@ impl AffineExpr {
 
     /// The single-variable expression `v`.
     pub fn var(v: AVar) -> Self {
-        AffineExpr { terms: vec![(v, 1)], constant: 0 }
+        Self::from_terms([(v, 1)], 0)
     }
 
     /// The loop-variable expression `varᵢ`.
@@ -53,87 +200,84 @@ impl AffineExpr {
     }
 
     /// `Σ coeff·var + constant` over `terms` in any order, repeats summed —
-    /// built with one allocation of exactly the nonzero terms, where a chain
-    /// of [`AffineExpr::add_term`] copies the expression at every step.
+    /// built in one place, where a chain of [`AffineExpr::add_term`] builds
+    /// an expression at every step.
     pub fn from_terms<I>(terms: I, constant: i64) -> Self
     where
         I: IntoIterator<Item = (AVar, i64)>,
         I::IntoIter: Clone,
     {
         let terms = terms.into_iter().filter(|&(_, c)| c != 0);
-        let mut out = Vec::with_capacity(terms.clone().count());
-        out.extend(terms);
-        out.sort_unstable_by_key(|&(v, _)| v);
-        // `dedup_by` hands over (later, earlier kept): fold the later in.
-        out.dedup_by(|later, kept| later.0 == kept.0 && { kept.1 += later.1; true });
-        out.retain(|&(_, c)| c != 0);
-        AffineExpr { terms: out, constant }
+        let mut buf = Buf::with_capacity(terms.clone().count());
+        terms.for_each(|t| buf.push(t));
+        let s = buf.as_mut_slice();
+        s.sort_unstable_by_key(|&(v, _)| v);
+        // Fold each run of one variable into its first term, then drop the
+        // runs that summed to zero.
+        let mut runs = usize::from(!s.is_empty());
+        for i in 1..s.len() {
+            if s[runs - 1].0 == s[i].0 {
+                s[runs - 1].1 += s[i].1;
+            } else {
+                s[runs] = s[i];
+                runs += 1;
+            }
+        }
+        let mut kept = 0;
+        for i in 0..runs {
+            if s[i].1 != 0 {
+                s[kept] = s[i];
+                kept += 1;
+            }
+        }
+        buf.truncate(kept);
+        buf.finish(constant)
     }
 
     pub fn constant(&self) -> i64 {
         self.constant
     }
 
-    pub fn terms(&self) -> &[(AVar, i64)] {
-        &self.terms
+    /// The terms `(var, coeff)`, sorted by variable, none with a zero
+    /// coefficient.
+    pub fn terms(&self) -> Terms<'_> {
+        Terms(match &self.terms {
+            Store::Inline { len, vars, coeffs } => {
+                let len = usize::from(*len);
+                TermIter::Inline(vars[..len].iter().zip(&coeffs[..len]))
+            }
+            Store::Spilled(terms) => TermIter::Spilled(terms.iter()),
+        })
     }
 
     /// Coefficient of `v` (0 if absent).
     pub fn coeff(&self, v: AVar) -> i64 {
-        self.terms.iter().find(|(t, _)| *t == v).map_or(0, |(_, c)| *c)
+        match &self.terms {
+            Store::Inline { len, vars, coeffs } => {
+                let Some(code) = code(v) else { return 0 };
+                let at = vars[..usize::from(*len)].iter().position(|&x| x == code);
+                at.map_or(0, |i| i64::from(coeffs[i]))
+            }
+            Store::Spilled(terms) => terms.iter().find(|t| t.0 == v).map_or(0, |t| t.1),
+        }
     }
 
     /// `self + other`: a merge of the two sorted term lists.
     pub fn add(&self, other: &AffineExpr) -> AffineExpr {
-        let (a, b) = (&self.terms, &other.terms);
-        let mut terms = Vec::with_capacity(a.len() + b.len());
-        let (mut i, mut j) = (0, 0);
-        while i < a.len() && j < b.len() {
-            match a[i].0.cmp(&b[j].0) {
-                Ordering::Less => {
-                    terms.push(a[i]);
-                    i += 1;
-                }
-                Ordering::Greater => {
-                    terms.push(b[j]);
-                    j += 1;
-                }
-                Ordering::Equal => {
-                    let c = a[i].1 + b[j].1;
-                    if c != 0 {
-                        terms.push((a[i].0, c));
-                    }
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        terms.extend_from_slice(&a[i..]);
-        terms.extend_from_slice(&b[j..]);
-        AffineExpr { terms, constant: self.constant + other.constant }
+        merge(self.terms(), other.terms(), self.constant + other.constant)
     }
 
     /// `self + c`.
     pub fn add_const(&self, c: i64) -> AffineExpr {
-        let mut e = self.clone();
-        e.constant += c;
-        e
+        AffineExpr { terms: self.terms.clone(), constant: self.constant + c }
     }
 
     /// `self + coeff·v`.
     pub fn add_term(&self, v: AVar, coeff: i64) -> AffineExpr {
-        let mut e = self.clone();
         if coeff == 0 {
-            return e;
+            return self.clone();
         }
-        match e.terms.binary_search_by_key(&v, |&(t, _)| t) {
-            Ok(i) if e.terms[i].1 + coeff == 0 => {
-                e.terms.remove(i);
-            }
-            Ok(i) => e.terms[i].1 += coeff,
-            Err(i) => e.terms.insert(i, (v, coeff)),
-        }
-        e
+        merge(self.terms(), [(v, coeff)].into_iter(), self.constant)
     }
 
     /// `self · c`.
@@ -141,10 +285,9 @@ impl AffineExpr {
         if c == 0 {
             return AffineExpr::zero();
         }
-        AffineExpr {
-            terms: self.terms.iter().map(|&(v, k)| (v, k * c)).collect(),
-            constant: self.constant * c,
-        }
+        let mut buf = Buf::with_capacity(self.terms().len());
+        self.terms().for_each(|(v, k)| buf.push((v, k * c)));
+        buf.finish(self.constant * c)
     }
 
     /// Substitute loop variable `var` by expression `by` (affine closure).
@@ -153,36 +296,41 @@ impl AffineExpr {
         if coeff == 0 {
             return self.clone();
         }
-        let rest = self.terms.iter().copied().filter(|&(v, _)| v != AVar::Loop(var));
-        let scaled = by.terms.iter().map(|&(v, c)| (v, c * coeff));
+        let rest = self.terms().filter(|&(v, _)| v != AVar::Loop(var));
+        let scaled = by.terms().map(|(v, c)| (v, c * coeff));
         AffineExpr::from_terms(rest.chain(scaled), self.constant + coeff * by.constant)
     }
 
     /// Substitute a constant for each `(var, value)` of `values`: what a
-    /// chain of [`AffineExpr::subst`] by constants gives, in one allocation.
+    /// chain of [`AffineExpr::subst`] by constants gives, built once.
     pub fn subst_consts(&self, values: &[(VarId, i64)]) -> AffineExpr {
         let value = |v: AVar| match v {
             AVar::Loop(i) => values.iter().find(|&&(x, _)| x == i).map(|&(_, k)| k),
             AVar::Rid | AVar::Cid => None,
         };
         let constant =
-            self.terms.iter().fold(self.constant, |acc, &(v, c)| acc + value(v).map_or(0, |k| c * k));
-        let rest = self.terms.iter().copied().filter(|&(v, _)| value(v).is_none());
+            self.terms().fold(self.constant, |acc, (v, c)| acc + value(v).map_or(0, |k| c * k));
+        let rest = self.terms().filter(|&(v, _)| value(v).is_none());
         AffineExpr::from_terms(rest, constant)
     }
 
     /// Evaluate under an environment plus mesh coordinates.
     pub fn eval(&self, env: &Env, rid: i64, cid: i64) -> i64 {
-        let mut acc = self.constant;
-        for &(v, c) in &self.terms {
-            let val = match v {
-                AVar::Loop(i) => env.get(i),
-                AVar::Rid => rid,
-                AVar::Cid => cid,
-            };
-            acc += c * val;
+        let value = |v: AVar| match v {
+            AVar::Loop(i) => env.get(i),
+            AVar::Rid => rid,
+            AVar::Cid => cid,
+        };
+        // One match on the form, not one per term.
+        match &self.terms {
+            Store::Inline { len, vars, coeffs } => {
+                let terms = vars[..usize::from(*len)].iter().zip(coeffs);
+                terms.fold(self.constant, |acc, (&v, &c)| acc + i64::from(c) * value(decode(v)))
+            }
+            Store::Spilled(terms) => {
+                terms.iter().fold(self.constant, |acc, &(v, c)| acc + c * value(v))
+            }
         }
-        acc
     }
 
     /// Does the expression reference loop variable `v`?
@@ -196,10 +344,55 @@ impl AffineExpr {
     }
 }
 
+/// The sum of two sorted term lists plus `constant`.
+fn merge(
+    a: impl ExactSizeIterator<Item = (AVar, i64)>,
+    b: impl ExactSizeIterator<Item = (AVar, i64)>,
+    constant: i64,
+) -> AffineExpr {
+    let mut buf = Buf::with_capacity(a.len() + b.len());
+    let (mut a, mut b) = (a.peekable(), b.peekable());
+    loop {
+        let (v, c) = match (a.peek(), b.peek()) {
+            (Some(&x), Some(&y)) => match x.0.cmp(&y.0) {
+                Ordering::Less => a.next().expect("peeked"),
+                Ordering::Greater => b.next().expect("peeked"),
+                Ordering::Equal => {
+                    a.next();
+                    b.next();
+                    (x.0, x.1 + y.1)
+                }
+            },
+            (Some(_), None) => a.next().expect("peeked"),
+            (None, Some(_)) => b.next().expect("peeked"),
+            (None, None) => break,
+        };
+        if c != 0 {
+            buf.push((v, c));
+        }
+    }
+    buf.finish(constant)
+}
+
+impl Default for AffineExpr {
+    fn default() -> Self {
+        AffineExpr::zero()
+    }
+}
+
+impl fmt::Debug for AffineExpr {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("AffineExpr")
+            .field("terms", &self.terms())
+            .field("constant", &self.constant)
+            .finish()
+    }
+}
+
 impl fmt::Display for AffineExpr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let mut first = true;
-        for &(v, c) in &self.terms {
+        for (v, c) in self.terms() {
             if !first {
                 write!(f, " + ")?;
             }
@@ -331,7 +524,7 @@ mod tests {
         let a = AffineExpr::loop_var(0).scale(3);
         let b = AffineExpr::loop_var(0).scale(-3).add_const(1);
         let s = a.add(&b);
-        assert!(s.terms().is_empty());
+        assert_eq!(s.terms().len(), 0);
         assert_eq!(s.constant(), 1);
     }
 
@@ -350,8 +543,8 @@ mod tests {
             .add_const(9);
         let s = a.add(&b);
         assert_eq!(
-            s.terms(),
-            &[(AVar::Loop(0), 1), (AVar::Loop(1), 4), (AVar::Rid, 7), (AVar::Cid, 2)]
+            s.terms().collect::<Vec<_>>(),
+            [(AVar::Loop(0), 1), (AVar::Loop(1), 4), (AVar::Rid, 7), (AVar::Cid, 2)]
         );
         assert_eq!(s.constant(), 9);
         assert_eq!(s, b.add(&a));
@@ -376,7 +569,8 @@ mod tests {
             let chain = terms.iter().fold(AffineExpr::konst(7), |e, &(v, c)| e.add_term(v, c));
             let built = AffineExpr::from_terms(terms.iter().copied(), 7);
             assert_eq!(built, chain, "{terms:?}");
-            assert_eq!(built.terms.capacity(), terms.iter().filter(|t| t.1 != 0).count());
+            // At most four small terms: held inline, nothing allocated.
+            assert!(matches!(built.terms, Store::Inline { .. }), "{built:?}");
         }
     }
 
@@ -401,7 +595,7 @@ mod tests {
         let values = [(2, 7), (0, -3), (9, 100)];
         let chain = values.iter().fold(e.clone(), |e, &(v, k)| e.subst(v, &AffineExpr::konst(k)));
         assert_eq!(e.subst_consts(&values), chain);
-        assert_eq!(chain.terms(), &[(AVar::Loop(1), 3), (AVar::Rid, 5)]);
+        assert_eq!(chain.terms().collect::<Vec<_>>(), [(AVar::Loop(1), 3), (AVar::Rid, 5)]);
         assert_eq!(chain.constant(), 1 - 14 - 12);
         // A substituted expression merges into the rest; a term it cancels
         // is dropped.

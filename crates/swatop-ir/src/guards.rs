@@ -132,7 +132,7 @@ impl<'s> Check<'_, 's> {
         };
         // One inner variable `w` with `e = c·w + rest`: bound `c·w` by
         // what `rest` allows, then `w`.
-        let mut inner = e.terms().iter().filter_map(|&(v, c)| match v {
+        let mut inner = e.terms().filter_map(|(v, c)| match v {
             AVar::Loop(w) => self.bound(w).map(|range| (w, c, range)),
             _ => None,
         });
@@ -164,7 +164,7 @@ impl<'s> Check<'_, 's> {
     /// inner loops' variables over their ranges here.
     fn range(&self, e: &AffineExpr, at: (i64, i64)) -> (i64, i64) {
         let (mut min, mut max) = (e.constant(), e.constant());
-        for &(v, c) in e.terms() {
+        for (v, c) in e.terms() {
             let (a, b) = match v {
                 AVar::Loop(w) if w == self.var => at,
                 AVar::Loop(w) => self.bound(w).unwrap_or((self.env.get(w), self.env.get(w))),

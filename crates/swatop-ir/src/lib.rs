@@ -10,7 +10,10 @@
 //! * **Affine address expressions** ([`expr::AffineExpr`]) over the enclosing
 //!   loop variables plus the CPE mesh coordinates `rid`/`cid`. These are the
 //!   `Φ(I) = addr` functions that DMA inference and auto-prefetching reason
-//!   about (Sec. 4.5.1–4.5.2).
+//!   about (Sec. 4.5.1–4.5.2). An expression of up to four terms holds them
+//!   inline (a `u8` variable code and an `i32` coefficient each, 32 bytes in
+//!   all) and spills to one boxed slice past that, so a short address
+//!   allocates nothing; [`expr::AffineExpr::terms`] iterates either form.
 //! * **Two levels of DMA node**: [`stmt::DmaCg`] describes a whole-core-group
 //!   tile access (`DMA_CG(addr, totalsize, direction)`); the DMA-inference
 //!   pass lowers it to a per-CPE strided node ([`stmt::DmaCpe`]) with the

@@ -7,6 +7,7 @@
 //! `&Stmt`); writes go through the methods below, which copy a part first
 //! only if another handle still shares it.
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
 use crate::stmt::{MemBufId, SpmBufId, Stmt};
@@ -22,10 +23,12 @@ pub enum MemRole {
     Temp,
 }
 
-/// Declaration of a main-memory buffer.
+/// Declaration of a main-memory buffer. Its name, like an SPM buffer's and
+/// a loop variable's, is a `Cow`: the lowerings' literal names are borrowed
+/// for free, and only a name built with `format!` owns a heap block.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MemBufDecl {
-    pub name: String,
+    pub name: Cow<'static, str>,
     pub len: usize,
     pub role: MemRole,
 }
@@ -34,7 +37,7 @@ pub struct MemBufDecl {
 /// assigned by the code generator's coalescing allocator.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SpmBufDecl {
-    pub name: String,
+    pub name: Cow<'static, str>,
     pub len: usize,
 }
 
@@ -69,7 +72,7 @@ pub struct Program {
     pub mem_bufs: Arc<Vec<MemBufDecl>>,
     pub spm_bufs: Arc<Vec<SpmBufDecl>>,
     pub n_replies: usize,
-    pub var_names: Arc<Vec<String>>,
+    pub var_names: Arc<Vec<Cow<'static, str>>>,
     pub hints: ScheduleHints,
 }
 
@@ -126,19 +129,24 @@ impl Program {
     }
 
     /// Declare a loop variable, returning its id.
-    pub fn fresh_var(&mut self, name: impl Into<String>) -> usize {
+    pub fn fresh_var(&mut self, name: impl Into<Cow<'static, str>>) -> usize {
         Arc::make_mut(&mut self.var_names).push(name.into());
         self.var_names.len() - 1
     }
 
     /// Declare a main-memory buffer.
-    pub fn mem_buf(&mut self, name: impl Into<String>, len: usize, role: MemRole) -> MemBufId {
+    pub fn mem_buf(
+        &mut self,
+        name: impl Into<Cow<'static, str>>,
+        len: usize,
+        role: MemRole,
+    ) -> MemBufId {
         Arc::make_mut(&mut self.mem_bufs).push(MemBufDecl { name: name.into(), len, role });
         MemBufId(self.mem_bufs.len() - 1)
     }
 
     /// Declare a per-CPE SPM buffer of `len` elements.
-    pub fn spm_buf(&mut self, name: impl Into<String>, len: usize) -> SpmBufId {
+    pub fn spm_buf(&mut self, name: impl Into<Cow<'static, str>>, len: usize) -> SpmBufId {
         Arc::make_mut(&mut self.spm_bufs).push(SpmBufDecl { name: name.into(), len });
         SpmBufId(self.spm_bufs.len() - 1)
     }

@@ -508,9 +508,16 @@ mod tests {
         // Every `Seq` slot and every `Box<Stmt>` of every candidate tree
         // holds a whole `Stmt`, so the widest variant sets what a tree costs
         // in bytes. The rare GEMM (256 bytes inline) is boxed; what is left
-        // is the two DMA nodes. Growing a variant past them — inline
+        // is the two DMA nodes. Growing a variant past them — more inline
         // expression terms, an unboxed payload — shows up in every tree.
         assert!(std::mem::size_of::<Stmt>() <= 136, "{} bytes", std::mem::size_of::<Stmt>());
+        // An address holds four terms inline in the 32 bytes a `Vec` and the
+        // constant took.
+        assert!(
+            std::mem::size_of::<AffineExpr>() <= 32,
+            "{} bytes",
+            std::mem::size_of::<AffineExpr>()
+        );
         assert!(std::mem::size_of::<DmaCpe>() < std::mem::size_of::<Stmt>());
         assert!(std::mem::size_of::<DmaCg>() < std::mem::size_of::<Stmt>());
     }

@@ -50,7 +50,7 @@ fn sanitize(name: &str) -> String {
 
 fn expr(e: &AffineExpr) -> String {
     let mut parts = Vec::new();
-    for &(v, c) in e.terms() {
+    for (v, c) in e.terms() {
         let name = match v {
             AVar::Loop(i) => format!("v{i}"),
             AVar::Rid => "rid".into(),

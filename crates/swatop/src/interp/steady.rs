@@ -130,7 +130,7 @@ impl Scan<'_> {
     /// modulo `modulus` repeats in `var`, i.e. the least `P` with
     /// `coeff · P ≡ 0`.
     fn expr(&mut self, e: &AffineExpr, modulus: Option<i64>) {
-        for &(v, c) in e.terms() {
+        for (v, c) in e.terms() {
             let AVar::Loop(w) = v else { continue };
             if w == self.var {
                 if let Some(m) = modulus {

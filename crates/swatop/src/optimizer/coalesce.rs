@@ -116,8 +116,8 @@ fn try_coalesce(
     // enclosing loop, so the gather can enumerate exactly the tiles the
     // nest will fetch.
     let enclosing = |v| loops.iter().any(|&(lv, _)| lv == v);
-    let gatherable = |&(av, c): &(AVar, i64)| matches!(av, AVar::Loop(v) if enclosing(v)) && c >= 0;
-    if !d.offset.terms().iter().all(gatherable) {
+    let gatherable = |(av, c): (AVar, i64)| matches!(av, AVar::Loop(v) if enclosing(v)) && c >= 0;
+    if !d.offset.terms().all(gatherable) {
         return None;
     }
     // `(var, extent, coeff)` of the loops the origin moves with,

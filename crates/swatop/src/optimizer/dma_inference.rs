@@ -51,7 +51,7 @@ pub fn lower_node(d: &DmaCg) -> DmaCpe {
     };
     let mesh = [(row_mesh, (block_rows * d.row_stride) as i64), (col_mesh, block_cols as i64)];
     let offset = AffineExpr::from_terms(
-        d.offset.terms().iter().copied().chain(mesh),
+        d.offset.terms().chain(mesh),
         d.offset.constant(),
     );
     let (block, stride, n_blocks) = if d.row_stride == block_cols {
