@@ -5,16 +5,20 @@
 //! optimum's knob values (the winner is the minimum under `(cycles, input
 //! index)`, as `tune` picks it). Then one summary line per (op group, knob,
 //! value) over the group's choice and toggle knobs: how many optima hold the
-//! value, and the worst cost, over the group's spaces, of fixing the knob to
-//! it (the best candidate with that value against the optimum; `absent`
-//! counts the spaces where no candidate has it). Tile-size factors are left
-//! out of the summary: their menus depend on the shape.
+//! value, out of the spaces that expose the knob, and the worst cost, over
+//! those spaces, of fixing the knob to it (the best candidate with that value
+//! against the optimum; `absent` counts the spaces where no candidate has
+//! it). Tile-size factors are left out of the summary: their menus depend on
+//! the shape.
 //!
 //! A value that no optimum holds can be deleted without moving any optimum's
 //! cycles; only the space sizes and the knob columns change. The groups:
 //!
-//! * `matmul` — `MatmulOp`: 48 evenly sampled Listing-2 shapes at dimension
-//!   cap 2048, plus the shapes the benchmark, the journal and the tests use;
+//! * `matmul` — `MatmulOp`: Table 2's shapes at default and smoke scale (48
+//!   and 10 evenly sampled Listing-2 shapes at dimension cap 2048), plus the
+//!   shapes the benchmark, the journal and the tests use, each once. Every
+//!   optimum must also be no slower than `baselines::xmath_gemm` wherever
+//!   xMath's fixed blocking runs, so Table 2 cannot lose on these shapes;
 //! * `implicit` — the Fig. 9 `--full` sweep (batch 32, paper size), the
 //!   Table-1 layers at batch 1 and 32 (spatial cap 28), and the small shapes;
 //! * `winograd` — Listing 1 at batch 32, spatial cap 32, the Table-1 layers
@@ -27,7 +31,7 @@
 //! all, so that deleting a reduction schedule cannot leave a shape with an
 //! empty space.
 //!
-//! Release only (about 40 s on 2 cores):
+//! Release only (about 15 s on 2 cores):
 //! `cargo test --release -q --test knob_census -- --include-ignored`. On a
 //! mismatch the new text is written to `target/tmp/knob_census/`; diff it
 //! against `tests/golden/`, and copy it over only if the move is meant.
@@ -36,6 +40,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
+use swatop_repro::baselines::xmath_gemm;
 use swatop_repro::dsl::Knob;
 use swatop_repro::sw26010::MachineConfig;
 use swatop_repro::swatop::ops::{
@@ -47,8 +52,9 @@ use swatop_repro::swatop::tuner::{tune, TierPolicy, TuneOptions};
 use swatop_repro::swtensor::ConvShape;
 use swatop_repro::workloads::{conv_sweep, gemm_sweep, resnet_layers, vgg16_layers, yolo_layers};
 
-/// Listing-2 shapes sampled evenly from the capped sweep.
-const GEMM_SAMPLES: usize = 48;
+/// How many Listing-2 shapes Table 2 samples evenly from the capped sweep,
+/// at default and at smoke scale.
+const GEMM_SAMPLES: [usize; 2] = [48, 10];
 
 /// `(m, n, k)` of the GEMMs the benchmark (`gemm_space`, `validated_mix`,
 /// `exhaustive_ref`), the journal and the tests tune.
@@ -125,8 +131,8 @@ fn table1(batch: usize, cap: Option<usize>) -> Vec<ConvShape> {
     distinct(layers.map(|l| l.shape(batch, cap)))
 }
 
-fn distinct(shapes: impl IntoIterator<Item = ConvShape>) -> Vec<ConvShape> {
-    let mut out: Vec<ConvShape> = Vec::new();
+fn distinct<T: PartialEq>(shapes: impl IntoIterator<Item = T>) -> Vec<T> {
+    let mut out: Vec<T> = Vec::new();
     for s in shapes {
         if !out.contains(&s) {
             out.push(s);
@@ -147,17 +153,14 @@ fn grid() -> Vec<(&'static str, String, Box<dyn Operator>)> {
     let mut out: Vec<(&'static str, String, Box<dyn Operator>)> = Vec::new();
 
     let sweep = gemm_sweep(Some(2048));
-    let step = sweep.len() as f64 / GEMM_SAMPLES as f64;
-    let mut gemms: Vec<(usize, usize, usize)> = (0..GEMM_SAMPLES)
-        .map(|i| sweep[(i as f64 * step) as usize])
-        .map(|c| (c.m, c.n, c.k))
-        .collect();
-    for g in GEMM_USED {
-        if !gemms.contains(&g) {
-            gemms.push(g);
-        }
+    let mut gemms: Vec<(usize, usize, usize)> = Vec::new();
+    for samples in GEMM_SAMPLES {
+        let step = sweep.len() as f64 / samples as f64;
+        let sampled = (0..samples).map(|i| sweep[(i as f64 * step) as usize]);
+        gemms.extend(sampled.map(|c| (c.m, c.n, c.k)));
     }
-    for (m, n, k) in gemms {
+    gemms.extend(GEMM_USED);
+    for (m, n, k) in distinct(gemms) {
         out.push((
             "matmul",
             format!("{m}x{n}x{k}"),
@@ -234,10 +237,12 @@ fn knob_values(describe: &str) -> impl Iterator<Item = (&str, &str)> {
     describe.split(", ").filter_map(|kv| kv.split_once('='))
 }
 
-/// Per (group, knob, value): optima holding it, worst fixing cost (as a
-/// ratio to the optimum) and spaces where no candidate holds it.
+/// Per (group, knob, value): spaces exposing the knob, optima holding the
+/// value, worst fixing cost (as a ratio to the optimum) and spaces where no
+/// candidate holds it.
 #[derive(Default)]
 struct Tally {
+    spaces: usize,
     wins: usize,
     worst: f64,
     absent: usize,
@@ -258,7 +263,7 @@ fn tallied_values(op: &dyn Operator) -> Vec<(String, String)> {
 }
 
 #[test]
-#[ignore = "release only: brute-forces 355 spaces (about 40 s on 2 cores)"]
+#[ignore = "release only: brute-forces 358 spaces (about 15 s on 2 cores)"]
 fn the_knob_census_equals_the_recorded_one() {
     let cfg = MachineConfig::default();
     let sched = Scheduler::new(cfg.clone());
@@ -268,7 +273,7 @@ fn the_knob_census_equals_the_recorded_one() {
         ..TuneOptions::default()
     };
     let mut lines = String::new();
-    let mut spaces: BTreeMap<&str, usize> = BTreeMap::new();
+    let mut xmath_wins: Vec<String> = Vec::new();
     // `(group, knob, value)` in first-seen order, and its tally.
     let mut tallies: Vec<((&str, String, String), Tally)> = Vec::new();
     for (group, name, op) in grid() {
@@ -284,7 +289,14 @@ fn the_knob_census_equals_the_recorded_one() {
             cands.len()
         )
         .unwrap();
-        *spaces.entry(group).or_default() += 1;
+        if group == "matmul" {
+            let dims: Vec<usize> = name.split('x').map(|d| d.parse().unwrap()).collect();
+            if let Ok(base) = xmath_gemm(&cfg, dims[0], dims[1], dims[2]) {
+                if base.get() < optimum {
+                    xmath_wins.push(format!("{name}: xmath={} swatop={optimum}", base.get()));
+                }
+            }
+        }
 
         // The best measured cycles per `(knob, value)`, in one pass.
         let mut fixed: BTreeMap<(&str, &str), u64> = BTreeMap::new();
@@ -310,6 +322,7 @@ fn the_knob_census_equals_the_recorded_one() {
                     &mut tallies.last_mut().unwrap().1
                 }
             };
+            t.spaces += 1;
             t.wins += won as usize;
             match cost {
                 Some(cost) => t.worst = t.worst.max(cost),
@@ -322,7 +335,7 @@ fn the_knob_census_equals_the_recorded_one() {
             lines,
             "summary {group} {knob}={value}: wins={}/{} worst_fix=+{:.2}% absent={}",
             t.wins,
-            spaces[group],
+            t.spaces,
             100.0 * t.worst,
             t.absent
         )
@@ -333,6 +346,7 @@ fn the_knob_census_equals_the_recorded_one() {
         &lines,
         include_str!("golden/knob_census.txt"),
     );
+    assert!(xmath_wins.is_empty(), "xMath beats the optimum: {xmath_wins:?}");
 }
 
 /// The Winograd-applicable Listing-1 and Table-1 shapes at batch 1, 32 and
