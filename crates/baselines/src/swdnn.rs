@@ -49,8 +49,6 @@ pub fn swdnn_implicit_conv(cfg: &MachineConfig, shape: &ConvShape) -> Option<Cyc
         // divisor wins; no shape adaptation).
         score += 100_000 - (t_no as i64 - 128).abs() * 100;
         score += 50_000 - (t_ni as i64 - 256).abs() * 10;
-        // Design rule 5: filter-tap-outer loop order.
-        score += if point.choice(space, "order") == "kr_kc_ni" { 1 } else { 0 };
         score
     })
     .ok()

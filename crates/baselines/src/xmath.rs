@@ -34,7 +34,6 @@ pub fn xmath_knobs() -> MatmulKnobs {
         a_col: false,
         b_col: false,
         vec_m: false,
-        n_outer: false,
         dma: Default::default(),
         resident: swatop::ops::matmul::Resident::None,
     }

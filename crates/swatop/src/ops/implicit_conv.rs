@@ -6,7 +6,9 @@
 //! `Ni × (B · t_co)` input slab, accumulating into an `No × (B · t_co)`
 //! output slab. Fusing `t_co` adjacent output pixels into the GEMM's N
 //! dimension is the paper's loop-fusion "enlarging a specific dimension of
-//! GEMM primitives by merging loops".
+//! GEMM primitives by merging loops". The reduction runs filter taps
+//! outer, channel chunks inner: the channel-outer order held no optimum of
+//! the knob census (`tests/knob_census.rs`).
 //!
 //! Layouts are schedule decisions: the input is packed to
 //! `[Ri][Ni][Ci][B]` (row-major `D_i`) or `[Ri][Ci][B][Ni]` (column-major
@@ -77,7 +79,6 @@ impl Operator for ImplicitConvOp {
         sp.choice("w_layout", vec!["row".into(), "col".into()]);
         sp.choice("d_layout", vec!["row".into(), "col".into()]);
         sp.toggle("vec_m");
-        sp.choice("order", vec!["kr_kc_ni".into(), "ni_kr_kc".into()]);
         crate::ops::DmaKnobs::add_compact(&mut sp);
         // Reduction schedule: `loop` iterates the (kr, kc, ni_t) nest and
         // re-waits per step; `resident` unrolls it — every step's weight and
@@ -99,7 +100,6 @@ impl Operator for ImplicitConvOp {
         let w_col = point.choice(space, "w_layout") == "col";
         let d_col = point.choice(space, "d_layout") == "col";
         let vec_m = point.toggle(space, "vec_m");
-        let ni_outer = point.choice(space, "order") == "ni_kr_kc";
         let dma = crate::ops::DmaKnobs::from_point(space, point);
         let resident = space.has_knob("red") && point.choice(space, "red") == "resident";
 
@@ -322,20 +322,10 @@ impl Operator for ImplicitConvOp {
             // order as the loop schedule, so accumulation is bit-identical.
             let ni_t = ni / t_ni;
             let mut steps = Vec::with_capacity(k_steps);
-            if ni_outer {
-                for init in 0..ni_t {
-                    for ikr in 0..kr {
-                        for ikc in 0..kc {
-                            steps.push((ikr, ikc, init));
-                        }
-                    }
-                }
-            } else {
-                for ikr in 0..kr {
-                    for ikc in 0..kc {
-                        for init in 0..ni_t {
-                            steps.push((ikr, ikc, init));
-                        }
+            for ikr in 0..kr {
+                for ikc in 0..kc {
+                    for init in 0..ni_t {
+                        steps.push((ikr, ikc, init));
                     }
                 }
             }
@@ -387,8 +377,8 @@ impl Operator for ImplicitConvOp {
             body.push(o_dma(SpmToMem, r_oput, o_slot));
             Stmt::seq(body)
         } else {
-            // Looped reduction nest over (kr, kc, ni_t) — order is a
-            // schedule choice; one shared slot pair, re-waited per step.
+            // Looped reduction nest over (kr, kc, ni_t), filter taps outer;
+            // one shared slot pair, re-waited per step.
             let spm_w = p.spm_buf("spm_w", w_words);
             let spm_d = p.spm_buf("spm_d", d_words);
             let inner_body = Stmt::seq(vec![
@@ -397,19 +387,11 @@ impl Operator for ImplicitConvOp {
                 Stmt::DmaWait { reply: r_in, times: 2 },
                 gemm_with(spm_w, spm_d, SpmSlot::Single(spm_o), 1.0),
             ]);
-            let red_nest = if ni_outer {
-                Stmt::for_(
-                    v_nit,
-                    ni / t_ni,
-                    Stmt::for_(v_kr, kr, Stmt::for_(v_kc, kc, inner_body)),
-                )
-            } else {
-                Stmt::for_(
-                    v_kr,
-                    kr,
-                    Stmt::for_(v_kc, kc, Stmt::for_(v_nit, ni / t_ni, inner_body)),
-                )
-            };
+            let red_nest = Stmt::for_(
+                v_kr,
+                kr,
+                Stmt::for_(v_kc, kc, Stmt::for_(v_nit, ni / t_ni, inner_body)),
+            );
             Stmt::seq(vec![
                 o_dma(MemToSpm, r_oget, SpmSlot::Single(spm_o)),
                 Stmt::DmaWait { reply: r_oget, times: 1 },

@@ -8,7 +8,8 @@
 //!   column-major operands are materialised by a one-time `PackTensor`
 //!   transpose in main memory (the layout transformation of Sec. 4.3.2);
 //! * `vec_m` — vectorise the M or the N loop (Sec. 4.3.3);
-//! * `order` — `m`-outer or `n`-outer tile loop (a reorder candidate).
+//! * `resident` — stream B per tile step (`m`-outer tile loop), or keep its
+//!   whole-K panel in SPM under an `n`-outer loop (see [`Resident`]).
 //!
 //! Boundary processing follows Sec. 4.5.3 through [`SrcFamily`]:
 //! aligned tails use parameter switching, misaligned tails use lightweight
@@ -28,14 +29,15 @@ use crate::ops::tiling::{DimTiles, PadMode, SrcFamily};
 use crate::ops::DmaKnobs;
 use crate::scheduler::Operator;
 
-/// SPM-resident operand reuse: keep one operand's whole-K panel resident
-/// across inner tile steps, so it is fetched once per outer tile instead of
-/// once per (m, n, k) step. `A` pairs with `mn` order (the A panel is
-/// invariant over the inner n loop), `B` with `nm`.
+/// SPM-resident operand reuse. `None` streams every tile per (m, n, k) step
+/// under an `m`-outer tile loop. `B` walks the tiles `n`-outer and keeps B's
+/// whole-K panel resident across the inner m steps (the panel is invariant
+/// over them), so it is fetched once per n tile. The knob census
+/// (`tests/knob_census.rs`) found no optimum on the other two pairings: an
+/// `n`-outer walk that streams B, or an A-panel mirror under `m`-outer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Resident {
     None,
-    A,
     B,
 }
 
@@ -111,9 +113,8 @@ impl Operator for MatmulOp {
             vec!["rr".into(), "cr".into(), "rc".into(), "cc".into()],
         );
         s.toggle("vec_m");
-        s.choice("order", vec!["mn".into(), "nm".into()]);
         DmaKnobs::add_toggles(&mut s);
-        s.choice("resident", vec!["none".into(), "a".into(), "b".into()]);
+        s.choice("resident", vec!["none".into(), "b".into()]);
         s
     }
 
@@ -160,22 +161,17 @@ pub struct MatmulKnobs {
     pub a_col: bool,
     pub b_col: bool,
     pub vec_m: bool,
-    pub n_outer: bool,
     /// The DMA-wall dimensions (double buffering, coalescing, broadcast).
     pub dma: DmaKnobs,
-    /// SPM-resident operand reuse.
+    /// SPM-resident operand reuse, which also fixes the tile order.
     pub resident: Resident,
 }
 
 impl MatmulKnobs {
     pub fn from_point(space: &ScheduleSpace, point: &SchedulePoint) -> Self {
         let layout = point.choice(space, "layout");
-        let resident = if space.has_knob("resident") {
-            match point.choice(space, "resident") {
-                "a" => Resident::A,
-                "b" => Resident::B,
-                _ => Resident::None,
-            }
+        let resident = if space.has_knob("resident") && point.choice(space, "resident") == "b" {
+            Resident::B
         } else {
             Resident::None
         };
@@ -186,7 +182,6 @@ impl MatmulKnobs {
             a_col: layout.as_bytes()[0] == b'c',
             b_col: layout.as_bytes()[1] == b'c',
             vec_m: point.toggle(space, "vec_m"),
-            n_outer: point.choice(space, "order") == "nm",
             dma: DmaKnobs::from_point(space, point),
             resident,
         }
@@ -210,21 +205,16 @@ impl MatmulKnobs {
         let n_tiles = DimTiles::new(n, self.t_n, align_n);
         let k_tiles = DimTiles::new(k, self.t_k, 8);
 
-        // Resident reuse keeps one operand's whole-K run of tiles in SPM: the
-        // k dimension must be a single unrollable segment, the resident
-        // operand row-major (no mesh swap), and the loop order must make the
-        // panel invariant over the inner tile loop.
-        if self.resident != Resident::None {
+        // Resident reuse keeps B's whole-K run of tiles in SPM: the k
+        // dimension must be a single unrollable segment and B row-major (no
+        // mesh swap).
+        if self.resident == Resident::B {
             let k_segs = k_tiles.segs();
             let eligible = k_segs.len() == 1
                 && !k_segs[0].aux
                 && k_segs[0].count <= MAX_RESIDENT_UNROLL
                 && !shares_spm
-                && match self.resident {
-                    Resident::A => !self.a_col && !self.n_outer,
-                    Resident::B => !self.b_col && self.n_outer,
-                    Resident::None => unreachable!(),
-                };
+                && !self.b_col;
             if !eligible {
                 return None;
             }
@@ -236,7 +226,7 @@ impl MatmulKnobs {
     }
 
     /// The standard matmul schedule space over the given dimensions (the
-    /// compact `dma` ladder; used by the convolution operators that tune
+    /// compact `dma` ladder, no `resident`; used by the operators that tune
     /// the same GEMM space over their materialised matrices).
     pub fn space(m: usize, n: usize, k: usize) -> ScheduleSpace {
         let mut s = ScheduleSpace::new();
@@ -245,7 +235,6 @@ impl MatmulKnobs {
         s.factor("t_k", tile_menu(k, 8, K_MENU, MAX_TILES_PER_DIM));
         s.choice("layout", vec!["rr".into(), "cr".into(), "rc".into(), "cc".into()]);
         s.toggle("vec_m");
-        s.choice("order", vec!["mn".into(), "nm".into()]);
         DmaKnobs::add_compact(&mut s);
         s
     }
@@ -285,7 +274,7 @@ pub fn lower_matmul_body_with_spm(
     pad_mode: PadMode,
     spm_reuse: Option<[swatop_ir::SpmBufId; 3]>,
 ) -> Option<Vec<Stmt>> {
-    let &MatmulKnobs { t_m, t_n, t_k, a_col, b_col, vec_m, n_outer, dma, resident } = knobs;
+    let &MatmulKnobs { t_m, t_n, t_k, a_col, b_col, vec_m, dma, resident } = knobs;
     let (m_tiles, n_tiles, k_tiles) = knobs.tilings(m, n, k, spm_reuse.is_some())?;
     p.hints = dma.hints();
 
@@ -355,11 +344,10 @@ pub fn lower_matmul_body_with_spm(
         let n_segs = c_fam.c.segs();
         let k_segs = if a_swap { a_fam.r.segs() } else { a_fam.c.segs() };
 
-        // Resident reuse: one SPM slot per k step of the resident operand,
-        // all filled once per outer tile. Every slot carries a *normal*
-        // streamed tile (same mesh distribution the GEMM primitive expects),
-        // so residency changes only when tiles are fetched, never how they
-        // are laid out.
+        // Resident reuse: one SPM slot per k step of B, all filled once per
+        // n tile. Every slot carries a *normal* streamed tile (same mesh
+        // distribution the GEMM primitive expects), so residency changes only
+        // when tiles are fetched, never how they are laid out.
         let panel_slots: Vec<swatop_ir::SpmBufId> = if resident == Resident::None {
             Vec::new()
         } else {
@@ -368,11 +356,7 @@ pub fn lower_matmul_body_with_spm(
             if k_segs.len() != 1 || k_segs[0].aux || k_segs[0].count > MAX_RESIDENT_UNROLL {
                 return None;
             }
-            let per = match resident {
-                Resident::A => (t_m / 8) * (t_k / 8),
-                Resident::B => (t_k / 8) * (t_n / 8),
-                Resident::None => unreachable!(),
-            };
+            let per = (t_k / 8) * (t_n / 8);
             (0..k_segs[0].count).map(|ki| p.spm_buf(format!("spm_panel{ki}"), per)).collect()
         };
 
@@ -450,33 +434,21 @@ pub fn lower_matmul_body_with_spm(
                             c_put,
                             Stmt::DmaWait { reply: r_cput, times: 1 },
                         ]);
-                        if n_outer {
-                            Stmt::for_(vn, sn.count, Stmt::for_(vm, sm.count, tile_body))
-                        } else {
-                            Stmt::for_(vm, sm.count, Stmt::for_(vn, sn.count, tile_body))
-                        }
+                        Stmt::for_(vm, sm.count, Stmt::for_(vn, sn.count, tile_body))
                     } else {
-                        // Resident reuse: fetch every k-step tile of the
-                        // resident operand once per outer tile, each into its
-                        // own SPM slot; the unrolled k steps stream only the
-                        // other operand and point their GEMM at the step's
-                        // resident slot.
+                        // Resident reuse: fetch every k-step tile of B once
+                        // per n tile, each into its own SPM slot; the
+                        // unrolled k steps stream only A and point their
+                        // GEMM at the step's resident slot.
                         let k_at = |ki: usize| AffineExpr::konst(ki as i64);
                         // Per k step: the resident get; then the wait and
                         // the inner loop.
                         let mut outer_steps: Vec<Stmt> = Vec::with_capacity(sk.count + 2);
                         for (ki, &slot) in panel_slots.iter().enumerate().take(sk.count) {
-                            let mut g = match resident {
-                                Resident::A => a_fam.tile_dma(
-                                    a_sr, a_sc, Some(a_vr), Some(a_vc),
-                                    MemToSpm, SpmSlot::Single(slot), r_in,
-                                ),
-                                Resident::B => b_fam.tile_dma(
-                                    b_sr, b_sc, Some(b_vr), Some(b_vc),
-                                    MemToSpm, SpmSlot::Single(slot), r_in,
-                                ),
-                                Resident::None => unreachable!(),
-                            };
+                            let mut g = b_fam.tile_dma(
+                                b_sr, b_sc, Some(b_vr), Some(b_vc),
+                                MemToSpm, SpmSlot::Single(slot), r_in,
+                            );
                             g.offset = g.offset.subst(vk, &k_at(ki));
                             outer_steps.push(Stmt::DmaCg(g));
                         }
@@ -486,46 +458,12 @@ pub fn lower_matmul_body_with_spm(
                         let mut steps: Vec<Stmt> = Vec::with_capacity(3 * sk.count + 4);
                         steps.extend([c_get, Stmt::DmaWait { reply: r_cget, times: 1 }]);
                         for (ki, &slot) in panel_slots.iter().enumerate().take(sk.count) {
-                            let (stream_get, a_desc, b_desc) = match resident {
-                                Resident::A => {
-                                    let mut bg = b_fam.tile_dma(
-                                        b_sr, b_sc, Some(b_vr), Some(b_vc),
-                                        MemToSpm, SpmSlot::Single(spm_b), r_in,
-                                    );
-                                    bg.offset = bg.offset.subst(vk, &k_at(ki));
-                                    let a_desc = MatDesc::new(
-                                        SpmSlot::Single(slot),
-                                        MatLayout::RowMajor,
-                                        k_cur / 8,
-                                    );
-                                    let b_desc = MatDesc::new(
-                                        SpmSlot::Single(spm_b),
-                                        if b_col { MatLayout::ColMajor } else { MatLayout::RowMajor },
-                                        if b_col { k_cur / 8 } else { n_cur / 8 },
-                                    );
-                                    (bg, a_desc, b_desc)
-                                }
-                                Resident::B => {
-                                    let mut ag = a_fam.tile_dma(
-                                        a_sr, a_sc, Some(a_vr), Some(a_vc),
-                                        MemToSpm, SpmSlot::Single(spm_a), r_in,
-                                    );
-                                    ag.offset = ag.offset.subst(vk, &k_at(ki));
-                                    let a_desc = MatDesc::new(
-                                        SpmSlot::Single(spm_a),
-                                        if a_col { MatLayout::ColMajor } else { MatLayout::RowMajor },
-                                        if a_col { m_cur / 8 } else { k_cur / 8 },
-                                    );
-                                    let b_desc = MatDesc::new(
-                                        SpmSlot::Single(slot),
-                                        MatLayout::RowMajor,
-                                        n_cur / 8,
-                                    );
-                                    (ag, a_desc, b_desc)
-                                }
-                                Resident::None => unreachable!(),
-                            };
-                            steps.push(Stmt::DmaCg(stream_get));
+                            let mut ag = a_fam.tile_dma(
+                                a_sr, a_sc, Some(a_vr), Some(a_vc),
+                                MemToSpm, SpmSlot::Single(spm_a), r_in,
+                            );
+                            ag.offset = ag.offset.subst(vk, &k_at(ki));
+                            steps.push(Stmt::DmaCg(ag));
                             steps.push(Stmt::DmaWait { reply: r_in, times: 1 });
                             steps.push(Stmt::gemm(GemmOp {
                                 m: m_cur,
@@ -533,8 +471,12 @@ pub fn lower_matmul_body_with_spm(
                                 k: k_cur,
                                 alpha: 1.0,
                                 beta: 1.0,
-                                a: a_desc,
-                                b: b_desc,
+                                a: MatDesc::new(
+                                    SpmSlot::Single(spm_a),
+                                    if a_col { MatLayout::ColMajor } else { MatLayout::RowMajor },
+                                    if a_col { m_cur / 8 } else { k_cur / 8 },
+                                ),
+                                b: MatDesc::new(SpmSlot::Single(slot), MatLayout::RowMajor, n_cur / 8),
                                 c: MatDesc::new(
                                     SpmSlot::Single(spm_c),
                                     MatLayout::RowMajor,
@@ -545,21 +487,9 @@ pub fn lower_matmul_body_with_spm(
                         }
                         steps.push(c_put);
                         steps.push(Stmt::DmaWait { reply: r_cput, times: 1 });
-                        match resident {
-                            Resident::A => {
-                                // Panel A(sm, all k tiles), invariant over vn.
-                                outer_steps
-                                    .push(Stmt::for_(vn, sn.count, Stmt::seq(steps)));
-                                Stmt::for_(vm, sm.count, Stmt::seq(outer_steps))
-                            }
-                            Resident::B => {
-                                // Panel B(all k tiles, sn), invariant over vm.
-                                outer_steps
-                                    .push(Stmt::for_(vm, sm.count, Stmt::seq(steps)));
-                                Stmt::for_(vn, sn.count, Stmt::seq(outer_steps))
-                            }
-                            Resident::None => unreachable!(),
-                        }
+                        // Panel B(all k tiles, sn), invariant over vm.
+                        outer_steps.push(Stmt::for_(vm, sm.count, Stmt::seq(steps)));
+                        Stmt::for_(vn, sn.count, Stmt::seq(outer_steps))
                     };
                     nests.push(nest);
                 }
@@ -666,9 +596,9 @@ mod tests {
     }
 
     #[test]
-    fn n_outer_order_correct() {
+    fn resident_panel_correct() {
         let op = MatmulOp::new(64, 128, 32);
-        verify_point(&op, |s, p| p.choice(s, "order") == "nm");
+        verify_point(&op, |s, p| p.choice(s, "resident") == "b");
     }
 
     #[test]

@@ -35,9 +35,11 @@ use crate::scheduler::{Candidate, Operator};
 /// The DMA-wall schedule dimensions every operator can expose: double
 /// buffering, transaction coalescing, and register-broadcast tiling.
 ///
-/// Matmul exposes the three as independent toggles; the convolution spaces
-/// use one compact 4-value `dma` choice (a nested ladder — each level adds
-/// one pass) to bound the black-box search blowup.
+/// Matmul exposes double buffering and coalescing as two independent
+/// toggles, with broadcast always on (`bcast=false` held no optimum of the
+/// knob census, `tests/knob_census.rs`); the other spaces use one compact
+/// 4-value `dma` choice (a nested ladder — each level adds one pass) to
+/// bound the black-box search blowup.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DmaKnobs {
     pub dbuf: bool,
@@ -54,11 +56,10 @@ impl DmaKnobs {
         );
     }
 
-    /// Append the three independent toggles to a space.
+    /// Append the two independent toggles to a space.
     pub fn add_toggles(space: &mut ScheduleSpace) {
         space.toggle("dbuf");
         space.toggle("coal");
-        space.toggle("bcast");
     }
 
     /// Parse from a point, tolerating spaces that expose neither form
@@ -75,7 +76,7 @@ impl DmaKnobs {
             DmaKnobs {
                 dbuf: point.toggle(space, "dbuf"),
                 coalesce: point.toggle(space, "coal"),
-                bcast: point.toggle(space, "bcast"),
+                bcast: true,
             }
         } else {
             DmaKnobs::default()
@@ -90,7 +91,7 @@ impl DmaKnobs {
         let names: &[&str] = if space.has_knob("dma") {
             &["dma"]
         } else if space.has_knob("dbuf") {
-            &["dbuf", "coal", "bcast"]
+            &["dbuf", "coal"]
         } else {
             &[]
         };
@@ -105,9 +106,7 @@ impl DmaKnobs {
     pub fn at(positions: &[usize], sel: &[usize]) -> DmaKnobs {
         match *positions {
             [dma] => DmaKnobs { dbuf: sel[dma] >= 1, coalesce: sel[dma] >= 2, bcast: sel[dma] >= 3 },
-            [dbuf, coal, bcast] => {
-                DmaKnobs { dbuf: sel[dbuf] == 1, coalesce: sel[coal] == 1, bcast: sel[bcast] == 1 }
-            }
+            [dbuf, coal] => DmaKnobs { dbuf: sel[dbuf] == 1, coalesce: sel[coal] == 1, bcast: true },
             _ => DmaKnobs::default(),
         }
     }
@@ -306,7 +305,11 @@ mod tests {
                 );
             }
         }
-        assert_eq!(DmaKnobs::positions(&spaces[0]).len(), 3, "matmul exposes the toggles");
+        assert_eq!(DmaKnobs::positions(&spaces[0]).len(), 2, "matmul exposes the toggles");
+        assert!(
+            spaces[0].points().all(|p| DmaKnobs::from_point(&spaces[0], &p).bcast),
+            "matmul always broadcasts"
+        );
         assert_eq!(DmaKnobs::positions(&spaces[1]).len(), 1, "the convs expose the ladder");
     }
 }

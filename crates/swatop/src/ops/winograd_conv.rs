@@ -15,11 +15,12 @@
 //!
 //! Schedule knobs: channel tiles `t_no`/`t_ni`, tile-axis tile `t_nt`,
 //! the U layout (row/column-major — the latter enables the fast
-//! vector-load path under M-vectorisation), the vectorised dimension, the
-//! DMA ladder and the reduction schedule (`red=loop` re-waits per `ni`
-//! step; `red=resident` unrolls the reduction with per-step SPM slots, one
-//! fused get run per tile and a double-buffered M tile with deferred puts
-//! — the same ladder that lifted implicit conv off the DMA wall).
+//! vector-load path under M-vectorisation), the vectorised dimension and
+//! the DMA ladder. The reduction is always SPM-resident: it unrolls the
+//! `ni` steps with per-step SPM slots, one fused get run per tile and a
+//! double-buffered M tile with deferred puts — the schedule that lifted
+//! implicit conv off the DMA wall. A looped reduction that re-waits per
+//! `ni` step held no optimum of the knob census (`tests/knob_census.rs`).
 
 use sw26010::DmaDirection::{MemToSpm, SpmToMem};
 use swatop_dsl::{SchedulePoint, ScheduleSpace, Seed};
@@ -60,9 +61,9 @@ impl WinogradConvOp {
     }
 }
 
-/// Cap on unrolled reduction steps for the SPM-resident schedule (matches
-/// the implicit-conv ladder): beyond this the per-step slots bloat the SPM
-/// footprint and the program, so larger reductions must use `red=loop`.
+/// Cap on unrolled reduction steps (matches the implicit-conv ladder):
+/// beyond this the per-step slots bloat the SPM footprint and the program,
+/// so the point is rejected.
 const MAX_RESIDENT_STEPS: usize = 16;
 
 const NT_MENU: &[usize] = &[32, 64, 128, 256, 512];
@@ -86,10 +87,6 @@ impl Operator for WinogradConvOp {
         sp.choice("u_layout", vec!["row".into(), "col".into()]);
         sp.toggle("vec_m");
         crate::ops::DmaKnobs::add_compact(&mut sp);
-        // Reduction schedule over the `ni` axis of each position's GEMM:
-        // `loop` re-waits every step, `resident` unrolls with per-step SPM
-        // slots and one fused get run per tile (see the module doc).
-        sp.choice("red", vec!["loop".into(), "resident".into()]);
         sp
     }
 
@@ -104,7 +101,6 @@ impl Operator for WinogradConvOp {
         let u_col = point.choice(space, "u_layout") == "col";
         let vec_m = point.toggle(space, "vec_m");
         let dma = crate::ops::DmaKnobs::from_point(space, point);
-        let resident = space.has_knob("red") && point.choice(space, "red") == "resident";
 
         if !t_no.is_multiple_of(8) || !t_ni.is_multiple_of(8) || !t_nt.is_multiple_of(32) {
             return None;
@@ -157,36 +153,30 @@ impl Operator for WinogradConvOp {
             }),
         ];
 
-        // Unrolled `ni` reduction steps of the SPM-resident schedule: every
-        // step keeps its own U/V slot so all the fetches of a tile issue as
-        // one back-to-back run (one engine batch under get fusion).
+        // Unrolled `ni` reduction steps: every step keeps its own U/V slot
+        // so all the fetches of a tile issue as one back-to-back run (one
+        // engine batch under get fusion).
         let k_steps = ni / t_ni;
-        if resident && k_steps > MAX_RESIDENT_STEPS {
+        if k_steps > MAX_RESIDENT_STEPS {
             return None;
         }
         let u_words = (t_no / 8) * (t_ni / 8);
         let v_words = (t_ni / 8) * (t_nt / 8);
         let m_words = (t_no / 8) * (t_nt / 8);
         let spm_m = p.spm_buf("spm_m", m_words);
-        // Parity twin for the resident schedule's deferred M puts.
-        let spm_m_dbl = resident.then(|| p.spm_buf("spm_m_dbl", m_words));
-        // Per-step slots for `resident`; `loop` shares one pair. Segments
-        // run sequentially, so the slots (sized for the full `t_nt` tile)
-        // are reused across them.
-        let step_slots: Vec<(swatop_ir::SpmBufId, swatop_ir::SpmBufId)> = if resident {
-            (0..k_steps)
-                .map(|i| {
-                    (
-                        p.spm_buf(format!("spm_u_s{i}"), u_words),
-                        p.spm_buf(format!("spm_v_s{i}"), v_words),
-                    )
-                })
-                .collect()
-        } else {
-            vec![(p.spm_buf("spm_u", u_words), p.spm_buf("spm_v", v_words))]
-        };
+        // Parity twin for the deferred M puts.
+        let spm_m_dbl = p.spm_buf("spm_m_dbl", m_words);
+        // Per-step slots. Segments run sequentially, so the slots (sized for
+        // the full `t_nt` tile) are reused across them.
+        let step_slots: Vec<(swatop_ir::SpmBufId, swatop_ir::SpmBufId)> = (0..k_steps)
+            .map(|i| {
+                (
+                    p.spm_buf(format!("spm_u_s{i}"), u_words),
+                    p.spm_buf(format!("spm_v_s{i}"), v_words),
+                )
+            })
+            .collect();
         let r_in = p.fresh_reply();
-        let r_mget = p.fresh_reply();
         let r_mput = p.fresh_reply();
 
         let mut nests = Vec::new();
@@ -235,7 +225,7 @@ impl Operator for WinogradConvOp {
                 &[(v_pos, no * nt_pad), (v_not, t_no * nt_pad), (v_ntt, seg.stride)],
                 seg.start,
             );
-            let m_dma = |direction, reply, slot: SpmSlot| {
+            let m_put = |slot: SpmSlot| {
                 Stmt::DmaCg(DmaCg {
                     buf: m_buf,
                     offset: m_offset.clone(),
@@ -243,9 +233,9 @@ impl Operator for WinogradConvOp {
                     cols: seg.size,
                     row_stride: nt_pad,
                     mesh_swap: false,
-                    direction,
+                    direction: SpmToMem,
                     spm: slot,
-                    reply,
+                    reply: r_mput,
                 })
             };
             let gemm_with = |ua: swatop_ir::SpmBufId, vb: swatop_ir::SpmBufId, c_slot: SpmSlot, beta: f32| {
@@ -266,81 +256,49 @@ impl Operator for WinogradConvOp {
                 })
             };
 
+            // Unroll the `ni` steps, issue all 2·k_steps gets as one leading
+            // run with a single wait, and double-buffer the M tile by tile
+            // parity with each put's wait deferred by two tiles. The M tile
+            // is visited exactly once, so the first step initialises it
+            // (β = 0) and the accumulator get disappears entirely.
             let tiles = 16 * (no / t_no) * seg.count;
-            let tile_body = if resident {
-                // SPM-resident reduction (the implicit-conv ladder applied
-                // to the position GEMMs): unroll the `ni` steps, issue all
-                // 2·k_steps gets as one leading run with a single wait, and
-                // double-buffer the M tile by tile parity with each put's
-                // wait deferred by two tiles. The M tile is visited exactly
-                // once, so the first step initialises it (β = 0) and the
-                // accumulator get disappears entirely.
-                let lin = crate::optimizer::prefetch::linear_index(&[
-                    (v_pos, 16),
-                    (v_not, no / t_no),
-                    (v_ntt, seg.count),
-                ]);
-                let m_slot = SpmSlot::Double {
-                    even: spm_m,
-                    odd: spm_m_dbl.expect("resident twin"),
-                    sel: lin.clone(),
-                };
-                let mut body = Vec::with_capacity(3 * k_steps + 3);
-                for (i, &(su, _)) in step_slots.iter().enumerate() {
-                    let at = AffineExpr::konst(i as i64);
-                    body.push(u_get_to(su, u_offset.subst(v_nit, &at)));
-                }
-                for (i, &(_, sv)) in step_slots.iter().enumerate() {
-                    let at = AffineExpr::konst(i as i64);
-                    body.push(v_get_to(sv, v_offset.subst(v_nit, &at)));
-                }
-                body.push(Stmt::DmaWait { reply: r_in, times: 2 * k_steps });
-                if tiles >= 3 {
-                    // Reclaim the parity slot we are about to write: the
-                    // put issued two tiles ago targeted the same twin.
-                    body.push(Stmt::if_(
-                        Cond::Ge(lin.clone(), AffineExpr::konst(2)),
-                        Stmt::DmaWait { reply: r_mput, times: 1 },
-                    ));
-                }
-                for (i, &(su, sv)) in step_slots.iter().enumerate() {
-                    body.push(gemm_with(su, sv, m_slot.clone(), if i == 0 { 0.0 } else { 1.0 }));
-                }
-                body.push(m_dma(SpmToMem, r_mput, m_slot));
-                Stmt::seq(body)
-            } else {
-                let (spm_u, spm_v) = step_slots[0];
-                let ni_loop = Stmt::for_(
-                    v_nit,
-                    k_steps,
-                    Stmt::seq(vec![
-                        u_get_to(spm_u, u_offset.clone()),
-                        v_get_to(spm_v, v_offset.clone()),
-                        Stmt::DmaWait { reply: r_in, times: 2 },
-                        gemm_with(spm_u, spm_v, SpmSlot::Single(spm_m), 1.0),
-                    ]),
-                );
-                Stmt::seq(vec![
-                    m_dma(MemToSpm, r_mget, SpmSlot::Single(spm_m)),
-                    Stmt::DmaWait { reply: r_mget, times: 1 },
-                    ni_loop,
-                    m_dma(SpmToMem, r_mput, SpmSlot::Single(spm_m)),
+            let lin = crate::optimizer::prefetch::linear_index(&[
+                (v_pos, 16),
+                (v_not, no / t_no),
+                (v_ntt, seg.count),
+            ]);
+            let m_slot = SpmSlot::Double { even: spm_m, odd: spm_m_dbl, sel: lin.clone() };
+            let mut body = Vec::with_capacity(3 * k_steps + 3);
+            for (i, &(su, _)) in step_slots.iter().enumerate() {
+                let at = AffineExpr::konst(i as i64);
+                body.push(u_get_to(su, u_offset.subst(v_nit, &at)));
+            }
+            for (i, &(_, sv)) in step_slots.iter().enumerate() {
+                let at = AffineExpr::konst(i as i64);
+                body.push(v_get_to(sv, v_offset.subst(v_nit, &at)));
+            }
+            body.push(Stmt::DmaWait { reply: r_in, times: 2 * k_steps });
+            if tiles >= 3 {
+                // Reclaim the parity slot we are about to write: the put
+                // issued two tiles ago targeted the same twin.
+                body.push(Stmt::if_(
+                    Cond::Ge(lin.clone(), AffineExpr::konst(2)),
                     Stmt::DmaWait { reply: r_mput, times: 1 },
-                ])
-            };
-            let mut seg_nest = Stmt::for_(
+                ));
+            }
+            for (i, &(su, sv)) in step_slots.iter().enumerate() {
+                body.push(gemm_with(su, sv, m_slot.clone(), if i == 0 { 0.0 } else { 1.0 }));
+            }
+            body.push(m_put(m_slot));
+            let seg_nest = Stmt::for_(
                 v_pos,
                 16,
-                Stmt::for_(v_not, no / t_no, Stmt::for_(v_ntt, seg.count, tile_body)),
+                Stmt::for_(v_not, no / t_no, Stmt::for_(v_ntt, seg.count, Stmt::seq(body))),
             );
-            if resident {
-                // Drain the (up to two) in-flight deferred puts before the
-                // next segment (or the output transform) reads M.
-                seg_nest = Stmt::seq(vec![
-                    seg_nest,
-                    Stmt::DmaWait { reply: r_mput, times: tiles.min(2) },
-                ]);
-            }
+            // Drain the (up to two) in-flight deferred puts before the next
+            // segment (or the output transform) reads M.
+            let seg_nest =
+                Stmt::seq(vec![seg_nest, Stmt::DmaWait { reply: r_mput, times: tiles.min(2) }]);
             nests.push(seg_nest);
         }
 
@@ -433,31 +391,6 @@ mod tests {
     fn padded_conv_correct() {
         let shape = ConvShape { b: 1, ni: 8, no: 8, ro: 8, co: 8, kr: 3, kc: 3, stride: 1, pad: 1 };
         verify_some(shape, 3);
-    }
-
-    #[test]
-    fn resident_reduction_correct() {
-        let cfg = MachineConfig::default();
-        let op = WinogradConvOp::new(ConvShape::square(2, 16, 16, 8));
-        let sched = Scheduler::new(cfg.clone());
-        let space = op.space();
-        let mut checked = 0;
-        for point in space.points() {
-            if point.choice(&space, "red") != "resident" {
-                continue;
-            }
-            let Some(cand) = sched.lower_point(&op, &space, &point) else {
-                continue;
-            };
-            let err = verify_candidate(&cfg, &op, &cand)
-                .unwrap_or_else(|e| panic!("{}: {e}", point.describe(&space)));
-            assert!(err < 5e-3, "{}: max err {err}", point.describe(&space));
-            checked += 1;
-            if checked >= 4 {
-                break;
-            }
-        }
-        assert!(checked > 0, "no valid resident candidates");
     }
 
     #[test]

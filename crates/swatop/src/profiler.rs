@@ -381,15 +381,6 @@ fn knob_commentary(k: &KnobDelta, a: &CandidateProfile, b: &CandidateProfile) ->
             a.counters.dma_bus_bytes,
             b.counters.dma_bus_bytes
         ),
-        "bcast" => format!(
-            "{base}dma busy {} -> {} cycles, regcomm scatter {} -> {} cycles, bus bytes {} -> {}",
-            dma(a),
-            dma(b),
-            a.timeline.regcomm_cycles(),
-            b.timeline.regcomm_cycles(),
-            a.counters.dma_bus_bytes,
-            b.counters.dma_bus_bytes
-        ),
         "resident" => format!(
             "{base}prologue dma {} -> {} cycles, dma batches {} -> {}",
             a.timeline.phase(PhaseKind::Prologue).dma_busy,

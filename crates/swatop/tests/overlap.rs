@@ -26,7 +26,6 @@ fn base_knobs(t_m: usize, t_n: usize, t_k: usize) -> MatmulKnobs {
         a_col: false,
         b_col: false,
         vec_m: false,
-        n_outer: false,
         dma: DmaKnobs::default(),
         resident: Resident::None,
     }
@@ -120,14 +119,8 @@ fn broadcast_and_resident_match_plain_exactly() {
     let (out_bcast, _) = run_matmul(&cfg, m, n, k, &bcast).expect("bcast runs");
     assert_eq!(out_plain, out_bcast, "broadcast tiling changed the result");
 
-    // Resident A pairs with mn order, resident B with nm.
-    let mut res_a = plain;
-    res_a.resident = Resident::A;
-    let (out_a, _) = run_matmul(&cfg, m, n, k, &res_a).expect("resident-a runs");
-    assert_eq!(out_plain, out_a, "resident-A reuse changed the result");
-
+    // Resident B walks the tiles n-outer.
     let mut res_b = plain;
-    res_b.n_outer = true;
     res_b.resident = Resident::B;
     let (out_b, _) = run_matmul(&cfg, m, n, k, &res_b).expect("resident-b runs");
     assert_eq!(out_plain, out_b, "resident-B reuse changed the result");
@@ -138,13 +131,13 @@ fn new_dimensions_are_bit_identical_across_job_counts() {
     let cfg = MachineConfig::default();
     let op = MatmulOp::new(64, 64, 32);
     let space = op.space();
-    for knob in ["dbuf", "coal", "bcast", "resident"] {
+    for knob in ["dbuf", "coal", "resident"] {
         assert!(space.has_knob(knob), "matmul space exposes {knob}");
     }
     let all = Scheduler::new(cfg.clone()).enumerate(&op);
     // A strided sample keeps the blackbox run fast while still crossing
     // every new dimension (the stride is coprime with the knob arities).
-    let cands: Vec<_> = all.iter().step_by(29).cloned().collect();
+    let cands: Vec<_> = all.iter().step_by(7).cloned().collect();
     assert!(cands.len() >= 64, "need a nontrivial sample, got {}", cands.len());
     assert!(
         cands.iter().any(|c| c.describe.contains("dbuf=true")),
@@ -202,14 +195,13 @@ proptest! {
         m in 8usize..100,
         n in 8usize..100,
         k in 8usize..64,
-        n_outer: bool,
+        resident_b: bool,
     ) {
         let cfg = MachineConfig::default();
-        let mut plain = base_knobs(32, 32, 16);
-        plain.n_outer = n_outer;
+        let plain = base_knobs(32, 32, 16);
         let mut full = plain;
         full.dma = DmaKnobs { dbuf: true, coalesce: true, bcast: true };
-        full.resident = if n_outer { Resident::B } else { Resident::A };
+        full.resident = if resident_b { Resident::B } else { Resident::None };
         let (Some((out_plain, _)), Some((out_full, _))) = (
             run_matmul(&cfg, m, n, k, &plain),
             run_matmul(&cfg, m, n, k, &full),

@@ -68,7 +68,7 @@ fn clean_candidates_validate_with_zero_false_positives() {
     let op = MatmulOp::new(96, 96, 48);
     let cands = candidates(&op);
     let mut checked = 0;
-    for c in cands.iter().step_by(37).chain(cands.last()) {
+    for c in cands.iter().step_by(13).chain(cands.last()) {
         if let Err(msg) = validate_candidate(&cfg, &op, c) {
             panic!("false positive on candidate {} ({}): {msg}", c.point_index, c.describe);
         }
@@ -256,7 +256,6 @@ fn base_knobs(t_m: usize, t_n: usize, t_k: usize) -> MatmulKnobs {
         a_col: false,
         b_col: false,
         vec_m: false,
-        n_outer: false,
         dma: DmaKnobs::default(),
         resident: Resident::None,
     }

@@ -1003,7 +1003,9 @@ fn extrapolation_fires_on_brute_force_spaces_and_never_under_faults_traces_or_fu
     for op in spaces {
         let cands = sched.enumerate(op.as_ref());
         let before = extrapolation_stats();
-        for cand in cands.iter().step_by((cands.len() / 3) | 1) {
+        // Four per space: the candidates at thirds of matmul 64³ run no loop
+        // long enough to extrapolate.
+        for cand in cands.iter().step_by((cands.len() / 4) | 1) {
             let [fast, plain, _] = three_ways(&cfg, &cand.exe);
             assert_eq!(fast, plain, "{} at {}", op.name(), cand.describe);
             sampled.push(cand.exe.clone());
@@ -1057,7 +1059,10 @@ const SPACE_SUMS: [&str; 7] = [
 /// one paper-size `conv_net` space (VGG-16 layer 7, batch 32, spatial cap
 /// 28: long loops, recorded from the plain tree walk), summed candidate by
 /// candidate. Release-only (seconds; far longer in debug):
-/// `cargo test --release --test evaluator_equiv -- --ignored`.
+/// `cargo test --release --test evaluator_equiv -- --ignored`. Re-pinned
+/// when the knob census (`tests/knob_census.rs`) deleted the knob values no
+/// optimum held: each new sum equals, to the unit, the previous tree's sum
+/// over the candidates that survived the deletion.
 #[test]
 #[ignore = "whole spaces: run in release"]
 fn whole_space_sums_are_pinned() {
@@ -1069,54 +1074,54 @@ fn whole_space_sums_are_pinned() {
     let spaces: [(Box<dyn Operator>, [u64; 7]); 7] = [
         (
             Box::new(ImplicitConvOp::new(conv)),
-            [4_540_615_232, 43_364_384_768, 3_485_377_280, 84_934_656, 1_572_864, 958_144, 1_032_192],
+            [2_270_307_616, 21_682_192_384, 1_742_688_640, 42_467_328, 786_432, 479_072, 516_096],
         ),
         (
             Box::new(WinogradConvOp::new(conv)),
-            [1_852_504_559, 13_748_666_368, 1_329_753_967, 31_457_280, 888_832, 602_656, 444_416],
+            [800_346_031, 6_207_438_848, 541_004_111, 15_728_640, 365_056, 189_984, 222_208],
         ),
         (
             Box::new(ExplicitConvOp::new(conv)),
-            [4_514_746_112, 35_813_851_136, 2_817_318_336, 165_150_720, 1_039_616, 745_984, 587_264],
+            [2_257_373_056, 17_906_925_568, 1_408_659_168, 82_575_360, 519_808, 372_992, 293_632],
         ),
         (
             Box::new(MatmulOp::new(64, 64, 64)),
-            [133_869_256, 1_044_119_552, 102_827_976, 3_145_728, 52_032, 41_280, 25_920],
+            [23_811_172, 131_596_288, 16_100_004, 786_432, 13_008, 10_320, 6_480],
         ),
         (
             Box::new(ImplicitConvOp::new(vgg7)),
             [
-                172_504_563_088,
-                1_217_770_029_056,
-                43_888_158_000,
-                81_386_274_816,
-                2_734_592,
-                1_748_928,
-                1_741_824,
+                86_252_281_544,
+                608_885_014_528,
+                21_944_079_000,
+                40_693_137_408,
+                1_367_296,
+                874_464,
+                870_912,
             ],
         ),
         (
             Box::new(WinogradConvOp::new(vgg7)),
             [
-                57_338_807_077,
-                442_733_953_024,
-                20_514_979_125,
-                21_374_173_184,
-                1_696_640,
-                1_224_080,
-                769_536,
+                24_201_218_701,
+                196_041_768_960,
+                5_724_676_213,
+                10_687_086_592,
+                699_648,
+                419_472,
+                384_768,
             ],
         ),
         (
             Box::new(ExplicitConvOp::new(vgg7)),
             [
-                8_863_792_616_910,
-                96_360_732_819_456,
-                6_167_249_458_510,
-                1_035_825_315_840,
-                1_202_814_368,
-                810_853_568,
-                783_921_600,
+                4_431_896_308_455,
+                48_180_366_409_728,
+                3_083_624_729_255,
+                517_912_657_920,
+                601_407_184,
+                405_426_784,
+                391_960_800,
             ],
         ),
     ];

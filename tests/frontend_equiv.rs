@@ -7,7 +7,7 @@
 //! here from public functions only.
 
 use swatop_repro::dsl::{SchedulePoint, ScheduleSpace};
-use swatop_repro::ir::{Program, ScheduleHints};
+use swatop_repro::ir::Program;
 use swatop_repro::sw26010::MachineConfig;
 use swatop_repro::swatop::codegen::plan;
 use swatop_repro::swatop::ops::DmaKnobs;
@@ -163,7 +163,7 @@ fn library_lowerings_read_dma_knobs_into_hints_only() {
                 checked += 1;
             }
             if let Some(p) = &at_zero {
-                assert_eq!(p.hints, ScheduleHints::default(), "{}", op.name());
+                assert_eq!(p.hints, DmaKnobs::at(&dma, &base).hints(), "{}", op.name());
             }
         }
         assert!(checked > 0, "{}", op.name());

@@ -12,9 +12,10 @@ use std::sync::Arc;
 use swatop_repro::ir::{Program, Stmt};
 use swatop_repro::sw26010::MachineConfig;
 use swatop_repro::swatop::model::{estimate, GemmModel};
-use swatop_repro::swatop::ops::{DmaKnobs, MatmulOp};
+use swatop_repro::swatop::ops::{DmaKnobs, ExplicitConvOp, MatmulOp};
 use swatop_repro::swatop::scheduler::{Candidate, Operator, Scheduler};
 use swatop_repro::swatop::tuner::{model_rank, screen_leaders};
+use swatop_repro::swtensor::ConvShape;
 
 mod common;
 use common::every_op;
@@ -79,11 +80,11 @@ fn candidates_hold_one_tree_per_distinct_program() {
         assert!(rewritten.iter().all(rewrites), "{}", op.name());
         assert_eq!(raws.len(), groups.len(), "{}: one raw per group", op.name());
         assert_eq!(all.len(), raws.len() + rewritten.len(), "{}: distinct trees", op.name());
-        if dma.len() == 3 {
-            // Independent toggles: every group is the four dbuf × bcast
-            // siblings, whose three rewritten executables and one `raw` are
-            // no more trees than candidates.
-            assert!(all.len() <= cands.len(), "{}: {} trees", op.name(), all.len());
+        if dma.len() == 2 {
+            // Independent toggles, broadcast always on: every group is the
+            // two dbuf siblings, whose two rewritten executables and one
+            // `raw` are three trees per two candidates.
+            assert!(2 * all.len() <= 3 * cands.len(), "{}: {} trees", op.name(), all.len());
         }
     }
     assert!(shared_exe > 0 && sibling_pairs > 0, "{shared_exe} shared, {sibling_pairs} pairs");
@@ -188,28 +189,32 @@ fn screen_equals_a_per_candidate_estimate() {
 #[test]
 fn screen_leaders_are_found_by_identity_only() {
     let cfg = MachineConfig::default();
-    let cands = enumerate(&MatmulOp::new(36, 20, 50));
-    let a = cands.iter().find(|c| !c.raw.hints.dbuf).expect("a dbuf-off candidate").clone();
-    let sibling = |dbuf, bcast| {
+    // A GEMM-ladder operator: `dma=none` / `dbuf` are dbuf siblings, and
+    // `dma=dbuf+coal` / `all` are bcast siblings (matmul always broadcasts).
+    let cands = enumerate(&ExplicitConvOp::new(ConvShape::square(4, 16, 16, 8)));
+    let sibling = |of: &Candidate, dbuf, bcast| {
         let hints = |c: &&Candidate| c.raw.hints.dbuf == dbuf && c.raw.hints.bcast == bcast;
-        cands.iter().filter(hints).find(|c| same_storage(&c.raw, &a.raw)).cloned()
+        cands.iter().filter(hints).find(|c| same_storage(&c.raw, &of.raw)).cloned()
     };
-    let b = sibling(true, a.raw.hints.bcast).expect("its dbuf-on sibling");
-    let bcast = sibling(false, !a.raw.hints.bcast).expect("its bcast sibling");
-    let other =
-        cands.iter().find(|c| !same_storage(&c.raw, &a.raw)).expect("a different program").clone();
+    let a = cands.iter().find(|c| !c.raw.hints.dbuf).expect("a dbuf-off candidate").clone();
+    let b = sibling(&a, true, false).expect("its dbuf-on sibling");
+    let coal = cands.iter().find(|c| c.raw.hints.coalesce && !c.raw.hints.bcast);
+    let coal = coal.expect("a coalesced candidate").clone();
+    let bcast = sibling(&coal, true, true).expect("its bcast sibling");
+    let other = cands.iter().find(|c| !c.raw.hints.coalesce && !same_storage(&c.raw, &a.raw));
+    let other = other.expect("a different program").clone();
     // Equal to `a` in every field, but its own allocation.
     let mut twin = a.clone();
     twin.raw.body_mut();
     assert!(twin.raw == a.raw && !same_storage(&twin.raw, &a.raw));
 
-    let slice = [a.clone(), other.clone(), b, twin, other, a, bcast];
+    let slice = [a.clone(), other.clone(), b, twin, other, a, coal, bcast];
     let (leaders, slot) = screen_leaders(&slice);
     // `a`, its dbuf sibling and its clone share a slot though none are
     // adjacent; the equal twin leads its own, and so does the bcast sibling,
-    // which holds `a`'s very tree but is priced apart.
-    assert_eq!(leaders, vec![0, 1, 3, 6]);
-    assert_eq!(slot, vec![0, 1, 0, 2, 1, 0, 3]);
+    // which holds `coal`'s very tree but is priced apart.
+    assert_eq!(leaders, vec![0, 1, 3, 6, 7]);
+    assert_eq!(slot, vec![0, 1, 0, 2, 1, 0, 3, 4]);
     for jobs in [1, 2, 4] {
         assert_eq!(bits(model_rank(&cfg, &slice, jobs)), rank_per_candidate(&cfg, &slice));
     }

@@ -5,7 +5,11 @@
 //! (`top_k(k)`) and the tiered ladder — before they were deleted. One line
 //! per (space, policy, validator, machine); every line must come out the
 //! same for `jobs` 1 and 4. Only re-record the file when a move is meant —
-//! the test prints the new lines on mismatch.
+//! the test prints the new lines on mismatch. Both files were re-recorded
+//! when the knob census (`tests/knob_census.rs`) deleted the knob values no
+//! optimum held: input indices moved, every fault-free line with validator
+//! `none` or `accept` kept its cycles, and the fault streams and the
+//! `thirds` validator, which key on the input index, moved.
 //!
 //! `tests/golden/search_outcomes.txt` does the same for the sampling
 //! searches: recorded from PR 20's `search::Sampler` (its own cells,
@@ -78,8 +82,8 @@ fn every_policy_reports_what_the_ladders_did() {
     // Pure in the index; rejects rank-0 picks often enough that the
     // fallback walks both inside the measured wave and past its end.
     let thirds = |i: usize, _: &Candidate| {
-        if i.is_multiple_of(3) {
-            Err(format!("candidate {i} is a multiple of three"))
+        if i % 3 == 1 {
+            Err(format!("candidate {i} is one past a multiple of three"))
         } else {
             Ok(())
         }
@@ -119,9 +123,9 @@ fn every_policy_reports_what_the_ladders_did() {
     // (`quarantined` with `executed` still the wave) and past it, walk down
     // the ranking after a wholly failed wave, and retry under faults.
     for (run, counts) in [
-        ("gemm top3 thirds faulted", "executed=3 screened=768 validated=3 quarantined=2"),
-        ("implicit top1 thirds perfect", "executed=2 screened=384 validated=2 quarantined=1"),
-        ("implicit top1 none faulted", "executed=6 screened=384 validated=0 quarantined=0 failed=5"),
+        ("winograd top3 thirds faulted", "executed=3 screened=96 validated=2 quarantined=1"),
+        ("winograd top1 thirds perfect", "executed=2 screened=96 validated=2 quarantined=1"),
+        ("implicit top1 none faulted", "executed=74 screened=192 validated=0 quarantined=0 failed=73"),
     ] {
         let recorded = want.iter().any(|l| l.starts_with(run) && l.contains(counts));
         assert!(recorded, "not among the recorded runs: {run}: {counts}");
@@ -131,7 +135,9 @@ fn every_policy_reports_what_the_ladders_did() {
 #[test]
 fn sampling_searches_report_what_the_private_sampler_did() {
     let cands = Scheduler::new(MachineConfig::default()).enumerate(&MatmulOp::new(96, 96, 48));
-    let plan = FaultPlan::with_seed(0x16_5EED);
+    // Four times the default batch failure rate, so that the quarter-space
+    // runs retry.
+    let plan = FaultPlan { dma_fail_ppm: 400, ..FaultPlan::with_seed(0x16_5EED) };
     let machines = [
         ("perfect", MachineConfig::default()),
         ("faulted", MachineConfig { fault: Some(plan), ..MachineConfig::default() }),
@@ -159,8 +165,8 @@ fn sampling_searches_report_what_the_private_sampler_did() {
     // cycles go to the candidate visited first, not the lowest index.
     assert!(want.iter().any(|l| l.contains(" faulted ") && !l.contains("retried=0 ")));
     let run = |name: &str| want.iter().find(|l| l.starts_with(name)).copied().unwrap_or("");
-    let random = run("random perfect seed=3 budget=1584:");
-    let greedy = run("greedy perfect seed=3 budget=1584:");
-    assert!(random.contains("best=6146 cycles=20162 executed=1410 "), "{random}");
-    assert!(greedy.contains("best=6170 cycles=20162 executed=1584 "), "{greedy}");
+    let random = run("random perfect seed=42 budget=396:");
+    let greedy = run("greedy perfect seed=3 budget=396:");
+    assert!(random.contains("best=1540 cycles=20162 executed=351 "), "{random}");
+    assert!(greedy.contains("best=1536 cycles=20162 executed=396 "), "{greedy}");
 }
