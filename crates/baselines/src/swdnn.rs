@@ -15,21 +15,32 @@
 //! * a *constant* GEMM N target instead of adaptive pixel fusion, no
 //!   layout adaptation, no vectorisation-dimension choice — exactly the
 //!   degrees of freedom swATOP exploits.
+//!
+//! The rules score no DMA-wall pass and no reduction schedule: a knob the
+//! score does not read falls to its first value, so swDNN's point holds
+//! `dma=none` and `red=loop`, the first levels of those menus. Reordering
+//! either menu moves Fig. 5's baseline (a test below pins it).
 
 use sw26010::{Cycles, MachineConfig};
 use swatop::ops::ImplicitConvOp;
+use swatop::scheduler::Candidate;
 use swtensor::ConvShape;
 
-use crate::run_fixed_schedule;
+use crate::fixed_schedule;
 
 /// Simulated cycles of the swDNN implicit convolution, or `None` when the
 /// library has no implementation for this configuration.
 pub fn swdnn_implicit_conv(cfg: &MachineConfig, shape: &ConvShape) -> Option<Cycles> {
+    swatop::tuner::run_candidate(cfg, &swdnn_schedule(cfg, shape)?).ok()
+}
+
+/// swDNN's fixed schedule for `shape`, or `None` where it has none.
+fn swdnn_schedule(cfg: &MachineConfig, shape: &ConvShape) -> Option<Candidate> {
     if shape.b < 32 || !ImplicitConvOp::applicable(shape) {
         return None;
     }
     let op = ImplicitConvOp::new(*shape);
-    run_fixed_schedule(cfg, &op, |space, point| {
+    fixed_schedule(cfg, &op, |space, point| {
         let t_no = point.factor(space, "t_no");
         let t_ni = point.factor(space, "t_ni");
         let t_co = point.factor(space, "t_co");
@@ -51,7 +62,6 @@ pub fn swdnn_implicit_conv(cfg: &MachineConfig, shape: &ConvShape) -> Option<Cyc
         score += 50_000 - (t_ni as i64 - 256).abs() * 10;
         score
     })
-    .ok()
 }
 
 #[cfg(test)]
@@ -81,6 +91,20 @@ mod tests {
         let shape = ConvShape::square(32, 16, 16, 4);
         let c = swdnn_implicit_conv(&cfg, &shape).expect("swDNN supports batch 32");
         assert!(c.get() > 0);
+    }
+
+    #[test]
+    fn the_unscored_knobs_sit_at_their_first_level() {
+        // ResNet-50's res5 3x3 layer (Table 1) at batch 32: swDNN's point
+        // and its cycles, so that reordering a menu cannot move Fig. 5's
+        // baseline unseen.
+        let cfg = MachineConfig::default();
+        let shape =
+            ConvShape { b: 32, ni: 512, no: 512, ro: 7, co: 7, kr: 3, kc: 3, stride: 1, pad: 1 };
+        let cand = swdnn_schedule(&cfg, &shape).expect("swDNN supports batch 32");
+        assert!(cand.describe.ends_with("dma=none, red=loop"), "{}", cand.describe);
+        let cycles = swdnn_implicit_conv(&cfg, &shape).unwrap();
+        assert_eq!(cycles.get(), 43_980_052, "{}", cand.describe);
     }
 
     #[test]

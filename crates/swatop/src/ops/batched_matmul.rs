@@ -16,6 +16,7 @@ use swatop_ir::{MemRole, Program, Stmt};
 
 use crate::ops::matmul::{lower_matmul_body_with_spm, MatmulKnobs};
 use crate::ops::tiling::PadMode;
+use crate::ops::DMA_LADDER;
 use crate::scheduler::Operator;
 
 /// Batched GEMM operator instance.
@@ -57,7 +58,7 @@ impl Operator for BatchedMatmulOp {
     }
 
     fn space(&self) -> ScheduleSpace {
-        let mut s = MatmulKnobs::space(self.m, self.n, self.k);
+        let mut s = MatmulKnobs::space(self.m, self.n, self.k, &DMA_LADDER);
         if self.shared_a {
             s.toggle("fuse_batch");
         }

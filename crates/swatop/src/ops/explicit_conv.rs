@@ -19,6 +19,7 @@ use swtensor::ConvShape;
 
 use crate::ops::matmul::{lower_matmul_body, MatmulKnobs};
 use crate::ops::tiling::PadMode;
+use crate::ops::DMA_LADDER;
 use crate::scheduler::Operator;
 
 /// Explicit-GEMM convolution operator instance.
@@ -52,7 +53,7 @@ impl Operator for ExplicitConvOp {
 
     fn space(&self) -> ScheduleSpace {
         let (m, n, k) = self.gemm_dims();
-        MatmulKnobs::space(m, n, k)
+        MatmulKnobs::space(m, n, k, &DMA_LADDER)
     }
 
     fn lower(&self, space: &ScheduleSpace, point: &SchedulePoint) -> Option<Program> {

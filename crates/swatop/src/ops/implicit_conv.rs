@@ -30,7 +30,7 @@ use swatop_ir::{
 use swkernels::VecDim;
 use swtensor::{ConvShape, MatLayout};
 
-use crate::ops::{divisor_menu, largest_divisor, loop_sum, spread};
+use crate::ops::{divisor_menu, dma_level, largest_divisor, loop_sum, spread, DMA_LADDER};
 use crate::scheduler::Operator;
 
 /// Implicit-GEMM convolution operator instance.
@@ -79,7 +79,7 @@ impl Operator for ImplicitConvOp {
         sp.choice("w_layout", vec!["row".into(), "col".into()]);
         sp.choice("d_layout", vec!["row".into(), "col".into()]);
         sp.toggle("vec_m");
-        crate::ops::DmaKnobs::add_compact(&mut sp);
+        sp.choice("dma", DMA_LADDER.map(String::from).into());
         // Reduction schedule: `loop` iterates the (kr, kc, ni_t) nest and
         // re-waits per step; `resident` unrolls it — every step's weight and
         // input tile gets its own SPM slot, all fetched up front as one run
@@ -100,7 +100,7 @@ impl Operator for ImplicitConvOp {
         let w_col = point.choice(space, "w_layout") == "col";
         let d_col = point.choice(space, "d_layout") == "col";
         let vec_m = point.toggle(space, "vec_m");
-        let dma = crate::ops::DmaKnobs::from_point(space, point);
+        let dma = dma_level(point.choice(space, "dma"));
         let resident = space.has_knob("red") && point.choice(space, "red") == "resident";
 
         let n_dim = t_co * s.b;
@@ -140,7 +140,7 @@ impl Operator for ImplicitConvOp {
         let (ri, ci) = (s.ri(), s.ci());
 
         let mut p = Program::new(self.name());
-        p.hints = dma.hints();
+        p.hints = dma;
         let in_buf = p.mem_buf("in", self.shape.input_shape().numel(), MemRole::Input);
         let w_buf = p.mem_buf("weight", s.weight_shape().numel(), MemRole::Input);
         let out_buf = p.mem_buf("out", s.output_shape().numel(), MemRole::Output);

@@ -8,6 +8,7 @@
 //!   column-major operands are materialised by a one-time `PackTensor`
 //!   transpose in main memory (the layout transformation of Sec. 4.3.2);
 //! * `vec_m` — vectorise the M or the N loop (Sec. 4.3.3);
+//! * `dma` — which DMA-wall passes run (`MATMUL_DMA`, Sec. 4.5);
 //! * `resident` — stream B per tile step (`m`-outer tile loop), or keep its
 //!   whole-K panel in SPM under an `n`-outer loop (see [`Resident`]).
 //!
@@ -20,13 +21,14 @@
 use sw26010::DmaDirection::{MemToSpm, SpmToMem};
 use swatop_dsl::{SchedulePoint, ScheduleSpace, Seed};
 use swatop_ir::{
-    AffineExpr, GemmOp, MatDesc, MemRole, Program, SpmSlot, Stmt, TransformKind, TransformOp,
+    AffineExpr, GemmOp, MatDesc, MemRole, Program, ScheduleHints, SpmSlot, Stmt, TransformKind,
+    TransformOp,
 };
 use swkernels::VecDim;
 use swtensor::MatLayout;
 
+use crate::ops::dma_level;
 use crate::ops::tiling::{DimTiles, PadMode, SrcFamily};
-use crate::ops::DmaKnobs;
 use crate::scheduler::Operator;
 
 /// SPM-resident operand reuse. `None` streams every tile per (m, n, k) step
@@ -94,6 +96,11 @@ const N_MENU: &[usize] = &[32, 64, 128, 256, 512];
 const K_MENU: &[usize] = &[8, 16, 32, 64, 128, 256];
 const MAX_TILES_PER_DIM: usize = 4096;
 
+/// `MatmulOp`'s `dma` menu: broadcast always on (no optimum of the knob
+/// census, `tests/knob_census.rs`, went without it), double buffering and
+/// coalescing free.
+const MATMUL_DMA: [&str; 4] = ["bcast", "coal+bcast", "dbuf+bcast", "all"];
+
 impl Operator for MatmulOp {
     fn name(&self) -> String {
         format!("matmul_{}x{}x{}", self.m, self.n, self.k)
@@ -104,16 +111,7 @@ impl Operator for MatmulOp {
     }
 
     fn space(&self) -> ScheduleSpace {
-        let mut s = ScheduleSpace::new();
-        s.factor("t_m", tile_menu(self.m, 32, M_MENU, MAX_TILES_PER_DIM));
-        s.factor("t_n", tile_menu(self.n, 32, N_MENU, MAX_TILES_PER_DIM));
-        s.factor("t_k", tile_menu(self.k, 8, K_MENU, MAX_TILES_PER_DIM));
-        s.choice(
-            "layout",
-            vec!["rr".into(), "cr".into(), "rc".into(), "cc".into()],
-        );
-        s.toggle("vec_m");
-        DmaKnobs::add_toggles(&mut s);
+        let mut s = MatmulKnobs::space(self.m, self.n, self.k, &MATMUL_DMA);
         s.choice("resident", vec!["none".into(), "b".into()]);
         s
     }
@@ -161,8 +159,8 @@ pub struct MatmulKnobs {
     pub a_col: bool,
     pub b_col: bool,
     pub vec_m: bool,
-    /// The DMA-wall dimensions (double buffering, coalescing, broadcast).
-    pub dma: DmaKnobs,
+    /// The DMA-wall passes the `dma` level turns on.
+    pub dma: ScheduleHints,
     /// SPM-resident operand reuse, which also fixes the tile order.
     pub resident: Resident,
 }
@@ -182,7 +180,7 @@ impl MatmulKnobs {
             a_col: layout.as_bytes()[0] == b'c',
             b_col: layout.as_bytes()[1] == b'c',
             vec_m: point.toggle(space, "vec_m"),
-            dma: DmaKnobs::from_point(space, point),
+            dma: dma_level(point.choice(space, "dma")),
             resident,
         }
     }
@@ -225,17 +223,18 @@ impl MatmulKnobs {
         (iters <= 500_000).then_some((m_tiles, n_tiles, k_tiles))
     }
 
-    /// The standard matmul schedule space over the given dimensions (the
-    /// compact `dma` ladder, no `resident`; used by the operators that tune
-    /// the same GEMM space over their materialised matrices).
-    pub fn space(m: usize, n: usize, k: usize) -> ScheduleSpace {
+    /// The GEMM schedule space over the given dimensions, with `levels` as
+    /// its `dma` menu: `MatmulOp` adds `resident` to it, the operators that
+    /// tune the same space over their materialised matrices take it with
+    /// [`DMA_LADDER`](crate::ops::DMA_LADDER).
+    pub fn space(m: usize, n: usize, k: usize, levels: &[&str]) -> ScheduleSpace {
         let mut s = ScheduleSpace::new();
         s.factor("t_m", tile_menu(m, 32, M_MENU, MAX_TILES_PER_DIM));
         s.factor("t_n", tile_menu(n, 32, N_MENU, MAX_TILES_PER_DIM));
         s.factor("t_k", tile_menu(k, 8, K_MENU, MAX_TILES_PER_DIM));
         s.choice("layout", vec!["rr".into(), "cr".into(), "rc".into(), "cc".into()]);
         s.toggle("vec_m");
-        DmaKnobs::add_compact(&mut s);
+        s.choice("dma", levels.iter().map(|l| l.to_string()).collect());
         s
     }
 }
@@ -276,7 +275,7 @@ pub fn lower_matmul_body_with_spm(
 ) -> Option<Vec<Stmt>> {
     let &MatmulKnobs { t_m, t_n, t_k, a_col, b_col, vec_m, dma, resident } = knobs;
     let (m_tiles, n_tiles, k_tiles) = knobs.tilings(m, n, k, spm_reuse.is_some())?;
-    p.hints = dma.hints();
+    p.hints = dma;
 
     {
         let mut setup: Vec<Stmt> = Vec::new();

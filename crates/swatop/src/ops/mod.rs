@@ -26,95 +26,40 @@ pub use winograd_conv::WinogradConvOp;
 
 use sw26010::fault::MiscompilePlan;
 use sw26010::{CoreGroup, ExecMode, MachineConfig, MachineResult};
-use swatop_dsl::{factors_of, SchedulePoint, ScheduleSpace};
+use swatop_dsl::{factors_of, ScheduleSpace};
 use swatop_ir::{AVar, AffineExpr, MemRole, ScheduleHints, VarId};
 
 use crate::interp::{execute, instantiate};
 use crate::scheduler::{Candidate, Operator};
 
-/// The DMA-wall schedule dimensions every operator can expose: double
-/// buffering, transaction coalescing, and register-broadcast tiling.
-///
-/// Matmul exposes double buffering and coalescing as two independent
-/// toggles, with broadcast always on (`bcast=false` held no optimum of the
-/// knob census, `tests/knob_census.rs`); the other spaces use one compact
-/// 4-value `dma` choice (a nested ladder — each level adds one pass) to
-/// bound the black-box search blowup.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DmaKnobs {
-    pub dbuf: bool,
-    pub coalesce: bool,
-    pub bcast: bool,
+/// The `dma` menu of the operators that tune the GEMM space over
+/// materialised matrices, and of implicit conv: a ladder on which each level
+/// adds one DMA-wall pass.
+pub const DMA_LADDER: [&str; 4] = ["none", "dbuf", "dbuf+coal", "all"];
+
+/// The DMA-wall knob. Every operator appends one `dma` choice whose levels
+/// name the passes they turn on — `dbuf`, `coal`, `bcast` joined with `+`,
+/// or `none` / `all` — and each level parses straight to the
+/// [`ScheduleHints`] its program carries. Panics on a pass it does not know.
+pub fn dma_level(level: &str) -> ScheduleHints {
+    match level {
+        "none" => ScheduleHints::default(),
+        "all" => ScheduleHints { dbuf: true, coalesce: true, bcast: true },
+        _ => level.split('+').fold(ScheduleHints::default(), |h, pass| match pass {
+            "dbuf" => ScheduleHints { dbuf: true, ..h },
+            "coal" => ScheduleHints { coalesce: true, ..h },
+            "bcast" => ScheduleHints { bcast: true, ..h },
+            _ => panic!("unknown DMA-wall pass '{pass}' in level '{level}'"),
+        }),
+    }
 }
 
-impl DmaKnobs {
-    /// Append the compact `dma` ladder knob to a space.
-    pub fn add_compact(space: &mut ScheduleSpace) {
-        space.choice(
-            "dma",
-            vec!["none".into(), "dbuf".into(), "dbuf+coal".into(), "all".into()],
-        );
-    }
-
-    /// Append the two independent toggles to a space.
-    pub fn add_toggles(space: &mut ScheduleSpace) {
-        space.toggle("dbuf");
-        space.toggle("coal");
-    }
-
-    /// Parse from a point, tolerating spaces that expose neither form
-    /// (everything off — the pre-DMA-wall behaviour).
-    pub fn from_point(space: &ScheduleSpace, point: &SchedulePoint) -> DmaKnobs {
-        if space.has_knob("dma") {
-            match point.choice(space, "dma") {
-                "none" => DmaKnobs::default(),
-                "dbuf" => DmaKnobs { dbuf: true, ..Default::default() },
-                "dbuf+coal" => DmaKnobs { dbuf: true, coalesce: true, bcast: false },
-                _ => DmaKnobs { dbuf: true, coalesce: true, bcast: true },
-            }
-        } else if space.has_knob("dbuf") {
-            DmaKnobs {
-                dbuf: point.toggle(space, "dbuf"),
-                coalesce: point.toggle(space, "coal"),
-                bcast: true,
-            }
-        } else {
-            DmaKnobs::default()
-        }
-    }
-
-    /// Positions in `space` of the knobs [`DmaKnobs::from_point`] reads —
-    /// the knobs whose value reaches a library lowering's program only
-    /// through [`DmaKnobs::hints`]. The scheduler shares one lowering among
-    /// the points that differ only here (see [`Operator::lower`]).
-    pub fn positions(space: &ScheduleSpace) -> Vec<usize> {
-        let names: &[&str] = if space.has_knob("dma") {
-            &["dma"]
-        } else if space.has_knob("dbuf") {
-            &["dbuf", "coal"]
-        } else {
-            &[]
-        };
-        let pos = |name: &str| space.knobs().iter().position(|k| k.name() == name);
-        names.iter().map(|n| pos(n).unwrap_or_else(|| panic!("unknown knob '{n}'"))).collect()
-    }
-
-    /// [`DmaKnobs::from_point`] with the knobs already located:
-    /// `positions` is [`DmaKnobs::positions`] of the space `sel` (a point's
-    /// [`SchedulePoint::sel`]) selects in. The compact ladder is read by
-    /// level, in [`DmaKnobs::add_compact`]'s order.
-    pub fn at(positions: &[usize], sel: &[usize]) -> DmaKnobs {
-        match *positions {
-            [dma] => DmaKnobs { dbuf: sel[dma] >= 1, coalesce: sel[dma] >= 2, bcast: sel[dma] >= 3 },
-            [dbuf, coal] => DmaKnobs { dbuf: sel[dbuf] == 1, coalesce: sel[coal] == 1, bcast: true },
-            _ => DmaKnobs::default(),
-        }
-    }
-
-    /// The optimizer directives these knobs select.
-    pub fn hints(self) -> ScheduleHints {
-        ScheduleHints { dbuf: self.dbuf, coalesce: self.coalesce, bcast: self.bcast }
-    }
+/// The position of `space`'s `dma` knob: the one knob whose value reaches a
+/// library lowering's program only through its hints. The scheduler shares
+/// one lowering among the points that differ only here (see
+/// [`Operator::lower`]).
+pub fn dma_knob(space: &ScheduleSpace) -> Option<usize> {
+    space.knobs().iter().position(|k| k.name() == "dma")
 }
 
 /// Divisor candidates of `n` that are multiples of `mult`, capped in count
@@ -284,32 +229,25 @@ mod tests {
     }
 
     #[test]
-    fn knobs_by_position_equal_knobs_by_name() {
-        let spaces = [
-            MatmulOp::new(32, 32, 32).space(),
-            ImplicitConvOp::new(swtensor::ConvShape::square(8, 16, 16, 4)).space(),
-            {
-                let mut plain = ScheduleSpace::new();
-                plain.toggle("other");
-                plain
-            },
-        ];
-        for space in &spaces {
-            let positions = DmaKnobs::positions(space);
-            for point in space.points() {
-                assert_eq!(
-                    DmaKnobs::at(&positions, point.sel()),
-                    DmaKnobs::from_point(space, &point),
-                    "{}",
-                    point.describe(space)
-                );
-            }
+    fn a_dma_level_parses_to_the_passes_it_names() {
+        let h = |dbuf, coalesce, bcast| ScheduleHints { dbuf, coalesce, bcast };
+        for (level, want) in [
+            ("none", h(false, false, false)),
+            ("dbuf", h(true, false, false)),
+            ("dbuf+coal", h(true, true, false)),
+            ("bcast", h(false, false, true)),
+            ("coal+bcast", h(false, true, true)),
+            ("dbuf+bcast", h(true, false, true)),
+            ("all", h(true, true, true)),
+            ("dbuf+coal+bcast", h(true, true, true)),
+        ] {
+            assert_eq!(dma_level(level), want, "{level}");
         }
-        assert_eq!(DmaKnobs::positions(&spaces[0]).len(), 2, "matmul exposes the toggles");
-        assert!(
-            spaces[0].points().all(|p| DmaKnobs::from_point(&spaces[0], &p).bcast),
-            "matmul always broadcasts"
-        );
-        assert_eq!(DmaKnobs::positions(&spaces[1]).len(), 1, "the convs expose the ladder");
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown DMA-wall pass 'dbuff'")]
+    fn a_misspelt_dma_level_is_refused() {
+        dma_level("dbuff+coal");
     }
 }

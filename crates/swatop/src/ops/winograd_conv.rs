@@ -31,7 +31,7 @@ use swatop_ir::{
 use swkernels::VecDim;
 use swtensor::{ConvShape, MatLayout};
 
-use crate::ops::{divisor_menu, largest_divisor, loop_sum};
+use crate::ops::{divisor_menu, dma_level, largest_divisor, loop_sum};
 use crate::ops::tiling::DimTiles;
 use crate::optimizer::boundary::round_up;
 use crate::scheduler::Operator;
@@ -68,6 +68,11 @@ const MAX_RESIDENT_STEPS: usize = 16;
 
 const NT_MENU: &[usize] = &[32, 64, 128, 256, 512];
 
+/// Winograd's `dma` menu: the two levels of the implicit-conv ladder that
+/// hold optima in the knob census (`tests/knob_census.rs`); `none` and
+/// `dbuf+coal` held none of its 73 Winograd optima.
+const WINOGRAD_DMA: [&str; 2] = ["dbuf", "all"];
+
 impl Operator for WinogradConvOp {
     fn name(&self) -> String {
         let s = &self.shape;
@@ -86,7 +91,7 @@ impl Operator for WinogradConvOp {
         sp.factor("t_nt", crate::ops::matmul::tile_menu(self.nt_pad(), 32, NT_MENU, 64));
         sp.choice("u_layout", vec!["row".into(), "col".into()]);
         sp.toggle("vec_m");
-        crate::ops::DmaKnobs::add_compact(&mut sp);
+        sp.choice("dma", WINOGRAD_DMA.map(String::from).into());
         sp
     }
 
@@ -100,7 +105,7 @@ impl Operator for WinogradConvOp {
         let t_nt = point.factor(space, "t_nt");
         let u_col = point.choice(space, "u_layout") == "col";
         let vec_m = point.toggle(space, "vec_m");
-        let dma = crate::ops::DmaKnobs::from_point(space, point);
+        let dma = dma_level(point.choice(space, "dma"));
 
         if !t_no.is_multiple_of(8) || !t_ni.is_multiple_of(8) || !t_nt.is_multiple_of(32) {
             return None;
@@ -126,7 +131,7 @@ impl Operator for WinogradConvOp {
         debug_assert!(!nt_tiles.tail_aux, "nt_pad and t_nt are 32-aligned");
 
         let mut p = Program::new(self.name());
-        p.hints = dma.hints();
+        p.hints = dma;
         let in_buf = p.mem_buf("in", s.input_shape().numel(), MemRole::Input);
         let w_buf = p.mem_buf("weight", s.weight_shape().numel(), MemRole::Input);
         let out_buf = p.mem_buf("out", s.output_shape().numel(), MemRole::Output);

@@ -92,7 +92,7 @@ pub fn dma_wall(mut program: Program) -> Program {
 mod tests {
     use super::*;
     use crate::ops::{
-        BatchedMatmulOp, ConvBackwardDataOp, ConvBackwardFilterOp, DmaKnobs, ExplicitConvOp,
+        dma_knob, BatchedMatmulOp, ConvBackwardDataOp, ConvBackwardFilterOp, ExplicitConvOp,
         ImplicitConvOp, MatmulOp, WinogradConvOp,
     };
     use crate::scheduler::Operator;
@@ -145,11 +145,11 @@ mod tests {
         let (mut compared, mut tagged_and_fused) = (0, 0);
         for op in every_op() {
             let space = op.space();
-            let dma = DmaKnobs::positions(&space);
-            // Structural points: the DMA knobs zeroed, every other
+            let dma = dma_knob(&space);
+            // Structural points: the `dma` knob zeroed, every other
             // selection. All eight hint combinations are tried on each,
-            // whether or not the operator's knob form can express them.
-            for point in space.points().filter(|p| dma.iter().all(|&i| p.sel()[i] == 0)) {
+            // whether or not the operator's `dma` menu offers them.
+            for point in space.points().filter(|p| dma.is_none_or(|i| p.sel()[i] == 0)) {
                 let Some(lowered) = op.lower(&space, &point) else { continue };
                 for n in 0..8 {
                     let hints =

@@ -13,7 +13,7 @@
 //!   machine events in simulated time, one process each.
 //! * [`diff`] — align two candidate profiles of the same operator
 //!   phase-by-phase and attribute the cycle delta to the schedule knobs
-//!   that changed (dbuf / coal / bcast / residency / tiles) — the "why is
+//!   that changed (the `dma` level / residency / tiles) — the "why is
 //!   B faster than A" answer the tuner's scalar ranking cannot give.
 //! * [`corpus_text`] — harvest every evaluated candidate of a telemetry-
 //!   instrumented sweep into a schema-versioned JSONL feature corpus
@@ -367,17 +367,12 @@ fn knob_commentary(k: &KnobDelta, a: &CandidateProfile, b: &CandidateProfile) ->
     let dma = |p: &CandidateProfile| p.timeline.dma_busy();
     let base = format!("{} {} -> {}: ", k.name, k.a, k.b);
     match k.name.as_str() {
-        "dbuf" | "dma" => format!(
-            "{base}stall {} -> {} cycles, dma/compute overlap {} -> {} cycles",
+        "dma" => format!(
+            "{base}stall {} -> {} cycles, dma/compute overlap {} -> {} cycles, bus bytes {} -> {}",
             stall(a),
             stall(b),
             overlap(a),
-            overlap(b)
-        ),
-        "coal" => format!(
-            "{base}dma busy {} -> {} cycles, bus bytes {} -> {}",
-            dma(a),
-            dma(b),
+            overlap(b),
             a.counters.dma_bus_bytes,
             b.counters.dma_bus_bytes
         ),
@@ -605,20 +600,13 @@ mod tests {
         // Pick a dbuf-off/dbuf-on pair with otherwise identical knobs.
         let off = cands
             .iter()
-            .find(|c| c.describe.contains("dbuf=false"))
-            .expect("space has a dbuf=false point");
+            .find(|c| c.describe.contains("dma=bcast,"))
+            .expect("space has a dma=bcast point");
+        let twin = off.describe.replace("dma=bcast,", "dma=dbuf+bcast,");
         let on = cands
             .iter()
-            .find(|c| {
-                c.describe.contains("dbuf=true")
-                    && parse_knobs(&c.describe)
-                        .iter()
-                        .filter(|(k, _)| k != "dbuf")
-                        .all(|(k, v)| {
-                            parse_knobs(&off.describe).iter().any(|(k2, v2)| k2 == k && v2 == v)
-                        })
-            })
-            .expect("space has the matching dbuf=true point");
+            .find(|c| c.describe == twin)
+            .expect("space has the matching dma=dbuf+bcast point");
         let off_i = cands.iter().position(|c| std::ptr::eq(c, off)).unwrap();
         let on_i = cands.iter().position(|c| std::ptr::eq(c, on)).unwrap();
         let a = profile_candidate(&cfg, "mm64", off_i, off).unwrap();
@@ -656,15 +644,15 @@ mod tests {
     fn diff_attributes_dbuf_to_stall_and_overlap() {
         let (a, b) = profiles();
         let d = diff(&a, &b);
-        assert_eq!(d.knobs.len(), 1, "only dbuf differs: {:?}", d.knobs);
-        assert_eq!(d.knobs[0].name, "dbuf");
+        assert_eq!(d.knobs.len(), 1, "only dma differs: {:?}", d.knobs);
+        assert_eq!(d.knobs[0].name, "dma");
         // Double buffering hides transfers: overlap must grow.
         assert!(
             b.timeline.overlap_cycles() > a.timeline.overlap_cycles(),
-            "dbuf=true should overlap dma with compute"
+            "dma=dbuf+bcast should overlap dma with compute"
         );
         let report = diff_report(&d);
-        assert!(report.contains("dbuf false -> true"), "{report}");
+        assert!(report.contains("dma bcast -> dbuf+bcast: stall"), "{report}");
         assert!(report.contains("phase attribution"), "{report}");
         // Phase deltas sum to the timeline-horizon delta.
         let phase_sum: i64 = d.phases.iter().map(PhaseDelta::delta).sum();
@@ -685,7 +673,7 @@ mod tests {
         sw26010::json::parse(&j1).unwrap();
         assert!(j1.contains("\"profile_schema\":1"));
         assert!(j1.contains("\"truncated\":false"));
-        assert!(j1.contains("\"dbuf\":false"));
+        assert!(j1.contains("\"dma\":\"bcast\""));
     }
 
     /// A profile of a hand-built trace.

@@ -29,11 +29,11 @@
 //! broadcast nor double-buffered *is* its candidate's `raw` once built.
 
 use sw26010::MachineConfig;
-use swatop_dsl::{SchedulePoint, ScheduleSpace, Seed};
-use swatop_ir::Program;
+use swatop_dsl::{Knob, SchedulePoint, ScheduleSpace, Seed};
+use swatop_ir::{Program, ScheduleHints};
 
 use crate::codegen::{fits, fits_with, Executable};
-use crate::ops::DmaKnobs;
+use crate::ops::{dma_knob, dma_level};
 use crate::optimizer::{self, prefetch};
 
 /// An operator that swATOP can tune: a schedule seed, a schedule space, and
@@ -52,10 +52,10 @@ pub trait Operator {
     /// invalid (factor combination violates a kernel or capacity rule that
     /// is cheaper to check here than to discover in `plan`).
     ///
-    /// The knobs of [`DmaKnobs::positions`] may reach the program only
-    /// through `Program::hints` ([`DmaKnobs::hints`]): points differing only
-    /// there must lower to programs differing only in `hints`, and the
-    /// scheduler lowers such points once. Debug builds compare every shared
+    /// The `dma` knob ([`dma_knob`]) may reach the program only through
+    /// `Program::hints` ([`dma_level`]): points differing only there must
+    /// lower to programs differing only in `hints`, and the scheduler lowers
+    /// such points once. Debug builds compare every shared
     /// lowering against a direct one and panic where a lowering reads a DMA
     /// knob structurally.
     fn lower(&self, space: &ScheduleSpace, point: &SchedulePoint) -> Option<Program>;
@@ -166,9 +166,9 @@ impl Scheduler {
 }
 
 /// What the points of one structural point (same selection outside the
-/// hint-only knobs) share.
+/// `dma` knob) share.
 struct Shared {
-    /// The point's selection with the hint-only knobs zeroed.
+    /// The point's selection with the `dma` knob zeroed.
     key: Vec<usize>,
     /// `op.lower` at `key` (`None`: the structural point is invalid) until
     /// the last `dma_wall` that reads it takes it.
@@ -188,10 +188,12 @@ struct FrontEnd<'a> {
     sched: &'a Scheduler,
     op: &'a dyn Operator,
     space: &'a ScheduleSpace,
-    /// Knob positions that reach the program only through its hints; empty
-    /// for a space without DMA knobs, and then every point is its own
-    /// structural point.
-    hint_only: Vec<usize>,
+    /// Position of the `dma` knob, which reaches the program only through
+    /// its hints; `None` for a space without one, and then every point is
+    /// its own structural point.
+    dma: Option<usize>,
+    /// The hints of each `dma` level, in menu order.
+    levels: Vec<ScheduleHints>,
     /// Points agreeing on the selection before this position form a block.
     block_prefix: usize,
     /// Stage outputs of the current block: at most the product of the
@@ -201,9 +203,15 @@ struct FrontEnd<'a> {
 
 impl<'a> FrontEnd<'a> {
     fn new(sched: &'a Scheduler, op: &'a dyn Operator, space: &'a ScheduleSpace) -> Self {
-        let hint_only = DmaKnobs::positions(space);
-        let block_prefix = hint_only.iter().copied().min().unwrap_or(space.knobs().len());
-        FrontEnd { sched, op, space, hint_only, block_prefix, block: Vec::new() }
+        let dma = dma_knob(space);
+        let levels = match dma.map(|i| &space.knobs()[i]) {
+            Some(Knob::Choice { candidates, .. }) => {
+                candidates.iter().map(|l| dma_level(l)).collect()
+            }
+            _ => Vec::new(),
+        };
+        let block_prefix = dma.unwrap_or(space.knobs().len());
+        FrontEnd { sched, op, space, dma, levels, block_prefix, block: Vec::new() }
     }
 
     fn candidate(&mut self, point: &SchedulePoint) -> Option<Candidate> {
@@ -211,17 +219,16 @@ impl<'a> FrontEnd<'a> {
         if self.block.first().is_some_and(|s| s.key[..n] != sel[..n]) {
             self.block.clear();
         }
-        // The block's keys carry zeros at the hint-only positions, all of
-        // which lie at or after `block_prefix`: compare around them.
-        let hint_only = &self.hint_only;
-        let same_structure = |key: &[usize]| {
-            (n..sel.len()).all(|i| key[i] == sel[i] || hint_only.contains(&i))
-        };
+        // The block's keys carry a zero at the `dma` position, which is
+        // `block_prefix`: compare around it.
+        let dma = self.dma;
+        let same_structure =
+            |key: &[usize]| (n..sel.len()).all(|i| key[i] == sel[i] || Some(i) == dma);
         let slot = match self.block.iter().position(|s| same_structure(&s.key)) {
             Some(i) => i,
             None => {
                 let mut key = sel.to_vec();
-                hint_only.iter().for_each(|&i| key[i] = 0);
+                dma.iter().for_each(|&i| key[i] = 0);
                 let structural = SchedulePoint::from_sel(self.space, key.clone());
                 let lowered = self.op.lower(self.space, &structural);
                 self.block.push(Shared {
@@ -237,19 +244,19 @@ impl<'a> FrontEnd<'a> {
         let shared = &mut self.block[slot];
         // A shared lowering was made at the zeroed knobs: the point's own
         // hints are the only thing it lacks.
-        let hints = if self.hint_only.is_empty() {
-            shared.lowered.as_ref()?.hints
-        } else {
-            DmaKnobs::at(&self.hint_only, sel).hints()
+        let hints = match dma {
+            Some(i) => self.levels[sel[i]],
+            None => shared.lowered.as_ref()?.hints,
         };
         // `dma_wall` reads `coalesce` only: the siblings that differ in
         // `dbuf` or `bcast` share its output — the same tree, not equal
         // ones — and differ in `hints`, which the screen and the
         // executable's build read. The lowering feeds one `dma_wall` per
-        // `coalesce` value (just one where no knob is hint-only); the last
-        // of them takes it and edits its tree in place instead of copying it.
+        // `coalesce` value (just one where the space has no `dma` knob); the
+        // last of them takes it and edits its tree in place instead of
+        // copying it.
         let c = usize::from(hints.coalesce);
-        let last = self.hint_only.is_empty() || shared.raw[1 - c].is_some();
+        let last = dma.is_none() || shared.raw[1 - c].is_some();
         if shared.raw[c].is_none() {
             let lowered = if last { shared.lowered.take() } else { shared.lowered.clone() };
             shared.raw[c] = lowered.map(|p| optimizer::dma_wall(Program { hints, ..p }));
@@ -293,8 +300,9 @@ mod tests {
     use super::*;
     use crate::ops::MatmulOp;
 
-    /// A matmul whose lowering reads the `dbuf` toggle structurally (an
-    /// extra SPM buffer), breaking [`Operator::lower`]'s contract.
+    /// A matmul whose lowering reads the `dma` knob structurally (an extra
+    /// SPM buffer under double buffering), breaking [`Operator::lower`]'s
+    /// contract.
     struct DbufReader {
         inner: MatmulOp,
     }
@@ -311,7 +319,7 @@ mod tests {
         }
         fn lower(&self, space: &ScheduleSpace, point: &SchedulePoint) -> Option<Program> {
             let mut p = self.inner.lower(space, point)?;
-            if point.toggle(space, "dbuf") {
+            if dma_level(point.choice(space, "dma")).dbuf {
                 p.spm_buf("staging", 8);
             }
             Some(p)

@@ -12,10 +12,10 @@ use sw26010::{CoreGroup, ExecMode, MachineConfig};
 use swatop::interp::{execute, instantiate};
 use swatop::ops::matmul::{lower_matmul_body, MatmulKnobs, Resident};
 use swatop::ops::tiling::PadMode;
-use swatop::ops::{DmaKnobs, MatmulOp};
+use swatop::ops::MatmulOp;
 use swatop::scheduler::{Operator, Scheduler};
 use swatop::tuner::{tune, TierPolicy, TuneOptions};
-use swatop_ir::{MemRole, Program, SpmSlot, Stmt};
+use swatop_ir::{MemRole, Program, ScheduleHints, SpmSlot, Stmt};
 
 /// Base knob set the equivalence tests perturb.
 fn base_knobs(t_m: usize, t_n: usize, t_k: usize) -> MatmulKnobs {
@@ -26,7 +26,7 @@ fn base_knobs(t_m: usize, t_n: usize, t_k: usize) -> MatmulKnobs {
         a_col: false,
         b_col: false,
         vec_m: false,
-        dma: DmaKnobs::default(),
+        dma: ScheduleHints::default(),
         resident: Resident::None,
     }
 }
@@ -131,7 +131,7 @@ fn new_dimensions_are_bit_identical_across_job_counts() {
     let cfg = MachineConfig::default();
     let op = MatmulOp::new(64, 64, 32);
     let space = op.space();
-    for knob in ["dbuf", "coal", "resident"] {
+    for knob in ["dma", "resident"] {
         assert!(space.has_knob(knob), "matmul space exposes {knob}");
     }
     let all = Scheduler::new(cfg.clone()).enumerate(&op);
@@ -140,7 +140,7 @@ fn new_dimensions_are_bit_identical_across_job_counts() {
     let cands: Vec<_> = all.iter().step_by(7).cloned().collect();
     assert!(cands.len() >= 64, "need a nontrivial sample, got {}", cands.len());
     assert!(
-        cands.iter().any(|c| c.describe.contains("dbuf=true")),
+        cands.iter().any(|c| c.describe.contains("dma=dbuf+bcast")),
         "sample crosses the dbuf dimension"
     );
     let sweep =
@@ -200,7 +200,7 @@ proptest! {
         let cfg = MachineConfig::default();
         let plain = base_knobs(32, 32, 16);
         let mut full = plain;
-        full.dma = DmaKnobs { dbuf: true, coalesce: true, bcast: true };
+        full.dma = ScheduleHints { dbuf: true, coalesce: true, bcast: true };
         full.resident = if resident_b { Resident::B } else { Resident::None };
         let (Some((out_plain, _)), Some((out_full, _))) = (
             run_matmul(&cfg, m, n, k, &plain),

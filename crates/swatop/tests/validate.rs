@@ -11,9 +11,7 @@ use sw26010::{CoreGroup, ExecMode, FaultPlan, MachineConfig, MachineError};
 use swatop::interp::{execute, instantiate};
 use swatop::ops::matmul::{lower_matmul_body, MatmulKnobs, Resident};
 use swatop::ops::tiling::PadMode;
-use swatop::ops::{
-    validate_candidate, validate_candidate_injected, DmaKnobs, MatmulOp,
-};
+use swatop::ops::{validate_candidate, validate_candidate_injected, MatmulOp};
 use swatop::optimizer::verify::verify_executable;
 use swatop::scheduler::{Candidate, Operator, Scheduler};
 use swatop::tuner::checkpoint::{self, CandCell};
@@ -21,7 +19,7 @@ use swatop::tuner::{
     should_retry, tune, CheckpointPolicy, TierPolicy,
     TuneOptions, TuneOutcome, WinnerValidator,
 };
-use swatop_ir::{MemRole, Program, Stmt};
+use swatop_ir::{MemRole, Program, ScheduleHints, Stmt};
 
 fn candidates(op: &dyn Operator) -> Vec<Candidate> {
     Scheduler::new(MachineConfig::default()).enumerate(op)
@@ -256,7 +254,7 @@ fn base_knobs(t_m: usize, t_n: usize, t_k: usize) -> MatmulKnobs {
         a_col: false,
         b_col: false,
         vec_m: false,
-        dma: DmaKnobs::default(),
+        dma: ScheduleHints::default(),
         resident: Resident::None,
     }
 }

@@ -12,7 +12,7 @@ use swatop_repro::ir::{MemRole, Program, Stmt};
 use swatop_repro::sw26010::MachineConfig;
 use swatop_repro::swatop::ops::matmul::{lower_matmul_body, MatmulKnobs};
 use swatop_repro::swatop::ops::tiling::PadMode;
-use swatop_repro::swatop::ops::verify_candidate;
+use swatop_repro::swatop::ops::{verify_candidate, DMA_LADDER};
 use swatop_repro::swatop::scheduler::{Operator, Scheduler};
 use swatop_repro::swatop::tuner::{tune, TierPolicy, TuneOptions};
 use swatop_repro::swtensor::init::random_vec;
@@ -37,7 +37,7 @@ impl Operator for ResidualMatmul {
 
     fn space(&self) -> ScheduleSpace {
         // Reuse the GEMM schedule vocabulary verbatim.
-        MatmulKnobs::space(self.m, self.n, self.k)
+        MatmulKnobs::space(self.m, self.n, self.k, &DMA_LADDER)
     }
 
     fn lower(&self, space: &ScheduleSpace, point: &SchedulePoint) -> Option<Program> {

@@ -10,7 +10,7 @@ use swatop_repro::dsl::{SchedulePoint, ScheduleSpace};
 use swatop_repro::ir::Program;
 use swatop_repro::sw26010::MachineConfig;
 use swatop_repro::swatop::codegen::plan;
-use swatop_repro::swatop::ops::DmaKnobs;
+use swatop_repro::swatop::ops::{dma_knob, dma_level};
 use swatop_repro::swatop::optimizer::{dma_wall, finish, optimize};
 use swatop_repro::swatop::optimizer::prefetch::apply_double_buffering;
 use swatop_repro::swatop::scheduler::{Candidate, Operator, Scheduler};
@@ -132,28 +132,24 @@ fn prefetch_off_executes_the_raw_form() {
 fn library_lowerings_read_dma_knobs_into_hints_only() {
     for op in every_op() {
         let space = op.space();
-        let dma = DmaKnobs::positions(&space);
-        assert!(!dma.is_empty(), "{}: no DMA knob", op.name());
-        let arities: Vec<usize> = dma.iter().map(|&i| space.knobs()[i].arity()).collect();
+        let dma = dma_knob(&space).unwrap_or_else(|| panic!("{}: no DMA knob", op.name()));
         let mut seen = std::collections::HashSet::new();
         let mut checked = 0;
         for point in space.points().step_by(5) {
             let mut base = point.sel().to_vec();
-            dma.iter().for_each(|&i| base[i] = 0);
+            base[dma] = 0;
             if !seen.insert(base.clone()) {
                 continue;
             }
-            let at_zero = op.lower(&space, &SchedulePoint::from_sel(&space, base.clone()));
-            // Every assignment of the DMA knobs, as a mixed-radix counter.
-            for mut n in 1..arities.iter().product::<usize>() {
+            let at_zero = SchedulePoint::from_sel(&space, base.clone());
+            let lowered = op.lower(&space, &at_zero);
+            // Every other level of the `dma` menu.
+            for level in 1..space.knobs()[dma].arity() {
                 let mut sel = base.clone();
-                for (&i, &a) in dma.iter().zip(&arities) {
-                    sel[i] = n % a;
-                    n /= a;
-                }
+                sel[dma] = level;
                 let moved = SchedulePoint::from_sel(&space, sel);
-                let hints = DmaKnobs::from_point(&space, &moved).hints();
-                let want = at_zero.clone().map(|p| Program { hints, ..p });
+                let hints = dma_level(moved.choice(&space, "dma"));
+                let want = lowered.clone().map(|p| Program { hints, ..p });
                 assert!(
                     op.lower(&space, &moved) == want,
                     "{} at {}",
@@ -162,8 +158,8 @@ fn library_lowerings_read_dma_knobs_into_hints_only() {
                 );
                 checked += 1;
             }
-            if let Some(p) = &at_zero {
-                assert_eq!(p.hints, DmaKnobs::at(&dma, &base).hints(), "{}", op.name());
+            if let Some(p) = &lowered {
+                assert_eq!(p.hints, dma_level(at_zero.choice(&space, "dma")), "{}", op.name());
             }
         }
         assert!(checked > 0, "{}", op.name());

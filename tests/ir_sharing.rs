@@ -9,10 +9,11 @@
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
-use swatop_repro::ir::{Program, Stmt};
+use swatop_repro::dsl::{Knob, ScheduleSpace};
+use swatop_repro::ir::{Program, ScheduleHints, Stmt};
 use swatop_repro::sw26010::MachineConfig;
 use swatop_repro::swatop::model::{estimate, GemmModel};
-use swatop_repro::swatop::ops::{DmaKnobs, ExplicitConvOp, MatmulOp};
+use swatop_repro::swatop::ops::{dma_knob, dma_level, ExplicitConvOp, MatmulOp};
 use swatop_repro::swatop::scheduler::{Candidate, Operator, Scheduler};
 use swatop_repro::swatop::tuner::{model_rank, screen_leaders};
 use swatop_repro::swtensor::ConvShape;
@@ -33,13 +34,32 @@ fn body_addr(p: &Program) -> usize {
     p.part_addrs()[0]
 }
 
+/// The hints of each level of `space`'s `dma` menu.
+fn dma_menu(space: &ScheduleSpace) -> Vec<ScheduleHints> {
+    match dma_knob(space).map(|i| &space.knobs()[i]) {
+        Some(Knob::Choice { candidates, .. }) => {
+            candidates.iter().map(|l| dma_level(l)).collect()
+        }
+        other => panic!("no dma choice: {other:?}"),
+    }
+}
+
+/// Whether two levels of the menu agree on what `key` reads of them.
+fn two_levels_agree<K: PartialEq>(
+    menu: &[ScheduleHints],
+    key: impl Fn(&ScheduleHints) -> K,
+) -> bool {
+    menu.iter().enumerate().any(|(i, a)| menu[..i].iter().any(|b| key(a) == key(b)))
+}
+
 #[test]
 fn candidates_hold_one_tree_per_distinct_program() {
     let (mut shared_exe, mut sibling_pairs, mut bcast_pairs) = (0, 0, 0);
     for op in every_op() {
         let (op, space) = (op.as_ref(), op.space());
         let cands = enumerate(op);
-        let dma = DmaKnobs::positions(&space);
+        let (dma, menu) = (dma_knob(&space), dma_menu(&space));
+        let pairs_before = sibling_pairs;
 
         // An executable that is neither double-buffered nor broadcast is
         // its `raw`.
@@ -80,10 +100,14 @@ fn candidates_hold_one_tree_per_distinct_program() {
         assert!(rewritten.iter().all(rewrites), "{}", op.name());
         assert_eq!(raws.len(), groups.len(), "{}: one raw per group", op.name());
         assert_eq!(all.len(), raws.len() + rewritten.len(), "{}: distinct trees", op.name());
-        if dma.len() == 2 {
-            // Independent toggles, broadcast always on: every group is the
-            // two dbuf siblings, whose two rewritten executables and one
-            // `raw` are three trees per two candidates.
+        // Siblings exist exactly where two levels of the menu agree on
+        // `coalesce` (Winograd's `dbuf` and `all` do not).
+        let shares = two_levels_agree(&menu, |h| h.coalesce);
+        assert_eq!(sibling_pairs > pairs_before, shares, "{}: {menu:?}", op.name());
+        if menu.iter().all(|h| h.bcast) {
+            // Broadcast always on (matmul): every group is the two dbuf
+            // siblings, whose two rewritten executables and one `raw` are
+            // three trees per two candidates.
             assert!(2 * all.len() <= 3 * cands.len(), "{}: {} trees", op.name(), all.len());
         }
     }
@@ -95,14 +119,21 @@ fn candidates_hold_one_tree_per_distinct_program() {
 fn writing_through_a_clone_leaves_every_other_handle_alone() {
     for op in every_op() {
         let cands = enumerate(op.as_ref());
-        let i = cands.iter().position(|c| c.prefetched).expect("a prefetched candidate");
-        let victim = &cands[i];
-        let sharers: Vec<&Program> = cands
-            .iter()
-            .flat_map(|c| [&c.raw, &c.exe.program])
-            .filter(|p| body_addr(p) == body_addr(&victim.raw))
-            .collect();
-        assert!(sharers.len() >= 2, "{}: raw is shared", op.name());
+        let handles: Vec<&Program> = cands.iter().flat_map(|c| [&c.raw, &c.exe.program]).collect();
+        let sharers_of = |c: &Candidate| -> Vec<&Program> {
+            handles.iter().copied().filter(|p| body_addr(p) == body_addr(&c.raw)).collect()
+        };
+        // A prefetched candidate whose `raw` another handle holds too. No
+        // two Winograd handles share a tree (its two `dma` levels differ in
+        // `coalesce`, and every executable is rewritten): there a second
+        // handle on the first prefetched `raw` stands in.
+        let prefetched = || cands.iter().filter(|c| c.prefetched);
+        let shared = prefetched().find(|c| sharers_of(c).len() >= 2);
+        assert_eq!(shared.is_some(), !op.name().starts_with("winograd"), "{}", op.name());
+        let victim = shared.or_else(|| prefetched().next()).expect("a prefetched candidate");
+        let held = victim.raw.clone();
+        let mut sharers = sharers_of(victim);
+        sharers.push(&held);
         let before: Vec<String> = sharers.iter().map(|p| format!("{p:?}")).collect();
 
         let mut copy = victim.raw.clone();
@@ -172,7 +203,16 @@ fn screen_equals_a_per_candidate_estimate() {
     for op in every_op() {
         let cands = enumerate(op.as_ref());
         let (leaders, slot) = screen_leaders(&cands);
-        assert!(leaders.len() < cands.len(), "{}: nothing shared", op.name());
+        // A leader prices one (`raw`, `bcast`): levels share one only where
+        // they agree on both — never on Winograd's menu, whose every
+        // candidate leads.
+        let shares = two_levels_agree(&dma_menu(&op.space()), |h| (h.coalesce, h.bcast));
+        assert_eq!(shares, !op.name().starts_with("winograd"), "{}", op.name());
+        if shares {
+            assert!(leaders.len() < cands.len(), "{}: nothing shared", op.name());
+        } else {
+            assert_eq!(leaders.len(), cands.len(), "{}: one leader per candidate", op.name());
+        }
         assert_eq!(slot.len(), cands.len());
         let want = rank_per_candidate(&cfg, &cands);
         for jobs in [1, 2, 4] {

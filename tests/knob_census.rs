@@ -24,8 +24,11 @@
 //! * `winograd` — Listing 1 at batch 32, spatial cap 32, the Table-1 layers
 //!   at batch 1 and 32, and the small shapes;
 //! * `ladder` — explicit conv, backward data, backward filter and batched
-//!   matmul: the operators that tune `MatmulKnobs::space` with its compact
-//!   `dma` ladder.
+//!   matmul: the operators that tune `MatmulKnobs::space` with the `dma`
+//!   ladder.
+//!
+//! Every level of every `dma` menu must hold an optimum, but for the three
+//! levels [`DMA_KEEPS`] names with the reason each stays.
 //!
 //! A second test pins which Winograd-applicable shapes have no candidate at
 //! all, so that deleting a reduction schedule cannot leave a shape with an
@@ -69,6 +72,30 @@ const GEMM_USED: [(usize, usize, usize); 10] = [
     (40, 24, 16),
     (96, 96, 48),
     (36, 20, 50),
+];
+
+/// `(group, dma level, reason)`: the levels that hold no optimum of the
+/// census and stay (DESIGN.md §11).
+const DMA_KEEPS: [(&str, &str, &str); 3] = [
+    (
+        "implicit",
+        "none",
+        "swDNN's point: baselines::swdnn scores no DMA knob, so its tie falls to the first level",
+    ),
+    (
+        "matmul",
+        "all",
+        "the model ranks an `all` point first (it misprices coalescing): without it the top-1 \
+         tune of gemm 40x24x16 picks 12,728 cycles, not 11,103, and Fig. 11's 500x200x200 \
+         row moves",
+    ),
+    (
+        "ladder",
+        "dbuf+coal",
+        "without it the benchmark's top-96 reference reaches explicit_b4's optimum (170,536 \
+         cycles), which the ladder misses (188,444): validated_mix's winner_vs_ref_pct goes \
+         from 100 to 101.26",
+    ),
 ];
 
 /// The small conv shapes the benchmark, the journal and the tests use.
@@ -347,6 +374,18 @@ fn the_knob_census_equals_the_recorded_one() {
         include_str!("golden/knob_census.txt"),
     );
     assert!(xmath_wins.is_empty(), "xMath beats the optimum: {xmath_wins:?}");
+    for ((group, knob, value), t) in &tallies {
+        let kept = DMA_KEEPS.iter().any(|&(g, v, _)| (g, v) == (*group, value.as_str()));
+        assert!(
+            knob != "dma" || t.wins > 0 || kept,
+            "{group} dma={value} holds no optimum: delete it, or keep it with a reason"
+        );
+    }
+    for (group, level, why) in DMA_KEEPS {
+        let is_level =
+            tallies.iter().any(|((g, k, v), _)| (*g, k.as_str(), v.as_str()) == (group, "dma", level));
+        assert!(is_level, "{group} has no dma={level} to keep ({why})");
+    }
 }
 
 /// The Winograd-applicable Listing-1 and Table-1 shapes at batch 1, 32 and
