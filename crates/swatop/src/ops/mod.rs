@@ -26,7 +26,7 @@ pub use winograd_conv::WinogradConvOp;
 
 use sw26010::fault::MiscompilePlan;
 use sw26010::{CoreGroup, ExecMode, MachineConfig, MachineResult};
-use swatop_dsl::{factors_of, ScheduleSpace};
+use swatop_dsl::{factors_of, Knob, ScheduleSpace};
 use swatop_ir::{AVar, AffineExpr, MemRole, ScheduleHints, VarId};
 
 use crate::interp::{execute, instantiate};
@@ -60,6 +60,15 @@ pub fn dma_level(level: &str) -> ScheduleHints {
 /// [`Operator::lower`]).
 pub fn dma_knob(space: &ScheduleSpace) -> Option<usize> {
     space.knobs().iter().position(|k| k.name() == "dma")
+}
+
+/// The hints of each level of `space`'s `dma` menu, in menu order (none
+/// without a `dma` choice).
+pub fn dma_menu(space: &ScheduleSpace) -> Vec<ScheduleHints> {
+    match dma_knob(space).map(|i| &space.knobs()[i]) {
+        Some(Knob::Choice { candidates, .. }) => candidates.iter().map(|l| dma_level(l)).collect(),
+        _ => Vec::new(),
+    }
 }
 
 /// Divisor candidates of `n` that are multiples of `mult`, capped in count

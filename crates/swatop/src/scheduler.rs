@@ -29,11 +29,11 @@
 //! broadcast nor double-buffered *is* its candidate's `raw` once built.
 
 use sw26010::MachineConfig;
-use swatop_dsl::{Knob, SchedulePoint, ScheduleSpace, Seed};
+use swatop_dsl::{SchedulePoint, ScheduleSpace, Seed};
 use swatop_ir::{Program, ScheduleHints};
 
 use crate::codegen::{fits, fits_with, Executable};
-use crate::ops::{dma_knob, dma_level};
+use crate::ops::{dma_knob, dma_menu};
 use crate::optimizer::{self, prefetch};
 
 /// An operator that swATOP can tune: a schedule seed, a schedule space, and
@@ -53,11 +53,11 @@ pub trait Operator {
     /// is cheaper to check here than to discover in `plan`).
     ///
     /// The `dma` knob ([`dma_knob`]) may reach the program only through
-    /// `Program::hints` ([`dma_level`]): points differing only there must
-    /// lower to programs differing only in `hints`, and the scheduler lowers
-    /// such points once. Debug builds compare every shared
-    /// lowering against a direct one and panic where a lowering reads a DMA
-    /// knob structurally.
+    /// `Program::hints` ([`dma_level`](crate::ops::dma_level)): points
+    /// differing only there must lower to programs differing only in
+    /// `hints`, and the scheduler lowers such points once. Debug builds
+    /// compare every shared lowering against a direct one and panic where a
+    /// lowering reads a DMA knob structurally.
     fn lower(&self, space: &ScheduleSpace, point: &SchedulePoint) -> Option<Program>;
 
     /// Deterministic input data for each `Input`-role buffer, in
@@ -203,13 +203,7 @@ struct FrontEnd<'a> {
 
 impl<'a> FrontEnd<'a> {
     fn new(sched: &'a Scheduler, op: &'a dyn Operator, space: &'a ScheduleSpace) -> Self {
-        let dma = dma_knob(space);
-        let levels = match dma.map(|i| &space.knobs()[i]) {
-            Some(Knob::Choice { candidates, .. }) => {
-                candidates.iter().map(|l| dma_level(l)).collect()
-            }
-            _ => Vec::new(),
-        };
+        let (dma, levels) = (dma_knob(space), dma_menu(space));
         let block_prefix = dma.unwrap_or(space.knobs().len());
         FrontEnd { sched, op, space, dma, levels, block_prefix, block: Vec::new() }
     }
@@ -298,7 +292,7 @@ fn check_shared(
 #[cfg(all(test, debug_assertions))]
 mod tests {
     use super::*;
-    use crate::ops::MatmulOp;
+    use crate::ops::{dma_level, MatmulOp};
 
     /// A matmul whose lowering reads the `dma` knob structurally (an extra
     /// SPM buffer under double buffering), breaking [`Operator::lower`]'s

@@ -9,11 +9,10 @@
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
-use swatop_repro::dsl::{Knob, ScheduleSpace};
 use swatop_repro::ir::{Program, ScheduleHints, Stmt};
 use swatop_repro::sw26010::MachineConfig;
 use swatop_repro::swatop::model::{estimate, GemmModel};
-use swatop_repro::swatop::ops::{dma_knob, dma_level, ExplicitConvOp, MatmulOp};
+use swatop_repro::swatop::ops::{dma_knob, dma_menu, ExplicitConvOp, MatmulOp};
 use swatop_repro::swatop::scheduler::{Candidate, Operator, Scheduler};
 use swatop_repro::swatop::tuner::{model_rank, screen_leaders};
 use swatop_repro::swtensor::ConvShape;
@@ -32,16 +31,6 @@ fn same_storage(a: &Program, b: &Program) -> bool {
 
 fn body_addr(p: &Program) -> usize {
     p.part_addrs()[0]
-}
-
-/// The hints of each level of `space`'s `dma` menu.
-fn dma_menu(space: &ScheduleSpace) -> Vec<ScheduleHints> {
-    match dma_knob(space).map(|i| &space.knobs()[i]) {
-        Some(Knob::Choice { candidates, .. }) => {
-            candidates.iter().map(|l| dma_level(l)).collect()
-        }
-        other => panic!("no dma choice: {other:?}"),
-    }
 }
 
 /// Whether two levels of the menu agree on what `key` reads of them.
