@@ -32,7 +32,8 @@ use super::{library, machine, Opts};
 struct Layer {
     name: String,
     shape: ConvShape,
-    ours: TunedOp,
+    /// `None` where the method applies but its space has no candidate.
+    ours: Option<TunedOp>,
     /// The library's cycles; `None` where it has no kernel for the layer.
     library: Option<Cycles>,
 }
@@ -40,14 +41,16 @@ struct Layer {
 impl Layer {
     /// How many times faster swATOP runs the layer than the library.
     fn speedup(&self) -> Option<f64> {
-        self.library.map(|base| base.get() as f64 / self.ours.cycles.get() as f64)
+        let ours = self.ours.as_ref()?;
+        self.library.map(|base| base.get() as f64 / ours.cycles.get() as f64)
     }
 }
 
 /// Per batch of [`CONV_BATCHES`], the sampled layers of the three networks
-/// that `method` tunes, in network order, each with its library's cycles.
-/// Layers the method does not apply to (or cannot tune) are left out; the
-/// paper likewise excludes each network's first layer (Ni = 3).
+/// that `method` applies to, in network order, each with its library's
+/// cycles. Layers the method does not apply to are left out, as the paper
+/// excludes each network's first layer (Ni = 3); a layer it applies to but
+/// cannot tune stays, without a tuned result.
 fn layers_vs_library(opts: &Opts, method: ConvMethod) -> Vec<(usize, Vec<Layer>)> {
     let cfg = machine();
     let mut batches = Vec::new();
@@ -65,9 +68,9 @@ fn layers_vs_library(opts: &Opts, method: ConvMethod) -> Vec<(usize, Vec<Layer>)
         let layers = named
             .into_iter()
             .zip(tuned)
-            .filter_map(|((name, shape), ours)| {
-                let ours = ours?;
-                Some(Layer { name, shape, ours, library: library(&cfg, method, &shape) })
+            .filter(|((_, shape), _)| method.applicable(shape))
+            .map(|((name, shape), ours)| {
+                Layer { name, shape, ours, library: library(&cfg, method, &shape) }
             })
             .collect();
         batches.push((batch, layers));
@@ -76,19 +79,24 @@ fn layers_vs_library(opts: &Opts, method: ConvMethod) -> Vec<(usize, Vec<Layer>)
 }
 
 /// One batch's table: a row per layer, `n/a` where the library has no
-/// kernel (only swDNN at batch 1 has none; Figs. 6 and 7 drop such layers).
+/// kernel (only swDNN at batch 1 has none; Figs. 6 and 7 drop such layers)
+/// and `no candidate` where swATOP has no schedule.
 fn layer_table(title: String, header: &[&str], layers: &[Layer]) -> Table {
     let cfg = machine();
     let mut t = Table::new(title, header);
     for l in layers {
-        let ours = format!("{:.0}", l.ours.gflops(&cfg));
-        t.row(match (l.library, l.speedup()) {
-            (Some(base), Some(sp)) => {
-                let base_g = sw26010::clock::gflops(l.shape.flops(), base, cfg.clock_ghz);
-                vec![l.name.clone(), ours, format!("{base_g:.0}"), format!("{sp:.2}x")]
+        let base = match l.library {
+            Some(base) => {
+                format!("{:.0}", sw26010::clock::gflops(l.shape.flops(), base, cfg.clock_ghz))
             }
-            _ => vec![l.name.clone(), ours, "n/a (no swDNN impl)".into(), "∞".into()],
-        });
+            None => "n/a (no swDNN impl)".into(),
+        };
+        let (ours, speedup) = match (&l.ours, l.speedup()) {
+            (None, _) => ("no candidate".into(), "-".into()),
+            (Some(ours), Some(sp)) => (format!("{:.0}", ours.gflops(&cfg)), format!("{sp:.2}x")),
+            (Some(ours), None) => (format!("{:.0}", ours.gflops(&cfg)), "∞".into()),
+        };
+        t.row(vec![l.name.clone(), ours, base, speedup]);
     }
     t
 }
@@ -98,13 +106,19 @@ fn speedups(layers: &[Layer]) -> Vec<f64> {
     layers.iter().filter_map(Layer::speedup).collect()
 }
 
-/// Figs. 5 and 6's summary header.
-const SPEEDUP_SUMMARY: [&str; 6] =
-    ["batch", "layers", "avg speedup", "min", "max", "swATOP slower"];
+/// How many of the layers swATOP could not tune.
+fn untuned(layers: &[Layer]) -> usize {
+    layers.iter().filter(|l| l.ours.is_none()).count()
+}
 
-/// A [`SPEEDUP_SUMMARY`] row: count, average, min and max speedup and the
-/// layers swATOP runs slower; `None` without a speedup.
-fn speedup_row(batch: usize, speedups: &[f64]) -> Option<Vec<String>> {
+/// Figs. 5 and 6's summary header.
+const SPEEDUP_SUMMARY: [&str; 7] =
+    ["batch", "layers", "avg speedup", "min", "max", "swATOP slower", "no candidate"];
+
+/// A [`SPEEDUP_SUMMARY`] row: count, average, min and max speedup, the
+/// layers swATOP runs slower and those it cannot tune; `None` without a
+/// speedup.
+fn speedup_row(batch: usize, speedups: &[f64], untuned: usize) -> Option<Vec<String>> {
     if speedups.is_empty() {
         return None;
     }
@@ -115,6 +129,7 @@ fn speedup_row(batch: usize, speedups: &[f64]) -> Option<Vec<String>> {
         format!("{:.2}x", speedups.iter().cloned().fold(f64::MAX, f64::min)),
         format!("{:.2}x", speedups.iter().cloned().fold(0.0, f64::max)),
         speedups.iter().filter(|&&sp| sp < 1.0).count().to_string(),
+        untuned.to_string(),
     ])
 }
 
@@ -127,9 +142,18 @@ pub fn fig5(opts: &Opts) -> Vec<Table> {
         let title = format!("Fig. 5 — implicit CONV, batch {batch}");
         let header = ["layer", "swATOP GFLOPS", "swDNN GFLOPS", "speedup"];
         tables.push(layer_table(title, &header, &layers));
-        summary.row(speedup_row(batch, &speedups(&layers)).unwrap_or_else(|| {
+        let untuned = untuned(&layers);
+        summary.row(speedup_row(batch, &speedups(&layers), untuned).unwrap_or_else(|| {
             let na = "n/a (swDNN has no batch-1 kernels)";
-            vec![batch.to_string(), "0".into(), na.into(), "-".into(), "-".into(), "0".into()]
+            vec![
+                batch.to_string(),
+                "0".into(),
+                na.into(),
+                "-".into(),
+                "-".into(),
+                "0".into(),
+                untuned.to_string(),
+            ]
         }));
     }
     tables.push(summary);
@@ -147,7 +171,7 @@ pub fn fig6(opts: &Opts) -> Vec<Table> {
         let title = format!("Fig. 6 — Winograd CONV, batch {batch}");
         let header = ["layer", "swATOP GFLOPS*", "baseline GFLOPS*", "speedup"];
         tables.push(layer_table(title, &header, &layers));
-        if let Some(row) = speedup_row(batch, &speedups(&layers)) {
+        if let Some(row) = speedup_row(batch, &speedups(&layers), untuned(&layers)) {
             summary.row(row);
         }
     }
@@ -160,7 +184,7 @@ pub fn fig7(opts: &Opts) -> Vec<Table> {
     let mut tables = Vec::new();
     let mut summary = Table::new(
         "Fig. 7 summary — explicit CONV vs xMath explicit",
-        &["batch", "layers", "faster", "slower", "avg speedup", "best"],
+        &["batch", "layers", "faster", "slower", "avg speedup", "best", "no candidate"],
     );
     for (batch, mut layers) in layers_vs_library(opts, ConvMethod::Explicit) {
         layers.retain(|l| l.library.is_some());
@@ -177,9 +201,31 @@ pub fn fig7(opts: &Opts) -> Vec<Table> {
                 slower.to_string(),
                 format!("{:.2}x", mean(&speedups)),
                 format!("{:.2}x", speedups.iter().cloned().fold(0.0, f64::max)),
+                untuned(&layers).to_string(),
             ]);
         }
     }
     tables.push(summary);
     tables
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_layer_without_a_candidate_keeps_its_row_and_is_counted() {
+        let layer = |name: &str| Layer {
+            name: name.into(),
+            shape: ConvShape::square(32, 8, 8, 7),
+            ours: None,
+            library: Some(Cycles(1_000)),
+        };
+        let layers = [layer("net/a"), layer("net/b")];
+        let text = layer_table("t".into(), &["layer", "ours", "base", "x"], &layers).render();
+        assert!(text.contains("| net/b | no candidate |"), "{text}");
+        assert_eq!(untuned(&layers), 2);
+        let row = speedup_row(32, &[1.5], untuned(&layers)).expect("one speedup");
+        assert_eq!(row.last().map(String::as_str), Some("2"));
+    }
 }

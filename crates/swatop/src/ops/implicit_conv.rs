@@ -1,33 +1,48 @@
 //! Implicit-GEMM convolution (paper Alg. 2, Fig. 2 right).
 //!
 //! The direct convolution is tensorized by replacing the innermost loops
-//! with GEMM primitives: for each output row `ro`, filter tap `(kr, kc)`
-//! and channel chunk, a `No × Ni` weight slab multiplies an
-//! `Ni × (B · t_co)` input slab, accumulating into an `No × (B · t_co)`
-//! output slab. Fusing `t_co` adjacent output pixels into the GEMM's N
-//! dimension is the paper's loop-fusion "enlarging a specific dimension of
-//! GEMM primitives by merging loops". The reduction runs filter taps
-//! outer, channel chunks inner: the channel-outer order held no optimum of
-//! the knob census (`tests/knob_census.rs`).
+//! with GEMM primitives: for each tile of `t_ro` output rows, filter tap
+//! `(kr, kc)` and channel chunk, a `No × Ni` weight slab multiplies an
+//! `Ni × (B · t_ro · t_co)` input slab, accumulating into an
+//! `No × (B · t_ro · t_co)` output slab. Fusing `t_co` adjacent output
+//! pixels — and, where a row is too narrow, `t_ro` whole rows — into the
+//! GEMM's N dimension is the paper's loop fusion, "enlarging a specific
+//! dimension of GEMM primitives by merging loops". The reduction runs filter
+//! taps outer, channel chunks inner: the channel-outer order held no optimum
+//! of the knob census (`tests/knob_census.rs`).
 //!
 //! Layouts are schedule decisions: the input is packed to
 //! `[Ri][Ni][Ci][B]` (row-major `D_i`) or `[Ri][Ci][B][Ni]` (column-major
 //! `D_i`), the weight to `[Kr][Kc][No][Ni]` or `[Kr][Kc][Ni][No]`, and the
 //! output accumulates in `[Ro][No][Co][B]` before being unpacked to NCHW.
 //!
+//! Row tiles (`t_ro > 1`) are offered only where a whole row cannot give the
+//! primitive an N it vectorises (B·Co not a multiple of `MESH ×
+//! VEC_WIDTH`), and only with `t_co = Co`, so N = B·t_ro·Co. A tap's window
+//! of `t_ro` rows skips the `Kc − 1` halo columns between rows, which no 2-D
+//! tile DMA can, so the input is first unfolded along the kernel width into
+//! `Kc` column-shifted copies (im2col unfolds `Kr·Kc`), `[Ni][Kc][Ri][Co][B]`
+//! or `[Kc][Ri][Co][B][Ni]`, in which a window is `t_ro` consecutive rows.
+//! Where `t_ro` does not divide Ro, zero tail rows pad the input to whole
+//! tiles. The output accumulates in `[No][Ro][Co][B]`, one tile's rows
+//! contiguous per output channel, and the unpack drops the tail rows. At
+//! batch 1 the row-major unfold and the accumulator are the packed layouts
+//! already, so neither is repacked.
+//!
 //! Constraints: stride 1 (strided layers take the explicit-GEMM path, as
 //! swDNN does) and mesh-divisible channel counts — which is why the paper
 //! excludes each network's first layer ("its input channel is too small to
 //! be handled by implicit CONV"). Spatial padding is materialised by a
-//! padded-input transform before packing.
+//! padded-input transform before packing (by the unfold, for row tiles).
 
 use sw26010::DmaDirection::{MemToSpm, SpmToMem};
+use sw26010::MESH;
 use swatop_dsl::{factors_of, SchedulePoint, ScheduleSpace, Seed};
 use swatop_ir::{
-    AVar, AffineExpr, Cond, DmaCg, GemmOp, MatDesc, MemRole, Program, SpmSlot, Stmt,
+    AVar, AffineExpr, Cond, DmaCg, GemmOp, MatDesc, MemBufId, MemRole, Program, SpmSlot, Stmt,
     TransformKind, TransformOp,
 };
-use swkernels::VecDim;
+use swkernels::{VecDim, VEC_WIDTH};
 use swtensor::{ConvShape, MatLayout};
 
 use crate::ops::{divisor_menu, dma_level, largest_divisor, loop_sum, spread, DMA_LADDER};
@@ -53,6 +68,101 @@ impl ImplicitConvOp {
     fn padded_shape(&self) -> ConvShape {
         ConvShape { pad: 0, ..self.shape }
     }
+
+    /// The input of row tiles covering `ro_pad` output rows: zero tail rows
+    /// past the image, then the `Kc` column-shifted copies
+    /// `u[kc][ni][r][c][b] = padded[b][ni][r][c + kc]`, laid out
+    /// `[Ni][Kc][Ri][Co][B]` (`[Kc][Ri][Co][B][Ni]` with `d_col`). Pushes the
+    /// transforms onto `setup` (none for an unpadded 1-wide kernel at batch 1
+    /// with whole tiles) and returns the buffer.
+    fn unfold_rows(
+        &self,
+        p: &mut Program,
+        setup: &mut Vec<Stmt>,
+        in_buf: MemBufId,
+        ro_pad: usize,
+        d_col: bool,
+    ) -> MemBufId {
+        let s = &self.shape;
+        let (b, ni, co, kc) = (s.b, s.ni, s.co, s.kc);
+        let (ri, ci) = (s.ri(), s.ci());
+        let tail = ro_pad - s.ro;
+        // Rows of each copy: the padded input's and the tail.
+        let rows = ro_pad + s.kr - 1;
+        let transform = |kind| Stmt::Transform(TransformOp { fused: false, kind });
+        let tailed = if tail > 0 {
+            let planes = b * ni;
+            let dst = p.mem_buf("in_tail", planes * (ri + tail) * ci, MemRole::Temp);
+            setup.push(transform(TransformKind::PadSubmatrix {
+                src: in_buf,
+                src_rows: planes,
+                src_cols: ri * ci,
+                r0: 0,
+                c0: 0,
+                take_rows: planes,
+                take_cols: ri * ci,
+                dst,
+                dst_rows: planes,
+                dst_cols: (ri + tail) * ci,
+                zero_first: true,
+            }));
+            dst
+        } else {
+            in_buf
+        };
+        let len = kc * ni * rows * co * b;
+        let (src, src_dims, perm) = if kc == 1 && s.pad == 0 {
+            // The one copy is the input itself: [B][Ni][Ri][Co].
+            let perm = if d_col { vec![2, 3, 0, 1] } else { vec![1, 2, 3, 0] };
+            (tailed, vec![b, ni, rows, co], perm)
+        } else {
+            // im2col of a one-row kernel over every input row, which also
+            // pads: [Ni][Kc] × [B][Ri][Co].
+            let shifted = p.mem_buf("in_unfolded", len, MemRole::Temp);
+            let window = ConvShape { ro: rows, kr: 1, stride: 1, ..*s };
+            let kind = TransformKind::Im2col { shape: window, src: tailed, dst: shifted };
+            setup.push(transform(kind));
+            let perm = if d_col { vec![1, 3, 4, 2, 0] } else { vec![0, 1, 3, 4, 2] };
+            (shifted, vec![ni, kc, b, rows, co], perm)
+        };
+        // At batch 1 the row-major layout is the source's own.
+        if b == 1 && !d_col {
+            return src;
+        }
+        let d_buf = p.mem_buf("d_packed", len, MemRole::Temp);
+        setup.push(transform(TransformKind::PackTensor { src, dst: d_buf, src_dims, perm }));
+        d_buf
+    }
+}
+
+/// The N a whole-row tile must be a multiple of for the primitive to
+/// vectorise along it: `spm_gemm` needs N/MESH to be a multiple of its
+/// vector width.
+const WIDE_N: usize = MESH * VEC_WIDTH;
+
+/// Most row counts the `t_ro` menu offers besides 1.
+const MAX_ROW_TILES: usize = 3;
+
+/// The `t_ro` menu: `1` alone where B·Co is a multiple of [`WIDE_N`] (whole
+/// rows already vectorise), else `1` and up to [`MAX_ROW_TILES`] row counts
+/// `r` with B·r·Co a multiple of the mesh. Per number of row tiles the menu
+/// holds the fewest rows that reach it, so `r` may exceed Ro by the padding
+/// the last tile needs but never pads a tile count a smaller `r` reaches.
+fn row_menu(s: &ConvShape) -> Vec<usize> {
+    let width = s.b * s.co;
+    if width.is_multiple_of(WIDE_N) {
+        return vec![1];
+    }
+    let step = (1..=MESH).find(|r| (r * width).is_multiple_of(MESH)).expect("MESH itself");
+    let mut rows: Vec<usize> = (1..=s.ro)
+        .map(|tiles| s.ro.div_ceil(tiles).next_multiple_of(step))
+        .filter(|&r| r > 1)
+        .collect();
+    rows.sort_unstable();
+    rows.dedup();
+    let mut menu = vec![1];
+    menu.extend(spread(rows, MAX_ROW_TILES));
+    menu
 }
 
 /// Cap on unrolled reduction steps for the SPM-resident schedule: beyond
@@ -76,6 +186,12 @@ impl Operator for ImplicitConvOp {
         sp.factor("t_no", divisor_menu(s.no, 8, 4));
         sp.factor("t_ni", divisor_menu(s.ni, 8, 4));
         sp.factor("t_co", spread(factors_of(s.co), 4));
+        // Whole output rows merged into N; present only where the menu
+        // offers more than one row (see `row_menu`).
+        let rows = row_menu(s);
+        if rows.len() > 1 {
+            sp.factor("t_ro", rows);
+        }
         sp.choice("w_layout", vec!["row".into(), "col".into()]);
         sp.choice("d_layout", vec!["row".into(), "col".into()]);
         sp.toggle("vec_m");
@@ -97,13 +213,18 @@ impl Operator for ImplicitConvOp {
         let t_no = point.factor(space, "t_no");
         let t_ni = point.factor(space, "t_ni");
         let t_co = point.factor(space, "t_co");
+        let t_ro = if space.has_knob("t_ro") { point.factor(space, "t_ro") } else { 1 };
         let w_col = point.choice(space, "w_layout") == "col";
         let d_col = point.choice(space, "d_layout") == "col";
         let vec_m = point.toggle(space, "vec_m");
         let dma = dma_level(point.choice(space, "dma"));
         let resident = space.has_knob("red") && point.choice(space, "red") == "resident";
 
-        let n_dim = t_co * s.b;
+        // Rows join whole.
+        if t_ro > 1 && t_co != s.co {
+            return None;
+        }
+        let n_dim = t_ro * t_co * s.b;
         // Kernel contract: mesh divisibility + vector alignment.
         if !n_dim.is_multiple_of(8) || !t_no.is_multiple_of(8) || !t_ni.is_multiple_of(8) {
             return None;
@@ -122,7 +243,8 @@ impl Operator for ImplicitConvOp {
                 * s.kr
                 * s.kc
                 * space_min(s.ni, max_ni);
-            let inv = s.ro * (s.no / t_no) * (s.co / t_co) * s.kr * s.kc * (s.ni / t_ni);
+            let inv =
+                s.ro.div_ceil(t_ro) * (s.no / t_no) * (s.co / t_co) * s.kr * s.kc * (s.ni / t_ni);
             if inv > 16 * min_inv && inv > 4096 {
                 return None;
             }
@@ -138,6 +260,9 @@ impl Operator for ImplicitConvOp {
         let (ro, co) = (s.ro, s.co);
         let (kr, kc) = (s.kr, s.kc);
         let (ri, ci) = (s.ri(), s.ci());
+        // Row tiles, and the rows they cover: Ro plus the zero tail rows.
+        let row_tiles = ro.div_ceil(t_ro);
+        let ro_pad = row_tiles * t_ro;
 
         let mut p = Program::new(self.name());
         p.hints = dma;
@@ -147,32 +272,37 @@ impl Operator for ImplicitConvOp {
 
         let mut setup = Vec::new();
 
-        // Materialise spatial zero padding, if any, as a padded NCHW copy.
-        let nchw_buf = if self.shape.pad > 0 {
-            let padded = p.mem_buf("in_padded", b * ni * ri * ci, MemRole::Temp);
+        let d_buf = if t_ro == 1 {
+            // Materialise spatial zero padding, if any, as a padded NCHW copy.
+            let nchw_buf = if self.shape.pad > 0 {
+                let padded = p.mem_buf("in_padded", b * ni * ri * ci, MemRole::Temp);
+                setup.push(Stmt::Transform(TransformOp { fused: false,
+                    kind: TransformKind::PadImageNchw {
+                        shape: self.shape,
+                        src: in_buf,
+                        dst: padded,
+                    },
+                }));
+                padded
+            } else {
+                in_buf
+            };
+
+            // Layout packing.
+            let d_buf = p.mem_buf("d_packed", b * ni * ri * ci, MemRole::Temp);
             setup.push(Stmt::Transform(TransformOp { fused: false,
-                kind: TransformKind::PadImageNchw {
-                    shape: self.shape,
-                    src: in_buf,
-                    dst: padded,
+                kind: TransformKind::PackTensor {
+                    src: nchw_buf,
+                    dst: d_buf,
+                    src_dims: vec![b, ni, ri, ci],
+                    // [Ri][Ni][Ci][B] or [Ri][Ci][B][Ni].
+                    perm: if d_col { vec![2, 3, 0, 1] } else { vec![2, 1, 3, 0] },
                 },
             }));
-            padded
+            d_buf
         } else {
-            in_buf
+            self.unfold_rows(&mut p, &mut setup, in_buf, ro_pad, d_col)
         };
-
-        // Layout packing.
-        let d_buf = p.mem_buf("d_packed", b * ni * ri * ci, MemRole::Temp);
-        setup.push(Stmt::Transform(TransformOp { fused: false,
-            kind: TransformKind::PackTensor {
-                src: nchw_buf,
-                dst: d_buf,
-                src_dims: vec![b, ni, ri, ci],
-                // [Ri][Ni][Ci][B] or [Ri][Ci][B][Ni].
-                perm: if d_col { vec![2, 3, 0, 1] } else { vec![2, 1, 3, 0] },
-            },
-        }));
         let w_packed = p.mem_buf("w_packed", no * ni * kr * kc, MemRole::Temp);
         setup.push(Stmt::Transform(TransformOp { fused: false,
             kind: TransformKind::PackTensor {
@@ -183,7 +313,13 @@ impl Operator for ImplicitConvOp {
                 perm: if w_col { vec![2, 3, 1, 0] } else { vec![2, 3, 0, 1] },
             },
         }));
-        let o_buf = p.mem_buf("o_acc", ro * no * co * b, MemRole::Temp);
+        // At batch 1 the row tiles' accumulator, [No][Ro][Co], is the NCHW
+        // output itself unless there are tail rows to drop.
+        let o_buf = if t_ro > 1 && b == 1 && ro_pad == ro {
+            out_buf
+        } else {
+            p.mem_buf("o_acc", ro_pad * no * co * b, MemRole::Temp)
+        };
 
         // Unrolled reduction steps of the SPM-resident schedule: every
         // (kr, kc, ni_t) tap keeps its own weight/input slot, so all the
@@ -231,31 +367,76 @@ impl Operator for ImplicitConvOp {
             })
         };
 
-        // Input tile DMA: ri = ro + kr, ci window = (co_t·t_co + kc)·B.
-        let (d_rows, d_cols, d_row_stride, d_offset) = if d_col {
-            // [Ri][Ci][B][Ni]
-            let ri = ci * b * ni;
-            (
-                n_dim,
-                t_ni,
-                ni,
-                loop_sum(
-                    &[(v_ro, ri), (v_kr, ri), (v_cot, t_co * b * ni), (v_kc, b * ni), (v_nit, t_ni)],
-                    0,
-                ),
-            )
-        } else {
-            // [Ri][Ni][Ci][B]
-            let ri = ni * ci * b;
-            (
-                t_ni,
-                n_dim,
-                ci * b,
-                loop_sum(
-                    &[(v_ro, ri), (v_kr, ri), (v_nit, t_ni * ci * b), (v_cot, t_co * b), (v_kc, b)],
-                    0,
-                ),
-            )
+        // Input tile DMA: ri = ro + kr, ci window = (co_t·t_co + kc)·B; with
+        // row tiles, `t_ro` consecutive rows of the `kc`-shifted copy.
+        let (d_rows, d_cols, d_row_stride, d_offset) = match (t_ro, d_col) {
+            (1, true) => {
+                // [Ri][Ci][B][Ni]
+                let ri = ci * b * ni;
+                (
+                    n_dim,
+                    t_ni,
+                    ni,
+                    loop_sum(
+                        &[
+                            (v_ro, ri),
+                            (v_kr, ri),
+                            (v_cot, t_co * b * ni),
+                            (v_kc, b * ni),
+                            (v_nit, t_ni),
+                        ],
+                        0,
+                    ),
+                )
+            }
+            (1, false) => {
+                // [Ri][Ni][Ci][B]
+                let ri = ni * ci * b;
+                (
+                    t_ni,
+                    n_dim,
+                    ci * b,
+                    loop_sum(
+                        &[
+                            (v_ro, ri),
+                            (v_kr, ri),
+                            (v_nit, t_ni * ci * b),
+                            (v_cot, t_co * b),
+                            (v_kc, b),
+                        ],
+                        0,
+                    ),
+                )
+            }
+            (_, true) => {
+                // [Kc][Ri][Co][B][Ni]
+                let row = co * b * ni;
+                let copy = (ro_pad + kr - 1) * row;
+                (
+                    n_dim,
+                    t_ni,
+                    ni,
+                    loop_sum(&[(v_ro, t_ro * row), (v_kr, row), (v_kc, copy), (v_nit, t_ni)], 0),
+                )
+            }
+            (_, false) => {
+                // [Ni][Kc][Ri][Co][B]
+                let copy = (ro_pad + kr - 1) * co * b;
+                (
+                    t_ni,
+                    n_dim,
+                    kc * copy,
+                    loop_sum(
+                        &[
+                            (v_ro, t_ro * co * b),
+                            (v_kr, co * b),
+                            (v_kc, copy),
+                            (v_nit, t_ni * kc * copy),
+                        ],
+                        0,
+                    ),
+                )
+            }
         };
         let d_get_to = |spm: swatop_ir::SpmBufId, offset: AffineExpr| {
             Stmt::DmaCg(DmaCg {
@@ -271,16 +452,22 @@ impl Operator for ImplicitConvOp {
             })
         };
 
-        // Output accumulator tile in [Ro][No][Co][B].
-        let o_offset =
-            loop_sum(&[(v_ro, no * co * b), (v_not, t_no * co * b), (v_cot, t_co * b)], 0);
+        // Output accumulator tile in [Ro][No][Co][B], or [No][Ro][Co][B] for
+        // row tiles (one tile's rows contiguous per output channel).
+        let (o_row, o_offset) = if t_ro == 1 {
+            let o_row = co * b;
+            (o_row, loop_sum(&[(v_ro, no * o_row), (v_not, t_no * o_row), (v_cot, t_co * b)], 0))
+        } else {
+            let o_row = ro_pad * co * b;
+            (o_row, loop_sum(&[(v_ro, n_dim), (v_not, t_no * o_row)], 0))
+        };
         let o_dma = |direction, reply, slot: SpmSlot| {
             Stmt::DmaCg(DmaCg {
                 buf: o_buf,
                 offset: o_offset.clone(),
                 rows: t_no,
                 cols: n_dim,
-                row_stride: co * b,
+                row_stride: o_row,
                 mesh_swap: false,
                 direction,
                 spm: slot,
@@ -336,9 +523,9 @@ impl Operator for ImplicitConvOp {
             // one the current GEMMs accumulate into.
             let o_words = (t_no / 8) * (n_dim / 8);
             let spm_o_dbl = p.spm_buf("spm_o_dbl", o_words);
-            let tiles = ro * (no / t_no) * (co / t_co);
+            let tiles = row_tiles * (no / t_no) * (co / t_co);
             let lin = crate::optimizer::prefetch::linear_index(&[
-                (v_ro, ro),
+                (v_ro, row_tiles),
                 (v_not, no / t_no),
                 (v_cot, co / t_co),
             ]);
@@ -403,12 +590,12 @@ impl Operator for ImplicitConvOp {
 
         let mut nest = Stmt::for_(
             v_ro,
-            ro,
+            row_tiles,
             Stmt::for_(v_not, no / t_no, Stmt::for_(v_cot, co / t_co, tile_body)),
         );
         if resident {
             // Drain the (up to two) in-flight deferred puts before unpacking.
-            let tiles = ro * (no / t_no) * (co / t_co);
+            let tiles = row_tiles * (no / t_no) * (co / t_co);
             nest = Stmt::seq(vec![
                 nest,
                 Stmt::DmaWait { reply: r_oput, times: tiles.min(2) },
@@ -416,18 +603,57 @@ impl Operator for ImplicitConvOp {
         }
 
         // Unpack [Ro][No][Co][B] → NCHW.
-        let unpack = Stmt::Transform(TransformOp { fused: false,
-            kind: TransformKind::PackTensor {
-                src: o_buf,
-                dst: out_buf,
-                src_dims: vec![ro, no, co, b],
-                perm: vec![3, 1, 0, 2],
-            },
-        });
+        let mut unpack = vec![];
+        if t_ro == 1 {
+            unpack.push(Stmt::Transform(TransformOp { fused: false,
+                kind: TransformKind::PackTensor {
+                    src: o_buf,
+                    dst: out_buf,
+                    src_dims: vec![ro, no, co, b],
+                    perm: vec![3, 1, 0, 2],
+                },
+            }));
+        } else {
+            // [No][Ro + tail][Co][B] → [B][No][Ro + tail][Co] (the same at
+            // batch 1), then drop the tail rows of each plane.
+            let planes = b * no;
+            let mut nchw = o_buf;
+            if b > 1 {
+                nchw = if ro_pad == ro {
+                    out_buf
+                } else {
+                    p.mem_buf("o_nchw", planes * ro_pad * co, MemRole::Temp)
+                };
+                unpack.push(Stmt::Transform(TransformOp { fused: false,
+                    kind: TransformKind::PackTensor {
+                        src: o_buf,
+                        dst: nchw,
+                        src_dims: vec![no, ro_pad, co, b],
+                        perm: vec![3, 0, 1, 2],
+                    },
+                }));
+            }
+            if ro_pad > ro {
+                unpack.push(Stmt::Transform(TransformOp { fused: false,
+                    kind: TransformKind::UnpadSubmatrix {
+                        src: nchw,
+                        src_rows: planes,
+                        src_cols: ro_pad * co,
+                        dst: out_buf,
+                        dst_rows: planes,
+                        dst_cols: ro * co,
+                        r0: 0,
+                        c0: 0,
+                        take_rows: planes,
+                        take_cols: ro * co,
+                    },
+                }));
+            }
+        }
 
         let mut body = setup;
         body.push(nest);
-        body.push(unpack);
+        body.extend(unpack);
         p.set_body(Stmt::seq(body));
         let _ = AVar::Rid; // (mesh terms are injected by DMA inference)
         Some(p)
@@ -522,6 +748,83 @@ mod tests {
     fn tiny_channels_are_inapplicable() {
         let shape = ConvShape { b: 4, ni: 3, no: 16, ro: 4, co: 4, kr: 3, kc: 3, stride: 1, pad: 0 };
         assert!(!ImplicitConvOp::applicable(&shape));
+    }
+
+    #[test]
+    fn every_row_tile_candidate_computes_the_convolution() {
+        // Batch 1 and 2, 3x3 padded and not, 1x1 and 1x3, and Co of 7 and
+        // 14, where the last row tile needs zero tail rows.
+        let conv = |b, ni, no, ro, co, kr, kc, pad| ConvShape {
+            b, ni, no, ro, co, kr, kc, stride: 1, pad,
+        };
+        let cfg = MachineConfig::default();
+        let sched = Scheduler::new(cfg.clone());
+        let (mut checked, mut tails) = (0, 0);
+        for shape in [
+            conv(1, 8, 8, 8, 8, 3, 3, 1),
+            conv(2, 8, 32, 7, 7, 3, 3, 1),
+            conv(1, 16, 32, 14, 14, 1, 1, 0),
+            conv(1, 8, 32, 7, 7, 3, 3, 0),
+            conv(2, 8, 32, 5, 6, 1, 3, 0),
+        ] {
+            let op = ImplicitConvOp::new(shape);
+            let space = op.space();
+            assert!(space.has_knob("t_ro"), "{shape:?}");
+            let mut rows_seen = Vec::new();
+            for cand in sched.enumerate(&op) {
+                let point = space.point(cand.point_index);
+                let t_ro = point.factor(&space, "t_ro");
+                if t_ro == 1 {
+                    continue;
+                }
+                assert_eq!(point.factor(&space, "t_co"), shape.co, "{}", cand.describe);
+                crate::ops::validate_candidate(&cfg, &op, &cand)
+                    .unwrap_or_else(|e| panic!("{shape:?} at {}: {e}", cand.describe));
+                checked += 1;
+                tails += usize::from(!shape.ro.is_multiple_of(t_ro));
+                if !rows_seen.contains(&t_ro) {
+                    rows_seen.push(t_ro);
+                }
+            }
+            assert!(!rows_seen.is_empty(), "{shape:?}: no row-tile candidate");
+        }
+        assert!(tails > 0 && tails < checked, "{tails} of {checked} with tail rows");
+    }
+
+    #[test]
+    fn t_ro_is_offered_only_where_a_whole_row_cannot_vectorise() {
+        for b in [1, 2, 3, 4, 8, 16, 32] {
+            for co in 1..=30 {
+                for ro in [1, co, co + 3] {
+                    let shape = ConvShape { ro, co, ..ConvShape::square(b, 16, 16, co) };
+                    let space = ImplicitConvOp::new(shape).space();
+                    let menu = row_menu(&shape);
+                    if (b * co).is_multiple_of(32) {
+                        assert!(!space.has_knob("t_ro"), "{shape:?}");
+                        continue;
+                    }
+                    assert_eq!(space.has_knob("t_ro"), menu.len() > 1, "{shape:?}");
+                    assert_eq!(menu[0], 1, "{shape:?}");
+                    assert!(menu.len() <= 1 + MAX_ROW_TILES, "{shape:?}: {menu:?}");
+                    for &r in &menu[1..] {
+                        assert!((b * r * co).is_multiple_of(8), "{shape:?}: {menu:?}");
+                        // No padding a smaller row count would avoid.
+                        let tiles = ro.div_ceil(r);
+                        assert!(
+                            menu[1..].iter().all(|&q| q >= r || ro.div_ceil(q) > tiles),
+                            "{shape:?}: {menu:?}"
+                        );
+                    }
+                }
+            }
+        }
+        // The menus the design names.
+        let menu = |b, ro| row_menu(&ConvShape::square(b, 32, 32, ro));
+        assert_eq!(menu(4, 12), [1, 2, 4, 12]);
+        assert_eq!(menu(1, 8), [1, 2, 4, 8]);
+        assert_eq!(menu(1, 14), [1, 4, 8, 16]);
+        assert_eq!(menu(1, 7), [1, 8]);
+        assert_eq!(menu(32, 7), [1]);
     }
 
     #[test]

@@ -29,5 +29,5 @@ pub mod spm_gemm;
 pub mod variant;
 
 pub use cost::{gemm_cycles, gemm_flops, gemm_intensity, gemm_operand_bytes};
-pub use spm_gemm::{spm_gemm, spm_gemm_priced, GemmPrice, SpmMatrix};
+pub use spm_gemm::{spm_gemm, spm_gemm_priced, GemmPrice, SpmMatrix, VEC_WIDTH};
 pub use variant::{GemmVariant, VecDim, ALL_VARIANTS};

@@ -62,6 +62,10 @@ impl SpmMatrix {
     }
 }
 
+/// Lanes of one SIMD vector: the per-CPE extent of the vectorised
+/// dimension (M or N over [`MESH`]) must be a multiple of it.
+pub const VEC_WIDTH: usize = 4;
+
 /// Validate an `spm_gemm` call and return the kernel variant it will use.
 pub fn validate(
     m: usize,
@@ -85,9 +89,9 @@ pub fn validate(
         VecDim::M => mb,
         VecDim::N => nb,
     };
-    if v_len % 4 != 0 {
+    if !v_len.is_multiple_of(VEC_WIDTH) {
         return Err(MachineError::BadKernelArgs(format!(
-            "vectorised per-CPE dim {v_len} not divisible by the vector width 4"
+            "vectorised per-CPE dim {v_len} not divisible by the vector width {VEC_WIDTH}"
         )));
     }
     a.check_ld(mb, kb, "A")?;

@@ -10,10 +10,11 @@ use swatop_repro::dsl::{SchedulePoint, ScheduleSpace};
 use swatop_repro::ir::Program;
 use swatop_repro::sw26010::MachineConfig;
 use swatop_repro::swatop::codegen::plan;
-use swatop_repro::swatop::ops::{dma_knob, dma_level};
+use swatop_repro::swatop::ops::{dma_knob, dma_level, ImplicitConvOp};
 use swatop_repro::swatop::optimizer::{dma_wall, finish, optimize};
 use swatop_repro::swatop::optimizer::prefetch::apply_double_buffering;
 use swatop_repro::swatop::scheduler::{Candidate, Operator, Scheduler};
+use swatop_repro::swtensor::ConvShape;
 
 mod common;
 use common::every_op;
@@ -163,5 +164,75 @@ fn library_lowerings_read_dma_knobs_into_hints_only() {
             }
         }
         assert!(checked > 0, "{}", op.name());
+    }
+}
+
+/// Implicit-conv spaces with merged output rows (`t_ro`, offered where B·Co
+/// is not a multiple of 32) and without.
+fn implicit_shapes() -> Vec<ConvShape> {
+    let sq = ConvShape::square;
+    let conv =
+        |b, ni, no, ro, kr, pad| ConvShape { b, ni, no, ro, co: ro, kr, kc: kr, stride: 1, pad };
+    vec![
+        sq(1, 32, 32, 8),
+        sq(4, 32, 32, 12),
+        sq(2, 24, 40, 12),
+        sq(1, 8, 8, 14),
+        conv(2, 32, 32, 12, 3, 1),
+        conv(1, 32, 32, 16, 1, 0),
+        sq(4, 16, 16, 8),
+        sq(8, 16, 16, 4),
+        conv(8, 16, 16, 8, 3, 1),
+    ]
+}
+
+/// FNV-1a, 64-bit.
+struct Digest(u64);
+
+impl Digest {
+    fn add(&mut self, text: &str) {
+        for b in text.bytes() {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+}
+
+/// Merging output rows adds candidates and changes nothing else: where
+/// `t_ro` is offered its `t_ro = 1` slice, and elsewhere the whole space,
+/// hashes (describe, raw, executable, prefetched per candidate, `t_ro=1`
+/// struck from the describe) to what the space held before `t_ro` existed,
+/// recorded in `tests/golden/implicit_one_row.txt`. On a mismatch the new
+/// text is written to `target/tmp/frontend_equiv/`.
+#[test]
+fn merged_rows_leave_the_one_row_candidates_as_they_were() {
+    let sched = Scheduler::new(MachineConfig::default());
+    let mut text = String::new();
+    for shape in implicit_shapes() {
+        let op = ImplicitConvOp::new(shape);
+        let offered = op.space().has_knob("t_ro");
+        assert_eq!(offered, !(shape.b * shape.co).is_multiple_of(32), "{shape:?}");
+        let (mut digest, mut n, mut merged) = (Digest(0xcbf2_9ce4_8422_2325), 0, 0);
+        for c in sched.enumerate(&op) {
+            let describe = c.describe.replace(", t_ro=1,", ",");
+            if describe.contains("t_ro=") {
+                merged += 1;
+                continue;
+            }
+            digest.add(&describe);
+            digest.add(&format!("{:?}", c.raw));
+            digest.add(&format!("{:?}", &*c.exe));
+            digest.add(&c.prefetched.to_string());
+            n += 1;
+        }
+        assert_eq!(merged > 0, offered, "{shape:?}: {merged} merged-row candidates");
+        text += &format!("{}: {n} candidates, digest {:016x}\n", op.name(), digest.0);
+    }
+    let want = include_str!("golden/implicit_one_row.txt");
+    if text != want {
+        let dir =
+            std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("target/tmp/frontend_equiv");
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join("implicit_one_row.txt"), &text).unwrap();
+        panic!("the one-row candidates moved: the new text is in {}", dir.display());
     }
 }

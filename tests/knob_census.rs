@@ -9,7 +9,8 @@
 //! those spaces, of fixing the knob to it (the best candidate with that value
 //! against the optimum; `absent` counts the spaces where no candidate has
 //! it). Tile-size factors are left out of the summary: their menus depend on
-//! the shape.
+//! the shape. Implicit conv's `t_ro` is tallied as `1` against `2+` (rows
+//! merged into the GEMM's N or not), and some optimum must merge rows.
 //!
 //! A value that no optimum holds can be deleted without moving any optimum's
 //! cycles; only the space sizes and the knob columns change. The groups:
@@ -259,9 +260,17 @@ fn grid() -> Vec<(&'static str, String, Box<dyn Operator>)> {
     out
 }
 
-/// `knob=value` pairs of a candidate's description.
+/// `knob=value` pairs of a candidate's description, with implicit conv's
+/// `t_ro` read as `1` or `2+`: its menu depends on the shape, but whether
+/// output rows merge into the GEMM's N at all is one decision.
 fn knob_values(describe: &str) -> impl Iterator<Item = (&str, &str)> {
-    describe.split(", ").filter_map(|kv| kv.split_once('='))
+    describe
+        .split(", ")
+        .filter_map(|kv| kv.split_once('='))
+        .map(|(knob, value)| match (knob, value) {
+            ("t_ro", v) if v != "1" => (knob, "2+"),
+            kv => kv,
+        })
 }
 
 /// Per (group, knob, value): spaces exposing the knob, optima holding the
@@ -280,6 +289,7 @@ fn tallied_values(op: &dyn Operator) -> Vec<(String, String)> {
     let mut out = Vec::new();
     for knob in op.space().knobs() {
         let values: Vec<String> = match knob {
+            Knob::Factor { name, .. } if name == "t_ro" => vec!["1".into(), "2+".into()],
             Knob::Factor { .. } => continue,
             Knob::Choice { candidates, .. } => candidates.clone(),
             Knob::Toggle { .. } => vec!["false".into(), "true".into()],
@@ -381,6 +391,13 @@ fn the_knob_census_equals_the_recorded_one() {
             "{group} dma={value} holds no optimum: delete it, or keep it with a reason"
         );
     }
+    let merged = tallies
+        .iter()
+        .find(|((g, k, v), _)| (*g, k.as_str(), v.as_str()) == ("implicit", "t_ro", "2+"));
+    assert!(
+        merged.is_some_and(|(_, t)| t.wins > 0),
+        "no implicit optimum merges output rows: t_ro > 1 earns no place in the space"
+    );
     for (group, level, why) in DMA_KEEPS {
         let is_level =
             tallies.iter().any(|((g, k, v), _)| (*g, k.as_str(), v.as_str()) == (group, "dma", level));
