@@ -102,16 +102,12 @@ pub struct CoreGroup {
 
 impl CoreGroup {
     pub fn new(cfg: MachineConfig, mode: ExecMode) -> Self {
-        // Cost-only simulation never reads or writes SPM contents, so the
-        // 64 × 64 KB backing stores stay lazy — constructing a core group
-        // per tuning candidate (and per worker thread) is then allocation-
-        // free up to the first functional write.
-        let spms = (0..N_CPE)
-            .map(|i| match mode {
-                ExecMode::Functional => Spm::new(i, cfg.spm_bytes),
-                ExecMode::CostOnly => Spm::lazy(i, cfg.spm_bytes),
-            })
-            .collect();
+        // The 64 × 64 KB backing stores stay lazy: cost-only simulation
+        // never reads or writes SPM contents, so constructing a core group
+        // per tuning candidate (and per worker thread) allocates none, and a
+        // functional run reserves only what its plan uses
+        // ([`CoreGroup::reserve_spm`]).
+        let spms = (0..N_CPE).map(|i| Spm::new(i, cfg.spm_bytes)).collect();
         let faults = cfg.fault.map(|p| p.session(0, 0));
         CoreGroup {
             cfg,
@@ -441,6 +437,13 @@ impl CoreGroup {
         Ok(())
     }
 
+    /// Zero-fill every CPE's SPM up to `elems` elements: the footprint of a
+    /// planned program, so a functional run's reads and writes within it
+    /// never grow the storage.
+    pub fn reserve_spm(&mut self, elems: usize) {
+        self.spms.iter_mut().for_each(|s| s.reserve(elems));
+    }
+
     /// Immutable access to one CPE's SPM.
     pub fn spm(&self, cpe: usize) -> &Spm {
         &self.spms[cpe]
@@ -486,7 +489,7 @@ impl CoreGroup {
         let total = r.total_elems();
         match r.direction {
             DmaDirection::MemToSpm => {
-                self.spms[r.cpe].slice(r.spm_offset, total)?;
+                self.spms[r.cpe].check(r.spm_offset, total)?;
                 for b in 0..r.n_blocks {
                     let src = r.mem_offset + b * r.stride_elems;
                     self.mem.check_abs(src, r.block_elems)?;
@@ -499,13 +502,13 @@ impl CoreGroup {
                 }
             }
             DmaDirection::SpmToMem => {
-                self.spms[r.cpe].slice(r.spm_offset, total)?;
+                self.spms[r.cpe].check(r.spm_offset, total)?;
                 for b in 0..r.n_blocks {
                     let dst = r.mem_offset + b * r.stride_elems;
                     self.mem.check_abs(dst, r.block_elems)?;
                     let src_off = r.spm_offset + b * r.block_elems;
                     let block = self.spms[r.cpe].slice(src_off, r.block_elems)?;
-                    self.mem.arena_mut()[dst..dst + r.block_elems].copy_from_slice(block);
+                    self.mem.arena_mut()[dst..dst + r.block_elems].copy_from_slice(&block);
                 }
             }
         }

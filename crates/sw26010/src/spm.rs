@@ -7,17 +7,19 @@
 //! bound-checks every access so that an allocation plan exceeding 64 KB is a
 //! hard error, mirroring the validity filtering the scheduler performs.
 
+use std::borrow::Cow;
+
 use crate::error::{MachineError, MachineResult};
 use crate::ELEM_BYTES;
 
 /// One CPE's scratch pad, element-addressed (f32).
 ///
-/// The backing store can be materialised lazily: cost-only tuning never
-/// touches SPM *data*, so a lazily created SPM (see [`Spm::lazy`]) skips the
-/// 64 KB zero-fill per CPE — 4 MB per core group — that otherwise dominates
-/// per-candidate [`crate::CoreGroup`] construction in the autotuner's hot
-/// loop. Bounds are always checked against the full capacity; reads of
-/// never-written lazy storage observe the zero-initialised contents.
+/// The backing store is materialised lazily: cost-only tuning never touches
+/// SPM *data*, so it never allocates, and a functional run zero-fills only
+/// the elements its plan uses ([`Spm::reserve`]) instead of all 64 KB per
+/// CPE — 4 MB per core group. Storage grows, zero-filled, to cover each
+/// write. Bounds are always checked against the full capacity, and reads of
+/// never-written storage observe zeros.
 #[derive(Debug, Clone)]
 pub struct Spm {
     cpe: usize,
@@ -26,23 +28,18 @@ pub struct Spm {
 }
 
 impl Spm {
-    /// Create an SPM of `capacity_bytes` for CPE `cpe`, backing store
-    /// allocated and zeroed eagerly.
+    /// Create an SPM of `capacity_bytes` for CPE `cpe`, with no backing
+    /// store until something is written or reserved.
     pub fn new(cpe: usize, capacity_bytes: usize) -> Self {
-        let mut spm = Self::lazy(cpe, capacity_bytes);
-        spm.materialise();
-        spm
-    }
-
-    /// Create an SPM whose backing store is only allocated on first write
-    /// (cost-only simulation never writes, so it never allocates).
-    pub fn lazy(cpe: usize, capacity_bytes: usize) -> Self {
         Spm { cpe, capacity: capacity_bytes / ELEM_BYTES, data: Vec::new() }
     }
 
-    fn materialise(&mut self) {
-        if self.data.len() < self.capacity {
-            self.data.resize(self.capacity, 0.0);
+    /// Zero-fill the backing store up to `len` elements (clamped to the
+    /// capacity), so reads and writes below it never grow it.
+    pub fn reserve(&mut self, len: usize) {
+        let len = len.min(self.capacity);
+        if self.data.len() < len {
+            self.data.resize(len, 0.0);
         }
     }
 
@@ -51,22 +48,26 @@ impl Spm {
         self.capacity
     }
 
-    /// Read-only view of a range.
-    pub fn slice(&self, offset: usize, len: usize) -> MachineResult<&[f32]> {
+    /// Read-only view of a range: borrowed where it has been written or
+    /// reserved, zero-extended past that.
+    pub fn slice(&self, offset: usize, len: usize) -> MachineResult<Cow<'_, [f32]>> {
         self.check(offset, len)?;
-        if self.data.len() < offset + len {
-            return Err(MachineError::Invalid(format!(
-                "SPM {} sliced before any write (lazy cost-only storage)",
-                self.cpe
-            )));
+        let end = offset + len;
+        if end <= self.data.len() {
+            return Ok(Cow::Borrowed(&self.data[offset..end]));
         }
-        Ok(&self.data[offset..offset + len])
+        let mut out = vec![0.0; len];
+        if offset < self.data.len() {
+            let stored = &self.data[offset..];
+            out[..stored.len()].copy_from_slice(stored);
+        }
+        Ok(Cow::Owned(out))
     }
 
     /// Mutable view of a range.
     pub fn slice_mut(&mut self, offset: usize, len: usize) -> MachineResult<&mut [f32]> {
         self.check(offset, len)?;
-        self.materialise();
+        self.reserve(offset + len);
         Ok(&mut self.data[offset..offset + len])
     }
 
@@ -78,9 +79,7 @@ impl Spm {
 
     /// Store a single element.
     pub fn store(&mut self, offset: usize, v: f32) -> MachineResult<()> {
-        self.check(offset, 1)?;
-        self.materialise();
-        self.data[offset] = v;
+        self.slice_mut(offset, 1)?[0] = v;
         Ok(())
     }
 
@@ -90,7 +89,8 @@ impl Spm {
         Ok(())
     }
 
-    fn check(&self, offset: usize, len: usize) -> MachineResult<()> {
+    /// Fail unless `len` elements from `offset` lie within the capacity.
+    pub(crate) fn check(&self, offset: usize, len: usize) -> MachineResult<()> {
         if offset + len > self.capacity {
             return Err(MachineError::SpmOverflow {
                 cpe: self.cpe,
@@ -179,16 +179,24 @@ mod tests {
     }
 
     #[test]
-    fn lazy_spm_materialises_on_write() {
-        let mut spm = Spm::lazy(2, 1024);
+    fn storage_grows_on_write_and_reads_zero_past_it() {
+        let mut spm = Spm::new(2, 1024);
         assert_eq!(spm.capacity(), 256);
         // Reads before any write observe zeros and enforce bounds.
         assert_eq!(spm.load(100).unwrap(), 0.0);
         assert!(spm.load(256).is_err());
-        assert!(spm.slice(0, 4).is_err(), "unmaterialised slice is an error");
+        assert_eq!(&*spm.slice(0, 4).unwrap(), &[0.0; 4]);
+        assert!(spm.slice(250, 8).is_err());
         spm.store(10, 2.5).unwrap();
+        assert_eq!(spm.data.len(), 11, "a write grows storage to cover it, no further");
         assert_eq!(spm.load(10).unwrap(), 2.5);
-        assert_eq!(spm.slice(8, 4).unwrap(), &[0.0, 0.0, 2.5, 0.0]);
+        // A range straddling the end of storage reads zeros past it.
+        assert_eq!(&*spm.slice(8, 4).unwrap(), &[0.0, 0.0, 2.5, 0.0]);
+        spm.reserve(64);
+        assert_eq!(spm.data.len(), 64);
+        assert_eq!(spm.load(10).unwrap(), 2.5, "reserving keeps what was written");
+        spm.reserve(1 << 20);
+        assert_eq!(spm.data.len(), 256, "reserving stops at the capacity");
     }
 
     #[test]

@@ -5,7 +5,7 @@ use sw26010::{cid, rid, Cycles, DmaDirection, MachineConfig, ELEM_BYTES, MESH, N
 use swkernels::VecDim;
 use swtensor::{ConvShape, MatLayout};
 
-use crate::expr::{AVar, AffineExpr, Cond, VarId};
+use crate::expr::{AVar, AffineExpr, Cond, Env, VarId};
 
 /// Index of an SPM buffer in the program's SPM table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -214,11 +214,24 @@ pub struct GemmOp {
     pub b: MatDesc,
     pub c: MatDesc,
     pub vd: VecDim,
+    /// The call's step in a looped reduction over its output tile: where it
+    /// evaluates to 0 the call starts the tile and overwrites C (β = 0), so
+    /// nothing fetches the accumulator first. `None`: `beta` always holds.
+    /// It never prices anything.
+    pub k_step: Option<AffineExpr>,
 }
 
 impl GemmOp {
     pub fn flops(&self) -> u64 {
         2 * (self.m as u64) * (self.n as u64) * (self.k as u64)
+    }
+
+    /// The β this execution applies under `env`.
+    pub fn beta_at(&self, env: &Env) -> f32 {
+        match &self.k_step {
+            Some(step) if step.eval(env, 0, 0) == 0 => 0.0,
+            _ => self.beta,
+        }
     }
 }
 
@@ -292,8 +305,6 @@ pub enum TransformKind {
         take_rows: usize,
         take_cols: usize,
     },
-    /// Zero an entire buffer.
-    ZeroBuf { buf: MemBufId },
     /// Transaction coalescing: gather the strided per-CPE tiles of a
     /// loop-nest's `DmaCg` get into a packed staging buffer, laid out
     /// `[iteration][cpe][block]` so the replacement per-CPE DMA is a single
@@ -367,7 +378,6 @@ impl TransformKind {
                 let n = (take_rows * take_cols) as u64;
                 (n, n, 0)
             }
-            TransformKind::ZeroBuf { .. } => (0, 0, 0),
             TransformKind::PackTiles { rows, cols, iters, .. } => {
                 let n_iters: u64 = iters.iter().map(|&(e, _)| e as u64).product();
                 let n = n_iters * (rows * cols) as u64;
@@ -554,7 +564,7 @@ mod tests {
             Stmt::gemm(GemmOp {
                 m: 8, n: 8, k: 8, alpha: 1.0, beta: 0.0,
                 a: single.clone(), b: single, c: MatDesc::new(c, MatLayout::RowMajor, 8),
-                vd: swkernels::VecDim::M,
+                vd: swkernels::VecDim::M, k_step: None,
             })
         };
         let double =
@@ -623,7 +633,7 @@ mod tests {
         let d = MatDesc::new(SpmSlot::single(SpmBufId(0)), MatLayout::RowMajor, 8);
         let g = GemmOp {
             m: 64, n: 32, k: 16, alpha: 1.0, beta: 1.0,
-            a: d.clone(), b: d.clone(), c: d, vd: swkernels::VecDim::M,
+            a: d.clone(), b: d.clone(), c: d, vd: swkernels::VecDim::M, k_step: None,
         };
         assert_eq!(g.flops(), 2 * 64 * 32 * 16);
     }

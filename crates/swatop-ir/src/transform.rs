@@ -72,6 +72,7 @@ pub fn subst_var(stmt: &Stmt, var: VarId, by: &AffineExpr) -> Stmt {
             b: mat(&g.b),
             c: mat(&g.c),
             vd: g.vd,
+            k_step: g.k_step.as_ref().map(|e| e.subst(var, by)),
         }),
         other => other.clone(),
     }

@@ -91,9 +91,14 @@ pub struct Binding {
 /// cost-only mode the allocations are virtual (address ranges without a
 /// backing store): the interpreter only needs bases and bounds, and skipping
 /// the zero-fill keeps per-candidate instantiation cheap in the autotuner —
-/// large conv workspaces would otherwise dominate candidate evaluation.
+/// large conv workspaces would otherwise dominate candidate evaluation. A
+/// functional run zero-fills each CPE's scratch pad up to the plan's
+/// footprint (`spm_used`), not all of it.
 pub fn instantiate(cg: &mut CoreGroup, exe: &Planned) -> Binding {
     let cost_only = cg.mode() == ExecMode::CostOnly;
+    if !cost_only {
+        cg.reserve_spm(exe.spm_used);
+    }
     let bufs = exe
         .program
         .mem_bufs
@@ -290,7 +295,7 @@ impl<'a> Interp<'a> {
                 // kernel price is taken once and charged on every execution.
                 let price = entry(&mut self.gemm_nodes, g, || None);
                 swkernels::spm_gemm_priced(
-                    cg, price, g.m, g.n, g.k, g.alpha, a, b, g.beta, c, g.vd,
+                    cg, price, g.m, g.n, g.k, g.alpha, a, b, g.beta_at(env), c, g.vd,
                 )
             }
             Stmt::Transform(t) => self.transform(cg, t),
@@ -770,11 +775,6 @@ impl<'a> Interp<'a> {
                 }
                 self.write_buf(cg, *dst, &d)
             }
-            TransformKind::ZeroBuf { buf } => {
-                let machine_buf = self.buf(*buf)?;
-                cg.mem.buffer_mut(machine_buf).fill(0.0);
-                Ok(())
-            }
             TransformKind::PackTiles { src, dst, rows, cols, row_stride, mesh_swap, base, iters } => {
                 // Mirrors DMA inference's per-CPE block addressing exactly:
                 // the packed buffer must hand every CPE the same bytes the
@@ -840,7 +840,6 @@ fn transform_label(kind: &TransformKind) -> &'static str {
         TransformKind::RotateFilter { .. } => "rotate_filter",
         TransformKind::PadSubmatrix { .. } => "pad",
         TransformKind::UnpadSubmatrix { .. } => "unpad",
-        TransformKind::ZeroBuf { .. } => "zero",
         TransformKind::PackTiles { .. } => "pack_tiles",
     }
 }
@@ -917,6 +916,7 @@ mod tests {
             b: MatDesc::new(SpmSlot::Single(sb), MatLayout::RowMajor, nb),
             c: MatDesc::new(SpmSlot::Single(sc), MatLayout::RowMajor, nb),
             vd: VecDim::M,
+            k_step: None,
         });
         p.set_body(Stmt::seq(vec![
             dma_in(a, m, k, sa),

@@ -12,7 +12,7 @@
 //! * **T_overall = max(T_DMA, T_compute)** under software prefetching
 //!   (the autotuner estimates the *pre-prefetch* IR and applies the overlap
 //!   formula, exactly like the paper assumes the optimizer will hide the
-//!   latency).
+//!   latency), plus the bulk transforms, which overlap nothing.
 
 pub mod fit;
 #[doc(hidden)]
@@ -158,19 +158,41 @@ pub fn valid_shape(v: GemmVariant, m: usize, n: usize, k: usize) -> bool {
 pub struct Estimate {
     /// Modelled DMA engine time (Eq. 1 summed over all transfers).
     pub t_dma: f64,
-    /// Modelled instruction-stream time (Eq. 2 + transform costs).
+    /// Modelled instruction-stream time (Eq. 2 and DMA waits).
     pub t_compute: f64,
+    /// Bulk transforms: they occupy the DMA engine and the CPEs at once and
+    /// overlap nothing, so they are charged once, outside both clocks.
+    pub t_transform: f64,
 }
 
 impl Estimate {
-    /// `T_overall`: with prefetching DMA and compute overlap (`max`);
-    /// without, they serialise (`sum`).
+    /// `T_overall`: the transforms plus, with prefetching, DMA and compute
+    /// overlapped (`max`); without, serialised (`sum`).
     pub fn overall(&self, prefetched: bool) -> f64 {
-        if prefetched {
+        let main = if prefetched {
             self.t_dma.max(self.t_compute)
         } else {
             self.t_dma + self.t_compute
+        };
+        self.t_transform + main
+    }
+
+    /// The estimate of `extent` iterations that each estimate as `self`.
+    fn times(&self, extent: usize) -> Estimate {
+        let n = extent as f64;
+        Estimate {
+            t_dma: self.t_dma * n,
+            t_compute: self.t_compute * n,
+            t_transform: self.t_transform * n,
         }
+    }
+}
+
+impl std::ops::AddAssign for Estimate {
+    fn add_assign(&mut self, other: Estimate) {
+        self.t_dma += other.t_dma;
+        self.t_compute += other.t_compute;
+        self.t_transform += other.t_transform;
     }
 }
 
@@ -220,16 +242,15 @@ pub fn estimate_leaf(
         }
         Stmt::Transform(t) => {
             // Transforms stream through memory: they occupy both the DMA
-            // engine and the CPEs; charge the same cost to both clocks
-            // (they cannot be overlapped with the main loop). Fused
-            // transforms chain onto their predecessor's pipeline and skip
-            // the start-up latency, as in the interpreter.
+            // engine and the CPEs, and cannot be overlapped with the main
+            // loop; charged once, on their own clock. Fused transforms chain
+            // onto their predecessor's pipeline and skip the start-up
+            // latency, as in the interpreter.
             let mut c = transform_cost(cfg, &t.kind).get() as f64;
             if t.fused {
                 c -= cfg.dma_startup.get() as f64;
             }
-            est.t_compute += c;
-            est.t_dma += c;
+            est.t_transform += c;
         }
         Stmt::Nop | Stmt::Seq(_) | Stmt::For { .. } | Stmt::If { .. } => {}
     }
@@ -284,8 +305,7 @@ fn walk(
                     let mut one = Estimate::default();
                     walk(cfg, model, body, tag, env, &mut one);
                     for _ in lo..=hi {
-                        sub.t_dma += one.t_dma;
-                        sub.t_compute += one.t_compute;
+                        sub += one;
                     }
                     lo = hi + 1;
                 }
@@ -293,12 +313,10 @@ fn walk(
                 env.set(*var, 0);
                 let mut one = Estimate::default();
                 walk(cfg, model, body, tag, env, &mut one);
-                sub.t_dma = one.t_dma * *extent as f64;
-                sub.t_compute = one.t_compute * *extent as f64;
+                sub = one.times(*extent);
             }
             env.set(*var, saved);
-            est.t_dma += sub.t_dma;
-            est.t_compute += sub.t_compute;
+            *est += sub;
         }
         // Tagging leaves guarded gets alone.
         Stmt::If { cond, then_, else_ } => {
@@ -418,10 +436,28 @@ mod tests {
     }
 
     #[test]
-    fn overall_combines_overlap() {
-        let e = Estimate { t_dma: 100.0, t_compute: 60.0 };
-        assert_eq!(e.overall(true), 100.0);
-        assert_eq!(e.overall(false), 160.0);
+    fn a_transform_is_charged_once_prefetched_or_not() {
+        use swatop_ir::{MemRole, ReplyId, TransformOp};
+        let cfg = MachineConfig::default();
+        let model = GemmModel::cached(&cfg);
+        let mut p = Program::new("one_transform");
+        let src = p.mem_buf("src", 64 * 32, MemRole::Input);
+        let dst = p.mem_buf("dst", 64 * 32, MemRole::Output);
+        let kind = TransformKind::PackTensor { src, dst, src_dims: vec![64, 32], perm: vec![1, 0] };
+        let cost = transform_cost(&cfg, &kind).get() as f64;
+        let wait = cfg.dma_wait_poll.get() as f64;
+        p.set_body(Stmt::seq(vec![
+            Stmt::Transform(TransformOp { kind, fused: false }),
+            Stmt::DmaWait { reply: ReplyId(0), times: 0 },
+        ]));
+        let e = estimate(&cfg, &model, &p);
+        assert_eq!(e, Estimate { t_dma: 0.0, t_compute: wait, t_transform: cost });
+        assert_eq!(e.overall(true), cost + wait);
+        assert_eq!(e.overall(false), cost + wait);
+        // The rest overlaps under prefetching and serialises without it.
+        let e = Estimate { t_dma: 100.0, t_compute: 60.0, t_transform: 30.0 };
+        assert_eq!(e.overall(true), 130.0);
+        assert_eq!(e.overall(false), 190.0);
     }
 
     #[test]

@@ -135,11 +135,6 @@ impl Operator for BatchedMatmulOp {
                 stmts.push(copy_in(a, self.batch, i, self.m * self.k, a_el));
             }
             stmts.push(copy_in(b, self.batch, i, self.k * self.n, b_el));
-            // The per-element C workspace accumulates (beta = 1): clear it
-            // between batch elements.
-            stmts.push(Stmt::Transform(swatop_ir::TransformOp { fused: false,
-                kind: swatop_ir::TransformKind::ZeroBuf { buf: c_el },
-            }));
             let body = lower_matmul_body_with_spm(
                 &mut p,
                 &knobs,

@@ -332,7 +332,6 @@ impl Operator for ImplicitConvOp {
         // SPM buffers (the resident per-step slots are created below).
         let spm_o = p.spm_buf("spm_o", (t_no / 8) * (n_dim / 8));
         let r_in = p.fresh_reply();
-        let r_oget = p.fresh_reply();
         let r_oput = p.fresh_reply();
 
         // Loop variables.
@@ -475,7 +474,11 @@ impl Operator for ImplicitConvOp {
             })
         };
 
-        let gemm_with = |wa: swatop_ir::SpmBufId, db: swatop_ir::SpmBufId, c_slot: SpmSlot, beta: f32| {
+        let gemm_with = |wa: swatop_ir::SpmBufId,
+                         db: swatop_ir::SpmBufId,
+                         c_slot: SpmSlot,
+                         beta: f32,
+                         k_step: Option<AffineExpr>| {
             Stmt::gemm(GemmOp {
                 m: t_no,
                 n: n_dim,
@@ -494,6 +497,7 @@ impl Operator for ImplicitConvOp {
                 ),
                 c: MatDesc::new(c_slot, MatLayout::RowMajor, n_dim / 8),
                 vd: if vec_m { VecDim::M } else { VecDim::N },
+                k_step,
             })
         };
 
@@ -548,6 +552,7 @@ impl Operator for ImplicitConvOp {
                     spm_d_s,
                     o_slot.clone(),
                     if i == 0 { 0.0 } else { 1.0 },
+                    None,
                 ));
             }
             let mut body = gets;
@@ -565,23 +570,20 @@ impl Operator for ImplicitConvOp {
             Stmt::seq(body)
         } else {
             // Looped reduction nest over (kr, kc, ni_t), filter taps outer;
-            // one shared slot pair, re-waited per step.
+            // one shared slot pair, re-waited per step. The nest's first
+            // step overwrites the output tile (β = 0), so no get fetches it.
             let spm_w = p.spm_buf("spm_w", w_words);
             let spm_d = p.spm_buf("spm_d", d_words);
+            let red_loops = [(v_kr, kr), (v_kc, kc), (v_nit, ni / t_ni)];
+            let k_step = crate::optimizer::prefetch::linear_index(&red_loops);
             let inner_body = Stmt::seq(vec![
                 w_get_to(spm_w, w_offset.clone()),
                 d_get_to(spm_d, d_offset.clone()),
                 Stmt::DmaWait { reply: r_in, times: 2 },
-                gemm_with(spm_w, spm_d, SpmSlot::Single(spm_o), 1.0),
+                gemm_with(spm_w, spm_d, SpmSlot::Single(spm_o), 1.0, Some(k_step)),
             ]);
-            let red_nest = Stmt::for_(
-                v_kr,
-                kr,
-                Stmt::for_(v_kc, kc, Stmt::for_(v_nit, ni / t_ni, inner_body)),
-            );
+            let red_nest = swatop_ir::transform::build_nest(&red_loops, inner_body);
             Stmt::seq(vec![
-                o_dma(MemToSpm, r_oget, SpmSlot::Single(spm_o)),
-                Stmt::DmaWait { reply: r_oget, times: 1 },
                 red_nest,
                 o_dma(SpmToMem, r_oput, SpmSlot::Single(spm_o)),
                 Stmt::DmaWait { reply: r_oput, times: 1 },
@@ -825,6 +827,38 @@ mod tests {
         assert_eq!(menu(1, 14), [1, 4, 8, 16]);
         assert_eq!(menu(1, 7), [1, 8]);
         assert_eq!(menu(32, 7), [1]);
+    }
+
+    #[test]
+    fn every_reduction_overwrites_the_output_tile_it_starts() {
+        // The GEMMs compute each output tile whatever the accumulator
+        // buffer held: both reductions at every `dma` level, a padded shape
+        // and merged rows among them.
+        let cfg = MachineConfig::default();
+        let sched = Scheduler::new(cfg.clone());
+        let shapes = [
+            ConvShape::square(8, 16, 16, 4),
+            ConvShape { b: 8, ni: 16, no: 16, ro: 8, co: 8, kr: 3, kc: 3, stride: 1, pad: 1 },
+            ConvShape { b: 2, ni: 8, no: 32, ro: 7, co: 7, kr: 3, kc: 3, stride: 1, pad: 1 },
+        ];
+        for shape in shapes {
+            let op = ImplicitConvOp::new(shape);
+            let space = op.space();
+            for level in DMA_LADDER {
+                for red in ["loop", "resident"] {
+                    let cand = space
+                        .points()
+                        .filter(|p| p.choice(&space, "dma") == level && p.choice(&space, "red") == red)
+                        .filter(|p| !space.has_knob("t_ro") || p.factor(&space, "t_ro") > 1)
+                        .find_map(|p| sched.lower_point(&op, &space, &p))
+                        .unwrap_or_else(|| panic!("{shape:?}: no {level} {red} candidate"));
+                    let what = format!("{shape:?} {}", cand.describe);
+                    let err = crate::ops::verify_over_stale_memory(&cfg, &op, &cand)
+                        .unwrap_or_else(|e| panic!("{what}: {e}"));
+                    assert!(err < 1e-3, "{what}: max err {err}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -329,7 +329,6 @@ pub fn lower_matmul_body_with_spm(
             ]
         });
         let r_in = p.fresh_reply();
-        let r_cget = p.fresh_reply();
         let r_cput = p.fresh_reply();
 
         let vd = if vec_m { VecDim::M } else { VecDim::N };
@@ -342,6 +341,8 @@ pub fn lower_matmul_body_with_spm(
         let m_segs = c_fam.r.segs();
         let n_segs = c_fam.c.segs();
         let k_segs = if a_swap { a_fam.r.segs() } else { a_fam.c.segs() };
+        // Only a later k segment reads the accumulator back.
+        let r_cget = (k_segs.len() > 1).then(|| p.fresh_reply());
 
         // Resident reuse: one SPM slot per k step of B, all filled once per
         // n tile. Every slot carries a *normal* streamed tile (same mesh
@@ -361,7 +362,10 @@ pub fn lower_matmul_body_with_spm(
 
         for sm in &m_segs {
             for sn in &n_segs {
-                for sk in &k_segs {
+                for (ki_seg, sk) in k_segs.iter().enumerate() {
+                    // The first k segment starts every tile it visits: its
+                    // first step overwrites C, and no accumulator get runs.
+                    let starts = ki_seg == 0;
                     let vm = p.fresh_var("vm");
                     let vn = p.fresh_var("vn");
                     let vk = p.fresh_var("vk");
@@ -404,12 +408,20 @@ pub fn lower_matmul_body_with_spm(
                         ),
                         c: MatDesc::new(SpmSlot::Single(spm_c), MatLayout::RowMajor, n_cur / 8),
                         vd,
+                        k_step: starts.then(|| AffineExpr::loop_var(vk)),
                     });
 
-                    let c_get = Stmt::DmaCg(c_fam.tile_dma(
-                        sm, sn, Some(vm), Some(vn),
-                        MemToSpm, SpmSlot::Single(spm_c), r_cget,
-                    ));
+                    // A later k segment accumulates onto what the earlier
+                    // ones wrote.
+                    let c_get = r_cget.filter(|_| !starts).map(|r_cget| {
+                        [
+                            Stmt::DmaCg(c_fam.tile_dma(
+                                sm, sn, Some(vm), Some(vn),
+                                MemToSpm, SpmSlot::Single(spm_c), r_cget,
+                            )),
+                            Stmt::DmaWait { reply: r_cget, times: 1 },
+                        ]
+                    });
                     let c_put = Stmt::DmaCg(c_fam.tile_dma(
                         sm, sn, Some(vm), Some(vn),
                         SpmToMem, SpmSlot::Single(spm_c), r_cput,
@@ -426,13 +438,13 @@ pub fn lower_matmul_body_with_spm(
                                 gemm,
                             ]),
                         );
-                        let tile_body = Stmt::seq(vec![
-                            c_get,
-                            Stmt::DmaWait { reply: r_cget, times: 1 },
+                        let mut tile_body: Vec<Stmt> = c_get.into_iter().flatten().collect();
+                        tile_body.extend([
                             k_loop,
                             c_put,
                             Stmt::DmaWait { reply: r_cput, times: 1 },
                         ]);
+                        let tile_body = Stmt::seq(tile_body);
                         Stmt::for_(vm, sm.count, Stmt::for_(vn, sn.count, tile_body))
                     } else {
                         // Resident reuse: fetch every k-step tile of B once
@@ -452,10 +464,10 @@ pub fn lower_matmul_body_with_spm(
                             outer_steps.push(Stmt::DmaCg(g));
                         }
                         outer_steps.push(Stmt::DmaWait { reply: r_in, times: sk.count });
-                        // The accumulator get and wait, a get, wait and
-                        // GEMM per k step, the put and its wait.
-                        let mut steps: Vec<Stmt> = Vec::with_capacity(3 * sk.count + 4);
-                        steps.extend([c_get, Stmt::DmaWait { reply: r_cget, times: 1 }]);
+                        // A get, wait and GEMM per k step (the first
+                        // overwrites C: k is one segment), the put and its
+                        // wait.
+                        let mut steps: Vec<Stmt> = Vec::with_capacity(3 * sk.count + 2);
                         for (ki, &slot) in panel_slots.iter().enumerate().take(sk.count) {
                             let mut ag = a_fam.tile_dma(
                                 a_sr, a_sc, Some(a_vr), Some(a_vc),
@@ -469,7 +481,7 @@ pub fn lower_matmul_body_with_spm(
                                 n: n_cur,
                                 k: k_cur,
                                 alpha: 1.0,
-                                beta: 1.0,
+                                beta: if ki == 0 { 0.0 } else { 1.0 },
                                 a: MatDesc::new(
                                     SpmSlot::Single(spm_a),
                                     if a_col { MatLayout::ColMajor } else { MatLayout::RowMajor },
@@ -482,6 +494,7 @@ pub fn lower_matmul_body_with_spm(
                                     n_cur / 8,
                                 ),
                                 vd,
+                                k_step: None,
                             }));
                         }
                         steps.push(c_put);
@@ -598,6 +611,53 @@ mod tests {
     fn resident_panel_correct() {
         let op = MatmulOp::new(64, 128, 32);
         verify_point(&op, |s, p| p.choice(s, "resident") == "b");
+    }
+
+    /// Whether `cand`'s program reads any tile of C back into the SPM.
+    fn reads_c_back(cand: &crate::scheduler::Candidate) -> bool {
+        let p = &cand.exe.program;
+        let mut reads = false;
+        p.body.visit(&mut |s| {
+            if let Stmt::DmaCpe(d) = s {
+                reads |= d.direction == MemToSpm && p.mem_bufs[d.buf.0].name.starts_with('C');
+            }
+        });
+        reads
+    }
+
+    #[test]
+    fn every_tile_overwrites_the_output_it_starts() {
+        // The body computes C = A·B whatever C held: every `dma` level, with
+        // and without the resident panel, and with k in two segments (a
+        // padded tail), the second of which reads back what the first wrote.
+        let cfg = MachineConfig::default();
+        let sched = Scheduler::new(cfg.clone());
+        let cases = [(MatmulOp::new(64, 128, 32), false), (MatmulOp::new(100, 64, 50), true)];
+        for (op, two_k_segments) in cases {
+            let space = op.space();
+            for level in MATMUL_DMA {
+                for resident in ["none", "b"] {
+                    let cand = space
+                        .points()
+                        .filter(|p| {
+                            p.choice(&space, "dma") == level
+                                && p.choice(&space, "resident") == resident
+                                && (!two_k_segments || p.factor(&space, "t_k") == 16)
+                        })
+                        .find_map(|p| sched.lower_point(&op, &space, &p));
+                    let Some(cand) = cand else {
+                        // The resident panel needs k in one segment.
+                        assert!(two_k_segments && resident == "b", "{level} {resident}");
+                        continue;
+                    };
+                    let what = format!("{} {}", op.name(), cand.describe);
+                    assert_eq!(reads_c_back(&cand), two_k_segments, "{what}");
+                    let err = crate::ops::verify_over_stale_memory(&cfg, &op, &cand)
+                        .unwrap_or_else(|e| panic!("{what}: {e}"));
+                    assert!(err < 1e-3, "{what}: max err {err}");
+                }
+            }
+        }
     }
 
     #[test]

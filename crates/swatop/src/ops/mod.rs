@@ -210,6 +210,34 @@ pub fn verify_tolerance(flops: u64) -> f32 {
     1e-4 * ((flops as f32).sqrt().log2().max(1.0))
 }
 
+/// [`verify_candidate`] with every buffer but the inputs full of non-zero
+/// data before the run: the lowerings' contract is `C = A·B` whatever C
+/// held, so a tile accumulated onto memory the program did not write first
+/// shows up as a wrong answer.
+#[cfg(test)]
+pub(crate) fn verify_over_stale_memory(
+    cfg: &MachineConfig,
+    op: &dyn Operator,
+    cand: &Candidate,
+) -> MachineResult<f32> {
+    let program = &cand.exe.program;
+    let mut cg = CoreGroup::new(cfg.clone(), ExecMode::Functional);
+    let binding = instantiate(&mut cg, &cand.exe);
+    let inputs = op.input_data(program);
+    for (id, data) in program.bufs_with_role(MemRole::Input).iter().zip(&inputs) {
+        cg.mem.write(binding.bufs[id.0], 0, data)?;
+    }
+    for (decl, &buf) in program.mem_bufs.iter().zip(&binding.bufs) {
+        if decl.role != MemRole::Input {
+            let stale = swtensor::init::random_vec(decl.len, 0x5A1E);
+            cg.mem.write(buf, 0, &stale.iter().map(|x| x + 2.0).collect::<Vec<_>>())?;
+        }
+    }
+    execute(&mut cg, &cand.exe, &binding)?;
+    let out = binding.bufs[program.bufs_with_role(MemRole::Output)[0].0];
+    Ok(swtensor::compare::max_abs_diff(cg.mem.buffer(out), &op.reference_output(&inputs)))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -258,6 +258,7 @@ impl Operator for WinogradConvOp {
                     b: MatDesc::new(SpmSlot::Single(vb), MatLayout::RowMajor, seg.size / 8),
                     c: MatDesc::new(c_slot, MatLayout::RowMajor, seg.size / 8),
                     vd: if vec_m { VecDim::M } else { VecDim::N },
+                    k_step: None,
                 })
             };
 

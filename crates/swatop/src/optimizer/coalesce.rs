@@ -212,7 +212,6 @@ fn transform_dst(k: &TransformKind) -> usize {
         | TransformKind::PadSubmatrix { dst, .. }
         | TransformKind::UnpadSubmatrix { dst, .. }
         | TransformKind::PackTiles { dst, .. } => dst.0,
-        TransformKind::ZeroBuf { buf } => buf.0,
     }
 }
 
@@ -573,7 +572,12 @@ mod tests {
         let tf = || {
             Stmt::Transform(swatop_ir::TransformOp {
                 fused: false,
-                kind: swatop_ir::TransformKind::ZeroBuf { buf: MemBufId(0) },
+                kind: swatop_ir::TransformKind::PackTensor {
+                    src: MemBufId(0),
+                    dst: MemBufId(1),
+                    src_dims: vec![4],
+                    perm: vec![0],
+                },
             })
         };
         let body = Stmt::seq(vec![
@@ -613,7 +617,12 @@ mod tests {
         let tf = || {
             Stmt::Transform(TransformOp {
                 fused: false,
-                kind: TransformKind::ZeroBuf { buf: MemBufId(0) },
+                kind: TransformKind::PackTensor {
+                    src: MemBufId(0),
+                    dst: MemBufId(1),
+                    src_dims: vec![4],
+                    perm: vec![0],
+                },
             })
         };
         let guard = swatop_ir::Cond::lt_const(AffineExpr::loop_var(0), 3);

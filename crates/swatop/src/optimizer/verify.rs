@@ -454,6 +454,7 @@ mod tests {
             b: d(b),
             c: d(c),
             vd: swkernels::VecDim::M,
+            k_step: None,
         })
     }
 
@@ -608,6 +609,7 @@ mod tests {
                 b: MatDesc::new(SpmSlot::single(SpmBufId(2)), MatLayout::RowMajor, 8),
                 c: MatDesc::new(SpmSlot::single(SpmBufId(3)), MatLayout::RowMajor, 8),
                 vd: swkernels::VecDim::M,
+                k_step: None,
             }),
         ]);
         let mut ok = p.clone();
@@ -631,6 +633,7 @@ mod tests {
                 b: MatDesc::new(SpmSlot::single(SpmBufId(2)), MatLayout::RowMajor, 8),
                 c: MatDesc::new(SpmSlot::single(SpmBufId(3)), MatLayout::RowMajor, 8),
                 vd: swkernels::VecDim::M,
+                k_step: None,
             }),
         ]);
         let mut bad = p;

@@ -159,8 +159,8 @@ fn assert_implicit_no_slower_than_explicit(shape: ConvShape) {
 #[test]
 fn batch1_gap_is_bridged() {
     // swDNN has no batch-1 implicit conv; swATOP must produce one, and a
-    // fast one: merged output rows widen the GEMM's N (33,715 cycles against
-    // explicit conv's 33,994; 84,164 with one row per GEMM).
+    // fast one: merged output rows widen the GEMM's N (32,514 cycles against
+    // explicit conv's 32,793).
     let cfg = cfg();
     let shape = ConvShape::square(1, 32, 32, 8);
     assert!(swdnn_implicit_conv(&cfg, &shape).is_none());
@@ -174,9 +174,9 @@ fn implicit_is_no_slower_than_explicit_on_listing1_at_batch1() {
     // The 15 batch-1 configurations of Listing 1 at spatial cap 16 (release:
     // about 5 s). Implicit wins the 9 with No <= 128 and loses the 6 with
     // No >= 256 (implicit / explicit optimum cycles):
-    // 256->256 961,566 / 908,463; 384->256 1,406,577 / 1,318,282; 384->384
-    // 2,039,274 / 1,812,768; 512->256 1,844,679 / 1,711,509; 512->384
-    // 2,676,539 / 2,349,491; 512->512 3,502,809 / 2,987,472. Implicit conv
+    // 256->256 941,570 / 888,467; 384->256 1,386,581 / 1,298,286; 384->384
+    // 2,009,592 / 1,783,086; 512->256 1,824,683 / 1,691,513; 512->384
+    // 2,646,857 / 2,319,809; 512->512 3,463,441 / 2,948,104. Implicit conv
     // repacks the 3x3 weight per call (9·No·Ni elements, about 200,000
     // cycles at 256->256), which explicit conv's GEMM reads in place.
     for shape in conv_sweep(1, Some(16)) {

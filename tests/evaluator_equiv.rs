@@ -642,6 +642,7 @@ fn residue_walk_of(outer: usize) -> Program {
         b: MatDesc::new(b.clone(), MatLayout::RowMajor, 4),
         c: MatDesc::new(c.clone(), MatLayout::RowMajor, 4),
         vd: VecDim::M,
+        k_step: None,
     });
     let body = Stmt::seq(vec![
         // CPE (0, 0) starts at 37·i + 5·j + 21 (`cid` walks downwards).
@@ -878,6 +879,7 @@ impl Kit {
             b: mat(SpmSlot::Single(self.b)),
             c: mat(SpmSlot::Single(self.c)),
             vd: VecDim::M,
+            k_step: None,
         })
     }
 
@@ -1063,7 +1065,9 @@ const SPACE_SUMS: [&str; 7] = [
 /// each time the knob census (`tests/knob_census.rs`) deleted knob values no
 /// optimum held (last: Winograd's `dma=none` and `dma=dbuf+coal`): each new
 /// sum equals, to the unit, the previous tree's sum over the candidates that
-/// survived the deletion.
+/// survived the deletion. Also re-pinned when the matmul body and implicit
+/// conv's looped reduction stopped fetching the output tile they start:
+/// `issue_p0` and `kernel_calls` stayed put, and Winograd's sums too.
 #[test]
 #[ignore = "whole spaces: run in release"]
 fn whole_space_sums_are_pinned() {
@@ -1075,7 +1079,7 @@ fn whole_space_sums_are_pinned() {
     let spaces: [(Box<dyn Operator>, [u64; 7]); 7] = [
         (
             Box::new(ImplicitConvOp::new(conv)),
-            [2_270_307_616, 21_682_192_384, 1_742_688_640, 42_467_328, 786_432, 479_072, 516_096],
+            [2_222_788_192, 21_234_450_432, 1_695_955_648, 42_467_328, 761_856, 454_496, 516_096],
         ),
         (
             Box::new(WinogradConvOp::new(conv)),
@@ -1083,21 +1087,21 @@ fn whole_space_sums_are_pinned() {
         ),
         (
             Box::new(ExplicitConvOp::new(conv)),
-            [2_257_373_056, 17_906_925_568, 1_408_659_168, 82_575_360, 519_808, 372_992, 293_632],
+            [2_185_118_272, 17_128_882_176, 1_337_293_216, 82_575_360, 492_032, 345_216, 293_632],
         ),
         (
             Box::new(MatmulOp::new(64, 64, 64)),
-            [23_811_172, 131_596_288, 16_100_004, 786_432, 13_008, 10_320, 6_480],
+            [21_785_548, 119_013_376, 14_129_676, 786_432, 11_280, 8_592, 6_480],
         ),
         (
             Box::new(ImplicitConvOp::new(vgg7)),
             [
-                86_252_281_544,
-                608_885_014_528,
-                21_944_079_000,
+                83_942_274_632,
+                586_453_876_736,
+                19_635_735_064,
                 40_693_137_408,
-                1_367_296,
-                874_464,
+                1_315_328,
+                822_496,
                 870_912,
             ],
         ),
@@ -1116,12 +1120,12 @@ fn whole_space_sums_are_pinned() {
         (
             Box::new(ExplicitConvOp::new(vgg7)),
             [
-                4_431_896_308_455,
-                48_180_366_409_728,
-                3_083_624_729_255,
+                4_387_200_557_607,
+                47_607_374_151_680,
+                3_039_144_434_151,
                 517_912_657_920,
-                601_407_184,
-                405_426_784,
+                594_674_192,
+                398_693_792,
                 391_960_800,
             ],
         ),

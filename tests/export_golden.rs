@@ -68,17 +68,17 @@ fn artifacts() -> Vec<(&'static str, String, Check)> {
         tiers: TierPolicy::top_k(3),
         ..TuneOptions::default()
     };
-    // Pure in the index; rejects the model's first pick (102) and accepts
-    // the second (131), so the run holds one quarantine with its reason.
+    // Pure in the index; rejects the model's first pick (146) and accepts
+    // the second (150), so the run holds one quarantine with its reason.
     let sevenths = |i: usize, _: &Candidate| {
-        if i % 7 == 4 {
+        if i % 7 == 6 {
             Err(format!("candidate {i} is \"unlucky\""))
         } else {
             Ok(())
         }
     };
     let outcome = tune(&cfg, &cands, &opts, Some(&sevenths)).expect("the space tunes");
-    assert_eq!((outcome.best, outcome.quarantined), (131, 1));
+    assert_eq!((outcome.best, outcome.quarantined), (150, 1));
     tel.close(op_span);
 
     let winner = profile_candidate(&cfg, &op.name(), outcome.best, &cands[outcome.best]).unwrap();

@@ -200,9 +200,10 @@ impl Digest {
 /// Merging output rows adds candidates and changes nothing else: where
 /// `t_ro` is offered its `t_ro = 1` slice, and elsewhere the whole space,
 /// hashes (describe, raw, executable, prefetched per candidate, `t_ro=1`
-/// struck from the describe) to what the space held before `t_ro` existed,
-/// recorded in `tests/golden/implicit_one_row.txt`. On a mismatch the new
-/// text is written to `target/tmp/frontend_equiv/`.
+/// struck from the describe) to `tests/golden/implicit_one_row.txt`, first
+/// recorded before `t_ro` existed and re-recorded only where the one-row
+/// lowering itself changed. On a mismatch the new text is written to
+/// `target/tmp/frontend_equiv/`.
 #[test]
 fn merged_rows_leave_the_one_row_candidates_as_they_were() {
     let sched = Scheduler::new(MachineConfig::default());

@@ -28,7 +28,7 @@
 //!   matmul: the operators that tune `MatmulKnobs::space` with the `dma`
 //!   ladder.
 //!
-//! Every level of every `dma` menu must hold an optimum, but for the three
+//! Every level of every `dma` menu must hold an optimum, but for the two
 //! levels [`DMA_KEEPS`] names with the reason each stays.
 //!
 //! A second test pins which Winograd-applicable shapes have no candidate at
@@ -77,7 +77,7 @@ const GEMM_USED: [(usize, usize, usize); 10] = [
 
 /// `(group, dma level, reason)`: the levels that hold no optimum of the
 /// census and stay (DESIGN.md §11).
-const DMA_KEEPS: [(&str, &str, &str); 3] = [
+const DMA_KEEPS: [(&str, &str, &str); 2] = [
     (
         "implicit",
         "none",
@@ -86,16 +86,10 @@ const DMA_KEEPS: [(&str, &str, &str); 3] = [
     (
         "matmul",
         "all",
-        "the model ranks an `all` point first (it misprices coalescing): without it the top-1 \
-         tune of gemm 40x24x16 picks 12,728 cycles, not 11,103, and Fig. 11's 500x200x200 \
-         row moves",
-    ),
-    (
-        "ladder",
-        "dbuf+coal",
-        "without it the benchmark's top-96 reference reaches explicit_b4's optimum (170,536 \
-         cycles), which the ladder misses (188,444): validated_mix's winner_vs_ref_pct goes \
-         from 100 to 101.26",
+        "kept for ROADMAP item 18(b) to decide: the model used to rank an `all` point first on \
+         gemm 40x24x16 (it misprices coalescing); since the screen charges a transform once, \
+         the top-1 tunes of gemm 40x24x16 and of Fig. 11's traditional-padding 500x200x200 \
+         pick the same cycles without it",
     ),
 ];
 

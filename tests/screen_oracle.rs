@@ -45,6 +45,7 @@ fn walked(cfg: &MachineConfig, model: &GemmModel, p: &Program) -> Estimate {
                         walk(cfg, model, body, env, &mut iter);
                         sub.t_dma += iter.t_dma;
                         sub.t_compute += iter.t_compute;
+                        sub.t_transform += iter.t_transform;
                     }
                 } else {
                     env.set(*var, 0);
@@ -52,10 +53,12 @@ fn walked(cfg: &MachineConfig, model: &GemmModel, p: &Program) -> Estimate {
                     walk(cfg, model, body, env, &mut one);
                     sub.t_dma = one.t_dma * *extent as f64;
                     sub.t_compute = one.t_compute * *extent as f64;
+                    sub.t_transform = one.t_transform * *extent as f64;
                 }
                 env.set(*var, saved);
                 est.t_dma += sub.t_dma;
                 est.t_compute += sub.t_compute;
+                est.t_transform += sub.t_transform;
             }
             Stmt::If { cond, then_, else_ } => {
                 if cond.eval(env, 0, 0) {
@@ -89,9 +92,10 @@ fn bcast_moves(cfg: &MachineConfig, model: &GemmModel, p: &Program) -> bool {
 
 fn assert_scores_as_the_walk(cfg: &MachineConfig, model: &GemmModel, p: &Program, what: &str) {
     let (got, want) = (estimate(cfg, model, p), walked(cfg, model, p));
+    let bits = |e: &Estimate| (e.t_dma.to_bits(), e.t_compute.to_bits(), e.t_transform.to_bits());
     assert_eq!(
-        (got.t_dma.to_bits(), got.t_compute.to_bits()),
-        (want.t_dma.to_bits(), want.t_compute.to_bits()),
+        bits(&got),
+        bits(&want),
         "{what}: {got:?} against the walk's {want:?}"
     );
 }
@@ -177,6 +181,7 @@ fn gemm(m: usize, n: usize, k: usize) -> Stmt {
         b: operand(MatLayout::RowMajor),
         c: operand(MatLayout::ColMajor),
         vd: VecDim::M,
+        k_step: None,
     })
 }
 
