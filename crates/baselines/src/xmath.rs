@@ -21,7 +21,7 @@ use swatop::ops::tiling::PadMode;
 use swatop::ops::ExplicitConvOp;
 use swatop::scheduler::Operator as _;
 use swatop::tuner::{run_program, run_program_with_launches};
-use swatop_ir::{MemRole, Program, Stmt, TransformKind, TransformOp};
+use swatop_ir::{MemRole, Program, Stmt, TransformKind};
 use swtensor::ConvShape;
 
 /// The fixed xMath blocking, independent of the problem shape: the
@@ -63,19 +63,15 @@ pub fn xmath_explicit_conv(cfg: &MachineConfig, shape: &ConvShape) -> MachineRes
     let out_buf = p.mem_buf("out", s.output_shape().numel(), MemRole::Output);
     let cols = p.mem_buf("cols", k * n, MemRole::Temp);
     let prod = p.mem_buf("prod", m * n, MemRole::Temp);
-    let im2col = Stmt::Transform(TransformOp { fused: false,
-        kind: TransformKind::Im2col { shape: *s, src: in_buf, dst: cols },
-    });
+    let im2col = Stmt::transform(TransformKind::Im2col { shape: *s, src: in_buf, dst: cols });
     let gemm =
         lower_matmul_body(&mut p, &xmath_knobs(), w_buf, cols, prod, m, n, k, PadMode::Traditional)
             .ok_or_else(|| sw26010::MachineError::Invalid("xmath blocking inapplicable".into()))?;
-    let reorder = Stmt::Transform(TransformOp { fused: false,
-        kind: TransformKind::PackTensor {
-            src: prod,
-            dst: out_buf,
-            src_dims: vec![s.no, s.b, s.ro, s.co],
-            perm: vec![1, 0, 2, 3],
-        },
+    let reorder = Stmt::transform(TransformKind::PackTensor {
+        src: prod,
+        dst: out_buf,
+        src_dims: vec![s.no, s.b, s.ro, s.co],
+        perm: vec![1, 0, 2, 3],
     });
     let mut body = vec![im2col];
     body.extend(gemm);
@@ -118,56 +114,48 @@ pub fn xmath_winograd_conv(cfg: &MachineConfig, shape: &ConvShape) -> MachineRes
     ];
 
     let mut body = vec![
-        Stmt::Transform(TransformOp { fused: false,
-            kind: TransformKind::WinogradFilter {
-                shape: *s,
-                src: w_buf,
-                dst: u_all,
-                transposed: false,
-            },
+        Stmt::transform(TransformKind::WinogradFilter {
+            shape: *s,
+            src: w_buf,
+            dst: u_all,
+            transposed: false,
         }),
-        Stmt::Transform(TransformOp { fused: false,
-            kind: TransformKind::WinogradInput {
-                shape: *s,
-                src: in_buf,
-                dst: v_all,
-                nt_pad: nt,
-            },
+        Stmt::transform(TransformKind::WinogradInput {
+            shape: *s,
+            src: in_buf,
+            dst: v_all,
+            nt_pad: nt,
         }),
     ];
 
     for pos in 0..16 {
         // Marshal U[pos] and V[pos] out of the batched tensors (viewed as
         // (16·no × ni) and (16·ni × nt) row-major matrices).
-        body.push(Stmt::Transform(TransformOp { fused: false,
-            kind: TransformKind::PadSubmatrix {
-                src: u_all,
-                src_rows: 16 * no,
-                src_cols: ni,
-                r0: pos * no,
-                c0: 0,
-                take_rows: no,
-                take_cols: ni,
-                dst: u_call,
-                dst_rows: no,
-                dst_cols: ni,
-                zero_first: false,
-            },
+        body.push(Stmt::transform(TransformKind::PadSubmatrix {
+            src: u_all,
+            src_rows: 16 * no,
+            src_cols: ni,
+            r0: pos * no,
+            c0: 0,
+            take_rows: no,
+            take_cols: ni,
+            dst: u_call,
+            dst_rows: no,
+            dst_cols: ni,
+            zero_first: false,
         }));
-        body.push(Stmt::Transform(TransformOp { fused: false,
-            kind: TransformKind::PadSubmatrix {
-                src: v_all,
-                src_rows: 16 * ni,
-                src_cols: nt,
-                r0: pos * ni,
-                c0: 0,
-                take_rows: ni,
-                take_cols: nt,
-                dst: v_call,
-                dst_rows: ni,
-                dst_cols: nt,
-                zero_first: false,
-            },
+        body.push(Stmt::transform(TransformKind::PadSubmatrix {
+            src: v_all,
+            src_rows: 16 * ni,
+            src_cols: nt,
+            r0: pos * ni,
+            c0: 0,
+            take_rows: ni,
+            take_cols: nt,
+            dst: v_call,
+            dst_rows: ni,
+            dst_cols: nt,
+            zero_first: false,
         }));
         let gemm = lower_matmul_body_with_spm(
             &mut p,
@@ -183,25 +171,22 @@ pub fn xmath_winograd_conv(cfg: &MachineConfig, shape: &ConvShape) -> MachineRes
         )
         .ok_or_else(|| sw26010::MachineError::Invalid("xmath blocking inapplicable".into()))?;
         body.extend(gemm);
-        body.push(Stmt::Transform(TransformOp { fused: false,
-            kind: TransformKind::UnpadSubmatrix {
-                src: m_call,
-                src_rows: no,
-                src_cols: nt,
-                dst: m_all,
-                dst_rows: 16 * no,
-                dst_cols: nt,
-                r0: pos * no,
-                c0: 0,
-                take_rows: no,
-                take_cols: nt,
-            },
+        body.push(Stmt::transform(TransformKind::UnpadSubmatrix {
+            src: m_call,
+            src_rows: no,
+            src_cols: nt,
+            dst: m_all,
+            dst_rows: 16 * no,
+            dst_cols: nt,
+            r0: pos * no,
+            c0: 0,
+            take_rows: no,
+            take_cols: nt,
         }));
     }
 
-    body.push(Stmt::Transform(TransformOp { fused: false,
-        kind: TransformKind::WinogradOutput { shape: *s, src: m_all, dst: out_buf, nt_pad: nt },
-    }));
+    let output = TransformKind::WinogradOutput { shape: *s, src: m_all, dst: out_buf, nt_pad: nt };
+    body.push(Stmt::transform(output));
     p.set_body(Stmt::seq(body));
     // 16 xMath calls + 3 transform kernels, each a separate CPE spawn.
     run_program_with_launches(cfg, p, 19)

@@ -79,7 +79,7 @@ impl Default for MachineConfig {
     fn default() -> Self {
         MachineConfig {
             clock_ghz: 1.45,
-            spm_bytes: 64 * 1024,
+            spm_bytes: crate::SPM_BYTES,
             dram_transaction_bytes: 128,
             // 34 GB/s per CG at 1.45 GHz ⇒ 23.45 bytes per cycle.
             mem_bytes_per_cycle: 34.0e9 / 1.45e9,

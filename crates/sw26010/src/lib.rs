@@ -95,6 +95,9 @@ pub const N_CPE: usize = 64;
 pub const MESH: usize = 8;
 /// Size of one f32 element in bytes.
 pub const ELEM_BYTES: usize = 4;
+/// Scratch-pad memory per CPE in bytes: the SW26010's 64 KB, and
+/// [`MachineConfig`]'s default.
+pub const SPM_BYTES: usize = 64 * 1024;
 
 /// Row id of a CPE within the 8×8 mesh.
 #[inline]

@@ -53,8 +53,17 @@ impl MainMemory {
         BufferId(self.buffers.len() - 1)
     }
 
+    /// Materialise every range allocated so far, zeroed.
+    pub fn materialise(&mut self) {
+        self.ensure(self.end);
+    }
+
     fn ensure(&mut self, upto: usize) {
-        if self.data.len() < upto {
+        if self.data.is_empty() {
+            // One zeroed allocation: the allocator hands out fresh pages,
+            // and a range nothing ever writes never becomes resident.
+            self.data = vec![0.0; upto];
+        } else if self.data.len() < upto {
             self.data.resize(upto, 0.0);
         }
     }
@@ -88,6 +97,29 @@ impl MainMemory {
         let m = self.buffers[id.0].clone();
         self.ensure(m.base + m.len);
         &mut self.data[m.base..m.base + m.len]
+    }
+
+    /// One buffer to read and another to write, side by side (materialises
+    /// lazy storage).
+    pub fn source_and_destination(
+        &mut self,
+        src: BufferId,
+        dst: BufferId,
+    ) -> MachineResult<(&[f32], &mut [f32])> {
+        let (s, d) = (self.buffers[src.0].clone(), self.buffers[dst.0].clone());
+        if src == dst {
+            let what = format!("buffer '{}' is read and written at once", s.name);
+            return Err(MachineError::Invalid(what));
+        }
+        self.ensure((s.base + s.len).max(d.base + d.len));
+        let (src, dst) = if s.base < d.base {
+            let (lo, hi) = self.data.split_at_mut(d.base);
+            (&lo[s.base..s.base + s.len], &mut hi[..d.len])
+        } else {
+            let (lo, hi) = self.data.split_at_mut(s.base);
+            (&hi[..s.len], &mut lo[d.base..d.base + d.len])
+        };
+        Ok((src, dst))
     }
 
     /// Copy `dst.len()` elements out of a buffer starting at `offset`
@@ -192,6 +224,19 @@ mod tests {
         assert_eq!(mem.base(b), 1000);
         assert_eq!(mem.buffer(b), &[1.0, 2.0]);
         assert_eq!(mem.buffer(a)[10], 7.0);
+    }
+
+    #[test]
+    fn a_source_and_a_destination_are_borrowed_side_by_side() {
+        let mut mem = MainMemory::new();
+        let a = mem.alloc_from("a", &[1.0, 2.0]);
+        let b = mem.alloc("b", 3);
+        let (x, y) = mem.source_and_destination(a, b).unwrap();
+        y[1..].copy_from_slice(x);
+        let (y, x) = mem.source_and_destination(b, a).unwrap();
+        x.copy_from_slice(&y[..2]);
+        assert_eq!((mem.buffer(a), mem.buffer(b)), (&[0.0, 1.0][..], &[0.0, 1.0, 2.0][..]));
+        assert!(mem.source_and_destination(a, a).is_err());
     }
 
     #[test]

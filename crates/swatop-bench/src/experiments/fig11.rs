@@ -13,23 +13,32 @@ use swatop::ops::tiling::PadMode;
 use swatop::ops::MatmulOp;
 use swatop::scheduler::{Operator, Scheduler};
 use swatop::tuner::{model_rank, run_candidate};
-use swatop_ir::{Stmt, TransformKind};
+use swatop_ir::{Link, Stmt, TransformKind};
 use workloads::gemm_sweep;
 
 use crate::report::{mean, Table};
 
 use super::{machine, Opts};
 
-/// Cycles spent in padding/unpadding transforms of a lowered program.
+/// Cycles spent in padding/unpadding transforms of a lowered program: the
+/// price of every transform that pads, or that ends a fused chain one of
+/// whose links pads.
 fn pad_cycles(cfg: &sw26010::MachineConfig, body: &Stmt) -> u64 {
     let mut total = 0u64;
+    // Never-materialised outputs of chain producers that pad.
+    let mut padded = Vec::new();
     body.visit(&mut |s| {
         if let Stmt::Transform(t) = s {
-            if matches!(
+            let pads = matches!(
                 t.kind,
                 TransformKind::PadSubmatrix { .. } | TransformKind::UnpadSubmatrix { .. }
-            ) {
-                total += transform_cost(cfg, &t.kind).get();
+            ) || (t.link != Link::Alone && padded.contains(&t.kind.src()));
+            if t.link.feeds() {
+                if pads {
+                    padded.push(t.kind.dst());
+                }
+            } else if pads {
+                total += transform_cost(cfg, t).get();
             }
         }
     });

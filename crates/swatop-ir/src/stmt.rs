@@ -246,6 +246,47 @@ pub struct TransformOp {
     /// away. Set by the optimizer's transform-fusion pass; never set on the
     /// first transform of a run.
     pub fused: bool,
+    /// Producer fusion: whether this transform's output is materialised in
+    /// main memory ([`Link::Alone`]) or streams straight into the later
+    /// transforms that read it ([`Link::Feeds`], [`Link::Ends`]).
+    pub link: Link,
+}
+
+impl TransformOp {
+    /// A transform that runs on its own: unfused, its output materialised.
+    pub fn new(kind: TransformKind) -> Self {
+        TransformOp { kind, fused: false, link: Link::Alone }
+    }
+}
+
+/// Where a transform sits in a chain of bulk transforms that runs as one
+/// pass over main memory. Set by the optimizer's producer-fusion pass
+/// (`optimizer::chains`); every link stays its own statement.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub enum Link {
+    /// Reads its source from main memory and writes all of its output there.
+    #[default]
+    Alone,
+    /// A producer fused into the `readers` later transforms that read its
+    /// output: the output is never materialised (its address range is never
+    /// written), each reader recomputes it from this link's own source, and
+    /// the link itself costs nothing.
+    Feeds { readers: u32 },
+    /// The last link of a chain: it reads a [`Link::Feeds`] link's output
+    /// and is priced as one pass over the whole chain — `reads` elements of
+    /// the chain's first source (the first link's reads, scaled by each
+    /// later link's reads over its predecessor's writes, that ratio capped
+    /// at one where the predecessor's output fits the scratch pads; rounded
+    /// up), its own writes, and the `compute` of every link together (in
+    /// cycles).
+    Ends { reads: u64, compute: u32 },
+}
+
+impl Link {
+    /// Whether this link's output is never materialised.
+    pub fn feeds(self) -> bool {
+        matches!(self, Link::Feeds { .. })
+    }
 }
 
 /// The transform vocabulary. Buffer dimensions are tracked in the program's
@@ -327,6 +368,58 @@ pub enum TransformKind {
 }
 
 impl TransformKind {
+    /// The source buffer, the one buffer every kind reads.
+    pub fn src(&self) -> MemBufId {
+        match self {
+            TransformKind::Im2col { src, .. }
+            | TransformKind::PadImageNchw { src, .. }
+            | TransformKind::WinogradFilter { src, .. }
+            | TransformKind::WinogradInput { src, .. }
+            | TransformKind::WinogradOutput { src, .. }
+            | TransformKind::PackTensor { src, .. }
+            | TransformKind::RotateFilter { src, .. }
+            | TransformKind::PadSubmatrix { src, .. }
+            | TransformKind::UnpadSubmatrix { src, .. }
+            | TransformKind::PackTiles { src, .. } => *src,
+        }
+    }
+
+    /// The destination buffer.
+    pub fn dst(&self) -> MemBufId {
+        match self {
+            TransformKind::Im2col { dst, .. }
+            | TransformKind::PadImageNchw { dst, .. }
+            | TransformKind::WinogradFilter { dst, .. }
+            | TransformKind::WinogradInput { dst, .. }
+            | TransformKind::WinogradOutput { dst, .. }
+            | TransformKind::PackTensor { dst, .. }
+            | TransformKind::RotateFilter { dst, .. }
+            | TransformKind::PadSubmatrix { dst, .. }
+            | TransformKind::UnpadSubmatrix { dst, .. }
+            | TransformKind::PackTiles { dst, .. } => *dst,
+        }
+    }
+
+    /// Whether the transform overwrites all of its destination without
+    /// reading it. Every kind does but the two sub-matrix copies: an
+    /// `UnpadSubmatrix` writes into part of a destination it keeps, and a
+    /// `PadSubmatrix` with `zero_first: false` does too unless it covers the
+    /// whole destination.
+    pub fn pure(&self) -> bool {
+        match self {
+            TransformKind::UnpadSubmatrix { .. } => false,
+            TransformKind::PadSubmatrix {
+                src_rows, src_cols, r0, c0, take_rows, take_cols, dst_rows, dst_cols,
+                zero_first, ..
+            } => {
+                *zero_first
+                    || ((*take_rows).min(src_rows.saturating_sub(*r0)) >= *dst_rows
+                        && (*take_cols).min(src_cols.saturating_sub(*c0)) >= *dst_cols)
+            }
+            _ => true,
+        }
+    }
+
     /// (elements read, elements written, extra flops per written element) —
     /// the inputs to the transform cost model.
     pub fn traffic(&self) -> (u64, u64, u64) {
@@ -451,6 +544,11 @@ impl Stmt {
     /// A GEMM primitive call.
     pub fn gemm(op: GemmOp) -> Stmt {
         Stmt::Gemm(Box::new(op))
+    }
+
+    /// A bulk transform that runs on its own ([`TransformOp::new`]).
+    pub fn transform(kind: TransformKind) -> Stmt {
+        Stmt::Transform(TransformOp::new(kind))
     }
 
     /// `if cond { then_ }`.

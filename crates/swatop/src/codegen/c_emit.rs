@@ -9,7 +9,7 @@
 
 use std::fmt::Write;
 
-use swatop_ir::{AVar, AffineExpr, Cond, SpmSlot, Stmt, TransformKind};
+use swatop_ir::{AVar, AffineExpr, Cond, Link, MemBufId, SpmSlot, Stmt, TransformKind};
 
 use super::Planned;
 
@@ -152,35 +152,52 @@ fn emit_stmt(s: &Stmt, exe: &Planned, depth: usize, out: &mut String) {
                 slot(&g.c.slot), g.c.ld
             );
         }
+        // A chain's producer runs inside its readers' calls.
+        Stmt::Transform(t) if t.link.feeds() => {}
         Stmt::Transform(t) => {
-            let call = match &t.kind {
-                TransformKind::Im2col { src, dst, .. } => fmt_call(p, "im2col", *src, *dst),
-                TransformKind::PadImageNchw { src, dst, .. } => fmt_call(p, "pad_image_nchw", *src, *dst),
-                TransformKind::WinogradFilter { src, dst, .. } => {
-                    fmt_call(p, "winograd_filter_transform", *src, *dst)
+            // One call per fused chain, named after its links in order and
+            // reading the chain's first source.
+            let (mut name, mut src) = (kernel(&t.kind).to_string(), t.kind.src());
+            if matches!(t.link, Link::Ends { .. }) {
+                while let Some(k) = producer_of(&p.body, src) {
+                    name = format!("{}_{name}", kernel(k));
+                    src = k.src();
                 }
-                TransformKind::WinogradInput { src, dst, .. } => {
-                    fmt_call(p, "winograd_input_transform", *src, *dst)
-                }
-                TransformKind::WinogradOutput { src, dst, .. } => {
-                    fmt_call(p, "winograd_output_transform", *src, *dst)
-                }
-                TransformKind::PackTensor { src, dst, .. } => fmt_call(p, "pack_tensor", *src, *dst),
-                TransformKind::RotateFilter { src, dst, .. } => fmt_call(p, "rotate_filter", *src, *dst),
-                TransformKind::PadSubmatrix { src, dst, .. } => fmt_call(p, "pad_tile", *src, *dst),
-                TransformKind::UnpadSubmatrix { src, dst, .. } => {
-                    fmt_call(p, "unpad_tile", *src, *dst)
-                }
-                TransformKind::PackTiles { src, dst, .. } => {
-                    fmt_call(p, "pack_tiles", *src, *dst)
-                }
-            };
-            let _ = writeln!(out, "{pad}{call}");
+            }
+            let _ = writeln!(out, "{pad}{}", fmt_call(p, &name, src, t.kind.dst()));
         }
     }
 }
 
-fn fmt_call(p: &swatop_ir::Program, f: &str, src: swatop_ir::MemBufId, dst: swatop_ir::MemBufId) -> String {
+/// The runtime function of one transform kind.
+fn kernel(kind: &TransformKind) -> &'static str {
+    match kind {
+        TransformKind::Im2col { .. } => "im2col",
+        TransformKind::PadImageNchw { .. } => "pad_image_nchw",
+        TransformKind::WinogradFilter { .. } => "winograd_filter_transform",
+        TransformKind::WinogradInput { .. } => "winograd_input_transform",
+        TransformKind::WinogradOutput { .. } => "winograd_output_transform",
+        TransformKind::PackTensor { .. } => "pack_tensor",
+        TransformKind::RotateFilter { .. } => "rotate_filter",
+        TransformKind::PadSubmatrix { .. } => "pad_tile",
+        TransformKind::UnpadSubmatrix { .. } => "unpad_tile",
+        TransformKind::PackTiles { .. } => "pack_tiles",
+    }
+}
+
+/// The top-level chain producer whose never-materialised output is `buf`.
+fn producer_of(body: &Stmt, buf: MemBufId) -> Option<&TransformKind> {
+    let tops = match body {
+        Stmt::Seq(ss) => &ss[..],
+        other => std::slice::from_ref(other),
+    };
+    tops.iter().find_map(|s| match s {
+        Stmt::Transform(t) if t.link.feeds() && t.kind.dst() == buf => Some(&t.kind),
+        _ => None,
+    })
+}
+
+fn fmt_call(p: &swatop_ir::Program, f: &str, src: MemBufId, dst: MemBufId) -> String {
     format!(
         "{f}({}, {});",
         sanitize(&p.mem_bufs[src.0].name),

@@ -48,6 +48,7 @@
 //! remain the oracles for clock, counters and errors
 //! (`tests/evaluator_equiv.rs`; DESIGN.md §19).
 
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use sw26010::cluster::ReplyId as CgReply;
@@ -62,7 +63,7 @@ use swtensor::Tensor;
 
 use swatop_ir::guards::one_path;
 use swatop_ir::{
-    DmaCpe, DmaShape, Env, GemmOp, MatDesc, Program, SpmSlot, Stmt, TransformKind, VarId,
+    DmaCpe, DmaShape, Env, GemmOp, Link, MatDesc, SpmSlot, Stmt, TransformKind, VarId,
 };
 
 use crate::codegen::Planned;
@@ -93,24 +94,15 @@ pub struct Binding {
 /// the zero-fill keeps per-candidate instantiation cheap in the autotuner —
 /// large conv workspaces would otherwise dominate candidate evaluation. A
 /// functional run zero-fills each CPE's scratch pad up to the plan's
-/// footprint (`spm_used`), not all of it.
+/// footprint (`spm_used`), not all of it, and materialises main memory in
+/// one zeroed allocation, so the range of an intermediate a fused transform
+/// chain never writes ([`swatop_ir::Link::Feeds`]) takes no pages.
 pub fn instantiate(cg: &mut CoreGroup, exe: &Planned) -> Binding {
-    let cost_only = cg.mode() == ExecMode::CostOnly;
-    if !cost_only {
+    let bufs = exe.program.mem_bufs.iter().map(|d| cg.mem.alloc_lazy(&d.name, d.len)).collect();
+    if cg.mode() != ExecMode::CostOnly {
         cg.reserve_spm(exe.spm_used);
+        cg.mem.materialise();
     }
-    let bufs = exe
-        .program
-        .mem_bufs
-        .iter()
-        .map(|d| {
-            if cost_only {
-                cg.mem.alloc_lazy(&d.name, d.len)
-            } else {
-                cg.mem.alloc(&d.name, d.len)
-            }
-        })
-        .collect();
     Binding { bufs }
 }
 
@@ -136,6 +128,9 @@ struct Interp<'a> {
     /// never allocates them).
     reqs: Vec<DmaRequest>,
     leaders: Vec<DmaRequest>,
+    /// A functional run's unmaterialised intermediates ([`Link::Feeds`]):
+    /// buffer, output, readers still to come.
+    held: Vec<(swatop_ir::MemBufId, Vec<f32>, u32)>,
 }
 
 /// The entry of static node `node` in a per-run price table, made on the
@@ -216,6 +211,7 @@ pub fn execute(cg: &mut CoreGroup, exe: &Planned, binding: &Binding) -> MachineR
         snaps_used: 0,
         reqs: Vec::new(),
         leaders: Vec::new(),
+        held: Vec::new(),
     };
     let start = cg.now();
     let mut env = Env::new(exe.program.n_vars());
@@ -224,10 +220,6 @@ pub fn execute(cg: &mut CoreGroup, exe: &Planned, binding: &Binding) -> MachineR
 }
 
 impl<'a> Interp<'a> {
-    fn program(&self) -> &Program {
-        &self.exe.program
-    }
-
     /// Checked lookup of a program buffer's machine binding: generated code
     /// referencing a buffer it never declared is rejected, not a panic.
     fn buf(&self, id: swatop_ir::MemBufId) -> MachineResult<sw26010::BufferId> {
@@ -560,80 +552,145 @@ impl<'a> Interp<'a> {
         Ok(SpmMatrix::new(self.resolve_slot(cg, &m.slot, env)? + m.offset, m.layout, m.ld))
     }
 
-    fn transform(&self, cg: &mut CoreGroup, t: &swatop_ir::TransformOp) -> MachineResult<()> {
+    fn transform(&mut self, cg: &mut CoreGroup, t: &swatop_ir::TransformOp) -> MachineResult<()> {
         let kind = &t.kind;
         // The model's own price, so transforms contribute no model error. A
         // fused transform chains onto the still-streaming engine pipeline of
-        // its predecessor and skips the start-up latency.
-        let mut cycles = crate::model::transform_cost(&cg.cfg, kind);
-        if t.fused {
-            cycles = cycles - cg.cfg.dma_startup;
+        // its predecessor and skips the start-up latency. A chain's producer
+        // costs nothing where it stands: its last link pays for the chain.
+        if !t.link.feeds() {
+            let mut cycles = crate::model::transform_cost(&cg.cfg, t);
+            if t.fused {
+                cycles = cycles - cg.cfg.dma_startup;
+            }
+            cg.compute(cycles, transform_label(kind));
         }
-        cg.compute(cycles, transform_label(kind));
 
         if cg.mode() != ExecMode::Functional {
             return Ok(());
         }
-        self.apply_transform(cg, kind)
-    }
-
-    fn buf_data(&self, cg: &CoreGroup, id: swatop_ir::MemBufId) -> MachineResult<Vec<f32>> {
-        Ok(cg.mem.buffer(self.buf(id)?).to_vec())
-    }
-
-    /// Read a buffer that a transform expects to hold exactly `want`
-    /// elements; a mismatch means the schedule sized it wrong.
-    fn buf_data_sized(
-        &self,
-        cg: &CoreGroup,
-        id: swatop_ir::MemBufId,
-        want: usize,
-        what: &str,
-    ) -> MachineResult<Vec<f32>> {
-        let data = self.buf_data(cg, id)?;
-        if data.len() != want {
-            return Err(MachineError::Invalid(format!(
-                "{what}: buffer holds {} elems but the transform expects {want}",
-                data.len()
-            )));
-        }
-        Ok(data)
-    }
-
-    fn write_buf(
-        &self,
-        cg: &mut CoreGroup,
-        id: swatop_ir::MemBufId,
-        data: &[f32],
-    ) -> MachineResult<()> {
-        let machine_buf = self.buf(id)?;
-        let len = cg.mem.len_of(machine_buf);
-        if data.len() != len {
-            return Err(MachineError::Invalid(format!(
-                "transform output size {} != buffer '{}' size {len}",
-                data.len(),
-                self.program().mem_bufs[id.0].name
-            )));
-        }
-        cg.mem.write(machine_buf, 0, data)
-    }
-
-    fn apply_transform(&self, cg: &mut CoreGroup, kind: &TransformKind) -> MachineResult<()> {
-        match kind {
-            TransformKind::Im2col { shape, src, dst } => {
-                let dims = shape.input_shape().dims().to_vec();
-                let data = self.buf_data_sized(cg, *src, dims.iter().product(), "im2col")?;
-                let input = Tensor::from_vec(dims, data);
-                let cols = swtensor::im2col::im2col(shape, &input);
-                self.write_buf(cg, *dst, cols.data())
+        let (src, dst) = (kind.src(), kind.dst());
+        let (src_buf, dst_buf) = (self.buf(src)?, self.buf(dst)?);
+        let name = &self.exe.program.mem_bufs[dst.0].name;
+        // The source is read where it lies: an unmaterialised intermediate's
+        // held output (moved out for its last reader), or main memory. The
+        // output goes where it belongs: held host-side for a chain's
+        // producer, whose address range is never written, or straight into
+        // main memory.
+        let held = self.held.iter().position(|(buf, ..)| *buf == src);
+        let out = match held {
+            Some(at) => {
+                self.held[at].2 -= 1;
+                let x = if self.held[at].2 == 0 {
+                    Cow::Owned(self.held.swap_remove(at).1)
+                } else {
+                    Cow::Borrowed(&self.held[at].1[..])
+                };
+                let len = cg.mem.len_of(dst_buf);
+                let to = if t.link.feeds() { None } else { Some(cg.mem.buffer_mut(dst_buf)) };
+                apply_transform(kind, x, Out { to, len, name })?
             }
-            TransformKind::PadImageNchw { shape, src, dst } => {
-                let p = shape.pad;
-                let (ri, ci) = (shape.ri(), shape.ci());
-                let (rp, cp) = (ri + 2 * p, ci + 2 * p);
-                let x =
-                    self.buf_data_sized(cg, *src, shape.b * shape.ni * ri * ci, "pad_image")?;
-                let mut out = vec![0.0f32; shape.b * shape.ni * rp * cp];
+            None if t.link.feeds() => {
+                let out = Out { to: None, len: cg.mem.len_of(dst_buf), name };
+                apply_transform(kind, Cow::Borrowed(cg.mem.buffer(src_buf)), out)?
+            }
+            None => {
+                let (x, to) = cg.mem.source_and_destination(src_buf, dst_buf)?;
+                let out = Out { len: to.len(), to: Some(to), name };
+                apply_transform(kind, Cow::Borrowed(x), out)?
+            }
+        };
+        if let (Some(out), Link::Feeds { readers }) = (out, t.link) {
+            self.held.push((dst, out, readers));
+        }
+        Ok(())
+    }
+}
+
+/// Where a transform's output goes: into its buffer in main memory (`to`),
+/// or, for a chain's producer, into a new host-side vector of `len`.
+struct Out<'a> {
+    to: Option<&'a mut [f32]>,
+    len: usize,
+    /// The destination buffer's name, for errors.
+    name: &'a str,
+}
+
+impl Out<'_> {
+    /// Write the output element by element; the held vector if there is one.
+    fn write(
+        self,
+        f: impl FnOnce(&mut [f32]) -> MachineResult<()>,
+    ) -> MachineResult<Option<Vec<f32>>> {
+        match self.to {
+            Some(to) => f(to).map(|()| None),
+            None => {
+                let mut held = vec![0.0; self.len];
+                f(&mut held)?;
+                Ok(Some(held))
+            }
+        }
+    }
+
+    /// The output computed whole: copied into memory, or kept.
+    fn put(self, data: Vec<f32>) -> MachineResult<Option<Vec<f32>>> {
+        self.fits(data.len())?;
+        match self.to {
+            Some(to) => {
+                to.copy_from_slice(&data);
+                Ok(None)
+            }
+            None => Ok(Some(data)),
+        }
+    }
+
+    /// Check that an output of `len` elements fills the destination exactly.
+    fn fits(&self, len: usize) -> MachineResult<()> {
+        if len != self.len {
+            return Err(MachineError::Invalid(format!(
+                "transform output size {len} != buffer '{}' size {}",
+                self.name, self.len
+            )));
+        }
+        Ok(())
+    }
+}
+
+/// Check that a transform's source holds exactly `want` elements; a mismatch
+/// means the schedule sized it wrong.
+fn sized<'x>(x: Cow<'x, [f32]>, want: usize, what: &str) -> MachineResult<Cow<'x, [f32]>> {
+    if x.len() != want {
+        return Err(MachineError::Invalid(format!(
+            "{what}: buffer holds {} elems but the transform expects {want}",
+            x.len()
+        )));
+    }
+    Ok(x)
+}
+
+/// Compute a transform host-side from its source `x` into `out`, whose
+/// memory holds the destination's current contents (a transform that keeps
+/// part of its destination reads them). Returns a chain producer's output.
+fn apply_transform(
+    kind: &TransformKind,
+    x: Cow<'_, [f32]>,
+    out: Out<'_>,
+) -> MachineResult<Option<Vec<f32>>> {
+    match kind {
+        TransformKind::Im2col { shape, .. } => {
+            let dims = shape.input_shape().dims().to_vec();
+            let x = sized(x, dims.iter().product(), "im2col")?;
+            let cols = swtensor::im2col::im2col(shape, &Tensor::from_vec(dims, x.into_owned()));
+            out.put(cols.into_vec())
+        }
+        TransformKind::PadImageNchw { shape, .. } => {
+            let p = shape.pad;
+            let (ri, ci) = (shape.ri(), shape.ci());
+            let (rp, cp) = (ri + 2 * p, ci + 2 * p);
+            let x = sized(x, shape.b * shape.ni * ri * ci, "pad_image")?;
+            out.fits(shape.b * shape.ni * rp * cp)?;
+            out.write(|out| {
+                out.fill(0.0);
                 for bi in 0..shape.b {
                     for n in 0..shape.ni {
                         for r in 0..ri {
@@ -643,30 +700,33 @@ impl<'a> Interp<'a> {
                         }
                     }
                 }
-                self.write_buf(cg, *dst, &out)
+                Ok(())
+            })
+        }
+        TransformKind::WinogradFilter { shape, transposed, .. } => {
+            let dims = shape.weight_shape().dims().to_vec();
+            let x = sized(x, dims.iter().product(), "winograd_filter")?;
+            let w = Tensor::from_vec(dims, x.into_owned());
+            let u = swtensor::winograd::batched_filter_transform(shape, &w);
+            let u = if *transposed { u.permuted(&[0, 2, 1]) } else { u };
+            out.put(u.into_vec())
+        }
+        TransformKind::WinogradInput { shape, nt_pad, .. } => {
+            let dims = shape.input_shape().dims().to_vec();
+            let x = sized(x, dims.iter().product(), "winograd_input")?;
+            let v = swtensor::winograd::batched_input_transform(
+                shape,
+                &Tensor::from_vec(dims, x.into_owned()),
+            );
+            let nt = swtensor::winograd::n_tiles(shape);
+            if nt > *nt_pad {
+                return Err(MachineError::Invalid(format!(
+                    "winograd_input: {nt} tiles exceed padded stride {nt_pad}"
+                )));
             }
-            TransformKind::WinogradFilter { shape, src, dst, transposed } => {
-                let dims = shape.weight_shape().dims().to_vec();
-                let data =
-                    self.buf_data_sized(cg, *src, dims.iter().product(), "winograd_filter")?;
-                let w = Tensor::from_vec(dims, data);
-                let u = swtensor::winograd::batched_filter_transform(shape, &w);
-                let u = if *transposed { u.permuted(&[0, 2, 1]) } else { u };
-                self.write_buf(cg, *dst, u.data())
-            }
-            TransformKind::WinogradInput { shape, src, dst, nt_pad } => {
-                let dims = shape.input_shape().dims().to_vec();
-                let data =
-                    self.buf_data_sized(cg, *src, dims.iter().product(), "winograd_input")?;
-                let x = Tensor::from_vec(dims, data);
-                let v = swtensor::winograd::batched_input_transform(shape, &x);
-                let nt = swtensor::winograd::n_tiles(shape);
-                if nt > *nt_pad {
-                    return Err(MachineError::Invalid(format!(
-                        "winograd_input: {nt} tiles exceed padded stride {nt_pad}"
-                    )));
-                }
-                let mut out = vec![0.0f32; 16 * shape.ni * nt_pad];
+            out.fits(16 * shape.ni * nt_pad)?;
+            out.write(|out| {
+                out.fill(0.0);
                 for pos in 0..16 {
                     for n in 0..shape.ni {
                         let so = (pos * shape.ni + n) * nt;
@@ -674,116 +734,109 @@ impl<'a> Interp<'a> {
                         out[d_o..d_o + nt].copy_from_slice(&v.data()[so..so + nt]);
                     }
                 }
-                self.write_buf(cg, *dst, &out)
+                Ok(())
+            })
+        }
+        TransformKind::WinogradOutput { shape, nt_pad, .. } => {
+            let nt = swtensor::winograd::n_tiles(shape);
+            if nt > *nt_pad {
+                return Err(MachineError::Invalid(format!(
+                    "winograd_output: {nt} tiles exceed padded stride {nt_pad}"
+                )));
             }
-            TransformKind::WinogradOutput { shape, src, dst, nt_pad } => {
-                let nt = swtensor::winograd::n_tiles(shape);
-                if nt > *nt_pad {
-                    return Err(MachineError::Invalid(format!(
-                        "winograd_output: {nt} tiles exceed padded stride {nt_pad}"
-                    )));
+            let padded = sized(x, 16 * shape.no * nt_pad, "winograd_output")?;
+            let mut m = vec![0.0f32; 16 * shape.no * nt];
+            for pos in 0..16 {
+                for n in 0..shape.no {
+                    let so = (pos * shape.no + n) * nt_pad;
+                    let d_o = (pos * shape.no + n) * nt;
+                    m[d_o..d_o + nt].copy_from_slice(&padded[so..so + nt]);
                 }
-                let padded =
-                    self.buf_data_sized(cg, *src, 16 * shape.no * nt_pad, "winograd_output")?;
-                let mut m = vec![0.0f32; 16 * shape.no * nt];
-                for pos in 0..16 {
-                    for n in 0..shape.no {
-                        let so = (pos * shape.no + n) * nt_pad;
-                        let d_o = (pos * shape.no + n) * nt;
-                        m[d_o..d_o + nt].copy_from_slice(&padded[so..so + nt]);
-                    }
-                }
-                let m = Tensor::from_vec(vec![16, shape.no, nt], m);
-                let y = swtensor::winograd::batched_output_transform(shape, &m);
-                self.write_buf(cg, *dst, y.data())
             }
-            TransformKind::PackTensor { src, dst, src_dims, perm } => {
-                let data =
-                    self.buf_data_sized(cg, *src, src_dims.iter().product(), "pack")?;
-                let t = Tensor::from_vec(src_dims.clone(), data);
-                let p = t.permuted(perm);
-                self.write_buf(cg, *dst, p.data())
+            let m = Tensor::from_vec(vec![16, shape.no, nt], m);
+            let y = swtensor::winograd::batched_output_transform(shape, &m);
+            out.put(y.into_vec())
+        }
+        TransformKind::PackTensor { src_dims, perm, .. } => {
+            let x = sized(x, src_dims.iter().product(), "pack")?;
+            out.put(Tensor::from_vec(src_dims.clone(), x.into_owned()).permuted(perm).into_vec())
+        }
+        TransformKind::RotateFilter { shape, .. } => {
+            let dims = shape.weight_shape().dims().to_vec();
+            let x = sized(x, dims.iter().product(), "rotate_filter")?;
+            let w = Tensor::from_vec(dims, x.into_owned());
+            out.put(swtensor::conv_grad::rotated_filter(shape, &w).into_vec())
+        }
+        TransformKind::PadSubmatrix {
+            src_rows,
+            src_cols,
+            r0,
+            c0,
+            take_rows,
+            take_cols,
+            dst_rows,
+            dst_cols,
+            zero_first,
+            ..
+        } => {
+            if x.len() != src_rows * src_cols {
+                return Err(MachineError::Invalid("pad: src size mismatch".into()));
             }
-            TransformKind::RotateFilter { shape, src, dst } => {
-                let dims = shape.weight_shape().dims().to_vec();
-                let data =
-                    self.buf_data_sized(cg, *src, dims.iter().product(), "rotate_filter")?;
-                let w = Tensor::from_vec(dims, data);
-                let out = swtensor::conv_grad::rotated_filter(shape, &w);
-                self.write_buf(cg, *dst, out.data())
+            if out.len != dst_rows * dst_cols {
+                return Err(MachineError::Invalid("pad: dst size mismatch".into()));
             }
-            TransformKind::PadSubmatrix {
-                src,
-                src_rows,
-                src_cols,
-                r0,
-                c0,
-                take_rows,
-                take_cols,
-                dst,
-                dst_rows,
-                dst_cols,
-                zero_first,
-            } => {
-                let s = self.buf_data(cg, *src)?;
-                if s.len() != src_rows * src_cols {
-                    return Err(MachineError::Invalid("pad: src size mismatch".into()));
+            let rows = (*take_rows).min(src_rows.saturating_sub(*r0)).min(*dst_rows);
+            let cols = (*take_cols).min(src_cols.saturating_sub(*c0)).min(*dst_cols);
+            out.write(|out| {
+                // A copy covering its whole destination reads none of it.
+                if *zero_first || kind.pure() {
+                    out.fill(0.0);
                 }
-                let mut d = if *zero_first {
-                    vec![0.0f32; dst_rows * dst_cols]
-                } else {
-                    self.buf_data(cg, *dst)?
-                };
-                if d.len() != dst_rows * dst_cols {
-                    return Err(MachineError::Invalid("pad: dst size mismatch".into()));
-                }
-                let rows = (*take_rows).min(src_rows.saturating_sub(*r0)).min(*dst_rows);
-                let cols = (*take_cols).min(src_cols.saturating_sub(*c0)).min(*dst_cols);
                 for r in 0..rows {
                     let so = (r0 + r) * src_cols + c0;
                     let d_o = r * dst_cols;
-                    d[d_o..d_o + cols].copy_from_slice(&s[so..so + cols]);
+                    out[d_o..d_o + cols].copy_from_slice(&x[so..so + cols]);
                 }
-                self.write_buf(cg, *dst, &d)
+                Ok(())
+            })
+        }
+        TransformKind::UnpadSubmatrix {
+            src_rows,
+            src_cols,
+            dst_rows,
+            dst_cols,
+            r0,
+            c0,
+            take_rows,
+            take_cols,
+            ..
+        } => {
+            if x.len() != src_rows * src_cols {
+                return Err(MachineError::Invalid("unpad: src size mismatch".into()));
             }
-            TransformKind::UnpadSubmatrix {
-                src,
-                src_rows,
-                src_cols,
-                dst,
-                dst_rows,
-                dst_cols,
-                r0,
-                c0,
-                take_rows,
-                take_cols,
-            } => {
-                let s = self.buf_data(cg, *src)?;
-                if s.len() != src_rows * src_cols {
-                    return Err(MachineError::Invalid("unpad: src size mismatch".into()));
-                }
-                let mut d = self.buf_data(cg, *dst)?;
-                if d.len() != dst_rows * dst_cols {
-                    return Err(MachineError::Invalid("unpad: dst size mismatch".into()));
-                }
-                let rows = (*take_rows).min(*src_rows).min(dst_rows.saturating_sub(*r0));
-                let cols = (*take_cols).min(*src_cols).min(dst_cols.saturating_sub(*c0));
+            if out.len != dst_rows * dst_cols {
+                return Err(MachineError::Invalid("unpad: dst size mismatch".into()));
+            }
+            let rows = (*take_rows).min(*src_rows).min(dst_rows.saturating_sub(*r0));
+            let cols = (*take_cols).min(*src_cols).min(dst_cols.saturating_sub(*c0));
+            out.write(|out| {
                 for r in 0..rows {
                     let so = r * src_cols;
                     let d_o = (r0 + r) * dst_cols + c0;
-                    d[d_o..d_o + cols].copy_from_slice(&s[so..so + cols]);
+                    out[d_o..d_o + cols].copy_from_slice(&x[so..so + cols]);
                 }
-                self.write_buf(cg, *dst, &d)
-            }
-            TransformKind::PackTiles { src, dst, rows, cols, row_stride, mesh_swap, base, iters } => {
-                // Mirrors DMA inference's per-CPE block addressing exactly:
-                // the packed buffer must hand every CPE the same bytes the
-                // strided fetch would have delivered.
-                let s = self.buf_data(cg, *src)?;
-                let n_iters: usize = iters.iter().map(|&(e, _)| e).product();
-                let (block_rows, block_cols) = (rows / 8, cols / 8);
-                let e_per_cpe = block_rows * block_cols;
-                let mut out = vec![0.0f32; n_iters * rows * cols];
+                Ok(())
+            })
+        }
+        TransformKind::PackTiles { rows, cols, row_stride, mesh_swap, base, iters, .. } => {
+            // Mirrors DMA inference's per-CPE block addressing exactly:
+            // the packed buffer must hand every CPE the same bytes the
+            // strided fetch would have delivered.
+            let n_iters: usize = iters.iter().map(|&(e, _)| e).product();
+            let (block_rows, block_cols) = (rows / 8, cols / 8);
+            let e_per_cpe = block_rows * block_cols;
+            out.fits(n_iters * rows * cols)?;
+            out.write(|out| {
                 let mut idx = vec![0usize; iters.len()];
                 for lin in 0..n_iters {
                     let mut rem = lin;
@@ -811,20 +864,20 @@ impl<'a> Interp<'a> {
                         let dst_base = (lin * N_CPE + cpe) * e_per_cpe;
                         for br in 0..block_rows {
                             let so = cpe_base + br * row_stride;
-                            if so + block_cols > s.len() {
+                            if so + block_cols > x.len() {
                                 return Err(MachineError::Invalid(format!(
                                     "pack_tiles: source read [{so}, {}) exceeds buffer of {}",
                                     so + block_cols,
-                                    s.len()
+                                    x.len()
                                 )));
                             }
                             let d_o = dst_base + br * block_cols;
-                            out[d_o..d_o + block_cols].copy_from_slice(&s[so..so + block_cols]);
+                            out[d_o..d_o + block_cols].copy_from_slice(&x[so..so + block_cols]);
                         }
                     }
                 }
-                self.write_buf(cg, *dst, &out)
-            }
+                Ok(())
+            })
         }
     }
 }
@@ -850,7 +903,7 @@ mod tests {
     use crate::codegen::plan;
     use sw26010::DmaDirection::*;
     use sw26010::MachineConfig;
-    use swatop_ir::{AVar, AffineExpr, DmaCpe, MemRole, Program, TransformOp};
+    use swatop_ir::{AVar, AffineExpr, DmaCpe, MemRole, Program};
     use swkernels::VecDim;
     use swtensor::init::random_vec;
     use swtensor::MatLayout;
@@ -1089,13 +1142,11 @@ mod tests {
         let mut p = Program::new("pack");
         let src = p.mem_buf("src", 6, MemRole::Input);
         let dst = p.mem_buf("dst", 6, MemRole::Temp);
-        p.set_body(Stmt::Transform(TransformOp { fused: false,
-            kind: TransformKind::PackTensor {
-                src,
-                dst,
-                src_dims: vec![2, 3],
-                perm: vec![1, 0],
-            },
+        p.set_body(Stmt::transform(TransformKind::PackTensor {
+            src,
+            dst,
+            src_dims: vec![2, 3],
+            perm: vec![1, 0],
         }));
         let exe = plan(p, &MachineConfig::default()).unwrap();
         let mut cg = functional_cg();
@@ -1113,34 +1164,30 @@ mod tests {
         let padded = p.mem_buf("padded", 4 * 8, MemRole::Temp);
         let out = p.mem_buf("out", 3 * 5, MemRole::Output);
         p.set_body(Stmt::seq(vec![
-            Stmt::Transform(TransformOp { fused: false,
-                kind: TransformKind::PadSubmatrix {
-                    src,
-                    src_rows: 3,
-                    src_cols: 5,
-                    r0: 0,
-                    c0: 0,
-                    take_rows: 3,
-                    take_cols: 5,
-                    dst: padded,
-                    dst_rows: 4,
-                    dst_cols: 8,
-                    zero_first: true,
-                },
+            Stmt::transform(TransformKind::PadSubmatrix {
+                src,
+                src_rows: 3,
+                src_cols: 5,
+                r0: 0,
+                c0: 0,
+                take_rows: 3,
+                take_cols: 5,
+                dst: padded,
+                dst_rows: 4,
+                dst_cols: 8,
+                zero_first: true,
             }),
-            Stmt::Transform(TransformOp { fused: false,
-                kind: TransformKind::UnpadSubmatrix {
-                    src: padded,
-                    src_rows: 4,
-                    src_cols: 8,
-                    dst: out,
-                    dst_rows: 3,
-                    dst_cols: 5,
-                    r0: 0,
-                    c0: 0,
-                    take_rows: 3,
-                    take_cols: 5,
-                },
+            Stmt::transform(TransformKind::UnpadSubmatrix {
+                src: padded,
+                src_rows: 4,
+                src_cols: 8,
+                dst: out,
+                dst_rows: 3,
+                dst_cols: 5,
+                r0: 0,
+                c0: 0,
+                take_rows: 3,
+                take_cols: 5,
             }),
         ]));
         let exe = plan(p, &MachineConfig::default()).unwrap();

@@ -27,7 +27,7 @@ use parking_lot::Mutex;
 use sw26010::regcomm::BcastBus;
 use sw26010::{Cycles, MachineConfig, N_CPE};
 use swatop_ir::guards::{guards_read, one_path};
-use swatop_ir::{DmaCpe, Env, Program, Stmt, TransformKind, VarId};
+use swatop_ir::{DmaCpe, Env, Link, Program, Stmt, TransformOp, VarId};
 use swkernels::cost::{timing_fingerprint, TimingFingerprint};
 use swkernels::{gemm_cycles, GemmVariant, VecDim, ALL_VARIANTS};
 
@@ -65,17 +65,37 @@ pub fn dma_eq1_cycles(
     cfg.dma_startup.get() as f64 + descriptor + total_bytes / cfg.mem_bytes_per_cycle
 }
 
-/// Cost of a bulk host-side transform, not chained onto a predecessor:
-/// transforms are tiled CPE loops streaming through the DMA engine —
-/// bandwidth-bound unless heavy per-element arithmetic. The interpreter
-/// charges what this function returns, so transforms contribute zero model
-/// error.
-pub fn transform_cost(cfg: &MachineConfig, kind: &TransformKind) -> Cycles {
-    let (reads, writes, flops_per_write) = kind.traffic();
+/// Cost of a bulk host-side transform node, not chained onto a
+/// predecessor (its `fused` mark is the caller's to apply): transforms are
+/// tiled CPE loops streaming through the DMA engine — bandwidth-bound unless
+/// heavy per-element arithmetic. Both evaluators charge what this function
+/// returns, so transforms contribute zero model error.
+///
+/// A fused chain ([`Link`]) is one pass: its [`Link::Feeds`] producers cost
+/// nothing, and its last link pays one start-up for the chain's reads, its
+/// own writes and every link's compute. That is never more than the links
+/// would cost apart (`optimizer::chains` fuses only then).
+pub fn transform_cost(cfg: &MachineConfig, t: &TransformOp) -> Cycles {
+    let (reads, writes, flops_per_write) = t.kind.traffic();
+    match t.link {
+        Link::Alone => pass_cost(cfg, reads, writes, transform_compute(writes, flops_per_write)),
+        Link::Feeds { .. } => Cycles(0),
+        Link::Ends { reads, compute } => pass_cost(cfg, reads, writes, u64::from(compute)),
+    }
+}
+
+/// The CPEs' cycles for a transform that writes `writes` elements at
+/// `flops_per_write` extra flops each: 64 CPEs × 4-wide ops, 1 +
+/// `flops_per_write` operations per element.
+pub fn transform_compute(writes: u64, flops_per_write: u64) -> u64 {
+    writes * (1 + flops_per_write) / (N_CPE as u64 * 4)
+}
+
+/// One pass over main memory: a start-up, then the transfer of `reads +
+/// writes` elements or the compute, whichever is longer.
+fn pass_cost(cfg: &MachineConfig, reads: u64, writes: u64, compute: u64) -> Cycles {
     let bytes = 4 * (reads + writes);
     let transfer = (bytes as f64 / cfg.mem_bytes_per_cycle).ceil() as u64;
-    // 64 CPEs × 4-wide ops; 1 + flops_per_write operations per element.
-    let compute = writes * (1 + flops_per_write) / (N_CPE as u64 * 4);
     cfg.dma_startup + Cycles(transfer.max(compute))
 }
 
@@ -245,8 +265,9 @@ pub fn estimate_leaf(
             // engine and the CPEs, and cannot be overlapped with the main
             // loop; charged once, on their own clock. Fused transforms chain
             // onto their predecessor's pipeline and skip the start-up
-            // latency, as in the interpreter.
-            let mut c = transform_cost(cfg, &t.kind).get() as f64;
+            // latency, as in the interpreter. A chain's producers cost
+            // nothing: its last link pays for the chain.
+            let mut c = transform_cost(cfg, t).get() as f64;
             if t.fused {
                 c -= cfg.dma_startup.get() as f64;
             }
@@ -437,17 +458,17 @@ mod tests {
 
     #[test]
     fn a_transform_is_charged_once_prefetched_or_not() {
-        use swatop_ir::{MemRole, ReplyId, TransformOp};
+        use swatop_ir::{MemRole, ReplyId, TransformKind};
         let cfg = MachineConfig::default();
         let model = GemmModel::cached(&cfg);
         let mut p = Program::new("one_transform");
         let src = p.mem_buf("src", 64 * 32, MemRole::Input);
         let dst = p.mem_buf("dst", 64 * 32, MemRole::Output);
         let kind = TransformKind::PackTensor { src, dst, src_dims: vec![64, 32], perm: vec![1, 0] };
-        let cost = transform_cost(&cfg, &kind).get() as f64;
+        let cost = transform_cost(&cfg, &TransformOp::new(kind.clone())).get() as f64;
         let wait = cfg.dma_wait_poll.get() as f64;
         p.set_body(Stmt::seq(vec![
-            Stmt::Transform(TransformOp { kind, fused: false }),
+            Stmt::transform(kind),
             Stmt::DmaWait { reply: ReplyId(0), times: 0 },
         ]));
         let e = estimate(&cfg, &model, &p);

@@ -80,13 +80,11 @@ impl Operator for BatchedMatmulOp {
             // is a dimension permutation.
             let bt = p.mem_buf("B_fused", self.batch * self.k * self.n, MemRole::Temp);
             let ct = p.mem_buf("C_fused", self.batch * self.m * self.n, MemRole::Temp);
-            let pack = Stmt::Transform(swatop_ir::TransformOp { fused: false,
-                kind: swatop_ir::TransformKind::PackTensor {
-                    src: b,
-                    dst: bt,
-                    src_dims: vec![self.batch, self.k, self.n],
-                    perm: vec![1, 0, 2], // [k][batch][n] = k × (batch·n)
-                },
+            let pack = Stmt::transform(swatop_ir::TransformKind::PackTensor {
+                src: b,
+                dst: bt,
+                src_dims: vec![self.batch, self.k, self.n],
+                perm: vec![1, 0, 2], // [k][batch][n] = k × (batch·n)
             });
             let body = lower_matmul_body_with_spm(
                 &mut p,
@@ -101,13 +99,11 @@ impl Operator for BatchedMatmulOp {
                 None,
             )?;
             // C_fused is [m][batch][n]; the interface layout is [batch][m][n].
-            let unpack = Stmt::Transform(swatop_ir::TransformOp { fused: false,
-                kind: swatop_ir::TransformKind::PackTensor {
-                    src: ct,
-                    dst: c,
-                    src_dims: vec![self.m, self.batch, self.n],
-                    perm: vec![1, 0, 2],
-                },
+            let unpack = Stmt::transform(swatop_ir::TransformKind::PackTensor {
+                src: ct,
+                dst: c,
+                src_dims: vec![self.m, self.batch, self.n],
+                perm: vec![1, 0, 2],
             });
             let mut stmts = vec![pack];
             stmts.extend(body);
@@ -120,7 +116,10 @@ impl Operator for BatchedMatmulOp {
         // Per-batch main-memory views are separate Temp buffers filled by
         // sub-matrix copies (the batch stride is uniform, so a single
         // strided DMA family per element would also work; the copy keeps
-        // the matmul core reusable and is bandwidth-cheap).
+        // the matmul core reusable). The copies are not cheap: each is a
+        // full pass over main memory per batch element. A copy-in whose only
+        // reader is a coalescing gather fuses into it; reading each element
+        // in place would save the rest.
         let a_el = p.mem_buf("A_el", self.m * self.k, MemRole::Temp);
         let b_el = p.mem_buf("B_el", self.k * self.n, MemRole::Temp);
         let c_el = p.mem_buf("C_el", self.m * self.n, MemRole::Temp);
@@ -191,20 +190,18 @@ fn copy_in(
     len: usize,
     dst: swatop_ir::MemBufId,
 ) -> Stmt {
-    Stmt::Transform(swatop_ir::TransformOp { fused: false,
-        kind: swatop_ir::TransformKind::PadSubmatrix {
-            src,
-            src_rows,
-            src_cols: len,
-            r0: row,
-            c0: 0,
-            take_rows: 1,
-            take_cols: len,
-            dst,
-            dst_rows: 1,
-            dst_cols: len,
-            zero_first: false,
-        },
+    Stmt::transform(swatop_ir::TransformKind::PadSubmatrix {
+        src,
+        src_rows,
+        src_cols: len,
+        r0: row,
+        c0: 0,
+        take_rows: 1,
+        take_cols: len,
+        dst,
+        dst_rows: 1,
+        dst_cols: len,
+        zero_first: false,
     })
 }
 
@@ -217,19 +214,17 @@ fn copy_out(
     dst_rows: usize,
     row: usize,
 ) -> Stmt {
-    Stmt::Transform(swatop_ir::TransformOp { fused: false,
-        kind: swatop_ir::TransformKind::UnpadSubmatrix {
-            src,
-            src_rows: 1,
-            src_cols: len,
-            dst,
-            dst_rows,
-            dst_cols: len,
-            r0: row,
-            c0: 0,
-            take_rows: 1,
-            take_cols: len,
-        },
+    Stmt::transform(swatop_ir::TransformKind::UnpadSubmatrix {
+        src,
+        src_rows: 1,
+        src_cols: len,
+        dst,
+        dst_rows,
+        dst_cols: len,
+        r0: row,
+        c0: 0,
+        take_rows: 1,
+        take_cols: len,
     })
 }
 

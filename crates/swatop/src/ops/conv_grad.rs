@@ -17,7 +17,7 @@
 //! pass unchanged — the point of the paper's hardware-agnostic layer.
 
 use swatop_dsl::{SchedulePoint, ScheduleSpace, Seed};
-use swatop_ir::{MemRole, Program, Stmt, TransformKind, TransformOp};
+use swatop_ir::{MemRole, Program, Stmt, TransformKind};
 use swtensor::ConvShape;
 
 use crate::ops::explicit_conv::lower_explicit_body;
@@ -87,9 +87,7 @@ impl Operator for ConvBackwardDataOp {
         let w = p.mem_buf("weight", s.weight_shape().numel(), MemRole::Input);
         let dx = p.mem_buf("d_in", s.input_shape().numel(), MemRole::Output);
         let w_rot = p.mem_buf("w_rot", s.weight_shape().numel(), MemRole::Temp);
-        let rotate = Stmt::Transform(TransformOp { fused: false,
-            kind: TransformKind::RotateFilter { shape: *s, src: w, dst: w_rot },
-        });
+        let rotate = Stmt::transform(TransformKind::RotateFilter { shape: *s, src: w, dst: w_rot });
         let body = lower_explicit_body(&mut p, &g, dy, w_rot, dx, &knobs, PadMode::Lightweight)?;
         let mut stmts = vec![rotate];
         stmts.extend(body);
@@ -169,26 +167,20 @@ impl Operator for ConvBackwardFilterOp {
         let cols_t = p.mem_buf("cols_t", n * k, MemRole::Temp);
         let dy_mat = p.mem_buf("dy_mat", m * k, MemRole::Temp);
 
-        let im2col = Stmt::Transform(TransformOp { fused: false,
-            kind: TransformKind::Im2col { shape: *s, src: x, dst: cols },
-        });
+        let im2col = Stmt::transform(TransformKind::Im2col { shape: *s, src: x, dst: cols });
         // cols is (Ni·Kr·Kc) × (B·Ro·Co) = N × K; the GEMM needs K × N.
-        let transpose = Stmt::Transform(TransformOp { fused: false,
-            kind: TransformKind::PackTensor {
-                src: cols,
-                dst: cols_t,
-                src_dims: vec![n, k],
-                perm: vec![1, 0],
-            },
+        let transpose = Stmt::transform(TransformKind::PackTensor {
+            src: cols,
+            dst: cols_t,
+            src_dims: vec![n, k],
+            perm: vec![1, 0],
         });
         // dY is [B][No][Ro][Co]; the GEMM A operand is No × (B·Ro·Co).
-        let pack_dy = Stmt::Transform(TransformOp { fused: false,
-            kind: TransformKind::PackTensor {
-                src: dy,
-                dst: dy_mat,
-                src_dims: vec![s.b, s.no, s.ro, s.co],
-                perm: vec![1, 0, 2, 3],
-            },
+        let pack_dy = Stmt::transform(TransformKind::PackTensor {
+            src: dy,
+            dst: dy_mat,
+            src_dims: vec![s.b, s.no, s.ro, s.co],
+            perm: vec![1, 0, 2, 3],
         });
         // The product No × (Ni·Kr·Kc) is dW flattened — no output reorder.
         let gemm =

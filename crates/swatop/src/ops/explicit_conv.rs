@@ -14,7 +14,7 @@
 //! handle, at the cost of materialising the column matrix.
 
 use swatop_dsl::{SchedulePoint, ScheduleSpace, Seed};
-use swatop_ir::{MemRole, Program, Stmt, TransformKind, TransformOp};
+use swatop_ir::{MemRole, Program, Stmt, TransformKind};
 use swtensor::ConvShape;
 
 use crate::ops::matmul::{lower_matmul_body, MatmulKnobs};
@@ -110,19 +110,15 @@ pub fn lower_explicit_body(
     let (m, n, k) = (s.no, s.b * s.ro * s.co, s.ni * s.kr * s.kc);
     let cols = p.mem_buf("cols", k * n, MemRole::Temp);
     let prod = p.mem_buf("prod", m * n, MemRole::Temp);
-    let im2col = Stmt::Transform(TransformOp { fused: false,
-        kind: TransformKind::Im2col { shape: *s, src: in_buf, dst: cols },
-    });
+    let im2col = Stmt::transform(TransformKind::Im2col { shape: *s, src: in_buf, dst: cols });
     // The weight tensor [No][Ni][Kr][Kc] *is* the No × K filter matrix.
     let gemm_body = lower_matmul_body(p, knobs, w_buf, cols, prod, m, n, k, pad_mode)?;
     // prod is No × (B·Ro·Co) = [No][B][Ro][Co]; output is NCHW.
-    let reorder = Stmt::Transform(TransformOp { fused: false,
-        kind: TransformKind::PackTensor {
-            src: prod,
-            dst: out_buf,
-            src_dims: vec![s.no, s.b, s.ro, s.co],
-            perm: vec![1, 0, 2, 3],
-        },
+    let reorder = Stmt::transform(TransformKind::PackTensor {
+        src: prod,
+        dst: out_buf,
+        src_dims: vec![s.no, s.b, s.ro, s.co],
+        perm: vec![1, 0, 2, 3],
     });
     let mut body = vec![im2col];
     body.extend(gemm_body);

@@ -40,7 +40,7 @@ use sw26010::MESH;
 use swatop_dsl::{factors_of, SchedulePoint, ScheduleSpace, Seed};
 use swatop_ir::{
     AVar, AffineExpr, Cond, DmaCg, GemmOp, MatDesc, MemBufId, MemRole, Program, SpmSlot, Stmt,
-    TransformKind, TransformOp,
+    TransformKind,
 };
 use swkernels::{VecDim, VEC_WIDTH};
 use swtensor::{ConvShape, MatLayout};
@@ -89,7 +89,7 @@ impl ImplicitConvOp {
         let tail = ro_pad - s.ro;
         // Rows of each copy: the padded input's and the tail.
         let rows = ro_pad + s.kr - 1;
-        let transform = |kind| Stmt::Transform(TransformOp { fused: false, kind });
+        let transform = Stmt::transform;
         let tailed = if tail > 0 {
             let planes = b * ni;
             let dst = p.mem_buf("in_tail", planes * (ri + tail) * ci, MemRole::Temp);
@@ -276,12 +276,10 @@ impl Operator for ImplicitConvOp {
             // Materialise spatial zero padding, if any, as a padded NCHW copy.
             let nchw_buf = if self.shape.pad > 0 {
                 let padded = p.mem_buf("in_padded", b * ni * ri * ci, MemRole::Temp);
-                setup.push(Stmt::Transform(TransformOp { fused: false,
-                    kind: TransformKind::PadImageNchw {
-                        shape: self.shape,
-                        src: in_buf,
-                        dst: padded,
-                    },
+                setup.push(Stmt::transform(TransformKind::PadImageNchw {
+                    shape: self.shape,
+                    src: in_buf,
+                    dst: padded,
                 }));
                 padded
             } else {
@@ -290,28 +288,24 @@ impl Operator for ImplicitConvOp {
 
             // Layout packing.
             let d_buf = p.mem_buf("d_packed", b * ni * ri * ci, MemRole::Temp);
-            setup.push(Stmt::Transform(TransformOp { fused: false,
-                kind: TransformKind::PackTensor {
-                    src: nchw_buf,
-                    dst: d_buf,
-                    src_dims: vec![b, ni, ri, ci],
-                    // [Ri][Ni][Ci][B] or [Ri][Ci][B][Ni].
-                    perm: if d_col { vec![2, 3, 0, 1] } else { vec![2, 1, 3, 0] },
-                },
+            setup.push(Stmt::transform(TransformKind::PackTensor {
+                src: nchw_buf,
+                dst: d_buf,
+                src_dims: vec![b, ni, ri, ci],
+                // [Ri][Ni][Ci][B] or [Ri][Ci][B][Ni].
+                perm: if d_col { vec![2, 3, 0, 1] } else { vec![2, 1, 3, 0] },
             }));
             d_buf
         } else {
             self.unfold_rows(&mut p, &mut setup, in_buf, ro_pad, d_col)
         };
         let w_packed = p.mem_buf("w_packed", no * ni * kr * kc, MemRole::Temp);
-        setup.push(Stmt::Transform(TransformOp { fused: false,
-            kind: TransformKind::PackTensor {
-                src: w_buf,
-                dst: w_packed,
-                src_dims: vec![no, ni, kr, kc],
-                // [Kr][Kc][No][Ni] or [Kr][Kc][Ni][No].
-                perm: if w_col { vec![2, 3, 1, 0] } else { vec![2, 3, 0, 1] },
-            },
+        setup.push(Stmt::transform(TransformKind::PackTensor {
+            src: w_buf,
+            dst: w_packed,
+            src_dims: vec![no, ni, kr, kc],
+            // [Kr][Kc][No][Ni] or [Kr][Kc][Ni][No].
+            perm: if w_col { vec![2, 3, 1, 0] } else { vec![2, 3, 0, 1] },
         }));
         // At batch 1 the row tiles' accumulator, [No][Ro][Co], is the NCHW
         // output itself unless there are tail rows to drop.
@@ -607,13 +601,11 @@ impl Operator for ImplicitConvOp {
         // Unpack [Ro][No][Co][B] → NCHW.
         let mut unpack = vec![];
         if t_ro == 1 {
-            unpack.push(Stmt::Transform(TransformOp { fused: false,
-                kind: TransformKind::PackTensor {
-                    src: o_buf,
-                    dst: out_buf,
-                    src_dims: vec![ro, no, co, b],
-                    perm: vec![3, 1, 0, 2],
-                },
+            unpack.push(Stmt::transform(TransformKind::PackTensor {
+                src: o_buf,
+                dst: out_buf,
+                src_dims: vec![ro, no, co, b],
+                perm: vec![3, 1, 0, 2],
             }));
         } else {
             // [No][Ro + tail][Co][B] → [B][No][Ro + tail][Co] (the same at
@@ -626,29 +618,25 @@ impl Operator for ImplicitConvOp {
                 } else {
                     p.mem_buf("o_nchw", planes * ro_pad * co, MemRole::Temp)
                 };
-                unpack.push(Stmt::Transform(TransformOp { fused: false,
-                    kind: TransformKind::PackTensor {
-                        src: o_buf,
-                        dst: nchw,
-                        src_dims: vec![no, ro_pad, co, b],
-                        perm: vec![3, 0, 1, 2],
-                    },
+                unpack.push(Stmt::transform(TransformKind::PackTensor {
+                    src: o_buf,
+                    dst: nchw,
+                    src_dims: vec![no, ro_pad, co, b],
+                    perm: vec![3, 0, 1, 2],
                 }));
             }
             if ro_pad > ro {
-                unpack.push(Stmt::Transform(TransformOp { fused: false,
-                    kind: TransformKind::UnpadSubmatrix {
-                        src: nchw,
-                        src_rows: planes,
-                        src_cols: ro_pad * co,
-                        dst: out_buf,
-                        dst_rows: planes,
-                        dst_cols: ro * co,
-                        r0: 0,
-                        c0: 0,
-                        take_rows: planes,
-                        take_cols: ro * co,
-                    },
+                unpack.push(Stmt::transform(TransformKind::UnpadSubmatrix {
+                    src: nchw,
+                    src_rows: planes,
+                    src_cols: ro_pad * co,
+                    dst: out_buf,
+                    dst_rows: planes,
+                    dst_cols: ro * co,
+                    r0: 0,
+                    c0: 0,
+                    take_rows: planes,
+                    take_cols: ro * co,
                 }));
             }
         }

@@ -22,7 +22,6 @@ use sw26010::DmaDirection::{MemToSpm, SpmToMem};
 use swatop_dsl::{SchedulePoint, ScheduleSpace, Seed};
 use swatop_ir::{
     AffineExpr, GemmOp, MatDesc, MemRole, Program, ScheduleHints, SpmSlot, Stmt, TransformKind,
-    TransformOp,
 };
 use swkernels::VecDim;
 use swtensor::MatLayout;
@@ -283,13 +282,11 @@ pub fn lower_matmul_body_with_spm(
         // Layout transformation: pack transposes once in main memory.
         let (a_src, a_r, a_c, a_swap) = if a_col {
             let at = p.mem_buf("A_t", m * k, MemRole::Temp);
-            setup.push(Stmt::Transform(TransformOp { fused: false,
-                kind: TransformKind::PackTensor {
-                    src: a_buf,
-                    dst: at,
-                    src_dims: vec![m, k],
-                    perm: vec![1, 0],
-                },
+            setup.push(Stmt::transform(TransformKind::PackTensor {
+                src: a_buf,
+                dst: at,
+                src_dims: vec![m, k],
+                perm: vec![1, 0],
             }));
             (at, k_tiles, m_tiles, true)
         } else {
@@ -297,13 +294,11 @@ pub fn lower_matmul_body_with_spm(
         };
         let (b_src, b_r, b_c, b_swap) = if b_col {
             let bt = p.mem_buf("B_t", k * n, MemRole::Temp);
-            setup.push(Stmt::Transform(TransformOp { fused: false,
-                kind: TransformKind::PackTensor {
-                    src: b_buf,
-                    dst: bt,
-                    src_dims: vec![k, n],
-                    perm: vec![1, 0],
-                },
+            setup.push(Stmt::transform(TransformKind::PackTensor {
+                src: b_buf,
+                dst: bt,
+                src_dims: vec![k, n],
+                perm: vec![1, 0],
             }));
             (bt, n_tiles, k_tiles, true)
         } else {

@@ -20,7 +20,7 @@
 use sw26010::DmaDirection;
 use swatop_ir::{
     AVar, AffineExpr, DmaCg, MemBufId, MemRole, Program, ReplyId, SpmSlot, Stmt, TransformKind,
-    TransformOp, VarId,
+    VarId,
 };
 
 use crate::optimizer::boundary::round_up;
@@ -149,20 +149,18 @@ impl SrcFamily {
         if (r.tail_aux || c.tail_aux) && mode == PadMode::Traditional {
             let padded =
                 p.mem_buf(format!("{name}_padded"), r.padded_len() * c.padded_len(), MemRole::Temp);
-            setup.push(Stmt::Transform(TransformOp { fused: false,
-                kind: TransformKind::PadSubmatrix {
-                    src,
-                    src_rows: r.len,
-                    src_cols: c.len,
-                    r0: 0,
-                    c0: 0,
-                    take_rows: r.len,
-                    take_cols: c.len,
-                    dst: padded,
-                    dst_rows: r.padded_len(),
-                    dst_cols: c.padded_len(),
-                    zero_first: true,
-                },
+            setup.push(Stmt::transform(TransformKind::PadSubmatrix {
+                src,
+                src_rows: r.len,
+                src_cols: c.len,
+                r0: 0,
+                c0: 0,
+                take_rows: r.len,
+                take_cols: c.len,
+                dst: padded,
+                dst_rows: r.padded_len(),
+                dst_cols: c.padded_len(),
+                zero_first: true,
             }));
             let fam = SrcFamily {
                 main: padded,
@@ -179,20 +177,18 @@ impl SrcFamily {
         if r.tail_aux {
             let strip =
                 p.mem_buf(format!("{name}_bottom"), r.tail_size * c.padded_len(), MemRole::Temp);
-            setup.push(Stmt::Transform(TransformOp { fused: false,
-                kind: TransformKind::PadSubmatrix {
-                    src,
-                    src_rows: r.len,
-                    src_cols: c.len,
-                    r0: r.full * r.tile,
-                    c0: 0,
-                    take_rows: r.tail,
-                    take_cols: c.len,
-                    dst: strip,
-                    dst_rows: r.tail_size,
-                    dst_cols: c.padded_len(),
-                    zero_first: true,
-                },
+            setup.push(Stmt::transform(TransformKind::PadSubmatrix {
+                src,
+                src_rows: r.len,
+                src_cols: c.len,
+                r0: r.full * r.tile,
+                c0: 0,
+                take_rows: r.tail,
+                take_cols: c.len,
+                dst: strip,
+                dst_rows: r.tail_size,
+                dst_cols: c.padded_len(),
+                zero_first: true,
             }));
             bottom = Some(strip);
         }
@@ -202,20 +198,18 @@ impl SrcFamily {
             if direct_rows > 0 {
                 let strip =
                     p.mem_buf(format!("{name}_right"), direct_rows * c.tail_size, MemRole::Temp);
-                setup.push(Stmt::Transform(TransformOp { fused: false,
-                    kind: TransformKind::PadSubmatrix {
-                        src,
-                        src_rows: r.len,
-                        src_cols: c.len,
-                        r0: 0,
-                        c0: c.full * c.tile,
-                        take_rows: direct_rows,
-                        take_cols: c.tail,
-                        dst: strip,
-                        dst_rows: direct_rows,
-                        dst_cols: c.tail_size,
-                        zero_first: true,
-                    },
+                setup.push(Stmt::transform(TransformKind::PadSubmatrix {
+                    src,
+                    src_rows: r.len,
+                    src_cols: c.len,
+                    r0: 0,
+                    c0: c.full * c.tile,
+                    take_rows: direct_rows,
+                    take_cols: c.tail,
+                    dst: strip,
+                    dst_rows: direct_rows,
+                    dst_cols: c.tail_size,
+                    zero_first: true,
                 }));
                 right = Some(strip);
             }
@@ -238,19 +232,17 @@ impl SrcFamily {
         if (r.tail_aux || c.tail_aux) && mode == PadMode::Traditional {
             let padded =
                 p.mem_buf(format!("{name}_padded"), r.padded_len() * c.padded_len(), MemRole::Temp);
-            teardown.push(Stmt::Transform(TransformOp { fused: false,
-                kind: TransformKind::UnpadSubmatrix {
-                    src: padded,
-                    src_rows: r.padded_len(),
-                    src_cols: c.padded_len(),
-                    dst,
-                    dst_rows: r.len,
-                    dst_cols: c.len,
-                    r0: 0,
-                    c0: 0,
-                    take_rows: r.len,
-                    take_cols: c.len,
-                },
+            teardown.push(Stmt::transform(TransformKind::UnpadSubmatrix {
+                src: padded,
+                src_rows: r.padded_len(),
+                src_cols: c.padded_len(),
+                dst,
+                dst_rows: r.len,
+                dst_cols: c.len,
+                r0: 0,
+                c0: 0,
+                take_rows: r.len,
+                take_cols: c.len,
             }));
             let fam = SrcFamily {
                 main: padded,
@@ -267,19 +259,17 @@ impl SrcFamily {
         if r.tail_aux {
             let strip =
                 p.mem_buf(format!("{name}_bottom"), r.tail_size * c.padded_len(), MemRole::Temp);
-            teardown.push(Stmt::Transform(TransformOp { fused: false,
-                kind: TransformKind::UnpadSubmatrix {
-                    src: strip,
-                    src_rows: r.tail_size,
-                    src_cols: c.padded_len(),
-                    dst,
-                    dst_rows: r.len,
-                    dst_cols: c.len,
-                    r0: r.full * r.tile,
-                    c0: 0,
-                    take_rows: r.tail,
-                    take_cols: c.len,
-                },
+            teardown.push(Stmt::transform(TransformKind::UnpadSubmatrix {
+                src: strip,
+                src_rows: r.tail_size,
+                src_cols: c.padded_len(),
+                dst,
+                dst_rows: r.len,
+                dst_cols: c.len,
+                r0: r.full * r.tile,
+                c0: 0,
+                take_rows: r.tail,
+                take_cols: c.len,
             }));
             bottom = Some(strip);
         }
@@ -289,19 +279,17 @@ impl SrcFamily {
             if direct_rows > 0 {
                 let strip =
                     p.mem_buf(format!("{name}_right"), direct_rows * c.tail_size, MemRole::Temp);
-                teardown.push(Stmt::Transform(TransformOp { fused: false,
-                    kind: TransformKind::UnpadSubmatrix {
-                        src: strip,
-                        src_rows: direct_rows,
-                        src_cols: c.tail_size,
-                        dst,
-                        dst_rows: r.len,
-                        dst_cols: c.len,
-                        r0: 0,
-                        c0: c.full * c.tile,
-                        take_rows: direct_rows,
-                        take_cols: c.tail,
-                    },
+                teardown.push(Stmt::transform(TransformKind::UnpadSubmatrix {
+                    src: strip,
+                    src_rows: direct_rows,
+                    src_cols: c.tail_size,
+                    dst,
+                    dst_rows: r.len,
+                    dst_cols: c.len,
+                    r0: 0,
+                    c0: c.full * c.tile,
+                    take_rows: direct_rows,
+                    take_cols: c.tail,
                 }));
                 right = Some(strip);
             }

@@ -26,7 +26,6 @@ use sw26010::DmaDirection::{MemToSpm, SpmToMem};
 use swatop_dsl::{SchedulePoint, ScheduleSpace, Seed};
 use swatop_ir::{
     AffineExpr, Cond, DmaCg, GemmOp, MatDesc, MemRole, Program, SpmSlot, Stmt, TransformKind,
-    TransformOp,
 };
 use swkernels::VecDim;
 use swtensor::{ConvShape, MatLayout};
@@ -68,10 +67,11 @@ const MAX_RESIDENT_STEPS: usize = 16;
 
 const NT_MENU: &[usize] = &[32, 64, 128, 256, 512];
 
-/// Winograd's `dma` menu: the two levels of the implicit-conv ladder that
-/// hold optima in the knob census (`tests/knob_census.rs`); `none` and
-/// `dbuf+coal` held none of its 73 Winograd optima.
-const WINOGRAD_DMA: [&str; 2] = ["dbuf", "all"];
+/// Winograd's `dma` menu: the one level of the implicit-conv ladder that
+/// holds optima in the knob census (`tests/knob_census.rs`). Its filter and
+/// input transforms fuse into the coalescing gathers, which no level without
+/// `coal` has.
+const WINOGRAD_DMA: [&str; 1] = ["all"];
 
 impl Operator for WinogradConvOp {
     fn name(&self) -> String {
@@ -140,21 +140,17 @@ impl Operator for WinogradConvOp {
         let m_buf = p.mem_buf("M", 16 * no * nt_pad, MemRole::Temp);
 
         let setup = vec![
-            Stmt::Transform(TransformOp { fused: false,
-                kind: TransformKind::WinogradFilter {
-                    shape: *s,
-                    src: w_buf,
-                    dst: u_buf,
-                    transposed: u_col,
-                },
+            Stmt::transform(TransformKind::WinogradFilter {
+                shape: *s,
+                src: w_buf,
+                dst: u_buf,
+                transposed: u_col,
             }),
-            Stmt::Transform(TransformOp { fused: false,
-                kind: TransformKind::WinogradInput {
-                    shape: *s,
-                    src: in_buf,
-                    dst: v_buf,
-                    nt_pad,
-                },
+            Stmt::transform(TransformKind::WinogradInput {
+                shape: *s,
+                src: in_buf,
+                dst: v_buf,
+                nt_pad,
             }),
         ];
 
@@ -308,9 +304,8 @@ impl Operator for WinogradConvOp {
             nests.push(seg_nest);
         }
 
-        let output = Stmt::Transform(TransformOp { fused: false,
-            kind: TransformKind::WinogradOutput { shape: *s, src: m_buf, dst: out_buf, nt_pad },
-        });
+        let output =
+            Stmt::transform(TransformKind::WinogradOutput { shape: *s, src: m_buf, dst: out_buf, nt_pad });
 
         let mut body = setup;
         body.extend(nests);

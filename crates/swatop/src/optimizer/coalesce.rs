@@ -25,7 +25,7 @@ use std::fmt::Write;
 use sw26010::regcomm::BcastBus;
 use sw26010::DmaDirection;
 use swatop_ir::{
-    AVar, AffineExpr, DmaCg, DmaCpe, MemRole, Program, Stmt, TransformKind, TransformOp,
+    AVar, AffineExpr, DmaCg, DmaCpe, MemRole, Program, Stmt, TransformKind,
 };
 
 /// Upper bound on a packed staging buffer, in elements (16 MiB of f32):
@@ -33,9 +33,11 @@ use swatop_ir::{
 const MAX_PACKED_ELEMS: usize = 1 << 22;
 
 /// Rewrite eligible strided `DmaCg` gets into packed contiguous `DmaCpe`
-/// gets fed by a `PackTiles` staging transform. Like the other passes of
-/// this module it edits the tree in place: only the nodes it changes are
-/// rebuilt.
+/// gets fed by a `PackTiles` staging transform. A get whose tiles an earlier
+/// gather already staged — same source, not written since, same parameters
+/// — reads that staging buffer instead of gathering again. Like the other
+/// passes of this module it edits the tree in place: only the nodes it
+/// changes are rebuilt.
 pub fn coalesce_gets(mut program: Program) -> Program {
     let tops: Vec<Stmt> = match program.take_body() {
         Stmt::Seq(ss) => ss,
@@ -84,8 +86,8 @@ fn rewrite(
             }
         }
         Stmt::DmaCg(d) => {
-            if let Some((pack, cpe)) = try_coalesce(d, loops, in_if, written, program) {
-                packs.push(pack);
+            if let Some((pack, cpe)) = try_coalesce(d, loops, in_if, written, program, packs) {
+                packs.extend(pack);
                 *s = Stmt::DmaCpe(cpe);
             }
         }
@@ -99,7 +101,8 @@ fn try_coalesce(
     in_if: bool,
     written: &[usize],
     program: &mut Program,
-) -> Option<(Stmt, DmaCpe)> {
+    packs: &[Stmt],
+) -> Option<(Option<Stmt>, DmaCpe)> {
     if in_if
         || d.direction != DmaDirection::MemToSpm
         || written.contains(&d.buf.0)
@@ -140,24 +143,48 @@ fn try_coalesce(
         return None;
     }
 
-    let src = &program.mem_bufs[d.buf.0].name;
-    let mut name = String::with_capacity(src.len() + 16);
-    write!(name, "{src}_packed{}", program.mem_bufs.len()).expect("writing to a String");
-    let dst = program.mem_buf(name, packed_len, MemRole::Temp);
-    let mut pack_iters = Vec::with_capacity(iters().count());
-    pack_iters.extend(iters().map(|(_, ext, c)| (ext, c)));
-    let pack = Stmt::Transform(TransformOp { fused: false,
-        kind: TransformKind::PackTiles {
-            src: d.buf,
-            dst,
-            rows: d.rows,
-            cols: d.cols,
-            row_stride: d.row_stride,
-            mesh_swap: d.mesh_swap,
-            base,
-            iters: pack_iters,
+    // The last gather of these very tiles, if nothing has written its
+    // source since (this statement does not: see above).
+    let same = |s: &Stmt| match s {
+        Stmt::Transform(t) => match &t.kind {
+            TransformKind::PackTiles {
+                src, dst, rows, cols, row_stride, mesh_swap, base: b, iters: it,
+            } if (*src, *rows, *cols, *row_stride, *mesh_swap, *b)
+                    == (d.buf, d.rows, d.cols, d.row_stride, d.mesh_swap, base)
+                    && it.iter().copied().eq(iters().map(|(_, ext, c)| (ext, c))) =>
+            {
+                Some(*dst)
+            }
+            _ => None,
         },
+        _ => None,
+    };
+    let staged = packs.iter().rposition(|s| same(s).is_some()).and_then(|at| {
+        let stale = packs[at + 1..].iter().any(|s| writes(s, d.buf.0));
+        if stale { None } else { same(&packs[at]) }
     });
+    let (dst, pack) = match staged {
+        Some(dst) => (dst, None),
+        None => {
+            let src = &program.mem_bufs[d.buf.0].name;
+            let mut name = String::with_capacity(src.len() + 16);
+            write!(name, "{src}_packed{}", program.mem_bufs.len()).expect("writing to a String");
+            let dst = program.mem_buf(name, packed_len, MemRole::Temp);
+            let mut pack_iters = Vec::with_capacity(iters().count());
+            pack_iters.extend(iters().map(|(_, ext, c)| (ext, c)));
+            let pack = Stmt::transform(TransformKind::PackTiles {
+                src: d.buf,
+                dst,
+                rows: d.rows,
+                cols: d.cols,
+                row_stride: d.row_stride,
+                mesh_swap: d.mesh_swap,
+                base,
+                iters: pack_iters,
+            });
+            (dst, Some(pack))
+        }
+    };
 
     // Packed layout [lin_iter][rid*8+cid][E]: the replacement get is one
     // contiguous block of E elements per CPE per step.
@@ -184,35 +211,32 @@ fn try_coalesce(
     Some((pack, cpe))
 }
 
+/// Whether anything within `stmt` writes main-memory buffer `buf`.
+fn writes(stmt: &Stmt, buf: usize) -> bool {
+    let mut found = false;
+    stmt.visit(&mut |s| found |= written_buf(s) == Some(buf));
+    found
+}
+
+/// The main-memory buffer `s` itself writes: a DMA put's or a transform's
+/// destination.
+fn written_buf(s: &Stmt) -> Option<usize> {
+    match s {
+        Stmt::DmaCg(d) if d.direction == DmaDirection::SpmToMem => Some(d.buf.0),
+        Stmt::DmaCpe(d) if d.direction == DmaDirection::SpmToMem => Some(d.buf.0),
+        Stmt::Transform(t) => Some(t.kind.dst().0),
+        _ => None,
+    }
+}
+
 /// Push to `out` the main-memory buffers written anywhere within `stmt`
 /// (DMA puts and transform destinations), each once.
 fn written_bufs(stmt: &Stmt, out: &mut Vec<usize>) {
     stmt.visit(&mut |s| {
-        let buf = match s {
-            Stmt::DmaCg(d) if d.direction == DmaDirection::SpmToMem => d.buf.0,
-            Stmt::DmaCpe(d) if d.direction == DmaDirection::SpmToMem => d.buf.0,
-            Stmt::Transform(t) => transform_dst(&t.kind),
-            _ => return,
-        };
-        if !out.contains(&buf) {
+        if let Some(buf) = written_buf(s).filter(|b| !out.contains(b)) {
             out.push(buf);
         }
     });
-}
-
-fn transform_dst(k: &TransformKind) -> usize {
-    match k {
-        TransformKind::Im2col { dst, .. }
-        | TransformKind::PadImageNchw { dst, .. }
-        | TransformKind::WinogradFilter { dst, .. }
-        | TransformKind::WinogradInput { dst, .. }
-        | TransformKind::WinogradOutput { dst, .. }
-        | TransformKind::PackTensor { dst, .. }
-        | TransformKind::RotateFilter { dst, .. }
-        | TransformKind::PadSubmatrix { dst, .. }
-        | TransformKind::UnpadSubmatrix { dst, .. }
-        | TransformKind::PackTiles { dst, .. } => dst.0,
-    }
 }
 
 /// The register-communication bus an unguarded get may broadcast over, if
@@ -306,7 +330,9 @@ pub fn fuse_adjacent_gets(stmt: &mut Stmt) {
 /// transform whose immediately preceding statement (in the same `Seq`) is
 /// also a transform keeps the engine's block pipeline streaming and skips
 /// the per-transform start-up latency. The first transform of a run stays
-/// unfused and pays the ramp for the whole chain.
+/// unfused and pays the ramp for the whole chain. A producer whose output
+/// is never materialised ([`swatop_ir::Link::Feeds`]) runs nothing where it
+/// stands: it neither opens, continues nor breaks a run.
 ///
 /// This is the transform-side twin of [`fuse_adjacent_gets`]: coalescing
 /// emits its `PackTiles` staging gathers as one consecutive run before the
@@ -319,6 +345,7 @@ pub fn fuse_adjacent_transforms(stmt: &mut Stmt) {
             let mut in_run = false;
             for s in ss {
                 match s {
+                    Stmt::Transform(t) if t.link.feeds() => {}
                     Stmt::Transform(t) => {
                         t.fused = in_run;
                         in_run = true;
@@ -366,6 +393,30 @@ mod tests {
         p.spm_buf("a", 4);
         p.set_body(body);
         p
+    }
+
+    #[test]
+    fn a_tile_set_is_gathered_once_while_its_source_stands() {
+        let wait = || Stmt::DmaWait { reply: ReplyId(0), times: 1 };
+        let nest = || {
+            let get = Stmt::DmaCg(strided_get(AffineExpr::loop_var(0).scale(16)));
+            Stmt::for_(0, 4, Stmt::seq(vec![get, wait()]))
+        };
+        let gathers = |p: &Program| p.body.count(|s| matches!(s, Stmt::Transform(_)));
+        let p = coalesce_gets(host(Stmt::seq(vec![nest(), nest()])));
+        assert_eq!((gathers(&p), p.mem_bufs.len()), (1, 2));
+        let mut reads = Vec::new();
+        p.body.visit(&mut |s| {
+            if let Stmt::DmaCpe(d) = s {
+                reads.push(d.buf);
+            }
+        });
+        assert_eq!(reads, vec![MemBufId(1); 2]);
+        // A put into the source between the nests stales the first gather.
+        let put = DmaCg { direction: DmaDirection::SpmToMem, ..strided_get(AffineExpr::zero()) };
+        let body = Stmt::seq(vec![nest(), Stmt::DmaCg(put), wait(), nest()]);
+        let p = coalesce_gets(host(body));
+        assert_eq!((gathers(&p), p.mem_bufs.len()), (2, 3));
     }
 
     #[test]
@@ -570,14 +621,11 @@ mod tests {
     #[test]
     fn adjacent_transforms_fuse_into_chains() {
         let tf = || {
-            Stmt::Transform(swatop_ir::TransformOp {
-                fused: false,
-                kind: swatop_ir::TransformKind::PackTensor {
-                    src: MemBufId(0),
-                    dst: MemBufId(1),
-                    src_dims: vec![4],
-                    perm: vec![0],
-                },
+            Stmt::transform(swatop_ir::TransformKind::PackTensor {
+                src: MemBufId(0),
+                dst: MemBufId(1),
+                src_dims: vec![4],
+                perm: vec![0],
             })
         };
         let body = Stmt::seq(vec![
@@ -615,14 +663,11 @@ mod tests {
             })
         };
         let tf = || {
-            Stmt::Transform(TransformOp {
-                fused: false,
-                kind: TransformKind::PackTensor {
-                    src: MemBufId(0),
-                    dst: MemBufId(1),
-                    src_dims: vec![4],
-                    perm: vec![0],
-                },
+            Stmt::transform(TransformKind::PackTensor {
+                src: MemBufId(0),
+                dst: MemBufId(1),
+                src_dims: vec![4],
+                perm: vec![0],
             })
         };
         let guard = swatop_ir::Cond::lt_const(AffineExpr::loop_var(0), 3);

@@ -24,18 +24,26 @@ use swatop_ir::{AVar, AffineExpr, DmaCg, DmaCpe, Stmt};
 
 /// Lower every `DMA_CG` node in the tree to a `DMA_CPE` node, in place.
 pub fn lower_dma(stmt: &mut Stmt) {
+    lower_dma_noting(stmt, &mut |_| {});
+}
+
+/// [`lower_dma`], handing `note` every node of the lowered tree once: a pass
+/// that must see every main-memory access rides this walk instead of making
+/// its own ([`super::chains::fuse_chains`]).
+pub fn lower_dma_noting(stmt: &mut Stmt, note: &mut impl FnMut(&Stmt)) {
     match stmt {
-        Stmt::Seq(ss) => ss.iter_mut().for_each(lower_dma),
-        Stmt::For { body, .. } => lower_dma(body),
+        Stmt::Seq(ss) => ss.iter_mut().for_each(|s| lower_dma_noting(s, note)),
+        Stmt::For { body, .. } => lower_dma_noting(body, note),
         Stmt::If { then_, else_, .. } => {
-            lower_dma(then_);
+            lower_dma_noting(then_, note);
             if let Some(e) = else_ {
-                lower_dma(e);
+                lower_dma_noting(e, note);
             }
         }
         Stmt::DmaCg(d) => *stmt = Stmt::DmaCpe(lower_node(d)),
         _ => {}
     }
+    note(stmt);
 }
 
 /// Derive the per-CPE node from a CG-level tile access.

@@ -4,6 +4,8 @@
 //!   nodes and hoist loop-invariant transfers away from `gemm_op`;
 //! * [`coalesce`] — the DMA-wall passes: strided-transaction coalescing
 //!   into packed staging buffers and register-broadcast tiling;
+//! * [`chains`] — producer fusion: a chain of bulk transforms runs as one
+//!   pass, its intermediates never materialised;
 //! * [`prefetch`] — hide memory latency by double buffering, with
 //!   next-iteration index inference over the enclosing loop nest;
 //! * [`boundary`] — boundary-processing helpers: tile-size arithmetic and
@@ -13,6 +15,7 @@
 //!   chains, slot aliasing/overflow…) before any execution.
 
 pub mod boundary;
+pub mod chains;
 pub mod coalesce;
 pub mod dma_inference;
 pub mod prefetch;
@@ -58,8 +61,10 @@ pub fn finish(mut program: Program, double_buffer: bool) -> Program {
 
 /// The DMA-wall pipeline up to broadcast tagging: transaction coalescing
 /// (if `hints.coalesce`; before DMA inference, on the CG-level form), DMA
-/// inference (lower + hoist), then get/transform batch fusion (also on the
-/// coalescing dimension). Reads no other hint. The passes edit the tree in
+/// inference (lower + hoist) with producer fusion of transform chains
+/// riding its lowering walk ([`chains::fuse_chains`], on every program,
+/// after coalescing so its gathers can join a chain), then get/transform
+/// batch fusion (also on the coalescing dimension). Reads no other hint. The passes edit the tree in
 /// place.
 ///
 /// Broadcast tagging may follow fusion, as it does in [`optimize`], or
@@ -73,8 +78,9 @@ pub fn dma_wall(mut program: Program) -> Program {
     if coalesce {
         program = coalesce::coalesce_gets(program);
     }
+    // DMA inference's lowering, with producer fusion riding its walk.
+    chains::fuse_chains(&mut program);
     let body = program.body_mut();
-    dma_inference::lower_dma(body);
     dma_inference::hoist_invariant_dma(body);
     if coalesce {
         // Batch fusion rides the coalescing dimension: runs of back-to-back
@@ -91,20 +97,27 @@ pub fn dma_wall(mut program: Program) -> Program {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model;
     use crate::ops::{
         dma_knob, BatchedMatmulOp, ConvBackwardDataOp, ConvBackwardFilterOp, ExplicitConvOp,
         ImplicitConvOp, MatmulOp, WinogradConvOp,
     };
-    use crate::scheduler::Operator;
-    use swatop_ir::{ScheduleHints, Stmt};
+    use crate::scheduler::{Operator, Scheduler};
+    use sw26010::MachineConfig;
+    use swatop_ir::{Link, ScheduleHints, Stmt, TransformOp};
     use swtensor::ConvShape;
 
     /// The pipeline as it ran before the scheduler chained the hint
     /// siblings: one run per hint combination, broadcast tags *before*
-    /// fusion. The oracle for [`optimize`].
-    fn optimize_per_sibling(mut program: Program, enable_prefetch: bool) -> Program {
+    /// fusion. The oracle for [`optimize`]; `chains` runs producer fusion
+    /// of transform chains, and leaving it out gives every transform its own
+    /// pass.
+    fn optimize_per_sibling(mut program: Program, enable_prefetch: bool, chains: bool) -> Program {
         if program.hints.coalesce {
             program = coalesce::coalesce_gets(program);
+        }
+        if chains {
+            chains::fuse_chains(&mut program);
         }
         let hints = program.hints;
         let body = program.body_mut();
@@ -139,9 +152,88 @@ mod tests {
         ]
     }
 
+    /// The links of the chain ending at top-level statement `end`: its
+    /// producers, found by their outputs, then the end itself.
+    fn chain_links(tops: &[Stmt], end: usize) -> Vec<TransformOp> {
+        let Stmt::Transform(last) = &tops[end] else { panic!("not a transform") };
+        let mut links = vec![last.clone()];
+        let mut src = last.kind.src();
+        while let Some(t) = tops[..end].iter().rev().find_map(|s| match s {
+            Stmt::Transform(t) if t.link.feeds() && t.kind.dst() == src => Some(t),
+            _ => None,
+        }) {
+            src = t.kind.src();
+            links.insert(0, t.clone());
+        }
+        links
+    }
+
+    #[test]
+    fn every_fused_chain_costs_at_most_its_links_and_computes_the_same() {
+        let cfg = MachineConfig::default();
+        let sched = Scheduler::new(cfg.clone());
+        let (mut fused, mut ran) = (0, 0);
+        for op in every_op() {
+            let cands = sched.enumerate(&*op);
+            let mut seen = Vec::new();
+            for cand in &cands {
+                let program = &cand.exe.program;
+                let tops = match &*program.body {
+                    Stmt::Seq(ss) => &ss[..],
+                    other => std::slice::from_ref(other),
+                };
+                let mut chains = 0;
+                for (end, s) in tops.iter().enumerate() {
+                    let Stmt::Transform(t) = s else { continue };
+                    if !matches!(t.link, Link::Ends { .. }) {
+                        continue;
+                    }
+                    let links = chain_links(tops, end);
+                    assert!(links.len() >= 2, "{}: a last link with no producer", cand.describe);
+                    let apart: u64 = links
+                        .iter()
+                        .map(|l| TransformOp::new(l.kind.clone()))
+                        .map(|l| model::transform_cost(&cfg, &l).get())
+                        .sum();
+                    let together = model::transform_cost(&cfg, t).get();
+                    assert!(together <= apart, "{}: fused {together} > {apart}", cand.describe);
+                    chains += 1;
+                }
+                if chains == 0 {
+                    continue;
+                }
+                fused += chains;
+                crate::optimizer::verify::verify_message(&cand.exe, &cfg)
+                    .unwrap_or_else(|e| panic!("{}: {e}", cand.describe));
+                // One functional run per operator and shape of its chains:
+                // the kinds of its top-level transforms and which fuse.
+                let shape: Vec<_> = tops
+                    .iter()
+                    .filter_map(|s| match s {
+                        Stmt::Transform(t) => {
+                            Some((std::mem::discriminant(&t.kind), std::mem::discriminant(&t.link)))
+                        }
+                        _ => None,
+                    })
+                    .collect();
+                if seen.contains(&shape) {
+                    continue;
+                }
+                seen.push(shape);
+                let err = crate::ops::verify_over_stale_memory(&cfg, &*op, cand)
+                    .unwrap_or_else(|e| panic!("{}: {e}", cand.describe));
+                assert!(err < 5e-3, "{} {}: wrong by {err}", op.name(), cand.describe);
+                ran += 1;
+            }
+        }
+        assert!(fused > 0 && ran > 0, "{fused} chains, {ran} programs run");
+    }
+
     #[test]
     fn optimize_equals_one_pipeline_run_per_hint_combination() {
         let both_marks = |s: &Stmt| matches!(s, Stmt::DmaCpe(d) if d.bcast.is_some() && d.fused);
+        let cfg = MachineConfig::default();
+        let gemm = model::GemmModel::cached(&cfg);
         let (mut compared, mut tagged_and_fused) = (0, 0);
         for op in every_op() {
             let space = op.space();
@@ -158,13 +250,25 @@ mod tests {
                     for enable_prefetch in [false, true] {
                         let got = optimize(p.clone(), enable_prefetch);
                         assert!(
-                            got == optimize_per_sibling(p.clone(), enable_prefetch),
+                            got == optimize_per_sibling(p.clone(), enable_prefetch, true),
                             "{} at {} with {hints:?}, prefetch {enable_prefetch}",
                             op.name(),
                             point.describe(&space),
                         );
                         compared += 1;
                         tagged_and_fused += got.body.count(both_marks);
+                        // Fusing chains never raises the analytic price.
+                        let unchained = optimize_per_sibling(p.clone(), enable_prefetch, false);
+                        let with = model::estimate(&cfg, &gemm, &got);
+                        let without = model::estimate(&cfg, &gemm, &unchained);
+                        assert!(
+                            with.t_transform <= without.t_transform
+                                && with.t_dma == without.t_dma
+                                && with.t_compute == without.t_compute,
+                            "{} at {}: {with:?} against {without:?}",
+                            op.name(),
+                            point.describe(&space),
+                        );
                     }
                 }
             }

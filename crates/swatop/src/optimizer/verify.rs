@@ -16,6 +16,10 @@
 //!   opened by the *immediately preceding* DMA on the same reply word (that
 //!   is what makes "startup waived exactly once per run" sound); a `fused`
 //!   transform must directly follow a transform;
+//! * **transform chains** — the output of a [`Link::Feeds`] producer is
+//!   never materialised: no DMA and no unfused transform may read it, a
+//!   chain's last link must read one, and every producer must have as many
+//!   readers as it is marked with;
 //! * **ping/pong hazards** — reading an SPM buffer whose fill is still in
 //!   flight (use-before-reply: the classic swapped-parity bug), overwriting
 //!   a buffer an un-waited put is still sourcing from (residency lifetime
@@ -33,7 +37,7 @@ use std::collections::VecDeque;
 use std::fmt;
 
 use sw26010::{DmaDirection, MachineConfig};
-use swatop_ir::{Env, MatDesc, SpmBufId, SpmSlot, Stmt};
+use swatop_ir::{Env, Link, MatDesc, MemBufId, SpmBufId, SpmSlot, Stmt};
 
 use crate::codegen::{Executable, Planned};
 
@@ -67,10 +71,14 @@ pub fn verify_executable(exe: &Executable, cfg: &MachineConfig) -> Result<(), Ve
         filling: vec![0; exe.program.spm_bufs.len()],
         draining: vec![0; exe.program.spm_bufs.len()],
         last: Last::Other,
+        unmaterialised: Vec::new(),
         violations: Vec::new(),
     };
     let mut env = Env::new(exe.program.n_vars());
     w.walk(&exe.program.body, &mut env);
+    for held in std::mem::take(&mut w.unmaterialised) {
+        w.orphan(held);
+    }
     for (r, q) in w.outstanding.iter().enumerate() {
         if !q.is_empty() {
             let n = q.len();
@@ -125,6 +133,9 @@ struct Walker<'a> {
     /// Per SPM buffer: pending puts reading out of it.
     draining: Vec<u32>,
     last: Last,
+    /// Outputs of `Feeds` producers, never materialised, with the number of
+    /// readers still to come.
+    unmaterialised: Vec<(MemBufId, u32)>,
     violations: Vec<Violation>,
 }
 
@@ -199,6 +210,45 @@ impl Walker<'_> {
                     id.0, self.exe.program.spm_bufs[id.0].name
                 ),
             );
+        }
+    }
+
+    /// A producer's output leaves the chain's reach (overwritten, or the
+    /// program ends): every reader it is marked with must have read it.
+    fn orphan(&mut self, (buf, left): (MemBufId, u32)) {
+        if left > 0 {
+            let name = &self.exe.program.mem_bufs[buf.0].name;
+            let detail =
+                format!("{left} of the readers marked on the producer of '{name}' never read it");
+            self.viol("orphan-producer", detail);
+        }
+    }
+
+    /// Transform-chain legality: what `t` reads, and what it leaves
+    /// unmaterialised.
+    fn chain(&mut self, t: &swatop_ir::TransformOp) {
+        let (src, dst) = (t.kind.src(), t.kind.dst());
+        let name = |b: MemBufId| self.exe.program.mem_bufs[b.0].name.clone();
+        match self.unmaterialised.iter().position(|&(b, _)| b == src) {
+            Some(at) if t.link != Link::Alone && self.unmaterialised[at].1 > 0 => {
+                self.unmaterialised[at].1 -= 1;
+            }
+            Some(_) => self.viol(
+                "reads-unmaterialised",
+                format!("transform reads '{}', a fused chain's intermediate", name(src)),
+            ),
+            None if matches!(t.link, Link::Ends { .. }) => self.viol(
+                "broken-transform-chain",
+                format!("the last link of a chain reads '{}', which nothing feeds", name(src)),
+            ),
+            None => {}
+        }
+        if let Some(at) = self.unmaterialised.iter().position(|&(b, _)| b == dst) {
+            let held = self.unmaterialised.swap_remove(at);
+            self.orphan(held);
+        }
+        if let Link::Feeds { readers } = t.link {
+            self.unmaterialised.push((dst, readers));
         }
     }
 
@@ -296,6 +346,13 @@ impl Walker<'_> {
                 };
                 match d.direction {
                     DmaDirection::MemToSpm => {
+                        if self.unmaterialised.iter().any(|&(b, _)| b == d.buf) {
+                            let name = &self.exe.program.mem_bufs[d.buf.0].name;
+                            self.viol(
+                                "reads-unmaterialised",
+                                format!("get reads '{name}', a fused chain's intermediate"),
+                            );
+                        }
                         if self.filling[id.0] > 0 {
                             self.viol(
                                 "double-fill",
@@ -373,6 +430,11 @@ impl Walker<'_> {
                 self.last = Last::Other;
             }
             Stmt::Transform(t) => {
+                self.chain(t);
+                if t.link.feeds() {
+                    // Runs nothing where it stands.
+                    return;
+                }
                 if t.fused && self.last != Last::Transform {
                     self.viol(
                         "broken-fused-chain",
@@ -391,7 +453,10 @@ impl Walker<'_> {
 mod tests {
     use super::*;
     use sw26010::DmaDirection::*;
-    use swatop_ir::{AffineExpr, Cond, DmaCpe, GemmOp, MatDesc, MemRole, Program, ReplyId};
+    use swatop_ir::{
+        AffineExpr, Cond, DmaCpe, GemmOp, MatDesc, MemRole, Program, ReplyId, TransformKind,
+        TransformOp,
+    };
     use swtensor::MatLayout;
 
     fn cfg() -> MachineConfig {
@@ -639,6 +704,55 @@ mod tests {
         let mut bad = p;
         bad.set_body(Stmt::seq(vec![prologue, Stmt::for_(v, 4, body_bad)]));
         assert!(rules(check(bad)).contains(&"use-before-reply"));
+    }
+
+    /// `m` packed into a scratch buffer with the given link, then the
+    /// scratch buffer packed on into another with the other link.
+    fn chain(producer: Link, reader: Link, between: Vec<Stmt>) -> Program {
+        let mut p = base_program(1);
+        let m = swatop_ir::MemBufId(0);
+        let (mid, out) = (p.mem_buf("mid", 64, MemRole::Temp), p.mem_buf("out", 64, MemRole::Output));
+        p.n_replies = 1;
+        let pack = |src, dst, link| {
+            let kind = TransformKind::PackTensor { src, dst, src_dims: vec![64], perm: vec![0] };
+            Stmt::Transform(TransformOp { link, ..TransformOp::new(kind) })
+        };
+        let mut body = vec![pack(m, mid, producer)];
+        body.extend(between);
+        body.push(pack(mid, out, reader));
+        p.set_body(Stmt::seq(body));
+        p
+    }
+
+    #[test]
+    fn an_unmaterialised_intermediate_is_read_by_its_chain_alone() {
+        let (feeds, ends) = (Link::Feeds { readers: 1 }, Link::Ends { reads: 64, compute: 0 });
+        assert_eq!(check(chain(feeds, ends, vec![])), Ok(()));
+        // A get of the intermediate reads memory nothing wrote.
+        let read = vec![get(1, SpmSlot::single(SpmBufId(0)), 0, false), wait(0, 1)];
+        assert_eq!(rules(check(chain(feeds, ends, read))), vec!["reads-unmaterialised"]);
+        // So does an unfused transform.
+        assert_eq!(
+            rules(check(chain(feeds, Link::Alone, vec![]))),
+            vec!["reads-unmaterialised", "orphan-producer"]
+        );
+        // A last link with no producer before it.
+        assert_eq!(rules(check(chain(Link::Alone, ends, vec![]))), vec!["broken-transform-chain"]);
+    }
+
+    #[test]
+    fn a_producer_no_transform_consumes_is_rejected() {
+        let two = Link::Feeds { readers: 2 };
+        let ends = Link::Ends { reads: 64, compute: 0 };
+        assert_eq!(rules(check(chain(two, ends, vec![]))), vec!["orphan-producer"]);
+        let mut p = base_program(1);
+        let mid = p.mem_buf("mid", 64, MemRole::Temp);
+        let kind = TransformKind::PackTensor {
+            src: swatop_ir::MemBufId(0), dst: mid, src_dims: vec![64], perm: vec![0],
+        };
+        let link = Link::Feeds { readers: 1 };
+        p.set_body(Stmt::Transform(TransformOp { link, ..TransformOp::new(kind) }));
+        assert_eq!(rules(check(p)), vec!["orphan-producer"]);
     }
 
     #[test]

@@ -49,20 +49,18 @@ impl Operator for ResidualMatmul {
         // copy into the output buffer first.
         let c0 = p.mem_buf("C0", self.m * self.n, MemRole::Input);
         let c = p.mem_buf("C", self.m * self.n, MemRole::Output);
-        let copy = Stmt::Transform(swatop_repro::ir::TransformOp { fused: false,
-            kind: swatop_repro::ir::TransformKind::PadSubmatrix {
-                src: c0,
-                src_rows: self.m,
-                src_cols: self.n,
-                r0: 0,
-                c0: 0,
-                take_rows: self.m,
-                take_cols: self.n,
-                dst: c,
-                dst_rows: self.m,
-                dst_cols: self.n,
-                zero_first: false,
-            },
+        let copy = Stmt::transform(swatop_repro::ir::TransformKind::PadSubmatrix {
+            src: c0,
+            src_rows: self.m,
+            src_cols: self.n,
+            r0: 0,
+            c0: 0,
+            take_rows: self.m,
+            take_cols: self.n,
+            dst: c,
+            dst_rows: self.m,
+            dst_cols: self.n,
+            zero_first: false,
         });
         let mut gemm = lower_matmul_body(
             &mut p,

@@ -159,8 +159,8 @@ fn assert_implicit_no_slower_than_explicit(shape: ConvShape) {
 #[test]
 fn batch1_gap_is_bridged() {
     // swDNN has no batch-1 implicit conv; swATOP must produce one, and a
-    // fast one: merged output rows widen the GEMM's N (32,514 cycles against
-    // explicit conv's 32,793).
+    // fast one: merged output rows widen the GEMM's N (24,914 cycles against
+    // explicit conv's 26,504).
     let cfg = cfg();
     let shape = ConvShape::square(1, 32, 32, 8);
     assert!(swdnn_implicit_conv(&cfg, &shape).is_none());

@@ -161,8 +161,11 @@ fn library_lowerings_read_dma_knobs_into_hints_only() {
             }
             if let Some(p) = &lowered {
                 assert_eq!(p.hints, dma_level(at_zero.choice(&space, "dma")), "{}", op.name());
+                checked += 1;
             }
         }
+        // A one-level menu (Winograd's) has no other level to move to; its
+        // lowerings are still checked at that level.
         assert!(checked > 0, "{}", op.name());
     }
 }

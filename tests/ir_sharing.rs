@@ -90,13 +90,13 @@ fn candidates_hold_one_tree_per_distinct_program() {
         assert_eq!(raws.len(), groups.len(), "{}: one raw per group", op.name());
         assert_eq!(all.len(), raws.len() + rewritten.len(), "{}: distinct trees", op.name());
         // Siblings exist exactly where two levels of the menu agree on
-        // `coalesce` (Winograd's `dbuf` and `all` do not).
+        // `coalesce` (Winograd's one level, `all`, has none).
         let shares = two_levels_agree(&menu, |h| h.coalesce);
         assert_eq!(sibling_pairs > pairs_before, shares, "{}: {menu:?}", op.name());
-        if menu.iter().all(|h| h.bcast) {
-            // Broadcast always on (matmul): every group is the two dbuf
-            // siblings, whose two rewritten executables and one `raw` are
-            // three trees per two candidates.
+        if shares && menu.iter().all(|h| h.bcast) {
+            // Broadcast always on, in two levels (matmul): every group is
+            // the two dbuf siblings, whose two rewritten executables and one
+            // `raw` are three trees per two candidates.
             assert!(2 * all.len() <= 3 * cands.len(), "{}: {} trees", op.name(), all.len());
         }
     }
@@ -113,9 +113,9 @@ fn writing_through_a_clone_leaves_every_other_handle_alone() {
             handles.iter().copied().filter(|p| body_addr(p) == body_addr(&c.raw)).collect()
         };
         // A prefetched candidate whose `raw` another handle holds too. No
-        // two Winograd handles share a tree (its two `dma` levels differ in
-        // `coalesce`, and every executable is rewritten): there a second
-        // handle on the first prefetched `raw` stands in.
+        // two Winograd handles share a tree (its one `dma` level gives each
+        // `raw` one candidate, and every executable is rewritten): there a
+        // second handle on the first prefetched `raw` stands in.
         let prefetched = || cands.iter().filter(|c| c.prefetched);
         let shared = prefetched().find(|c| sharers_of(c).len() >= 2);
         assert_eq!(shared.is_some(), !op.name().starts_with("winograd"), "{}", op.name());

@@ -28,7 +28,7 @@
 //!   matmul: the operators that tune `MatmulKnobs::space` with the `dma`
 //!   ladder.
 //!
-//! Every level of every `dma` menu must hold an optimum, but for the two
+//! Every level of every `dma` menu must hold an optimum, but for the
 //! levels [`DMA_KEEPS`] names with the reason each stays.
 //!
 //! A second test pins which Winograd-applicable shapes have no candidate at
@@ -77,11 +77,17 @@ const GEMM_USED: [(usize, usize, usize); 10] = [
 
 /// `(group, dma level, reason)`: the levels that hold no optimum of the
 /// census and stay (DESIGN.md §11).
-const DMA_KEEPS: [(&str, &str, &str); 2] = [
+const DMA_KEEPS: [(&str, &str, &str); 3] = [
     (
         "implicit",
         "none",
         "swDNN's point: baselines::swdnn scores no DMA knob, so its tie falls to the first level",
+    ),
+    (
+        "ladder",
+        "none",
+        "xMath's point: baselines::xmath_knobs() runs `dma` at its default, so deleting the level \
+         would take xMath's explicit-conv point out of the space (ROADMAP item 15)",
     ),
     (
         "matmul",

@@ -9,10 +9,10 @@
 //! when the knob census (`tests/knob_census.rs`) deleted the knob values no
 //! optimum held: input indices moved, every fault-free line with validator
 //! `none` or `accept` kept its cycles, and the fault streams and the
-//! `thirds` validator, which key on the input index, moved. When Winograd's
-//! space halved, `thirds` was re-keyed from `i % 3 == 1` to `i % 3 == 0`:
-//! the old key no longer rejected any Winograd winner, and the anti-vacuity
-//! runs below need one rejected.
+//! `thirds` validator, which key on the input index, moved. Each time
+//! Winograd's space halved, `thirds` was re-keyed (to `i % 3 == 0`, then
+//! back to `i % 3 == 1`): the old key no longer rejected any Winograd
+//! winner, and the anti-vacuity runs below need one rejected.
 //!
 //! `tests/golden/search_outcomes.txt` does the same for the sampling
 //! searches: recorded from PR 20's `search::Sampler` (its own cells,
@@ -85,8 +85,8 @@ fn every_policy_reports_what_the_ladders_did() {
     // Pure in the index; rejects rank-0 picks often enough that the
     // fallback walks both inside the measured wave and past its end.
     let thirds = |i: usize, _: &Candidate| {
-        if i.is_multiple_of(3) {
-            Err(format!("candidate {i} is a multiple of three"))
+        if i % 3 == 1 {
+            Err(format!("candidate {i} is one past a multiple of three"))
         } else {
             Ok(())
         }
@@ -126,8 +126,8 @@ fn every_policy_reports_what_the_ladders_did() {
     // (`quarantined` with `executed` still the wave) and past it, walk down
     // the ranking after a wholly failed wave, and retry under faults.
     for (run, counts) in [
-        ("winograd top3 thirds faulted", "executed=3 screened=48 validated=2 quarantined=1"),
-        ("winograd top1 thirds perfect", "executed=2 screened=48 validated=2 quarantined=1"),
+        ("winograd top3 thirds perfect", "executed=3 screened=24 validated=2 quarantined=1"),
+        ("winograd top1 thirds perfect", "executed=2 screened=24 validated=2 quarantined=1"),
         ("implicit top1 none faulted", "executed=74 screened=192 validated=0 quarantined=0 failed=73"),
     ] {
         let recorded = want.iter().any(|l| l.starts_with(run) && l.contains(counts));
