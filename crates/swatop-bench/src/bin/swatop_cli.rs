@@ -38,7 +38,7 @@ use swatop::scheduler::{Operator, Scheduler};
 use swatop::telemetry::bus::{EventBus, Subscriber};
 use swatop::telemetry::{Summary, Telemetry};
 use swatop::tuner::{pool, tune, CheckpointPolicy, TierPolicy, TuneOptions};
-use swatop_bench::experiments::{self, Opts, Scale};
+use swatop_bench::experiments::{self, Opts};
 use swatop_bench::journal::{
     compare, consistency_warnings, convergence_lines, record_table, show_json, transition_lines,
     trend_lines, CompareOpts, Journal, DEFAULT_PATH,
@@ -134,15 +134,15 @@ const JOURNAL_COMPARE: Group = Group {
 };
 
 const EXPERIMENTS: Group = Group {
-    text: "  swatop_cli experiments [--only LIST] [--full|--smoke] [--jobs N]
+    text: "  swatop_cli experiments [--only LIST] [--smoke] [--jobs N]
              [--telemetry FILE] [--trace FILE]
-             the paper's tables and the tuner ablation; LIST is a comma-separated
-             subset of fig5..fig7, fig9..fig11, table1..table3 (Fig. 8 is
-             table1's second table), ablation; only an unfiltered
-             run writes EXPERIMENTS_RESULTS.md; --trace writes the tuning runs'
-             spans as a trace document",
+             the paper's tables at paper sizes (--smoke: small samples);
+             LIST is a comma-separated subset of fig5..fig7, fig9..fig11,
+             table1..table3 (Fig. 8 is table1's second table); only an
+             unfiltered run writes EXPERIMENTS_RESULTS.md; --trace writes the
+             tuning runs' spans as a trace document",
     flags: &[
-        ("only", Text), ("full", Switch), ("smoke", Switch), ("jobs", Int),
+        ("only", Text), ("smoke", Switch), ("jobs", Int),
         ("telemetry", Text), ("trace", Text),
     ],
 };
@@ -900,13 +900,7 @@ fn run_journal(a: &Args) {
 /// The experiment harness options an `experiments` command line asks for.
 fn experiment_opts(a: &Args) -> Opts {
     Opts {
-        scale: if a.has("smoke") {
-            Scale::Smoke
-        } else if a.has("full") {
-            Scale::Full
-        } else {
-            Scale::Default
-        },
+        smoke: a.has("smoke"),
         jobs: pool::resolve_jobs(a.num("jobs")),
         telemetry: (a.has("telemetry") || a.has("trace")).then(Telemetry::new),
     }
@@ -1108,11 +1102,11 @@ mod tests {
     fn values_land_in_their_fields() {
         let argv = ["--smoke", "--jobs", "3", "--trace", "t.json"];
         let o = experiment_opts(&parse("experiments", &argv).unwrap());
-        assert_eq!((o.scale, o.jobs), (Scale::Smoke, 3));
+        assert_eq!((o.smoke, o.jobs), (true, 3));
         assert_eq!((o.spatial_cap(), o.gemm_cap(), o.blackbox_cap()), (Some(32), Some(2048), Some(16)));
         assert!(o.telemetry.is_some());
-        let o = experiment_opts(&parse("experiments", &["--full"]).unwrap());
-        assert_eq!(o.scale, Scale::Full);
+        let o = experiment_opts(&parse("experiments", &[]).unwrap());
+        assert!(!o.smoke);
         assert_eq!((o.spatial_cap(), o.gemm_cap(), o.blackbox_cap()), (None, None, None));
         assert!(o.telemetry.is_none());
 

@@ -48,7 +48,7 @@ fn pad_cycles(cfg: &sw26010::MachineConfig, body: &Stmt) -> u64 {
 pub fn run(opts: &Opts) -> Vec<Table> {
     let cfg = machine();
     // Use unclipped unaligned shapes: clipping 4000/8000 to a cap would
-    // silently make them aligned. At default scale keep the dims that fit
+    // silently make them aligned. Under `--smoke` keep the dims that fit
     // the cap natively (200…2000), which are the paper's small/medium
     // unaligned cases where boundary overhead matters most.
     let cap = opts.gemm_cap().unwrap_or(usize::MAX);
@@ -56,7 +56,7 @@ pub fn run(opts: &Opts) -> Vec<Table> {
         .into_iter()
         .filter(|c| !c.aligned && c.m <= cap && c.n <= cap && c.k <= cap)
         .collect();
-    let sweep = opts.sample(unaligned, 4, 24);
+    let sweep = opts.sample(unaligned, 4);
     let mut t = Table::new(
         "Fig. 11 — lightweight vs traditional zero padding (unaligned GEMMs)",
         &["M,N,K", "trad cycles", "trad pad%", "light cycles", "light pad%", "speedup"],

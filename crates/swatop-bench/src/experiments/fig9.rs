@@ -21,10 +21,10 @@ pub fn run(opts: &Opts) -> Vec<Table> {
     let base = opts.tune_options();
     let with = |tiers| TuneOptions { tiers, ..base.clone() };
     let batch = 32;
-    // Fig. 9 executes the whole space per configuration; sample the sweep
-    // and shrink the feature maps to keep brute force affordable
-    // (`--full` runs all 75 configurations at paper sizes).
-    let sweep = opts.sample(conv_sweep(batch, opts.blackbox_cap()), 4, 12);
+    // Fig. 9 executes the whole space per configuration: all 75
+    // configurations at paper sizes, or a sample on shrunken feature maps
+    // under `--smoke`.
+    let sweep = opts.sample(conv_sweep(batch, opts.blackbox_cap()), 4);
     let mut t = Table::new(
         "Fig. 9 — model-picked vs brute-force best (implicit CONV, batch 32)",
         &["config (Ni,No,Ro)", "space", "best cycles", "model pick", "ratio"],

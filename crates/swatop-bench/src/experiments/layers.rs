@@ -57,7 +57,7 @@ fn layers_vs_library(opts: &Opts, method: ConvMethod) -> Vec<(usize, Vec<Layer>)
     for &batch in &CONV_BATCHES {
         let mut named = Vec::new();
         for net in Network::ALL {
-            for layer in opts.sample(net.layers().to_vec(), 3, 6) {
+            for layer in opts.sample(net.layers().to_vec(), 3) {
                 let shape = layer.shape(batch, opts.spatial_cap());
                 named.push((format!("{}/{}", net.name(), layer.name), shape));
             }

@@ -1,5 +1,5 @@
 //! Experiment implementations: one code path per experiment family of the
-//! paper's evaluation, plus the tuner ablation.
+//! paper's evaluation.
 //!
 //! Every `run` function returns the rendered tables; `swatop_cli
 //! experiments` prints them in [`ALL`]'s order and collects them into
@@ -11,17 +11,10 @@
 //! `--trace` record its runs; Table 3, whose subject is host time, runs
 //! without a recorder.
 //!
-//! The machine is simulated, so experiment cost scales with how much of
-//! each sweep is interpreted. Three scales are supported:
-//!
-//! * `--smoke` — minimal sub-samples (integration tests, seconds);
-//! * default — representative sub-samples and capped feature maps
-//!   (whole suite in tens of seconds);
-//! * `--full` — the paper's complete sweeps at paper sizes (long; the
-//!   black-box experiments then genuinely take hours, which is the Tab. 3
-//!   story on real hardware).
+//! Two scales: by default the paper's complete sweeps at paper sizes (the
+//! whole suite in under a minute on two cores), and `--smoke`, minimal
+//! sub-samples on capped feature maps (integration tests, seconds).
 
-pub mod ablation;
 pub mod fig10;
 pub mod fig11;
 pub mod fig9;
@@ -39,18 +32,12 @@ use swtensor::ConvShape;
 use crate::report::Table;
 use crate::runner::ConvMethod;
 
-/// How much of each sweep to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Scale {
-    Smoke,
-    Default,
-    Full,
-}
-
 /// Harness options shared by all experiments.
 #[derive(Debug, Clone)]
 pub struct Opts {
-    pub scale: Scale,
+    /// Minimal sub-samples on capped feature maps instead of the paper's
+    /// sweeps at paper sizes.
+    pub smoke: bool,
     /// Worker threads for tuning (candidate- and sweep-level). 1 = serial;
     /// results are identical for every value.
     pub jobs: usize,
@@ -61,11 +48,7 @@ pub struct Opts {
 
 impl Default for Opts {
     fn default() -> Self {
-        Opts {
-            scale: Scale::Default,
-            jobs: swatop::tuner::pool::available_jobs(),
-            telemetry: None,
-        }
+        Opts { smoke: false, jobs: swatop::tuner::pool::available_jobs(), telemetry: None }
     }
 }
 
@@ -73,7 +56,7 @@ impl Default for Opts {
 pub type Run = fn(&Opts) -> Vec<Table>;
 
 /// `(name, section title, run)` in report order; `--only` selects by name.
-pub const ALL: [(&str, &str, Run); 10] = [
+pub const ALL: [(&str, &str, Run); 9] = [
     ("fig5", "Figure 5 — implicit CONV vs swDNN", layers::fig5),
     ("fig6", "Figure 6 — Winograd CONV vs 16×xMath", layers::fig6),
     ("fig7", "Figure 7 — explicit CONV vs xMath", layers::fig7),
@@ -83,7 +66,6 @@ pub const ALL: [(&str, &str, Run); 10] = [
     ("fig9", "Figure 9 — model vs brute-force quality", fig9::run),
     ("fig10", "Figure 10 — auto-prefetching", fig10::run),
     ("fig11", "Figure 11 — lightweight zero padding", fig11::run),
-    ("ablation", "Extension — tuner ablation", ablation::run),
 ];
 
 impl Opts {
@@ -93,22 +75,17 @@ impl Opts {
         TuneOptions { jobs: self.jobs, telemetry: self.telemetry.clone(), ..TuneOptions::default() }
     }
 
-    /// Deterministically sub-sample a list according to the scale.
-    pub fn sample<T: Clone>(&self, items: Vec<T>, smoke_n: usize, default_n: usize) -> Vec<T> {
-        let keep = match self.scale {
-            Scale::Smoke => smoke_n,
-            Scale::Default => default_n,
-            Scale::Full => items.len(),
-        };
-        if items.len() <= keep {
+    /// Deterministically sub-sample a list to `smoke_n` items under
+    /// `--smoke`; the paper's sweeps keep every item.
+    pub fn sample<T: Clone>(&self, items: Vec<T>, smoke_n: usize) -> Vec<T> {
+        if !self.smoke || items.len() <= smoke_n {
             return items;
         }
-        let step = items.len() as f64 / keep as f64;
-        (0..keep).map(|i| items[(i as f64 * step) as usize].clone()).collect()
+        let step = items.len() as f64 / smoke_n as f64;
+        (0..smoke_n).map(|i| items[(i as f64 * step) as usize].clone()).collect()
     }
 
-    /// Spatial cap for network layers and the Listing-1 sweeps; `--full`
-    /// runs paper-size feature maps.
+    /// Spatial cap for network layers and the Listing-1 sweeps.
     pub fn spatial_cap(&self) -> Option<usize> {
         self.capped(32)
     }
@@ -118,15 +95,16 @@ impl Opts {
         self.capped(2048)
     }
 
-    /// Spatial cap for the *black-box* experiments (Tab. 3, Figs. 9–10,
-    /// the ablation): brute force executes every candidate, so these run
-    /// smaller feature maps than the model-tuned sweeps.
+    /// Spatial cap for the *black-box* experiments (Tab. 3, Figs. 9–10),
+    /// below the model-tuned sweeps' because brute force executes every
+    /// candidate.
     pub fn blackbox_cap(&self) -> Option<usize> {
         self.capped(16)
     }
 
+    /// `cap` under `--smoke`; paper sizes otherwise.
     fn capped(&self, cap: usize) -> Option<usize> {
-        (self.scale != Scale::Full).then_some(cap)
+        self.smoke.then_some(cap)
     }
 }
 

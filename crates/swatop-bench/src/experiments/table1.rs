@@ -5,7 +5,8 @@
 //! configurations, compare swATOP against the best manual implementation
 //! of each method: swDNN for implicit, xMath-based for explicit and
 //! Winograd. Report `#cases (avg. speedup)` split into Faster / Slower,
-//! matching the paper's table format. Paper shape: implicit and Winograd
+//! matching the paper's table format, and count the configurations whose
+//! space has no candidate. Paper shape: implicit and Winograd
 //! never lose (75 faster each, avg +44-45% and ≈+300%); explicit wins ≈72%
 //! of cases ±20%.
 //!
@@ -75,7 +76,7 @@ pub fn run(opts: &Opts) -> Vec<Table> {
     let cfg = machine();
     let mut table = Table::new(
         "Table 1 — 225-configuration sweep vs best manual implementations",
-        &["method", "batch", "cases", "Faster", "Slower"],
+        &["method", "batch", "cases", "Faster", "Slower", "no candidate"],
     );
     let mut fig8 = Table::new(
         "Fig. 8 — performance/efficiency of the three CONV methods (Listing-1 sweep)",
@@ -83,7 +84,7 @@ pub fn run(opts: &Opts) -> Vec<Table> {
     );
     for method in [ConvMethod::Implicit, ConvMethod::Explicit, ConvMethod::Winograd] {
         for &batch in &CONV_BATCHES {
-            let sweep = opts.sample(conv_sweep(batch, opts.spatial_cap()), 6, 25);
+            let sweep = opts.sample(conv_sweep(batch, opts.spatial_cap()), 6);
             let mut cell = Cell::default();
             let (mut gflops, mut effs) = (Vec::new(), Vec::new());
             let tuned = tune_conv_sweep(&cfg, method, &sweep, &opts.tune_options());
@@ -101,6 +102,7 @@ pub fn run(opts: &Opts) -> Vec<Table> {
                 effs.len().to_string(),
                 cell.fmt_faster(),
                 cell.fmt_slower(),
+                (sweep.len() - effs.len()).to_string(),
             ]);
             if effs.is_empty() {
                 continue;

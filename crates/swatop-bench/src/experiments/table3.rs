@@ -61,7 +61,7 @@ pub fn run(opts: &Opts) -> Vec<Table> {
     // tuning, not calibration (the paper's fit is likewise offline).
     let _ = swatop::model::GemmModel::cached(&cfg);
     for net in Network::ALL {
-        let layers = opts.sample(net.layers().to_vec(), 2, 4);
+        let layers = opts.sample(net.layers().to_vec(), 2);
         let mut space_total = 0usize;
         let mut bb_total = Duration::ZERO;
         let mut bb_cpu_total = Duration::ZERO;

@@ -12,15 +12,19 @@
 //! On a mismatch the new text is written to
 //! `target/tmp/experiments_golden/experiments_smoke.txt`; diff it, and copy
 //! it over the golden only when the move is meant.
+//!
+//! A second release-only test runs Table 1 at paper size (a few seconds)
+//! and pins, per method and batch, how many of the 75 configurations have
+//! no candidate.
 
 use std::path::PathBuf;
 
-use swatop_bench::experiments::{Opts, Scale, ALL};
+use swatop_bench::experiments::{table1, Opts, ALL};
 
 #[test]
 #[ignore = "release-only: run with --include-ignored"]
 fn every_smoke_table_equals_its_recorded_golden() {
-    let opts = Opts { scale: Scale::Smoke, jobs: 2, ..Opts::default() };
+    let opts = Opts { smoke: true, jobs: 2, ..Opts::default() };
     let mut got = String::new();
     for (_, _, run) in ALL.iter().filter(|&&(name, ..)| name != "table3") {
         for table in run(&opts) {
@@ -38,4 +42,32 @@ fn every_smoke_table_equals_its_recorded_golden() {
         std::fs::write(&moved, &got).expect("write the new text");
         panic!("the smoke tables moved: diff {} {}", golden.display(), moved.display());
     }
+}
+
+#[test]
+#[ignore = "release-only: run with --include-ignored"]
+fn paper_size_table1_counts_every_configuration() {
+    let opts = Opts { jobs: 2, ..Opts::default() };
+    let table = &table1::run(&opts)[0];
+    assert_eq!(table.header[2..], ["cases", "Faster", "Slower", "no candidate"]);
+    let mut untuned = Vec::new();
+    for row in &table.rows {
+        let count = |i: usize| row[i].parse::<usize>().expect("a count");
+        assert_eq!(count(2) + count(5), 75, "{row:?}");
+        untuned.push(format!("{} {}: {}", row[0], row[1], count(5)));
+    }
+    assert_eq!(
+        untuned,
+        [
+            "implicit 1: 0",
+            "implicit 32: 2",
+            "implicit 128: 19",
+            "explicit 1: 0",
+            "explicit 32: 0",
+            "explicit 128: 15",
+            "winograd 1: 0",
+            "winograd 32: 30",
+            "winograd 128: 45",
+        ]
+    );
 }

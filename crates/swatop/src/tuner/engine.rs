@@ -240,7 +240,7 @@ pub(super) struct Engine<'a> {
     /// Candidate indices in the order the tuner asked for them (the
     /// deterministic schedule passed to [`Engine::run`], not worker
     /// completion order) — the substrate for the convergence curve.
-    pub(super) eval_order: Vec<usize>,
+    eval_order: Vec<usize>,
     /// Candidates covered by the tier-0 analytic screen.
     pub(super) screened: usize,
     /// Winner validations performed (accepts and quarantines).

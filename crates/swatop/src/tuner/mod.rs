@@ -26,15 +26,11 @@
 //! `(cycles, input index)`. On a faulty machine a candidate is retried
 //! while [`should_retry`] allows and measured as a median of three;
 //! [`CheckpointPolicy`] governs checkpoint/resume.
-//!
-//! [`search`] holds the sampling ablations (random, greedy): their own
-//! draw logic over the same engine, one candidate per wave.
 
 pub mod checkpoint;
 mod engine;
 mod policy;
 pub mod pool;
-pub mod search;
 
 use std::time::{Duration, Instant};
 

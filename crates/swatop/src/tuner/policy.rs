@@ -254,7 +254,7 @@ impl TuneOptions {
 /// Why a tuning run produced no outcome at all.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TuneError {
-    /// The candidate slice was empty (or the budget sampled nothing).
+    /// The candidate slice was empty.
     NoCandidates,
     /// Every sampled candidate failed terminally or, having measured, was
     /// rejected by the winner validator.

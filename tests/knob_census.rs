@@ -15,12 +15,12 @@
 //! A value that no optimum holds can be deleted without moving any optimum's
 //! cycles; only the space sizes and the knob columns change. The groups:
 //!
-//! * `matmul` — `MatmulOp`: Table 2's shapes at default and smoke scale (48
-//!   and 10 evenly sampled Listing-2 shapes at dimension cap 2048), plus the
+//! * `matmul` — `MatmulOp`: 48 and 10 evenly sampled Listing-2 shapes at
+//!   dimension cap 2048 (Table 2's smoke sample is the 10), plus the
 //!   shapes the benchmark, the journal and the tests use, each once. Every
 //!   optimum must also be no slower than `baselines::xmath_gemm` wherever
 //!   xMath's fixed blocking runs, so Table 2 cannot lose on these shapes;
-//! * `implicit` — the Fig. 9 `--full` sweep (batch 32, paper size), the
+//! * `implicit` — the Fig. 9 sweep (batch 32, paper size), the
 //!   Table-1 layers at batch 1 and 32 (spatial cap 28), and the small shapes;
 //! * `winograd` — Listing 1 at batch 32, spatial cap 32, the Table-1 layers
 //!   at batch 1 and 32, and the small shapes;
@@ -56,8 +56,8 @@ use swatop_repro::swatop::tuner::{tune, TierPolicy, TuneOptions};
 use swatop_repro::swtensor::ConvShape;
 use swatop_repro::workloads::{conv_sweep, gemm_sweep, resnet_layers, vgg16_layers, yolo_layers};
 
-/// How many Listing-2 shapes Table 2 samples evenly from the capped sweep,
-/// at default and at smoke scale.
+/// How many Listing-2 shapes the grid samples evenly from the capped sweep;
+/// Table 2 samples the same 10 under `--smoke`.
 const GEMM_SAMPLES: [usize; 2] = [48, 10];
 
 /// `(m, n, k)` of the GEMMs the benchmark (`gemm_space`, `validated_mix`,

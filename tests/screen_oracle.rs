@@ -141,7 +141,7 @@ fn every_raw_of_every_operator_scores_as_the_walk() {
 }
 
 /// Every Listing-1 configuration at paper size (batch 32, no spatial cap),
-/// as `swatop_cli experiments --only fig9 --full` enumerates them. Release-only:
+/// as `swatop_cli experiments --only fig9` enumerates them. Release-only:
 /// `cargo test --release --test screen_oracle -- --include-ignored`.
 #[test]
 #[ignore = "73 paper-size spaces: run in release"]
