@@ -3,18 +3,18 @@
 //!
 //! This is the generalisation of Winograd's 16-position batch to arbitrary
 //! batch sizes (the building block of attention layers and grouped
-//! convolutions). The schedule space adds one knob over plain matmul:
-//! whether to **fuse** the batch into the GEMM N dimension when all
-//! multiplications share the A operand — the paper's loop fusion rule ("if
-//! n independent matrix multiplications share the same input, then they can
-//! be combined into one larger matrix multiplication with an output n times
-//! larger"). With per-batch A operands the batch is a plain outer loop with
-//! shared SPM workspace.
+//! convolutions). When all multiplications share the A operand the batch
+//! always **fuses** into the GEMM N dimension — the paper's loop fusion rule
+//! ("if n independent matrix multiplications share the same input, then
+//! they can be combined into one larger matrix multiplication with an
+//! output n times larger"), applied by rule rather than searched. With
+//! per-batch A operands the batch is a plain outer loop with shared SPM
+//! workspace.
 
 use swatop_dsl::{SchedulePoint, ScheduleSpace, Seed};
 use swatop_ir::{MemRole, Program, Stmt};
 
-use crate::ops::matmul::{lower_matmul_body_with_spm, MatmulKnobs};
+use crate::ops::matmul::{lower_matmul_body_with_spm, MatmulKnobs, LAYOUTS};
 use crate::ops::tiling::PadMode;
 use crate::ops::DMA_LADDER;
 use crate::scheduler::Operator;
@@ -26,7 +26,7 @@ pub struct BatchedMatmulOp {
     pub m: usize,
     pub n: usize,
     pub k: usize,
-    /// All batch elements share the same A operand (enables fusion).
+    /// All batch elements share the same A operand (the batch fuses).
     pub shared_a: bool,
 }
 
@@ -58,23 +58,18 @@ impl Operator for BatchedMatmulOp {
     }
 
     fn space(&self) -> ScheduleSpace {
-        let mut s = MatmulKnobs::space(self.m, self.n, self.k, &DMA_LADDER);
-        if self.shared_a {
-            s.toggle("fuse_batch");
-        }
-        s
+        MatmulKnobs::space(self.m, self.n, self.k, &LAYOUTS, &DMA_LADDER)
     }
 
     fn lower(&self, space: &ScheduleSpace, point: &SchedulePoint) -> Option<Program> {
         let knobs = MatmulKnobs::from_point(space, point);
-        let fuse = self.shared_a && point.toggle(space, "fuse_batch");
         let mut p = Program::new(self.name());
         let a_len = if self.shared_a { self.m * self.k } else { self.batch * self.m * self.k };
         let a = p.mem_buf("A", a_len, MemRole::Input);
         let b = p.mem_buf("B", self.batch * self.k * self.n, MemRole::Input);
         let c = p.mem_buf("C", self.batch * self.m * self.n, MemRole::Output);
 
-        if fuse {
+        if self.shared_a {
             // One big GEMM: B batches are concatenated along N. The stored
             // B is [batch][k][n]; the fused GEMM needs [k][batch·n], which
             // is a dimension permutation.
@@ -112,7 +107,7 @@ impl Operator for BatchedMatmulOp {
             return Some(p);
         }
 
-        // Unfused: one GEMM per batch element, sharing the SPM workspace.
+        // Per-batch A: one GEMM per batch element, sharing the SPM workspace.
         // Per-batch main-memory views are separate Temp buffers filled by
         // sub-matrix copies (the batch stride is uniform, so a single
         // strided DMA family per element would also work; the copy keeps
@@ -130,14 +125,12 @@ impl Operator for BatchedMatmulOp {
         ];
         let mut stmts = Vec::new();
         for i in 0..self.batch {
-            if !self.shared_a {
-                stmts.push(copy_in(a, self.batch, i, self.m * self.k, a_el));
-            }
+            stmts.push(copy_in(a, self.batch, i, self.m * self.k, a_el));
             stmts.push(copy_in(b, self.batch, i, self.k * self.n, b_el));
             let body = lower_matmul_body_with_spm(
                 &mut p,
                 &knobs,
-                if self.shared_a { a } else { a_el },
+                a_el,
                 b_el,
                 c_el,
                 self.m,
@@ -261,53 +254,23 @@ mod tests {
     }
 
     #[test]
-    fn shared_a_fused_and_unfused_correct() {
-        let op = BatchedMatmulOp::new(4, 32, 40, 16).with_shared_a();
-        let cfg = MachineConfig::default();
-        let sched = Scheduler::new(cfg.clone());
-        let space = op.space();
-        let mut fused = 0;
-        let mut unfused = 0;
-        for point in space.points() {
-            let want_fused = point.toggle(&space, "fuse_batch");
-            if (want_fused && fused >= 2) || (!want_fused && unfused >= 2) {
-                continue;
-            }
-            let Some(cand) = sched.lower_point(&op, &space, &point) else {
-                continue;
-            };
-            let err = verify_candidate(&cfg, &op, &cand).unwrap();
-            assert!(err < 2e-3, "{}: err {err}", point.describe(&space));
-            if want_fused {
-                fused += 1;
-            } else {
-                unfused += 1;
-            }
-        }
-        assert!(fused > 0 && unfused > 0);
+    fn shared_a_fused_correct() {
+        verify_some(&BatchedMatmulOp::new(4, 32, 40, 16).with_shared_a(), 3);
     }
 
     #[test]
     fn fusion_beats_per_element_calls_for_small_n() {
-        // Small per-element N: fusing into one wide GEMM amortises kernel
-        // overheads — the paper's loop-fusion motivation.
+        // Small per-element N: one wide GEMM amortises the kernel overheads
+        // that `batch` separately tuned calls each pay — the paper's
+        // loop-fusion motivation.
         let cfg = MachineConfig::default();
-        let op = BatchedMatmulOp::new(8, 32, 8, 32).with_shared_a();
         let sched = Scheduler::new(cfg.clone());
-        let cands = sched.enumerate(&op);
-        let best_fused = cands
-            .iter()
-            .filter(|c| c.describe.contains("fuse_batch=true"))
-            .filter_map(|c| crate::tuner::run_candidate(&cfg, c).ok())
-            .min();
-        let best_unfused = cands
-            .iter()
-            .filter(|c| c.describe.contains("fuse_batch=false"))
-            .filter_map(|c| crate::tuner::run_candidate(&cfg, c).ok())
-            .min();
-        let (Some(f), Some(u)) = (best_fused, best_unfused) else {
-            panic!("both variants must produce candidates");
+        let best = |op: &dyn crate::scheduler::Operator| {
+            let cands = sched.enumerate(op);
+            cands.iter().filter_map(|c| crate::tuner::run_candidate(&cfg, c).ok()).min().unwrap()
         };
-        assert!(f < u, "fused {f} must beat unfused {u}");
+        let fused = best(&BatchedMatmulOp::new(8, 32, 8, 32).with_shared_a());
+        let one = best(&crate::ops::MatmulOp::new(32, 8, 32));
+        assert!(fused.get() < 8 * one.get(), "fused {fused:?} must beat 8 calls of {one:?}");
     }
 }

@@ -21,7 +21,7 @@ use swatop_ir::{MemRole, Program, Stmt, TransformKind};
 use swtensor::ConvShape;
 
 use crate::ops::explicit_conv::lower_explicit_body;
-use crate::ops::matmul::{lower_matmul_body, MatmulKnobs};
+use crate::ops::matmul::{lower_matmul_body, MatmulKnobs, LAYOUTS};
 use crate::ops::tiling::PadMode;
 use crate::ops::DMA_LADDER;
 use crate::scheduler::Operator;
@@ -72,7 +72,7 @@ impl Operator for ConvBackwardDataOp {
 
     fn space(&self) -> ScheduleSpace {
         let g = self.grad_shape();
-        MatmulKnobs::space(g.no, g.b * g.ro * g.co, g.ni * g.kr * g.kc, &DMA_LADDER)
+        MatmulKnobs::space(g.no, g.b * g.ro * g.co, g.ni * g.kr * g.kc, &LAYOUTS, &DMA_LADDER)
     }
 
     fn lower(&self, space: &ScheduleSpace, point: &SchedulePoint) -> Option<Program> {
@@ -152,7 +152,7 @@ impl Operator for ConvBackwardFilterOp {
 
     fn space(&self) -> ScheduleSpace {
         let (m, n, k) = self.gemm_dims();
-        MatmulKnobs::space(m, n, k, &DMA_LADDER)
+        MatmulKnobs::space(m, n, k, &LAYOUTS, &DMA_LADDER)
     }
 
     fn lower(&self, space: &ScheduleSpace, point: &SchedulePoint) -> Option<Program> {

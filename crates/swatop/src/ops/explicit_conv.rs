@@ -17,7 +17,7 @@ use swatop_dsl::{SchedulePoint, ScheduleSpace, Seed};
 use swatop_ir::{MemRole, Program, Stmt, TransformKind};
 use swtensor::ConvShape;
 
-use crate::ops::matmul::{lower_matmul_body, MatmulKnobs};
+use crate::ops::matmul::{lower_matmul_body, MatmulKnobs, LAYOUTS};
 use crate::ops::tiling::PadMode;
 use crate::ops::DMA_LADDER;
 use crate::scheduler::Operator;
@@ -53,7 +53,7 @@ impl Operator for ExplicitConvOp {
 
     fn space(&self) -> ScheduleSpace {
         let (m, n, k) = self.gemm_dims();
-        MatmulKnobs::space(m, n, k, &DMA_LADDER)
+        MatmulKnobs::space(m, n, k, &LAYOUTS, &DMA_LADDER)
     }
 
     fn lower(&self, space: &ScheduleSpace, point: &SchedulePoint) -> Option<Program> {

@@ -7,6 +7,7 @@
 //! * `layout` — SPM layouts of A and B (`r`ow/`c`olumn-major each);
 //!   column-major operands are materialised by a one-time `PackTensor`
 //!   transpose in main memory (the layout transformation of Sec. 4.3.2);
+//!   `MatmulOp` offers `rr` and `cr`, the ladder operators all four;
 //! * `vec_m` — vectorise the M or the N loop (Sec. 4.3.3);
 //! * `dma` — which DMA-wall passes run (`MATMUL_DMA`, Sec. 4.5);
 //! * `resident` — stream B per tile step (`m`-outer tile loop), or keep its
@@ -100,6 +101,11 @@ const MAX_TILES_PER_DIM: usize = 4096;
 /// coalescing free.
 const MATMUL_DMA: [&str; 4] = ["bcast", "coal+bcast", "dbuf+bcast", "all"];
 
+/// Every `(A, B)` SPM layout pairing: the ladder operators' `layout` menu.
+pub const LAYOUTS: [&str; 4] = ["rr", "cr", "rc", "cc"];
+/// `MatmulOp`'s `layout` menu: no uncapped Listing-2 optimum has B column-major.
+const MATMUL_LAYOUTS: [&str; 2] = ["rr", "cr"];
+
 impl Operator for MatmulOp {
     fn name(&self) -> String {
         format!("matmul_{}x{}x{}", self.m, self.n, self.k)
@@ -110,7 +116,7 @@ impl Operator for MatmulOp {
     }
 
     fn space(&self) -> ScheduleSpace {
-        let mut s = MatmulKnobs::space(self.m, self.n, self.k, &MATMUL_DMA);
+        let mut s = MatmulKnobs::space(self.m, self.n, self.k, &MATMUL_LAYOUTS, &MATMUL_DMA);
         s.choice("resident", vec!["none".into(), "b".into()]);
         s
     }
@@ -222,18 +228,18 @@ impl MatmulKnobs {
         (iters <= 500_000).then_some((m_tiles, n_tiles, k_tiles))
     }
 
-    /// The GEMM schedule space over the given dimensions, with `levels` as
-    /// its `dma` menu: `MatmulOp` adds `resident` to it, the operators that
-    /// tune the same space over their materialised matrices take it with
-    /// [`DMA_LADDER`](crate::ops::DMA_LADDER).
-    pub fn space(m: usize, n: usize, k: usize, levels: &[&str]) -> ScheduleSpace {
+    /// The GEMM schedule space over the given dimensions with the given
+    /// `layout` and `dma` menus: `MatmulOp` adds `resident` to it, the
+    /// operators that tune it over their materialised matrices take it with
+    /// [`LAYOUTS`] and [`DMA_LADDER`](crate::ops::DMA_LADDER).
+    pub fn space(m: usize, n: usize, k: usize, layouts: &[&str], levels: &[&str]) -> ScheduleSpace {
         let mut s = ScheduleSpace::new();
         s.factor("t_m", tile_menu(m, 32, M_MENU, MAX_TILES_PER_DIM));
         s.factor("t_n", tile_menu(n, 32, N_MENU, MAX_TILES_PER_DIM));
         s.factor("t_k", tile_menu(k, 8, K_MENU, MAX_TILES_PER_DIM));
-        s.choice("layout", vec!["rr".into(), "cr".into(), "rc".into(), "cc".into()]);
+        s.choice("layout", layouts.iter().map(|&l| l.into()).collect());
         s.toggle("vec_m");
-        s.choice("dma", levels.iter().map(|l| l.to_string()).collect());
+        s.choice("dma", levels.iter().map(|&l| l.into()).collect());
         s
     }
 }
@@ -518,9 +524,22 @@ mod tests {
     use sw26010::MachineConfig;
 
     fn verify_point(op: &MatmulOp, pick: impl Fn(&ScheduleSpace, &SchedulePoint) -> bool) {
+        verify_in(op, op.space(), pick);
+    }
+
+    /// `op`'s space with the layout menu of the ladder operators, which
+    /// lower through the same body.
+    fn every_layout(op: &MatmulOp) -> ScheduleSpace {
+        MatmulKnobs::space(op.m, op.n, op.k, &LAYOUTS, &MATMUL_DMA)
+    }
+
+    fn verify_in(
+        op: &MatmulOp,
+        space: ScheduleSpace,
+        pick: impl Fn(&ScheduleSpace, &SchedulePoint) -> bool,
+    ) {
         let cfg = MachineConfig::default();
         let sched = Scheduler::new(cfg.clone());
-        let space = op.space();
         let mut checked = 0;
         for point in space.points() {
             if !pick(&space, &point) {
@@ -547,8 +566,8 @@ mod tests {
     #[test]
     fn aligned_matmul_all_layouts_correct() {
         let op = MatmulOp::new(64, 64, 64);
-        for layout in ["rr", "cr", "rc", "cc"] {
-            verify_point(&op, |s, p| {
+        for layout in LAYOUTS {
+            verify_in(&op, every_layout(&op), |s, p| {
                 p.choice(s, "layout") == layout
                     && p.factor(s, "t_m") == 32
                     && p.factor(s, "t_n") == 32
@@ -597,7 +616,7 @@ mod tests {
     #[test]
     fn packed_layout_with_boundary_correct() {
         let op = MatmulOp::new(72, 40, 24);
-        verify_point(&op, |s, p| {
+        verify_in(&op, every_layout(&op), |s, p| {
             p.choice(s, "layout") == "cc" && p.factor(s, "t_m") == 32
         });
     }

@@ -18,10 +18,12 @@ use swatop_ir::Stmt;
 /// one fault stream over time while every individual run stays exact. The
 /// DMA rate is pushed far beyond the default envelope — the GEMM programs
 /// here issue only ~60 batches each, and the stress test wants plenty of
-/// retries and a visible population of terminal failures.
+/// retries and a visible population of terminal failures: at 3 % the
+/// 1,008-candidate space fails 33–95 terminally under each of seeds 1–5
+/// and the default, at 2 % none under the default seed.
 fn faulty_cfg() -> MachineConfig {
     let plan = FaultPlan::from_env().unwrap_or_else(|| FaultPlan::with_seed(0xF001));
-    let plan = FaultPlan { dma_fail_ppm: plan.dma_fail_ppm.max(20_000), ..plan };
+    let plan = FaultPlan { dma_fail_ppm: plan.dma_fail_ppm.max(30_000), ..plan };
     MachineConfig { fault: Some(plan), ..MachineConfig::default() }
 }
 

@@ -137,7 +137,7 @@ fn new_dimensions_are_bit_identical_across_job_counts() {
     let all = Scheduler::new(cfg.clone()).enumerate(&op);
     // A strided sample keeps the blackbox run fast while still crossing
     // every new dimension (the stride is coprime with the knob arities).
-    let cands: Vec<_> = all.iter().step_by(7).cloned().collect();
+    let cands: Vec<_> = all.iter().step_by(5).cloned().collect();
     assert!(cands.len() >= 64, "need a nontrivial sample, got {}", cands.len());
     assert!(
         cands.iter().any(|c| c.describe.contains("dma=dbuf+bcast")),

@@ -10,7 +10,7 @@
 use swatop_repro::dsl::{SchedulePoint, ScheduleSpace, Seed};
 use swatop_repro::ir::{MemRole, Program, Stmt};
 use swatop_repro::sw26010::MachineConfig;
-use swatop_repro::swatop::ops::matmul::{lower_matmul_body, MatmulKnobs};
+use swatop_repro::swatop::ops::matmul::{lower_matmul_body, MatmulKnobs, LAYOUTS};
 use swatop_repro::swatop::ops::tiling::PadMode;
 use swatop_repro::swatop::ops::{verify_candidate, DMA_LADDER};
 use swatop_repro::swatop::scheduler::{Operator, Scheduler};
@@ -37,7 +37,7 @@ impl Operator for ResidualMatmul {
 
     fn space(&self) -> ScheduleSpace {
         // Reuse the GEMM schedule vocabulary verbatim.
-        MatmulKnobs::space(self.m, self.n, self.k, &DMA_LADDER)
+        MatmulKnobs::space(self.m, self.n, self.k, &LAYOUTS, &DMA_LADDER)
     }
 
     fn lower(&self, space: &ScheduleSpace, point: &SchedulePoint) -> Option<Program> {

@@ -1063,7 +1063,7 @@ const SPACE_SUMS: [&str; 7] = [
 /// candidate. Release-only (seconds; far longer in debug):
 /// `cargo test --release --test evaluator_equiv -- --ignored`. Re-pinned
 /// each time the knob census (`tests/knob_census.rs`) deleted knob values no
-/// optimum held (last: Winograd's `dma=dbuf`): each new
+/// optimum held (last: `MatmulOp`'s `layout=rc|cc`): each new
 /// sum equals, to the unit, the previous tree's sum over the candidates that
 /// survived the deletion. Also re-pinned when the matmul body and implicit
 /// conv's looped reduction stopped fetching the output tile they start:
@@ -1093,7 +1093,7 @@ fn whole_space_sums_are_pinned() {
         ),
         (
             Box::new(MatmulOp::new(64, 64, 64)),
-            [21_338_188, 119_013_376, 14_129_676, 786_432, 11_280, 8_592, 6_480],
+            [13_963_123, 76_546_048, 9_398_131, 524_288, 7_464, 5_856, 4_320],
         ),
         (
             Box::new(ImplicitConvOp::new(vgg7)),

@@ -10,32 +10,41 @@
 //! against the optimum; `absent` counts the spaces where no candidate has
 //! it). Tile-size factors are left out of the summary: their menus depend on
 //! the shape. Implicit conv's `t_ro` is tallied as `1` against `2+` (rows
-//! merged into the GEMM's N or not), and some optimum must merge rows.
+//! merged into the GEMM's N or not).
 //!
 //! A value that no optimum holds can be deleted without moving any optimum's
-//! cycles; only the space sizes and the knob columns change. The groups:
+//! cycles; only the space sizes and the knob columns change. The groups, 615
+//! spaces in all:
 //!
 //! * `matmul` — `MatmulOp`: 48 and 10 evenly sampled Listing-2 shapes at
-//!   dimension cap 2048 (Table 2's smoke sample is the 10), plus the
-//!   shapes the benchmark, the journal and the tests use, each once. Every
-//!   optimum must also be no slower than `baselines::xmath_gemm` wherever
-//!   xMath's fixed blocking runs, so Table 2 cannot lose on these shapes;
+//!   dimension cap 2048 (Table 2's smoke sample is the 10), 48 sampled from
+//!   the uncapped sweep (the paper's sizes), the uncapped shapes whose
+//!   optimum runs `dma=all`, and the shapes the benchmark, the journal and
+//!   the tests use, each once. Every optimum must also be no slower than
+//!   `baselines::xmath_gemm` wherever xMath's fixed blocking runs, so Table 2
+//!   cannot lose on these shapes;
 //! * `implicit` — the Fig. 9 sweep (batch 32, paper size), the
 //!   Table-1 layers at batch 1 and 32 (spatial cap 28), and the small shapes;
 //! * `winograd` — Listing 1 at batch 32, spatial cap 32, the Table-1 layers
-//!   at batch 1 and 32, and the small shapes;
+//!   at batch 1 and 32 (spatial cap 28), and the small shapes;
 //! * `ladder` — explicit conv, backward data, backward filter and batched
-//!   matmul: the operators that tune `MatmulKnobs::space` with the `dma`
-//!   ladder.
+//!   matmul: the operators that tune `MatmulKnobs::space` with every layout
+//!   and the `dma` ladder. The convolutions run on the small shapes and on
+//!   the distinct Table-1 layers at batch 1 and 32, uncapped (explicit conv
+//!   also at batch 1, spatial cap 7). A shape with no space prints `no
+//!   candidate`: strided backward data is inapplicable by design, and on
+//!   three backward-filter layers at batch 32 the reduction B·Ro·Co is too
+//!   long for the tile menu, whose fallback tile cannot fit (ROADMAP 19).
 //!
-//! Every level of every `dma` menu must hold an optimum, but for the
-//! levels [`DMA_KEEPS`] names with the reason each stays.
+//! One rule covers every tallied value (choices, toggles and `t_ro`'s `1` /
+//! `2+`): it holds at least one optimum, or [`KEEPS`] names it with the
+//! reason it stays, and a named keep holds none.
 //!
 //! A second test pins which Winograd-applicable shapes have no candidate at
 //! all, so that deleting a reduction schedule cannot leave a shape with an
 //! empty space.
 //!
-//! Release only (about 15 s on 2 cores):
+//! Release only (about 25 s on 2 cores):
 //! `cargo test --release -q --test knob_census -- --include-ignored`. On a
 //! mismatch the new text is written to `target/tmp/knob_census/`; diff it
 //! against `tests/golden/`, and copy it over only if the move is meant.
@@ -60,6 +69,15 @@ use swatop_repro::workloads::{conv_sweep, gemm_sweep, resnet_layers, vgg16_layer
 /// Table 2 samples the same 10 under `--smoke`.
 const GEMM_SAMPLES: [usize; 2] = [48, 10];
 
+/// How many Listing-2 shapes the grid samples evenly from the uncapped
+/// sweep, the paper's own sizes.
+const GEMM_PAPER_SAMPLES: usize = 48;
+
+/// `(m, n, k)` of uncapped Listing-2 shapes whose brute-force optimum runs
+/// `dma=all`, so the grid holds the evidence that keeps the level.
+const GEMM_DMA_ALL: [(usize, usize, usize); 3] =
+    [(4096, 4096, 4096), (2048, 2048, 4096), (768, 1024, 8192)];
+
 /// `(m, n, k)` of the GEMMs the benchmark (`gemm_space`, `validated_mix`,
 /// `exhaustive_ref`), the journal and the tests tune.
 const GEMM_USED: [(usize, usize, usize); 10] = [
@@ -75,27 +93,28 @@ const GEMM_USED: [(usize, usize, usize); 10] = [
     (36, 20, 50),
 ];
 
-/// `(group, dma level, reason)`: the levels that hold no optimum of the
-/// census and stay (DESIGN.md §11).
-const DMA_KEEPS: [(&str, &str, &str); 3] = [
+/// `(group, knob, value, reason)`: the values that hold no optimum of the
+/// census and stay (DESIGN.md §11). Every other value must hold one.
+const KEEPS: [(&str, &str, &str, &str); 3] = [
     (
         "implicit",
+        "dma",
         "none",
         "swDNN's point: baselines::swdnn scores no DMA knob, so its tie falls to the first level",
     ),
     (
         "ladder",
+        "dma",
         "none",
         "xMath's point: baselines::xmath_knobs() runs `dma` at its default, so deleting the level \
          would take xMath's explicit-conv point out of the space (ROADMAP item 15)",
     ),
     (
-        "matmul",
-        "all",
-        "kept for ROADMAP item 18(b) to decide: the model used to rank an `all` point first on \
-         gemm 40x24x16 (it misprices coalescing); since the screen charges a transform once, \
-         the top-1 tunes of gemm 40x24x16 and of Fig. 11's traditional-padding 500x200x200 \
-         pick the same cycles without it",
+        "implicit",
+        "t_ro",
+        "1",
+        "the one-row slice is the space as it was before rows merged: frontend_equiv pins it \
+         against tests/golden/implicit_one_row.txt, and it wins where rows are wide on their own",
     ),
 ];
 
@@ -180,14 +199,19 @@ fn label(s: &ConvShape) -> String {
 fn grid() -> Vec<(&'static str, String, Box<dyn Operator>)> {
     let mut out: Vec<(&'static str, String, Box<dyn Operator>)> = Vec::new();
 
-    let sweep = gemm_sweep(Some(2048));
     let mut gemms: Vec<(usize, usize, usize)> = Vec::new();
-    for samples in GEMM_SAMPLES {
+    let mut sample = |cap: Option<usize>, samples: usize| {
+        let sweep = gemm_sweep(cap);
         let step = sweep.len() as f64 / samples as f64;
         let sampled = (0..samples).map(|i| sweep[(i as f64 * step) as usize]);
         gemms.extend(sampled.map(|c| (c.m, c.n, c.k)));
+    };
+    for samples in GEMM_SAMPLES {
+        sample(Some(2048), samples);
     }
+    sample(None, GEMM_PAPER_SAMPLES);
     gemms.extend(GEMM_USED);
+    gemms.extend(GEMM_DMA_ALL);
     for (m, n, k) in distinct(gemms) {
         out.push((
             "matmul",
@@ -218,9 +242,15 @@ fn grid() -> Vec<(&'static str, String, Box<dyn Operator>)> {
         out.push(("winograd", label(&s), Box::new(WinogradConvOp::new(s))));
     }
 
-    // The GEMM-ladder operators: small shapes and the Table-1 layers at
-    // batch 1, spatial cap 7 (their im2col matrices stay brute-forceable).
-    let ladder = distinct(small_convs().into_iter().chain(table1(1, Some(7))));
+    // The GEMM-ladder operators: small shapes, the Table-1 layers at batch 1
+    // and spatial cap 7, and the Table-1 layers at batch 1 and 32, uncapped.
+    let paper = || table1(1, None).into_iter().chain(table1(32, None));
+    let ladder = distinct(
+        small_convs()
+            .into_iter()
+            .chain(table1(1, Some(7)))
+            .chain(paper()),
+    );
     for s in &ladder {
         out.push((
             "ladder",
@@ -228,7 +258,7 @@ fn grid() -> Vec<(&'static str, String, Box<dyn Operator>)> {
             Box::new(ExplicitConvOp::new(*s)),
         ));
     }
-    for s in small_convs() {
+    for s in distinct(small_convs().into_iter().chain(paper())) {
         let data = ConvBackwardDataOp::new(s);
         out.push(("ladder", format!("bwd_data {}", label(&s)), Box::new(data)));
         let filter = ConvBackwardFilterOp::new(s);
@@ -300,7 +330,7 @@ fn tallied_values(op: &dyn Operator) -> Vec<(String, String)> {
 }
 
 #[test]
-#[ignore = "release only: brute-forces 358 spaces (about 15 s on 2 cores)"]
+#[ignore = "release only: brute-forces 615 spaces (about 25 s on 2 cores)"]
 fn the_knob_census_equals_the_recorded_one() {
     let cfg = MachineConfig::default();
     let sched = Scheduler::new(cfg.clone());
@@ -385,23 +415,26 @@ fn the_knob_census_equals_the_recorded_one() {
     );
     assert!(xmath_wins.is_empty(), "xMath beats the optimum: {xmath_wins:?}");
     for ((group, knob, value), t) in &tallies {
-        let kept = DMA_KEEPS.iter().any(|&(g, v, _)| (g, v) == (*group, value.as_str()));
-        assert!(
-            knob != "dma" || t.wins > 0 || kept,
-            "{group} dma={value} holds no optimum: delete it, or keep it with a reason"
-        );
+        let keep = KEEPS
+            .iter()
+            .find(|&&(g, k, v, _)| (g, k, v) == (*group, knob.as_str(), value.as_str()));
+        match keep {
+            None => assert!(
+                t.wins > 0,
+                "{group} {knob}={value} holds no optimum: delete it, or keep it with a reason"
+            ),
+            Some((.., why)) => assert!(
+                t.wins == 0,
+                "{group} {knob}={value} holds {} optima: its keep ({why}) is stale",
+                t.wins
+            ),
+        }
     }
-    let merged = tallies
-        .iter()
-        .find(|((g, k, v), _)| (*g, k.as_str(), v.as_str()) == ("implicit", "t_ro", "2+"));
-    assert!(
-        merged.is_some_and(|(_, t)| t.wins > 0),
-        "no implicit optimum merges output rows: t_ro > 1 earns no place in the space"
-    );
-    for (group, level, why) in DMA_KEEPS {
-        let is_level =
-            tallies.iter().any(|((g, k, v), _)| (*g, k.as_str(), v.as_str()) == (group, "dma", level));
-        assert!(is_level, "{group} has no dma={level} to keep ({why})");
+    for (group, knob, value, why) in KEEPS {
+        let is_value = tallies
+            .iter()
+            .any(|((g, k, v), _)| (*g, k.as_str(), v.as_str()) == (group, knob, value));
+        assert!(is_value, "{group} has no {knob}={value} to keep ({why})");
     }
 }
 

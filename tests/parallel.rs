@@ -4,14 +4,14 @@
 //! input order. Determinism is what lets `--jobs N` be the default
 //! everywhere without perturbing a single paper table.
 
-use sw26010::MachineConfig;
-use swatop::ops::ImplicitConvOp;
-use swatop::scheduler::{Candidate, Scheduler};
-use swatop::tuner::{model_rank, tune, TierPolicy, TuneOptions};
-use swtensor::ConvShape;
+use swatop_repro::sw26010::MachineConfig;
+use swatop_repro::swatop::ops::ImplicitConvOp;
+use swatop_repro::swatop::scheduler::{Candidate, Scheduler};
+use swatop_repro::swatop::tuner::{model_rank, tune, TierPolicy, TuneOptions};
+use swatop_repro::swtensor::ConvShape;
 
-/// A nontrivial implicit-conv schedule space (the ISSUE floor is 200
-/// candidates; this shape enumerates 300+).
+/// A nontrivial implicit-conv schedule space (at least 200 candidates;
+/// this shape enumerates 300+).
 fn space(cfg: &MachineConfig) -> Vec<Candidate> {
     let shape = ConvShape::square(32, 64, 64, 16);
     let cands = Scheduler::new(cfg.clone()).enumerate(&ImplicitConvOp::new(shape));

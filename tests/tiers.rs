@@ -5,12 +5,14 @@
 //! interruption.
 
 use proptest::prelude::*;
-use sw26010::MachineConfig;
-use swatop::ops::{ImplicitConvOp, MatmulOp};
-use swatop::scheduler::{Candidate, Scheduler};
-use swatop::tuner::checkpoint::{self, CandCell};
-use swatop::tuner::{tune, CheckpointPolicy, TierPolicy, TuneOptions, TuneOutcome};
-use swtensor::ConvShape;
+use swatop_repro::sw26010::MachineConfig;
+use swatop_repro::swatop::ops::{ImplicitConvOp, MatmulOp};
+use swatop_repro::swatop::scheduler::{Candidate, Scheduler};
+use swatop_repro::swatop::tuner::checkpoint::{self, CandCell};
+use swatop_repro::swatop::tuner::{
+    tune, CheckpointPolicy, TierPolicy, TuneOptions, TuneOutcome,
+};
+use swatop_repro::swtensor::ConvShape;
 
 fn conv_space(cfg: &MachineConfig) -> Vec<Candidate> {
     let shape = ConvShape::square(32, 64, 64, 16);

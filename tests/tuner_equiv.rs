@@ -9,7 +9,9 @@
 //! when the knob census (`tests/knob_census.rs`) deleted the knob values no
 //! optimum held: input indices moved, every fault-free line with validator
 //! `none` or `accept` kept its cycles, and the fault streams and the
-//! `thirds` validator, which key on the input index, moved. Each time
+//! `thirds` validator, which key on the input index, moved (last when
+//! `MatmulOp` dropped `layout=rc|cc`: only the 30 gemm lines moved, each
+//! fault-free one to the same candidate and 9,338 cycles). Each time
 //! Winograd's space halved, `thirds` was re-keyed (to `i % 3 == 0`, then
 //! back to `i % 3 == 1`): the old key no longer rejected any Winograd
 //! winner, and the anti-vacuity runs below need one rejected.
