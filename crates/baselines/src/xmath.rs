@@ -166,6 +166,7 @@ pub fn xmath_winograd_conv(cfg: &MachineConfig, shape: &ConvShape) -> MachineRes
             no,
             nt,
             ni,
+            1,
             PadMode::Traditional,
             Some(spm),
         )

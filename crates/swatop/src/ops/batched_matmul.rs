@@ -7,14 +7,16 @@
 //! always **fuses** into the GEMM N dimension — the paper's loop fusion rule
 //! ("if n independent matrix multiplications share the same input, then
 //! they can be combined into one larger matrix multiplication with an
-//! output n times larger"), applied by rule rather than searched. With
-//! per-batch A operands the batch is a plain outer loop with shared SPM
-//! workspace.
+//! output n times larger"), applied by rule rather than searched, and the
+//! space tiles that `batch·n`-column GEMM. With per-batch A operands element
+//! `i` is row block `i` of the stacked operands: the GEMM body reads and
+//! writes each block in place, one loop nest per element over one SPM
+//! workspace, and a column-major layout packs every block in one pass.
 
 use swatop_dsl::{SchedulePoint, ScheduleSpace, Seed};
 use swatop_ir::{MemRole, Program, Stmt};
 
-use crate::ops::matmul::{lower_matmul_body_with_spm, MatmulKnobs, LAYOUTS};
+use crate::ops::matmul::{lower_matmul_body, lower_matmul_body_with_spm, MatmulKnobs, LAYOUTS};
 use crate::ops::tiling::PadMode;
 use crate::ops::DMA_LADDER;
 use crate::scheduler::Operator;
@@ -58,7 +60,9 @@ impl Operator for BatchedMatmulOp {
     }
 
     fn space(&self) -> ScheduleSpace {
-        MatmulKnobs::space(self.m, self.n, self.k, &LAYOUTS, &DMA_LADDER)
+        // A shared-A batch runs one GEMM of `batch·n` columns: tile that.
+        let n = if self.shared_a { self.batch * self.n } else { self.n };
+        MatmulKnobs::space(self.m, n, self.k, &LAYOUTS, &DMA_LADDER)
     }
 
     fn lower(&self, space: &ScheduleSpace, point: &SchedulePoint) -> Option<Program> {
@@ -81,7 +85,7 @@ impl Operator for BatchedMatmulOp {
                 src_dims: vec![self.batch, self.k, self.n],
                 perm: vec![1, 0, 2], // [k][batch][n] = k × (batch·n)
             });
-            let body = lower_matmul_body_with_spm(
+            let body = lower_matmul_body(
                 &mut p,
                 &knobs,
                 a,
@@ -91,7 +95,6 @@ impl Operator for BatchedMatmulOp {
                 self.batch * self.n,
                 self.k,
                 PadMode::Lightweight,
-                None,
             )?;
             // C_fused is [m][batch][n]; the interface layout is [batch][m][n].
             let unpack = Stmt::transform(swatop_ir::TransformKind::PackTensor {
@@ -107,42 +110,22 @@ impl Operator for BatchedMatmulOp {
             return Some(p);
         }
 
-        // Per-batch A: one GEMM per batch element, sharing the SPM workspace.
-        // Per-batch main-memory views are separate Temp buffers filled by
-        // sub-matrix copies (the batch stride is uniform, so a single
-        // strided DMA family per element would also work; the copy keeps
-        // the matmul core reusable). The copies are not cheap: each is a
-        // full pass over main memory per batch element. A copy-in whose only
-        // reader is a coalescing gather fuses into it; reading each element
-        // in place would save the rest.
-        let a_el = p.mem_buf("A_el", self.m * self.k, MemRole::Temp);
-        let b_el = p.mem_buf("B_el", self.k * self.n, MemRole::Temp);
-        let c_el = p.mem_buf("C_el", self.m * self.n, MemRole::Temp);
-        let spm = [
-            p.spm_buf("spm_a", (knobs.t_m / 8) * (knobs.t_k / 8)),
-            p.spm_buf("spm_b", (knobs.t_k / 8) * (knobs.t_n / 8)),
-            p.spm_buf("spm_c", (knobs.t_m / 8) * (knobs.t_n / 8)),
-        ];
-        let mut stmts = Vec::new();
-        for i in 0..self.batch {
-            stmts.push(copy_in(a, self.batch, i, self.m * self.k, a_el));
-            stmts.push(copy_in(b, self.batch, i, self.k * self.n, b_el));
-            let body = lower_matmul_body_with_spm(
-                &mut p,
-                &knobs,
-                a_el,
-                b_el,
-                c_el,
-                self.m,
-                self.n,
-                self.k,
-                PadMode::Lightweight,
-                Some(spm),
-            )?;
-            stmts.extend(body);
-            stmts.push(copy_out(c_el, self.m * self.n, c, self.batch, i));
-        }
-        p.set_body(Stmt::seq(stmts));
+        // Per-batch A: element `i` is row block `i` of the stacked operands,
+        // which one GEMM body reads and writes in place.
+        let body = lower_matmul_body_with_spm(
+            &mut p,
+            &knobs,
+            a,
+            b,
+            c,
+            self.m,
+            self.n,
+            self.k,
+            self.batch,
+            PadMode::Lightweight,
+            None,
+        )?;
+        p.set_body(Stmt::seq(body));
         Some(p)
     }
 
@@ -174,53 +157,6 @@ impl Operator for BatchedMatmulOp {
     }
 }
 
-/// Copy row `row` of `src` (viewed as `src_rows × len` row-major) into the
-/// whole of `dst` (a `1 × len` buffer).
-fn copy_in(
-    src: swatop_ir::MemBufId,
-    src_rows: usize,
-    row: usize,
-    len: usize,
-    dst: swatop_ir::MemBufId,
-) -> Stmt {
-    Stmt::transform(swatop_ir::TransformKind::PadSubmatrix {
-        src,
-        src_rows,
-        src_cols: len,
-        r0: row,
-        c0: 0,
-        take_rows: 1,
-        take_cols: len,
-        dst,
-        dst_rows: 1,
-        dst_cols: len,
-        zero_first: false,
-    })
-}
-
-/// Copy the whole of `src` (a `1 × len` buffer) into row `row` of `dst`
-/// (viewed as `dst_rows × len` row-major).
-fn copy_out(
-    src: swatop_ir::MemBufId,
-    len: usize,
-    dst: swatop_ir::MemBufId,
-    dst_rows: usize,
-    row: usize,
-) -> Stmt {
-    Stmt::transform(swatop_ir::TransformKind::UnpadSubmatrix {
-        src,
-        src_rows: 1,
-        src_cols: len,
-        dst,
-        dst_rows,
-        dst_cols: len,
-        r0: row,
-        c0: 0,
-        take_rows: 1,
-        take_cols: len,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -248,9 +184,68 @@ mod tests {
         assert!(checked > 0, "no valid candidate for {}", op.name());
     }
 
+    /// Whether some transform of `cand`'s program writes its output `C`.
+    fn a_transform_writes_c(cand: &crate::scheduler::Candidate) -> bool {
+        let p = &cand.exe.program;
+        let mut writes = false;
+        p.body.visit(&mut |s| {
+            if let Stmt::Transform(t) = s {
+                writes |= p.mem_bufs[t.kind.dst().0].name == "C";
+            }
+        });
+        writes
+    }
+
     #[test]
-    fn unfused_batched_matmul_correct() {
-        verify_some(&BatchedMatmulOp::new(3, 40, 48, 24), 3);
+    fn per_element_batches_read_and_write_in_place() {
+        // No element is copied through a scratch buffer, and on an aligned
+        // shape every tile put lands in its row block of C directly. The
+        // unaligned shape's boundary strips do unpad into C: the check sees
+        // such a write.
+        let sched = Scheduler::new(MachineConfig::default());
+        let aligned = BatchedMatmulOp::new(2, 32, 32, 32);
+        let unaligned = BatchedMatmulOp::new(3, 40, 48, 24);
+        for (op, aligned) in [(aligned, true), (unaligned, false)] {
+            let cands = sched.enumerate(&op);
+            for cand in &cands {
+                let bufs = &cand.exe.program.mem_bufs;
+                assert!(bufs.iter().all(|b| !b.name.ends_with("_el")), "{}", cand.describe);
+            }
+            let writes = cands.iter().filter(|c| a_transform_writes_c(c)).count();
+            assert_eq!(writes == 0, aligned, "{}: {writes} of {}", op.name(), cands.len());
+        }
+    }
+
+    #[test]
+    fn per_element_batches_correct_at_every_layout_and_dma_level() {
+        let cfg = MachineConfig::default();
+        let sched = Scheduler::new(cfg.clone());
+        for op in [BatchedMatmulOp::new(2, 32, 32, 32), BatchedMatmulOp::new(3, 40, 48, 24)] {
+            let space = op.space();
+            for layout in LAYOUTS {
+                for level in DMA_LADDER {
+                    let what = format!("{} layout={layout} dma={level}", op.name());
+                    let cand = space
+                        .points()
+                        .filter(|p| {
+                            p.choice(&space, "layout") == layout && p.choice(&space, "dma") == level
+                        })
+                        .find_map(|p| sched.lower_point(&op, &space, &p))
+                        .unwrap_or_else(|| panic!("{what}: no candidate"));
+                    let err = verify_candidate(&cfg, &op, &cand)
+                        .unwrap_or_else(|e| panic!("{what} {}: {e}", cand.describe));
+                    assert!(err < 2e-3, "{what} {}: err {err}", cand.describe);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn shared_a_batches_tile_the_fused_gemm() {
+        // Four 64-column elements run as one 256-column GEMM, whose whole
+        // width is a tile.
+        let space = BatchedMatmulOp::new(4, 64, 64, 64).with_shared_a().space();
+        assert!(space.points().any(|p| p.factor(&space, "t_n") == 256));
     }
 
     #[test]

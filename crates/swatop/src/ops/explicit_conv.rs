@@ -11,7 +11,9 @@
 //! is tuned with the full matmul schedule space — including the boundary
 //! machinery, since `B·Ro·Co` and `Ni·Kr·Kc` are rarely aligned. This is
 //! the fallback method for strided/odd layers the other two methods cannot
-//! handle, at the cost of materialising the column matrix.
+//! handle, at the cost of materialising the column matrix. A product of
+//! batch `B > 1` is `[No][B][Ro][Co]` and one pack reorders it to NCHW; at
+//! batch 1 it already is the output, and the GEMM writes it in place.
 
 use swatop_dsl::{SchedulePoint, ScheduleSpace, Seed};
 use swatop_ir::{MemRole, Program, Stmt, TransformKind};
@@ -109,20 +111,21 @@ pub fn lower_explicit_body(
 ) -> Option<Vec<Stmt>> {
     let (m, n, k) = (s.no, s.b * s.ro * s.co, s.ni * s.kr * s.kc);
     let cols = p.mem_buf("cols", k * n, MemRole::Temp);
-    let prod = p.mem_buf("prod", m * n, MemRole::Temp);
+    // prod is No × (B·Ro·Co) = [No][B][Ro][Co]; at batch 1 that is the
+    // NCHW output itself, which the GEMM writes in place.
+    let prod = if s.b == 1 { out_buf } else { p.mem_buf("prod", m * n, MemRole::Temp) };
     let im2col = Stmt::transform(TransformKind::Im2col { shape: *s, src: in_buf, dst: cols });
     // The weight tensor [No][Ni][Kr][Kc] *is* the No × K filter matrix.
-    let gemm_body = lower_matmul_body(p, knobs, w_buf, cols, prod, m, n, k, pad_mode)?;
-    // prod is No × (B·Ro·Co) = [No][B][Ro][Co]; output is NCHW.
-    let reorder = Stmt::transform(TransformKind::PackTensor {
-        src: prod,
-        dst: out_buf,
-        src_dims: vec![s.no, s.b, s.ro, s.co],
-        perm: vec![1, 0, 2, 3],
-    });
     let mut body = vec![im2col];
-    body.extend(gemm_body);
-    body.push(reorder);
+    body.extend(lower_matmul_body(p, knobs, w_buf, cols, prod, m, n, k, pad_mode)?);
+    if s.b > 1 {
+        body.push(Stmt::transform(TransformKind::PackTensor {
+            src: prod,
+            dst: out_buf,
+            src_dims: vec![s.no, s.b, s.ro, s.co],
+            perm: vec![1, 0, 2, 3],
+        }));
+    }
     Some(body)
 }
 
@@ -172,6 +175,47 @@ mod tests {
         // Ni = 3 (an RGB first layer): only the explicit method applies.
         let shape = ConvShape { b: 4, ni: 3, no: 16, ro: 6, co: 6, kr: 3, kc: 3, stride: 1, pad: 1 };
         verify_some(shape, 3);
+    }
+
+    #[test]
+    fn batch_one_writes_the_output_in_place() {
+        // At batch 1 the GEMM and its boundary strips write the output; at
+        // batch 2 one pack still reorders the product into it. Backward data
+        // lowers through the same body.
+        let cfg = MachineConfig::default();
+        let sched = Scheduler::new(cfg.clone());
+        for b in [1, 2] {
+            let shape = ConvShape::square(b, 8, 16, 6);
+            let ops: [Box<dyn Operator>; 2] = [
+                Box::new(ExplicitConvOp::new(shape)),
+                Box::new(crate::ops::ConvBackwardDataOp::new(shape)),
+            ];
+            for op in &ops {
+                let space = op.space();
+                let cands: Vec<_> = space
+                    .points()
+                    .filter_map(|p| sched.lower_point(op.as_ref(), &space, &p))
+                    .take(4)
+                    .collect();
+                assert!(!cands.is_empty(), "{}", op.name());
+                for cand in &cands {
+                    let what = format!("{} {}", op.name(), cand.describe);
+                    let p = &cand.exe.program;
+                    let out = p.bufs_with_role(MemRole::Output)[0];
+                    let mut repacks = false;
+                    p.body.visit(&mut |s| {
+                        if let Stmt::Transform(t) = s {
+                            repacks |=
+                                matches!(t.kind, TransformKind::PackTensor { dst, .. } if dst == out);
+                        }
+                    });
+                    assert_eq!(repacks, b > 1, "{what}");
+                    let err = verify_candidate(&cfg, op.as_ref(), cand)
+                        .unwrap_or_else(|e| panic!("{what}: {e}"));
+                    assert!(err < 2e-3, "{what}: max err {err}");
+                }
+            }
+        }
     }
 
     #[test]

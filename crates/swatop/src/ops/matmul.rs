@@ -259,12 +259,15 @@ pub fn lower_matmul_body(
     k: usize,
     pad_mode: PadMode,
 ) -> Option<Vec<Stmt>> {
-    lower_matmul_body_with_spm(p, knobs, a_buf, b_buf, c_buf, m, n, k, pad_mode, None)
+    lower_matmul_body_with_spm(p, knobs, a_buf, b_buf, c_buf, m, n, k, 1, pad_mode, None)
 }
 
-/// Like [`lower_matmul_body`] but reusing caller-provided SPM tile buffers
-/// (`[a, b, c]`) — several GEMMs in one program (e.g. Winograd's batch of
-/// library calls) share the scratch pad instead of multiplying it.
+/// Like [`lower_matmul_body`] over `batch` independent GEMMs stacked by rows
+/// (`a_buf` is `(batch·m)×k`, `b_buf` `(batch·k)×n`, `c_buf` `(batch·m)×n`,
+/// element `i` row block `i` of each), read and written in place, and
+/// reusing caller-provided SPM tile buffers (`[a, b, c]`) if given — several
+/// GEMMs in one program (e.g. xMath's Winograd calls) share the scratch pad
+/// instead of multiplying it.
 #[allow(clippy::too_many_arguments)]
 pub fn lower_matmul_body_with_spm(
     p: &mut Program,
@@ -275,6 +278,7 @@ pub fn lower_matmul_body_with_spm(
     m: usize,
     n: usize,
     k: usize,
+    batch: usize,
     pad_mode: PadMode,
     spm_reuse: Option<[swatop_ir::SpmBufId; 3]>,
 ) -> Option<Vec<Stmt>> {
@@ -282,85 +286,89 @@ pub fn lower_matmul_body_with_spm(
     let (m_tiles, n_tiles, k_tiles) = knobs.tilings(m, n, k, spm_reuse.is_some())?;
     p.hints = dma;
 
-    {
-        let mut setup: Vec<Stmt> = Vec::new();
+    let mut setup: Vec<Stmt> = Vec::new();
 
-        // Layout transformation: pack transposes once in main memory.
-        let (a_src, a_r, a_c, a_swap) = if a_col {
-            let at = p.mem_buf("A_t", m * k, MemRole::Temp);
-            setup.push(Stmt::transform(TransformKind::PackTensor {
-                src: a_buf,
-                dst: at,
-                src_dims: vec![m, k],
-                perm: vec![1, 0],
-            }));
-            (at, k_tiles, m_tiles, true)
-        } else {
-            (a_buf, m_tiles, k_tiles, false)
+    // Layout transformation: one pack transposes every element's block in
+    // main memory.
+    let mut transposed = |p: &mut Program, name: &'static str, src, rows: usize, cols: usize| {
+        let dst = p.mem_buf(name, batch * rows * cols, MemRole::Temp);
+        let (src_dims, perm) = match batch {
+            1 => (vec![rows, cols], vec![1, 0]),
+            _ => (vec![batch, rows, cols], vec![0, 2, 1]),
         };
-        let (b_src, b_r, b_c, b_swap) = if b_col {
-            let bt = p.mem_buf("B_t", k * n, MemRole::Temp);
-            setup.push(Stmt::transform(TransformKind::PackTensor {
-                src: b_buf,
-                dst: bt,
-                src_dims: vec![k, n],
-                perm: vec![1, 0],
-            }));
-            (bt, n_tiles, k_tiles, true)
-        } else {
-            (b_buf, k_tiles, n_tiles, false)
-        };
+        setup.push(Stmt::transform(TransformKind::PackTensor { src, dst, src_dims, perm }));
+        dst
+    };
+    let (a_src, a_r, a_c, a_swap) = if a_col {
+        (transposed(p, "A_t", a_buf, m, k), k_tiles, m_tiles, true)
+    } else {
+        (a_buf, m_tiles, k_tiles, false)
+    };
+    let (b_src, b_r, b_c, b_swap) = if b_col {
+        (transposed(p, "B_t", b_buf, k, n), n_tiles, k_tiles, true)
+    } else {
+        (b_buf, k_tiles, n_tiles, false)
+    };
 
+    // Element `i`'s families address its row block; every element tiles
+    // alike, so the first one's tilings shape all the nests.
+    let mut families = |p: &mut Program, i: usize| {
         let (a_fam, a_setup) =
-            SrcFamily::input(p, "A", a_src, a_r, a_c, a_swap, pad_mode);
+            SrcFamily::input(p, "A", a_src, i * a_r.len, a_r, a_c, a_swap, pad_mode);
         let (b_fam, b_setup) =
-            SrcFamily::input(p, "B", b_src, b_r, b_c, b_swap, pad_mode);
+            SrcFamily::input(p, "B", b_src, i * b_r.len, b_r, b_c, b_swap, pad_mode);
         let (c_fam, c_setup, c_teardown) =
-            SrcFamily::output(p, "C", c_buf, m_tiles, n_tiles, pad_mode);
+            SrcFamily::output(p, "C", c_buf, i * m, m_tiles, n_tiles, pad_mode);
         setup.extend(a_setup);
         setup.extend(b_setup);
         setup.extend(c_setup);
+        (a_fam, b_fam, c_fam, c_teardown)
+    };
+    let (a_fam, b_fam, c_fam, c_teardown) = families(p, 0);
 
-        // SPM buffers sized for the largest tile (shared when provided).
-        let [spm_a, spm_b, spm_c] = spm_reuse.unwrap_or_else(|| {
-            [
-                p.spm_buf("spm_a", (t_m / 8) * (t_k / 8)),
-                p.spm_buf("spm_b", (t_k / 8) * (t_n / 8)),
-                p.spm_buf("spm_c", (t_m / 8) * (t_n / 8)),
-            ]
-        });
-        let r_in = p.fresh_reply();
-        let r_cput = p.fresh_reply();
+    // SPM buffers sized for the largest tile (shared when provided).
+    let [spm_a, spm_b, spm_c] = spm_reuse.unwrap_or_else(|| {
+        [
+            p.spm_buf("spm_a", (t_m / 8) * (t_k / 8)),
+            p.spm_buf("spm_b", (t_k / 8) * (t_n / 8)),
+            p.spm_buf("spm_c", (t_m / 8) * (t_n / 8)),
+        ]
+    });
+    let r_in = p.fresh_reply();
+    let r_cput = p.fresh_reply();
 
-        let vd = if vec_m { VecDim::M } else { VecDim::N };
-        let mut nests: Vec<Stmt> = Vec::new();
+    let vd = if vec_m { VecDim::M } else { VecDim::N };
+    let mut nests: Vec<Stmt> = Vec::new();
 
-        // One loop nest per segment combination — boundary processing by
-        // parameter switching, not per-iteration guards.
-        // Segment lists of the *logical* m/n/k dims come from the families'
-        // materialised tilings (traditional padding changes them).
-        let m_segs = c_fam.r.segs();
-        let n_segs = c_fam.c.segs();
-        let k_segs = if a_swap { a_fam.r.segs() } else { a_fam.c.segs() };
-        // Only a later k segment reads the accumulator back.
-        let r_cget = (k_segs.len() > 1).then(|| p.fresh_reply());
+    // One loop nest per segment combination — boundary processing by
+    // parameter switching, not per-iteration guards.
+    // Segment lists of the *logical* m/n/k dims come from the families'
+    // materialised tilings (traditional padding changes them).
+    let m_segs = c_fam.r.segs();
+    let n_segs = c_fam.c.segs();
+    let k_segs = if a_swap { a_fam.r.segs() } else { a_fam.c.segs() };
+    // Only a later k segment reads the accumulator back.
+    let r_cget = (k_segs.len() > 1).then(|| p.fresh_reply());
 
-        // Resident reuse: one SPM slot per k step of B, all filled once per
-        // n tile. Every slot carries a *normal* streamed tile (same mesh
-        // distribution the GEMM primitive expects), so residency changes only
-        // when tiles are fetched, never how they are laid out.
-        let panel_slots: Vec<swatop_ir::SpmBufId> = if resident == Resident::None {
-            Vec::new()
-        } else {
-            // Re-check unrollability against the *materialised* k tiling
-            // (traditional padding can change the segment list).
-            if k_segs.len() != 1 || k_segs[0].aux || k_segs[0].count > MAX_RESIDENT_UNROLL {
-                return None;
-            }
-            let per = (t_k / 8) * (t_n / 8);
-            (0..k_segs[0].count).map(|ki| p.spm_buf(format!("spm_panel{ki}"), per)).collect()
-        };
+    // Resident reuse: one SPM slot per k step of B, all filled once per
+    // n tile. Every slot carries a *normal* streamed tile (same mesh
+    // distribution the GEMM primitive expects), so residency changes only
+    // when tiles are fetched, never how they are laid out.
+    let panel_slots: Vec<swatop_ir::SpmBufId> = if resident == Resident::None {
+        Vec::new()
+    } else {
+        // Re-check unrollability against the *materialised* k tiling
+        // (traditional padding can change the segment list).
+        if k_segs.len() != 1 || k_segs[0].aux || k_segs[0].count > MAX_RESIDENT_UNROLL {
+            return None;
+        }
+        let per = (t_k / 8) * (t_n / 8);
+        (0..k_segs[0].count).map(|ki| p.spm_buf(format!("spm_panel{ki}"), per)).collect()
+    };
 
+    let mut first = Some((a_fam, b_fam, c_fam, c_teardown));
+    for i in 0..batch {
+        let (a_fam, b_fam, c_fam, c_teardown) = first.take().unwrap_or_else(|| families(p, i));
         for sm in &m_segs {
             for sn in &n_segs {
                 for (ki_seg, sk) in k_segs.iter().enumerate() {
@@ -508,12 +516,12 @@ pub fn lower_matmul_body_with_spm(
                 }
             }
         }
-
-        let mut body = setup;
-        body.extend(nests);
-        body.extend(c_teardown);
-        Some(body)
+        nests.extend(c_teardown);
     }
+
+    let mut body = setup;
+    body.extend(nests);
+    Some(body)
 }
 
 #[cfg(test)]

@@ -106,12 +106,15 @@ pub struct Seg {
 /// A tiled matrix source/destination with boundary strips. Coordinates are
 /// those of the *stored* row-major buffer (for a packed `Xᵀ` operand the
 /// stored rows are the logical columns; `mesh_swap` keeps the GEMM block
-/// distribution right).
+/// distribution right). The matrix may be one row block of a taller stored
+/// buffer (a batch element of a stacked operand): `row0` is where it starts.
 #[derive(Debug, Clone)]
 pub struct SrcFamily {
     pub main: MemBufId,
     /// Row pitch of `main` in elements.
     pub main_cols: usize,
+    /// First row of the matrix in `main`.
+    pub row0: usize,
     /// Row-tail strip `(r.tail_size × c.padded_len)`, holding the bottom
     /// boundary (and the corner).
     pub bottom: Option<MemBufId>,
@@ -132,28 +135,31 @@ pub enum PadMode {
 }
 
 impl SrcFamily {
-    /// Build an *input* family over `src` (stored `r.len × c.len`
-    /// row-major), returning the family plus the setup transforms that
-    /// materialise padded copies. `src` must already be the packed form if
-    /// `mesh_swap` layouts are used.
+    /// Build an *input* family over rows `row0..row0 + r.len` of `src`
+    /// (stored row-major, `c.len` columns), returning the family plus the
+    /// setup transforms that materialise padded copies. `src` must already
+    /// be the packed form if `mesh_swap` layouts are used.
+    #[allow(clippy::too_many_arguments)]
     pub fn input(
         p: &mut Program,
         name: &str,
         src: MemBufId,
+        row0: usize,
         r: DimTiles,
         c: DimTiles,
         mesh_swap: bool,
         mode: PadMode,
     ) -> (SrcFamily, Vec<Stmt>) {
+        let src_rows = p.mem_bufs[src.0].len / c.len;
         let mut setup = Vec::new();
         if (r.tail_aux || c.tail_aux) && mode == PadMode::Traditional {
             let padded =
                 p.mem_buf(format!("{name}_padded"), r.padded_len() * c.padded_len(), MemRole::Temp);
             setup.push(Stmt::transform(TransformKind::PadSubmatrix {
                 src,
-                src_rows: r.len,
+                src_rows,
                 src_cols: c.len,
-                r0: 0,
+                r0: row0,
                 c0: 0,
                 take_rows: r.len,
                 take_cols: c.len,
@@ -165,6 +171,7 @@ impl SrcFamily {
             let fam = SrcFamily {
                 main: padded,
                 main_cols: c.padded_len(),
+                row0: 0,
                 bottom: None,
                 right: None,
                 r: r.materialised(),
@@ -179,9 +186,9 @@ impl SrcFamily {
                 p.mem_buf(format!("{name}_bottom"), r.tail_size * c.padded_len(), MemRole::Temp);
             setup.push(Stmt::transform(TransformKind::PadSubmatrix {
                 src,
-                src_rows: r.len,
+                src_rows,
                 src_cols: c.len,
-                r0: r.full * r.tile,
+                r0: row0 + r.full * r.tile,
                 c0: 0,
                 take_rows: r.tail,
                 take_cols: c.len,
@@ -200,9 +207,9 @@ impl SrcFamily {
                     p.mem_buf(format!("{name}_right"), direct_rows * c.tail_size, MemRole::Temp);
                 setup.push(Stmt::transform(TransformKind::PadSubmatrix {
                     src,
-                    src_rows: r.len,
+                    src_rows,
                     src_cols: c.len,
-                    r0: 0,
+                    r0: row0,
                     c0: c.full * c.tile,
                     take_rows: direct_rows,
                     take_cols: c.tail,
@@ -214,20 +221,22 @@ impl SrcFamily {
                 right = Some(strip);
             }
         }
-        (SrcFamily { main: src, main_cols: c.len, bottom, right, r, c, mesh_swap }, setup)
+        (SrcFamily { main: src, main_cols: c.len, row0, bottom, right, r, c, mesh_swap }, setup)
     }
 
-    /// Build an *output* family over `dst`: tiles are written through the
-    /// family and the returned teardown transforms copy strip contents back
-    /// into `dst` (un-padding).
+    /// Build an *output* family over rows `row0..row0 + r.len` of `dst`:
+    /// tiles are written through the family and the returned teardown
+    /// transforms copy strip contents back into `dst` (un-padding).
     pub fn output(
         p: &mut Program,
         name: &str,
         dst: MemBufId,
+        row0: usize,
         r: DimTiles,
         c: DimTiles,
         mode: PadMode,
     ) -> (SrcFamily, Vec<Stmt>, Vec<Stmt>) {
+        let dst_rows = p.mem_bufs[dst.0].len / c.len;
         let mut teardown = Vec::new();
         if (r.tail_aux || c.tail_aux) && mode == PadMode::Traditional {
             let padded =
@@ -237,9 +246,9 @@ impl SrcFamily {
                 src_rows: r.padded_len(),
                 src_cols: c.padded_len(),
                 dst,
-                dst_rows: r.len,
+                dst_rows,
                 dst_cols: c.len,
-                r0: 0,
+                r0: row0,
                 c0: 0,
                 take_rows: r.len,
                 take_cols: c.len,
@@ -247,6 +256,7 @@ impl SrcFamily {
             let fam = SrcFamily {
                 main: padded,
                 main_cols: c.padded_len(),
+                row0: 0,
                 bottom: None,
                 right: None,
                 r: r.materialised(),
@@ -264,9 +274,9 @@ impl SrcFamily {
                 src_rows: r.tail_size,
                 src_cols: c.padded_len(),
                 dst,
-                dst_rows: r.len,
+                dst_rows,
                 dst_cols: c.len,
-                r0: r.full * r.tile,
+                r0: row0 + r.full * r.tile,
                 c0: 0,
                 take_rows: r.tail,
                 take_cols: c.len,
@@ -284,9 +294,9 @@ impl SrcFamily {
                     src_rows: direct_rows,
                     src_cols: c.tail_size,
                     dst,
-                    dst_rows: r.len,
+                    dst_rows,
                     dst_cols: c.len,
-                    r0: 0,
+                    r0: row0,
                     c0: c.full * c.tile,
                     take_rows: direct_rows,
                     take_cols: c.tail,
@@ -295,7 +305,7 @@ impl SrcFamily {
             }
         }
         let fam =
-            SrcFamily { main: dst, main_cols: c.len, bottom, right, r, c, mesh_swap: false };
+            SrcFamily { main: dst, main_cols: c.len, row0, bottom, right, r, c, mesh_swap: false };
         (fam, Vec::new(), teardown)
     }
 
@@ -325,7 +335,7 @@ impl SrcFamily {
             // Right strip: columns re-based to 0, rows keep coords.
             (self.right.expect("right strip exists"), self.c.tail_size, seg_r.start, 0)
         } else {
-            (self.main, self.main_cols, seg_r.start, seg_c.start)
+            (self.main, self.main_cols, self.row0 + seg_r.start, seg_c.start)
         };
         let terms = [(var_r, seg_r.stride * width), (var_c, seg_c.stride)];
         let offset = AffineExpr::from_terms(
@@ -381,7 +391,7 @@ mod tests {
         let r = DimTiles::new(200, 64, 32);
         let c = DimTiles::new(100, 32, 8);
         // c tail = 4, misaligned vs 8 → right strip; r tail = 8 vs 32 → bottom.
-        let (fam, setup) = SrcFamily::input(&mut p, "A", src, r, c, false, PadMode::Lightweight);
+        let (fam, setup) = SrcFamily::input(&mut p, "A", src, 0, r, c, false, PadMode::Lightweight);
         assert!(fam.bottom.is_some());
         assert!(fam.right.is_some());
         assert_eq!(setup.len(), 2);
@@ -398,7 +408,7 @@ mod tests {
         let src = p.mem_buf("A", 200 * 100, MemRole::Input);
         let r = DimTiles::new(200, 64, 32);
         let c = DimTiles::new(100, 32, 8);
-        let (fam, setup) = SrcFamily::input(&mut p, "A", src, r, c, false, PadMode::Traditional);
+        let (fam, setup) = SrcFamily::input(&mut p, "A", src, 0, r, c, false, PadMode::Traditional);
         assert!(fam.bottom.is_none() && fam.right.is_none());
         assert_eq!(setup.len(), 1);
         assert_ne!(fam.main, src);
@@ -414,7 +424,7 @@ mod tests {
         let src = p.mem_buf("A", 256 * 128, MemRole::Input);
         let r = DimTiles::new(256, 64, 32);
         let c = DimTiles::new(128, 32, 8);
-        let (fam, setup) = SrcFamily::input(&mut p, "A", src, r, c, false, PadMode::Lightweight);
+        let (fam, setup) = SrcFamily::input(&mut p, "A", src, 0, r, c, false, PadMode::Lightweight);
         assert!(setup.is_empty());
         assert_eq!(fam.main, src);
         assert!(fam.bottom.is_none() && fam.right.is_none());
@@ -426,7 +436,7 @@ mod tests {
         let src = p.mem_buf("A", 256 * 128, MemRole::Input);
         let r = DimTiles::new(256, 64, 32);
         let c = DimTiles::new(128, 32, 8);
-        let (fam, _) = SrcFamily::input(&mut p, "A", src, r, c, false, PadMode::Lightweight);
+        let (fam, _) = SrcFamily::input(&mut p, "A", src, 0, r, c, false, PadMode::Lightweight);
         let reply = p.fresh_reply();
         let sr = &r.segs()[0];
         let sc = &c.segs()[0];

@@ -160,7 +160,7 @@ fn assert_implicit_no_slower_than_explicit(shape: ConvShape) {
 fn batch1_gap_is_bridged() {
     // swDNN has no batch-1 implicit conv; swATOP must produce one, and a
     // fast one: merged output rows widen the GEMM's N (24,914 cycles against
-    // explicit conv's 26,504).
+    // explicit conv's 25,205).
     let cfg = cfg();
     let shape = ConvShape::square(1, 32, 32, 8);
     assert!(swdnn_implicit_conv(&cfg, &shape).is_none());
@@ -172,13 +172,15 @@ fn batch1_gap_is_bridged() {
 #[ignore = "ROADMAP item 16"]
 fn implicit_is_no_slower_than_explicit_on_listing1_at_batch1() {
     // The 15 batch-1 configurations of Listing 1 at spatial cap 16 (release:
-    // about 5 s). Implicit wins the 9 with No <= 128 and loses the 6 with
-    // No >= 256 (implicit / explicit optimum cycles):
-    // 256->256 941,570 / 888,467; 384->256 1,386,581 / 1,298,286; 384->384
-    // 2,009,592 / 1,783,086; 512->256 1,824,683 / 1,691,513; 512->384
-    // 2,646,857 / 2,319,809; 512->512 3,463,441 / 2,948,104. Implicit conv
-    // repacks the 3x3 weight per call (9·No·Ni elements, about 200,000
-    // cycles at 256->256), which explicit conv's GEMM reads in place.
+    // about 5 s). Implicit wins 8 and loses 7, the 6 with No >= 256 and
+    // 512->128 (implicit / explicit optimum cycles): 256->256 941,570 /
+    // 865,507; 384->256 1,386,581 / 1,275,326; 384->384 2,009,592 /
+    // 1,748,946; 512->128 1,052,084 / 1,051,437; 512->256 1,824,683 /
+    // 1,668,553; 512->384 2,646,857 / 2,285,669; 512->512 3,463,441 /
+    // 2,902,785. Implicit conv repacks the 3x3 weight per call (9·No·Ni
+    // elements, about 200,000 cycles at 256->256), which explicit conv's
+    // GEMM reads in place, and at batch 1 explicit conv's GEMM writes the
+    // output in place too.
     for shape in conv_sweep(1, Some(16)) {
         assert_implicit_no_slower_than_explicit(shape);
     }

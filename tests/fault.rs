@@ -4,14 +4,14 @@
 //! while staying bit-deterministic across worker counts, and an interrupted
 //! sweep must resume from its checkpoint to the same final answer.
 
-use sw26010::{FaultPlan, MachineConfig};
-use swatop::ops::MatmulOp;
-use swatop::scheduler::{Candidate, Scheduler};
-use swatop::tuner::checkpoint::{self, CandCell};
-use swatop::tuner::{
+use swatop_repro::sw26010::{FaultPlan, MachineConfig};
+use swatop_repro::swatop::ops::MatmulOp;
+use swatop_repro::swatop::scheduler::{Candidate, Scheduler};
+use swatop_repro::swatop::tuner::checkpoint::{self, CandCell};
+use swatop_repro::swatop::tuner::{
     prevalidate, tune, CheckpointPolicy, TierPolicy, TuneOptions, TuneOutcome,
 };
-use swatop_ir::Stmt;
+use swatop_repro::ir::Stmt;
 
 /// The default poisoned machine: seed overridable via `SWATOP_FAULT_SEED`
 /// (the CI fault leg sets it), so the suite is exercised under more than

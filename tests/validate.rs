@@ -6,20 +6,21 @@
 //! sweep whose winner gets quarantined.
 
 use proptest::prelude::*;
-use sw26010::fault::{MiscompileKind, MiscompilePlan};
-use sw26010::{CoreGroup, ExecMode, FaultPlan, MachineConfig, MachineError};
-use swatop::interp::{execute, instantiate};
-use swatop::ops::matmul::{lower_matmul_body, MatmulKnobs, Resident};
-use swatop::ops::tiling::PadMode;
-use swatop::ops::{validate_candidate, validate_candidate_injected, MatmulOp};
-use swatop::optimizer::verify::verify_executable;
-use swatop::scheduler::{Candidate, Operator, Scheduler};
-use swatop::tuner::checkpoint::{self, CandCell};
-use swatop::tuner::{
+use swatop_repro::sw26010::fault::{MiscompileKind, MiscompilePlan};
+use swatop_repro::sw26010::{CoreGroup, ExecMode, FaultPlan, MachineConfig, MachineError};
+use swatop_repro::swatop::interp::{execute, instantiate};
+use swatop_repro::swatop::ops::matmul::{lower_matmul_body, MatmulKnobs, Resident};
+use swatop_repro::swatop::ops::tiling::PadMode;
+use swatop_repro::swatop::ops::{validate_candidate, validate_candidate_injected, MatmulOp};
+use swatop_repro::swatop::optimizer::verify::verify_executable;
+use swatop_repro::swatop::scheduler::{Candidate, Operator, Scheduler};
+use swatop_repro::swatop::tuner::checkpoint::{self, CandCell};
+use swatop_repro::swatop::tuner::{
     should_retry, tune, CheckpointPolicy, TierPolicy,
     TuneOptions, TuneOutcome, WinnerValidator,
 };
-use swatop_ir::{MemRole, Program, ScheduleHints, Stmt};
+use swatop_repro::ir::{MemRole, Program, ScheduleHints, Stmt};
+use swatop_repro::{swatop, swtensor};
 
 fn candidates(op: &dyn Operator) -> Vec<Candidate> {
     Scheduler::new(MachineConfig::default()).enumerate(op)
