@@ -346,15 +346,18 @@ pub enum TransformKind {
         take_rows: usize,
         take_cols: usize,
     },
-    /// Transaction coalescing: gather the strided per-CPE tiles of a
-    /// loop-nest's `DmaCg` get into a packed staging buffer, laid out
-    /// `[iteration][cpe][block]` so the replacement per-CPE DMA is a single
-    /// fully contiguous (transaction-aligned) block per CPE per step.
-    /// `base` is the constant term of the source tile-origin offset and
-    /// `iters` the `(extent, coefficient)` pairs of the loop variables it
-    /// depends on, outermost first — together they enumerate every tile the
-    /// nest will fetch. `rows`/`cols`/`row_stride`/`mesh_swap` mirror the
-    /// replaced `DmaCg`.
+    /// Transaction coalescing: move the strided per-CPE tiles of a
+    /// loop-nest's `DmaCg` between their buffer and a packed staging
+    /// buffer laid out `[iteration][cpe][block]`, so the replacement
+    /// per-CPE DMA is a single fully contiguous block per CPE per step.
+    /// `direction` is the replaced DMA's: a get's tiles are gathered from
+    /// `src` into the packed `dst` before its nest (`MemToSpm`), a put's
+    /// are scattered from the packed `src` into `dst` after it
+    /// (`SpmToMem`), the inverse walk. `base` is the constant term of the
+    /// strided buffer's tile-origin offset and `iters` the `(extent,
+    /// coefficient)` pairs of the loop variables it depends on, outermost
+    /// first — together they enumerate every tile the nest moves.
+    /// `rows`/`cols`/`row_stride`/`mesh_swap` mirror the replaced `DmaCg`.
     PackTiles {
         src: MemBufId,
         dst: MemBufId,
@@ -362,6 +365,7 @@ pub enum TransformKind {
         cols: usize,
         row_stride: usize,
         mesh_swap: bool,
+        direction: DmaDirection,
         base: i64,
         iters: Vec<(usize, i64)>,
     },
@@ -404,7 +408,8 @@ impl TransformKind {
     /// reading it. Every kind does but the two sub-matrix copies: an
     /// `UnpadSubmatrix` writes into part of a destination it keeps, and a
     /// `PadSubmatrix` with `zero_first: false` does too unless it covers the
-    /// whole destination.
+    /// whole destination. A scatter (`PackTiles` with `SpmToMem`) is staged
+    /// only where its tiles cover the destination exactly once.
     pub fn pure(&self) -> bool {
         match self {
             TransformKind::UnpadSubmatrix { .. } => false,
@@ -718,7 +723,7 @@ mod tests {
         let k = TransformKind::PackTiles {
             src: MemBufId(0), dst: MemBufId(1),
             rows: 64, cols: 32, row_stride: 96, mesh_swap: false,
-            base: 0, iters: vec![(3, 32), (2, 64 * 96)],
+            direction: DmaDirection::MemToSpm, base: 0, iters: vec![(3, 32), (2, 64 * 96)],
         };
         let (r, w, f) = k.traffic();
         assert_eq!(r, 6 * 64 * 32);

@@ -49,6 +49,7 @@
 //! (`tests/evaluator_equiv.rs`; DESIGN.md §19).
 
 use std::borrow::Cow;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use sw26010::cluster::ReplyId as CgReply;
@@ -828,58 +829,69 @@ fn apply_transform(
                 Ok(())
             })
         }
-        TransformKind::PackTiles { rows, cols, row_stride, mesh_swap, base, iters, .. } => {
-            // Mirrors DMA inference's per-CPE block addressing exactly:
-            // the packed buffer must hand every CPE the same bytes the
-            // strided fetch would have delivered.
+        TransformKind::PackTiles { rows, cols, direction, iters, .. } => {
             let n_iters: usize = iters.iter().map(|&(e, _)| e).product();
-            let (block_rows, block_cols) = (rows / 8, cols / 8);
-            let e_per_cpe = block_rows * block_cols;
-            out.fits(n_iters * rows * cols)?;
-            out.write(|out| {
-                let mut idx = vec![0usize; iters.len()];
-                for lin in 0..n_iters {
-                    let mut rem = lin;
-                    for (i, &(ext, _)) in iters.iter().enumerate().rev() {
-                        idx[i] = rem % ext;
-                        rem /= ext;
-                    }
-                    let src_off = *base
-                        + iters
-                            .iter()
-                            .zip(&idx)
-                            .map(|(&(_, coef), &i)| coef * i as i64)
-                            .sum::<i64>();
-                    if src_off < 0 {
-                        return Err(MachineError::Invalid(format!(
-                            "pack_tiles: negative source offset {src_off}"
-                        )));
-                    }
-                    let src_off = src_off as usize;
-                    for cpe in 0..N_CPE {
-                        let (r, c) = (rid(cpe), cid(cpe));
-                        let (br_sel, bc_sel) = if *mesh_swap { (c, r) } else { (r, c) };
-                        let cpe_base =
-                            src_off + br_sel * block_rows * row_stride + bc_sel * block_cols;
-                        let dst_base = (lin * N_CPE + cpe) * e_per_cpe;
-                        for br in 0..block_rows {
-                            let so = cpe_base + br * row_stride;
-                            if so + block_cols > x.len() {
-                                return Err(MachineError::Invalid(format!(
-                                    "pack_tiles: source read [{so}, {}) exceeds buffer of {}",
-                                    so + block_cols,
-                                    x.len()
-                                )));
-                            }
-                            let d_o = dst_base + br * block_cols;
-                            out[d_o..d_o + block_cols].copy_from_slice(&x[so..so + block_cols]);
-                        }
-                    }
-                }
-                Ok(())
-            })
+            let n = n_iters * rows * cols;
+            if *direction == DmaDirection::SpmToMem {
+                let x = sized(x, n, "pack_tiles")?;
+                let len = out.len;
+                out.write(|out| tile_walk(kind, len, &mut |s, p| out[s].copy_from_slice(&x[p])))
+            } else {
+                out.fits(n)?;
+                out.write(|out| tile_walk(kind, x.len(), &mut |s, p| out[p].copy_from_slice(&x[s])))
+            }
         }
     }
+}
+
+/// The walk a `PackTiles` makes in either direction: every block row of
+/// every CPE's block of every tile the nest moves, as (range in the strided
+/// buffer of `strided_len` elements, range in the packed one). Mirrors DMA
+/// inference's per-CPE block addressing exactly: the packed buffer must
+/// hold for every CPE the elements its strided transfer would have moved.
+fn tile_walk(
+    kind: &TransformKind,
+    strided_len: usize,
+    f: &mut dyn FnMut(Range<usize>, Range<usize>),
+) -> MachineResult<()> {
+    let TransformKind::PackTiles { rows, cols, row_stride, mesh_swap, base, iters, .. } = kind
+    else {
+        unreachable!("a tile walk of {kind:?}");
+    };
+    let n_iters: usize = iters.iter().map(|&(e, _)| e).product();
+    let (block_rows, block_cols) = (rows / 8, cols / 8);
+    let e_per_cpe = block_rows * block_cols;
+    let mut idx = vec![0usize; iters.len()];
+    for lin in 0..n_iters {
+        let mut rem = lin;
+        for (i, &(ext, _)) in iters.iter().enumerate().rev() {
+            idx[i] = rem % ext;
+            rem /= ext;
+        }
+        let origin =
+            base + iters.iter().zip(&idx).map(|(&(_, coef), &i)| coef * i as i64).sum::<i64>();
+        let Ok(origin) = usize::try_from(origin) else {
+            return Err(MachineError::Invalid(format!("pack_tiles: negative tile origin {origin}")));
+        };
+        for cpe in 0..N_CPE {
+            let (r, c) = (rid(cpe), cid(cpe));
+            let (br_sel, bc_sel) = if *mesh_swap { (c, r) } else { (r, c) };
+            let cpe_base = origin + br_sel * block_rows * row_stride + bc_sel * block_cols;
+            let packed = (lin * N_CPE + cpe) * e_per_cpe;
+            for br in 0..block_rows {
+                let at = cpe_base + br * row_stride;
+                if at + block_cols > strided_len {
+                    return Err(MachineError::Invalid(format!(
+                        "pack_tiles: tile row [{at}, {}) exceeds buffer of {strided_len}",
+                        at + block_cols
+                    )));
+                }
+                let p = packed + br * block_cols;
+                f(at..at + block_cols, p..p + block_cols);
+            }
+        }
+    }
+    Ok(())
 }
 
 fn transform_label(kind: &TransformKind) -> &'static str {

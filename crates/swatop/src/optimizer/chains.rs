@@ -3,8 +3,10 @@
 //!
 //! The lowerings materialise their layouts with top-level transforms (the
 //! layout packs, im2col, the Winograd transforms, padding copies) and
-//! coalescing adds its `PackTiles` gathers; where one transform's only
-//! readers are later transforms, its output need never reach main memory.
+//! coalescing adds its `PackTiles` gathers and scatters; where one
+//! transform's only readers are later transforms, its output need never
+//! reach main memory. A staged put's scatter is such a producer: its
+//! readers recompute the put's destination from the packed tiles.
 //! [`fuse_chains`] marks such a producer [`Link::Feeds`] and each of its
 //! readers [`Link::Ends`] (or `Feeds` again, further up a chain), the way
 //! TVM fuses injective operators into the kernel that consumes them.
@@ -338,6 +340,7 @@ mod tests {
             cols: k,
             row_stride: k,
             mesh_swap: false,
+            direction: DmaDirection::MemToSpm,
             base: 0,
             iters: vec![(1, 0)],
         };
@@ -385,6 +388,7 @@ mod tests {
                 cols: 64,
                 row_stride: 64,
                 mesh_swap: false,
+                direction: DmaDirection::MemToSpm,
                 base: 0,
                 iters: vec![(2, 0)],
             })

@@ -1,16 +1,19 @@
 //! DMA-wall passes: strided-transaction coalescing and register-broadcast
 //! tiling.
 //!
-//! **Coalescing** (`coalesce_gets`): a strided tile get costs the DMA engine
-//! one DRAM transaction per short row — a `rows × cols` tile with a large
-//! `row_stride` streams at a fraction of peak. When the source buffer is
-//! read-only within its top-level statement, the whole sequence of tiles the
-//! enclosing loop nest will fetch can be gathered *once* into a packed
-//! staging buffer laid out `[iteration][cpe][block]`, so the steady-state
-//! get becomes a single fully-contiguous (transaction-aligned) block per CPE
-//! per step. The gather itself is a bandwidth-costed [`TransformKind::PackTiles`]
-//! executed before the nest; the cost model weighs it against the saved
-//! per-step transaction overhead.
+//! **Coalescing** ([`coalesce`]): a strided tile transfer costs the DMA
+//! engine one DRAM transaction per short row — a `rows × cols` tile with a
+//! large `row_stride` streams at a fraction of peak, for puts as much as
+//! for gets. The whole sequence of tiles the enclosing loop nest moves is
+//! staged in a packed buffer laid out `[iteration][cpe][block]`, so the
+//! steady-state transfer becomes a single fully contiguous block per CPE
+//! per step. A get's tiles are gathered into it once, before the nest,
+//! when its source is read-only within the top-level statement; a put's
+//! are scattered out of it once, after the nest, when its destination is a
+//! scratch buffer that only later top-level transforms read, so that
+//! producer fusion folds the scatter into them. Both moves are one
+//! bandwidth-costed [`TransformKind::PackTiles`] with the replaced DMA's
+//! direction.
 //!
 //! **Broadcast tiling** (`tag_broadcast`): when the 8 per-CPE gets of a mesh
 //! row (or column) are contiguous in memory — the `Cid` (resp. `Rid`)
@@ -28,187 +31,356 @@ use swatop_ir::{
     AVar, AffineExpr, DmaCg, DmaCpe, MemRole, Program, Stmt, TransformKind,
 };
 
-/// Upper bound on a packed staging buffer, in elements (16 MiB of f32):
-/// nests larger than this keep their strided gets.
+/// Upper bound on a gather's packed staging buffer, in elements (16 MiB of
+/// f32): nests larger than this keep their strided gets.
 const MAX_PACKED_ELEMS: usize = 1 << 22;
 
-/// Rewrite eligible strided `DmaCg` gets into packed contiguous `DmaCpe`
-/// gets fed by a `PackTiles` staging transform. A get whose tiles an earlier
-/// gather already staged — same source, not written since, same parameters
-/// — reads that staging buffer instead of gathering again. Like the other
-/// passes of this module it edits the tree in place: only the nodes it
-/// changes are rebuilt.
-pub fn coalesce_gets(mut program: Program) -> Program {
+/// Rewrite eligible strided `DmaCg` transfers into packed contiguous
+/// `DmaCpe` ones and the `PackTiles` staging transforms that move their
+/// tiles.
+///
+/// * A get's gather runs right after the last top-level statement that
+///   writes its source, or at the head when nothing does, joining the
+///   gathers already there: a run of back-to-back gathers pays one
+///   start-up. A get whose tiles an earlier gather already staged — same
+///   source, not written since, same parameters — reads that staging
+///   buffer instead of gathering again.
+/// * A put's scatter follows the put's top-level statement (and the bare
+///   waits right after it). A put stages when its destination is a scratch
+///   buffer that it alone writes, that no DMA reads and that some later
+///   top-level transform reads, and when its tiles cover that buffer
+///   exactly once (`covers_once`). Producer fusion then folds the scatter
+///   into those readers, so the staged put costs no pass of its own.
+///
+/// Like the other passes of this module it edits the tree in place: only
+/// the nodes it changes are rebuilt.
+pub fn coalesce(program: Program) -> Program {
+    stage(program, true)
+}
+
+/// [`coalesce`] without put staging: the baseline the optimizer's tests
+/// compare put staging against.
+#[cfg(test)]
+pub(crate) fn coalesce_gets(program: Program) -> Program {
+    stage(program, false)
+}
+
+fn stage(mut program: Program, puts: bool) -> Program {
+    let targets = if puts { put_targets(&program) } else { Vec::new() };
     let tops: Vec<Stmt> = match program.take_body() {
         Stmt::Seq(ss) => ss,
         Stmt::Nop => Vec::new(),
         other => vec![other],
     };
-    let mut out = Vec::with_capacity(tops.len());
-    // Scratch shared by the top-level statements: each leaves `loops` empty.
-    let (mut written, mut loops) = (Vec::new(), Vec::new());
+    let mut st = Stager {
+        program: &mut program,
+        targets,
+        out: Vec::with_capacity(tops.len()),
+        written: Vec::new(),
+        loops: Vec::new(),
+        scatters: Vec::new(),
+    };
     for mut top in tops {
-        written.clear();
-        written_bufs(&top, &mut written);
-        // Staging gathers run before the nest that consumes them; the
-        // source is read-only within this top-level statement, so the
-        // ordering with respect to earlier producers is preserved.
-        rewrite(&mut top, &mut loops, false, &written, &mut program, &mut out);
-        out.push(top);
+        // A put's scatter waits for the bare waits that follow its nest.
+        if !matches!(top, Stmt::DmaWait { .. }) {
+            st.out.append(&mut st.scatters);
+        }
+        st.written.clear();
+        written_bufs(&top, &mut st.written);
+        st.rewrite(&mut top, false);
+        st.out.push(top);
     }
-    program.set_body(Stmt::seq(out));
+    st.out.append(&mut st.scatters);
+    let body = Stmt::seq(st.out);
+    program.set_body(body);
     program
 }
 
-fn rewrite(
-    s: &mut Stmt,
-    loops: &mut Vec<(usize, usize)>,
-    in_if: bool,
-    written: &[usize],
-    program: &mut Program,
-    packs: &mut Vec<Stmt>,
-) {
-    match s {
-        Stmt::Seq(ss) => {
-            ss.iter_mut().for_each(|x| rewrite(x, loops, in_if, written, program, packs))
+/// The destinations whose puts may stage: scratch buffers written by one
+/// statement alone, a `DmaCg` put, read by no DMA and by no transform
+/// below the top level, and read by some top-level transform after the
+/// put's own top-level statement. A program with no strided put into a
+/// scratch buffer allocates nothing here.
+fn put_targets(program: &Program) -> Vec<usize> {
+    let bufs = &program.mem_bufs;
+    let strided_put = |s: &Stmt| {
+        matches!(s, Stmt::DmaCg(d) if d.direction == DmaDirection::SpmToMem
+            && bufs[d.buf.0].role == MemRole::Temp
+            && d.rows.is_multiple_of(8)
+            && d.cols.is_multiple_of(8)
+            && d.row_stride != d.cols / 8)
+    };
+    let mut any = false;
+    program.body.visit(&mut |s| any |= strided_put(s));
+    if !any {
+        return Vec::new();
+    }
+
+    /// How one buffer is used: by how many writing statements, the
+    /// top-level statement of its `DmaCg` put, and the last top-level
+    /// transform that reads it.
+    #[derive(Clone, Default)]
+    struct Use {
+        writers: u32,
+        put_at: Option<usize>,
+        read_at: Option<usize>,
+        other_reads: bool,
+    }
+    let mut uses = vec![Use::default(); bufs.len()];
+    let tops = match &*program.body {
+        Stmt::Seq(ss) => &ss[..],
+        other => std::slice::from_ref(other),
+    };
+    for (at, top) in tops.iter().enumerate() {
+        if let Stmt::Transform(t) = top {
+            uses[t.kind.src().0].read_at = Some(at);
+            uses[t.kind.dst().0].writers += 1;
+            continue;
         }
-        Stmt::For { var, extent, body } => {
-            loops.push((*var, *extent));
-            rewrite(body, loops, in_if, written, program, packs);
-            loops.pop();
-        }
-        // Guarded gets are skipped: a boundary guard may suppress fetches
-        // whose source addresses the gather would still enumerate.
-        Stmt::If { then_, else_, .. } => {
-            rewrite(then_, loops, true, written, program, packs);
-            if let Some(e) = else_ {
-                rewrite(e, loops, true, written, program, packs);
+        top.visit(&mut |s| match s {
+            Stmt::DmaCg(d) if d.direction == DmaDirection::SpmToMem => {
+                uses[d.buf.0].writers += 1;
+                uses[d.buf.0].put_at = Some(at);
             }
-        }
-        Stmt::DmaCg(d) => {
-            if let Some((pack, cpe)) = try_coalesce(d, loops, in_if, written, program, packs) {
-                packs.extend(pack);
-                *s = Stmt::DmaCpe(cpe);
+            Stmt::DmaCg(DmaCg { buf, .. }) | Stmt::DmaCpe(DmaCpe { buf, .. })
+                if written_buf(s).is_none() =>
+            {
+                uses[buf.0].other_reads = true;
             }
+            Stmt::DmaCpe(d) => uses[d.buf.0].writers += 1,
+            Stmt::Transform(t) => {
+                uses[t.kind.src().0].other_reads = true;
+                uses[t.kind.dst().0].writers += 1;
+            }
+            _ => {}
+        });
+    }
+    let stages = |(b, u): &(usize, &Use)| {
+        bufs[*b].role == MemRole::Temp
+            && u.writers == 1
+            && !u.other_reads
+            && matches!((u.put_at, u.read_at), (Some(p), Some(r)) if r > p)
+    };
+    uses.iter().enumerate().filter(stages).map(|(b, _)| b).collect()
+}
+
+/// Whether tiles of `rows × cols` elements, `row_stride` apart, at the
+/// origins `Σ cᵢ·vᵢ` of the loops `(extent, coefficient)` cover `[0, len)`
+/// exactly once: sorted by coefficient, the (coefficient, extent) pairs
+/// with `(row_stride, rows)` and `(1, cols)` must form a mixed-radix
+/// numbering of the range, each coefficient the product of the ones below
+/// it and their extents. O(loops): it never walks the elements.
+fn covers_once(
+    iters: impl Iterator<Item = (usize, i64)>,
+    rows: usize,
+    cols: usize,
+    row_stride: usize,
+    len: usize,
+) -> bool {
+    let mut digits: Vec<(i64, usize)> = iters.map(|(ext, c)| (c, ext)).collect();
+    digits.extend([(row_stride as i64, rows), (1, cols)]);
+    digits.retain(|&(_, ext)| ext > 1);
+    digits.sort_unstable();
+    let mut next = 1i64;
+    for (c, ext) in digits {
+        if c != next {
+            return false;
         }
-        _ => {}
+        next = c * ext as i64;
+    }
+    next == len as i64
+}
+
+/// The state of one coalescing pass over a program's top-level statements.
+struct Stager<'p> {
+    program: &'p mut Program,
+    /// The destinations whose puts may stage ([`put_targets`]).
+    targets: Vec<usize>,
+    /// The statements so far, gathers and scatters among them.
+    out: Vec<Stmt>,
+    /// Scratch shared by the top-level statements: the buffers the current
+    /// one writes, its enclosing loops (empty between statements), and the
+    /// scatters that follow it.
+    written: Vec<usize>,
+    loops: Vec<(usize, usize)>,
+    scatters: Vec<Stmt>,
+}
+
+impl Stager<'_> {
+    fn rewrite(&mut self, s: &mut Stmt, in_if: bool) {
+        match s {
+            Stmt::Seq(ss) => ss.iter_mut().for_each(|x| self.rewrite(x, in_if)),
+            Stmt::For { var, extent, body } => {
+                self.loops.push((*var, *extent));
+                self.rewrite(body, in_if);
+                self.loops.pop();
+            }
+            // Guarded transfers are skipped: a boundary guard may suppress
+            // transfers whose tiles the staging walk would still move.
+            Stmt::If { then_, else_, .. } => {
+                self.rewrite(then_, true);
+                if let Some(e) = else_ {
+                    self.rewrite(e, true);
+                }
+            }
+            Stmt::DmaCg(d) if !in_if => {
+                if let Some(cpe) = self.try_coalesce(d) {
+                    *s = Stmt::DmaCpe(cpe);
+                }
+            }
+            _ => {}
+        }
+    }
+
+    fn try_coalesce(&mut self, d: &DmaCg) -> Option<DmaCpe> {
+        let put = d.direction == DmaDirection::SpmToMem;
+        let eligible = if put {
+            self.targets.contains(&d.buf.0)
+        } else {
+            !self.written.contains(&d.buf.0)
+        };
+        if !eligible
+            || !d.rows.is_multiple_of(8)
+            || !d.cols.is_multiple_of(8)
+            // Already contiguous per CPE: nothing to coalesce.
+            || d.row_stride == d.cols / 8
+            || d.offset.uses_mesh()
+            || d.offset.constant() < 0
+        {
+            return None;
+        }
+        // Every loop term of the tile origin must be a (non-negative-stride)
+        // enclosing loop, so the staging walk can enumerate exactly the
+        // tiles the nest will move.
+        let loops = &self.loops;
+        let enclosing = |v| loops.iter().any(|&(lv, _)| lv == v);
+        let gatherable =
+            |(av, c): (AVar, i64)| matches!(av, AVar::Loop(v) if enclosing(v)) && c >= 0;
+        if !d.offset.terms().all(gatherable) {
+            return None;
+        }
+        // `(var, extent, coeff)` of the loops the origin moves with,
+        // outermost first to match the enclosing nest.
+        let iters = || {
+            loops.iter().filter_map(|&(v, ext)| {
+                let c = d.offset.coeff(AVar::Loop(v));
+                (c != 0).then_some((v, ext, c))
+            })
+        };
+        let base = d.offset.constant();
+        let len = self.program.mem_bufs[d.buf.0].len;
+        let span: i64 = iters().map(|(_, ext, c)| c * (ext as i64 - 1)).sum();
+        let last = base + span + ((d.rows - 1) * d.row_stride + d.cols) as i64;
+        if last > len as i64 {
+            return None;
+        }
+        let n_iters: usize = iters().map(|(_, ext, _)| ext).product();
+        // A put's packed buffer stands in for its destination, which a
+        // fused scatter leaves unmaterialised: only gathers add memory.
+        let packed_len = n_iters.checked_mul(d.rows * d.cols)?;
+        if packed_len > MAX_PACKED_ELEMS && !put {
+            return None;
+        }
+        let pack_iters = || iters().map(|(_, ext, c)| (ext, c));
+        if put && !(base == 0 && covers_once(pack_iters(), d.rows, d.cols, d.row_stride, len)) {
+            return None;
+        }
+
+        // The last gather of these very tiles, if nothing has written its
+        // source since (this statement does not: see above).
+        let same = |s: &Stmt| match s {
+            Stmt::Transform(t) => match &t.kind {
+                TransformKind::PackTiles {
+                    src, dst, rows, cols, row_stride, mesh_swap, direction, base: b, iters: it,
+                } if (*src, *rows, *cols, *row_stride, *mesh_swap, *direction, *b)
+                        == (d.buf, d.rows, d.cols, d.row_stride, d.mesh_swap, d.direction, base)
+                        && it.iter().copied().eq(pack_iters()) =>
+                {
+                    Some(*dst)
+                }
+                _ => None,
+            },
+            _ => None,
+        };
+        let out = &self.out;
+        let staged = if put {
+            None
+        } else {
+            out.iter().rposition(|s| same(s).is_some()).and_then(|at| {
+                let stale = out[at + 1..].iter().any(|s| writes(s, d.buf.0));
+                if stale { None } else { same(&out[at]) }
+            })
+        };
+        let packed = match staged {
+            Some(packed) => packed,
+            None => {
+                let name = &self.program.mem_bufs[d.buf.0].name;
+                let mut packed_name = String::with_capacity(name.len() + 16);
+                write!(packed_name, "{name}_packed{}", self.program.mem_bufs.len())
+                    .expect("writing to a String");
+                let packed = self.program.mem_buf(packed_name, packed_len, MemRole::Temp);
+                let (src, dst) = if put { (packed, d.buf) } else { (d.buf, packed) };
+                // Sized exactly: the tree keeps it for as long as it lives.
+                let mut iters = Vec::with_capacity(pack_iters().count());
+                iters.extend(pack_iters());
+                let tiles = Stmt::transform(TransformKind::PackTiles {
+                    src,
+                    dst,
+                    rows: d.rows,
+                    cols: d.cols,
+                    row_stride: d.row_stride,
+                    mesh_swap: d.mesh_swap,
+                    direction: d.direction,
+                    base,
+                    iters,
+                });
+                if put {
+                    self.scatters.push(tiles);
+                } else {
+                    // After the last writer of the source and the bare
+                    // waits that follow it, joining the gathers there.
+                    let writer = self.out.iter().rposition(|s| writes(s, d.buf.0));
+                    let mut at = writer.map_or(0, |w| w + 1);
+                    while self.out.get(at).is_some_and(|s| {
+                        is_gather(s) || matches!(s, Stmt::DmaWait { .. })
+                    }) {
+                        at += 1;
+                    }
+                    self.out.insert(at, tiles);
+                }
+                packed
+            }
+        };
+
+        // Packed layout [lin_iter][rid*8+cid][E]: the replacement transfer
+        // is one contiguous block of E elements per CPE per step.
+        let e = d.rows * d.cols / 64;
+        let steps = iters().rev().scan((64 * e) as i64, |step, (v, ext, _)| {
+            let term = (AVar::Loop(v), *step);
+            *step *= ext as i64;
+            Some(term)
+        });
+        let mesh = [(AVar::Rid, (8 * e) as i64), (AVar::Cid, e as i64)];
+        let offset = AffineExpr::from_terms(mesh.into_iter().chain(steps), 0);
+        Some(DmaCpe {
+            buf: packed,
+            offset,
+            block: e,
+            stride: e,
+            n_blocks: 1,
+            direction: d.direction,
+            spm: d.spm.clone(),
+            reply: d.reply,
+            bcast: None,
+            fused: false,
+        })
     }
 }
 
-fn try_coalesce(
-    d: &DmaCg,
-    loops: &[(usize, usize)],
-    in_if: bool,
-    written: &[usize],
-    program: &mut Program,
-    packs: &[Stmt],
-) -> Option<(Option<Stmt>, DmaCpe)> {
-    if in_if
-        || d.direction != DmaDirection::MemToSpm
-        || written.contains(&d.buf.0)
-        || !d.rows.is_multiple_of(8)
-        || !d.cols.is_multiple_of(8)
-        // Already contiguous per CPE: nothing to coalesce.
-        || d.row_stride == d.cols / 8
-        || d.offset.uses_mesh()
-        || d.offset.constant() < 0
-    {
-        return None;
-    }
-    // Every loop term of the tile origin must be a (non-negative-stride)
-    // enclosing loop, so the gather can enumerate exactly the tiles the
-    // nest will fetch.
-    let enclosing = |v| loops.iter().any(|&(lv, _)| lv == v);
-    let gatherable = |(av, c): (AVar, i64)| matches!(av, AVar::Loop(v) if enclosing(v)) && c >= 0;
-    if !d.offset.terms().all(gatherable) {
-        return None;
-    }
-    // `(var, extent, coeff)` of the loops the origin moves with,
-    // outermost first to match the enclosing nest.
-    let iters = || {
-        loops.iter().filter_map(|&(v, ext)| {
-            let c = d.offset.coeff(AVar::Loop(v));
-            (c != 0).then_some((v, ext, c))
-        })
-    };
-    let base = d.offset.constant();
-    let span: i64 = iters().map(|(_, ext, c)| c * (ext as i64 - 1)).sum();
-    let last = base + span + ((d.rows - 1) * d.row_stride + d.cols) as i64;
-    if last > program.mem_bufs[d.buf.0].len as i64 {
-        return None;
-    }
-    let n_iters: usize = iters().map(|(_, ext, _)| ext).product();
-    let packed_len = n_iters.checked_mul(d.rows * d.cols)?;
-    if packed_len > MAX_PACKED_ELEMS {
-        return None;
-    }
-
-    // The last gather of these very tiles, if nothing has written its
-    // source since (this statement does not: see above).
-    let same = |s: &Stmt| match s {
-        Stmt::Transform(t) => match &t.kind {
-            TransformKind::PackTiles {
-                src, dst, rows, cols, row_stride, mesh_swap, base: b, iters: it,
-            } if (*src, *rows, *cols, *row_stride, *mesh_swap, *b)
-                    == (d.buf, d.rows, d.cols, d.row_stride, d.mesh_swap, base)
-                    && it.iter().copied().eq(iters().map(|(_, ext, c)| (ext, c))) =>
-            {
-                Some(*dst)
-            }
-            _ => None,
-        },
-        _ => None,
-    };
-    let staged = packs.iter().rposition(|s| same(s).is_some()).and_then(|at| {
-        let stale = packs[at + 1..].iter().any(|s| writes(s, d.buf.0));
-        if stale { None } else { same(&packs[at]) }
-    });
-    let (dst, pack) = match staged {
-        Some(dst) => (dst, None),
-        None => {
-            let src = &program.mem_bufs[d.buf.0].name;
-            let mut name = String::with_capacity(src.len() + 16);
-            write!(name, "{src}_packed{}", program.mem_bufs.len()).expect("writing to a String");
-            let dst = program.mem_buf(name, packed_len, MemRole::Temp);
-            let mut pack_iters = Vec::with_capacity(iters().count());
-            pack_iters.extend(iters().map(|(_, ext, c)| (ext, c)));
-            let pack = Stmt::transform(TransformKind::PackTiles {
-                src: d.buf,
-                dst,
-                rows: d.rows,
-                cols: d.cols,
-                row_stride: d.row_stride,
-                mesh_swap: d.mesh_swap,
-                base,
-                iters: pack_iters,
-            });
-            (dst, Some(pack))
-        }
-    };
-
-    // Packed layout [lin_iter][rid*8+cid][E]: the replacement get is one
-    // contiguous block of E elements per CPE per step.
-    let e = d.rows * d.cols / 64;
-    let steps = iters().rev().scan((64 * e) as i64, |step, (v, ext, _)| {
-        let term = (AVar::Loop(v), *step);
-        *step *= ext as i64;
-        Some(term)
-    });
-    let mesh = [(AVar::Rid, (8 * e) as i64), (AVar::Cid, e as i64)];
-    let offset = AffineExpr::from_terms(mesh.into_iter().chain(steps), 0);
-    let cpe = DmaCpe {
-        buf: dst,
-        offset,
-        block: e,
-        stride: e,
-        n_blocks: 1,
-        direction: d.direction,
-        spm: d.spm.clone(),
-        reply: d.reply,
-        bcast: None,
-        fused: false,
-    };
-    Some((pack, cpe))
+/// Whether `s` is a coalescing gather.
+fn is_gather(s: &Stmt) -> bool {
+    matches!(s, Stmt::Transform(t) if matches!(t.kind,
+        TransformKind::PackTiles { direction: DmaDirection::MemToSpm, .. }))
 }
 
 /// Whether anything within `stmt` writes main-memory buffer `buf`.
@@ -335,10 +507,10 @@ pub fn fuse_adjacent_gets(stmt: &mut Stmt) {
 /// stands: it neither opens, continues nor breaks a run.
 ///
 /// This is the transform-side twin of [`fuse_adjacent_gets`]: coalescing
-/// emits its `PackTiles` staging gathers as one consecutive run before the
-/// consuming nest (and operator lowerings emit their layout-packing setup
-/// the same way), so without fusion a schedule with many small staging
-/// packs pays one full DRAM round-trip per pack.
+/// emits its `PackTiles` staging gathers as consecutive runs (and operator
+/// lowerings emit their layout-packing setup the same way), so without
+/// fusion a schedule with many small staging packs pays one full DRAM
+/// round-trip per pack.
 pub fn fuse_adjacent_transforms(stmt: &mut Stmt) {
     match stmt {
         Stmt::Seq(ss) => {
@@ -371,7 +543,7 @@ pub fn fuse_adjacent_transforms(stmt: &mut Stmt) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use swatop_ir::{MemBufId, ReplyId, SpmBufId, SpmSlot};
+    use swatop_ir::{Link, MemBufId, ReplyId, SpmBufId, SpmSlot};
 
     fn strided_get(offset: AffineExpr) -> DmaCg {
         DmaCg {
@@ -395,6 +567,107 @@ mod tests {
         p
     }
 
+    /// A put of 16×16 tiles into scratch buffer `D` (16×64, row-major),
+    /// one tile per step of loop 0 at `offset`.
+    fn put_nest(offset: AffineExpr, steps: usize) -> Stmt {
+        let put = DmaCg {
+            buf: MemBufId(1),
+            row_stride: 64,
+            direction: DmaDirection::SpmToMem,
+            ..strided_get(offset)
+        };
+        let wait = Stmt::DmaWait { reply: ReplyId(0), times: 1 };
+        Stmt::for_(0, steps, Stmt::seq(vec![Stmt::DmaCg(put), wait]))
+    }
+
+    /// `nest`, then `more`, then a pack that reads `D` into an output.
+    fn put_host(d_role: MemRole, nest: Stmt, more: Vec<Stmt>) -> Program {
+        let mut p = host(Stmt::Nop);
+        let d = p.mem_buf("D", 16 * 64, d_role);
+        let out = p.mem_buf("Y", 16 * 64, MemRole::Output);
+        let read = TransformKind::PackTensor { src: d, dst: out, src_dims: vec![1024], perm: vec![0] };
+        let mut body = vec![nest];
+        body.extend(more);
+        body.push(Stmt::transform(read));
+        p.set_body(Stmt::seq(body));
+        p
+    }
+
+    fn strided_puts(p: &Program) -> usize {
+        p.body.count(|s| matches!(s, Stmt::DmaCg(d) if d.direction == DmaDirection::SpmToMem))
+    }
+
+    #[test]
+    fn a_put_covering_its_scratch_buffer_once_lands_contiguously() {
+        let tiles = || AffineExpr::loop_var(0).scale(16);
+        let mut p = coalesce(put_host(MemRole::Temp, put_nest(tiles(), 4), vec![]));
+        assert_eq!(strided_puts(&p), 0);
+        let mut put = None;
+        p.body.visit(&mut |s| match s {
+            Stmt::DmaCpe(d) if d.direction == DmaDirection::SpmToMem => put = Some(d.clone()),
+            _ => {}
+        });
+        let put = put.expect("the staged put");
+        assert_eq!((put.buf, put.block, put.stride, put.n_blocks), (MemBufId(3), 4, 4, 1));
+        assert_eq!(p.mem_bufs[3].len, 16 * 64);
+        // The scatter follows the nest, and producer fusion folds it into
+        // the pack that reads the buffer.
+        let Stmt::Seq(tops) = &*p.body else { panic!("{:?}", p.body) };
+        let scatter = |s: &Stmt| match s {
+            Stmt::Transform(t) => match t.kind {
+                TransformKind::PackTiles { src, dst, direction, .. } => {
+                    Some((src, dst, direction, t.link))
+                }
+                _ => None,
+            },
+            _ => None,
+        };
+        let staged = (MemBufId(3), MemBufId(1), DmaDirection::SpmToMem);
+        assert_eq!(scatter(&tops[1]), Some((staged.0, staged.1, staged.2, Link::Alone)));
+        crate::optimizer::chains::fuse_chains(&mut p);
+        let Stmt::Seq(tops) = &*p.body else { panic!("{:?}", p.body) };
+        let fed = Link::Feeds { readers: 1 };
+        assert_eq!(scatter(&tops[1]), Some((staged.0, staged.1, staged.2, fed)));
+    }
+
+    #[test]
+    fn a_put_stays_strided_unless_its_scatter_can_ride_a_reader() {
+        let step = |c| AffineExpr::loop_var(0).scale(c);
+        let nest = || put_nest(step(16), 4);
+        let guarded = {
+            let Stmt::For { body, .. } = nest() else { unreachable!() };
+            let cond = swatop_ir::Cond::lt_const(AffineExpr::loop_var(0), 3);
+            Stmt::for_(0, 4, Stmt::if_(cond, *body))
+        };
+        let read_back = Stmt::DmaCpe(DmaCpe {
+            buf: MemBufId(1),
+            offset: AffineExpr::zero(),
+            block: 4,
+            stride: 4,
+            n_blocks: 1,
+            direction: DmaDirection::MemToSpm,
+            spm: SpmSlot::Single(SpmBufId(0)),
+            reply: ReplyId(0),
+            bcast: None,
+            fused: false,
+        });
+        let refused = [
+            ("an output", put_host(MemRole::Output, nest(), vec![])),
+            ("a second writer", put_host(MemRole::Temp, nest(), vec![nest()])),
+            ("a DMA reader", put_host(MemRole::Temp, nest(), vec![read_back])),
+            ("a guard", put_host(MemRole::Temp, guarded, vec![])),
+            // Columns 0–16, 24–40 and 48–64 of each row.
+            ("a gap", put_host(MemRole::Temp, put_nest(step(24), 3), vec![])),
+            // Columns 0–16, 8–24, …, 48–64.
+            ("an overlap", put_host(MemRole::Temp, put_nest(step(8), 7), vec![])),
+        ];
+        for (why, p) in refused {
+            let puts = strided_puts(&p);
+            let p = coalesce(p);
+            assert_eq!((strided_puts(&p), p.mem_bufs.len()), (puts, 3), "{why}");
+        }
+    }
+
     #[test]
     fn a_tile_set_is_gathered_once_while_its_source_stands() {
         let wait = || Stmt::DmaWait { reply: ReplyId(0), times: 1 };
@@ -403,7 +676,7 @@ mod tests {
             Stmt::for_(0, 4, Stmt::seq(vec![get, wait()]))
         };
         let gathers = |p: &Program| p.body.count(|s| matches!(s, Stmt::Transform(_)));
-        let p = coalesce_gets(host(Stmt::seq(vec![nest(), nest()])));
+        let p = coalesce(host(Stmt::seq(vec![nest(), nest()])));
         assert_eq!((gathers(&p), p.mem_bufs.len()), (1, 2));
         let mut reads = Vec::new();
         p.body.visit(&mut |s| {
@@ -415,8 +688,37 @@ mod tests {
         // A put into the source between the nests stales the first gather.
         let put = DmaCg { direction: DmaDirection::SpmToMem, ..strided_get(AffineExpr::zero()) };
         let body = Stmt::seq(vec![nest(), Stmt::DmaCg(put), wait(), nest()]);
-        let p = coalesce_gets(host(body));
+        let p = coalesce(host(body));
         assert_eq!((gathers(&p), p.mem_bufs.len()), (2, 3));
+        // The second gather runs after the put and its wait, not before.
+        assert_eq!(kinds(&p), "G N P W G N");
+    }
+
+    /// The top-level statements of `p`, one letter each: `G`ather, `N`est,
+    /// `P`ut, `W`ait.
+    fn kinds(p: &Program) -> String {
+        let Stmt::Seq(tops) = &*p.body else { panic!("{:?}", p.body) };
+        let kind = |s: &Stmt| match s {
+            Stmt::Transform(_) => "G",
+            Stmt::For { .. } => "N",
+            Stmt::DmaCg(_) | Stmt::DmaCpe(_) => "P",
+            Stmt::DmaWait { .. } => "W",
+            other => panic!("{other:?}"),
+        };
+        tops.iter().map(kind).collect::<Vec<_>>().join(" ")
+    }
+
+    #[test]
+    fn the_gathers_of_unwritten_sources_run_first() {
+        // Two nests over two tile sets of an input: both gathers lead the
+        // program, back to back, so they chain into one start-up.
+        let nest = |first: i64| {
+            let get = strided_get(AffineExpr::loop_var(0).scale(16).add(&AffineExpr::konst(first)));
+            let wait = Stmt::DmaWait { reply: ReplyId(0), times: 1 };
+            Stmt::for_(0, 4, Stmt::seq(vec![Stmt::DmaCg(get), wait]))
+        };
+        let p = coalesce(host(Stmt::seq(vec![nest(0), nest(16 * 96)])));
+        assert_eq!(kinds(&p), "G G N N");
     }
 
     #[test]
@@ -427,7 +729,7 @@ mod tests {
             4,
             Stmt::seq(vec![get, Stmt::DmaWait { reply: ReplyId(0), times: 1 }]),
         );
-        let p = coalesce_gets(host(body));
+        let p = coalesce(host(body));
         assert_eq!(p.body.count(|s| matches!(s, Stmt::DmaCg(_))), 0);
         assert_eq!(p.body.count(|s| matches!(s, Stmt::Transform(_))), 1);
         assert_eq!(p.mem_bufs.len(), 2);
@@ -455,7 +757,7 @@ mod tests {
         let mut put = strided_get(AffineExpr::loop_var(0).scale(16));
         put.direction = DmaDirection::SpmToMem;
         let body = Stmt::for_(0, 4, Stmt::seq(vec![get.clone(), Stmt::DmaCg(put)]));
-        let p = coalesce_gets(host(body));
+        let p = coalesce(host(body));
         assert_eq!(p.body.count(|s| matches!(s, Stmt::DmaCg(_))), 2);
 
         // Guarded get: no coalesce.
@@ -464,7 +766,7 @@ mod tests {
             4,
             Stmt::if_(swatop_ir::Cond::lt_const(AffineExpr::loop_var(0), 3), get),
         );
-        let p = coalesce_gets(host(guarded));
+        let p = coalesce(host(guarded));
         assert_eq!(p.body.count(|s| matches!(s, Stmt::DmaCg(_))), 1);
     }
 
@@ -472,7 +774,7 @@ mod tests {
     fn contiguous_get_is_not_coalesced() {
         let mut d = strided_get(AffineExpr::zero());
         d.row_stride = d.cols / 8; // already per-CPE contiguous
-        let p = coalesce_gets(host(Stmt::DmaCg(d)));
+        let p = coalesce(host(Stmt::DmaCg(d)));
         assert_eq!(p.body.count(|s| matches!(s, Stmt::DmaCg(_))), 1);
         assert_eq!(p.mem_bufs.len(), 1);
     }

@@ -76,7 +76,7 @@ pub fn finish(mut program: Program, double_buffer: bool) -> Program {
 pub fn dma_wall(mut program: Program) -> Program {
     let coalesce = program.hints.coalesce;
     if coalesce {
-        program = coalesce::coalesce_gets(program);
+        program = coalesce::coalesce(program);
     }
     // DMA inference's lowering, with producer fusion riding its walk.
     chains::fuse_chains(&mut program);
@@ -104,17 +104,27 @@ mod tests {
     };
     use crate::scheduler::{Operator, Scheduler};
     use sw26010::MachineConfig;
-    use swatop_ir::{Link, ScheduleHints, Stmt, TransformOp};
+    use sw26010::{CoreGroup, DmaDirection, ExecMode};
+    use swatop_ir::{Link, ScheduleHints, Stmt, TransformKind, TransformOp};
     use swtensor::ConvShape;
 
     /// The pipeline as it ran before the scheduler chained the hint
     /// siblings: one run per hint combination, broadcast tags *before*
     /// fusion. The oracle for [`optimize`]; `chains` runs producer fusion
     /// of transform chains, and leaving it out gives every transform its own
-    /// pass.
-    fn optimize_per_sibling(mut program: Program, enable_prefetch: bool, chains: bool) -> Program {
+    /// pass; leaving out `puts` stages gets alone.
+    fn optimize_per_sibling(
+        mut program: Program,
+        enable_prefetch: bool,
+        chains: bool,
+        puts: bool,
+    ) -> Program {
         if program.hints.coalesce {
-            program = coalesce::coalesce_gets(program);
+            program = if puts {
+                coalesce::coalesce(program)
+            } else {
+                coalesce::coalesce_gets(program)
+            };
         }
         if chains {
             chains::fuse_chains(&mut program);
@@ -250,7 +260,7 @@ mod tests {
                     for enable_prefetch in [false, true] {
                         let got = optimize(p.clone(), enable_prefetch);
                         assert!(
-                            got == optimize_per_sibling(p.clone(), enable_prefetch, true),
+                            got == optimize_per_sibling(p.clone(), enable_prefetch, true, true),
                             "{} at {} with {hints:?}, prefetch {enable_prefetch}",
                             op.name(),
                             point.describe(&space),
@@ -258,7 +268,7 @@ mod tests {
                         compared += 1;
                         tagged_and_fused += got.body.count(both_marks);
                         // Fusing chains never raises the analytic price.
-                        let unchained = optimize_per_sibling(p.clone(), enable_prefetch, false);
+                        let unchained = optimize_per_sibling(p.clone(), enable_prefetch, false, true);
                         let with = model::estimate(&cfg, &gemm, &got);
                         let without = model::estimate(&cfg, &gemm, &unchained);
                         assert!(
@@ -276,5 +286,53 @@ mod tests {
         // Anti-vacuity: some gets carry both marks, so the order of the two
         // passes was really exercised.
         assert!(compared > 0 && tagged_and_fused > 0, "{compared} compared, {tagged_and_fused}");
+    }
+
+    /// Whether `s` is a put's scatter.
+    fn scatter(s: &Stmt) -> bool {
+        matches!(s, Stmt::Transform(t) if matches!(t.kind,
+            TransformKind::PackTiles { direction: DmaDirection::SpmToMem, .. }))
+    }
+
+    #[test]
+    fn staging_puts_never_raises_a_price() {
+        let cfg = MachineConfig::default();
+        let gemm = model::GemmModel::cached(&cfg);
+        let cost_only = |p: Program| {
+            let exe = crate::codegen::plan(p, &cfg).ok()?;
+            let mut cg = CoreGroup::new(cfg.clone(), ExecMode::CostOnly);
+            let binding = crate::interp::instantiate(&mut cg, &exe);
+            Some(crate::interp::execute(&mut cg, &exe, &binding).expect("a cost-only run"))
+        };
+        let mut staged = Vec::new();
+        for op in every_op() {
+            let space = op.space();
+            let mut n = 0;
+            // Every point, so every `dma` level.
+            for point in space.points() {
+                let Some(lowered) = op.lower(&space, &point) else { continue };
+                let with = optimize(lowered.clone(), true);
+                if with.body.count(scatter) == 0 {
+                    continue;
+                }
+                n += 1;
+                let without = optimize_per_sibling(lowered, true, true, false);
+                let at = || format!("{} at {}", op.name(), point.describe(&space));
+                let (e_with, e_without) =
+                    (model::estimate(&cfg, &gemm, &with), model::estimate(&cfg, &gemm, &without));
+                for prefetched in [false, true] {
+                    let (a, b) = (e_with.overall(prefetched), e_without.overall(prefetched));
+                    assert!(a <= b, "{}: estimate {a} against {b}", at());
+                }
+                let (a, b) = (cost_only(with), cost_only(without));
+                assert!(a <= b, "{}: cost-only {a:?} against {b:?}", at());
+            }
+            staged.push((op.name(), n));
+        }
+        // Anti-vacuity: Winograd, implicit, the unaligned matmul and
+        // backward data stage puts.
+        let stages = |name: &str| staged.iter().any(|(op, n)| op.starts_with(name) && *n > 0);
+        let named = ["matmul", "implicit_conv", "winograd_conv", "conv_bwd_data"];
+        assert!(named.iter().all(|n| stages(n)), "{staged:?}");
     }
 }

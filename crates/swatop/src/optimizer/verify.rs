@@ -17,9 +17,10 @@
 //!   is what makes "startup waived exactly once per run" sound); a `fused`
 //!   transform must directly follow a transform;
 //! * **transform chains** — the output of a [`Link::Feeds`] producer is
-//!   never materialised: no DMA and no unfused transform may read it, a
-//!   chain's last link must read one, and every producer must have as many
-//!   readers as it is marked with;
+//!   never materialised: no DMA and no unfused transform may read it, no
+//!   put may write it (its readers would never see the write), a chain's
+//!   last link must read one, and every producer must have as many readers
+//!   as it is marked with;
 //! * **ping/pong hazards** — reading an SPM buffer whose fill is still in
 //!   flight (use-before-reply: the classic swapped-parity bug), overwriting
 //!   a buffer an un-waited put is still sourcing from (residency lifetime
@@ -376,6 +377,16 @@ impl Walker<'_> {
                         self.filling[id.0] += 1;
                     }
                     DmaDirection::SpmToMem => {
+                        if self.unmaterialised.iter().any(|&(b, _)| b == d.buf) {
+                            let name = &self.exe.program.mem_bufs[d.buf.0].name;
+                            self.viol(
+                                "writes-unmaterialised",
+                                format!(
+                                    "put writes '{name}', a fused chain's intermediate that its \
+                                     readers compute from the chain's source"
+                                ),
+                            );
+                        }
                         if self.filling[id.0] > 0 {
                             self.viol(
                                 "use-before-reply",
@@ -731,6 +742,9 @@ mod tests {
         // A get of the intermediate reads memory nothing wrote.
         let read = vec![get(1, SpmSlot::single(SpmBufId(0)), 0, false), wait(0, 1)];
         assert_eq!(rules(check(chain(feeds, ends, read))), vec!["reads-unmaterialised"]);
+        // A put into it lands where its readers never look.
+        let write = vec![put(1, SpmSlot::single(SpmBufId(0)), 0), wait(0, 1)];
+        assert_eq!(rules(check(chain(feeds, ends, write))), vec!["writes-unmaterialised"]);
         // So does an unfused transform.
         assert_eq!(
             rules(check(chain(feeds, Link::Alone, vec![]))),

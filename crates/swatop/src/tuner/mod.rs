@@ -212,6 +212,14 @@ fn measure_waves(eng: &mut Engine, ranked: &[(usize, f64)], policy: &TierPolicy)
             // The whole wave failed terminally: probe deeper.
             None => k = (k + policy.base_k.max(1)).min(cap),
         }
+        // Equal predictions carry no order, so the ladder's cap never
+        // splits a tie: it runs on through every rank predicted like the
+        // last. `top_k` (no widening) keeps its exact count.
+        if policy.base_k < policy.max_k && k == cap {
+            while k < ranked.len() && ranked[k].1 == ranked[k - 1].1 {
+                k += 1;
+            }
+        }
     }
     measured
 }
@@ -317,6 +325,25 @@ mod tests {
     use super::*;
     use crate::ops::MatmulOp;
     use crate::scheduler::Scheduler;
+
+    #[test]
+    fn a_cap_inside_a_tie_measures_the_whole_tie() {
+        let cfg = MachineConfig::default();
+        let cands = Scheduler::new(cfg.clone()).enumerate(&MatmulOp::new(32, 32, 32));
+        // Predictions far below any measured cycles, so every wave widens
+        // to the cap; ranks 1–3 tie, and so do ranks 4–5.
+        let preds = [1.0, 2.0, 2.0, 2.0, 3.0, 3.0, 4.0];
+        let ranked: Vec<(usize, f64)> = preds.into_iter().enumerate().collect();
+        let measured = |tiers: TierPolicy| {
+            let opts = TuneOptions { tiers, ..TuneOptions::default() };
+            let mut eng = Engine::new(&cfg, &cands, &opts);
+            measure_waves(&mut eng, &ranked, &opts.tiers)
+        };
+        let ladder = |max_k| TierPolicy { base_k: 1, max_k, ..TierPolicy::default() };
+        assert_eq!([2, 4, 5, 7].map(|k| measured(ladder(k))), [4, 4, 6, 7]);
+        // A fixed top-k measures exactly k, tie or not.
+        assert_eq!(measured(TierPolicy::top_k(2)), 2);
+    }
 
     #[test]
     fn nothing_to_report_is_an_error_that_says_why() {

@@ -1069,7 +1069,10 @@ const SPACE_SUMS: [&str; 7] = [
 /// conv's looped reduction stopped fetching the output tile they start:
 /// `issue_p0` and `kernel_calls` stayed put, and Winograd's sums too. And
 /// when chains of bulk transforms fused into one pass: only the cycles
-/// moved, every counter stayed put.
+/// moved, every counter stayed put. And when puts into scratch buffers
+/// staged: cycles, bus bytes and stall cycles fell on the conv spaces,
+/// every other counter stayed put, and the aligned matmul's output put
+/// (into an output buffer, so never staged) left its sums alone.
 #[test]
 #[ignore = "whole spaces: run in release"]
 fn whole_space_sums_are_pinned() {
@@ -1081,15 +1084,15 @@ fn whole_space_sums_are_pinned() {
     let spaces: [(Box<dyn Operator>, [u64; 7]); 7] = [
         (
             Box::new(ImplicitConvOp::new(conv)),
-            [2_195_746_976, 21_234_450_432, 1_695_955_648, 42_467_328, 761_856, 454_496, 516_096],
+            [2_179_301_238, 20_966_014_976, 1_679_509_910, 42_467_328, 761_856, 454_496, 516_096],
         ),
         (
             Box::new(WinogradConvOp::new(conv)),
-            [93_612_567, 723_386_368, 34_514_767, 3_932_160, 47_616, 47_496, 55_552],
+            [80_583_775, 553_517_056, 21_485_975, 3_932_160, 47_616, 47_496, 55_552],
         ),
         (
             Box::new(ExplicitConvOp::new(conv)),
-            [1_958_686_472, 17_128_882_176, 1_337_293_216, 82_575_360, 492_032, 345_216, 293_632],
+            [1_945_292_936, 16_961_110_016, 1_324_043_680, 82_575_360, 492_032, 345_216, 293_632],
         ),
         (
             Box::new(MatmulOp::new(64, 64, 64)),
@@ -1098,9 +1101,9 @@ fn whole_space_sums_are_pinned() {
         (
             Box::new(ImplicitConvOp::new(vgg7)),
             [
-                82_985_904_536,
-                586_453_876_736,
-                19_635_735_064,
+                82_576_188_824,
+                581_638_815_744,
+                19_226_019_352,
                 40_693_137_408,
                 1_315_328,
                 822_496,
@@ -1110,9 +1113,9 @@ fn whole_space_sums_are_pinned() {
         (
             Box::new(WinogradConvOp::new(vgg7)),
             [
-                4_761_645_497,
-                40_667_971_584,
-                150_923_533,
+                4_701_155_741,
+                38_201_720_832,
+                90_457_777,
                 2_671_771_648,
                 104_960,
                 104_868,
@@ -1122,9 +1125,9 @@ fn whole_space_sums_are_pinned() {
         (
             Box::new(ExplicitConvOp::new(vgg7)),
             [
-                4_342_574_216_967,
-                47_607_374_151_680,
-                3_039_144_434_151,
+                4_323_441_957_639,
+                47_381_301_166_080,
+                3_020_012_174_823,
                 517_912_657_920,
                 594_674_192,
                 398_693_792,

@@ -5,9 +5,14 @@
 //! quarantine-and-fallback determinism, and checkpoint/resume through a
 //! sweep whose winner gets quarantined.
 
+mod common;
+
+use common::every_op;
 use proptest::prelude::*;
 use swatop_repro::sw26010::fault::{MiscompileKind, MiscompilePlan};
-use swatop_repro::sw26010::{CoreGroup, ExecMode, FaultPlan, MachineConfig, MachineError};
+use swatop_repro::sw26010::{
+    CoreGroup, DmaDirection, ExecMode, FaultPlan, MachineConfig, MachineError,
+};
 use swatop_repro::swatop::interp::{execute, instantiate};
 use swatop_repro::swatop::ops::matmul::{lower_matmul_body, MatmulKnobs, Resident};
 use swatop_repro::swatop::ops::tiling::PadMode;
@@ -19,7 +24,7 @@ use swatop_repro::swatop::tuner::{
     should_retry, tune, CheckpointPolicy, TierPolicy,
     TuneOptions, TuneOutcome, WinnerValidator,
 };
-use swatop_repro::ir::{MemRole, Program, ScheduleHints, Stmt};
+use swatop_repro::ir::{MemRole, Program, ScheduleHints, Stmt, TransformKind};
 use swatop_repro::{swatop, swtensor};
 
 fn candidates(op: &dyn Operator) -> Vec<Candidate> {
@@ -74,6 +79,33 @@ fn clean_candidates_validate_with_zero_false_positives() {
         checked += 1;
     }
     assert!(checked > 100, "sample too thin: {checked}");
+}
+
+/// Every candidate of every operator that stages a put (a strided output
+/// tile landed contiguously, then scattered into its scratch buffer by the
+/// transform that reads it) passes full validation. A debug build checks
+/// every 8th per operator: the functional runs take about 30 s there.
+#[test]
+fn every_candidate_that_stages_a_put_validates() {
+    let cfg = MachineConfig::default();
+    let scatter = |s: &Stmt| {
+        matches!(s, Stmt::Transform(t) if matches!(t.kind,
+            TransformKind::PackTiles { direction: DmaDirection::SpmToMem, .. }))
+    };
+    let stride = if cfg!(debug_assertions) { 8 } else { 1 };
+    let mut checked = 0;
+    for op in every_op() {
+        let cands = candidates(&*op);
+        let staged = cands.iter().filter(|c| c.exe.program.body.count(scatter) > 0);
+        for c in staged.step_by(stride) {
+            if let Err(msg) = validate_candidate(&cfg, &*op, c) {
+                panic!("{} candidate {} ({}): {msg}", op.name(), c.point_index, c.describe);
+            }
+            checked += 1;
+        }
+    }
+    // 752 candidates stage a put.
+    assert!(checked * stride >= 700, "{checked} checked");
 }
 
 /// The injection matrix: every miscompile class, across several seeds, must
