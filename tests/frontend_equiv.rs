@@ -6,8 +6,10 @@
 //! for field — lowering and optimizing every point on its own, written out
 //! here from public functions only.
 
+use std::collections::HashMap;
+
 use swatop_repro::dsl::{SchedulePoint, ScheduleSpace};
-use swatop_repro::ir::Program;
+use swatop_repro::ir::{Program, ScheduleHints};
 use swatop_repro::sw26010::MachineConfig;
 use swatop_repro::swatop::codegen::plan;
 use swatop_repro::swatop::ops::{dma_knob, dma_level, ImplicitConvOp};
@@ -84,6 +86,63 @@ fn enumerate_equals_the_per_point_sequence() {
     // Anti-vacuity: both sides of the double-buffering branch were compared.
     assert!(prefetched > 0 && prefetched < total, "{prefetched} of {total} prefetched");
     println!("{total} candidates, {prefetched} prefetched, {fell_back} asked and fell back");
+}
+
+/// What runs: the executable's `Debug` with its `hints` block struck out.
+/// Two candidates of one space with one digest are one program.
+fn exe_digest(c: &Candidate) -> u64 {
+    let text = format!("{:?}", &*c.exe);
+    let start = text.find("hints: ScheduleHints {").expect("a program carries hints");
+    let end = start + text[start..].find('}').expect("the hints block closes") + 1;
+    let mut digest = Digest(FNV_OFFSET);
+    digest.add(&text[..start]);
+    digest.add(&text[end..]);
+    digest.0
+}
+
+/// The copies ROADMAP item 23(a) would drop, over every operator and the
+/// implicit spaces with and without `t_ro`: a candidate whose program an
+/// earlier candidate of its space already holds is a `dbuf` point whose pass
+/// had no effect, and the earlier one is the same structural point at the
+/// same level without `dbuf`. So within a structural point (`coalesce`,
+/// `bcast`, doubled) decides the program.
+#[test]
+fn every_repeated_program_is_a_dbuf_point_without_effect() {
+    let sched = Scheduler::new(MachineConfig::default());
+    let implicit = implicit_shapes().into_iter().map(|s| Box::new(ImplicitConvOp::new(s)) as _);
+    let mut twins = Vec::new();
+    for op in every_op().into_iter().chain(implicit) {
+        let (op, space): (&dyn Operator, _) = (op.as_ref(), op.space());
+        let structural = |c: &Candidate| {
+            let mut sel = space.point(c.point_index).sel().to_vec();
+            if let Some(dma) = dma_knob(&space) {
+                sel[dma] = 0;
+            }
+            sel
+        };
+        let cands = sched.enumerate(op);
+        let mut first: HashMap<u64, &Candidate> = HashMap::new();
+        let mut n = 0;
+        for c in &cands {
+            let kept = *first.entry(exe_digest(c)).or_insert(c);
+            if std::ptr::eq(kept, c) {
+                continue;
+            }
+            let at = format!("{}: {} repeats {}", op.name(), c.describe, kept.describe);
+            assert!(c.raw.hints.dbuf, "{at}");
+            assert_eq!(kept.raw.hints, ScheduleHints { dbuf: false, ..c.raw.hints }, "{at}");
+            assert_eq!(structural(kept), structural(c), "{at}");
+            n += 1;
+        }
+        twins.push((op.name(), n, cands.len()));
+    }
+    // Anti-vacuity: copies where `dbuf` falls back (matmul) and where it
+    // finds no nest (implicit under `red=resident`).
+    for family in ["matmul_", "implicit_conv_"] {
+        let n: usize = twins.iter().filter(|t| t.0.starts_with(family)).map(|t| t.1).sum();
+        assert!(n > 0, "no {family} candidate repeats a program: {twins:?}");
+    }
+    println!("(op, repeated programs, candidates): {twins:?}");
 }
 
 #[test]
@@ -192,6 +251,9 @@ fn implicit_shapes() -> Vec<ConvShape> {
 /// FNV-1a, 64-bit.
 struct Digest(u64);
 
+/// FNV-1a's offset basis: where every digest starts.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
 impl Digest {
     fn add(&mut self, text: &str) {
         for b in text.bytes() {
@@ -215,7 +277,7 @@ fn merged_rows_leave_the_one_row_candidates_as_they_were() {
         let op = ImplicitConvOp::new(shape);
         let offered = op.space().has_knob("t_ro");
         assert_eq!(offered, !(shape.b * shape.co).is_multiple_of(32), "{shape:?}");
-        let (mut digest, mut n, mut merged) = (Digest(0xcbf2_9ce4_8422_2325), 0, 0);
+        let (mut digest, mut n, mut merged) = (Digest(FNV_OFFSET), 0, 0);
         for c in sched.enumerate(&op) {
             let describe = c.describe.replace(", t_ro=1,", ",");
             if describe.contains("t_ro=") {
