@@ -34,16 +34,16 @@ use crate::scheduler::{Candidate, Operator};
 
 /// The `dma` menu of the operators that tune the GEMM space over
 /// materialised matrices, and of implicit conv: a ladder on which each level
-/// adds one DMA-wall pass.
-pub const DMA_LADDER: [&str; 4] = ["none", "dbuf", "dbuf+coal", "all"];
+/// adds one DMA-wall pass. It starts at `dbuf`: no space holds an optimum at
+/// `none`, and where double buffering does not apply its program is `none`'s.
+pub const DMA_LADDER: [&str; 3] = ["dbuf", "dbuf+coal", "all"];
 
 /// The DMA-wall knob. Every operator appends one `dma` choice whose levels
 /// name the passes they turn on — `dbuf`, `coal`, `bcast` joined with `+`,
-/// or `none` / `all` — and each level parses straight to the
+/// or `all` — and each level parses straight to the
 /// [`ScheduleHints`] its program carries. Panics on a pass it does not know.
 pub fn dma_level(level: &str) -> ScheduleHints {
     match level {
-        "none" => ScheduleHints::default(),
         "all" => ScheduleHints { dbuf: true, coalesce: true, bcast: true },
         _ => level.split('+').fold(ScheduleHints::default(), |h, pass| match pass {
             "dbuf" => ScheduleHints { dbuf: true, ..h },
@@ -269,7 +269,6 @@ mod tests {
     fn a_dma_level_parses_to_the_passes_it_names() {
         let h = |dbuf, coalesce, bcast| ScheduleHints { dbuf, coalesce, bcast };
         for (level, want) in [
-            ("none", h(false, false, false)),
             ("dbuf", h(true, false, false)),
             ("dbuf+coal", h(true, true, false)),
             ("bcast", h(false, false, true)),

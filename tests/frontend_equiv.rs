@@ -12,7 +12,7 @@ use swatop_repro::dsl::{SchedulePoint, ScheduleSpace};
 use swatop_repro::ir::{Program, ScheduleHints};
 use swatop_repro::sw26010::MachineConfig;
 use swatop_repro::swatop::codegen::plan;
-use swatop_repro::swatop::ops::{dma_knob, dma_level, ImplicitConvOp};
+use swatop_repro::swatop::ops::{dma_knob, dma_level, ImplicitConvOp, MatmulOp};
 use swatop_repro::swatop::optimizer::{dma_wall, finish, optimize};
 use swatop_repro::swatop::optimizer::prefetch::apply_double_buffering;
 use swatop_repro::swatop::scheduler::{Candidate, Operator, Scheduler};
@@ -100,49 +100,65 @@ fn exe_digest(c: &Candidate) -> u64 {
     digest.0
 }
 
-/// The copies ROADMAP item 23(a) would drop, over every operator and the
-/// implicit spaces with and without `t_ro`: a candidate whose program an
-/// earlier candidate of its space already holds is a `dbuf` point whose pass
-/// had no effect, and the earlier one is the same structural point at the
-/// same level without `dbuf`. So within a structural point (`coalesce`,
-/// `bcast`, doubled) decides the program.
+/// Each candidate of `cands` whose program an earlier candidate of its space
+/// already holds, with that earlier candidate: the copies ROADMAP item 23(a)
+/// would drop.
+fn repeated_programs(cands: &[Candidate]) -> Vec<(&Candidate, &Candidate)> {
+    let mut first: HashMap<u64, &Candidate> = HashMap::new();
+    let copy_of = |c| {
+        let kept = *first.entry(exe_digest(c)).or_insert(c);
+        (!std::ptr::eq(kept, c)).then_some((c, kept))
+    };
+    cands.iter().filter_map(copy_of).collect()
+}
+
+/// Over every operator but `MatmulOp`, and the implicit spaces with and
+/// without `t_ro`, no two candidates of one space run one program: the DMA
+/// ladder starts at `dbuf`, so no level repeats a point whose double
+/// buffering had no effect.
+#[test]
+fn no_operator_but_matmul_repeats_a_program() {
+    let sched = Scheduler::new(MachineConfig::default());
+    let implicit = implicit_shapes().into_iter().map(|s| Box::new(ImplicitConvOp::new(s)) as _);
+    let mut ops = 0;
+    for op in every_op().into_iter().chain(implicit) {
+        if op.name().starts_with("matmul_") {
+            continue;
+        }
+        let cands = sched.enumerate(op.as_ref());
+        assert!(!cands.is_empty(), "{}", op.name());
+        if let Some((c, kept)) = repeated_programs(&cands).first() {
+            panic!("{}: {} repeats {}", op.name(), c.describe, kept.describe);
+        }
+        ops += 1;
+    }
+    assert_eq!(ops, every_op().len() - 1 + implicit_shapes().len());
+}
+
+/// `MatmulOp`'s copies: a candidate whose program an earlier candidate of
+/// its space already holds is a `dbuf` point whose pass fell back, and the
+/// earlier one is the same structural point at the same level without
+/// `dbuf`. So within a structural point (`coalesce`, `bcast`, doubled)
+/// decides the program.
 #[test]
 fn every_repeated_program_is_a_dbuf_point_without_effect() {
     let sched = Scheduler::new(MachineConfig::default());
-    let implicit = implicit_shapes().into_iter().map(|s| Box::new(ImplicitConvOp::new(s)) as _);
-    let mut twins = Vec::new();
-    for op in every_op().into_iter().chain(implicit) {
-        let (op, space): (&dyn Operator, _) = (op.as_ref(), op.space());
-        let structural = |c: &Candidate| {
-            let mut sel = space.point(c.point_index).sel().to_vec();
-            if let Some(dma) = dma_knob(&space) {
-                sel[dma] = 0;
-            }
-            sel
-        };
-        let cands = sched.enumerate(op);
-        let mut first: HashMap<u64, &Candidate> = HashMap::new();
-        let mut n = 0;
-        for c in &cands {
-            let kept = *first.entry(exe_digest(c)).or_insert(c);
-            if std::ptr::eq(kept, c) {
-                continue;
-            }
-            let at = format!("{}: {} repeats {}", op.name(), c.describe, kept.describe);
-            assert!(c.raw.hints.dbuf, "{at}");
-            assert_eq!(kept.raw.hints, ScheduleHints { dbuf: false, ..c.raw.hints }, "{at}");
-            assert_eq!(structural(kept), structural(c), "{at}");
-            n += 1;
-        }
-        twins.push((op.name(), n, cands.len()));
+    let op = MatmulOp::new(36, 20, 50);
+    let space = op.space();
+    let structural = |c: &Candidate| {
+        let mut sel = space.point(c.point_index).sel().to_vec();
+        sel[dma_knob(&space).expect("matmul tunes its DMA wall")] = 0;
+        sel
+    };
+    let cands = sched.enumerate(&op);
+    let copies = repeated_programs(&cands);
+    for (c, kept) in &copies {
+        let at = format!("{}: {} repeats {}", op.name(), c.describe, kept.describe);
+        assert!(c.raw.hints.dbuf, "{at}");
+        assert_eq!(kept.raw.hints, ScheduleHints { dbuf: false, ..c.raw.hints }, "{at}");
+        assert_eq!(structural(kept), structural(c), "{at}");
     }
-    // Anti-vacuity: copies where `dbuf` falls back (matmul) and where it
-    // finds no nest (implicit under `red=resident`).
-    for family in ["matmul_", "implicit_conv_"] {
-        let n: usize = twins.iter().filter(|t| t.0.starts_with(family)).map(|t| t.1).sum();
-        assert!(n > 0, "no {family} candidate repeats a program: {twins:?}");
-    }
-    println!("(op, repeated programs, candidates): {twins:?}");
+    assert_eq!((copies.len(), cands.len()), (32, 128), "(repeated programs, candidates)");
 }
 
 #[test]
@@ -267,8 +283,9 @@ impl Digest {
 /// hashes (describe, raw, executable, prefetched per candidate, `t_ro=1`
 /// struck from the describe) to `tests/golden/implicit_one_row.txt`, first
 /// recorded before `t_ro` existed and re-recorded only where the one-row
-/// lowering itself changed. On a mismatch the new text is written to
-/// `target/tmp/frontend_equiv/`.
+/// lowering itself changed, and when the DMA ladder lost `dma=none` (each
+/// line then equalled the parent's with the `dma=none` candidates struck).
+/// On a mismatch the new text is written to `target/tmp/frontend_equiv/`.
 #[test]
 fn merged_rows_leave_the_one_row_candidates_as_they_were() {
     let sched = Scheduler::new(MachineConfig::default());

@@ -193,10 +193,10 @@ fn screen_equals_a_per_candidate_estimate() {
         let cands = enumerate(op.as_ref());
         let (leaders, slot) = screen_leaders(&cands);
         // A leader prices one (`raw`, `bcast`): levels share one only where
-        // they agree on both — never on Winograd's menu, whose every
-        // candidate leads.
+        // they agree on both — only on `MatmulOp`'s menu, whose `dbuf`
+        // levels double those without; elsewhere every candidate leads.
         let shares = two_levels_agree(&dma_menu(&op.space()), |h| (h.coalesce, h.bcast));
-        assert_eq!(shares, !op.name().starts_with("winograd"), "{}", op.name());
+        assert_eq!(shares, op.name().starts_with("matmul_"), "{}", op.name());
         if shares {
             assert!(leaders.len() < cands.len(), "{}: nothing shared", op.name());
         } else {
@@ -218,19 +218,21 @@ fn screen_equals_a_per_candidate_estimate() {
 #[test]
 fn screen_leaders_are_found_by_identity_only() {
     let cfg = MachineConfig::default();
-    // A GEMM-ladder operator: `dma=none` / `dbuf` are dbuf siblings, and
-    // `dma=dbuf+coal` / `all` are bcast siblings (matmul always broadcasts).
-    let cands = enumerate(&ExplicitConvOp::new(ConvShape::square(4, 16, 16, 8)));
-    let sibling = |of: &Candidate, dbuf, bcast| {
+    // `MatmulOp`'s `dma=bcast` / `dbuf+bcast` are dbuf siblings, and a
+    // GEMM-ladder operator's `dma=dbuf+coal` / `all` are bcast siblings.
+    let gemm = enumerate(&MatmulOp::new(36, 20, 50));
+    let conv = enumerate(&ExplicitConvOp::new(ConvShape::square(4, 16, 16, 8)));
+    let sibling = |cands: &[Candidate], of: &Candidate, dbuf, bcast| {
         let hints = |c: &&Candidate| c.raw.hints.dbuf == dbuf && c.raw.hints.bcast == bcast;
         cands.iter().filter(hints).find(|c| same_storage(&c.raw, &of.raw)).cloned()
     };
-    let a = cands.iter().find(|c| !c.raw.hints.dbuf).expect("a dbuf-off candidate").clone();
-    let b = sibling(&a, true, false).expect("its dbuf-on sibling");
-    let coal = cands.iter().find(|c| c.raw.hints.coalesce && !c.raw.hints.bcast);
+    let a = gemm.iter().find(|c| !c.raw.hints.dbuf && !c.raw.hints.coalesce);
+    let a = a.expect("a dbuf-off candidate").clone();
+    let b = sibling(&gemm, &a, true, true).expect("its dbuf-on sibling");
+    let coal = conv.iter().find(|c| c.raw.hints.coalesce && !c.raw.hints.bcast);
     let coal = coal.expect("a coalesced candidate").clone();
-    let bcast = sibling(&coal, true, true).expect("its bcast sibling");
-    let other = cands.iter().find(|c| !c.raw.hints.coalesce && !same_storage(&c.raw, &a.raw));
+    let bcast = sibling(&conv, &coal, true, true).expect("its bcast sibling");
+    let other = gemm.iter().find(|c| !c.raw.hints.coalesce && !same_storage(&c.raw, &a.raw));
     let other = other.expect("a different program").clone();
     // Equal to `a` in every field, but its own allocation.
     let mut twin = a.clone();

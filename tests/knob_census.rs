@@ -38,7 +38,11 @@
 //!
 //! One rule covers every tallied value (choices, toggles and `t_ro`'s `1` /
 //! `2+`): it holds at least one optimum, or [`KEEPS`] names it with the
-//! reason it stays, and a named keep holds none.
+//! reason it stays, and a named keep holds none. One value is kept so,
+//! implicit `t_ro=1`. The DMA ladder's `none` was kept twice, for the
+//! libraries' points, until the level was deleted: it held no optimum in
+//! either group, and where double buffering finds nothing to do a `dbuf`
+//! point runs its program.
 //!
 //! A second test pins which Winograd-applicable shapes have no candidate at
 //! all, so that deleting a reduction schedule cannot leave a shape with an
@@ -95,28 +99,13 @@ const GEMM_USED: [(usize, usize, usize); 10] = [
 
 /// `(group, knob, value, reason)`: the values that hold no optimum of the
 /// census and stay (DESIGN.md §11). Every other value must hold one.
-const KEEPS: [(&str, &str, &str, &str); 3] = [
-    (
-        "implicit",
-        "dma",
-        "none",
-        "swDNN's point: baselines::swdnn scores no DMA knob, so its tie falls to the first level",
-    ),
-    (
-        "ladder",
-        "dma",
-        "none",
-        "xMath's point: baselines::xmath_knobs() runs `dma` at its default, so deleting the level \
-         would take xMath's explicit-conv point out of the space (ROADMAP item 15)",
-    ),
-    (
-        "implicit",
-        "t_ro",
-        "1",
-        "the one-row slice is the space as it was before rows merged: frontend_equiv pins it \
-         against tests/golden/implicit_one_row.txt, and it wins where rows are wide on their own",
-    ),
-];
+const KEEPS: [(&str, &str, &str, &str); 1] = [(
+    "implicit",
+    "t_ro",
+    "1",
+    "the one-row slice is the space as it was before rows merged: frontend_equiv pins it \
+     against tests/golden/implicit_one_row.txt, and it wins where rows are wide on their own",
+)];
 
 /// The small conv shapes the benchmark, the journal and the tests use.
 fn small_convs() -> Vec<ConvShape> {

@@ -14,7 +14,12 @@
 //! fault-free one to the same candidate and 9,338 cycles). Each time
 //! Winograd's space halved, `thirds` was re-keyed (to `i % 3 == 0`, then
 //! back to `i % 3 == 1`): the old key no longer rejected any Winograd
-//! winner, and the anti-vacuity runs below need one rejected.
+//! winner, and the anti-vacuity runs below need one rejected. When the
+//! GEMM ladder's `dma=none` level went, the fault plan was re-seeded (from
+//! `0x16_5EED` to `0x16_5F3C`): its stream keys on the input index, and
+//! under the old seed every implicit candidate failed, so no run walked
+//! down the ranking past a wholly failed wave any more. Every faulted line
+//! moved with the seed; every fault-free line kept its cycles.
 
 use swatop_repro::sw26010::{FaultPlan, MachineConfig};
 use swatop_repro::swatop::ops::{ImplicitConvOp, MatmulOp, WinogradConvOp};
@@ -89,7 +94,7 @@ fn every_policy_reports_what_the_ladders_did() {
     };
     let validators: [(&str, Option<&WinnerValidator>); 3] =
         [("none", None), ("accept", Some(&accept)), ("thirds", Some(&thirds))];
-    let plan = FaultPlan { dma_fail_ppm: 20_000, ..FaultPlan::with_seed(0x16_5EED) };
+    let plan = FaultPlan { dma_fail_ppm: 20_000, ..FaultPlan::with_seed(0x16_5F3C) };
     let machines = [
         ("perfect", MachineConfig::default()),
         ("faulted", MachineConfig { fault: Some(plan), ..MachineConfig::default() }),
@@ -124,7 +129,7 @@ fn every_policy_reports_what_the_ladders_did() {
     for (run, counts) in [
         ("winograd top3 thirds perfect", "executed=3 screened=24 validated=2 quarantined=1"),
         ("winograd top1 thirds perfect", "executed=2 screened=24 validated=2 quarantined=1"),
-        ("implicit top1 none faulted", "executed=74 screened=192 validated=0 quarantined=0 failed=73"),
+        ("implicit top1 none faulted", "executed=74 screened=144 validated=0 quarantined=0 failed=73"),
     ] {
         let recorded = want.iter().any(|l| l.starts_with(run) && l.contains(counts));
         assert!(recorded, "not among the recorded runs: {run}: {counts}");
