@@ -32,7 +32,7 @@ fn bench_enumerate_matmul(c: &mut Criterion) {
     });
 }
 
-/// The largest `gemm_space` op (2,816 candidates) with the things a pass
+/// The largest `gemm_space` op (1,408 candidates) with the things a pass
 /// pays for its candidate list timed apart: building it (the list is
 /// dropped off the clock), dropping it, screening it, building the
 /// executables of one scoreboard wave (the 64 best ranks, the widest the

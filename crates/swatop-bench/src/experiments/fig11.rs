@@ -21,24 +21,29 @@ use crate::report::{mean, Table};
 use super::{machine, Opts};
 
 /// Cycles spent in padding/unpadding transforms of a lowered program: the
-/// price of every transform that pads, or that ends a fused chain one of
-/// whose links pads.
+/// price of every transform that pads, or that ends a fused chain or a
+/// sibling run one of whose links pads.
 fn pad_cycles(cfg: &sw26010::MachineConfig, body: &Stmt) -> u64 {
     let mut total = 0u64;
     // Never-materialised outputs of chain producers that pad.
     let mut padded = Vec::new();
+    // Whether a member of the open sibling run pads.
+    let mut run_pads = false;
     body.visit(&mut |s| {
         if let Stmt::Transform(t) = s {
             let pads = matches!(
                 t.kind,
                 TransformKind::PadSubmatrix { .. } | TransformKind::UnpadSubmatrix { .. }
             ) || (t.link != Link::Alone && padded.contains(&t.kind.src()));
-            if t.link.feeds() {
-                if pads {
-                    padded.push(t.kind.dst());
+            match t.link {
+                Link::Feeds { .. } if pads => padded.push(t.kind.dst()),
+                Link::Feeds { .. } => {}
+                Link::Joins => run_pads |= pads,
+                _ => {
+                    if std::mem::take(&mut run_pads) || pads {
+                        total += transform_cost(cfg, t).get();
+                    }
                 }
-            } else if pads {
-                total += transform_cost(cfg, t).get();
             }
         }
     });

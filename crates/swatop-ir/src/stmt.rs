@@ -280,12 +280,34 @@ pub enum Link {
     /// up), its own writes, and the `compute` of every link together (in
     /// cycles).
     Ends { reads: u64, compute: u32 },
+    /// A reader of a [`Link::Feeds`] link's output that runs in one pass
+    /// with the readers standing right after it (a sibling run): its output
+    /// is materialised, and it costs nothing where it stands.
+    Joins,
+    /// The last reader of a sibling run, priced as the run's one pass: it
+    /// reads `reads` elements of the chain's first source once (the
+    /// readers' reads together, capped at the producer's), writes `writes`
+    /// elements (every reader's output) and spends `compute` cycles (the
+    /// producer's once, plus every reader's).
+    Closes { reads: u64, writes: u64, compute: u32 },
 }
 
 impl Link {
     /// Whether this link's output is never materialised.
     pub fn feeds(self) -> bool {
         matches!(self, Link::Feeds { .. })
+    }
+
+    /// Whether this link reads a [`Link::Feeds`] link's output.
+    pub fn fed(self) -> bool {
+        matches!(self, Link::Ends { .. } | Link::Joins | Link::Closes { .. })
+    }
+
+    /// Whether this link pays for a pass where it stands: not a producer,
+    /// whose readers pay, nor a sibling run's member, whose last reader
+    /// pays.
+    pub fn pays(self) -> bool {
+        !matches!(self, Link::Feeds { .. } | Link::Joins)
     }
 }
 

@@ -9,7 +9,7 @@
 
 use std::fmt::Write;
 
-use swatop_ir::{AVar, AffineExpr, Cond, Link, MemBufId, SpmSlot, Stmt, TransformKind};
+use swatop_ir::{AVar, AffineExpr, Cond, Link, MemBufId, SpmSlot, Stmt, TransformKind, TransformOp};
 
 use super::Planned;
 
@@ -90,7 +90,14 @@ fn emit_stmt(s: &Stmt, exe: &Planned, depth: usize, out: &mut String) {
     let p = &exe.program;
     match s {
         Stmt::Nop => {}
-        Stmt::Seq(ss) => ss.iter().for_each(|x| emit_stmt(x, exe, depth, out)),
+        Stmt::Seq(ss) => {
+            for (i, x) in ss.iter().enumerate() {
+                match x {
+                    Stmt::Transform(t) => transform(t, &ss[..i], exe, depth, out),
+                    other => emit_stmt(other, exe, depth, out),
+                }
+            }
+        }
         Stmt::For { var, extent, body } => {
             let _ = writeln!(out, "{pad}for (int v{var} = 0; v{var} < {extent}; ++v{var}) {{");
             emit_stmt(body, exe, depth + 1, out);
@@ -152,21 +159,54 @@ fn emit_stmt(s: &Stmt, exe: &Planned, depth: usize, out: &mut String) {
                 slot(&g.c.slot), g.c.ld
             );
         }
-        // A chain's producer runs inside its readers' calls.
-        Stmt::Transform(t) if t.link.feeds() => {}
-        Stmt::Transform(t) => {
-            // One call per fused chain, named after its links in order and
-            // reading the chain's first source.
-            let (mut name, mut src) = (kernel(&t.kind).to_string(), t.kind.src());
-            if matches!(t.link, Link::Ends { .. }) {
-                while let Some(k) = producer_of(&p.body, src) {
-                    name = format!("{}_{name}", kernel(k));
-                    src = k.src();
-                }
-            }
-            let _ = writeln!(out, "{pad}{}", fmt_call(p, &name, src, t.kind.dst()));
+        Stmt::Transform(t) => transform(t, &[], exe, depth, out),
+    }
+}
+
+/// The call of transform `t`, which stands after `before` in its `Seq`.
+/// A chain's producer and a sibling run's member run inside the last
+/// reader's call. There is one call per fused chain or sibling run, named
+/// after its links in order (a run's members as `kernel_xN` where N alike
+/// stand together), reading the chain's first source and writing every
+/// reader's output.
+fn transform(t: &TransformOp, before: &[Stmt], exe: &Planned, depth: usize, out: &mut String) {
+    if !t.link.pays() {
+        return;
+    }
+    let p = &exe.program;
+    // A run's members, in order, then `t`.
+    let closes = matches!(t.link, Link::Closes { .. });
+    let mut members: Vec<&TransformOp> = before
+        .iter()
+        .rev()
+        .map_while(|s| match s {
+            Stmt::Transform(m) if closes && m.link == Link::Joins => Some(m),
+            _ => None,
+        })
+        .collect();
+    members.reverse();
+    members.push(t);
+    let mut names: Vec<(&str, usize)> = Vec::new();
+    for m in &members {
+        match names.last_mut() {
+            Some((k, n)) if *k == kernel(&m.kind) => *n += 1,
+            _ => names.push((kernel(&m.kind), 1)),
         }
     }
+    let named = |&(k, n): &(&str, usize)| if n > 1 { format!("{k}_x{n}") } else { k.to_string() };
+    let mut name = names.iter().map(named).collect::<Vec<_>>().join("_");
+    let mut src = t.kind.src();
+    if t.link.fed() {
+        while let Some(k) = producer_of(&p.body, src) {
+            name = format!("{}_{name}", kernel(k));
+            src = k.src();
+        }
+    }
+    let args: Vec<String> = std::iter::once(src)
+        .chain(members.iter().map(|m| m.kind.dst()))
+        .map(|b| sanitize(&p.mem_bufs[b.0].name))
+        .collect();
+    let _ = writeln!(out, "{}{name}({});", "  ".repeat(depth), args.join(", "));
 }
 
 /// The runtime function of one transform kind.
@@ -197,14 +237,6 @@ fn producer_of(body: &Stmt, buf: MemBufId) -> Option<&TransformKind> {
         Stmt::Transform(t) if t.link.feeds() && t.kind.dst() == buf => Some(&t.kind),
         _ => None,
     })
-}
-
-fn fmt_call(p: &swatop_ir::Program, f: &str, src: MemBufId, dst: MemBufId) -> String {
-    format!(
-        "{f}({}, {});",
-        sanitize(&p.mem_bufs[src.0].name),
-        sanitize(&p.mem_bufs[dst.0].name)
-    )
 }
 
 #[cfg(test)]
@@ -257,5 +289,24 @@ mod tests {
         assert!(c.contains("swDMAWait(&reply0, 1);"), "{c}");
         assert!(c.contains("% 2 == 0) ? SPM_0 : SPM_1"), "{c}");
         assert!(c.contains("__thread_local float spm[128];"), "{c}");
+    }
+
+    #[test]
+    fn a_sibling_run_is_one_call() {
+        let mut p = Program::new("run");
+        let x = p.mem_buf("x", 64, MemRole::Input);
+        let mid = p.mem_buf("mid", 64, MemRole::Temp);
+        let outs: Vec<MemBufId> =
+            (0..3).map(|i| p.mem_buf(format!("o{i}"), 64, MemRole::Output)).collect();
+        let pack = |src, dst| {
+            Stmt::transform(TransformKind::PackTensor { src, dst, src_dims: vec![64], perm: vec![0] })
+        };
+        let mut body = vec![pack(x, mid)];
+        body.extend(outs.iter().map(|&o| pack(mid, o)));
+        p.set_body(Stmt::seq(body));
+        crate::optimizer::chains::fuse_chains(&mut p);
+        let c = emit(&plan(p, &MachineConfig::default()).unwrap());
+        assert!(c.contains("  pack_tensor_pack_tensor_x3(x, o0, o1, o2);\n"), "{c}");
+        assert_eq!(c.lines().filter(|l| l.contains("pack_tensor")).count(), 1, "{c}");
     }
 }

@@ -558,8 +558,9 @@ impl<'a> Interp<'a> {
         // The model's own price, so transforms contribute no model error. A
         // fused transform chains onto the still-streaming engine pipeline of
         // its predecessor and skips the start-up latency. A chain's producer
-        // costs nothing where it stands: its last link pays for the chain.
-        if !t.link.feeds() {
+        // and a sibling run's member cost nothing where they stand: the last
+        // link pays.
+        if t.link.pays() {
             let mut cycles = crate::model::transform_cost(&cg.cfg, t);
             if t.fused {
                 cycles = cycles - cg.cfg.dma_startup;

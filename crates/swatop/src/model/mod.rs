@@ -74,13 +74,19 @@ pub fn dma_eq1_cycles(
 /// A fused chain ([`Link`]) is one pass: its [`Link::Feeds`] producers cost
 /// nothing, and its last link pays one start-up for the chain's reads, its
 /// own writes and every link's compute. That is never more than the links
-/// would cost apart (`optimizer::chains` fuses only then).
+/// would cost apart (`optimizer::chains` fuses only then). A sibling run is
+/// one pass too: its [`Link::Joins`] members cost nothing, and its
+/// [`Link::Closes`] reader pays for the run's reads, every member's writes
+/// and the compute of the producer once and of every member.
 pub fn transform_cost(cfg: &MachineConfig, t: &TransformOp) -> Cycles {
     let (reads, writes, flops_per_write) = t.kind.traffic();
     match t.link {
         Link::Alone => pass_cost(cfg, reads, writes, transform_compute(writes, flops_per_write)),
-        Link::Feeds { .. } => Cycles(0),
+        Link::Feeds { .. } | Link::Joins => Cycles(0),
         Link::Ends { reads, compute } => pass_cost(cfg, reads, writes, u64::from(compute)),
+        Link::Closes { reads, writes, compute } => {
+            pass_cost(cfg, reads, writes, u64::from(compute))
+        }
     }
 }
 
@@ -265,8 +271,8 @@ pub fn estimate_leaf(
             // engine and the CPEs, and cannot be overlapped with the main
             // loop; charged once, on their own clock. Fused transforms chain
             // onto their predecessor's pipeline and skip the start-up
-            // latency, as in the interpreter. A chain's producers cost
-            // nothing: its last link pays for the chain.
+            // latency, as in the interpreter. A chain's producers and a
+            // sibling run's members cost nothing: the last reader pays.
             let mut c = transform_cost(cfg, t).get() as f64;
             if t.fused {
                 c -= cfg.dma_startup.get() as f64;

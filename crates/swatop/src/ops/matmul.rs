@@ -96,10 +96,11 @@ const N_MENU: &[usize] = &[32, 64, 128, 256, 512];
 const K_MENU: &[usize] = &[8, 16, 32, 64, 128, 256];
 const MAX_TILES_PER_DIM: usize = 4096;
 
-/// `MatmulOp`'s `dma` menu: broadcast always on (no optimum of the knob
-/// census, `tests/knob_census.rs`, went without it), double buffering and
-/// coalescing free.
-const MATMUL_DMA: [&str; 4] = ["bcast", "coal+bcast", "dbuf+bcast", "all"];
+/// `MatmulOp`'s `dma` menu: broadcast and double buffering always on (no
+/// optimum of the knob census, `tests/knob_census.rs`, went without
+/// broadcast; where double buffering does not fit, a `dbuf` point runs the
+/// program without it), coalescing free.
+const MATMUL_DMA: [&str; 2] = ["dbuf+bcast", "all"];
 
 /// Every `(A, B)` SPM layout pairing: the ladder operators' `layout` menu.
 pub const LAYOUTS: [&str; 4] = ["rr", "cr", "rc", "cc"];

@@ -25,8 +25,21 @@
 //!   then at most the sum of its links' prices, whatever the machine.
 //!
 //! `D` keeps its declared address range, so no DMA's alignment moves; the
-//! interpreter never writes it. The step reads no hint; it lowers the
-//! DMA, riding that walk, and writes only `link` marks.
+//! interpreter never writes it.
+//!
+//! Readers of one producer that stand back to back at the top level (as
+//! coalescing places its gathers) form a *sibling run* when `D` fits the
+//! scratch pads: the run reads the chain's first source once, computes the
+//! producer once and writes every reader's output. Its last reader is
+//! marked [`Link::Closes`] and carries the run's price; the others are
+//! [`Link::Joins`] and cost nothing where they stand. Every reader's output
+//! is materialised, since the main loop's DMA reads it. The run's price,
+//! one start-up plus the longer of its transfer (`min(Σ readers' reads, the
+//! producer's reads) + Σ readers' writes`) and its compute (the producer's
+//! plus every reader's), is never more than its readers cost apart.
+//!
+//! The step reads no hint; it lowers the DMA, riding that walk, and writes
+//! only `link` marks.
 
 use std::sync::Arc;
 
@@ -37,15 +50,26 @@ use crate::model::transform_compute;
 use crate::optimizer::dma_inference::{lower_dma, lower_dma_noting};
 
 /// Lower `program`'s DMA ([`lower_dma`]) and mark the fusable chains of its
-/// top-level transforms. The analysis rides the lowering's walk of the
-/// tree, and only if some top-level transform reads what an earlier one
-/// wrote; it makes no walk of its own.
+/// top-level transforms and their sibling runs. The analysis rides the
+/// lowering's walk of the tree, and only if some top-level transform reads
+/// what an earlier one wrote; it makes no walk of its own.
 pub fn fuse_chains(program: &mut Program) {
+    fuse(program, true);
+}
+
+/// [`fuse_chains`] without sibling runs, every reader the last link of its
+/// own chain: the oracle a run's price is checked against.
+#[cfg(test)]
+pub(crate) fn fuse_chains_apart(program: &mut Program) {
+    fuse(program, false);
+}
+
+fn fuse(program: &mut Program, runs: bool) {
     let fusable = reads_an_earlier_output(top_level(&program.body), &program.mem_bufs);
     match Arc::make_mut(&mut program.body) {
         // A lone statement reads no earlier output.
         Stmt::Seq(tops) if fusable => {
-            let plan = plan(tops, &program.mem_bufs);
+            let plan = plan(tops, &program.mem_bufs, runs);
             for (s, top) in tops.iter_mut().zip(plan) {
                 if let Stmt::Transform(t) = s {
                     t.link = top.link;
@@ -108,6 +132,8 @@ struct Top {
     /// A transform's price, as fused so far.
     pass: Option<Pass>,
     link: Link,
+    /// The statement whose output a [`Link::Ends`] reader reads.
+    fed_by: usize,
     /// The buffers anything in the statement reads or writes, and writes.
     touched: Bufs,
     written: Bufs,
@@ -136,7 +162,7 @@ impl Top {
                 _ => {}
             });
         }
-        Top { pass, link: Link::Alone, touched, written }
+        Top { pass, link: Link::Alone, fed_by: 0, touched, written }
     }
 }
 
@@ -162,32 +188,36 @@ impl Pass {
         self.reads + self.writes as f64
     }
 
+    /// Whether this pass's output fits the cluster's scratch pads, its
+    /// share per CPE no more than one CPE's [`SPM_BYTES`].
+    fn resident(&self) -> bool {
+        self.writes.div_ceil(N_CPE as u64) <= (SPM_BYTES / ELEM_BYTES) as u64
+    }
+
     /// This pass with producer `p` fused in. A reader that reads its
     /// predecessor's output more than once (overlapping tiles) re-reads it
-    /// on chip when that output fits the cluster's scratch pads, its share
-    /// per CPE no more than one CPE's [`SPM_BYTES`]; a larger output is
+    /// on chip when that output is [`Pass::resident`]; a larger output is
     /// recomputed from the chain's source for every re-read.
     fn after(&self, p: &Pass) -> Pass {
         let ratio = self.reads / p.writes.max(1) as f64;
-        let resident = p.writes.div_ceil(N_CPE as u64) <= (SPM_BYTES / ELEM_BYTES) as u64;
-        let reads = p.reads * if resident { ratio.min(1.0) } else { ratio };
+        let reads = p.reads * if p.resident() { ratio.min(1.0) } else { ratio };
         Pass { reads, writes: self.writes, compute: p.compute + self.compute, root: p.root }
     }
 }
 
 /// The analysis of every top-level statement, deciding each producer in
-/// order. One allocation.
-fn plan(tops: &mut [Stmt], bufs: &[MemBufDecl]) -> Vec<Top> {
+/// order, then the sibling runs if `runs`. One allocation.
+fn plan(tops: &mut [Stmt], bufs: &[MemBufDecl], runs: bool) -> Vec<Top> {
     let mut plan: Vec<Top> = tops.iter_mut().map(Top::of).collect();
     let tops = &*tops;
     for (i, s) in tops.iter().enumerate() {
         let Some(k) = kind(s).filter(|k| producer(k, bufs)) else { continue };
         let dst = k.dst().0;
-        let p = plan[i].pass.expect("a transform has a pass");
+        let p = pass(&plan[i]);
         let Some(end) = window(tops, &plan, i, dst, p.root) else { continue };
         // The readers: the top-level transforms of the window that read D.
         let readers = || (i + 1..end).filter(|&j| kind(&tops[j]).is_some_and(|r| r.src().0 == dst));
-        let own = |j: usize| plan[j].pass.expect("a reader is a transform");
+        let own = |j: usize| pass(&plan[j]);
         let each_cheaper =
             readers().all(|j| own(j).after(&p).traffic() <= p.traffic() + own(j).traffic());
         let together: f64 = readers().map(|j| own(j).after(&p).traffic()).sum();
@@ -198,13 +228,49 @@ fn plan(tops: &mut [Stmt], bufs: &[MemBufDecl]) -> Vec<Top> {
         }
         let n = readers().count() as u32;
         for j in (i + 1..end).filter(|&j| kind(&tops[j]).is_some_and(|r| r.src().0 == dst)) {
-            let f = plan[j].pass.expect("a reader is a transform").after(&p);
+            let f = pass(&plan[j]).after(&p);
             plan[j].pass = Some(f);
             plan[j].link = Link::Ends { reads: f.reads.ceil() as u64, compute: f.compute as u32 };
+            plan[j].fed_by = i;
         }
         plan[i].link = Link::Feeds { readers: n };
     }
+    if runs {
+        share_runs(&mut plan);
+    }
     plan
+}
+
+/// Join each run of two or more [`Link::Ends`] readers of one producer
+/// that stand back to back into one pass, when the producer's output is
+/// [`Pass::resident`] and the run's compute fits its mark. A reader that
+/// feeds a later link is no member: its output is never materialised.
+fn share_runs(plan: &mut [Top]) {
+    let mut j = 0;
+    while j < plan.len() {
+        let from = plan[j].fed_by;
+        let member = |t: &Top| matches!(t.link, Link::Ends { .. }) && t.fed_by == from;
+        let n = plan[j..].iter().take_while(|t| member(t)).count();
+        if n < 2 {
+            j += 1;
+            continue;
+        }
+        let (run, p) = (j..j + n, pass(&plan[from]));
+        j += n;
+        let members = || plan[run.clone()].iter().map(pass);
+        // Every member's fused compute counts the producer's once.
+        let compute = p.compute + members().map(|m| m.compute - p.compute).sum::<u64>();
+        let (Ok(compute), true) = (u32::try_from(compute), p.resident()) else { continue };
+        let reads = members().map(|m| m.reads).sum::<f64>().min(p.reads).ceil() as u64;
+        let writes = members().map(|m| m.writes).sum();
+        let (last, joined) = plan[run].split_last_mut().expect("a run has members");
+        joined.iter_mut().for_each(|t| t.link = Link::Joins);
+        last.link = Link::Closes { reads, writes, compute };
+    }
+}
+
+fn pass(t: &Top) -> Pass {
+    t.pass.expect("a link is a transform")
 }
 
 /// The end (exclusive) of the window in which later top-level transforms
@@ -402,13 +468,87 @@ mod tests {
         }
     }
 
+    /// The transforms of `p` at the top level, in order.
+    fn transforms(p: &Program) -> Vec<TransformOp> {
+        top_level(&p.body)
+            .iter()
+            .filter_map(|s| match s {
+                Stmt::Transform(t) => Some(t.clone()),
+                _ => None,
+            })
+            .collect()
+    }
+
+    fn price(t: &TransformOp) -> u64 {
+        transform_cost(&MachineConfig::default(), t).get()
+    }
+
     #[test]
-    fn a_producer_feeds_every_reader_when_all_are_transforms() {
-        let got = fused(4, 64, |b| {
-            vec![pack(b[0], b[1], 64), pack(b[1], b[2], 64), pack(b[1], b[3], 64)]
+    fn readers_that_stand_back_to_back_share_one_pass() {
+        let body = |b: &[MemBufId]| {
+            vec![pack(b[0], b[1], 64), pack(b[1], b[2], 64), pack(b[1], b[3], 64), put(b[3])]
+        };
+        let compute = 3 * transform_compute(64, 0) as u32;
+        let run = Link::Closes { reads: 64, writes: 128, compute };
+        assert_eq!(fused(5, 64, body), vec![Link::Feeds { readers: 2 }, Link::Joins, run]);
+        // One start-up, the source read once, both outputs written: never
+        // more than the two readers as chain ends of their own.
+        let ids: Vec<MemBufId> = (0..5).map(MemBufId).collect();
+        let (mut shared, _) = program(5, 64, body(&ids));
+        let mut apart = shared.clone();
+        fuse_chains(&mut shared);
+        fuse_chains_apart(&mut apart);
+        let (shared, apart) = (transforms(&shared), transforms(&apart));
+        assert!(apart[1..].iter().all(|t| matches!(t.link, Link::Ends { .. })), "{apart:?}");
+        let apart: u64 = apart[1..].iter().map(price).sum();
+        assert!(price(&shared[2]) < apart, "{} against {apart}", price(&shared[2]));
+        assert_eq!(price(&shared[1]), 0);
+        // Further up a chain: the run reads the chain's first source, and a
+        // reader that feeds a later link is no member.
+        let got = fused(6, 64, |b| {
+            let (p01, p12) = (pack(b[0], b[1], 64), pack(b[1], b[2], 64));
+            vec![p01, p12, pack(b[2], b[3], 64), pack(b[2], b[4], 64), pack(b[4], b[5], 64)]
         });
-        let ends = |l: &Link| matches!(l, Link::Ends { .. });
-        assert!(got[0] == Link::Feeds { readers: 2 } && ends(&got[1]) && ends(&got[2]), "{got:?}");
+        let ends = |l: &Link| matches!(l, Link::Ends { reads: 64, .. });
+        assert!(got[..2] == [FEEDS_ONE, Link::Feeds { readers: 2 }], "{got:?}");
+        assert!(ends(&got[2]) && got[3] == FEEDS_ONE && ends(&got[4]), "{got:?}");
+        let got = fused(6, 64, |b| {
+            let (p01, p12) = (pack(b[0], b[1], 64), pack(b[1], b[2], 64));
+            vec![p01, p12, pack(b[2], b[3], 64), pack(b[2], b[4], 64), put(b[4])]
+        });
+        assert!(matches!(got[3], Link::Closes { reads: 64, writes: 128, .. }), "{got:?}");
+        assert_eq!(got[..3], [FEEDS_ONE, Link::Feeds { readers: 2 }, Link::Joins]);
+    }
+
+    #[test]
+    fn a_sibling_run_is_refused_where_its_one_pass_is_not_sound() {
+        let two_ends = |got: &[Link]| {
+            got.len() == 3
+                && got[0] == Link::Feeds { readers: 2 }
+                && got[1..].iter().all(|l| matches!(l, Link::Ends { .. }))
+        };
+        // Readers that do not stand back to back.
+        let got = fused(5, 64, |b| {
+            vec![pack(b[0], b[1], 64), pack(b[1], b[2], 64), get(b[2]), pack(b[1], b[3], 64)]
+        });
+        assert!(two_ends(&got), "{got:?}");
+        // A producer's output past the scratch pads' bound.
+        let past = N_CPE * SPM_BYTES / ELEM_BYTES + 64;
+        let got = fused(5, past, |b| {
+            vec![pack(b[0], b[1], past), pack(b[1], b[2], past), pack(b[1], b[3], past)]
+        });
+        assert!(two_ends(&got), "{got:?}");
+        // A reader that writes the chain's first source, and a writer of
+        // that source between members, refuse the chain and so the run.
+        let got = fused(5, 64, |b| {
+            vec![pack(b[1], b[2], 64), pack(b[2], b[3], 64), pack(b[2], b[1], 64)]
+        });
+        assert_eq!(got, vec![Link::Alone; 3]);
+        let got = fused(6, 64, |b| {
+            let writer = pack(b[0], b[1], 64);
+            vec![pack(b[1], b[2], 64), pack(b[2], b[3], 64), writer, pack(b[2], b[4], 64)]
+        });
+        assert_eq!(got, vec![Link::Alone; 4]);
     }
 
     #[test]

@@ -503,8 +503,10 @@ pub fn fuse_adjacent_gets(stmt: &mut Stmt) {
 /// also a transform keeps the engine's block pipeline streaming and skips
 /// the per-transform start-up latency. The first transform of a run stays
 /// unfused and pays the ramp for the whole chain. A producer whose output
-/// is never materialised ([`swatop_ir::Link::Feeds`]) runs nothing where it
-/// stands: it neither opens, continues nor breaks a run.
+/// is never materialised ([`swatop_ir::Link::Feeds`]) and a sibling run's
+/// member ([`swatop_ir::Link::Joins`]) run nothing where they stand: they
+/// neither open, continue nor break a run, so a sibling run's last reader
+/// chains onto the pipeline open before the run.
 ///
 /// This is the transform-side twin of [`fuse_adjacent_gets`]: coalescing
 /// emits its `PackTiles` staging gathers as consecutive runs (and operator
@@ -517,7 +519,7 @@ pub fn fuse_adjacent_transforms(stmt: &mut Stmt) {
             let mut in_run = false;
             for s in ss {
                 match s {
-                    Stmt::Transform(t) if t.link.feeds() => {}
+                    Stmt::Transform(t) if !t.link.pays() => {}
                     Stmt::Transform(t) => {
                         t.fused = in_run;
                         in_run = true;

@@ -110,13 +110,13 @@ mod tests {
 
     /// The pipeline as it ran before the scheduler chained the hint
     /// siblings: one run per hint combination, broadcast tags *before*
-    /// fusion. The oracle for [`optimize`]; `chains` runs producer fusion
-    /// of transform chains, and leaving it out gives every transform its own
-    /// pass; leaving out `puts` stages gets alone.
+    /// fusion. The oracle for [`optimize`]; `chains` marks the transform
+    /// chains, and leaving it out gives every transform its own pass;
+    /// leaving out `puts` stages gets alone.
     fn optimize_per_sibling(
         mut program: Program,
         enable_prefetch: bool,
-        chains: bool,
+        chains: Option<fn(&mut Program)>,
         puts: bool,
     ) -> Program {
         if program.hints.coalesce {
@@ -126,8 +126,8 @@ mod tests {
                 coalesce::coalesce_gets(program)
             };
         }
-        if chains {
-            chains::fuse_chains(&mut program);
+        if let Some(chains) = chains {
+            chains(&mut program);
         }
         let hints = program.hints;
         let body = program.body_mut();
@@ -162,6 +162,13 @@ mod tests {
         ]
     }
 
+    fn top_level(body: &Stmt) -> &[Stmt] {
+        match body {
+            Stmt::Seq(ss) => ss,
+            other => std::slice::from_ref(other),
+        }
+    }
+
     /// The links of the chain ending at top-level statement `end`: its
     /// producers, found by their outputs, then the end itself.
     fn chain_links(tops: &[Stmt], end: usize) -> Vec<TransformOp> {
@@ -187,11 +194,7 @@ mod tests {
             let cands = sched.enumerate(&*op);
             let mut seen = Vec::new();
             for cand in &cands {
-                let program = &cand.exe.program;
-                let tops = match &*program.body {
-                    Stmt::Seq(ss) => &ss[..],
-                    other => std::slice::from_ref(other),
-                };
+                let tops = top_level(&cand.exe.program.body);
                 let mut chains = 0;
                 for (end, s) in tops.iter().enumerate() {
                     let Stmt::Transform(t) = s else { continue };
@@ -239,6 +242,70 @@ mod tests {
         assert!(fused > 0 && ran > 0, "{fused} chains, {ran} programs run");
     }
 
+    /// What top-level transform `t` costs where it stands: its price, less
+    /// the start-up it skips on an open pipeline.
+    fn standing(cfg: &MachineConfig, s: &Stmt) -> u64 {
+        let Stmt::Transform(t) = s else { return 0 };
+        let cost = model::transform_cost(cfg, t);
+        if t.fused { cost - cfg.dma_startup } else { cost }.get()
+    }
+
+    #[test]
+    fn every_sibling_run_costs_at_most_its_readers_apart() {
+        let cfg = MachineConfig::default();
+        let gemm = model::GemmModel::cached(&cfg);
+        let sched = Scheduler::new(cfg.clone());
+        let mut runs = Vec::new();
+        for op in every_op() {
+            let space = op.space();
+            let (mut n, mut ran) = (0, false);
+            // Every point, so every `dma` level.
+            for point in space.points() {
+                let Some(lowered) = op.lower(&space, &point) else { continue };
+                let with = optimize(lowered.clone(), true);
+                let tops = top_level(&with.body);
+                let closes = |s: &Stmt| matches!(s, Stmt::Transform(t) if matches!(t.link, Link::Closes { .. }));
+                if !tops.iter().any(closes) {
+                    continue;
+                }
+                let at = || format!("{} at {}", op.name(), point.describe(&space));
+                let without = optimize_per_sibling(lowered, true, Some(chains::fuse_chains_apart), true);
+                let apart = top_level(&without.body);
+                assert_eq!(tops.len(), apart.len(), "{}", at());
+                for end in (0..tops.len()).filter(|&e| closes(&tops[e])) {
+                    let joins = |s: &&Stmt| matches!(s, Stmt::Transform(t) if t.link == Link::Joins);
+                    let start = end - tops[..end].iter().rev().take_while(joins).count();
+                    assert!(start < end, "{}: a run's last reader alone", at());
+                    let one = standing(&cfg, &tops[end]);
+                    let readers: u64 = apart[start..=end].iter().map(|s| standing(&cfg, s)).sum();
+                    assert!(one <= readers, "{}: run {one} against {readers} apart", at());
+                    n += 1;
+                }
+                let (e_with, e_without) =
+                    (model::estimate(&cfg, &gemm, &with), model::estimate(&cfg, &gemm, &without));
+                for prefetched in [false, true] {
+                    let (a, b) = (e_with.overall(prefetched), e_without.overall(prefetched));
+                    assert!(a <= b, "{}: estimate {a} against {b}", at());
+                }
+                let Some(cand) = sched.lower_point(&*op, &space, &point) else { continue };
+                crate::optimizer::verify::verify_message(&cand.exe, &cfg)
+                    .unwrap_or_else(|e| panic!("{}: {e}", at()));
+                if !ran {
+                    let err = crate::ops::verify_over_stale_memory(&cfg, &*op, &cand)
+                        .unwrap_or_else(|e| panic!("{}: {e}", at()));
+                    assert!(err < 5e-3, "{}: wrong by {err}", at());
+                    ran = true;
+                }
+            }
+            runs.push((op.name(), n));
+        }
+        // Anti-vacuity: every operator but shared-A batched matmul (which
+        // packs nothing) has runs, implicit conv's per-tap gathers among them.
+        let shares = |name: &str| runs.iter().any(|(op, n)| op.starts_with(name) && *n > 0);
+        let named = ["matmul", "batched", "implicit", "winograd", "explicit", "conv_bwd_"];
+        assert!(named.iter().all(|n| shares(n)), "{runs:?}");
+    }
+
     #[test]
     fn optimize_equals_one_pipeline_run_per_hint_combination() {
         let both_marks = |s: &Stmt| matches!(s, Stmt::DmaCpe(d) if d.bcast.is_some() && d.fused);
@@ -260,7 +327,7 @@ mod tests {
                     for enable_prefetch in [false, true] {
                         let got = optimize(p.clone(), enable_prefetch);
                         assert!(
-                            got == optimize_per_sibling(p.clone(), enable_prefetch, true, true),
+                            got == optimize_per_sibling(p.clone(), enable_prefetch, Some(chains::fuse_chains), true),
                             "{} at {} with {hints:?}, prefetch {enable_prefetch}",
                             op.name(),
                             point.describe(&space),
@@ -268,7 +335,7 @@ mod tests {
                         compared += 1;
                         tagged_and_fused += got.body.count(both_marks);
                         // Fusing chains never raises the analytic price.
-                        let unchained = optimize_per_sibling(p.clone(), enable_prefetch, false, true);
+                        let unchained = optimize_per_sibling(p.clone(), enable_prefetch, None, true);
                         let with = model::estimate(&cfg, &gemm, &got);
                         let without = model::estimate(&cfg, &gemm, &unchained);
                         assert!(
@@ -316,7 +383,7 @@ mod tests {
                     continue;
                 }
                 n += 1;
-                let without = optimize_per_sibling(lowered, true, true, false);
+                let without = optimize_per_sibling(lowered, true, Some(chains::fuse_chains), false);
                 let at = || format!("{} at {}", op.name(), point.describe(&space));
                 let (e_with, e_without) =
                     (model::estimate(&cfg, &gemm, &with), model::estimate(&cfg, &gemm, &without));

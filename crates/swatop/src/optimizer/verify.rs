@@ -20,7 +20,8 @@
 //!   never materialised: no DMA and no unfused transform may read it, no
 //!   put may write it (its readers would never see the write), a chain's
 //!   last link must read one, and every producer must have as many readers
-//!   as it is marked with;
+//!   as it is marked with; a sibling run's members stand back to back, read
+//!   one source, and its last reader is priced for every member's writes;
 //! * **ping/pong hazards** — reading an SPM buffer whose fill is still in
 //!   flight (use-before-reply: the classic swapped-parity bug), overwriting
 //!   a buffer an un-waited put is still sourcing from (residency lifetime
@@ -73,10 +74,12 @@ pub fn verify_executable(exe: &Executable, cfg: &MachineConfig) -> Result<(), Ve
         draining: vec![0; exe.program.spm_bufs.len()],
         last: Last::Other,
         unmaterialised: Vec::new(),
+        run: None,
         violations: Vec::new(),
     };
     let mut env = Env::new(exe.program.n_vars());
     w.walk(&exe.program.body, &mut env);
+    w.sibling(None);
     for held in std::mem::take(&mut w.unmaterialised) {
         w.orphan(held);
     }
@@ -137,6 +140,9 @@ struct Walker<'a> {
     /// Outputs of `Feeds` producers, never materialised, with the number of
     /// readers still to come.
     unmaterialised: Vec<(MemBufId, u32)>,
+    /// An open sibling run: the source its members read, and the elements
+    /// they have written.
+    run: Option<(MemBufId, u64)>,
     violations: Vec<Violation>,
 }
 
@@ -238,7 +244,7 @@ impl Walker<'_> {
                 "reads-unmaterialised",
                 format!("transform reads '{}', a fused chain's intermediate", name(src)),
             ),
-            None if matches!(t.link, Link::Ends { .. }) => self.viol(
+            None if t.link.fed() => self.viol(
                 "broken-transform-chain",
                 format!("the last link of a chain reads '{}', which nothing feeds", name(src)),
             ),
@@ -253,9 +259,60 @@ impl Walker<'_> {
         }
     }
 
+    /// Sibling-run legality at the next statement that runs (`None`: one
+    /// that is no transform, or the program's end): a run's members stand
+    /// back to back and read one source, and its last reader is priced for
+    /// every member's writes.
+    fn sibling(&mut self, t: Option<&swatop_ir::TransformOp>) {
+        let open = self.run.take();
+        let name = |b: MemBufId| self.exe.program.mem_bufs[b.0].name.clone();
+        let Some(t) = t else {
+            if let Some((src, _)) = open {
+                let detail = format!("a sibling run over '{}' ends in no last reader", name(src));
+                self.viol("broken-sibling-run", detail);
+            }
+            return;
+        };
+        let (src, writes) = (t.kind.src(), t.kind.traffic().1);
+        let detail = match (open, t.link) {
+            (None, Link::Joins) => {
+                self.run = Some((src, writes));
+                return;
+            }
+            (Some((s, w)), Link::Joins) if s == src => {
+                self.run = Some((s, w + writes));
+                return;
+            }
+            (Some((s, w)), Link::Closes { writes: total, .. }) if s == src => {
+                if w + writes == total {
+                    return;
+                }
+                format!(
+                    "the last reader of a sibling run over '{}' is priced for {total} written \
+                     elements, the run writes {}",
+                    name(s),
+                    w + writes
+                )
+            }
+            (None, Link::Closes { .. }) => {
+                format!("the last reader of a sibling run over '{}' has no member", name(src))
+            }
+            (Some((s, _)), _) => {
+                format!("a sibling run over '{}' ends in no last reader", name(s))
+            }
+            (None, _) => return,
+        };
+        self.viol("broken-sibling-run", detail);
+    }
+
     fn walk(&mut self, s: &Stmt, env: &mut Env) {
         if self.done() {
             return;
+        }
+        match s {
+            Stmt::Nop | Stmt::Seq(_) | Stmt::For { .. } | Stmt::If { .. } => {}
+            Stmt::Transform(t) => self.sibling(Some(t)),
+            _ => self.sibling(None),
         }
         match s {
             Stmt::Nop => {}
@@ -442,7 +499,7 @@ impl Walker<'_> {
             }
             Stmt::Transform(t) => {
                 self.chain(t);
-                if t.link.feeds() {
+                if !t.link.pays() {
                     // Runs nothing where it stands.
                     return;
                 }
@@ -767,6 +824,47 @@ mod tests {
         let link = Link::Feeds { readers: 1 };
         p.set_body(Stmt::Transform(TransformOp { link, ..TransformOp::new(kind) }));
         assert_eq!(rules(check(p)), vec!["orphan-producer"]);
+    }
+
+    /// `m` packed into a scratch buffer that feeds two readers, each into
+    /// a buffer of its own, with `between` standing between them.
+    fn run(joins: Link, closes: Link, between: Vec<Stmt>) -> Program {
+        let mut p = base_program(1);
+        let m = swatop_ir::MemBufId(0);
+        let mid = p.mem_buf("mid", 64, MemRole::Temp);
+        let (a, b) = (p.mem_buf("a", 64, MemRole::Output), p.mem_buf("b", 64, MemRole::Output));
+        p.n_replies = 1;
+        let pack = |src, dst, link| {
+            let kind = TransformKind::PackTensor { src, dst, src_dims: vec![64], perm: vec![0] };
+            Stmt::Transform(TransformOp { link, ..TransformOp::new(kind) })
+        };
+        let mut body = vec![pack(m, mid, Link::Feeds { readers: 2 }), pack(mid, a, joins)];
+        body.extend(between);
+        body.push(pack(mid, b, closes));
+        p.set_body(Stmt::seq(body));
+        p
+    }
+
+    #[test]
+    fn a_sibling_run_stands_back_to_back_and_is_priced_for_every_write() {
+        let closes = |writes| Link::Closes { reads: 64, writes, compute: 0 };
+        assert_eq!(check(run(Link::Joins, closes(128), vec![])), Ok(()));
+        // Something that is no reader between them breaks the run: the
+        // member has no last reader, and the last reader no member.
+        let read = vec![get(0, SpmSlot::single(SpmBufId(0)), 0, false), wait(0, 1)];
+        assert_eq!(rules(check(run(Link::Joins, closes(128), read))), vec!["broken-sibling-run"; 2]);
+        // The last reader priced for one member's writes.
+        assert_eq!(rules(check(run(Link::Joins, closes(64), vec![]))), vec!["broken-sibling-run"]);
+        // A last reader with no member, and a member with no last reader.
+        let ends = Link::Ends { reads: 64, compute: 0 };
+        assert_eq!(rules(check(run(ends, closes(64), vec![]))), vec!["broken-sibling-run"]);
+        assert_eq!(rules(check(run(Link::Joins, ends, vec![]))), vec!["broken-sibling-run"]);
+        // A member that reads nothing a producer feeds.
+        let mut p = run(Link::Joins, closes(128), vec![]);
+        let Stmt::Seq(tops) = p.body_mut() else { unreachable!() };
+        tops.remove(0);
+        let got = rules(check(p));
+        assert!(got.iter().all(|&r| r == "broken-transform-chain") && got.len() == 2, "{got:?}");
     }
 
     #[test]

@@ -591,25 +591,27 @@ pub fn corpus_text(rows: &[FeatureRow]) -> String {
 mod tests {
     use super::*;
     use crate::ops::matmul::MatmulOp;
-    use crate::scheduler::Scheduler;
+    use crate::scheduler::{Candidate, Scheduler};
 
     fn profiles() -> (CandidateProfile, CandidateProfile) {
         let cfg = MachineConfig::default();
         let op = MatmulOp::new(64, 64, 64);
         let cands = Scheduler::new(cfg.clone()).enumerate(&op);
-        // Pick a dbuf-off/dbuf-on pair with otherwise identical knobs.
-        let off = cands
+        // A dbuf-off/dbuf-on pair with otherwise identical knobs. The menu
+        // starts at `dbuf+bcast` (ROADMAP 23(a)), so the off side is the
+        // same point built without prefetching: the program the `bcast`
+        // level ran, labelled as that level was.
+        let (on_i, on) = cands
             .iter()
-            .find(|c| c.describe.contains("dma=bcast,"))
-            .expect("space has a dma=bcast point");
-        let twin = off.describe.replace("dma=bcast,", "dma=dbuf+bcast,");
-        let on = cands
-            .iter()
-            .find(|c| c.describe == twin)
-            .expect("space has the matching dma=dbuf+bcast point");
-        let off_i = cands.iter().position(|c| std::ptr::eq(c, off)).unwrap();
-        let on_i = cands.iter().position(|c| std::ptr::eq(c, on)).unwrap();
-        let a = profile_candidate(&cfg, "mm64", off_i, off).unwrap();
+            .enumerate()
+            .find(|(_, c)| c.prefetched && c.describe.contains("dma=dbuf+bcast,"))
+            .expect("space has a prefetched dma=dbuf+bcast point");
+        let mut without = Scheduler::new(cfg.clone());
+        without.enable_prefetch = false;
+        let off = without.enumerate(&op).swap_remove(on_i);
+        let describe = on.describe.replace("dma=dbuf+bcast,", "dma=bcast,");
+        let off = Candidate { describe, ..off };
+        let a = profile_candidate(&cfg, "mm64", on_i, &off).unwrap();
         let b = profile_candidate(&cfg, "mm64", on_i, on).unwrap();
         (a, b)
     }

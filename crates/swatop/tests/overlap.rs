@@ -136,13 +136,13 @@ fn new_dimensions_are_bit_identical_across_job_counts() {
     }
     let all = Scheduler::new(cfg.clone()).enumerate(&op);
     // A strided sample keeps the blackbox run fast while still crossing
-    // every new dimension (the stride is coprime with the knob arities).
-    let cands: Vec<_> = all.iter().step_by(5).cloned().collect();
+    // every new dimension (the stride is coprime with the knob arities; 5
+    // while the `dma` menu had four levels and the space twice the size).
+    let cands: Vec<_> = all.iter().step_by(3).cloned().collect();
     assert!(cands.len() >= 64, "need a nontrivial sample, got {}", cands.len());
-    assert!(
-        cands.iter().any(|c| c.describe.contains("dma=dbuf+bcast")),
-        "sample crosses the dbuf dimension"
-    );
+    for level in ["dma=dbuf+bcast", "dma=all"] {
+        assert!(cands.iter().any(|c| c.describe.contains(level)), "sample crosses {level}");
+    }
     let sweep =
         |jobs| TuneOptions { jobs, tiers: TierPolicy::exhaustive(), ..TuneOptions::default() };
     let serial = tune(&cfg, &cands, &sweep(1), None).expect("serial");

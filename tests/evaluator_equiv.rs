@@ -1074,7 +1074,13 @@ const SPACE_SUMS: [&str; 7] = [
 /// every other counter stayed put, and the aligned matmul's output put
 /// (into an output buffer, so never staged) left its sums alone. And when
 /// the DMA ladder lost `dma=none`: each implicit and explicit sum equals the
-/// previous tree's over its candidates at the other levels.
+/// previous tree's over its candidates at the other levels. And when
+/// `MatmulOp`'s menu lost its levels without `dbuf` (ROADMAP 23(a)), in
+/// the same change as sibling readers of one producer came to share one
+/// pass: the matmul counters equal the previous tree's over the
+/// `dbuf+bcast` and `all` candidates, and its cycles are 32 fewer than
+/// theirs (6,678,027); only the cycles of the small implicit and Winograd
+/// spaces moved besides.
 #[test]
 #[ignore = "whole spaces: run in release"]
 fn whole_space_sums_are_pinned() {
@@ -1086,11 +1092,11 @@ fn whole_space_sums_are_pinned() {
     let spaces: [(Box<dyn Operator>, [u64; 7]); 7] = [
         (
             Box::new(ImplicitConvOp::new(conv)),
-            [1_252_469_750, 12_095_062_016, 869_714_198, 31_850_496, 494_592, 340_872, 387_072],
+            [1_245_551_510, 12_095_062_016, 869_714_198, 31_850_496, 494_592, 340_872, 387_072],
         ),
         (
             Box::new(WinogradConvOp::new(conv)),
-            [80_583_775, 553_517_056, 21_485_975, 3_932_160, 47_616, 47_496, 55_552],
+            [80_583_695, 553_517_056, 21_485_975, 3_932_160, 47_616, 47_496, 55_552],
         ),
         (
             Box::new(ExplicitConvOp::new(conv)),
@@ -1098,7 +1104,7 @@ fn whole_space_sums_are_pinned() {
         ),
         (
             Box::new(MatmulOp::new(64, 64, 64)),
-            [13_963_123, 76_546_048, 9_398_131, 524_288, 7_464, 5_856, 4_320],
+            [6_677_995, 38_273_024, 4_395_531, 262_144, 3_732, 2_928, 2_160],
         ),
         (
             Box::new(ImplicitConvOp::new(vgg7)),

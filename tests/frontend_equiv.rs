@@ -9,10 +9,10 @@
 use std::collections::HashMap;
 
 use swatop_repro::dsl::{SchedulePoint, ScheduleSpace};
-use swatop_repro::ir::{Program, ScheduleHints};
+use swatop_repro::ir::Program;
 use swatop_repro::sw26010::MachineConfig;
 use swatop_repro::swatop::codegen::plan;
-use swatop_repro::swatop::ops::{dma_knob, dma_level, ImplicitConvOp, MatmulOp};
+use swatop_repro::swatop::ops::{dma_knob, dma_level, ImplicitConvOp};
 use swatop_repro::swatop::optimizer::{dma_wall, finish, optimize};
 use swatop_repro::swatop::optimizer::prefetch::apply_double_buffering;
 use swatop_repro::swatop::scheduler::{Candidate, Operator, Scheduler};
@@ -100,65 +100,31 @@ fn exe_digest(c: &Candidate) -> u64 {
     digest.0
 }
 
-/// Each candidate of `cands` whose program an earlier candidate of its space
-/// already holds, with that earlier candidate: the copies ROADMAP item 23(a)
-/// would drop.
-fn repeated_programs(cands: &[Candidate]) -> Vec<(&Candidate, &Candidate)> {
-    let mut first: HashMap<u64, &Candidate> = HashMap::new();
-    let copy_of = |c| {
-        let kept = *first.entry(exe_digest(c)).or_insert(c);
-        (!std::ptr::eq(kept, c)).then_some((c, kept))
-    };
-    cands.iter().filter_map(copy_of).collect()
-}
-
-/// Over every operator but `MatmulOp`, and the implicit spaces with and
-/// without `t_ro`, no two candidates of one space run one program: the DMA
-/// ladder starts at `dbuf`, so no level repeats a point whose double
-/// buffering had no effect.
+/// Over every operator, and the implicit spaces with and without `t_ro`,
+/// no two candidates of one space run one program: every `dma` menu starts
+/// at `dbuf` (`MatmulOp`'s at `dbuf+bcast`), so no level repeats a point
+/// whose double buffering had no effect, and where it had none, the point
+/// runs the program its level would without `dbuf` (ROADMAP 23(a)).
 #[test]
-fn no_operator_but_matmul_repeats_a_program() {
+fn no_operator_repeats_a_program() {
     let sched = Scheduler::new(MachineConfig::default());
     let implicit = implicit_shapes().into_iter().map(|s| Box::new(ImplicitConvOp::new(s)) as _);
-    let mut ops = 0;
+    let (mut ops, mut fell_back) = (0, 0);
     for op in every_op().into_iter().chain(implicit) {
-        if op.name().starts_with("matmul_") {
-            continue;
-        }
         let cands = sched.enumerate(op.as_ref());
         assert!(!cands.is_empty(), "{}", op.name());
-        if let Some((c, kept)) = repeated_programs(&cands).first() {
-            panic!("{}: {} repeats {}", op.name(), c.describe, kept.describe);
+        let mut first: HashMap<u64, &Candidate> = HashMap::new();
+        for c in &cands {
+            let kept = *first.entry(exe_digest(c)).or_insert(c);
+            assert!(std::ptr::eq(kept, c), "{}: {} repeats {}", op.name(), c.describe, kept.describe);
         }
+        fell_back += cands.iter().filter(|c| c.raw.hints.dbuf && !c.prefetched).count();
         ops += 1;
     }
-    assert_eq!(ops, every_op().len() - 1 + implicit_shapes().len());
-}
-
-/// `MatmulOp`'s copies: a candidate whose program an earlier candidate of
-/// its space already holds is a `dbuf` point whose pass fell back, and the
-/// earlier one is the same structural point at the same level without
-/// `dbuf`. So within a structural point (`coalesce`, `bcast`, doubled)
-/// decides the program.
-#[test]
-fn every_repeated_program_is_a_dbuf_point_without_effect() {
-    let sched = Scheduler::new(MachineConfig::default());
-    let op = MatmulOp::new(36, 20, 50);
-    let space = op.space();
-    let structural = |c: &Candidate| {
-        let mut sel = space.point(c.point_index).sel().to_vec();
-        sel[dma_knob(&space).expect("matmul tunes its DMA wall")] = 0;
-        sel
-    };
-    let cands = sched.enumerate(&op);
-    let copies = repeated_programs(&cands);
-    for (c, kept) in &copies {
-        let at = format!("{}: {} repeats {}", op.name(), c.describe, kept.describe);
-        assert!(c.raw.hints.dbuf, "{at}");
-        assert_eq!(kept.raw.hints, ScheduleHints { dbuf: false, ..c.raw.hints }, "{at}");
-        assert_eq!(structural(kept), structural(c), "{at}");
-    }
-    assert_eq!((copies.len(), cands.len()), (32, 128), "(repeated programs, candidates)");
+    assert_eq!(ops, every_op().len() + implicit_shapes().len());
+    // Anti-vacuity: some `dbuf` points fell back, the ones that repeated a
+    // program while a level without `dbuf` stood beside them.
+    assert!(fell_back > 0, "no dbuf point fell back");
 }
 
 #[test]

@@ -90,15 +90,10 @@ fn candidates_hold_one_tree_per_distinct_program() {
         assert_eq!(raws.len(), groups.len(), "{}: one raw per group", op.name());
         assert_eq!(all.len(), raws.len() + rewritten.len(), "{}: distinct trees", op.name());
         // Siblings exist exactly where two levels of the menu agree on
-        // `coalesce` (Winograd's one level, `all`, has none).
+        // `coalesce` (Winograd's one level, `all`, has none, and neither
+        // has `MatmulOp`'s `dbuf+bcast`, `all`).
         let shares = two_levels_agree(&menu, |h| h.coalesce);
         assert_eq!(sibling_pairs > pairs_before, shares, "{}: {menu:?}", op.name());
-        if shares && menu.iter().all(|h| h.bcast) {
-            // Broadcast always on, in two levels (matmul): every group is
-            // the two dbuf siblings, whose two rewritten executables and one
-            // `raw` are three trees per two candidates.
-            assert!(2 * all.len() <= 3 * cands.len(), "{}: {} trees", op.name(), all.len());
-        }
     }
     assert!(shared_exe > 0 && sibling_pairs > 0, "{shared_exe} shared, {sibling_pairs} pairs");
     assert!(bcast_pairs > 0, "no bcast on/off pair compared");
@@ -113,12 +108,14 @@ fn writing_through_a_clone_leaves_every_other_handle_alone() {
             handles.iter().copied().filter(|p| body_addr(p) == body_addr(&c.raw)).collect()
         };
         // A prefetched candidate whose `raw` another handle holds too. No
-        // two Winograd handles share a tree (its one `dma` level gives each
-        // `raw` one candidate, and every executable is rewritten): there a
-        // second handle on the first prefetched `raw` stands in.
+        // two Winograd or `MatmulOp` handles share a tree (no two levels of
+        // their menus agree on `coalesce`, so each `raw` has one candidate,
+        // and broadcast tagging rewrites every executable): there a second
+        // handle on the first prefetched `raw` stands in.
         let prefetched = || cands.iter().filter(|c| c.prefetched);
         let shared = prefetched().find(|c| sharers_of(c).len() >= 2);
-        assert_eq!(shared.is_some(), !op.name().starts_with("winograd"), "{}", op.name());
+        let alone = ["winograd", "matmul_"].iter().any(|n| op.name().starts_with(n));
+        assert_eq!(shared.is_some(), !alone, "{}", op.name());
         let victim = shared.or_else(|| prefetched().next()).expect("a prefetched candidate");
         let held = victim.raw.clone();
         let mut sharers = sharers_of(victim);
@@ -193,15 +190,12 @@ fn screen_equals_a_per_candidate_estimate() {
         let cands = enumerate(op.as_ref());
         let (leaders, slot) = screen_leaders(&cands);
         // A leader prices one (`raw`, `bcast`): levels share one only where
-        // they agree on both — only on `MatmulOp`'s menu, whose `dbuf`
-        // levels double those without; elsewhere every candidate leads.
+        // they agree on both, and no operator's menu has two such levels
+        // since `MatmulOp`'s levels without `dbuf` left it (ROADMAP 23(a)),
+        // so every candidate leads.
         let shares = two_levels_agree(&dma_menu(&op.space()), |h| (h.coalesce, h.bcast));
-        assert_eq!(shares, op.name().starts_with("matmul_"), "{}", op.name());
-        if shares {
-            assert!(leaders.len() < cands.len(), "{}: nothing shared", op.name());
-        } else {
-            assert_eq!(leaders.len(), cands.len(), "{}: one leader per candidate", op.name());
-        }
+        assert!(!shares, "{}", op.name());
+        assert_eq!(leaders.len(), cands.len(), "{}: one leader per candidate", op.name());
         assert_eq!(slot.len(), cands.len());
         let want = rank_per_candidate(&cfg, &cands);
         for jobs in [1, 2, 4] {
@@ -218,17 +212,22 @@ fn screen_equals_a_per_candidate_estimate() {
 #[test]
 fn screen_leaders_are_found_by_identity_only() {
     let cfg = MachineConfig::default();
-    // `MatmulOp`'s `dma=bcast` / `dbuf+bcast` are dbuf siblings, and a
-    // GEMM-ladder operator's `dma=dbuf+coal` / `all` are bcast siblings.
+    // A GEMM-ladder operator's `dma=dbuf+coal` / `all` are bcast siblings.
+    // No menu pairs a level with its `dbuf` twin any more (ROADMAP 23(a)),
+    // so `a`'s dbuf sibling is made by hand: its `raw` with `dbuf` off, as
+    // the scheduler shared it while `MatmulOp`'s menu held `bcast`.
     let gemm = enumerate(&MatmulOp::new(36, 20, 50));
     let conv = enumerate(&ExplicitConvOp::new(ConvShape::square(4, 16, 16, 8)));
     let sibling = |cands: &[Candidate], of: &Candidate, dbuf, bcast| {
         let hints = |c: &&Candidate| c.raw.hints.dbuf == dbuf && c.raw.hints.bcast == bcast;
         cands.iter().filter(hints).find(|c| same_storage(&c.raw, &of.raw)).cloned()
     };
-    let a = gemm.iter().find(|c| !c.raw.hints.dbuf && !c.raw.hints.coalesce);
-    let a = a.expect("a dbuf-off candidate").clone();
-    let b = sibling(&gemm, &a, true, true).expect("its dbuf-on sibling");
+    let b = gemm.iter().find(|c| c.prefetched && !c.raw.hints.coalesce);
+    let b = b.expect("a prefetched candidate").clone();
+    let mut a = b.clone();
+    a.raw.hints.dbuf = false;
+    a.prefetched = false;
+    assert!(same_storage(&a.raw, &b.raw));
     let coal = conv.iter().find(|c| c.raw.hints.coalesce && !c.raw.hints.bcast);
     let coal = coal.expect("a coalesced candidate").clone();
     let bcast = sibling(&conv, &coal, true, true).expect("its bcast sibling");

@@ -1,6 +1,7 @@
 //! Integration tests for the IR optimizer's measurable effects: latency
 //! hiding, boundary strategies and determinism of the machine model.
 
+use swatop_repro::ir::{Link, Stmt};
 use swatop_repro::sw26010::{CoreGroup, ExecMode, MachineConfig};
 use swatop_repro::swatop::interp::{execute, instantiate};
 use swatop_repro::swatop::ops::tiling::PadMode;
@@ -134,4 +135,49 @@ fn double_buffering_doubles_only_streamed_buffers() {
     let exe_bufs = pf.exe.program.spm_bufs.len();
     assert!(exe_bufs > raw_bufs);
     assert!(exe_bufs <= 2 * raw_bufs);
+}
+
+#[test]
+fn sibling_gathers_read_their_pack_once() {
+    // The implicit winner of the repo benchmark's brute-force workload: its
+    // nine per-tap gathers of the input pack, and nine of the weight pack,
+    // each run as one pass that reads the pack's source once.
+    let cfg = cfg();
+    let op = ImplicitConvOp::new(ConvShape::square(8, 32, 32, 16));
+    let cands = Scheduler::new(cfg.clone()).enumerate(&op);
+    let cand = cands
+        .iter()
+        .find(|c| c.describe.contains("dma=all") && c.describe.contains("red=resident"))
+        .expect("a resident candidate");
+    let tops = match &*cand.exe.program.body {
+        Stmt::Seq(ss) => ss.to_vec(),
+        other => vec![other.clone()],
+    };
+    let transform = |s: &Stmt| match s {
+        Stmt::Transform(t) => Some(t.clone()),
+        _ => None,
+    };
+    let mut runs = 0;
+    for (end, t) in tops.iter().enumerate().filter_map(|(i, s)| Some((i, transform(s)?))) {
+        let Link::Closes { reads, writes, .. } = t.link else { continue };
+        let start = end - tops[..end].iter().rev().take_while(|s| matches!(s,
+            Stmt::Transform(m) if m.link == Link::Joins)).count();
+        let members: Vec<_> = tops[start..=end].iter().filter_map(transform).collect();
+        assert_eq!(members.len(), 9, "{}: a run of {}", cand.describe, members.len());
+        let producer = tops[..start]
+            .iter()
+            .filter_map(transform)
+            .rfind(|p| p.link.feeds() && p.kind.dst() == t.kind.src())
+            .expect("the run's producer");
+        assert_eq!(reads, producer.kind.traffic().0, "{}: one read of the source", cand.describe);
+        assert_eq!(writes, members.iter().map(|m| m.kind.traffic().1).sum::<u64>());
+        runs += 1;
+    }
+    assert_eq!(runs, 2, "{}", cand.describe);
+    let err = verify_candidate(&cfg, &op, cand).expect("the candidate runs");
+    assert!(err < 1e-3, "{}: wrong by {err}", cand.describe);
+    let cost_only = run_candidate(&cfg, cand).unwrap() - cfg.kernel_signal;
+    let mut cg = CoreGroup::new(cfg.clone(), ExecMode::Functional);
+    let binding = instantiate(&mut cg, &cand.exe);
+    assert_eq!(cost_only, execute(&mut cg, &cand.exe, &binding).unwrap(), "{}", cand.describe);
 }
