@@ -36,7 +36,7 @@ use swatop_ir::Program;
 ///
 /// Steps 2 and 3 are [`finish`]. The scheduler runs step 1 once per
 /// (structural point, coalesce) and hands its output, as `raw`, to the
-/// `dbuf` and `bcast` siblings alike (DESIGN.md §16); a candidate's
+/// `bcast` siblings alike (DESIGN.md §16); a candidate's
 /// executable runs `finish` on it when it is built. So `optimize(p, true)`
 /// is `apply_double_buffering(optimize(p, false))` when `p.hints.dbuf` and
 /// `optimize(p, false)` otherwise.

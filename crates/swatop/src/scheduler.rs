@@ -17,10 +17,10 @@
 //! optimizing every point on its own.
 //!
 //! Candidates hold handles, not copies (DESIGN.md "IR ownership"): a
-//! `Program` clone shares its tree and tables, and the `dbuf` and `bcast`
-//! siblings of a (structural point, coalesce) group hold the one `raw` the
-//! block cache holds, differing only in `hints`. The tier-0 screen relies on
-//! this identity to estimate each distinct (`raw`, `bcast`) once. A candidate
+//! `Program` clone shares its tree and tables, and the `bcast` siblings of a
+//! (structural point, coalesce) group hold the one `raw` the block cache
+//! holds, differing only in `hints`; the tier-0 screen estimates each
+//! candidate's `raw` on its own, reading its `hints.bcast`. A candidate
 //! owns no tree of its own when `enumerate` returns: its executable is a
 //! deferred handle over `raw` that applies the hints — broadcast tagging,
 //! the double-buffer rewrite — and lays out the SPM when it is first read:
@@ -83,7 +83,7 @@ pub struct Candidate {
     /// inference, coalescing, fusion) but *before* broadcast tagging and
     /// prefetching — the form the static performance model evaluates, which
     /// reads `hints.bcast` to price the gets tagging would mark. Shared by
-    /// the `dbuf` and `bcast` siblings of its (structural point, coalesce).
+    /// the `bcast` siblings of its (structural point, coalesce).
     pub raw: Program,
     /// Fully optimized executable (broadcast-tagged when `raw.hints.bcast`,
     /// prefetched, SPM-planned), built on first read: `enumerate` decides
@@ -243,9 +243,9 @@ impl<'a> FrontEnd<'a> {
             None => shared.lowered.as_ref()?.hints,
         };
         // `dma_wall` reads `coalesce` only: the siblings that differ in
-        // `dbuf` or `bcast` share its output — the same tree, not equal
-        // ones — and differ in `hints`, which the screen and the
-        // executable's build read. The lowering feeds one `dma_wall` per
+        // `bcast` share its output — the same tree, not equal ones — and
+        // differ in `hints`, which the screen and the executable's build
+        // read. The lowering feeds one `dma_wall` per
         // `coalesce` value (just one where the space has no `dma` knob); the
         // last of them takes it and edits its tree in place instead of
         // copying it.

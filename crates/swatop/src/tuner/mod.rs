@@ -260,54 +260,22 @@ fn best_of(all: &[Option<Cycles>]) -> Option<(usize, Cycles)> {
         .min_by_key(|&(i, c)| (c, i))
 }
 
-/// The candidates whose `raw` the tier-0 screen estimates, and which of them
-/// stands in for each candidate: `leaders[slot[i]]` is the first candidate
-/// holding the same `raw` tree and tables as candidate `i`, with the same
-/// `hints.bcast` (the one hint the estimate reads). Sameness is *identity*
-/// of the shared parts ([`swatop_ir::Program::part_addrs`]) — the scheduler
-/// hands the `dbuf` and `bcast` siblings of a group one `raw` (DESIGN.md
-/// §18) — never adjacency and never `==`: equal programs that are separate
-/// allocations each lead their own group. A pure function of the slice, so
-/// the screen stays `--jobs`-invariant.
-pub fn screen_leaders(candidates: &[Candidate]) -> (Vec<usize>, Vec<usize>) {
-    let mut slot_of_parts = std::collections::HashMap::with_capacity(candidates.len());
-    let mut leaders = Vec::new();
-    let slot = candidates
-        .iter()
-        .enumerate()
-        .map(|(i, c)| {
-            *slot_of_parts.entry((c.raw.part_addrs(), c.raw.hints.bcast)).or_insert_with(|| {
-                leaders.push(i);
-                leaders.len() - 1
-            })
-        })
-        .collect();
-    (leaders, slot)
-}
-
 /// Score every candidate with the calibrated static model, returning
-/// `(index, predicted cycles)` sorted fastest-first. The sort is stable, so
-/// equal predictions keep input order regardless of `jobs`. The estimate
-/// reads a program's tree, tables and `hints.bcast`, so it runs once per
-/// distinct (`raw`, `bcast`) ([`screen_leaders`]) and `Estimate::overall`
-/// is applied per candidate.
+/// `(index, predicted cycles)` sorted fastest-first: one estimate of each
+/// candidate's `raw`, read through `Estimate::overall`. The sort is stable,
+/// so equal predictions keep input order regardless of `jobs`.
 fn score_all(
     cfg: &MachineConfig,
     model: &GemmModel,
     candidates: &[Candidate],
     jobs: usize,
 ) -> (Vec<(usize, f64)>, Duration) {
-    let (leaders, slot) = screen_leaders(candidates);
-    let estimates = pool::par_map(jobs, &leaders, |_, _, &i| {
+    let scored = pool::par_map(jobs, candidates, |_, _, c| {
         let t = Instant::now();
-        (estimate(cfg, model, &candidates[i].raw), t.elapsed())
+        (estimate(cfg, model, &c.raw).overall(c.prefetched), t.elapsed())
     });
-    let cpu = estimates.iter().map(|(_, d)| *d).sum();
-    let mut ranked: Vec<(usize, f64)> = candidates
-        .iter()
-        .enumerate()
-        .map(|(i, c)| (i, estimates[slot[i]].0.overall(c.prefetched)))
-        .collect();
+    let cpu = scored.iter().map(|(_, d)| *d).sum();
+    let mut ranked: Vec<(usize, f64)> = scored.into_iter().map(|(s, _)| s).enumerate().collect();
     ranked.sort_by(|a, b| a.1.total_cmp(&b.1));
     (ranked, cpu)
 }

@@ -10,7 +10,7 @@ use std::sync::Mutex;
 use swatop_repro::sw26010::{DmaDirection, MachineConfig};
 use swatop_repro::swatop::ops::MatmulOp;
 use swatop_repro::swatop::scheduler::Scheduler;
-use swatop_repro::swatop::tuner::{screen_leaders, tune, TierPolicy, TuneOptions};
+use swatop_repro::swatop::tuner::{tune, TierPolicy, TuneOptions};
 use swatop_repro::ir::{Stmt, TransformKind};
 
 /// Allocations made and not yet freed.
@@ -130,7 +130,6 @@ fn a_gemm_space_holds_one_tree_and_at_most_45_allocations_per_candidate() {
     println!("{built_total} live allocations, {built:.1} per candidate, every executable built");
     assert!(built <= 45.0, "{built:.1} live allocations per built candidate");
     assert!(built_total <= 61_000, "{built_total} live allocations with every executable built");
-    assert_eq!(screen_leaders(&cands).0.len(), 1_408);
     drop((cands, trees));
     let leaked = LIVE.load(Ordering::Relaxed) - before;
     assert!(leaked.abs() < 1_000, "{leaked} allocations outlive the candidate list");

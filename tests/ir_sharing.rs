@@ -3,8 +3,8 @@
 //! copies. These tests pin, for one small shape of every operator in
 //! `ops/`: which candidates share which trees (identity, not equality), that
 //! writing through one handle never shows through another, and that the
-//! tier-0 screen — which estimates each distinct (`raw`, `bcast`) once —
-//! ranks exactly as a per-candidate estimate does.
+//! tier-0 screen ranks exactly as a per-candidate estimate does, on every
+//! space and on a hand-made slice of clones.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -14,7 +14,7 @@ use swatop_repro::sw26010::MachineConfig;
 use swatop_repro::swatop::model::{estimate, GemmModel};
 use swatop_repro::swatop::ops::{dma_knob, dma_menu, ExplicitConvOp, MatmulOp};
 use swatop_repro::swatop::scheduler::{Candidate, Operator, Scheduler};
-use swatop_repro::swatop::tuner::{model_rank, screen_leaders};
+use swatop_repro::swatop::tuner::model_rank;
 use swatop_repro::swtensor::ConvShape;
 
 mod common;
@@ -58,8 +58,8 @@ fn candidates_hold_one_tree_per_distinct_program() {
         }
 
         // Candidates of one structural point that agree on `coalesce` — the
-        // `dbuf` and `bcast` siblings — hold the same `raw`, body included,
-        // and differ in their hints.
+        // `bcast` siblings — hold the same `raw`, body included, and differ
+        // in their hints.
         // The first candidate of a group, and the (dbuf, bcast) hints seen.
         type Group<'a> = (&'a Candidate, HashSet<(bool, bool)>);
         let mut groups: HashMap<(Vec<usize>, bool), Group> = HashMap::new();
@@ -183,45 +183,28 @@ fn rank_per_candidate(cfg: &MachineConfig, cands: &[Candidate]) -> Vec<(usize, u
     bits(ranked)
 }
 
-#[test]
-fn screen_equals_a_per_candidate_estimate() {
-    let cfg = MachineConfig::default();
-    for op in every_op() {
-        let cands = enumerate(op.as_ref());
-        let (leaders, slot) = screen_leaders(&cands);
-        // A leader prices one (`raw`, `bcast`): levels share one only where
-        // they agree on both, and no operator's menu has two such levels
-        // since `MatmulOp`'s levels without `dbuf` left it (ROADMAP 23(a)),
-        // so every candidate leads.
-        let shares = two_levels_agree(&dma_menu(&op.space()), |h| (h.coalesce, h.bcast));
-        assert!(!shares, "{}", op.name());
-        assert_eq!(leaders.len(), cands.len(), "{}: one leader per candidate", op.name());
-        assert_eq!(slot.len(), cands.len());
-        let want = rank_per_candidate(&cfg, &cands);
-        for jobs in [1, 2, 4] {
-            assert_eq!(
-                bits(model_rank(&cfg, &cands, jobs)),
-                want,
-                "{} jobs={jobs}",
-                op.name()
-            );
-        }
+/// `model_rank` over `cands` equals a per-candidate estimate, `to_bits`, at
+/// every `jobs`.
+fn assert_screen_is_per_candidate(cfg: &MachineConfig, cands: &[Candidate], what: &str) {
+    let want = rank_per_candidate(cfg, cands);
+    for jobs in [1, 2, 4] {
+        assert_eq!(bits(model_rank(cfg, cands, jobs)), want, "{what} jobs={jobs}");
     }
 }
 
 #[test]
-fn screen_leaders_are_found_by_identity_only() {
+fn screen_equals_a_per_candidate_estimate() {
     let cfg = MachineConfig::default();
-    // A GEMM-ladder operator's `dma=dbuf+coal` / `all` are bcast siblings.
-    // No menu pairs a level with its `dbuf` twin any more (ROADMAP 23(a)),
-    // so `a`'s dbuf sibling is made by hand: its `raw` with `dbuf` off, as
-    // the scheduler shared it while `MatmulOp`'s menu held `bcast`.
+    for op in every_op() {
+        assert_screen_is_per_candidate(&cfg, &enumerate(op.as_ref()), &op.name());
+    }
+
+    // A hand-made slice of clones: a `dbuf`-off copy of a prefetched matmul
+    // candidate (no menu has a `dbuf`-off level any more, ROADMAP 23(a)),
+    // its equal twin in its own allocation, a `bcast` sibling holding its
+    // `coal` sibling's very tree, and repeats placed apart.
     let gemm = enumerate(&MatmulOp::new(36, 20, 50));
     let conv = enumerate(&ExplicitConvOp::new(ConvShape::square(4, 16, 16, 8)));
-    let sibling = |cands: &[Candidate], of: &Candidate, dbuf, bcast| {
-        let hints = |c: &&Candidate| c.raw.hints.dbuf == dbuf && c.raw.hints.bcast == bcast;
-        cands.iter().filter(hints).find(|c| same_storage(&c.raw, &of.raw)).cloned()
-    };
     let b = gemm.iter().find(|c| c.prefetched && !c.raw.hints.coalesce);
     let b = b.expect("a prefetched candidate").clone();
     let mut a = b.clone();
@@ -230,7 +213,8 @@ fn screen_leaders_are_found_by_identity_only() {
     assert!(same_storage(&a.raw, &b.raw));
     let coal = conv.iter().find(|c| c.raw.hints.coalesce && !c.raw.hints.bcast);
     let coal = coal.expect("a coalesced candidate").clone();
-    let bcast = sibling(&conv, &coal, true, true).expect("its bcast sibling");
+    let bcast = conv.iter().find(|c| c.raw.hints.bcast && same_storage(&c.raw, &coal.raw));
+    let bcast = bcast.expect("its bcast sibling").clone();
     let other = gemm.iter().find(|c| !c.raw.hints.coalesce && !same_storage(&c.raw, &a.raw));
     let other = other.expect("a different program").clone();
     // Equal to `a` in every field, but its own allocation.
@@ -239,13 +223,5 @@ fn screen_leaders_are_found_by_identity_only() {
     assert!(twin.raw == a.raw && !same_storage(&twin.raw, &a.raw));
 
     let slice = [a.clone(), other.clone(), b, twin, other, a, coal, bcast];
-    let (leaders, slot) = screen_leaders(&slice);
-    // `a`, its dbuf sibling and its clone share a slot though none are
-    // adjacent; the equal twin leads its own, and so does the bcast sibling,
-    // which holds `coal`'s very tree but is priced apart.
-    assert_eq!(leaders, vec![0, 1, 3, 6, 7]);
-    assert_eq!(slot, vec![0, 1, 0, 2, 1, 0, 3, 4]);
-    for jobs in [1, 2, 4] {
-        assert_eq!(bits(model_rank(&cfg, &slice, jobs)), rank_per_candidate(&cfg, &slice));
-    }
+    assert_screen_is_per_candidate(&cfg, &slice, "hand-made slice");
 }

@@ -3,7 +3,7 @@
 //! untagged tree as broadcast tagging would leave it. Its oracle is the walk
 //! it replaced, over a tagged copy: every iteration of a loop whose variable
 //! a guard reads, walked one at a time and summed left to right. Scores must
-//! be `to_bits`-equal on every distinct program of every operator, on the 73
+//! be `to_bits`-equal on every candidate of every operator, on the 73
 //! paper-size Fig. 9 spaces (release), and on hand-built loops whose guards
 //! flip mid-loop, mix variables, test equality, take an else arm, nest, read
 //! only an enclosing variable, or run 0–2 times, and on hand-built gets that
@@ -20,7 +20,6 @@ use swatop_repro::swatop::model::{estimate, estimate_leaf, Estimate, GemmModel};
 use swatop_repro::swatop::ops::ImplicitConvOp;
 use swatop_repro::swatop::optimizer::coalesce::tag_broadcast;
 use swatop_repro::swatop::scheduler::{Candidate, Scheduler};
-use swatop_repro::swatop::tuner::screen_leaders;
 use swatop_repro::swkernels::VecDim;
 use swatop_repro::swtensor::MatLayout;
 use swatop_repro::workloads::conv_sweep;
@@ -112,19 +111,18 @@ fn has_guarded_loop(s: &Stmt) -> bool {
     found
 }
 
-/// Check every distinct (`raw`, `bcast`) of a space; `(raws, raws with a
+/// Check the `raw` of every candidate of a space; `(candidates, raws with a
 /// guarded loop, bcast raws that `bcast` prices differently)`.
 fn check_space(cfg: &MachineConfig, cands: &[Candidate], what: &str) -> (usize, usize, usize) {
     let model = GemmModel::cached(cfg);
-    let (leaders, _) = screen_leaders(cands);
     let (mut guarded, mut moved) = (0, 0);
-    for &i in &leaders {
-        let raw = &cands[i].raw;
-        assert_scores_as_the_walk(cfg, &model, raw, &format!("{what} at {}", cands[i].describe));
+    for c in cands {
+        let raw = &c.raw;
+        assert_scores_as_the_walk(cfg, &model, raw, &format!("{what} at {}", c.describe));
         guarded += usize::from(has_guarded_loop(&raw.body));
         moved += usize::from(raw.hints.bcast && bcast_moves(cfg, &model, raw));
     }
-    (leaders.len(), guarded, moved)
+    (cands.len(), guarded, moved)
 }
 
 #[test]
@@ -148,7 +146,7 @@ fn every_raw_of_every_operator_scores_as_the_walk() {
 fn every_raw_of_the_fig9_full_spaces_scores_as_the_walk() {
     let cfg = MachineConfig::default();
     let sched = Scheduler::new(cfg.clone());
-    let (mut spaces, mut raws, mut guarded, mut moved) = (0, 0, 0, 0);
+    let (mut spaces, mut candidates, mut guarded, mut moved) = (0, 0, 0, 0);
     for shape in conv_sweep(32, None) {
         if !ImplicitConvOp::applicable(&shape) {
             continue;
@@ -158,13 +156,15 @@ fn every_raw_of_the_fig9_full_spaces_scores_as_the_walk() {
             continue;
         }
         let what = format!("({},{},{})", shape.ni, shape.no, shape.ro);
-        let (r, g, m) = check_space(&cfg, &cands, &what);
-        (spaces, raws, guarded, moved) = (spaces + 1, raws + r, guarded + g, moved + m);
+        let (n, g, m) = check_space(&cfg, &cands, &what);
+        (spaces, candidates, guarded, moved) = (spaces + 1, candidates + n, guarded + g, moved + m);
     }
     assert_eq!(spaces, 73);
     assert!(guarded > 0, "no program had a guarded loop: the run split never ran");
     assert!(moved > 0, "no bcast raw priced apart from its untagged sibling");
-    println!("{spaces} spaces, {raws} distinct raws, {guarded} with a guarded loop, {moved} bcast");
+    println!(
+        "{spaces} spaces, {candidates} candidates, {guarded} with a guarded loop, {moved} bcast"
+    );
 }
 
 /// Leaves whose prices are not round numbers, so a sum taken in another
