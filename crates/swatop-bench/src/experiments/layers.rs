@@ -1,7 +1,7 @@
 //! Figures 5–7: each tensorized CONV decomposition against its hand-written
 //! library on the conv layers of VGG16, ResNet and YOLO at batch 1/32/128.
 //!
-//! The three figures share one loop, [`layers_vs_library`]; each renders
+//! The three figures share one loop, `layers_vs_library`; each renders
 //! its rows with its own headers and summary. Paper findings to reproduce
 //! in shape:
 //!

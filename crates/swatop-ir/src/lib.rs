@@ -49,5 +49,5 @@ pub use expr::{AVar, AffineExpr, Cond, Env, VarId};
 pub use program::{MemBufDecl, MemRole, Program, ScheduleHints, SpmBufDecl};
 pub use stmt::{
     DmaCg, DmaCpe, DmaShape, GemmOp, Link, MatDesc, MemBufId, ReplyId, SpmBufId, SpmSlot, Stmt,
-    TransformKind, TransformOp,
+    TransformKind, TransformOp, WinogradBands,
 };

@@ -1,8 +1,11 @@
 //! IR statement nodes.
 
+use std::ops::Range;
+
 use sw26010::regcomm::BcastBus;
-use sw26010::{cid, rid, Cycles, DmaDirection, MachineConfig, ELEM_BYTES, MESH, N_CPE};
+use sw26010::{cid, rid, Cycles, DmaDirection, MachineConfig, ELEM_BYTES, MESH, N_CPE, SPM_BYTES};
 use swkernels::VecDim;
+use swtensor::winograd::{n_tiles, tile_grid};
 use swtensor::{ConvShape, MatLayout};
 
 use crate::expr::{AVar, AffineExpr, Cond, Env, VarId};
@@ -326,7 +329,7 @@ pub enum TransformKind {
     WinogradFilter { shape: ConvShape, src: MemBufId, dst: MemBufId, transposed: bool },
     /// Winograd input transform NCHW → `[16][Ni][nt_pad]`: the tile axis is
     /// zero-padded to `nt_pad` at generation time so the batched GEMMs see
-    /// an aligned N dimension.
+    /// an aligned N dimension. It reads its input in [`WinogradBands`].
     WinogradInput { shape: ConvShape, src: MemBufId, dst: MemBufId, nt_pad: usize },
     /// Winograd inverse output transform `[16][No][nt_pad]` → NCHW.
     WinogradOutput { shape: ConvShape, src: MemBufId, dst: MemBufId, nt_pad: usize },
@@ -470,11 +473,13 @@ impl TransformKind {
                 (read, written, 8)
             }
             TransformKind::WinogradInput { shape, nt_pad, .. } => {
+                let read = WinogradBands::of(shape).reads();
                 let written = 16 * (shape.ni * nt_pad) as u64;
-                (written, written, 8)
+                (read, written, 8)
             }
-            TransformKind::WinogradOutput { shape, nt_pad, .. } => {
-                let read = 16 * (shape.no * nt_pad) as u64;
+            TransformKind::WinogradOutput { shape, .. } => {
+                // Only the real tiles of M; the padded tail is never read.
+                let read = 16 * (shape.no * n_tiles(shape)) as u64;
                 let written = (shape.b * shape.no * shape.ro * shape.co) as u64;
                 (read, written, 8)
             }
@@ -504,6 +509,70 @@ impl TransformKind {
                 (n, n, 0)
             }
         }
+    }
+}
+
+/// The band plan of a Winograd input transform: how many tile rows of one
+/// input plane a CPE stages on chip at a time.
+///
+/// Each CPE work item is one `(b, ni)` input plane. The CPE fetches the input
+/// rows a band of tile rows covers into its scratch pad once and computes
+/// every overlapping 4×4 tile of the band from there, so an input element
+/// crosses the bus once per band that covers it: once, where the plane is
+/// one band, and twice in the 2-row halo two bands share. A plane is split
+/// only where it and its share of `V` (16 values per tile) do not fit
+/// [`WinogradBands::SPM_SHARE`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct WinogradBands {
+    pub shape: ConvShape,
+    /// Tile rows per band; the last band may hold fewer.
+    pub rows: usize,
+}
+
+impl WinogradBands {
+    /// Scratch-pad elements one band may fill: half of a CPE's
+    /// [`SPM_BYTES`], the other half holding the next band's fetch in flight.
+    pub const SPM_SHARE: usize = SPM_BYTES / ELEM_BYTES / 2;
+
+    /// The plan the input transform runs: [`WinogradBands::plan`] at
+    /// [`WinogradBands::SPM_SHARE`].
+    pub fn of(shape: &ConvShape) -> Self {
+        Self::plan(shape, Self::SPM_SHARE)
+    }
+
+    /// The plan for a band budget of `budget` elements: the whole plane if
+    /// its rows and its tiles' `V` values fit, else the most tile rows whose
+    /// fetch and `V` values fit, and at least one.
+    pub fn plan(shape: &ConvShape, budget: usize) -> Self {
+        let (tr, tc) = tile_grid(shape);
+        let ci = shape.ci();
+        let rows = if shape.ri() * ci + 16 * tr * tc <= budget {
+            tr
+        } else {
+            // A band of h tile rows fetches at most 2h + 2 input rows.
+            (budget.saturating_sub(2 * ci) / (2 * ci + 16 * tc)).clamp(1, tr)
+        };
+        WinogradBands { shape: *shape, rows }
+    }
+
+    /// Bands per plane.
+    pub fn count(&self) -> usize {
+        tile_grid(&self.shape).0.div_ceil(self.rows)
+    }
+
+    /// The input rows band `k` fetches: those its tiles cover (tile row `t`
+    /// covers padded rows `2t .. 2t + 4`), less the zero padding.
+    fn fetch(&self, k: usize) -> Range<usize> {
+        let s = &self.shape;
+        let end = ((k + 1) * self.rows).min(tile_grid(s).0);
+        (2 * k * self.rows).saturating_sub(s.pad)..(2 * end + 2).saturating_sub(s.pad).min(s.ri())
+    }
+
+    /// Main-memory elements the plan reads: every band's rows of every plane.
+    pub fn reads(&self) -> u64 {
+        let s = &self.shape;
+        let rows: usize = (0..self.count()).map(|k| self.fetch(k).len()).sum();
+        (s.b * s.ni * rows * s.ci()) as u64
     }
 }
 

@@ -9,7 +9,9 @@
 
 use std::fmt::Write;
 
-use swatop_ir::{AVar, AffineExpr, Cond, Link, MemBufId, SpmSlot, Stmt, TransformKind, TransformOp};
+use swatop_ir::{
+    AVar, AffineExpr, Cond, Link, MemBufId, SpmSlot, Stmt, TransformKind, TransformOp, WinogradBands,
+};
 
 use super::Planned;
 
@@ -168,7 +170,8 @@ fn emit_stmt(s: &Stmt, exe: &Planned, depth: usize, out: &mut String) {
 /// reader's call. There is one call per fused chain or sibling run, named
 /// after its links in order (a run's members as `kernel_xN` where N alike
 /// stand together), reading the chain's first source and writing every
-/// reader's output.
+/// reader's output. A Winograd input transform in the call adds its band
+/// height in tile rows ([`WinogradBands`]).
 fn transform(t: &TransformOp, before: &[Stmt], exe: &Planned, depth: usize, out: &mut String) {
     if !t.link.pays() {
         return;
@@ -196,15 +199,24 @@ fn transform(t: &TransformOp, before: &[Stmt], exe: &Planned, depth: usize, out:
     let named = |&(k, n): &(&str, usize)| if n > 1 { format!("{k}_x{n}") } else { k.to_string() };
     let mut name = names.iter().map(named).collect::<Vec<_>>().join("_");
     let mut src = t.kind.src();
+    let mut links: Vec<&TransformKind> = members.iter().map(|m| &m.kind).collect();
     if t.link.fed() {
         while let Some(k) = producer_of(&p.body, src) {
             name = format!("{}_{name}", kernel(k));
             src = k.src();
+            links.push(k);
         }
     }
+    let bands = links.iter().filter_map(|k| match k {
+        TransformKind::WinogradInput { shape, .. } => {
+            Some(format!("/*band_rows=*/{}", WinogradBands::of(shape).rows))
+        }
+        _ => None,
+    });
     let args: Vec<String> = std::iter::once(src)
         .chain(members.iter().map(|m| m.kind.dst()))
         .map(|b| sanitize(&p.mem_bufs[b.0].name))
+        .chain(bands)
         .collect();
     let _ = writeln!(out, "{}{name}({});", "  ".repeat(depth), args.join(", "));
 }
@@ -308,5 +320,17 @@ mod tests {
         let c = emit(&plan(p, &MachineConfig::default()).unwrap());
         assert!(c.contains("  pack_tensor_pack_tensor_x3(x, o0, o1, o2);\n"), "{c}");
         assert_eq!(c.lines().filter(|l| l.contains("pack_tensor")).count(), 1, "{c}");
+    }
+
+    #[test]
+    fn the_winograd_input_call_carries_its_band_height() {
+        use crate::ops::WinogradConvOp;
+        use crate::scheduler::Scheduler;
+        // 4×4 tiles of 2×2 outputs: one 4-row band holds the whole plane.
+        let op = WinogradConvOp::new(swtensor::ConvShape::square(2, 8, 8, 8));
+        let cands = Scheduler::new(MachineConfig::default()).enumerate(&op);
+        let c = emit(&cands[0].exe);
+        let call = c.lines().find(|l| l.contains("winograd_input_transform")).expect("one call");
+        assert!(call.ends_with(", /*band_rows=*/4);"), "{c}");
     }
 }

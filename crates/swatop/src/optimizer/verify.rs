@@ -45,7 +45,7 @@ use crate::codegen::{Executable, Planned};
 
 /// Cap on collected violations: a broken steady-state loop would otherwise
 /// report the same hazard once per iteration.
-const MAX_VIOLATIONS: usize = 16;
+pub const MAX_VIOLATIONS: usize = 16;
 
 /// One legality violation found by the static checker.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -5,7 +5,7 @@
 //!
 //! * [`profile_candidate`] — re-run one enumerated candidate cost-only with
 //!   tracing enabled and fold the event stream into a
-//!   [`Timeline`](sw26010::profile::Timeline) (per-engine busy intervals,
+//!   [`Timeline`] (per-engine busy intervals,
 //!   prologue/steady/epilogue phases), paired with the machine counters and
 //!   roofline bottleneck. Exported as a `profile` JSON artifact.
 //! * [`trace_json`] — the one Chrome trace-event document: the tuner's spans

@@ -295,13 +295,13 @@ mod tests {
     use crate::ops::{dma_level, MatmulOp};
 
     /// A matmul whose lowering reads the `dma` knob structurally (an extra
-    /// SPM buffer under double buffering), breaking [`Operator::lower`]'s
-    /// contract.
-    struct DbufReader {
+    /// SPM buffer under coalescing, which only some levels of its menu turn
+    /// on), breaking [`Operator::lower`]'s contract.
+    struct CoalesceReader {
         inner: MatmulOp,
     }
 
-    impl Operator for DbufReader {
+    impl Operator for CoalesceReader {
         fn name(&self) -> String {
             self.inner.name()
         }
@@ -313,7 +313,7 @@ mod tests {
         }
         fn lower(&self, space: &ScheduleSpace, point: &SchedulePoint) -> Option<Program> {
             let mut p = self.inner.lower(space, point)?;
-            if dma_level(point.choice(space, "dma")).dbuf {
+            if dma_level(point.choice(space, "dma")).coalesce {
                 p.spm_buf("staging", 8);
             }
             Some(p)
@@ -331,8 +331,8 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "reads a DMA knob structurally")]
-    fn a_lowering_that_reads_a_dma_knob_structurally_trips_the_debug_comparison() {
-        let op = DbufReader { inner: MatmulOp::new(32, 32, 32) };
+    fn a_lowering_that_reads_coalesce_structurally_trips_the_debug_comparison() {
+        let op = CoalesceReader { inner: MatmulOp::new(32, 32, 32) };
         Scheduler::new(MachineConfig::default()).enumerate(&op);
     }
 }

@@ -1080,7 +1080,9 @@ const SPACE_SUMS: [&str; 7] = [
 /// pass: the matmul counters equal the previous tree's over the
 /// `dbuf+bcast` and `all` candidates, and its cycles are 32 fewer than
 /// theirs (6,678,027); only the cycles of the small implicit and Winograd
-/// spaces moved besides.
+/// spaces moved besides. And when the Winograd input transform came to read
+/// each input element once per band of tile rows and the output transform
+/// only the real tiles: only the two Winograd spaces' cycles moved, down.
 #[test]
 #[ignore = "whole spaces: run in release"]
 fn whole_space_sums_are_pinned() {
@@ -1096,7 +1098,7 @@ fn whole_space_sums_are_pinned() {
         ),
         (
             Box::new(WinogradConvOp::new(conv)),
-            [80_583_695, 553_517_056, 21_485_975, 3_932_160, 47_616, 47_496, 55_552],
+            [76_915_295, 553_517_056, 21_485_975, 3_932_160, 47_616, 47_496, 55_552],
         ),
         (
             Box::new(ExplicitConvOp::new(conv)),
@@ -1121,7 +1123,7 @@ fn whole_space_sums_are_pinned() {
         (
             Box::new(WinogradConvOp::new(vgg7)),
             [
-                4_701_155_741,
+                4_546_436_777,
                 38_201_720_832,
                 90_457_777,
                 2_671_771_648,
