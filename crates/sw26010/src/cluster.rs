@@ -311,36 +311,46 @@ impl CoreGroup {
         if self.faults.as_mut().is_some_and(FaultSession::dma_fault) {
             return Err(MachineError::DmaFault { batch: self.counters.dma_batches });
         }
-        // The scatter serialises after the transfer on the mesh, not on the
-        // engine: it delays the completion, never the next batch.
-        let scatter = batch.scatter.unwrap_or(Cycles::ZERO);
-        let finish = self.dma.schedule(&self.cfg, self.now, &batch, chained) + scatter;
-        // 7 of every 8 panel bytes travel the mesh from a leader to a peer.
-        let scattered = batch.payload_bytes / 8 * 7;
+        // The register-bus phase runs on the mesh, not on the engine: a get's
+        // scatter follows its transfer and delays the completion alone; a
+        // put's gather precedes its transfer, which starts no earlier than
+        // the gather ends.
+        let put = batch.direction == DmaDirection::SpmToMem;
+        let regcomm = batch.regcomm.unwrap_or(Cycles::ZERO);
+        let (start, after) =
+            if put { (self.now + regcomm, Cycles::ZERO) } else { (self.now, regcomm) };
+        let finish = self.dma.schedule(&self.cfg, start, &batch, chained) + after;
+        // 7 of every 8 line bytes travel the mesh between a leader and a peer.
+        let relayed = batch.payload_bytes / 8 * 7;
         self.counters.dma_payload_bytes += batch.payload_bytes as u64;
         self.counters.dma_bus_bytes += batch.bus_bytes as u64;
         self.counters.dma_batches += u64::from(!chained);
         self.counters.note_spm_use(batch.spm_end as u64);
-        if batch.scatter.is_some() {
+        if batch.regcomm.is_some() {
             self.counters.dma_bcast_batches += 1;
-            self.counters.regcomm_bytes += scattered as u64;
+            self.counters.regcomm_bytes += relayed as u64;
         }
-        // Pure observation: no clock is touched.
+        // Pure observation: no clock is touched. Events are pushed in time
+        // order: a put's gather before its transfer, a get's scatter after.
         if self.trace.is_enabled() {
-            self.trace.push(Event::DmaIssue {
+            let issue = Event::DmaIssue {
                 at: self.now,
                 done: finish,
                 direction: batch.direction,
                 payload_bytes: batch.payload_bytes,
                 bus_bytes: batch.bus_bytes,
                 tag: self.next_tag,
-            });
-            if batch.scatter.is_some() {
-                self.trace.push(Event::Regcomm {
-                    at: finish.saturating_sub(scatter),
-                    cycles: scatter,
-                    bytes: scattered,
-                });
+            };
+            match batch.regcomm {
+                None => self.trace.push(issue),
+                Some(cycles) => {
+                    let at = if put { self.now } else { finish.saturating_sub(cycles) };
+                    let direction = batch.direction;
+                    let bus = Event::Regcomm { at, cycles, bytes: relayed, direction };
+                    let (first, second) = if put { (bus, issue) } else { (issue, bus) };
+                    self.trace.push(first);
+                    self.trace.push(second);
+                }
             }
         }
         self.reply_mut(reply)?.push(finish);
@@ -388,29 +398,32 @@ impl CoreGroup {
     }
 
     /// Issue a *broadcast* DMA batch: one leader CPE per mesh row (or
-    /// column) fetches the whole line's panels from DRAM and scatters them
-    /// to its 7 peers over the register-communication bus. The DRAM side of
-    /// the batch is `leader_requests` (8 wide fetches instead of 64 narrow
-    /// ones — fewer descriptors, full transactions); `requests` still
-    /// describes the per-CPE destination blocks and is what moves data in
-    /// functional mode, so delivered SPM bytes are identical to the
-    /// non-broadcast batch. The scatter (`scatter` cycles, see
-    /// [`crate::regcomm::dma_scatter_cycles`]) serialises after the
-    /// transfer and before the reply-word completion; the panel streams
-    /// through the leader's registers, so no extra SPM staging is modelled.
+    /// column) moves the whole line's panels as one wide request per block,
+    /// and the register-communication bus carries them between the leader
+    /// and its 7 peers — a get's leader fetches from DRAM and scatters, a
+    /// put's leader gathers its peers' blocks and writes to DRAM. The DRAM
+    /// side of the batch is `leader_requests` (8 wide transfers instead of
+    /// 64 narrow ones — fewer descriptors, full transactions); `requests`
+    /// still describes the per-CPE blocks and is what moves data in
+    /// functional mode, so the bytes moved are identical to the
+    /// non-broadcast batch. The bus phase (`regcomm` cycles, see
+    /// [`crate::regcomm::dma_scatter_cycles`]) follows a get's transfer and
+    /// precedes a put's; either way it delays the reply-word completion.
+    /// The line streams through the leader's registers, so no extra SPM
+    /// staging is modelled.
     pub fn dma_bcast(
         &mut self,
         direction: DmaDirection,
         leader_requests: &[DmaRequest],
         requests: &[DmaRequest],
-        scatter: Cycles,
+        regcomm: Cycles,
         reply: ReplyId,
     ) -> MachineResult<()> {
         if leader_requests.is_empty() || requests.is_empty() {
             return Err(MachineError::BadDmaRequest("empty broadcast batch".into()));
         }
         let batch = DmaBatch::of(&self.cfg, direction, leader_requests, requests)?;
-        self.issue_and_copy(DmaBatch { scatter: Some(scatter), ..batch }, requests, reply)
+        self.issue_and_copy(DmaBatch { regcomm: Some(regcomm), ..batch }, requests, reply)
     }
 
     /// Issue a batch the caller priced itself — the cost-only interpreter,
@@ -672,7 +685,7 @@ mod tests {
                 blocks: 64,
                 payload_bytes: 64000,
                 spm_end: 1000 + 10 * (i % 3) as usize,
-                scatter: None,
+                regcomm: None,
             };
             cg.dma_priced(get, ReplyId(0)).unwrap();
             cg.dma_wait(ReplyId(0), 1).unwrap();
@@ -717,7 +730,7 @@ mod tests {
             cg.dma_wait(ReplyId(0), 1).unwrap();
             let req = [DmaRequest::contiguous(0, MemToSpm, 0, 0, 64)];
             let batch = DmaBatch::of(&cg.cfg, MemToSpm, &req, &req).unwrap();
-            cg.dma_priced(DmaBatch { scatter: Some(Cycles(5000)), ..batch }, ReplyId(0)).unwrap();
+            cg.dma_priced(DmaBatch { regcomm: Some(Cycles(5000)), ..batch }, ReplyId(0)).unwrap();
             cg.compute(Cycles(compute), "pad");
             let mut s = Snapshot::default();
             cg.snapshot(&mut s);
@@ -858,6 +871,42 @@ mod tests {
         // Same payload in 8 descriptors instead of 64 finishes sooner even
         // after paying the scatter.
         assert!(bc.now() < plain.now(), "bcast {} !< plain {}", bc.now(), plain.now());
+    }
+
+    #[test]
+    fn a_gathered_put_writes_its_line_after_the_gather() {
+        // Each CPE holds 8 elements; a row leader gathers its row's 64 and
+        // writes them as one request.
+        let src: Vec<f32> = (0..512).map(|i| i as f32).collect();
+        let gather = Cycles(100);
+        let mut cg = cg();
+        cg.trace = Trace::enabled(8);
+        let (a, b) = (cg.mem.alloc_from("a", &src), cg.mem.alloc("b", 512));
+        let (from, to) = (cg.mem.base(a), cg.mem.base(b));
+        let reply = cg.alloc_reply();
+        let per_cpe = |direction, base: usize| -> Vec<DmaRequest> {
+            let block = |cpe| DmaRequest::contiguous(cpe, direction, base + cpe * 8, 0, 8);
+            (0..64).map(block).collect()
+        };
+        cg.dma(MemToSpm, &per_cpe(MemToSpm, from), reply).unwrap();
+        cg.dma_wait(reply, 1).unwrap();
+        let puts = per_cpe(SpmToMem, to);
+        let leaders: Vec<DmaRequest> = (0..8)
+            .map(|r| DmaRequest::contiguous(r * 8, SpmToMem, to + r * 64, 0, 64))
+            .collect();
+        cg.dma_bcast(SpmToMem, &leaders, &puts, gather, reply).unwrap();
+        cg.dma_wait(reply, 1).unwrap();
+        assert_eq!(cg.mem.buffer(b), src.as_slice(), "every CPE's block lands");
+        assert_eq!(cg.counters.regcomm_bytes, 512 * 4 / 8 * 7);
+        // The gather starts at the issue and ends where the leaders'
+        // transfer starts: the idle engine schedules it then.
+        let batch = DmaBatch::of(&cg.cfg, SpmToMem, &leaders, &puts).unwrap();
+        let (events, n) = (cg.trace.events(), cg.trace.events().len());
+        let Event::Regcomm { at, cycles, direction, .. } = events[n - 3] else { panic!() };
+        let Event::DmaIssue { at: issued, done, .. } = events[n - 2] else { panic!() };
+        let gathered = (at, cycles, direction);
+        assert_eq!(gathered, (issued, gather, SpmToMem), "the gather precedes the transfer");
+        assert_eq!(done, DmaEngine::new().schedule(&cg.cfg, issued + gather, &batch, false));
     }
 
     #[test]

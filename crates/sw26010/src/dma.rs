@@ -275,10 +275,11 @@ pub struct DmaBatch {
     pub payload_bytes: usize,
     /// One past the highest SPM element a get lands in; 0 for a put.
     pub spm_end: usize,
-    /// Broadcast batches only: the cycles the leaders' register-bus scatter
-    /// ([`crate::regcomm::dma_scatter_cycles`]) adds between the end of the
-    /// transfer and the reply-word completion.
-    pub scatter: Option<Cycles>,
+    /// Broadcast batches only: the cycles of the leaders' register-bus phase
+    /// ([`crate::regcomm::dma_scatter_cycles`]) — a get's scatter, between
+    /// the end of the transfer and the reply-word completion, or a put's
+    /// gather, between the issue and the start of the transfer.
+    pub regcomm: Option<Cycles>,
 }
 
 impl DmaBatch {
@@ -303,7 +304,7 @@ impl DmaBatch {
             blocks: 0,
             payload_bytes: 0,
             spm_end: 0,
-            scatter: None,
+            regcomm: None,
         };
         for r in requests {
             r.validate()?;
@@ -591,7 +592,7 @@ mod tests {
         let b = DmaBatch::of(&cfg(), DmaDirection::MemToSpm, &reqs, &reqs).unwrap();
         assert_eq!(b.bus_bytes, reqs.iter().map(|r| r.bus_bytes(128)).sum::<usize>());
         assert_eq!((b.blocks, b.payload_bytes, b.spm_end), (5, (2 + 28) * 4, 16 + 28));
-        assert_eq!(b.scatter, None);
+        assert_eq!(b.regcomm, None);
         // A put lands nowhere in the SPM; an empty or mixed batch is no batch.
         let put = [DmaRequest::contiguous(0, DmaDirection::SpmToMem, 0, 9, 8)];
         assert_eq!(DmaBatch::of(&cfg(), DmaDirection::SpmToMem, &put, &put).unwrap().spm_end, 0);

@@ -1,7 +1,7 @@
 //! Cycle-resolved execution profile built from the bounded [`Trace`].
 //!
 //! The trace records raw machine events (DMA issues, waits, GEMMs, scalar
-//! compute, regcomm scatters). This module folds that stream into a
+//! compute, register-bus scatters and gathers). This module folds that stream into a
 //! **timeline**: per-engine busy intervals, a three-phase segmentation
 //! (prologue / steady-state / epilogue, split at the first and last compute
 //! event), and per-phase occupancy and overlap metrics. The timeline is the
@@ -123,7 +123,8 @@ pub struct Phase {
     pub compute_busy: u64,
     /// Cycles the compute stream stalled on DMA waits inside this phase.
     pub stall: u64,
-    /// Cycles spent in register-communication scatters inside this phase.
+    /// Cycles spent on the register-communication bus (broadcast scatters
+    /// and gathers) inside this phase.
     pub regcomm: u64,
     /// Cycles where DMA and compute were busy simultaneously.
     pub overlap: u64,
@@ -176,7 +177,7 @@ pub struct Timeline {
     pub compute: Vec<Interval>,
     /// Merged compute-stream stall spans (DMA waits with non-zero loss).
     pub stall: Vec<Interval>,
-    /// Merged register-communication scatter spans.
+    /// Merged register-communication spans (scatters and gathers).
     pub regcomm: Vec<Interval>,
     /// Exactly three phases, in order prologue / steady / epilogue. Phases
     /// that do not occur (e.g. no compute events at all) have zero-length
@@ -270,7 +271,7 @@ impl Timeline {
         self.stall.iter().map(Interval::len).sum()
     }
 
-    /// Total regcomm scatter cycles across the whole timeline.
+    /// Total register-bus cycles across the whole timeline.
     pub fn regcomm_cycles(&self) -> u64 {
         self.regcomm.iter().map(Interval::len).sum()
     }
@@ -449,7 +450,12 @@ mod tests {
     fn regcomm_events_land_on_their_own_engine() {
         let mut t = Trace::enabled(8);
         t.push(issue(0, 100));
-        t.push(Event::Regcomm { at: Cycles(80), cycles: Cycles(20), bytes: 1024 });
+        t.push(Event::Regcomm {
+            at: Cycles(80),
+            cycles: Cycles(20),
+            bytes: 1024,
+            direction: DmaDirection::MemToSpm,
+        });
         t.push(gemm(100, 10));
         let tl = Timeline::build(&t);
         assert_eq!(tl.regcomm_cycles(), 20);

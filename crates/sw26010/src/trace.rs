@@ -24,9 +24,10 @@ pub enum Event {
     Gemm { at: Cycles, cycles: Cycles, m: usize, n: usize, k: usize },
     /// Scalar / auxiliary compute on the CPEs.
     Compute { at: Cycles, cycles: Cycles, what: &'static str },
-    /// Register-communication traffic: the scatter phase of a broadcast DMA
-    /// batch, serialised after the leader fetch completes.
-    Regcomm { at: Cycles, cycles: Cycles, bytes: usize },
+    /// Register-communication traffic of a broadcast DMA batch: a get's
+    /// scatter, serialised after the leader fetch completes, or a put's
+    /// gather, serialised before the leader write starts.
+    Regcomm { at: Cycles, cycles: Cycles, bytes: usize, direction: DmaDirection },
 }
 
 /// Bounded event trace. Disabled (zero-cost) by default.
@@ -78,7 +79,7 @@ impl Trace {
     }
 
     /// Number of events of each broad kind (issue, wait, gemm, compute).
-    /// Regcomm scatters describe a slice of the DMA batch that produced
+    /// Regcomm events describe a slice of the DMA batch that produced
     /// them, not a new machine operation, so they are not counted here.
     pub fn counts(&self) -> (usize, usize, usize, usize) {
         let mut c = (0, 0, 0, 0);

@@ -110,10 +110,12 @@ pub struct DmaCpe {
     pub reply: ReplyId,
     /// Broadcast tiling: when set, only the leader CPE of each mesh row
     /// (`BcastBus::Row`, leaders `(r, 0)`) or column (`BcastBus::Column`,
-    /// leaders `(0, c)`) fetches the whole line's blocks from DRAM and
-    /// scatters them over the register-communication bus. Valid only when
-    /// the 8 per-CPE fetches of a line are contiguous (the bcast-axis mesh
-    /// coefficient of `offset` equals `block`).
+    /// leaders `(0, c)`) moves the whole line's blocks to or from DRAM, and
+    /// the register-communication bus carries them between the leader and
+    /// its peers: a get's leader scatters what it fetched, a put's leader
+    /// gathers what it writes. Valid only when the 8 per-CPE blocks of a
+    /// line are contiguous (the bcast-axis mesh coefficient of `offset`
+    /// equals `block`).
     pub bcast: Option<BcastBus>,
     /// Batch fusion: this transfer is issued back-to-back with the
     /// immediately preceding DMA node (no wait or compute in between), so
@@ -135,19 +137,19 @@ impl DmaCpe {
     }
 
     /// [`DmaCpe::shape`] of the node as if its `bcast` were `bus`: what the
-    /// analytic model prices for a get that broadcast tagging would mark.
+    /// analytic model prices for a node that broadcast tagging would mark.
     pub fn shape_on(&self, cfg: &MachineConfig, bus: Option<BcastBus>) -> DmaShape {
-        // A broadcast leader fetches its line's eight contiguous blocks as
+        // A broadcast leader moves its line's eight contiguous blocks as
         // one: 8 requests of 8× the block instead of 64 of the block.
-        let (requests, cpe_step, block, scatter) = match bus {
+        let (requests, cpe_step, block, regcomm) = match bus {
             None => (N_CPE, 1, self.block, None),
             Some(bus) => {
                 let cpe_step = match bus {
                     BcastBus::Row => MESH,
                     BcastBus::Column => 1,
                 };
-                let scatter = sw26010::regcomm::dma_scatter_cycles(cfg, self.spm_elems());
-                (MESH, cpe_step, self.block * MESH, Some(scatter))
+                let regcomm = sw26010::regcomm::dma_scatter_cycles(cfg, self.spm_elems());
+                (MESH, cpe_step, self.block * MESH, Some(regcomm))
             }
         };
         DmaShape {
@@ -156,7 +158,7 @@ impl DmaCpe {
             blocks: requests * self.n_blocks,
             span: self.n_blocks.saturating_sub(1) * self.stride + block,
             payload_bytes: requests * block * self.n_blocks * ELEM_BYTES,
-            scatter,
+            regcomm,
             cpe_step,
             mesh_coeffs: (self.offset.coeff(AVar::Rid), self.offset.coeff(AVar::Cid)),
         }
@@ -180,9 +182,10 @@ pub struct DmaShape {
     pub span: usize,
     /// Bytes the batch delivers (the same with and without broadcast).
     pub payload_bytes: usize,
-    /// Broadcast only: cycles the leaders' scatter over the register bus
-    /// adds between the end of the transfer and its completion.
-    pub scatter: Option<Cycles>,
+    /// Broadcast only: cycles of the leaders' register-bus phase — a get's
+    /// scatter after the transfer, a put's gather before it — which the
+    /// completion waits for.
+    pub regcomm: Option<Cycles>,
     /// Request `i` is issued by CPE `i * cpe_step`.
     cpe_step: usize,
     /// `rid` and `cid` coefficients of the node's offset.

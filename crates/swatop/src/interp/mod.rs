@@ -408,9 +408,10 @@ impl<'a> Interp<'a> {
     }
 
     /// Execute a `DMA_CPE` node: every CPE moves its own blocks, or — under
-    /// broadcast tiling — the leader of each mesh row (column) fetches its
-    /// whole line from DRAM and scatters it over the register-communication
-    /// bus, which delivers the same bytes to every SPM from 8× fewer, 8×
+    /// broadcast tiling — the leader of each mesh row (column) moves its
+    /// whole line, a get's fetched and scattered over the
+    /// register-communication bus, a put's gathered over it and written,
+    /// which moves the same bytes to or from every SPM in 8× fewer, 8×
     /// wider requests ([`DmaShape`]). The checks are the same in both modes;
     /// then cost-only prices the batch from the node's table, and functional
     /// builds, prices and copies every request.
@@ -420,11 +421,6 @@ impl<'a> Interp<'a> {
         // and skip the start-up latency.
         if d.fused {
             cg.dma_chain_next();
-        }
-        if d.bcast.is_some() && d.direction != DmaDirection::MemToSpm {
-            return Err(MachineError::Invalid(
-                "broadcast DMA is only defined for mem→SPM gets".into(),
-            ));
         }
         let spm_off = self.resolve_slot(cg, &d.spm, env)?;
         let machine_buf = self.buf(d.buf)?;
@@ -479,7 +475,7 @@ impl<'a> Interp<'a> {
                 blocks: shape.blocks,
                 payload_bytes: shape.payload_bytes,
                 spm_end: if d.direction == DmaDirection::MemToSpm { spm_off + spm_elems } else { 0 },
-                scatter: shape.scatter,
+                regcomm: shape.regcomm,
             };
             return cg.dma_priced(batch, reply?);
         }
@@ -507,14 +503,14 @@ impl<'a> Interp<'a> {
         for cpe in 0..N_CPE {
             self.reqs.push(request(cpe, d.block)?);
         }
-        match shape.scatter {
+        match shape.regcomm {
             None => cg.dma(d.direction, &self.reqs, reply?),
-            Some(scatter) => {
+            Some(regcomm) => {
                 self.leaders.clear();
                 for cpe in shape.requesters() {
                     self.leaders.push(request(cpe, shape.block)?);
                 }
-                cg.dma_bcast(d.direction, &self.leaders, &self.reqs, scatter, reply?)
+                cg.dma_bcast(d.direction, &self.leaders, &self.reqs, regcomm, reply?)
             }
         }
     }

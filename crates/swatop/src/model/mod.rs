@@ -65,6 +65,16 @@ pub fn dma_eq1_cycles(
     cfg.dma_startup.get() as f64 + descriptor + total_bytes / cfg.mem_bytes_per_cycle
 }
 
+/// Eq. (1) for one unfused execution of `d` as if its `bcast` were `bus`
+/// ([`DmaCpe::shape_on`]): its requests' transfer, plus a broadcast's
+/// register-bus phase, which extends the completion — a get's scatter
+/// follows the transfer, a put's gather precedes it.
+pub fn dma_node_cycles(cfg: &MachineConfig, d: &DmaCpe, bus: Option<BcastBus>) -> f64 {
+    let shape = d.shape_on(cfg, bus);
+    let t = dma_eq1_cycles(cfg, shape.block, d.n_blocks, d.stride, shape.requests);
+    t + shape.regcomm.map_or(0.0, |c| c.get() as f64)
+}
+
 /// Cost of a bulk host-side transform node, not chained onto a
 /// predecessor (its `fused` mark is the caller's to apply): transforms are
 /// tiled CPE loops streaming through the DMA engine — bandwidth-bound unless
@@ -228,9 +238,10 @@ impl std::ops::AddAssign for Estimate {
 /// that is what lets [`estimate`] price a run of iterations that take one
 /// path through a loop body by walking one of them.
 ///
-/// With `tag`, an untagged `DMA_CPE` get is priced as
+/// With `tag`, an untagged `DMA_CPE` node is priced as
 /// [`tag_broadcast`](crate::optimizer::coalesce::tag_broadcast) would leave
-/// it: on the bus [`broadcast_bus`] finds, if any. A `DMA_CG` node is priced
+/// it: on the bus [`broadcast_bus`] finds, if any — a get's, or a put's that
+/// gathers cheaper. A `DMA_CG` node is priced
 /// lowered and untagged, as the pipeline leaves it.
 pub fn estimate_leaf(
     cfg: &MachineConfig,
@@ -240,14 +251,9 @@ pub fn estimate_leaf(
     est: &mut Estimate,
 ) {
     let mut dma = |d: &DmaCpe, bus: Option<BcastBus>| {
-        // A broadcast's register-bus scatter extends the transfer's
-        // completion. Fused nodes chain onto the preceding batch: Eq. (1)'s
-        // start-up term is paid once per batch group, not per node.
-        let shape = d.shape_on(cfg, bus);
-        let mut t = dma_eq1_cycles(cfg, shape.block, d.n_blocks, d.stride, shape.requests);
-        if let Some(scatter) = shape.scatter {
-            t += scatter.get() as f64;
-        }
+        // Fused nodes chain onto the preceding batch: Eq. (1)'s start-up
+        // term is paid once per batch group, not per node.
+        let mut t = dma_node_cycles(cfg, d, bus);
         if d.fused {
             t -= cfg.dma_startup.get() as f64;
         }
@@ -297,7 +303,7 @@ pub fn estimate_leaf(
 /// so scores are bit-identical to it (`tests/screen_oracle.rs`).
 ///
 /// The one hint read is `bcast`: such a program is priced as the executable
-/// it builds into, every unguarded get that
+/// it builds into, every unguarded get or gatherable put that
 /// [`tag_broadcast`](crate::optimizer::coalesce::tag_broadcast) would tag
 /// priced on its bus. So the `bcast` siblings share one untagged tree and
 /// still price apart.
@@ -308,7 +314,7 @@ pub fn estimate(cfg: &MachineConfig, model: &GemmModel, p: &Program) -> Estimate
     est
 }
 
-/// Add the estimate of `s` to `est`, pricing eligible gets as broadcast
+/// Add the estimate of `s` to `est`, pricing eligible nodes as broadcast
 /// when `tag` (which an `If` arm clears). Every loop is priced into its own
 /// accumulator, then added.
 fn walk(

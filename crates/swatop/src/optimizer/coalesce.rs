@@ -15,18 +15,21 @@
 //! bandwidth-costed [`TransformKind::PackTiles`] with the replaced DMA's
 //! direction.
 //!
-//! **Broadcast tiling** (`tag_broadcast`): when the 8 per-CPE gets of a mesh
-//! row (or column) are contiguous in memory — the `Cid` (resp. `Rid`)
+//! **Broadcast tiling** (`tag_broadcast`): when the 8 per-CPE blocks of a
+//! mesh row (or column) are contiguous in memory — the `Cid` (resp. `Rid`)
 //! coefficient of the offset equals the block length — one leader CPE per
-//! row/column can fetch the whole line and scatter it over the
-//! register-communication bus, so only 8 of 64 CPEs touch DRAM. The pass
-//! tags eligible `DMA_CPE` nodes with a [`BcastBus`] direction; the machine
-//! prices the leader transfer plus the regcomm scatter.
+//! row/column can move the whole line, so only 8 of 64 CPEs touch DRAM: a
+//! get's leader fetches the line and scatters it over the
+//! register-communication bus, a put's leader gathers its peers' blocks
+//! over the bus and writes the line. The pass tags eligible `DMA_CPE` nodes
+//! with a [`BcastBus`] direction — a put only where the gather is priced
+//! cheaper ([`broadcast_bus`]); the machine prices the leader transfer plus
+//! the regcomm phase.
 
 use std::fmt::Write;
 
 use sw26010::regcomm::BcastBus;
-use sw26010::DmaDirection;
+use sw26010::{DmaDirection, MachineConfig};
 use swatop_ir::{
     AVar, AffineExpr, DmaCg, DmaCpe, MemRole, Program, Stmt, TransformKind,
 };
@@ -411,32 +414,46 @@ fn written_bufs(stmt: &Stmt, out: &mut Vec<usize>) {
     });
 }
 
-/// The register-communication bus an unguarded get may broadcast over, if
-/// any: the one eligibility test behind [`tag_broadcast`] and behind the
-/// analytic model's pricing of a `bcast` program whose tree is not tagged.
+/// The register-communication bus an unguarded `DMA_CPE` node may broadcast
+/// over, if any: the one eligibility test behind [`tag_broadcast`] and
+/// behind the analytic model's pricing of a `bcast` program whose tree is
+/// not tagged.
 ///
-/// A get is row-broadcastable when the 8 fetches of a mesh row are
+/// A node is row-broadcastable when the 8 blocks of a mesh row are
 /// contiguous (`offset`'s `Cid` coefficient equals `block`) and the leader's
-/// merged `8·block` read does not overrun into the next stride period
+/// merged `8·block` line does not overrun into the next stride period
 /// (`n_blocks == 1` or `stride ≥ 8·block`); column-broadcast is the `Rid`
-/// mirror. Puts never broadcast. The node's own `bcast` is not read.
+/// mirror. A get that passes broadcasts. A put that passes gathers only
+/// where that is priced cheaper: the leaders' 8 wide writes plus the
+/// gather against the 64 narrow writes, both in Eq. (1)'s terms at the
+/// SW26010's constants, so the optimizer reads no machine. The node's own
+/// `bcast` is not read.
 pub fn broadcast_bus(d: &DmaCpe) -> Option<BcastBus> {
-    let layout_ok = d.direction == DmaDirection::MemToSpm
-        && d.block > 0
-        && (d.n_blocks == 1 || d.stride >= 8 * d.block);
-    if layout_ok && d.offset.coeff(AVar::Cid) == d.block as i64 {
-        Some(BcastBus::Row)
-    } else if layout_ok && d.offset.coeff(AVar::Rid) == d.block as i64 {
-        Some(BcastBus::Column)
+    if d.block == 0 || (d.n_blocks > 1 && d.stride < 8 * d.block) {
+        return None;
+    }
+    let bus = if d.offset.coeff(AVar::Cid) == d.block as i64 {
+        BcastBus::Row
+    } else if d.offset.coeff(AVar::Rid) == d.block as i64 {
+        BcastBus::Column
     } else {
-        None
+        return None;
+    };
+    match d.direction {
+        DmaDirection::MemToSpm => Some(bus),
+        DmaDirection::SpmToMem => {
+            let cfg = MachineConfig::default();
+            let cycles = |bus| crate::model::dma_node_cycles(&cfg, d, bus);
+            (cycles(Some(bus)) < cycles(None)).then_some(bus)
+        }
     }
 }
 
-/// Tag broadcast-eligible gets ([`broadcast_bus`]) with their
-/// register-communication bus; a get already tagged keeps its bus. Guarded
-/// gets are left untouched — the scatter is a collective over the full mesh
-/// and must not diverge.
+/// Tag unguarded nodes that may broadcast ([`broadcast_bus`]) with their
+/// register-communication bus: every eligible get, and every put that
+/// gathers cheaper; a node already tagged keeps its bus. Guarded nodes are
+/// left untouched — the scatter or gather is a collective over the full
+/// mesh and must not diverge.
 pub fn tag_broadcast(stmt: &mut Stmt) {
     tag(stmt, false)
 }
@@ -1038,5 +1055,57 @@ mod tests {
         let mut t = mk(16); // 16 < 32: leader blocks would overlap
         tag_broadcast(&mut t);
         assert_eq!(t.count(|s| matches!(s, Stmt::DmaCpe(d) if d.bcast.is_some())), 0);
+    }
+
+    #[test]
+    fn a_put_gathers_only_where_that_is_priced_cheaper() {
+        // A put of `n_blocks` blocks of `block`, `stride` apart, whose mesh
+        // row (`cid` coefficient = block) or column is one line.
+        let put = |block: usize, stride: usize, n_blocks: usize, bus: BcastBus| {
+            let (c_r, c_c) = match bus {
+                BcastBus::Row => (8 * block as i64, block as i64),
+                BcastBus::Column => (block as i64, 8 * block as i64),
+            };
+            Stmt::DmaCpe(DmaCpe {
+                buf: MemBufId(0),
+                offset: AffineExpr::zero().add_term(AVar::Rid, c_r).add_term(AVar::Cid, c_c),
+                block,
+                stride,
+                n_blocks,
+                direction: DmaDirection::SpmToMem,
+                spm: SpmSlot::Single(SpmBufId(0)),
+                reply: ReplyId(0),
+                bcast: None,
+                fused: false,
+            })
+        };
+        let tagged = |mut s: Stmt| {
+            tag_broadcast(&mut s);
+            let mut bus = None;
+            s.visit(&mut |s| {
+                if let Stmt::DmaCpe(d) = s {
+                    bus = d.bcast;
+                }
+            });
+            bus
+        };
+        // 8-element blocks fill a sixteenth of a transaction each: the
+        // leaders' lines save 7 of every 8 transactions and descriptors.
+        for bus in [BcastBus::Row, BcastBus::Column] {
+            assert_eq!(tagged(put(8, 8, 1, bus)), Some(bus));
+            assert_eq!(tagged(put(8, 64, 8, bus)), Some(bus), "one line per block row");
+        }
+        let guard = swatop_ir::Cond::lt_const(AffineExpr::loop_var(0), 3);
+        let refused = [
+            ("a guarded put", Stmt::if_(guard, put(8, 8, 1, BcastBus::Row))),
+            // The leader's 64-element line would run into the next block row.
+            ("an overlapping leader line", put(8, 32, 4, BcastBus::Row)),
+            // Whole transactions already: the gather costs more than the
+            // 56 descriptors it saves.
+            ("a large block", put(256, 256, 1, BcastBus::Row)),
+        ];
+        for (why, s) in refused {
+            assert_eq!(tagged(s), None, "{why}");
+        }
     }
 }

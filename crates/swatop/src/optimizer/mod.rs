@@ -68,7 +68,7 @@ pub fn finish(mut program: Program, double_buffer: bool) -> Program {
 /// place.
 ///
 /// Broadcast tagging may follow fusion, as it does in [`optimize`], or
-/// precede it — the two commute: `tag_broadcast` reads a get's direction,
+/// precede it — the two commute: `tag_broadcast` reads a node's direction,
 /// block, stride and offset and writes `bcast`; the fusion passes read
 /// adjacency, direction and reply word and write `fused` — neither reads a
 /// field the other writes

@@ -30,7 +30,7 @@ use std::fmt::Write as _;
 use sw26010::json::Writer;
 use sw26010::profile::{PhaseKind, Timeline};
 use sw26010::trace::{Event, Trace};
-use sw26010::{Counters, CoreGroup, Cycles, ExecMode, MachineConfig, MachineResult};
+use sw26010::{Counters, CoreGroup, Cycles, DmaDirection, ExecMode, MachineConfig, MachineResult};
 
 use crate::interp::{execute, instantiate};
 use crate::observatory::{classify, Bottleneck, Peaks};
@@ -255,7 +255,13 @@ fn engine_slices(trace: &Trace) -> [(&'static str, Vec<Slice>); 3] {
                 let name = format!("dma {direction:?} {payload_bytes}B (tag {tag})");
                 (1, name, at, Cycles(done.get().saturating_sub(at.get())))
             }
-            Event::Regcomm { at, cycles, bytes } => (2, format!("regcomm scatter {bytes}B"), at, cycles),
+            Event::Regcomm { at, cycles, bytes, direction } => {
+                let phase = match direction {
+                    DmaDirection::MemToSpm => "scatter",
+                    DmaDirection::SpmToMem => "gather",
+                };
+                (2, format!("regcomm {phase} {bytes}B"), at, cycles)
+            }
         };
         engines[engine].1.push((name, at.get(), cycles.get()));
     }
@@ -715,7 +721,12 @@ mod tests {
         t.push(Event::DmaWait { at: Cycles(500), stall: Cycles(20), tag: 1 });
         t.push(Event::DmaWait { at: Cycles(520), stall: Cycles(0), tag: 2 }); // no loss: no slice
         t.push(Event::Compute { at: Cycles(520), cycles: Cycles(30), what: "pack" });
-        t.push(Event::Regcomm { at: Cycles(580), cycles: Cycles(20), bytes: 1024 });
+        t.push(Event::Regcomm {
+            at: Cycles(580),
+            cycles: Cycles(20),
+            bytes: 1024,
+            direction: DmaDirection::MemToSpm,
+        });
         let evs = events(&trace_json(None, &[&profile_of(t, "dbuf=true")], 1.45));
         let tid = |name: &str| evs.iter().find(|e| e.0 == name).unwrap_or_else(|| panic!("no {name}")).2;
         let thread = |name: &str| evs.iter().find(|e| e.0 == "thread_name" && e.1 == "M" && tid(name) == e.2);

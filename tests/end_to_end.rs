@@ -6,7 +6,8 @@ use swatop_repro::baselines::{
     naive_conv_cycles, swdnn_implicit_conv, xmath_explicit_conv, xmath_gemm,
     xmath_winograd_conv,
 };
-use swatop_repro::sw26010::MachineConfig;
+use swatop_repro::ir::Stmt;
+use swatop_repro::sw26010::{DmaDirection, MachineConfig};
 use swatop_repro::swatop::ops::{
     verify_candidate, ExplicitConvOp, ImplicitConvOp, MatmulOp, WinogradConvOp,
 };
@@ -134,8 +135,22 @@ fn emitted_c_reflects_the_schedule() {
     let op = MatmulOp::new(64, 64, 64);
     let cands = Scheduler::new(cfg.clone()).enumerate(&op);
     let outcome = tune(&cfg, &cands, &with(TierPolicy::top_k(3)), None).unwrap();
-    let c = cands[outcome.best].exe.emit_c();
-    for needle in ["spm_gemm(", "swDMA(", "swDMAWait(", "__thread_local float spm["] {
+    let exe = &cands[outcome.best].exe;
+    let c = exe.emit_c();
+    // Each DMA node is the call of its kind: per CPE, a broadcast get or a
+    // gathered put.
+    let mut needles = vec!["spm_gemm(", "swDMAWait(", "__thread_local float spm["];
+    exe.program.body.visit(&mut |s| {
+        if let Stmt::DmaCpe(d) = s {
+            needles.push(match (d.bcast, d.direction) {
+                (None, _) => "swDMA(",
+                (Some(_), DmaDirection::MemToSpm) => "swDMA_bcast(",
+                (Some(_), DmaDirection::SpmToMem) => "swDMA_gather(",
+            });
+        }
+    });
+    assert!(needles.contains(&"swDMA_gather("), "the winner gathers its output:\n{c}");
+    for needle in needles {
         assert!(c.contains(needle), "generated C lacks {needle}:\n{c}");
     }
 }
@@ -159,8 +174,8 @@ fn assert_implicit_no_slower_than_explicit(shape: ConvShape) {
 #[test]
 fn batch1_gap_is_bridged() {
     // swDNN has no batch-1 implicit conv; swATOP must produce one, and a
-    // fast one: merged output rows widen the GEMM's N (24,914 cycles against
-    // explicit conv's 25,205).
+    // fast one: merged output rows widen the GEMM's N (23,069 cycles against
+    // explicit conv's 23,360).
     let cfg = cfg();
     let shape = ConvShape::square(1, 32, 32, 8);
     assert!(swdnn_implicit_conv(&cfg, &shape).is_none());

@@ -250,7 +250,9 @@ impl Digest {
 /// struck from the describe) to `tests/golden/implicit_one_row.txt`, first
 /// recorded before `t_ro` existed and re-recorded only where the one-row
 /// lowering itself changed, and when the DMA ladder lost `dma=none` (each
-/// line then equalled the parent's with the `dma=none` candidates struck).
+/// line then equalled the parent's with the `dma=none` candidates struck),
+/// and when puts came to gather over the register bus (the executables'
+/// put tags moved; with the gather refused every line equals the parent's).
 /// On a mismatch the new text is written to `target/tmp/frontend_equiv/`.
 #[test]
 fn merged_rows_leave_the_one_row_candidates_as_they_were() {

@@ -338,13 +338,19 @@ fn untagged_bcast_gets_score_as_the_tagged_walk() {
     let model = GemmModel::cached(&cfg);
     let looped = |get| Stmt::for_(0, 12, Stmt::seq(vec![get, wait(), gemm(64, 32, 24)]));
     let guarded = Stmt::if_(Cond::lt_const(AffineExpr::loop_var(0), 5), mesh_get(96, 12, 12, 1, 12));
-    // (case, body, the bus `tag_broadcast` gives its get, whether `bcast`
+    let put = |get| match get {
+        Stmt::DmaCpe(d) => Stmt::DmaCpe(DmaCpe { direction: DmaDirection::SpmToMem, ..d }),
+        other => other,
+    };
+    // (case, body, the bus `tag_broadcast` gives its node, whether `bcast`
     // moves the price)
     let cases = [
         ("a row-eligible get", looped(mesh_get(96, 12, 12, 1, 12)), Some(BcastBus::Row), true),
         ("a column-eligible get", looped(mesh_get(12, 96, 12, 1, 12)), Some(BcastBus::Column), true),
         ("a stride the leader's read overruns", looped(mesh_get(256, 4, 4, 2, 16)), None, false),
         ("an eligible get under an If arm", looped(guarded), None, false),
+        ("a put of small blocks", looped(put(mesh_get(64, 8, 8, 1, 8))), Some(BcastBus::Row), true),
+        ("a put of whole transactions", looped(put(mesh_get(2048, 256, 256, 1, 256))), None, false),
     ];
     for (what, body, bus, moves) in cases {
         let mut p = program(body);

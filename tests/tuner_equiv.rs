@@ -19,7 +19,12 @@
 //! `0x16_5EED` to `0x16_5F3C`): its stream keys on the input index, and
 //! under the old seed every implicit candidate failed, so no run walked
 //! down the ranking past a wholly failed wave any more. Every faulted line
-//! moved with the seed; every fault-free line kept its cycles.
+//! moved with the seed; every fault-free line kept its cycles. When puts
+//! came to gather over the register bus where that is priced cheaper, the
+//! 75 gemm, implicit and Winograd lines moved: every fault-free winner kept
+//! its index and fell in cycles, and the gemm and Winograd ladders' waves
+//! widened (32 → 52 and 4 → 6 measured) with the model's observed error
+//! band over them.
 
 use swatop_repro::sw26010::{FaultPlan, MachineConfig};
 use swatop_repro::swatop::ops::{ImplicitConvOp, MatmulOp, WinogradConvOp};
