@@ -41,6 +41,11 @@ pub fn xmath_knobs() -> MatmulKnobs {
 
 /// Simulated cycles of an xMath `sgemm(M, N, K)` call.
 pub fn xmath_gemm(cfg: &MachineConfig, m: usize, n: usize, k: usize) -> MachineResult<Cycles> {
+    run_program(cfg, gemm_program(m, n, k)?)
+}
+
+/// The program of an xMath `sgemm(M, N, K)` call, before optimization.
+pub fn gemm_program(m: usize, n: usize, k: usize) -> MachineResult<Program> {
     let mut p = Program::new(format!("xmath_gemm_{m}x{n}x{k}"));
     let a = p.mem_buf("A", m * k, MemRole::Input);
     let b = p.mem_buf("B", k * n, MemRole::Input);
@@ -48,7 +53,7 @@ pub fn xmath_gemm(cfg: &MachineConfig, m: usize, n: usize, k: usize) -> MachineR
     let body = lower_matmul_body(&mut p, &xmath_knobs(), a, b, c, m, n, k, PadMode::Traditional)
         .ok_or_else(|| sw26010::MachineError::Invalid("xmath blocking inapplicable".into()))?;
     p.set_body(Stmt::seq(body));
-    run_program(cfg, p)
+    Ok(p)
 }
 
 /// Simulated cycles of the explicit-GEMM convolution using xMath for the

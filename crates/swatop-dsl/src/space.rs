@@ -209,12 +209,6 @@ pub fn factors_of(n: usize) -> Vec<usize> {
     f
 }
 
-/// Divisors of `n` that are themselves multiples of `m` (e.g. tile sizes
-/// that keep a dimension mesh- and vector-aligned).
-pub fn factors_of_min(n: usize, m: usize) -> Vec<usize> {
-    factors_of(n).into_iter().filter(|d| d % m == 0).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -312,8 +306,6 @@ mod tests {
     #[test]
     fn factor_helpers() {
         assert_eq!(factors_of(12), vec![1, 2, 3, 4, 6, 12]);
-        assert_eq!(factors_of_min(64, 32), vec![32, 64]);
         assert_eq!(factors_of(1), vec![1]);
-        assert!(factors_of_min(12, 5).is_empty());
     }
 }

@@ -42,13 +42,12 @@ pub struct SpmBufDecl {
 }
 
 /// Optimisation directives a schedule point attaches to its lowered
-/// program: which of the DMA-wall passes the optimizer pipeline should run
-/// on it. Each is an independent schedule dimension the tuner searches.
+/// program: which of the optional DMA-wall passes the optimizer pipeline
+/// should run on it. Each is an independent schedule dimension the tuner
+/// searches. Double buffering is not one: every program gets it where its
+/// twins fit the SPM, unless the prefetch pass is switched off.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ScheduleHints {
-    /// Double-buffer the steady-state loop gets (ping/pong SPM tiles) so
-    /// step k+1's DMA-in overlaps step k's compute.
-    pub dbuf: bool,
     /// Coalesce strided tile gets into packed, transaction-aligned staging
     /// buffers (one contiguous block per CPE per step).
     pub coalesce: bool,

@@ -13,7 +13,7 @@
 //! writes each block in place, one loop nest per element over one SPM
 //! workspace, and a column-major layout packs every block in one pass.
 
-use swatop_dsl::{SchedulePoint, ScheduleSpace, Seed};
+use swatop_dsl::{SchedulePoint, ScheduleSpace};
 use swatop_ir::{MemRole, Program, Stmt};
 
 use crate::ops::matmul::{lower_matmul_body, lower_matmul_body_with_spm, MatmulKnobs, LAYOUTS};
@@ -53,10 +53,6 @@ impl Operator for BatchedMatmulOp {
             self.k,
             if self.shared_a { "_sharedA" } else { "" }
         )
-    }
-
-    fn seed(&self) -> Seed {
-        Seed::matmul(self.name(), self.m, self.n * self.batch, self.k)
     }
 
     fn space(&self) -> ScheduleSpace {

@@ -16,7 +16,7 @@
 //! Both reuse the matmul schedule space, boundary machinery and prefetch
 //! pass unchanged — the point of the paper's hardware-agnostic layer.
 
-use swatop_dsl::{SchedulePoint, ScheduleSpace, Seed};
+use swatop_dsl::{SchedulePoint, ScheduleSpace};
 use swatop_ir::{MemRole, Program, Stmt, TransformKind};
 use swtensor::ConvShape;
 
@@ -64,10 +64,6 @@ impl Operator for ConvBackwardDataOp {
     fn name(&self) -> String {
         let s = &self.shape;
         format!("conv_bwd_data_b{}_ni{}_no{}_r{}x{}", s.b, s.ni, s.no, s.ro, s.co)
-    }
-
-    fn seed(&self) -> Seed {
-        Seed::explicit_conv(self.name(), self.grad_shape())
     }
 
     fn space(&self) -> ScheduleSpace {
@@ -143,11 +139,6 @@ impl Operator for ConvBackwardFilterOp {
     fn name(&self) -> String {
         let s = &self.shape;
         format!("conv_bwd_filter_b{}_ni{}_no{}_r{}x{}", s.b, s.ni, s.no, s.ro, s.co)
-    }
-
-    fn seed(&self) -> Seed {
-        let (m, n, k) = self.gemm_dims();
-        Seed::matmul(self.name(), m, n, k)
     }
 
     fn space(&self) -> ScheduleSpace {

@@ -15,7 +15,7 @@
 //! batch `B > 1` is `[No][B][Ro][Co]` and one pack reorders it to NCHW; at
 //! batch 1 it already is the output, and the GEMM writes it in place.
 
-use swatop_dsl::{SchedulePoint, ScheduleSpace, Seed};
+use swatop_dsl::{SchedulePoint, ScheduleSpace};
 use swatop_ir::{MemRole, Program, Stmt, TransformKind};
 use swtensor::ConvShape;
 
@@ -47,10 +47,6 @@ impl Operator for ExplicitConvOp {
     fn name(&self) -> String {
         let s = &self.shape;
         format!("explicit_conv_b{}_ni{}_no{}_r{}x{}", s.b, s.ni, s.no, s.ro, s.co)
-    }
-
-    fn seed(&self) -> Seed {
-        Seed::explicit_conv(self.name(), self.shape)
     }
 
     fn space(&self) -> ScheduleSpace {

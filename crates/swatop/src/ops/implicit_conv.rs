@@ -37,7 +37,7 @@
 
 use sw26010::DmaDirection::{MemToSpm, SpmToMem};
 use sw26010::MESH;
-use swatop_dsl::{factors_of, SchedulePoint, ScheduleSpace, Seed};
+use swatop_dsl::{factors_of, SchedulePoint, ScheduleSpace};
 use swatop_ir::{
     AVar, AffineExpr, Cond, DmaCg, GemmOp, MatDesc, MemBufId, MemRole, Program, SpmSlot, Stmt,
     TransformKind,
@@ -174,10 +174,6 @@ impl Operator for ImplicitConvOp {
     fn name(&self) -> String {
         let s = &self.shape;
         format!("implicit_conv_b{}_ni{}_no{}_r{}x{}", s.b, s.ni, s.no, s.ro, s.co)
-    }
-
-    fn seed(&self) -> Seed {
-        Seed::implicit_conv(self.name(), self.shape)
     }
 
     fn space(&self) -> ScheduleSpace {

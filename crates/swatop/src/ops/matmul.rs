@@ -20,7 +20,7 @@
 //! guard-free and prefetchable.
 
 use sw26010::DmaDirection::{MemToSpm, SpmToMem};
-use swatop_dsl::{SchedulePoint, ScheduleSpace, Seed};
+use swatop_dsl::{SchedulePoint, ScheduleSpace};
 use swatop_ir::{
     AffineExpr, GemmOp, MatDesc, MemRole, Program, ScheduleHints, SpmSlot, Stmt, TransformKind,
 };
@@ -110,10 +110,6 @@ const MATMUL_LAYOUTS: [&str; 2] = ["rr", "cr"];
 impl Operator for MatmulOp {
     fn name(&self) -> String {
         format!("matmul_{}x{}x{}", self.m, self.n, self.k)
-    }
-
-    fn seed(&self) -> Seed {
-        Seed::matmul(self.name(), self.m, self.n, self.k)
     }
 
     fn space(&self) -> ScheduleSpace {

@@ -41,12 +41,14 @@ pub const DMA_LADDER: [&str; 3] = ["dbuf", "dbuf+coal", "all"];
 /// The DMA-wall knob. Every operator appends one `dma` choice whose levels
 /// name the passes they turn on — `dbuf`, `coal`, `bcast` joined with `+`,
 /// or `all` — and each level parses straight to the
-/// [`ScheduleHints`] its program carries. Panics on a pass it does not know.
+/// [`ScheduleHints`] its program carries. `dbuf` names the double buffering
+/// every level gets (the scheduler decides it, by whether the twins fit), so
+/// it sets no hint. Panics on a pass it does not know.
 pub fn dma_level(level: &str) -> ScheduleHints {
     match level {
-        "all" => ScheduleHints { dbuf: true, coalesce: true, bcast: true },
+        "all" => ScheduleHints { coalesce: true, bcast: true },
         _ => level.split('+').fold(ScheduleHints::default(), |h, pass| match pass {
-            "dbuf" => ScheduleHints { dbuf: true, ..h },
+            "dbuf" => h,
             "coal" => ScheduleHints { coalesce: true, ..h },
             "bcast" => ScheduleHints { bcast: true, ..h },
             _ => panic!("unknown DMA-wall pass '{pass}' in level '{level}'"),
@@ -267,15 +269,15 @@ mod tests {
 
     #[test]
     fn a_dma_level_parses_to_the_passes_it_names() {
-        let h = |dbuf, coalesce, bcast| ScheduleHints { dbuf, coalesce, bcast };
+        let h = |coalesce, bcast| ScheduleHints { coalesce, bcast };
         for (level, want) in [
-            ("dbuf", h(true, false, false)),
-            ("dbuf+coal", h(true, true, false)),
-            ("bcast", h(false, false, true)),
-            ("coal+bcast", h(false, true, true)),
-            ("dbuf+bcast", h(true, false, true)),
-            ("all", h(true, true, true)),
-            ("dbuf+coal+bcast", h(true, true, true)),
+            ("dbuf", h(false, false)),
+            ("dbuf+coal", h(true, false)),
+            ("bcast", h(false, true)),
+            ("coal+bcast", h(true, true)),
+            ("dbuf+bcast", h(false, true)),
+            ("all", h(true, true)),
+            ("dbuf+coal+bcast", h(true, true)),
         ] {
             assert_eq!(dma_level(level), want, "{level}");
         }

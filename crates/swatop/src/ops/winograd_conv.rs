@@ -23,7 +23,7 @@
 //! `ni` step held no optimum of the knob census (`tests/knob_census.rs`).
 
 use sw26010::DmaDirection::{MemToSpm, SpmToMem};
-use swatop_dsl::{SchedulePoint, ScheduleSpace, Seed};
+use swatop_dsl::{SchedulePoint, ScheduleSpace};
 use swatop_ir::{
     AffineExpr, Cond, DmaCg, GemmOp, MatDesc, MemRole, Program, SpmSlot, Stmt, TransformKind,
 };
@@ -77,10 +77,6 @@ impl Operator for WinogradConvOp {
     fn name(&self) -> String {
         let s = &self.shape;
         format!("winograd_conv_b{}_ni{}_no{}_r{}x{}", s.b, s.ni, s.no, s.ro, s.co)
-    }
-
-    fn seed(&self) -> Seed {
-        Seed::winograd_conv(self.name(), self.shape)
     }
 
     fn space(&self) -> ScheduleSpace {

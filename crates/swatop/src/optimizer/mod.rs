@@ -24,31 +24,27 @@ pub mod verify;
 use swatop_ir::Program;
 
 /// Run the standard optimization pipeline on a lowered program. The
-/// program's [`swatop_ir::ScheduleHints`] select the DMA-wall passes —
-/// each is an independent schedule dimension the tuner searches. The
-/// pipeline is three steps, each reading one hint:
+/// program's [`swatop_ir::ScheduleHints`] select the optional DMA-wall
+/// passes — each is an independent schedule dimension the tuner searches.
+/// The pipeline is three steps:
 ///
 /// 1. [`dma_wall`] (`hints.coalesce`): transaction coalescing, DMA
 ///    inference, get/transform batch fusion;
 /// 2. [`coalesce::tag_broadcast`] if `hints.bcast`;
-/// 3. [`prefetch::apply_double_buffering`] if `enable_prefetch` *and*
-///    `hints.dbuf`.
+/// 3. [`prefetch::apply_double_buffering`] if `enable_prefetch`.
 ///
 /// Steps 2 and 3 are [`finish`]. The scheduler runs step 1 once per
 /// (structural point, coalesce) and hands its output, as `raw`, to the
 /// `bcast` siblings alike (DESIGN.md §16); a candidate's
 /// executable runs `finish` on it when it is built. So `optimize(p, true)`
-/// is `apply_double_buffering(optimize(p, false))` when `p.hints.dbuf` and
-/// `optimize(p, false)` otherwise.
+/// is `apply_double_buffering(optimize(p, false))`.
 pub fn optimize(program: Program, enable_prefetch: bool) -> Program {
-    let double_buffer = enable_prefetch && program.hints.dbuf;
-    finish(dma_wall(program), double_buffer)
+    finish(dma_wall(program), enable_prefetch)
 }
 
-/// The tail of [`optimize`] after [`dma_wall`], the part that reads `bcast`
-/// and `dbuf`: broadcast tagging if `hints.bcast`, then double buffering if
-/// `double_buffer`. A deferred [`crate::codegen::Executable`] is built by
-/// this and the SPM layout.
+/// The tail of [`optimize`] after [`dma_wall`]: broadcast tagging if
+/// `hints.bcast`, then double buffering if `double_buffer`. A deferred
+/// [`crate::codegen::Executable`] is built by this and the SPM layout.
 pub fn finish(mut program: Program, double_buffer: bool) -> Program {
     if program.hints.bcast {
         coalesce::tag_broadcast(program.body_mut());
@@ -140,7 +136,7 @@ mod tests {
             coalesce::fuse_adjacent_gets(body);
             coalesce::fuse_adjacent_transforms(body);
         }
-        if enable_prefetch && hints.dbuf {
+        if enable_prefetch {
             program = prefetch::apply_double_buffering(program);
         }
         program
@@ -316,13 +312,12 @@ mod tests {
             let space = op.space();
             let dma = dma_knob(&space);
             // Structural points: the `dma` knob zeroed, every other
-            // selection. All eight hint combinations are tried on each,
+            // selection. All four hint combinations are tried on each,
             // whether or not the operator's `dma` menu offers them.
             for point in space.points().filter(|p| dma.is_none_or(|i| p.sel()[i] == 0)) {
                 let Some(lowered) = op.lower(&space, &point) else { continue };
-                for n in 0..8 {
-                    let hints =
-                        ScheduleHints { dbuf: n & 1 != 0, coalesce: n & 2 != 0, bcast: n & 4 != 0 };
+                for n in 0..4 {
+                    let hints = ScheduleHints { coalesce: n & 1 != 0, bcast: n & 2 != 0 };
                     let p = Program { hints, ..lowered.clone() };
                     for enable_prefetch in [false, true] {
                         let got = optimize(p.clone(), enable_prefetch);

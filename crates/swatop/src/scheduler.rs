@@ -29,21 +29,18 @@
 //! broadcast nor double-buffered *is* its candidate's `raw` once built.
 
 use sw26010::MachineConfig;
-use swatop_dsl::{SchedulePoint, ScheduleSpace, Seed};
+use swatop_dsl::{SchedulePoint, ScheduleSpace};
 use swatop_ir::{Program, ScheduleHints};
 
 use crate::codegen::{fits, fits_with, Executable};
 use crate::ops::{dma_knob, dma_menu};
 use crate::optimizer::{self, prefetch};
 
-/// An operator that swATOP can tune: a schedule seed, a schedule space, and
-/// a lowering from schedule points to IR.
+/// An operator that swATOP can tune: a schedule space, a lowering from
+/// schedule points to IR, and the computation's golden reference.
 pub trait Operator {
     /// Operator name (used in reports).
     fn name(&self) -> String;
-
-    /// The DSL schedule seed (computation description).
-    fn seed(&self) -> Seed;
 
     /// The DSL schedule space.
     fn space(&self) -> ScheduleSpace;
@@ -150,7 +147,6 @@ impl Scheduler {
         // Twins that blow the SPM budget fall back to the un-prefetched
         // schedule rather than dropping the point.
         let doubled = self.enable_prefetch
-            && raw.hints.dbuf
             && prefetch::twin_elems(&raw).is_some_and(|twins| fits_with(&raw, twins, &self.cfg));
         // The implicit-conv and Winograd lowerings emit double slots of
         // their own: such a `raw` is prefetched whatever the rewrite does.
@@ -304,9 +300,6 @@ mod tests {
     impl Operator for CoalesceReader {
         fn name(&self) -> String {
             self.inner.name()
-        }
-        fn seed(&self) -> Seed {
-            self.inner.seed()
         }
         fn space(&self) -> ScheduleSpace {
             self.inner.space()

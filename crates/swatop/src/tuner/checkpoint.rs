@@ -26,6 +26,8 @@ use std::path::Path;
 use sw26010::json::{self, Json, Writer};
 use sw26010::{Cycles, MachineConfig};
 
+use crate::scheduler::Candidate;
+
 /// Bumped when the on-disk shape changes; mixed into the fingerprint.
 pub const FORMAT_VERSION: u64 = 1;
 
@@ -70,11 +72,13 @@ pub struct Checkpoint {
     pub cells: Vec<CandCell>,
 }
 
-/// FNV-1a fingerprint of the tuning context a checkpoint belongs to: the
-/// candidate count plus every machine parameter that shapes measured cycles
-/// or injected faults. Stable across processes (no hasher randomization),
-/// which `std::hash` does not guarantee.
-pub fn fingerprint(cfg: &MachineConfig, n_candidates: usize) -> u64 {
+/// FNV-1a fingerprint of the tuning context a checkpoint belongs to: each
+/// candidate in order — its program's name, its knob assignment and whether
+/// it is double-buffered — plus every machine parameter that shapes measured
+/// cycles or injected faults. A checkpoint of another slice of candidates,
+/// even one of the same length, does not match. Stable across processes (no
+/// hasher randomization), which `std::hash` does not guarantee.
+pub fn fingerprint(cfg: &MachineConfig, candidates: &[Candidate]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     let mut eat = |v: u64| {
         for b in v.to_le_bytes() {
@@ -82,7 +86,15 @@ pub fn fingerprint(cfg: &MachineConfig, n_candidates: usize) -> u64 {
         }
     };
     eat(FORMAT_VERSION);
-    eat(n_candidates as u64);
+    eat(candidates.len() as u64);
+    for c in candidates {
+        // Length-prefixed, so no two lists of strings run together alike.
+        for text in [&*c.raw.name, c.describe.as_str()] {
+            eat(text.len() as u64);
+            text.bytes().for_each(|b| eat(u64::from(b)));
+        }
+        eat(u64::from(c.prefetched));
+    }
     eat(cfg.spm_bytes as u64);
     eat(cfg.dram_transaction_bytes as u64);
     eat(cfg.mem_bytes_per_cycle.to_bits());
@@ -247,16 +259,29 @@ mod tests {
     }
 
     #[test]
-    fn fingerprint_tracks_space_config_and_faults() {
+    fn fingerprint_tracks_candidates_config_and_faults() {
+        use crate::ops::MatmulOp;
+        use crate::scheduler::Scheduler;
+
         let cfg = MachineConfig::default();
-        let base = fingerprint(&cfg, 100);
-        assert_eq!(base, fingerprint(&cfg, 100), "fingerprint must be stable");
-        assert_ne!(base, fingerprint(&cfg, 101), "candidate count must matter");
+        let cands = Scheduler::new(cfg.clone()).enumerate(&MatmulOp::new(36, 20, 50));
+        let base = fingerprint(&cfg, &cands);
+        assert_eq!(base, fingerprint(&cfg, &cands.clone()), "fingerprint must be stable");
+        assert_ne!(base, fingerprint(&cfg, &cands[1..]), "candidate count must matter");
+        // Same count, other candidates: another order, another slice, one
+        // candidate's double buffering flipped.
+        let reversed: Vec<_> = cands.iter().rev().cloned().collect();
+        assert_ne!(base, fingerprint(&cfg, &reversed), "order must matter");
+        let half = cands.len() / 2;
+        assert_ne!(fingerprint(&cfg, &cands[..half]), fingerprint(&cfg, &cands[half..2 * half]));
+        let mut flipped = cands.clone();
+        flipped[0].prefetched = !flipped[0].prefetched;
+        assert_ne!(base, fingerprint(&cfg, &flipped), "double buffering must matter");
         let mut faulty = cfg.clone();
         faulty.fault = Some(sw26010::FaultPlan::with_seed(1));
-        assert_ne!(base, fingerprint(&faulty, 100), "fault plan must matter");
+        assert_ne!(base, fingerprint(&faulty, &cands), "fault plan must matter");
         let mut other = faulty.clone();
         other.fault = Some(sw26010::FaultPlan::with_seed(2));
-        assert_ne!(fingerprint(&faulty, 100), fingerprint(&other, 100));
+        assert_ne!(fingerprint(&faulty, &cands), fingerprint(&other, &cands));
     }
 }

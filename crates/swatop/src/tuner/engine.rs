@@ -227,6 +227,8 @@ pub(super) struct Engine<'a> {
     /// Workers, tier and checkpoint policy, and the report-only telemetry
     /// recorder and event bus (`None` = silent).
     opts: &'a TuneOptions,
+    /// [`checkpoint::fingerprint`] of the run, taken only under a
+    /// checkpoint policy (0 without one).
     fingerprint: u64,
     pub(super) cells: Vec<CandCell>,
     pub(super) cpu: Duration,
@@ -253,7 +255,8 @@ impl<'a> Engine<'a> {
         candidates: &'a [Candidate],
         opts: &'a TuneOptions,
     ) -> Self {
-        let fingerprint = checkpoint::fingerprint(cfg, candidates.len());
+        let fingerprint =
+            opts.checkpoint.as_ref().map_or(0, |_| checkpoint::fingerprint(cfg, candidates));
         let mut cells = vec![CandCell::Pending; candidates.len()];
         if let Some(cp) = &opts.checkpoint {
             if cp.resume {
@@ -438,7 +441,8 @@ impl<'a> Engine<'a> {
 }
 
 /// Optimize, plan and execute a raw program in cost-only mode (used by
-/// hand-constructed baseline schedules that bypass the scheduler).
+/// hand-constructed baseline schedules that bypass the scheduler). The
+/// program runs single-buffered, as the libraries those baselines model do.
 pub fn run_program(cfg: &MachineConfig, program: swatop_ir::Program) -> MachineResult<Cycles> {
     run_program_with_launches(cfg, program, 1)
 }
@@ -451,7 +455,7 @@ pub fn run_program_with_launches(
     program: swatop_ir::Program,
     launches: u64,
 ) -> MachineResult<Cycles> {
-    let opt = crate::optimizer::optimize(program, true);
+    let opt = crate::optimizer::optimize(program, false);
     let exe = crate::codegen::plan(opt, cfg)?;
     let mut cg = CoreGroup::new(cfg.clone(), ExecMode::CostOnly);
     let binding = instantiate(&mut cg, &exe);

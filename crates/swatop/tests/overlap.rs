@@ -33,14 +33,15 @@ fn base_knobs(t_m: usize, t_n: usize, t_k: usize) -> MatmulKnobs {
 
 /// Lower, optimize, plan and *functionally* execute one matmul schedule,
 /// returning the exact output buffer (`None` when the knobs are
-/// inapplicable to the shape). The optimizer runs with prefetching enabled,
-/// so the program's own hints decide which DMA-wall passes apply.
+/// inapplicable to the shape). The program's hints decide which optional
+/// DMA-wall passes apply, `prefetch` whether it is double-buffered.
 fn run_matmul(
     cfg: &MachineConfig,
     m: usize,
     n: usize,
     k: usize,
     knobs: &MatmulKnobs,
+    prefetch: bool,
 ) -> Option<(Vec<f32>, Program)> {
     let mut p = Program::new(format!("mm_{m}x{n}x{k}"));
     let a = p.mem_buf("A", m * k, MemRole::Input);
@@ -48,7 +49,7 @@ fn run_matmul(
     let c = p.mem_buf("C", m * n, MemRole::Output);
     let body = lower_matmul_body(&mut p, knobs, a, b, c, m, n, k, PadMode::Lightweight)?;
     p.set_body(Stmt::seq(body));
-    let opt = swatop::optimizer::optimize(p, true);
+    let opt = swatop::optimizer::optimize(p, prefetch);
     let exe = swatop::codegen::plan(opt, cfg).ok()?;
     let mut cg = CoreGroup::new(cfg.clone(), ExecMode::Functional);
     let binding = instantiate(&mut cg, &exe);
@@ -97,13 +98,11 @@ fn has_pack_tiles(p: &Program) -> bool {
 fn double_buffered_gemm_matches_single_buffered_exactly() {
     let cfg = MachineConfig::default();
     let (m, n, k) = (96, 96, 96);
-    let plain = base_knobs(32, 32, 16);
-    let mut dbuf = plain;
-    dbuf.dma.dbuf = true;
-    let (out_plain, prog_plain) = run_matmul(&cfg, m, n, k, &plain).expect("plain runs");
-    let (out_dbuf, prog_dbuf) = run_matmul(&cfg, m, n, k, &dbuf).expect("dbuf runs");
-    assert!(!has_double_slot(&prog_plain.body), "dbuf off ⇒ no double slots");
-    assert!(has_double_slot(&prog_dbuf.body), "dbuf on ⇒ prefetched schedule");
+    let knobs = base_knobs(32, 32, 16);
+    let (out_plain, prog_plain) = run_matmul(&cfg, m, n, k, &knobs, false).expect("plain runs");
+    let (out_dbuf, prog_dbuf) = run_matmul(&cfg, m, n, k, &knobs, true).expect("dbuf runs");
+    assert!(!has_double_slot(&prog_plain.body), "prefetch off ⇒ no double slots");
+    assert!(has_double_slot(&prog_dbuf.body), "prefetch on ⇒ prefetched schedule");
     assert_eq!(out_plain, out_dbuf, "double buffering changed the result");
 }
 
@@ -112,17 +111,17 @@ fn broadcast_and_resident_match_plain_exactly() {
     let cfg = MachineConfig::default();
     let (m, n, k) = (96, 96, 96);
     let plain = base_knobs(32, 32, 16);
-    let (out_plain, _) = run_matmul(&cfg, m, n, k, &plain).expect("plain runs");
+    let (out_plain, _) = run_matmul(&cfg, m, n, k, &plain, false).expect("plain runs");
 
     let mut bcast = plain;
     bcast.dma.bcast = true;
-    let (out_bcast, _) = run_matmul(&cfg, m, n, k, &bcast).expect("bcast runs");
+    let (out_bcast, _) = run_matmul(&cfg, m, n, k, &bcast, false).expect("bcast runs");
     assert_eq!(out_plain, out_bcast, "broadcast tiling changed the result");
 
     // Resident B walks the tiles n-outer.
     let mut res_b = plain;
     res_b.resident = Resident::B;
-    let (out_b, _) = run_matmul(&cfg, m, n, k, &res_b).expect("resident-b runs");
+    let (out_b, _) = run_matmul(&cfg, m, n, k, &res_b, false).expect("resident-b runs");
     assert_eq!(out_plain, out_b, "resident-B reuse changed the result");
 }
 
@@ -165,18 +164,17 @@ proptest! {
         n in 8usize..100,
         k in 8usize..64,
         t_sel in 0usize..4,
-        dbuf: bool,
+        prefetch: bool,
     ) {
         let cfg = MachineConfig::default();
         let tiles = [(32, 32, 8), (32, 32, 16), (32, 64, 16), (64, 32, 8)];
         let (t_m, t_n, t_k) = tiles[t_sel];
-        let mut plain = base_knobs(t_m, t_n, t_k);
-        plain.dma.dbuf = dbuf;
+        let plain = base_knobs(t_m, t_n, t_k);
         let mut coal = plain;
         coal.dma.coalesce = true;
         let (Some((out_plain, _)), Some((out_coal, prog_coal))) = (
-            run_matmul(&cfg, m, n, k, &plain),
-            run_matmul(&cfg, m, n, k, &coal),
+            run_matmul(&cfg, m, n, k, &plain, prefetch),
+            run_matmul(&cfg, m, n, k, &coal, prefetch),
         ) else {
             return Ok(());
         };
@@ -200,11 +198,11 @@ proptest! {
         let cfg = MachineConfig::default();
         let plain = base_knobs(32, 32, 16);
         let mut full = plain;
-        full.dma = ScheduleHints { dbuf: true, coalesce: true, bcast: true };
+        full.dma = ScheduleHints { coalesce: true, bcast: true };
         full.resident = if resident_b { Resident::B } else { Resident::None };
         let (Some((out_plain, _)), Some((out_full, _))) = (
-            run_matmul(&cfg, m, n, k, &plain),
-            run_matmul(&cfg, m, n, k, &full),
+            run_matmul(&cfg, m, n, k, &plain, false),
+            run_matmul(&cfg, m, n, k, &full, true),
         ) else {
             return Ok(());
         };

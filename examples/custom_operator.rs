@@ -7,7 +7,7 @@
 //! cargo run --release --example custom_operator
 //! ```
 
-use swatop_repro::dsl::{SchedulePoint, ScheduleSpace, Seed};
+use swatop_repro::dsl::{SchedulePoint, ScheduleSpace};
 use swatop_repro::ir::{MemRole, Program, Stmt};
 use swatop_repro::sw26010::MachineConfig;
 use swatop_repro::swatop::ops::matmul::{lower_matmul_body, MatmulKnobs, LAYOUTS};
@@ -29,10 +29,6 @@ struct ResidualMatmul {
 impl Operator for ResidualMatmul {
     fn name(&self) -> String {
         format!("residual_matmul_{}x{}x{}", self.m, self.n, self.k)
-    }
-
-    fn seed(&self) -> Seed {
-        Seed::matmul(self.name(), self.m, self.n, self.k)
     }
 
     fn space(&self) -> ScheduleSpace {

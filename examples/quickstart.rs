@@ -5,8 +5,8 @@
 //! cargo run --release --example quickstart
 //! ```
 //!
-//! Walks the full pipeline of the paper's Fig. 3: DSL seed + schedule
-//! space → scheduler → IR optimizer → performance-model autotuner → code
+//! Walks the full pipeline of the paper's Fig. 3: DSL schedule space →
+//! scheduler → IR optimizer → performance-model autotuner → code
 //! generator, and verifies the chosen schedule functionally against a host
 //! reference.
 
@@ -22,7 +22,6 @@ fn main() {
     let (m, n, k) = (500, 500, 500);
     let op = MatmulOp::new(m, n, k);
     println!("operator: {}", op.name());
-    println!("\nDSL schedule seed:\n{}", op.seed().describe());
     println!("schedule space: {} points", op.space().size());
 
     // Scheduler: enumerate + lower + optimize every valid schedule.

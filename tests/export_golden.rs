@@ -107,7 +107,7 @@ fn artifacts() -> Vec<(&'static str, String, Check)> {
             attribute(&peaks, winner.cycles.get(), &winner.counters).metrics.to_json(),
             Bytes,
         ),
-        ("checkpoint.json", render(fingerprint(&cfg, cells.len()), &cells), Bytes),
+        ("checkpoint.json", render(fingerprint(&cfg, &cands[..cells.len()]), &cells), Bytes),
         ("snapshot_peaks.json", summary.snapshot_json(), MaskedJson),
         ("trace_run.json", trace_json(Some(&summary), &[&winner], cfg.clock_ghz), MaskedJson),
     ]

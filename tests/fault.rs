@@ -188,6 +188,32 @@ fn foreign_checkpoint_is_ignored_not_trusted() {
     assert_same_outcome(&fresh, &resumed, "foreign checkpoint rejected");
 }
 
+/// A checkpoint belongs to its candidates, not to their count: the same
+/// candidates in reverse order start fresh, and the same slice resumes.
+#[test]
+fn a_checkpoint_resumes_only_its_own_candidates() {
+    let cfg = MachineConfig::default();
+    let cands = space(&cfg);
+    let reversed: Vec<Candidate> = cands.iter().rev().cloned().collect();
+    let path = std::env::temp_dir().join(format!("swatop_own_{}.ckpt", std::process::id()));
+    // Cells that poison the result where they are trusted: 1 cycle each.
+    let lie = vec![CandCell::Done { cycles: 1, retries: 0, samples: 1 }; cands.len()];
+    let mut ropts = sweep(2);
+    ropts.checkpoint = Some(CheckpointPolicy::resuming(&path));
+
+    checkpoint::save(&path, checkpoint::fingerprint(&cfg, &cands), &lie).unwrap();
+    let fresh = tune(&cfg, &reversed, &sweep(2), None).unwrap();
+    let other_order = tune(&cfg, &reversed, &ropts, None).unwrap();
+    assert_same_outcome(&fresh, &other_order, "the reversed candidates start fresh");
+
+    // The run above overwrote the file with its own cells.
+    checkpoint::save(&path, checkpoint::fingerprint(&cfg, &cands), &lie).unwrap();
+    let resumed = tune(&cfg, &cands, &ropts, None).unwrap();
+    std::fs::remove_file(&path).ok();
+    assert_eq!((resumed.best, resumed.cycles.get()), (0, 1), "the same slice resumes");
+    assert!(fresh.cycles.get() > 1);
+}
+
 #[test]
 fn fault_free_machine_reports_clean_outcomes() {
     // The resilience bookkeeping must be invisible on a perfect machine:

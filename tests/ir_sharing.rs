@@ -60,8 +60,8 @@ fn candidates_hold_one_tree_per_distinct_program() {
         // Candidates of one structural point that agree on `coalesce` — the
         // `bcast` siblings — hold the same `raw`, body included, and differ
         // in their hints.
-        // The first candidate of a group, and the (dbuf, bcast) hints seen.
-        type Group<'a> = (&'a Candidate, HashSet<(bool, bool)>);
+        // The first candidate of a group, and the `bcast` hints seen.
+        type Group<'a> = (&'a Candidate, HashSet<bool>);
         let mut groups: HashMap<(Vec<usize>, bool), Group> = HashMap::new();
         for c in &cands {
             let mut structural = space.point(c.point_index).sel().to_vec();
@@ -69,7 +69,7 @@ fn candidates_hold_one_tree_per_distinct_program() {
             let (first, seen) = groups
                 .entry((structural, c.raw.hints.coalesce))
                 .or_insert_with(|| (c, HashSet::new()));
-            assert!(seen.insert((c.raw.hints.dbuf, c.raw.hints.bcast)), "{}", c.describe);
+            assert!(seen.insert(c.raw.hints.bcast), "{}", c.describe);
             if !std::ptr::eq(*first, c) {
                 assert!(same_storage(&first.raw, &c.raw), "{} at {}", op.name(), c.describe);
                 sibling_pairs += 1;
@@ -85,7 +85,7 @@ fn candidates_hold_one_tree_per_distinct_program() {
             cands.iter().flat_map(|c| [body_addr(&c.raw), body_addr(&c.exe.program)]).collect();
         let rewritten: Vec<&Candidate> =
             cands.iter().filter(|c| !same_storage(&c.raw, &c.exe.program)).collect();
-        let rewrites = |c: &&Candidate| (c.prefetched && c.raw.hints.dbuf) || c.raw.hints.bcast;
+        let rewrites = |c: &&Candidate| c.prefetched || c.raw.hints.bcast;
         assert!(rewritten.iter().all(rewrites), "{}", op.name());
         assert_eq!(raws.len(), groups.len(), "{}: one raw per group", op.name());
         assert_eq!(all.len(), raws.len() + rewritten.len(), "{}: distinct trees", op.name());
@@ -199,16 +199,15 @@ fn screen_equals_a_per_candidate_estimate() {
         assert_screen_is_per_candidate(&cfg, &enumerate(op.as_ref()), &op.name());
     }
 
-    // A hand-made slice of clones: a `dbuf`-off copy of a prefetched matmul
-    // candidate (no menu has a `dbuf`-off level any more, ROADMAP 23(a)),
-    // its equal twin in its own allocation, a `bcast` sibling holding its
-    // `coal` sibling's very tree, and repeats placed apart.
+    // A hand-made slice of clones: an un-prefetched copy of a prefetched
+    // matmul candidate (the two differ in `prefetched` alone), its equal
+    // twin in its own allocation, a `bcast` sibling holding its `coal`
+    // sibling's very tree, and repeats placed apart.
     let gemm = enumerate(&MatmulOp::new(36, 20, 50));
     let conv = enumerate(&ExplicitConvOp::new(ConvShape::square(4, 16, 16, 8)));
     let b = gemm.iter().find(|c| c.prefetched && !c.raw.hints.coalesce);
     let b = b.expect("a prefetched candidate").clone();
     let mut a = b.clone();
-    a.raw.hints.dbuf = false;
     a.prefetched = false;
     assert!(same_storage(&a.raw, &b.raw));
     let coal = conv.iter().find(|c| c.raw.hints.coalesce && !c.raw.hints.bcast);

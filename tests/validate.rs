@@ -293,15 +293,17 @@ fn base_knobs(t_m: usize, t_n: usize, t_k: usize) -> MatmulKnobs {
     }
 }
 
-/// Lower, optimize, plan and functionally execute one matmul schedule on a
-/// machine that may carry an armed fault plan, returning the output bits.
-/// `None` when the knobs are inapplicable or a fault killed the run.
+/// Lower, optimize (double-buffered if `prefetch`), plan and functionally
+/// execute one matmul schedule on a machine that may carry an armed fault
+/// plan, returning the output bits. `None` when the knobs are inapplicable
+/// or a fault killed the run.
 fn run_matmul_bits(
     cfg: &MachineConfig,
     m: usize,
     n: usize,
     k: usize,
     knobs: &MatmulKnobs,
+    prefetch: bool,
 ) -> Option<Vec<u32>> {
     let mut p = Program::new(format!("mm_{m}x{n}x{k}"));
     let a = p.mem_buf("A", m * k, MemRole::Input);
@@ -309,7 +311,7 @@ fn run_matmul_bits(
     let c = p.mem_buf("C", m * n, MemRole::Output);
     let body = lower_matmul_body(&mut p, knobs, a, b, c, m, n, k, PadMode::Lightweight)?;
     p.set_body(Stmt::seq(body));
-    let opt = swatop::optimizer::optimize(p, true);
+    let opt = swatop::optimizer::optimize(p, prefetch);
     let exe = swatop::codegen::plan(opt, cfg).ok()?;
     let mut cg = CoreGroup::new(cfg.clone(), ExecMode::Functional);
     let binding = instantiate(&mut cg, &exe);
@@ -337,20 +339,19 @@ proptest! {
         n in 8usize..80,
         k in 8usize..48,
         seed in any::<u64>(),
-        dbuf: bool,
+        prefetch: bool,
         faulted: bool,
     ) {
         let mut cfg = MachineConfig::default();
         if faulted {
             cfg.fault = Some(FaultPlan::with_seed(seed));
         }
-        let mut plain = base_knobs(32, 32, 16);
-        plain.dma.dbuf = dbuf;
+        let plain = base_knobs(32, 32, 16);
         let mut fused = plain;
         fused.dma.coalesce = true;
         let (Some(bits_plain), Some(bits_fused)) = (
-            run_matmul_bits(&cfg, m, n, k, &plain),
-            run_matmul_bits(&cfg, m, n, k, &fused),
+            run_matmul_bits(&cfg, m, n, k, &plain, prefetch),
+            run_matmul_bits(&cfg, m, n, k, &fused, prefetch),
         ) else {
             return Ok(());
         };
