@@ -6,7 +6,7 @@
 //! the examples ("what does *no* tensorization cost?") and to sanity-check
 //! that every tensorized method beats it comfortably.
 
-use sw26010::{Cycles, MachineConfig, N_CPE};
+use sw26010::{Cycles, MachineConfig, N_CPE, VMAD_LATENCY};
 use swtensor::ConvShape;
 
 /// Estimated cycles of the scalar MAC implementation.
@@ -17,7 +17,7 @@ use swtensor::ConvShape;
 /// per filter tap (no SPM reuse).
 pub fn naive_conv_cycles(cfg: &MachineConfig, shape: &ConvShape) -> Cycles {
     let macs = shape.macs();
-    let compute = macs.div_ceil(N_CPE as u64) * cfg.vmad_latency.max(1);
+    let compute = macs.div_ceil(N_CPE as u64) * VMAD_LATENCY;
     let traffic_bytes = macs * 4; // one re-fetched input element per MAC
     let dma = (traffic_bytes as f64 / cfg.mem_bytes_per_cycle).ceil() as u64;
     Cycles(compute.max(dma))

@@ -1,5 +1,6 @@
-//! Machine configuration: clocks, bandwidths and micro-architectural
-//! latencies of the simulated core group.
+//! Machine configuration: clocks, bandwidths, capacities and DMA latencies
+//! of the simulated core group. The kernel timings are crate constants
+//! ([`crate::VMAD_LATENCY`] and its neighbours).
 //!
 //! Default values come from the swATOP paper (Sec. 2) and the SW26010
 //! benchmarking literature it cites: 1.45 GHz CPE clock, 34 GB/s theoretical
@@ -40,21 +41,6 @@ pub struct MachineConfig {
     pub dma_issue_cost: Cycles,
     /// Cost of a `dma_wait` poll when the transfer already completed.
     pub dma_wait_poll: Cycles,
-    /// Latency of a vectorised fused multiply-add (`vmad`) on pipeline P0.
-    pub vmad_latency: u64,
-    /// Latency of an SPM vector load (`vldd`) on pipeline P1.
-    pub vldd_latency: u64,
-    /// Latency of a load-and-broadcast over the row/column communication bus
-    /// (`vlddr`/`vlddc`/`vldder`/`vlddec`): SPM read plus mesh traversal.
-    pub bcast_latency: u64,
-    /// Latency of an SPM vector store.
-    pub vstd_latency: u64,
-    /// Extra cycles to switch the register-communication pattern
-    /// (row-broadcast ↔ column-broadcast), paid between K-panels.
-    pub regcomm_switch: Cycles,
-    /// Fixed per-call overhead of a GEMM primitive invocation (argument
-    /// setup, register save/restore). Part of Eq. (2)'s δ term.
-    pub kernel_call_overhead: Cycles,
     /// Cost of launching a CPE kernel (athread spawn + join). Launching is
     /// expensive on SW26010 (tens of microseconds), which is one reason
     /// fused generated code beats a sequence of library calls.
@@ -87,12 +73,6 @@ impl Default for MachineConfig {
             dma_block_overhead: Cycles(4),
             dma_issue_cost: Cycles(24),
             dma_wait_poll: Cycles(8),
-            vmad_latency: 7,
-            vldd_latency: 4,
-            bcast_latency: 11,
-            vstd_latency: 2,
-            regcomm_switch: Cycles(32),
-            kernel_call_overhead: Cycles(140),
             kernel_launch: Cycles(120_000),
             kernel_signal: Cycles(2_000),
             fault: None,

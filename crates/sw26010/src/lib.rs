@@ -99,6 +99,26 @@ pub const ELEM_BYTES: usize = 4;
 /// [`MachineConfig`]'s default.
 pub const SPM_BYTES: usize = 64 * 1024;
 
+// The kernel timings of the one chip whose hand-written micro-kernels the
+// scoreboard simulates. They are constants, so Eq. (2) is fitted once per
+// process and no cache is keyed on them.
+
+/// Latency of a vectorised fused multiply-add (`vmad`) on pipeline P0.
+pub const VMAD_LATENCY: u64 = 7;
+/// Latency of an SPM vector load (`vldd`) on pipeline P1.
+pub const VLDD_LATENCY: u64 = 4;
+/// Latency of a load-and-broadcast over the row/column communication bus
+/// (`vlddr`/`vlddc`/`vldder`/`vlddec`): SPM read plus mesh traversal.
+pub const BCAST_LATENCY: u64 = 11;
+/// Latency of an SPM vector store (`vstd`).
+pub const VSTD_LATENCY: u64 = 2;
+/// Extra cycles to switch the register-communication pattern
+/// (row-broadcast ↔ column-broadcast), paid between K-panels.
+pub const REGCOMM_SWITCH: Cycles = Cycles(32);
+/// Fixed per-call overhead of a GEMM primitive invocation (argument setup,
+/// register save/restore). Part of Eq. (2)'s δ term.
+pub const KERNEL_CALL_OVERHEAD: Cycles = Cycles(140);
+
 /// Row id of a CPE within the 8×8 mesh.
 #[inline]
 pub fn rid(cpe: usize) -> usize {

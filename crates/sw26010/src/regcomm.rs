@@ -10,11 +10,10 @@
 //! This module provides the standalone helpers used when reasoning about
 //! panel rotation outside the scoreboard: switching the communication
 //! pattern (row ↔ column) drains the bus and costs
-//! [`MachineConfig::regcomm_switch`] cycles.
+//! [`REGCOMM_SWITCH`] cycles.
 
 use crate::clock::Cycles;
-use crate::config::MachineConfig;
-use crate::MESH;
+use crate::{BCAST_LATENCY, MESH, REGCOMM_SWITCH};
 
 /// Which mesh bus a broadcast travels on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -27,8 +26,8 @@ pub enum BcastBus {
 /// the `MESH` steps re-targets the broadcast source, which costs a bus
 /// turnaround on top of the per-vector costs already counted by the
 /// scoreboard.
-pub fn panel_rotation_overhead(cfg: &MachineConfig) -> Cycles {
-    Cycles(cfg.regcomm_switch.get() * MESH as u64)
+pub fn panel_rotation_overhead() -> Cycles {
+    Cycles(REGCOMM_SWITCH.get() * MESH as u64)
 }
 
 /// Cycles for one leader CPE to scatter a just-arrived DMA panel to the
@@ -38,12 +37,12 @@ pub fn panel_rotation_overhead(cfg: &MachineConfig) -> Cycles {
 /// every hop, so the bus is busy for `ceil(elems / 4)` cycles per recipient.
 /// Used by broadcast-DMA tiling, where only the leader pays the DRAM cost
 /// and the mesh fans the panel out.
-pub fn dma_scatter_cycles(cfg: &MachineConfig, elems_per_cpe: usize) -> Cycles {
+pub fn dma_scatter_cycles(elems_per_cpe: usize) -> Cycles {
     if elems_per_cpe == 0 {
         return Cycles::ZERO;
     }
     let vectors = elems_per_cpe.div_ceil(4) as u64;
-    Cycles(cfg.regcomm_switch.get() + cfg.bcast_latency + vectors * (MESH as u64 - 1))
+    Cycles(REGCOMM_SWITCH.get() + BCAST_LATENCY + vectors * (MESH as u64 - 1))
 }
 
 #[cfg(test)]
@@ -52,21 +51,16 @@ mod tests {
 
     #[test]
     fn rotation_is_mesh_switches() {
-        let cfg = MachineConfig::default();
-        assert_eq!(
-            panel_rotation_overhead(&cfg).get(),
-            cfg.regcomm_switch.get() * 8
-        );
+        assert_eq!(panel_rotation_overhead().get(), REGCOMM_SWITCH.get() * 8);
     }
 
     #[test]
     fn scatter_scales_with_panel_and_is_free_when_empty() {
-        let cfg = MachineConfig::default();
-        assert_eq!(dma_scatter_cycles(&cfg, 0), Cycles::ZERO);
-        let small = dma_scatter_cycles(&cfg, 4);
-        let big = dma_scatter_cycles(&cfg, 400);
+        assert_eq!(dma_scatter_cycles(0), Cycles::ZERO);
+        let small = dma_scatter_cycles(4);
+        let big = dma_scatter_cycles(400);
         // 99 extra vectors per recipient, 7 recipients on the bus.
         assert_eq!(big.get() - small.get(), 99 * 7);
-        assert!(small.get() > cfg.regcomm_switch.get());
+        assert!(small.get() > REGCOMM_SWITCH.get());
     }
 }

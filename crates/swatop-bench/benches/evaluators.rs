@@ -20,7 +20,6 @@ use swtensor::ConvShape;
 /// (unmemoised) kernel cost: what a calibration costs when nothing is
 /// shared between queries.
 fn bench_cold_grid(c: &mut Criterion) {
-    let cfg = MachineConfig::default();
     let mut g = c.benchmark_group("calibration");
     g.sample_size(10);
     g.bench_function("per_cpe_cycles_cold_grid", |b| {
@@ -32,7 +31,7 @@ fn bench_cold_grid(c: &mut Criterion) {
                         VecDim::M => (m / 8, n / 8),
                         VecDim::N => (n / 8, m / 8),
                     };
-                    total += per_cpe_cycles(&cfg, v_len, s_len, k / 8, v.vector_load_ok());
+                    total += per_cpe_cycles(v_len, s_len, k / 8, v.vector_load_ok());
                 }
             }
             std::hint::black_box(total)

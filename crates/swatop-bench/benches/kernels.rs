@@ -2,14 +2,13 @@
 //! simulation and the functional `spm_gemm` primitive.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use sw26010::{CoreGroup, ExecMode, MachineConfig};
+use sw26010::{CoreGroup, ExecMode};
 use swkernels::spm_gemm::SpmMatrix;
 use swkernels::{gemm_cycles, spm_gemm, VecDim, ALL_VARIANTS};
 use swtensor::init::random_vec;
 use swtensor::MatLayout::RowMajor;
 
 fn bench_gemm_cost(c: &mut Criterion) {
-    let cfg = MachineConfig::default();
     let mut g = c.benchmark_group("gemm_cycles");
     for &(m, n, k) in &[(64usize, 64usize, 64usize), (256, 256, 256)] {
         g.bench_with_input(
@@ -22,7 +21,7 @@ fn bench_gemm_cost(c: &mut Criterion) {
                 b.iter(|| {
                     let v = ALL_VARIANTS[i % 8];
                     i += 1;
-                    std::hint::black_box(gemm_cycles(&cfg, v, m, n, k))
+                    std::hint::black_box(gemm_cycles(v, m, n, k))
                 });
             },
         );

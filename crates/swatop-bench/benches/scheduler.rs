@@ -108,7 +108,7 @@ fn bench_lower_one(c: &mut Criterion) {
 
 fn bench_model_estimate(c: &mut Criterion) {
     let cfg = MachineConfig::default();
-    let model = GemmModel::calibrate(&cfg);
+    let model = GemmModel::cached(&cfg);
     let op = ImplicitConvOp::new(ConvShape::square(32, 64, 64, 16));
     let sched = Scheduler::new(cfg.clone());
     let cands = sched.enumerate(&op);

@@ -12,7 +12,7 @@ use swtensor::ConvShape;
 fn bench_tuners(c: &mut Criterion) {
     let cfg = MachineConfig::default();
     // Warm the one-time calibration and kernel-cost caches.
-    let _ = GemmModel::calibrate(&cfg);
+    let _ = GemmModel::cached(&cfg);
     let op = ImplicitConvOp::new(ConvShape::square(32, 32, 32, 8));
     let sched = Scheduler::new(cfg.clone());
     let cands = sched.enumerate(&op);

@@ -3,7 +3,7 @@
 use std::ops::Range;
 
 use sw26010::regcomm::BcastBus;
-use sw26010::{cid, rid, Cycles, DmaDirection, MachineConfig, ELEM_BYTES, MESH, N_CPE, SPM_BYTES};
+use sw26010::{cid, rid, Cycles, DmaDirection, ELEM_BYTES, MESH, N_CPE, SPM_BYTES};
 use swkernels::VecDim;
 use swtensor::winograd::{n_tiles, tile_grid};
 use swtensor::{ConvShape, MatLayout};
@@ -132,13 +132,13 @@ impl DmaCpe {
     }
 
     /// The DRAM side of one execution of the node; see [`DmaShape`].
-    pub fn shape(&self, cfg: &MachineConfig) -> DmaShape {
-        self.shape_on(cfg, self.bcast)
+    pub fn shape(&self) -> DmaShape {
+        self.shape_on(self.bcast)
     }
 
     /// [`DmaCpe::shape`] of the node as if its `bcast` were `bus`: what the
     /// analytic model prices for a node that broadcast tagging would mark.
-    pub fn shape_on(&self, cfg: &MachineConfig, bus: Option<BcastBus>) -> DmaShape {
+    pub fn shape_on(&self, bus: Option<BcastBus>) -> DmaShape {
         // A broadcast leader moves its line's eight contiguous blocks as
         // one: 8 requests of 8× the block instead of 64 of the block.
         let (requests, cpe_step, block, regcomm) = match bus {
@@ -148,7 +148,7 @@ impl DmaCpe {
                     BcastBus::Row => MESH,
                     BcastBus::Column => 1,
                 };
-                let regcomm = sw26010::regcomm::dma_scatter_cycles(cfg, self.spm_elems());
+                let regcomm = sw26010::regcomm::dma_scatter_cycles(self.spm_elems());
                 (MESH, cpe_step, self.block * MESH, Some(regcomm))
             }
         };

@@ -167,7 +167,7 @@ struct DmaNode {
 
 impl DmaNode {
     fn new(node: &DmaCpe, cfg: &MachineConfig) -> Self {
-        let shape = node.shape(cfg);
+        let shape = node.shape();
         let reach = shape
             .relative_starts()
             .fold((0, 0), |(lo, hi), rel| (lo.min(rel), hi.max(rel)));

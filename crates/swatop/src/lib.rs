@@ -1,9 +1,9 @@
 //! # swatop — the automated operator-optimization framework
 //!
 //! This crate is the paper's primary contribution: an end-to-end automated
-//! framework that takes a tensorized operator description (DSL seed +
-//! schedule space) and produces near-optimal executable code for the
-//! (simulated) SW26010 core group.
+//! framework that takes a tensorized operator (its schedule space and
+//! lowering) and produces near-optimal executable code for the (simulated)
+//! SW26010 core group.
 //!
 //! Pipeline (paper Fig. 3):
 //!

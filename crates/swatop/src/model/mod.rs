@@ -7,8 +7,8 @@
 //!   block and charges a per-descriptor overhead the model does not know —
 //!   that gap is the model error Fig. 9 quantifies.
 //! * **Eq. (2)** — GEMM time: a linear function `αK + βKM + γKMN + δ` fitted
-//!   per kernel variant against the pipeline-scoreboard ground truth
-//!   ([`GemmModel::calibrate`]).
+//!   per kernel variant against the pipeline-scoreboard ground truth, once
+//!   per process ([`GemmModel::cached`]).
 //! * **T_overall = max(T_DMA, T_compute)** under software prefetching
 //!   (the autotuner estimates the *pre-prefetch* IR and applies the overlap
 //!   formula, exactly like the paper assumes the optimizer will hide the
@@ -20,15 +20,12 @@ pub mod memo;
 #[doc(hidden)]
 pub use memo::estimate_program_memo;
 
-use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
-use parking_lot::Mutex;
 use sw26010::regcomm::BcastBus;
 use sw26010::{Cycles, MachineConfig, N_CPE};
 use swatop_ir::guards::{guards_read, one_path};
 use swatop_ir::{DmaCpe, Env, Link, Program, Stmt, TransformOp, VarId};
-use swkernels::cost::{timing_fingerprint, TimingFingerprint};
 use swkernels::{gemm_cycles, GemmVariant, VecDim, ALL_VARIANTS};
 
 use crate::optimizer::coalesce::broadcast_bus;
@@ -70,7 +67,7 @@ pub fn dma_eq1_cycles(
 /// register-bus phase, which extends the completion — a get's scatter
 /// follows the transfer, a put's gather precedes it.
 pub fn dma_node_cycles(cfg: &MachineConfig, d: &DmaCpe, bus: Option<BcastBus>) -> f64 {
-    let shape = d.shape_on(cfg, bus);
+    let shape = d.shape_on(bus);
     let t = dma_eq1_cycles(cfg, shape.block, d.n_blocks, d.stride, shape.requests);
     t + shape.regcomm.map_or(0.0, |c| c.get() as f64)
 }
@@ -121,43 +118,33 @@ pub struct GemmModel {
     pub coef: [[f64; fit::N_FEATURES]; 8],
 }
 
-static MODEL_CACHE: Mutex<Option<HashMap<TimingFingerprint, Arc<GemmModel>>>> = Mutex::new(None);
+static MODEL: OnceLock<Arc<GemmModel>> = OnceLock::new();
 
 impl GemmModel {
-    /// Fit all eight variants against the scoreboard ground truth. Cached
-    /// per kernel timing (the paper benchmarks its kernels offline; here a
-    /// cold fit is ≈ 1 ms, because the 3,744 sampled shapes share 96
-    /// register-block simulations — see `swkernels::cost`). Prefer
-    /// [`GemmModel::cached`] in hot paths — it shares the fitted model
-    /// instead of cloning it.
-    pub fn calibrate(cfg: &MachineConfig) -> GemmModel {
-        (*Self::cached(cfg)).clone()
-    }
-
-    /// Shared handle to the calibrated model for `cfg`, keyed on every
-    /// field `gemm_cycles` reads ([`timing_fingerprint`]). The cache lock is
-    /// held across the fit so concurrent tuner threads asking for the same
-    /// configuration calibrate exactly once and everyone else blocks on the
-    /// single fit instead of duplicating it.
-    pub fn cached(cfg: &MachineConfig) -> Arc<GemmModel> {
-        let key = timing_fingerprint(cfg);
-        let mut cache = MODEL_CACHE.lock();
-        if let Some(m) = cache.as_ref().and_then(|c| c.get(&key)) {
-            return Arc::clone(m);
-        }
-        let mut coef = [[0.0; fit::N_FEATURES]; 8];
-        for v in ALL_VARIANTS {
-            let samples: Vec<_> = calibration_shapes(v)
-                .map(|(m, n, k)| {
-                    let y = gemm_cycles(cfg, v, m, n, k).get() as f64;
-                    (fit::features(m, n, k), y, 1.0 / (y * y))
-                })
-                .collect();
-            coef[v.index()] = fit::wls(&samples);
-        }
-        let model = Arc::new(GemmModel { coef });
-        cache.get_or_insert_with(HashMap::new).insert(key, Arc::clone(&model));
-        model
+    /// Shared handle to the model with all eight variants fitted against
+    /// the scoreboard ground truth. The kernel timings are constants of the
+    /// machine, so the fit runs once per process (the paper benchmarks its
+    /// kernels offline; here a cold fit is ≈ 1 ms, because the 3,744 sampled
+    /// shapes share 96 register-block simulations — see `swkernels::cost`).
+    /// Threads that ask at once block on the one fit instead of duplicating
+    /// it.
+    ///
+    /// Nothing here reads `_cfg`: the frozen `benchmark/` package calls
+    /// `GemmModel::cached(&cfg)`, and its next revision drops the argument.
+    pub fn cached(_cfg: &MachineConfig) -> Arc<GemmModel> {
+        Arc::clone(MODEL.get_or_init(|| {
+            let mut coef = [[0.0; fit::N_FEATURES]; 8];
+            for v in ALL_VARIANTS {
+                let samples: Vec<_> = calibration_shapes(v)
+                    .map(|(m, n, k)| {
+                        let y = gemm_cycles(v, m, n, k).get() as f64;
+                        (fit::features(m, n, k), y, 1.0 / (y * y))
+                    })
+                    .collect();
+                coef[v.index()] = fit::wls(&samples);
+            }
+            Arc::new(GemmModel { coef })
+        }))
     }
 
     /// Predicted cycles for one `spm_gemm(M, N, K)` call.
@@ -417,37 +404,15 @@ mod tests {
     }
 
     #[test]
-    fn model_cache_separates_every_kernel_timing_field() {
-        // `regcomm_switch` and `vstd_latency` move `gemm_cycles` just like
-        // the vmad/load latencies do; a config differing only there must get
-        // its own fit, not the default one's.
-        let base = MachineConfig::default();
-        let base_coef = GemmModel::cached(&base).coef;
-        let mut rotated = base.clone();
-        rotated.regcomm_switch = Cycles(2 * base.regcomm_switch.get());
-        let mut slow_stores = base.clone();
-        slow_stores.vstd_latency += 8;
-        for cfg in [rotated, slow_stores] {
-            let coef = GemmModel::cached(&cfg).coef;
-            assert_ne!(coef, base_coef);
-            // ... and it follows that config's slower ground truth.
-            let v = ALL_VARIANTS[0].index();
-            assert!(fit::predict(&coef[v], 128, 64, 64) > fit::predict(&base_coef[v], 128, 64, 64));
-        }
-        assert_eq!(GemmModel::cached(&base).coef, base_coef);
-    }
-
-    #[test]
     fn gemm_model_tracks_ground_truth_within_tolerance() {
-        let cfg = MachineConfig::default();
-        let model = GemmModel::calibrate(&cfg);
+        let model = GemmModel::cached(&MachineConfig::default());
         let mut worst: f64 = 0.0;
         for v in ALL_VARIANTS {
             for &(m, n, k) in &[(64usize, 64usize, 64usize), (128, 64, 32), (256, 128, 128)] {
                 if !valid_shape(v, m, n, k) {
                     continue;
                 }
-                let truth = gemm_cycles(&cfg, v, m, n, k).get() as f64;
+                let truth = gemm_cycles(v, m, n, k).get() as f64;
                 let pred = model.predict(v, m, n, k);
                 let err = (pred - truth).abs() / truth;
                 worst = worst.max(err);
@@ -458,8 +423,7 @@ mod tests {
 
     #[test]
     fn model_ranks_fast_variant_above_slow() {
-        let cfg = MachineConfig::default();
-        let model = GemmModel::calibrate(&cfg);
+        let model = GemmModel::cached(&MachineConfig::default());
         let fast = ALL_VARIANTS.iter().find(|v| v.vector_load_ok()).unwrap();
         let slow = ALL_VARIANTS.iter().find(|v| !v.vector_load_ok()).unwrap();
         assert!(

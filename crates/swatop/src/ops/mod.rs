@@ -1,5 +1,5 @@
-//! The operator library: tensorized DL operators expressed as DSL seeds,
-//! schedule spaces and IR lowerings.
+//! The operator library: tensorized DL operators expressed as schedule
+//! spaces, IR lowerings and golden references.
 //!
 //! * [`matmul`] — matrix multiplication (the xMath comparison, Tab. 2);
 //! * [`implicit_conv`] — implicit-GEMM convolution (Alg. 2, Fig. 5);

@@ -102,12 +102,6 @@ pub fn fingerprint(cfg: &MachineConfig, candidates: &[Candidate]) -> u64 {
     eat(cfg.dma_block_overhead.get());
     eat(cfg.dma_issue_cost.get());
     eat(cfg.dma_wait_poll.get());
-    eat(cfg.vmad_latency);
-    eat(cfg.vldd_latency);
-    eat(cfg.bcast_latency);
-    eat(cfg.vstd_latency);
-    eat(cfg.regcomm_switch.get());
-    eat(cfg.kernel_call_overhead.get());
     eat(cfg.kernel_launch.get());
     eat(cfg.kernel_signal.get());
     match cfg.fault {

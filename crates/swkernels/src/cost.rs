@@ -6,18 +6,17 @@
 //! deterministic, so it is paid once per *distinct input* at two levels:
 //!
 //! * **per query** — [`gemm_cycles`] memoises the whole kernel cost, keyed on
-//!   the variant, the per-CPE block shape and the machine's kernel timing
-//!   parameters ([`timing_fingerprint`]). The steady state of a tuning run is
-//!   ~100 % hits, one hash (of the shape; the timing is compared) and one
-//!   read lock each — and the IR interpreter asks once per static `Gemm`
-//!   node per program run ([`GemmPrice`](crate::GemmPrice)), not once per
-//!   executed call.
+//!   the variant and the per-CPE block shape (the kernel timings are
+//!   constants of the machine). The steady state of a tuning run is ~100 %
+//!   hits, one hash and one read lock each — and the IR interpreter asks
+//!   once per static `Gemm` node per program run
+//!   ([`GemmPrice`](crate::GemmPrice)), not once per executed call.
 //! * **per register block** — a query that misses prices its ≤ 4 distinct
 //!   register blocks ([`reg_blocks`](crate::microkernel::reg_blocks)) through
 //!   a memo of the scoreboard simulation, keyed on the block, the simulated
-//!   step count, `fast_vec_load` and the four latencies the scoreboard
-//!   reads. Only exact simulations are stored — the memo is the `exact` hook
-//!   of [`block_cycles_with`](crate::microkernel::block_cycles_with), so a K
+//!   step count and `fast_vec_load`. Only exact simulations are stored — the
+//!   memo is the `exact` hook of
+//!   [`block_cycles_with`](crate::microkernel::block_cycles_with), so a K
 //!   beyond the extrapolation threshold reuses the same two probes whatever
 //!   it is. There are only 16 × 2 block inputs per step count, so a cold
 //!   calibration (3,744 queries, 9 values of K of which 6 are simulated
@@ -38,32 +37,10 @@ use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::RwLock;
-use sw26010::{Cycles, MachineConfig, MESH};
+use sw26010::{Cycles, MESH};
 
 use crate::microkernel::{block_cycles, block_cycles_with, per_cpe_cycles_with, RegBlock};
 use crate::variant::{GemmVariant, VecDim};
-
-/// The `MachineConfig` fields a kernel's cycle cost depends on — the key
-/// under which anything derived from [`gemm_cycles`] may be shared between
-/// configurations (this module's caches, the fitted Eq. (2) model). It holds
-/// the values themselves, so equal fingerprints mean equal costs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct TimingFingerprint {
-    /// `vmad`, `vldd`, broadcast-load and `vstd` latencies: what the
-    /// scoreboard simulation of one register block reads.
-    scoreboard: [u64; 4],
-    regcomm_switch: u64,
-    kernel_call_overhead: u64,
-}
-
-/// The timing fingerprint of `cfg` (see [`TimingFingerprint`]).
-pub fn timing_fingerprint(cfg: &MachineConfig) -> TimingFingerprint {
-    TimingFingerprint {
-        scoreboard: [cfg.vmad_latency, cfg.vldd_latency, cfg.bcast_latency, cfg.vstd_latency],
-        regcomm_switch: cfg.regcomm_switch.get(),
-        kernel_call_overhead: cfg.kernel_call_overhead.get(),
-    }
-}
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct Key {
@@ -99,45 +76,34 @@ impl Hasher for MulRotate {
     }
 }
 
-/// One cost map per machine timing `T`. A process sees one timing, rarely a
-/// handful, so the timing is found by comparison and only the small
-/// per-query key is hashed.
-type Memo<T, K> = RwLock<Vec<(T, HashMap<K, u64, BuildHasherDefault<MulRotate>>)>>;
+type Memo<K> = RwLock<HashMap<K, u64, BuildHasherDefault<MulRotate>>>;
 
-static CACHE: Memo<TimingFingerprint, Key> = RwLock::new(Vec::new());
-static BLOCK_CACHE: Memo<[u64; 4], BlockKey> = RwLock::new(Vec::new());
+static CACHE: Memo<Key> = RwLock::new(HashMap::with_hasher(BuildHasherDefault::new()));
+static BLOCK_CACHE: Memo<BlockKey> = RwLock::new(HashMap::with_hasher(BuildHasherDefault::new()));
 static HITS: AtomicU64 = AtomicU64::new(0);
 static MISSES: AtomicU64 = AtomicU64::new(0);
 
 /// Entries one Eq. (2) calibration leaves in each memo (3,744 queries, 96
-/// blocks), rounded up: a timing's map is created this large, so a cold fit
-/// never rehashes.
+/// blocks), rounded up: a memo's first insert makes room for this many, so
+/// a cold fit never rehashes.
 const CALIBRATION_QUERIES: usize = 4096;
 const CALIBRATION_BLOCKS: usize = 128;
 
-fn lookup<T: PartialEq, K: Hash + Eq>(memo: &Memo<T, K>, timing: &T, key: &K) -> Option<u64> {
-    memo.read().iter().find(|(t, _)| t == timing)?.1.get(key).copied()
+fn lookup<K: Hash + Eq>(memo: &Memo<K>, key: &K) -> Option<u64> {
+    memo.read().get(key).copied()
 }
 
-/// Store `cycles` under `key`; the first entry of a timing makes its map,
-/// with room for `capacity` entries.
-fn insert<T: PartialEq + Copy, K: Hash + Eq>(
-    memo: &Memo<T, K>,
-    capacity: usize,
-    timing: &T,
-    key: K,
-    cycles: u64,
-) {
-    let mut maps = memo.write();
-    let at = maps.iter().position(|(t, _)| t == timing).unwrap_or_else(|| {
-        maps.push((*timing, HashMap::with_capacity_and_hasher(capacity, Default::default())));
-        maps.len() - 1
-    });
-    maps[at].1.insert(key, cycles);
+/// Store `cycles` under `key`; the first entry makes room for `capacity`.
+fn insert<K: Hash + Eq>(memo: &Memo<K>, capacity: usize, key: K, cycles: u64) {
+    let mut map = memo.write();
+    if map.capacity() == 0 {
+        map.reserve(capacity);
+    }
+    map.insert(key, cycles);
 }
 
-fn len<T, K>(memo: &Memo<T, K>) -> usize {
-    memo.read().iter().map(|(_, map)| map.len()).sum()
+fn len<K>(memo: &Memo<K>) -> usize {
+    memo.read().len()
 }
 
 /// Cycle cost of one `spm_gemm(M, N, K)` call with the given variant.
@@ -145,11 +111,10 @@ fn len<T, K>(memo: &Memo<T, K>) -> usize {
 /// Dimensions are the *global* matrix dimensions; they must already satisfy
 /// the kernel contract (divisible by the mesh; vectorised per-CPE dimension
 /// divisible by 4) — [`crate::spm_gemm`] validates before costing.
-pub fn gemm_cycles(cfg: &MachineConfig, variant: GemmVariant, m: usize, n: usize, k: usize) -> Cycles {
+pub fn gemm_cycles(variant: GemmVariant, m: usize, n: usize, k: usize) -> Cycles {
     let (mb, nb, kb) = (m / MESH, n / MESH, k / MESH);
-    let timing = timing_fingerprint(cfg);
     let key = Key { variant: variant.index(), mb, nb, kb };
-    if let Some(cycles) = lookup(&CACHE, &timing, &key) {
+    if let Some(cycles) = lookup(&CACHE, &key) {
         HITS.fetch_add(1, Ordering::Relaxed);
         return Cycles(cycles);
     }
@@ -159,19 +124,19 @@ pub fn gemm_cycles(cfg: &MachineConfig, variant: GemmVariant, m: usize, n: usize
         VecDim::N => (nb, mb),
     };
     let fast_vec_load = variant.vector_load_ok();
-    let cycles = per_cpe_cycles_with(cfg, v_len, s_len, kb, |blk, k_len| {
+    let cycles = per_cpe_cycles_with(v_len, s_len, kb, |blk, k_len| {
         // `steps` is within the exact range, where `block_cycles` is the
         // simulation itself.
         block_cycles_with(k_len, |steps| {
             let key = BlockKey { blk, steps, fast_vec_load };
-            lookup(&BLOCK_CACHE, &timing.scoreboard, &key).unwrap_or_else(|| {
-                let cycles = block_cycles(cfg, blk, steps, fast_vec_load);
-                insert(&BLOCK_CACHE, CALIBRATION_BLOCKS, &timing.scoreboard, key, cycles);
+            lookup(&BLOCK_CACHE, &key).unwrap_or_else(|| {
+                let cycles = block_cycles(blk, steps, fast_vec_load);
+                insert(&BLOCK_CACHE, CALIBRATION_BLOCKS, key, cycles);
                 cycles
             })
         })
     });
-    insert(&CACHE, CALIBRATION_QUERIES, &timing, key, cycles);
+    insert(&CACHE, CALIBRATION_QUERIES, key, cycles);
     Cycles(cycles)
 }
 
@@ -182,7 +147,7 @@ pub fn cache_len() -> usize {
 }
 
 /// Number of register-block costs currently memoised: the distinct
-/// `(block, steps, fast_vec_load, latencies)` inputs [`gemm_cycles`] has run
+/// `(block, steps, fast_vec_load)` inputs [`gemm_cycles`] has run
 /// the scoreboard for since process start.
 pub fn block_cache_len() -> usize {
     len(&BLOCK_CACHE)
@@ -233,123 +198,60 @@ mod tests {
 
     #[test]
     fn cache_returns_consistent_results() {
-        let cfg = MachineConfig::default();
         let v = ALL_VARIANTS[4]; // A col-major, vec M: fast vector loads
-        let a = gemm_cycles(&cfg, v, 64, 64, 64);
-        let b = gemm_cycles(&cfg, v, 64, 64, 64);
+        let a = gemm_cycles(v, 64, 64, 64);
+        let b = gemm_cycles(v, 64, 64, 64);
         assert_eq!(a, b);
         assert!(a.get() > 0);
     }
 
     #[test]
     fn memoised_costs_equal_the_pure_walk() {
-        // Ragged tiles (every block shape), both load kinds, K on both sides
-        // of the extrapolation threshold, and a second timing.
-        let mut slow_stores = MachineConfig::default();
-        slow_stores.vstd_latency += 3;
-        for cfg in [MachineConfig::default(), slow_stores] {
-            for v in ALL_VARIANTS {
-                for (vb, sb, kb) in [(4, 1, 1), (12, 7, 2), (8, 5, 12), (20, 4, 13), (16, 9, 40)] {
-                    let (mb, nb) = match v.vec {
-                        VecDim::M => (vb, sb),
-                        VecDim::N => (sb, vb),
-                    };
-                    let pure = per_cpe_cycles(&cfg, vb, sb, kb, v.vector_load_ok());
-                    for _ in 0..2 {
-                        let got = gemm_cycles(&cfg, v, mb * MESH, nb * MESH, kb * MESH);
-                        assert_eq!(got.get(), pure, "{v:?} {vb}x{sb}x{kb}");
-                    }
+        // Ragged tiles (every block shape), both load kinds, and K on both
+        // sides of the extrapolation threshold.
+        for v in ALL_VARIANTS {
+            for (vb, sb, kb) in [(4, 1, 1), (12, 7, 2), (8, 5, 12), (20, 4, 13), (16, 9, 40)] {
+                let (mb, nb) = match v.vec {
+                    VecDim::M => (vb, sb),
+                    VecDim::N => (sb, vb),
+                };
+                let pure = per_cpe_cycles(vb, sb, kb, v.vector_load_ok());
+                for _ in 0..2 {
+                    let got = gemm_cycles(v, mb * MESH, nb * MESH, kb * MESH);
+                    assert_eq!(got.get(), pure, "{v:?} {vb}x{sb}x{kb}");
                 }
             }
         }
         assert!(block_cache_len() > 0 && block_cache_len() <= cache_len() * 4);
         // The hook under the memo: an exact-range K is asked for as it is,
         // a longer one for the same two probes whatever it is.
-        let (cfg, blk) = (MachineConfig::default(), RegBlock::new(3, 2));
+        let blk = RegBlock::new(3, 2);
         for k_len in [1, 64, 96, 97, 104, 320] {
             let mut asked = Vec::new();
             let got = block_cycles_with(k_len, |steps| {
                 asked.push(steps);
-                block_cycles(&cfg, blk, steps, false)
+                block_cycles(blk, steps, false)
             });
-            assert_eq!(got, block_cycles(&cfg, blk, k_len, false), "k_len {k_len}");
+            assert_eq!(got, block_cycles(blk, k_len, false), "k_len {k_len}");
             assert_eq!(asked, if k_len <= 96 { vec![k_len] } else { vec![96, 64] });
         }
     }
 
     #[test]
-    fn a_cold_calibration_stores_96_blocks() {
-        // The grid of `swatop::model::calibration_shapes`, on a timing no
-        // other test uses: its block map is this test's own.
-        const M: [usize; 8] = [32, 64, 96, 128, 160, 192, 256, 320];
-        const N: [usize; 7] = [32, 48, 64, 96, 128, 192, 256];
-        const K: [usize; 9] = [8, 16, 24, 32, 64, 96, 128, 192, 256];
-        let mut cfg = MachineConfig::default();
-        cfg.vstd_latency += 7;
-        let mut queries = 0;
-        for v in ALL_VARIANTS {
-            for (m, n) in M.into_iter().flat_map(|m| N.map(|n| (m, n))) {
-                let vectorised = match v.vec {
-                    VecDim::M => m,
-                    VecDim::N => n,
-                };
-                if (vectorised / MESH).is_multiple_of(4) {
-                    for k in K {
-                        gemm_cycles(&cfg, v, m, n, k);
-                        queries += 1;
-                    }
-                }
-            }
-        }
-        assert_eq!(queries, 3744);
-        let timing = timing_fingerprint(&cfg).scoreboard;
-        let maps = BLOCK_CACHE.read();
-        let (_, blocks) = maps.iter().find(|(t, _)| *t == timing).expect("this timing's map");
-        // 16 block inputs × the 6 exact-range step counts (both probes are
-        // among them); 144 when every K had its own entry.
-        assert_eq!(blocks.len(), 96);
-        assert!(blocks.keys().all(|key| key.steps <= 96));
-    }
-
-    #[test]
-    fn every_timing_field_is_in_the_fingerprint() {
-        let base = MachineConfig::default();
-        let bump: [fn(&mut MachineConfig); 6] = [
-            |c| c.vmad_latency += 1,
-            |c| c.vldd_latency += 1,
-            |c| c.bcast_latency += 1,
-            |c| c.vstd_latency += 1,
-            |c| c.regcomm_switch = Cycles(c.regcomm_switch.get() + 1),
-            |c| c.kernel_call_overhead = Cycles(c.kernel_call_overhead.get() + 1),
-        ];
-        for (i, f) in bump.iter().enumerate() {
-            let mut cfg = base.clone();
-            f(&mut cfg);
-            assert_ne!(timing_fingerprint(&cfg), timing_fingerprint(&base), "field {i}");
-        }
-        // Fields the kernels never read do not split the caches.
-        let mut other = base.clone();
-        other.dma_startup = Cycles(other.dma_startup.get() + 1);
-        assert_eq!(timing_fingerprint(&other), timing_fingerprint(&base));
-    }
-
-    #[test]
     fn variants_differ_in_cost() {
-        let cfg = MachineConfig::default();
         // Fast-vector-load variant must beat the scalar-extend fallback.
         let fast = ALL_VARIANTS.iter().find(|v| v.vector_load_ok()).unwrap();
         let slow = ALL_VARIANTS.iter().find(|v| !v.vector_load_ok()).unwrap();
-        let cf = gemm_cycles(&cfg, *fast, 128, 128, 128);
-        let cs = gemm_cycles(&cfg, *slow, 128, 128, 128);
+        let cf = gemm_cycles(*fast, 128, 128, 128);
+        let cs = gemm_cycles(*slow, 128, 128, 128);
         assert!(cf < cs, "fast {cf} !< slow {cs}");
     }
 
     #[test]
     fn cost_monotone_in_k() {
-        let cfg = MachineConfig::default();
         let v = ALL_VARIANTS[0];
-        let c1 = gemm_cycles(&cfg, v, 64, 64, 64);
-        let c2 = gemm_cycles(&cfg, v, 64, 64, 128);
+        let c1 = gemm_cycles(v, 64, 64, 64);
+        let c2 = gemm_cycles(v, 64, 64, 128);
         assert!(c2 > c1);
     }
 
@@ -358,17 +260,15 @@ mod tests {
         // The tuner pool hammers this cache from every worker; all threads
         // must observe the same deterministic costs as a serial querier,
         // whether they hit the cache or race to fill it.
-        let cfg = MachineConfig::default();
         let shapes: Vec<(usize, usize, usize)> = (1..=6)
             .flat_map(|i| (1..=4).map(move |j| (32 * i, 32 * j, 8 * i)))
             .collect();
         let serial: Vec<Vec<u64>> = ALL_VARIANTS
             .iter()
-            .map(|v| shapes.iter().map(|&(m, n, k)| gemm_cycles(&cfg, *v, m, n, k).get()).collect())
+            .map(|v| shapes.iter().map(|&(m, n, k)| gemm_cycles(*v, m, n, k).get()).collect())
             .collect();
         std::thread::scope(|s| {
             for t in 0..8 {
-                let cfg = &cfg;
                 let shapes = &shapes;
                 let serial = &serial;
                 s.spawn(move || {
@@ -377,7 +277,7 @@ mod tests {
                     for (vi, v) in ALL_VARIANTS.iter().enumerate() {
                         for i in 0..shapes.len() {
                             let (m, n, k) = shapes[(i + t) % shapes.len()];
-                            let got = gemm_cycles(cfg, *v, m, n, k).get();
+                            let got = gemm_cycles(*v, m, n, k).get();
                             assert_eq!(got, serial[vi][(i + t) % shapes.len()]);
                         }
                     }
@@ -395,16 +295,5 @@ mod tests {
         assert!((gemm_intensity(64, 64, 64) - 8.0).abs() < 1e-12);
         assert!((gemm_intensity(128, 128, 128) - 16.0).abs() < 1e-12);
         assert_eq!(gemm_intensity(0, 0, 0), 0.0);
-    }
-
-    #[test]
-    fn config_changes_invalidate_cache_key() {
-        let cfg = MachineConfig::default();
-        let mut slow_cfg = cfg.clone();
-        slow_cfg.vmad_latency = 20;
-        let v = ALL_VARIANTS[4];
-        let base = gemm_cycles(&cfg, v, 64, 64, 64);
-        let slower = gemm_cycles(&slow_cfg, v, 64, 64, 64);
-        assert!(slower >= base);
     }
 }

@@ -15,7 +15,7 @@
 
 use sw26010::pipeline::{Instruction, Pipe, Scoreboard};
 use sw26010::regcomm;
-use sw26010::{MachineConfig, MESH};
+use sw26010::{BCAST_LATENCY, KERNEL_CALL_OVERHEAD, MESH, VLDD_LATENCY, VMAD_LATENCY, VSTD_LATENCY};
 
 /// Shape of one register block: `vecs` 4-wide C vectors along the
 /// vectorised dimension × `scalars` positions along the other dimension.
@@ -57,7 +57,7 @@ fn loads_per_step(blk: RegBlock, fast_vec_load: bool) -> usize {
 /// step, the `vecs × scalars` vmads reading register set `k % 2` interleave
 /// one-for-one with the loads of step `k + 1` into the other set so the
 /// decoder can pair them; whichever list is longer trails.
-fn simulate_block(cfg: &MachineConfig, blk: RegBlock, k_len: usize, fast_vec_load: bool) -> u64 {
+fn simulate_block(blk: RegBlock, k_len: usize, fast_vec_load: bool) -> u64 {
     let mut sb = Scoreboard::default();
     let n_acc = blk.vecs * blk.scalars;
     let per_vec = if fast_vec_load { 1 } else { 4 };
@@ -72,11 +72,11 @@ fn simulate_block(cfg: &MachineConfig, blk: RegBlock, k_len: usize, fast_vec_loa
         } else {
             SCA_BASE[set] + (i - n_vec_loads) as u16
         };
-        sb.issue(&Instruction::new(Pipe::P1, Some(dst), &[], cfg.bcast_latency));
+        sb.issue(&Instruction::new(Pipe::P1, Some(dst), &[], BCAST_LATENCY));
     };
     // Load the C accumulators from SPM.
     for a in 0..n_acc as u16 {
-        sb.issue(&Instruction::new(Pipe::P1, Some(ACC_BASE + a), &[], cfg.vldd_latency));
+        sb.issue(&Instruction::new(Pipe::P1, Some(ACC_BASE + a), &[], VLDD_LATENCY));
     }
     for i in 0..n_loads {
         load(&mut sb, 0, i);
@@ -89,7 +89,7 @@ fn simulate_block(cfg: &MachineConfig, blk: RegBlock, k_len: usize, fast_vec_loa
                 let (v, s) = (i / blk.scalars, i % blk.scalars);
                 let acc = ACC_BASE + i as u16;
                 let srcs = [VEC_BASE[set] + v as u16, SCA_BASE[set] + s as u16, acc];
-                sb.issue(&Instruction::new(Pipe::P0, Some(acc), &srcs, cfg.vmad_latency));
+                sb.issue(&Instruction::new(Pipe::P0, Some(acc), &srcs, VMAD_LATENCY));
             }
             if i < next_loads {
                 load(&mut sb, 1 - set, i);
@@ -98,7 +98,7 @@ fn simulate_block(cfg: &MachineConfig, blk: RegBlock, k_len: usize, fast_vec_loa
     }
     // Store C back to SPM: stores consume the accumulators.
     for a in 0..n_acc as u16 {
-        sb.issue(&Instruction::new(Pipe::P1, None, &[ACC_BASE + a], cfg.vstd_latency));
+        sb.issue(&Instruction::new(Pipe::P1, None, &[ACC_BASE + a], VSTD_LATENCY));
     }
     sb.finish_time().get()
 }
@@ -130,8 +130,8 @@ pub fn block_cycles_with(k_len: usize, mut exact: impl FnMut(usize) -> u64) -> u
 ///
 /// Pure: every call runs the scoreboard. [`crate::cost`] memoises the
 /// simulations; this function is the oracle that memo is tested against.
-pub fn block_cycles(cfg: &MachineConfig, blk: RegBlock, k_len: usize, fast_vec_load: bool) -> u64 {
-    block_cycles_with(k_len, |steps| simulate_block(cfg, blk, steps, fast_vec_load))
+pub fn block_cycles(blk: RegBlock, k_len: usize, fast_vec_load: bool) -> u64 {
+    block_cycles_with(k_len, |steps| simulate_block(blk, steps, fast_vec_load))
 }
 
 /// The register blocking of a per-CPE `v_len × s_len` C tile, as the
@@ -160,7 +160,6 @@ pub fn reg_blocks(v_len: usize, s_len: usize) -> impl Iterator<Item = (RegBlock,
 /// block: [`per_cpe_cycles`] passes the pure [`block_cycles`], the cached
 /// query in [`crate::cost`] the same extrapolation over memoised simulations.
 pub fn per_cpe_cycles_with(
-    cfg: &MachineConfig,
     v_len: usize,
     s_len: usize,
     kb: usize,
@@ -171,7 +170,7 @@ pub fn per_cpe_cycles_with(
     // Rotating through the 8 broadcast producers costs a pattern switch per
     // panel (charged once per kernel call: all register blocks stream
     // through panels together in the generated schedule).
-    let mut total = cfg.kernel_call_overhead.get() + regcomm::panel_rotation_overhead(cfg).get();
+    let mut total = KERNEL_CALL_OVERHEAD.get() + regcomm::panel_rotation_overhead().get();
     for (blk, count) in reg_blocks(v_len, s_len) {
         // 8: per-block loop bookkeeping (branch, address updates).
         total += count * (8 + block_cost(blk, k_total));
@@ -182,16 +181,8 @@ pub fn per_cpe_cycles_with(
 /// [`per_cpe_cycles_with`] over the pure scoreboard simulation: `kb` is the
 /// per-CPE K panel, `fast_vec_load` whether the vectorised operand loads as
 /// whole vectors.
-pub fn per_cpe_cycles(
-    cfg: &MachineConfig,
-    v_len: usize,
-    s_len: usize,
-    kb: usize,
-    fast_vec_load: bool,
-) -> u64 {
-    per_cpe_cycles_with(cfg, v_len, s_len, kb, |blk, k_len| {
-        block_cycles(cfg, blk, k_len, fast_vec_load)
-    })
+pub fn per_cpe_cycles(v_len: usize, s_len: usize, kb: usize, fast_vec_load: bool) -> u64 {
+    per_cpe_cycles_with(v_len, s_len, kb, |blk, k_len| block_cycles(blk, k_len, fast_vec_load))
 }
 
 /// Per-CPE instruction issue counts of one kernel call, derived analytically
@@ -237,57 +228,42 @@ pub fn per_cpe_issue_counts(
 mod tests {
     use super::*;
 
-    fn cfg() -> MachineConfig {
-        MachineConfig::default()
-    }
-
     /// Oracle for [`simulate_block`]: the schedule built as an explicit
     /// instruction stream (one list of loads per K step, interleaved with
     /// the step's vmads) and run through the scoreboard in one go.
-    fn emit_loads(
-        cfg: &MachineConfig,
-        blk: RegBlock,
-        set: usize,
-        fast_vec_load: bool,
-        out: &mut Vec<Instruction>,
-    ) {
+    fn emit_loads(blk: RegBlock, set: usize, fast_vec_load: bool, out: &mut Vec<Instruction>) {
         for v in 0..blk.vecs {
             let dst = VEC_BASE[set] + v as u16;
             for _ in 0..if fast_vec_load { 1 } else { 4 } {
-                out.push(Instruction::new(Pipe::P1, Some(dst), &[], cfg.bcast_latency));
+                out.push(Instruction::new(Pipe::P1, Some(dst), &[], BCAST_LATENCY));
             }
         }
         for s in 0..blk.scalars {
             let dst = SCA_BASE[set] + s as u16;
-            out.push(Instruction::new(Pipe::P1, Some(dst), &[], cfg.bcast_latency));
+            out.push(Instruction::new(Pipe::P1, Some(dst), &[], BCAST_LATENCY));
         }
     }
 
-    fn simulate_block_stream(
-        cfg: &MachineConfig,
-        blk: RegBlock,
-        k_len: usize,
-        fast_vec_load: bool,
-    ) -> u64 {
+    fn simulate_block_stream(blk: RegBlock, k_len: usize, fast_vec_load: bool) -> u64 {
         let mut sb = Scoreboard::default();
         let n_acc = (blk.vecs * blk.scalars) as u16;
         for a in 0..n_acc {
-            sb.issue(&Instruction::new(Pipe::P1, Some(ACC_BASE + a), &[], cfg.vldd_latency));
+            sb.issue(&Instruction::new(Pipe::P1, Some(ACC_BASE + a), &[], VLDD_LATENCY));
         }
         let mut stream = Vec::new();
-        emit_loads(cfg, blk, 0, fast_vec_load, &mut stream);
+        emit_loads(blk, 0, fast_vec_load, &mut stream);
         for k in 0..k_len {
             let set = k % 2;
             let mut loads = Vec::new();
             if k + 1 < k_len {
-                emit_loads(cfg, blk, 1 - set, fast_vec_load, &mut loads);
+                emit_loads(blk, 1 - set, fast_vec_load, &mut loads);
             }
             let mut loads = loads.into_iter();
             for v in 0..blk.vecs {
                 for s in 0..blk.scalars {
                     let acc = ACC_BASE + (v * blk.scalars + s) as u16;
                     let srcs = [VEC_BASE[set] + v as u16, SCA_BASE[set] + s as u16, acc];
-                    stream.push(Instruction::new(Pipe::P0, Some(acc), &srcs, cfg.vmad_latency));
+                    stream.push(Instruction::new(Pipe::P0, Some(acc), &srcs, VMAD_LATENCY));
                     stream.extend(loads.next());
                 }
             }
@@ -295,27 +271,23 @@ mod tests {
         }
         sb.run(&stream);
         for a in 0..n_acc {
-            sb.issue(&Instruction::new(Pipe::P1, None, &[ACC_BASE + a], cfg.vstd_latency));
+            sb.issue(&Instruction::new(Pipe::P1, None, &[ACC_BASE + a], VSTD_LATENCY));
         }
         sb.finish_time().get()
     }
 
     #[test]
     fn direct_issue_matches_the_instruction_stream() {
-        let mut c = cfg();
-        for lat in [c.bcast_latency, 1, 9] {
-            c.bcast_latency = lat;
-            for vecs in 1..=4 {
-                for scalars in 1..=4 {
-                    let blk = RegBlock::new(vecs, scalars);
-                    for fast in [true, false] {
-                        for k in [1usize, 2, 3, 8, 64, 96] {
-                            assert_eq!(
-                                simulate_block(&c, blk, k, fast),
-                                simulate_block_stream(&c, blk, k, fast),
-                                "{blk:?} k={k} fast={fast} bcast={lat}"
-                            );
-                        }
+        for vecs in 1..=4 {
+            for scalars in 1..=4 {
+                let blk = RegBlock::new(vecs, scalars);
+                for fast in [true, false] {
+                    for k in [1usize, 2, 3, 8, 64, 96] {
+                        assert_eq!(
+                            simulate_block(blk, k, fast),
+                            simulate_block_stream(blk, k, fast),
+                            "{blk:?} k={k} fast={fast}"
+                        );
                     }
                 }
             }
@@ -342,7 +314,6 @@ mod tests {
 
     #[test]
     fn reg_blocks_summarise_the_block_walk() {
-        let c = cfg();
         for v_len in (4..=44).step_by(4) {
             for s_len in 1..=13 {
                 let walk = walk_blocks(v_len, s_len);
@@ -354,13 +325,12 @@ mod tests {
                     assert_eq!(seen, n, "v_len {v_len} s_len {s_len} {blk:?}");
                 }
                 for fast in [true, false] {
-                    let naive = c.kernel_call_overhead.get()
-                        + regcomm::panel_rotation_overhead(&c).get()
-                        + walk
-                            .iter()
-                            .map(|&blk| 8 + block_cycles(&c, blk, MESH * 3, fast))
-                            .sum::<u64>();
-                    assert_eq!(per_cpe_cycles(&c, v_len, s_len, 3, fast), naive);
+                    let blocks: u64 =
+                        walk.iter().map(|&blk| 8 + block_cycles(blk, MESH * 3, fast)).sum();
+                    let naive = KERNEL_CALL_OVERHEAD.get()
+                        + regcomm::panel_rotation_overhead().get()
+                        + blocks;
+                    assert_eq!(per_cpe_cycles(v_len, s_len, 3, fast), naive);
                 }
             }
         }
@@ -370,10 +340,9 @@ mod tests {
     fn full_block_reaches_steady_sixteen_cycles() {
         // 4 vecs × 4 scalars = 16 vmads/step; P0-bound steady state must be
         // ~16 cycles/step ("16 vmad operations in 16 cycles").
-        let c = cfg();
         let blk = RegBlock::new(4, 4);
-        let c256 = simulate_block(&c, blk, 256, true);
-        let c128 = simulate_block(&c, blk, 128, true);
+        let c256 = simulate_block(blk, 256, true);
+        let c128 = simulate_block(blk, 128, true);
         let steady = (c256 - c128) as f64 / 128.0;
         assert!(
             (steady - 16.0).abs() < 0.5,
@@ -387,10 +356,9 @@ mod tests {
         // the 16 P0 vmads; in-order issue adds bubbles on top of the raw
         // P1 bound, so the steady state lands well above the fast variant's
         // 16 cycles/step but stays below 2× of it.
-        let c = cfg();
         let blk = RegBlock::new(4, 4);
-        let c256 = simulate_block(&c, blk, 256, false);
-        let c128 = simulate_block(&c, blk, 128, false);
+        let c256 = simulate_block(blk, 256, false);
+        let c128 = simulate_block(blk, 128, false);
         let steady = (c256 - c128) as f64 / 128.0;
         assert!(
             steady > 20.0 && steady < 32.0,
@@ -403,21 +371,19 @@ mod tests {
         // A 1×1 block has 1 vmad/step but the RAW chain through the
         // accumulator (latency 7) bounds it at ~7 cycles/step — far off the
         // dense schedule. This non-linearity is what Eq. (2) cannot see.
-        let c = cfg();
         let blk = RegBlock::new(1, 1);
-        let c256 = simulate_block(&c, blk, 256, true);
-        let c128 = simulate_block(&c, blk, 128, true);
+        let c256 = simulate_block(blk, 256, true);
+        let c128 = simulate_block(blk, 128, true);
         let steady = (c256 - c128) as f64 / 128.0;
         assert!(steady >= 6.5, "steady {steady}");
     }
 
     #[test]
     fn extrapolation_matches_exact_simulation() {
-        let c = cfg();
         let blk = RegBlock::new(4, 4);
         for &k in &[100usize, 200, 500] {
-            let exact = simulate_block(&c, blk, k, true);
-            let fast = block_cycles(&c, blk, k, true);
+            let exact = simulate_block(blk, k, true);
+            let fast = block_cycles(blk, k, true);
             let err = (exact as f64 - fast as f64).abs() / exact as f64;
             assert!(err < 0.01, "k={k}: exact {exact} vs extrapolated {fast}");
         }
@@ -425,9 +391,8 @@ mod tests {
 
     #[test]
     fn per_cpe_cost_scales_with_work() {
-        let c = cfg();
-        let small = per_cpe_cycles(&c, 8, 8, 8, true);
-        let big = per_cpe_cycles(&c, 16, 16, 16, true);
+        let small = per_cpe_cycles(8, 8, 8, true);
+        let big = per_cpe_cycles(16, 16, 16, true);
         assert!(big > 4 * small, "8× the MACs must cost >4× (small {small}, big {big})");
     }
 
@@ -436,8 +401,7 @@ mod tests {
         // v=32, s=8, kb=64: per-CPE MACs = 32·8·512. At 8 flops/cycle ideal
         // cycles = 2·32·8·512/8 = 32768. Overheads should keep us within 85%
         // of peak for this large tile.
-        let c = cfg();
-        let cycles = per_cpe_cycles(&c, 32, 8, 64, true);
+        let cycles = per_cpe_cycles(32, 8, 64, true);
         let ideal = 2.0 * 32.0 * 8.0 * 512.0 / 8.0;
         let eff = ideal / cycles as f64;
         assert!(eff > 0.85, "efficiency {eff} (cycles {cycles}, ideal {ideal})");
@@ -454,13 +418,12 @@ mod tests {
     fn issue_counts_match_emitted_streams() {
         // One full 4×4 block over one panel: counts must equal the vmads and
         // loads the emitter actually produces, plus 2·16 accumulator moves.
-        let c = cfg();
         let k_total = MESH * 2;
         for &fast in &[true, false] {
             let counts = per_cpe_issue_counts(16, 4, 2, fast);
             let blk = RegBlock::new(4, 4);
             let mut loads = Vec::new();
-            emit_loads(&c, blk, 0, fast, &mut loads);
+            emit_loads(blk, 0, fast, &mut loads);
             let per_step_loads = loads.len() as u64;
             assert_eq!(counts.p0, 16 * k_total as u64);
             assert_eq!(counts.broadcasts, per_step_loads * k_total as u64);

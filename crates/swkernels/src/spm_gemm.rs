@@ -17,7 +17,7 @@
 //! performed so that schedule bugs surface as wrong results.
 
 use sw26010::{
-    cid, rid, CoreGroup, Cycles, ExecMode, MachineConfig, MachineError, MachineResult, MESH, N_CPE,
+    cid, rid, CoreGroup, Cycles, ExecMode, MachineError, MachineResult, MESH, N_CPE,
 };
 use swtensor::gemm_ref;
 use swtensor::MatLayout::{self, ColMajor, RowMajor};
@@ -101,8 +101,8 @@ pub fn validate(
 }
 
 /// What one valid `spm_gemm` call charges the machine — a pure function of
-/// the kernel timing in `cfg`, the variant and the dimensions, whatever the
-/// operands' SPM offsets and leading dimensions.
+/// the variant and the dimensions, whatever the operands' SPM offsets and
+/// leading dimensions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GemmPrice {
     pub cycles: Cycles,
@@ -114,14 +114,14 @@ pub struct GemmPrice {
 
 impl GemmPrice {
     /// Price of a call that [`validate`] accepted as `variant`.
-    pub fn of(cfg: &MachineConfig, variant: GemmVariant, m: usize, n: usize, k: usize) -> Self {
+    pub fn of(variant: GemmVariant, m: usize, n: usize, k: usize) -> Self {
         let (mb, nb, kb) = (m / MESH, n / MESH, k / MESH);
         let (v_len, s_len) = match variant.vec {
             VecDim::M => (mb, nb),
             VecDim::N => (nb, mb),
         };
         GemmPrice {
-            cycles: gemm_cycles(cfg, variant, m, n, k),
+            cycles: gemm_cycles(variant, m, n, k),
             flops: gemm_flops(m, n, k),
             issue: per_cpe_issue_counts(v_len, s_len, kb, variant.vector_load_ok()),
         }
@@ -147,8 +147,8 @@ pub fn spm_gemm(
 
 /// [`spm_gemm`] for a call site that executes many times: `price` is the
 /// site's own slot, filled by the first valid call and charged by every
-/// later one. The caller keeps one slot per (machine timing, dimensions,
-/// operand layouts, `vd`) — a static `Gemm` node during one program run.
+/// later one. The caller keeps one slot per (dimensions, operand layouts,
+/// `vd`) — a static `Gemm` node during one program run.
 /// Everything that depends on the operands' SPM placement or the machine's
 /// current state is still checked on every call.
 #[allow(clippy::too_many_arguments)]
@@ -204,7 +204,7 @@ pub fn spm_gemm_priced(
     }
 
     let GemmPrice { cycles, flops, issue } =
-        *price.get_or_insert_with(|| GemmPrice::of(&cg.cfg, variant, m, n, k));
+        *price.get_or_insert_with(|| GemmPrice::of(variant, m, n, k));
     cg.counters.issue_p0 += issue.p0;
     cg.counters.issue_p1 += issue.p1;
     cg.counters.regcomm_broadcasts += issue.broadcasts;

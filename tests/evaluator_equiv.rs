@@ -4,9 +4,11 @@
 //! cost-only interpreter once per static node per run (a `DMA_CPE` node's
 //! bus bytes per first-start residue, a `Gemm` node's kernel price). These
 //! tests pin what makes that invisible: every cached or aggregated cost
-//! equals the value its oracle computes one call at a time (the pure
-//! `microkernel` functions, per-address `bus_bytes`, the Functional
-//! interpreter, which prices every request of every execution), failing
+//! equals the value its oracle computes one call at a time (per-address
+//! `bus_bytes`, the Functional interpreter, which prices every request of
+//! every execution; the kernel cost against the pure `microkernel`
+//! functions is `tests/cold_calibration.rs`'s, in a process of its own),
+//! failing
 //! programs fail with the same error value, and runs under a fault plan
 //! give what the per-execution interpreter gave. A DMA batch has one way
 //! through the machine whoever priced it, and a `DMA_CPE` node one shape
@@ -19,7 +21,7 @@ use swatop_repro::ir::{
     SpmBufId, SpmSlot, Stmt,
 };
 use swatop_repro::sw26010::dma::{bus_bytes, StartClasses};
-use swatop_repro::sw26010::regcomm::{dma_scatter_cycles, panel_rotation_overhead, BcastBus};
+use swatop_repro::sw26010::regcomm::{dma_scatter_cycles, BcastBus};
 use swatop_repro::sw26010::trace::{Event, Trace};
 use swatop_repro::sw26010::{
     cid, rid, CoreGroup, Counters, Cycles, DmaBatch, DmaDirection, DmaRequest, ExecMode,
@@ -27,12 +29,10 @@ use swatop_repro::sw26010::{
 };
 use swatop_repro::swatop::codegen::{plan, Executable};
 use swatop_repro::swatop::interp::{execute, extrapolation_stats, instantiate};
-use swatop_repro::swatop::model::{calibration_shapes, dma_eq1_cycles, estimate, fit, GemmModel};
+use swatop_repro::swatop::model::{dma_eq1_cycles, estimate, GemmModel};
 use swatop_repro::swatop::ops::{ExplicitConvOp, ImplicitConvOp, MatmulOp, WinogradConvOp};
 use swatop_repro::swatop::scheduler::{Operator, Scheduler};
-use swatop_repro::swkernels::cost::{block_cache_len, cache_stats, gemm_cycles};
-use swatop_repro::swkernels::microkernel::{block_cycles, RegBlock};
-use swatop_repro::swkernels::{VecDim, ALL_VARIANTS};
+use swatop_repro::swkernels::VecDim;
 use swatop_repro::swtensor::init::XorShift;
 use swatop_repro::swtensor::{ConvShape, MatLayout};
 use swatop_repro::workloads::vgg16_layers;
@@ -40,77 +40,9 @@ use swatop_repro::workloads::vgg16_layers;
 mod common;
 use common::every_op;
 
-/// The kernel-cost memos and the extrapolation tallies are process-wide; the
-/// tests that count their entries, misses or skips — and every test here
-/// that could extrapolate a loop — take turns.
-static KERNEL_COST: Mutex<()> = Mutex::new(());
-
-/// `per_cpe_cycles` as it was before the block walk was summarised: one
-/// pure scoreboard query per register block of the tile.
-fn naive_per_cpe_cycles(
-    cfg: &MachineConfig,
-    v_len: usize,
-    s_len: usize,
-    kb: usize,
-    fast_vec_load: bool,
-) -> (u64, u64) {
-    let n_vec = v_len / 4;
-    let mut total = cfg.kernel_call_overhead.get() + panel_rotation_overhead(cfg).get();
-    let mut blocks = 0;
-    let mut done_v = 0;
-    while done_v < n_vec {
-        let vb = (n_vec - done_v).min(4);
-        let mut done_s = 0;
-        while done_s < s_len {
-            let sb = (s_len - done_s).min(4);
-            total += 8 + block_cycles(cfg, RegBlock::new(vb, sb), MESH * kb, fast_vec_load);
-            blocks += 1;
-            done_s += sb;
-        }
-        done_v += vb;
-    }
-    (total, blocks)
-}
-
-#[test]
-fn calibration_equals_the_naive_block_walk() {
-    let _turn = KERNEL_COST.lock().unwrap_or_else(|e| e.into_inner());
-    // A timing no other test uses, so this calibration is cold.
-    let mut cfg = MachineConfig::default();
-    cfg.vldd_latency += 1;
-    let (_, misses0, _) = cache_stats();
-    let blocks0 = block_cache_len();
-    let model = GemmModel::cached(&cfg);
-    let (_, misses1, _) = cache_stats();
-    let memoised_blocks = block_cache_len() - blocks0;
-
-    let (mut queries, mut naive_blocks) = (0u64, 0u64);
-    let mut coef = [[0.0; fit::N_FEATURES]; 8];
-    for v in ALL_VARIANTS {
-        let mut samples = Vec::new();
-        for (m, n, k) in calibration_shapes(v) {
-            let (v_len, s_len) = match v.vec {
-                VecDim::M => (m / MESH, n / MESH),
-                VecDim::N => (n / MESH, m / MESH),
-            };
-            let (want, blocks) =
-                naive_per_cpe_cycles(&cfg, v_len, s_len, k / MESH, v.vector_load_ok());
-            assert_eq!(gemm_cycles(&cfg, v, m, n, k).get(), want, "{v:?} {m}x{n}x{k}");
-            queries += 1;
-            naive_blocks += blocks;
-            let y = want as f64;
-            samples.push((fit::features(m, n, k), y, 1.0 / (y * y)));
-        }
-        coef[v.index()] = fit::wls(&samples);
-    }
-    assert_eq!(model.coef, coef, "the fit over the naive values");
-    assert_eq!(queries, 3744);
-    assert_eq!(misses1 - misses0, queries, "one miss per cold query");
-    // 23,400 block evaluations before; 16 shapes × 2 load kinds × 9 K now.
-    assert_eq!(naive_blocks, 23_400);
-    assert!(memoised_blocks > 0 && memoised_blocks <= 288, "{memoised_blocks} blocks");
-    println!("{queries} queries, {naive_blocks} naive blocks, {memoised_blocks} memoised");
-}
+/// The extrapolation tallies are process-wide; the tests that count their
+/// skips — and every test here that could extrapolate a loop — take turns.
+static TALLIES: Mutex<()> = Mutex::new(());
 
 #[test]
 fn mesh_bus_bytes_equal_per_address_sums() {
@@ -249,7 +181,7 @@ fn run(
 
 #[test]
 fn cost_only_equals_functional_on_every_operator() {
-    let _turn = KERNEL_COST.lock().unwrap_or_else(|e| e.into_inner());
+    let _turn = TALLIES.lock().unwrap_or_else(|e| e.into_inner());
     let cfg = MachineConfig::default();
     let sched = Scheduler::new(cfg.clone());
     let (mut bcast, mut strided) = (0, 0);
@@ -447,7 +379,7 @@ fn a_batch_has_one_way_through_the_machine() {
                 dram: (0..MESH).map(|r| strided(r * MESH, MemToSpm, 40, 45, 2)).collect(),
                 lands: Some((
                     (0..N_CPE).map(|c| strided(c, MemToSpm, 5, 45, 2)).collect(),
-                    dma_scatter_cycles(&cfg, 10),
+                    dma_scatter_cycles(10),
                 )),
             },
         ),
@@ -457,7 +389,7 @@ fn a_batch_has_one_way_through_the_machine() {
                 dram: (0..MESH).map(|r| strided(r * MESH, SpmToMem, 40, 45, 2)).collect(),
                 lands: Some((
                     (0..N_CPE).map(|c| strided(c, SpmToMem, 5, 45, 2)).collect(),
-                    dma_scatter_cycles(&cfg, 10),
+                    dma_scatter_cycles(10),
                 )),
             },
         ),
@@ -539,10 +471,10 @@ fn a_node_has_one_shape_for_the_model_and_the_interpreter() {
     for (bus, offset, leader) in cases {
         let program = one_strided_dma(offset.clone(), block, stride, n_blocks, bus);
         let Stmt::DmaCpe(node) = &*program.body else { panic!("one node") };
-        let shape = node.shape(&cfg);
+        let shape = node.shape();
         let (requests, wide, regcomm) = match bus {
             None => (N_CPE, block, None),
-            Some(_) => (MESH, MESH * block, Some(dma_scatter_cycles(&cfg, block * n_blocks))),
+            Some(_) => (MESH, MESH * block, Some(dma_scatter_cycles(block * n_blocks))),
         };
         assert_eq!(
             (shape.requests, shape.block, shape.blocks, shape.regcomm),
@@ -743,7 +675,7 @@ fn faulted_runs(cfg: &MachineConfig, exe: &swatop_repro::swatop::codegen::Execut
 
 #[test]
 fn cost_only_results_under_a_fault_plan_equal_the_recorded_ones() {
-    let _turn = KERNEL_COST.lock().unwrap_or_else(|e| e.into_inner());
+    let _turn = TALLIES.lock().unwrap_or_else(|e| e.into_inner());
     let cfg = MachineConfig {
         fault: Some(FaultPlan {
             seed: 0x5EED_0015,
@@ -798,7 +730,7 @@ fn three_ways(
 
 #[test]
 fn extrapolated_runs_equal_the_plain_walk_and_functional_on_every_operator() {
-    let _turn = KERNEL_COST.lock().unwrap_or_else(|e| e.into_inner());
+    let _turn = TALLIES.lock().unwrap_or_else(|e| e.into_inner());
     let cfg = MachineConfig::default();
     let sched = Scheduler::new(cfg.clone());
     let mut ops = every_op();
@@ -921,7 +853,7 @@ fn adversarial(extent: usize, src_len: usize, body: impl Fn(&Kit, &AffineExpr) -
 
 #[test]
 fn adversarial_loops_match_the_plain_walk_or_fail_alike() {
-    let _turn = KERNEL_COST.lock().unwrap_or_else(|e| e.into_inner());
+    let _turn = TALLIES.lock().unwrap_or_else(|e| e.into_inner());
     let cfg = MachineConfig::default();
     let plain = |i: &AffineExpr| i.scale(64);
     // What each program must do: extrapolate, or never.
@@ -1006,7 +938,7 @@ fn adversarial_loops_match_the_plain_walk_or_fail_alike() {
 
 #[test]
 fn extrapolation_fires_on_brute_force_spaces_and_never_under_faults_traces_or_functional() {
-    let _turn = KERNEL_COST.lock().unwrap_or_else(|e| e.into_inner());
+    let _turn = TALLIES.lock().unwrap_or_else(|e| e.into_inner());
     let cfg = MachineConfig::default();
     let sched = Scheduler::new(cfg.clone());
     let conv = ConvShape::square(8, 32, 32, 16);
@@ -1105,7 +1037,7 @@ const SPACE_SUMS: [&str; 7] = [
 #[test]
 #[ignore = "whole spaces: run in release"]
 fn whole_space_sums_are_pinned() {
-    let _turn = KERNEL_COST.lock().unwrap_or_else(|e| e.into_inner());
+    let _turn = TALLIES.lock().unwrap_or_else(|e| e.into_inner());
     let cfg = MachineConfig::default();
     let sched = Scheduler::new(cfg.clone());
     let conv = ConvShape::square(8, 32, 32, 16);
