@@ -48,6 +48,6 @@ pub mod transform;
 pub use expr::{AVar, AffineExpr, Cond, Env, VarId};
 pub use program::{MemBufDecl, MemRole, Program, ScheduleHints, SpmBufDecl};
 pub use stmt::{
-    DmaCg, DmaCpe, DmaShape, GemmOp, Link, MatDesc, MemBufId, ReplyId, SpmBufId, SpmSlot, Stmt,
-    TransformKind, TransformOp, WinogradBands,
+    DmaCg, DmaCpe, DmaShape, GemmOp, Link, MatDesc, MemBufId, ReplyId, RowBands, SpmBufId,
+    SpmSlot, Stmt, TransformKind, TransformOp,
 };

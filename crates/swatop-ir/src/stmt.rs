@@ -322,7 +322,8 @@ impl Link {
 #[derive(Debug, Clone, PartialEq)]
 pub enum TransformKind {
     /// im2col expansion of an NCHW input into the `(Ni·Kr·Kc) × (B·Ro·Co)`
-    /// column matrix (explicit-GEMM convolution, Fig. 2 left).
+    /// column matrix (explicit-GEMM convolution, Fig. 2 left). It reads its
+    /// input in [`RowBands`].
     Im2col { shape: ConvShape, src: MemBufId, dst: MemBufId },
     /// Materialise spatial zero padding: NCHW input → padded NCHW copy
     /// (`ri + 2·pad` × `ci + 2·pad`), so downstream tiling sees `pad = 0`.
@@ -332,7 +333,7 @@ pub enum TransformKind {
     WinogradFilter { shape: ConvShape, src: MemBufId, dst: MemBufId, transposed: bool },
     /// Winograd input transform NCHW → `[16][Ni][nt_pad]`: the tile axis is
     /// zero-padded to `nt_pad` at generation time so the batched GEMMs see
-    /// an aligned N dimension. It reads its input in [`WinogradBands`].
+    /// an aligned N dimension. It reads its input in [`RowBands`].
     WinogradInput { shape: ConvShape, src: MemBufId, dst: MemBufId, nt_pad: usize },
     /// Winograd inverse output transform `[16][No][nt_pad]` → NCHW.
     WinogradOutput { shape: ConvShape, src: MemBufId, dst: MemBufId, nt_pad: usize },
@@ -459,8 +460,7 @@ impl TransformKind {
         match self {
             TransformKind::Im2col { shape, .. } => {
                 let written = swtensor::im2col::im2col_elems(shape) as u64;
-                // Each written element is read once from the input.
-                (written, written, 0)
+                (RowBands::im2col(shape).reads(), written, 0)
             }
             TransformKind::PadImageNchw { shape, .. } => {
                 let read = shape.input_shape().numel() as u64;
@@ -476,7 +476,7 @@ impl TransformKind {
                 (read, written, 8)
             }
             TransformKind::WinogradInput { shape, nt_pad, .. } => {
-                let read = WinogradBands::of(shape).reads();
+                let read = RowBands::winograd(shape).reads();
                 let written = 16 * (shape.ni * nt_pad) as u64;
                 (read, written, 8)
             }
@@ -515,67 +515,116 @@ impl TransformKind {
     }
 }
 
-/// The band plan of a Winograd input transform: how many tile rows of one
-/// input plane a CPE stages on chip at a time.
+/// The band plan of a transform that stages rows of one input plane on
+/// chip: the Winograd input transform and `Im2col`.
 ///
 /// Each CPE work item is one `(b, ni)` input plane. The CPE fetches the input
-/// rows a band of tile rows covers into its scratch pad once and computes
-/// every overlapping 4×4 tile of the band from there, so an input element
-/// crosses the bus once per band that covers it: once, where the plane is
-/// one band, and twice in the 2-row halo two bands share. A plane is split
-/// only where it and its share of `V` (16 values per tile) do not fit
-/// [`WinogradBands::SPM_SHARE`].
+/// rows a band of output rows covers into its scratch pad once and writes
+/// every output of the band from there, so an input element crosses the bus
+/// once per band that covers it: once, where the plane is one band, and twice
+/// in the halo two bands share. The Winograd input transform's output rows
+/// are its tile rows: each reads 4 input rows, 2 past the last, and holds 16
+/// values per tile. `Im2col`'s are the convolution's output rows: each reads
+/// `Kr` input rows, `stride` past the last, and holds its `Kr·Kc·Co` values
+/// of the column matrix. A plane is split only where its fetch and held
+/// values do not fit [`RowBands::SPM_SHARE`]. A fetch takes only the real
+/// elements the band's outputs read: padding is never read, and a window
+/// that skips input (a 1×1 kernel at stride 2) gathers what it reads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WinogradBands {
-    pub shape: ConvShape,
-    /// Tile rows per band; the last band may hold fewer.
+pub struct RowBands {
+    /// Input planes, one CPE work item each.
+    planes: usize,
+    /// The output rows' windows over the input rows.
+    down: Window,
+    /// The output columns' windows over the input columns.
+    across: Window,
+    /// Values a band holds on chip per output row.
+    held: usize,
+    /// Output rows per band; the last band may hold fewer.
     pub rows: usize,
 }
 
-impl WinogradBands {
+/// One axis of a band plan: `outs` outputs, output `o` reading the input
+/// positions `o·step − pad .. o·step + span − pad` that lie in `0..len`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Window {
+    outs: usize,
+    step: usize,
+    span: usize,
+    pad: usize,
+    len: usize,
+}
+
+impl Window {
+    /// The input positions the outputs `outs` read.
+    fn covered(&self, outs: Range<usize>) -> usize {
+        let lo = |o: usize| (o * self.step).saturating_sub(self.pad).min(self.len);
+        let hi = |o: usize| (o * self.step + self.span).saturating_sub(self.pad).min(self.len);
+        if outs.is_empty() {
+            0
+        } else if self.span >= self.step {
+            // Consecutive windows overlap or abut: one run.
+            hi(outs.end - 1) - lo(outs.start)
+        } else {
+            outs.map(|o| hi(o) - lo(o)).sum()
+        }
+    }
+}
+
+impl RowBands {
     /// Scratch-pad elements one band may fill: half of a CPE's
     /// [`SPM_BYTES`], the other half holding the next band's fetch in flight.
     pub const SPM_SHARE: usize = SPM_BYTES / ELEM_BYTES / 2;
 
-    /// The plan the input transform runs: [`WinogradBands::plan`] at
-    /// [`WinogradBands::SPM_SHARE`].
-    pub fn of(shape: &ConvShape) -> Self {
-        Self::plan(shape, Self::SPM_SHARE)
+    /// The Winograd input transform's plan at [`RowBands::SPM_SHARE`].
+    pub fn winograd(shape: &ConvShape) -> Self {
+        let (tr, tc) = tile_grid(shape);
+        let window = |outs, len| Window { outs, step: 2, span: 4, pad: shape.pad, len };
+        let (down, across) = (window(tr, shape.ri()), window(tc, shape.ci()));
+        RowBands { planes: shape.b * shape.ni, down, across, held: 16 * tc, rows: 0 }
+            .at(Self::SPM_SHARE)
     }
 
-    /// The plan for a band budget of `budget` elements: the whole plane if
-    /// its rows and its tiles' `V` values fit, else the most tile rows whose
-    /// fetch and `V` values fit, and at least one.
-    pub fn plan(shape: &ConvShape, budget: usize) -> Self {
-        let (tr, tc) = tile_grid(shape);
-        let ci = shape.ci();
-        let rows = if shape.ri() * ci + 16 * tr * tc <= budget {
-            tr
+    /// `Im2col`'s plan at [`RowBands::SPM_SHARE`].
+    pub fn im2col(shape: &ConvShape) -> Self {
+        let window =
+            |outs, span, len| Window { outs, step: shape.stride, span, pad: shape.pad, len };
+        let down = window(shape.ro, shape.kr, shape.ri());
+        let across = window(shape.co, shape.kc, shape.ci());
+        let held = shape.kr * shape.kc * shape.co;
+        RowBands { planes: shape.b * shape.ni, down, across, held, rows: 0 }.at(Self::SPM_SHARE)
+    }
+
+    /// The same transform's plan for a band budget of `budget` elements: the
+    /// whole plane if its fetch and held values fit, else the most output
+    /// rows whose fetch and held values fit, and at least one.
+    pub fn at(self, budget: usize) -> Self {
+        let Window { outs, step, span, .. } = self.down;
+        let cols = self.across.covered(0..self.across.outs);
+        let rows = if self.down.covered(0..outs) * cols + self.held * outs <= budget {
+            outs
         } else {
-            // A band of h tile rows fetches at most 2h + 2 input rows.
-            (budget.saturating_sub(2 * ci) / (2 * ci + 16 * tc)).clamp(1, tr)
+            // A band of h rows fetches at most (h − 1)·m + span input rows.
+            let m = step.min(span);
+            (budget.saturating_sub((span - m) * cols) / (m * cols + self.held)).clamp(1, outs)
         };
-        WinogradBands { shape: *shape, rows }
+        RowBands { rows, ..self }
     }
 
     /// Bands per plane.
     pub fn count(&self) -> usize {
-        tile_grid(&self.shape).0.div_ceil(self.rows)
+        self.down.outs.div_ceil(self.rows)
     }
 
-    /// The input rows band `k` fetches: those its tiles cover (tile row `t`
-    /// covers padded rows `2t .. 2t + 4`), less the zero padding.
-    fn fetch(&self, k: usize) -> Range<usize> {
-        let s = &self.shape;
-        let end = ((k + 1) * self.rows).min(tile_grid(s).0);
-        (2 * k * self.rows).saturating_sub(s.pad)..(2 * end + 2).saturating_sub(s.pad).min(s.ri())
-    }
-
-    /// Main-memory elements the plan reads: every band's rows of every plane.
+    /// Main-memory elements the plan reads: every band's fetch of every
+    /// plane.
     pub fn reads(&self) -> u64 {
-        let s = &self.shape;
-        let rows: usize = (0..self.count()).map(|k| self.fetch(k).len()).sum();
-        (s.b * s.ni * rows * s.ci()) as u64
+        let outs = self.down.outs;
+        let rows: usize = (0..outs)
+            .step_by(self.rows)
+            .map(|r| self.down.covered(r..(r + self.rows).min(outs)))
+            .sum();
+        (self.planes * rows * self.across.covered(0..self.across.outs)) as u64
     }
 }
 

@@ -11,7 +11,7 @@ use std::fmt::Write;
 
 use sw26010::regcomm::BcastBus;
 use swatop_ir::{
-    AVar, AffineExpr, Cond, Link, MemBufId, SpmSlot, Stmt, TransformKind, TransformOp, WinogradBands,
+    AVar, AffineExpr, Cond, Link, MemBufId, RowBands, SpmSlot, Stmt, TransformKind, TransformOp,
 };
 
 use super::Planned;
@@ -189,8 +189,8 @@ fn emit_stmt(s: &Stmt, exe: &Planned, depth: usize, out: &mut String) {
 /// reader's call. There is one call per fused chain or sibling run, named
 /// after its links in order (a run's members as `kernel_xN` where N alike
 /// stand together), reading the chain's first source and writing every
-/// reader's output. A Winograd input transform in the call adds its band
-/// height in tile rows ([`WinogradBands`]).
+/// reader's output. A Winograd input transform or an im2col in the call adds
+/// its band height in output rows ([`RowBands`]: tile rows for Winograd).
 fn transform(t: &TransformOp, before: &[Stmt], exe: &Planned, depth: usize, out: &mut String) {
     if !t.link.pays() {
         return;
@@ -226,12 +226,14 @@ fn transform(t: &TransformOp, before: &[Stmt], exe: &Planned, depth: usize, out:
             links.push(k);
         }
     }
-    let bands = links.iter().filter_map(|k| match k {
-        TransformKind::WinogradInput { shape, .. } => {
-            Some(format!("/*band_rows=*/{}", WinogradBands::of(shape).rows))
-        }
-        _ => None,
-    });
+    let bands = links
+        .iter()
+        .filter_map(|k| match k {
+            TransformKind::WinogradInput { shape, .. } => Some(RowBands::winograd(shape)),
+            TransformKind::Im2col { shape, .. } => Some(RowBands::im2col(shape)),
+            _ => None,
+        })
+        .map(|plan| format!("/*band_rows=*/{}", plan.rows));
     let args: Vec<String> = std::iter::once(src)
         .chain(members.iter().map(|m| m.kind.dst()))
         .map(|b| sanitize(&p.mem_bufs[b.0].name))
@@ -383,14 +385,20 @@ mod tests {
     }
 
     #[test]
-    fn the_winograd_input_call_carries_its_band_height() {
-        use crate::ops::WinogradConvOp;
-        use crate::scheduler::Scheduler;
+    fn the_row_band_calls_carry_their_band_height() {
+        use crate::ops::{ExplicitConvOp, WinogradConvOp};
+        use crate::scheduler::{Operator, Scheduler};
+        let sched = Scheduler::new(MachineConfig::default());
+        let call = |op: &dyn Operator, kernel: &str| {
+            let c = emit(&sched.enumerate(op)[0].exe);
+            c.lines().find(|l| l.contains(kernel)).expect("one call").to_string()
+        };
         // 4×4 tiles of 2×2 outputs: one 4-row band holds the whole plane.
-        let op = WinogradConvOp::new(swtensor::ConvShape::square(2, 8, 8, 8));
-        let cands = Scheduler::new(MachineConfig::default()).enumerate(&op);
-        let c = emit(&cands[0].exe);
-        let call = c.lines().find(|l| l.contains("winograd_input_transform")).expect("one call");
-        assert!(call.ends_with(", /*band_rows=*/4);"), "{c}");
+        let shape = swtensor::ConvShape::square(2, 8, 8, 8);
+        let winograd = call(&WinogradConvOp::new(shape), "winograd_input_transform");
+        assert!(winograd.ends_with(", /*band_rows=*/4);"), "{winograd}");
+        // Every output row of the plane in one band.
+        let explicit = call(&ExplicitConvOp::new(shape), "im2col");
+        assert!(explicit.ends_with(", /*band_rows=*/8);"), "{explicit}");
     }
 }

@@ -29,6 +29,15 @@
 //! batch 1 the row-major unfold and the accumulator are the packed layouts
 //! already, so neither is repacked.
 //!
+//! In the row-major unfold the `Kc` copies of one channel are rows one copy
+//! apart, so a chunk's `t_ni·Kc` rows are one 2-D tile: a row tile reduces
+//! them in one GEMM with K = `t_ni·Kc`, the weight packed `[Kr][No][Ni][Kc]`
+//! (`[Kr][Ni][Kc][No]` with a column-major weight), and the reduction has
+//! no `kc` loop: `Kc`× fewer reduction steps, GEMM calls and DMA start-ups.
+//! This is a rule, not a knob. It holds where `Kc > 1` and the chunk is
+//! below 128 channels (`MERGE_BELOW`); the column-major unfold keeps each
+//! copy's channels together, so its copies stay separate steps.
+//!
 //! Constraints: stride 1 (strided layers take the explicit-GEMM path, as
 //! swDNN does) and mesh-divisible channel counts — which is why the paper
 //! excludes each network's first layer ("its input channel is too small to
@@ -142,6 +151,13 @@ const WIDE_N: usize = MESH * VEC_WIDTH;
 
 /// Most row counts the `t_ro` menu offers besides 1.
 const MAX_ROW_TILES: usize = 3;
+
+/// Channel chunks below which a row tile over the row-major unfold reduces
+/// its `Kc` shifted copies in one GEMM (see the module doc). At 128 channels
+/// and more, the merged step's larger first fetch, which nothing overlaps,
+/// can cost more than the GEMM calls it saves: merging there too raised
+/// five knob census optima.
+const MERGE_BELOW: usize = 128;
 
 /// The `t_ro` menu: `1` alone where B·Co is a multiple of [`WIDE_N`] (whole
 /// rows already vectorise), else `1` and up to [`MAX_ROW_TILES`] row counts
@@ -259,6 +275,10 @@ impl Operator for ImplicitConvOp {
         // Row tiles, and the rows they cover: Ro plus the zero tail rows.
         let row_tiles = ro.div_ceil(t_ro);
         let ro_pad = row_tiles * t_ro;
+        // Whether one GEMM reduces a channel chunk's `Kc` shifted copies:
+        // its K is then `t_ni·Kc`, and the reduction has no `kc` loop.
+        let merged = t_ro > 1 && !d_col && kc > 1 && t_ni < MERGE_BELOW;
+        let (kc_steps, k_dim) = if merged { (1, t_ni * kc) } else { (kc, t_ni) };
 
         let mut p = Program::new(self.name());
         p.hints = dma;
@@ -300,8 +320,14 @@ impl Operator for ImplicitConvOp {
             src: w_buf,
             dst: w_packed,
             src_dims: vec![no, ni, kr, kc],
-            // [Kr][Kc][No][Ni] or [Kr][Kc][Ni][No].
-            perm: if w_col { vec![2, 3, 1, 0] } else { vec![2, 3, 0, 1] },
+            // [Kr][Kc][No][Ni] or [Kr][Kc][Ni][No]; merged, [Kr][No][Ni][Kc]
+            // or [Kr][Ni][Kc][No].
+            perm: match (merged, w_col) {
+                (false, false) => vec![2, 3, 0, 1],
+                (false, true) => vec![2, 3, 1, 0],
+                (true, false) => vec![2, 0, 1, 3],
+                (true, true) => vec![2, 1, 3, 0],
+            },
         }));
         // At batch 1 the row tiles' accumulator, [No][Ro][Co], is the NCHW
         // output itself unless there are tail rows to drop.
@@ -314,7 +340,7 @@ impl Operator for ImplicitConvOp {
         // Unrolled reduction steps of the SPM-resident schedule: every
         // (kr, kc, ni_t) tap keeps its own weight/input slot, so all the
         // fetches of a tile issue as one back-to-back run.
-        let k_steps = kr * kc * (ni / t_ni);
+        let k_steps = kr * kc_steps * (ni / t_ni);
         if resident && k_steps > MAX_RESIDENT_STEPS {
             return None;
         }
@@ -335,12 +361,17 @@ impl Operator for ImplicitConvOp {
         // Weight tile DMA (target slot and offset are supplied per use: the
         // resident schedule substitutes the reduction variables away and
         // lands each step in its own slot). The (kr, kc) slab, then the
-        // tile within it.
-        let (slab_kr, slab_kc) = ((v_kr, kc * no * ni), (v_kc, no * ni));
+        // tile within it; merged, the kr slab, whose (ni, kc) pairs are the
+        // K index, so a tile takes every kc.
+        let slab_kr = (v_kr, kc * no * ni);
+        let slab_kc = (v_kc, if merged { 0 } else { no * ni });
         let (w_rows, w_cols, w_row_stride, w_offset) = if w_col {
-            (t_ni, t_no, no, loop_sum(&[slab_kr, slab_kc, (v_nit, t_ni * no), (v_not, t_no)], 0))
+            let terms = [slab_kr, slab_kc, (v_nit, k_dim * no), (v_not, t_no)];
+            (k_dim, t_no, no, loop_sum(&terms, 0))
         } else {
-            (t_no, t_ni, ni, loop_sum(&[slab_kr, slab_kc, (v_not, t_no * ni), (v_nit, t_ni)], 0))
+            let row = if merged { ni * kc } else { ni };
+            let terms = [slab_kr, slab_kc, (v_not, t_no * row), (v_nit, k_dim)];
+            (t_no, k_dim, row, loop_sum(&terms, 0))
         };
         let w_get_to = |spm: swatop_ir::SpmBufId, offset: AffineExpr| {
             Stmt::DmaCg(DmaCg {
@@ -409,17 +440,18 @@ impl Operator for ImplicitConvOp {
                 )
             }
             (_, false) => {
-                // [Ni][Kc][Ri][Co][B]
+                // [Ni][Kc][Ri][Co][B]: merged, a chunk's `t_ni·Kc` copies
+                // are rows one `copy` apart.
                 let copy = (ro_pad + kr - 1) * co * b;
                 (
-                    t_ni,
+                    k_dim,
                     n_dim,
-                    kc * copy,
+                    if merged { copy } else { kc * copy },
                     loop_sum(
                         &[
                             (v_ro, t_ro * co * b),
                             (v_kr, co * b),
-                            (v_kc, copy),
+                            (v_kc, if merged { 0 } else { copy }),
                             (v_nit, t_ni * kc * copy),
                         ],
                         0,
@@ -472,13 +504,13 @@ impl Operator for ImplicitConvOp {
             Stmt::gemm(GemmOp {
                 m: t_no,
                 n: n_dim,
-                k: t_ni,
+                k: k_dim,
                 alpha: 1.0,
                 beta,
                 a: MatDesc::new(
                     SpmSlot::Single(wa),
                     if w_col { MatLayout::ColMajor } else { MatLayout::RowMajor },
-                    if w_col { t_no / 8 } else { t_ni / 8 },
+                    if w_col { t_no / 8 } else { k_dim / 8 },
                 ),
                 b: MatDesc::new(
                     SpmSlot::Single(db),
@@ -491,8 +523,8 @@ impl Operator for ImplicitConvOp {
             })
         };
 
-        let w_words = (t_no / 8) * (t_ni / 8);
-        let d_words = (t_ni / 8) * (n_dim / 8);
+        let w_words = (t_no / 8) * (k_dim / 8);
+        let d_words = (k_dim / 8) * (n_dim / 8);
 
         let tile_body = if resident {
             // SPM-resident reduction: unroll the (kr, kc, ni_t) nest, give
@@ -504,7 +536,7 @@ impl Operator for ImplicitConvOp {
             let ni_t = ni / t_ni;
             let mut steps = Vec::with_capacity(k_steps);
             for ikr in 0..kr {
-                for ikc in 0..kc {
+                for ikc in 0..kc_steps {
                     for init in 0..ni_t {
                         steps.push((ikr, ikc, init));
                     }
@@ -564,7 +596,10 @@ impl Operator for ImplicitConvOp {
             // step overwrites the output tile (β = 0), so no get fetches it.
             let spm_w = p.spm_buf("spm_w", w_words);
             let spm_d = p.spm_buf("spm_d", d_words);
-            let red_loops = [(v_kr, kr), (v_kc, kc), (v_nit, ni / t_ni)];
+            let mut red_loops = vec![(v_kr, kr), (v_kc, kc), (v_nit, ni / t_ni)];
+            if merged {
+                red_loops.remove(1);
+            }
             let k_step = crate::optimizer::prefetch::linear_index(&red_loops);
             let inner_body = Stmt::seq(vec![
                 w_get_to(spm_w, w_offset.clone()),

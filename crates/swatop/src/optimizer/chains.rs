@@ -432,8 +432,9 @@ mod tests {
         fuse_chains(&mut p);
         let got = links(&p);
         assert_eq!(got[..2], [FEEDS_ONE, FEEDS_ONE]);
+        // The chain reads the input once: a plane is one band of im2col.
         let Link::Ends { reads, .. } = got[2] else { panic!("{got:?}") };
-        assert_eq!(reads, cols as u64);
+        assert_eq!(reads, shape.input_shape().numel() as u64);
         let mut end = None;
         p.body.visit(&mut |s| match s {
             Stmt::Transform(t) if matches!(t.link, Link::Ends { .. }) => end = Some(t.clone()),

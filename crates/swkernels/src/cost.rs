@@ -110,7 +110,7 @@ fn len<K>(memo: &Memo<K>) -> usize {
 ///
 /// Dimensions are the *global* matrix dimensions; they must already satisfy
 /// the kernel contract (divisible by the mesh; vectorised per-CPE dimension
-/// divisible by 4) — [`crate::spm_gemm`] validates before costing.
+/// divisible by 4) — [`spm_gemm`](fn@crate::spm_gemm) validates before costing.
 pub fn gemm_cycles(variant: GemmVariant, m: usize, n: usize, k: usize) -> Cycles {
     let (mb, nb, kb) = (m / MESH, n / MESH, k / MESH);
     let key = Key { variant: variant.index(), mb, nb, kb };
@@ -158,7 +158,7 @@ pub fn block_cache_len() -> usize {
 /// memo under a miss is not counted). A query is not a kernel call: an
 /// interpreted program asks once per static `Gemm` node per run and charges
 /// that price on every execution of the node; only direct
-/// [`spm_gemm`](crate::spm_gemm) callers (baselines, benches) ask per call.
+/// [`spm_gemm`](fn@crate::spm_gemm) callers (baselines, benches) ask per call.
 /// Counters are relaxed atomics: approximate under concurrency (two workers
 /// racing on a cold key may both count a miss), exact serially — they are
 /// observability for the telemetry snapshot, never control flow.

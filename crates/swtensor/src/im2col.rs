@@ -18,9 +18,8 @@ use crate::tensor::Tensor;
 /// `(Ni·Kr·Kc) × (B·Ro·Co)`.
 ///
 /// Row `(ni, kr, kc)` holds, for every image and output row, one segment of
-/// an input row: the outputs whose tap lands inside the input
-/// ([`ConvShape::outputs_inside`]) copy it, every other output keeps the zero
-/// of the padding.
+/// an input row: the outputs whose tap lands inside the input copy it, every
+/// other output keeps the zero of the padding.
 pub fn im2col(shape: &ConvShape, input: &Tensor) -> Tensor {
     assert_eq!(input.shape(), &shape.input_shape());
     let cols = shape.b * shape.ro * shape.co;

@@ -174,8 +174,9 @@ fn assert_implicit_no_slower_than_explicit(shape: ConvShape) {
 #[test]
 fn batch1_gap_is_bridged() {
     // swDNN has no batch-1 implicit conv; swATOP must produce one, and a
-    // fast one: merged output rows widen the GEMM's N (23,069 cycles against
-    // explicit conv's 23,360).
+    // fast one: merged output rows widen the GEMM's N and reduce the `Kc`
+    // shifted copies in one GEMM (19,262 cycles against explicit conv's
+    // 20,762).
     let cfg = cfg();
     let shape = ConvShape::square(1, 32, 32, 8);
     assert!(swdnn_implicit_conv(&cfg, &shape).is_none());
@@ -187,16 +188,19 @@ fn batch1_gap_is_bridged() {
 #[ignore = "ROADMAP item 16"]
 fn implicit_is_no_slower_than_explicit_on_listing1_at_batch1() {
     // The 15 batch-1 configurations of Listing 1 at spatial cap 16 (release:
-    // about 3 s). Implicit wins 8 and loses 7, the 6 with No >= 256 and
-    // 512->128 (implicit / explicit optimum cycles): 256->256 941,570 /
-    // 865,507; 384->256 1,386,581 / 1,275,326; 384->384 2,009,592 /
-    // 1,748,946; 512->128 1,052,084 / 1,051,437; 512->256 1,824,683 /
-    // 1,668,553; 512->384 2,646,857 / 2,285,669; 512->512 3,463,441 /
-    // 2,902,785. Implicit conv repacks the 3x3 weight per call (9·No·Ni
-    // elements, about 200,000 cycles at 256->256), which explicit conv's
-    // GEMM reads in place, and at batch 1 explicit conv's GEMM writes the
-    // output in place too. The cap folds Listing 1's 75 configurations into
-    // these 15 shapes: each is compared once.
+    // about 3 s). Implicit wins 4, the No = 64 shapes other than 512->64, and
+    // loses 11 (implicit / explicit optimum cycles): 128->128 283,350 /
+    // 272,686; 256->128 522,429 / 460,795; 256->256 912,298 / 779,039;
+    // 384->128 774,855 / 711,254; 384->256 1,348,297 / 1,145,624; 384->384
+    // 1,969,133 / 1,619,244; 512->64 664,532 / 660,233; 512->128 1,004,920 /
+    // 878,501; 512->256 1,777,519 / 1,495,617; 512->384 2,599,693 /
+    // 2,112,733; 512->512 3,416,277 / 2,729,849. Implicit conv repacks the
+    // 3x3 weight per call (9·No·Ni elements, about 200,000 cycles at
+    // 256->256), which explicit conv's GEMM reads in place, and at batch 1
+    // explicit conv's GEMM writes the output in place too; explicit conv's
+    // im2col reads each input element once per band of output rows. The cap
+    // folds Listing 1's 75 configurations into these 15 shapes: each is
+    // compared once.
     let mut shapes: Vec<ConvShape> = Vec::new();
     for shape in conv_sweep(1, Some(16)) {
         if !shapes.contains(&shape) {

@@ -16,7 +16,9 @@ use swatop_repro::sw26010::{
 use swatop_repro::swatop::interp::{execute, instantiate};
 use swatop_repro::swatop::ops::matmul::{lower_matmul_body, MatmulKnobs, Resident};
 use swatop_repro::swatop::ops::tiling::PadMode;
-use swatop_repro::swatop::ops::{validate_candidate, validate_candidate_injected, MatmulOp};
+use swatop_repro::swatop::ops::{
+    validate_candidate, validate_candidate_injected, ImplicitConvOp, MatmulOp,
+};
 use swatop_repro::swatop::optimizer::verify::verify_executable;
 use swatop_repro::swatop::scheduler::{Candidate, Operator, Scheduler};
 use swatop_repro::swatop::tuner::checkpoint::{self, CandCell};
@@ -25,6 +27,7 @@ use swatop_repro::swatop::tuner::{
     TuneOptions, TuneOutcome, WinnerValidator,
 };
 use swatop_repro::ir::{MemRole, Program, ScheduleHints, Stmt, TransformKind};
+use swatop_repro::swtensor::ConvShape;
 use swatop_repro::{swatop, swtensor};
 
 fn candidates(op: &dyn Operator) -> Vec<Candidate> {
@@ -107,6 +110,60 @@ fn every_candidate_that_stages_a_put_validates() {
     }
     // 752 candidates stage a put.
     assert!(checked * stride >= 700, "{checked} checked");
+}
+
+/// Whether an implicit candidate's row tiles reduce a channel chunk's `Kc`
+/// shifted copies in one GEMM: its weight is packed `[Kr][No][Ni][Kc]` or
+/// `[Kr][Ni][Kc][No]`.
+fn merges_kc(c: &Candidate) -> bool {
+    let weight_pack = |s: &Stmt| {
+        matches!(s, Stmt::Transform(t) if matches!(&t.kind,
+            TransformKind::PackTensor { src, perm, .. }
+                if c.raw.mem_bufs[src.0].name == "weight"
+                    && (perm[..] == [2, 0, 1, 3] || perm[..] == [2, 1, 3, 0])))
+    };
+    c.raw.body.count(weight_pack) > 0
+}
+
+/// Every implicit candidate whose row tiles merge `Kc` (`merges_kc`)
+/// passes the static checker and validates against the `swtensor` golden.
+/// Merging reorders each output's sum, so the comparison is the
+/// validator's tolerance, not bit equality. `every_op()`'s implicit shape
+/// merges no row (B·Co vectorises whole rows), so three shapes that do
+/// join it: batch 1 with whole row tiles, and batch 2 at 7×7, padded and
+/// not, whose row tiles add zero tail rows. A debug build checks every 4th
+/// per shape.
+#[test]
+fn every_merged_row_tile_validates() {
+    let cfg = MachineConfig::default();
+    let stride = if cfg!(debug_assertions) { 4 } else { 1 };
+    let conv = |b, ni, no, side, pad| {
+        let shape = ConvShape { b, ni, no, ro: side, co: side, kr: 3, kc: 3, stride: 1, pad };
+        Box::new(ImplicitConvOp::new(shape)) as Box<dyn Operator>
+    };
+    let ops = every_op().into_iter().filter(|op| op.name().starts_with("implicit")).chain([
+        conv(1, 32, 32, 8, 0),
+        conv(2, 8, 32, 7, 1),
+        conv(2, 16, 16, 7, 0),
+    ]);
+    let tail_rows = |s: &Stmt| {
+        matches!(s, Stmt::Transform(t) if matches!(t.kind, TransformKind::UnpadSubmatrix { .. }))
+    };
+    let (mut checked, mut tails) = (0, 0);
+    for op in ops {
+        let cands = candidates(&*op);
+        for c in cands.iter().filter(|c| merges_kc(c)).step_by(stride) {
+            if let Err(vs) = verify_executable(&c.exe, &cfg) {
+                panic!("{} {}: flagged {vs:?}", op.name(), c.describe);
+            }
+            if let Err(msg) = validate_candidate(&cfg, &*op, c) {
+                panic!("{} {}: {msg}", op.name(), c.describe);
+            }
+            checked += 1;
+            tails += usize::from(c.raw.body.count(tail_rows) > 0);
+        }
+    }
+    assert!(checked * stride >= 100 && tails > 0, "{checked} checked, {tails} with tail rows");
 }
 
 /// The injection matrix: every miscompile class, across several seeds, must
